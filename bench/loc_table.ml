@@ -70,7 +70,7 @@ let descriptions =
     "smp", "Multiprocessor support (netisr, RSS)";
     "asyncio", "Readiness I/O & reactor";
     "event", "Event core (kqueue, timing wheel)";
-    "httpd", "HTTP server (1.1 keep-alive, sendfile)";
+    "httpd", "HTTP server (1.0/1.1 engine, sendfile)";
     "malloc", "Size-class allocator";
     "lmm", "List Memory Manager";
     "amm", "Address Map Manager";

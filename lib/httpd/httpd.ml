@@ -1,10 +1,10 @@
 (* An HTTP static-file server component, in both serving shapes the
  * paper's substrate supports:
  *
- *  - [serve_reactor]: event-driven.  The listen socket and every
- *    connection run non-blocking behind oskit_asyncio watches on a
- *    {!Reactor}; one thread multiplexes all of them, and a connection's
- *    whole footprint is its small state record.
+ *  - [serve_reactor_sharded]: event-driven.  The listen socket and every
+ *    connection run non-blocking behind oskit_asyncio watches on
+ *    {!Reactor}s, one per CPU; a connection's whole footprint is its
+ *    small state record.  [serve_reactor] is the one-reactor case.
  *  - [serve_threaded]: thread-per-connection.  A blocking accept loop
  *    spawns a handler thread per connection, gated at [max_threads] —
  *    beyond the gate the accept queue fills and the stack's listen
@@ -14,24 +14,32 @@
  * speak to sockets only through the COM interfaces, so either protocol
  * stack works underneath.
  *
- * Protocol engines (selected by Cost.config.http_keepalive):
+ * Each shape has one protocol engine; Cost.config.http_keepalive is a
+ * parameter of it, not a choice between engines:
  *
- *  - flag off: HTTP/1.0, GET only, one request per connection,
- *    Connection: close — byte-identical to the original server, so the
- *    committed baselines replay exactly.
- *  - flag on: HTTP/1.1 persistent connections with bounded pipelining.
+ *  - off: the paper-era server.  GET only, exactly one request framed per
+ *    connection, answered HTTP/1.0 with Connection: close whatever
+ *    version the client spoke.  No idle reaper is armed, and a handler
+ *    thread keeps its socket blocking (no nonblock option, no asyncio
+ *    face — both are COM calls that charge glue cycles).
+ *  - on: HTTP/1.1 persistent connections with bounded pipelining.
  *    Requests are parsed ahead (up to http_pipeline_max), responses go
- *    out strictly in order, every response carries Content-Length, idle
- *    connections are closed after http_idle_timeout_ns, and a connection
- *    is cut after http_max_reqs_per_conn requests (0 = unlimited).
+ *    out strictly in order, idle connections are closed after
+ *    http_idle_timeout_ns, and a connection is cut after
+ *    http_max_reqs_per_conn requests (0 = unlimited).
  *
- * Body path (selected by Cost.config.sendfile, keep-alive mode only):
- * a 200 body is served zero-copy when the socket exports the
- * {!Io_if.sendv} face and the file the {!Io_if.filemap} face — the
- * file's buffer-cache blocks are loaned to the socket as pinned
- * fragments and ride the scatter-gather transmit path to the wire with
- * no body copy.  Anything that cannot map (Linux sockets, files with
- * holes, flag off) takes the counted copy fallback.
+ * Every response carries Content-Length.  With Cost.config.httpd_guard a
+ * reactor connection that has framed no request within
+ * httpd_header_deadline_ns is cut (Slowloris), and in both shapes a
+ * request header over httpd_max_header_bytes is cut.
+ *
+ * Body path (Cost.config.sendfile): a 200 body is served zero-copy when
+ * the socket exports the {!Io_if.sendv} face and the file the
+ * {!Io_if.filemap} face — the file's buffer-cache blocks are loaned to the
+ * socket as pinned fragments and ride the scatter-gather transmit path to
+ * the wire with no body copy.  Anything that cannot map (Linux sockets,
+ * files with holes, flag off) takes the copy path, which counts every
+ * body it copies.
  *)
 
 type stats = {
@@ -46,9 +54,9 @@ type stats = {
   mutable peak_active : int;  (* high-water concurrent connections *)
   (* overload guards (Cost.config.httpd_guard) *)
   mutable shed_503 : int;  (* answered 503 + Retry-After over the high-water mark *)
-  mutable deadline_closed : int;  (* closed: headers not done by the deadline *)
+  mutable deadline_closed : int;  (* closed: no request framed by the deadline *)
   mutable hdr_overflow : int;  (* closed: request headers over the byte bound *)
-  (* keep-alive engine (Cost.config.http_keepalive) *)
+  (* keep-alive (Cost.config.http_keepalive) *)
   mutable reused : int;  (* requests served on an already-used connection *)
   mutable pipelined : int;  (* requests parsed while a response was still queued *)
   mutable idle_closed : int;  (* closed by the keep-alive idle timeout *)
@@ -56,7 +64,7 @@ type stats = {
   (* body path (Cost.config.sendfile) *)
   mutable sendfile_bodies : int;  (* bodies served from mapped cache blocks *)
   mutable sendfile_fallbacks : int;  (* sendfile wanted, had to copy *)
-  mutable body_bytes_copied : int;  (* body bytes through the copy path (keep-alive mode) *)
+  mutable body_bytes_copied : int;  (* 200 body bytes through the copy path *)
 }
 
 let make_stats () =
@@ -72,7 +80,12 @@ let make_stats () =
 let thread_stack_bytes = 32 * 1024
 let conn_state_bytes = 2 * 1024
 
-(* ---- request framing (shared by both modes and both engines) ----
+(* One-shot timer on whichever timer service is configured. *)
+let callout_after ~ns f =
+  if Cost.config.Cost.timer_wheel then ignore (Kwheel.callout_after ~ns f)
+  else ignore (Kclock.callout_after ~ns f)
+
+(* ---- request framing (shared by both serving shapes) ----
  *
  * A request ends at the first "\r\n\r\n" or "\n\n".  The original server
  * re-ran a substring search over the whole buffer after every recv —
@@ -87,11 +100,9 @@ type reqbuf = {
   mutable rb_len : int;  (* bytes received and not discarded *)
   mutable rb_start : int;  (* start of the current (unconsumed) request *)
   mutable rb_scan : int;  (* next byte the terminator scan will test *)
-  mutable rb_found : bool;  (* one-shot mode: a terminator has been seen *)
 }
 
-let rb_create () =
-  { rb_data = Bytes.create 512; rb_len = 0; rb_start = 0; rb_scan = 0; rb_found = false }
+let rb_create () = { rb_data = Bytes.create 512; rb_len = 0; rb_start = 0; rb_scan = 0 }
 
 let rb_append rb src n =
   if rb.rb_start = rb.rb_len && rb.rb_start > 0 then begin
@@ -141,21 +152,7 @@ let rb_find_term rb =
   in
   go (max rb.rb_scan rb.rb_start)
 
-(* One-shot completeness (the HTTP/1.0 engine): has a terminator arrived?
-   Latches, and matches the original [contains "\r\n\r\n" || contains
-   "\n\n"] exactly — a terminator exists somewhere iff one {e ends}
-   somewhere. *)
-let rb_complete rb =
-  rb.rb_found
-  || (match rb_find_term rb with
-     | Some _ ->
-         rb.rb_found <- true;
-         true
-     | None -> false)
-
-let rb_contents rb = Bytes.sub_string rb.rb_data 0 rb.rb_len
-
-(* Consume and return the next framed request (keep-alive engine). *)
+(* Consume and return the next framed request. *)
 let rb_next_request rb =
   match rb_find_term rb with
   | None -> None
@@ -169,24 +166,6 @@ let rb_next_request rb =
         rb.rb_scan <- 0
       end;
       Some req
-
-(* Kept for compatibility (tests); one-shot, not incremental. *)
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
-let request_complete s = contains s "\r\n\r\n" || contains s "\n\n"
-
-(* First request line: "GET <path> [HTTP/1.x]". *)
-let parse_request s =
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i -> (
-      let line = String.trim (String.sub s 0 i) in
-      match String.split_on_char ' ' (String.trim line) with
-      | "GET" :: path :: _ when path <> "" -> Some path
-      | _ -> None)
 
 (* Walk [path] one component at a time — the VFS-granularity lookup the
    interface insists on (and what lets an interposer check each step). *)
@@ -218,44 +197,6 @@ let read_file (f : Io_if.file) =
       in
       go 0
 
-let header ~status ~reason ~len =
-  Printf.sprintf
-    "HTTP/1.0 %d %s\r\nServer: oskit-httpd\r\nContent-Type: application/octet-stream\r\n\
-     Content-Length: %d\r\nConnection: close\r\n\r\n"
-    status reason len
-
-(* Build the full response for a raw request; counts into [st].  The
-   HTTP/1.0 one-request engine — byte-identical to the original server. *)
-let respond st root raw =
-  match parse_request raw with
-  | None ->
-      st.protocol_errors <- st.protocol_errors + 1;
-      let body = Bytes.of_string "bad request\n" in
-      Bytes.cat (Bytes.of_string (header ~status:400 ~reason:"Bad Request" ~len:(Bytes.length body))) body
-  | Some path -> (
-      st.requests <- st.requests + 1;
-      match resolve root path with
-      | Ok (Io_if.Node_file f) -> (
-          match read_file f with
-          | Ok body ->
-              st.responses <- st.responses + 1;
-              st.bytes_out <- st.bytes_out + Bytes.length body;
-              Bytes.cat
-                (Bytes.of_string (header ~status:200 ~reason:"OK" ~len:(Bytes.length body)))
-                body
-          | Result.Error _ ->
-              st.not_found <- st.not_found + 1;
-              let body = Bytes.of_string "io error\n" in
-              Bytes.cat
-                (Bytes.of_string (header ~status:500 ~reason:"Internal Server Error" ~len:(Bytes.length body)))
-                body)
-      | Ok (Io_if.Node_dir _) | Result.Error _ ->
-          st.not_found <- st.not_found + 1;
-          let body = Bytes.of_string "not found\n" in
-          Bytes.cat
-            (Bytes.of_string (header ~status:404 ~reason:"Not Found" ~len:(Bytes.length body)))
-            body)
-
 let aio_of (sock : Io_if.socket) =
   Cost.count_com_call ();
   match Com.query sock.Io_if.so_unknown Io_if.asyncio_iid with
@@ -284,7 +225,7 @@ let resp_503 =
   "HTTP/1.0 503 Service Unavailable\r\nServer: oskit-httpd\r\nRetry-After: 1\r\n\
    Content-Length: 0\r\nConnection: close\r\n\r\n"
 
-(* ---- the HTTP/1.1 keep-alive engine (Cost.config.http_keepalive) ---- *)
+(* ---- the protocol engine's response side ---- *)
 
 (* One queued response.  [rs_data] is the header (plus the body, when it
    went through the copy path); [rs_frags] is the mapped body for the
@@ -307,7 +248,7 @@ let release_resp r =
     List.iter (fun f -> f.Io_if.fr_release ()) r.rs_frags
   end
 
-let header_11 ~v11 ~status ~reason ~len ~keep =
+let resp_header ~v11 ~status ~reason ~len ~keep =
   Printf.sprintf
     "HTTP/%s %d %s\r\nServer: oskit-httpd\r\nContent-Type: application/octet-stream\r\n\
      Content-Length: %d\r\nConnection: %s\r\n\r\n"
@@ -316,8 +257,9 @@ let header_11 ~v11 ~status ~reason ~len ~keep =
     (if keep then "keep-alive" else "close")
 
 (* Request line and the Connection header.  Returns
-   (path option, spoke 1.1, asked close, asked keep-alive). *)
-let parse_request_11 raw =
+   (path option, spoke 1.1, asked close, asked keep-alive).  Runs of
+   spaces in the request line separate tokens like one space. *)
+let parse_head raw =
   match String.index_opt raw '\n' with
   | None -> (None, false, false, false)
   | Some i ->
@@ -346,16 +288,23 @@ let parse_request_11 raw =
         (String.split_on_char '\n' raw);
       (path, v11, !conn = "close", !conn = "keep-alive")
 
-(* Build one response for the keep-alive engine.  [sv] present means the
-   socket can take loaned fragments; [force_close] is the per-connection
-   request cap.  Counting mirrors [respond]; the new keep-alive/sendfile
-   counters only move here, never on the flag-off paths. *)
-let respond_11 st root ~(sv : Io_if.sendv option) ~force_close raw =
-  let path, v11, asked_close, asked_keep = parse_request_11 raw in
-  let keep = (if v11 then not asked_close else asked_keep) && not force_close in
+(* Build the response to [raw], the [nth] request framed on its
+   connection.  Keep-alive off, every response is HTTP/1.0 with
+   Connection: close; on, the client's version and Connection header
+   decide, and the request cap forces a close.  [sv] present means the
+   socket can take loaned fragments. *)
+let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
+  let ka = Cost.config.http_keepalive in
+  let max_reqs = Cost.config.http_max_reqs_per_conn in
+  if nth > 1 then st.reused <- st.reused + 1;
+  let capped = ka && max_reqs > 0 && nth >= max_reqs in
+  if capped then st.capped <- st.capped + 1;
+  let path, v11, asked_close, asked_keep = parse_head raw in
+  let v11 = ka && v11 in
+  let keep = ka && (if v11 then not asked_close else asked_keep) && not capped in
   let copied ~status ~reason ~keep body =
     { rs_data =
-        Bytes.cat (Bytes.of_string (header_11 ~v11 ~status ~reason ~len:(Bytes.length body) ~keep)) body;
+        Bytes.cat (Bytes.of_string (resp_header ~v11 ~status ~reason ~len:(Bytes.length body) ~keep)) body;
       rs_frags = [];
       rs_blen = 0;
       rs_close = not keep;
@@ -371,33 +320,23 @@ let respond_11 st root ~(sv : Io_if.sendv option) ~force_close raw =
       st.requests <- st.requests + 1;
       match resolve root path with
       | Ok (Io_if.Node_file f) -> (
+          let fallback () =
+            Cost.count_sendfile_fallback ();
+            st.sendfile_fallbacks <- st.sendfile_fallbacks + 1;
+            None
+          in
           let mapped =
             if not Cost.config.Cost.sendfile then None
             else
-              match sv with
-              | None ->
-                  Cost.count_sendfile_fallback ();
-                  st.sendfile_fallbacks <- st.sendfile_fallbacks + 1;
-                  None
-              | Some _ -> (
-                  match filemap_of f with
-                  | None ->
-                      Cost.count_sendfile_fallback ();
-                      st.sendfile_fallbacks <- st.sendfile_fallbacks + 1;
-                      None
-                  | Some fm -> (
-                      match f.Io_if.f_getstat () with
-                      | Result.Error _ -> None (* the copy path reports the error *)
-                      | Ok fst -> (
-                          match
-                            fm.Io_if.fm_map_blocks ~offset:0 ~amount:fst.Io_if.st_size
-                          with
-                          | Ok frags -> Some frags
-                          | Result.Error _ ->
-                              (* A hole (or an fs that cannot loan): copy. *)
-                              Cost.count_sendfile_fallback ();
-                              st.sendfile_fallbacks <- st.sendfile_fallbacks + 1;
-                              None)))
+              match Option.bind sv (fun _ -> filemap_of f) with
+              | None -> fallback ()
+              | Some fm -> (
+                  match f.Io_if.f_getstat () with
+                  | Result.Error _ -> None (* the copy path reports the error *)
+                  | Ok fst -> (
+                      match fm.Io_if.fm_map_blocks ~offset:0 ~amount:fst.Io_if.st_size with
+                      | Ok frags -> Some frags
+                      | Result.Error _ -> fallback () (* a hole, or an fs that cannot loan *)))
           in
           match mapped with
           | Some frags ->
@@ -413,7 +352,7 @@ let respond_11 st root ~(sv : Io_if.sendv option) ~force_close raw =
                  are fresh and never touched again, so loaning them needs
                  no pin. *)
               let hdr =
-                Bytes.of_string (header_11 ~v11 ~status:200 ~reason:"OK" ~len:blen ~keep)
+                Bytes.of_string (resp_header ~v11 ~status:200 ~reason:"OK" ~len:blen ~keep)
               in
               let hfrag =
                 { Io_if.fr_data = hdr;
@@ -447,102 +386,16 @@ let respond_11 st root ~(sv : Io_if.sendv option) ~force_close raw =
 
 (* ---- event-driven mode ---- *)
 
-(* One accepted connection on [reactor]: the nonblocking read-request /
-   write-response state machine.  Shared by the single-reactor mode and
-   the per-CPU sharded mode (where [reactor] is the one pinned to the
-   connection's RSS home CPU). *)
-let reactor_conn_10 ~reactor st root (c : Io_if.socket) =
-    st.accepted <- st.accepted + 1;
-    st.active <- st.active + 1;
-    if st.active > st.peak_active then st.peak_active <- st.active;
-    ignore (c.Io_if.so_setsockopt "nonblock" 1);
-    let caio = aio_of c in
-    let rb = rb_create () in
-    let scratch = Bytes.create 2048 in
-    let resp = ref Bytes.empty in
-    let off = ref 0 in
-    let wref = ref None in
-    let writing = ref false in
-    let closed = ref false in
-    (* Idempotent: the header-deadline callout can fire after the
-       connection already finished (or was torn down twice by racing
-       read/write errors); only the first close may touch the counts. *)
-    let finish () =
-      if not !closed then begin
-        closed := true;
-        (match !wref with Some w -> Reactor.unwatch reactor w | None -> ());
-        ignore (c.Io_if.so_close ());
-        st.active <- st.active - 1
-      end
-    in
-    let on_writable () =
-      let remaining = Bytes.length !resp - !off in
-      if remaining = 0 then finish ()
-      else
-        match c.Io_if.so_send ~buf:!resp ~pos:!off ~len:remaining with
-        | Ok n ->
-            off := !off + n;
-            if !off >= Bytes.length !resp then finish ()
-        | Result.Error Error.Wouldblock -> ()
-        | Result.Error _ -> finish ()
-    in
-    let on_readable () =
-      match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
-      | Ok 0 ->
-          (* EOF before the request terminator. *)
-          st.protocol_errors <- st.protocol_errors + 1;
-          finish ()
-      | Ok n ->
-          rb_append rb scratch n;
-          if
-            Cost.config.httpd_guard
-            && rb.rb_len > Cost.config.httpd_max_header_bytes
-            && not (rb_complete rb)
-          then begin
-            (* Unbounded drip-fed headers are the other half of the
-               Slowloris hold: cap the buffer and cut the connection. *)
-            st.hdr_overflow <- st.hdr_overflow + 1;
-            finish ()
-          end
-          else if rb_complete rb then begin
-            resp := respond st root (rb_contents rb);
-            off := 0;
-            writing := true;
-            (match !wref with
-            | Some w -> Reactor.rewatch reactor w ~mask:Io_if.aio_write
-            | None -> ());
-            (* The send buffer is almost certainly writable right now. *)
-            on_writable ()
-          end
-      | Result.Error Error.Wouldblock -> ()
-      | Result.Error _ ->
-          st.protocol_errors <- st.protocol_errors + 1;
-          finish ()
-    in
-    let cb _ready = if !writing then on_writable () else on_readable () in
-    wref := Some (Reactor.watch reactor caio ~mask:Io_if.aio_read cb);
-    if Cost.config.httpd_guard then
-      (* Slowloris defense: the whole request header must arrive within the
-         deadline, or the connection is cut — a parked half-request may not
-         hold its state record indefinitely. *)
-      let fire () =
-        if (not !closed) && not !writing then begin
-          st.deadline_closed <- st.deadline_closed + 1;
-          finish ()
-        end
-      in
-      let ns = Cost.config.httpd_header_deadline_ns in
-      if Cost.config.Cost.timer_wheel then
-        ignore (Kwheel.callout_after ~ns fire)
-      else ignore (Kclock.callout_after ~ns fire)
-
-(* The keep-alive connection: frame requests with the resume-cursor
-   scanner, parse ahead up to http_pipeline_max, answer strictly in
-   order, and stay open until the peer leaves, the idle timeout fires, or
-   the request cap cuts us off.  Footprint stays O(1) per connection: the
-   request buffer, the bounded response queue, one watch, one live
-   callout. *)
-let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
+(* One accepted connection on [reactor] (in the sharded mode, the one
+   pinned to the connection's RSS home CPU): frame requests with the
+   resume-cursor scanner, parse ahead up to http_pipeline_max, answer
+   strictly in order, and stay open until the peer leaves, a response
+   says close, the idle timeout fires, or the request cap cuts us off.
+   Keep-alive off, the first framed request's response says close, so
+   exactly one is framed.  Footprint stays O(1) per connection: the
+   request buffer, the bounded response queue, one watch, and at most two
+   callouts. *)
+let reactor_conn ~reactor st root (c : Io_if.socket) =
   st.accepted <- st.accepted + 1;
   st.active <- st.active + 1;
   if st.active > st.peak_active then st.peak_active <- st.active;
@@ -550,7 +403,6 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
   let caio = aio_of c in
   let sv = if Cost.config.Cost.sendfile then sendv_of c else None in
   let pipeline_max = max 1 Cost.config.http_pipeline_max in
-  let max_reqs = Cost.config.http_max_reqs_per_conn in
   let rb = rb_create () in
   let scratch = Bytes.create 2048 in
   let pending : resp Queue.t = Queue.create () in
@@ -560,6 +412,9 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
   let closing = ref false in (* a Connection: close response is queued *)
   let cur_mask = ref Io_if.aio_read in
   let idle_gen = ref 0 in
+  (* Idempotent: a callout can fire after the connection already finished
+     (or it was torn down twice by racing read/write errors); only the
+     first close may touch the counts. *)
   let finish () =
     if not !closed then begin
       closed := true;
@@ -578,17 +433,14 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
     let ns = Cost.config.http_idle_timeout_ns in
     if ns > 0 then begin
       let gen = !idle_gen in
-      let fire () =
-        if not !closed then begin
-          if gen = !idle_gen && Queue.is_empty pending then begin
-            st.idle_closed <- st.idle_closed + 1;
-            finish ()
-          end
-          else arm_idle ()
-        end
-      in
-      if Cost.config.Cost.timer_wheel then ignore (Kwheel.callout_after ~ns fire)
-      else ignore (Kclock.callout_after ~ns fire)
+      callout_after ~ns (fun () ->
+          if not !closed then begin
+            if gen = !idle_gen && Queue.is_empty pending then begin
+              st.idle_closed <- st.idle_closed + 1;
+              finish ()
+            end
+            else arm_idle ()
+          end)
     end
   in
   let rec update_mask () =
@@ -610,10 +462,7 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
       | Some raw ->
           if not (Queue.is_empty pending) then st.pipelined <- st.pipelined + 1;
           incr reqs;
-          if !reqs > 1 then st.reused <- st.reused + 1;
-          let force_close = max_reqs > 0 && !reqs >= max_reqs in
-          if force_close then st.capped <- st.capped + 1;
-          let r = respond_11 st root ~sv ~force_close raw in
+          let r = build_response st root ~sv ~nth:!reqs raw in
           Queue.push r pending;
           if r.rs_close then closing := true else parse_loop ()
   and on_writable () =
@@ -663,7 +512,7 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
     match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
     | Ok 0 ->
         (* Peer departed.  Mid-request it is a protocol error; between
-           requests it is how keep-alive connections normally end. *)
+           requests (or before the first) it is how connections end. *)
         if rb_pending rb > 0 then st.protocol_errors <- st.protocol_errors + 1;
         finish ()
     | Ok n ->
@@ -676,8 +525,8 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
           && Queue.length pending < pipeline_max
           && rb_pending rb > Cost.config.httpd_max_header_bytes
         then begin
-          (* No terminator within the byte bound: same drip-fed-header
-             guard as the 1.0 engine. *)
+          (* Unbounded drip-fed headers are the other half of the
+             Slowloris hold: cap the buffer and cut the connection. *)
           st.hdr_overflow <- st.hdr_overflow + 1;
           finish ()
         end
@@ -695,17 +544,37 @@ let reactor_conn_11 ~reactor st root (c : Io_if.socket) =
     if ready land Io_if.aio_write <> 0 && not !closed then on_writable ()
   in
   wref := Some (Reactor.watch reactor caio ~mask:Io_if.aio_read cb);
-  arm_idle ()
+  if Cost.config.httpd_guard then
+    (* Slowloris defense: the first request must be framed within the
+       deadline, or the connection is cut.  Dripping bytes keeps the idle
+       reaper quiet, never this. *)
+    callout_after ~ns:Cost.config.httpd_header_deadline_ns (fun () ->
+        if (not !closed) && !reqs = 0 then begin
+          st.deadline_closed <- st.deadline_closed + 1;
+          finish ()
+        end);
+  if Cost.config.http_keepalive then arm_idle ()
 
-let reactor_conn ~reactor st root c =
-  if Cost.config.http_keepalive then reactor_conn_11 ~reactor st root c
-  else reactor_conn_10 ~reactor st root c
+(* SMP sharded serving: the acceptor lives on [reactors.(0)] (listen
+   sockets accept on CPU 0), and each accepted connection migrates to the
+   reactor of its flow's RSS home CPU — [home] maps the peer address to
+   that CPU, and the caller drives [reactors.(i)] with a loop thread
+   pinned to CPU [i].  From then on the connection's socket I/O, protocol
+   work, and wakeups all stay on its home CPU; the shared [stats] record
+   is bumped from whichever CPU runs the event (serialized virtual time
+   makes that safe — it is the accept queue, not the counters, that needs
+   the stack-side lock).
 
-(* The nonblocking accept loop, shared by both reactor modes: shed above
-   the guard high-water mark or the memory budget, otherwise hand the
-   connection (and its peer address) to [start]. *)
-let accept_drain ~st ~max_conns ~(sock : Io_if.socket) ~start () =
-  let rec go () =
+   Registers the listen watch and returns immediately; the caller drives
+   the reactor loops.  The nonblocking accept drain sheds above the guard
+   high-water mark, and above [max_conns] — the memory budget's
+   connection cap — new connections are accepted and immediately dropped,
+   which keeps the accept queue draining. *)
+let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
+    ?(max_conns = max_int) () =
+  let st = make_stats () in
+  ignore (sock.Io_if.so_setsockopt "nonblock" 1);
+  let rec accept_drain () =
     match sock.Io_if.so_accept () with
     | Ok (c, peer) ->
         if
@@ -722,84 +591,23 @@ let accept_drain ~st ~max_conns ~(sock : Io_if.socket) ~start () =
           ignore (c.Io_if.so_close ())
         end
         else if st.active >= max_conns then begin
-          (* Over budget: shed the connection rather than park it. *)
           st.shed <- st.shed + 1;
           ignore (c.Io_if.so_close ())
         end
-        else start c peer;
-        go ()
-    | Result.Error Error.Wouldblock -> ()
-    | Result.Error _ -> ()
-  in
-  go ()
-
-(* Registers the listen watch and returns immediately; the caller drives
-   the reactor loop.  [max_conns] is the memory budget's connection cap —
-   at the cap new connections are accepted and immediately dropped
-   (shed), which keeps the accept queue draining. *)
-let serve_reactor ~reactor ~root ~(sock : Io_if.socket) ?(max_conns = max_int) () =
-  let st = make_stats () in
-  ignore (sock.Io_if.so_setsockopt "nonblock" 1);
-  let start c _peer = reactor_conn ~reactor st root c in
-  ignore
-    (Reactor.watch reactor (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
-         accept_drain ~st ~max_conns ~sock ~start ()));
-  st
-
-(* SMP sharded serving: the acceptor lives on [reactors.(0)] (listen
-   sockets accept on CPU 0), and each accepted connection migrates to the
-   reactor of its flow's RSS home CPU — [home] maps the peer address to
-   that CPU, and the caller drives [reactors.(i)] with a loop thread
-   pinned to CPU [i].  From then on the connection's socket I/O, protocol
-   work, and wakeups all stay on its home CPU; the shared [stats] record
-   is bumped from whichever CPU runs the event (serialized virtual time
-   makes that safe — it is the accept queue, not the counters, that needs
-   the stack-side lock). *)
-let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
-    ?(max_conns = max_int) () =
-  let st = make_stats () in
-  ignore (sock.Io_if.so_setsockopt "nonblock" 1);
-  let start c (peer : Io_if.sockaddr) =
-    let cpu = home peer mod Array.length reactors in
-    reactor_conn ~reactor:reactors.(cpu) st root c
+        else reactor_conn ~reactor:reactors.(home peer mod Array.length reactors) st root c;
+        accept_drain ()
+    | Result.Error _ -> () (* Wouldblock: drained *)
   in
   ignore
-    (Reactor.watch reactors.(0) (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
-         accept_drain ~st ~max_conns ~sock ~start ()));
+    (Reactor.watch reactors.(0) (aio_of sock) ~mask:Io_if.aio_read (fun _ -> accept_drain ()));
   st
+
+(* The single-reactor server: the sharded one with every connection at
+   home on [reactor]. *)
+let serve_reactor ~reactor ~root ~sock ?max_conns () =
+  serve_reactor_sharded ~reactors:[| reactor |] ~home:(fun _ -> 0) ~root ~sock ?max_conns ()
 
 (* ---- thread-per-connection mode ---- *)
-
-let handle_blocking_10 st root (c : Io_if.socket) =
-  let scratch = Bytes.create 2048 in
-  let rb = rb_create () in
-  let rec read_req () =
-    if rb_complete rb then true
-    else if Cost.config.httpd_guard && rb.rb_len > Cost.config.httpd_max_header_bytes
-    then begin
-      st.hdr_overflow <- st.hdr_overflow + 1;
-      false
-    end
-    else
-      match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
-      | Ok 0 -> false
-      | Ok n ->
-          rb_append rb scratch n;
-          read_req ()
-      | Result.Error _ -> false
-  in
-  if read_req () then begin
-    let resp = respond st root (rb_contents rb) in
-    let rec push off =
-      if off < Bytes.length resp then
-        match c.Io_if.so_send ~buf:resp ~pos:off ~len:(Bytes.length resp - off) with
-        | Ok n -> push (off + n)
-        | Result.Error _ -> ()
-    in
-    push 0
-  end
-  else st.protocol_errors <- st.protocol_errors + 1;
-  ignore (c.Io_if.so_close ())
 
 (* Park the calling thread until [aio] reports a condition in [mask] or
    [ns] elapses (ns <= 0: no timeout).  Returns true when ready — the
@@ -824,25 +632,32 @@ let wait_ready_or_timeout (aio : Io_if.asyncio) ~mask ~ns =
         (match aio.Io_if.aio_add_listener l mask with
         | Ok m when m land mask <> 0 -> wake true ()
         | Ok _ | Result.Error _ -> ());
-        if ns > 0 then
-          if Cost.config.Cost.timer_wheel then ignore (Kwheel.callout_after ~ns (wake false))
-          else ignore (Kclock.callout_after ~ns (wake false)));
+        if ns > 0 then callout_after ~ns (wake false));
     (match !listener with
     | Some l -> ignore (aio.Io_if.aio_remove_listener l)
     | None -> ());
     !ready
   end
 
-(* The keep-alive handler thread: same protocol engine as the reactor
-   connection, serialized — frame, respond, write, repeat.  The socket is
-   nonblocking so the idle wait can race the timeout; pipelined requests
-   already buffered are answered back-to-back in arrival order. *)
-let handle_blocking_11 st root (c : Io_if.socket) =
-  ignore (c.Io_if.so_setsockopt "nonblock" 1);
-  let caio = aio_of c in
+(* The handler thread: the reactor connection's protocol engine,
+   serialized — frame, respond, write, repeat; pipelined requests already
+   buffered are answered back-to-back in arrival order.  Keep-alive on,
+   the socket is nonblocking so the idle wait can race the timeout;
+   keep-alive off, one blocking request/response and the thread is done. *)
+let handle_blocking st root (c : Io_if.socket) =
+  let caio =
+    if Cost.config.http_keepalive then begin
+      ignore (c.Io_if.so_setsockopt "nonblock" 1);
+      Some (aio_of c)
+    end
+    else None
+  in
+  let wait mask =
+    match caio with
+    | Some aio -> wait_ready_or_timeout aio ~mask ~ns:Cost.config.http_idle_timeout_ns
+    | None -> false
+  in
   let sv = if Cost.config.Cost.sendfile then sendv_of c else None in
-  let max_reqs = Cost.config.http_max_reqs_per_conn in
-  let idle_ns = Cost.config.http_idle_timeout_ns in
   let rb = rb_create () in
   let scratch = Bytes.create 2048 in
   let reqs = ref 0 in
@@ -850,9 +665,7 @@ let handle_blocking_11 st root (c : Io_if.socket) =
     if len = 0 then true
     else
       match c.Io_if.so_send ~buf ~pos:off ~len with
-      | Ok 0 | Result.Error Error.Wouldblock ->
-          wait_ready_or_timeout caio ~mask:Io_if.aio_write ~ns:idle_ns
-          && push_bytes buf off len
+      | Ok 0 | Result.Error Error.Wouldblock -> wait Io_if.aio_write && push_bytes buf off len
       | Ok n -> push_bytes buf (off + n) (len - n)
       | Result.Error _ -> false
   in
@@ -860,9 +673,7 @@ let handle_blocking_11 st root (c : Io_if.socket) =
     if pos >= r.rs_blen then true
     else
       match sv_.Io_if.sv_send_frags ~frags:r.rs_frags ~pos with
-      | Ok 0 | Result.Error Error.Wouldblock ->
-          wait_ready_or_timeout caio ~mask:Io_if.aio_write ~ns:idle_ns
-          && push_frags sv_ r pos
+      | Ok 0 | Result.Error Error.Wouldblock -> wait Io_if.aio_write && push_frags sv_ r pos
       | Ok n -> push_frags sv_ r (pos + n)
       | Result.Error _ -> false
   in
@@ -880,33 +691,24 @@ let handle_blocking_11 st root (c : Io_if.socket) =
     match rb_next_request rb with
     | Some raw ->
         incr reqs;
-        if !reqs > 1 then st.reused <- st.reused + 1;
         if rb_pending rb > 0 then st.pipelined <- st.pipelined + 1;
-        let force_close = max_reqs > 0 && !reqs >= max_reqs in
-        if force_close then st.capped <- st.capped + 1;
-        let r = respond_11 st root ~sv ~force_close raw in
+        let r = build_response st root ~sv ~nth:!reqs raw in
         if send_resp r && not r.rs_close then serve ()
     | None ->
         if Cost.config.httpd_guard && rb_pending rb > Cost.config.httpd_max_header_bytes
         then st.hdr_overflow <- st.hdr_overflow + 1
         else (
           match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
-          | Ok 0 -> if rb_pending rb > 0 then st.protocol_errors <- st.protocol_errors + 1
-          | Ok n ->
+          | Ok n when n > 0 ->
               rb_append rb scratch n;
               serve ()
           | Result.Error Error.Wouldblock ->
-              if wait_ready_or_timeout caio ~mask:Io_if.aio_read ~ns:idle_ns then serve ()
-              else st.idle_closed <- st.idle_closed + 1
-          | Result.Error _ ->
+              if wait Io_if.aio_read then serve () else st.idle_closed <- st.idle_closed + 1
+          | Ok _ | Result.Error _ ->
               if rb_pending rb > 0 then st.protocol_errors <- st.protocol_errors + 1)
   in
   serve ();
   ignore (c.Io_if.so_close ())
-
-let handle_blocking st root c =
-  if Cost.config.http_keepalive then handle_blocking_11 st root c
-  else handle_blocking_10 st root c
 
 (* Spawns the blocking accept loop via [spawn] and returns immediately.
    At [max_threads] in-flight handlers the acceptor parks, the accept

@@ -36,11 +36,11 @@ type config = {
   mutable netisr_qmax : int;
   mutable kq : bool;
   mutable timer_wheel : bool;
-  mutable http_keepalive : bool;
+  mutable http_keepalive : bool; (* off = HTTP/1.0 close-per-request, same engine *)
   mutable http_idle_timeout_ns : int;
   mutable http_max_reqs_per_conn : int; (* 0 = unlimited *)
   mutable http_pipeline_max : int; (* parse-ahead bound per connection *)
-  mutable sendfile : bool;
+  mutable sendfile : bool; (* zero-copy bodies, with or without keep-alive *)
 }
 
 let max_cpus = 16
@@ -166,7 +166,7 @@ type counters = {
   mutable bufcache_misses : int;
   mutable sendfile_bodies : int; (* response bodies served from mapped cache blocks *)
   mutable sendfile_fallbacks : int; (* sendfile wanted but fs/socket could not map: copied *)
-  mutable http_body_copies : int; (* bodies built via the copy path while a knob is on *)
+  mutable http_body_copies : int; (* httpd 200 bodies built via the copy path *)
   mutable http_body_copied_bytes : int;
 }
 
@@ -296,9 +296,9 @@ let count_sendfile_body () = bump (fun c -> c.sendfile_bodies <- c.sendfile_bodi
 let count_sendfile_fallback () =
   bump (fun c -> c.sendfile_fallbacks <- c.sendfile_fallbacks + 1)
 
-(* The body went through the copy path while keep-alive/sendfile accounting
-   was on: counted (not charged — the copy itself is charged where it
-   happens) so benches can draw the bytes-copied-per-request curve. *)
+(* An httpd body went through the copy path: counted (not charged — the
+   copy itself is charged where it happens) so benches can draw the
+   bytes-copied-per-request curve. *)
 let count_http_body_copy n =
   bump (fun c ->
       c.http_body_copies <- c.http_body_copies + 1;

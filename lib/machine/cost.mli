@@ -135,12 +135,14 @@ type config = {
           shedding ({!field:httpd_shed_hiwat}).  Default [false] so the
           committed http/rtt baselines regenerate bit-identically. *)
   mutable httpd_header_deadline_ns : int;
-      (** With {!field:httpd_guard}: how long a connection may take to
-          deliver its full request header before being closed (408).
-          Default 1 s. *)
+      (** With {!field:httpd_guard}: how long a reactor connection may
+          take to deliver its first full request header before being
+          closed without a response — with or without keep-alive, so
+          dripping bytes cannot hold a connection.  Default 1 s. *)
   mutable httpd_max_header_bytes : int;
-      (** With {!field:httpd_guard}: request-header bytes accepted before
-          the connection is rejected (400).  Default 4096. *)
+      (** With {!field:httpd_guard}: unframed request-header bytes
+          accepted before the connection is closed without a response.
+          Default 4096. *)
   mutable httpd_shed_hiwat : int;
       (** With {!field:httpd_guard}: active-connection high-water mark above
           which new connections are answered [503 Retry-After] and closed
@@ -173,12 +175,15 @@ type config = {
           tick boundaries (200/500 ms), so default [false] keeps
           committed baselines bit-identical. *)
   mutable http_keepalive : bool;
-      (** HTTP/1.1 persistent connections in the httpd: per-request
-          [Connection]/version parsing, bounded pipelining with strictly
-          in-order responses, keep-alive idle timeouts and the
-          [http_max_reqs_per_conn] guard.  Off, the httpd answers exactly
-          the HTTP/1.0 close-per-request bytes of PR 4, so default [false]
-          keeps the committed http baselines bit-identical. *)
+      (** A parameter of the httpd's one protocol engine (per serving
+          shape), not a choice between engines.  On: HTTP/1.1 persistent
+          connections — per-request [Connection]/version parsing, bounded
+          pipelining with strictly in-order responses, keep-alive idle
+          timeouts and the [http_max_reqs_per_conn] guard.  Off (default):
+          the paper-era server — one request per connection, answered
+          HTTP/1.0 with [Connection: close] whatever the client spoke, no
+          idle reaper, and blocking sockets in the thread-per-connection
+          shape (no nonblock option, no asyncio COM calls). *)
   mutable http_idle_timeout_ns : int;
       (** With {!field:http_keepalive}: how long a persistent connection
           may sit idle between requests before the server closes it.
@@ -201,8 +206,9 @@ type config = {
           config additionally needs {!field:sg_tx} to avoid the glue
           flatten).  When the fs cannot map (hole) or the socket has no
           sendv face (the Linux stack's contiguous sk_buffs — §5's copy),
-          the httpd falls back to the counted copy path.  Default
-          [false]. *)
+          the httpd falls back to the counted copy path.  Independent of
+          {!field:http_keepalive}: it applies to close-per-request
+          connections too.  Default [false]. *)
 }
 
 (** Hard ceiling on {!field:config.ncpus} (shard arrays are sized to it). *)
@@ -288,8 +294,7 @@ type counters = {
       (** bodies that wanted sendfile but had to copy (unmappable file or
           no socket sendv face) *)
   mutable http_body_copies : int;
-      (** bodies built via the copy path while keep-alive/sendfile
-          accounting was on *)
+      (** httpd 200 bodies built via the copy path (every mode) *)
   mutable http_body_copied_bytes : int;  (** bytes those copies moved *)
 }
 

@@ -38,12 +38,14 @@
 # copied and zero fallbacks on warm-cache sendfile hits, every body
 # byte-exact in both serving shapes, and the Linux rows carrying the
 # counted copy fallback — that stack exports no sendv face).
-# Finally, Table 1/2 and the rtt percentiles are regenerated (with
-# --json, so the files are actually rewritten — without it the diff
-# check was vacuous) with every long-fat, overload, smp, and event-core
-# knob at its default — ncpus=1, kq and timer_wheel off — and must be
-# bit-identical to the committed baselines: the SMP layer and the event
-# core must cost nothing when off.
+# Finally, every committed baseline is regenerated with --json (table1
+# with --sg, table2, rtt, http, file, overload, smp, event, longfat —
+# the first three only rewrite their file under --json) and all nine
+# BENCH_*.json files must be bit-identical to the committed ones, so any
+# change to a charged cycle, a wire byte or a counter shows up as a
+# reviewable diff.  The knobs each section does not sweep stay at their
+# defaults — ncpus=1, kq and timer_wheel off — so the SMP layer and the
+# event core must cost nothing when off.
 set -eux
 
 dune build
@@ -59,6 +61,9 @@ OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- smpsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- eventsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- filesmoke
 dune exec bench/main.exe -- table1 --sg --json
-dune exec bench/main.exe -- table2 --json
-dune exec bench/main.exe -- rtt --json
-git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json
+for section in table2 rtt http file overload smp event longfat; do
+  dune exec bench/main.exe -- "$section" --json
+done
+git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json \
+  BENCH_http.json BENCH_file.json BENCH_overload.json BENCH_smp.json \
+  BENCH_event.json BENCH_longfat.json

@@ -67,7 +67,7 @@ let make_root sizes =
 
 (* Serve [sizes] from host_b in [mode]; [f] drives clients on host_a and
    must eventually make [until] true. *)
-let rig ?loss ?(mode = `Reactor) ~sizes ~until f =
+let rig ?loss ?(mode = `Reactor) ?(server_stats = ref None) ~sizes ~until f =
   Clientos.reset_globals ();
   Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
@@ -81,7 +81,6 @@ let rig ?loss ?(mode = `Reactor) ~sizes ~until f =
   let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
   let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
   let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let server_stats = ref None in
   let reactor = Reactor.create () in
   Clientos.spawn server ~name:"httpd" (fun () ->
       ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
@@ -119,17 +118,17 @@ let index_of s sub =
   in
   go 0
 
-let content_length hdr =
-  match index_of (String.lowercase_ascii hdr) "content-length:" with
-  | None -> None
-  | Some i -> (
-      let rest = String.sub hdr (i + 15) (String.length hdr - i - 15) in
-      let line =
-        match String.index_opt rest '\r' with
-        | Some j -> String.sub rest 0 j
-        | None -> rest
-      in
-      int_of_string_opt (String.trim line))
+let line_at s i =
+  let rest = String.sub s i (String.length s - i) in
+  match String.index_opt rest '\r' with Some j -> String.sub rest 0 j | None -> rest
+
+(* The value of header [name] (lowercase), if present. *)
+let header_value hdr name =
+  Option.map
+    (fun i -> String.trim (line_at hdr (i + String.length name + 1)))
+    (index_of (String.lowercase_ascii hdr) (name ^ ":"))
+
+let content_length hdr = Option.bind (header_value hdr "content-length") int_of_string_opt
 
 (* A Content-Length framer over one connection: [framer s] returns a
    thunk that reads the next (header, body) pair, or None at EOF. *)
@@ -540,10 +539,86 @@ let test_flags_off_untouched () =
   Alcotest.(check int) "no idle closes" 0 st.Httpd.idle_closed;
   Alcotest.(check int) "no caps" 0 st.Httpd.capped;
   (* The rig's reset_globals zeroed the counters; the flags-off run must
-     not have moved the new ones at all. *)
+     not have moved the sendfile ones at all, and its one copied body is
+     counted like any other. *)
   Alcotest.(check int) "no sendfile bodies" 0 Cost.counters.Cost.sendfile_bodies;
   Alcotest.(check int) "no sendfile fallbacks" 0 Cost.counters.Cost.sendfile_fallbacks;
-  Alcotest.(check int) "no counted body copies" 0 Cost.counters.Cost.http_body_copies
+  Alcotest.(check (pair int int)) "one counted body copy of 4096 bytes" (1, 4096)
+    (Cost.counters.Cost.http_body_copies, Cost.counters.Cost.http_body_copied_bytes)
+
+(* ------------------------------------------------------------------ *)
+(* Edge requests pinned in every cell of {reactor, threads} x
+   keep-alive {off, on}, so both serving shapes answer alike in both
+   modes: a doubled space still separates the request line's tokens; a
+   connection that leaves before sending a byte is not a protocol error;
+   a header over the byte bound counts as an overflow only; and
+   keep-alive off answers an HTTP/1.1 request with HTTP/1.0 and
+   Connection: close.                                                   *)
+
+let padded_header =
+  "GET /f0.bin HTTP/1.0\r\n"
+  ^ String.concat "" (List.init 20 (fun _ -> "X-Padding: 0123456789abcdef\r\n"))
+
+(* name, bytes sent (None: connect and leave), guard with a 256-byte
+   header bound, expected (status line, Connection) with keep-alive off
+   and on ("" = no response), protocol_errors, hdr_overflow *)
+let engine_edges =
+  [ ( "doubled space", Some "GET  /f0.bin HTTP/1.0\r\n\r\n", false,
+      ("HTTP/1.0 200 OK", "close"), ("HTTP/1.0 200 OK", "close"), 0, 0 );
+    ("zero bytes", None, false, ("", ""), ("", ""), 0, 0);
+    ("header over the bound", Some padded_header, true, ("", ""), ("", ""), 0, 1);
+    ( "HTTP/1.1 request line", Some (get_request 0), false,
+      ("HTTP/1.0 200 OK", "close"), ("HTTP/1.1 200 OK", "keep-alive"), 0, 0 ) ]
+
+let edge_cell ~mode ~keepalive (name, send, guard, off, on, perr, hov) =
+  let shape = match mode with `Reactor -> "reactor" | `Threads -> "threads" in
+  let cell = Printf.sprintf "%s, %s, keep-alive %b" name shape keepalive in
+  let c = Cost.config in
+  let saved = (c.Cost.httpd_guard, c.Cost.httpd_max_header_bytes) in
+  c.Cost.httpd_guard <- guard;
+  c.Cost.httpd_max_header_bytes <- 256;
+  let got = ref ("", "") and done_f = ref false in
+  let server_stats = ref None in
+  let until () =
+    !done_f && match !server_stats with Some st -> st.Httpd.active = 0 | None -> false
+  in
+  let st =
+    Fun.protect
+      ~finally:(fun () ->
+        c.Cost.httpd_guard <- fst saved;
+        c.Cost.httpd_max_header_bytes <- snd saved)
+      (fun () ->
+        with_http11 ~keepalive (fun () ->
+            rig ~mode ~server_stats ~sizes:sizes3 ~until (fun chost cstack _bodies ->
+                Clientos.spawn chost ~name:"edge" (fun () ->
+                    Kclock.sleep_ns 3_000_000;
+                    let s = Bsd_socket.tcp_socket cstack in
+                    ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
+                    Option.iter
+                      (fun req ->
+                        push_str s req;
+                        match framer s () with
+                        | Some (hdr, _) ->
+                            let conn = header_value hdr "connection" in
+                            got := (line_at hdr 0, Option.value ~default:"" conn)
+                        | None -> ())
+                      send;
+                    ignore (Bsd_socket.so_close s);
+                    done_f := true))))
+  in
+  let status, conn = if keepalive then on else off in
+  Alcotest.(check (pair string string)) (cell ^ ": status line, Connection") (status, conn) !got;
+  Alcotest.(check int) (cell ^ ": protocol_errors") perr st.Httpd.protocol_errors;
+  Alcotest.(check int) (cell ^ ": hdr_overflow") hov st.Httpd.hdr_overflow
+
+let test_engine_edges () =
+  List.iter
+    (fun case ->
+      List.iter
+        (fun mode ->
+          List.iter (fun keepalive -> edge_cell ~mode ~keepalive case) [ false; true ])
+        [ `Reactor; `Threads ])
+    engine_edges
 
 let suite =
   [ Alcotest.test_case "scanner: one-byte drips, cursor never rewinds" `Quick
@@ -566,4 +641,6 @@ let suite =
     Alcotest.test_case "buf cache: all-pinned cache grows, never steals" `Quick
       test_buf_all_pinned_grows;
     Alcotest.test_case "flags off: stock 1.0 engine, new counters untouched" `Quick
-      test_flags_off_untouched ]
+      test_flags_off_untouched;
+    Alcotest.test_case "one engine: edge requests x shape x keep-alive pinned" `Quick
+      test_engine_edges ]

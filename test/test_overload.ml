@@ -644,14 +644,13 @@ let make_root () =
   push 0;
   (root, Bytes.to_string body)
 
-let httpd_rig ~until f =
+let httpd_rig ?(server_stats = ref None) ~until f =
   let tb = fresh_testbed () in
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
   let root, expect = make_root () in
   let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
   let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
   let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let server_stats = ref None in
   let reactor = Reactor.create () in
   Clientos.spawn server ~name:"httpd" (fun () ->
       ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
@@ -794,6 +793,49 @@ let test_httpd_shed_503 () =
       Alcotest.(check int) "no guard closes" 0
         (st.Httpd.deadline_closed + st.Httpd.hdr_overflow))
 
+(* Keep-alive must not reopen the Slowloris hold: a connection dripping
+   one header byte every 500 ms keeps resetting the idle reaper, but the
+   header deadline (1 s here) still cuts it because no request was ever
+   framed — long before the 4096-byte bound would. *)
+let test_httpd_keepalive_drip_deadline () =
+  let saved_ka = Cost.config.Cost.http_keepalive in
+  Cost.config.Cost.http_keepalive <- true;
+  Fun.protect
+    ~finally:(fun () -> Cost.config.Cost.http_keepalive <- saved_ka)
+    (fun () ->
+      with_overload ~httpd_guard:true (fun () ->
+          let server_stats = ref None in
+          let deadline_closed () =
+            match !server_stats with Some st -> st.Httpd.deadline_closed | None -> 0
+          in
+          let at_deadline = ref (-1) and finished = ref false in
+          let st =
+            httpd_rig ~server_stats ~until:(fun () -> !finished && !at_deadline >= 0)
+              (fun _tb chost cstack _expect ->
+                (* Sample the count just past the deadline. *)
+                Clientos.spawn chost ~name:"watch" (fun () ->
+                    Kclock.sleep_ns (3_000_000 + 1_200_000_000);
+                    at_deadline := deadline_closed ());
+                Clientos.spawn chost ~name:"dripper" (fun () ->
+                    Kclock.sleep_ns 3_000_000;
+                    let s = Bsd_socket.tcp_socket cstack in
+                    ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
+                    (* Eight drips (4 s) unless cut first. *)
+                    String.iter
+                      (fun ch ->
+                        if deadline_closed () = 0 then begin
+                          push_str s (String.make 1 ch);
+                          Kclock.sleep_ns 500_000_000
+                        end)
+                      "GET /ind";
+                    ignore (Bsd_socket.so_close s);
+                    finished := true))
+          in
+          Alcotest.(check int) "cut by the header deadline within 1.2 s" 1 !at_deadline;
+          Alcotest.(check int) "one deadline close" 1 st.Httpd.deadline_closed;
+          Alcotest.(check int) "not an idle close" 0 st.Httpd.idle_closed;
+          Alcotest.(check int) "not a header overflow" 0 st.Httpd.hdr_overflow))
+
 (* ------------------------------------------------------------------ *)
 (* Flags off (the seed defaults): a live round trip on both stacks moves
    none of the new counters and draws nothing from the injector — the
@@ -874,5 +916,7 @@ let suite =
       `Quick test_httpd_deadline_and_header_bound;
     Alcotest.test_case "httpd guard: 503 + Retry-After above the high-water mark"
       `Quick test_httpd_shed_503;
+    Alcotest.test_case "httpd guard: keep-alive drip still cut at the header deadline"
+      `Quick test_httpd_keepalive_drip_deadline;
     Alcotest.test_case "flags off: new counters and injector untouched" `Quick
       test_flags_off_counters_untouched ]
