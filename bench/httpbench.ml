@@ -228,9 +228,7 @@ let run ?(reqs_per_client = 2) ~config ~mode ~clients () =
   done;
   Clientos.run tb ~until:all_done;
   let st = Option.get !server_stats in
-  let sorted = Array.of_list (List.sort compare !samples) in
-  let n = Array.length sorted in
-  let pct p = if n = 0 then 0.0 else float_of_int sorted.((n - 1) * p / 100) /. 1e3 in
+  let pct = Percentile.us_of_ns (Array.of_list !samples) in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * reqs_per_client in
   let rstats = Reactor.stats reactor in

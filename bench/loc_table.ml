@@ -84,6 +84,7 @@ let descriptions =
     "freebsd_dev", "FreeBSD drivers & support";
     "freebsd_net", "FreeBSD network stack";
     "linux_net", "Linux network stack";
+    "inet", "Shared inet policy (both stacks)";
     "linux_fs", "Linux FAT file system";
     "netbsd_fs", "NetBSD file system";
     "vm", "Bytecode VM (Kaffe stand-in)";

@@ -264,10 +264,7 @@ let dist ?(fastpath = false) config ~trips =
   Cost.config.Cost.tcp_fastpath <- false;
   Cost.config.Cost.pcb_hash <- false;
   Cost.config.Cost.rx_batch <- 1;
-  let sorted = Array.copy samples in
-  Array.sort compare sorted;
-  let n = Array.length sorted in
-  let pct p = float_of_int sorted.(min (n - 1) ((n - 1) * p / 100)) /. 1e3 in
+  let pct = Percentile.us_of_ns samples in
   { rtt_mean_us =
       float_of_int (Array.fold_left ( + ) 0 samples)
       /. float_of_int (max 1 trips) /. 1e3;

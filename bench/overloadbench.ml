@@ -153,8 +153,9 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
                     (fun () -> Linux_inet.close sb c)
                 done);
             fun () ->
-              ( sb.Linux_inet.syncache_added,
-                sb.Linux_inet.syncache_completed + sb.Linux_inet.syncookies_validated,
+              let sc = sb.Linux_inet.syncache.Syncache.stats in
+              ( sc.Syncache.added,
+                sc.Syncache.completed + sc.Syncache.validated,
                 sb.Linux_inet.listen_overflow )
         | Sv_freebsd ->
             let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
@@ -169,9 +170,10 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
                     (fun () -> ignore (Bsd_socket.so_close c))
                 done);
             let st = sb.Bsd_socket.tcp.Tcp.stats in
+            let sc = sb.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
             fun () ->
-              ( st.Tcp.syncache_added,
-                st.Tcp.syncache_completed + st.Tcp.syncookies_validated,
+              ( sc.Syncache.added,
+                sc.Syncache.completed + sc.Syncache.validated,
                 st.Tcp.listen_overflow )
       in
       (* The flood: every SYN from a distinct spoofed same-subnet source,

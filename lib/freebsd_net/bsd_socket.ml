@@ -301,10 +301,10 @@ let netstat st =
   line "  %d ack predictions ok" tcp.Tcp.predack;
   line "  %d data predictions ok" tcp.Tcp.preddat;
   line "  %d prediction fallbacks" tcp.Tcp.predfallback;
-  line "  %d syncache entries added (%d evicted, %d completed)" tcp.Tcp.syncache_added
-    tcp.Tcp.syncache_evicted tcp.Tcp.syncache_completed;
-  line "  %d SYN cookies validated, %d rejected" tcp.Tcp.syncookies_validated
-    tcp.Tcp.syncookies_rejected;
+  let sc = st.tcp.Tcp.syncache.Syncache.stats in
+  line "  %d syncache entries added (%d evicted, %d completed)" sc.Syncache.added
+    sc.Syncache.evicted sc.Syncache.completed;
+  line "  %d SYN cookies validated, %d rejected" sc.Syncache.validated sc.Syncache.rejected;
   line "  %d TIME_WAIT connections reclaimed" tcp.Tcp.time_wait_reclaimed;
   line "  %d drops for want of memory" tcp.Tcp.nomem_drops;
   line "  %d RSTs rate limited" tcp.Tcp.rst_ratelimited;

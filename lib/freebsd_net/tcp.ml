@@ -10,12 +10,11 @@
  * affect the paper's measurements (bulk transfer and 1-byte latency on a
  * LAN).  Header prediction — absent from the 1997 snapshot this models —
  * exists behind Cost.config.tcp_fastpath (default off, so the measured
- * Table 2 shape is untouched), together with the hashed PCB demux behind
- * Cost.config.pcb_hash; see fastpath_pred/fastpath_input below.
+ * Table 2 shape is untouched), together with the hashed PCB demux of
+ * lib/inet; see fastpath_pred/fastpath_input below.
  *)
 
 let tcp_hlen = 20
-let default_mss = 1460
 let max_win = 65535
 let slow_interval_ns = 500_000_000 (* PR_SLOWHZ = 2 *)
 let fast_interval_ns = 200_000_000 (* delayed-ACK timer *)
@@ -87,27 +86,9 @@ type stats = {
   mutable predack : int;  (* header prediction: pure/piggyback ACK hits *)
   mutable preddat : int;  (* header prediction: in-order data hits *)
   mutable predfallback : int; (* established-state segments that missed *)
-  mutable syncache_added : int;       (* half-open handshakes cached *)
-  mutable syncache_evicted : int;     (* entries dropped oldest-first *)
-  mutable syncache_completed : int;   (* handshakes finished from the cache *)
-  mutable syncookies_validated : int; (* finished statelessly from the cookie *)
-  mutable syncookies_rejected : int;  (* completing ACKs matching neither *)
   mutable time_wait_reclaimed : int;  (* TIME_WAIT reclaimed early (cap/pressure) *)
   mutable nomem_drops : int;          (* segments dropped for want of an mbuf *)
   mutable rst_ratelimited : int;      (* error RSTs suppressed by the token bucket *)
-}
-
-(* A syncache entry (Cost.config.syn_defense): the compact half-open
-   handshake record a listener keeps instead of a full child pcb — a few
-   words against the pcb's two socket buffers, so a SYN flood pins
-   trivial memory and embryonic connections stop counting against the
-   accept backlog. *)
-type sc_entry = {
-  sc_raddr : int32;
-  sc_rport : int;
-  sc_irs : int; (* the SYN's sequence number *)
-  sc_iss : int; (* the cookie we answered with *)
-  sc_mss : int; (* peer's clamped MSS offer *)
 }
 
 type tcpcb = {
@@ -166,17 +147,13 @@ type tcpcb = {
   mutable ack_now : bool;
   mutable delack_pending : bool;
   mutable t_dupacks : int;
-  (* receive-buffer autotuning (Cost.config.tcp_autotune): a clump of
-     back-to-back arrivals bounded by RTT-scale gaps is one window's worth
-     of flight; a clump that fills the buffer means the window is the
-     limiter. *)
-  mutable rxclump_ts : int; (* ns of last in-order arrival; 0 = idle *)
-  mutable rxclump_bytes : int;
+  rxclump : Autotune.clump; (* receive-buffer autotuning *)
   (* listen side *)
   accept_q : tcpcb Queue.t;
   mutable backlog : int;
   mutable listen_parent : tcpcb option;
-  mutable syn_cache : sc_entry list; (* newest first; listeners only *)
+  syn_cache : Syncache.listener; (* listeners only *)
+  mutable tw_ent : tcpcb Tw_queue.entry option; (* set on entering TIME_WAIT *)
   (* socket-layer callbacks *)
   mutable on_readable : unit -> unit;
   mutable on_writable : unit -> unit;
@@ -192,23 +169,16 @@ and t = {
   ip : Ip.t;
   machine : Machine.t;
   mutable pcbs : tcpcb list;
-  (* O(1) demux (Cost.config.pcb_hash): connected pcbs keyed by
-     (raddr, rport, lport), plus the donor's tcp_last_inpcb one-entry
-     cache.  Maintained unconditionally so the flag can flip mid-run;
-     listeners stay out (they are found by the lport-only fallback scan). *)
-  pcb_hash : (int32 * int * int, tcpcb) Hashtbl.t;
-  mutable last_pcb : tcpcb option;
+  (* The shared lib/inet policy: hashed demux of connected pcbs
+     (listeners stay out; the lport-only fallback scan finds them), the
+     TIME_WAIT queue, the SYN-flood defense and the RST token bucket. *)
+  demux : tcpcb Demux.t;
   mutable next_ephemeral : int;
   mutable iss_source : int;
   mutable ticking : bool;
-  (* TIME_WAIT pcbs oldest-first, for the tw_max cap and memory-pressure
-     reclaim.  Maintained unconditionally (pure bookkeeping, no cycle
-     charges) so the knob can flip mid-run. *)
-  mutable tw_list : tcpcb list;
-  cookie_secret : int;
-  (* token bucket for error responses (Cost.config.icmp_ratelimit) *)
-  mutable err_tokens : float;
-  mutable err_tok_ts : int;
+  tw : tcpcb Tw_queue.t;
+  syncache : Syncache.t;
+  err_bucket : Token_bucket.t;
   (* [stats] is the aggregation view netstat and every existing test read;
      [stats_shards.(cpu)] is the per-CPU split (every bump updates both).
      One per machine CPU. *)
@@ -238,8 +208,9 @@ let create_pcb t =
     tm_rexmt = 0; tm_persist = 0; tm_2msl = 0; tw_ents = Array.make 4 None;
     t_rtt = 0; t_rtt_ns = 0; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
-    t_dupacks = 0; rxclump_ts = 0; rxclump_bytes = 0;
-    accept_q = Queue.create (); backlog = 0; listen_parent = None; syn_cache = [];
+    t_dupacks = 0; rxclump = Autotune.clump ();
+    accept_q = Queue.create (); backlog = 0; listen_parent = None;
+    syn_cache = Syncache.listener (); tw_ent = None;
     on_readable = (fun () -> ()); on_writable = (fun () -> ());
     on_state = (fun () -> ()); so_error = None; home_cpu = 0 }
 
@@ -261,12 +232,10 @@ let setup_scaling pcb ~peer =
     pcb.snd_ssthresh <- max_win lsl pcb.snd_scale
   end
 
-let hash_key pcb = (pcb.raddr, pcb.rport, pcb.lport)
-
 let register t pcb =
   if not (List.memq pcb t.pcbs) then t.pcbs <- pcb :: t.pcbs;
   if pcb.t_state <> Listen then begin
-    Hashtbl.replace t.pcb_hash (hash_key pcb) pcb;
+    Demux.add t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb;
     (* The flow's home CPU is fixed by the same symmetric hash the NIC
        steers with, so input, timers, and output for this pcb all meet on
        one CPU.  Listeners stay on CPU 0 (accepts happen there). *)
@@ -341,11 +310,8 @@ let detach t pcb =
     Sockbuf.sbdrop pcb.rcv_buf pcb.rcv_buf.Sockbuf.sb_cc
   end;
   t.pcbs <- List.filter (fun x -> x != pcb) t.pcbs;
-  if t.tw_list <> [] then t.tw_list <- List.filter (fun x -> x != pcb) t.tw_list;
-  (match Hashtbl.find_opt t.pcb_hash (hash_key pcb) with
-  | Some p when p == pcb -> Hashtbl.remove t.pcb_hash (hash_key pcb)
-  | _ -> ());
-  match t.last_pcb with Some p when p == pcb -> t.last_pcb <- None | _ -> ()
+  Option.iter (Tw_queue.remove t.tw) pcb.tw_ent;
+  Demux.remove t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb
 
 let next_iss t =
   t.iss_source <- m32 (t.iss_source + 64000);
@@ -359,92 +325,34 @@ let alloc_port t =
   p
 
 (* ------------------------------------------------------------------ *)
-(* SYN cookies (Cost.config.syn_defense)                               *)
+(* overload policy (lib/inet)                                          *)
 
-(* With the defense on, the ISS a listener answers with is always
-   decodable: bits 1..0 index the MSS class table, bits 31..2 hash the
-   4-tuple with a per-stack secret.  When the syncache has evicted (or
-   never held) the half-open entry, the completing ACK alone — which
-   echoes ISS+1 — carries enough to rebuild the connection. *)
-
-let cookie_mss_classes = [| 536; 1160; 1460; 8960 |]
-
-let cookie_mss_class mss =
-  let rec go i best =
-    if i >= Array.length cookie_mss_classes then best
-    else if cookie_mss_classes.(i) <= mss then go (i + 1) i
-    else best
-  in
-  go 1 0
-
-let cookie_hash t ~raddr ~rport ~lport =
-  let mix h k =
-    let h = h lxor (m32 (k * 0x9e3779b1)) in
-    let h = m32 ((h lxor (h lsr 15)) * 0x85ebca6b) in
-    h lxor (h lsr 13)
-  in
-  let h = mix (t.cookie_secret land 0xffffffff) (Int32.to_int raddr land 0xffffffff) in
-  let h = mix h rport in
-  let h = mix h lport in
-  h land 0x3fffffff
-
-let syn_cookie t ~raddr ~rport ~lport ~mss =
-  m32 ((cookie_hash t ~raddr ~rport ~lport lsl 2) lor cookie_mss_class mss)
-
-(* The completing ACK acknowledges ISS+1.  Returns the MSS class the
-   cookie recorded iff the hash checks out. *)
-let check_cookie t ~raddr ~rport ~lport ~iss =
-  if (iss lsr 2) land 0x3fffffff = cookie_hash t ~raddr ~rport ~lport then
-    Some cookie_mss_classes.(iss land 3)
-  else None
+(* Close a TIME_WAIT pcb early: the tw_max cap's victims, and memory
+   pressure. *)
+let retire_time_wait t pcb =
+  if pcb.t_state = Time_wait then begin
+    pcb.t_state <- Closed;
+    pcb.tm_2msl <- 0;
+    bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
+    detach t pcb;
+    pcb.on_state ()
+  end
 
 (* Memory pressure: give back the coldest protocol state first — every
    TIME_WAIT pcb (losing the 2xMSL guard under overload is the documented
    BSD tradeoff) and every cached half-open handshake (the cookie can
    still complete those statelessly). *)
 let tcp_reclaim t =
-  let tw = t.tw_list in
-  t.tw_list <- [];
-  List.iter
-    (fun pcb ->
-      if pcb.t_state = Time_wait then begin
-        pcb.t_state <- Closed;
-        pcb.tm_2msl <- 0;
-        bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
-        detach t pcb;
-        pcb.on_state ()
-      end)
-    tw;
-  List.iter
-    (fun pcb ->
-      if pcb.syn_cache <> [] then begin
-        bump t (fun s -> s.syncache_evicted <- s.syncache_evicted + List.length pcb.syn_cache);
-        pcb.syn_cache <- []
-      end)
-    t.pcbs
+  Tw_queue.reclaim t.tw ~retire:(retire_time_wait t);
+  List.iter (fun pcb -> Syncache.drop_all t.syncache pcb.syn_cache) t.pcbs
 
-(* Token bucket on generated error responses (the RST answering a segment
-   no connection claims): depth and rate are Cost.config.icmp_ratelimit
-   per second; 0 = unlimited, the donor behavior. *)
+(* The RST answering a segment no connection claims passes the bucket. *)
 let err_allowed t =
-  let rate = Cost.config.icmp_ratelimit in
-  if rate = 0 then true
-  else begin
-    let now = Machine.now t.machine in
-    let elapsed = now - t.err_tok_ts in
-    t.err_tok_ts <- now;
-    t.err_tokens <-
-      Float.min (float_of_int rate)
-        (t.err_tokens +. (float_of_int rate *. float_of_int elapsed /. 1e9));
-    if t.err_tokens >= 1.0 then begin
-      t.err_tokens <- t.err_tokens -. 1.0;
-      true
-    end
-    else begin
-      bump t (fun s -> s.rst_ratelimited <- s.rst_ratelimited + 1);
-      false
-    end
-  end
+  Token_bucket.allow t.err_bucket
+  || begin
+       bump t (fun s -> s.rst_ratelimited <- s.rst_ratelimited + 1);
+       false
+     end
 
 (* ------------------------------------------------------------------ *)
 (* timers: armed while any pcb exists, quiesce when none               *)
@@ -909,22 +817,7 @@ let rec reass_deliver pcb =
 
 let find_pcb t ~src ~sport ~dport =
   let connected =
-    if Cost.config.pcb_hash then begin
-      (* tcp_last_inpcb first, then the 4-tuple hash. *)
-      match t.last_pcb with
-      | Some p
-        when p.lport = dport && p.rport = sport && Int32.equal p.raddr src
-             && p.t_state <> Listen ->
-          Cost.count_pcb_cache_hit ();
-          Some p
-      | _ -> (
-          Cost.count_pcb_cache_miss ();
-          match Hashtbl.find_opt t.pcb_hash (src, sport, dport) with
-          | Some p when p.t_state <> Listen ->
-              t.last_pcb <- Some p;
-              Some p
-          | _ -> None)
-    end
+    if Demux.on () then Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport
     else
       List.find_opt
         (fun p ->
@@ -932,8 +825,8 @@ let find_pcb t ~src ~sport ~dport =
         t.pcbs
   in
   match connected with
-  | Some _ as r -> r
-  | None -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.pcbs
+  | Some p when p.t_state <> Listen -> connected
+  | _ -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.pcbs
 
 (* Embryonic connections (SYN_RCVD children of [pcb]) count against the
    listen backlog alongside the already-established, not-yet-accepted ones
@@ -947,59 +840,21 @@ let listen_q_len t pcb =
            && match p.listen_parent with Some x -> x == pcb | None -> false)
          t.pcbs)
 
-(* Enter TIME_WAIT, maintaining the oldest-first list; with tw_max set,
-   a connection-churn storm reclaims the oldest immediately instead of
-   pinning 2xMSL of pcbs. *)
 let enter_time_wait t pcb =
   pcb.t_state <- Time_wait;
   set_2msl t pcb (2 * msl_ticks);
-  t.tw_list <- t.tw_list @ [ pcb ];
-  let cap = Cost.config.tw_max in
-  if cap > 0 then begin
-    let live = List.filter (fun p -> p.t_state = Time_wait) t.tw_list in
-    t.tw_list <- live;
-    let excess = List.length live - cap in
-    if excess > 0 then
-      List.iteri
-        (fun i victim ->
-          if i < excess then begin
-            victim.t_state <- Closed;
-            victim.tm_2msl <- 0;
-            bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
-            detach t victim;
-            victim.on_state ()
-          end)
-        live
-  end
+  pcb.tw_ent <- Some (Tw_queue.add t.tw pcb ~retire:(retire_time_wait t))
 
-(* Cache (or re-answer) a half-open handshake without creating a child
-   pcb.  Over capacity the oldest entry is evicted — not killed: the
-   cookie in its SYN-ACK still completes it statelessly. *)
+(* Cache (or, for a retransmitted SYN, re-answer) a half-open handshake
+   without creating a child pcb.  A SYN with no MSS option gets the
+   undefended child's t_maxseg. *)
 let syncache_add t pcb ~src ~sport ~seq ~mss =
-  let mss' = match mss with Some v -> min Cost.config.tcp_mss v | None -> default_mss in
-  match
-    List.find_opt
-      (fun e -> e.sc_rport = sport && Int32.equal e.sc_raddr src)
-      pcb.syn_cache
-  with
-  | Some e ->
-      (* Retransmitted SYN: answer again from the cached entry. *)
-      send_synack_raw t ~laddr:pcb.laddr ~lport:pcb.lport ~raddr:src ~rport:sport
-        ~iss:e.sc_iss ~irs:e.sc_irs ~mss:e.sc_mss
-  | None ->
-      let iss = syn_cookie t ~raddr:src ~rport:sport ~lport:pcb.lport ~mss:mss' in
-      let e = { sc_raddr = src; sc_rport = sport; sc_irs = seq; sc_iss = iss; sc_mss = mss' } in
-      bump t (fun s -> s.syncache_added <- s.syncache_added + 1);
-      let cache = e :: pcb.syn_cache in
-      let cap = max 1 Cost.config.syncache_size in
-      let n = List.length cache in
-      if n > cap then begin
-        bump t (fun s -> s.syncache_evicted <- s.syncache_evicted + (n - cap));
-        pcb.syn_cache <- List.filteri (fun i _ -> i < cap) cache
-      end
-      else pcb.syn_cache <- cache;
-      send_synack_raw t ~laddr:pcb.laddr ~lport:pcb.lport ~raddr:src ~rport:sport ~iss
-        ~irs:seq ~mss:mss'
+  let e =
+    Syncache.add t.syncache pcb.syn_cache ~raddr:src ~rport:sport ~lport:pcb.lport ~irs:seq
+      ~mss ~own_mss:Cost.config.tcp_mss
+  in
+  send_synack_raw t ~laddr:pcb.laddr ~lport:pcb.lport ~raddr:src ~rport:sport
+    ~iss:e.Syncache.iss ~irs:e.Syncache.irs ~mss:e.Syncache.mss
 
 let enter_established t pcb =
   match pcb.listen_parent with
@@ -1088,29 +943,12 @@ let newreno_partial_ack t pcb ack =
   if pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur;
   pcb.on_writable ()
 
-(* Receive-buffer autotuning (Cost.config.tcp_autotune).  Arrivals come in
-   clumps of at most one window, separated by RTT-scale gaps when the flow
-   is window-limited; a clump that covered most of the buffer means our
-   advertised window was the limiter, so double it (capped).  A
-   path-limited flow arrives smoothly — no gaps, no growth.  The 500 ms
-   slow-tick srtt is far too coarse to size buffers at millisecond RTTs,
-   so this stack infers the RTT structurally instead. *)
-let autotune_gap_ns = 2_000_000
-
+(* Receive-buffer autotuning: the 500 ms slow-tick srtt is far too coarse
+   to size buffers at millisecond RTTs, so the shared clump detector
+   infers the RTT structurally. *)
 let autotune_rcv t pcb ~dlen =
-  if Cost.config.tcp_autotune then begin
-    let now = Machine.now t.machine in
-    if pcb.rxclump_ts > 0 && now - pcb.rxclump_ts > autotune_gap_ns then begin
-      if pcb.rxclump_bytes * 2 >= pcb.rcv_buf.Sockbuf.sb_hiwat then begin
-        let cap = Cost.config.tcp_sockbuf_max in
-        if pcb.rcv_buf.Sockbuf.sb_hiwat < cap then
-          pcb.rcv_buf.Sockbuf.sb_hiwat <- min cap (2 * pcb.rcv_buf.Sockbuf.sb_hiwat)
-      end;
-      pcb.rxclump_bytes <- 0
-    end;
-    pcb.rxclump_ts <- now;
-    pcb.rxclump_bytes <- pcb.rxclump_bytes + dlen
-  end
+  let b = pcb.rcv_buf in
+  b.Sockbuf.sb_hiwat <- Autotune.rcv pcb.rxclump t.machine ~dlen ~buf:b.Sockbuf.sb_hiwat
 
 (* Returns true when ownership of [data] was taken (appended to the receive
    buffer or parked in the reassembly queue); the caller frees it otherwise. *)
@@ -1398,32 +1236,14 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
    normal machine so any data or FIN it carries is processed.  Returns
    true when [data] was stored. *)
 and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
-  let entry =
-    List.find_opt
-      (fun e -> e.sc_rport = sport && Int32.equal e.sc_raddr src)
-      pcb.syn_cache
-  in
-  let params =
-    match entry with
-    | Some e when ack = m32 (e.sc_iss + 1) && seq = m32 (e.sc_irs + 1) ->
-        pcb.syn_cache <- List.filter (fun x -> x != e) pcb.syn_cache;
-        bump t (fun s -> s.syncache_completed <- s.syncache_completed + 1);
-        Some (e.sc_iss, e.sc_irs, e.sc_mss)
-    | Some _ -> None (* cached, but the numbers don't line up: bogus *)
-    | None -> (
-        match check_cookie t ~raddr:src ~rport:sport ~lport:pcb.lport ~iss:(m32 (ack - 1)) with
-        | Some mss ->
-            bump t (fun s -> s.syncookies_validated <- s.syncookies_validated + 1);
-            Some (m32 (ack - 1), m32 (seq - 1), mss)
-        | None -> None)
-  in
-  match params with
+  match
+    Syncache.expand t.syncache pcb.syn_cache ~raddr:src ~rport:sport ~lport:pcb.lport ~seq ~ack
+  with
   | None ->
-      bump t (fun s -> s.syncookies_rejected <- s.syncookies_rejected + 1);
       if err_allowed t then
         send_rst t ~src ~dst:pcb.laddr ~sport ~dport:pcb.lport ~seq ~ack ~had_ack:true;
       false
-  | Some (iss, irs, mss) ->
+  | Some { Syncache.iss; irs; mss; _ } ->
       if Queue.length pcb.accept_q >= max 1 pcb.backlog then begin
         (* Accept queue full: drop the ACK, not the handshake — the peer
            retransmits, and the cookie completes it once the queue
@@ -1633,16 +1453,14 @@ let make_stats () =
     rcvbadsum = 0; rcvshort = 0; rcvafterwin = 0; delack = 0; fastrexmit = 0;
     drops = 0; accepts = 0; connects = 0; listen_overflow = 0;
     predack = 0; preddat = 0; predfallback = 0;
-    syncache_added = 0; syncache_evicted = 0; syncache_completed = 0;
-    syncookies_validated = 0; syncookies_rejected = 0;
     time_wait_reclaimed = 0; nomem_drops = 0; rst_ratelimited = 0 }
 
 let attach ip machine =
   let t =
-    { ip; machine; pcbs = []; pcb_hash = Hashtbl.create 64; last_pcb = None;
-      next_ephemeral = 1024; iss_source = 1;
-      ticking = false; tw_list = []; cookie_secret = 0x6b8b4567;
-      err_tokens = float_of_int Cost.config.icmp_ratelimit; err_tok_ts = 0;
+    { ip; machine; pcbs = []; demux = Demux.create 64; next_ephemeral = 1024; iss_source = 1;
+      ticking = false; tw = Tw_queue.create ();
+      syncache = Syncache.create machine ~secret:0x6b8b4567;
+      err_bucket = Token_bucket.create machine;
       stats = make_stats ();
       stats_shards = Array.init (Machine.ncpus machine) (fun _ -> make_stats ());
       accept_lock = Smp.spinlock ~name:"tcp-accept" () }
@@ -1686,20 +1504,18 @@ let usr_connect t pcb ~dst ~dport =
     Ok ()
   end
 
+let autotune_snd pcb =
+  let b = pcb.snd_buf in
+  b.Sockbuf.sb_hiwat <-
+    Autotune.snd ~net:(min pcb.snd_wnd pcb.snd_cwnd) ~buf:b.Sockbuf.sb_hiwat
+
 (* Append to the send buffer (as much as fits) and push; returns bytes
    accepted. *)
 let usr_send t pcb ~src ~src_pos ~len =
   Cost.charge_cycles Cost.config.socket_op_cycles;
   match pcb.t_state with
   | Established | Close_wait ->
-      (* Send-buffer autotuning: the network (peer window x cwnd) can carry
-         more than we can buffer, so the buffer is the limiter — double it. *)
-      if Cost.config.tcp_autotune then begin
-        let cap = Cost.config.tcp_sockbuf_max in
-        let net = min pcb.snd_wnd pcb.snd_cwnd in
-        if 2 * net >= pcb.snd_buf.Sockbuf.sb_hiwat && pcb.snd_buf.Sockbuf.sb_hiwat < cap then
-          pcb.snd_buf.Sockbuf.sb_hiwat <- min cap (2 * pcb.snd_buf.Sockbuf.sb_hiwat)
-      end;
+      autotune_snd pcb;
       let n = min len (Sockbuf.space pcb.snd_buf) in
       if n > 0 then begin
         let taken = Sockbuf.sbappend_bytes_nomem pcb.snd_buf ~src ~src_pos ~len:n in
@@ -1730,12 +1546,7 @@ let usr_sendv t pcb ~frags ~pos =
   Cost.charge_cycles Cost.config.socket_op_cycles;
   match pcb.t_state with
   | Established | Close_wait ->
-      if Cost.config.tcp_autotune then begin
-        let cap = Cost.config.tcp_sockbuf_max in
-        let net = min pcb.snd_wnd pcb.snd_cwnd in
-        if 2 * net >= pcb.snd_buf.Sockbuf.sb_hiwat && pcb.snd_buf.Sockbuf.sb_hiwat < cap then
-          pcb.snd_buf.Sockbuf.sb_hiwat <- min cap (2 * pcb.snd_buf.Sockbuf.sb_hiwat)
-      end;
+      autotune_snd pcb;
       let total = List.fold_left (fun a f -> a + f.Io_if.fr_len) 0 frags in
       let n = min (max 0 (total - pos)) (Sockbuf.space pcb.snd_buf) in
       if n > 0 then begin
@@ -1812,13 +1623,9 @@ let usr_close t pcb =
          still shaking hands, so neither side leaks a connection (the PR-2
          ARP on_drop discipline — fail waiters, don't strand them). *)
       pcb.t_state <- Closed;
-      (* Half-open state cached for this listener dies with it: entries
-         hold no segments, so dropping the list frees everything (the
+      (* Half-open state cached for this listener dies with it (the
          late-arriving ACK of a freed entry gets the no-listener RST). *)
-      if pcb.syn_cache <> [] then begin
-        bump t (fun s -> s.syncache_evicted <- s.syncache_evicted + List.length pcb.syn_cache);
-        pcb.syn_cache <- []
-      end;
+      Syncache.drop_all t.syncache pcb.syn_cache;
       Queue.iter (fun conn -> if conn.t_state <> Closed then usr_abort t conn) pcb.accept_q;
       Queue.clear pcb.accept_q;
       List.iter

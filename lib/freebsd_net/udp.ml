@@ -17,10 +17,10 @@ type pcb = {
 type t = {
   ip : Ip.t;
   mutable pcbs : pcb list;
-  (* O(1) demux (Cost.config.pcb_hash), sharing the TCP scheme: exact
-     4-tuple key for connected pcbs, (0, 0, lport) for wildcard binds.
-     Rebuilt on bind/alloc/detach — the only places lport changes. *)
-  pcb_hash : (int32 * int * int, pcb) Hashtbl.t;
+  (* hashed demux (lib/inet): exact 4-tuple key for connected pcbs,
+     (0, 0, lport) for wildcard binds.  Rebuilt on bind/alloc/detach — the
+     only places lport changes. *)
+  demux : pcb Demux.t;
   mutable next_ephemeral : int;
   mutable badsum : int;    (* datagrams dropped on checksum failure *)
   mutable noport : int;    (* datagrams with no listening pcb *)
@@ -28,49 +28,37 @@ type t = {
   mutable unreach_sent : int; (* demux misses answered with ICMP port unreachable *)
   mutable icmp_ratelimited : int; (* unreachables suppressed by the token bucket *)
   mutable nomem_drops : int; (* datagrams dropped for want of an mbuf *)
-  (* token bucket for ICMP errors (Cost.config.icmp_ratelimit) *)
-  mutable icmp_tokens : float;
-  mutable icmp_tok_ts : int;
+  icmp_bucket : Token_bucket.t; (* so a UDP scan cannot amplify *)
 }
 
-let hash_key p = (p.raddr, p.rport, p.lport)
+let hash_add t p =
+  if p.lport <> 0 then Demux.add t.demux ~raddr:p.raddr ~rport:p.rport ~lport:p.lport p
 
-let hash_add t p = if p.lport <> 0 then Hashtbl.replace t.pcb_hash (hash_key p) p
+let hash_remove t p = Demux.remove t.demux ~raddr:p.raddr ~rport:p.rport ~lport:p.lport p
 
-let hash_remove t p =
-  match Hashtbl.find_opt t.pcb_hash (hash_key p) with
-  | Some x when x == p -> Hashtbl.remove t.pcb_hash (hash_key p)
-  | _ -> ()
-
-(* A UDP scan must not become an amplification/CPU sink: ICMP errors pass
-   a token bucket refilled at Cost.config.icmp_ratelimit per second
-   (depth = rate; 0 = unlimited, the donor behavior). *)
 let icmp_allowed t =
-  let rate = Cost.config.icmp_ratelimit in
-  if rate = 0 then true
-  else begin
-    let now = Machine.now t.ip.Ip.machine in
-    let elapsed = now - t.icmp_tok_ts in
-    t.icmp_tok_ts <- now;
-    t.icmp_tokens <-
-      Float.min (float_of_int rate)
-        (t.icmp_tokens +. (float_of_int rate *. float_of_int elapsed /. 1e9));
-    if t.icmp_tokens >= 1.0 then begin
-      t.icmp_tokens <- t.icmp_tokens -. 1.0;
-      true
-    end
-    else begin
-      t.icmp_ratelimited <- t.icmp_ratelimited + 1;
-      false
-    end
-  end
+  Token_bucket.allow t.icmp_bucket
+  || begin
+       t.icmp_ratelimited <- t.icmp_ratelimited + 1;
+       false
+     end
+
+(* An unbound pcb (lport 0) is in neither the hash nor the scan's reach:
+   a datagram to port 0 must not land on whichever socket is unbound. *)
+let find_pcb t ~src ~sport ~dport =
+  if Demux.on () then Demux.lookup_dgram t.demux ~raddr:src ~rport:sport ~lport:dport
+  else
+    List.find_opt
+      (fun p ->
+        p.lport = dport && dport <> 0
+        && (p.rport = 0 || (p.rport = sport && Int32.equal p.raddr src)))
+      t.pcbs
 
 let attach ip =
   let t =
-    { ip; pcbs = []; pcb_hash = Hashtbl.create 16; next_ephemeral = 49152;
+    { ip; pcbs = []; demux = Demux.create 16; next_ephemeral = 49152;
       badsum = 0; noport = 0; fulldrops = 0; unreach_sent = 0;
-      icmp_ratelimited = 0; nomem_drops = 0;
-      icmp_tokens = float_of_int Cost.config.icmp_ratelimit; icmp_tok_ts = 0 }
+      icmp_ratelimited = 0; nomem_drops = 0; icmp_bucket = Token_bucket.create ip.Ip.machine }
   in
   let input ~src ~dst:_ m =
     (* Consumes m: the payload is copied out, so the chain is always freed. *)
@@ -92,25 +80,7 @@ let attach ip =
         in
         if not sum_ok then t.badsum <- t.badsum + 1
         else begin
-          let demux () =
-            if Cost.config.pcb_hash then begin
-              (* Exact match first, then the wildcard bind. *)
-              match Hashtbl.find_opt t.pcb_hash (src, sport, dport) with
-              | Some _ as r ->
-                  Cost.count_pcb_cache_hit ();
-                  r
-              | None ->
-                  Cost.count_pcb_cache_miss ();
-                  Hashtbl.find_opt t.pcb_hash (0l, 0, dport)
-            end
-            else
-              List.find_opt
-                (fun p ->
-                  p.lport = dport
-                  && (p.rport = 0 || (p.rport = sport && Int32.equal p.raddr src)))
-                t.pcbs
-          in
-          match demux () with
+          match find_pcb t ~src ~sport ~dport with
           | None ->
               (* No listener: answer with ICMP port unreachable (the
                  donor's icmp_error), quoting the UDP header so the

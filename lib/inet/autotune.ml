@@ -1,0 +1,42 @@
+(* Socket-buffer autotuning (Cost.config.tcp_autotune), shared by both TCP
+   stacks.  Both functions take the current buffer size and return the
+   size to use from here, capped at Cost.config.tcp_sockbuf_max. *)
+
+let grow buf =
+  let cap = Cost.config.tcp_sockbuf_max in
+  if buf < cap then min cap (2 * buf) else buf
+
+(* Receive side, the clump detector.  Arrivals come in clumps of at most
+   one window, separated by RTT-scale gaps when the flow is window-limited;
+   a clump that covered most of the buffer means our advertised window was
+   the limiter, so double it.  A path-limited flow arrives smoothly — no
+   gaps, no growth.  Neither stack's coarse RTT estimate can size buffers
+   at millisecond RTTs, so the RTT is inferred structurally instead. *)
+type clump = {
+  mutable ts : int; (* ns of the last in-order arrival; 0 = idle *)
+  mutable bytes : int;
+}
+
+let clump () = { ts = 0; bytes = 0 }
+let gap_ns = 2_000_000
+
+let rcv c machine ~dlen ~buf =
+  if not Cost.config.tcp_autotune then buf
+  else begin
+    let now = Machine.now machine in
+    let buf =
+      if c.ts > 0 && now - c.ts > gap_ns then begin
+        let full = c.bytes * 2 >= buf in
+        c.bytes <- 0;
+        if full then grow buf else buf
+      end
+      else buf
+    in
+    c.ts <- now;
+    c.bytes <- c.bytes + dlen;
+    buf
+  end
+
+(* Send side: when the network (peer window x cwnd, [net]) can carry more
+   than we can buffer, the buffer is the limiter — double it. *)
+let snd ~net ~buf = if Cost.config.tcp_autotune && 2 * net >= buf then grow buf else buf

@@ -48,16 +48,6 @@ type tcp_state =
 
 type rexmt_entry = { rx_seq : int; rx_end : int; rx_frame : Skbuff.sk_buff }
 
-(* One cached half-open handshake (Cost.config.syn_defense): everything
-   needed to answer the completing ACK without a sock existing yet. *)
-type lsc_entry = {
-  lsc_raddr : int32;
-  lsc_rport : int;
-  lsc_irs : int;
-  lsc_iss : int;
-  lsc_mss : int;
-}
-
 (* A readiness listener — the socket-side half of oskit_asyncio, mirroring
    Bsd_socket.ready_listener.  Runs at wakeup level; spurious calls
    allowed, blocking not. *)
@@ -105,9 +95,7 @@ type sock = {
   mutable rcv_nxt : int;
   mutable rcv_buf_max : int; (* receive-queue bound; autotuning grows it *)
   mutable adv_wnd : int; (* last window we advertised, post-scale *)
-  (* receive-buffer autotuning clump detector (Cost.config.tcp_autotune) *)
-  mutable rxclump_ts : int;
-  mutable rxclump_bytes : int;
+  rxclump : Autotune.clump; (* receive-buffer autotuning *)
   rcv_q : Skbuff.sk_buff Queue.t; (* in-order payload skbs (data at head) *)
   mutable rcv_q_bytes : int;
   (* Out-of-order reassembly, kept only under Cost.config.tcp_wscale: 2.0
@@ -121,7 +109,8 @@ type sock = {
   backlog_q : sock Queue.t;
   mutable backlog : int;
   mutable parent : sock option;
-  mutable syn_cache : lsc_entry list; (* newest first, bounded *)
+  syn_cache : Syncache.listener;
+  mutable tw_ent : sock Tw_queue.entry option; (* set on entering Time_wait *)
   mutable err : Error.t option;
   sleep : Sleep_record.t;
   mutable rexmt_armed : bool;
@@ -150,12 +139,9 @@ and stack = {
   arp_cache : (int32, string) Hashtbl.t;
   arp_pending : (int32, arp_wait) Hashtbl.t;
   mutable socks : sock list;
-  (* O(1) demux (Cost.config.pcb_hash): connected socks keyed by
-     (raddr, rport, lport) plus a one-entry last-sock cache; listeners are
-     found by the lport-only fallback scan.  Maintained unconditionally so
-     the flag can flip mid-run. *)
-  sock_hash : (int32 * int * int, sock) Hashtbl.t;
-  mutable last_sock : sock option;
+  (* hashed demux of connected socks (lib/inet); listeners are found by
+     the lport-only fallback scan *)
+  demux : sock Demux.t;
   mutable next_port : int;
   mutable next_iss : int;
   mutable ip_id : int;
@@ -176,19 +162,13 @@ and stack = {
   mutable predack : int;  (* header prediction: pure ACK hits *)
   mutable preddat : int;  (* header prediction: in-order data hits *)
   mutable predfallback : int; (* established-state segments that missed *)
-  (* overload survival (Cost.config.syn_defense / tw_max / icmp_ratelimit) *)
-  cookie_secret : int;
-  mutable tw_list : sock list; (* Time_wait socks, oldest first *)
-  mutable syncache_added : int;
-  mutable syncache_evicted : int;
-  mutable syncache_completed : int;
-  mutable syncookies_validated : int;
-  mutable syncookies_rejected : int;
+  (* overload survival, the shared lib/inet policy *)
+  syncache : Syncache.t;
+  tw : sock Tw_queue.t;
+  err_bucket : Token_bucket.t;
   mutable time_wait_reclaimed : int;
   mutable nomem_drops : int;    (* segments/frames dropped for want of an skb *)
   mutable rst_ratelimited : int;
-  mutable err_tokens : float;
-  mutable err_tok_ts : int;
   (* Per-CPU shards of the per-segment counters (netstat sharding): every
      bump updates BOTH the flat aggregate field above — so existing readers
      see unchanged totals at any ncpus — and the executing CPU's shard; the
@@ -213,16 +193,14 @@ and lshard = {
 
 let create machine =
   { machine; dev = None; my_ip = 0l; my_mask = 0l; arp_cache = Hashtbl.create 16;
-    arp_pending = Hashtbl.create 4; socks = []; sock_hash = Hashtbl.create 64;
-    last_sock = None; next_port = 1024; next_iss = 99000;
+    arp_pending = Hashtbl.create 4; socks = []; demux = Demux.create 64;
+    next_port = 1024; next_iss = 99000;
     ip_id = 1; segs_out = 0; segs_in = 0; rexmits = 0; ipbadsum = 0; tcpbadsum = 0;
     rcvdup = 0; rcvoo = 0; rcvfull = 0; arp_waiters_dropped = 0; arp_failures = 0;
     rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
-    preddat = 0; predfallback = 0; cookie_secret = 0x327b23c6; tw_list = [];
-    syncache_added = 0; syncache_evicted = 0; syncache_completed = 0;
-    syncookies_validated = 0; syncookies_rejected = 0; time_wait_reclaimed = 0;
-    nomem_drops = 0; rst_ratelimited = 0;
-    err_tokens = float_of_int Cost.config.icmp_ratelimit; err_tok_ts = 0;
+    preddat = 0; predfallback = 0; syncache = Syncache.create machine ~secret:0x327b23c6;
+    tw = Tw_queue.create (); err_bucket = Token_bucket.create machine;
+    time_wait_reclaimed = 0; nomem_drops = 0; rst_ratelimited = 0;
     shards =
       Array.init (Machine.ncpus machine) (fun _ ->
           { sh_segs_out = 0; sh_segs_in = 0; sh_rexmits = 0; sh_rcvdup = 0;
@@ -237,8 +215,6 @@ let with_accept_lock t f =
 
 (* ---- hashed demux maintenance ---- *)
 
-let sock_key s = (s.raddr, s.rport, s.lport)
-
 (* Insert once the 4-tuple is known (connect, SYN-child creation).  This is
    also the moment the flow's RSS home CPU becomes computable; the software
    hash must agree with the frame-steering hash, and does because
@@ -247,13 +223,12 @@ let sock_hash_add t s =
   s.home_cpu <-
     Rss.cpu_of_flow ~ncpus:(Machine.ncpus t.machine) ~proto:6 ~addr_a:t.my_ip
       ~port_a:s.lport ~addr_b:s.raddr ~port_b:s.rport;
-  Hashtbl.replace t.sock_hash (sock_key s) s
+  Demux.add t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
 
-let sock_hash_remove t s =
-  (match Hashtbl.find_opt t.sock_hash (sock_key s) with
-  | Some x when x == s -> Hashtbl.remove t.sock_hash (sock_key s)
-  | _ -> ());
-  match t.last_sock with Some x when x == s -> t.last_sock <- None | _ -> ()
+let detach t s =
+  t.socks <- List.filter (fun x -> x != s) t.socks;
+  Option.iter (Tw_queue.remove t.tw) s.tw_ent;
+  Demux.remove t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
 
 (* Arm a per-flow timer on the flow's home CPU, so the fire (retransmit,
    probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 this is
@@ -522,109 +497,42 @@ let add_listener s ~mask f =
 let remove_listener s id = s.listeners <- List.filter (fun l -> l.rl_id <> id) s.listeners
 let set_nonblock s v = s.nb <- v
 
-(* ---- SYN cookies / overload reclaim (Cost.config.syn_defense etc.) ----
-   The same wire format as the FreeBSD stack (different secret): bits 1..0
-   of the ISS index the MSS class table, bits 31..2 hash the 4-tuple, so
-   a completing ACK can rebuild the connection after the syncache entry
-   was evicted. *)
+(* ---- overload policy (lib/inet) ---- *)
 
-let cookie_mss_classes = [| 536; 1160; 1460; 8960 |]
-
-let cookie_mss_class mss =
-  let rec go i best =
-    if i >= Array.length cookie_mss_classes then best
-    else if cookie_mss_classes.(i) <= mss then go (i + 1) i
-    else best
-  in
-  go 1 0
-
-let cookie_hash t ~raddr ~rport ~lport =
-  let mix h k =
-    let h = h lxor (m32 (k * 0x9e3779b1)) in
-    let h = m32 ((h lxor (h lsr 15)) * 0x85ebca6b) in
-    h lxor (h lsr 13)
-  in
-  let h = mix (t.cookie_secret land 0xffffffff) (Int32.to_int raddr land 0xffffffff) in
-  let h = mix h rport in
-  let h = mix h lport in
-  h land 0x3fffffff
-
-let syn_cookie t ~raddr ~rport ~lport ~mss =
-  m32 ((cookie_hash t ~raddr ~rport ~lport lsl 2) lor cookie_mss_class mss)
-
-let check_cookie t ~raddr ~rport ~lport ~iss =
-  if (iss lsr 2) land 0x3fffffff = cookie_hash t ~raddr ~rport ~lport then
-    Some cookie_mss_classes.(iss land 3)
-  else None
-
-(* Retire one TIME_WAIT sock early (reclaim paths); its pending 2xMSL
-   callback is a no-op once the state moved off Time_wait. *)
+(* Retire one TIME_WAIT sock early (the tw_max cap, memory pressure); its
+   pending 2xMSL callback is a no-op once the state moved off Time_wait. *)
 let lx_close_tw t s =
   if s.state = Time_wait then begin
     s.state <- Closed;
     t.time_wait_reclaimed <- t.time_wait_reclaimed + 1;
-    t.socks <- List.filter (fun x -> x != s) t.socks;
-    sock_hash_remove t s;
+    detach t s;
     wake s
   end
 
 let lx_enter_time_wait t s =
   s.state <- Time_wait;
-  t.tw_list <- t.tw_list @ [ s ]; (* oldest first *)
-  if Cost.config.tw_max > 0 then begin
-    t.tw_list <- List.filter (fun x -> x.state = Time_wait) t.tw_list;
-    let excess = List.length t.tw_list - Cost.config.tw_max in
-    if excess > 0 then begin
-      List.iteri (fun i x -> if i < excess then lx_close_tw t x) t.tw_list;
-      t.tw_list <- List.filter (fun x -> x.state = Time_wait) t.tw_list
-    end
-  end;
+  s.tw_ent <- Some (Tw_queue.add t.tw s ~retire:(lx_close_tw t));
   ignore
     (after_home t s time_wait_ns (fun () ->
          if s.state = Time_wait then begin
            s.state <- Closed;
-           t.socks <- List.filter (fun x -> x != s) t.socks;
-           sock_hash_remove t s;
-           t.tw_list <- List.filter (fun x -> x != s) t.tw_list
+           detach t s
          end))
 
 (* Memory pressure: shed the coldest protocol state — every TIME_WAIT
    sock and every cached half-open handshake (cookies still complete
    those statelessly). *)
 let lx_reclaim t =
-  let tw = t.tw_list in
-  t.tw_list <- [];
-  List.iter (fun s -> lx_close_tw t s) tw;
-  List.iter
-    (fun s ->
-      if s.syn_cache <> [] then begin
-        t.syncache_evicted <- t.syncache_evicted + List.length s.syn_cache;
-        s.syn_cache <- []
-      end)
-    t.socks
+  Tw_queue.reclaim t.tw ~retire:(lx_close_tw t);
+  List.iter (fun s -> Syncache.drop_all t.syncache s.syn_cache) t.socks
 
-(* Token bucket on generated error responses (the RST answering a segment
-   no sock claims): rate and depth are Cost.config.icmp_ratelimit per
-   second; 0 = unlimited, the donor behavior. *)
+(* The no-sock RST passes the token bucket. *)
 let lx_err_allowed t =
-  let rate = Cost.config.icmp_ratelimit in
-  if rate = 0 then true
-  else begin
-    let now = Machine.now t.machine in
-    let elapsed = now - t.err_tok_ts in
-    t.err_tok_ts <- now;
-    t.err_tokens <-
-      Float.min (float_of_int rate)
-        (t.err_tokens +. (float_of_int rate *. float_of_int elapsed /. 1e9));
-    if t.err_tokens >= 1.0 then begin
-      t.err_tokens <- t.err_tokens -. 1.0;
-      true
-    end
-    else begin
-      t.rst_ratelimited <- t.rst_ratelimited + 1;
-      false
-    end
-  end
+  Token_bucket.allow t.err_bucket
+  || begin
+       t.rst_ratelimited <- t.rst_ratelimited + 1;
+       false
+     end
 
 (* Build one segment in a fresh contiguous skb.  [payload] is copied in
    (the send-path copy); the finished frame is kept for retransmission when
@@ -743,8 +651,7 @@ and arm_rexmt t s =
                    s.rexmt_q_len <- 0;
                    s.err <- Some Error.Timedout;
                    s.state <- Closed;
-                   t.socks <- List.filter (fun x -> x != s) t.socks;
-                   sock_hash_remove t s;
+                   detach t s;
                    wake s
                  end
                  else begin
@@ -803,68 +710,37 @@ let send_ack t s =
      lost on the wire: the peer retransmits. *)
   ignore (tcp_xmit t s ~seq:s.snd_nxt ~flags:th_ack ~payload:None ~queue:false)
 
+(* A fresh sock, not yet on the stack's list. *)
+let blank_sock t =
+  { stack = t; state = Closed; home_cpu = 0; lport = 0; rport = 0; raddr = 0l; iss = 0; snd_una = 0;
+    snd_nxt = 0; snd_wnd = default_window; cwnd = Cost.config.tcp_mss;
+    ssthresh = 64 * 1024;
+    smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
+    dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
+    rtt_seq = 0; rtt_ts = 0;
+    fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = false;
+    persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
+    rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
+    rcv_buf_max = default_window; adv_wnd = default_window; rxclump = Autotune.clump ();
+    head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
+    backlog = 0; parent = None; syn_cache = Syncache.listener (); tw_ent = None; err = None;
+    sleep = Sleep_record.create ~name:"lx_sock" ();
+    rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = [];
+    next_lid = 1 }
+
+(* A minimal unsocketed RST. *)
 let send_rst_for t ~src ~sport ~dport ~ack =
-  (* A minimal unsocketed RST. *)
-  let fake =
-    { stack = t; state = Closed; home_cpu = 0; lport = dport; rport = sport; raddr = src; iss = 0;
-      snd_una = ack; snd_nxt = ack; snd_wnd = 0; cwnd = mss; ssthresh = 0;
-      smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
-      dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
-      rtt_seq = 0; rtt_ts = 0;
-      fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = true;
-      persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
-      rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
-      rcv_buf_max = default_window; adv_wnd = 0;
-      rxclump_ts = 0; rxclump_bytes = 0;
-      head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
-      backlog = 0; parent = None; syn_cache = []; err = None;
-      sleep = Sleep_record.create ();
-      rexmt_armed = true; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1 }
-  in
+  let fake = { (blank_sock t) with lport = dport; rport = sport; raddr = src } in
   ignore (tcp_xmit t fake ~seq:ack ~flags:th_rst ~payload:None ~queue:false)
 
 let new_sock t =
-  let s =
-    { stack = t; state = Closed; home_cpu = 0; lport = 0; rport = 0; raddr = 0l; iss = 0; snd_una = 0;
-      snd_nxt = 0; snd_wnd = default_window; cwnd = Cost.config.tcp_mss;
-      ssthresh = 64 * 1024;
-      smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
-      dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
-      rtt_seq = 0; rtt_ts = 0;
-      fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = false;
-      persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
-      rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
-      rcv_buf_max = default_window; adv_wnd = default_window;
-      rxclump_ts = 0; rxclump_bytes = 0;
-      head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
-      backlog = 0; parent = None; syn_cache = []; err = None;
-      sleep = Sleep_record.create ~name:"lx_sock" ();
-      rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1 }
-  in
+  let s = blank_sock t in
   t.socks <- s :: t.socks;
   s
 
-let detach t s =
-  t.socks <- List.filter (fun x -> x != s) t.socks;
-  sock_hash_remove t s
-
 let find_sock t ~src ~sport ~dport =
   let connected =
-    if Cost.config.pcb_hash then begin
-      match t.last_sock with
-      | Some s
-        when s.lport = dport && s.rport = sport && Int32.equal s.raddr src
-             && s.state <> Listen ->
-          Cost.count_pcb_cache_hit ();
-          Some s
-      | _ -> (
-          Cost.count_pcb_cache_miss ();
-          match Hashtbl.find_opt t.sock_hash (src, sport, dport) with
-          | Some s when s.state <> Listen ->
-              t.last_sock <- Some s;
-              Some s
-          | _ -> None)
-    end
+    if Demux.on () then Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport
     else
       List.find_opt
         (fun s ->
@@ -872,90 +748,36 @@ let find_sock t ~src ~sport ~dport =
         t.socks
   in
   match connected with
-  | Some _ as r -> r
-  | None -> List.find_opt (fun s -> s.lport = dport && s.state = Listen) t.socks
+  | Some s when s.state <> Listen -> connected
+  | _ -> List.find_opt (fun s -> s.lport = dport && s.state = Listen) t.socks
 
 (* A SYN-ACK with no sock behind it (Cost.config.syn_defense): seq/ack and
    MSS come from the syncache entry or the cookie.  Never queued — losing
    it just means the client retransmits its SYN — and never offers wscale
    (the cookie has no room to remember the peer's scale). *)
-let lx_send_synack t ~raddr ~rport ~lport ~iss ~irs ~mss =
+let lx_send_synack t ~raddr ~rport ~lport (e : Syncache.entry) =
   let fake =
-    { stack = t; state = Syn_recv; home_cpu = 0; lport; rport; raddr; iss;
-      snd_una = iss; snd_nxt = iss; snd_wnd = 0; cwnd = mss; ssthresh = 0;
-      smss = mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
-      dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
-      rtt_seq = 0; rtt_ts = 0;
-      fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = true;
-      persist_shift = 0; rcv_nxt = m32 (irs + 1); rcv_q = Queue.create ();
-      rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
-      rcv_buf_max = default_window; adv_wnd = 0;
-      rxclump_ts = 0; rxclump_bytes = 0;
-      head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
-      backlog = 0; parent = None; syn_cache = []; err = None;
-      sleep = Sleep_record.create ();
-      rexmt_armed = true; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = []; next_lid = 1 }
+    { (blank_sock t) with state = Syn_recv; lport; rport; raddr; smss = e.Syncache.mss;
+      rcv_nxt = m32 (e.Syncache.irs + 1) }
   in
-  ignore (tcp_xmit t fake ~seq:iss ~flags:(th_syn lor th_ack) ~payload:None ~queue:false)
+  ignore (tcp_xmit t fake ~seq:e.Syncache.iss ~flags:(th_syn lor th_ack) ~payload:None ~queue:false)
 
-(* A SYN under the defense: cache the handshake (bounded, oldest evicted)
-   and answer with a cookie ISS.  No child sock exists until the ACK
-   returns, so embryonic connections cost the listener nothing. *)
+(* A SYN under the defense: cache the handshake and answer with a cookie
+   ISS (or re-answer a retransmitted SYN from its entry).  No child sock
+   exists until the ACK returns, so embryonic connections cost the
+   listener nothing. *)
 let lx_syncache_add t s ~src ~sport ~seq ~mss =
-  let mss' = match mss with Some v -> min Cost.config.tcp_mss v | None -> Cost.config.tcp_mss in
-  match
-    List.find_opt
-      (fun e -> Int32.equal e.lsc_raddr src && e.lsc_rport = sport)
-      s.syn_cache
-  with
-  | Some e ->
-      (* Retransmitted SYN: re-answer from the entry. *)
-      lx_send_synack t ~raddr:src ~rport:sport ~lport:s.lport ~iss:e.lsc_iss
-        ~irs:e.lsc_irs ~mss:e.lsc_mss
-  | None ->
-      let iss = syn_cookie t ~raddr:src ~rport:sport ~lport:s.lport ~mss:mss' in
-      s.syn_cache <-
-        { lsc_raddr = src; lsc_rport = sport; lsc_irs = seq; lsc_iss = iss;
-          lsc_mss = mss' }
-        :: s.syn_cache;
-      t.syncache_added <- t.syncache_added + 1;
-      let cap = max 1 Cost.config.syncache_size in
-      if List.length s.syn_cache > cap then begin
-        s.syn_cache <- List.filteri (fun i _ -> i < cap) s.syn_cache;
-        t.syncache_evicted <- t.syncache_evicted + 1
-      end;
-      lx_send_synack t ~raddr:src ~rport:sport ~lport:s.lport ~iss ~irs:seq ~mss:mss'
+  lx_send_synack t ~raddr:src ~rport:sport ~lport:s.lport
+    (Syncache.add t.syncache s.syn_cache ~raddr:src ~rport:sport ~lport:s.lport ~irs:seq ~mss
+       ~own_mss:Cost.config.tcp_mss)
 
 (* The completing ACK: from the syncache entry if it survived, else by
    validating the cookie echoed in ack-1.  Only now is a sock created —
    directly Established, straight onto the accept backlog. *)
 let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
-  let entry =
-    List.find_opt
-      (fun e -> Int32.equal e.lsc_raddr src && e.lsc_rport = sport)
-      s.syn_cache
-  in
-  let params =
-    match entry with
-    | Some e when ack = m32 (e.lsc_iss + 1) && seq = m32 (e.lsc_irs + 1) ->
-        s.syn_cache <- List.filter (fun x -> x != e) s.syn_cache;
-        t.syncache_completed <- t.syncache_completed + 1;
-        Some (e.lsc_iss, e.lsc_irs, e.lsc_mss)
-    | Some _ -> None (* right 4-tuple, wrong numbers: bogus *)
-    | None -> (
-        match
-          check_cookie t ~raddr:src ~rport:sport ~lport:s.lport ~iss:(m32 (ack - 1))
-        with
-        | Some mss ->
-            t.syncookies_validated <- t.syncookies_validated + 1;
-            Some (m32 (ack - 1), m32 (seq - 1), mss)
-        | None -> None)
-  in
-  match params with
-  | None ->
-      t.syncookies_rejected <- t.syncookies_rejected + 1;
-      if lx_err_allowed t then send_rst_for t ~src ~sport ~dport:s.lport ~ack
-  | Some (iss, irs, mss) ->
+  match Syncache.expand t.syncache s.syn_cache ~raddr:src ~rport:sport ~lport:s.lport ~seq ~ack with
+  | None -> if lx_err_allowed t then send_rst_for t ~src ~sport ~dport:s.lport ~ack
+  | Some { Syncache.iss; irs; mss; _ } ->
       if Queue.length s.backlog_q >= max 1 s.backlog then
         (* Accept queue full: drop the ACK; the peer retransmits it and the
            cookie completes once there is room. *)
@@ -1090,24 +912,8 @@ let fastpath_pred s ~seq ~flags ~dlen =
   && flags land th_ack <> 0
   && (dlen = 0 || (seq = s.rcv_nxt && s.rcv_q_bytes + dlen <= s.rcv_buf_max))
 
-(* Receive-buffer autotuning (Cost.config.tcp_autotune): arrivals come in
-   clumps of at most one window, separated by RTT-scale gaps when the flow
-   is window-limited; a clump that covered most of the buffer means our
-   advertised window was the limiter, so double it (capped).  A
-   path-limited flow arrives smoothly — no gaps, no growth. *)
-let autotune_gap_ns = 2_000_000
-
 let autotune_rcv t s ~dlen =
-  if Cost.config.tcp_autotune then begin
-    let now = Machine.now t.machine in
-    if s.rxclump_ts > 0 && now - s.rxclump_ts > autotune_gap_ns then begin
-      if s.rxclump_bytes * 2 >= s.rcv_buf_max then
-        s.rcv_buf_max <- min Cost.config.tcp_sockbuf_max (2 * s.rcv_buf_max);
-      s.rxclump_bytes <- 0
-    end;
-    s.rxclump_ts <- now;
-    s.rxclump_bytes <- s.rxclump_bytes + dlen
-  end
+  s.rcv_buf_max <- Autotune.rcv s.rxclump t.machine ~dlen ~buf:s.rcv_buf_max
 
 (* Out-of-order segment: hold it for reassembly (wscale mode only; the
    donor stack dropped these, go-back-N).  Returns whether the skb was
@@ -1504,10 +1310,14 @@ let accept _t s =
   in
   wait ()
 
-let connect t s ~dst ~dport =
+(* connect up to the wait for the SYN-ACK. *)
+let connect_start t s ~dst ~dport =
   if s.lport = 0 then s.lport <- alloc_port t;
   s.raddr <- dst;
   s.rport <- dport;
+  (* The scan must meet the newest connection on a 4-tuple first, as the
+     hash does, whatever order the sockets were made in. *)
+  t.socks <- s :: List.filter (fun x -> x != s) t.socks;
   sock_hash_add t s;
   s.iss <- next_iss t;
   s.snd_una <- s.iss;
@@ -1519,7 +1329,10 @@ let connect t s ~dst ~dport =
     s.state <- Closed;
     s.err <- Some Error.Nomem;
     detach t s
-  end;
+  end
+
+let connect t s ~dst ~dport =
+  connect_start t s ~dst ~dport;
   let rec wait () =
     match s.state with
     | Established -> Ok ()
@@ -1664,10 +1477,7 @@ let rec close t s =
       s.state <- Closed;
       (* Cached half-open handshakes die with the listener (no frames are
          held for them — defended SYN-ACKs are never queued). *)
-      if s.syn_cache <> [] then begin
-        t.syncache_evicted <- t.syncache_evicted + List.length s.syn_cache;
-        s.syn_cache <- []
-      end;
+      Syncache.drop_all t.syncache s.syn_cache;
       Queue.iter (fun c -> abort_orphan t c) s.backlog_q;
       Queue.clear s.backlog_q;
       List.iter
@@ -1688,6 +1498,7 @@ let rec close t s =
 (* ---- per-layer drop accounting, netstat -s style ---- *)
 
 let netstat t =
+  let sc = t.syncache.Syncache.stats in
   Printf.sprintf
     "ip:\n\
     \  %d bad header checksums\n\
@@ -1718,8 +1529,8 @@ let netstat t =
     \  %d kqueue events posted (%d coalesced)\n"
     t.ipbadsum t.segs_out t.segs_in t.rexmits t.tcpbadsum t.rcvdup t.rcvoo
     t.rcvfull t.listen_overflow t.rexmt_give_ups t.predack t.preddat t.predfallback
-    t.persist_probes t.syncache_added t.syncache_evicted t.syncache_completed
-    t.syncookies_validated t.syncookies_rejected t.time_wait_reclaimed
+    t.persist_probes sc.Syncache.added sc.Syncache.evicted sc.Syncache.completed
+    sc.Syncache.validated sc.Syncache.rejected t.time_wait_reclaimed
     t.nomem_drops t.rst_ratelimited t.arp_waiters_dropped t.arp_failures
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels
     Cost.counters.Cost.wheel_fires Cost.counters.Cost.wheel_cascades

@@ -65,9 +65,11 @@ type config = {
   mutable pcb_hash : bool;
       (** O(1) inbound demux: a 4-tuple hash table plus a one-entry
           last-PCB cache (BSD's [tcp_last_inpcb]) in place of the linear
-          PCB scan, in TCP and UDP of both stacks.  Purely algorithmic —
-          no cycle charge changes either way; the cache-hit/miss counters
-          prove it is exercised.  Default [false]. *)
+          PCB scan, in TCP and UDP of both stacks — written once, in
+          [lib/inet/demux.ml].  Purely algorithmic — no cycle charge
+          changes either way; the cache-hit/miss counters prove it is
+          exercised, and a property test proves it finds what the scan
+          finds.  Default [false]. *)
   mutable rx_batch : int;
       (** NAPI-style RX batching budget: how many pending frames one
           interrupt may carry from the driver to the stack through a
@@ -85,8 +87,8 @@ type config = {
       (** BDP-driven socket-buffer autotuning: grow a connection's send and
           receive buffers (doubling, capped at {!field:tcp_sockbuf_max})
           whenever the window — not the application or the path — is what
-          is limiting transfer.  Only useful with
-          {!field:tcp_wscale}; default [false]. *)
+          is limiting transfer; both stacks share [lib/inet/autotune.ml].
+          Only useful with {!field:tcp_wscale}; default [false]. *)
   mutable tcp_mss : int;
       (** The local maximum segment size both stacks advertise and clamp
           to; raise alongside {!Netif.t.if_mtu} for jumbo frames
@@ -104,21 +106,25 @@ type config = {
           embryonic connections stop counting against the accept backlog;
           when the cache overflows, completion falls back to stateless SYN
           cookies (the ISS encodes a 4-tuple hash + MSS class, validated on
-          the completing ACK).  Changes the ISS the listener emits, so
-          default [false] to keep the committed baselines bit-identical. *)
+          the completing ACK).  One implementation for both stacks, in
+          [lib/inet/syncache.ml]; each keeps its own cookie secret.
+          Changes the ISS the listener emits, so default [false] to keep
+          the committed baselines bit-identical. *)
   mutable syncache_size : int;
       (** Per-listener syncache capacity; beyond it the oldest entry is
-          evicted (its handshake can still finish via the cookie).
-          Default 64. *)
+          evicted (its handshake can still finish via the cookie); see
+          [lib/inet/syncache.ml].  Default 64. *)
   mutable tw_max : int;
       (** Cap on simultaneously held TIME_WAIT connections per stack;
           crossing it reclaims the oldest immediately instead of waiting
-          2xMSL.  [0] (default) = unbounded, the donor behavior. *)
+          2xMSL; the oldest-first queue is [lib/inet/tw_queue.ml].  [0]
+          (default) = unbounded, the donor behavior. *)
   mutable icmp_ratelimit : int;
       (** Token-bucket limit, in errors per second, on generated network
-          errors (ICMP port unreachable in the BSD stack, the no-socket RST
-          in the Linux stack); bucket depth equals the rate.  [0] (default)
-          = unlimited, the donor behavior. *)
+          errors (ICMP port unreachable and the no-connection RST in the BSD
+          stack, the no-socket RST in the Linux stack); bucket depth equals
+          the rate, one [lib/inet/token_bucket.ml] bucket per error kind
+          per stack.  [0] (default) = unlimited, the donor behavior. *)
   mutable alloc_fail_prob : float;
       (** Memfault: probability that one pooled packet-buffer allocation
           ({!Bpool.get}) fails with [Memfault.Nomem].  Deterministic given

@@ -24,6 +24,7 @@ let () =
       "advanced", Test_advanced.suite;
       "asyncio", Test_asyncio.suite;
       "fastpath", Test_fastpath.suite;
+      "demux", Test_demux.suite;
       "longfat", Test_longfat.suite;
       "overload", Test_overload.suite;
       "smp", Test_smp.suite;

@@ -131,12 +131,14 @@ let test_bsd_cache_invalidated_on_close () =
       Alcotest.(check string) "echo delivered" "ping" !echoed;
       Alcotest.(check bool) "demux used the cache" true
         (Cost.counters.Cost.pcb_cache_hits > 0);
-      Alcotest.(check int) "client hash purged" 0 (Hashtbl.length sa.Bsd_socket.tcp.Tcp.pcb_hash);
-      Alcotest.(check int) "server hash purged" 0 (Hashtbl.length sb.Bsd_socket.tcp.Tcp.pcb_hash);
+      Alcotest.(check int) "client hash purged" 0
+        (Hashtbl.length sa.Bsd_socket.tcp.Tcp.demux.Demux.tbl);
+      Alcotest.(check int) "server hash purged" 0
+        (Hashtbl.length sb.Bsd_socket.tcp.Tcp.demux.Demux.tbl);
       Alcotest.(check bool) "client last-pcb cache purged" true
-        (sa.Bsd_socket.tcp.Tcp.last_pcb = None);
+        (sa.Bsd_socket.tcp.Tcp.demux.Demux.last = None);
       Alcotest.(check bool) "server last-pcb cache purged" true
-        (sb.Bsd_socket.tcp.Tcp.last_pcb = None))
+        (sb.Bsd_socket.tcp.Tcp.demux.Demux.last = None))
 
 let test_linux_cache_invalidated_on_close () =
   with_fast (fun () ->
@@ -172,10 +174,12 @@ let test_linux_cache_invalidated_on_close () =
       Alcotest.(check string) "echo delivered" "ping" !echoed;
       Alcotest.(check bool) "demux used the cache" true
         (Cost.counters.Cost.pcb_cache_hits > 0);
-      Alcotest.(check int) "client hash purged" 0 (Hashtbl.length sa.Linux_inet.sock_hash);
-      Alcotest.(check int) "server hash purged" 0 (Hashtbl.length sb.Linux_inet.sock_hash);
-      Alcotest.(check bool) "client last-sock cache purged" true (sa.Linux_inet.last_sock = None);
-      Alcotest.(check bool) "server last-sock cache purged" true (sb.Linux_inet.last_sock = None))
+      Alcotest.(check int) "client hash purged" 0 (Hashtbl.length sa.Linux_inet.demux.Demux.tbl);
+      Alcotest.(check int) "server hash purged" 0 (Hashtbl.length sb.Linux_inet.demux.Demux.tbl);
+      Alcotest.(check bool) "client last-sock cache purged" true
+        (sa.Linux_inet.demux.Demux.last = None);
+      Alcotest.(check bool) "server last-sock cache purged" true
+        (sb.Linux_inet.demux.Demux.last = None))
 
 (* ------------------------------------------------------------------ *)
 (* UDP rides the same hashed demux; a datagram for a closed port must

@@ -242,13 +242,13 @@ let test_linux_time_wait_expiry_purges () =
      demux to it, not spawn a RST-generating stranger. *)
   Clientos.run tb ~until:(fun () -> s.Linux_inet.state = Linux_inet.Time_wait);
   Alcotest.(check bool) "TIME_WAIT socket still hashed" true
-    (Hashtbl.length sa.Linux_inet.sock_hash > 0);
+    (Hashtbl.length sa.Linux_inet.demux.Demux.tbl > 0);
   (* Run the world dry: the 2 s expiry is the last event standing. *)
   Clientos.run tb ~until:(fun () -> false);
   Alcotest.(check bool) "expiry closed the socket" true (s.Linux_inet.state = Linux_inet.Closed);
-  Alcotest.(check int) "expiry purged the hash" 0 (Hashtbl.length sa.Linux_inet.sock_hash);
+  Alcotest.(check int) "expiry purged the hash" 0 (Hashtbl.length sa.Linux_inet.demux.Demux.tbl);
   Alcotest.(check bool) "expiry purged the last-sock cache" true
-    (sa.Linux_inet.last_sock = None);
+    (sa.Linux_inet.demux.Demux.last = None);
   Alcotest.(check bool) "expiry removed it from the socket list" true
     (not (List.memq s sa.Linux_inet.socks))
 

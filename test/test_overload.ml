@@ -104,16 +104,18 @@ let prop_cookie_roundtrip =
     (fun (addr, rport, lport, mss) ->
       let bsd, lx = Lazy.force cookie_rigs in
       let raddr = Int32.of_int addr in
-      let expect = Tcp.cookie_mss_classes.(Tcp.cookie_mss_class mss) in
-      let bc = Tcp.syn_cookie bsd ~raddr ~rport ~lport ~mss in
-      let lc = Linux_inet.syn_cookie lx ~raddr ~rport ~lport ~mss in
-      Tcp.check_cookie bsd ~raddr ~rport ~lport ~iss:bc = Some expect
-      && Linux_inet.check_cookie lx ~raddr ~rport ~lport ~iss:lc = Some expect
+      let expect = Syncache.mss_classes.(Syncache.mss_class mss) in
+      let bc = Syncache.cookie bsd.Tcp.syncache ~raddr ~rport ~lport ~mss in
+      let lc = Syncache.cookie lx.Linux_inet.syncache ~raddr ~rport ~lport ~mss in
+      Syncache.check_cookie bsd.Tcp.syncache ~raddr ~rport ~lport ~iss:bc = Some expect
+      && Syncache.check_cookie lx.Linux_inet.syncache ~raddr ~rport ~lport ~iss:lc = Some expect
       (* the class never overshoots the peer's offer (below the smallest
          class it clamps up to 536, the protocol minimum) *)
       && expect <= max 536 mss
       (* a different remote port must not validate (2^-30 collision odds) *)
-      && Tcp.check_cookie bsd ~raddr ~rport:(1 + (rport mod 65535)) ~lport ~iss:bc = None)
+      && Syncache.check_cookie bsd.Tcp.syncache ~raddr ~rport:(1 + (rport mod 65535)) ~lport
+           ~iss:bc
+         = None)
 
 (* ------------------------------------------------------------------ *)
 (* Syncache: bounded, oldest evicted first, and a closing listener frees
@@ -140,10 +142,10 @@ let test_syncache_eviction_and_listener_close () =
           done;
           bsd_srcs :=
             List.map
-              (fun e -> (Int32.to_int e.Tcp.sc_raddr land 0xff) - 100)
-              pcb.Tcp.syn_cache;
+              (fun e -> (Int32.to_int e.Syncache.raddr land 0xff) - 100)
+              pcb.Tcp.syn_cache.Syncache.entries;
           ignore (Bsd_socket.so_close ls);
-          bsd_after_close := List.length pcb.Tcp.syn_cache);
+          bsd_after_close := List.length pcb.Tcp.syn_cache.Syncache.entries);
       Clientos.spawn tb.Clientos.host_b ~name:"lx-rig" (fun () ->
           let ls = Linux_inet.socket sb in
           Linux_inet.bind sb ls ~port:80;
@@ -155,25 +157,75 @@ let test_syncache_eviction_and_listener_close () =
           done;
           lx_srcs :=
             List.map
-              (fun e -> (Int32.to_int e.Linux_inet.lsc_raddr land 0xff) - 100)
-              ls.Linux_inet.syn_cache;
+              (fun e -> (Int32.to_int e.Syncache.raddr land 0xff) - 100)
+              ls.Linux_inet.syn_cache.Syncache.entries;
           Linux_inet.close sb ls;
-          lx_after_close := List.length ls.Linux_inet.syn_cache;
+          lx_after_close := List.length ls.Linux_inet.syn_cache.Syncache.entries;
           done_flag := true);
       Clientos.run tb ~until:(fun () -> !done_flag);
       Alcotest.(check bool) "rigs ran" true !done_flag;
       (* Newest-first list capped at 4: the two oldest (1, 2) are gone. *)
       Alcotest.(check (list int)) "bsd: oldest evicted first" [ 6; 5; 4; 3 ] !bsd_srcs;
       Alcotest.(check (list int)) "linux: oldest evicted first" [ 6; 5; 4; 3 ] !lx_srcs;
-      let st = sa.Bsd_socket.tcp.Tcp.stats in
-      Alcotest.(check int) "bsd: all six cached" 6 st.Tcp.syncache_added;
+      let st = sa.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
+      let lt = sb.Linux_inet.syncache.Syncache.stats in
+      Alcotest.(check int) "bsd: all six cached" 6 st.Syncache.added;
       Alcotest.(check int) "bsd: close freed the cache" 0 !bsd_after_close;
       Alcotest.(check int) "bsd: evictions = 2 overflow + 4 at close" 6
-        st.Tcp.syncache_evicted;
-      Alcotest.(check int) "linux: all six cached" 6 sb.Linux_inet.syncache_added;
+        st.Syncache.evicted;
+      Alcotest.(check int) "linux: all six cached" 6 lt.Syncache.added;
       Alcotest.(check int) "linux: close freed the cache" 0 !lx_after_close;
       Alcotest.(check int) "linux: evictions = 2 overflow + 4 at close" 6
-        sb.Linux_inet.syncache_evicted)
+        lt.Syncache.evicted)
+
+(* ------------------------------------------------------------------ *)
+(* A SYN with no MSS option gets the same MSS from a defended listener's
+   syncache as from an undefended listener's child, on both stacks — the
+   stack's own tcp_mss, here 9000 (the defended BSD path used to fall
+   back to a constant 1460).                                             *)
+
+let test_syncache_mss_without_option () =
+  let c = Cost.config in
+  let saved = c.Cost.tcp_mss in
+  c.Cost.tcp_mss <- 9000;
+  Fun.protect
+    ~finally:(fun () -> c.Cost.tcp_mss <- saved)
+    (fun () ->
+      let tb = fresh_testbed () in
+      let baddr = ip "10.0.0.1" and laddr = ip "10.0.0.2" and src = ip "10.0.0.9" in
+      let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:baddr ~mask in
+      let sb = Clientos.linux_host tb.Clientos.host_b ~ip:laddr ~mask in
+      let syn ~dst ~port =
+        Test_demux.tcp_header ~dst ~src ~sport:4000 ~dport:port ~flags:Tcp.th_syn ()
+      in
+      let bsd ~defended ~port =
+        with_overload ~syn_defense:defended (fun () ->
+            let t = sa.Bsd_socket.tcp in
+            let ls = Tcp.create_pcb t in
+            ok (Tcp.usr_bind t ls ~port);
+            ok (Tcp.usr_listen t ls ~backlog:4);
+            Tcp.input t ~src ~dst:baddr (Test_demux.bsd_segment (syn ~dst:baddr ~port));
+            if defended then (List.hd ls.Tcp.syn_cache.Syncache.entries).Syncache.mss
+            else
+              (List.find (fun p -> p.Tcp.lport = port && p != ls) t.Tcp.pcbs).Tcp.t_maxseg)
+      in
+      let linux ~defended ~port =
+        with_overload ~syn_defense:defended (fun () ->
+            let ls = Linux_inet.socket sb in
+            Linux_inet.bind sb ls ~port;
+            Linux_inet.listen sb ls ~backlog:4;
+            Linux_inet.tcp_rcv sb ~src (Skbuff.skb_wrap (syn ~dst:laddr ~port));
+            if defended then (List.hd ls.Linux_inet.syn_cache.Syncache.entries).Syncache.mss
+            else
+              (List.find (fun s -> s.Linux_inet.lport = port && s != ls) sb.Linux_inet.socks)
+                .Linux_inet.smss)
+      in
+      Alcotest.(check int) "bsd: undefended child" 9000 (bsd ~defended:false ~port:80);
+      Alcotest.(check int) "bsd: syncache entry = undefended child" 9000
+        (bsd ~defended:true ~port:81);
+      Alcotest.(check int) "linux: undefended child" 9000 (linux ~defended:false ~port:80);
+      Alcotest.(check int) "linux: syncache entry = undefended child" 9000
+        (linux ~defended:true ~port:81))
 
 (* ------------------------------------------------------------------ *)
 (* The headline property: a 10x SYN flood from spoofed sources leaves a
@@ -202,9 +254,10 @@ let flood_then_legit ~linux () =
                 incr served
               done)
             ;
+          let sc = sb.Linux_inet.syncache.Syncache.stats in
           fun () ->
-            ( sb.Linux_inet.syncache_added,
-              sb.Linux_inet.syncache_completed + sb.Linux_inet.syncookies_validated,
+            ( sc.Syncache.added,
+              sc.Syncache.completed + sc.Syncache.validated,
               sb.Linux_inet.listen_overflow )
         end
         else begin
@@ -222,9 +275,10 @@ let flood_then_legit ~linux () =
                 incr served
               done);
           let st = sb.Bsd_socket.tcp.Tcp.stats in
+          let sc = sb.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
           fun () ->
-            ( st.Tcp.syncache_added,
-              st.Tcp.syncache_completed + st.Tcp.syncookies_validated,
+            ( sc.Syncache.added,
+              sc.Syncache.completed + sc.Syncache.validated,
               st.Tcp.listen_overflow )
         end
       in
@@ -293,9 +347,10 @@ let cookie_completion ~linux () =
               let c = ok (Linux_inet.accept sb ls) in
               accepted_port := c.Linux_inet.rport;
               done_flag := true);
-          ( (fun () -> sb.Linux_inet.syncookies_validated),
-            (fun () -> sb.Linux_inet.syncookies_rejected),
-            fun () -> Linux_inet.syn_cookie sb ~raddr ~rport ~lport ~mss:1460 )
+          let sc = sb.Linux_inet.syncache in
+          ( (fun () -> sc.Syncache.stats.Syncache.validated),
+            (fun () -> sc.Syncache.stats.Syncache.rejected),
+            fun () -> Syncache.cookie sc ~raddr ~rport ~lport ~mss:1460 )
         end
         else begin
           let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
@@ -306,10 +361,10 @@ let cookie_completion ~linux () =
               let c = ok (Bsd_socket.so_accept ls) in
               accepted_port := c.Bsd_socket.pcb.Tcp.rport;
               done_flag := true);
-          let st = sb.Bsd_socket.tcp.Tcp.stats in
-          ( (fun () -> st.Tcp.syncookies_validated),
-            (fun () -> st.Tcp.syncookies_rejected),
-            fun () -> Tcp.syn_cookie sb.Bsd_socket.tcp ~raddr ~rport ~lport ~mss:1460 )
+          let sc = sb.Bsd_socket.tcp.Tcp.syncache in
+          ( (fun () -> sc.Syncache.stats.Syncache.validated),
+            (fun () -> sc.Syncache.stats.Syncache.rejected),
+            fun () -> Syncache.cookie sc ~raddr ~rport ~lport ~mss:1460 )
         end
       in
       (* The cookie the server would have answered with, recomputed from
@@ -431,7 +486,7 @@ let tw_cap ~linux () =
                 Kclock.sleep_ns 2_000_000;
                 incr served
               done);
-          ( (fun () -> List.length sa.Linux_inet.tw_list),
+          ( (fun () -> sa.Linux_inet.tw.Tw_queue.live),
             fun () -> sa.Linux_inet.time_wait_reclaimed )
         end
         else begin
@@ -461,7 +516,7 @@ let tw_cap ~linux () =
                 Kclock.sleep_ns 2_000_000;
                 incr served
               done);
-          ( (fun () -> List.length sa.Bsd_socket.tcp.Tcp.tw_list),
+          ( (fun () -> sa.Bsd_socket.tcp.Tcp.tw.Tw_queue.live),
             fun () -> sa.Bsd_socket.tcp.Tcp.stats.Tcp.time_wait_reclaimed )
         end
       in
@@ -871,19 +926,20 @@ let test_flags_off_counters_untouched () =
   Clientos.run tb ~until:(fun () -> !served && !echoed);
   Alcotest.(check bool) "round trip completed" true (!served && !echoed);
   let st = sa.Bsd_socket.tcp.Tcp.stats in
+  let bsc = sa.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
+  let lsc = sb.Linux_inet.syncache.Syncache.stats in
   Alcotest.(check int) "bsd: no syncache activity" 0
-    (st.Tcp.syncache_added + st.Tcp.syncache_evicted + st.Tcp.syncache_completed);
+    (bsc.Syncache.added + bsc.Syncache.evicted + bsc.Syncache.completed);
   Alcotest.(check int) "bsd: no cookie activity" 0
-    (st.Tcp.syncookies_validated + st.Tcp.syncookies_rejected);
+    (bsc.Syncache.validated + bsc.Syncache.rejected);
   Alcotest.(check int) "bsd: no TIME_WAIT reclaim" 0 st.Tcp.time_wait_reclaimed;
   Alcotest.(check int) "bsd: no nomem drops" 0 st.Tcp.nomem_drops;
   Alcotest.(check int) "bsd: no rate limiting" 0 st.Tcp.rst_ratelimited;
   Alcotest.(check int) "bsd udp: no rate limiting" 0 sa.Bsd_socket.udp.Udp.icmp_ratelimited;
   Alcotest.(check int) "linux: no syncache activity" 0
-    (sb.Linux_inet.syncache_added + sb.Linux_inet.syncache_evicted
-    + sb.Linux_inet.syncache_completed);
+    (lsc.Syncache.added + lsc.Syncache.evicted + lsc.Syncache.completed);
   Alcotest.(check int) "linux: no cookie activity" 0
-    (sb.Linux_inet.syncookies_validated + sb.Linux_inet.syncookies_rejected);
+    (lsc.Syncache.validated + lsc.Syncache.rejected);
   Alcotest.(check int) "linux: no TIME_WAIT reclaim" 0 sb.Linux_inet.time_wait_reclaimed;
   Alcotest.(check int) "linux: no nomem drops" 0 sb.Linux_inet.nomem_drops;
   Alcotest.(check int) "linux: no rate limiting" 0 sb.Linux_inet.rst_ratelimited;
@@ -919,4 +975,6 @@ let suite =
     Alcotest.test_case "httpd guard: keep-alive drip still cut at the header deadline"
       `Quick test_httpd_keepalive_drip_deadline;
     Alcotest.test_case "flags off: new counters and injector untouched" `Quick
-      test_flags_off_counters_untouched ]
+      test_flags_off_counters_untouched;
+    Alcotest.test_case "syncache: an option-less SYN gets the stack's own MSS" `Quick
+      test_syncache_mss_without_option ]
