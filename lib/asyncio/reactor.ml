@@ -2,32 +2,23 @@
  * sources through the oskit_asyncio COM interface.  Which protocol stack
  * is behind an asyncio view is invisible here — that is the whole point.
  *
- * Two dispatch engines share the public API:
+ * The reactor is a client of one {!Kqueue.t}: each watch registers a
+ * knote, a notification enqueues that knote on the ready queue in O(1),
+ * and each pass drains only queued entries — O(ready) per pass no matter
+ * how many idle watches exist.  Dispatch order is readiness order.
  *
- *  - Legacy scan (default): registration hangs a COM listener on each
- *    object; notifications mark the watch pending and wake the sleep
- *    record, and each pass re-scans the watch list for pending entries —
- *    O(watches) per pass, dispatch in registration order.
- *
- *  - kqueue ([Cost.config.kq] at creation time): watches register knotes
- *    on a {!Kqueue.t}; a notification enqueues its knote on the ready
- *    queue in O(1) and each pass drains only queued entries — O(ready)
- *    per pass no matter how many idle watches exist.  Dispatch order is
- *    readiness order, which is why the engine is flag-gated: committed
- *    baselines replay the legacy order bit-identically.
- *
- * Two races are load-bearing in both engines:
- *  - notify-vs-sleep: a listener can fire between the poll pass and the
+ * Two races are load-bearing:
+ *  - notify-vs-sleep: a listener can fire between the drain and the
  *    sleep.  Sleep_record's latch absorbs it (wakeup while nobody waits is
  *    remembered, and the next sleep consumes it instead of blocking).
  *  - register-vs-ready: the object may already be readable when the watch
  *    is created.  add_listener returns the readiness mask at registration,
- *    and a ready watch is marked pending (or its knote enqueued)
- *    immediately.
+ *    and the knote of a ready watch is enqueued immediately.
  *
  * Callbacks run at thread (process) level, never from the notification,
- * so they may block briefly, unwatch themselves, or add new watches; the
- * dispatch pass snapshots the pending set and re-checks w_active.
+ * so they may block briefly, unwatch themselves or others, rewatch, or
+ * add new watches.  Unwatch deletes the knotes (dequeueing them), and the
+ * pass looks every drained event up by id and re-checks w_active.
  *)
 
 type watch = {
@@ -35,10 +26,7 @@ type watch = {
   w_aio : Io_if.asyncio;
   mutable w_mask : int;
   w_cb : int -> unit;
-  mutable w_listener : Io_if.listener option;  (* legacy engine only *)
   mutable w_active : bool;
-  mutable w_pending : bool;  (* legacy engine only *)
-  mutable w_node : watch Dlist.node option;  (* position in t.watches *)
 }
 
 type stats = {
@@ -46,15 +34,12 @@ type stats = {
   mutable dispatches : int;  (* callbacks run *)
   mutable sleeps : int;  (* times the loop blocked *)
   mutable spurious : int;  (* notifications that polled not-ready *)
-  mutable visits : int;
-      (* watch-list entries examined (legacy) or knotes dequeued (kq):
-         the per-pass work the kq engine makes O(ready) *)
+  mutable visits : int;  (* knotes dequeued: the O(ready) per-pass work *)
 }
 
 type t = {
-  watches : watch Dlist.t;  (* registration order *)
   by_id : (int, watch) Hashtbl.t;
-  kq : Kqueue.t option;  (* Some = kqueue engine *)
+  kq : Kqueue.t;
   mutable next_id : int;
   sleep : Sleep_record.t;
   stats : stats;
@@ -62,31 +47,18 @@ type t = {
 
 let create () =
   let sleep = Sleep_record.create ~name:"reactor" () in
-  let kq =
-    if Cost.config.Cost.kq then
-      Some (Kqueue.create ~wakeup:(fun () -> Sleep_record.wakeup sleep) ())
-    else None
-  in
-  { watches = Dlist.create ();
-    by_id = Hashtbl.create 64;
-    kq;
+  { by_id = Hashtbl.create 64;
+    kq = Kqueue.create ~wakeup:(fun () -> Sleep_record.wakeup sleep) ();
     next_id = 1;
     sleep;
     stats = { polls = 0; dispatches = 0; sleeps = 0; spurious = 0; visits = 0 } }
 
 let stats t = t.stats
-let watch_count t = Dlist.length t.watches
-let kqueue t = t.kq
+let watch_count t = Hashtbl.length t.by_id
 
 (* Wake the loop with no condition attached.  Callers use it to make the
    loop re-check [until]; the dispatch pass treats it as spurious. *)
 let kick t = Sleep_record.wakeup t.sleep
-
-let arm_if_ready t w = function
-  | Ok ready when ready land w.w_mask <> 0 ->
-      w.w_pending <- true;
-      Sleep_record.wakeup t.sleep
-  | Ok _ | Result.Error _ -> ()
 
 (* [watch t aio ~mask cb] registers interest: [cb ready] runs from the
    reactor loop whenever a condition in [mask] is ready.  Level-triggered:
@@ -95,44 +67,16 @@ let arm_if_ready t w = function
 let watch t aio ~mask cb =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let w =
-    { w_id = id; w_aio = aio; w_mask = mask; w_cb = cb; w_listener = None;
-      w_active = true; w_pending = false; w_node = None }
-  in
-  w.w_node <- Some (Dlist.push_back t.watches w);
+  let w = { w_id = id; w_aio = aio; w_mask = mask; w_cb = cb; w_active = true } in
   Hashtbl.replace t.by_id id w;
-  (match t.kq with
-  | Some kq -> ignore (Kqueue.add kq ~ident:id ~aio ~filter:mask ~flags:0)
-  | None ->
-      let cell = ref None in
-      let listener =
-        Io_if.listener_create (fun () ->
-            (match !cell with
-            | Some w when w.w_active -> w.w_pending <- true
-            | _ -> ());
-            Sleep_record.wakeup t.sleep)
-      in
-      cell := Some w;
-      w.w_listener <- Some listener;
-      arm_if_ready t w (aio.Io_if.aio_add_listener listener mask));
+  ignore (Kqueue.add t.kq ~ident:id ~aio ~filter:mask ~flags:0);
   w
 
 let unwatch t w =
   if w.w_active then begin
     w.w_active <- false;
-    w.w_pending <- false;
-    (match w.w_node with
-    | Some node ->
-        Dlist.remove node;
-        w.w_node <- None
-    | None -> ());
     Hashtbl.remove t.by_id w.w_id;
-    match t.kq with
-    | Some kq -> ignore (Kqueue.delete kq ~ident:w.w_id ~filter:w.w_mask)
-    | None -> (
-        match w.w_listener with
-        | Some l -> ignore (w.w_aio.Io_if.aio_remove_listener l)
-        | None -> ())
+    ignore (Kqueue.delete t.kq ~ident:w.w_id ~filter:w.w_mask)
   end
 
 (* Change the interest mask (a connection moving from reading the request
@@ -140,59 +84,20 @@ let unwatch t w =
    matches, and arms immediately if the new condition already holds. *)
 let rewatch t w ~mask =
   if w.w_active then begin
-    match t.kq with
-    | Some kq ->
-        ignore (Kqueue.delete kq ~ident:w.w_id ~filter:w.w_mask);
-        w.w_mask <- mask;
-        ignore (Kqueue.add kq ~ident:w.w_id ~aio:w.w_aio ~filter:mask ~flags:0)
-    | None ->
-        (match w.w_listener with
-        | Some l ->
-            ignore (w.w_aio.Io_if.aio_remove_listener l);
-            w.w_mask <- mask;
-            w.w_pending <- false;
-            arm_if_ready t w (w.w_aio.Io_if.aio_add_listener l mask)
-        | None -> ())
+    ignore (Kqueue.delete t.kq ~ident:w.w_id ~filter:w.w_mask);
+    w.w_mask <- mask;
+    ignore (Kqueue.add t.kq ~ident:w.w_id ~aio:w.w_aio ~filter:mask ~flags:0)
   end
 
-(* Legacy pass: scan the whole watch list for pending entries. *)
-let step_scan t =
-  t.stats.visits <- t.stats.visits + Dlist.length t.watches;
-  let pending = List.filter (fun w -> w.w_pending) (Dlist.to_list t.watches) in
-  match pending with
-  | [] ->
-      t.stats.sleeps <- t.stats.sleeps + 1;
-      Sleep_record.sleep t.sleep;
-      0
-  | pending ->
-      let fired = ref 0 in
-      List.iter
-        (fun w ->
-          w.w_pending <- false;
-          if w.w_active then begin
-            t.stats.polls <- t.stats.polls + 1;
-            let ready = w.w_aio.Io_if.aio_poll () land w.w_mask in
-            if ready = 0 then t.stats.spurious <- t.stats.spurious + 1
-            else begin
-              t.stats.dispatches <- t.stats.dispatches + 1;
-              incr fired;
-              w.w_cb ready;
-              (* Level-triggered re-arm: still ready after the callback
-                 means dispatch again next pass, not wait for an edge. *)
-              if w.w_active && w.w_aio.Io_if.aio_poll () land w.w_mask <> 0 then
-                w.w_pending <- true
-            end
-          end)
-        pending;
-      !fired
-
-(* kqueue pass: drain the ready queue — only queued knotes pay anything.
-   The level re-arm runs after the callback ([Kqueue.relevel]), mirroring
-   the legacy engine's post-callback re-poll. *)
-let step_kq t kq =
-  let ks = Kqueue.stats kq in
+(* One pass: drain the ready queue and dispatch every ready watch, or
+   block until a notification (or [kick]) arrives.  Returns the number of
+   callbacks run.  The level re-arm runs after the callback
+   ([Kqueue.relevel]), so a handler that consumed the condition costs no
+   spurious round trip. *)
+let step t =
+  let ks = Kqueue.stats t.kq in
   let d0 = ks.Kqueue.delivered and sp0 = ks.Kqueue.spurious in
-  let evs = Kqueue.kevent ~relevel:false kq ~max:max_int in
+  let evs = Kqueue.kevent ~relevel:false t.kq ~max:max_int in
   let dequeued = ks.Kqueue.delivered - d0 + (ks.Kqueue.spurious - sp0) in
   t.stats.visits <- t.stats.visits + dequeued;
   t.stats.polls <- t.stats.polls + dequeued;
@@ -212,14 +117,10 @@ let step_kq t kq =
               incr fired;
               w.w_cb (ev.Io_if.ke_filter land w.w_mask);
               if w.w_active then
-                Kqueue.relevel kq ~ident:w.w_id ~filter:ev.Io_if.ke_filter
+                Kqueue.relevel t.kq ~ident:w.w_id ~filter:ev.Io_if.ke_filter
           | Some _ | None -> ())
         evs;
       !fired
-
-(* One pass: dispatch every pending watch, or block until a notification
-   (or [kick]) arrives.  Returns the number of callbacks run. *)
-let step t = match t.kq with Some kq -> step_kq t kq | None -> step_scan t
 
 (* [run t ~until] loops until [until ()] holds.  [until] is re-checked
    after every pass; while the loop is blocked a notification, a [kick],

@@ -175,7 +175,8 @@ and t = {
   demux : tcpcb Demux.t;
   mutable next_ephemeral : int;
   mutable iss_source : int;
-  mutable ticking : bool;
+  mutable ticking : bool;  (* the 500 ms slow loop is scheduled *)
+  mutable fast_ticking : bool;  (* the 200 ms fast loop is scheduled *)
   tw : tcpcb Tw_queue.t;
   syncache : Syncache.t;
   err_bucket : Token_bucket.t;
@@ -359,30 +360,29 @@ let err_allowed t =
 
 (* With the wheel on there is nothing periodic to start: each timer set
    below arms its own wheel entry, and an idle stack schedules no events
-   at all. *)
+   at all.  Otherwise each loop stops on its first tick that finds no pcb
+   and clears its own flag, so a pcb created after either loop stopped
+   restarts that loop. *)
 let rec ensure_timers t =
-  if (not (wheel_on ())) && not t.ticking then begin
-    t.ticking <- true;
-    let rec slow () =
-      ignore
-        (Machine.after t.machine slow_interval_ns (fun () ->
-             if t.pcbs = [] then t.ticking <- false
-             else begin
-               slow_tick t;
-               slow ()
-             end))
-    in
-    let rec fast () =
-      ignore
-        (Machine.after t.machine fast_interval_ns (fun () ->
-             if t.pcbs <> [] then begin
-               fast_tick t;
-               fast ()
-             end))
-    in
-    slow ();
-    fast ()
+  if not (wheel_on ()) then begin
+    if not t.ticking then begin
+      t.ticking <- true;
+      tick_loop t slow_interval_ns slow_tick (fun () -> t.ticking <- false)
+    end;
+    if not t.fast_ticking then begin
+      t.fast_ticking <- true;
+      tick_loop t fast_interval_ns fast_tick (fun () -> t.fast_ticking <- false)
+    end
   end
+
+and tick_loop t ns tick stop =
+  ignore
+    (Machine.after t.machine ns (fun () ->
+         if t.pcbs = [] then stop ()
+         else begin
+           tick t;
+           tick_loop t ns tick stop
+         end))
 
 (* ------------------------------------------------------------------ *)
 (* segment emission                                                    *)
@@ -1458,7 +1458,7 @@ let make_stats () =
 let attach ip machine =
   let t =
     { ip; machine; pcbs = []; demux = Demux.create 64; next_ephemeral = 1024; iss_source = 1;
-      ticking = false; tw = Tw_queue.create ();
+      ticking = false; fast_ticking = false; tw = Tw_queue.create ();
       syncache = Syncache.create machine ~secret:0x6b8b4567;
       err_bucket = Token_bucket.create machine;
       stats = make_stats ();

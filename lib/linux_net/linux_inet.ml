@@ -231,14 +231,14 @@ let detach t s =
   Demux.remove t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
 
 (* Arm a per-flow timer on the flow's home CPU, so the fire (retransmit,
-   probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 this is
-   exactly [Machine.after].  Under [Cost.config.timer_wheel] the entry goes
-   on that CPU's hierarchical wheel instead of the raw event queue. *)
+   probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 the
+   home CPU is CPU 0 and this is exactly [Machine.after].  Under
+   [Cost.config.timer_wheel] the entry goes on that CPU's hierarchical
+   wheel instead of the raw event queue. *)
 let after_home t s dt f =
   if Cost.config.Cost.timer_wheel then
     ignore
       (Kwheel.after (Kwheel.for_machine t.machine) ~cpu:s.home_cpu ~ns:dt f)
-  else if Machine.ncpus t.machine <= 1 then ignore (Machine.after t.machine dt f)
   else
     ignore (Machine.at_on t.machine ~cpu:s.home_cpu (Machine.now t.machine + dt) f)
 

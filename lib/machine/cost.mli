@@ -166,12 +166,10 @@ type config = {
           counted ({!field:counters.netisr_drops}), like a software-interrupt
           queue overflow.  Default 512. *)
   mutable kq : bool;
-      (** kqueue-backed reactor: {!Reactor.create} builds an
-          {!Kqueue.t} and [step] drains its ready queue — O(ready
-          connections) per pass instead of rescanning every watch.
-          Purely algorithmic (no cycle-charge change), but dispatch
-          order differs from the legacy registration-order scan, so
-          default [false] keeps committed baselines bit-identical. *)
+      (** Ignored, and scheduled for deletion.  The reactor has one
+          engine — every {!Reactor.create} is a {!Kqueue.t} client — so
+          nothing reads this field; it survives only because
+          [perfbench/pb_http.ml] still assigns it.  Default [false]. *)
   mutable timer_wheel : bool;
       (** Hierarchical timing-wheel timers: TCP retransmit / persist /
           2MSL / delayed-ACK timers and httpd header deadlines become

@@ -28,11 +28,11 @@
 # non-byte-exact response, any netisr overflow drop, any spinlock
 # contention on the per-flow hot path, 4-CPU req/s not strictly above
 # 1-CPU, or steering that never fired),
-# and the event smoke (the event core: kqueue dispatch work must stay
-# flat as idle watches grow 100 -> 10000 while the legacy scan grows
-# linearly; the timing wheel must fire zero timers early, none more
-# than one granule late, and none missed, at O(due) work; and a full
-# httpd transfer with both kq and timer_wheel on must stay byte-exact),
+# and the event smoke (the event core: the reactor's kqueue dispatch
+# work must stay flat as idle watches grow 100 -> 10000; the timing
+# wheel must fire zero timers early, none more than one granule late,
+# and none missed, at O(due) work; and a full httpd transfer with
+# timer_wheel on must stay byte-exact),
 # and the file smoke (the HTTP/1.1 + sendfile content path: keep-alive
 # req/s strictly above close-per-request at 64 clients, zero body bytes
 # copied and zero fallbacks on warm-cache sendfile hits, every body
@@ -44,8 +44,12 @@
 # BENCH_*.json files must be bit-identical to the committed ones, so any
 # change to a charged cycle, a wire byte or a counter shows up as a
 # reviewable diff.  The knobs each section does not sweep stay at their
-# defaults — ncpus=1, kq and timer_wheel off — so the SMP layer and the
-# event core must cost nothing when off.
+# defaults — ncpus=1, timer_wheel off — so the SMP layer and the timing
+# wheel must cost nothing when off.
+# Last, each perfbench workload (paper_net, http_close, http_keepalive)
+# runs once for about a second with its trace on, which also turns on
+# perfbench's own trace-neutrality and shard checks; the run fails unless
+# its result line reports "correct": true and "failed": 0.
 set -eux
 
 dune build
@@ -67,3 +71,11 @@ done
 git diff --exit-code BENCH_table1.json BENCH_table2.json BENCH_rtt.json \
   BENCH_http.json BENCH_file.json BENCH_overload.json BENCH_smp.json \
   BENCH_event.json BENCH_longfat.json
+for workload in paper_net http_close http_keepalive; do
+  last=$(bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 1 \
+    --trace 1 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*'"failed": 0,'*) ;;
+    *) echo "perfbench $workload: $last" >&2; exit 1 ;;
+  esac
+done

@@ -155,6 +155,7 @@ type synthetic = {
   fire : int -> unit; (* set readiness to [mask] and notify matching subs *)
   nudge : unit -> unit; (* notify every sub WITHOUT changing readiness *)
   clear : unit -> unit;
+  listeners : unit -> int; (* subscriptions currently registered *)
 }
 
 let synthetic () =
@@ -177,7 +178,8 @@ let synthetic () =
         ready := m;
         List.iter (fun (_, sm, f) -> if sm land m <> 0 then f m) !subs);
     nudge = (fun () -> List.iter (fun (_, _, f) -> f 0) !subs);
-    clear = (fun () -> ready := 0) }
+    clear = (fun () -> ready := 0);
+    listeners = (fun () -> List.length !subs) }
 
 let test_spurious_and_churn () =
   let tb = fresh_testbed () in
@@ -233,6 +235,60 @@ let test_spurious_and_churn () =
     (st.Reactor.spurious >= 1);
   Alcotest.(check int) "only A's and B's real events dispatched" 2 st.Reactor.dispatches;
   Alcotest.(check int) "B's watch removed itself; A's remains" 1 (Reactor.watch_count r)
+
+(* Edge cases of one dispatch pass.  The pass drains the ready queue
+   before running any callback, so a callback can change watches whose
+   events are already drained: those changes must win. *)
+
+let test_unwatch_other_in_pass () =
+  let a = synthetic () and b = synthetic () in
+  let r = Reactor.create () in
+  let hits_a = ref 0 and hits_b = ref 0 in
+  let wb = ref None in
+  ignore
+    (Reactor.watch r a.syn_aio ~mask:Io_if.aio_read (fun _ ->
+         incr hits_a;
+         a.clear ();
+         Reactor.unwatch r (Option.get !wb)));
+  wb := Some (Reactor.watch r b.syn_aio ~mask:Io_if.aio_read (fun _ -> incr hits_b));
+  Alcotest.(check int) "two live watches" 2 (Reactor.watch_count r);
+  a.fire Io_if.aio_read;
+  b.fire Io_if.aio_read;
+  Alcotest.(check int) "one pass dispatches A only" 1 (Reactor.step r);
+  Alcotest.(check int) "A dispatched" 1 !hits_a;
+  Alcotest.(check int) "B, unwatched by A in the same pass, not dispatched" 0 !hits_b;
+  Alcotest.(check int) "B's knote deleted: no listener left on B" 0 (b.listeners ());
+  Alcotest.(check int) "A's knote still registered" 1 (a.listeners ());
+  Alcotest.(check int) "watch_count tracks the unwatch" 1 (Reactor.watch_count r);
+  b.fire Io_if.aio_read;
+  a.fire Io_if.aio_read;
+  Alcotest.(check int) "next pass: A again, B stays dead" 1 (Reactor.step r);
+  Alcotest.(check int) "B never dispatched" 0 !hits_b
+
+let test_rewatch_self_in_pass () =
+  let c = synthetic () in
+  let r = Reactor.create () in
+  let seen = ref [] in
+  let wc = ref None in
+  wc :=
+    Some
+      (Reactor.watch r c.syn_aio ~mask:Io_if.aio_read (fun ready ->
+           seen := ready :: !seen;
+           (* Still readable: move to write interest without consuming. *)
+           if ready land Io_if.aio_read <> 0 then
+             Reactor.rewatch r (Option.get !wc) ~mask:Io_if.aio_write));
+  c.fire (Io_if.aio_read lor Io_if.aio_write);
+  Alcotest.(check int) "first pass: the read dispatch" 1 (Reactor.step r);
+  Alcotest.(check (list int)) "read seen" [ Io_if.aio_read ] !seen;
+  Alcotest.(check int) "rewatch kept the watch" 1 (Reactor.watch_count r);
+  Alcotest.(check int) "one knote, on the write filter" 1 (c.listeners ());
+  Alcotest.(check int) "second pass: one dispatch" 1 (Reactor.step r);
+  Alcotest.(check (list int)) "write once, read not re-levelled"
+    [ Io_if.aio_write; Io_if.aio_read ] !seen;
+  Reactor.unwatch r (Option.get !wc);
+  Alcotest.(check int) "watch_count back to zero" 0 (Reactor.watch_count r);
+  Alcotest.(check int) "no listener left" 0 (c.listeners ());
+  Alcotest.(check int) "two dispatches in all" 2 (Reactor.stats r).Reactor.dispatches
 
 (* ------------------------------------------------------------------ *)
 (* Accept + serve through the reactor under injected loss.             *)
@@ -444,6 +500,10 @@ let suite =
       test_equivalence;
     Alcotest.test_case "spurious wakeups + add/remove during poll" `Quick
       test_spurious_and_churn;
+    Alcotest.test_case "unwatch of another ready watch within a pass" `Quick
+      test_unwatch_other_in_pass;
+    Alcotest.test_case "rewatch read -> write within a pass" `Quick
+      test_rewatch_self_in_pass;
     Alcotest.test_case "reactor accept under netem loss 0-3%" `Quick
       test_accept_under_loss;
     Alcotest.test_case "listen backlog overflow counter (both stacks)" `Quick

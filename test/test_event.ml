@@ -204,12 +204,9 @@ let test_kqueue_modes () =
   Alcotest.(check int) "oneshot: gone after delivery" 0
     (List.length (Kqueue.kevent kq ~max:8))
 
-(* ---- reactor on the kqueue engine dispatches like the legacy one ---- *)
+(* ---- the reactor dispatches through the kqueue ready queue ---- *)
 
 let test_reactor_kq_engine () =
-  let saved = Cost.config.Cost.kq in
-  Cost.config.Cost.kq <- true;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.kq <- saved) @@ fun () ->
   let r = Reactor.create () in
   let s = Test_asyncio.synthetic () in
   let hits = ref 0 in
@@ -230,19 +227,7 @@ let test_reactor_kq_engine () =
 
 let test_flags_off_counters () =
   Cost.reset_counters ();
-  Alcotest.(check bool) "kq flag defaults off" false Cost.config.Cost.kq;
   Alcotest.(check bool) "wheel flag defaults off" false Cost.config.Cost.timer_wheel;
-  (* legacy reactor pass *)
-  let r = Reactor.create () in
-  let s = Test_asyncio.synthetic () in
-  let got = ref 0 in
-  ignore
-    (Reactor.watch r s.Test_asyncio.syn_aio ~mask:Io_if.aio_read (fun _ ->
-         incr got;
-         s.Test_asyncio.clear ()));
-  s.Test_asyncio.fire Io_if.aio_read;
-  ignore (Reactor.step r);
-  Alcotest.(check int) "legacy dispatch ran" 1 !got;
   (* legacy timer path *)
   let world = World.create () in
   let m = Machine.create world in

@@ -276,6 +276,53 @@ let test_rst_on_abort () =
   | Some (Error e) -> Alcotest.failf "wrong error: %s" (Error.to_string e)
   | None -> Alcotest.fail "no outcome"
 
+(* The delayed ACK must survive the timer loops quiescing.  The client
+   stack's only pcb is its first connection; when TIME_WAIT expires
+   (~4.0 s) the pcb list empties, the 200 ms fast loop stops on its next
+   tick and the 500 ms slow loop on its next.  A connection opened
+   between those two stops must still get its delayed ACK from a
+   restarted fast loop, not leave the peer to recover by retransmit. *)
+let delack_after_quiesce ~reconnect_ns =
+  let rig = make_rig () in
+  let finished = ref false in
+  Thread.spawn rig.kb ~name:"server" (fun () ->
+      let ls = Bsd_socket.tcp_socket rig.sb in
+      ok (Bsd_socket.so_bind ls ~port:5001);
+      ok (Bsd_socket.so_listen ls ~backlog:2);
+      let c1 = ok (Bsd_socket.so_accept ls) in
+      let buf = Bytes.create 16 in
+      ignore (ok (Bsd_socket.so_recv c1 ~buf ~pos:0 ~len:16));
+      ok (Bsd_socket.so_close c1);
+      let c2 = ok (Bsd_socket.so_accept ls) in
+      ignore (ok (Bsd_socket.so_send c2 ~buf:(Bytes.of_string "x") ~pos:0 ~len:1)));
+  Machine.kick rig.mb;
+  Thread.spawn rig.ka ~name:"client" (fun () ->
+      Kclock.sleep_ns 1_000_000;
+      let s1 = Bsd_socket.tcp_socket rig.sa in
+      ok (Bsd_socket.so_connect s1 ~dst:(ip "10.2.0.2") ~dport:5001);
+      ok (Bsd_socket.so_close s1);
+      Kclock.sleep_ns (reconnect_ns - Kclock.now_ns ());
+      let s2 = Bsd_socket.tcp_socket rig.sa in
+      ok (Bsd_socket.so_connect s2 ~dst:(ip "10.2.0.2") ~dport:5001);
+      let buf = Bytes.create 16 in
+      ignore (ok (Bsd_socket.so_recv s2 ~buf ~pos:0 ~len:16));
+      (* Long enough for the peer's retransmit timer, were the ACK lost. *)
+      Kclock.sleep_ns 3_000_000_000;
+      finished := true);
+  Machine.kick rig.ma;
+  World.run rig.world ~until:(fun () -> !finished);
+  (rig.sa.Bsd_socket.tcp.Tcp.stats.Tcp.delack, rig.sb.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack)
+
+let test_delack_after_timer_quiesce () =
+  (* 3.9 s: before TIME_WAIT expires; 4.0-4.5 s: inside the gap between
+     the two loops stopping; 4.6 s: after both stopped. *)
+  List.iter
+    (fun ms ->
+      let delack, rexmit = delack_after_quiesce ~reconnect_ns:(ms * 1_000_000) in
+      Alcotest.(check int) (Printf.sprintf "reconnect at %d ms: delayed ACK sent" ms) 1 delack;
+      Alcotest.(check int) (Printf.sprintf "reconnect at %d ms: no retransmit" ms) 0 rexmit)
+    [ 3900; 4000; 4050; 4150; 4250; 4350; 4450; 4500; 4600 ]
+
 let test_linux_loss_recovery () =
   (* The Linux stack recovers from loss too (coarser: timer-driven). *)
   Clientos.reset_globals ();
@@ -326,4 +373,6 @@ let suite =
     Alcotest.test_case "listen backlog limit" `Quick test_backlog_limit;
     Alcotest.test_case "receive-window flow control" `Quick test_window_flow_control;
     Alcotest.test_case "RST on abort" `Quick test_rst_on_abort;
+    Alcotest.test_case "delayed ACK after the timer loops quiesce" `Quick
+      test_delack_after_timer_quiesce;
     Alcotest.test_case "linux stack loss recovery" `Quick test_linux_loss_recovery ]
