@@ -24,7 +24,7 @@
      smp        multi-CPU scale-out: netisr-sharded reactor httpd, RSS steering
      smpsmoke   SMP CI gate (byte-exact, 4-CPU win, lock-free hot path)
      event      kqueue O(ready) dispatch + timing-wheel O(due) curves
-     eventsmoke event-core CI gate (flat dispatch, timing contract, byte-exact)
+     eventsmoke event-core CI gate (flat dispatch, timing contract)
      file       HTTP/1.1 keep-alive + sendfile content path: req/s and copies/req
      filesmoke  content-path CI gate (keep-alive win, zero warm copies, byte-exact)
 
@@ -1296,23 +1296,7 @@ let eventsmoke () =
     failwith "eventsmoke: wheel work not O(due)";
   Printf.printf "wheel: %d fires on time, work %d vs scan %d\n" w.Eventbench.wr_fires
     w.Eventbench.wr_work w.Eventbench.wr_scan_visits;
-  (* 3) full stack with the wheel on: the served bytes must be exact. *)
-  let saved_tw = Cost.config.Cost.timer_wheel in
-  Cost.config.Cost.timer_wheel <- true;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.timer_wheel <- saved_tw)
-  @@ fun () ->
-  let r =
-    Httpbench.run ~config:Httpbench.Oskit_com ~mode:Httpbench.Reactor ~clients:64 ()
-  in
-  if r.Httpbench.r_mismatches <> 0 then
-    failwith "eventsmoke: byte mismatch with kq+wheel on";
-  if r.Httpbench.r_responses <> r.Httpbench.r_requests then
-    failwith
-      (Printf.sprintf "eventsmoke: %d/%d responses with kq+wheel on"
-         r.Httpbench.r_responses r.Httpbench.r_requests);
-  Printf.printf "httpd with kq+timer_wheel: %d/%d responses, all byte-exact\n"
-    r.Httpbench.r_responses r.Httpbench.r_requests;
-  print_endline "\nflat O(ready) dispatch; wheel contract exact; kq+wheel httpd byte-exact"
+  print_endline "\nflat O(ready) dispatch; wheel contract exact"
 
 (* ---------------- file: the keep-alive + sendfile content path ---------------- *)
 

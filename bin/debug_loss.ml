@@ -52,8 +52,8 @@ let () =
   Printf.printf "a: snd=%d rexmit=%d fast=%d drops=%d\n" st.Tcp.sndpack st.Tcp.sndrexmitpack st.Tcp.fastrexmit st.Tcp.drops;
   let stb = sb.Bsd_socket.tcp.Tcp.stats in
   Printf.printf "b: rcv=%d dup=%d oo=%d badsum=%d snd=%d\n" stb.Tcp.rcvpack stb.Tcp.rcvdup stb.Tcp.rcvoo stb.Tcp.rcvbadsum stb.Tcp.sndpack;
-  List.iter (fun p -> Printf.printf "a pcb: %s snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d wnd=%d sbcc=%d rexmt_t=%d\n"
-    (Tcp.state_name p.Tcp.t_state) p.Tcp.snd_una p.Tcp.snd_nxt p.Tcp.snd_max p.Tcp.snd_cwnd p.Tcp.snd_wnd p.Tcp.snd_buf.Sockbuf.sb_cc p.Tcp.tm_rexmt)
+  List.iter (fun p -> Printf.printf "a pcb: %s snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d wnd=%d sbcc=%d rexmt_armed=%b\n"
+    (Tcp.state_name p.Tcp.t_state) p.Tcp.snd_una p.Tcp.snd_nxt p.Tcp.snd_max p.Tcp.snd_cwnd p.Tcp.snd_wnd p.Tcp.snd_buf.Sockbuf.sb_cc (Tcp.armed p Tcp.tw_rexmt))
     sa.Bsd_socket.tcp.Tcp.pcbs;
   List.iter (fun p -> Printf.printf "b pcb: %s rcv_nxt=%d reass=%d rcvbuf=%d\n"
     (Tcp.state_name p.Tcp.t_state) p.Tcp.rcv_nxt (List.length p.Tcp.reass) p.Tcp.rcv_buf.Sockbuf.sb_cc)

@@ -12,8 +12,9 @@
    nanoseconds in, and [advance] walks the tick counter forward, firing
    due entries.  Nothing here touches {!Machine} or {!World}, which is
    what lets the property tests drive arbitrary interleavings against a
-   reference scheduler; {!Kwheel} couples instances to a machine's
-   per-CPU clocks.
+   reference scheduler.  BSD TCP ({!Tcp}) runs two instances at
+   granularity 1, so their "nanoseconds" count its slow and fast timer
+   loop events.
 
    Timing contract: an entry armed for deadline D fires at the first
    [advance ~now_ns] with [now_ns >= D], at a wheel time in
@@ -174,26 +175,3 @@ let advance t ~now_ns =
     else tick_once t fired
   done;
   !fired
-
-(* Conservative earliest wakeup: the tick of the first occupied level-0
-   slot, else the next cascade boundary (where higher-level entries may
-   re-file into level 0 and the caller recomputes).  Never later than
-   the true earliest deadline. *)
-let next_deadline_ns t =
-  if t.armed = 0 then None
-  else begin
-    let boundary = ((t.tick lsr slot_bits) + 1) lsl slot_bits in
-    let fallback = Some (t.base_ns + (boundary * t.granularity_ns)) in
-    if t.level_count.(0) = 0 then fallback
-    else begin
-      let found = ref None in
-      let i = ref 1 in
-      while !found = None && !i < slots_per_level do
-        let slot = (t.tick + !i) land slot_mask in
-        if not (Dlist.is_empty t.slots.(0).(slot)) then
-          found := Some (t.base_ns + ((t.tick + !i) * t.granularity_ns));
-        incr i
-      done;
-      match !found with Some _ as s -> s | None -> fallback
-    end
-  end

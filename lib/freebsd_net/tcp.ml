@@ -126,18 +126,12 @@ type tcpcb = {
   rcv_buf : Sockbuf.t;
   mutable rcv_fin : bool;
   mutable reass : (int * Mbuf.mbuf) list;
-  (* timers, slow ticks; 0 = disarmed.  With Cost.config.timer_wheel the
-     counters stay as armed-indicators (every site still reads "= 0" for
-     disarmed) but stop decrementing: the deadline lives in a per-CPU
-     timing-wheel entry below and no periodic walk visits this pcb. *)
-  mutable tm_rexmt : int;
-  mutable tm_persist : int;
-  mutable tm_2msl : int;
-  (* wheel-mode entries, indexed by tw_rexmt/tw_persist/tw_2msl/tw_delack *)
+  (* The four timers, indexed by tw_rexmt/tw_persist/tw_2msl/tw_delack:
+     an entry on the stack's slow (or, for the delayed ACK, fast) tick
+     wheel while armed, None while disarmed. *)
   tw_ents : Timewheel.entry option array;
   (* RTT machinery, BSD fixed point *)
-  mutable t_rtt : int;
-  mutable t_rtt_ns : int; (* wheel mode: when the RTT clock started *)
+  mutable t_rtt : int; (* slow tick of the timed send; -1 = none timed *)
   mutable t_rtseq : int;
   mutable t_srtt : int; (* << 3 *)
   mutable t_rttvar : int; (* << 2 *)
@@ -160,9 +154,12 @@ type tcpcb = {
   mutable on_state : unit -> unit;
   mutable so_error : Error.t option;
   (* SMP: the RSS home of this flow — the one CPU its frames are steered
-     to, its timers walk on, and its stats shard to.  Always 0 at
+     to, its timers fire on, and its stats shard to.  Always 0 at
      ncpus=1. *)
   mutable home_cpu : int;
+  (* Registration serial: the later a pcb joined [pcbs], the higher, so
+     descending serials are the list's newest-first order. *)
+  mutable t_serial : int;
 }
 
 and t = {
@@ -177,6 +174,14 @@ and t = {
   mutable iss_source : int;
   mutable ticking : bool;  (* the 500 ms slow loop is scheduled *)
   mutable fast_ticking : bool;  (* the 200 ms fast loop is scheduled *)
+  (* The donor's two timer rates as tick-indexed wheels: one tick per
+     loop event, so "n ticks ahead" is the n-th event of that loop.
+     [slow_wheel] holds rexmt, persist and 2MSL; [fast_wheel] the
+     delayed ACKs. *)
+  slow_wheel : Timewheel.t;
+  fast_wheel : Timewheel.t;
+  mutable due : (tcpcb * int) list;  (* fired by the running tick *)
+  mutable registrations : int;  (* source of pcb serials *)
   tw : tcpcb Tw_queue.t;
   syncache : Syncache.t;
   err_bucket : Token_bucket.t;
@@ -206,14 +211,13 @@ let create_pcb t =
     snd_buf = Sockbuf.create ~hiwat:default_sb_size; snd_fin_pending = false;
     fin_sent = false; irs = 0; rcv_nxt = 0; rcv_adv = 0;
     rcv_buf = Sockbuf.create ~hiwat:default_sb_size; rcv_fin = false; reass = [];
-    tm_rexmt = 0; tm_persist = 0; tm_2msl = 0; tw_ents = Array.make 4 None;
-    t_rtt = 0; t_rtt_ns = 0; t_rtseq = 0; t_srtt = 0;
+    tw_ents = Array.make 4 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
     t_dupacks = 0; rxclump = Autotune.clump ();
     accept_q = Queue.create (); backlog = 0; listen_parent = None;
     syn_cache = Syncache.listener (); tw_ent = None;
     on_readable = (fun () -> ()); on_writable = (fun () -> ());
-    on_state = (fun () -> ()); so_error = None; home_cpu = 0 }
+    on_state = (fun () -> ()); so_error = None; home_cpu = 0; t_serial = 0 }
 
 let rcv_window pcb = min (Sockbuf.space pcb.rcv_buf) (max_win lsl pcb.rcv_scale)
 
@@ -234,7 +238,11 @@ let setup_scaling pcb ~peer =
   end
 
 let register t pcb =
-  if not (List.memq pcb t.pcbs) then t.pcbs <- pcb :: t.pcbs;
+  if not (List.memq pcb t.pcbs) then begin
+    t.pcbs <- pcb :: t.pcbs;
+    t.registrations <- t.registrations + 1;
+    pcb.t_serial <- t.registrations
+  end;
   if pcb.t_state <> Listen then begin
     Demux.add t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb;
     (* The flow's home CPU is fixed by the same symmetric hash the NIC
@@ -262,43 +270,56 @@ let bump t f =
   f t.stats_shards.(Machine.cpu t.machine)
 
 (* ------------------------------------------------------------------ *)
-(* timing-wheel plumbing (Cost.config.timer_wheel)                     *)
+(* timers on the tick wheels                                          *)
 
-(* Slot indices into pcb.tw_ents. *)
+(* Slot indices into pcb.tw_ents.  Ascending is the order in which the
+   donor's slow-tick walk tests one pcb's timers. *)
 let tw_rexmt = 0
 
 let tw_persist = 1
 let tw_2msl = 2
 let tw_delack = 3
-let wheel_on () = Cost.config.timer_wheel
+let armed pcb slot = pcb.tw_ents.(slot) <> None
 
 let tw_cancel pcb slot =
   match pcb.tw_ents.(slot) with
   | Some e ->
       pcb.tw_ents.(slot) <- None;
-      Kwheel.cancel e
+      Timewheel.cancel e
   | None -> ()
 
-(* Arm one pcb timer [ns] out on the flow's RSS home CPU's wheel; the
-   previous entry for the slot (if any) is cancelled first, so a slot
-   holds at most one live deadline. *)
-let tw_arm t pcb slot ~ns fire =
+(* Arm [slot] [n] ticks ahead on its wheel, replacing any live entry.  A
+   due entry only parks the pcb on [t.due]; the tick that came due fires
+   it (see [tick]). *)
+let tw_arm t pcb slot n =
   tw_cancel pcb slot;
+  let w = if slot = tw_delack then t.fast_wheel else t.slow_wheel in
   let e =
-    Kwheel.after (Kwheel.for_machine t.machine) ~cpu:pcb.home_cpu ~ns (fun () ->
+    Timewheel.arm w ~deadline_ns:(Timewheel.now_ns w + n) (fun () ->
         pcb.tw_ents.(slot) <- None;
-        fire ())
+        t.due <- (pcb, slot) :: t.due)
   in
   pcb.tw_ents.(slot) <- Some e
 
-let tw_cancel_all pcb =
-  tw_cancel pcb tw_rexmt;
-  tw_cancel pcb tw_persist;
-  tw_cancel pcb tw_2msl;
-  tw_cancel pcb tw_delack
+(* The slow-timer setters: [n] slow ticks ahead; 0 disarms.  Every TCP
+   deadline is at most 128 ticks out, so it files into the wheel's first
+   level and never cascades. *)
+let set_timer t pcb slot n = if n <= 0 then tw_cancel pcb slot else tw_arm t pcb slot n
+let set_rexmt t pcb n = set_timer t pcb tw_rexmt n
+let set_persist t pcb n = set_timer t pcb tw_persist n
+let set_2msl t pcb n = set_timer t pcb tw_2msl n
+
+(* A delayed ACK goes out on the next fast tick; asking again while one
+   is pending keeps that tick. *)
+let set_delack t pcb on =
+  pcb.delack_pending <- on;
+  if not on then tw_cancel pcb tw_delack
+  else if not (armed pcb tw_delack) then tw_arm t pcb tw_delack 1
 
 let detach t pcb =
-  tw_cancel_all pcb;
+  for slot = tw_rexmt to tw_delack do
+    tw_cancel pcb slot
+  done;
   (* With the sendfile knob on, a dying connection must retire its socket
      buffers: the send buffer may hold loaned ext mbufs whose on-free
      callbacks unpin buffer-cache blocks, and an abort (peer RST, rexmt
@@ -333,7 +354,6 @@ let alloc_port t =
 let retire_time_wait t pcb =
   if pcb.t_state = Time_wait then begin
     pcb.t_state <- Closed;
-    pcb.tm_2msl <- 0;
     bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
     detach t pcb;
     pcb.on_state ()
@@ -358,30 +378,31 @@ let err_allowed t =
 (* ------------------------------------------------------------------ *)
 (* timers: armed while any pcb exists, quiesce when none               *)
 
-(* With the wheel on there is nothing periodic to start: each timer set
-   below arms its own wheel entry, and an idle stack schedules no events
-   at all.  Otherwise each loop stops on its first tick that finds no pcb
-   and clears its own flag, so a pcb created after either loop stopped
-   restarts that loop. *)
+(* The two loops are the wheels' clocks: each event advances its wheel
+   one tick.  Each loop stops on its first event that finds no pcb, and
+   clears its own flag, so a pcb created after either loop stopped
+   restarts that loop.  Both wheels are empty then: [detach] cancels a
+   pcb's entries. *)
 let rec ensure_timers t =
-  if not (wheel_on ()) then begin
-    if not t.ticking then begin
-      t.ticking <- true;
-      tick_loop t slow_interval_ns slow_tick (fun () -> t.ticking <- false)
-    end;
-    if not t.fast_ticking then begin
-      t.fast_ticking <- true;
-      tick_loop t fast_interval_ns fast_tick (fun () -> t.fast_ticking <- false)
-    end
+  if not t.ticking then begin
+    t.ticking <- true;
+    tick_loop t slow_interval_ns t.slow_wheel (fun () -> t.ticking <- false)
+  end;
+  if not t.fast_ticking then begin
+    t.fast_ticking <- true;
+    tick_loop t fast_interval_ns t.fast_wheel (fun () -> t.fast_ticking <- false)
   end
 
-and tick_loop t ns tick stop =
+(* The next event is scheduled from the CPU-local clock after this one's
+   charges, and a tick that finds its CPU busy runs late, so the loop's
+   phase drifts under load: the wheels count events, not time. *)
+and tick_loop t ns wheel stop =
   ignore
     (Machine.after t.machine ns (fun () ->
          if t.pcbs = [] then stop ()
          else begin
-           tick t;
-           tick_loop t ns tick stop
+           tick t wheel;
+           tick_loop t ns wheel stop
          end))
 
 (* ------------------------------------------------------------------ *)
@@ -553,7 +574,7 @@ and tcp_output t pcb =
                cold state so the retry finds room. *)
             bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
             tcp_reclaim t;
-            if pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur;
+            if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur;
             false, None
       else true, None
     in
@@ -569,21 +590,22 @@ and tcp_output t pcb =
            retransmit snd_nxt trails snd_max; starting the clock there would
            let an ACK of the original transmission feed update_rtt an
            ambiguous (far too short) sample. *)
-        if pcb.t_rtt = 0 && len > 0 && seq_geq pcb.snd_nxt pcb.snd_max then begin
-          pcb.t_rtt <- 1;
-          pcb.t_rtt_ns <- Machine.now t.machine;
+        if pcb.t_rtt < 0 && len > 0 && seq_geq pcb.snd_nxt pcb.snd_max then begin
+          pcb.t_rtt <- Timewheel.now_ns t.slow_wheel;
           pcb.t_rtseq <- pcb.snd_nxt
         end;
         pcb.snd_nxt <- m32 (pcb.snd_nxt + len + if send_fin then 1 else 0);
         if send_fin then pcb.fin_sent <- true;
         if seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
-        if pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur
+        if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
       end;
       if len > 0 && not all_data_sent then tcp_output t pcb
     end
   end
   else if
-    sendable_state && pending > 0 && win <= off && pcb.tm_persist = 0 && pcb.tm_rexmt = 0
+    sendable_state && pending > 0 && win <= off
+    && (not (armed pcb tw_persist))
+    && not (armed pcb tw_rexmt)
   then set_persist t pcb (max 2 pcb.t_rxtcur)
 
 and send_syn t pcb ~with_ack =
@@ -599,7 +621,7 @@ and send_syn t pcb ~with_ack =
     ~win:(min (rcv_window pcb) max_win) ~payload:None ~mss_opt:true ~wscale;
   pcb.snd_nxt <- m32 (pcb.iss + 1);
   if seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
-  if pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur
+  if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
 
 (* ------------------------------------------------------------------ *)
 (* timers                                                              *)
@@ -622,7 +644,7 @@ and rexmt_timeout t pcb =
     let w = max (min pcb.snd_wnd pcb.snd_cwnd / 2) (2 * pcb.t_maxseg) in
     pcb.snd_ssthresh <- w;
     pcb.snd_cwnd <- pcb.t_maxseg;
-    pcb.t_rtt <- 0;
+    pcb.t_rtt <- -1;
     pcb.t_dupacks <- 0;
     pcb.snd_recover <- pcb.snd_max;
     (match pcb.t_state with
@@ -637,7 +659,7 @@ and rexmt_timeout t pcb =
         if pcb.fin_sent then pcb.fin_sent <- false;
         pcb.ack_now <- true;
         tcp_output t pcb);
-    if pcb.t_state <> Closed && pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur
+    if pcb.t_state <> Closed && not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
   end
 
 and persist_timeout t pcb =
@@ -654,118 +676,53 @@ and persist_timeout t pcb =
      tcp_reclaim t);
   set_persist t pcb (min 128 (max 2 (pcb.t_rxtcur * 2)))
 
-(* The timer setters.  Legacy: write the slow-tick counter and let the
-   periodic walk age it.  Wheel: the counter becomes a pure armed flag
-   (sites everywhere read "= 0" for disarmed) and the deadline is a wheel
-   entry on the flow's home CPU — armed only while pending, O(1) to set
-   and clear, visited by nobody until due. *)
-and set_rexmt t pcb n =
-  pcb.tm_rexmt <- n;
-  if wheel_on () then
-    if n <= 0 then tw_cancel pcb tw_rexmt
-    else
-      tw_arm t pcb tw_rexmt ~ns:(n * slow_interval_ns) (fun () ->
-          if pcb.tm_rexmt > 0 && pcb.t_state <> Closed then begin
-            pcb.tm_rexmt <- 0;
-            rexmt_timeout t pcb
-          end)
+(* One loop event: advance [wheel] one tick, then fire what came due in
+   the order the donor's walk of the pcb list visits it.  On a
+   multiprocessor that walk goes one home CPU at a time, ascending, with
+   each CPU's fires charged to that CPU's clock; within a CPU it follows
+   the list, newest pcb first, and within a pcb it tests rexmt, persist,
+   then 2MSL.  Every due entry leaves the wheel before the first fires,
+   as the walk ages all of a pcb's counters before firing any. *)
+and tick t wheel =
+  ignore (Timewheel.advance wheel ~now_ns:(Timewheel.now_ns wheel + 1));
+  let due =
+    List.sort
+      (fun (p, i) (q, j) -> compare (p.home_cpu, q.t_serial, i) (q.home_cpu, p.t_serial, j))
+      t.due
+  in
+  t.due <- [];
+  let rec on_home_cpus = function
+    | [] -> ()
+    | (p, _) :: _ as due ->
+        let mine, rest = List.partition (fun (q, _) -> q.home_cpu = p.home_cpu) due in
+        Machine.run_on t.machine ~cpu:p.home_cpu (fun () -> List.iter (fire t) mine);
+        on_home_cpus rest
+  in
+  if Machine.ncpus t.machine > 1 then on_home_cpus due else List.iter (fire t) due
 
-and set_persist t pcb n =
-  pcb.tm_persist <- n;
-  if wheel_on () then
-    if n <= 0 then tw_cancel pcb tw_persist
-    else
-      tw_arm t pcb tw_persist ~ns:(n * slow_interval_ns) (fun () ->
-          if pcb.tm_persist > 0 && pcb.t_state <> Closed then begin
-            pcb.tm_persist <- 0;
-            persist_timeout t pcb
-          end)
-
-and set_2msl t pcb n =
-  pcb.tm_2msl <- n;
-  if wheel_on () then
-    if n <= 0 then tw_cancel pcb tw_2msl
-    else
-      tw_arm t pcb tw_2msl ~ns:(n * slow_interval_ns) (fun () ->
-          if pcb.tm_2msl > 0 then begin
-            pcb.tm_2msl <- 0;
-            if pcb.t_state = Time_wait then begin
-              pcb.t_state <- Closed;
-              detach t pcb;
-              pcb.on_state ()
-            end
-          end)
-
-and set_delack t pcb on =
-  pcb.delack_pending <- on;
-  if wheel_on () then
-    if not on then tw_cancel pcb tw_delack
-    else if pcb.tw_ents.(tw_delack) = None then
-      tw_arm t pcb tw_delack ~ns:fast_interval_ns (fun () ->
-          if pcb.delack_pending then begin
-            pcb.delack_pending <- false;
-            pcb.ack_now <- true;
-            bump t (fun s -> s.delack <- s.delack + 1);
-            tcp_output t pcb
-          end)
-
-and slow_tick_pcb t pcb =
-  Cost.count_tick_visit ();
-  if pcb.t_rtt > 0 then pcb.t_rtt <- pcb.t_rtt + 1;
-  let fire_rexmt = pcb.tm_rexmt = 1 in
-  let fire_persist = pcb.tm_persist = 1 in
-  let fire_2msl = pcb.tm_2msl = 1 in
-  if pcb.tm_rexmt > 0 then pcb.tm_rexmt <- pcb.tm_rexmt - 1;
-  if pcb.tm_persist > 0 then pcb.tm_persist <- pcb.tm_persist - 1;
-  if pcb.tm_2msl > 0 then pcb.tm_2msl <- pcb.tm_2msl - 1;
-  if fire_rexmt then rexmt_timeout t pcb;
-  if fire_persist && pcb.t_state <> Closed then persist_timeout t pcb;
-  if fire_2msl && pcb.t_state = Time_wait then begin
-    pcb.t_state <- Closed;
-    detach t pcb;
-    pcb.on_state ()
+and fire t (pcb, slot) =
+  if slot = tw_rexmt then rexmt_timeout t pcb
+  else if slot = tw_persist then (if pcb.t_state <> Closed then persist_timeout t pcb)
+  else if slot = tw_2msl then begin
+    if pcb.t_state = Time_wait then begin
+      pcb.t_state <- Closed;
+      detach t pcb;
+      pcb.on_state ()
+    end
   end
-
-(* On a multiprocessor, each tick walks the pcbs one home CPU at a time,
-   with the walk's charges (retransmissions, probes, delayed ACKs) landing
-   on that CPU's clock — the per-CPU timer shards.  At ncpus=1 the walk is
-   exactly the pre-SMP single pass. *)
-and tick_by_home t pcbs per_pcb =
-  let ncpus = Machine.ncpus t.machine in
-  if ncpus <= 1 then List.iter (per_pcb t) pcbs
-  else
-    for cpu = 0 to ncpus - 1 do
-      match List.filter (fun p -> p.home_cpu = cpu) pcbs with
-      | [] -> ()
-      | mine -> Machine.run_on t.machine ~cpu (fun () -> List.iter (per_pcb t) mine)
-    done
-
-and slow_tick t =
-  if not (wheel_on ()) then
-    tick_by_home t (List.filter (fun p -> p.t_state <> Listen) t.pcbs) slow_tick_pcb
-
-and fast_tick_pcb t pcb =
-  Cost.count_tick_visit ();
-  if pcb.delack_pending then begin
+  else if pcb.delack_pending then begin
     pcb.delack_pending <- false;
     pcb.ack_now <- true;
     bump t (fun s -> s.delack <- s.delack + 1);
     tcp_output t pcb
   end
 
-and fast_tick t = if not (wheel_on ()) then tick_by_home t t.pcbs fast_tick_pcb
-
 (* ------------------------------------------------------------------ *)
 (* RTT estimation (Jacobson, BSD fixed point)                          *)
 
-(* The Karn-filtered RTT sample, in slow-tick units.  Legacy mode ages
-   [t_rtt] in the 500 ms walk; wheel mode has no walk, so the same
-   quantity (1 at send time, +1 per elapsed tick interval) is derived
-   from the virtual clock. *)
-let rtt_sample t pcb =
-  if wheel_on () then
-    1 + (max 0 (Machine.now t.machine - pcb.t_rtt_ns) / slow_interval_ns)
-  else pcb.t_rtt
+(* The Karn-filtered RTT sample, in slow ticks: 1 at the timed send, +1
+   per slow tick since, as the donor's per-tick [t_rtt++] counts. *)
+let rtt_sample t pcb = 1 + Timewheel.now_ns t.slow_wheel - pcb.t_rtt
 
 let update_rtt pcb rtt =
   if pcb.t_srtt <> 0 then begin
@@ -778,7 +735,7 @@ let update_rtt pcb rtt =
     pcb.t_srtt <- rtt lsl 3;
     pcb.t_rttvar <- rtt lsl 1
   end;
-  pcb.t_rtt <- 0;
+  pcb.t_rtt <- -1;
   pcb.t_rxtshift <- 0;
   pcb.t_rxtcur <- max 1 (min 128 ((pcb.t_srtt lsr 3) + pcb.t_rttvar))
 
@@ -887,7 +844,7 @@ let process_ack pcb ack =
   if acked <= 0 then false
   else begin
     pcb.t_dupacks <- 0;
-    if pcb.t_rtt > 0 && seq_gt ack pcb.t_rtseq then
+    if pcb.t_rtt >= 0 && seq_gt ack pcb.t_rtseq then
       update_rtt pcb (rtt_sample pcb.t_stack pcb);
     if pcb.snd_cwnd < pcb.snd_ssthresh then pcb.snd_cwnd <- pcb.snd_cwnd + pcb.t_maxseg
     else
@@ -912,7 +869,7 @@ let fast_retransmit t pcb =
   pcb.snd_ssthresh <- w;
   pcb.snd_recover <- pcb.snd_max;
   set_rexmt t pcb 0;
-  pcb.t_rtt <- 0;
+  pcb.t_rtt <- -1;
   let onxt = pcb.snd_nxt in
   pcb.snd_nxt <- pcb.snd_una;
   pcb.snd_cwnd <- pcb.t_maxseg;
@@ -930,7 +887,7 @@ let newreno_partial_ack t pcb ack =
   let onxt = pcb.snd_nxt in
   let ocwnd = pcb.snd_cwnd in
   set_rexmt t pcb 0;
-  pcb.t_rtt <- 0;
+  pcb.t_rtt <- -1;
   pcb.snd_nxt <- ack;
   pcb.snd_cwnd <- pcb.t_maxseg + acked;
   tcp_output t pcb;
@@ -940,7 +897,7 @@ let newreno_partial_ack t pcb ack =
   if data_acked > 0 then Sockbuf.sbdrop pcb.snd_buf data_acked;
   pcb.snd_una <- ack;
   if seq_lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
-  if pcb.tm_rexmt = 0 then set_rexmt t pcb pcb.t_rxtcur;
+  if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur;
   pcb.on_writable ()
 
 (* Receive-buffer autotuning: the 500 ms slow-tick srtt is far too coarse
@@ -1458,7 +1415,10 @@ let make_stats () =
 let attach ip machine =
   let t =
     { ip; machine; pcbs = []; demux = Demux.create 64; next_ephemeral = 1024; iss_source = 1;
-      ticking = false; fast_ticking = false; tw = Tw_queue.create ();
+      ticking = false; fast_ticking = false;
+      slow_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
+      fast_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
+      due = []; registrations = 0; tw = Tw_queue.create ();
       syncache = Syncache.create machine ~secret:0x6b8b4567;
       err_bucket = Token_bucket.create machine;
       stats = make_stats ();

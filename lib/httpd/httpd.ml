@@ -80,10 +80,8 @@ let make_stats () =
 let thread_stack_bytes = 32 * 1024
 let conn_state_bytes = 2 * 1024
 
-(* One-shot timer on whichever timer service is configured. *)
-let callout_after ~ns f =
-  if Cost.config.Cost.timer_wheel then ignore (Kwheel.callout_after ~ns f)
-  else ignore (Kclock.callout_after ~ns f)
+(* A one-shot timer at its exact deadline; the server never cancels one. *)
+let callout_after ~ns f = ignore (Kclock.callout_after ~ns f)
 
 (* ---- request framing (shared by both serving shapes) ----
  *

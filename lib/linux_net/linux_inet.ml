@@ -232,15 +232,9 @@ let detach t s =
 
 (* Arm a per-flow timer on the flow's home CPU, so the fire (retransmit,
    probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 the
-   home CPU is CPU 0 and this is exactly [Machine.after].  Under
-   [Cost.config.timer_wheel] the entry goes on that CPU's hierarchical
-   wheel instead of the raw event queue. *)
+   home CPU is CPU 0 and this is exactly [Machine.after]. *)
 let after_home t s dt f =
-  if Cost.config.Cost.timer_wheel then
-    ignore
-      (Kwheel.after (Kwheel.for_machine t.machine) ~cpu:s.home_cpu ~ns:dt f)
-  else
-    ignore (Machine.at_on t.machine ~cpu:s.home_cpu (Machine.now t.machine + dt) f)
+  ignore (Machine.at_on t.machine ~cpu:s.home_cpu (Machine.now t.machine + dt) f)
 
 let ifconfig t ~addr ~mask =
   t.my_ip <- addr;

@@ -128,8 +128,6 @@ let reset_config () =
   config.httpd_shed_hiwat <- d.httpd_shed_hiwat;
   config.ncpus <- d.ncpus;
   config.netisr_qmax <- d.netisr_qmax;
-  config.kq <- d.kq;
-  config.timer_wheel <- d.timer_wheel;
   config.http_keepalive <- d.http_keepalive;
   config.http_idle_timeout_ns <- d.http_idle_timeout_ns;
   config.http_max_reqs_per_conn <- d.http_max_reqs_per_conn;
@@ -289,7 +287,6 @@ let count_wheel_arm () = bump (fun c -> c.wheel_arms <- c.wheel_arms + 1)
 let count_wheel_cancel () = bump (fun c -> c.wheel_cancels <- c.wheel_cancels + 1)
 let count_wheel_cascade () = bump (fun c -> c.wheel_cascades <- c.wheel_cascades + 1)
 let count_wheel_fire () = bump (fun c -> c.wheel_fires <- c.wheel_fires + 1)
-let count_tick_visit () = bump (fun c -> c.tick_visits <- c.tick_visits + 1)
 let count_bufcache_hit () = bump (fun c -> c.bufcache_hits <- c.bufcache_hits + 1)
 let count_bufcache_miss () = bump (fun c -> c.bufcache_misses <- c.bufcache_misses + 1)
 let count_sendfile_body () = bump (fun c -> c.sendfile_bodies <- c.sendfile_bodies + 1)

@@ -171,13 +171,12 @@ type config = {
           nothing reads this field; it survives only because
           [perfbench/pb_http.ml] still assigns it.  Default [false]. *)
   mutable timer_wheel : bool;
-      (** Hierarchical timing-wheel timers: TCP retransmit / persist /
-          2MSL / delayed-ACK timers and httpd header deadlines become
-          armed-only-when-pending entries on per-CPU wheels
-          ({!Timewheel}), replacing the every-tick all-PCB walks.
-          Fire times quantize to wheel granularity (1 ms) instead of
-          tick boundaries (200/500 ms), so default [false] keeps
-          committed baselines bit-identical. *)
+      (** Ignored, and scheduled for deletion.  Kernel timers have one
+          engine each — BSD TCP's four per-pcb timers are entries on
+          its two tick-indexed {!Timewheel}s, and the Linux stack and
+          the httpd arm events at exact deadlines — so nothing reads
+          this field; it survives only because [perfbench/pb_http.ml]
+          still assigns it.  Default [false]. *)
   mutable http_keepalive : bool;
       (** A parameter of the httpd's one protocol engine (per serving
           shape), not a choice between engines.  On: HTTP/1.1 persistent
@@ -288,8 +287,8 @@ type counters = {
       (** entries re-filed from a higher wheel level on a slot-wrap *)
   mutable wheel_fires : int;  (** timing-wheel entries fired *)
   mutable tick_visits : int;
-      (** PCBs visited by the legacy periodic slow/fast tick walks (the
-          work the wheel eliminates) *)
+      (** Always 0: no timer walks the PCB list any more.  Kept because
+          perfbench reads it. *)
   mutable bufcache_hits : int;  (** buffer-cache lookups served without device I/O *)
   mutable bufcache_misses : int;  (** buffer-cache lookups that faulted a block in *)
   mutable sendfile_bodies : int;
@@ -343,7 +342,6 @@ val count_wheel_arm : unit -> unit
 val count_wheel_cancel : unit -> unit
 val count_wheel_cascade : unit -> unit
 val count_wheel_fire : unit -> unit
-val count_tick_visit : unit -> unit
 val count_bufcache_hit : unit -> unit
 val count_bufcache_miss : unit -> unit
 val count_sendfile_body : unit -> unit

@@ -29,10 +29,9 @@
 # contention on the per-flow hot path, 4-CPU req/s not strictly above
 # 1-CPU, or steering that never fired),
 # and the event smoke (the event core: the reactor's kqueue dispatch
-# work must stay flat as idle watches grow 100 -> 10000; the timing
+# work must stay flat as idle watches grow 100 -> 10000; and the timing
 # wheel must fire zero timers early, none more than one granule late,
-# and none missed, at O(due) work; and a full httpd transfer with
-# timer_wheel on must stay byte-exact),
+# and none missed, at O(due) work),
 # and the file smoke (the HTTP/1.1 + sendfile content path: keep-alive
 # req/s strictly above close-per-request at 64 clients, zero body bytes
 # copied and zero fallbacks on warm-cache sendfile hits, every body
@@ -44,8 +43,9 @@
 # BENCH_*.json files must be bit-identical to the committed ones, so any
 # change to a charged cycle, a wire byte or a counter shows up as a
 # reviewable diff.  The knobs each section does not sweep stay at their
-# defaults — ncpus=1, timer_wheel off — so the SMP layer and the timing
-# wheel must cost nothing when off.
+# defaults — ncpus=1 — so the SMP layer must cost nothing when off.
+# Nothing may read the two ignored Cost.config fields, kq and
+# timer_wheel: a grep for them must find nothing outside perfbench.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -53,6 +53,10 @@
 set -eux
 
 dune build
+if grep -rnE "config\.(Cost\.)?(kq|timer_wheel)" lib bench bin examples test; then
+  echo "ignored Cost.config field read outside perfbench" >&2
+  exit 1
+fi
 dune runtest
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- alloc
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- chaos

@@ -1,8 +1,8 @@
 (* The event core: hierarchical timing wheel against a reference
-   scheduler, cascade boundaries, per-CPU wheel firing through Kwheel,
-   kqueue trigger modes and coalescing, the World.cancel regression,
-   and the flags-off discipline (legacy paths never touch the new
-   counters). *)
+   scheduler, cascade boundaries, BSD TCP's tick wheels on a stack (fires
+   on a tick boundary, on the flow's home CPU, in pcb-list order), kqueue
+   trigger modes and coalescing, the World.cancel regression, and the
+   discipline that plain timers never touch the new counters. *)
 
 let ok = function Ok v -> v | Result.Error _ -> Alcotest.fail "unexpected COM error"
 
@@ -130,29 +130,185 @@ let test_cascades () =
   if (Timewheel.stats w).Timewheel.cascades = 0 then
     Alcotest.fail "no cascades happened: boundaries were not exercised"
 
-(* ---- Kwheel: entries fire on their home CPU, earliest-deadline wins ---- *)
+(* ---- BSD TCP's tick wheels, on a stack ---- *)
 
-let test_kwheel_home_cpu () =
-  let world = World.create () in
-  let m = Machine.create ~ncpus:4 world in
-  let kw = Kwheel.for_machine m in
-  let fired_on = ref [] in
-  let record tag () =
-    let cpu = match Machine.current () with Some mm -> Machine.cpu mm | None -> -1 in
-    fired_on := (tag, cpu, Machine.now m) :: !fired_on
+let ip = Oskit.ip_of_string
+let mask = ip "255.255.255.0"
+let addr_a = ip "10.0.0.1"
+let addr_b = ip "10.0.0.2"
+
+let net_ok = function
+  | Ok v -> v
+  | Result.Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+
+(* Once a stack's last pcb has closed, both tick wheels are empty and no
+   due entry waits to fire. *)
+let check_tick_wheels_quiescent name (tcp : Tcp.t) =
+  Alcotest.(check int) (name ^ ": slow wheel empty") 0 (Timewheel.armed tcp.Tcp.slow_wheel);
+  Alcotest.(check int) (name ^ ": fast wheel empty") 0 (Timewheel.armed tcp.Tcp.fast_wheel);
+  Alcotest.(check int) (name ^ ": no due entry pending") 0 (List.length tcp.Tcp.due)
+
+(* The TCP view of an Ethernet frame: source address, source and
+   destination ports, payload length.  None for anything else. *)
+let tcp_of_frame f =
+  if Bytes.length f < 54 || Bytes.get_uint16_be f 12 <> 0x0800 || Bytes.get_uint8 f 23 <> 6
+  then None
+  else begin
+    let ihl = (Bytes.get_uint8 f 14 land 0xf) * 4 in
+    let th = 14 + ihl in
+    let doff = (Bytes.get_uint8 f (th + 12) lsr 4) * 4 in
+    Some
+      ( Bytes.get_int32_be f 26,
+        Bytes.get_uint16_be f th,
+        Bytes.get_uint16_be f (th + 2),
+        Bytes.get_uint16_be f 16 - ihl - doff )
+  end
+
+(* Two FreeBSD hosts with [ncpus] CPUs each, 10.0.0.1 and 10.0.0.2. *)
+let with_bsd_pair ~ncpus f =
+  let saved = Cost.config.Cost.ncpus in
+  Cost.config.Cost.ncpus <- ncpus;
+  Fun.protect ~finally:(fun () -> Cost.config.Cost.ncpus <- saved) @@ fun () ->
+  Clientos.reset_globals ();
+  Fdev.clear_drivers ();
+  let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
+  let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:addr_a ~mask in
+  let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:addr_b ~mask in
+  f tb sa sb
+
+(* On 4 CPUs, with the flow's one data segment dropped: the retransmit
+   and the peer's delayed ACK each fire on a tick of their stack's loop
+   (slow, 500 ms, from the client's connect; fast, 200 ms, from the
+   server's listen), on the flow's home CPU.  Between a snapshot taken
+   shortly before the tick and the fire's frame, that CPU's busy tally
+   grows and no other CPU's does.  The client sends 130 ms after
+   connecting and the server's listen leads the connect by 50 ms, so a
+   timer counted from the send or the arrival would miss both phases. *)
+let test_tick_fires_on_home_cpu () =
+  with_bsd_pair ~ncpus:4 @@ fun tb sa sb ->
+  let ma = tb.Clientos.host_a.Clientos.machine and mb = tb.Clientos.host_b.Clientos.machine in
+  let home = 3 in
+  let rec pick p =
+    if Rss.cpu_of_flow ~ncpus:4 ~proto:6 ~addr_a ~port_a:p ~addr_b ~port_b:5001 = home
+    then p
+    else pick (p + 1)
   in
-  (* A far entry first, then a near one on another CPU: the near one must
-     not wait for the far driver event. *)
-  ignore (Kwheel.after kw ~cpu:1 ~ns:1_000_000_000 (record "far"));
-  ignore (Kwheel.after kw ~cpu:2 ~ns:5_000_000 (record "near"));
-  World.run world;
-  let near = List.assoc "near" (List.map (fun (t, c, n) -> (t, (c, n))) !fired_on)
-  and far = List.assoc "far" (List.map (fun (t, c, n) -> (t, (c, n))) !fired_on) in
-  Alcotest.(check int) "near entry fired on cpu 2" 2 (fst near);
-  Alcotest.(check int) "far entry fired on cpu 1" 1 (fst far);
-  if snd near < 5_000_000 || snd near >= 7_000_000 then
-    Alcotest.failf "near entry fired at %d, outside [5ms, 5ms+2 granules)" (snd near);
-  if snd far < 1_000_000_000 then Alcotest.fail "far entry fired early"
+  let cport = pick 2000 in
+  let busy m = Array.init 4 (fun cpu -> Machine.cpu_busy_ns m ~cpu) in
+  let t_listen = ref 0 and t_connect = ref 0 in
+  let before_a = ref [||] and before_b = ref [||] in
+  let dropped = ref false in
+  let rexmt = ref None and delack = ref None in
+  let snapshot m = World.now tb.Clientos.world, Machine.cpu m, busy m in
+  Wire.set_fault_injector tb.Clientos.wire
+    (Some
+       (fun f ->
+         match tcp_of_frame f, Machine.current () with
+         | Some (src, _, _, len), Some m when len > 0 && Int32.equal src addr_a ->
+             if !dropped then (if !rexmt = None then rexmt := Some (snapshot m); false)
+             else begin
+               dropped := true;
+               ignore
+                 (World.at tb.Clientos.world (!t_connect + 900_000_000) (fun () ->
+                      before_a := busy ma));
+               ignore
+                 (World.at tb.Clientos.world (!t_listen + 1_150_000_000) (fun () ->
+                      before_b := busy mb));
+               true
+             end
+         | Some (src, _, _, 0), Some m
+           when Int32.equal src addr_b && !rexmt <> None && !delack = None ->
+             delack := Some (snapshot m);
+             false
+         | _ -> false));
+  Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
+      let ls = Bsd_socket.tcp_socket sb in
+      net_ok (Bsd_socket.so_bind ls ~port:5001);
+      t_listen := Kclock.now_ns ();
+      net_ok (Bsd_socket.so_listen ls ~backlog:1);
+      ignore (net_ok (Bsd_socket.so_accept ls)));
+  Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
+      Kclock.sleep_ns 50_000_000;
+      let s = Bsd_socket.tcp_socket sa in
+      net_ok (Bsd_socket.so_bind s ~port:cport);
+      t_connect := Kclock.now_ns ();
+      net_ok (Bsd_socket.so_connect s ~dst:addr_b ~dport:5001);
+      Kclock.sleep_ns 130_000_000;
+      ignore (net_ok (Bsd_socket.so_send s ~buf:(Bytes.of_string "x") ~pos:0 ~len:1)));
+  Clientos.run tb ~until:(fun () -> !delack <> None);
+  let pcb_of (st : Bsd_socket.stack) =
+    List.find (fun p -> p.Tcp.t_state = Tcp.Established) st.Bsd_socket.tcp.Tcp.pcbs
+  in
+  Alcotest.(check int) "client pcb's home CPU" home (pcb_of sa).Tcp.home_cpu;
+  Alcotest.(check int) "server pcb's home CPU" home (pcb_of sb).Tcp.home_cpu;
+  let check what (at, cpu, after) ~loop_start ~period ~before =
+    Alcotest.(check int) (what ^ " fired on the home CPU") home cpu;
+    let phase = (at - loop_start) mod period in
+    if phase > 1_000_000 then
+      Alcotest.failf "%s at %d ns: %d ns past a tick of the loop begun at %d ns" what at
+        phase loop_start;
+    Array.iteri
+      (fun c b ->
+        if c = home then (if after.(c) <= b then Alcotest.failf "%s: CPU %d stayed idle" what c)
+        else Alcotest.(check int) (Printf.sprintf "%s: CPU %d untouched" what c) b after.(c))
+      before
+  in
+  check "retransmit" (Option.get !rexmt) ~loop_start:!t_connect ~period:Tcp.slow_interval_ns
+    ~before:!before_a;
+  check "delayed ACK" (Option.get !delack) ~loop_start:!t_listen ~period:Tcp.fast_interval_ns
+    ~before:!before_b;
+  Alcotest.(check int) "one retransmit, counted on the home CPU" 1
+    (Tcp.stats_for sa.Bsd_socket.tcp ~cpu:home).Tcp.sndrexmitpack;
+  Alcotest.(check int) "one delayed ACK, counted on the home CPU" 1
+    (Tcp.stats_for sb.Bsd_socket.tcp ~cpu:home).Tcp.delack
+
+(* Two connections whose delayed ACKs come due in one fast tick emit in
+   pcb-list order, newest first, whichever was armed first.  Returns the
+   client ports the two ACKs went to, in wire order. *)
+let same_tick_ack_order ~send_first_on_older =
+  with_bsd_pair ~ncpus:1 @@ fun tb sa sb ->
+  let sent = ref false and acks = ref [] in
+  Wire.set_fault_injector tb.Clientos.wire
+    (Some
+       (fun f ->
+         (match tcp_of_frame f with
+         | Some (src, _, dport, 0) when !sent && Int32.equal src addr_b ->
+             acks := dport :: !acks
+         | _ -> ());
+         false));
+  Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
+      let ls = Bsd_socket.tcp_socket sb in
+      net_ok (Bsd_socket.so_bind ls ~port:5001);
+      net_ok (Bsd_socket.so_listen ls ~backlog:2);
+      ignore (net_ok (Bsd_socket.so_accept ls));
+      ignore (net_ok (Bsd_socket.so_accept ls)));
+  Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
+      Kclock.sleep_ns 10_000_000;
+      let conns =
+        List.map
+          (fun port ->
+            let s = Bsd_socket.tcp_socket sa in
+            net_ok (Bsd_socket.so_bind s ~port);
+            net_ok (Bsd_socket.so_connect s ~dst:addr_b ~dport:5001);
+            s)
+          [ 3001; 3002 ]
+      in
+      Kclock.sleep_ns 50_000_000;
+      sent := true;
+      List.iter
+        (fun s -> ignore (net_ok (Bsd_socket.so_send s ~buf:(Bytes.of_string "x") ~pos:0 ~len:1)))
+        (if send_first_on_older then conns else List.rev conns));
+  Clientos.run tb ~until:(fun () -> List.length !acks >= 2);
+  Alcotest.(check int) "both ACKs were delayed" 2 sb.Bsd_socket.tcp.Tcp.stats.Tcp.delack;
+  List.rev !acks
+
+let test_same_tick_fire_order () =
+  (* The server registered 3002's pcb after 3001's, so the list visits
+     3002 first. *)
+  Alcotest.(check (list int)) "older armed first: list order" [ 3002; 3001 ]
+    (same_tick_ack_order ~send_first_on_older:true);
+  Alcotest.(check (list int)) "newer armed first: list order" [ 3002; 3001 ]
+    (same_tick_ack_order ~send_first_on_older:false)
 
 (* ---- kqueue: trigger modes, coalescing, spurious drops ---- *)
 
@@ -227,7 +383,6 @@ let test_reactor_kq_engine () =
 
 let test_flags_off_counters () =
   Cost.reset_counters ();
-  Alcotest.(check bool) "wheel flag defaults off" false Cost.config.Cost.timer_wheel;
   (* legacy timer path *)
   let world = World.create () in
   let m = Machine.create world in
@@ -247,7 +402,9 @@ let suite =
   [ Alcotest.test_case "World.cancel unlinks immediately" `Quick test_world_cancel;
     QCheck_alcotest.to_alcotest prop_wheel_model;
     Alcotest.test_case "timewheel cascade boundaries" `Quick test_cascades;
-    Alcotest.test_case "kwheel fires on the home CPU" `Quick test_kwheel_home_cpu;
+    Alcotest.test_case "tcp tick fires on the home CPU" `Quick test_tick_fires_on_home_cpu;
+    Alcotest.test_case "tcp same-tick fires in pcb-list order" `Quick
+      test_same_tick_fire_order;
     Alcotest.test_case "kqueue level/edge/oneshot/coalesce" `Quick test_kqueue_modes;
     Alcotest.test_case "reactor kqueue engine" `Quick test_reactor_kq_engine;
     Alcotest.test_case "flags off: new counters untouched" `Quick

@@ -138,7 +138,9 @@ let test_bsd_cache_invalidated_on_close () =
       Alcotest.(check bool) "client last-pcb cache purged" true
         (sa.Bsd_socket.tcp.Tcp.demux.Demux.last = None);
       Alcotest.(check bool) "server last-pcb cache purged" true
-        (sb.Bsd_socket.tcp.Tcp.demux.Demux.last = None))
+        (sb.Bsd_socket.tcp.Tcp.demux.Demux.last = None);
+      Test_event.check_tick_wheels_quiescent "client" sa.Bsd_socket.tcp;
+      Test_event.check_tick_wheels_quiescent "server" sb.Bsd_socket.tcp)
 
 let test_linux_cache_invalidated_on_close () =
   with_fast (fun () ->

@@ -284,7 +284,7 @@ let test_rst_on_abort () =
    restarted fast loop, not leave the peer to recover by retransmit. *)
 let delack_after_quiesce ~reconnect_ns =
   let rig = make_rig () in
-  let finished = ref false in
+  let measured = ref None in
   Thread.spawn rig.kb ~name:"server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
@@ -294,7 +294,12 @@ let delack_after_quiesce ~reconnect_ns =
       ignore (ok (Bsd_socket.so_recv c1 ~buf ~pos:0 ~len:16));
       ok (Bsd_socket.so_close c1);
       let c2 = ok (Bsd_socket.so_accept ls) in
-      ignore (ok (Bsd_socket.so_send c2 ~buf:(Bytes.of_string "x") ~pos:0 ~len:1)));
+      ignore (ok (Bsd_socket.so_send c2 ~buf:(Bytes.of_string "x") ~pos:0 ~len:1));
+      (* Close everything once the client has: the run then ends when
+         the last TIME_WAIT expires. *)
+      ignore (ok (Bsd_socket.so_recv c2 ~buf ~pos:0 ~len:16));
+      ok (Bsd_socket.so_close c2);
+      ok (Bsd_socket.so_close ls));
   Machine.kick rig.mb;
   Thread.spawn rig.ka ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
@@ -308,10 +313,16 @@ let delack_after_quiesce ~reconnect_ns =
       ignore (ok (Bsd_socket.so_recv s2 ~buf ~pos:0 ~len:16));
       (* Long enough for the peer's retransmit timer, were the ACK lost. *)
       Kclock.sleep_ns 3_000_000_000;
-      finished := true);
+      measured :=
+        Some
+          ( rig.sa.Bsd_socket.tcp.Tcp.stats.Tcp.delack,
+            rig.sb.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack );
+      ok (Bsd_socket.so_close s2));
   Machine.kick rig.ma;
-  World.run rig.world ~until:(fun () -> !finished);
-  (rig.sa.Bsd_socket.tcp.Tcp.stats.Tcp.delack, rig.sb.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack)
+  World.run rig.world;
+  Test_event.check_tick_wheels_quiescent "client" rig.sa.Bsd_socket.tcp;
+  Test_event.check_tick_wheels_quiescent "server" rig.sb.Bsd_socket.tcp;
+  Option.get !measured
 
 let test_delack_after_timer_quiesce () =
   (* 3.9 s: before TIME_WAIT expires; 4.0-4.5 s: inside the gap between
