@@ -84,7 +84,7 @@ let descriptions =
     "freebsd_dev", "FreeBSD drivers & support";
     "freebsd_net", "FreeBSD network stack";
     "linux_net", "Linux network stack";
-    "inet", "Shared inet policy (both stacks)";
+    "inet", "Shared wire codec, ARP & policy";
     "linux_fs", "Linux FAT file system";
     "netbsd_fs", "NetBSD file system";
     "vm", "Bytecode VM (Kaffe stand-in)";

@@ -1,165 +1,32 @@
-(* ENCAPSULATED LEGACY CODE — if_ether.c: ARP.
- *
- * Resolution table keyed by IP; unresolved destinations hold a bounded
- * queue of waiting packets that is flushed when the reply arrives.  The
- * donor holds one packet and retries on a 5-minute rtimer; we keep a few
- * waiters, retry with exponential backoff, and give up after a handful of
- * tries — dropping (and freeing, via each waiter's [on_drop]) everything
- * still queued, as if_ether.c's arptfree path does.
+(* ENCAPSULATED LEGACY CODE — if_ether.c: ARP's mbuf framing and input
+ * hook.  The resolution table, waiter queue and request backoff are the
+ * shared lib/inet Arp_resolver; this file only builds and receives the
+ * 28-byte message in mbufs.
  *)
 
-type waiter = {
-  deliver : string -> unit; (* continuation awaiting the MAC *)
-  on_drop : unit -> unit;   (* called instead if resolution fails *)
-}
-
-type pending = {
-  mutable waiters : waiter list; (* newest first *)
-  mutable tries : int;
-  mutable timer : World.event option;
-}
-
-type entry = Resolved of string | Pending of pending
-
-type t = {
-  ifp : Netif.ifnet;
-  machine : Machine.t;
-  table : (int32, entry) Hashtbl.t;
-  mutable requests_sent : int;
-  mutable replies_sent : int;
-  mutable waiters_dropped : int;   (* queue overflow, drop-head *)
-  mutable resolve_failures : int;  (* retries exhausted *)
-}
-
-let op_request = 1
-let op_reply = 2
-let arp_len = 28
-
-(* Queue/retry limits.  Base interval doubles per try: 0.5 s, 1 s, 2 s... *)
-let max_waiters = 16
-let max_tries = 5
-let retry_base_ns = 500_000_000
-
-let put32 d o (v : int32) =
-  Bytes.set d o (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff));
-  Bytes.set d (o + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-  Bytes.set d (o + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-  Bytes.set d (o + 3) (Char.chr (Int32.to_int v land 0xff))
-
-let get32 d o =
-  let b i = Int32.of_int (Char.code (Bytes.get d (o + i))) in
-  Int32.logor
-    (Int32.shift_left (b 0) 24)
-    (Int32.logor (Int32.shift_left (b 1) 16) (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
-
-(* Build ether/IP ARP message: hrd=1, pro=0x800, hln=6, pln=4. *)
-let send_arp t ~op ~target_mac ~target_ip ~dst_mac =
-  let m = Mbuf.m_gethdr () in
-  let off = Mbuf.m_put m arp_len in
-  let d = m.Mbuf.m_data in
-  Bytes.set_uint16_be d off 1;
-  Bytes.set_uint16_be d (off + 2) Netif.ethertype_ip;
-  Bytes.set d (off + 4) '\006';
-  Bytes.set d (off + 5) '\004';
-  Bytes.set_uint16_be d (off + 6) op;
-  Bytes.blit_string t.ifp.Netif.if_hwaddr 0 d (off + 8) 6;
-  put32 d (off + 14) t.ifp.Netif.if_addr;
-  Bytes.blit_string target_mac 0 d (off + 18) 6;
-  put32 d (off + 24) target_ip;
-  Netif.ether_output t.ifp m ~dst_mac ~ethertype:Netif.ethertype_arp
-
-let arp_request t ip =
-  t.requests_sent <- t.requests_sent + 1;
-  (* A request lost to memory pressure is indistinguishable from one lost
-     on the wire: the backoff timer re-sends.  Must not raise — the retry
-     fires from a timer callback. *)
+(* Build one ether/IP ARP message in a fresh mbuf and send it.  Best
+   effort, as the resolver requires: a refused mbuf is a frame lost on the
+   wire, and must not raise — retries fire from a timer callback. *)
+let send_arp ifp ~op ~dst_mac ~target_mac ~target_ip =
   try
-    send_arp t ~op:op_request ~target_mac:"\000\000\000\000\000\000" ~target_ip:ip
-      ~dst_mac:Netif.ether_broadcast
+    let m = Mbuf.m_gethdr () in
+    let off = Mbuf.m_put m Codec.arp_len in
+    Codec.write_arp m.Mbuf.m_data ~off ~op ~sha:ifp.Netif.if_hwaddr ~spa:ifp.Netif.if_addr
+      ~tha:target_mac ~tpa:target_ip;
+    Netif.ether_output ifp m ~dst_mac ~ethertype:Netif.ethertype_arp
   with Memfault.Nomem -> ()
 
-let cancel_timer p =
-  match p.timer with
-  | Some ev -> World.cancel ev; p.timer <- None
-  | None -> ()
-
-(* Retry with backoff; on exhaustion tear the entry down and fail every
-   queued waiter so their mbufs are freed, not leaked. *)
-let rec schedule_retry t ip p =
-  let delay = retry_base_ns * (1 lsl (p.tries - 1)) in
-  p.timer <-
-    Some
-      (Machine.after t.machine delay (fun () ->
-           p.timer <- None;
-           if p.tries >= max_tries then begin
-             Hashtbl.remove t.table ip;
-             t.resolve_failures <- t.resolve_failures + 1;
-             List.iter (fun w -> w.on_drop ()) (List.rev p.waiters);
-             p.waiters <- []
-           end
-           else begin
-             p.tries <- p.tries + 1;
-             arp_request t ip;
-             schedule_retry t ip p
-           end))
-
-let arp_input t m =
-  if Mbuf.m_length m < arp_len then Mbuf.m_freem m
+let arp_input ifp arp m =
+  let len = Mbuf.m_length m in
+  if len < Codec.arp_len then Mbuf.m_freem m
   else begin
-    let m = Mbuf.m_pullup m arp_len in
-    let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-    let op = Bytes.get_uint16_be d (o + 6) in
-    let sender_mac = Bytes.sub_string d (o + 8) 6 in
-    let sender_ip = get32 d (o + 14) in
-    let target_ip = get32 d (o + 24) in
-    (* Learn the sender either way (donor behaviour). *)
-    (match Hashtbl.find_opt t.table sender_ip with
-    | Some (Pending p) ->
-        cancel_timer p;
-        Hashtbl.replace t.table sender_ip (Resolved sender_mac);
-        List.iter (fun w -> w.deliver sender_mac) (List.rev p.waiters);
-        p.waiters <- []
-    | Some (Resolved _) | None -> Hashtbl.replace t.table sender_ip (Resolved sender_mac));
-    if op = op_request && Int32.equal target_ip t.ifp.Netif.if_addr then begin
-      t.replies_sent <- t.replies_sent + 1;
-      send_arp t ~op:op_reply ~target_mac:sender_mac ~target_ip:sender_ip ~dst_mac:sender_mac
-    end;
-    Mbuf.m_freem m
+    let m = Mbuf.m_pullup m Codec.arp_len in
+    Arp_resolver.input arp ~my_ip:ifp.Netif.if_addr m.Mbuf.m_data ~off:m.Mbuf.m_off ~len
+      ~release:(fun () -> Mbuf.m_freem m)
   end
 
 let attach ifp machine =
-  let t =
-    { ifp; machine; table = Hashtbl.create 16; requests_sent = 0;
-      replies_sent = 0; waiters_dropped = 0; resolve_failures = 0 }
-  in
+  let arp = Arp_resolver.create machine ~send:(send_arp ifp) in
   Netif.set_proto_input ifp ~ethertype:Netif.ethertype_arp
-    (fun m -> try arp_input t m with Memfault.Nomem -> ());
-  t
-
-(* resolve: call [deliver mac] now if cached, else queue and broadcast.
-   A full queue drops its oldest waiter (drop-head, like a device tx ring):
-   the newest packet is the one the caller's retransmit machinery is least
-   likely to have given up on. *)
-let resolve t ip ?(on_drop = fun () -> ()) deliver =
-  match Hashtbl.find_opt t.table ip with
-  | Some (Resolved mac) -> deliver mac
-  | Some (Pending p) ->
-      if List.length p.waiters >= max_waiters then begin
-        match List.rev p.waiters with
-        | oldest :: rest ->
-            t.waiters_dropped <- t.waiters_dropped + 1;
-            oldest.on_drop ();
-            p.waiters <- List.rev rest
-        | [] -> ()
-      end;
-      p.waiters <- { deliver; on_drop } :: p.waiters
-  | None ->
-      let p = { waiters = [ { deliver; on_drop } ]; tries = 1; timer = None } in
-      Hashtbl.replace t.table ip (Pending p);
-      arp_request t ip;
-      schedule_retry t ip p
-
-(* Static entry (tests / point-to-point setups). *)
-let add_static t ip mac = Hashtbl.replace t.table ip (Resolved mac)
-let lookup t ip =
-  match Hashtbl.find_opt t.table ip with Some (Resolved mac) -> Some mac | _ -> None
+    (fun m -> try arp_input ifp arp m with Memfault.Nomem -> ());
+  arp

@@ -11,7 +11,7 @@
 type stack = {
   machine : Machine.t;
   ifp : Netif.ifnet;
-  arp : Arp.t;
+  arp : Arp_resolver.t;
   ip : Ip.t;
   icmp : Icmp.t;
   udp : Udp.t;
@@ -26,7 +26,7 @@ let create_stack machine ~hwaddr ~name =
      TCP segments of [tcp_mss] never hit the IP fragmenter (default 1460
      leaves the classic Ethernet 1500). *)
   ifp.Netif.if_mtu <-
-    max ifp.Netif.if_mtu (Cost.config.Cost.tcp_mss + Ip.ip_hlen + Tcp.tcp_hlen);
+    max ifp.Netif.if_mtu (Cost.config.Cost.tcp_mss + Codec.ip_hlen + Codec.tcp_hlen);
   let arp = Arp.attach ifp machine in
   let ip = Ip.attach ifp arp machine in
   let icmp = Icmp.attach ip in
@@ -316,10 +316,10 @@ let netstat st =
   line "  %d port unreachables rate limited" udp.Udp.icmp_ratelimited;
   line "  %d drops for want of memory" udp.Udp.nomem_drops;
   line "arp:";
-  line "  %d requests sent" arp.Arp.requests_sent;
-  line "  %d replies sent" arp.Arp.replies_sent;
-  line "  %d waiters dropped (queue full)" arp.Arp.waiters_dropped;
-  line "  %d resolutions abandoned (retries exhausted)" arp.Arp.resolve_failures;
+  line "  %d requests sent" arp.Arp_resolver.requests;
+  line "  %d replies sent" arp.Arp_resolver.replies;
+  line "  %d waiters dropped (queue full)" arp.Arp_resolver.waiters_dropped;
+  line "  %d resolutions abandoned (retries exhausted)" arp.Arp_resolver.abandoned;
   line "event:";
   line "  %d timer-wheel arms (%d cancels, %d fires, %d cascades)"
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels

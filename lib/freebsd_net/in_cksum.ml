@@ -1,62 +1,11 @@
-(* ENCAPSULATED LEGACY CODE — the Internet checksum (in_cksum.c).
- *
- * 16-bit one's-complement sum over an mbuf chain, handling the odd-byte
- * boundary between mbufs exactly as the donor does.  Charged per byte: on
- * the testbed CPU this pass over the data was a visible part of per-packet
- * cost.
+(* ENCAPSULATED LEGACY CODE — the Internet checksum (in_cksum.c), as an
+ * mbuf adapter over the shared lib/inet Codec summer.
  *)
-
-(* Add bytes [off, off+len) of [data] into the running 32-bit sum; [swapped]
-   tracks an odd starting alignment across mbuf boundaries. *)
-let sum_bytes data off len (sum, swapped) =
-  let s = ref sum in
-  let i = ref off in
-  let remaining = ref len in
-  let swapped = ref swapped in
-  while !remaining > 0 do
-    let byte = Char.code (Bytes.get data !i) in
-    (* Even position contributes the high byte of a word. *)
-    if !swapped then s := !s + byte else s := !s + (byte lsl 8);
-    swapped := not !swapped;
-    incr i;
-    decr remaining
-  done;
-  !s, !swapped
-
-let fold sum =
-  let rec go s = if s > 0xffff then go ((s land 0xffff) + (s lsr 16)) else s in
-  go sum
-
-let finish sum = lnot (fold sum) land 0xffff
-
-let cksum_bytes ?(init = 0) data ~off ~len =
-  Cost.charge_checksum len;
-  let sum, _ = sum_bytes data off len (init, false) in
-  finish sum
-
-(* Iovec checksum: one pass over an ordered (backing, off, len) fragment
-   list, carrying the odd-byte alignment across fragment boundaries exactly
-   as the donor carries it across mbufs.  This is the checksum-with-gather
-   half of the scatter-gather send path: a chain (or a nonlinear sk_buff)
-   is summed fragment by fragment in place, never flattened first. *)
-let cksum_frags ?(init = 0) frags =
-  let total = List.fold_left (fun a (_, _, len) -> a + len) 0 frags in
-  Cost.charge_checksum total;
-  let acc =
-    List.fold_left (fun acc (data, off, len) -> sum_bytes data off len acc)
-      (init, false) frags
-  in
-  finish (fst acc)
 
 (* Checksum over a whole mbuf chain starting [off] bytes in, for [len]
    bytes, folded with an initial partial sum (the pseudo-header).  The
-   chain's fragment view and the iovec summer do the work, so the TCP/UDP
-   output paths exercise the same code the gather path does. *)
+   chain's fragment view and the iovec summer do the work, carrying the
+   odd-byte boundary between mbufs exactly as the donor does, so the
+   TCP/UDP output paths exercise the same code the gather path does. *)
 let cksum_chain ?(init = 0) m ~off ~len =
-  cksum_frags ~init (Mbuf.m_fragments ~off ~len m)
-
-(* Partial sum of the TCP/UDP pseudo header (not folded, not negated). *)
-let pseudo_header ~src ~dst ~proto ~len =
-  let hi32 v = Int32.to_int (Int32.shift_right_logical v 16) land 0xffff in
-  let lo32 v = Int32.to_int v land 0xffff in
-  hi32 src + lo32 src + hi32 dst + lo32 dst + proto + len
+  Codec.cksum_frags ~init (Mbuf.m_fragments ~off ~len m)

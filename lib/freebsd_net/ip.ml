@@ -7,7 +7,6 @@
  * looped back above the interface layer.
  *)
 
-let ip_hlen = 20
 let proto_icmp = 1
 let proto_tcp = 6
 let proto_udp = 17
@@ -24,7 +23,7 @@ type reass_q = {
 
 type t = {
   ifp : Netif.ifnet;
-  arp : Arp.t;
+  arp : Arp_resolver.t;
   machine : Machine.t;
   mutable ip_id : int;
   mutable protos : (int * (src:int32 -> dst:int32 -> Mbuf.mbuf -> unit)) list;
@@ -40,37 +39,22 @@ type t = {
   mutable nomem_drops : int;   (* input datagrams dropped for want of an mbuf *)
 }
 
-let put32 = Arp.put32
-let get32 = Arp.get32
-
 let set_proto t ~proto handler =
   t.protos <- (proto, handler) :: List.remove_assoc proto t.protos
 
 (* Build the 20-byte header in front of [m] and emit one (possibly
    already-fragmented) IP packet. *)
 let emit t m ~proto ~src ~dst ~ttl ~id ~frag_off ~more_frags =
-  let m = Mbuf.m_prepend m ip_hlen in
-  let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-  let total = Mbuf.m_length m in
-  Bytes.set d o '\x45';
-  Bytes.set d (o + 1) '\000';
-  Bytes.set_uint16_be d (o + 2) total;
-  Bytes.set_uint16_be d (o + 4) id;
-  Bytes.set_uint16_be d (o + 6) ((if more_frags then 0x2000 else 0) lor (frag_off lsr 3));
-  Bytes.set d (o + 8) (Char.chr ttl);
-  Bytes.set d (o + 9) (Char.chr proto);
-  Bytes.set_uint16_be d (o + 10) 0;
-  put32 d (o + 12) src;
-  put32 d (o + 16) dst;
-  let sum = In_cksum.cksum_bytes d ~off:o ~len:ip_hlen in
-  Bytes.set_uint16_be d (o + 10) sum;
+  let m = Mbuf.m_prepend m Codec.ip_hlen in
+  Codec.write_ip m.Mbuf.m_data ~off:m.Mbuf.m_off ~total:(Mbuf.m_length m) ~id ~more_frags
+    ~frag_off ~ttl ~proto ~src ~dst;
   t.opackets <- t.opackets + 1;
   (* Route: same subnet -> ARP; otherwise no route in this little world.
      Both failure paths count and free rather than raise — emit runs from
      timer events (TCP retransmit), where an exception would take down the
      whole simulation, not just this packet. *)
   if Netif.same_subnet t.ifp dst then
-    Arp.resolve t.arp dst
+    Arp_resolver.resolve t.arp dst
       ~on_drop:(fun () ->
         t.arp_drops <- t.arp_drops + 1;
         Mbuf.m_freem m)
@@ -94,8 +78,8 @@ let rec output t ~proto ~src ~dst ?(ttl = default_ttl) m =
     let id = t.ip_id in
     t.ip_id <- (t.ip_id + 1) land 0xffff;
     let payload = Mbuf.m_length m in
-    let max_payload = (t.ifp.Netif.if_mtu - ip_hlen) land lnot 7 in
-    if payload + ip_hlen <= t.ifp.Netif.if_mtu then
+    let max_payload = (t.ifp.Netif.if_mtu - Codec.ip_hlen) land lnot 7 in
+    if payload + Codec.ip_hlen <= t.ifp.Netif.if_mtu then
       emit t m ~proto ~src ~dst ~ttl ~id ~frag_off:0 ~more_frags:false
     else begin
       (* Fragment: each piece carries a multiple of 8 bytes except the
@@ -118,33 +102,30 @@ let rec output t ~proto ~src ~dst ?(ttl = default_ttl) m =
   end
 
 and input t m =
-  if Mbuf.m_length m < ip_hlen then Mbuf.m_freem m
+  let len = Mbuf.m_length m in
+  if len < Codec.ip_hlen then Mbuf.m_freem m
   else begin
-    let m = Mbuf.m_pullup m ip_hlen in
-    let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-    let ihl = (Char.code (Bytes.get d o) land 0xf) * 4 in
-    let total = Bytes.get_uint16_be d (o + 2) in
-    let id = Bytes.get_uint16_be d (o + 4) in
-    let fword = Bytes.get_uint16_be d (o + 6) in
-    let proto = Char.code (Bytes.get d (o + 9)) in
-    let src = get32 d (o + 12) and dst = get32 d (o + 16) in
-    if In_cksum.cksum_bytes d ~off:o ~len:ihl <> 0 then begin
-      t.badsum <- t.badsum + 1;
-      Mbuf.m_freem m
-    end
-    else if not (Int32.equal dst t.ifp.Netif.if_addr) then
-      Mbuf.m_freem m (* not ours: drop *)
-    else begin
-      t.ipackets <- t.ipackets + 1;
-      (* Trim link-layer padding beyond the IP total length. *)
-      let excess = Mbuf.m_length m - total in
-      if excess > 0 then Mbuf.m_adj m (-excess);
-      Mbuf.m_adj m ihl;
-      let more = fword land 0x2000 <> 0 in
-      let frag_off = (fword land 0x1fff) lsl 3 in
-      if (not more) && frag_off = 0 then deliver t ~proto ~src ~dst m
-      else reass_insert t ~key:(src, dst, id, proto) ~frag_off ~more m
-    end
+    let m = Mbuf.m_pullup m Codec.ip_hlen in
+    match Codec.parse_ip m.Mbuf.m_data ~off:m.Mbuf.m_off ~len with
+    | None -> Mbuf.m_freem m (* bad header lengths: dropped like a runt *)
+    | Some h ->
+        let m = Mbuf.m_pullup m h.Codec.ihl in
+        if Codec.cksum_bytes m.Mbuf.m_data ~off:m.Mbuf.m_off ~len:h.Codec.ihl <> 0 then begin
+          t.badsum <- t.badsum + 1;
+          Mbuf.m_freem m
+        end
+        else if not (Int32.equal h.Codec.dst t.ifp.Netif.if_addr) then
+          Mbuf.m_freem m (* not ours: drop *)
+        else begin
+          t.ipackets <- t.ipackets + 1;
+          (* Trim link-layer padding beyond the IP total length. *)
+          let excess = len - h.Codec.total in
+          if excess > 0 then Mbuf.m_adj m (-excess);
+          Mbuf.m_adj m h.Codec.ihl;
+          let { Codec.src; dst; proto; id; more_frags = more; frag_off; _ } = h in
+          if (not more) && frag_off = 0 then deliver t ~proto ~src ~dst m
+          else reass_insert t ~key:(src, dst, id, proto) ~frag_off ~more m
+        end
   end
 
 and deliver t ~proto ~src ~dst m =

@@ -14,25 +14,11 @@
  * lib/inet; see fastpath_pred/fastpath_input below.
  *)
 
-let tcp_hlen = 20
 let max_win = 65535
 let slow_interval_ns = 500_000_000 (* PR_SLOWHZ = 2 *)
 let fast_interval_ns = 200_000_000 (* delayed-ACK timer *)
 let msl_ticks = 4 (* 2 s in slow ticks — MSL scaled for a LAN *)
 let max_rxtshift = 12
-
-(* --- 32-bit modular sequence arithmetic (the SEQ_LT macro family) --- *)
-
-let m32 x = x land 0xffffffff
-
-let seq_diff a b =
-  let d = m32 (a - b) in
-  if d >= 0x80000000 then d - 0x100000000 else d
-
-let seq_lt a b = seq_diff a b < 0
-let seq_leq a b = seq_diff a b <= 0
-let seq_gt a b = seq_diff a b > 0
-let seq_geq a b = seq_diff a b >= 0
 
 (* --- header flags --- *)
 
@@ -336,7 +322,7 @@ let detach t pcb =
   Demux.remove t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb
 
 let next_iss t =
-  t.iss_source <- m32 (t.iss_source + 64000);
+  t.iss_source <- Codec.m32 (t.iss_source + 64000);
   t.iss_source
 
 let alloc_port t =
@@ -374,6 +360,29 @@ let err_allowed t =
        bump t (fun s -> s.rst_ratelimited <- s.rst_ratelimited + 1);
        false
      end
+
+(* An mbuf with [hlen] bytes of room for a header-only segment. *)
+let header_mbuf hlen =
+  let m = Mbuf.m_gethdr () in
+  ignore (Mbuf.m_put m hlen);
+  m
+
+(* Write the header through the shared codec into the front of [m] and
+   checksum the whole chain in place; BSD stores a zero sum as 0xffff. *)
+let write_header m ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win ~mss ~wscale =
+  let d = m.Mbuf.m_data and off = m.Mbuf.m_off in
+  Codec.write_tcp d ~off ~sport ~dport ~seq ~ack ~flags ~win ~mss ~wscale;
+  let len = Mbuf.m_length m in
+  Codec.set_tcp_cksum d ~off ~zero_as_ones:true
+    (In_cksum.cksum_chain m ~off:0 ~len
+       ~init:(Codec.pseudo_header ~src ~dst ~proto:Ip.proto_tcp ~len))
+
+(* A header-only segment with no pcb behind it: RSTs, cookie SYN-ACKs,
+   and the crafted segments of tests and benches. *)
+let raw_segment ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win ~mss =
+  let m = header_mbuf (Codec.tcp_header_len ~mss ~wscale:None) in
+  write_header m ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win ~mss ~wscale:None;
+  m
 
 (* ------------------------------------------------------------------ *)
 (* timers: armed while any pcb exists, quiesce when none               *)
@@ -418,85 +427,32 @@ and emit_segment t pcb ~seq ~ack ~flags ~win ~payload ~mss_opt ~wscale =
     tcp_reclaim t
 
 and emit_segment_nomem t pcb ~seq ~ack ~flags ~win ~payload ~mss_opt ~wscale =
-  let ws_len = match wscale with Some _ -> 4 | None -> 0 in
-  let opt_len = (if mss_opt then 4 else 0) + ws_len in
-  let hlen = tcp_hlen + opt_len in
+  let mss = if mss_opt then Some pcb.t_maxseg else None in
+  let hlen = Codec.tcp_header_len ~mss ~wscale in
   let m =
-    match payload with
-    | Some data -> Mbuf.m_prepend data hlen
-    | None ->
-        let m = Mbuf.m_gethdr () in
-        ignore (Mbuf.m_put m hlen);
-        m
+    match payload with Some data -> Mbuf.m_prepend data hlen | None -> header_mbuf hlen
   in
-  let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-  Bytes.set_uint16_be d o pcb.lport;
-  Bytes.set_uint16_be d (o + 2) pcb.rport;
-  Bytes.set_int32_be d (o + 4) (Int32.of_int (m32 seq));
-  Bytes.set_int32_be d (o + 8) (Int32.of_int (m32 ack));
-  Bytes.set d (o + 12) (Char.chr ((hlen / 4) lsl 4));
-  Bytes.set d (o + 13) (Char.chr flags);
   (* The window field is scaled except on SYN segments (RFC 1323: the
      shift applies only once both sides have offered). *)
-  let wfield =
+  let win =
     if flags land th_syn <> 0 then min win max_win
     else min (win asr pcb.rcv_scale) max_win
   in
-  Bytes.set_uint16_be d (o + 14) wfield;
-  Bytes.set_uint16_be d (o + 16) 0;
-  Bytes.set_uint16_be d (o + 18) 0;
-  let opt_off = ref (o + 20) in
-  if mss_opt then begin
-    Bytes.set d !opt_off '\002';
-    Bytes.set d (!opt_off + 1) '\004';
-    Bytes.set_uint16_be d (!opt_off + 2) pcb.t_maxseg;
-    opt_off := !opt_off + 4
-  end;
-  (match wscale with
-  | Some s ->
-      (* NOP pad + the 3-byte wscale option, the donor's layout. *)
-      Bytes.set d !opt_off '\001';
-      Bytes.set d (!opt_off + 1) '\003';
-      Bytes.set d (!opt_off + 2) '\003';
-      Bytes.set d (!opt_off + 3) (Char.chr (s land 0xff))
-  | None -> ());
-  let total = Mbuf.m_length m in
-  let sum =
-    In_cksum.cksum_chain m ~off:0 ~len:total
-      ~init:
-        (In_cksum.pseudo_header ~src:pcb.laddr ~dst:pcb.raddr ~proto:Ip.proto_tcp ~len:total)
-  in
-  Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum);
+  write_header m ~src:pcb.laddr ~dst:pcb.raddr ~sport:pcb.lport ~dport:pcb.rport ~seq ~ack
+    ~flags ~win ~mss ~wscale;
   Cost.charge_cycles Cost.config.bsd_tcp_pkt_cycles;
   bump t (fun s -> s.sndpack <- s.sndpack + 1);
   Ip.output t.ip ~proto:Ip.proto_tcp ~src:pcb.laddr ~dst:pcb.raddr m
 
 and send_rst t ~src ~dst ~sport ~dport ~seq ~ack ~had_ack =
-  try send_rst_nomem t ~src ~dst ~sport ~dport ~seq ~ack ~had_ack
+  let flags, seq, ack = if had_ack then th_rst, ack, 0 else th_rst lor th_ack, 0, seq in
+  try
+    Ip.output t.ip ~proto:Ip.proto_tcp ~src:dst ~dst:src
+      (raw_segment ~src:dst ~dst:src ~sport:dport ~dport:sport ~seq ~ack ~flags ~win:0
+         ~mss:None)
   with Memfault.Nomem ->
     bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
     tcp_reclaim t
-
-and send_rst_nomem t ~src ~dst ~sport ~dport ~seq ~ack ~had_ack =
-  let m = Mbuf.m_gethdr () in
-  ignore (Mbuf.m_put m tcp_hlen);
-  let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-  let flags, rseq, rack = if had_ack then th_rst, ack, 0 else th_rst lor th_ack, 0, seq in
-  Bytes.set_uint16_be d o dport;
-  Bytes.set_uint16_be d (o + 2) sport;
-  Bytes.set_int32_be d (o + 4) (Int32.of_int (m32 rseq));
-  Bytes.set_int32_be d (o + 8) (Int32.of_int (m32 rack));
-  Bytes.set d (o + 12) (Char.chr ((tcp_hlen / 4) lsl 4));
-  Bytes.set d (o + 13) (Char.chr flags);
-  Bytes.set_uint16_be d (o + 14) 0;
-  Bytes.set_uint16_be d (o + 16) 0;
-  Bytes.set_uint16_be d (o + 18) 0;
-  let sum =
-    In_cksum.cksum_chain m ~off:0 ~len:tcp_hlen
-      ~init:(In_cksum.pseudo_header ~src:dst ~dst:src ~proto:Ip.proto_tcp ~len:tcp_hlen)
-  in
-  Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum);
-  Ip.output t.ip ~proto:Ip.proto_tcp ~src:dst ~dst:src m
 
 (* A SYN-ACK on a listener's behalf with no child pcb behind it — the
    syncache/cookie path.  Crafted raw like send_rst, plus the MSS option.
@@ -505,27 +461,10 @@ and send_rst_nomem t ~src ~dst ~sport ~dport ~seq ~ack ~had_ack =
    limitation). *)
 and send_synack_raw t ~laddr ~lport ~raddr ~rport ~iss ~irs ~mss =
   try
-    let hlen = tcp_hlen + 4 in
-    let m = Mbuf.m_gethdr () in
-    ignore (Mbuf.m_put m hlen);
-    let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-    Bytes.set_uint16_be d o lport;
-    Bytes.set_uint16_be d (o + 2) rport;
-    Bytes.set_int32_be d (o + 4) (Int32.of_int (m32 iss));
-    Bytes.set_int32_be d (o + 8) (Int32.of_int (m32 (irs + 1)));
-    Bytes.set d (o + 12) (Char.chr ((hlen / 4) lsl 4));
-    Bytes.set d (o + 13) (Char.chr (th_syn lor th_ack));
-    Bytes.set_uint16_be d (o + 14) (min default_sb_size max_win);
-    Bytes.set_uint16_be d (o + 16) 0;
-    Bytes.set_uint16_be d (o + 18) 0;
-    Bytes.set d (o + 20) '\002';
-    Bytes.set d (o + 21) '\004';
-    Bytes.set_uint16_be d (o + 22) mss;
-    let sum =
-      In_cksum.cksum_chain m ~off:0 ~len:hlen
-        ~init:(In_cksum.pseudo_header ~src:laddr ~dst:raddr ~proto:Ip.proto_tcp ~len:hlen)
+    let m =
+      raw_segment ~src:laddr ~dst:raddr ~sport:lport ~dport:rport ~seq:iss ~ack:(irs + 1)
+        ~flags:(th_syn lor th_ack) ~win:(min default_sb_size max_win) ~mss:(Some mss)
     in
-    Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum);
     Cost.charge_cycles Cost.config.bsd_tcp_pkt_cycles;
     bump t (fun s -> s.sndpack <- s.sndpack + 1);
     Ip.output t.ip ~proto:Ip.proto_tcp ~src:laddr ~dst:raddr m
@@ -543,7 +482,7 @@ and tcp_output t pcb =
         true
     | Syn_sent | Syn_received | Listen | Closed -> false
   in
-  let off = seq_diff pcb.snd_nxt pcb.snd_una in
+  let off = Codec.seq_diff pcb.snd_nxt pcb.snd_una in
   let win = max (min pcb.snd_wnd pcb.snd_cwnd) 0 in
   let pending = pcb.snd_buf.Sockbuf.sb_cc - off in
   let len = if sendable_state && off >= 0 then max 0 (min pending (win - off)) else 0 in
@@ -551,12 +490,14 @@ and tcp_output t pcb =
   let all_data_sent = off + len >= pcb.snd_buf.Sockbuf.sb_cc in
   let send_fin =
     sendable_state && pcb.snd_fin_pending && all_data_sent
-    && ((not pcb.fin_sent) || seq_lt pcb.snd_nxt pcb.snd_max)
+    && ((not pcb.fin_sent) || Codec.seq_lt pcb.snd_nxt pcb.snd_max)
   in
   let window_update =
     sendable_state
     && rcv_window pcb >= 2 * pcb.t_maxseg
-    && seq_geq (m32 (pcb.rcv_nxt + rcv_window pcb)) (m32 (pcb.rcv_adv + (2 * pcb.t_maxseg)))
+    && Codec.seq_geq
+         (Codec.m32 (pcb.rcv_nxt + rcv_window pcb))
+         (Codec.m32 (pcb.rcv_adv + (2 * pcb.t_maxseg)))
   in
   if (len > 0 && win > off) || send_fin || pcb.ack_now || window_update then begin
     let flags =
@@ -582,7 +523,8 @@ and tcp_output t pcb =
       let wnd = rcv_window pcb in
       emit_segment t pcb ~seq:pcb.snd_nxt ~ack:pcb.rcv_nxt ~flags ~win:wnd ~payload
         ~mss_opt:false ~wscale:None;
-      if seq_gt (m32 (pcb.rcv_nxt + wnd)) pcb.rcv_adv then pcb.rcv_adv <- m32 (pcb.rcv_nxt + wnd);
+      if Codec.seq_gt (Codec.m32 (pcb.rcv_nxt + wnd)) pcb.rcv_adv then
+        pcb.rcv_adv <- Codec.m32 (pcb.rcv_nxt + wnd);
       pcb.ack_now <- false;
       set_delack t pcb false;
       if len > 0 || send_fin then begin
@@ -590,13 +532,13 @@ and tcp_output t pcb =
            retransmit snd_nxt trails snd_max; starting the clock there would
            let an ACK of the original transmission feed update_rtt an
            ambiguous (far too short) sample. *)
-        if pcb.t_rtt < 0 && len > 0 && seq_geq pcb.snd_nxt pcb.snd_max then begin
+        if pcb.t_rtt < 0 && len > 0 && Codec.seq_geq pcb.snd_nxt pcb.snd_max then begin
           pcb.t_rtt <- Timewheel.now_ns t.slow_wheel;
           pcb.t_rtseq <- pcb.snd_nxt
         end;
-        pcb.snd_nxt <- m32 (pcb.snd_nxt + len + if send_fin then 1 else 0);
+        pcb.snd_nxt <- Codec.m32 (pcb.snd_nxt + len + if send_fin then 1 else 0);
         if send_fin then pcb.fin_sent <- true;
-        if seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
+        if Codec.seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
         if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
       end;
       if len > 0 && not all_data_sent then tcp_output t pcb
@@ -619,8 +561,8 @@ and send_syn t pcb ~with_ack =
   in
   emit_segment t pcb ~seq:pcb.iss ~ack:(if with_ack then pcb.rcv_nxt else 0) ~flags
     ~win:(min (rcv_window pcb) max_win) ~payload:None ~mss_opt:true ~wscale;
-  pcb.snd_nxt <- m32 (pcb.iss + 1);
-  if seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
+  pcb.snd_nxt <- Codec.m32 (pcb.iss + 1);
+  if Codec.seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
   if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
 
 (* ------------------------------------------------------------------ *)
@@ -663,7 +605,7 @@ and rexmt_timeout t pcb =
   end
 
 and persist_timeout t pcb =
-  let off = seq_diff pcb.snd_nxt pcb.snd_una in
+  let off = Codec.seq_diff pcb.snd_nxt pcb.snd_una in
   (try
      if pcb.snd_buf.Sockbuf.sb_cc > off then begin
        let payload = Sockbuf.copy_range pcb.snd_buf ~off ~len:1 in
@@ -746,25 +688,28 @@ let rec reass_deliver pcb =
   (* Entries the stream has advanced past are dead; shed (and retire) them
      or they block FIN processing forever. *)
   let live, dead =
-    List.partition (fun (seq, m) -> seq_gt (m32 (seq + Mbuf.m_length m)) pcb.rcv_nxt) pcb.reass
+    List.partition
+      (fun (seq, m) -> Codec.seq_gt (Codec.m32 (seq + Mbuf.m_length m)) pcb.rcv_nxt)
+      pcb.reass
   in
   List.iter (fun (_, m) -> Mbuf.m_freem m) dead;
   pcb.reass <- live;
   match
     List.find_opt
       (fun (seq, m) ->
-        seq_leq seq pcb.rcv_nxt && seq_gt (m32 (seq + Mbuf.m_length m)) pcb.rcv_nxt)
+        Codec.seq_leq seq pcb.rcv_nxt
+        && Codec.seq_gt (Codec.m32 (seq + Mbuf.m_length m)) pcb.rcv_nxt)
       pcb.reass
   with
   | None -> ()
   | Some ((seq, m) as entry) ->
       pcb.reass <- List.filter (fun e -> e != entry) pcb.reass;
-      let skip = seq_diff pcb.rcv_nxt seq in
+      let skip = Codec.seq_diff pcb.rcv_nxt seq in
       if skip > 0 then Mbuf.m_adj m skip;
       let len = Mbuf.m_length m in
       if len > 0 then begin
         Sockbuf.sbappend_chain pcb.rcv_buf m;
-        pcb.rcv_nxt <- m32 (pcb.rcv_nxt + len)
+        pcb.rcv_nxt <- Codec.m32 (pcb.rcv_nxt + len)
       end
       else Mbuf.m_freem m;
       reass_deliver pcb
@@ -840,11 +785,11 @@ let enter_established t pcb =
 
 (* Returns true if our FIN was acknowledged by [ack]. *)
 let process_ack pcb ack =
-  let acked = seq_diff ack pcb.snd_una in
+  let acked = Codec.seq_diff ack pcb.snd_una in
   if acked <= 0 then false
   else begin
     pcb.t_dupacks <- 0;
-    if pcb.t_rtt >= 0 && seq_gt ack pcb.t_rtseq then
+    if pcb.t_rtt >= 0 && Codec.seq_gt ack pcb.t_rtseq then
       update_rtt pcb (rtt_sample pcb.t_stack pcb);
     if pcb.snd_cwnd < pcb.snd_ssthresh then pcb.snd_cwnd <- pcb.snd_cwnd + pcb.t_maxseg
     else
@@ -856,9 +801,9 @@ let process_ack pcb ack =
     let fin_acked = pcb.fin_sent && acked > data_acked in
     if data_acked > 0 then Sockbuf.sbdrop pcb.snd_buf data_acked;
     pcb.snd_una <- ack;
-    if seq_lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
+    if Codec.seq_lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
     set_rexmt pcb.t_stack pcb
-      (if seq_geq pcb.snd_una pcb.snd_max then 0 else pcb.t_rxtcur);
+      (if Codec.seq_geq pcb.snd_una pcb.snd_max then 0 else pcb.t_rxtcur);
     pcb.on_writable ();
     fin_acked
   end
@@ -875,7 +820,7 @@ let fast_retransmit t pcb =
   pcb.snd_cwnd <- pcb.t_maxseg;
   tcp_output t pcb;
   pcb.snd_cwnd <- w + (3 * pcb.t_maxseg);
-  if seq_gt onxt pcb.snd_nxt then pcb.snd_nxt <- onxt
+  if Codec.seq_gt onxt pcb.snd_nxt then pcb.snd_nxt <- onxt
 
 (* NewReno partial ACK: the first hole is plugged but [ack] stops short of
    [snd_recover], so another segment from the same window is lost too.
@@ -883,7 +828,7 @@ let fast_retransmit t pcb =
    and stay in recovery — do not sample RTT (Karn: the range includes a
    retransmission) and do not reset the dup-ACK count. *)
 let newreno_partial_ack t pcb ack =
-  let acked = seq_diff ack pcb.snd_una in
+  let acked = Codec.seq_diff ack pcb.snd_una in
   let onxt = pcb.snd_nxt in
   let ocwnd = pcb.snd_cwnd in
   set_rexmt t pcb 0;
@@ -891,12 +836,12 @@ let newreno_partial_ack t pcb ack =
   pcb.snd_nxt <- ack;
   pcb.snd_cwnd <- pcb.t_maxseg + acked;
   tcp_output t pcb;
-  if seq_gt onxt pcb.snd_nxt then pcb.snd_nxt <- onxt;
+  if Codec.seq_gt onxt pcb.snd_nxt then pcb.snd_nxt <- onxt;
   pcb.snd_cwnd <- max pcb.t_maxseg (ocwnd - acked + pcb.t_maxseg);
   let data_acked = min acked pcb.snd_buf.Sockbuf.sb_cc in
   if data_acked > 0 then Sockbuf.sbdrop pcb.snd_buf data_acked;
   pcb.snd_una <- ack;
-  if seq_lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
+  if Codec.seq_lt pcb.snd_nxt pcb.snd_una then pcb.snd_nxt <- pcb.snd_una;
   if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur;
   pcb.on_writable ()
 
@@ -944,8 +889,8 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
           (match mss with Some v -> conn.t_maxseg <- min Cost.config.tcp_mss v | None -> ());
           (match wscale with Some s -> setup_scaling conn ~peer:s | None -> ());
           conn.irs <- seq;
-          conn.rcv_nxt <- m32 (seq + 1);
-          conn.rcv_adv <- m32 (conn.rcv_nxt + rcv_window conn);
+          conn.rcv_nxt <- Codec.m32 (seq + 1);
+          conn.rcv_adv <- Codec.m32 (conn.rcv_nxt + rcv_window conn);
           conn.iss <- next_iss t;
           conn.snd_una <- conn.iss;
           conn.snd_nxt <- conn.iss;
@@ -961,7 +906,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
       else false
   | Syn_sent ->
       let ack_ok =
-        flags land th_ack <> 0 && seq_gt ack pcb.iss && seq_leq ack pcb.snd_max
+        flags land th_ack <> 0 && Codec.seq_gt ack pcb.iss && Codec.seq_leq ack pcb.snd_max
       in
       (if flags land th_ack <> 0 && not ack_ok then begin
         if flags land th_rst = 0 then
@@ -974,8 +919,8 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
         (match mss with Some v -> pcb.t_maxseg <- min Cost.config.tcp_mss v | None -> ());
         (match wscale with Some s -> setup_scaling pcb ~peer:s | None -> ());
         pcb.irs <- seq;
-        pcb.rcv_nxt <- m32 (seq + 1);
-        pcb.rcv_adv <- m32 (pcb.rcv_nxt + rcv_window pcb);
+        pcb.rcv_nxt <- Codec.m32 (seq + 1);
+        pcb.rcv_adv <- Codec.m32 (pcb.rcv_nxt + rcv_window pcb);
         pcb.snd_wnd <- win;
         pcb.snd_wl1 <- seq;
         pcb.snd_wl2 <- ack;
@@ -1005,14 +950,16 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
   ignore sport;
   let stored = ref false in
   (if flags land th_rst <> 0 then begin
-    if seq_geq seq pcb.rcv_nxt && seq_lt seq (m32 (pcb.rcv_nxt + max 1 (rcv_window pcb)))
+    if
+      Codec.seq_geq seq pcb.rcv_nxt
+      && Codec.seq_lt seq (Codec.m32 (pcb.rcv_nxt + max 1 (rcv_window pcb)))
     then drop_connection t pcb Error.Connreset
   end
   else begin
     (* Trim to the receive window. *)
     let seq = ref seq and dlen = ref dlen and fin = ref (flags land th_fin <> 0) in
     let dup = ref false in
-    let todrop = seq_diff pcb.rcv_nxt !seq in
+    let todrop = Codec.seq_diff pcb.rcv_nxt !seq in
     if todrop > 0 then begin
       if todrop >= !dlen then begin
         (* Entirely duplicate data (or a pure old segment). *)
@@ -1024,17 +971,17 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
         (* A retransmitted FIN we already consumed. *)
         if !fin && todrop > !dlen then fin := false;
         Mbuf.m_adj data !dlen;
-        seq := m32 (!seq + !dlen);
+        seq := Codec.m32 (!seq + !dlen);
         dlen := 0
       end
       else begin
         Mbuf.m_adj data todrop;
-        seq := m32 (!seq + todrop);
+        seq := Codec.m32 (!seq + todrop);
         dlen := !dlen - todrop
       end
     end;
     let wnd = rcv_window pcb in
-    let past = seq_diff (m32 (!seq + !dlen)) (m32 (pcb.rcv_nxt + wnd)) in
+    let past = Codec.seq_diff (Codec.m32 (!seq + !dlen)) (Codec.m32 (pcb.rcv_nxt + wnd)) in
     if past > 0 && !dlen > 0 then begin
       bump t (fun s -> s.rcvafterwin <- s.rcvafterwin + 1);
       if past >= !dlen then begin
@@ -1056,7 +1003,7 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
     else begin
       (match pcb.t_state with
       | Syn_received ->
-          if seq_gt ack pcb.snd_una && seq_leq ack pcb.snd_max then begin
+          if Codec.seq_gt ack pcb.snd_una && Codec.seq_leq ack pcb.snd_max then begin
             pcb.snd_una <- ack;
             set_rexmt t pcb 0;
             pcb.t_rxtshift <- 0;
@@ -1072,11 +1019,11 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
           end
       | _ -> ());
       if !proceed && pcb.t_state <> Syn_received then begin
-        if seq_leq ack pcb.snd_una then begin
+        if Codec.seq_leq ack pcb.snd_una then begin
           (* Old or duplicate ACK. *)
           if
             !dlen = 0 && win = pcb.snd_wnd
-            && seq_lt pcb.snd_una pcb.snd_max
+            && Codec.seq_lt pcb.snd_una pcb.snd_max
           then begin
             pcb.t_dupacks <- pcb.t_dupacks + 1;
             if pcb.t_dupacks = 3 then fast_retransmit t pcb
@@ -1087,8 +1034,8 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
           end
           else if !dlen = 0 then pcb.t_dupacks <- 0
         end
-        else if seq_gt ack pcb.snd_max then pcb.ack_now <- true
-        else if pcb.t_dupacks >= 3 && seq_lt ack pcb.snd_recover then
+        else if Codec.seq_gt ack pcb.snd_max then pcb.ack_now <- true
+        else if pcb.t_dupacks >= 3 && Codec.seq_lt ack pcb.snd_recover then
           newreno_partial_ack t pcb ack
         else begin
           (* A full ACK past snd_recover leaves fast recovery: deflate. *)
@@ -1119,8 +1066,9 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
       (* Window update (donor's wl1/wl2 rules). *)
       if
         flags land th_ack <> 0
-        && (seq_lt pcb.snd_wl1 !seq
-           || (pcb.snd_wl1 = !seq && (seq_lt pcb.snd_wl2 ack || (pcb.snd_wl2 = ack && win > pcb.snd_wnd))))
+        && (Codec.seq_lt pcb.snd_wl1 !seq
+           || pcb.snd_wl1 = !seq
+              && (Codec.seq_lt pcb.snd_wl2 ack || (pcb.snd_wl2 = ack && win > pcb.snd_wnd)))
       then begin
         pcb.snd_wnd <- win;
         pcb.snd_wl1 <- !seq;
@@ -1135,7 +1083,7 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
           autotune_rcv t pcb ~dlen:!dlen;
           Sockbuf.sbappend_chain pcb.rcv_buf data;
           stored := true;
-          pcb.rcv_nxt <- m32 (pcb.rcv_nxt + !dlen);
+          pcb.rcv_nxt <- Codec.m32 (pcb.rcv_nxt + !dlen);
           (* Every-other-segment ACK: delay the first, force on the
              second. *)
           if pcb.delack_pending then begin
@@ -1159,10 +1107,10 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
       end
       else if !dup then pcb.ack_now <- true;
       (* FIN. *)
-      if !fin && m32 (!seq + !dlen) = pcb.rcv_nxt && pcb.reass = [] then begin
+      if !fin && Codec.m32 (!seq + !dlen) = pcb.rcv_nxt && pcb.reass = [] then begin
         if not pcb.rcv_fin then begin
           pcb.rcv_fin <- true;
-          pcb.rcv_nxt <- m32 (pcb.rcv_nxt + 1);
+          pcb.rcv_nxt <- Codec.m32 (pcb.rcv_nxt + 1);
           pcb.ack_now <- true;
           pcb.on_readable ();
           match pcb.t_state with
@@ -1217,12 +1165,12 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         conn.listen_parent <- Some pcb;
         conn.t_maxseg <- min Cost.config.tcp_mss mss;
         conn.irs <- irs;
-        conn.rcv_nxt <- m32 (irs + 1);
-        conn.rcv_adv <- m32 (conn.rcv_nxt + rcv_window conn);
+        conn.rcv_nxt <- Codec.m32 (irs + 1);
+        conn.rcv_adv <- Codec.m32 (conn.rcv_nxt + rcv_window conn);
         conn.iss <- iss;
         conn.snd_una <- iss;
-        conn.snd_nxt <- m32 (iss + 1);
-        conn.snd_max <- m32 (iss + 1);
+        conn.snd_nxt <- Codec.m32 (iss + 1);
+        conn.snd_max <- Codec.m32 (iss + 1);
         conn.t_state <- Syn_received;
         register t conn;
         ensure_timers t;
@@ -1248,9 +1196,9 @@ let fastpath_pred pcb ~seq ~ack ~flags ~dlen =
   && pcb.reass = []
   && pcb.snd_nxt = pcb.snd_max
   && pcb.t_dupacks < 3
-  && seq_geq ack pcb.snd_una
-  && seq_leq ack pcb.snd_max
-  && (seq_gt ack pcb.snd_una || dlen > 0)
+  && Codec.seq_geq ack pcb.snd_una
+  && Codec.seq_leq ack pcb.snd_max
+  && (Codec.seq_gt ack pcb.snd_una || dlen > 0)
   && dlen <= rcv_window pcb
 
 (* Returns true when [data] was appended to the receive buffer.  Mirrors
@@ -1258,11 +1206,11 @@ let fastpath_pred pcb ~seq ~ack ~flags ~dlen =
    donor's wl1/wl2 window-update rule, in-order append with the
    every-other-segment delayed ACK, then tcp_output. *)
 let fastpath_input t pcb ~seq ~ack ~win ~data ~dlen =
-  if seq_gt ack pcb.snd_una then ignore (process_ack pcb ack);
+  if Codec.seq_gt ack pcb.snd_una then ignore (process_ack pcb ack);
   if
-    seq_lt pcb.snd_wl1 seq
+    Codec.seq_lt pcb.snd_wl1 seq
     || (pcb.snd_wl1 = seq
-       && (seq_lt pcb.snd_wl2 ack || (pcb.snd_wl2 = ack && win > pcb.snd_wnd)))
+       && (Codec.seq_lt pcb.snd_wl2 ack || (pcb.snd_wl2 = ack && win > pcb.snd_wnd)))
   then begin
     pcb.snd_wnd <- win;
     pcb.snd_wl1 <- seq;
@@ -1274,7 +1222,7 @@ let fastpath_input t pcb ~seq ~ack ~win ~data ~dlen =
     if dlen > 0 then begin
       autotune_rcv t pcb ~dlen;
       Sockbuf.sbappend_chain pcb.rcv_buf data;
-      pcb.rcv_nxt <- m32 (pcb.rcv_nxt + dlen);
+      pcb.rcv_nxt <- Codec.m32 (pcb.rcv_nxt + dlen);
       if pcb.delack_pending then begin
         set_delack t pcb false;
         pcb.ack_now <- true
@@ -1312,15 +1260,17 @@ and input_segment t ~src ~dst m =
   in
   bump t (fun s -> s.rcvpack <- s.rcvpack + 1);
   let total = Mbuf.m_length m in
-  if total < tcp_hlen then begin
+  (* A runt, or a header whose data offset lies outside the segment. *)
+  let drop_short m =
     slowpath ();
     bump t (fun s -> s.rcvshort <- s.rcvshort + 1);
     Mbuf.m_freem m
-  end
+  in
+  if total < Codec.tcp_hlen then drop_short m
   else begin
     let sum =
       In_cksum.cksum_chain m ~off:0 ~len:total
-        ~init:(In_cksum.pseudo_header ~src ~dst ~proto:Ip.proto_tcp ~len:total)
+        ~init:(Codec.pseudo_header ~src ~dst ~proto:Ip.proto_tcp ~len:total)
     in
     if sum <> 0 then begin
       slowpath ();
@@ -1329,76 +1279,54 @@ and input_segment t ~src ~dst m =
     end
     else begin
       let m = Mbuf.m_pullup m (min total 64) in
-      let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-      let sport = Bytes.get_uint16_be d o in
-      let dport = Bytes.get_uint16_be d (o + 2) in
-      let seq = Int32.to_int (Bytes.get_int32_be d (o + 4)) land 0xffffffff in
-      let ack = Int32.to_int (Bytes.get_int32_be d (o + 8)) land 0xffffffff in
-      let hlen = (Char.code (Bytes.get d (o + 12)) lsr 4) * 4 in
-      let flags = Char.code (Bytes.get d (o + 13)) in
-      let win = Bytes.get_uint16_be d (o + 14) in
-      let mss_opt = ref None in
-      let wscale_opt = ref None in
-      let rec scan_opts p =
-        if p < hlen then begin
-          let kind = Char.code (Bytes.get d (o + p)) in
-          if kind = 0 then ()
-          else if kind = 1 then scan_opts (p + 1)
-          else begin
-            let olen = if p + 1 < hlen then Char.code (Bytes.get d (o + p + 1)) else 2 in
-            if kind = 2 && olen = 4 then mss_opt := Some (Bytes.get_uint16_be d (o + p + 2));
-            if kind = 3 && olen = 3 then
-              wscale_opt := Some (Char.code (Bytes.get d (o + p + 2)));
-            scan_opts (p + max 2 olen)
-          end
-        end
-      in
-      scan_opts tcp_hlen;
-      Mbuf.m_adj m hlen;
-      match find_pcb t ~src ~sport ~dport with
-      | None ->
-          slowpath ();
-          if flags land th_rst = 0 && err_allowed t then begin
-            (* SYN and FIN occupy sequence space: the RST must acknowledge
-               them or the peer will ignore it. *)
-            let seg_len =
-              Mbuf.m_length m
-              + (if flags land th_syn <> 0 then 1 else 0)
-              + if flags land th_fin <> 0 then 1 else 0
-            in
-            send_rst t ~src ~dst ~sport ~dport ~seq:(m32 (seq + seg_len)) ~ack
-              ~had_ack:(flags land th_ack <> 0)
-          end;
-          Mbuf.m_freem m
-      | Some pcb ->
-          let dlen = Mbuf.m_length m in
-          (* Past the handshake the 16-bit window field arrives shifted by
-             the peer's negotiated scale; SYN windows are never scaled. *)
-          let win = if flags land th_syn = 0 then win lsl pcb.snd_scale else win in
-          if fast && fastpath_pred pcb ~seq ~ack ~flags ~dlen then begin
-            Cost.count_fastpath_hit ();
-            if dlen > 0 then bump t (fun s -> s.preddat <- s.preddat + 1)
-            else bump t (fun s -> s.predack <- s.predack + 1);
-            if not (fastpath_input t pcb ~seq ~ack ~win ~data:m ~dlen) then Mbuf.m_freem m
-          end
-          else begin
-            slowpath ();
-            (* Only established-state, no-control-flag segments count as
-               prediction fallbacks; handshake and teardown segments are
-               inherently general-path. *)
-            if
-              fast && pcb.t_state = Established
-              && flags land (th_syn lor th_fin lor th_rst) = 0
-            then begin
-              Cost.count_fastpath_fallback ();
-              bump t (fun s -> s.predfallback <- s.predfallback + 1)
-            end;
-            if
-              not
-                (segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss:!mss_opt
-                   ~wscale:!wscale_opt ~data:m)
-            then Mbuf.m_freem m
-          end
+      match Codec.parse_tcp m.Mbuf.m_data ~off:m.Mbuf.m_off ~len:total with
+      | None -> drop_short m
+      | Some { Codec.sport; dport; seq; ack; hlen; flags; win; mss; wscale } -> (
+          Mbuf.m_adj m hlen;
+          match find_pcb t ~src ~sport ~dport with
+          | None ->
+              slowpath ();
+              if flags land th_rst = 0 && err_allowed t then begin
+                (* SYN and FIN occupy sequence space: the RST must acknowledge
+                   them or the peer will ignore it. *)
+                let seg_len =
+                  Mbuf.m_length m
+                  + (if flags land th_syn <> 0 then 1 else 0)
+                  + if flags land th_fin <> 0 then 1 else 0
+                in
+                send_rst t ~src ~dst ~sport ~dport ~seq:(Codec.m32 (seq + seg_len)) ~ack
+                  ~had_ack:(flags land th_ack <> 0)
+              end;
+              Mbuf.m_freem m
+          | Some pcb ->
+              let dlen = Mbuf.m_length m in
+              (* Past the handshake the 16-bit window field arrives shifted by
+                 the peer's negotiated scale; SYN windows are never scaled. *)
+              let win = if flags land th_syn = 0 then win lsl pcb.snd_scale else win in
+              if fast && fastpath_pred pcb ~seq ~ack ~flags ~dlen then begin
+                Cost.count_fastpath_hit ();
+                if dlen > 0 then bump t (fun s -> s.preddat <- s.preddat + 1)
+                else bump t (fun s -> s.predack <- s.predack + 1);
+                if not (fastpath_input t pcb ~seq ~ack ~win ~data:m ~dlen) then Mbuf.m_freem m
+              end
+              else begin
+                slowpath ();
+                (* Only established-state, no-control-flag segments count as
+                   prediction fallbacks; handshake and teardown segments are
+                   inherently general-path. *)
+                if
+                  fast && pcb.t_state = Established
+                  && flags land (th_syn lor th_fin lor th_rst) = 0
+                then begin
+                  Cost.count_fastpath_fallback ();
+                  bump t (fun s -> s.predfallback <- s.predfallback + 1)
+                end;
+                if
+                  not
+                    (segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale
+                       ~data:m)
+                then Mbuf.m_freem m
+              end)
     end
   end
 

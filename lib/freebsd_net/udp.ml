@@ -74,7 +74,7 @@ let attach ip =
         let sum_ok =
           csum = 0
           || In_cksum.cksum_chain m ~off:0 ~len:ulen
-               ~init:(In_cksum.pseudo_header ~src ~dst:t.ip.Ip.ifp.Netif.if_addr
+               ~init:(Codec.pseudo_header ~src ~dst:t.ip.Ip.ifp.Netif.if_addr
                         ~proto:Ip.proto_udp ~len:ulen)
              = 0
         in
@@ -173,7 +173,7 @@ and output_dgram t pcb ~dst ~dport ~src ~src_pos ~len =
   let laddr = t.ip.Ip.ifp.Netif.if_addr in
   let sum =
     In_cksum.cksum_chain m ~off:0 ~len:ulen
-      ~init:(In_cksum.pseudo_header ~src:laddr ~dst ~proto:Ip.proto_udp ~len:ulen)
+      ~init:(Codec.pseudo_header ~src:laddr ~dst ~proto:Ip.proto_udp ~len:ulen)
   in
   Bytes.set_uint16_be d (off + 6) (if sum = 0 then 0xffff else sum);
   Ip.output t.ip ~proto:Ip.proto_udp ~src:laddr ~dst m

@@ -9,8 +9,6 @@
    held) the half-open entry, the completing ACK alone — which echoes
    ISS+1 — carries enough to rebuild the connection. *)
 
-let m32 x = x land 0xffffffff
-
 (* One cached half-open handshake: a few words, against the two socket
    buffers a child connection would pin, so a flood holds trivial memory
    and embryonic connections stay off the accept backlog. *)
@@ -65,8 +63,8 @@ let mss_class mss =
 
 let cookie_hash t ~raddr ~rport ~lport =
   let mix h k =
-    let h = h lxor m32 (k * 0x9e3779b1) in
-    let h = m32 ((h lxor (h lsr 15)) * 0x85ebca6b) in
+    let h = h lxor Codec.m32 (k * 0x9e3779b1) in
+    let h = Codec.m32 ((h lxor (h lsr 15)) * 0x85ebca6b) in
     h lxor (h lsr 13)
   in
   let h = mix (t.secret land 0xffffffff) (Int32.to_int raddr land 0xffffffff) in
@@ -75,7 +73,7 @@ let cookie_hash t ~raddr ~rport ~lport =
   h land 0x3fffffff
 
 let cookie t ~raddr ~rport ~lport ~mss =
-  m32 ((cookie_hash t ~raddr ~rport ~lport lsl 2) lor mss_class mss)
+  Codec.m32 ((cookie_hash t ~raddr ~rport ~lport lsl 2) lor mss_class mss)
 
 (* The MSS class [iss] recorded, iff its hash checks out. *)
 let check_cookie t ~raddr ~rport ~lport ~iss =
@@ -118,17 +116,17 @@ let add t l ~raddr ~rport ~lport ~irs ~mss ~own_mss =
 let expand t l ~raddr ~rport ~lport ~seq ~ack =
   let r =
     match find l ~raddr ~rport with
-    | Some e when ack = m32 (e.iss + 1) && seq = m32 (e.irs + 1) ->
+    | Some e when ack = Codec.m32 (e.iss + 1) && seq = Codec.m32 (e.irs + 1) ->
         l.entries <- List.filter (fun x -> x != e) l.entries;
         bump t (fun s -> s.completed <- s.completed + 1);
         Some e
     | Some _ -> None
     | None -> (
-        let iss = m32 (ack - 1) in
+        let iss = Codec.m32 (ack - 1) in
         match check_cookie t ~raddr ~rport ~lport ~iss with
         | Some mss ->
             bump t (fun s -> s.validated <- s.validated + 1);
-            Some { raddr; rport; irs = m32 (seq - 1); iss; mss }
+            Some { raddr; rport; irs = Codec.m32 (seq - 1); iss; mss }
         | None -> None)
   in
   if Option.is_none r then bump t (fun s -> s.rejected <- s.rejected + 1);

@@ -12,8 +12,6 @@
  *)
 
 let eth_hlen = 14
-let ip_hlen = 20
-let tcp_hlen = 20
 let mss = 1460
 let default_window = 32 * 1024
 let rexmt_ns = 300_000_000
@@ -23,16 +21,6 @@ let th_fin = 0x01
 let th_syn = 0x02
 let th_rst = 0x04
 let th_ack = 0x10
-
-let m32 x = x land 0xffffffff
-
-let seq_diff a b =
-  let d = m32 (a - b) in
-  if d >= 0x80000000 then d - 0x100000000 else d
-
-let seq_lt a b = seq_diff a b < 0
-let seq_gt a b = seq_diff a b > 0
-let seq_geq a b = seq_diff a b >= 0
 
 type tcp_state =
   | Closed
@@ -124,20 +112,12 @@ type sock = {
   mutable next_lid : int;
 }
 
-(* An unresolved ARP destination: bounded waiter queue, retry timer. *)
-and arp_wait = {
-  mutable aw_waiters : ((string -> unit) * (unit -> unit)) list; (* newest first *)
-  mutable aw_tries : int;
-  mutable aw_timer : World.event option;
-}
-
 and stack = {
   machine : Machine.t;
   mutable dev : Linux_eth_drv.device option;
   mutable my_ip : int32;
   mutable my_mask : int32;
-  arp_cache : (int32, string) Hashtbl.t;
-  arp_pending : (int32, arp_wait) Hashtbl.t;
+  arp : Arp_resolver.t;
   mutable socks : sock list;
   (* hashed demux of connected socks (lib/inet); listeners are found by
      the lport-only fallback scan *)
@@ -154,8 +134,6 @@ and stack = {
   mutable rcvdup : int;         (* data at or below rcv_nxt, dropped *)
   mutable rcvoo : int;          (* data beyond rcv_nxt (no OOO queue here) *)
   mutable rcvfull : int;        (* in-order data dropped: receive queue full *)
-  mutable arp_waiters_dropped : int; (* pending queue overflow, drop-head *)
-  mutable arp_failures : int;   (* resolutions abandoned after retries *)
   mutable rexmt_give_ups : int; (* connections reset by the rexmt backstop *)
   mutable persist_probes : int; (* zero-window probes sent by the persist timer *)
   mutable listen_overflow : int; (* SYNs dropped: listen queue full *)
@@ -169,45 +147,49 @@ and stack = {
   mutable time_wait_reclaimed : int;
   mutable nomem_drops : int;    (* segments/frames dropped for want of an skb *)
   mutable rst_ratelimited : int;
-  (* Per-CPU shards of the per-segment counters (netstat sharding): every
-     bump updates BOTH the flat aggregate field above — so existing readers
-     see unchanged totals at any ncpus — and the executing CPU's shard; the
-     shards always sum to the aggregate. *)
-  shards : lshard array;
   (* The listen backlog is the one structure touched from two CPUs (SYN
      children enqueue on their home CPU, accept drains on the listener's);
      everything per-flow stays lock-free. *)
   lsk_accept_lock : Smp.spinlock;
 }
 
-and lshard = {
-  mutable sh_segs_out : int;
-  mutable sh_segs_in : int;
-  mutable sh_rexmits : int;
-  mutable sh_rcvdup : int;
-  mutable sh_rcvoo : int;
-  mutable sh_predack : int;
-  mutable sh_preddat : int;
-  mutable sh_predfallback : int;
-}
+let dev_of t = match t.dev with Some d -> d | None -> Error.fail Error.Nodev
+
+(* Build one ARP message in a fresh skb and transmit it.  Best effort, as
+   the resolver requires: a refused skb is a frame lost on the wire, and
+   must not raise — retries fire from a timer callback. *)
+let arp_output t ~op ~dst_mac ~target_mac ~target_ip =
+  let dev = dev_of t in
+  match Skbuff.alloc_skb (eth_hlen + Codec.arp_len + 16) with
+  | exception Memfault.Nomem -> ()
+  | skb ->
+      Skbuff.skb_reserve skb eth_hlen;
+      let off = Skbuff.skb_put skb Codec.arp_len in
+      Codec.write_arp skb.Skbuff.skb_data ~off ~op ~sha:dev.Linux_eth_drv.dev_addr ~spa:t.my_ip
+        ~tha:target_mac ~tpa:target_ip;
+      Linux_eth_drv.eth_header skb ~src:dev.Linux_eth_drv.dev_addr ~dst:dst_mac ~proto:0x0806;
+      Linux_eth_drv.hard_start_xmit dev skb;
+      (* The card has copied the frame out; retire the buffer. *)
+      Skbuff.skb_free skb
 
 let create machine =
-  { machine; dev = None; my_ip = 0l; my_mask = 0l; arp_cache = Hashtbl.create 16;
-    arp_pending = Hashtbl.create 4; socks = []; demux = Demux.create 64;
-    next_port = 1024; next_iss = 99000;
-    ip_id = 1; segs_out = 0; segs_in = 0; rexmits = 0; ipbadsum = 0; tcpbadsum = 0;
-    rcvdup = 0; rcvoo = 0; rcvfull = 0; arp_waiters_dropped = 0; arp_failures = 0;
-    rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
-    preddat = 0; predfallback = 0; syncache = Syncache.create machine ~secret:0x327b23c6;
-    tw = Tw_queue.create (); err_bucket = Token_bucket.create machine;
-    time_wait_reclaimed = 0; nomem_drops = 0; rst_ratelimited = 0;
-    shards =
-      Array.init (Machine.ncpus machine) (fun _ ->
-          { sh_segs_out = 0; sh_segs_in = 0; sh_rexmits = 0; sh_rcvdup = 0;
-            sh_rcvoo = 0; sh_predack = 0; sh_preddat = 0; sh_predfallback = 0 });
-    lsk_accept_lock = Smp.spinlock ~name:"inet-accept" () }
-
-let shard t = t.shards.(Machine.cpu t.machine)
+  (* Lazy only so the resolver's [send] can name the stack it belongs to. *)
+  let rec t =
+    lazy
+      { machine; dev = None; my_ip = 0l; my_mask = 0l;
+        arp =
+          Arp_resolver.create machine ~send:(fun ~op ~dst_mac ~target_mac ~target_ip ->
+              arp_output (Lazy.force t) ~op ~dst_mac ~target_mac ~target_ip);
+        socks = []; demux = Demux.create 64; next_port = 1024; next_iss = 99000;
+        ip_id = 1; segs_out = 0; segs_in = 0; rexmits = 0; ipbadsum = 0; tcpbadsum = 0;
+        rcvdup = 0; rcvoo = 0; rcvfull = 0;
+        rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
+        preddat = 0; predfallback = 0; syncache = Syncache.create machine ~secret:0x327b23c6;
+        tw = Tw_queue.create (); err_bucket = Token_bucket.create machine;
+        time_wait_reclaimed = 0; nomem_drops = 0; rst_ratelimited = 0;
+        lsk_accept_lock = Smp.spinlock ~name:"inet-accept" () }
+  in
+  Lazy.force t
 
 let with_accept_lock t f =
   if Machine.ncpus t.machine > 1 then Smp.with_spinlock t.lsk_accept_lock f
@@ -240,137 +222,6 @@ let ifconfig t ~addr ~mask =
   t.my_ip <- addr;
   t.my_mask <- mask
 
-let dev_of t = match t.dev with Some d -> d | None -> Error.fail Error.Nodev
-
-(* ---- byte helpers ---- *)
-
-let put32be d o v =
-  Bytes.set d o (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xff));
-  Bytes.set d (o + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xff));
-  Bytes.set d (o + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xff));
-  Bytes.set d (o + 3) (Char.chr (Int32.to_int v land 0xff))
-
-let get32be d o =
-  let b i = Int32.of_int (Char.code (Bytes.get d (o + i))) in
-  Int32.logor
-    (Int32.shift_left (b 0) 24)
-    (Int32.logor (Int32.shift_left (b 1) 16) (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
-
-let cksum ?(init = 0) d ~off ~len =
-  Cost.charge_checksum len;
-  let sum = ref init in
-  for i = 0 to len - 1 do
-    let byte = Char.code (Bytes.get d (off + i)) in
-    if i land 1 = 0 then sum := !sum + (byte lsl 8) else sum := !sum + byte
-  done;
-  let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
-  lnot (fold !sum) land 0xffff
-
-let pseudo ~src ~dst ~proto ~len =
-  let hi v = Int32.to_int (Int32.shift_right_logical v 16) land 0xffff in
-  let lo v = Int32.to_int v land 0xffff in
-  hi src + lo src + hi dst + lo dst + proto + len
-
-(* ---- ARP ---- *)
-
-let arp_output t ~op ~dst_mac ~target_mac ~target_ip =
-  let dev = dev_of t in
-  let skb = Skbuff.alloc_skb (eth_hlen + 28 + 16) in
-  Skbuff.skb_reserve skb eth_hlen;
-  let off = Skbuff.skb_put skb 28 in
-  let d = skb.Skbuff.skb_data in
-  Bytes.set_uint16_be d off 1;
-  Bytes.set_uint16_be d (off + 2) 0x0800;
-  Bytes.set d (off + 4) '\006';
-  Bytes.set d (off + 5) '\004';
-  Bytes.set_uint16_be d (off + 6) op;
-  Bytes.blit_string dev.Linux_eth_drv.dev_addr 0 d (off + 8) 6;
-  put32be d (off + 14) t.my_ip;
-  Bytes.blit_string target_mac 0 d (off + 18) 6;
-  put32be d (off + 24) target_ip;
-  Linux_eth_drv.eth_header skb ~src:dev.Linux_eth_drv.dev_addr ~dst:dst_mac ~proto:0x0806;
-  Linux_eth_drv.hard_start_xmit dev skb;
-  (* The card has copied the frame out; retire the buffer. *)
-  Skbuff.skb_free skb
-
-let arp_request t ip =
-  (* A request lost to memory pressure looks exactly like one lost on the
-     wire; the backoff timer re-sends.  Must not raise — retries fire from
-     a timer callback. *)
-  try
-    arp_output t ~op:1 ~dst_mac:"\xff\xff\xff\xff\xff\xff"
-      ~target_mac:"\000\000\000\000\000\000" ~target_ip:ip
-  with Memfault.Nomem -> ()
-
-(* Pending-queue and retry limits, as in the FreeBSD side: a handful of
-   waiters, request backoff doubling from 0.5 s, then give up and fail
-   whatever is still queued. *)
-let arp_max_waiters = 16
-let arp_max_tries = 5
-let arp_retry_base_ns = 500_000_000
-
-let rec arp_schedule_retry t ip w =
-  let delay = arp_retry_base_ns * (1 lsl (w.aw_tries - 1)) in
-  w.aw_timer <-
-    Some
-      (Machine.after t.machine delay (fun () ->
-           w.aw_timer <- None;
-           if w.aw_tries >= arp_max_tries then begin
-             Hashtbl.remove t.arp_pending ip;
-             t.arp_failures <- t.arp_failures + 1;
-             List.iter (fun (_, on_drop) -> on_drop ()) (List.rev w.aw_waiters);
-             w.aw_waiters <- []
-           end
-           else begin
-             w.aw_tries <- w.aw_tries + 1;
-             arp_request t ip;
-             arp_schedule_retry t ip w
-           end))
-
-let arp_resolve t ip ?(on_drop = fun () -> ()) k =
-  match Hashtbl.find_opt t.arp_cache ip with
-  | Some mac -> k mac
-  | None -> (
-      match Hashtbl.find_opt t.arp_pending ip with
-      | Some w ->
-          if List.length w.aw_waiters >= arp_max_waiters then begin
-            match List.rev w.aw_waiters with
-            | (_, oldest_drop) :: rest ->
-                t.arp_waiters_dropped <- t.arp_waiters_dropped + 1;
-                oldest_drop ();
-                w.aw_waiters <- List.rev rest
-            | [] -> ()
-          end;
-          w.aw_waiters <- (k, on_drop) :: w.aw_waiters
-      | None ->
-          let w = { aw_waiters = [ (k, on_drop) ]; aw_tries = 1; aw_timer = None } in
-          Hashtbl.replace t.arp_pending ip w;
-          arp_request t ip;
-          arp_schedule_retry t ip w)
-
-let arp_rcv t skb =
-  let d = skb.Skbuff.skb_data and o = skb.Skbuff.head in
-  if skb.Skbuff.len >= 28 then begin
-    let op = Bytes.get_uint16_be d (o + 6) in
-    let sender_mac = Bytes.sub_string d (o + 8) 6 in
-    let sender_ip = get32be d (o + 14) in
-    let target_ip = get32be d (o + 24) in
-    Hashtbl.replace t.arp_cache sender_ip sender_mac;
-    (match Hashtbl.find_opt t.arp_pending sender_ip with
-    | Some w ->
-        Hashtbl.remove t.arp_pending sender_ip;
-        (match w.aw_timer with
-        | Some ev -> World.cancel ev; w.aw_timer <- None
-        | None -> ());
-        List.iter (fun (k, _) -> k sender_mac) (List.rev w.aw_waiters)
-    | None -> ());
-    if op = 1 && Int32.equal target_ip t.my_ip then
-      (* The reply is best-effort: the requester re-asks if it never comes. *)
-      try arp_output t ~op:2 ~dst_mac:sender_mac ~target_mac:sender_mac ~target_ip:sender_ip
-      with Memfault.Nomem -> ()
-  end;
-  Skbuff.skb_free skb
-
 (* ---- IP ---- *)
 
 (* [skb] carries the transport payload; push the IP header and transmit.
@@ -378,25 +229,15 @@ let arp_rcv t skb =
    when ARP defers the transmit into a continuation; frames kept for
    retransmission must not set it. *)
 let ip_output t ?(free_after = false) ~proto ~dst skb =
-  let off = Skbuff.skb_push skb ip_hlen in
-  let d = skb.Skbuff.skb_data in
-  Bytes.set d off '\x45';
-  Bytes.set d (off + 1) '\000';
-  Bytes.set_uint16_be d (off + 2) skb.Skbuff.len;
-  Bytes.set_uint16_be d (off + 4) t.ip_id;
+  let off = Skbuff.skb_push skb Codec.ip_hlen in
+  Codec.write_ip skb.Skbuff.skb_data ~off ~total:skb.Skbuff.len ~id:t.ip_id ~more_frags:false
+    ~frag_off:0 ~ttl:64 ~proto ~src:t.my_ip ~dst;
   t.ip_id <- (t.ip_id + 1) land 0xffff;
-  Bytes.set_uint16_be d (off + 6) 0;
-  Bytes.set d (off + 8) '\064';
-  Bytes.set d (off + 9) (Char.chr proto);
-  Bytes.set_uint16_be d (off + 10) 0;
-  put32be d (off + 12) t.my_ip;
-  put32be d (off + 16) dst;
-  Bytes.set_uint16_be d (off + 10) (cksum d ~off ~len:ip_hlen);
   let dev = dev_of t in
   (* If ARP gives up, a fire-and-forget frame is freed here; a frame queued
      for retransmission stays owned by its socket's rexmt machinery (and is
      never handed to the device without a link header — see arm_rexmt). *)
-  arp_resolve t dst
+  Arp_resolver.resolve t.arp dst
     ~on_drop:(fun () -> if free_after then Skbuff.skb_free skb)
     (fun mac ->
       Linux_eth_drv.eth_header skb ~src:dev.Linux_eth_drv.dev_addr ~dst:mac ~proto:0x0800;
@@ -406,7 +247,7 @@ let ip_output t ?(free_after = false) ~proto ~dst skb =
 (* ---- TCP ---- *)
 
 let next_iss t =
-  t.next_iss <- m32 (t.next_iss + 64000);
+  t.next_iss <- Codec.m32 (t.next_iss + 64000);
   t.next_iss
 
 let alloc_port t =
@@ -416,7 +257,7 @@ let alloc_port t =
   t.next_port <- p + 1;
   p
 
-let inflight s = seq_diff s.snd_nxt s.snd_una
+let inflight s = Codec.seq_diff s.snd_nxt s.snd_una
 
 let rcv_window s = max 0 (s.rcv_buf_max - s.rcv_q_bytes)
 
@@ -543,54 +384,37 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
     syn && Cost.config.tcp_wscale
     && (flags land th_ack = 0 || s.peer_wscale >= 0)
   in
-  let opt_len = if emit_opts then 8 else 0 in
-  let hlen = tcp_hlen + opt_len in
-  match Skbuff.alloc_skb (eth_hlen + ip_hlen + hlen + plen + 16) with
+  let mss, wscale = if emit_opts then Some s.smss, Some (request_scale ()) else None, None in
+  let hlen = Codec.tcp_header_len ~mss ~wscale in
+  match Skbuff.alloc_skb (eth_hlen + Codec.ip_hlen + hlen + plen + 16) with
   | exception Memfault.Nomem ->
       t.nomem_drops <- t.nomem_drops + 1;
       lx_reclaim t;
       false
   | skb ->
   Cost.charge_cycles Cost.config.linux_tcp_pkt_cycles;
-  t.segs_out <- t.segs_out + 1; (shard t).sh_segs_out <- (shard t).sh_segs_out + 1;
-  Skbuff.skb_reserve skb (eth_hlen + ip_hlen);
+  t.segs_out <- t.segs_out + 1;
+  Skbuff.skb_reserve skb (eth_hlen + Codec.ip_hlen);
   let off = Skbuff.skb_put skb (hlen + plen) in
   let d = skb.Skbuff.skb_data in
-  Bytes.set_uint16_be d off s.lport;
-  Bytes.set_uint16_be d (off + 2) s.rport;
-  Bytes.set_int32_be d (off + 4) (Int32.of_int (m32 seq));
-  Bytes.set_int32_be d (off + 8)
-    (Int32.of_int (if flags land th_ack <> 0 then m32 s.rcv_nxt else 0));
-  Bytes.set d (off + 12) (Char.chr ((hlen / 4) lsl 4));
-  Bytes.set d (off + 13) (Char.chr flags);
   (* RFC 1323: the window field is scaled except on SYN segments. *)
-  let wfield =
+  let win =
     if syn then min 0xffff (rcv_window s)
     else min 0xffff (rcv_window s asr s.rcv_scale)
   in
-  Bytes.set_uint16_be d (off + 14) wfield;
-  s.adv_wnd <- (if syn then wfield else wfield lsl s.rcv_scale);
-  Bytes.set_uint16_be d (off + 16) 0;
-  Bytes.set_uint16_be d (off + 18) 0;
-  if emit_opts then begin
-    (* MSS, then NOP + the 3-byte wscale option. *)
-    Bytes.set d (off + 20) '\002';
-    Bytes.set d (off + 21) '\004';
-    Bytes.set_uint16_be d (off + 22) s.smss;
-    Bytes.set d (off + 24) '\001';
-    Bytes.set d (off + 25) '\003';
-    Bytes.set d (off + 26) '\003';
-    Bytes.set d (off + 27) (Char.chr (request_scale () land 0xff))
-  end;
+  s.adv_wnd <- (if syn then win else win lsl s.rcv_scale);
+  Codec.write_tcp d ~off ~sport:s.lport ~dport:s.rport ~seq
+    ~ack:(if flags land th_ack <> 0 then s.rcv_nxt else 0)
+    ~flags ~win ~mss ~wscale;
   (match payload with
   | Some (src, pos, len) ->
       Cost.charge_copy len;
       Bytes.blit src pos d (off + hlen) len
   | None -> ());
   let total = hlen + plen in
-  Bytes.set_uint16_be d (off + 16)
-    (cksum d ~off ~len:total
-       ~init:(pseudo ~src:t.my_ip ~dst:s.raddr ~proto:6 ~len:total));
+  Codec.set_tcp_cksum d ~off ~zero_as_ones:false
+    (Codec.cksum_bytes d ~off ~len:total
+       ~init:(Codec.pseudo_header ~src:t.my_ip ~dst:s.raddr ~proto:6 ~len:total));
   let seg_bytes =
     (if flags land th_syn <> 0 then 1 else 0)
     + (if flags land th_fin <> 0 then 1 else 0)
@@ -599,7 +423,8 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
   let queued = queue && seg_bytes > 0 in
   if queued then begin
     if s.rexmt_q = [] then s.rexmt_stamp <- Machine.now t.machine;
-    s.rexmt_q <- s.rexmt_q @ [ { rx_seq = seq; rx_end = m32 (seq + seg_bytes); rx_frame = skb } ];
+    s.rexmt_q <-
+      s.rexmt_q @ [ { rx_seq = seq; rx_end = Codec.m32 (seq + seg_bytes); rx_frame = skb } ];
     s.rexmt_q_len <- s.rexmt_q_len + 1;
     (* Start an RTT sample on fresh data when none is in flight.  Only
        tcp_xmit sends first transmissions — every retransmit path resends
@@ -607,7 +432,7 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
        sample can never cover a retransmitted range (Karn's rule). *)
     if s.rtt_ts = 0 then begin
       s.rtt_ts <- Machine.now t.machine;
-      s.rtt_seq <- m32 (seq + seg_bytes)
+      s.rtt_seq <- Codec.m32 (seq + seg_bytes)
     end
   end;
   (* Unqueued frames (pure ACKs, RSTs) die on the wire; queued ones are
@@ -649,7 +474,7 @@ and arm_rexmt t s =
                    wake s
                  end
                  else begin
-                   t.rexmits <- t.rexmits + 1; (shard t).sh_rexmits <- (shard t).sh_rexmits + 1;
+                   t.rexmits <- t.rexmits + 1;
                    s.rexmt_shift <- s.rexmt_shift + 1;
                    s.ssthresh <- max (2 * s.smss) (min s.cwnd s.snd_wnd / 2);
                    s.cwnd <- s.smss;
@@ -692,7 +517,7 @@ and arm_persist t s =
              s.persist_shift <- min (s.persist_shift + 1) rexmt_max_shift;
              let probe = Bytes.make 1 '\000' in
              ignore
-               (tcp_xmit t s ~seq:(m32 (s.snd_nxt - 1)) ~flags:th_ack
+               (tcp_xmit t s ~seq:(Codec.m32 (s.snd_nxt - 1)) ~flags:th_ack
                   ~payload:(Some (probe, 0, 1)) ~queue:false);
              arm_persist t s
            end
@@ -752,7 +577,7 @@ let find_sock t ~src ~sport ~dport =
 let lx_send_synack t ~raddr ~rport ~lport (e : Syncache.entry) =
   let fake =
     { (blank_sock t) with state = Syn_recv; lport; rport; raddr; smss = e.Syncache.mss;
-      rcv_nxt = m32 (e.Syncache.irs + 1) }
+      rcv_nxt = Codec.m32 (e.Syncache.irs + 1) }
   in
   ignore (tcp_xmit t fake ~seq:e.Syncache.iss ~flags:(th_syn lor th_ack) ~payload:None ~queue:false)
 
@@ -785,9 +610,9 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
         sock_hash_add t c;
         c.parent <- Some s;
         c.iss <- iss;
-        c.snd_una <- m32 (iss + 1);
-        c.snd_nxt <- m32 (iss + 1);
-        c.rcv_nxt <- m32 (irs + 1);
+        c.snd_una <- Codec.m32 (iss + 1);
+        c.snd_nxt <- Codec.m32 (iss + 1);
+        c.rcv_nxt <- Codec.m32 (irs + 1);
         c.smss <- mss;
         c.snd_wnd <- win;
         c.cwnd <- 2 * c.smss;
@@ -798,7 +623,7 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
 
 (* Retire every queued frame the ACK covers. *)
 let drop_acked s ack =
-  let acked, live = List.partition (fun e -> not (seq_gt e.rx_end ack)) s.rexmt_q in
+  let acked, live = List.partition (fun e -> not (Codec.seq_gt e.rx_end ack)) s.rexmt_q in
   List.iter (fun e -> Skbuff.skb_free e.rx_frame) acked;
   s.rexmt_q <- live;
   s.rexmt_q_len <- s.rexmt_q_len - List.length acked
@@ -810,7 +635,7 @@ let retransmit_head t s =
   match s.rexmt_q with
   | [] -> ()
   | e :: _ ->
-      t.rexmits <- t.rexmits + 1; (shard t).sh_rexmits <- (shard t).sh_rexmits + 1;
+      t.rexmits <- t.rexmits + 1;
       s.rexmt_stamp <- Machine.now t.machine;
       if e.rx_frame.Skbuff.link_ready then
         Linux_eth_drv.hard_start_xmit (dev_of t) e.rx_frame
@@ -831,7 +656,7 @@ let tcp_rtt_sample s m =
 
 (* Drop acknowledged segments from the retransmission queue. *)
 let ack_advance t s ack =
-  if seq_gt ack s.snd_una then begin
+  if Codec.seq_gt ack s.snd_una then begin
     s.snd_una <- ack;
     drop_acked s ack;
     s.rexmt_shift <- 0;
@@ -845,14 +670,14 @@ let ack_advance t s ack =
 (* An ACK that advances snd_una: sample the RTT (Karn-guarded), then either
    continue NewReno recovery on a partial ACK or leave it and grow cwnd. *)
 let tcp_ack t s ack =
-  if s.rtt_ts > 0 && seq_geq ack s.rtt_seq then begin
+  if s.rtt_ts > 0 && Codec.seq_geq ack s.rtt_seq then begin
     tcp_rtt_sample s (Machine.now t.machine - s.rtt_ts);
     s.rtt_ts <- 0
   end;
-  if s.dupacks >= 3 && seq_lt ack s.recover then begin
+  if s.dupacks >= 3 && Codec.seq_lt ack s.recover then begin
     (* NewReno partial ACK: the next segment of the same window is lost
        too — plug it now, deflate by the amount acked, stay in recovery. *)
-    let acked = seq_diff ack s.snd_una in
+    let acked = Codec.seq_diff ack s.snd_una in
     s.snd_una <- ack;
     drop_acked s ack;
     s.rexmt_shift <- 0;
@@ -874,7 +699,7 @@ let tcp_ack t s ack =
 let tcp_ack_in t s ~ack ~win ~dlen =
   let old_wnd = s.snd_wnd in
   s.snd_wnd <- win;
-  if seq_gt ack s.snd_una then tcp_ack t s ack
+  if Codec.seq_gt ack s.snd_una then tcp_ack t s ack
   else if dlen = 0 && win = old_wnd && ack = s.snd_una && s.rexmt_q_len > 0 then begin
     s.dupacks <- s.dupacks + 1;
     if s.dupacks = 3 then begin
@@ -916,11 +741,11 @@ let autotune_rcv t s ~dlen =
 let ooo_insert t s ~seq skb =
   let dlen = skb.Skbuff.len in
   if not Cost.config.tcp_wscale then begin
-    t.rcvoo <- t.rcvoo + 1; (shard t).sh_rcvoo <- (shard t).sh_rcvoo + 1;
+    t.rcvoo <- t.rcvoo + 1;
     false
   end
   else if List.exists (fun (q, _) -> q = seq) s.ooo_q then begin
-    t.rcvdup <- t.rcvdup + 1; (shard t).sh_rcvdup <- (shard t).sh_rcvdup + 1;
+    t.rcvdup <- t.rcvdup + 1;
     false
   end
   else if s.ooo_bytes + dlen > s.rcv_buf_max then begin
@@ -930,7 +755,7 @@ let ooo_insert t s ~seq skb =
   else begin
     let rec ins = function
       | [] -> [ (seq, skb) ]
-      | (q, _) :: _ as l when seq_lt seq q -> (seq, skb) :: l
+      | (q, _) :: _ as l when Codec.seq_lt seq q -> (seq, skb) :: l
       | e :: rest -> e :: ins rest
     in
     s.ooo_q <- ins s.ooo_q;
@@ -942,18 +767,18 @@ let ooo_insert t s ~seq skb =
    out of the reassembly queue (a no-op when it is empty). *)
 let rec ooo_drain s =
   match s.ooo_q with
-  | (q, skb) :: rest when seq_geq s.rcv_nxt q ->
+  | (q, skb) :: rest when Codec.seq_geq s.rcv_nxt q ->
       s.ooo_q <- rest;
       let len = skb.Skbuff.len in
       s.ooo_bytes <- s.ooo_bytes - len;
-      let past = seq_diff s.rcv_nxt q in
+      let past = Codec.seq_diff s.rcv_nxt q in
       if past >= len then Skbuff.skb_free skb
       else begin
         if past > 0 then ignore (Skbuff.skb_pull skb past);
         let n = skb.Skbuff.len in
         Queue.add skb s.rcv_q;
         s.rcv_q_bytes <- s.rcv_q_bytes + n;
-        s.rcv_nxt <- m32 (s.rcv_nxt + n)
+        s.rcv_nxt <- Codec.m32 (s.rcv_nxt + n)
       end;
       ooo_drain s
   | _ -> ()
@@ -970,46 +795,27 @@ let tcp_rcv t skb ~src =
       Cost.charge_cycles
         (max 0 (Cost.config.linux_tcp_pkt_cycles - Cost.config.tcp_fastpath_cycles))
   in
-  t.segs_in <- t.segs_in + 1; (shard t).sh_segs_in <- (shard t).sh_segs_in + 1;
+  t.segs_in <- t.segs_in + 1;
   let d = skb.Skbuff.skb_data and o = skb.Skbuff.head in
   (* The buffer is consumed here unless it lands on a receive queue. *)
   let stored = ref false in
-  (if skb.Skbuff.len < tcp_hlen then slowpath ()
-  else begin
-    let total = skb.Skbuff.len in
-    if
-      cksum d ~off:o ~len:total ~init:(pseudo ~src ~dst:t.my_ip ~proto:6 ~len:total) <> 0
-    then begin
-      slowpath ();
-      t.tcpbadsum <- t.tcpbadsum + 1
-    end
-    else begin
-      let sport = Bytes.get_uint16_be d o in
-      let dport = Bytes.get_uint16_be d (o + 2) in
-      let seq = Int32.to_int (Bytes.get_int32_be d (o + 4)) land 0xffffffff in
-      let ack = Int32.to_int (Bytes.get_int32_be d (o + 8)) land 0xffffffff in
-      let hlen = (Char.code (Bytes.get d (o + 12)) lsr 4) * 4 in
-      let flags = Char.code (Bytes.get d (o + 13)) in
-      let win = Bytes.get_uint16_be d (o + 14) in
-      (* TCP options (2.0 sent none; the BSD peer and our own wscale-mode
-         SYNs do).  Parsed before the header is stripped. *)
-      let mss_opt = ref None in
-      let wscale_opt = ref None in
-      let rec scan_opts p =
-        if p < hlen then begin
-          let kind = Char.code (Bytes.get d (o + p)) in
-          if kind = 0 then ()
-          else if kind = 1 then scan_opts (p + 1)
-          else begin
-            let olen = if p + 1 < hlen then Char.code (Bytes.get d (o + p + 1)) else 2 in
-            if kind = 2 && olen = 4 then mss_opt := Some (Bytes.get_uint16_be d (o + p + 2));
-            if kind = 3 && olen = 3 then
-              wscale_opt := Some (Char.code (Bytes.get d (o + p + 2)));
-            scan_opts (p + max 2 olen)
-          end
-        end
-      in
-      if hlen > tcp_hlen then scan_opts tcp_hlen;
+  let total = skb.Skbuff.len in
+  (if total < Codec.tcp_hlen then slowpath ()
+  else if
+    Codec.cksum_bytes d ~off:o ~len:total
+      ~init:(Codec.pseudo_header ~src ~dst:t.my_ip ~proto:6 ~len:total)
+    <> 0
+  then begin
+    slowpath ();
+    t.tcpbadsum <- t.tcpbadsum + 1
+  end
+  else
+    (* TCP options (2.0 sent none; the BSD peer and our own wscale-mode
+       SYNs do) are parsed before the header is stripped.  A data offset
+       outside the segment is dropped like a runt. *)
+    match Codec.parse_tcp d ~off:o ~len:total with
+    | None -> slowpath ()
+    | Some { Codec.sport; dport; seq; ack; hlen; flags; win; mss; wscale } -> (
       ignore (Skbuff.skb_pull skb hlen);
       let dlen = skb.Skbuff.len in
       match find_sock t ~src ~sport ~dport with
@@ -1026,21 +832,14 @@ let tcp_rcv t skb ~src =
              excludes SYN, so the window field is always scale-shifted. *)
           let win = win lsl s.snd_scale in
           Cost.count_fastpath_hit ();
-          if dlen > 0 then begin
-            t.preddat <- t.preddat + 1;
-            (shard t).sh_preddat <- (shard t).sh_preddat + 1
-          end
-          else begin
-            t.predack <- t.predack + 1;
-            (shard t).sh_predack <- (shard t).sh_predack + 1
-          end;
+          if dlen > 0 then t.preddat <- t.preddat + 1 else t.predack <- t.predack + 1;
           tcp_ack_in t s ~ack ~win ~dlen;
           if dlen > 0 then begin
             autotune_rcv t s ~dlen;
             Queue.add skb s.rcv_q;
             stored := true;
             s.rcv_q_bytes <- s.rcv_q_bytes + dlen;
-            s.rcv_nxt <- m32 (s.rcv_nxt + dlen);
+            s.rcv_nxt <- Codec.m32 (s.rcv_nxt + dlen);
             ooo_drain s;
             send_ack t s;
             wake s
@@ -1058,7 +857,7 @@ let tcp_rcv t skb ~src =
             && flags land (th_syn lor th_fin lor th_rst) = 0
           then begin
             Cost.count_fastpath_fallback ();
-            t.predfallback <- t.predfallback + 1; (shard t).sh_predfallback <- (shard t).sh_predfallback + 1
+            t.predfallback <- t.predfallback + 1
           end;
           if flags land th_rst <> 0 then begin
             if s.state <> Listen then begin
@@ -1076,7 +875,7 @@ let tcp_rcv t skb ~src =
                      the cookie), not as embryonic socks, so a flood cannot
                      pin the backlog. *)
                   if flags land th_syn <> 0 then
-                    lx_syncache_add t s ~src ~sport ~seq ~mss:!mss_opt
+                    lx_syncache_add t s ~src ~sport ~seq ~mss:mss
                   else if flags land th_ack <> 0 then
                     lx_syncache_expand t s ~src ~sport ~seq ~ack ~win
                 end
@@ -1102,17 +901,17 @@ let tcp_rcv t skb ~src =
                   c.raddr <- src;
                   sock_hash_add t c;
                   c.parent <- Some s;
-                  c.rcv_nxt <- m32 (seq + 1);
+                  c.rcv_nxt <- Codec.m32 (seq + 1);
                   c.iss <- next_iss t;
                   c.snd_una <- c.iss;
-                  c.snd_nxt <- m32 (c.iss + 1);
+                  c.snd_nxt <- Codec.m32 (c.iss + 1);
                   c.snd_wnd <- win;
                   (* Peer options bind before the SYN-ACK goes out, so the
                      SYN-ACK's wscale offer and MSS reflect them. *)
-                  (match !mss_opt with
+                  (match mss with
                   | Some v -> c.smss <- min Cost.config.tcp_mss v
                   | None -> ());
-                  (match !wscale_opt with
+                  (match wscale with
                   | Some sc -> setup_scaling c ~peer:sc
                   | None -> ());
                   if
@@ -1131,11 +930,11 @@ let tcp_rcv t skb ~src =
             | Syn_sent ->
                 if flags land th_syn <> 0 && flags land th_ack <> 0 && ack = s.snd_nxt
                 then begin
-                  s.rcv_nxt <- m32 (seq + 1);
-                  (match !mss_opt with
+                  s.rcv_nxt <- Codec.m32 (seq + 1);
+                  (match mss with
                   | Some v -> s.smss <- min Cost.config.tcp_mss v
                   | None -> ());
-                  (match !wscale_opt with
+                  (match wscale with
                   | Some sc -> setup_scaling s ~peer:sc
                   | None -> ());
                   s.snd_wnd <- win;
@@ -1198,12 +997,12 @@ let tcp_rcv t skb ~src =
                     Queue.add skb s.rcv_q;
                     stored := true;
                     s.rcv_q_bytes <- s.rcv_q_bytes + dlen;
-                    s.rcv_nxt <- m32 (s.rcv_nxt + dlen);
+                    s.rcv_nxt <- Codec.m32 (s.rcv_nxt + dlen);
                     ooo_drain s;
                     send_ack t s;
                     wake s
                   end
-                  else if seq_gt seq s.rcv_nxt then begin
+                  else if Codec.seq_gt seq s.rcv_nxt then begin
                     (* Beyond the hole: reassemble (wscale mode) or drop as
                        2.0 did; either way the dup-ACK goes out. *)
                     if ooo_insert t s ~seq skb then stored := true;
@@ -1211,19 +1010,16 @@ let tcp_rcv t skb ~src =
                   end
                   else begin
                     (* Duplicate or no room: count which, dup-ACK, drop. *)
-                    if seq_lt seq s.rcv_nxt then begin
-                      t.rcvdup <- t.rcvdup + 1;
-                      (shard t).sh_rcvdup <- (shard t).sh_rcvdup + 1
-                    end
+                    if Codec.seq_lt seq s.rcv_nxt then t.rcvdup <- t.rcvdup + 1
                     else t.rcvfull <- t.rcvfull + 1;
                     send_ack t s
                   end
                 end;
                 (* FIN. *)
-                if flags land th_fin <> 0 && m32 (seq + dlen) = s.rcv_nxt then begin
+                if flags land th_fin <> 0 && Codec.m32 (seq + dlen) = s.rcv_nxt then begin
                   if not s.peer_fin then begin
                     s.peer_fin <- true;
-                    s.rcv_nxt <- m32 (s.rcv_nxt + 1);
+                    s.rcv_nxt <- Codec.m32 (s.rcv_nxt + 1);
                     send_ack t s;
                     (match s.state with
                     | Established -> s.state <- Close_wait
@@ -1233,33 +1029,27 @@ let tcp_rcv t skb ~src =
                   end
                   else send_ack t s
                 end)
-            | Closed -> ())
-    end
-  end);
+            | Closed -> ())));
   if not !stored then Skbuff.skb_free skb
 
 (* ---- input demux from the driver ---- *)
 
 let ip_rcv t skb =
   let d = skb.Skbuff.skb_data and o = skb.Skbuff.head in
-  if skb.Skbuff.len < ip_hlen then Skbuff.skb_free skb
-  else begin
-    let ihl = (Char.code (Bytes.get d o) land 0xf) * 4 in
-    let total = Bytes.get_uint16_be d (o + 2) in
-    let proto = Char.code (Bytes.get d (o + 9)) in
-    let src = get32be d (o + 12) and dst = get32be d (o + 16) in
-    if cksum d ~off:o ~len:ihl <> 0 then begin
-      t.ipbadsum <- t.ipbadsum + 1;
-      Skbuff.skb_free skb
-    end
-    else if not (Int32.equal dst t.my_ip) then Skbuff.skb_free skb
-    else begin
-      (* Trim link padding, strip the header. *)
-      Skbuff.skb_trim skb total;
-      ignore (Skbuff.skb_pull skb ihl);
-      if proto = 6 then tcp_rcv t skb ~src else Skbuff.skb_free skb
-    end
-  end
+  match Codec.parse_ip d ~off:o ~len:skb.Skbuff.len with
+  | None -> Skbuff.skb_free skb (* runt, or bad header lengths *)
+  | Some h ->
+      if Codec.cksum_bytes d ~off:o ~len:h.Codec.ihl <> 0 then begin
+        t.ipbadsum <- t.ipbadsum + 1;
+        Skbuff.skb_free skb
+      end
+      else if not (Int32.equal h.Codec.dst t.my_ip) then Skbuff.skb_free skb
+      else begin
+        (* Trim link padding, strip the header. *)
+        Skbuff.skb_trim skb h.Codec.total;
+        ignore (Skbuff.skb_pull skb h.Codec.ihl);
+        if h.Codec.proto = 6 then tcp_rcv t skb ~src:h.Codec.src else Skbuff.skb_free skb
+      end
 
 let netif_rx t skb =
   ignore (Skbuff.skb_pull skb eth_hlen);
@@ -1269,7 +1059,9 @@ let netif_rx t skb =
   try
     match skb.Skbuff.protocol with
     | 0x0800 -> ip_rcv t skb
-    | 0x0806 -> arp_rcv t skb
+    | 0x0806 ->
+        Arp_resolver.input t.arp ~my_ip:t.my_ip skb.Skbuff.skb_data ~off:skb.Skbuff.head
+          ~len:skb.Skbuff.len ~release:(fun () -> Skbuff.skb_free skb)
     | _ -> Skbuff.skb_free skb
   with Memfault.Nomem -> t.nomem_drops <- t.nomem_drops + 1
 
@@ -1315,7 +1107,7 @@ let connect_start t s ~dst ~dport =
   sock_hash_add t s;
   s.iss <- next_iss t;
   s.snd_una <- s.iss;
-  s.snd_nxt <- m32 (s.iss + 1);
+  s.snd_nxt <- Codec.m32 (s.iss + 1);
   s.state <- Syn_sent;
   if not (tcp_xmit t s ~seq:s.iss ~flags:th_syn ~payload:None ~queue:true) then begin
     (* The SYN never left and nothing is queued to retransmit it: fail the
@@ -1368,7 +1160,7 @@ let send t s ~buf ~pos ~len =
                 ~payload:(Some (buf, pos + sent, n))
                 ~queue:true
             then begin
-              s.snd_nxt <- m32 (s.snd_nxt + n);
+              s.snd_nxt <- Codec.m32 (s.snd_nxt + n);
               push (sent + n)
             end
             else begin
@@ -1456,7 +1248,7 @@ let rec close t s =
     then begin
       s.state <- next_state;
       s.fin_queued <- true;
-      s.snd_nxt <- m32 (s.snd_nxt + 1)
+      s.snd_nxt <- Codec.m32 (s.snd_nxt + 1)
     end
     else ignore (Machine.after t.machine 10_000_000 (fun () -> close t s))
   in
@@ -1525,7 +1317,8 @@ let netstat t =
     t.rcvfull t.listen_overflow t.rexmt_give_ups t.predack t.preddat t.predfallback
     t.persist_probes sc.Syncache.added sc.Syncache.evicted sc.Syncache.completed
     sc.Syncache.validated sc.Syncache.rejected t.time_wait_reclaimed
-    t.nomem_drops t.rst_ratelimited t.arp_waiters_dropped t.arp_failures
+    t.nomem_drops t.rst_ratelimited t.arp.Arp_resolver.waiters_dropped
+    t.arp.Arp_resolver.abandoned
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels
     Cost.counters.Cost.wheel_fires Cost.counters.Cost.wheel_cascades
     Cost.counters.Cost.kq_posted Cost.counters.Cost.kq_coalesced

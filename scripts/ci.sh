@@ -46,6 +46,11 @@
 # defaults — ncpus=1 — so the SMP layer must cost nothing when off.
 # Nothing may read the two ignored Cost.config fields, kq and
 # timer_wheel: a grep for them must find nothing outside perfbench.
+# The RFC header layouts live once, in lib/inet's codec, which is also
+# the one place their length fields are checked before use: a grep for
+# the expression that writes the TCP data-offset byte must find nothing
+# outside lib/inet, so no stack, bench or test grows its own header
+# writer (and, beside it, its own unchecked parser) back.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -55,6 +60,10 @@ set -eux
 dune build
 if grep -rnE "config\.(Cost\.)?(kq|timer_wheel)" lib bench bin examples test; then
   echo "ignored Cost.config field read outside perfbench" >&2
+  exit 1
+fi
+if grep -rnE "/ 4\) lsl 4" lib bench test bin examples | grep -v '^lib/inet/'; then
+  echo "TCP header written outside lib/inet's codec" >&2
   exit 1
 fi
 dune runtest

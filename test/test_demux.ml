@@ -67,14 +67,9 @@ let nth_live live a = match live with [] -> None | l -> Some (List.nth l (a mod 
 (* An option-less TCP segment header with a valid checksum. *)
 let tcp_header ?(dst = local) ~src ~sport ~dport ~flags () =
   let d = Bytes.make 20 '\000' in
-  Bytes.set_uint16_be d 0 sport;
-  Bytes.set_uint16_be d 2 dport;
-  Bytes.set_int32_be d 4 7l;
-  Bytes.set d 12 (Char.chr ((20 / 4) lsl 4));
-  Bytes.set d 13 (Char.chr flags);
-  Bytes.set_uint16_be d 14 8192;
-  Bytes.set_uint16_be d 16
-    (Linux_inet.cksum d ~off:0 ~len:20 ~init:(Linux_inet.pseudo ~src ~dst ~proto:6 ~len:20));
+  Codec.write_tcp d ~off:0 ~sport ~dport ~seq:7 ~ack:0 ~flags ~win:8192 ~mss:None ~wscale:None;
+  Codec.set_tcp_cksum d ~off:0 ~zero_as_ones:false
+    (Codec.cksum_bytes d ~off:0 ~len:20 ~init:(Codec.pseudo_header ~src ~dst ~proto:6 ~len:20));
   d
 
 let bsd_segment hdr =

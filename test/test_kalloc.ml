@@ -199,11 +199,11 @@ let test_cksum_odd_boundary_parity () =
   let head = Mbuf.m_ext_wrap (Bytes.sub flat 0 7) ~off:0 ~len:7 in
   Mbuf.m_cat head (Mbuf.m_ext_wrap (Bytes.sub flat 7 6) ~off:0 ~len:6);
   Alcotest.(check int) "odd-boundary chain folds like flat bytes"
-    (In_cksum.cksum_bytes flat ~off:0 ~len:13)
+    (Codec.cksum_bytes flat ~off:0 ~len:13)
     (In_cksum.cksum_chain head ~off:0 ~len:13);
   (* And from an odd starting offset within the chain. *)
   Alcotest.(check int) "odd-offset range folds like flat bytes"
-    (In_cksum.cksum_bytes flat ~off:3 ~len:9)
+    (Codec.cksum_bytes flat ~off:3 ~len:9)
     (In_cksum.cksum_chain head ~off:3 ~len:9)
 
 let suite =

@@ -310,26 +310,32 @@ let test_duplicate_segments () =
 
 (* Twenty packets for a host that does not exist: the pending queue holds
    16 (drop-head beyond that), requests back off 0.5 s -> 8 s, and when the
-   retries are exhausted every queued waiter is failed so nothing leaks. *)
-let test_arp_bounded_queue_and_give_up () =
+   retries are exhausted every queued waiter is failed so nothing leaks.
+   The resolver is shared, so both stacks must give the same account. *)
+let test_arp_bounded_queue_and_give_up config () =
   Clientos.reset_globals ();
   Fdev.clear_drivers ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+  let models = if config = Linux then "3c59x", "lance" else "3c905", "tulip" in
+  let tb = Clientos.make_testbed ~models () in
+  let host = tb.Clientos.host_a and addr = ip "10.0.0.1" in
+  let a =
+    match config with
+    | Linux -> (Clientos.linux_host host ~ip:addr ~mask).Linux_inet.arp
+    | Freebsd | Oskit -> (Clientos.freebsd_host host ~ip:addr ~mask).Bsd_socket.arp
+  in
   let drops = ref 0 and resolved = ref 0 in
-  Clientos.spawn tb.Clientos.host_a (fun () ->
+  Clientos.spawn host (fun () ->
       for _ = 1 to 20 do
-        Arp.resolve sa.Bsd_socket.arp (ip "10.0.0.99")
+        Arp_resolver.resolve a (ip "10.0.0.99")
           ~on_drop:(fun () -> incr drops)
           (fun _ -> incr resolved)
       done);
   Clientos.run tb ~until:(fun () -> !drops >= 20);
-  let a = sa.Bsd_socket.arp in
   Alcotest.(check int) "every waiter was failed, none leaked" 20 !drops;
   Alcotest.(check int) "none resolved" 0 !resolved;
-  Alcotest.(check int) "queue overflow dropped the oldest four" 4 a.Arp.waiters_dropped;
-  Alcotest.(check int) "one terminal resolution failure" 1 a.Arp.resolve_failures;
-  Alcotest.(check int) "five requests: initial + four backoff retries" 5 a.Arp.requests_sent;
+  Alcotest.(check int) "queue overflow dropped the oldest four" 4 a.Arp_resolver.waiters_dropped;
+  Alcotest.(check int) "one terminal resolution failure" 1 a.Arp_resolver.abandoned;
+  Alcotest.(check int) "five requests: initial + four backoff retries" 5 a.Arp_resolver.requests;
   Alcotest.(check bool) "gave up only after the full backoff schedule" true
     (World.now tb.Clientos.world >= 15_000_000_000)
 
@@ -368,7 +374,7 @@ let test_linux_unreachable_times_out () =
   | Some (Ok ()) -> Alcotest.fail "connect to unreachable host succeeded?"
   | Some (Error e) -> Alcotest.failf "wrong error: %s" (Error.to_string e)
   | None -> Alcotest.fail "no outcome");
-  Alcotest.(check int) "arp abandoned the resolution" 1 sa.Linux_inet.arp_failures;
+  Alcotest.(check int) "arp abandoned the resolution" 1 sa.Linux_inet.arp.Arp_resolver.abandoned;
   Alcotest.(check int) "rexmt backstop reset the connection" 1 sa.Linux_inet.rexmt_give_ups
 
 let suite =
@@ -383,7 +389,9 @@ let suite =
     Alcotest.test_case "corruption caught by checksums" `Quick test_corruption_detected;
     Alcotest.test_case "duplicate segments discarded" `Quick test_duplicate_segments;
     Alcotest.test_case "arp bounded queue and give-up" `Quick
-      test_arp_bounded_queue_and_give_up;
+      (test_arp_bounded_queue_and_give_up Freebsd);
+    Alcotest.test_case "arp bounded queue and give-up: linux" `Quick
+      (test_arp_bounded_queue_and_give_up Linux);
     Alcotest.test_case "arp retry recovers after partition" `Quick
       test_arp_retry_recovers_after_partition;
     Alcotest.test_case "linux unreachable host times out" `Quick

@@ -134,11 +134,11 @@ let test_skb_to_mbuf_no_copy () =
 let test_cksum_known_vector () =
   (* RFC 1071 example: 0x0001 0xf203 0xf4f5 0xf6f7 -> checksum 0x220d. *)
   let data = Bytes.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
-  Alcotest.(check int) "rfc1071 vector" 0x220d (In_cksum.cksum_bytes data ~off:0 ~len:8)
+  Alcotest.(check int) "rfc1071 vector" 0x220d (Codec.cksum_bytes data ~off:0 ~len:8)
 
 let test_cksum_chain_equals_flat () =
   let flat = Bytes.of_string "The quick brown fox jumps over the lazy dog!" in
-  let whole = In_cksum.cksum_bytes flat ~off:0 ~len:(Bytes.length flat) in
+  let whole = Codec.cksum_bytes flat ~off:0 ~len:(Bytes.length flat) in
   (* Same bytes split across mbufs at an odd boundary. *)
   let m = chain_of_strings [ "The quick"; " brown fox jumps "; "over the lazy dog!" ] in
   Alcotest.(check int) "chain = flat" whole
@@ -147,7 +147,7 @@ let test_cksum_chain_equals_flat () =
   let with_sum = Bytes.cat flat (Bytes.create 2) in
   Bytes.set_uint16_be with_sum (Bytes.length flat) whole;
   Alcotest.(check int) "self-verifies" 0
-    (In_cksum.cksum_bytes with_sum ~off:0 ~len:(Bytes.length with_sum))
+    (Codec.cksum_bytes with_sum ~off:0 ~len:(Bytes.length with_sum))
 
 let prop_cksum_detects_single_bit_flips =
   QCheck.Test.make ~name:"in_cksum: detects any single-bit flip" ~count:100
@@ -155,10 +155,10 @@ let prop_cksum_detects_single_bit_flips =
     (fun (s, (byte_idx, bit)) ->
       let b = Bytes.of_string s in
       let len = Bytes.length b in
-      let sum0 = In_cksum.cksum_bytes b ~off:0 ~len in
+      let sum0 = Codec.cksum_bytes b ~off:0 ~len in
       let i = byte_idx mod len and bit = bit mod 8 in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-      In_cksum.cksum_bytes b ~off:0 ~len <> sum0)
+      Codec.cksum_bytes b ~off:0 ~len <> sum0)
 
 (* ---- TCP sequence arithmetic ---- *)
 
@@ -168,12 +168,12 @@ let prop_seq_total_order_window =
     (fun (a, delta) ->
       let b = (a + delta + 1) land 0xffffffff in
       (* b is ahead of a by 1..2^31-1: always a < b in sequence space. *)
-      Tcp.seq_lt a b && Tcp.seq_gt b a && Tcp.seq_leq a b && not (Tcp.seq_geq a b))
+      Codec.seq_lt a b && Codec.seq_gt b a && Codec.seq_leq a b && not (Codec.seq_geq a b))
 
 let test_seq_wraparound () =
-  Alcotest.(check bool) "wrap: 0xffffffff < 0" true (Tcp.seq_lt 0xffffffff 0x0);
-  Alcotest.(check bool) "diff across wrap" true (Tcp.seq_diff 0x0 0xffffffff = 1);
-  Alcotest.(check bool) "equal" true (Tcp.seq_leq 5 5 && Tcp.seq_geq 5 5)
+  Alcotest.(check bool) "wrap: 0xffffffff < 0" true (Codec.seq_lt 0xffffffff 0x0);
+  Alcotest.(check bool) "diff across wrap" true (Codec.seq_diff 0x0 0xffffffff = 1);
+  Alcotest.(check bool) "equal" true (Codec.seq_leq 5 5 && Codec.seq_geq 5 5)
 
 (* ---- a two-host raw-IP rig over the simulated wire ---- *)
 
@@ -197,15 +197,15 @@ let test_arp_resolution () =
   let w, ma, sa, _mb, sb = make_pair () in
   let resolved = ref None in
   Machine.run_in ma (fun () ->
-      Arp.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun mac -> resolved := Some mac));
+      Arp_resolver.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun mac -> resolved := Some mac));
   World.run w;
   Alcotest.(check (option string)) "resolved to b's MAC"
     (Some sb.Bsd_socket.ifp.Netif.if_hwaddr) !resolved;
-  Alcotest.(check int) "one request on the wire" 1 sa.Bsd_socket.arp.Arp.requests_sent;
+  Alcotest.(check int) "one request on the wire" 1 sa.Bsd_socket.arp.Arp_resolver.requests;
   (* Second resolution hits the cache. *)
   Machine.run_in ma (fun () ->
-      Arp.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun _ -> ()));
-  Alcotest.(check int) "no second request" 1 sa.Bsd_socket.arp.Arp.requests_sent
+      Arp_resolver.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun _ -> ()));
+  Alcotest.(check int) "no second request" 1 sa.Bsd_socket.arp.Arp_resolver.requests
 
 let test_icmp_echo () =
   let w, ma, sa, _mb, sb = make_pair () in
@@ -301,6 +301,225 @@ let test_udp_checksum_rejects_corruption () =
   Ip.deliver sb.Bsd_socket.ip ~proto:17 ~src:(ip "10.1.0.1") ~dst:(ip "10.1.0.2") m;
   Alcotest.(check int) "corrupted datagram dropped" 1 (Queue.length pcb.Udp.rcv_q)
 
+(* ---- the shared wire codec ---- *)
+
+(* Write -> parse is the identity for every combination of the MSS and
+   window-scale options and the extremes of each field. *)
+let prop_tcp_header_roundtrip =
+  let open QCheck.Gen in
+  let edge32 =
+    oneof [ oneofl [ 0; 1; 0x7fffffff; 0x80000000; 0xffffffff ]; int_bound 0xffffffff ]
+  in
+  let edge16 = oneof [ oneofl [ 0; 1; 0xffff ]; int_bound 0xffff ] in
+  let options = oneofl [ false, false; true, false; false, true; true, true ] in
+  let gen =
+    quad (pair edge16 edge16) (pair edge32 edge32) (triple (int_bound 0xff) edge16 options)
+      (pair edge16 (int_bound 0xff))
+  in
+  QCheck.Test.make ~name:"codec: tcp header write -> parse round trip" ~count:500
+    (QCheck.make gen)
+    (fun ((sport, dport), (seq, ack), (flags, win, (has_mss, has_ws)), (mss_v, ws_v)) ->
+      let mss = if has_mss then Some mss_v else None in
+      let wscale = if has_ws then Some ws_v else None in
+      let hlen = Codec.tcp_header_len ~mss ~wscale in
+      let d = Bytes.make (3 + hlen) 'x' in
+      Codec.write_tcp d ~off:3 ~sport ~dport ~seq ~ack ~flags ~win ~mss ~wscale;
+      Codec.parse_tcp d ~off:3 ~len:hlen
+      = Some { Codec.sport; dport; seq; ack; hlen; flags; win; mss; wscale })
+
+(* ---- malformed headers from the wire ---- *)
+
+let server_ip = ip "10.0.0.1"
+let client_ip = ip "10.0.0.2"
+let listen_port = 7007
+
+(* A fresh testbed with a [config] listener on host A and a FreeBSD
+   client on host B, whose card also serves as the raw frame injector. *)
+let listening_rig config =
+  Clientos.reset_globals ();
+  Fdev.clear_drivers ();
+  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
+  let serve, _, _ = Test_netem.setup config tb.Clientos.host_a ~addr:server_ip in
+  let _, connect, _ = Test_netem.setup Test_netem.Freebsd tb.Clientos.host_b ~addr:client_ip in
+  let accepted = ref false in
+  serve ~port:listen_port (fun _ -> accepted := true);
+  tb, connect, accepted
+
+let run_for tb ns =
+  let until = World.now tb.Clientos.world + ns in
+  Clientos.run tb ~until:(fun () -> World.now tb.Clientos.world >= until)
+
+(* A frame from host B's card to host A's, sent raw. *)
+let inject tb ~ethertype payload =
+  let a = tb.Clientos.host_a and b = tb.Clientos.host_b in
+  let f = Bytes.make (14 + Bytes.length payload) '\000' in
+  Bytes.blit_string (Nic.mac a.Clientos.nic) 0 f 0 6;
+  Bytes.blit_string (Nic.mac b.Clientos.nic) 0 f 6 6;
+  Bytes.set_uint16_be f 12 ethertype;
+  Bytes.blit payload 0 f 14 (Bytes.length payload);
+  Machine.run_in b.Clientos.machine (fun () -> Nic.transmit b.Clientos.nic f)
+
+(* An IPv4 datagram from B to A around [seg], header checksum valid. *)
+let datagram ?total seg =
+  let d = Bytes.make (20 + Bytes.length seg) '\000' in
+  Bytes.blit seg 0 d 20 (Bytes.length seg);
+  let total = Option.value total ~default:(Bytes.length d) in
+  Codec.write_ip d ~off:0 ~total ~id:1 ~more_frags:false ~frag_off:0 ~ttl:64 ~proto:6
+    ~src:client_ip ~dst:server_ip;
+  d
+
+(* A [len]-byte SYN to the listener claiming a 60-byte header (data offset
+   15), NOP-filled past the fixed 20 bytes, TCP checksum valid. *)
+let bad_offset_syn len =
+  let s = Bytes.make len '\001' in
+  Codec.write_tcp s ~off:0 ~sport:4242 ~dport:listen_port ~seq:1 ~ack:0 ~flags:0x02 ~win:8192
+    ~mss:None ~wscale:None;
+  Bytes.set s 12 '\xf0';
+  Codec.set_tcp_cksum s ~off:0 ~zero_as_ones:false
+    (Codec.cksum_bytes s ~off:0 ~len
+       ~init:(Codec.pseudo_header ~src:client_ip ~dst:server_ip ~proto:6 ~len));
+  s
+
+let test_malformed_headers config () =
+  let tb, connect, accepted = listening_rig config in
+  run_for tb 1_000_000;
+  (* IHL 15 in a 60-byte frame: a 60-byte header in 46 bytes. *)
+  let ihl15 = datagram (Bytes.make 26 '\000') in
+  Bytes.set ihl15 0 '\x4f';
+  inject tb ~ethertype:0x0800 ihl15;
+  List.iter (fun len -> inject tb ~ethertype:0x0800 (datagram (bad_offset_syn len))) [ 20; 24; 40 ];
+  (* Total length 10, below the 20-byte header, checksum valid. *)
+  inject tb ~ethertype:0x0800 (datagram ~total:10 (bad_offset_syn 20));
+  run_for tb 50_000_000;
+  Alcotest.(check bool) "nothing accepted from garbage" false !accepted;
+  connect ~dst:server_ip ~port:listen_port (fun _ -> ());
+  let deadline = World.now tb.Clientos.world + 5_000_000_000 in
+  Clientos.run tb ~until:(fun () -> !accepted || World.now tb.Clientos.world >= deadline);
+  Alcotest.(check bool) "the listener still accepts a clean connection" true !accepted
+
+(* ---- fuzz: damaged headers on captured frames ---- *)
+
+(* Every frame of a short clean FreeBSD-to-FreeBSD transfer, ARP
+   included, as it crossed the wire. *)
+let clean_frames =
+  lazy
+    (let tb, connect, _ = listening_rig Test_netem.Freebsd in
+     let frames = ref [] in
+     ignore (Wire.attach tb.Clientos.wire ~rx:(fun f -> frames := f :: !frames));
+     let sent = ref false in
+     connect ~dst:server_ip ~port:listen_port (fun s ->
+         ignore (s.Test_netem.send (Bytes.make 3000 'z') 3000);
+         s.Test_netem.close ();
+         sent := true);
+     Clientos.run tb ~until:(fun () -> !sent);
+     run_for tb 10_000_000;
+     Array.of_list (List.rev !frames))
+
+(* Re-address an IP frame from B to A, so it reaches A's TCP, and
+   recompute whichever checksums the (possibly damaged) lengths still
+   allow, so that parsing gets past them. *)
+let refresh_ip_frame f =
+  let len = Bytes.length f in
+  if Bytes.get_uint16_be f 12 = 0x0800 && len >= 34 then begin
+    let ihl = (Char.code (Bytes.get f 14) land 0xf) * 4 in
+    let seg = 14 + ihl in
+    let seg_len = min (Bytes.get_uint16_be f 16) (len - 14) - ihl in
+    if Char.code (Bytes.get f 23) = 6 && seg_len >= 18 then begin
+      Bytes.set_uint16_be f (seg + 16) 0;
+      Codec.set_tcp_cksum f ~off:seg ~zero_as_ones:false
+        (Codec.cksum_bytes f ~off:seg ~len:seg_len
+           ~init:
+             (Codec.pseudo_header ~src:(Bytes.get_int32_be f 26) ~dst:(Bytes.get_int32_be f 30)
+                ~proto:6 ~len:seg_len))
+    end;
+    if ihl >= 20 && seg <= len then begin
+      Bytes.set_uint16_be f 24 0;
+      Bytes.set_uint16_be f 24 (Codec.cksum_bytes f ~off:14 ~len:ihl)
+    end
+  end
+
+let prop_damaged_headers_never_raise =
+  QCheck.Test.make ~name:"codec: damaged headers never raise, all configs" ~count:100
+    QCheck.(quad (int_bound 10_000) bool (int_bound 10_000) (int_bound 0xff))
+    (fun (which, truncate, at, v) ->
+      let frames = Lazy.force clean_frames in
+      let orig = frames.(which mod Array.length frames) in
+      let is_ip = Bytes.get_uint16_be orig 12 = 0x0800 in
+      let f = Bytes.copy orig in
+      if is_ip then begin
+        Bytes.set_int32_be f 26 client_ip;
+        Bytes.set_int32_be f 30 server_ip
+      end;
+      let f =
+        if truncate then Bytes.sub f 0 (14 + (at mod (Bytes.length f - 14)))
+        else begin
+          (* One byte of the IPv4 + TCP header, or of the ARP message. *)
+          let hdr =
+            if is_ip then
+              ((Char.code (Bytes.get f 14) land 0xf) * 4)
+              + ((Char.code (Bytes.get f 46) lsr 4) * 4)
+            else Codec.arp_len
+          in
+          Bytes.set f (14 + (at mod hdr)) (Char.chr v);
+          f
+        end
+      in
+      refresh_ip_frame f;
+      List.iter
+        (fun config ->
+          let tb, _, _ = listening_rig config in
+          run_for tb 1_000_000;
+          inject tb ~ethertype:(Bytes.get_uint16_be f 12) (Bytes.sub f 14 (Bytes.length f - 14));
+          run_for tb 5_000_000)
+        Test_netem.[ Linux; Freebsd; Oskit ];
+      true)
+
+(* ---- ARP input frees the request on every path ---- *)
+
+let with_every_alloc_failing f =
+  let c = Cost.config in
+  let saved = c.Cost.alloc_fail_prob in
+  c.Cost.alloc_fail_prob <- 1.0;
+  Memfault.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      c.Cost.alloc_fail_prob <- saved;
+      Memfault.reset ())
+    f
+
+let arp_request_to target =
+  let b = Bytes.create Codec.arp_len in
+  Codec.write_arp b ~off:0 ~op:Codec.arp_request ~sha:"\x02\x00\x00\x00\x00\x99"
+    ~spa:(ip "10.1.0.9") ~tha:Arp_resolver.unknown_mac ~tpa:target;
+  b
+
+(* A request for us arrives while every allocation fails: the reply's
+   buffer is refused, and the request's must still go back to its pool. *)
+let test_arp_reply_nomem_frees_request_bsd () =
+  let _w, ma, sa, _mb, _sb = make_pair () in
+  let m = Mbuf.m_gethdr () in
+  let off = Mbuf.m_put m Codec.arp_len in
+  Bytes.blit (arp_request_to (ip "10.1.0.1")) 0 m.Mbuf.m_data off Codec.arp_len;
+  let input = List.assoc Netif.ethertype_arp sa.Bsd_socket.ifp.Netif.if_protos in
+  Machine.run_in ma (fun () -> with_every_alloc_failing (fun () -> input m));
+  Alcotest.(check int) "reply attempted" 1 sa.Bsd_socket.arp.Arp_resolver.replies;
+  Alcotest.(check bool) "request mbuf freed" true m.Mbuf.m_freed
+
+let test_arp_reply_nomem_frees_request_linux () =
+  Clientos.reset_globals ();
+  Fdev.clear_drivers ();
+  let tb = Clientos.make_testbed () in
+  let host = tb.Clientos.host_a in
+  let st = Clientos.linux_host host ~ip:(ip "10.1.0.1") ~mask:(ip "255.255.255.0") in
+  let skb = Skbuff.alloc_skb 64 in
+  let off = Skbuff.skb_put skb (14 + Codec.arp_len) in
+  Bytes.blit (arp_request_to (ip "10.1.0.1")) 0 skb.Skbuff.skb_data (off + 14) Codec.arp_len;
+  skb.Skbuff.protocol <- 0x0806;
+  Machine.run_in host.Clientos.machine (fun () ->
+      with_every_alloc_failing (fun () -> Linux_inet.netif_rx st skb));
+  Alcotest.(check int) "reply attempted" 1 st.Linux_inet.arp.Arp_resolver.replies;
+  Alcotest.(check bool) "request skb freed" true skb.Skbuff.skb_freed
+
 let suite =
   [ Alcotest.test_case "mbuf basics" `Quick test_mbuf_basics;
     Alcotest.test_case "mbuf adj" `Quick test_mbuf_adj;
@@ -324,4 +543,17 @@ let suite =
     Alcotest.test_case "ip fragmentation" `Quick test_ip_fragmentation;
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "udp checksum rejects corruption" `Quick
-      test_udp_checksum_rejects_corruption ]
+      test_udp_checksum_rejects_corruption;
+    QCheck_alcotest.to_alcotest prop_tcp_header_roundtrip;
+    Alcotest.test_case "malformed headers: linux" `Quick
+      (test_malformed_headers Test_netem.Linux);
+    Alcotest.test_case "malformed headers: freebsd" `Quick
+      (test_malformed_headers Test_netem.Freebsd);
+    Alcotest.test_case "malformed headers: oskit" `Quick
+      (test_malformed_headers Test_netem.Oskit);
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
+      prop_damaged_headers_never_raise;
+    Alcotest.test_case "arp reply refused: request freed (bsd)" `Quick
+      test_arp_reply_nomem_frees_request_bsd;
+    Alcotest.test_case "arp reply refused: request freed (linux)" `Quick
+      test_arp_reply_nomem_frees_request_linux ]

@@ -66,24 +66,8 @@ let with_overload ?(syn_defense = false) ?(syncache_size = 64) ?(tw_max = 0)
    layer with an arbitrary (spoofable) source address — the attacker's
    view of the wire. *)
 let send_raw_tcp cstack ~src ~sport ~dst ~dport ~seq ~ack ~flags =
-  let m = Mbuf.m_gethdr () in
-  ignore (Mbuf.m_put m 20);
-  let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-  Bytes.set_uint16_be d o sport;
-  Bytes.set_uint16_be d (o + 2) dport;
-  Bytes.set_int32_be d (o + 4) (Int32.of_int (seq land 0xffffffff));
-  Bytes.set_int32_be d (o + 8) (Int32.of_int (ack land 0xffffffff));
-  Bytes.set d (o + 12) (Char.chr ((20 / 4) lsl 4));
-  Bytes.set d (o + 13) (Char.chr flags);
-  Bytes.set_uint16_be d (o + 14) 8192;
-  Bytes.set_uint16_be d (o + 16) 0;
-  Bytes.set_uint16_be d (o + 18) 0;
-  let sum =
-    In_cksum.cksum_chain m ~off:0 ~len:20
-      ~init:(In_cksum.pseudo_header ~src ~dst ~proto:Ip.proto_tcp ~len:20)
-  in
-  Bytes.set_uint16_be d (o + 16) (if sum = 0 then 0xffff else sum);
-  Ip.output cstack.Bsd_socket.ip ~proto:Ip.proto_tcp ~src ~dst m
+  Ip.output cstack.Bsd_socket.ip ~proto:Ip.proto_tcp ~src ~dst
+    (Tcp.raw_segment ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win:8192 ~mss:None)
 
 (* ------------------------------------------------------------------ *)
 (* SYN cookies: the ISS round-trips through check_cookie on both stacks

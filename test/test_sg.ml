@@ -42,29 +42,29 @@ let cksum_frags_equiv =
       let n = String.length s in
       let cuts = List.filter (fun c -> c > 0 && c < n) cuts in
       let flat = Bytes.of_string s in
-      let expect = In_cksum.cksum_bytes flat ~off:0 ~len:n in
-      let got = In_cksum.cksum_frags (frags_of_cuts s cuts) in
+      let expect = Codec.cksum_bytes flat ~off:0 ~len:n in
+      let got = Codec.cksum_frags (frags_of_cuts s cuts) in
       expect = got)
 
 let test_cksum_frags_odd_boundaries () =
   (* Odd-length fragments force the byte-swap carry across the seam. *)
   let s = "\x01\x02\x03\x04\x05\x06\x07" in
   let flat = Bytes.of_string s in
-  let expect = In_cksum.cksum_bytes flat ~off:0 ~len:7 in
+  let expect = Codec.cksum_bytes flat ~off:0 ~len:7 in
   List.iter
     (fun cuts ->
       Alcotest.(check int)
         (Printf.sprintf "cuts at [%s]" (String.concat ";" (List.map string_of_int cuts)))
         expect
-        (In_cksum.cksum_frags (frags_of_cuts s cuts)))
+        (Codec.cksum_frags (frags_of_cuts s cuts)))
     [ [ 1 ]; [ 3 ]; [ 1; 2 ]; [ 1; 2; 3; 4; 5; 6 ]; [ 5 ]; [ 2; 5 ] ];
   (* Empty fragments contribute nothing, wherever they fall. *)
-  Alcotest.(check int) "empty fragment list" (In_cksum.finish 0) (In_cksum.cksum_frags [])
+  Alcotest.(check int) "empty fragment list" (Codec.finish 0) (Codec.cksum_frags [])
 
 let test_cksum_frags_charges_once () =
   Cost.reset_counters ();
   let frags = frags_of_cuts (String.make 100 'c') [ 33; 67 ] in
-  ignore (In_cksum.cksum_frags frags);
+  ignore (Codec.cksum_frags frags);
   Alcotest.(check int) "checksummed bytes counted" 100
     Cost.counters.Cost.checksummed_bytes
 
