@@ -54,9 +54,9 @@ let () =
   Printf.printf "b: rcv=%d dup=%d oo=%d badsum=%d snd=%d\n" stb.Tcp.rcvpack stb.Tcp.rcvdup stb.Tcp.rcvoo stb.Tcp.rcvbadsum stb.Tcp.sndpack;
   List.iter (fun p -> Printf.printf "a pcb: %s snd_una=%d snd_nxt=%d snd_max=%d cwnd=%d wnd=%d sbcc=%d rexmt_armed=%b\n"
     (Tcp.state_name p.Tcp.t_state) p.Tcp.snd_una p.Tcp.snd_nxt p.Tcp.snd_max p.Tcp.snd_cwnd p.Tcp.snd_wnd p.Tcp.snd_buf.Sockbuf.sb_cc (Tcp.armed p Tcp.tw_rexmt))
-    sa.Bsd_socket.tcp.Tcp.pcbs;
+    (Tcp.pcb_list sa.Bsd_socket.tcp);
   List.iter (fun p -> Printf.printf "b pcb: %s rcv_nxt=%d reass=%d rcvbuf=%d\n"
     (Tcp.state_name p.Tcp.t_state) p.Tcp.rcv_nxt (List.length p.Tcp.reass) p.Tcp.rcv_buf.Sockbuf.sb_cc)
-    sb.Bsd_socket.tcp.Tcp.pcbs;
+    (Tcp.pcb_list sb.Bsd_socket.tcp);
   List.iter (fun (n,e) -> Printf.printf "a thread %s died: %s\n" n (Printexc.to_string e)) (Thread.failures ka);
   List.iter (fun (n,e) -> Printf.printf "b thread %s died: %s\n" n (Printexc.to_string e)) (Thread.failures kb)

@@ -22,6 +22,7 @@ type t =
   | Connreset
   | Timedout
   | Addrinuse
+  | Addrnotavail
   | Hostunreach
   | Msgsize
   | Notsup
@@ -65,6 +66,7 @@ let table =
     Connreset, "ECONNRESET", 104, "connection reset by peer";
     Timedout, "ETIMEDOUT", 110, "operation timed out";
     Addrinuse, "EADDRINUSE", 98, "address already in use";
+    Addrnotavail, "EADDRNOTAVAIL", 99, "cannot assign requested address";
     Hostunreach, "EHOSTUNREACH", 113, "no route to host";
     Msgsize, "EMSGSIZE", 90, "message too long";
     Notsup, "ENOTSUP", 95, "operation not supported";

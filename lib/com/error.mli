@@ -29,6 +29,7 @@ type t =
   | Connreset  (** connection reset by peer *)
   | Timedout  (** operation timed out *)
   | Addrinuse  (** address already in use *)
+  | Addrnotavail  (** no free local port to assign *)
   | Hostunreach  (** no route to host *)
   | Msgsize  (** message too large *)
   | Notsup  (** operation not supported by this component *)

@@ -1,10 +1,13 @@
-(* Intrusive doubly-linked lists with O(1) append, remove, and length.
+(* Intrusive doubly-linked lists with O(1) push at either end, remove,
+   and length.
 
    Both halves of the event core live on these: kqueue ready queues (a
    firing connection enqueues itself in constant time) and timing-wheel
    slots (cancel unlinks in constant time, cascades splice whole slots).
-   A node remembers its owner so [remove] needs no list argument and
-   double-removal is a checked no-op. *)
+   So does BSD TCP's pcb list, newest first, which a pcb leaves in
+   constant time however many TIME_WAIT pcbs it holds.  A node remembers
+   its owner so [remove] needs no list argument and double-removal is a
+   checked no-op. *)
 
 type 'a node = {
   v : 'a;
@@ -29,6 +32,13 @@ let push_back t v =
   let n = { v; prev = t.last; next = None; owner = Some t } in
   (match t.last with None -> t.first <- Some n | Some l -> l.next <- Some n);
   t.last <- Some n;
+  t.length <- t.length + 1;
+  n
+
+let push_front t v =
+  let n = { v; prev = None; next = t.first; owner = Some t } in
+  (match t.first with None -> t.last <- Some n | Some f -> f.prev <- Some n);
+  t.first <- Some n;
   t.length <- t.length + 1;
   n
 
@@ -59,6 +69,14 @@ let iter f t =
         let next = n.next in
         f n.v;
         go next
+  in
+  go t.first
+
+(* The first value, front to back, that satisfies [p]. *)
+let find_opt p t =
+  let rec go = function
+    | None -> None
+    | Some n -> if p n.v then Some n.v else go n.next
   in
   go t.first
 

@@ -132,6 +132,9 @@ type tcpcb = {
   accept_q : tcpcb Queue.t;
   mutable backlog : int;
   mutable listen_parent : tcpcb option;
+  (* A listener's children registered in SYN_RCVD, newest first.  Those
+     that have left SYN_RCVD are pruned when the backlog is counted. *)
+  mutable syn_q : tcpcb list;
   syn_cache : Syncache.listener; (* listeners only *)
   mutable tw_ent : tcpcb Tw_queue.entry option; (* set on entering TIME_WAIT *)
   (* socket-layer callbacks *)
@@ -146,17 +149,21 @@ type tcpcb = {
   (* Registration serial: the later a pcb joined [pcbs], the higher, so
      descending serials are the list's newest-first order. *)
   mutable t_serial : int;
+  mutable t_node : tcpcb Dlist.node option; (* in [pcbs]: None = not registered *)
 }
 
 and t = {
   ip : Ip.t;
   machine : Machine.t;
-  mutable pcbs : tcpcb list;
+  (* Every registered pcb, newest first.  Only the knob-off demux walks
+     it; the indexes below keep every other lookup O(1) in its length. *)
+  pcbs : tcpcb Dlist.t;
+  mutable listeners : tcpcb list;  (* the Listen-state pcbs, newest first *)
+  ports : Port_alloc.t;  (* lport use counts and the ephemeral cursor *)
   (* The shared lib/inet policy: hashed demux of connected pcbs
-     (listeners stay out; the lport-only fallback scan finds them), the
+     (listeners stay out; [listeners] serves the lport-only fallback), the
      TIME_WAIT queue, the SYN-flood defense and the RST token bucket. *)
   demux : tcpcb Demux.t;
-  mutable next_ephemeral : int;
   mutable iss_source : int;
   mutable ticking : bool;  (* the 500 ms slow loop is scheduled *)
   mutable fast_ticking : bool;  (* the 200 ms fast loop is scheduled *)
@@ -200,10 +207,10 @@ let create_pcb t =
     tw_ents = Array.make 4 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
     t_dupacks = 0; rxclump = Autotune.clump ();
-    accept_q = Queue.create (); backlog = 0; listen_parent = None;
+    accept_q = Queue.create (); backlog = 0; listen_parent = None; syn_q = [];
     syn_cache = Syncache.listener (); tw_ent = None;
     on_readable = (fun () -> ()); on_writable = (fun () -> ());
-    on_state = (fun () -> ()); so_error = None; home_cpu = 0; t_serial = 0 }
+    on_state = (fun () -> ()); so_error = None; home_cpu = 0; t_serial = 0; t_node = None }
 
 let rcv_window pcb = min (Sockbuf.space pcb.rcv_buf) (max_win lsl pcb.rcv_scale)
 
@@ -223,13 +230,24 @@ let setup_scaling pcb ~peer =
     pcb.snd_ssthresh <- max_win lsl pcb.snd_scale
   end
 
+(* The listener index in [pcbs] order: a pcb that becomes a listener
+   after it registered (listen on a connected socket) files by serial. *)
+let add_listener t pcb =
+  if not (List.memq pcb t.listeners) then
+    t.listeners <- List.merge (fun a b -> compare b.t_serial a.t_serial) [ pcb ] t.listeners
+
 let register t pcb =
-  if not (List.memq pcb t.pcbs) then begin
-    t.pcbs <- pcb :: t.pcbs;
+  if pcb.t_node = None then begin
+    pcb.t_node <- Some (Dlist.push_front t.pcbs pcb);
+    Port_alloc.use t.ports pcb.lport;
     t.registrations <- t.registrations + 1;
-    pcb.t_serial <- t.registrations
+    pcb.t_serial <- t.registrations;
+    match pcb.listen_parent with
+    | Some l when pcb.t_state = Syn_received -> l.syn_q <- pcb :: l.syn_q
+    | _ -> ()
   end;
-  if pcb.t_state <> Listen then begin
+  if pcb.t_state = Listen then add_listener t pcb
+  else begin
     Demux.add t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb;
     (* The flow's home CPU is fixed by the same symmetric hash the NIC
        steers with, so input, timers, and output for this pcb all meet on
@@ -317,7 +335,13 @@ let detach t pcb =
     Sockbuf.sbdrop pcb.snd_buf pcb.snd_buf.Sockbuf.sb_cc;
     Sockbuf.sbdrop pcb.rcv_buf pcb.rcv_buf.Sockbuf.sb_cc
   end;
-  t.pcbs <- List.filter (fun x -> x != pcb) t.pcbs;
+  Option.iter
+    (fun n ->
+      Dlist.remove n;
+      pcb.t_node <- None;
+      Port_alloc.release t.ports pcb.lport;
+      if List.memq pcb t.listeners then t.listeners <- List.filter (( != ) pcb) t.listeners)
+    pcb.t_node;
   Option.iter (Tw_queue.remove t.tw) pcb.tw_ent;
   Demux.remove t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb
 
@@ -325,12 +349,8 @@ let next_iss t =
   t.iss_source <- Codec.m32 (t.iss_source + 64000);
   t.iss_source
 
-let alloc_port t =
-  let used p = List.exists (fun x -> x.lport = p) t.pcbs in
-  let rec pick p = if used p then pick (p + 1) else p in
-  let p = pick t.next_ephemeral in
-  t.next_ephemeral <- p + 1;
-  p
+(* Every registered pcb, newest first. *)
+let pcb_list t = Dlist.to_list t.pcbs
 
 (* ------------------------------------------------------------------ *)
 (* overload policy (lib/inet)                                          *)
@@ -351,7 +371,7 @@ let retire_time_wait t pcb =
    still complete those statelessly). *)
 let tcp_reclaim t =
   Tw_queue.reclaim t.tw ~retire:(retire_time_wait t);
-  List.iter (fun pcb -> Syncache.drop_all t.syncache pcb.syn_cache) t.pcbs
+  List.iter (fun pcb -> Syncache.drop_all t.syncache pcb.syn_cache) t.listeners
 
 (* The RST answering a segment no connection claims passes the bucket. *)
 let err_allowed t =
@@ -408,7 +428,7 @@ let rec ensure_timers t =
 and tick_loop t ns wheel stop =
   ignore
     (Machine.after t.machine ns (fun () ->
-         if t.pcbs = [] then stop ()
+         if Dlist.is_empty t.pcbs then stop ()
          else begin
            tick t wheel;
            tick_loop t ns wheel stop
@@ -717,30 +737,27 @@ let rec reass_deliver pcb =
 (* ------------------------------------------------------------------ *)
 (* tcp_input                                                           *)
 
+let on_tuple ~src ~sport ~dport p =
+  p.lport = dport && p.rport = sport && Int32.equal p.raddr src && p.t_state <> Listen
+
 let find_pcb t ~src ~sport ~dport =
   let connected =
     if Demux.on () then Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport
-    else
-      List.find_opt
-        (fun p ->
-          p.lport = dport && p.rport = sport && Int32.equal p.raddr src && p.t_state <> Listen)
-        t.pcbs
+    else Dlist.find_opt (on_tuple ~src ~sport ~dport) t.pcbs
   in
   match connected with
   | Some p when p.t_state <> Listen -> connected
-  | _ -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.pcbs
+  | _ -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.listeners
 
 (* Embryonic connections (SYN_RCVD children of [pcb]) count against the
    listen backlog alongside the already-established, not-yet-accepted ones
-   on the accept queue — the donor's so_qlen + so_q0len. *)
-let listen_q_len t pcb =
-  Queue.length pcb.accept_q
-  + List.length
-      (List.filter
-         (fun p ->
-           p.t_state = Syn_received
-           && match p.listen_parent with Some x -> x == pcb | None -> false)
-         t.pcbs)
+   on the accept queue — the donor's so_qlen + so_q0len.  Children that
+   have left SYN_RCVD (completed, reset or aborted) leave [syn_q] here. *)
+let prune_syn_q pcb = pcb.syn_q <- List.filter (fun p -> p.t_state = Syn_received) pcb.syn_q
+
+let listen_q_len pcb =
+  prune_syn_q pcb;
+  Queue.length pcb.accept_q + List.length pcb.syn_q
 
 let enter_time_wait t pcb =
   pcb.t_state <- Time_wait;
@@ -875,7 +892,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
         (if Cost.config.syn_defense then
            (* Embryonic state lives in the syncache, off the backlog. *)
            syncache_add t pcb ~src ~sport ~seq ~mss
-         else if listen_q_len t pcb >= max 1 pcb.backlog then
+         else if listen_q_len pcb >= max 1 pcb.backlog then
           (* Queue overflow: drop the SYN on the floor (the peer will
              retransmit it) and count the drop. *)
           bump t (fun s -> s.listen_overflow <- s.listen_overflow + 1)
@@ -1342,7 +1359,8 @@ let make_stats () =
 
 let attach ip machine =
   let t =
-    { ip; machine; pcbs = []; demux = Demux.create 64; next_ephemeral = 1024; iss_source = 1;
+    { ip; machine; pcbs = Dlist.create (); listeners = [];
+      ports = Port_alloc.create ~lo:1024 ~hi:65535; demux = Demux.create 64; iss_source = 1;
       ticking = false; fast_ticking = false;
       slow_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
       fast_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
@@ -1357,40 +1375,47 @@ let attach ip machine =
   t
 
 let usr_bind t pcb ~port =
-  if List.exists (fun x -> x != pcb && x.lport = port && x.t_state = Listen) t.pcbs then
+  if List.exists (fun x -> x != pcb && x.lport = port && x.t_state = Listen) t.listeners then
     Result.Error Error.Addrinuse
   else begin
+    if pcb.t_node <> None then Port_alloc.move t.ports ~old:pcb.lport port;
     pcb.lport <- port;
     pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
     Ok ()
   end
 
+(* An unbound pcb takes the next free ephemeral port. *)
+let bind_ephemeral t pcb =
+  if pcb.lport <> 0 then Ok ()
+  else Result.map (fun p -> pcb.lport <- p) (Port_alloc.alloc t.ports)
+
 let usr_listen t pcb ~backlog =
-  if pcb.lport = 0 then pcb.lport <- alloc_port t;
-  if Int32.equal pcb.laddr 0l then pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
-  pcb.backlog <- max 1 backlog;
-  pcb.t_state <- Listen;
-  register t pcb;
-  ensure_timers t;
-  Ok ()
+  Result.map
+    (fun () ->
+      if Int32.equal pcb.laddr 0l then pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
+      pcb.backlog <- max 1 backlog;
+      pcb.t_state <- Listen;
+      register t pcb;
+      ensure_timers t)
+    (bind_ephemeral t pcb)
 
 let usr_connect t pcb ~dst ~dport =
   if pcb.t_state <> Closed then Result.Error Error.Isconn
-  else begin
-    pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
-    if pcb.lport = 0 then pcb.lport <- alloc_port t;
-    pcb.raddr <- dst;
-    pcb.rport <- dport;
-    pcb.iss <- next_iss t;
-    pcb.snd_una <- pcb.iss;
-    pcb.snd_nxt <- pcb.iss;
-    pcb.snd_max <- pcb.iss;
-    pcb.t_state <- Syn_sent;
-    register t pcb;
-    ensure_timers t;
-    send_syn t pcb ~with_ack:false;
-    Ok ()
-  end
+  else
+    Result.map
+      (fun () ->
+        pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
+        pcb.raddr <- dst;
+        pcb.rport <- dport;
+        pcb.iss <- next_iss t;
+        pcb.snd_una <- pcb.iss;
+        pcb.snd_nxt <- pcb.iss;
+        pcb.snd_max <- pcb.iss;
+        pcb.t_state <- Syn_sent;
+        register t pcb;
+        ensure_timers t;
+        send_syn t pcb ~with_ack:false)
+      (bind_ephemeral t pcb)
 
 let autotune_snd pcb =
   let b = pcb.snd_buf in
@@ -1516,13 +1541,9 @@ let usr_close t pcb =
       Syncache.drop_all t.syncache pcb.syn_cache;
       Queue.iter (fun conn -> if conn.t_state <> Closed then usr_abort t conn) pcb.accept_q;
       Queue.clear pcb.accept_q;
-      List.iter
-        (fun p ->
-          if
-            p.t_state = Syn_received
-            && match p.listen_parent with Some x -> x == pcb | None -> false
-          then usr_abort t p)
-        t.pcbs;
+      prune_syn_q pcb;
+      List.iter (fun p -> if p.t_state = Syn_received then usr_abort t p) pcb.syn_q;
+      pcb.syn_q <- [];
       detach t pcb;
       pcb.on_state ()
   | Syn_received | Established ->

@@ -21,7 +21,7 @@ type t = {
      (0, 0, lport) for wildcard binds.  Rebuilt on bind/alloc/detach — the
      only places lport changes. *)
   demux : pcb Demux.t;
-  mutable next_ephemeral : int;
+  ports : Port_alloc.t;  (* the pcbs' lport use counts, ephemeral cursor *)
   mutable badsum : int;    (* datagrams dropped on checksum failure *)
   mutable noport : int;    (* datagrams with no listening pcb *)
   mutable fulldrops : int; (* datagrams dropped at a full socket buffer *)
@@ -56,7 +56,7 @@ let find_pcb t ~src ~sport ~dport =
 
 let attach ip =
   let t =
-    { ip; pcbs = []; demux = Demux.create 16; next_ephemeral = 49152;
+    { ip; pcbs = []; demux = Demux.create 16; ports = Port_alloc.create ~lo:49152 ~hi:65535;
       badsum = 0; noport = 0; fulldrops = 0; unreach_sent = 0;
       icmp_ratelimited = 0; nomem_drops = 0; icmp_bucket = Token_bucket.create ip.Ip.machine }
   in
@@ -118,13 +118,6 @@ let attach ip =
   Ip.set_proto ip ~proto:Ip.proto_udp (fun ~src ~dst m -> input ~src ~dst m);
   t
 
-let alloc_port t =
-  let used p = List.exists (fun x -> x.lport = p) t.pcbs in
-  let rec pick p = if used p then pick (p + 1) else p in
-  let p = pick t.next_ephemeral in
-  t.next_ephemeral <- p + 1;
-  p
-
 let create_pcb t =
   let p =
     { lport = 0; laddr = 0l; rport = 0; raddr = 0l; rcv_q = Queue.create ();
@@ -138,6 +131,7 @@ let bind t pcb ~port =
     Result.Error Error.Addrinuse
   else begin
     hash_remove t pcb;
+    if List.memq pcb t.pcbs then Port_alloc.move t.ports ~old:pcb.lport port;
     pcb.lport <- port;
     pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
     hash_add t pcb;
@@ -145,13 +139,20 @@ let bind t pcb ~port =
   end
 
 let detach t pcb =
-  t.pcbs <- List.filter (fun x -> x != pcb) t.pcbs;
+  if List.memq pcb t.pcbs then begin
+    t.pcbs <- List.filter (fun x -> x != pcb) t.pcbs;
+    Port_alloc.release t.ports pcb.lport
+  end;
   hash_remove t pcb
 
 let rec output t pcb ~dst ~dport ~src ~src_pos ~len =
   if pcb.lport = 0 then begin
-    pcb.lport <- alloc_port t;
-    hash_add t pcb
+    match Port_alloc.alloc t.ports with
+    | Ok p ->
+        Port_alloc.use t.ports p;
+        pcb.lport <- p;
+        hash_add t pcb
+    | Error e -> Error.fail e
   end;
   try output_dgram t pcb ~dst ~dport ~src ~src_pos ~len
   with Memfault.Nomem ->

@@ -110,6 +110,7 @@ type sock = {
   mutable nb : bool; (* O_NONBLOCK *)
   mutable listeners : ready_listener list;
   mutable next_lid : int;
+  mutable on_list : bool; (* on the stack's [socks] *)
 }
 
 and stack = {
@@ -122,7 +123,7 @@ and stack = {
   (* hashed demux of connected socks (lib/inet); listeners are found by
      the lport-only fallback scan *)
   demux : sock Demux.t;
-  mutable next_port : int;
+  ports : Port_alloc.t; (* the socks' lport use counts, ephemeral cursor *)
   mutable next_iss : int;
   mutable ip_id : int;
   mutable segs_out : int;
@@ -180,7 +181,8 @@ let create machine =
         arp =
           Arp_resolver.create machine ~send:(fun ~op ~dst_mac ~target_mac ~target_ip ->
               arp_output (Lazy.force t) ~op ~dst_mac ~target_mac ~target_ip);
-        socks = []; demux = Demux.create 64; next_port = 1024; next_iss = 99000;
+        socks = []; demux = Demux.create 64; ports = Port_alloc.create ~lo:1024 ~hi:65535;
+        next_iss = 99000;
         ip_id = 1; segs_out = 0; segs_in = 0; rexmits = 0; ipbadsum = 0; tcpbadsum = 0;
         rcvdup = 0; rcvoo = 0; rcvfull = 0;
         rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
@@ -207,8 +209,25 @@ let sock_hash_add t s =
       ~port_a:s.lport ~addr_b:s.raddr ~port_b:s.rport;
   Demux.add t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
 
+(* Put [s] at the head of [socks], where the scans meet it first. *)
+let to_front t s =
+  if s.on_list then t.socks <- s :: List.filter (fun x -> x != s) t.socks
+  else begin
+    s.on_list <- true;
+    t.socks <- s :: t.socks;
+    Port_alloc.use t.ports s.lport
+  end
+
+let set_lport t s p =
+  if s.on_list then Port_alloc.move t.ports ~old:s.lport p;
+  s.lport <- p
+
 let detach t s =
-  t.socks <- List.filter (fun x -> x != s) t.socks;
+  if s.on_list then begin
+    s.on_list <- false;
+    t.socks <- List.filter (fun x -> x != s) t.socks;
+    Port_alloc.release t.ports s.lport
+  end;
   Option.iter (Tw_queue.remove t.tw) s.tw_ent;
   Demux.remove t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
 
@@ -249,13 +268,6 @@ let ip_output t ?(free_after = false) ~proto ~dst skb =
 let next_iss t =
   t.next_iss <- Codec.m32 (t.next_iss + 64000);
   t.next_iss
-
-let alloc_port t =
-  let used p = List.exists (fun s -> s.lport = p) t.socks in
-  let rec pick p = if used p then pick (p + 1) else p in
-  let p = pick t.next_port in
-  t.next_port <- p + 1;
-  p
 
 let inflight s = Codec.seq_diff s.snd_nxt s.snd_una
 
@@ -545,7 +557,7 @@ let blank_sock t =
     backlog = 0; parent = None; syn_cache = Syncache.listener (); tw_ent = None; err = None;
     sleep = Sleep_record.create ~name:"lx_sock" ();
     rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = [];
-    next_lid = 1 }
+    next_lid = 1; on_list = false }
 
 (* A minimal unsocketed RST. *)
 let send_rst_for t ~src ~sport ~dport ~ack =
@@ -554,7 +566,7 @@ let send_rst_for t ~src ~sport ~dport ~ack =
 
 let new_sock t =
   let s = blank_sock t in
-  t.socks <- s :: t.socks;
+  to_front t s;
   s
 
 let find_sock t ~src ~sport ~dport =
@@ -604,7 +616,7 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
       else begin
         let c = new_sock t in
         c.state <- Established;
-        c.lport <- s.lport;
+        set_lport t c s.lport;
         c.rport <- sport;
         c.raddr <- src;
         sock_hash_add t c;
@@ -896,7 +908,7 @@ let tcp_rcv t skb ~src =
                   else begin
                   let c = new_sock t in
                   c.state <- Syn_recv;
-                  c.lport <- s.lport;
+                  set_lport t c s.lport;
                   c.rport <- sport;
                   c.raddr <- src;
                   sock_hash_add t c;
@@ -1074,10 +1086,15 @@ let attach_dev t osenv dev =
 (* ---- blocking socket calls ---- *)
 
 let socket t = new_sock t
-let bind _t s ~port = s.lport <- port
+let bind t s ~port = set_lport t s port
 
+(* An unbound sock takes the next free ephemeral port. *)
+let bind_ephemeral t s =
+  if s.lport <> 0 then Ok () else Result.map (set_lport t s) (Port_alloc.alloc t.ports)
+
+(* Raises [Error.Error Addrnotavail] when no ephemeral port is free. *)
 let listen t s ~backlog =
-  if s.lport = 0 then s.lport <- alloc_port t;
+  Result.iter_error Error.fail (bind_ephemeral t s);
   s.backlog <- backlog;
   s.state <- Listen
 
@@ -1098,24 +1115,26 @@ let accept _t s =
 
 (* connect up to the wait for the SYN-ACK. *)
 let connect_start t s ~dst ~dport =
-  if s.lport = 0 then s.lport <- alloc_port t;
-  s.raddr <- dst;
-  s.rport <- dport;
-  (* The scan must meet the newest connection on a 4-tuple first, as the
-     hash does, whatever order the sockets were made in. *)
-  t.socks <- s :: List.filter (fun x -> x != s) t.socks;
-  sock_hash_add t s;
-  s.iss <- next_iss t;
-  s.snd_una <- s.iss;
-  s.snd_nxt <- Codec.m32 (s.iss + 1);
-  s.state <- Syn_sent;
-  if not (tcp_xmit t s ~seq:s.iss ~flags:th_syn ~payload:None ~queue:true) then begin
-    (* The SYN never left and nothing is queued to retransmit it: fail the
-       connect with ENOBUFS instead of blocking forever. *)
-    s.state <- Closed;
-    s.err <- Some Error.Nomem;
-    detach t s
-  end
+  match bind_ephemeral t s with
+  | Result.Error e -> s.err <- Some e (* no free port: [connect] fails with it *)
+  | Ok () ->
+      s.raddr <- dst;
+      s.rport <- dport;
+      (* The scan must meet the newest connection on a 4-tuple first, as the
+         hash does, whatever order the sockets were made in. *)
+      to_front t s;
+      sock_hash_add t s;
+      s.iss <- next_iss t;
+      s.snd_una <- s.iss;
+      s.snd_nxt <- Codec.m32 (s.iss + 1);
+      s.state <- Syn_sent;
+      if not (tcp_xmit t s ~seq:s.iss ~flags:th_syn ~payload:None ~queue:true) then begin
+        (* The SYN never left and nothing is queued to retransmit it: fail
+           the connect with ENOBUFS instead of blocking forever. *)
+        s.state <- Closed;
+        s.err <- Some Error.Nomem;
+        detach t s
+      end
 
 let connect t s ~dst ~dport =
   connect_start t s ~dst ~dport;

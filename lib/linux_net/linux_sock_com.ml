@@ -16,7 +16,9 @@ let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
     { Io_if.so_unknown = unknown ();
       so_bind =
         (fun a -> enter (fun () -> Ok (Linux_inet.bind t s ~port:a.Io_if.sin_port)));
-      so_listen = (fun ~backlog -> enter (fun () -> Ok (Linux_inet.listen t s ~backlog)));
+      so_listen =
+        (fun ~backlog ->
+          enter (fun () -> Error.to_result (fun () -> Linux_inet.listen t s ~backlog)));
       so_accept =
         (fun () ->
           enter (fun () ->

@@ -51,6 +51,12 @@
 # the expression that writes the TCP data-offset byte must find nothing
 # outside lib/inet, so no stack, bench or test grows its own header
 # writer (and, beside it, its own unchecked parser) back.
+# BSD TCP keeps its per-connection bookkeeping O(1) in the number of live
+# pcbs — TIME_WAIT ones included — through a listener index, per-listener
+# SYN_RCVD queues, per-pcb list nodes and a port use table: a grep must
+# find the full pcb list walked in lib/freebsd_net/tcp.ml only by
+# find_pcb's pcb_hash-off scan and the pcb_list accessor, so no SYN,
+# bind or close grows a walk over the whole population back.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -64,6 +70,11 @@ if grep -rnE "config\.(Cost\.)?(kq|timer_wheel)" lib bench bin examples test; th
 fi
 if grep -rnE "/ 4\) lsl 4" lib bench test bin examples | grep -v '^lib/inet/'; then
   echo "TCP header written outside lib/inet's codec" >&2
+  exit 1
+fi
+if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \
+  | grep -vE 'Dlist\.(push_front|is_empty) t\.pcbs|:let pcb_list t = Dlist\.to_list t\.pcbs$|: +else Dlist\.find_opt \(on_tuple ~src ~sport ~dport\) t\.pcbs$'; then
+  echo "BSD TCP walks its pcb list outside find_pcb's pcb_hash-off scan" >&2
   exit 1
 fi
 dune runtest

@@ -25,6 +25,7 @@ let () =
       "asyncio", Test_asyncio.suite;
       "fastpath", Test_fastpath.suite;
       "demux", Test_demux.suite;
+      "ports", Test_ports.suite;
       "longfat", Test_longfat.suite;
       "overload", Test_overload.suite;
       "smp", Test_smp.suite;

@@ -5,7 +5,12 @@
    tw_max cap retiring the oldest — are applied to BSD TCP, Linux TCP and
    BSD UDP.  After every step, every probe tuple must find the same pcb
    with the knob on as with it off.  The knob changes no charged cycle and
-   no wire byte; this property is what lets the linear scans go. *)
+   no wire byte; this property is what lets the linear scans go.
+
+   BSD TCP also gets RSTs and handshake-completing ACKs for its SYN_RCVD
+   children, and after every step its O(1) indexes must equal what the
+   full pcb list says: the listener index, each listener's backlog count,
+   the port use table, and no pcb listed twice. *)
 
 let ip = Oskit.ip_of_string
 let mask = ip "255.255.255.0"
@@ -47,11 +52,11 @@ let agree lookup used_lports =
       | _ -> false)
     (probes used_lports)
 
-(* One step: (kind, a, b, c) with kind 0..7, a 0..3, b and c 0..1. *)
+(* One step: (kind, a, b, c) with kind 0..9, a 0..3, b and c 0..1. *)
 let gen_ops =
   QCheck.(
     pair (int_bound 2)
-      (list_of_size Gen.(1 -- 30) (quad (int_bound 7) (int_bound 3) (int_bound 1) (int_bound 1))))
+      (list_of_size Gen.(1 -- 30) (quad (int_bound 9) (int_bound 3) (int_bound 1) (int_bound 1))))
 
 (* Sockets made by an earlier step are connected newest first, so
    creation order and connect order differ. *)
@@ -65,9 +70,9 @@ let take_fresh fresh make =
 let nth_live live a = match live with [] -> None | l -> Some (List.nth l (a mod List.length l))
 
 (* An option-less TCP segment header with a valid checksum. *)
-let tcp_header ?(dst = local) ~src ~sport ~dport ~flags () =
+let tcp_header ?(dst = local) ?(seq = 7) ?(ack = 0) ~src ~sport ~dport ~flags () =
   let d = Bytes.make 20 '\000' in
-  Codec.write_tcp d ~off:0 ~sport ~dport ~seq:7 ~ack:0 ~flags ~win:8192 ~mss:None ~wscale:None;
+  Codec.write_tcp d ~off:0 ~sport ~dport ~seq ~ack ~flags ~win:8192 ~mss:None ~wscale:None;
   Codec.set_tcp_cksum d ~off:0 ~zero_as_ones:false
     (Codec.cksum_bytes d ~off:0 ~len:20 ~init:(Codec.pseudo_header ~src ~dst ~proto:6 ~len:20));
   d
@@ -83,6 +88,39 @@ let testbed () =
   Clientos.make_testbed ~models:("3c905", "tulip") ()
 
 (* ------------------------------------------------------------------ *)
+
+(* A stack's port use table equals the multiset of its pcbs' [lports]
+   (port 0, unbound, uncounted). *)
+let ports_agree ports lports =
+  let reference = Port_alloc.create ~lo:0 ~hi:0 in
+  List.iter (Port_alloc.use reference) lports;
+  let sorted a = List.sort compare (Hashtbl.fold (fun p n l -> (p, n) :: l) a.Port_alloc.uses []) in
+  sorted ports = sorted reference
+
+(* BSD TCP's indexes against a reference recomputed from the pcb list. *)
+let bsd_indexes_agree t =
+  let all = Tcp.pcb_list t in
+  let is_child l p =
+    p.Tcp.t_state = Tcp.Syn_received
+    && match p.Tcp.listen_parent with Some x -> x == l | None -> false
+  in
+  let listeners = List.filter (fun p -> p.Tcp.t_state = Tcp.Listen) all in
+  List.length t.Tcp.listeners = List.length listeners
+  && List.for_all2 ( == ) t.Tcp.listeners listeners
+  && List.for_all
+       (fun l ->
+         Tcp.listen_q_len l
+         = Queue.length l.Tcp.accept_q + List.length (List.filter (is_child l) all))
+       listeners
+  && ports_agree t.Tcp.ports (List.map (fun p -> p.Tcp.lport) all)
+  && List.for_all (fun p -> List.length (List.filter (( == ) p) all) = 1) all
+
+(* A segment from [p]'s peer, in [p]'s receive window. *)
+let to_child t p ~flags =
+  Tcp.input t ~src:p.Tcp.raddr ~dst:local
+    (bsd_segment
+       (tcp_header ~src:p.Tcp.raddr ~sport:p.Tcp.rport ~dport:p.Tcp.lport ~seq:p.Tcp.rcv_nxt
+          ~ack:p.Tcp.snd_nxt ~flags ()))
 
 let bsd_tcp (tw_max, ops) =
   with_tw_max tw_max (fun () ->
@@ -108,7 +146,7 @@ let bsd_tcp (tw_max, ops) =
             Tcp.input t ~src ~dst:local
               (bsd_segment (tcp_header ~src ~sport:syn_sports.(c) ~dport:lports.(a land 1)
                               ~flags:Tcp.th_syn ()));
-            live := List.filter (fun p -> not (List.memq p !live)) t.Tcp.pcbs @ !live
+            live := List.filter (fun p -> not (List.memq p !live)) (Tcp.pcb_list t) @ !live
         | 3 ->
             Option.iter
               (fun p -> if b = 0 then Tcp.usr_abort t p else Tcp.usr_close t p)
@@ -130,8 +168,18 @@ let bsd_tcp (tw_max, ops) =
                 end)
               (nth_live !live a)
         | 6 -> Tcp.tcp_reclaim t
-        | _ -> fresh := Tcp.create_pcb t :: !fresh);
-        agree (Tcp.find_pcb t) (List.map (fun p -> p.Tcp.lport) t.Tcp.pcbs)
+        | 7 -> fresh := Tcp.create_pcb t :: !fresh
+        | kind ->
+            (* An RST, or the ACK that completes the handshake, to a
+               SYN_RCVD child. *)
+            let children =
+              List.filter (fun p -> p.Tcp.t_state = Tcp.Syn_received) (Tcp.pcb_list t)
+            in
+            Option.iter
+              (to_child t ~flags:(if kind = 8 then Tcp.th_rst else Tcp.th_ack))
+              (nth_live children a));
+        agree (Tcp.find_pcb t) (List.map (fun p -> p.Tcp.lport) (Tcp.pcb_list t))
+        && bsd_indexes_agree t
       in
       List.for_all step ops)
 
@@ -188,7 +236,8 @@ let linux_tcp (tw_max, ops) =
               (nth_live !live a)
         | 6 -> Linux_inet.lx_reclaim t
         | _ -> fresh := Linux_inet.socket t :: !fresh);
-        agree (Linux_inet.find_sock t) (List.map (fun s -> s.Linux_inet.lport) t.Linux_inet.socks)
+        let lports = List.map (fun s -> s.Linux_inet.lport) t.Linux_inet.socks in
+        agree (Linux_inet.find_sock t) lports && ports_agree t.Linux_inet.ports lports
       in
       List.for_all step ops)
 
@@ -214,7 +263,8 @@ let bsd_udp (_, ops) =
         Udp.output u p ~dst:raddrs.(b) ~dport:rports.(c) ~src:(Bytes.make 1 'x') ~src_pos:0 ~len:1;
         live := p :: !live
     | _ -> Option.iter (Udp.detach u) (nth_live !live a));
-    agree (Udp.find_pcb u) (List.map (fun p -> p.Udp.lport) u.Udp.pcbs)
+    let lports = List.map (fun p -> p.Udp.lport) u.Udp.pcbs in
+    agree (Udp.find_pcb u) lports && ports_agree u.Udp.ports lports
   in
   List.for_all step ops
 
@@ -283,6 +333,49 @@ let test_udp_unbound () =
         (with_pcb_hash on (fun () -> Udp.find_pcb u ~src:raddrs.(0) ~sport:53 ~dport:0) = None))
     [ true; false ]
 
+(* The TCP header of an Ethernet/IPv4 frame, if it carries one. *)
+let tcp_of_frame f =
+  let len = Bytes.length f - 14 in
+  if len < 0 || Bytes.get_uint16_be f 12 <> 0x0800 then None
+  else
+    match Codec.parse_ip f ~off:14 ~len with
+    | Some ip when ip.Codec.proto = 6 ->
+        Codec.parse_tcp f ~off:(14 + ip.Codec.ihl) ~len:(ip.Codec.total - ip.Codec.ihl)
+    | _ -> None
+
+(* Closing a listener resets its SYN_RCVD children newest first — the
+   order the walk of the newest-first pcb list met them — and leaves its
+   SYN_RCVD queue empty. *)
+let test_listener_close_order () =
+  let tb = testbed () in
+  let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
+  let t = st.Bsd_socket.tcp in
+  let peer = raddrs.(0) in
+  Hashtbl.replace st.Bsd_socket.arp.Arp_resolver.table peer
+    (Arp_resolver.Resolved "\x02\x00\x00\x00\x00\x99");
+  let rsts = ref [] in
+  ignore
+    (Wire.attach tb.Clientos.wire ~rx:(fun f ->
+         match tcp_of_frame f with
+         | Some h when h.Codec.flags land Tcp.th_rst <> 0 -> rsts := h.Codec.dport :: !rsts
+         | _ -> ()));
+  let ls = Tcp.create_pcb t in
+  Alcotest.(check bool) "bind" true (Result.is_ok (Tcp.usr_bind t ls ~port:80));
+  Alcotest.(check bool) "listen" true (Result.is_ok (Tcp.usr_listen t ls ~backlog:8));
+  let sports = [ 5000; 5001; 5002; 5003 ] in
+  List.iter
+    (fun sport ->
+      Tcp.input t ~src:peer ~dst:local
+        (bsd_segment (tcp_header ~src:peer ~sport ~dport:80 ~flags:Tcp.th_syn ())))
+    sports;
+  Alcotest.(check (list int)) "children queued newest first" (List.rev sports)
+    (List.map (fun p -> p.Tcp.rport) ls.Tcp.syn_q);
+  Tcp.usr_close t ls;
+  Clientos.run tb ~until:(fun () -> List.length !rsts = List.length sports);
+  Alcotest.(check (list int)) "RSTs leave newest first" (List.rev sports) (List.rev !rsts);
+  Alcotest.(check int) "SYN_RCVD queue empty" 0 (List.length ls.Tcp.syn_q);
+  Alcotest.(check int) "no pcb left" 0 (List.length (Tcp.pcb_list t))
+
 let prop name f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:200 ~name gen_ops f)
 
 let suite =
@@ -293,4 +386,6 @@ let suite =
       test_tuple_reuse;
     Alcotest.test_case "demux: linux, the later connect on a live 4-tuple answers" `Quick
       test_linux_connect_order;
-    Alcotest.test_case "demux: an unbound udp pcb takes nothing" `Quick test_udp_unbound ]
+    Alcotest.test_case "demux: an unbound udp pcb takes nothing" `Quick test_udp_unbound;
+    Alcotest.test_case "pcb index: listener close resets SYN_RCVD children newest first" `Quick
+      test_listener_close_order ]

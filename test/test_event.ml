@@ -237,7 +237,7 @@ let test_tick_fires_on_home_cpu () =
       ignore (net_ok (Bsd_socket.so_send s ~buf:(Bytes.of_string "x") ~pos:0 ~len:1)));
   Clientos.run tb ~until:(fun () -> !delack <> None);
   let pcb_of (st : Bsd_socket.stack) =
-    List.find (fun p -> p.Tcp.t_state = Tcp.Established) st.Bsd_socket.tcp.Tcp.pcbs
+    List.find (fun p -> p.Tcp.t_state = Tcp.Established) (Tcp.pcb_list st.Bsd_socket.tcp)
   in
   Alcotest.(check int) "client pcb's home CPU" home (pcb_of sa).Tcp.home_cpu;
   Alcotest.(check int) "server pcb's home CPU" home (pcb_of sb).Tcp.home_cpu;

@@ -191,7 +191,7 @@ let test_syncache_mss_without_option () =
             Tcp.input t ~src ~dst:baddr (Test_demux.bsd_segment (syn ~dst:baddr ~port));
             if defended then (List.hd ls.Tcp.syn_cache.Syncache.entries).Syncache.mss
             else
-              (List.find (fun p -> p.Tcp.lport = port && p != ls) t.Tcp.pcbs).Tcp.t_maxseg)
+              (List.find (fun p -> p.Tcp.lport = port && p != ls) (Tcp.pcb_list t)).Tcp.t_maxseg)
       in
       let linux ~defended ~port =
         with_overload ~syn_defense:defended (fun () ->
