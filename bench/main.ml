@@ -502,23 +502,22 @@ let sgsmoke () =
 
 (* ---------------- rtt: the Table 2 gap, attacked ---------------- *)
 
-(* All three receive-side fast-path layers at once; default off everywhere
-   else, so only these two sections ever see them. *)
+(* Both receive-side fast-path knobs at once (the hashed demux is always
+   on); default off everywhere else, so only these two sections ever see
+   them. *)
 let fast_flags on f =
   Cost.config.Cost.tcp_fastpath <- on;
-  Cost.config.Cost.pcb_hash <- on;
   Cost.config.Cost.rx_batch <- (if on then 8 else 1);
   Fun.protect
     ~finally:(fun () ->
       Cost.config.Cost.tcp_fastpath <- false;
-      Cost.config.Cost.pcb_hash <- false;
       Cost.config.Cost.rx_batch <- 1)
     f
 
 let rtt () =
   section_header "RTT distribution: rtcp percentiles, default vs receive fast path";
   print_endline
-    "fast path = header prediction + hashed PCB demux + batched RX; flags off\n\
+    "fast path = header prediction + batched RX; flags off\n\
      reproduces Table 2 exactly, flags on closes the gap toward FreeBSD\n";
   Printf.printf "%-10s %-9s %10s %9s %9s %9s %8s %9s %8s %9s\n" "system" "fastpath"
     "mean (us)" "p50" "p95" "p99" "fp hits" "fallback" "pcb hit" "pcb miss";

@@ -228,7 +228,6 @@ type rtt_dist = {
 let dist ?(fastpath = false) config ~trips =
   Clientos.reset_globals ();
   Cost.config.Cost.tcp_fastpath <- fastpath;
-  Cost.config.Cost.pcb_hash <- fastpath;
   Cost.config.Cost.rx_batch <- (if fastpath then 8 else 1);
   Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
@@ -262,7 +261,6 @@ let dist ?(fastpath = false) config ~trips =
       s.close ());
   Clientos.run tb ~until:(fun () -> !finished);
   Cost.config.Cost.tcp_fastpath <- false;
-  Cost.config.Cost.pcb_hash <- false;
   Cost.config.Cost.rx_batch <- 1;
   let pct = Percentile.us_of_ns samples in
   { rtt_mean_us =

@@ -75,24 +75,20 @@ let index_of s sub =
   go 0
 
 (* One run: [clients] blocking FreeBSD-native clients, [ncpus] CPUs on
-   BOTH machines, reactor serving sharded across the server's CPUs.  The
-   hot-path flags (hashed demux, header prediction) are on uniformly, so
-   rows differ only in CPU count. *)
+   BOTH machines, reactor serving sharded across the server's CPUs.
+   Header prediction is on uniformly, so rows differ only in CPU count. *)
 let run ?(reqs_per_client = 2) ~ncpus ~clients () =
   Clientos.reset_globals ();
   Fdev.clear_drivers ();
   let saved_ncpus = Cost.config.Cost.ncpus in
-  let saved_hash = Cost.config.Cost.pcb_hash in
   let saved_fast = Cost.config.Cost.tcp_fastpath in
   let saved_qmax = Cost.config.Cost.netisr_qmax in
   Cost.config.Cost.ncpus <- ncpus;
-  Cost.config.Cost.pcb_hash <- true;
   Cost.config.Cost.tcp_fastpath <- true;
   Cost.config.Cost.netisr_qmax <- netisr_qmax;
   Fun.protect
     ~finally:(fun () ->
       Cost.config.Cost.ncpus <- saved_ncpus;
-      Cost.config.Cost.pcb_hash <- saved_hash;
       Cost.config.Cost.tcp_fastpath <- saved_fast;
       Cost.config.Cost.netisr_qmax <- saved_qmax)
   @@ fun () ->

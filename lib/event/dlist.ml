@@ -72,14 +72,6 @@ let iter f t =
   in
   go t.first
 
-(* The first value, front to back, that satisfies [p]. *)
-let find_opt p t =
-  let rec go = function
-    | None -> None
-    | Some n -> if p n.v then Some n.v else go n.next
-  in
-  go t.first
-
 let to_list t =
   let acc = ref [] in
   iter (fun v -> acc := v :: !acc) t;

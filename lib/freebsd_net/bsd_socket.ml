@@ -309,6 +309,7 @@ let netstat st =
   line "  %d drops for want of memory" tcp.Tcp.nomem_drops;
   line "  %d RSTs rate limited" tcp.Tcp.rst_ratelimited;
   line "udp:";
+  line "  %d with bad data length field" udp.Udp.badlen;
   line "  %d with bad checksum" udp.Udp.badsum;
   line "  %d dropped, no socket" udp.Udp.noport;
   line "  %d dropped, full socket buffer" udp.Udp.fulldrops;

@@ -9,9 +9,11 @@
  * probing, no TCP options beyond MSS, no urgent data.  None of these
  * affect the paper's measurements (bulk transfer and 1-byte latency on a
  * LAN).  Header prediction — absent from the 1997 snapshot this models —
- * exists behind Cost.config.tcp_fastpath (default off, so the measured
- * Table 2 shape is untouched), together with the hashed PCB demux of
- * lib/inet; see fastpath_pred/fastpath_input below.
+ * is a charge, not a second input routine: with Cost.config.tcp_fastpath
+ * on (default off, so the measured Table 2 shape is untouched) a segment
+ * that fastpath_pred admits pays tcp_fastpath_cycles instead of the full
+ * per-segment cost, and every segment runs the one input path below.
+ * Connections are found through lib/inet's hashed demux.
  *)
 
 let max_win = 65535
@@ -737,16 +739,9 @@ let rec reass_deliver pcb =
 (* ------------------------------------------------------------------ *)
 (* tcp_input                                                           *)
 
-let on_tuple ~src ~sport ~dport p =
-  p.lport = dport && p.rport = sport && Int32.equal p.raddr src && p.t_state <> Listen
-
 let find_pcb t ~src ~sport ~dport =
-  let connected =
-    if Demux.on () then Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport
-    else Dlist.find_opt (on_tuple ~src ~sport ~dport) t.pcbs
-  in
-  match connected with
-  | Some p when p.t_state <> Listen -> connected
+  match Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport with
+  | Some p as connected when p.t_state <> Listen -> connected
   | _ -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.listeners
 
 (* Embryonic connections (SYN_RCVD children of [pcb]) count against the
@@ -1201,10 +1196,9 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
    testbed's traffic: an established-state segment with no SYN/FIN/RST,
    exactly in order, nothing queued for reassembly, nothing retransmitted
    in flight, an ACK inside [snd_una, snd_max], and either new data or a
-   forward ACK (a pure duplicate/probe falls through so the dup-ack
-   machinery sees it).  Everything admitted here is handled by
-   [fastpath_input] with byte-for-byte the same protocol actions the
-   general path would take — only the cycles charged differ. *)
+   forward ACK (a pure duplicate/probe is left to the dup-ack machinery).
+   For such a segment [common_input]'s trim, dup-ACK, FIN and state-change
+   branches do nothing, so the prediction only chooses the charge. *)
 let fastpath_pred pcb ~seq ~ack ~flags ~dlen =
   pcb.t_state = Established
   && flags land (th_syn lor th_fin lor th_rst) = 0
@@ -1217,41 +1211,6 @@ let fastpath_pred pcb ~seq ~ack ~flags ~dlen =
   && Codec.seq_leq ack pcb.snd_max
   && (Codec.seq_gt ack pcb.snd_una || dlen > 0)
   && dlen <= rcv_window pcb
-
-(* Returns true when [data] was appended to the receive buffer.  Mirrors
-   [common_input] restricted to the predicted case: ACK advance, the
-   donor's wl1/wl2 window-update rule, in-order append with the
-   every-other-segment delayed ACK, then tcp_output. *)
-let fastpath_input t pcb ~seq ~ack ~win ~data ~dlen =
-  if Codec.seq_gt ack pcb.snd_una then ignore (process_ack pcb ack);
-  if
-    Codec.seq_lt pcb.snd_wl1 seq
-    || (pcb.snd_wl1 = seq
-       && (Codec.seq_lt pcb.snd_wl2 ack || (pcb.snd_wl2 = ack && win > pcb.snd_wnd)))
-  then begin
-    pcb.snd_wnd <- win;
-    pcb.snd_wl1 <- seq;
-    pcb.snd_wl2 <- ack;
-    if win > 0 then set_persist t pcb 0;
-    pcb.on_writable ()
-  end;
-  let stored =
-    if dlen > 0 then begin
-      autotune_rcv t pcb ~dlen;
-      Sockbuf.sbappend_chain pcb.rcv_buf data;
-      pcb.rcv_nxt <- Codec.m32 (pcb.rcv_nxt + dlen);
-      if pcb.delack_pending then begin
-        set_delack t pcb false;
-        pcb.ack_now <- true
-      end
-      else set_delack t pcb true;
-      pcb.on_readable ();
-      true
-    end
-    else false
-  in
-  tcp_output t pcb;
-  stored
 
 let rec input t ~src ~dst m =
   try input_segment t ~src ~dst m
@@ -1323,27 +1282,25 @@ and input_segment t ~src ~dst m =
               if fast && fastpath_pred pcb ~seq ~ack ~flags ~dlen then begin
                 Cost.count_fastpath_hit ();
                 if dlen > 0 then bump t (fun s -> s.preddat <- s.preddat + 1)
-                else bump t (fun s -> s.predack <- s.predack + 1);
-                if not (fastpath_input t pcb ~seq ~ack ~win ~data:m ~dlen) then Mbuf.m_freem m
+                else bump t (fun s -> s.predack <- s.predack + 1)
               end
               else begin
                 slowpath ();
                 (* Only established-state, no-control-flag segments count as
                    prediction fallbacks; handshake and teardown segments are
-                   inherently general-path. *)
+                   never candidates. *)
                 if
                   fast && pcb.t_state = Established
                   && flags land (th_syn lor th_fin lor th_rst) = 0
                 then begin
                   Cost.count_fastpath_fallback ();
                   bump t (fun s -> s.predfallback <- s.predfallback + 1)
-                end;
-                if
-                  not
-                    (segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale
-                       ~data:m)
-                then Mbuf.m_freem m
-              end)
+                end
+              end;
+              if
+                not
+                  (segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~data:m)
+              then Mbuf.m_freem m)
     end
   end
 

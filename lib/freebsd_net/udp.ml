@@ -1,6 +1,6 @@
 (* ENCAPSULATED LEGACY CODE — udp_usrreq.c. *)
 
-let udp_hlen = 8
+let udp_hlen = Codec.udp_hlen
 
 type pcb = {
   mutable lport : int;
@@ -22,6 +22,7 @@ type t = {
      only places lport changes. *)
   demux : pcb Demux.t;
   ports : Port_alloc.t;  (* the pcbs' lport use counts, ephemeral cursor *)
+  mutable badlen : int;    (* runts and length fields the datagram cannot hold *)
   mutable badsum : int;    (* datagrams dropped on checksum failure *)
   mutable noport : int;    (* datagrams with no listening pcb *)
   mutable fulldrops : int; (* datagrams dropped at a full socket buffer *)
@@ -43,34 +44,24 @@ let icmp_allowed t =
        false
      end
 
-(* An unbound pcb (lport 0) is in neither the hash nor the scan's reach:
-   a datagram to port 0 must not land on whichever socket is unbound. *)
+(* An unbound pcb (lport 0) is never hashed: a datagram to port 0 must
+   not land on whichever socket is unbound. *)
 let find_pcb t ~src ~sport ~dport =
-  if Demux.on () then Demux.lookup_dgram t.demux ~raddr:src ~rport:sport ~lport:dport
-  else
-    List.find_opt
-      (fun p ->
-        p.lport = dport && dport <> 0
-        && (p.rport = 0 || (p.rport = sport && Int32.equal p.raddr src)))
-      t.pcbs
+  Demux.lookup_dgram t.demux ~raddr:src ~rport:sport ~lport:dport
 
 let attach ip =
   let t =
     { ip; pcbs = []; demux = Demux.create 16; ports = Port_alloc.create ~lo:49152 ~hi:65535;
-      badsum = 0; noport = 0; fulldrops = 0; unreach_sent = 0;
+      badlen = 0; badsum = 0; noport = 0; fulldrops = 0; unreach_sent = 0;
       icmp_ratelimited = 0; nomem_drops = 0; icmp_bucket = Token_bucket.create ip.Ip.machine }
   in
   let input ~src ~dst:_ m =
     (* Consumes m: the payload is copied out, so the chain is always freed. *)
-    if Mbuf.m_length m < udp_hlen then Mbuf.m_freem m
-    else begin
-      let m = Mbuf.m_pullup m udp_hlen in
-      let d = m.Mbuf.m_data and o = m.Mbuf.m_off in
-      let sport = Bytes.get_uint16_be d o in
-      let dport = Bytes.get_uint16_be d (o + 2) in
-      let ulen = Bytes.get_uint16_be d (o + 4) in
-      let csum = Bytes.get_uint16_be d (o + 6) in
-      if ulen <= Mbuf.m_length m then begin
+    let total = Mbuf.m_length m in
+    let m = if total < udp_hlen then m else Mbuf.m_pullup m udp_hlen in
+    (match Codec.parse_udp m.Mbuf.m_data ~off:m.Mbuf.m_off ~len:total with
+    | None -> t.badlen <- t.badlen + 1
+    | Some { Codec.uh_sport = sport; uh_dport = dport; uh_ulen = ulen; uh_sum = csum } ->
         let sum_ok =
           csum = 0
           || In_cksum.cksum_chain m ~off:0 ~len:ulen
@@ -89,7 +80,7 @@ let attach ip =
               if icmp_allowed t then begin
                 t.unreach_sent <- t.unreach_sent + 1;
                 Icmp.send_port_unreach t.ip ~dst:src
-                  ~payload:(Mbuf.m_copydata m ~off:0 ~len:(min udp_hlen (Mbuf.m_length m)))
+                  ~payload:(Mbuf.m_copydata m ~off:0 ~len:udp_hlen)
               end
           | Some p ->
               let len = ulen - udp_hlen in
@@ -103,10 +94,8 @@ let attach ip =
                 p.rcv_cc <- p.rcv_cc + len;
                 p.on_readable ()
               end
-        end
-      end;
-      Mbuf.m_freem m
-    end
+        end);
+    Mbuf.m_freem m
   in
   let input ~src ~dst m =
     try input ~src ~dst m
@@ -166,10 +155,7 @@ and output_dgram t pcb ~dst ~dport ~src ~src_pos ~len =
   let off = Mbuf.m_put m udp_hlen in
   let d = m.Mbuf.m_data in
   let ulen = udp_hlen + len in
-  Bytes.set_uint16_be d off pcb.lport;
-  Bytes.set_uint16_be d (off + 2) dport;
-  Bytes.set_uint16_be d (off + 4) ulen;
-  Bytes.set_uint16_be d (off + 6) 0;
+  Codec.write_udp d ~off ~sport:pcb.lport ~dport ~ulen;
   if len > 0 then Mbuf.m_append m ~src ~src_pos ~len;
   let laddr = t.ip.Ip.ifp.Netif.if_addr in
   let sum =

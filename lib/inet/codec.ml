@@ -1,10 +1,10 @@
-(* The RFC wire formats, written once for both TCP stacks: 32-bit
-   sequence arithmetic, the Internet checksum, and the byte layouts of the
-   IPv4 header (RFC 791), the TCP header with its MSS and window-scale
-   options (RFC 793, RFC 1323) and the Ethernet/IPv4 ARP message
-   (RFC 826).  Each stack keeps its own buffers (mbuf chains, sk_buffs),
-   charges and policy: what it advertises, which options it offers and how
-   it stores a zero TCP checksum are arguments here.
+(* The RFC wire formats, written once for both stacks: 32-bit sequence
+   arithmetic, the Internet checksum, and the byte layouts of the IPv4
+   header (RFC 791), the UDP header (RFC 768), the TCP header with its MSS
+   and window-scale options (RFC 793, RFC 1323) and the Ethernet/IPv4 ARP
+   message (RFC 826).  Each stack keeps its own buffers (mbuf chains,
+   sk_buffs), charges and policy: what it advertises, which options it
+   offers and how it stores a zero TCP checksum are arguments here.
 
    Parsing checks every length field against the bytes actually present
    before anything is read through it, and returns [None] for a header
@@ -122,6 +122,32 @@ let parse_ip d ~off ~len =
           proto = Char.code (Bytes.get d (off + 9));
           src = Bytes.get_int32_be d (off + 12); dst = Bytes.get_int32_be d (off + 16) }
     end
+  end
+
+(* --- UDP --- *)
+
+let udp_hlen = 8
+
+type udp = { uh_sport : int; uh_dport : int; uh_ulen : int; uh_sum : int }
+
+(* The header at [off] with a zero checksum; [ulen] counts the header. *)
+let write_udp d ~off ~sport ~dport ~ulen =
+  Bytes.set_uint16_be d off sport;
+  Bytes.set_uint16_be d (off + 2) dport;
+  Bytes.set_uint16_be d (off + 4) ulen;
+  Bytes.set_uint16_be d (off + 6) 0
+
+(* The header of a [len]-byte datagram whose first [min len 8] bytes at
+   [off] are readable.  Requires 8 <= length field <= [len]. *)
+let parse_udp d ~off ~len =
+  if len < udp_hlen then None
+  else begin
+    let ulen = Bytes.get_uint16_be d (off + 4) in
+    if ulen < udp_hlen || ulen > len then None
+    else
+      Some
+        { uh_sport = Bytes.get_uint16_be d off; uh_dport = Bytes.get_uint16_be d (off + 2);
+          uh_ulen = ulen; uh_sum = Bytes.get_uint16_be d (off + 6) }
   end
 
 (* --- TCP --- *)

@@ -1,10 +1,8 @@
-(* O(1) connection lookup (Cost.config.pcb_hash), shared by both stacks'
-   TCP and the BSD UDP: connections keyed by (raddr, rport, lport), with
-   the donor's one-entry tcp_last_inpcb cache in front for TCP.  Kept up
-   to date whatever the knob says, so it can flip mid-run.  Each stack
-   keeps its own linear scan for knob-off runs and its own listener
-   fallback.  A lookup adds no closure and no allocation beyond the key
-   tuple and [Hashtbl.find_opt]'s own. *)
+(* O(1) connection lookup, shared by both stacks' TCP and the BSD UDP,
+   and the only one they have: connections keyed by (raddr, rport, lport),
+   with the donor's one-entry tcp_last_inpcb cache in front for TCP.
+   Each stack keeps its own listener fallback.  A lookup adds no closure
+   and no allocation beyond the key tuple and [Hashtbl.find_opt]'s own. *)
 
 type 'a t = {
   tbl : (int32 * int * int, 'a) Hashtbl.t;
@@ -18,20 +16,18 @@ type 'a t = {
 let create n =
   { tbl = Hashtbl.create n; last = None; last_raddr = 0l; last_rport = 0; last_lport = 0 }
 
-let on () = Cost.config.pcb_hash
-
 let last_is d ~raddr ~rport ~lport =
   d.last_lport = lport && d.last_rport = rport && Int32.equal d.last_raddr raddr
 
 (* A key can be bound more than once — a newer connection on the 4-tuple
    of one still alive, which the stacks allow — and the newest binding
-   answers, as the linear scans meet the newest pcb first.  The cache must
-   not keep answering with the older one. *)
+   answers, as a walk of each stack's newest-first pcb list would.  The
+   cache must not keep answering with the older one. *)
 let add d ~raddr ~rport ~lport x =
   Hashtbl.add d.tbl (raddr, rport, lport) x;
   if last_is d ~raddr ~rport ~lport then d.last <- None
 
-(* Unbinding the newest uncovers the next newest, again as in the scans. *)
+(* Unbinding the newest uncovers the next newest, again as in that walk. *)
 let remove d ~raddr ~rport ~lport x =
   let k = (raddr, rport, lport) in
   (match Hashtbl.find_all d.tbl k with

@@ -570,16 +570,8 @@ let new_sock t =
   s
 
 let find_sock t ~src ~sport ~dport =
-  let connected =
-    if Demux.on () then Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport
-    else
-      List.find_opt
-        (fun s ->
-          s.lport = dport && s.rport = sport && Int32.equal s.raddr src && s.state <> Listen)
-        t.socks
-  in
-  match connected with
-  | Some s when s.state <> Listen -> connected
+  match Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport with
+  | Some s as connected when s.state <> Listen -> connected
   | _ -> List.find_opt (fun s -> s.lport = dport && s.state = Listen) t.socks
 
 (* A SYN-ACK with no sock behind it (Cost.config.syn_defense): seq/ack and
@@ -705,7 +697,7 @@ let tcp_ack t s ack =
     ack_advance t s ack
   end
 
-(* Every ACK funnels through here (general path and fastpath alike):
+(* Every ACK funnels through here:
    window update, dup-ACK counting with NewReno fast retransmit, and the
    zero-window-reopen wake that pairs with the persist timer. *)
 let tcp_ack_in t s ~ack ~win ~dlen =
@@ -733,10 +725,11 @@ let tcp_ack_in t s ~ack ~win ~dlen =
 
 (* Header prediction (Cost.config.tcp_fastpath), the Linux analog: an
    established-state segment with no SYN/FIN/RST and an ACK, whose data —
-   if any — is exactly in order and fits the receive queue.  Everything
-   admitted is handled with byte-for-byte the same protocol actions the
-   general Established arm would take; only the cycles charged differ.
-   (Pure ACKs always qualify: 2.0's general arm treats every ACK alike.) *)
+   if any — is exactly in order and fits the receive queue.  It chooses
+   the charge only: every segment then runs [tcp_rcv]'s state match, whose
+   Established arm does nothing for such a segment beyond the ACK and the
+   in-order append.  (Pure ACKs always qualify: 2.0's general arm treats
+   every ACK alike.) *)
 let fastpath_pred s ~seq ~flags ~dlen =
   s.state = Established
   && flags land (th_syn lor th_fin lor th_rst) = 0
@@ -838,38 +831,26 @@ let tcp_rcv t skb ~src =
              packet amplifier, so it shares the token bucket. *)
           if flags land th_rst = 0 && lx_err_allowed t then
             send_rst_for t ~src ~sport ~dport ~ack
-      | Some s when fast && fastpath_pred s ~seq ~flags ~dlen ->
-          (* Predicted: ACK bookkeeping plus the in-order append, exactly
-             as the Established arm below would do them.  The prediction
-             excludes SYN, so the window field is always scale-shifted. *)
-          let win = win lsl s.snd_scale in
-          Cost.count_fastpath_hit ();
-          if dlen > 0 then t.preddat <- t.preddat + 1 else t.predack <- t.predack + 1;
-          tcp_ack_in t s ~ack ~win ~dlen;
-          if dlen > 0 then begin
-            autotune_rcv t s ~dlen;
-            Queue.add skb s.rcv_q;
-            stored := true;
-            s.rcv_q_bytes <- s.rcv_q_bytes + dlen;
-            s.rcv_nxt <- Codec.m32 (s.rcv_nxt + dlen);
-            ooo_drain s;
-            send_ack t s;
-            wake s
-          end
       | Some s -> (
           (* Past the handshake the 16-bit window field arrives shifted by
              the peer's negotiated scale; SYN windows are never scaled. *)
           let win = if flags land th_syn = 0 then win lsl s.snd_scale else win in
-          slowpath ();
-          (* Only established-state, no-control-flag segments count as
-             prediction fallbacks; handshake and teardown segments are
-             inherently general-path. *)
-          if
-            fast && s.state = Established
-            && flags land (th_syn lor th_fin lor th_rst) = 0
-          then begin
-            Cost.count_fastpath_fallback ();
-            t.predfallback <- t.predfallback + 1
+          if fast && fastpath_pred s ~seq ~flags ~dlen then begin
+            Cost.count_fastpath_hit ();
+            if dlen > 0 then t.preddat <- t.preddat + 1 else t.predack <- t.predack + 1
+          end
+          else begin
+            slowpath ();
+            (* Only established-state, no-control-flag segments count as
+               prediction fallbacks; handshake and teardown segments are
+               never candidates. *)
+            if
+              fast && s.state = Established
+              && flags land (th_syn lor th_fin lor th_rst) = 0
+            then begin
+              Cost.count_fastpath_fallback ();
+              t.predfallback <- t.predfallback + 1
+            end
           end;
           if flags land th_rst <> 0 then begin
             if s.state <> Listen then begin

@@ -109,7 +109,6 @@ let reset_config () =
   config.sg_tx <- d.sg_tx;
   config.tcp_fastpath <- d.tcp_fastpath;
   config.tcp_fastpath_cycles <- d.tcp_fastpath_cycles;
-  config.pcb_hash <- d.pcb_hash;
   config.rx_batch <- d.rx_batch;
   config.tcp_wscale <- d.tcp_wscale;
   config.tcp_autotune <- d.tcp_autotune;

@@ -54,8 +54,9 @@ type config = {
       (** Van Jacobson header prediction on the TCP receive side (both
           stacks): an in-order segment from the expected peer that carries
           no surprises pays {!field:tcp_fastpath_cycles} instead of the full
-          per-segment protocol charge; anything else falls through to the
-          general input path and pays the difference.  Default [false] so
+          per-segment protocol charge; anything else pays the difference.
+          A charge, not a code path: every segment runs the one general
+          input path either way.  Default [false] so
           the Table 2 RTT stays paper-faithful (the 1997 snapshot in the
           OSKit predates the prediction fast path). *)
   mutable tcp_fastpath_cycles : int;
@@ -63,13 +64,12 @@ type config = {
           the trivial ACK/append work, no general-case machinery.
           Default 850. *)
   mutable pcb_hash : bool;
-      (** O(1) inbound demux: a 4-tuple hash table plus a one-entry
-          last-PCB cache (BSD's [tcp_last_inpcb]) in place of the linear
-          PCB scan, in TCP and UDP of both stacks — written once, in
-          [lib/inet/demux.ml].  Purely algorithmic — no cycle charge
-          changes either way; the cache-hit/miss counters prove it is
-          exercised, and a property test proves it finds what the scan
-          finds.  Default [false]. *)
+      (** Ignored, and scheduled for deletion.  Inbound demux has one
+          engine — the 4-tuple hash with its one-entry last-PCB cache
+          (BSD's [tcp_last_inpcb]) in [lib/inet/demux.ml], in TCP and UDP
+          of both stacks — so nothing reads this field; it survives only
+          because [perfbench/pb_http.ml] still assigns it.  Default
+          [false]. *)
   mutable rx_batch : int;
       (** NAPI-style RX batching budget: how many pending frames one
           interrupt may carry from the driver to the stack through a

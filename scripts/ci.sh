@@ -44,19 +44,21 @@
 # change to a charged cycle, a wire byte or a counter shows up as a
 # reviewable diff.  The knobs each section does not sweep stay at their
 # defaults — ncpus=1 — so the SMP layer must cost nothing when off.
-# Nothing may read the two ignored Cost.config fields, kq and
-# timer_wheel: a grep for them must find nothing outside perfbench.
+# Nothing may read or write the three ignored Cost.config fields, kq,
+# timer_wheel and pcb_hash: a grep for them must find nothing outside
+# perfbench.
 # The RFC header layouts live once, in lib/inet's codec, which is also
 # the one place their length fields are checked before use: a grep for
 # the expression that writes the TCP data-offset byte must find nothing
 # outside lib/inet, so no stack, bench or test grows its own header
 # writer (and, beside it, its own unchecked parser) back.
 # BSD TCP keeps its per-connection bookkeeping O(1) in the number of live
-# pcbs — TIME_WAIT ones included — through a listener index, per-listener
-# SYN_RCVD queues, per-pcb list nodes and a port use table: a grep must
-# find the full pcb list walked in lib/freebsd_net/tcp.ml only by
-# find_pcb's pcb_hash-off scan and the pcb_list accessor, so no SYN,
-# bind or close grows a walk over the whole population back.
+# pcbs — TIME_WAIT ones included — through the hashed demux, a listener
+# index, per-listener SYN_RCVD queues, per-pcb list nodes and a port use
+# table: in lib/freebsd_net/tcp.ml a grep must find the full pcb list
+# touched only by its push_front and is_empty and by the pcb_list
+# accessor, so no segment, SYN, bind or close grows a walk over the whole
+# population back.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -64,8 +66,8 @@
 set -eux
 
 dune build
-if grep -rnE "config\.(Cost\.)?(kq|timer_wheel)" lib bench bin examples test; then
-  echo "ignored Cost.config field read outside perfbench" >&2
+if grep -rnE "(config|Cost)\.(kq|timer_wheel|pcb_hash)\b" lib bench bin examples test; then
+  echo "ignored Cost.config field used outside perfbench" >&2
   exit 1
 fi
 if grep -rnE "/ 4\) lsl 4" lib bench test bin examples | grep -v '^lib/inet/'; then
@@ -73,8 +75,8 @@ if grep -rnE "/ 4\) lsl 4" lib bench test bin examples | grep -v '^lib/inet/'; t
   exit 1
 fi
 if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \
-  | grep -vE 'Dlist\.(push_front|is_empty) t\.pcbs|:let pcb_list t = Dlist\.to_list t\.pcbs$|: +else Dlist\.find_opt \(on_tuple ~src ~sport ~dport\) t\.pcbs$'; then
-  echo "BSD TCP walks its pcb list outside find_pcb's pcb_hash-off scan" >&2
+  | grep -vE 'Dlist\.(push_front|is_empty) t\.pcbs\b|:let pcb_list t = Dlist\.to_list t\.pcbs$'; then
+  echo "BSD TCP walks its pcb list outside the pcb_list accessor" >&2
   exit 1
 fi
 dune runtest

@@ -1,11 +1,11 @@
-(* The hashed connection lookup (lib/inet Demux, Cost.config.pcb_hash)
-   against each stack's linear scan.  Random sequences of bind, listen,
-   connect, SYN arrival, close, TIME_WAIT entry, expiry and reclaim —
-   including 4-tuple reuse while a TIME_WAIT connection is alive, and the
-   tw_max cap retiring the oldest — are applied to BSD TCP, Linux TCP and
-   BSD UDP.  After every step, every probe tuple must find the same pcb
-   with the knob on as with it off.  The knob changes no charged cycle and
-   no wire byte; this property is what lets the linear scans go.
+(* The hashed connection lookup (lib/inet Demux), each stack's only one,
+   against a reference model: a linear scan of the stack's full,
+   newest-first pcb list.  Random sequences of bind,
+   listen, connect, SYN arrival, close, TIME_WAIT entry, expiry and
+   reclaim — including 4-tuple reuse while a TIME_WAIT connection is
+   alive, and the tw_max cap retiring the oldest — are applied to BSD TCP,
+   Linux TCP and BSD UDP.  After every step, every probe tuple must find
+   the same pcb through the stack's lookup as through the scan.
 
    BSD TCP also gets RSTs and handshake-completing ACKs for its SYN_RCVD
    children, and after every step its O(1) indexes must equal what the
@@ -19,12 +19,6 @@ let raddrs = [| ip "10.0.0.2"; ip "10.0.0.3" |]
 let rports = [| 80; 81 |]
 let syn_sports = [| 5000; 5001 |]
 let lports = [| 80; 81; 1100; 1101 |]
-
-let with_pcb_hash on f =
-  let c = Cost.config in
-  let saved = c.Cost.pcb_hash in
-  c.Cost.pcb_hash <- on;
-  Fun.protect ~finally:(fun () -> c.Cost.pcb_hash <- saved) f
 
 let with_tw_max n f =
   let c = Cost.config in
@@ -41,16 +35,49 @@ let probes used_lports =
     (fun src -> List.concat_map (fun sport -> List.map (fun d -> (src, sport, d)) dports) sports)
     (Array.to_list raddrs)
 
-let agree lookup used_lports =
+let agree ~hashed ~linear used_lports =
   List.for_all
     (fun (src, sport, dport) ->
-      let hashed = with_pcb_hash true (fun () -> lookup ~src ~sport ~dport) in
-      let linear = with_pcb_hash false (fun () -> lookup ~src ~sport ~dport) in
-      match hashed, linear with
+      match hashed ~src ~sport ~dport, linear ~src ~sport ~dport with
       | None, None -> true
       | Some a, Some b -> a == b
       | _ -> false)
     (probes used_lports)
+
+(* The reference scans.  TCP: the newest connected pcb on the 4-tuple,
+   else the newest listener on the port; the pcb lists are newest first. *)
+let bsd_scan t ~src ~sport ~dport =
+  let all = Tcp.pcb_list t in
+  let on_tuple p =
+    p.Tcp.lport = dport && p.Tcp.rport = sport && Int32.equal p.Tcp.raddr src
+    && p.Tcp.t_state <> Tcp.Listen
+  in
+  match List.find_opt on_tuple all with
+  | Some _ as connected -> connected
+  | None -> List.find_opt (fun p -> p.Tcp.lport = dport && p.Tcp.t_state = Tcp.Listen) all
+
+let linux_scan t ~src ~sport ~dport =
+  let socks = t.Linux_inet.socks in
+  let on_tuple s =
+    s.Linux_inet.lport = dport && s.Linux_inet.rport = sport
+    && Int32.equal s.Linux_inet.raddr src
+    && s.Linux_inet.state <> Linux_inet.Listen
+  in
+  match List.find_opt on_tuple socks with
+  | Some _ as connected -> connected
+  | None ->
+      List.find_opt
+        (fun s -> s.Linux_inet.lport = dport && s.Linux_inet.state = Linux_inet.Listen)
+        socks
+
+(* UDP: the newest pcb bound to the port, wildcard or connected to the
+   source; an unbound pcb takes nothing, not even port 0. *)
+let udp_scan u ~src ~sport ~dport =
+  List.find_opt
+    (fun p ->
+      p.Udp.lport = dport && dport <> 0
+      && (p.Udp.rport = 0 || (p.Udp.rport = sport && Int32.equal p.Udp.raddr src)))
+    u.Udp.pcbs
 
 (* One step: (kind, a, b, c) with kind 0..9, a 0..3, b and c 0..1. *)
 let gen_ops =
@@ -178,7 +205,8 @@ let bsd_tcp (tw_max, ops) =
             Option.iter
               (to_child t ~flags:(if kind = 8 then Tcp.th_rst else Tcp.th_ack))
               (nth_live children a));
-        agree (Tcp.find_pcb t) (List.map (fun p -> p.Tcp.lport) (Tcp.pcb_list t))
+        agree ~hashed:(Tcp.find_pcb t) ~linear:(bsd_scan t)
+          (List.map (fun p -> p.Tcp.lport) (Tcp.pcb_list t))
         && bsd_indexes_agree t
       in
       List.for_all step ops)
@@ -237,7 +265,8 @@ let linux_tcp (tw_max, ops) =
         | 6 -> Linux_inet.lx_reclaim t
         | _ -> fresh := Linux_inet.socket t :: !fresh);
         let lports = List.map (fun s -> s.Linux_inet.lport) t.Linux_inet.socks in
-        agree (Linux_inet.find_sock t) lports && ports_agree t.Linux_inet.ports lports
+        agree ~hashed:(Linux_inet.find_sock t) ~linear:(linux_scan t) lports
+        && ports_agree t.Linux_inet.ports lports
       in
       List.for_all step ops)
 
@@ -264,13 +293,14 @@ let bsd_udp (_, ops) =
         live := p :: !live
     | _ -> Option.iter (Udp.detach u) (nth_live !live a));
     let lports = List.map (fun p -> p.Udp.lport) u.Udp.pcbs in
-    agree (Udp.find_pcb u) lports && ports_agree u.Udp.ports lports
+    agree ~hashed:(Udp.find_pcb u) ~linear:(udp_scan u) lports
+    && ports_agree u.Udp.ports lports
   in
   List.for_all step ops
 
 (* Pinned from the property: a second connection on a live 4-tuple (the
-   knob-off scan finds the newest) must not be shadowed by the cached
-   older one, and closing the newer must uncover the older again. *)
+   scan finds the newest) must not be shadowed by the cached older one,
+   and closing the newer must uncover the older again. *)
 let test_tuple_reuse () =
   let tb = testbed () in
   let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
@@ -281,13 +311,14 @@ let test_tuple_reuse () =
     ignore (Tcp.usr_connect t pcb ~dst:raddrs.(0) ~dport:80);
     pcb
   in
-  let find on = with_pcb_hash on (fun () -> Tcp.find_pcb t ~src:raddrs.(0) ~sport:80 ~dport:1100) in
   let check name pcb =
     List.iter
-      (fun on ->
-        Alcotest.(check bool) (Printf.sprintf "%s (pcb_hash %b)" name on) true
-          (match find on with Some p -> p == pcb | None -> false))
-      [ true; false ]
+      (fun (how, find) ->
+        Alcotest.(check bool) (Printf.sprintf "%s (%s)" name how) true
+          (match find ~src:raddrs.(0) ~sport:80 ~dport:1100 with
+          | Some p -> p == pcb
+          | None -> false))
+      [ "hashed", Tcp.find_pcb t; "scan", bsd_scan t ]
   in
   let older = connect () in
   check "one connection" older;
@@ -311,14 +342,13 @@ let test_linux_connect_order () =
   connect newer;
   Linux_inet.lx_enter_time_wait t newer;
   connect older;
-  let find on =
-    with_pcb_hash on (fun () -> Linux_inet.find_sock t ~src:raddrs.(0) ~sport:80 ~dport:1100)
-  in
   List.iter
-    (fun on ->
-      Alcotest.(check bool) (Printf.sprintf "the later connect answers (pcb_hash %b)" on) true
-        (match find on with Some s -> s == older | None -> false))
-    [ true; false ]
+    (fun (how, find) ->
+      Alcotest.(check bool) (Printf.sprintf "the later connect answers (%s)" how) true
+        (match find ~src:raddrs.(0) ~sport:80 ~dport:1100 with
+        | Some s -> s == older
+        | None -> false))
+    [ "hashed", Linux_inet.find_sock t; "scan", linux_scan t ]
 
 (* Pinned from the property: an unbound UDP pcb (lport 0) takes nothing,
    not even a datagram to port 0. *)
@@ -328,10 +358,10 @@ let test_udp_unbound () =
   let u = st.Bsd_socket.udp in
   ignore (Udp.create_pcb u);
   List.iter
-    (fun on ->
+    (fun find ->
       Alcotest.(check bool) "port 0 finds no pcb" true
-        (with_pcb_hash on (fun () -> Udp.find_pcb u ~src:raddrs.(0) ~sport:53 ~dport:0) = None))
-    [ true; false ]
+        (find ~src:raddrs.(0) ~sport:53 ~dport:0 = None))
+    [ Udp.find_pcb u; udp_scan u ]
 
 (* The TCP header of an Ethernet/IPv4 frame, if it carries one. *)
 let tcp_of_frame f =

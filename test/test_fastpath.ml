@@ -1,13 +1,13 @@
-(* The PR-5 receive fast path: VJ header prediction, hashed PCB demux,
-   and NAPI-style batched RX.  All three live behind Cost.config flags
-   that default off, so every test here saves and restores them — the
-   rest of the suite (and the committed Table 1/2 baselines) must keep
-   seeing the unmodified slow paths.
+(* The receive fast path: VJ header prediction, the hashed PCB demux, and
+   NAPI-style batched RX.  Prediction and batching live behind Cost.config
+   flags that default off, so every test here saves and restores them —
+   the rest of the suite (and the committed Table 1/2 baselines) must keep
+   the paper's charges.  The hashed demux is the stacks' only lookup.
 
    The load-bearing property is equivalence: with the flags on, the
    stacks must deliver byte-identical streams, including under loss and
    reordering where predicted segments interleave with retransmissions
-   that must fall back to the full input path. *)
+   that pay the full per-segment charge. *)
 
 let ip = Oskit.ip_of_string
 
@@ -15,18 +15,16 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.fail ("fastpath: " ^ Error.to_string e)
 
-(* Flip all three fast-path flags around [f], restoring the previous
-   values on any exit (the test_sg with_sg_tx discipline). *)
+(* Flip both fast-path flags around [f], restoring the previous values on
+   any exit (the test_sg with_sg_tx discipline). *)
 let with_fast ?(batch = 8) f =
   let c = Cost.config in
-  let fp = c.Cost.tcp_fastpath and ph = c.Cost.pcb_hash and rb = c.Cost.rx_batch in
+  let fp = c.Cost.tcp_fastpath and rb = c.Cost.rx_batch in
   c.Cost.tcp_fastpath <- true;
-  c.Cost.pcb_hash <- true;
   c.Cost.rx_batch <- batch;
   Fun.protect
     ~finally:(fun () ->
       c.Cost.tcp_fastpath <- fp;
-      c.Cost.pcb_hash <- ph;
       c.Cost.rx_batch <- rb)
     f
 
@@ -209,23 +207,111 @@ let test_udp_hash_demux_and_unreachable () =
       Alcotest.(check bool) "hashed lookup exercised" true
         (Cost.counters.Cost.pcb_cache_hits + Cost.counters.Cost.pcb_cache_misses > 0))
 
-(* Flags off, the hashed structures are still maintained but never
-   consulted: no cache counters move. *)
-let test_flags_off_cache_untouched () =
+(* The paper profile (every flag off) demuxes through the same hash, with
+   UDP's hit/miss rule: a datagram to a pcb connected to its source is an
+   exact 4-tuple hit; one to a wildcard-bound port is a miss on the exact
+   key, then found under the wildcard. *)
+let test_paper_profile_hashed_demux () =
   Cost.reset_counters ();
   Mbuf.pool_reset ();
   let w, ma, sa, _mb, sb = make_bsd_pair () in
-  let pcb = Udp.create_pcb sb.Bsd_socket.udp in
-  ok (Udp.bind sb.Bsd_socket.udp pcb ~port:7);
-  Machine.run_in ma (fun () ->
-      let upcb = Udp.create_pcb sa.Bsd_socket.udp in
-      ignore (Udp.bind sa.Bsd_socket.udp upcb ~port:8);
-      Udp.output sa.Bsd_socket.udp upcb ~dst:(ip "10.2.0.2") ~dport:7
-        ~src:(Bytes.of_string "ping") ~src_pos:0 ~len:4);
-  World.run w;
-  Alcotest.(check int) "delivered by the linear scan" 1 (Queue.length pcb.Udp.rcv_q);
-  Alcotest.(check int) "no cache hits" 0 Cost.counters.Cost.pcb_cache_hits;
-  Alcotest.(check int) "no cache misses" 0 Cost.counters.Cost.pcb_cache_misses
+  let u = sb.Bsd_socket.udp in
+  let connected = Udp.create_pcb u and wildcard = Udp.create_pcb u in
+  connected.Udp.raddr <- ip "10.2.0.1";
+  connected.Udp.rport <- 8;
+  ok (Udp.bind u connected ~port:7);
+  ok (Udp.bind u wildcard ~port:9);
+  let send ~dport =
+    Machine.run_in ma (fun () ->
+        let upcb = Udp.create_pcb sa.Bsd_socket.udp in
+        ignore (Udp.bind sa.Bsd_socket.udp upcb ~port:8);
+        Udp.output sa.Bsd_socket.udp upcb ~dst:(ip "10.2.0.2") ~dport
+          ~src:(Bytes.of_string "ping") ~src_pos:0 ~len:4;
+        Udp.detach sa.Bsd_socket.udp upcb);
+    World.run w
+  in
+  send ~dport:7;
+  Alcotest.(check int) "delivered to the connected pcb" 1 (Queue.length connected.Udp.rcv_q);
+  Alcotest.(check int) "an exact hit" 1 Cost.counters.Cost.pcb_cache_hits;
+  Alcotest.(check int) "no miss" 0 Cost.counters.Cost.pcb_cache_misses;
+  send ~dport:9;
+  Alcotest.(check int) "delivered to the wildcard pcb" 1 (Queue.length wildcard.Udp.rcv_q);
+  Alcotest.(check int) "still one hit" 1 Cost.counters.Cost.pcb_cache_hits;
+  Alcotest.(check int) "one miss" 1 Cost.counters.Cost.pcb_cache_misses
+
+(* ------------------------------------------------------------------ *)
+(* Header prediction chooses a charge and a counter, never a protocol
+   action.  With the predicted charge set equal to both stacks' general
+   one, turning the knob must move no wire byte and no nanosecond, in any
+   configuration, under seeded loss and reordering that interleave
+   predicted segments with retransmissions and out-of-order arrivals. *)
+
+let with_equal_charges f =
+  let c = Cost.config in
+  let fp = c.Cost.tcp_fastpath and fc = c.Cost.tcp_fastpath_cycles
+  and lc = c.Cost.linux_tcp_pkt_cycles in
+  c.Cost.tcp_fastpath_cycles <- c.Cost.bsd_tcp_pkt_cycles;
+  c.Cost.linux_tcp_pkt_cycles <- c.Cost.bsd_tcp_pkt_cycles;
+  Fun.protect
+    ~finally:(fun () ->
+      c.Cost.tcp_fastpath <- fp;
+      c.Cost.tcp_fastpath_cycles <- fc;
+      c.Cost.linux_tcp_pkt_cycles <- lc)
+    f
+
+(* Each run is a fresh testbed whose cards draw fresh MACs: name every
+   MAC in the Ethernet and ARP address fields by its host instead. *)
+let by_host tb f =
+  let host h = Nic.mac h.Clientos.nic in
+  let names =
+    [ host tb.Clientos.host_a, "\002\000\000\000\000\001";
+      host tb.Clientos.host_b, "\002\000\000\000\000\002" ]
+  in
+  let name off =
+    if off + 6 <= Bytes.length f then
+      Option.iter
+        (fun n -> Bytes.blit_string n 0 f off 6)
+        (List.assoc_opt (Bytes.sub_string f off 6) names)
+  in
+  List.iter name [ 0; 6 ];
+  if Bytes.length f >= 14 && Bytes.get_uint16_be f 12 = 0x0806 then List.iter name [ 22; 32 ];
+  f
+
+(* Every frame the wire delivered, with its arrival time. *)
+let tapped_transfer sender ~seed ~fastpath =
+  Cost.config.Cost.tcp_fastpath <- fastpath;
+  let em = Netem.create ~seed () in
+  Netem.set_policy em
+    { Netem.default_policy with loss = 0.02; reorder = 0.02; reorder_delay_ns = 400_000 };
+  let frames = ref [] in
+  let exact, _, _, tb =
+    Test_netem.run_transfer ~netem:em
+      ~tap:(fun at f -> frames := (at, f) :: !frames)
+      ~sender ~blocks:16 ~blocksize:4096 ()
+  in
+  exact, List.rev_map (fun (at, f) -> at, by_host tb f) !frames
+
+let test_prediction_only_charges () =
+  with_equal_charges (fun () ->
+      let hits = ref 0 and fallbacks = ref 0 in
+      List.iter
+        (fun (sender, label) ->
+          List.iter
+            (fun seed ->
+              let name = Printf.sprintf "%s seed %d" label seed in
+              let exact_off, off = tapped_transfer sender ~seed ~fastpath:false in
+              let exact_on, on = tapped_transfer sender ~seed ~fastpath:true in
+              hits := !hits + Cost.counters.Cost.fastpath_hits;
+              fallbacks := !fallbacks + Cost.counters.Cost.fastpath_fallbacks;
+              Alcotest.(check bool) (name ^ ": byte-exact, knob off") true exact_off;
+              Alcotest.(check bool) (name ^ ": byte-exact, knob on") true exact_on;
+              Alcotest.(check int) (name ^ ": frame count") (List.length off) (List.length on);
+              Alcotest.(check bool) (name ^ ": every frame, byte and time, identical") true
+                (List.for_all2 (fun (ta, a) (tb, b) -> ta = tb && Bytes.equal a b) off on))
+            [ 1; 2; 3 ])
+        Test_netem.[ Oskit, "oskit"; Freebsd, "freebsd"; Linux, "linux" ];
+      Alcotest.(check bool) "segments were predicted" true (!hits > 0);
+      Alcotest.(check bool) "segments fell back" true (!fallbacks > 0))
 
 (* ------------------------------------------------------------------ *)
 (* The NIC ring's burst interface: bounded, FIFO, and draining. *)
@@ -270,6 +356,8 @@ let suite =
       test_linux_cache_invalidated_on_close;
     Alcotest.test_case "udp: hashed demux + port unreachable" `Quick
       test_udp_hash_demux_and_unreachable;
-    Alcotest.test_case "flags off: cache counters untouched" `Quick
-      test_flags_off_cache_untouched;
+    Alcotest.test_case "paper profile demuxes through the hash" `Quick
+      test_paper_profile_hashed_demux;
+    Alcotest.test_case "prediction changes only charges, all configs" `Quick
+      test_prediction_only_charges;
     Alcotest.test_case "nic: rx burst bounded, fifo, draining" `Quick test_nic_rx_burst ]

@@ -213,14 +213,20 @@ let setup config host ~addr =
 let pattern pos = (pos * 131) land 0xff
 
 (* ttcp from a [sender]-config host to a FreeBSD-native receiver under a
-   fault plan; returns (byte_exact, sender_stats, receiver_stats, testbed). *)
-let run_transfer ?netem ?fault ~sender ~blocks ~blocksize () =
+   fault plan; returns (byte_exact, sender_stats, receiver_stats, testbed).
+   [tap] hears every frame the wire delivers, with the world's time. *)
+let run_transfer ?netem ?fault ?tap ~sender ~blocks ~blocksize () =
   Clientos.reset_globals ();
   Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
   (match fault with
   | Some f -> Wire.set_fault_injector tb.Clientos.wire (Some f)
+  | None -> ());
+  (match tap with
+  | Some f ->
+      let w = tb.Clientos.world in
+      ignore (Wire.attach tb.Clientos.wire ~rx:(fun frame -> f (World.now w) frame))
   | None -> ());
   let total = blocks * blocksize in
   let serve, _, rstats = setup Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in

@@ -301,6 +301,34 @@ let test_udp_checksum_rejects_corruption () =
   Ip.deliver sb.Bsd_socket.ip ~proto:17 ~src:(ip "10.1.0.1") ~dst:(ip "10.1.0.2") m;
   Alcotest.(check int) "corrupted datagram dropped" 1 (Queue.length pcb.Udp.rcv_q)
 
+(* A UDP length field below the 8-byte header (zero checksum, so nothing
+   else rejects it) is dropped and counted; it used to size a negative
+   copy and raise out of the input path.  The next valid datagram to the
+   same port is still delivered. *)
+let test_udp_short_length_field () =
+  let _w, _ma, _sa, _mb, sb = make_pair () in
+  let u = sb.Bsd_socket.udp in
+  let pcb = Udp.create_pcb u in
+  (match Udp.bind u pcb ~port:7 with Ok () -> () | Error _ -> ());
+  let deliver ~ulen =
+    let m = Mbuf.m_gethdr () in
+    let off = Mbuf.m_put m 12 in
+    let d = m.Mbuf.m_data in
+    Bytes.set_uint16_be d off 8;
+    Bytes.set_uint16_be d (off + 2) 7;
+    Bytes.set_uint16_be d (off + 4) ulen;
+    Bytes.set_uint16_be d (off + 6) 0;
+    Bytes.blit_string "AAAA" 0 d (off + 8) 4;
+    Ip.deliver sb.Bsd_socket.ip ~proto:17 ~src:(ip "10.1.0.1") ~dst:(ip "10.1.0.2") m
+  in
+  List.iter (fun ulen -> deliver ~ulen) [ 0; 4; 7 ];
+  Alcotest.(check int) "short lengths counted" 3 u.Udp.badlen;
+  Alcotest.(check int) "nothing queued" 0 (Queue.length pcb.Udp.rcv_q);
+  deliver ~ulen:12;
+  Alcotest.(check int) "the next datagram is delivered" 1 (Queue.length pcb.Udp.rcv_q);
+  Alcotest.(check string) "its payload" "AAAA"
+    (match Udp.recv pcb with Some (_, _, p) -> Bytes.to_string p | None -> "")
+
 (* ---- the shared wire codec ---- *)
 
 (* Write -> parse is the identity for every combination of the MSS and
@@ -544,6 +572,8 @@ let suite =
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "udp checksum rejects corruption" `Quick
       test_udp_checksum_rejects_corruption;
+    Alcotest.test_case "udp: short length field dropped, counted" `Quick
+      test_udp_short_length_field;
     QCheck_alcotest.to_alcotest prop_tcp_header_roundtrip;
     Alcotest.test_case "malformed headers: linux" `Quick
       (test_malformed_headers Test_netem.Linux);
