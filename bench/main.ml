@@ -14,7 +14,6 @@
      chaos      ttcp goodput under injected faults        — netem
      sgsmoke    scatter-gather send-path CI gate
      http       event-driven vs threaded HTTP serving     — oskit_asyncio
-     httpsmoke  64-client asyncio CI gate
      rtt        rtcp latency percentiles, receive fast path on/off
      rttsmoke   receive fast-path CI gate (equivalence + strict RTT win)
      longfat    ttcp over RTT x loss grid, wscale/NewReno/autotune — long fat pipes
@@ -22,11 +21,15 @@
      overload   SYN flood x alloc failure x Slowloris, legit-client goodput
      overloadsmoke  overload-survival CI gate (goodput ratio, byte-exact soak)
      smp        multi-CPU scale-out: netisr-sharded reactor httpd, RSS steering
-     smpsmoke   SMP CI gate (byte-exact, 4-CPU win, lock-free hot path)
      event      kqueue O(ready) dispatch + timing-wheel O(due) curves
-     eventsmoke event-core CI gate (flat dispatch, timing contract)
      file       HTTP/1.1 keep-alive + sendfile content path: req/s and copies/req
      filesmoke  content-path CI gate (keep-alive win, zero warm copies, byte-exact)
+
+   http, smp, event and the other measured sections check their own rows
+   and fail loudly on regression; a *smoke section gates cells no measured
+   section runs.  The four HTTP experiments (http, smp, file and
+   overload's Slowloris rows) are one harness, Httpbench, run under
+   different descriptions and cost profiles.
 
    Network numbers come from the deterministic virtual-time simulation
    (they are not wall-clock); the allocator section uses Bechamel
@@ -39,14 +42,19 @@ let section_header title = Printf.printf "\n=== %s ===\n%!" title
    run to a couple of minutes of wall clock with identical shapes). *)
 let blocks =
   match Sys.getenv_opt "OSKIT_BENCH_BLOCKS" with
-  | Some v -> int_of_string v
   | None -> 2048
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> n
+      | _ ->
+          Printf.eprintf "bench: OSKIT_BENCH_BLOCKS=%S is not a positive block count\n" v;
+          exit 2)
 
 let blocksize = 4096
 
 (* Flags that modify sections (set by the driver below):
      --sg    add a scatter-gather send column / counter audit to table1
-     --json  also write each table as BENCH_<section>.json *)
+     --json  also write each measured section's BENCH_<section>.json *)
 let want_sg = ref false
 let want_json = ref false
 
@@ -57,19 +65,37 @@ let json_str k v = Printf.sprintf "%S: %S" k v
 let json_int k v = Printf.sprintf "%S: %d" k v
 let json_float k v = Printf.sprintf "%S: %.4f" k v
 
+(* Writes nothing without --json: a plain run never rewrites a committed
+   baseline. *)
 let write_json file rows_name header rows =
-  let oc = open_out file in
-  output_string oc "{\n";
-  List.iter (fun line -> output_string oc ("  " ^ line ^ ",\n")) header;
-  output_string oc (Printf.sprintf "  %S: [\n" rows_name);
-  let n = List.length rows in
-  List.iteri
-    (fun i row ->
-      output_string oc ("    " ^ row ^ (if i = n - 1 then "\n" else ",\n")))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "(wrote %s)\n%!" file
+  if !want_json then begin
+    let oc = open_out file in
+    output_string oc "{\n";
+    List.iter (fun line -> output_string oc ("  " ^ line ^ ",\n")) header;
+    output_string oc (Printf.sprintf "  %S: [\n" rows_name);
+    let n = List.length rows in
+    List.iteri
+      (fun i row ->
+        output_string oc ("    " ^ row ^ (if i = n - 1 then "\n" else ",\n")))
+      rows;
+    output_string oc "  ]\n}\n";
+    close_out oc;
+    Printf.printf "(wrote %s)\n%!" file
+  end
+
+(* ---------------- profiles ---------------- *)
+
+(* Every run is installed under a cost profile ([Cost.with_config]); no
+   section edits the live configuration.  [paper] is the paper's measured
+   configuration, and each ablation is it with named fields changed. *)
+let paper = Cost.paper ()
+
+(* Scatter-gather transmit at the mbuf->skbuff glue. *)
+let sg_on = { paper with Cost.sg_tx = true }
+
+(* Both receive-side fast-path fields at once (the hashed demux is always
+   on): header prediction and batched RX. *)
+let with_fastpath p = { p with Cost.tcp_fastpath = true; rx_batch = 8 }
 
 (* ---------------- Table 1 ---------------- *)
 
@@ -105,7 +131,7 @@ let table1 () =
       List.map
         (fun (config, send, _) ->
           let sg =
-            Netbench.transfer ~sg:true ~sender:config ~receiver:fixed ~blocks ~blocksize ()
+            Netbench.transfer ~profile:sg_on ~sender:config ~receiver:fixed ~blocks ~blocksize ()
           in
           Printf.printf "%-22s %14.2f %14.2f %10d %10d %12d\n%!"
             (Netbench.config_name config) send.Netbench.mbit_sender
@@ -129,8 +155,7 @@ let table1 () =
         (100.0 *. sg.Netbench.mbit_sender /. fbsd_send)
         sg.Netbench.sg_xmits sg.Netbench.linearized_xmits
   | None -> ());
-  if !want_json then
-    write_json "BENCH_table1.json" "rows"
+  write_json "BENCH_table1.json" "rows"
       [ json_str "bench" "table1"; json_int "blocks" blocks;
         json_int "blocksize" blocksize; json_str "unit" "Mbit/s" ]
       (List.map
@@ -172,8 +197,7 @@ let table2 () =
   print_newline ();
   print_endline "paper's qualitative claim: the OSKit imposes significant latency";
   print_endline "overhead vs FreeBSD — glue-code crossings, not data copies (1-byte)";
-  if !want_json then
-    write_json "BENCH_table2.json" "rows"
+  write_json "BENCH_table2.json" "rows"
       [ json_str "bench" "table2"; json_int "trips" 200; json_str "unit" "usec" ]
       (List.map
          (fun (config, rtt) ->
@@ -406,16 +430,14 @@ let glue () =
   Printf.printf "%-28s %14s %12s\n" "glue_crossing_cycles" "send (Mbit/s)" "RTT (usec)";
   List.iter
     (fun cycles ->
-      Cost.reset_config ();
-      Cost.config.Cost.glue_crossing_cycles <- cycles;
+      let profile = { paper with Cost.glue_crossing_cycles = cycles } in
       let t =
-        Netbench.transfer ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd
+        Netbench.transfer ~profile ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd
           ~blocks:(blocks / 2) ~blocksize ()
       in
-      let rtt = Netbench.rtt_us Netbench.Oskit ~trips:100 in
+      let rtt = Netbench.rtt_us ~profile Netbench.Oskit ~trips:100 in
       Printf.printf "%-28d %14.2f %12.1f\n%!" cycles t.Netbench.mbit_sender rtt)
     [ 0; 500; 1500; 3000; 6000 ];
-  Cost.reset_config ();
   print_endline "\n(cycles=0 isolates the copy cost; the remainder is \"the price we pay";
   print_endline " for modularity and separability\", Section 5)"
 
@@ -471,7 +493,7 @@ let sgsmoke () =
     Netbench.transfer ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks ~blocksize ()
   in
   let sg =
-    Netbench.transfer ~sg:true ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks
+    Netbench.transfer ~profile:sg_on ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks
       ~blocksize ()
   in
   Printf.printf "OSKit -> FreeBSD send: default %.2f Mbit/s, sg %.2f Mbit/s\n"
@@ -489,7 +511,7 @@ let sgsmoke () =
   List.iter
     (fun loss ->
       let r =
-        Netbench.chaos_transfer ~seed:42 ~loss ~sg:true ~sender:Netbench.Oskit
+        Netbench.chaos_transfer ~seed:42 ~loss ~profile:sg_on ~sender:Netbench.Oskit
           ~receiver:Netbench.Freebsd ~blocks ~blocksize ()
       in
       Printf.printf "%6.1f%% %16.2f %9d %11s\n%!" (loss *. 100.0) r.Netbench.goodput_mbit
@@ -502,17 +524,11 @@ let sgsmoke () =
 
 (* ---------------- rtt: the Table 2 gap, attacked ---------------- *)
 
-(* Both receive-side fast-path knobs at once (the hashed demux is always
-   on); default off everywhere else, so only these two sections ever see
-   them. *)
-let fast_flags on f =
-  Cost.config.Cost.tcp_fastpath <- on;
-  Cost.config.Cost.rx_batch <- (if on then 8 else 1);
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.tcp_fastpath <- false;
-      Cost.config.Cost.rx_batch <- 1)
-    f
+(* The concurrency workload on the OSKit configuration — the one whose
+   receive frames cross the glue — reactor shape, 128 clients. *)
+let oskit_http128 profile =
+  Httpbench.run ~profile Httpbench.concurrency ~stack:Httpbench.Oskit_com
+    ~shape:Httpbench.Reactor ~clients:128 ()
 
 let rtt () =
   section_header "RTT distribution: rtcp percentiles, default vs receive fast path";
@@ -527,7 +543,8 @@ let rtt () =
       (fun config ->
         List.map
           (fun fastpath ->
-            let r = Netbench.dist ~fastpath config ~trips in
+            let profile = if fastpath then with_fastpath paper else paper in
+            let r = Netbench.dist ~profile config ~trips in
             Printf.printf "%-10s %-9s %10.1f %9.1f %9.1f %9.1f %8d %9d %8d %9d\n%!"
               (Netbench.config_name config)
               (if fastpath then "on" else "off")
@@ -550,16 +567,11 @@ let rtt () =
      OSKit fast path vs the same baseline: +%.1f us (%.0f%% of the gap closed)\n"
     gap_off gap_on
     (100.0 *. (gap_off -. gap_on) /. gap_off);
-  (* The same flags under the PR-4 concurrency workload: tail latency on the
+  (* The same flags under the concurrency workload: tail latency on the
      OSKit configuration, where receive frames actually cross the glue. *)
-  let http_run on =
-    fast_flags on (fun () ->
-        Httpbench.run ~config:Httpbench.Oskit_com ~mode:Httpbench.Reactor ~clients:128 ())
-  in
-  let hoff = http_run false in
-  let hon = http_run true in
-  let polls = Cost.counters.Cost.rx_polls in
-  let frames = Cost.counters.Cost.rx_batched_frames in
+  let hoff = oskit_http128 Httpbench.concurrency_profile in
+  let hon = oskit_http128 (with_fastpath Httpbench.concurrency_profile) in
+  let polls = hon.Httpbench.r_rx_polls and frames = hon.Httpbench.r_rx_frames in
   Printf.printf
     "\nhttp, OSKit config, reactor, 128 clients:\n\
     \  p50 %.1f -> %.1f us, p99 %.1f -> %.1f us\n\
@@ -567,30 +579,29 @@ let rtt () =
     hoff.Httpbench.r_p50_us hon.Httpbench.r_p50_us hoff.Httpbench.r_p99_us
     hon.Httpbench.r_p99_us frames polls
     (float_of_int frames /. float_of_int (max 1 polls));
-  if !want_json then
-    write_json "BENCH_rtt.json" "rows"
-      [ json_str "bench" "rtt"; json_int "trips" trips; json_str "unit" "usec";
-        json_float "http128_p50_us_default" hoff.Httpbench.r_p50_us;
-        json_float "http128_p50_us_fastpath" hon.Httpbench.r_p50_us;
-        json_float "http128_p99_us_default" hoff.Httpbench.r_p99_us;
-        json_float "http128_p99_us_fastpath" hon.Httpbench.r_p99_us;
-        json_int "http128_rx_polls" polls;
-        json_int "http128_rx_frames" frames ]
-      (List.map
-         (fun (config, fastpath, r) ->
-           json_obj
-             [ json_str "system" (Netbench.config_name config);
-               json_str "fastpath" (if fastpath then "on" else "off");
-               json_float "mean_us" r.Netbench.rtt_mean_us;
-               json_float "p50_us" r.Netbench.rtt_p50_us;
-               json_float "p95_us" r.Netbench.rtt_p95_us;
-               json_float "p99_us" r.Netbench.rtt_p99_us;
-               json_int "fastpath_hits" r.Netbench.rtt_fastpath_hits;
-               json_int "fastpath_fallbacks" r.Netbench.rtt_fastpath_fallbacks;
-               json_int "pcb_cache_hits" r.Netbench.rtt_pcb_cache_hits;
-               json_int "pcb_cache_misses" r.Netbench.rtt_pcb_cache_misses;
-               json_int "rx_polls" r.Netbench.rtt_rx_polls;
-               json_int "rx_frames" r.Netbench.rtt_rx_frames ])
+  write_json "BENCH_rtt.json" "rows"
+    [ json_str "bench" "rtt"; json_int "trips" trips; json_str "unit" "usec";
+      json_float "http128_p50_us_default" hoff.Httpbench.r_p50_us;
+      json_float "http128_p50_us_fastpath" hon.Httpbench.r_p50_us;
+      json_float "http128_p99_us_default" hoff.Httpbench.r_p99_us;
+      json_float "http128_p99_us_fastpath" hon.Httpbench.r_p99_us;
+      json_int "http128_rx_polls" polls;
+      json_int "http128_rx_frames" frames ]
+    (List.map
+       (fun (config, fastpath, r) ->
+         json_obj
+           [ json_str "system" (Netbench.config_name config);
+             json_str "fastpath" (if fastpath then "on" else "off");
+             json_float "mean_us" r.Netbench.rtt_mean_us;
+             json_float "p50_us" r.Netbench.rtt_p50_us;
+             json_float "p95_us" r.Netbench.rtt_p95_us;
+             json_float "p99_us" r.Netbench.rtt_p99_us;
+             json_int "fastpath_hits" r.Netbench.rtt_fastpath_hits;
+             json_int "fastpath_fallbacks" r.Netbench.rtt_fastpath_fallbacks;
+             json_int "pcb_cache_hits" r.Netbench.rtt_pcb_cache_hits;
+             json_int "pcb_cache_misses" r.Netbench.rtt_pcb_cache_misses;
+             json_int "rx_polls" r.Netbench.rtt_rx_polls;
+             json_int "rx_frames" r.Netbench.rtt_rx_frames ])
          rows)
 
 (* ---------------- http: asyncio concurrency experiment ---------------- *)
@@ -599,89 +610,92 @@ let http_header () =
   Printf.printf
     "file: %d B from memfs; RAM budget %d KB -> %d handler threads (32KB stack)\n\
      vs %d reactor connections (2KB state); listen backlog %d; %d reqs/client\n\n"
-    Httpbench.file_bytes (Httpbench.ram_budget / 1024) Httpbench.max_threads
-    Httpbench.max_conns Httpbench.backlog 2;
+    Httpbench.index_site.Httpbench.file_bytes (Httpbench.ram_budget / 1024)
+    Httpbench.max_threads Httpbench.max_conns Httpbench.concurrency.Httpbench.backlog
+    Httpbench.concurrency.Httpbench.reqs_per_client;
   Printf.printf "%-9s %-8s %8s %10s %10s %10s %6s %9s %6s\n" "stack" "mode"
     "clients" "req/s" "p50 (us)" "p99 (us)" "peak" "overflow" "shed"
 
-let http_row r =
+let http_row (r : Httpbench.result) =
   Printf.printf "%-9s %-8s %8d %10.0f %10.1f %10.1f %6d %9d %6d\n%!"
-    (Httpbench.config_name r.Httpbench.r_config)
-    (Httpbench.mode_name r.Httpbench.r_mode)
+    (Httpbench.stack_name r.Httpbench.r_stack)
+    (Httpbench.shape_name r.Httpbench.r_shape)
     r.Httpbench.r_clients r.Httpbench.r_rps r.Httpbench.r_p50_us r.Httpbench.r_p99_us
-    r.Httpbench.r_peak_active r.Httpbench.r_listen_overflow r.Httpbench.r_shed
-
-let http_check r =
-  if r.Httpbench.r_mismatches > 0 then failwith "http: response was not byte-exact";
-  if r.Httpbench.r_protocol_errors > 0 then failwith "http: server saw protocol errors";
-  if r.Httpbench.r_responses <> r.Httpbench.r_requests then
-    failwith "http: not every request got a 200"
+    r.Httpbench.r_server.Httpd.peak_active r.Httpbench.r_listen_overflow
+    r.Httpbench.r_server.Httpd.shed
 
 let http () =
   section_header "HTTP: event-driven vs thread-per-connection at equal memory (oskit_asyncio)";
   http_header ();
+  let stacks = [ Httpbench.Freebsd_com; Httpbench.Linux_com ] in
   let rows =
     List.concat_map
-      (fun config ->
+      (fun stack ->
         List.concat_map
           (fun clients ->
             List.map
-              (fun mode ->
-                let r = Httpbench.run ~config ~mode ~clients () in
+              (fun shape ->
+                let r =
+                  Httpbench.run ~profile:Httpbench.concurrency_profile Httpbench.concurrency
+                    ~stack ~shape ~clients ()
+                in
                 http_row r;
-                http_check r;
+                Httpbench.check ~what:"http" r;
                 r)
               [ Httpbench.Threads; Httpbench.Reactor ])
           [ 1; 4; 16; 64; 256 ])
-      [ Httpbench.Freebsd_com; Httpbench.Linux_com ]
+      stacks
   in
   print_newline ();
   List.iter
-    (fun config ->
-      let at mode =
+    (fun stack ->
+      let at clients shape =
         List.find
           (fun r ->
-            r.Httpbench.r_config = config && r.Httpbench.r_mode = mode
-            && r.Httpbench.r_clients = 256)
+            r.Httpbench.r_stack = stack && r.Httpbench.r_shape = shape
+            && r.Httpbench.r_clients = clients)
           rows
       in
-      let re = at Httpbench.Reactor and th = at Httpbench.Threads in
+      let peak r = r.Httpbench.r_server.Httpd.peak_active in
+      let re = at 256 Httpbench.Reactor and th = at 256 Httpbench.Threads in
       Printf.printf
         "%s @256 clients: reactor held %d concurrent connections vs %d threaded\n\
         \  (%.1fx at the same %dKB budget); reactor %.0f req/s vs threaded %.0f\n"
-        (Httpbench.config_name config) re.Httpbench.r_peak_active
-        th.Httpbench.r_peak_active
-        (float_of_int re.Httpbench.r_peak_active
-        /. float_of_int (max 1 th.Httpbench.r_peak_active))
+        (Httpbench.stack_name stack) (peak re) (peak th)
+        (float_of_int (peak re) /. float_of_int (max 1 (peak th)))
         (Httpbench.ram_budget / 1024) re.Httpbench.r_rps th.Httpbench.r_rps;
-      if re.Httpbench.r_peak_active < 4 * th.Httpbench.r_peak_active then
-        failwith "http: reactor sustained < 4x the threaded concurrency")
-    [ Httpbench.Freebsd_com; Httpbench.Linux_com ];
+      if peak re < 4 * peak th then
+        failwith "http: reactor sustained < 4x the threaded concurrency";
+      if (at 64 Httpbench.Reactor).Httpbench.r_rps < (at 64 Httpbench.Threads).Httpbench.r_rps
+      then failwith "http: reactor slower than thread-per-connection at 64 clients")
+    stacks;
   print_endline "\nsame server component, same COM interfaces, both stacks; the threaded";
   print_endline "shape hits its memory cap and the listen backlog does the dropping";
   write_json "BENCH_http.json" "rows"
-    [ json_str "bench" "http"; json_int "file_bytes" Httpbench.file_bytes;
+    [ json_str "bench" "http";
+      json_int "file_bytes" Httpbench.index_site.Httpbench.file_bytes;
       json_int "ram_budget" Httpbench.ram_budget;
       json_int "max_threads" Httpbench.max_threads;
       json_int "max_conns" Httpbench.max_conns;
-      json_int "backlog" Httpbench.backlog; json_str "unit" "req/s" ]
+      json_int "backlog" Httpbench.concurrency.Httpbench.backlog; json_str "unit" "req/s" ]
     (List.map
-       (fun r ->
+       (fun (r : Httpbench.result) ->
+         let st = r.Httpbench.r_server in
          json_obj
-           [ json_str "stack" (Httpbench.config_name r.Httpbench.r_config);
-             json_str "mode" (Httpbench.mode_name r.Httpbench.r_mode);
+           [ json_str "stack" (Httpbench.stack_name r.Httpbench.r_stack);
+             json_str "mode" (Httpbench.shape_name r.Httpbench.r_shape);
              json_int "clients" r.Httpbench.r_clients;
              json_int "requests" r.Httpbench.r_requests;
              json_float "duration_ms" r.Httpbench.r_duration_ms;
              json_float "rps" r.Httpbench.r_rps;
              json_float "p50_us" r.Httpbench.r_p50_us;
              json_float "p99_us" r.Httpbench.r_p99_us;
-             json_int "peak_active" r.Httpbench.r_peak_active;
+             json_int "peak_active" st.Httpd.peak_active;
              json_int "accepted" r.Httpbench.r_accepted;
              json_int "responses" r.Httpbench.r_responses;
-             json_int "shed" r.Httpbench.r_shed;
+             json_int "shed" st.Httpd.shed;
              json_int "listen_overflow" r.Httpbench.r_listen_overflow;
-             json_int "protocol_errors" r.Httpbench.r_protocol_errors;
+             json_int "protocol_errors" st.Httpd.protocol_errors;
              json_int "mismatches" r.Httpbench.r_mismatches;
              json_int "reactor_sleeps" r.Httpbench.r_reactor_sleeps;
              json_int "reactor_spurious" r.Httpbench.r_reactor_spurious ])
@@ -689,130 +703,114 @@ let http () =
 
 (* ---------------- smp: multi-CPU scale-out ---------------- *)
 
-let smp_header () =
-  Printf.printf "%-6s %8s %10s %10s %10s %8s %8s %8s %6s  %s\n%!" "ncpus"
-    "clients" "req/s" "p50 (us)" "p99 (us)" "hw-rss" "netisr" "drops" "spins"
-    "cpu share"
+(* The reactor httpd sharded netisr-style across a multi-CPU server.  NIC
+   RX computes an RSS hash over each frame's 4-tuple and steers it to the
+   flow's home CPU before any per-frame driver work, so driver, protocol
+   input and socket wakeups all charge that CPU's clock; the listen socket
+   accepts on CPU 0.  Clients run on an equally provisioned machine
+   (round-robin thread placement) over a gigabit wire, so at every width
+   the bottleneck is the server CPUs, not the client or the cable.
 
-let smp_row r =
+   The widest row is a 2048-client connect burst: the listen backlog and
+   the per-CPU netisr queue are provisioned for it (the real knobs — a
+   listen(2) backlog and net.isr.maxqlen — are sized to the offered load
+   the same way), so no row's rate is set by a drop-and-retransmit tail. *)
+let smp_desc =
+  { Httpbench.concurrency with
+    Httpbench.models = ("3c905", "fxp-sim");
+    bandwidth_bps = Some 1_000_000_000;
+    backlog = 4096;
+    max_threads = None;
+    max_conns = None;
+    request = Httpbench.Http10 }
+
+(* Header prediction is on uniformly, so rows differ only in CPU count. *)
+let smp_profile ncpus = { paper with Cost.ncpus; tcp_fastpath = true; netisr_qmax = 4096 }
+
+let smp_row (r : Httpbench.result) =
   Printf.printf "%-6d %8d %10.0f %10.1f %10.1f %8d %8d %8d %6d  [%s]\n%!"
-    r.Smpbench.r_ncpus r.Smpbench.r_clients r.Smpbench.r_rps r.Smpbench.r_p50_us
-    r.Smpbench.r_p99_us r.Smpbench.r_rss_steered r.Smpbench.r_netisr_queued
-    r.Smpbench.r_netisr_drops r.Smpbench.r_spin_contentions
+    r.Httpbench.r_profile.Cost.ncpus r.Httpbench.r_clients r.Httpbench.r_rps
+    r.Httpbench.r_p50_us r.Httpbench.r_p99_us r.Httpbench.r_rss_steered
+    r.Httpbench.r_netisr_queued r.Httpbench.r_netisr_drops r.Httpbench.r_spin_contentions
     (String.concat " "
-       (Array.to_list
-          (Array.map (fun f -> Printf.sprintf "%.2f" f) r.Smpbench.r_cpu_share)))
-
-let smp_check r =
-  if r.Smpbench.r_mismatches > 0 then
-    failwith "smp: response was not byte-exact";
-  if r.Smpbench.r_responses <> r.Smpbench.r_requests then
-    failwith "smp: not every request got a 200";
-  if r.Smpbench.r_spin_contentions > 0 then
-    failwith "smp: spinlock contention on the per-flow hot path";
-  if r.Smpbench.r_netisr_drops > 0 then failwith "smp: netisr queue overflowed"
-
-let smp_speedup rows ~clients ~ncpus =
-  let at n =
-    List.find
-      (fun r -> r.Smpbench.r_ncpus = n && r.Smpbench.r_clients = clients)
-      rows
-  in
-  (at ncpus).Smpbench.r_rps /. (at 1).Smpbench.r_rps
+       (Array.to_list (Array.map (Printf.sprintf "%.2f") r.Httpbench.r_cpu_share)))
 
 let smp () =
   section_header
     "SMP: netisr-sharded reactor httpd, RSS flow steering (req/s vs CPUs)";
-  smp_header ();
+  Printf.printf "%-6s %8s %10s %10s %10s %8s %8s %8s %6s  %s\n%!" "ncpus"
+    "clients" "req/s" "p50 (us)" "p99 (us)" "hw-rss" "netisr" "drops" "spins"
+    "cpu share";
   let rows =
     List.concat_map
       (fun clients ->
         List.map
           (fun ncpus ->
-            let r = Smpbench.run ~ncpus ~clients () in
+            let r =
+              Httpbench.run ~profile:(smp_profile ncpus) smp_desc
+                ~stack:Httpbench.Freebsd_com ~shape:Httpbench.Reactor ~clients ()
+            in
             smp_row r;
-            smp_check r;
+            Httpbench.check ~what:"smp" r;
+            if r.Httpbench.r_spin_contentions > 0 then
+              failwith "smp: spinlock contention on the per-flow hot path";
+            if r.Httpbench.r_netisr_drops > 0 then failwith "smp: netisr queue overflowed";
             r)
           [ 1; 2; 4; 8 ])
       [ 256; 1024; 2048 ]
+  in
+  let at ~clients n =
+    List.find
+      (fun r -> r.Httpbench.r_profile.Cost.ncpus = n && r.Httpbench.r_clients = clients)
+      rows
+  in
+  let speedup ~clients n =
+    (at ~clients n).Httpbench.r_rps /. (at ~clients 1).Httpbench.r_rps
   in
   print_newline ();
   List.iter
     (fun clients ->
       Printf.printf "@%d clients: 2 CPUs %.2fx, 4 CPUs %.2fx, 8 CPUs %.2fx\n"
-        clients
-        (smp_speedup rows ~clients ~ncpus:2)
-        (smp_speedup rows ~clients ~ncpus:4)
-        (smp_speedup rows ~clients ~ncpus:8))
+        clients (speedup ~clients 2) (speedup ~clients 4) (speedup ~clients 8))
     [ 256; 1024; 2048 ];
   List.iter
     (fun clients ->
-      if smp_speedup rows ~clients ~ncpus:4 < 3.0 then
+      if speedup ~clients 4 < 3.0 then
         failwith
           (Printf.sprintf "smp: 4-CPU speedup under 3x at %d clients" clients))
     [ 1024; 2048 ];
+  let r4 = at ~clients:256 4 in
+  if speedup ~clients:256 4 <= 1.0 then
+    failwith "smp: 4 CPUs not faster than 1 at 256 clients";
+  if r4.Httpbench.r_rss_steered + r4.Httpbench.r_netisr_queued = 0 then
+    failwith "smp: no frames were ever steered (sharding inert?)";
   print_endline "\nsame payload bytes at every width; flows pinned to their RSS";
   print_endline "home CPU, the listen socket accepting on CPU 0";
   write_json "BENCH_smp.json" "rows"
-    [ json_str "bench" "smp"; json_int "file_bytes" Smpbench.file_bytes;
-      json_int "backlog" Smpbench.backlog; json_str "unit" "req/s" ]
+    [ json_str "bench" "smp";
+      json_int "file_bytes" smp_desc.Httpbench.site.Httpbench.file_bytes;
+      json_int "backlog" smp_desc.Httpbench.backlog; json_str "unit" "req/s" ]
     (List.map
-       (fun r ->
+       (fun (r : Httpbench.result) ->
          json_obj
-           ([ json_int "ncpus" r.Smpbench.r_ncpus;
-              json_int "clients" r.Smpbench.r_clients;
-              json_int "requests" r.Smpbench.r_requests;
-              json_float "duration_ms" r.Smpbench.r_duration_ms;
-              json_float "rps" r.Smpbench.r_rps;
-              json_float "p50_us" r.Smpbench.r_p50_us;
-              json_float "p99_us" r.Smpbench.r_p99_us;
-              json_int "responses" r.Smpbench.r_responses;
-              json_int "mismatches" r.Smpbench.r_mismatches;
-              json_int "rss_steered" r.Smpbench.r_rss_steered;
-              json_int "netisr_queued" r.Smpbench.r_netisr_queued;
-              json_int "netisr_drops" r.Smpbench.r_netisr_drops;
-              json_int "spin_contentions" r.Smpbench.r_spin_contentions ]
+           ([ json_int "ncpus" r.Httpbench.r_profile.Cost.ncpus;
+              json_int "clients" r.Httpbench.r_clients;
+              json_int "requests" r.Httpbench.r_requests;
+              json_float "duration_ms" r.Httpbench.r_duration_ms;
+              json_float "rps" r.Httpbench.r_rps;
+              json_float "p50_us" r.Httpbench.r_p50_us;
+              json_float "p99_us" r.Httpbench.r_p99_us;
+              json_int "responses" r.Httpbench.r_responses;
+              json_int "mismatches" r.Httpbench.r_mismatches;
+              json_int "rss_steered" r.Httpbench.r_rss_steered;
+              json_int "netisr_queued" r.Httpbench.r_netisr_queued;
+              json_int "netisr_drops" r.Httpbench.r_netisr_drops;
+              json_int "spin_contentions" r.Httpbench.r_spin_contentions ]
            @ Array.to_list
                (Array.mapi
                   (fun i f -> json_float (Printf.sprintf "cpu%d_share" i) f)
-                  r.Smpbench.r_cpu_share)))
+                  r.Httpbench.r_cpu_share)))
        rows)
-
-(* ---------------- smpsmoke: CI gate for SMP sharding ---------------- *)
-
-let smpsmoke () =
-  section_header "SMP smoke: 256-client sharding gates (fails loudly on regression)";
-  smp_header ();
-  let r1 = Smpbench.run ~ncpus:1 ~clients:256 () in
-  smp_row r1;
-  smp_check r1;
-  let r4 = Smpbench.run ~ncpus:4 ~clients:256 () in
-  smp_row r4;
-  smp_check r4;
-  if r4.Smpbench.r_rps <= r1.Smpbench.r_rps then
-    failwith "smpsmoke: 4 CPUs not faster than 1";
-  if r4.Smpbench.r_rss_steered + r4.Smpbench.r_netisr_queued = 0 then
-    failwith "smpsmoke: no frames were ever steered (sharding inert?)";
-  print_endline "byte-exact at both widths; 4-CPU req/s strictly higher; hot path lock-free"
-
-(* ---------------- httpsmoke: CI gate for the asyncio path ---------------- *)
-
-let httpsmoke () =
-  section_header "HTTP smoke: 64 concurrent clients, both stacks, both serving shapes";
-  http_header ();
-  List.iter
-    (fun config ->
-      let run mode = Httpbench.run ~config ~mode ~clients:64 () in
-      let th = run Httpbench.Threads in
-      http_row th;
-      let re = run Httpbench.Reactor in
-      http_row re;
-      http_check th;
-      http_check re;
-      if re.Httpbench.r_rps < th.Httpbench.r_rps then
-        failwith "httpsmoke: reactor slower than thread-per-connection")
-    [ Httpbench.Freebsd_com; Httpbench.Linux_com ];
-  print_endline "\nzero protocol errors, every response byte-exact, reactor >= threaded req/s"
 
 (* ---------------- rttsmoke: CI gate for the receive fast path ---------------- *)
 
@@ -823,9 +821,8 @@ let rttsmoke () =
   List.iter
     (fun (sender, loss) ->
       let r =
-        fast_flags true (fun () ->
-            Netbench.chaos_transfer ~seed:42 ~loss ~sender ~receiver:Netbench.Freebsd
-              ~blocks ~blocksize ())
+        Netbench.chaos_transfer ~seed:42 ~loss ~profile:(with_fastpath paper) ~sender
+          ~receiver:Netbench.Freebsd ~blocks ~blocksize ()
       in
       Printf.printf "fastpath ttcp %-8s loss %4.1f%%: %8.2f Mbit/s, byte-exact %s\n%!"
         (Netbench.config_name sender) (loss *. 100.0) r.Netbench.goodput_mbit
@@ -837,8 +834,8 @@ let rttsmoke () =
   (* 2) the win, with the machinery provably engaged: strictly lower mean
      RTT; prediction hits and pcb-cache hits nonzero; zero fallbacks on a
      clean in-order run (every established-state segment must predict). *)
-  let dflt = Netbench.dist ~fastpath:false Netbench.Oskit ~trips:100 in
-  let fast = Netbench.dist ~fastpath:true Netbench.Oskit ~trips:100 in
+  let dflt = Netbench.dist Netbench.Oskit ~trips:100 in
+  let fast = Netbench.dist ~profile:(with_fastpath paper) Netbench.Oskit ~trips:100 in
   Printf.printf
     "rtcp OSKit: mean %.1f us default, %.1f us fast\n\
     \  (prediction hits %d, fallbacks %d, pcb-cache hits %d / misses %d)\n%!"
@@ -856,13 +853,9 @@ let rttsmoke () =
   if fast.Netbench.rtt_pcb_cache_hits = 0 then failwith "rttsmoke: zero pcb-cache hits";
   (* 3) batching: a 128-client connect burst against the OSKit config must
      coalesce frames — more than one frame per glue crossing on average. *)
-  let r =
-    fast_flags true (fun () ->
-        Httpbench.run ~config:Httpbench.Oskit_com ~mode:Httpbench.Reactor ~clients:128 ())
-  in
-  http_check r;
-  let polls = Cost.counters.Cost.rx_polls in
-  let frames = Cost.counters.Cost.rx_batched_frames in
+  let r = oskit_http128 (with_fastpath Httpbench.concurrency_profile) in
+  Httpbench.check ~what:"rttsmoke" r;
+  let polls = r.Httpbench.r_rx_polls and frames = r.Httpbench.r_rx_frames in
   Printf.printf "http 128 clients (OSKit, reactor): %d frames over %d polls (%.2f frames/poll)\n%!"
     frames polls
     (float_of_int frames /. float_of_int (max 1 polls));
@@ -1088,13 +1081,13 @@ let overload () =
   let lorises = overload_loris_matrix () in
   Printf.printf "\n%-6s %6s %13s %15s %5s %11s\n" "guard" "loris" "legit-served"
     "deadline-cuts" "shed" "peak-active";
+  let guard r = if r.Httpbench.r_profile.Cost.httpd_guard then "on" else "off" in
   List.iter
     (fun r ->
-      Printf.printf "%-6s %6d %9d/%-3d %15d %5d %11d\n"
-        (if r.Overloadbench.lo_guard then "on" else "off")
-        r.Overloadbench.lo_loris r.Overloadbench.lo_served
-        r.Overloadbench.lo_legit r.Overloadbench.lo_deadline_closed
-        r.Overloadbench.lo_shed r.Overloadbench.lo_peak_active)
+      let st = r.Httpbench.r_server in
+      Printf.printf "%-6s %6d %9d/%-3d %15d %5d %11d\n" (guard r)
+        r.Httpbench.r_desc.Httpbench.loris (Overloadbench.loris_served r)
+        r.Httpbench.r_clients st.Httpd.deadline_closed st.Httpd.shed st.Httpd.peak_active)
     lorises;
   write_json "BENCH_overload.json" "rows"
     [ json_str "bench" "overload"; json_int "flood_syns" overload_flood_syns;
@@ -1131,15 +1124,16 @@ let overload () =
         allocs
     @ List.map
         (fun r ->
+          let st = r.Httpbench.r_server in
           json_obj
             [ json_str "kind" "loris";
-              json_str "guard" (if r.Overloadbench.lo_guard then "on" else "off");
-              json_int "loris" r.Overloadbench.lo_loris;
-              json_int "legit" r.Overloadbench.lo_legit;
-              json_int "served" r.Overloadbench.lo_served;
-              json_int "deadline_closed" r.Overloadbench.lo_deadline_closed;
-              json_int "shed" r.Overloadbench.lo_shed;
-              json_int "peak_active" r.Overloadbench.lo_peak_active ])
+              json_str "guard" (guard r);
+              json_int "loris" r.Httpbench.r_desc.Httpbench.loris;
+              json_int "legit" r.Httpbench.r_clients;
+              json_int "served" (Overloadbench.loris_served r);
+              json_int "deadline_closed" st.Httpd.deadline_closed;
+              json_int "shed" st.Httpd.shed;
+              json_int "peak_active" st.Httpd.peak_active ])
         lorises)
 
 (* ---------------- overloadsmoke: CI gate for overload survival ---------------- *)
@@ -1193,12 +1187,12 @@ let overloadsmoke () =
   (* 3) the guarded httpd reclaims Slowloris slots and serves the
      late-arriving legitimate clients. *)
   let r = Overloadbench.loris_run ~guard:true ~loris:8 ~legit:4 () in
+  let cuts = r.Httpbench.r_server.Httpd.deadline_closed in
   Printf.printf "guarded httpd: served %d/%d, %d deadline cuts\n%!"
-    r.Overloadbench.lo_served r.Overloadbench.lo_legit
-    r.Overloadbench.lo_deadline_closed;
-  if r.Overloadbench.lo_served < r.Overloadbench.lo_legit then
+    (Overloadbench.loris_served r) r.Httpbench.r_clients cuts;
+  if Overloadbench.loris_served r < r.Httpbench.r_clients then
     failwith "overloadsmoke: guarded httpd dropped a legit client";
-  if r.Overloadbench.lo_deadline_closed = 0 then
+  if cuts = 0 then
     failwith "overloadsmoke: header deadline never fired";
   print_endline
     "\nflood goodput >= 70% of clean; soak byte-exact; Slowloris slots reclaimed"
@@ -1228,6 +1222,10 @@ let event () =
         r)
       Eventbench.idle_sweep
   in
+  let visits idle =
+    (List.find (fun r -> r.Eventbench.kr_idle = idle) krows).Eventbench.kr_kq_visits
+  in
+  if visits 10_000 <> visits 100 then failwith "event: kq visits grew with idle watches";
   Printf.printf "\n%-10s %14s %10s %10s %14s\n" "idle" "wheel work" "fires"
     "cascades" "scan visits";
   let wrows =
@@ -1243,10 +1241,14 @@ let event () =
           failwith
             (Printf.sprintf "event: timing contract broken (early %d late %d missed %d)"
                r.Eventbench.wr_early r.Eventbench.wr_late r.Eventbench.wr_missed);
+        if r.Eventbench.wr_work >= r.Eventbench.wr_scan_visits / 100 then
+          failwith "event: wheel work not O(due)";
         r)
       Eventbench.idle_sweep
   in
-  print_endline "\n(timing contract held: no early fires, none > 1 granule late)";
+  print_endline
+    "\n(kq visits flat as idle grows; timing contract held: no early fires,\n\
+    \ none > 1 granule late, wheel work under 1% of the every-tick scan)";
   write_json "BENCH_event.json" "rows"
     [ json_str "bench" "event";
       json_int "hot" Eventbench.hot_set;
@@ -1272,130 +1274,143 @@ let event () =
               json_int "scan_visits" r.Eventbench.wr_scan_visits ])
         wrows)
 
-let eventsmoke () =
-  section_header "event CI gate";
-  (* 1) dispatch work must not grow with the idle population. *)
-  let a = Eventbench.kq_sweep ~idle:100 ~hot:128 ~rounds:10 in
-  let b = Eventbench.kq_sweep ~idle:10_000 ~hot:128 ~rounds:10 in
-  if b.Eventbench.kr_kq_visits <> a.Eventbench.kr_kq_visits then
-    failwith "eventsmoke: kq visits grew with idle watches";
-  Printf.printf "kq visits flat at %d as idle grows 100 -> 10000 (scan: %d -> %d)\n"
-    b.Eventbench.kr_kq_visits a.Eventbench.kr_scan_visits
-    b.Eventbench.kr_scan_visits;
-  (* 2) wheel timing contract: zero missed, zero early, <= 1 granule late;
-     and wheel work must stay two orders below the every-tick scan. *)
-  let w = Eventbench.wheel_run ~idle:10_000 ~hot:128 in
-  if w.Eventbench.wr_early <> 0 || w.Eventbench.wr_late <> 0
-     || w.Eventbench.wr_missed <> 0
-  then
-    failwith
-      (Printf.sprintf "eventsmoke: timing contract broken (early %d late %d missed %d)"
-         w.Eventbench.wr_early w.Eventbench.wr_late w.Eventbench.wr_missed);
-  if w.Eventbench.wr_work >= w.Eventbench.wr_scan_visits / 100 then
-    failwith "eventsmoke: wheel work not O(due)";
-  Printf.printf "wheel: %d fires on time, work %d vs scan %d\n" w.Eventbench.wr_fires
-    w.Eventbench.wr_work w.Eventbench.wr_scan_visits;
-  print_endline "\nflat O(ready) dispatch; wheel contract exact"
-
 (* ---------------- file: the keep-alive + sendfile content path ---------------- *)
+
+(* HTTP/1.1 keep-alive + pipelined serving and the sendfile-style
+   zero-copy buffer-cache->wire path, against the HTTP/1.0
+   close-per-request baseline.  Three profile fields vary:
+
+     http_keepalive  persistent connections; requests reuse one TCP
+                     connection instead of paying connect/teardown each
+     sendfile        200 bodies leave as pinned buffer-cache fragments
+                     loaned to the socket (Io_if.filemap -> Io_if.sendv)
+                     instead of being copied into the response
+     sg_tx           the loaned fragments ride the scatter-gather
+                     transmit glue to the NIC without flattening
+
+   The stacks differ on purpose: the BSD-derived stack (native and under
+   the OSKit glue) exports the sendv face — its mbufs alias foreign
+   storage — while the Linux stack does not (contiguous sk_buffs cannot),
+   so with sendfile on, Linux rows show the counted copy fallback: the
+   paper's Section 5 copy asymmetry surfacing at the application layer.
+   Working sets run smaller and larger than the 64-block (256 KB) buffer
+   cache, so cache hit/miss and eviction behaviour shows up in the
+   counters. *)
+
+let http10 = paper
+let keepalive = { paper with Cost.http_keepalive = true }
+let ka_sendfile = { keepalive with Cost.sendfile = true; sg_tx = true }
+
+let profile_name p =
+  match p.Cost.http_keepalive, p.Cost.sendfile with
+  | false, _ -> "http10"
+  | true, false -> "keepalive"
+  | true, true -> if p.Cost.sg_tx then "ka+sendfile+sg" else "ka+sendfile"
+
+let pipeline_of r =
+  match r.Httpbench.r_desc.Httpbench.request with Httpbench.Http11 p -> p | _ -> 1
+
+let copied_per_req r =
+  float_of_int r.Httpbench.r_server.Httpd.body_bytes_copied
+  /. float_of_int (max 1 r.Httpbench.r_requests)
 
 let file_header () =
   Printf.printf "%-8s %-8s %-14s %6s %7s %6s %8s %10s %9s %9s %8s %8s %6s\n%!"
     "stack" "mode" "knobs" "files" "fbytes" "reqs" "req/s" "copied/req" "sf-bodies"
     "fallback" "bc-hit" "bc-miss" "bad"
 
-let file_row (r : Filebench.result) =
+let file_row (r : Httpbench.result) =
+  let site = r.Httpbench.r_desc.Httpbench.site and st = r.Httpbench.r_server in
   Printf.printf "%-8s %-8s %-14s %6d %7d %6d %8.0f %10.1f %9d %9d %8d %8d %6d\n%!"
-    (Filebench.config_name r.Filebench.r_config)
-    (Filebench.mode_name r.Filebench.r_mode)
-    (Filebench.knobs_name r.Filebench.r_knobs
-    ^ if r.Filebench.r_pipeline > 1 then Printf.sprintf "+p%d" r.Filebench.r_pipeline
-      else "")
-    r.Filebench.r_files r.Filebench.r_file_bytes r.Filebench.r_requests
-    r.Filebench.r_rps r.Filebench.r_copied_per_req r.Filebench.r_sendfile_bodies
-    r.Filebench.r_sendfile_fallbacks r.Filebench.r_bufcache_hits
-    r.Filebench.r_bufcache_misses
-    (r.Filebench.r_mismatches + r.Filebench.r_protocol_errors)
+    (Httpbench.stack_name r.Httpbench.r_stack)
+    (Httpbench.shape_name r.Httpbench.r_shape)
+    (profile_name r.Httpbench.r_profile
+    ^ if pipeline_of r > 1 then Printf.sprintf "+p%d" (pipeline_of r) else "")
+    (Array.length site.Httpbench.names) site.Httpbench.file_bytes r.Httpbench.r_requests
+    r.Httpbench.r_rps (copied_per_req r) st.Httpd.sendfile_bodies
+    st.Httpd.sendfile_fallbacks r.Httpbench.r_bufcache_hits r.Httpbench.r_bufcache_misses
+    (r.Httpbench.r_mismatches + st.Httpd.protocol_errors)
 
-let file_check (r : Filebench.result) =
-  if r.Filebench.r_mismatches > 0 then
-    failwith "file: response was not byte-exact";
-  if r.Filebench.r_protocol_errors > 0 then failwith "file: protocol errors";
-  if r.Filebench.r_responses < r.Filebench.r_requests then
-    failwith "file: not every request got a 200"
-
-let file_json_row (r : Filebench.result) =
+let file_json_row (r : Httpbench.result) =
+  let site = r.Httpbench.r_desc.Httpbench.site and st = r.Httpbench.r_server in
   json_obj
-    [ json_str "stack" (Filebench.config_name r.Filebench.r_config);
-      json_str "mode" (Filebench.mode_name r.Filebench.r_mode);
-      json_str "knobs" (Filebench.knobs_name r.Filebench.r_knobs);
-      json_int "clients" r.Filebench.r_clients;
-      json_int "pipeline" r.Filebench.r_pipeline;
-      json_int "requests" r.Filebench.r_requests;
-      json_int "files" r.Filebench.r_files;
-      json_int "file_bytes" r.Filebench.r_file_bytes;
-      json_float "duration_ms" r.Filebench.r_duration_ms;
-      json_float "rps" r.Filebench.r_rps;
-      json_int "responses" r.Filebench.r_responses;
-      json_int "reused" r.Filebench.r_reused;
-      json_int "pipelined" r.Filebench.r_pipelined;
-      json_int "idle_closed" r.Filebench.r_idle_closed;
-      json_int "capped" r.Filebench.r_capped;
-      json_int "accepted" r.Filebench.r_accepted;
-      json_int "sendfile_bodies" r.Filebench.r_sendfile_bodies;
-      json_int "sendfile_fallbacks" r.Filebench.r_sendfile_fallbacks;
-      json_int "body_bytes_copied" r.Filebench.r_body_bytes_copied;
-      json_float "copied_per_req" r.Filebench.r_copied_per_req;
-      json_int "bufcache_hits" r.Filebench.r_bufcache_hits;
-      json_int "bufcache_misses" r.Filebench.r_bufcache_misses;
-      json_int "protocol_errors" r.Filebench.r_protocol_errors;
-      json_int "mismatches" r.Filebench.r_mismatches ]
+    [ json_str "stack" (Httpbench.stack_name r.Httpbench.r_stack);
+      json_str "mode" (Httpbench.shape_name r.Httpbench.r_shape);
+      json_str "knobs" (profile_name r.Httpbench.r_profile);
+      json_int "clients" r.Httpbench.r_clients;
+      json_int "pipeline" (pipeline_of r);
+      json_int "requests" r.Httpbench.r_requests;
+      json_int "files" (Array.length site.Httpbench.names);
+      json_int "file_bytes" site.Httpbench.file_bytes;
+      json_float "duration_ms" r.Httpbench.r_duration_ms;
+      json_float "rps" r.Httpbench.r_rps;
+      json_int "responses" r.Httpbench.r_responses;
+      json_int "reused" st.Httpd.reused;
+      json_int "pipelined" st.Httpd.pipelined;
+      json_int "idle_closed" st.Httpd.idle_closed;
+      json_int "capped" st.Httpd.capped;
+      json_int "accepted" st.Httpd.accepted;
+      json_int "sendfile_bodies" st.Httpd.sendfile_bodies;
+      json_int "sendfile_fallbacks" st.Httpd.sendfile_fallbacks;
+      json_int "body_bytes_copied" st.Httpd.body_bytes_copied;
+      json_float "copied_per_req" (copied_per_req r);
+      json_int "bufcache_hits" r.Httpbench.r_bufcache_hits;
+      json_int "bufcache_misses" r.Httpbench.r_bufcache_misses;
+      json_int "protocol_errors" st.Httpd.protocol_errors;
+      json_int "mismatches" r.Httpbench.r_mismatches ]
+
+(* One checked cell: [clients] clients each issue [reqs] GETs round-robin
+   over the working set, from 4 ms, after a warmup that faults the set
+   into the cache.  With keep-alive on, each client holds one connection
+   for all its requests, pipelined to [pipeline] — keep it within
+   [http_pipeline_max] so the server's parse-ahead bound never throttles
+   the reader; with it off, every request pays a fresh connect/close. *)
+let file_cell ?(stack = Httpbench.Freebsd_com) ?(shape = Httpbench.Reactor) ?(clients = 16)
+    ?(reqs = 125) ?(files = 16) ?(file_bytes = 4096) ?(pipeline = 1) profile =
+  let request =
+    if profile.Cost.http_keepalive then Httpbench.Http11 pipeline else Httpbench.Http10
+  in
+  let r =
+    Httpbench.run ~profile
+      { Httpbench.concurrency with
+        Httpbench.site = Httpbench.file_site ~files ~file_bytes;
+        max_threads = None;
+        max_conns = None;
+        request;
+        reqs_per_client = reqs;
+        start_ns = 4_000_000 }
+      ~stack ~shape ~clients ()
+  in
+  file_row r;
+  Httpbench.check ~what:"file" r;
+  r
 
 let file () =
   section_header
     "FILE: HTTP/1.1 keep-alive + sendfile content path (req/s, body copies/request)";
   file_header ();
-  let cell ?(config = Filebench.Freebsd_com) ?(mode = Filebench.Reactor)
-      ?(clients = 16) ?(reqs = 125) ?(files = 16) ?(file_bytes = 4096)
-      ?(pipeline = 1) knobs =
-    let r =
-      Filebench.run ~config ~mode ~knobs ~pipeline ~clients ~reqs_per_client:reqs
-        ~files ~file_bytes ()
-    in
-    file_row r;
-    file_check r;
-    r
-  in
-  (* The knob matrix: both stacks (plus the OSKit glue shape), both
-     serving shapes, all three knob sets, 2000 requests per cell on the
+  (* The profile matrix: both stacks (plus the OSKit glue shape), both
+     serving shapes, all three profiles, 2000 requests per cell on the
      small (in-cache) working set. *)
   let matrix =
     List.concat_map
-      (fun config ->
+      (fun stack ->
         List.concat_map
-          (fun mode ->
-            List.map
-              (fun knobs -> cell ~config ~mode knobs)
-              [ Filebench.http10; Filebench.keepalive; Filebench.ka_sendfile ])
-          [ Filebench.Reactor; Filebench.Threads ])
-      [ Filebench.Freebsd_com; Filebench.Linux_com; Filebench.Oskit_com ]
+          (fun shape ->
+            List.map (file_cell ~stack ~shape) [ http10; keepalive; ka_sendfile ])
+          [ Httpbench.Reactor; Httpbench.Threads ])
+      [ Httpbench.Freebsd_com; Httpbench.Linux_com; Httpbench.Oskit_com ]
   in
   (* Working set larger than the 64-block cache: eviction under load. *)
   print_newline ();
-  let thrash =
-    List.map
-      (fun knobs -> cell ~files:128 knobs)
-      [ Filebench.keepalive; Filebench.ka_sendfile ]
-  in
+  let thrash = List.map (file_cell ~files:128) [ keepalive; ka_sendfile ] in
   (* Body-size sweep: the copy path scales linearly with the body, the
      warm sendfile path stays at zero copied bytes per request. *)
   print_newline ();
   let sweep =
     List.concat_map
       (fun file_bytes ->
-        List.map
-          (fun knobs -> cell ~files:4 ~reqs:63 ~file_bytes knobs)
-          [ Filebench.keepalive; Filebench.ka_sendfile ])
+        List.map (file_cell ~files:4 ~reqs:63 ~file_bytes) [ keepalive; ka_sendfile ])
       [ 1024; 4096; 16384; 65536 ]
   in
   (* Headline scale: 10k requests over reused connections vs 10k fresh
@@ -1406,37 +1421,31 @@ let file () =
      bound): pipelining is where persistent connections stop paying a
      per-request round trip, so the headline ratio is depth 8. *)
   print_newline ();
+  let big = file_cell ~clients:16 ~reqs:625 ~file_bytes:1024 in
   let scale =
-    cell ~clients:16 ~reqs:625 ~file_bytes:1024 Filebench.http10
-    :: List.concat_map
-         (fun knobs ->
-           [ cell ~clients:16 ~reqs:625 ~file_bytes:1024 knobs;
-             cell ~clients:16 ~reqs:625 ~file_bytes:1024 ~pipeline:8 knobs ])
-         [ Filebench.keepalive; Filebench.ka_sendfile ]
+    big http10
+    :: List.concat_map (fun p -> [ big p; big ~pipeline:8 p ]) [ keepalive; ka_sendfile ]
   in
-  let rps k p =
-    (List.find
-       (fun r -> r.Filebench.r_knobs = k && r.Filebench.r_pipeline = p)
-       scale)
-      .Filebench.r_rps
+  let rps p depth =
+    (List.find (fun r -> r.Httpbench.r_profile = p && pipeline_of r = depth) scale)
+      .Httpbench.r_rps
   in
   Printf.printf
     "\n@10k requests (FreeBSD reactor): close-per-request %.0f req/s; keep-alive %.0f (%.1fx), pipelined x8 %.0f (%.1fx); +sendfile pipelined %.0f (%.1fx)\n"
-    (rps Filebench.http10 1)
-    (rps Filebench.keepalive 1)
-    (rps Filebench.keepalive 1 /. rps Filebench.http10 1)
-    (rps Filebench.keepalive 8)
-    (rps Filebench.keepalive 8 /. rps Filebench.http10 1)
-    (rps Filebench.ka_sendfile 8)
-    (rps Filebench.ka_sendfile 8 /. rps Filebench.http10 1);
-  if rps Filebench.ka_sendfile 8 < 3.0 *. rps Filebench.http10 1 then
+    (rps http10 1) (rps keepalive 1)
+    (rps keepalive 1 /. rps http10 1)
+    (rps keepalive 8)
+    (rps keepalive 8 /. rps http10 1)
+    (rps ka_sendfile 8)
+    (rps ka_sendfile 8 /. rps http10 1);
+  if rps ka_sendfile 8 < 3.0 *. rps http10 1 then
     failwith
       "file: keep-alive+sendfile pipelined under 3x close-per-request at 10k requests";
   List.iter
     (fun r ->
-      if r.Filebench.r_knobs = Filebench.ka_sendfile
-         && r.Filebench.r_config <> Filebench.Linux_com
-         && r.Filebench.r_body_bytes_copied <> 0
+      if r.Httpbench.r_profile = ka_sendfile
+         && r.Httpbench.r_stack <> Httpbench.Linux_com
+         && r.Httpbench.r_server.Httpd.body_bytes_copied <> 0
       then failwith "file: warm sendfile run copied body bytes")
     (matrix @ sweep @ scale);
   print_endline "\nLinux rows under ka+sendfile show the counted copy fallback: no sendv";
@@ -1451,33 +1460,26 @@ let file () =
 let filesmoke () =
   section_header "FILE smoke: keep-alive win, zero warm-cache copies, byte-exact";
   file_header ();
-  let run ?(config = Filebench.Freebsd_com) ?(mode = Filebench.Reactor) knobs =
-    let r =
-      Filebench.run ~config ~mode ~knobs ~clients:64 ~reqs_per_client:4 ~files:16
-        ~file_bytes:4096 ()
-    in
-    file_row r;
-    file_check r;
-    r
-  in
+  let run = file_cell ~clients:64 ~reqs:4 ~files:16 ~file_bytes:4096 in
   (* 1) keep-alive must beat close-per-request at 64 clients. *)
-  let th10 = run Filebench.http10 in
-  let ka = run Filebench.keepalive in
-  if ka.Filebench.r_rps <= th10.Filebench.r_rps then
+  let th10 = run http10 in
+  let ka = run keepalive in
+  if ka.Httpbench.r_rps <= th10.Httpbench.r_rps then
     failwith "filesmoke: keep-alive not faster than close-per-request";
   (* 2) warm-cache sendfile: zero body bytes copied, zero fallbacks. *)
-  let sf = run Filebench.ka_sendfile in
-  if sf.Filebench.r_body_bytes_copied <> 0 then
+  let sfr = run ka_sendfile in
+  let sf = sfr.Httpbench.r_server in
+  if sf.Httpd.body_bytes_copied <> 0 then
     failwith "filesmoke: sendfile path copied body bytes";
-  if sf.Filebench.r_sendfile_fallbacks <> 0 then
+  if sf.Httpd.sendfile_fallbacks <> 0 then
     failwith "filesmoke: sendfile fell back on a mappable working set";
-  if sf.Filebench.r_sendfile_bodies < sf.Filebench.r_requests then
+  if sf.Httpd.sendfile_bodies < sfr.Httpbench.r_requests then
     failwith "filesmoke: not every 200 went through the mapped path";
   (* 3) the threaded shape serves the same bytes. *)
-  ignore (run ~mode:Filebench.Threads Filebench.ka_sendfile);
+  ignore (run ~shape:Httpbench.Threads ka_sendfile);
   (* 4) Linux: no sendv face, so the counted fallback must carry it. *)
-  let lx = run ~config:Filebench.Linux_com Filebench.ka_sendfile in
-  if lx.Filebench.r_sendfile_fallbacks = 0 || lx.Filebench.r_body_bytes_copied = 0
+  let lx = (run ~stack:Httpbench.Linux_com ka_sendfile).Httpbench.r_server in
+  if lx.Httpd.sendfile_fallbacks = 0 || lx.Httpd.body_bytes_copied = 0
   then failwith "filesmoke: Linux fallback not counted";
   print_endline
     "\nkeep-alive > close-per-request; warm sendfile copies zero body bytes; all byte-exact"
@@ -1497,16 +1499,13 @@ let sections =
     "sgsmoke", sgsmoke;
     "rtt", rtt;
     "http", http;
-    "httpsmoke", httpsmoke;
     "rttsmoke", rttsmoke;
     "longfat", longfat;
     "longfatsmoke", longfatsmoke;
     "overload", overload;
     "overloadsmoke", overloadsmoke;
     "smp", smp;
-    "smpsmoke", smpsmoke;
     "event", event;
-    "eventsmoke", eventsmoke;
     "file", file;
     "filesmoke", filesmoke ]
 
@@ -1524,11 +1523,14 @@ let () =
       (List.tl (Array.to_list Sys.argv))
   in
   let requested = match names with [] -> List.map fst sections | ns -> ns in
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown section%s %s (known: %s)\n"
+        (if List.length unknown > 1 then "s" else "")
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst sections));
+      exit 2);
   print_endline "Flux OSKit reproduction — benchmark harness";
   Printf.printf "(virtual testbed: 2x 200MHz PCs, 100 Mbps Ethernet; %d-block runs)\n" blocks;
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None -> Printf.printf "unknown section %S\n" name)
-    requested
+  List.iter (fun name -> (List.assoc name sections) ()) requested

@@ -128,13 +128,16 @@ type transfer_result = {
   checksummed_bytes : int;
 }
 
-(* ttcp: [sender] pushes blocks x blocksize to [receiver].  [sg] turns on
-   the scatter-gather transmit path at the mbuf->skbuff glue (default off:
-   the paper's measured configuration flattens chains there). *)
-let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
+(* A run that takes [?profile] is installed under it ([Cost.with_config]),
+   [Cost.paper ()] by default: the paper's measured configuration, which
+   e.g. flattens mbuf chains at the mbuf->skbuff glue.  An ablation passes
+   that profile with named fields changed ([sg_tx] for scatter-gather
+   transmit), and the caller's configuration is back after the run. *)
+
+(* ttcp: [sender] pushes blocks x blocksize to [receiver]. *)
+let transfer ?(profile = Cost.paper ()) ~sender ~receiver ~blocks ~blocksize () =
+  Cost.with_config profile @@ fun () ->
   Clientos.reset_globals ();
-  Cost.config.Cost.sg_tx <- sg;
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let total = blocks * blocksize in
   let serve, _, _ = setup receiver tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
@@ -161,7 +164,6 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
   Cost.reset_counters ();
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
   let packets = Wire.frames_carried tb.Clientos.wire in
-  Cost.config.Cost.sg_tx <- false;
   { mbit_sender = float_of_int total *. 8e3 /. float_of_int !send_ns;
     mbit_e2e = float_of_int total *. 8e3 /. float_of_int !recv_done;
     copies_per_kpkt = Cost.counters.Cost.copies * 1000 / max 1 packets;
@@ -172,9 +174,9 @@ let transfer ?(sg = false) ~sender ~receiver ~blocks ~blocksize () =
     checksummed_bytes = Cost.counters.Cost.checksummed_bytes }
 
 (* rtcp: 1-byte round trips, both sides in [config]. *)
-let rtt_us config ~trips =
+let rtt_us ?(profile = Cost.paper ()) config ~trips =
+  Cost.with_config profile @@ fun () ->
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let serve, _, _ = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
   let _, connect, _ = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
@@ -207,11 +209,9 @@ let rtt_us config ~trips =
   !result
 
 (* rtcp again, but keeping the whole per-trip distribution and the receive
-   fast-path counters.  [fastpath] turns on all three receive-side layers at
-   once (header prediction, hashed PCB demux, batched RX) — default off, so
-   the plain Table 2 run above stays the paper's measured configuration.
-   The per-trip [Machine.now] reads charge nothing, so the mean here agrees
-   with [rtt_us] on the same flags. *)
+   fast-path counters (header prediction, the demux's PCB cache, batched
+   RX).  The per-trip [Machine.now] reads charge nothing, so the mean here
+   agrees with [rtt_us] under the same profile. *)
 type rtt_dist = {
   rtt_mean_us : float;
   rtt_p50_us : float;
@@ -225,11 +225,9 @@ type rtt_dist = {
   rtt_rx_frames : int;       (* frames those bursts carried *)
 }
 
-let dist ?(fastpath = false) config ~trips =
+let dist ?(profile = Cost.paper ()) config ~trips =
+  Cost.with_config profile @@ fun () ->
   Clientos.reset_globals ();
-  Cost.config.Cost.tcp_fastpath <- fastpath;
-  Cost.config.Cost.rx_batch <- (if fastpath then 8 else 1);
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let serve, _, _ = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
   let _, connect, _ = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
@@ -260,8 +258,6 @@ let dist ?(fastpath = false) config ~trips =
       finished := true;
       s.close ());
   Clientos.run tb ~until:(fun () -> !finished);
-  Cost.config.Cost.tcp_fastpath <- false;
-  Cost.config.Cost.rx_batch <- 1;
   let pct = Percentile.us_of_ns samples in
   { rtt_mean_us =
       float_of_int (Array.fold_left ( + ) 0 samples)
@@ -281,7 +277,6 @@ let dist ?(fastpath = false) config ~trips =
    other side is a native FreeBSD peer. *)
 let vm_throughput ~direction ~bytes =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let vm_host = tb.Clientos.host_a and peer = tb.Clientos.host_b in
   let env, _ = Clientos.oskit_host vm_host ~ip:(ip "10.0.0.1") ~mask in
@@ -376,11 +371,10 @@ type chaos_result = {
 }
 
 let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
-    ?(corrupt_min_len = 0) ?(duplicate = 0.0) ?(sg = false) ~sender ~receiver
-    ~blocks ~blocksize () =
+    ?(corrupt_min_len = 0) ?(duplicate = 0.0) ?(profile = Cost.paper ()) ~sender
+    ~receiver ~blocks ~blocksize () =
+  Cost.with_config profile @@ fun () ->
   Clientos.reset_globals ();
-  Cost.config.Cost.sg_tx <- sg;
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let em =
     Netem.create ~seed
@@ -418,7 +412,6 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
       done;
       s.close ());
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  Cost.config.Cost.sg_tx <- false;
   if !recv_done = 0 then failwith "chaos: transfer did not complete";
   { goodput_mbit = float_of_int total *. 8e3 /. float_of_int !recv_done;
     chaos_rexmits = sstats.rexmits ();
@@ -434,7 +427,8 @@ let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
    configuration (16-bit windows, fixed buffers); [Lf_manual] negotiates
    wscale and hand-sizes both ends' buffers to 2x the path BDP — the
    operator's recipe; [Lf_autotune] negotiates wscale and lets the stacks
-   grow their own buffers (Cost.config.tcp_autotune). *)
+   grow their own buffers ([tcp_autotune]); [longfat_profile] says which
+   profile each runs under. *)
 type bufmode = Lf_default | Lf_manual | Lf_autotune
 
 type longfat_result = {
@@ -445,18 +439,18 @@ type longfat_result = {
   lf_persist_probes : int;  (* Linux only; 0 elsewhere *)
 }
 
+let longfat_profile bufmode =
+  let p = Cost.paper () in
+  match bufmode with
+  | Lf_default -> p
+  | Lf_manual -> { p with Cost.tcp_wscale = true }
+  | Lf_autotune -> { p with Cost.tcp_wscale = true; tcp_autotune = true }
+
 let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
     () =
+  let profile = longfat_profile bufmode in
+  Cost.with_config profile @@ fun () ->
   Clientos.reset_globals ();
-  let saved_ws = Cost.config.Cost.tcp_wscale in
-  let saved_at = Cost.config.Cost.tcp_autotune in
-  (match bufmode with
-  | Lf_default -> ()
-  | Lf_manual -> Cost.config.Cost.tcp_wscale <- true
-  | Lf_autotune ->
-      Cost.config.Cost.tcp_wscale <- true;
-      Cost.config.Cost.tcp_autotune <- true);
-  Fdev.clear_drivers ();
   let tb =
     Clientos.make_testbed ~models:("3c905", "tulip")
       ~latency_ns:(max 1_000 (rtt_ns / 2)) ()
@@ -470,7 +464,7 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
   let bdp = rtt_ns / 80 in
   let manual =
     match bufmode with
-    | Lf_manual -> Some (min Cost.config.Cost.tcp_sockbuf_max (max (64 * 1024) (2 * bdp)))
+    | Lf_manual -> Some (min profile.Cost.tcp_sockbuf_max (max (64 * 1024) (2 * bdp)))
     | _ -> None
   in
   let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
@@ -577,8 +571,6 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
             stack_a.Linux_inet.persist_probes + stack_b.Linux_inet.persist_probes;
           Linux_inet.close stack_a s));
   Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  Cost.config.Cost.tcp_wscale <- saved_ws;
-  Cost.config.Cost.tcp_autotune <- saved_at;
   if !recv_done = 0 then failwith "longfat: transfer did not complete";
   { lf_mbit = float_of_int bytes *. 8e3 /. float_of_int !recv_done;
     lf_byte_exact = (!mismatches = 0 && !received = bytes);
@@ -593,7 +585,6 @@ let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
    byte-exact). *)
 let zero_window_run ?(stall_ns = 3_000_000_000) ?(bytes = 256 * 1024) () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
   let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in

@@ -17,60 +17,32 @@
              with the guard on, the header deadline reclaims them and
              late legitimate clients are still served.
 
-   Everything is driven by the Cost.config overload knobs, all of which
-   default off — the calibrated Table 1/2/rtt baselines never see any of
-   this machinery. *)
+   Each run installs its own profile: the paper defaults with the
+   overload fields it studies changed, so the calibrated Table 1/2/rtt
+   baselines never see any of this machinery.  The Slowloris runs are the
+   shared HTTP harness (Httpbench) under such a profile. *)
 
 type server = Sv_freebsd | Sv_linux
 
 let server_name = function Sv_freebsd -> "FreeBSD" | Sv_linux -> "Linux"
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> failwith ("overloadbench: " ^ Error.to_string e)
+let ip, mask, ok = Netbench.(ip, mask, ok)
 
 let pattern i = (i * 131) lxor (i lsr 8) land 0xff
 
-(* Set the overload knobs for one run and restore the seed defaults
-   after, re-seeding the allocation injector on both edges. *)
-let with_knobs ?(syn_defense = false) ?(syncache_size = 64) ?(alloc_fail_prob = 0.0)
-    ?(alloc_fail_seed = 1) ?(alloc_fail_burst = 1) ?(httpd_guard = false)
-    ?(httpd_header_deadline_ns = 1_000_000_000) ?(httpd_shed_hiwat = 0) f =
-  let c = Cost.config in
-  let saved =
-    ( c.Cost.syn_defense, c.Cost.syncache_size, c.Cost.alloc_fail_prob,
-      c.Cost.alloc_fail_seed, c.Cost.alloc_fail_burst, c.Cost.httpd_guard,
-      c.Cost.httpd_header_deadline_ns, c.Cost.httpd_shed_hiwat )
-  in
-  c.Cost.syn_defense <- syn_defense;
-  c.Cost.syncache_size <- syncache_size;
-  c.Cost.alloc_fail_prob <- alloc_fail_prob;
-  c.Cost.alloc_fail_seed <- alloc_fail_seed;
-  c.Cost.alloc_fail_burst <- alloc_fail_burst;
-  c.Cost.httpd_guard <- httpd_guard;
-  c.Cost.httpd_header_deadline_ns <- httpd_header_deadline_ns;
-  c.Cost.httpd_shed_hiwat <- httpd_shed_hiwat;
-  Memfault.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      let sd, sz, ap, asd, ab, hg, hd, hs = saved in
-      c.Cost.syn_defense <- sd;
-      c.Cost.syncache_size <- sz;
-      c.Cost.alloc_fail_prob <- ap;
-      c.Cost.alloc_fail_seed <- asd;
-      c.Cost.alloc_fail_burst <- ab;
-      c.Cost.httpd_guard <- hg;
-      c.Cost.httpd_header_deadline_ns <- hd;
-      c.Cost.httpd_shed_hiwat <- hs;
-      Memfault.reset ())
-    f
+(* Run [f] under [profile], re-seeding the allocation injector from the
+   profile on the way in and from the caller's configuration on the way
+   out. *)
+let under profile f =
+  Fun.protect ~finally:Memfault.reset (fun () ->
+      Cost.with_config profile (fun () ->
+          Memfault.reset ();
+          f ()))
+
+let paper = Cost.paper ()
 
 let fresh_testbed () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   Clientos.make_testbed ~models:("3c905", "tulip") ()
 
 (* One crafted option-less TCP segment out of [cstack] with a spoofable
@@ -101,7 +73,7 @@ type flood_result = {
    blocking BSD sockets: a client whose connect fails (the undefended
    stack's backlog is full of embryonic corpses) counts as unserved. *)
 let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
-  with_knobs ~syn_defense:defense ~syncache_size:64 (fun () ->
+  under { paper with Cost.syn_defense = defense } (fun () ->
       let tb = fresh_testbed () in
       let chost = tb.Clientos.host_a in
       let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
@@ -230,7 +202,8 @@ type alloc_result = {
 }
 
 let alloc_run ~server ~prob ~seed ~bytes () =
-  with_knobs ~alloc_fail_prob:prob ~alloc_fail_seed:seed ~alloc_fail_burst:2
+  under
+    { paper with Cost.alloc_fail_prob = prob; alloc_fail_seed = seed; alloc_fail_burst = 2 }
     (fun () ->
       let tb = fresh_testbed () in
       let mism = ref 0 and received = ref 0 and done_flag = ref false in
@@ -367,114 +340,29 @@ let alloc_run ~server ~prob ~seed ~bytes () =
 (* ------------------------------------------------------------------ *)
 (* loris: Slowloris vs the httpd header deadline                       *)
 
-type loris_result = {
-  lo_guard : bool;
-  lo_loris : int;
-  lo_legit : int;
-  lo_served : int;          (* legitimate 200s, byte-exact *)
-  lo_deadline_closed : int;
-  lo_shed : int;            (* over max_conns, silently dropped *)
-  lo_peak_active : int;
-}
-
-let file_bytes = 1024
-
-let make_root () =
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  let body = Bytes.init file_bytes (fun i -> Char.chr (pattern i)) in
-  let rec push off =
-    if off < file_bytes then
-      match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off) with
-      | Ok n -> push (off + n)
-      | Error e -> failwith ("overloadbench root: " ^ Error.to_string e)
-  in
-  push 0;
-  (root, Bytes.to_string body)
-
 (* [loris] attackers each park a half-finished request.  The server's
    connection budget is exactly [loris] — without the guard the attackers
    own every slot when the [legit] clients arrive at t=100ms and each one
    is shed on accept; with the 50 ms header deadline the slots have
-   already been reclaimed. *)
+   already been reclaimed.  A legitimate client is served when its one
+   HTTP/1.0 GET comes back a byte-exact 200. *)
 let loris_run ~guard ~loris ~legit () =
-  with_knobs ~httpd_guard:guard ~httpd_header_deadline_ns:50_000_000 (fun () ->
-      let tb = fresh_testbed () in
-      let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-      let root, expect = make_root () in
-      let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-      let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-      let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-      let served = ref 0 and legit_done = ref 0 in
-      let all () = !legit_done >= legit in
-      let server_stats = ref None in
-      let reactor = Reactor.create () in
-      Clientos.spawn server ~name:"httpd" (fun () ->
-          ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-          ok (sock.Io_if.so_listen ~backlog:32);
-          server_stats :=
-            Some (Httpd.serve_reactor ~reactor ~root ~sock ~max_conns:loris ());
-          Reactor.run reactor ~until:all);
-      let push_str s frag =
-        let b = Bytes.of_string frag in
-        let rec go off =
-          if off < Bytes.length b then
-            match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-            | Ok n -> go (off + n)
-            | Error _ -> ()
-        in
-        go 0
-      in
-      for i = 0 to loris - 1 do
-        Clientos.spawn chost ~name:(Printf.sprintf "loris%d" i) (fun () ->
-            Kclock.sleep_ns (3_000_000 + (i * 100_000));
-            let s = Bsd_socket.tcp_socket cstack in
-            (match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80 with
-            | Error _ -> ()
-            | Ok () ->
-                push_str s "GET /index.html HTTP/1.0\r\nX-Slow: yes\r\n";
-                (* Hold the connection; never finish the headers. *)
-                let buf = Bytes.create 256 in
-                ignore (Bsd_socket.so_recv s ~buf ~pos:0 ~len:256));
-            ignore (Bsd_socket.so_close s))
-      done;
-      for i = 0 to legit - 1 do
-        Clientos.spawn chost ~name:(Printf.sprintf "legit%d" i) (fun () ->
-            Kclock.sleep_ns (100_000_000 + (i * 200_000));
-            let s = Bsd_socket.tcp_socket cstack in
-            (match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80 with
-            | Error _ -> ()
-            | Ok () ->
-                push_str s "GET /index.html HTTP/1.0\r\n\r\n";
-                let buf = Bytes.create 4096 in
-                let acc = Buffer.create 2048 in
-                let rec drain () =
-                  match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-                  | Ok 0 | Error _ -> ()
-                  | Ok n -> Buffer.add_subbytes acc buf 0 n; drain ()
-                in
-                drain ();
-                let resp = Buffer.contents acc in
-                let is200 =
-                  String.length resp > 12 && String.sub resp 0 12 = "HTTP/1.0 200"
-                in
-                let body_ok =
-                  let rec find j =
-                    if j + 4 > String.length resp then None
-                    else if String.sub resp j 4 = "\r\n\r\n" then Some (j + 4)
-                    else find (j + 1)
-                  in
-                  match find 0 with
-                  | Some j -> String.sub resp j (String.length resp - j) = expect
-                  | None -> false
-                in
-                if is200 && body_ok then incr served);
-            ignore (Bsd_socket.so_close s);
-            incr legit_done)
-      done;
-      Clientos.run tb ~until:all;
-      let st = Option.get !server_stats in
-      { lo_guard = guard; lo_loris = loris; lo_legit = legit; lo_served = !served;
-        lo_deadline_closed = st.Httpd.deadline_closed; lo_shed = st.Httpd.shed;
-        lo_peak_active = st.Httpd.peak_active })
+  (* alloc_fail_prob is 0 here, so the allocation injector never draws
+     and the profile needs no [under]. *)
+  let profile =
+    { paper with Cost.httpd_guard = guard; httpd_header_deadline_ns = 50_000_000 }
+  in
+  Httpbench.run ~profile
+    { Httpbench.concurrency with
+      Httpbench.backlog = 32;
+      max_threads = None;
+      max_conns = Some loris;
+      request = Httpbench.Http10;
+      reqs_per_client = 1;
+      start_ns = 100_000_000;
+      stagger_ns = 200_000;
+      warmup = false;
+      loris }
+    ~stack:Httpbench.Freebsd_com ~shape:Httpbench.Reactor ~clients:legit ()
+
+let loris_served r = r.Httpbench.r_requests - r.Httpbench.r_mismatches

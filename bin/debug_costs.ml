@@ -1,8 +1,8 @@
-(* Sweep cost knobs to see per-component contribution to ttcp elapsed. *)
-let run label setup =
+(* Sweep cost knobs to see per-component contribution to ttcp elapsed.
+   Each run is the paper profile with the named costs zeroed. *)
+let run label profile =
+  Cost.with_config profile @@ fun () ->
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
-  setup ();
   let ip = Oskit.ip_of_string in
   let mask = ip "255.255.255.0" in
   let ok = function Ok v -> v | Error e -> failwith (Error.to_string e) in
@@ -37,18 +37,20 @@ let run label setup =
     sa.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack sb.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack
 
 let () =
-  run "defaults" (fun () -> ());
-  run "no copies" (fun () -> Cost.config.Cost.copy_cycles_per_byte <- 0);
-  run "no checksum" (fun () -> Cost.config.Cost.checksum_cycles_per_byte <- 0);
-  run "no tcp pkt cost" (fun () -> Cost.config.Cost.bsd_tcp_pkt_cycles <- 0);
-  run "no driver pkt cost" (fun () -> Cost.config.Cost.linux_driver_pkt_cycles <- 0);
-  run "no alloc cost" (fun () -> Cost.config.Cost.alloc_cycles <- 0);
-  run "no irq cost" (fun () -> Cost.config.Cost.irq_entry_cycles <- 0);
-  run "everything free" (fun () ->
-      Cost.config.Cost.copy_cycles_per_byte <- 0;
-      Cost.config.Cost.checksum_cycles_per_byte <- 0;
-      Cost.config.Cost.bsd_tcp_pkt_cycles <- 0;
-      Cost.config.Cost.linux_driver_pkt_cycles <- 0;
-      Cost.config.Cost.alloc_cycles <- 0;
-      Cost.config.Cost.irq_entry_cycles <- 0;
-      Cost.config.Cost.socket_op_cycles <- 0)
+  let p = Cost.paper () in
+  run "defaults" p;
+  run "no copies" { p with Cost.copy_cycles_per_byte = 0 };
+  run "no checksum" { p with Cost.checksum_cycles_per_byte = 0 };
+  run "no tcp pkt cost" { p with Cost.bsd_tcp_pkt_cycles = 0 };
+  run "no driver pkt cost" { p with Cost.linux_driver_pkt_cycles = 0 };
+  run "no alloc cost" { p with Cost.alloc_cycles = 0 };
+  run "no irq cost" { p with Cost.irq_entry_cycles = 0 };
+  run "everything free"
+    { p with
+      Cost.copy_cycles_per_byte = 0;
+      checksum_cycles_per_byte = 0;
+      bsd_tcp_pkt_cycles = 0;
+      linux_driver_pkt_cycles = 0;
+      alloc_cycles = 0;
+      irq_entry_cycles = 0;
+      socket_op_cycles = 0 }

@@ -39,7 +39,6 @@ let run_freebsd bytes =
 
 let run_oskit bytes =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("NE2000", "tulip") () in
   World.set_fuel tb.Clientos.world 5_000_000;
   let env_a, _ = Clientos.oskit_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in

@@ -18,7 +18,6 @@ let chunk = 1024
 
 let () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("eepro100", "NE2000") () in
   let server = tb.Clientos.host_a and client = tb.Clientos.host_b in
   let env_s, _ = Clientos.oskit_host server ~ip:(ip "10.0.0.1") ~mask in

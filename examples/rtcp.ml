@@ -17,7 +17,6 @@ let ok = function
 
 let run_config config ~trips =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let a = tb.Clientos.host_a and b = tb.Clientos.host_b in
   let samples = Array.make (max 1 trips) 0 in

@@ -34,7 +34,6 @@ type result = {
 
 let run_config config ~blocks ~blocksize =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let total = blocks * blocksize in
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let a = tb.Clientos.host_a and b = tb.Clientos.host_b in

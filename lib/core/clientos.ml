@@ -91,6 +91,7 @@ let run testbed ~until = World.run testbed.world ~until
 
 let reset_globals () =
   Linux_glue.reset ();
+  Fdev.clear_drivers ();
   (* Warm buffer pools would make a repeated simulation cheaper than its
      first run; every run starts cold. *)
   Mbuf.pool_reset ();

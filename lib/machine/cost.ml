@@ -45,7 +45,7 @@ type config = {
 
 let max_cpus = 16
 
-let defaults () =
+let paper () =
   { cpu_hz = 200_000_000;
     copy_cycles_per_byte = 4;
     checksum_cycles_per_byte = 2;
@@ -89,49 +89,59 @@ let defaults () =
     http_pipeline_max = 8;
     sendfile = false }
 
-let config = defaults ()
+let config = paper ()
 
-let reset_config () =
-  let d = defaults () in
-  config.cpu_hz <- d.cpu_hz;
-  config.copy_cycles_per_byte <- d.copy_cycles_per_byte;
-  config.checksum_cycles_per_byte <- d.checksum_cycles_per_byte;
-  config.com_call_cycles <- d.com_call_cycles;
-  config.glue_crossing_cycles <- d.glue_crossing_cycles;
-  config.irq_entry_cycles <- d.irq_entry_cycles;
-  config.alloc_cycles <- d.alloc_cycles;
-  config.pool_alloc_cycles <- d.pool_alloc_cycles;
-  config.linux_driver_pkt_cycles <- d.linux_driver_pkt_cycles;
-  config.bsd_tcp_pkt_cycles <- d.bsd_tcp_pkt_cycles;
-  config.linux_tcp_pkt_cycles <- d.linux_tcp_pkt_cycles;
-  config.socket_op_cycles <- d.socket_op_cycles;
-  config.thread_spawn_cycles <- d.thread_spawn_cycles;
-  config.sg_tx <- d.sg_tx;
-  config.tcp_fastpath <- d.tcp_fastpath;
-  config.tcp_fastpath_cycles <- d.tcp_fastpath_cycles;
-  config.rx_batch <- d.rx_batch;
-  config.tcp_wscale <- d.tcp_wscale;
-  config.tcp_autotune <- d.tcp_autotune;
-  config.tcp_mss <- d.tcp_mss;
-  config.tcp_sockbuf_max <- d.tcp_sockbuf_max;
-  config.syn_defense <- d.syn_defense;
-  config.syncache_size <- d.syncache_size;
-  config.tw_max <- d.tw_max;
-  config.icmp_ratelimit <- d.icmp_ratelimit;
-  config.alloc_fail_prob <- d.alloc_fail_prob;
-  config.alloc_fail_seed <- d.alloc_fail_seed;
-  config.alloc_fail_burst <- d.alloc_fail_burst;
-  config.httpd_guard <- d.httpd_guard;
-  config.httpd_header_deadline_ns <- d.httpd_header_deadline_ns;
-  config.httpd_max_header_bytes <- d.httpd_max_header_bytes;
-  config.httpd_shed_hiwat <- d.httpd_shed_hiwat;
-  config.ncpus <- d.ncpus;
-  config.netisr_qmax <- d.netisr_qmax;
-  config.http_keepalive <- d.http_keepalive;
-  config.http_idle_timeout_ns <- d.http_idle_timeout_ns;
-  config.http_max_reqs_per_conn <- d.http_max_reqs_per_conn;
-  config.http_pipeline_max <- d.http_pipeline_max;
-  config.sendfile <- d.sendfile
+(* The one field copy behind [reset_config] and [with_config].  It skips
+   [kq], [timer_wheel] and [pcb_hash]: nothing reads them, and only
+   perfbench still writes them. *)
+let copy_into ~src dst =
+  dst.cpu_hz <- src.cpu_hz;
+  dst.copy_cycles_per_byte <- src.copy_cycles_per_byte;
+  dst.checksum_cycles_per_byte <- src.checksum_cycles_per_byte;
+  dst.com_call_cycles <- src.com_call_cycles;
+  dst.glue_crossing_cycles <- src.glue_crossing_cycles;
+  dst.irq_entry_cycles <- src.irq_entry_cycles;
+  dst.alloc_cycles <- src.alloc_cycles;
+  dst.pool_alloc_cycles <- src.pool_alloc_cycles;
+  dst.linux_driver_pkt_cycles <- src.linux_driver_pkt_cycles;
+  dst.bsd_tcp_pkt_cycles <- src.bsd_tcp_pkt_cycles;
+  dst.linux_tcp_pkt_cycles <- src.linux_tcp_pkt_cycles;
+  dst.socket_op_cycles <- src.socket_op_cycles;
+  dst.thread_spawn_cycles <- src.thread_spawn_cycles;
+  dst.sg_tx <- src.sg_tx;
+  dst.tcp_fastpath <- src.tcp_fastpath;
+  dst.tcp_fastpath_cycles <- src.tcp_fastpath_cycles;
+  dst.rx_batch <- src.rx_batch;
+  dst.tcp_wscale <- src.tcp_wscale;
+  dst.tcp_autotune <- src.tcp_autotune;
+  dst.tcp_mss <- src.tcp_mss;
+  dst.tcp_sockbuf_max <- src.tcp_sockbuf_max;
+  dst.syn_defense <- src.syn_defense;
+  dst.syncache_size <- src.syncache_size;
+  dst.tw_max <- src.tw_max;
+  dst.icmp_ratelimit <- src.icmp_ratelimit;
+  dst.alloc_fail_prob <- src.alloc_fail_prob;
+  dst.alloc_fail_seed <- src.alloc_fail_seed;
+  dst.alloc_fail_burst <- src.alloc_fail_burst;
+  dst.httpd_guard <- src.httpd_guard;
+  dst.httpd_header_deadline_ns <- src.httpd_header_deadline_ns;
+  dst.httpd_max_header_bytes <- src.httpd_max_header_bytes;
+  dst.httpd_shed_hiwat <- src.httpd_shed_hiwat;
+  dst.ncpus <- src.ncpus;
+  dst.netisr_qmax <- src.netisr_qmax;
+  dst.http_keepalive <- src.http_keepalive;
+  dst.http_idle_timeout_ns <- src.http_idle_timeout_ns;
+  dst.http_max_reqs_per_conn <- src.http_max_reqs_per_conn;
+  dst.http_pipeline_max <- src.http_pipeline_max;
+  dst.sendfile <- src.sendfile
+
+let reset_config () = copy_into ~src:(paper ()) config
+
+let with_config p f =
+  let saved = paper () in
+  copy_into ~src:config saved;
+  copy_into ~src:p config;
+  Fun.protect ~finally:(fun () -> copy_into ~src:saved config) f
 
 type counters = {
   mutable copies : int;

@@ -217,11 +217,24 @@ type config = {
 (** Hard ceiling on {!field:config.ncpus} (shard arrays are sized to it). *)
 val max_cpus : int
 
-(** The live configuration; benches mutate it for ablations. *)
+(** The live configuration.  Benches do not mutate it: they run under a
+    profile ({!with_config}). *)
 val config : config
 
-(** Restore every field to its documented default. *)
+(** [paper ()] is a fresh copy of the documented defaults — the paper's
+    1997 testbed, every opt-in mechanism off.  An ablation is this
+    profile with one named field changed:
+    [{ (Cost.paper ()) with Cost.sg_tx = true }]. *)
+val paper : unit -> config
+
+(** Restore every field to its documented default ({!paper}). *)
 val reset_config : unit -> unit
+
+(** [with_config p f] installs profile [p] as the live configuration while
+    [f] runs, then restores the caller's configuration, on return or on
+    exception; uses nest.  Like {!reset_config} it leaves [kq],
+    [timer_wheel] and [pcb_hash] alone. *)
+val with_config : config -> (unit -> 'a) -> 'a
 
 (** {2 Charging}
 

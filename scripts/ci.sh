@@ -5,10 +5,7 @@
 # netem at 0–5% loss in all three configurations; the bench itself fails
 # if any cell is not byte-exact), the scatter-gather smoke (fixed
 # seed; asserts sg send >= default send, zero flatten copies on the sg
-# path, and byte-exactness with sg on under loss), and the http smoke
-# (64 concurrent clients against the httpd component on both stacks,
-# both serving shapes; the bench fails on any protocol error, any
-# non-byte-exact response, or reactor req/s below thread-per-connection),
+# path, and byte-exactness with sg on under loss),
 # and the rtt smoke (receive fast path: flags-on transfers stay
 # byte-exact under netem loss, the header-prediction run must strictly
 # reduce mean RTT with zero fallbacks on a clean in-order wire, and
@@ -23,27 +20,35 @@
 # allocation-failure soak must stay byte-exact with zero crashes; and
 # the guarded httpd must reclaim Slowloris-parked connections by header
 # deadline and still serve late legitimate clients),
-# and the smp smoke (multi-CPU scale-out: the sharded reactor httpd at
-# 1 and 4 CPUs under a 256-client burst; the bench fails on any
-# non-byte-exact response, any netisr overflow drop, any spinlock
-# contention on the per-flow hot path, 4-CPU req/s not strictly above
-# 1-CPU, or steering that never fired),
-# and the event smoke (the event core: the reactor's kqueue dispatch
-# work must stay flat as idle watches grow 100 -> 10000; and the timing
-# wheel must fire zero timers early, none more than one granule late,
-# and none missed, at O(due) work),
 # and the file smoke (the HTTP/1.1 + sendfile content path: keep-alive
 # req/s strictly above close-per-request at 64 clients, zero body bytes
 # copied and zero fallbacks on warm-cache sendfile hits, every body
 # byte-exact in both serving shapes, and the Linux rows carrying the
 # counted copy fallback — that stack exports no sendv face).
+# A bench section name the harness does not know must fail the run, so a
+# typo or a deleted section cannot pass silently.
 # Finally, every committed baseline is regenerated with --json (table1
-# with --sg, table2, rtt, http, file, overload, smp, event, longfat —
-# the first three only rewrite their file under --json) and all nine
-# BENCH_*.json files must be bit-identical to the committed ones, so any
-# change to a charged cycle, a wire byte or a counter shows up as a
-# reviewable diff.  The knobs each section does not sweep stay at their
-# defaults — ncpus=1 — so the SMP layer must cost nothing when off.
+# with --sg, table2, rtt, http, file, overload, smp, event, longfat — no
+# section rewrites its file without --json) and all nine BENCH_*.json
+# files must be bit-identical to the committed ones, so any change to a
+# charged cycle, a wire byte or a counter shows up as a reviewable diff.
+# These sections check their own rows too, and fail loudly on
+# regression: http (every response byte-exact, no protocol errors, the
+# reactor holding >= 4x the threaded concurrency at 256 clients and
+# serving >= the threaded req/s at 64), smp (byte-exact, no netisr drop,
+# no spinlock contention on the per-flow hot path, >= 3x at 4 CPUs from
+# 1024 clients, 4 CPUs strictly faster than 1 at 256 with steering
+# fired), event (kqueue dispatch work flat as idle watches grow 100 ->
+# 10000; the timing wheel firing nothing early, nothing more than one
+# granule late and nothing missed, at under 1% of the every-tick scan's
+# work) and file.
+# Every bench run installs its cost configuration as a profile value
+# (Cost.with_config); the fields a section does not vary stay at the
+# paper defaults — ncpus=1 — so the SMP layer must cost nothing when off.
+# A grep must find no bench, bin, example or test code assigning a
+# Cost.config field or calling Cost.reset_config (test_machine's
+# reset_config tests excepted), so nothing flips globals around a run
+# again: a run that needs other costs passes Cost.with_config a profile.
 # Nothing may read or write the three ignored Cost.config fields, kq,
 # timer_wheel and pcb_hash: a grep for them must find nothing outside
 # perfbench.
@@ -66,6 +71,11 @@
 set -eux
 
 dune build
+if grep -rnE '(Cost\.config|\bc)\.(Cost\.)?[a-z_]+ *<-|\.Cost\.[a-z_]+ *<-|Cost\.reset_config' \
+  bench bin examples test | grep -v '^test/test_machine\.ml:[0-9]*: *Cost\.reset_config ();$'; then
+  echo "code sets the live Cost.config instead of passing a profile" >&2
+  exit 1
+fi
 if grep -rnE "(config|Cost)\.(kq|timer_wheel|pcb_hash)\b" lib bench bin examples test; then
   echo "ignored Cost.config field used outside perfbench" >&2
   exit 1
@@ -83,13 +93,14 @@ dune runtest
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- alloc
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- chaos
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- sgsmoke
-OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- httpsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- rttsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- longfatsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- overloadsmoke
-OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- smpsmoke
-OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- eventsmoke
 OSKIT_BENCH_BLOCKS=64 dune exec bench/main.exe -- filesmoke
+if dune exec bench/main.exe -- nosuchsection; then
+  echo "bench driver accepted an unknown section" >&2
+  exit 1
+fi
 dune exec bench/main.exe -- table1 --sg --json
 for section in table2 rtt http file overload smp event longfat; do
   dune exec bench/main.exe -- "$section" --json

@@ -38,7 +38,6 @@ let com_server kind host =
 
 let fresh_testbed () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   Clientos.make_testbed ~models:("3c905", "tulip") ()
 
 let pattern pos = Char.chr ((pos * 131) land 0xff)

@@ -20,11 +20,7 @@ let rports = [| 80; 81 |]
 let syn_sports = [| 5000; 5001 |]
 let lports = [| 80; 81; 1100; 1101 |]
 
-let with_tw_max n f =
-  let c = Cost.config in
-  let saved = c.Cost.tw_max in
-  c.Cost.tw_max <- n;
-  Fun.protect ~finally:(fun () -> c.Cost.tw_max <- saved) f
+let with_tw_max n f = Cost.with_config { Cost.config with Cost.tw_max = n } f
 
 (* Every (src, sport, dport) the sequence could have touched, plus the
    lports actually in use (ephemeral ones included). *)
@@ -111,7 +107,6 @@ let bsd_segment hdr =
 
 let testbed () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   Clientos.make_testbed ~models:("3c905", "tulip") ()
 
 (* ------------------------------------------------------------------ *)

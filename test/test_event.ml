@@ -166,11 +166,8 @@ let tcp_of_frame f =
 
 (* Two FreeBSD hosts with [ncpus] CPUs each, 10.0.0.1 and 10.0.0.2. *)
 let with_bsd_pair ~ncpus f =
-  let saved = Cost.config.Cost.ncpus in
-  Cost.config.Cost.ncpus <- ncpus;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.ncpus <- saved) @@ fun () ->
+  Cost.with_config { Cost.config with Cost.ncpus } @@ fun () ->
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
   let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:addr_a ~mask in
   let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:addr_b ~mask in

@@ -18,15 +18,7 @@ let ok = function
 (* Flip both fast-path flags around [f], restoring the previous values on
    any exit (the test_sg with_sg_tx discipline). *)
 let with_fast ?(batch = 8) f =
-  let c = Cost.config in
-  let fp = c.Cost.tcp_fastpath and rb = c.Cost.rx_batch in
-  c.Cost.tcp_fastpath <- true;
-  c.Cost.rx_batch <- batch;
-  Fun.protect
-    ~finally:(fun () ->
-      c.Cost.tcp_fastpath <- fp;
-      c.Cost.rx_batch <- rb)
-    f
+  Cost.with_config { Cost.config with Cost.tcp_fastpath = true; rx_batch = batch } f
 
 (* ------------------------------------------------------------------ *)
 (* Equivalence: flags on, transfers stay byte-exact under clean wire,
@@ -143,7 +135,6 @@ let test_bsd_cache_invalidated_on_close () =
 let test_linux_cache_invalidated_on_close () =
   with_fast (fun () ->
       Clientos.reset_globals ();
-      Fdev.clear_drivers ();
       let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
       let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
@@ -248,15 +239,10 @@ let test_paper_profile_hashed_demux () =
 
 let with_equal_charges f =
   let c = Cost.config in
-  let fp = c.Cost.tcp_fastpath and fc = c.Cost.tcp_fastpath_cycles
-  and lc = c.Cost.linux_tcp_pkt_cycles in
-  c.Cost.tcp_fastpath_cycles <- c.Cost.bsd_tcp_pkt_cycles;
-  c.Cost.linux_tcp_pkt_cycles <- c.Cost.bsd_tcp_pkt_cycles;
-  Fun.protect
-    ~finally:(fun () ->
-      c.Cost.tcp_fastpath <- fp;
-      c.Cost.tcp_fastpath_cycles <- fc;
-      c.Cost.linux_tcp_pkt_cycles <- lc)
+  Cost.with_config
+    { c with
+      Cost.tcp_fastpath_cycles = c.Cost.bsd_tcp_pkt_cycles;
+      linux_tcp_pkt_cycles = c.Cost.bsd_tcp_pkt_cycles }
     f
 
 (* Each run is a fresh testbed whose cards draw fresh MACs: name every
@@ -279,7 +265,7 @@ let by_host tb f =
 
 (* Every frame the wire delivered, with its arrival time. *)
 let tapped_transfer sender ~seed ~fastpath =
-  Cost.config.Cost.tcp_fastpath <- fastpath;
+  Cost.with_config { Cost.config with Cost.tcp_fastpath = fastpath } @@ fun () ->
   let em = Netem.create ~seed () in
   Netem.set_policy em
     { Netem.default_policy with loss = 0.02; reorder = 0.02; reorder_delay_ns = 400_000 };

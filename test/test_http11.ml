@@ -17,27 +17,14 @@ let ok = function
 
 let with_http11 ?(keepalive = true) ?(sendfile = false) ?(sg = false)
     ?(idle_ns = 5_000_000_000) ?(max_reqs = 0) ?(pipeline_max = 8) f =
-  let c = Cost.config in
-  let saved =
-    ( c.Cost.http_keepalive, c.Cost.sendfile, c.Cost.sg_tx,
-      c.Cost.http_idle_timeout_ns, c.Cost.http_max_reqs_per_conn,
-      c.Cost.http_pipeline_max )
-  in
-  c.Cost.http_keepalive <- keepalive;
-  c.Cost.sendfile <- sendfile;
-  c.Cost.sg_tx <- sg;
-  c.Cost.http_idle_timeout_ns <- idle_ns;
-  c.Cost.http_max_reqs_per_conn <- max_reqs;
-  c.Cost.http_pipeline_max <- pipeline_max;
-  Fun.protect
-    ~finally:(fun () ->
-      let ka, sf, sgx, idle, mr, pm = saved in
-      c.Cost.http_keepalive <- ka;
-      c.Cost.sendfile <- sf;
-      c.Cost.sg_tx <- sgx;
-      c.Cost.http_idle_timeout_ns <- idle;
-      c.Cost.http_max_reqs_per_conn <- mr;
-      c.Cost.http_pipeline_max <- pm)
+  Cost.with_config
+    { Cost.config with
+      Cost.http_keepalive = keepalive;
+      sendfile;
+      sg_tx = sg;
+      http_idle_timeout_ns = idle_ns;
+      http_max_reqs_per_conn = max_reqs;
+      http_pipeline_max = pipeline_max }
     f
 
 (* ---- a server rig: FFS root with one pattern file per size ---- *)
@@ -69,7 +56,6 @@ let make_root sizes =
    must eventually make [until] true. *)
 let rig ?loss ?(mode = `Reactor) ?(server_stats = ref None) ~sizes ~until f =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   (match loss with
   | Some l ->
@@ -573,20 +559,14 @@ let engine_edges =
 let edge_cell ~mode ~keepalive (name, send, guard, off, on, perr, hov) =
   let shape = match mode with `Reactor -> "reactor" | `Threads -> "threads" in
   let cell = Printf.sprintf "%s, %s, keep-alive %b" name shape keepalive in
-  let c = Cost.config in
-  let saved = (c.Cost.httpd_guard, c.Cost.httpd_max_header_bytes) in
-  c.Cost.httpd_guard <- guard;
-  c.Cost.httpd_max_header_bytes <- 256;
   let got = ref ("", "") and done_f = ref false in
   let server_stats = ref None in
   let until () =
     !done_f && match !server_stats with Some st -> st.Httpd.active = 0 | None -> false
   in
   let st =
-    Fun.protect
-      ~finally:(fun () ->
-        c.Cost.httpd_guard <- fst saved;
-        c.Cost.httpd_max_header_bytes <- snd saved)
+    Cost.with_config
+      { Cost.config with Cost.httpd_guard = guard; httpd_max_header_bytes = 256 }
       (fun () ->
         with_http11 ~keepalive (fun () ->
             rig ~mode ~server_stats ~sizes:sizes3 ~until (fun chost cstack _bodies ->

@@ -14,14 +14,7 @@ let ok = function
 (* Run [f] with the long-fat knobs set, restoring them afterwards so the
    rest of the suite keeps the seed-faithful defaults. *)
 let with_longfat ?(wscale = true) ?(autotune = true) f =
-  let ws = Cost.config.Cost.tcp_wscale and at = Cost.config.Cost.tcp_autotune in
-  Cost.config.Cost.tcp_wscale <- wscale;
-  Cost.config.Cost.tcp_autotune <- autotune;
-  Fun.protect
-    ~finally:(fun () ->
-      Cost.config.Cost.tcp_wscale <- ws;
-      Cost.config.Cost.tcp_autotune <- at)
-    f
+  Cost.with_config { Cost.config with Cost.tcp_wscale = wscale; tcp_autotune = autotune } f
 
 (* Position-dependent payload so any misordered or duplicated byte shows
    up as a content mismatch, not just a length error. *)
@@ -29,7 +22,6 @@ let pattern i = (i * 131) lxor (i lsr 8) land 0xff
 
 let fresh_testbed ?latency_ns () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
 
 (* One bulk transfer on the Linux stack; returns (byte_exact, client sock,
@@ -383,11 +375,7 @@ let test_autotune_converges_to_bdp () =
    the bigger segment on SYN (MSS option), carry it end to end, and a
    mixed pair must clamp to the smaller side's offer. *)
 let test_jumbo_mss () =
-  let saved = Cost.config.Cost.tcp_mss in
-  Fun.protect
-    ~finally:(fun () -> Cost.config.Cost.tcp_mss <- saved)
-    (fun () ->
-      Cost.config.Cost.tcp_mss <- 9000;
+  Cost.with_config { Cost.config with Cost.tcp_mss = 9000 } (fun () ->
       with_longfat (fun () ->
           let byte_exact, s, _, _ = linux_transfer ~bytes:(512 * 1024) () in
           Alcotest.(check bool) "linux: byte-exact at MSS 9000" true byte_exact;

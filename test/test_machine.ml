@@ -238,6 +238,50 @@ let test_timer_oneshot () =
   World.run w;
   Alcotest.(check int) "exactly one tick" 1 !ticks
 
+(* Profiles: [with_config] installs a profile around one run and hands
+   the caller's configuration back however the run ends. *)
+let test_with_config_restores () =
+  Cost.reset_config ();
+  let before = Cost.paper () in
+  let inside =
+    Cost.with_config { (Cost.paper ()) with Cost.sg_tx = true; ncpus = 4 } (fun () ->
+        Cost.config.Cost.sg_tx, Cost.config.Cost.ncpus)
+  in
+  Alcotest.(check (pair bool int)) "profile live inside" (true, 4) inside;
+  Alcotest.(check bool) "restored on return" true (Cost.config = before);
+  (match
+     Cost.with_config { (Cost.paper ()) with Cost.glue_crossing_cycles = 0 } (fun () ->
+         failwith "run raised")
+   with
+  | _ -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "restored on exception" true (Cost.config = before)
+
+let test_with_config_nests () =
+  Cost.reset_config ();
+  let outer = { (Cost.paper ()) with Cost.tcp_fastpath = true } in
+  let inner = { (Cost.paper ()) with Cost.rx_batch = 8 } in
+  let seen =
+    Cost.with_config outer (fun () ->
+        let i =
+          Cost.with_config inner (fun () ->
+              Cost.config.Cost.tcp_fastpath, Cost.config.Cost.rx_batch)
+        in
+        (* the inner profile replaces the whole configuration, and
+           leaving it brings the outer one back, not the defaults *)
+        i, (Cost.config.Cost.tcp_fastpath, Cost.config.Cost.rx_batch))
+  in
+  Alcotest.(check (pair (pair bool int) (pair bool int)))
+    "inner then outer" ((false, 8), (true, 1)) seen;
+  Alcotest.(check bool) "defaults after both" true (Cost.config = Cost.paper ())
+
+let test_paper_is_reset_config () =
+  Cost.with_config { (Cost.paper ()) with Cost.cpu_hz = 1 } (fun () ->
+      Cost.reset_config ();
+      Alcotest.(check bool) "paper () = config after reset_config" true
+        (Cost.paper () = Cost.config));
+  Alcotest.(check bool) "fresh copies" false (Cost.paper () == Cost.paper ())
+
 let suite =
   [ Alcotest.test_case "world ordering" `Quick test_world_ordering;
     Alcotest.test_case "world same-time FIFO" `Quick test_world_same_time_fifo;
@@ -245,6 +289,9 @@ let suite =
     Alcotest.test_case "world fuel" `Quick test_world_fuel;
     Alcotest.test_case "cost charging" `Quick test_cost_charging;
     Alcotest.test_case "cost counters" `Quick test_cost_counters;
+    Alcotest.test_case "with_config restores" `Quick test_with_config_restores;
+    Alcotest.test_case "with_config nests" `Quick test_with_config_nests;
+    Alcotest.test_case "paper profile" `Quick test_paper_is_reset_config;
     Alcotest.test_case "physmem" `Quick test_physmem;
     Alcotest.test_case "irq mask/pending" `Quick test_irq_mask_and_pending;
     Alcotest.test_case "irq disable/enable" `Quick test_irq_disable_enable;

@@ -57,7 +57,6 @@ let run_freebsd_pair ~bytes =
 
 let run_oskit_pair ~bytes =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("NE2000", "tulip") () in
   let env_a, _stack_a = Clientos.oskit_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let env_b, _stack_b = Clientos.oskit_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
@@ -131,7 +130,6 @@ let run_linux_pair ~bytes =
 
 let run_interop ~bytes =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("eepro100", "tulip") () in
   let env_a, _ = Clientos.oskit_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in

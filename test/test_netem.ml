@@ -217,7 +217,6 @@ let pattern pos = (pos * 131) land 0xff
    [tap] hears every frame the wire delivers, with the world's time. *)
 let run_transfer ?netem ?fault ?tap ~sender ~blocks ~blocksize () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
   (match fault with
@@ -320,7 +319,6 @@ let test_duplicate_segments () =
    The resolver is shared, so both stacks must give the same account. *)
 let test_arp_bounded_queue_and_give_up config () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let models = if config = Linux then "3c59x", "lance" else "3c905", "tulip" in
   let tb = Clientos.make_testbed ~models () in
   let host = tb.Clientos.host_a and addr = ip "10.0.0.1" in
@@ -367,7 +365,6 @@ let test_arp_retry_recovers_after_partition () =
    give-up and the retransmit give-up both accounted. *)
 let test_linux_unreachable_times_out () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let result = ref None in

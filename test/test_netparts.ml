@@ -365,7 +365,6 @@ let listen_port = 7007
    client on host B, whose card also serves as the raw frame injector. *)
 let listening_rig config =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let serve, _, _ = Test_netem.setup config tb.Clientos.host_a ~addr:server_ip in
   let _, connect, _ = Test_netem.setup Test_netem.Freebsd tb.Clientos.host_b ~addr:client_ip in
@@ -505,15 +504,10 @@ let prop_damaged_headers_never_raise =
 (* ---- ARP input frees the request on every path ---- *)
 
 let with_every_alloc_failing f =
-  let c = Cost.config in
-  let saved = c.Cost.alloc_fail_prob in
-  c.Cost.alloc_fail_prob <- 1.0;
-  Memfault.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      c.Cost.alloc_fail_prob <- saved;
-      Memfault.reset ())
-    f
+  Fun.protect ~finally:Memfault.reset (fun () ->
+      Cost.with_config { Cost.config with Cost.alloc_fail_prob = 1.0 } (fun () ->
+          Memfault.reset ();
+          f ()))
 
 let arp_request_to target =
   let b = Bytes.create Codec.arp_len in
@@ -535,7 +529,6 @@ let test_arp_reply_nomem_frees_request_bsd () =
 
 let test_arp_reply_nomem_frees_request_linux () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed () in
   let host = tb.Clientos.host_a in
   let st = Clientos.linux_host host ~ip:(ip "10.1.0.1") ~mask:(ip "255.255.255.0") in

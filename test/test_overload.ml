@@ -14,7 +14,6 @@ let ok = function
 
 let fresh_testbed ?latency_ns () =
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
 
 (* Set the overload knobs for [f], restoring the seed defaults after, and
@@ -26,41 +25,15 @@ let with_overload ?(syn_defense = false) ?(syncache_size = 64) ?(tw_max = 0)
     ?(alloc_fail_burst = 1) ?(httpd_guard = false)
     ?(httpd_header_deadline_ns = 1_000_000_000) ?(httpd_max_header_bytes = 4096)
     ?(httpd_shed_hiwat = 0) f =
-  let c = Cost.config in
-  let saved =
-    ( c.Cost.syn_defense, c.Cost.syncache_size, c.Cost.tw_max, c.Cost.icmp_ratelimit,
-      c.Cost.alloc_fail_prob, c.Cost.alloc_fail_seed, c.Cost.alloc_fail_burst,
-      ( c.Cost.httpd_guard, c.Cost.httpd_header_deadline_ns,
-        c.Cost.httpd_max_header_bytes, c.Cost.httpd_shed_hiwat ) )
-  in
-  c.Cost.syn_defense <- syn_defense;
-  c.Cost.syncache_size <- syncache_size;
-  c.Cost.tw_max <- tw_max;
-  c.Cost.icmp_ratelimit <- icmp_ratelimit;
-  c.Cost.alloc_fail_prob <- alloc_fail_prob;
-  c.Cost.alloc_fail_seed <- alloc_fail_seed;
-  c.Cost.alloc_fail_burst <- alloc_fail_burst;
-  c.Cost.httpd_guard <- httpd_guard;
-  c.Cost.httpd_header_deadline_ns <- httpd_header_deadline_ns;
-  c.Cost.httpd_max_header_bytes <- httpd_max_header_bytes;
-  c.Cost.httpd_shed_hiwat <- httpd_shed_hiwat;
-  Memfault.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      let sd, sz, tw, rl, ap, asd, ab, (hg, hd, hm, hs) = saved in
-      c.Cost.syn_defense <- sd;
-      c.Cost.syncache_size <- sz;
-      c.Cost.tw_max <- tw;
-      c.Cost.icmp_ratelimit <- rl;
-      c.Cost.alloc_fail_prob <- ap;
-      c.Cost.alloc_fail_seed <- asd;
-      c.Cost.alloc_fail_burst <- ab;
-      c.Cost.httpd_guard <- hg;
-      c.Cost.httpd_header_deadline_ns <- hd;
-      c.Cost.httpd_max_header_bytes <- hm;
-      c.Cost.httpd_shed_hiwat <- hs;
-      Memfault.reset ())
-    f
+  Fun.protect ~finally:Memfault.reset (fun () ->
+      Cost.with_config
+        { Cost.config with
+          Cost.syn_defense; syncache_size; tw_max; icmp_ratelimit; alloc_fail_prob;
+          alloc_fail_seed; alloc_fail_burst; httpd_guard; httpd_header_deadline_ns;
+          httpd_max_header_bytes; httpd_shed_hiwat }
+        (fun () ->
+          Memfault.reset ();
+          f ()))
 
 (* Craft one option-less TCP segment and push it out through [cstack]'s IP
    layer with an arbitrary (spoofable) source address — the attacker's
@@ -169,12 +142,7 @@ let test_syncache_eviction_and_listener_close () =
    back to a constant 1460).                                             *)
 
 let test_syncache_mss_without_option () =
-  let c = Cost.config in
-  let saved = c.Cost.tcp_mss in
-  c.Cost.tcp_mss <- 9000;
-  Fun.protect
-    ~finally:(fun () -> c.Cost.tcp_mss <- saved)
-    (fun () ->
+  Cost.with_config { Cost.config with Cost.tcp_mss = 9000 } (fun () ->
       let tb = fresh_testbed () in
       let baddr = ip "10.0.0.1" and laddr = ip "10.0.0.2" and src = ip "10.0.0.9" in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:baddr ~mask in
@@ -837,11 +805,7 @@ let test_httpd_shed_503 () =
    header deadline (1 s here) still cuts it because no request was ever
    framed — long before the 4096-byte bound would. *)
 let test_httpd_keepalive_drip_deadline () =
-  let saved_ka = Cost.config.Cost.http_keepalive in
-  Cost.config.Cost.http_keepalive <- true;
-  Fun.protect
-    ~finally:(fun () -> Cost.config.Cost.http_keepalive <- saved_ka)
-    (fun () ->
+  Cost.with_config { Cost.config with Cost.http_keepalive = true } (fun () ->
       with_overload ~httpd_guard:true (fun () ->
           let server_stats = ref None in
           let deadline_closed () =

@@ -6,10 +6,7 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
 
-let with_sg_tx v f =
-  let saved = Cost.config.Cost.sg_tx in
-  Cost.config.Cost.sg_tx <- v;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.sg_tx <- saved) f
+let with_sg_tx v f = Cost.with_config { Cost.config with Cost.sg_tx = v } f
 
 (* Cut [s] into fragments at [cuts] (sorted positions), each fragment
    carried in its own backing array at a nonzero offset so stale-offset

@@ -13,10 +13,7 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
 
-let with_ncpus n f =
-  let saved = Cost.config.Cost.ncpus in
-  Cost.config.Cost.ncpus <- n;
-  Fun.protect ~finally:(fun () -> Cost.config.Cost.ncpus <- saved) f
+let with_ncpus n f = Cost.with_config { Cost.config with Cost.ncpus = n } f
 
 (* ------------------------------------------------------------------ *)
 (* Smp: the stub lies are gone.                                        *)
@@ -260,7 +257,6 @@ let pattern pos = (pos * 131) land 0xff
 let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
   with_ncpus ncpus @@ fun () ->
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
   if loss > 0.0 then
     Wire.set_netem tb.Clientos.wire
@@ -367,7 +363,6 @@ let index_of s sub =
 let run_httpd ?(loss = 0.0) ~ncpus ~clients () =
   with_ncpus ncpus @@ fun () ->
   Clientos.reset_globals ();
-  Fdev.clear_drivers ();
   let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
   if loss > 0.0 then
     Wire.set_netem tb.Clientos.wire
