@@ -123,19 +123,3 @@ let component_rows ~lib_dir =
         Some row
       end)
     components
-
-let print_table ~lib_dir =
-  let rows = component_rows ~lib_dir in
-  Printf.printf "%-12s %-32s %10s %8s %13s %7s\n" "Library" "Description" "Interface"
-    "Native" "Encapsulated" "Total";
-  let ti = ref 0 and tn = ref 0 and te = ref 0 in
-  List.iter
-    (fun r ->
-      ti := !ti + r.interface;
-      tn := !tn + r.native;
-      te := !te + r.encapsulated;
-      Printf.printf "%-12s %-32s %10d %8d %13d %7d\n" r.component r.description r.interface
-        r.native r.encapsulated
-        (r.interface + r.native + r.encapsulated))
-    rows;
-  Printf.printf "%-12s %-32s %10d %8d %13d %7d\n" "Total" "" !ti !tn !te (!ti + !tn + !te)

@@ -56,7 +56,7 @@ let send_raw_tcp cstack ~src ~sport ~dst ~dport ~seq ~flags =
 
 type flood_result = {
   fl_server : server;
-  fl_defense : bool;
+  fl_profile : Cost.config; (* the paper's, syn_defense as asked *)
   fl_flood : int;   (* spoofed SYNs injected *)
   fl_legit : int;   (* legitimate clients *)
   fl_served : int;  (* ... that were served byte-exact *)
@@ -68,12 +68,15 @@ type flood_result = {
   fl_listen_overflow : int;
 }
 
+let flood_profile ~defense = { paper with Cost.syn_defense = defense }
+
 (* [legit] clients each download [bytes_per_client] from the server while
    [flood] spoofed SYNs hammer the same listener.  The clients are plain
    blocking BSD sockets: a client whose connect fails (the undefended
    stack's backlog is full of embryonic corpses) counts as unserved. *)
 let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
-  under { paper with Cost.syn_defense = defense } (fun () ->
+  let profile = flood_profile ~defense in
+  under profile (fun () ->
       let tb = fresh_testbed () in
       let chost = tb.Clientos.host_a in
       let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
@@ -180,7 +183,7 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
       Clientos.run tb ~until:(fun () -> !finished >= legit);
       let dur = max 1 (!t_end - !t_start) in
       let added, completed, overflow = counters () in
-      { fl_server = server; fl_defense = defense; fl_flood = flood;
+      { fl_server = server; fl_profile = profile; fl_flood = flood;
         fl_legit = legit; fl_served = !served; fl_bytes = !bytes_got;
         fl_duration_ns = dur;
         fl_goodput_mbit = 8.0 *. float_of_int !bytes_got /. float_of_int dur *. 1000.0;
@@ -192,7 +195,7 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
 
 type alloc_result = {
   al_server : server;
-  al_prob : float;
+  al_profile : Cost.config; (* the injector's probability and seed *)
   al_bytes : int;
   al_byte_exact : bool;
   al_goodput_mbit : float;
@@ -201,9 +204,12 @@ type alloc_result = {
   al_nomem_drops : int; (* stack-counted drops on the receiver+sender *)
 }
 
+let alloc_profile ~prob ~seed =
+  { paper with Cost.alloc_fail_prob = prob; alloc_fail_seed = seed; alloc_fail_burst = 2 }
+
 let alloc_run ~server ~prob ~seed ~bytes () =
-  under
-    { paper with Cost.alloc_fail_prob = prob; alloc_fail_seed = seed; alloc_fail_burst = 2 }
+  let profile = alloc_profile ~prob ~seed in
+  under profile
     (fun () ->
       let tb = fresh_testbed () in
       let mism = ref 0 and received = ref 0 and done_flag = ref false in
@@ -331,7 +337,7 @@ let alloc_run ~server ~prob ~seed ~bytes () =
       in
       Clientos.run tb ~until:(fun () -> !done_flag);
       let dur = max 1 (!t_end - !t_start) in
-      { al_server = server; al_prob = prob; al_bytes = bytes;
+      { al_server = server; al_profile = profile; al_bytes = bytes;
         al_byte_exact = (!done_flag && !mism = 0 && !received = bytes);
         al_goodput_mbit = 8.0 *. float_of_int !received /. float_of_int dur *. 1000.0;
         al_draws = Memfault.draws (); al_failures = Memfault.failures ();
@@ -339,6 +345,9 @@ let alloc_run ~server ~prob ~seed ~bytes () =
 
 (* ------------------------------------------------------------------ *)
 (* loris: Slowloris vs the httpd header deadline                       *)
+
+let loris_profile ~guard =
+  { paper with Cost.httpd_guard = guard; httpd_header_deadline_ns = 50_000_000 }
 
 (* [loris] attackers each park a half-finished request.  The server's
    connection budget is exactly [loris] — without the guard the attackers
@@ -349,10 +358,7 @@ let alloc_run ~server ~prob ~seed ~bytes () =
 let loris_run ~guard ~loris ~legit () =
   (* alloc_fail_prob is 0 here, so the allocation injector never draws
      and the profile needs no [under]. *)
-  let profile =
-    { paper with Cost.httpd_guard = guard; httpd_header_deadline_ns = 50_000_000 }
-  in
-  Httpbench.run ~profile
+  Httpbench.run ~profile:(loris_profile ~guard)
     { Httpbench.concurrency with
       Httpbench.backlog = 32;
       max_threads = None;

@@ -91,49 +91,88 @@ let paper () =
 
 let config = paper ()
 
-(* The one field copy behind [reset_config] and [with_config].  It skips
-   [kq], [timer_wheel] and [pcb_hash]: nothing reads them, and only
-   perfbench still writes them. *)
-let copy_into ~src dst =
-  dst.cpu_hz <- src.cpu_hz;
-  dst.copy_cycles_per_byte <- src.copy_cycles_per_byte;
-  dst.checksum_cycles_per_byte <- src.checksum_cycles_per_byte;
-  dst.com_call_cycles <- src.com_call_cycles;
-  dst.glue_crossing_cycles <- src.glue_crossing_cycles;
-  dst.irq_entry_cycles <- src.irq_entry_cycles;
-  dst.alloc_cycles <- src.alloc_cycles;
-  dst.pool_alloc_cycles <- src.pool_alloc_cycles;
-  dst.linux_driver_pkt_cycles <- src.linux_driver_pkt_cycles;
-  dst.bsd_tcp_pkt_cycles <- src.bsd_tcp_pkt_cycles;
-  dst.linux_tcp_pkt_cycles <- src.linux_tcp_pkt_cycles;
-  dst.socket_op_cycles <- src.socket_op_cycles;
-  dst.thread_spawn_cycles <- src.thread_spawn_cycles;
-  dst.sg_tx <- src.sg_tx;
-  dst.tcp_fastpath <- src.tcp_fastpath;
-  dst.tcp_fastpath_cycles <- src.tcp_fastpath_cycles;
-  dst.rx_batch <- src.rx_batch;
-  dst.tcp_wscale <- src.tcp_wscale;
-  dst.tcp_autotune <- src.tcp_autotune;
-  dst.tcp_mss <- src.tcp_mss;
-  dst.tcp_sockbuf_max <- src.tcp_sockbuf_max;
-  dst.syn_defense <- src.syn_defense;
-  dst.syncache_size <- src.syncache_size;
-  dst.tw_max <- src.tw_max;
-  dst.icmp_ratelimit <- src.icmp_ratelimit;
-  dst.alloc_fail_prob <- src.alloc_fail_prob;
-  dst.alloc_fail_seed <- src.alloc_fail_seed;
-  dst.alloc_fail_burst <- src.alloc_fail_burst;
-  dst.httpd_guard <- src.httpd_guard;
-  dst.httpd_header_deadline_ns <- src.httpd_header_deadline_ns;
-  dst.httpd_max_header_bytes <- src.httpd_max_header_bytes;
-  dst.httpd_shed_hiwat <- src.httpd_shed_hiwat;
-  dst.ncpus <- src.ncpus;
-  dst.netisr_qmax <- src.netisr_qmax;
-  dst.http_keepalive <- src.http_keepalive;
-  dst.http_idle_timeout_ns <- src.http_idle_timeout_ns;
-  dst.http_max_reqs_per_conn <- src.http_max_reqs_per_conn;
-  dst.http_pipeline_max <- src.http_pipeline_max;
-  dst.sendfile <- src.sendfile
+(* One line per profile field: its name, how to read and to write it, and
+   how to print it.  [copy_into] (behind [reset_config] and [with_config])
+   and [diff] are derived from this table, so a new field takes one line
+   here.  It leaves out [kq], [timer_wheel] and [pcb_hash]: nothing reads
+   them, and only perfbench still writes them. *)
+type field =
+  | F : string * (config -> 'a) * (config -> 'a -> unit) * ('a -> string) -> field
+
+let int name get set = F (name, get, set, string_of_int)
+let bool name get set = F (name, get, set, string_of_bool)
+let float name get set = F (name, get, set, Printf.sprintf "%g")
+
+let fields =
+  [ int "cpu_hz" (fun c -> c.cpu_hz) (fun c v -> c.cpu_hz <- v);
+    int "copy_cycles_per_byte" (fun c -> c.copy_cycles_per_byte)
+      (fun c v -> c.copy_cycles_per_byte <- v);
+    int "checksum_cycles_per_byte" (fun c -> c.checksum_cycles_per_byte)
+      (fun c v -> c.checksum_cycles_per_byte <- v);
+    int "com_call_cycles" (fun c -> c.com_call_cycles)
+      (fun c v -> c.com_call_cycles <- v);
+    int "glue_crossing_cycles" (fun c -> c.glue_crossing_cycles)
+      (fun c v -> c.glue_crossing_cycles <- v);
+    int "irq_entry_cycles" (fun c -> c.irq_entry_cycles)
+      (fun c v -> c.irq_entry_cycles <- v);
+    int "alloc_cycles" (fun c -> c.alloc_cycles) (fun c v -> c.alloc_cycles <- v);
+    int "pool_alloc_cycles" (fun c -> c.pool_alloc_cycles)
+      (fun c v -> c.pool_alloc_cycles <- v);
+    int "linux_driver_pkt_cycles" (fun c -> c.linux_driver_pkt_cycles)
+      (fun c v -> c.linux_driver_pkt_cycles <- v);
+    int "bsd_tcp_pkt_cycles" (fun c -> c.bsd_tcp_pkt_cycles)
+      (fun c v -> c.bsd_tcp_pkt_cycles <- v);
+    int "linux_tcp_pkt_cycles" (fun c -> c.linux_tcp_pkt_cycles)
+      (fun c v -> c.linux_tcp_pkt_cycles <- v);
+    int "socket_op_cycles" (fun c -> c.socket_op_cycles)
+      (fun c v -> c.socket_op_cycles <- v);
+    int "thread_spawn_cycles" (fun c -> c.thread_spawn_cycles)
+      (fun c v -> c.thread_spawn_cycles <- v);
+    bool "sg_tx" (fun c -> c.sg_tx) (fun c v -> c.sg_tx <- v);
+    bool "tcp_fastpath" (fun c -> c.tcp_fastpath) (fun c v -> c.tcp_fastpath <- v);
+    int "tcp_fastpath_cycles" (fun c -> c.tcp_fastpath_cycles)
+      (fun c v -> c.tcp_fastpath_cycles <- v);
+    int "rx_batch" (fun c -> c.rx_batch) (fun c v -> c.rx_batch <- v);
+    bool "tcp_wscale" (fun c -> c.tcp_wscale) (fun c v -> c.tcp_wscale <- v);
+    bool "tcp_autotune" (fun c -> c.tcp_autotune) (fun c v -> c.tcp_autotune <- v);
+    int "tcp_mss" (fun c -> c.tcp_mss) (fun c v -> c.tcp_mss <- v);
+    int "tcp_sockbuf_max" (fun c -> c.tcp_sockbuf_max)
+      (fun c v -> c.tcp_sockbuf_max <- v);
+    bool "syn_defense" (fun c -> c.syn_defense) (fun c v -> c.syn_defense <- v);
+    int "syncache_size" (fun c -> c.syncache_size) (fun c v -> c.syncache_size <- v);
+    int "tw_max" (fun c -> c.tw_max) (fun c v -> c.tw_max <- v);
+    int "icmp_ratelimit" (fun c -> c.icmp_ratelimit) (fun c v -> c.icmp_ratelimit <- v);
+    float "alloc_fail_prob" (fun c -> c.alloc_fail_prob)
+      (fun c v -> c.alloc_fail_prob <- v);
+    int "alloc_fail_seed" (fun c -> c.alloc_fail_seed)
+      (fun c v -> c.alloc_fail_seed <- v);
+    int "alloc_fail_burst" (fun c -> c.alloc_fail_burst)
+      (fun c v -> c.alloc_fail_burst <- v);
+    bool "httpd_guard" (fun c -> c.httpd_guard) (fun c v -> c.httpd_guard <- v);
+    int "httpd_header_deadline_ns" (fun c -> c.httpd_header_deadline_ns)
+      (fun c v -> c.httpd_header_deadline_ns <- v);
+    int "httpd_max_header_bytes" (fun c -> c.httpd_max_header_bytes)
+      (fun c v -> c.httpd_max_header_bytes <- v);
+    int "httpd_shed_hiwat" (fun c -> c.httpd_shed_hiwat)
+      (fun c v -> c.httpd_shed_hiwat <- v);
+    int "ncpus" (fun c -> c.ncpus) (fun c v -> c.ncpus <- v);
+    int "netisr_qmax" (fun c -> c.netisr_qmax) (fun c v -> c.netisr_qmax <- v);
+    bool "http_keepalive" (fun c -> c.http_keepalive) (fun c v -> c.http_keepalive <- v);
+    int "http_idle_timeout_ns" (fun c -> c.http_idle_timeout_ns)
+      (fun c v -> c.http_idle_timeout_ns <- v);
+    int "http_max_reqs_per_conn" (fun c -> c.http_max_reqs_per_conn)
+      (fun c v -> c.http_max_reqs_per_conn <- v);
+    int "http_pipeline_max" (fun c -> c.http_pipeline_max)
+      (fun c v -> c.http_pipeline_max <- v);
+    bool "sendfile" (fun c -> c.sendfile) (fun c v -> c.sendfile <- v) ]
+
+let copy_into ~src dst = List.iter (fun (F (_, get, set, _)) -> set dst (get src)) fields
+
+let diff a b =
+  List.filter_map
+    (fun (F (name, get, _, show)) ->
+      if get a = get b then None else Some (name, show (get b)))
+    fields
 
 let reset_config () = copy_into ~src:(paper ()) config
 

@@ -236,6 +236,13 @@ val reset_config : unit -> unit
     [timer_wheel] and [pcb_hash] alone. *)
 val with_config : config -> (unit -> 'a) -> 'a
 
+(** [diff a b] names the fields where [b] differs from [a], in declaration
+    order, each with [b]'s value printed: [diff (paper ()) p] is how a
+    bench record names profile [p], and [diff p p = []].  It covers the
+    fields {!with_config} installs, so it too skips [kq], [timer_wheel]
+    and [pcb_hash]. *)
+val diff : config -> config -> (string * string) list
+
 (** {2 Charging}
 
     Each function advances the current machine's clock. *)

@@ -30,4 +30,5 @@ let () =
       "overload", Test_overload.suite;
       "smp", Test_smp.suite;
       "event", Test_event.suite;
-      "http11", Test_http11.suite ]
+      "http11", Test_http11.suite;
+      "bench-record", Test_bench_record.suite ]

@@ -47,8 +47,8 @@ let equivalence_oskit = equivalence Test_netem.Oskit "oskit"
 let equivalence_linux = equivalence Test_netem.Linux "linux"
 
 (* Clean in-order transfer with the flags on: byte-exact, the predictor
-   actually fires, and nothing falls back (the CI rttsmoke gate's
-   property, pinned here at unit scale). *)
+   actually fires, and nothing falls back (the rtt bench's bound on
+   fastpath_fallbacks, pinned here at unit scale). *)
 let test_clean_transfer_predicts () =
   with_fast (fun () ->
       let exact, _, _, _ =

@@ -282,6 +282,74 @@ let test_paper_is_reset_config () =
         (Cost.paper () = Cost.config));
   Alcotest.(check bool) "fresh copies" false (Cost.paper () == Cost.paper ())
 
+(* Every profile field [with_config] installs and [diff] names, each in a
+   profile that changes it alone.  Written out by hand, independently of
+   Cost's field table, so a field missing from that table shows up. *)
+let one_field_profiles () =
+  let p = Cost.paper () in
+  Cost.[
+    "cpu_hz", { p with cpu_hz = p.cpu_hz + 1 };
+    "copy_cycles_per_byte", { p with copy_cycles_per_byte = p.copy_cycles_per_byte + 1 };
+    "checksum_cycles_per_byte",
+    { p with checksum_cycles_per_byte = p.checksum_cycles_per_byte + 1 };
+    "com_call_cycles", { p with com_call_cycles = p.com_call_cycles + 1 };
+    "glue_crossing_cycles", { p with glue_crossing_cycles = p.glue_crossing_cycles + 1 };
+    "irq_entry_cycles", { p with irq_entry_cycles = p.irq_entry_cycles + 1 };
+    "alloc_cycles", { p with alloc_cycles = p.alloc_cycles + 1 };
+    "pool_alloc_cycles", { p with pool_alloc_cycles = p.pool_alloc_cycles + 1 };
+    "linux_driver_pkt_cycles",
+    { p with linux_driver_pkt_cycles = p.linux_driver_pkt_cycles + 1 };
+    "bsd_tcp_pkt_cycles", { p with bsd_tcp_pkt_cycles = p.bsd_tcp_pkt_cycles + 1 };
+    "linux_tcp_pkt_cycles", { p with linux_tcp_pkt_cycles = p.linux_tcp_pkt_cycles + 1 };
+    "socket_op_cycles", { p with socket_op_cycles = p.socket_op_cycles + 1 };
+    "thread_spawn_cycles", { p with thread_spawn_cycles = p.thread_spawn_cycles + 1 };
+    "sg_tx", { p with sg_tx = not p.sg_tx };
+    "tcp_fastpath", { p with tcp_fastpath = not p.tcp_fastpath };
+    "tcp_fastpath_cycles", { p with tcp_fastpath_cycles = p.tcp_fastpath_cycles + 1 };
+    "rx_batch", { p with rx_batch = p.rx_batch + 1 };
+    "tcp_wscale", { p with tcp_wscale = not p.tcp_wscale };
+    "tcp_autotune", { p with tcp_autotune = not p.tcp_autotune };
+    "tcp_mss", { p with tcp_mss = p.tcp_mss + 1 };
+    "tcp_sockbuf_max", { p with tcp_sockbuf_max = p.tcp_sockbuf_max + 1 };
+    "syn_defense", { p with syn_defense = not p.syn_defense };
+    "syncache_size", { p with syncache_size = p.syncache_size + 1 };
+    "tw_max", { p with tw_max = p.tw_max + 1 };
+    "icmp_ratelimit", { p with icmp_ratelimit = p.icmp_ratelimit + 1 };
+    "alloc_fail_prob", { p with alloc_fail_prob = p.alloc_fail_prob +. 0.5 };
+    "alloc_fail_seed", { p with alloc_fail_seed = p.alloc_fail_seed + 1 };
+    "alloc_fail_burst", { p with alloc_fail_burst = p.alloc_fail_burst + 1 };
+    "httpd_guard", { p with httpd_guard = not p.httpd_guard };
+    "httpd_header_deadline_ns",
+    { p with httpd_header_deadline_ns = p.httpd_header_deadline_ns + 1 };
+    "httpd_max_header_bytes",
+    { p with httpd_max_header_bytes = p.httpd_max_header_bytes + 1 };
+    "httpd_shed_hiwat", { p with httpd_shed_hiwat = p.httpd_shed_hiwat + 1 };
+    "ncpus", { p with ncpus = p.ncpus + 1 };
+    "netisr_qmax", { p with netisr_qmax = p.netisr_qmax + 1 };
+    "http_keepalive", { p with http_keepalive = not p.http_keepalive };
+    "http_idle_timeout_ns", { p with http_idle_timeout_ns = p.http_idle_timeout_ns + 1 };
+    "http_max_reqs_per_conn",
+    { p with http_max_reqs_per_conn = p.http_max_reqs_per_conn + 1 };
+    "http_pipeline_max", { p with http_pipeline_max = p.http_pipeline_max + 1 };
+    "sendfile", { p with sendfile = not p.sendfile } ]
+
+let test_diff_same () =
+  Alcotest.(check (list (pair string string)))
+    "diff p p" [] (Cost.diff (Cost.paper ()) (Cost.paper ()))
+
+let test_diff_one_field () =
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check (list string))
+        name [ name ] (List.map fst (Cost.diff (Cost.paper ()) q)))
+    (one_field_profiles ())
+
+let test_with_config_installs_every_field () =
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check bool) name true (Cost.with_config q (fun () -> Cost.config = q)))
+    (one_field_profiles ())
+
 let suite =
   [ Alcotest.test_case "world ordering" `Quick test_world_ordering;
     Alcotest.test_case "world same-time FIFO" `Quick test_world_same_time_fifo;
@@ -292,6 +360,10 @@ let suite =
     Alcotest.test_case "with_config restores" `Quick test_with_config_restores;
     Alcotest.test_case "with_config nests" `Quick test_with_config_nests;
     Alcotest.test_case "paper profile" `Quick test_paper_is_reset_config;
+    Alcotest.test_case "diff p p is empty" `Quick test_diff_same;
+    Alcotest.test_case "diff names one changed field" `Quick test_diff_one_field;
+    Alcotest.test_case "with_config installs every field" `Quick
+      test_with_config_installs_every_field;
     Alcotest.test_case "physmem" `Quick test_physmem;
     Alcotest.test_case "irq mask/pending" `Quick test_irq_mask_and_pending;
     Alcotest.test_case "irq disable/enable" `Quick test_irq_disable_enable;
