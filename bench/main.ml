@@ -88,6 +88,25 @@ let yes_no b = Str (if b then "yes" else "no")
 let systems = [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
 let system config = "system", Str (Netbench.config_name config)
 
+(* Host cost, exact: the words the simulator allocates per operation of a
+   cell, as Gc deltas around [f], returned with [f]'s result as a
+   function of the cell's operation count.  The minor heap is emptied on both
+   sides, since the counts advance only at a minor collection; so in a
+   process that runs one section the promoted share does not depend on
+   what ran before, and the columns repeat to the word (another minor
+   heap size, through OCAMLRUNPARAM, moves them). *)
+let host_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let per ops w0 w1 = Float ((w1 -. w0) /. float_of_int ops) in
+  ( r,
+    fun ops ->
+      [ "minor_words_per_op", per ops s0.Gc.minor_words s1.Gc.minor_words;
+        "major_words_per_op", per ops s0.major_words s1.major_words ] )
+
 let transfer_counts (t : Netbench.transfer_result) =
   [ "copies_per_kpkt", Int t.copies_per_kpkt;
     "crossings_per_kpkt", Int t.crossings_per_kpkt;
@@ -108,14 +127,20 @@ let table1 () =
           let run sender receiver =
             Netbench.transfer ~profile:p ~sender ~receiver ~blocks ~blocksize ()
           in
-          let send = run config Netbench.Freebsd in
-          let recv =
-            if p == paper then [ "recv_mbit", Float (run Netbench.Freebsd config).mbit_e2e ]
-            else []
+          (* A paper cell also runs the receive direction: two transfers. *)
+          let transfers = if p == paper then 2 else 1 in
+          let (send, recv), words =
+            host_words (fun () ->
+                let send = run config Netbench.Freebsd in
+                ( send,
+                  if transfers = 2 then
+                    [ "recv_mbit", Float (run Netbench.Freebsd config).mbit_e2e ]
+                  else [] ))
           in
           record "table1"
             [ system config; profile p; "blocks", Int blocks; "blocksize", Int blocksize ]
-            ((("send_mbit", Float send.mbit_sender) :: recv) @ transfer_counts send))
+            ((("send_mbit", Float send.mbit_sender) :: recv) @ transfer_counts send
+            @ words (transfers * blocks)))
         systems)
     [ paper; sg_on ]
 
@@ -470,8 +495,10 @@ let http () =
         (fun clients ->
           List.map
             (fun shape ->
-              let r =
-                Httpbench.run ~profile:Httpbench.concurrency_profile d ~stack ~shape ~clients ()
+              let r, words =
+                host_words (fun () ->
+                    Httpbench.run ~profile:Httpbench.concurrency_profile d ~stack ~shape
+                      ~clients ())
               in
               Httpbench.check ~what:"http" r;
               record "http"
@@ -486,7 +513,8 @@ let http () =
                   "backlog", Int d.backlog ]
                 (server_metrics r
                 @ [ "reactor_sleeps", Int r.r_reactor_sleeps;
-                    "reactor_spurious", Int r.r_reactor_spurious ]))
+                    "reactor_spurious", Int r.r_reactor_spurious ]
+                @ words r.r_requests))
             [ Httpbench.Threads; Httpbench.Reactor ])
         [ 1; 4; 16; 64; 256 ])
     [ Httpbench.Freebsd_com; Httpbench.Linux_com ]

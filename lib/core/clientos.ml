@@ -29,14 +29,6 @@ let make_testbed ?(models = "3c905", "tulip") ?(ram_bytes = 8 * 1024 * 1024)
   let host_b = make_host world wire ~name:"pc-b" ~model:model_b ~ram_bytes in
   { world; wire; host_a; host_b }
 
-let disk_counter = ref 0
-
-let add_disk host ?(model = "WDC-AC2850") ?(sectors = 65536) () =
-  incr disk_counter;
-  let disk = Disk.create ~machine:host.machine ~sectors ~irq:(13 + (!disk_counter mod 2)) () in
-  Bus.register_hw host.machine (Bus.Hw_disk { model; disk });
-  disk
-
 (* The paper's Section 5 initialization listing, step for step:
      fdev_linux_init_ethernet();
      fdev_probe();

@@ -42,10 +42,6 @@ val make_testbed :
   unit ->
   testbed
 
-(** Add a simulated disk to a host's bus; returns the raw disk for image
-    preparation. *)
-val add_disk : host -> ?model:string -> ?sectors:int -> unit -> Disk.t
-
 (** {2 Network configurations} *)
 
 (** The OSKit configuration (paper Section 5).  Returns the POSIX

@@ -392,8 +392,8 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
    Keep-alive off, the first framed request's response says close, so
    exactly one is framed.  Footprint stays O(1) per connection: the
    request buffer, the bounded response queue, one watch, and at most two
-   callouts. *)
-let reactor_conn ~reactor st root (c : Io_if.socket) =
+   callouts; [scratch], the receive buffer, is the reactor's. *)
+let reactor_conn ~reactor ~scratch st root (c : Io_if.socket) =
   st.accepted <- st.accepted + 1;
   st.active <- st.active + 1;
   if st.active > st.peak_active then st.peak_active <- st.active;
@@ -402,7 +402,6 @@ let reactor_conn ~reactor st root (c : Io_if.socket) =
   let sv = if Cost.config.Cost.sendfile then sendv_of c else None in
   let pipeline_max = max 1 Cost.config.http_pipeline_max in
   let rb = rb_create () in
-  let scratch = Bytes.create 2048 in
   let pending : resp Queue.t = Queue.create () in
   let reqs = ref 0 in
   let wref = ref None in
@@ -571,6 +570,10 @@ let reactor_conn ~reactor st root (c : Io_if.socket) =
 let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
     ?(max_conns = max_int) () =
   let st = make_stats () in
+  (* One receive buffer per reactor, shared by its connections: a
+     callback fills it and copies it out before the reactor runs the
+     next one. *)
+  let scratch = Array.map (fun _ -> Bytes.create 2048) reactors in
   ignore (sock.Io_if.so_setsockopt "nonblock" 1);
   let rec accept_drain () =
     match sock.Io_if.so_accept () with
@@ -592,7 +595,10 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
           st.shed <- st.shed + 1;
           ignore (c.Io_if.so_close ())
         end
-        else reactor_conn ~reactor:reactors.(home peer mod Array.length reactors) st root c;
+        else begin
+          let i = home peer mod Array.length reactors in
+          reactor_conn ~reactor:reactors.(i) ~scratch:scratch.(i) st root c
+        end;
         accept_drain ()
     | Result.Error _ -> () (* Wouldblock: drained *)
   in

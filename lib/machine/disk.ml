@@ -3,7 +3,7 @@ type completion = { id : int; result : (bytes, Error.t) result }
 
 type t = {
   machine : Machine.t;
-  media : bytes;
+  media : Physmem.t;
   sector_size : int;
   sectors : int;
   irq : int;
@@ -18,7 +18,7 @@ type t = {
 let create ~machine ~sectors ~irq ?(sector_size = 512) ?(seek_ns = 8_000_000)
     ?(transfer_bps = 10_000_000) () =
   { machine;
-    media = Bytes.make (sectors * sector_size) '\000';
+    media = Physmem.create ~bytes:(sectors * sector_size);
     sector_size;
     sectors;
     irq;
@@ -38,6 +38,17 @@ let valid t = function
   | Write { start; data } ->
       let len = Bytes.length data in
       len mod t.sector_size = 0 && start >= 0 && start + (len / t.sector_size) <= t.sectors
+
+let read_raw t ~start ~count =
+  let b = Bytes.create (count * t.sector_size) in
+  Physmem.blit_to_bytes t.media ~src_addr:(start * t.sector_size) ~dst:b ~dst_pos:0
+    ~len:(Bytes.length b);
+  b
+
+let write_raw t ~start data =
+  if Bytes.length data mod t.sector_size <> 0 then invalid_arg "Disk.write_raw: partial sector";
+  Physmem.blit_from_bytes t.media ~src:data ~src_pos:0 ~dst_addr:(start * t.sector_size)
+    ~len:(Bytes.length data)
 
 let service_ns t nbytes = t.seek_ns + (nbytes * 8 * 1_000_000_000 / t.transfer_bps)
 
@@ -62,10 +73,9 @@ let rec start_next t =
         let finish () =
           let result =
             match op with
-            | Read { start; count } ->
-                Ok (Bytes.sub t.media (start * t.sector_size) (count * t.sector_size))
+            | Read { start; count } -> Ok (read_raw t ~start ~count)
             | Write { start; data } ->
-                Bytes.blit data 0 t.media (start * t.sector_size) (Bytes.length data);
+                write_raw t ~start data;
                 Ok Bytes.empty
           in
           Queue.add { id; result } t.done_q;
@@ -83,9 +93,3 @@ let submit t op =
   id
 
 let take_completion t = Queue.take_opt t.done_q
-
-let read_raw t ~start ~count = Bytes.sub t.media (start * t.sector_size) (count * t.sector_size)
-
-let write_raw t ~start data =
-  if Bytes.length data mod t.sector_size <> 0 then invalid_arg "Disk.write_raw: partial sector";
-  Bytes.blit data 0 t.media (start * t.sector_size) (Bytes.length data)

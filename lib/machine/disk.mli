@@ -2,7 +2,8 @@
 
     Sector-addressed storage with 1996-era mechanics: per-operation seek and
     rotational latency plus media-rate transfer, one operation in flight,
-    completion signalled by interrupt.  The Linux-style block drivers in
+    completion signalled by interrupt.  The media is a demand-zero
+    {!Physmem} store, so sectors never written cost no host memory.  The Linux-style block drivers in
     [lib/linux_dev] queue requests against this model. *)
 
 type t
@@ -36,7 +37,8 @@ val submit : t -> op -> int
 val take_completion : t -> completion option
 
 (** Synchronous backdoor for formatting images in tests and image builders
-    (bypasses the mechanical model — no cost is charged). *)
+    (bypasses the mechanical model — no cost is charged).  A range outside
+    the media raises [Physmem.Fault]. *)
 val read_raw : t -> start:int -> count:int -> bytes
 
 val write_raw : t -> start:int -> bytes -> unit

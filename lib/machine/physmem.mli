@@ -1,10 +1,18 @@
 (** Simulated physical memory.
 
-    A flat byte array standing in for the PC's RAM.  The kernel-support and
-    memory-manager components operate on *addresses into this array*, so page
-    tables, boot-module placement, DMA windows and the LMM's physical-memory
-    pools behave as they do on the real machine, including the PC quirks the
-    paper calls out (the 16 MB ISA DMA limit, the sub-1 MB "low" region). *)
+    Demand-zero pages standing in for the PC's RAM.  The kernel-support and
+    memory-manager components operate on *addresses into this store*, so
+    page tables, boot-module placement, DMA windows and the LMM's
+    physical-memory pools behave as they do on the real machine, including
+    the PC quirks the paper calls out (the 16 MB ISA DMA limit, the sub-1 MB
+    "low" region).
+
+    The store is an array of 4 KB pages that all share one read-only zero
+    page until first written, so an untouched RAM costs one word per page
+    rather than its size in bytes.  Every accessor behaves as on a flat
+    array: accesses and copies may straddle pages, and anything reaching
+    outside [0, size) raises {!Fault} before a byte moves.  The simulated
+    disk media and the RAM disk ({!Disk}, [Mem_blkio]) are stores too. *)
 
 type t
 
@@ -25,7 +33,9 @@ val set16 : t -> int -> int -> unit
 val get32 : t -> int -> int32
 val set32 : t -> int -> int32 -> unit
 
-(** [blit_from_bytes t ~src ~dst_addr ~len] copies OCaml bytes into RAM. *)
+(** [blit_from_bytes t ~src ~dst_addr ~len] copies OCaml bytes into RAM.
+    The copies raise [Invalid_argument] when the OCaml side of the range
+    lies outside its buffer. *)
 val blit_from_bytes : t -> src:bytes -> src_pos:int -> dst_addr:int -> len:int -> unit
 
 val blit_to_bytes : t -> src_addr:int -> dst:bytes -> dst_pos:int -> len:int -> unit

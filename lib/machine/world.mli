@@ -4,7 +4,11 @@
     wire, disk mechanisms completing, timer chips firing — is an event on a
     single virtual timeline measured in nanoseconds.  Machines run code
     against their own local clocks (see {!Machine}); the world orders and
-    delivers the events that couple them. *)
+    delivers the events that couple them.
+
+    The queue is an indexed binary min-heap on (time, scheduling order):
+    scheduling, cancelling and stepping are O(log n), and every event
+    knows its own slot. *)
 
 type t
 
@@ -23,9 +27,11 @@ val at : t -> int -> (unit -> unit) -> event
 (** [after t dt f] is [at t (now t + dt) f]. *)
 val after : t -> int -> (unit -> unit) -> event
 
-(** [cancel ev] unlinks [ev] from its world's queue immediately: the
-    closure is released and {!pending} no longer counts it.  Idempotent;
-    cancelling an already-fired event is a no-op. *)
+(** [cancel ev] unlinks [ev] from its world's queue immediately, in
+    O(log n): the closure is released (collectable even while [ev] is
+    still held) and {!pending} no longer counts it.  Idempotent; cancelling
+    an already-fired event, or the running one from inside its own action,
+    is a no-op, and an action may cancel any other event. *)
 val cancel : event -> unit
 
 (** [step t] pops and runs the earliest pending event, advancing [now];
@@ -36,8 +42,8 @@ val step : t -> bool
     the {!fuel} limit is hit. *)
 val run : ?until:(unit -> bool) -> t -> unit
 
-(** Number of live pending events (cancelled events are removed, not
-    counted). *)
+(** Number of live pending events, in O(1) (cancelled and fired events are
+    removed, not counted). *)
 val pending : t -> int
 
 (** Safety valve: [run] raises [Out_of_fuel] after this many events

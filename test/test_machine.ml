@@ -35,6 +35,118 @@ let test_world_fuel () =
   rearm ();
   Alcotest.check_raises "runaway detected" World.Out_of_fuel (fun () -> World.run w)
 
+(* Against a sorted-list model: [Sched (dt, c)] schedules an event at
+   now + dt (a negative dt is clamped to now) whose action cancels handle
+   [c mod (its own index + 1)] — itself, a fired one, or a pending one —
+   when [c] is given; [Cancel j] cancels handle [j mod count], fired or
+   not; [Step] runs one event.  After every operation the clock, the
+   fired log and [pending] must agree with the model. *)
+type world_op = Sched of int * int option | Cancel of int | Step
+
+let show_world_op = function
+  | Sched (dt, c) ->
+      Printf.sprintf "Sched(%d,%s)" dt (Option.fold ~none:"-" ~some:string_of_int c)
+  | Cancel j -> Printf.sprintf "Cancel %d" j
+  | Step -> "Step"
+
+let world_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ 4, map2 (fun dt c -> Sched (dt, c)) (int_range (-3) 6) (opt ~ratio:0.3 small_nat);
+        1, map (fun j -> Cancel j) small_nat;
+        3, return Step ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_world_op ops))
+    (list_size (int_range 1 60) op)
+
+let prop_world_model =
+  QCheck.Test.make ~name:"world: agrees with a sorted-list model" ~count:300 world_ops
+    (fun ops ->
+      let w = World.create () in
+      let handles = Hashtbl.create 16 in
+      let fired = ref [] in
+      (* model: (time, id) of the live events, sorted; ids count up *)
+      let model = ref [] and now = ref 0 and expected = ref [] in
+      let cancels = Hashtbl.create 16 in
+      let model_cancel j = model := List.filter (fun (_, id) -> id <> j) !model in
+      let cancel_in_world j = World.cancel (Hashtbl.find handles j) in
+      let count = ref 0 in
+      let agree () =
+        World.now w = !now && World.pending w = List.length !model && !fired = !expected
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Sched (dt, c) ->
+              let id = !count in
+              incr count;
+              let target = Option.map (fun c -> c mod (id + 1)) c in
+              Hashtbl.replace cancels id target;
+              let ev =
+                World.at w (World.now w + dt) (fun () ->
+                    fired := id :: !fired;
+                    Option.iter cancel_in_world target)
+              in
+              Hashtbl.replace handles id ev;
+              model := List.merge compare [ max !now (!now + dt), id ] !model
+          | Cancel j ->
+              if !count > 0 then begin
+                cancel_in_world (j mod !count);
+                model_cancel (j mod !count)
+              end
+          | Step -> (
+              let stepped = World.step w in
+              match !model with
+              | [] -> if stepped then expected := -1 :: !expected
+              | (time, id) :: rest ->
+                  model := rest;
+                  now := max !now time;
+                  expected := id :: !expected;
+                  Option.iter model_cancel (Hashtbl.find cancels id)));
+          agree ())
+        ops)
+
+let test_world_cancel_cases () =
+  let w = World.create () in
+  let log = ref [] in
+  let ev_b = ref None in
+  let a = World.at w 10 (fun () -> log := "a" :: !log; Option.iter World.cancel !ev_b) in
+  ev_b := Some (World.at w 20 (fun () -> log := "b" :: !log));
+  let c = ref None in
+  c := Some (World.at w 30 (fun () -> log := "c" :: !log; Option.iter World.cancel !c));
+  Alcotest.(check int) "three pending" 3 (World.pending w);
+  World.run w;
+  Alcotest.(check (list string)) "a cancelled b from its action" [ "a"; "c" ] (List.rev !log);
+  Alcotest.(check int) "nothing pending" 0 (World.pending w);
+  World.cancel a;
+  Alcotest.(check int) "cancelling a fired event is a no-op" 0 (World.pending w);
+  ignore (World.at w 40 ignore);
+  World.cancel a;
+  Alcotest.(check int) "and leaves the live ones alone" 1 (World.pending w)
+
+(* A closure referenced only by a queued event; [weak] sees it go. *)
+let at_tracked w weak slot time =
+  let payload = ref 0 in
+  let action () = incr payload in
+  Weak.set weak slot (Some action);
+  World.at w time action
+
+let test_world_drops_closures () =
+  let w = World.create () in
+  let weak = Weak.create 2 in
+  let cancelled = at_tracked w weak 0 100 in
+  let fired = at_tracked w weak 1 50 in
+  Gc.full_major ();
+  Alcotest.(check bool) "queued closures are live" true (Weak.check weak 0 && Weak.check weak 1);
+  World.cancel cancelled;
+  ignore (World.step w);
+  Gc.full_major ();
+  Alcotest.(check bool) "cancelled closure collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "fired closure collected" false (Weak.check weak 1);
+  ignore (Sys.opaque_identity (cancelled, fired))
+
 let test_cost_charging () =
   let w = World.create () in
   let m = Machine.create ~name:"cost-pc" w in
@@ -79,6 +191,131 @@ let test_physmem () =
   let dst = Bytes.create 5 in
   Physmem.blit_to_bytes ram ~src_addr:4000 ~dst ~dst_pos:0 ~len:5;
   Alcotest.(check string) "blit roundtrip" "hello" (Bytes.to_string dst)
+
+(* Against a flat [Bytes] reference over three pages: random accesses of
+   every width, copies and fills, biased towards page boundaries and the
+   end of RAM.  Each call must return what the reference holds, or raise
+   [Fault] exactly where the reference range is out of bounds; at the end
+   the whole store must equal the reference, so a faulting call moved
+   nothing. *)
+type mem_op =
+  | Get of int * int (* width, addr *)
+  | Set of int * int * int (* width, addr, value *)
+  | Copy_in of int * int (* addr, len *)
+  | Copy_out of int * int
+  | Fill of int * int * int (* addr, len, byte *)
+
+let ram_pages = 3
+let ram_size = ram_pages * 4096
+
+let show_mem_op = function
+  | Get (w, a) -> Printf.sprintf "Get%d %d" (8 * w) a
+  | Set (w, a, v) -> Printf.sprintf "Set%d %d %d" (8 * w) a v
+  | Copy_in (a, n) -> Printf.sprintf "Copy_in %d %d" a n
+  | Copy_out (a, n) -> Printf.sprintf "Copy_out %d %d" a n
+  | Fill (a, n, b) -> Printf.sprintf "Fill %d %d %d" a n b
+
+let mem_ops =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [ 2, int_range 0 (ram_size - 1);
+        3, map2 (fun p d -> (p * 4096) + d) (int_range 1 ram_pages) (int_range (-4) 3);
+        1, int_range (-3) (-1) ]
+  in
+  let len = frequency [ 3, int_range 0 16; 2, int_range 0 9000; 1, return (-1) ] in
+  let width = oneofl [ 1; 2; 4 ] in
+  let op =
+    frequency
+      [ 3, map2 (fun w a -> Get (w, a)) width addr;
+        3, map3 (fun w a v -> Set (w, a, v)) width addr int;
+        2, map2 (fun a n -> Copy_in (a, n)) addr len;
+        2, map2 (fun a n -> Copy_out (a, n)) addr len;
+        1, map3 (fun a n b -> Fill (a, n, b)) addr len (int_range 0 511) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    (list_size (int_range 1 40) op)
+
+let prop_physmem_model =
+  QCheck.Test.make ~name:"physmem: agrees with a flat reference" ~count:300 mem_ops
+    (fun ops ->
+      let ram = Physmem.create ~bytes:(ram_size - 100) in
+      let flat = Bytes.make ram_size '\000' in
+      let ok a n = a >= 0 && n >= 0 && a + n <= ram_size in
+      (* The observable result of a call: its value, or the fault. *)
+      let result f = try Ok (f ()) with Physmem.Fault _ -> Error () in
+      let expect a n f = if ok a n then Ok (f ()) else Error () in
+      let data a n = Bytes.init (max n 0) (fun i -> Char.chr ((a + (7 * i)) land 0xff)) in
+      Physmem.size ram = ram_size
+      && List.for_all
+           (fun op ->
+             match op with
+             | Get (w, a) ->
+                 result (fun () ->
+                     match w with
+                     | 1 -> Int32.of_int (Physmem.get8 ram a)
+                     | 2 -> Int32.of_int (Physmem.get16 ram a)
+                     | _ -> Physmem.get32 ram a)
+                 = expect a w (fun () ->
+                       match w with
+                       | 1 -> Int32.of_int (Bytes.get_uint8 flat a)
+                       | 2 -> Int32.of_int (Bytes.get_uint16_le flat a)
+                       | _ -> Bytes.get_int32_le flat a)
+             | Set (w, a, v) ->
+                 result (fun () ->
+                     match w with
+                     | 1 -> Physmem.set8 ram a v
+                     | 2 -> Physmem.set16 ram a v
+                     | _ -> Physmem.set32 ram a (Int32.of_int v))
+                 = expect a w (fun () ->
+                       match w with
+                       | 1 -> Bytes.set_uint8 flat a (v land 0xff)
+                       | 2 -> Bytes.set_uint16_le flat a (v land 0xffff)
+                       | _ -> Bytes.set_int32_le flat a (Int32.of_int v))
+             | Copy_in (a, n) ->
+                 let src = data a n in
+                 result (fun () ->
+                     Physmem.blit_from_bytes ram ~src ~src_pos:0 ~dst_addr:a ~len:n)
+                 = expect a n (fun () -> Bytes.blit src 0 flat a n)
+             | Copy_out (a, n) ->
+                 let dst = Bytes.make (max n 0 + 2) '?' in
+                 result (fun () ->
+                     Physmem.blit_to_bytes ram ~src_addr:a ~dst ~dst_pos:1 ~len:n;
+                     Bytes.to_string dst)
+                 = expect a n (fun () ->
+                       let want = Bytes.make (n + 2) '?' in
+                       Bytes.blit flat a want 1 n;
+                       Bytes.to_string want)
+             | Fill (a, n, b) ->
+                 result (fun () -> Physmem.fill ram ~addr:a ~len:n b)
+                 = expect a n (fun () -> Bytes.fill flat a n (Char.chr (b land 0xff))))
+           ops
+      &&
+      let all = Bytes.create ram_size in
+      Physmem.blit_to_bytes ram ~src_addr:0 ~dst:all ~dst_pos:0 ~len:ram_size;
+      Bytes.equal all flat)
+
+(* An untouched RAM costs its page table, not its size: an 8 MB machine
+   allocates well under 64 KB. *)
+let test_machine_ram_is_demand_zero () =
+  let w = World.create () in
+  let before = Gc.allocated_bytes () in
+  let m = Machine.create ~name:"lazy-pc" ~ram_bytes:(8 lsl 20) w in
+  let used = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f bytes allocated" used) true (used < 65536.);
+  Alcotest.(check int) "full size" (8 lsl 20) (Physmem.size (Machine.ram m));
+  Alcotest.(check int) "reads zero" 0 (Physmem.get8 (Machine.ram m) ((8 lsl 20) - 1))
+
+(* The RAM disk over the same store: a read running off the end is short,
+   one starting past it is empty, and unwritten blocks read as zeros. *)
+let test_ram_disk_bounds () =
+  let dev = Mem_blkio.make ~bytes:5000 () in
+  let buf = Bytes.make 100 'x' in
+  let read offset = dev.Io_if.bio_read ~buf ~pos:0 ~offset ~amount:100 in
+  Alcotest.(check bool) "short read at the end" true (read 4950 = Ok 50);
+  Alcotest.(check string) "zeros" (String.make 50 '\000') (Bytes.sub_string buf 0 50);
+  Alcotest.(check bool) "empty read past the end" true (read 6000 = Ok 0)
 
 let test_irq_mask_and_pending () =
   let w = World.create () in
@@ -355,6 +592,10 @@ let suite =
     Alcotest.test_case "world same-time FIFO" `Quick test_world_same_time_fifo;
     Alcotest.test_case "world cancel" `Quick test_world_cancel;
     Alcotest.test_case "world fuel" `Quick test_world_fuel;
+    Alcotest.test_case "world cancel cases" `Quick test_world_cancel_cases;
+    Alcotest.test_case "world drops fired and cancelled closures" `Quick
+      test_world_drops_closures;
+    QCheck_alcotest.to_alcotest prop_world_model;
     Alcotest.test_case "cost charging" `Quick test_cost_charging;
     Alcotest.test_case "cost counters" `Quick test_cost_counters;
     Alcotest.test_case "with_config restores" `Quick test_with_config_restores;
@@ -365,6 +606,9 @@ let suite =
     Alcotest.test_case "with_config installs every field" `Quick
       test_with_config_installs_every_field;
     Alcotest.test_case "physmem" `Quick test_physmem;
+    QCheck_alcotest.to_alcotest prop_physmem_model;
+    Alcotest.test_case "machine RAM is demand-zero" `Quick test_machine_ram_is_demand_zero;
+    Alcotest.test_case "RAM disk bounds" `Quick test_ram_disk_bounds;
     Alcotest.test_case "irq mask/pending" `Quick test_irq_mask_and_pending;
     Alcotest.test_case "irq disable/enable" `Quick test_irq_disable_enable;
     Alcotest.test_case "irq priority order" `Quick test_irq_priority;
