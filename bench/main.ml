@@ -91,12 +91,15 @@ let system config = "system", Str (Netbench.config_name config)
 (* Host cost, exact: the words the simulator allocates per operation of a
    cell, as Gc deltas around [f], returned with [f]'s result as a
    function of the cell's operation count.  The minor heap is emptied on both
-   sides, since the counts advance only at a minor collection; so in a
-   process that runs one section the promoted share does not depend on
-   what ran before, and the columns repeat to the word (another minor
-   heap size, through OCAMLRUNPARAM, moves them). *)
+   sides, since the counts advance only at a minor collection.  A full
+   major cycle goes first: the major GC's pacing carries over from what
+   the process allocated before, and a major slice forces a minor
+   collection, so without it the promoted share moved with that history —
+   even with the length of the binary's own path in argv.  So in a
+   process that runs one section the columns repeat to the word (another
+   minor heap size, through OCAMLRUNPARAM, moves them). *)
 let host_words f =
-  Gc.minor ();
+  Gc.full_major ();
   let s0 = Gc.quick_stat () in
   let r = f () in
   Gc.minor ();

@@ -29,6 +29,9 @@
 # the expression that writes the TCP data-offset byte must find nothing
 # outside lib/inet, so no stack, bench or test grows its own header
 # writer (and, beside it, its own unchecked parser) back.
+# The Internet checksum is summed once too, in the same codec: a grep for
+# the one's-complement fold's end-around carry must find nothing outside
+# lib/inet, so no stack, bench or test grows a second checksum loop.
 # BSD TCP keeps its per-connection bookkeeping O(1) in the number of live
 # pcbs — TIME_WAIT ones included — through the hashed demux, a listener
 # index, per-listener SYN_RCVD queues, per-pcb list nodes and a port use
@@ -54,6 +57,10 @@ if grep -rnE "(config|Cost)\.(kq|timer_wheel|pcb_hash)\b" lib bench bin examples
 fi
 if grep -rnE "/ 4\) lsl 4" lib bench test bin examples | grep -v '^lib/inet/'; then
   echo "TCP header written outside lib/inet's codec" >&2
+  exit 1
+fi
+if grep -rnF "land 0xffff) + (" lib bench test bin examples | grep -v '^lib/inet/'; then
+  echo "Internet checksum folded outside lib/inet's codec" >&2
   exit 1
 fi
 if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \

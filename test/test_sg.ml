@@ -29,10 +29,96 @@ let frags_of_cuts s cuts =
       end)
     (pairs edges)
 
-(* ---- iovec checksum == linear checksum (qcheck) ---- *)
+(* An mbuf chain over [frags] ([Bytes.empty] for none), each loaned in
+   place. *)
+let chain_of_frags frags =
+  let wrap (backing, off, len) = Mbuf.m_ext_wrap backing ~off ~len in
+  match frags with
+  | [] -> wrap (Bytes.empty, 0, 0)
+  | first :: rest ->
+      let head = wrap first in
+      List.iter (fun f -> Mbuf.m_cat head (wrap f)) rest;
+      head
 
-let cksum_frags_equiv =
-  QCheck.Test.make ~count:200 ~name:"cksum_frags == cksum_bytes over any split"
+(* ---- the Internet checksum against an RFC 1071 reference ---- *)
+
+(* RFC 1071 by the book, one byte at a time: a byte is the high half of
+   its 16-bit word at an even position and the low half at an odd one,
+   [odd] shifting every position by one.  The one's-complement sum of a
+   nonzero total is its residue mod 0xffff, written 0xffff for 0; only an
+   all-zero total sums to 0. *)
+let rfc1071 ?(init = 0) ?(odd = false) b ~off ~len =
+  let s = ref init in
+  for k = 0 to len - 1 do
+    let v = Char.code (Bytes.get b (off + k)) in
+    s := !s + if (k + Bool.to_int odd) land 1 = 0 then v lsl 8 else v
+  done;
+  let ones = if !s = 0 then 0 else 1 + ((!s - 1) mod 0xffff) in
+  0xffff - ones
+
+type fill = Random | Zeros | Ones
+
+let fill_gen = QCheck.Gen.(frequency [ 6, return Random; 1, return Zeros; 1, return Ones ])
+let fill_name = function Random -> "random" | Zeros -> "0x00" | Ones -> "0xff"
+
+let bytes_of_fill fill st n =
+  match fill with
+  | Random -> Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+  | Zeros -> Bytes.make n '\x00'
+  | Ones -> Bytes.make n '\xff'
+
+(* 0, a pseudo-header-sized sum, or a large partial sum. *)
+let init_gen =
+  QCheck.Gen.(oneof [ return 0; int_bound 0x3ffff; map (fun x -> x land ((1 lsl 40) - 1)) int ])
+
+let len_gen = QCheck.Gen.(frequency [ 20, int_bound 4096; 1, return 65535 ])
+
+(* The range starts [align] bytes into word-aligned storage, with random
+   bytes on both sides, so a load that strays outside it shows. *)
+let cksum_bytes_vs_reference =
+  QCheck.Test.make ~count:500 ~name:"cksum_bytes == RFC 1071 reference"
+    (QCheck.make
+       ~print:(fun ((fill, len, align, init, odd), _) ->
+         Printf.sprintf "fill=%s len=%d align=%d init=%d odd=%b" (fill_name fill) len align
+           init odd)
+       QCheck.Gen.(
+         pair
+           (tup5 fill_gen len_gen (int_bound 7) init_gen bool)
+           (int_bound 1_000_000)))
+    (fun ((fill, len, align, init, odd), seed) ->
+      let st = Random.State.make [| seed |] in
+      let b = Bytes.cat (bytes_of_fill Random st align) (bytes_of_fill fill st len) in
+      let b = Bytes.cat b (bytes_of_fill Random st (Random.State.int st 8)) in
+      Codec.cksum_bytes ~init b ~off:align ~len = rfc1071 ~init b ~off:align ~len
+      && Codec.finish (Codec.sum_bytes b align len init odd)
+         = rfc1071 ~init ~odd b ~off:align ~len)
+
+(* The same bytes cut into mbufs at arbitrary (often odd) boundaries, each
+   piece at its own offset in its own storage, summed from a nonzero
+   offset into the chain. *)
+let cksum_chain_vs_reference =
+  QCheck.Test.make ~count:300 ~name:"cksum_chain == RFC 1071 reference"
+    (QCheck.make ~print:(fun ((fill, n, _, _), cuts, _) ->
+         Printf.sprintf "fill=%s n=%d cuts=[%s]" (fill_name fill) n
+           (String.concat ";" (List.map string_of_int cuts)))
+       QCheck.Gen.(
+         triple
+           (quad fill_gen len_gen init_gen (int_bound 1_000_000))
+           (list_size (int_bound 12) (int_bound 65535))
+           (pair (int_bound 65535) (int_bound 65535))))
+    (fun ((fill, n, init, seed), cuts, (o, l)) ->
+      let st = Random.State.make [| seed |] in
+      let flat = bytes_of_fill fill st n in
+      let cuts = List.map (fun c -> c mod (n + 1)) cuts in
+      let m = chain_of_frags (frags_of_cuts (Bytes.to_string flat) cuts) in
+      let off = o mod (n + 1) in
+      let len = l mod (n - off + 1) in
+      In_cksum.cksum_chain ~init m ~off ~len = rfc1071 ~init flat ~off ~len)
+
+(* ---- mbuf chain checksum == linear checksum ---- *)
+
+let cksum_chain_equiv =
+  QCheck.Test.make ~count:200 ~name:"cksum_chain == cksum_bytes over any split"
     QCheck.(
       pair (string_of_size Gen.(1 -- 200)) (small_list (int_bound 199)))
     (fun (s, cuts) ->
@@ -40,11 +126,11 @@ let cksum_frags_equiv =
       let cuts = List.filter (fun c -> c > 0 && c < n) cuts in
       let flat = Bytes.of_string s in
       let expect = Codec.cksum_bytes flat ~off:0 ~len:n in
-      let got = Codec.cksum_frags (frags_of_cuts s cuts) in
+      let got = In_cksum.cksum_chain (chain_of_frags (frags_of_cuts s cuts)) ~off:0 ~len:n in
       expect = got)
 
-let test_cksum_frags_odd_boundaries () =
-  (* Odd-length fragments force the byte-swap carry across the seam. *)
+let test_cksum_chain_odd_boundaries () =
+  (* Odd-length mbufs force the byte-swap carry across the seam. *)
   let s = "\x01\x02\x03\x04\x05\x06\x07" in
   let flat = Bytes.of_string s in
   let expect = Codec.cksum_bytes flat ~off:0 ~len:7 in
@@ -53,17 +139,59 @@ let test_cksum_frags_odd_boundaries () =
       Alcotest.(check int)
         (Printf.sprintf "cuts at [%s]" (String.concat ";" (List.map string_of_int cuts)))
         expect
-        (Codec.cksum_frags (frags_of_cuts s cuts)))
+        (In_cksum.cksum_chain (chain_of_frags (frags_of_cuts s cuts)) ~off:0 ~len:7))
     [ [ 1 ]; [ 3 ]; [ 1; 2 ]; [ 1; 2; 3; 4; 5; 6 ]; [ 5 ]; [ 2; 5 ] ];
-  (* Empty fragments contribute nothing, wherever they fall. *)
-  Alcotest.(check int) "empty fragment list" (Codec.finish 0) (Codec.cksum_frags [])
+  (* Empty mbufs contribute nothing, wherever they fall. *)
+  let m = chain_of_frags ((Bytes.empty, 0, 0) :: frags_of_cuts s [ 3 ]) in
+  Mbuf.m_cat m (chain_of_frags []);
+  Mbuf.m_cat m (chain_of_frags (frags_of_cuts s [ 1 ]));
+  Alcotest.(check int) "empty mbufs at the seams" expect
+    (In_cksum.cksum_chain m ~off:0 ~len:7);
+  Alcotest.(check int) "empty range" (Codec.finish 0) (In_cksum.cksum_chain m ~off:3 ~len:0)
 
-let test_cksum_frags_charges_once () =
+(* Run [f] with the cost sink counting its charges; returns the number of
+   charges, the counted checksum bytes and [f]'s outcome. *)
+let charged f =
+  let charges = ref 0 and saved = Cost.get_sink () in
   Cost.reset_counters ();
+  Cost.set_sink (Some (fun _ -> incr charges));
+  let r =
+    Fun.protect ~finally:(fun () -> Cost.set_sink saved) (fun () ->
+        try Ok (f ()) with e -> Error e)
+  in
+  (!charges, Cost.counters.Cost.checksummed_bytes, r)
+
+let test_cksum_chain_charges_once () =
   let frags = frags_of_cuts (String.make 100 'c') [ 33; 67 ] in
-  ignore (Codec.cksum_frags frags);
-  Alcotest.(check int) "checksummed bytes counted" 100
-    Cost.counters.Cost.checksummed_bytes
+  let m = chain_of_frags frags in
+  let charges, bytes, _ = charged (fun () -> In_cksum.cksum_chain m ~off:0 ~len:100) in
+  Alcotest.(check (pair int int)) "whole chain: one charge, 100 bytes" (1, 100) (charges, bytes);
+  let charges, bytes, _ = charged (fun () -> In_cksum.cksum_chain m ~off:5 ~len:90) in
+  Alcotest.(check (pair int int)) "from an offset: one charge, len bytes" (1, 90) (charges, bytes);
+  let charges, bytes, _ =
+    charged (fun () -> Codec.cksum_bytes (Bytes.make 64 'c') ~off:3 ~len:61)
+  in
+  Alcotest.(check (pair int int)) "flat: one charge, len bytes" (1, 61) (charges, bytes)
+
+let test_cksum_range_errors () =
+  let raises what f =
+    let charges, bytes, r = charged f in
+    (match r with
+    | Error (Invalid_argument _) -> ()
+    | Error e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | Ok v -> Alcotest.failf "%s: returned %#x" what v);
+    Alcotest.(check (pair int int)) (what ^ ": nothing charged") (0, 0) (charges, bytes)
+  in
+  let b = Bytes.make 16 'x' in
+  raises "bytes: negative offset" (fun () -> Codec.cksum_bytes b ~off:(-1) ~len:4);
+  raises "bytes: negative length" (fun () -> Codec.cksum_bytes b ~off:0 ~len:(-1));
+  raises "bytes: one past the end" (fun () -> Codec.cksum_bytes b ~off:9 ~len:8);
+  raises "bytes: offset past the end" (fun () -> Codec.cksum_bytes b ~off:17 ~len:0);
+  let m = chain_of_frags (frags_of_cuts (String.make 10 'y') [ 3; 7 ]) in
+  raises "chain: one byte short" (fun () -> In_cksum.cksum_chain m ~off:0 ~len:11);
+  raises "chain: offset past the end" (fun () -> In_cksum.cksum_chain m ~off:10 ~len:1);
+  raises "chain: short from an offset" (fun () -> In_cksum.cksum_chain m ~off:4 ~len:7);
+  raises "chain: negative offset" (fun () -> In_cksum.cksum_chain m ~off:(-1) ~len:2)
 
 (* ---- nonlinear sk_buffs ---- *)
 
@@ -250,10 +378,14 @@ let test_sg_ttcp_byte_exact_under_loss () =
       Alcotest.(check bool) "sg xmits happened" true (Cost.counters.Cost.sg_xmits > 0))
 
 let suite =
-  [ QCheck_alcotest.to_alcotest cksum_frags_equiv;
+  [ QCheck_alcotest.to_alcotest cksum_chain_equiv;
     Alcotest.test_case "iovec checksum: odd fragment boundaries" `Quick
-      test_cksum_frags_odd_boundaries;
-    Alcotest.test_case "iovec checksum: single charge" `Quick test_cksum_frags_charges_once;
+      test_cksum_chain_odd_boundaries;
+    Alcotest.test_case "iovec checksum: single charge" `Quick test_cksum_chain_charges_once;
+    QCheck_alcotest.to_alcotest cksum_bytes_vs_reference;
+    QCheck_alcotest.to_alcotest cksum_chain_vs_reference;
+    Alcotest.test_case "checksum: out-of-range calls raise, charge nothing" `Quick
+      test_cksum_range_errors;
     Alcotest.test_case "nonlinear skb: build + linearize round-trip" `Quick
       test_skb_of_frags_linearize_roundtrip;
     Alcotest.test_case "nonlinear skb: bufio read/map_v" `Quick test_nonlinear_skb_bufio_read;
