@@ -110,12 +110,32 @@ let host_words f =
       [ "minor_words_per_op", per ops s0.Gc.minor_words s1.Gc.minor_words;
         "major_words_per_op", per ops s0.major_words s1.major_words ] )
 
-let transfer_counts (t : Netbench.transfer_result) =
-  [ "copies_per_kpkt", Int t.copies_per_kpkt;
-    "crossings_per_kpkt", Int t.crossings_per_kpkt;
-    "sg_xmits", Int t.sg_xmits;
-    "linearized_xmits", Int t.linearized_xmits;
-    "checksummed_bytes", Int t.checksummed_bytes ]
+(* ttcp from [sender] to [receiver], [blocks] 4 KB blocks, under [profile]. *)
+let ttcp ?(profile = paper) ~sender ~receiver ~blocks () =
+  let r =
+    Cost.with_config profile @@ fun () ->
+    Netbench.stream
+      { Netbench.ttcp with sender; receiver; bytes = blocks * blocksize; send_chunk = blocksize }
+  in
+  if not r.completed then failwith "ttcp: the transfer ran out of fuel";
+  r
+
+let per_kpkt (t : Netbench.result) n = Int (n * 1000 / max 1 t.wire_carried)
+
+let transfer_counts (t : Netbench.result) =
+  let c = t.counters in
+  [ "copies_per_kpkt", per_kpkt t c.Cost.copies;
+    "crossings_per_kpkt", per_kpkt t c.Cost.glue_crossings;
+    "sg_xmits", Int c.Cost.sg_xmits;
+    "linearized_xmits", Int c.Cost.linearized_xmits;
+    "checksummed_bytes", Int c.Cost.checksummed_bytes ]
+
+(* rtcp's figure: the mean round trip, in microseconds. *)
+let mean_us samples =
+  float_of_int (Array.fold_left ( + ) 0 samples) /. float_of_int (Array.length samples) /. 1e3
+
+let rtt_us ?(profile = paper) config ~trips =
+  mean_us (fst (Cost.with_config profile (fun () -> Netbench.rtt config ~trips)))
 
 (* ---------------- Table 1 ---------------- *)
 
@@ -127,23 +147,24 @@ let table1 () =
     (fun p ->
       List.map
         (fun config ->
-          let run sender receiver =
-            Netbench.transfer ~profile:p ~sender ~receiver ~blocks ~blocksize ()
-          in
+          let run sender receiver = ttcp ~profile:p ~sender ~receiver ~blocks () in
           (* A paper cell also runs the receive direction: two transfers. *)
           let transfers = if p == paper then 2 else 1 in
-          let (send, recv), words =
+          let (send_mbit, counts, recv), words =
             host_words (fun () ->
+                (* Only the send run's figures outlive it: its simulated
+                   world is garbage before the receive run starts. *)
                 let send = run config Netbench.Freebsd in
-                ( send,
+                let send_mbit = send.mbit_sender and counts = transfer_counts send in
+                ( send_mbit,
+                  counts,
                   if transfers = 2 then
-                    [ "recv_mbit", Float (run Netbench.Freebsd config).mbit_e2e ]
+                    [ "recv_mbit", Float (run Netbench.Freebsd config).mbit_receiver ]
                   else [] ))
           in
           record "table1"
             [ system config; profile p; "blocks", Int blocks; "blocksize", Int blocksize ]
-            ((("send_mbit", Float send.mbit_sender) :: recv) @ transfer_counts send
-            @ words (transfers * blocks)))
+            ((("send_mbit", Float send_mbit) :: recv) @ counts @ words (transfers * blocks)))
         systems)
     [ paper; sg_on ]
 
@@ -154,7 +175,7 @@ let table2 () =
     (fun config ->
       record "table2"
         [ system config; profile paper; "trips", Int 200 ]
-        [ "rtt_us", Float (Netbench.rtt_us config ~trips:200) ])
+        [ "rtt_us", Float (rtt_us config ~trips:200) ])
     systems
 
 (* ---------------- Table 3 ---------------- *)
@@ -377,13 +398,12 @@ let glue () =
     (fun cycles ->
       let p = { paper with Cost.glue_crossing_cycles = cycles } in
       let t =
-        Netbench.transfer ~profile:p ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd
-          ~blocks:(blocks / 2) ~blocksize ()
+        ttcp ~profile:p ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks:(blocks / 2) ()
       in
       record "glue"
         [ system Netbench.Oskit; profile p; "blocks", Int (blocks / 2); "trips", Int 100 ]
         [ "send_mbit", Float t.mbit_sender;
-          "rtt_us", Float (Netbench.rtt_us ~profile:p Netbench.Oskit ~trips:100) ])
+          "rtt_us", Float (rtt_us ~profile:p Netbench.Oskit ~trips:100) ])
     [ 0; 500; 1500; 3000; 6000 ]
 
 (* B: copies and glue crossings per 1000 wire packets: the send path
@@ -391,14 +411,14 @@ let glue () =
 let copies () =
   List.map
     (fun (sender, receiver) ->
-      let t = Netbench.transfer ~sender ~receiver ~blocks:(blocks / 2) ~blocksize () in
+      let t = ttcp ~sender ~receiver ~blocks:(blocks / 2) () in
       record "copies"
         [ "sender", Str (Netbench.config_name sender);
           "receiver", Str (Netbench.config_name receiver);
           profile paper;
           "blocks", Int (blocks / 2) ]
-        [ "copies_per_kpkt", Int t.copies_per_kpkt;
-          "crossings_per_kpkt", Int t.crossings_per_kpkt ])
+        [ "copies_per_kpkt", per_kpkt t t.counters.Cost.copies;
+          "crossings_per_kpkt", per_kpkt t t.counters.Cost.glue_crossings ])
     [ Netbench.Freebsd, Netbench.Freebsd;
       Netbench.Oskit, Netbench.Freebsd;
       Netbench.Freebsd, Netbench.Oskit;
@@ -412,15 +432,16 @@ let copies () =
    receive fast-path profiles rerun the senders they change. *)
 let chaos () =
   let run p sender loss =
+    let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss } () in
     let r =
-      Netbench.chaos_transfer ~seed:42 ~loss ~profile:p ~sender ~receiver:Netbench.Freebsd
-        ~blocks ~blocksize ()
+      Cost.with_config p @@ fun () ->
+      Netbench.stream { Netbench.ttcp with sender; netem = Some netem; bytes = blocks * blocksize }
     in
     record "chaos"
       [ "sender", Str (Netbench.config_name sender); profile p; "loss", Float loss;
         "seed", Int 42; "blocks", Int blocks; "blocksize", Int blocksize ]
-      [ "goodput_mbit", Float r.goodput_mbit;
-        "rexmits", Int r.chaos_rexmits;
+      [ "goodput_mbit", Float r.mbit_receiver;
+        "rexmits", Int r.rexmits;
         "wire_dropped", Int r.wire_dropped;
         "byte_exact", yes_no r.byte_exact ]
   in
@@ -440,19 +461,20 @@ let chaos () =
    actually cross the glue and batching can coalesce them. *)
 let rtt () =
   let rtcp config trips p =
-    let r = Netbench.dist ~profile:p config ~trips in
+    let samples, c = Cost.with_config p (fun () -> Netbench.rtt config ~trips) in
+    let pct = Percentile.us_of_ns samples in
     record "rtt"
       [ "workload", Str "rtcp"; system config; profile p; "trips", Int trips ]
-      [ "mean_us", Float r.rtt_mean_us;
-        "p50_us", Float r.rtt_p50_us;
-        "p95_us", Float r.rtt_p95_us;
-        "p99_us", Float r.rtt_p99_us;
-        "fastpath_hits", Int r.rtt_fastpath_hits;
-        "fastpath_fallbacks", Int r.rtt_fastpath_fallbacks;
-        "pcb_cache_hits", Int r.rtt_pcb_cache_hits;
-        "pcb_cache_misses", Int r.rtt_pcb_cache_misses;
-        "rx_polls", Int r.rtt_rx_polls;
-        "rx_frames", Int r.rtt_rx_frames ]
+      [ "mean_us", Float (mean_us samples);
+        "p50_us", Float (pct 50);
+        "p95_us", Float (pct 95);
+        "p99_us", Float (pct 99);
+        "fastpath_hits", Int c.Cost.fastpath_hits;
+        "fastpath_fallbacks", Int c.Cost.fastpath_fallbacks;
+        "pcb_cache_hits", Int c.Cost.pcb_cache_hits;
+        "pcb_cache_misses", Int c.Cost.pcb_cache_misses;
+        "rx_polls", Int c.Cost.rx_polls;
+        "rx_frames", Int c.Cost.rx_batched_frames ]
   in
   let http p =
     let r =
@@ -653,26 +675,41 @@ let file () =
 (* ---------------- longfat: RTT x loss with scaled windows ---------------- *)
 
 (* default = seed config (16-bit windows, fixed buffers); manual-bdp =
-   wscale on, both ends hand-sized to 2x BDP; autotune = wscale on, the
-   stacks grow their own buffers.  100 Mbps wire, netem seed 42. *)
+   wscale on, both ends hand-sized to 2x BDP, the operator's recipe;
+   autotune = wscale on, the stacks grow their own buffers
+   ([tcp_autotune]).  100 Mbps wire, netem seed 42. *)
+let lf_manual = { paper with Cost.tcp_wscale = true }
+let lf_autotune = { lf_manual with Cost.tcp_autotune = true }
+(* Each mode: its name, its profile, and whether both ends are hand-sized. *)
 let longfat_modes =
-  [ "default", Netbench.Lf_default;
-    "manual-bdp", Netbench.Lf_manual;
-    "autotune", Netbench.Lf_autotune ]
+  [ "default", paper, false; "manual-bdp", lf_manual, true; "autotune", lf_autotune, false ]
 
-let longfat_cell config ~rtt_ms ~loss ~bytes (mode_name, bufmode) =
+let longfat_cell config ~rtt_ms ~loss ~bytes (mode_name, p, manual) =
+  let rtt_ns = int_of_float (rtt_ms *. 1e6) in
+  (* BDP at the wire's 100 Mbps: bytes = rate/8 * rtt.  Manual mode sizes
+     to 2x BDP (headroom for ACK clocking), floored at the seed default. *)
+  let buffers =
+    if manual then Some (min p.Cost.tcp_sockbuf_max (max (64 * 1024) (2 * (rtt_ns / 80))))
+    else None
+  in
+  let netem =
+    if loss > 0.0 then Some (Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss } ())
+    else None
+  in
   let r =
-    Netbench.longfat_transfer ~seed:42 ~loss ~config ~rtt_ns:(int_of_float (rtt_ms *. 1e6))
-      ~bufmode ~bytes ()
+    Cost.with_config p @@ fun () ->
+    Netbench.stream
+      { Netbench.ttcp with
+        sender = config; receiver = config; bytes; send_chunk = 16384;
+        latency_ns = Some (max 1_000 (rtt_ns / 2)); netem; buffers }
   in
   record "longfat"
     [ system config; "rtt_ms", Float rtt_ms; "loss", Float loss; "buffers", Str mode_name;
-      "bytes", Int bytes; profile (Netbench.longfat_profile bufmode); "seed", Int 42;
-      "wire_mbit", Int 100 ]
-    [ "mbit", Float r.lf_mbit;
-      "rexmits", Int r.lf_rexmits;
-      "rcv_buf", Int r.lf_rcv_buf;
-      "byte_exact", yes_no r.lf_byte_exact ]
+      "bytes", Int bytes; profile p; "seed", Int 42; "wire_mbit", Int 100 ]
+    [ "mbit", Float r.mbit_receiver;
+      "rexmits", Int r.sent_rexmits;
+      "rcv_buf", Int r.final_rcv_buf;
+      "byte_exact", yes_no r.byte_exact ]
 
 (* Enough bytes to amortize slow start at the given BDP; lossy cells get a
    smaller transfer (the Linux receiver keeps no out-of-order queue, so
@@ -707,12 +744,17 @@ let longfat () =
       stacks
   in
   let stall_ns = 3_000_000_000 and bytes = 256 * 1024 in
-  let probes, exact = Netbench.zero_window_run ~stall_ns ~bytes () in
+  let zw =
+    Netbench.stream
+      { Netbench.ttcp with
+        sender = Netbench.Linux; receiver = Netbench.Linux; bytes; send_chunk = 16384;
+        stall_ns }
+  in
   grid @ eight_mb
   @ [ record "longfat"
         [ system Netbench.Linux; profile paper; "bytes", Int bytes;
           "stall_ms", Int (stall_ns / 1_000_000) ]
-        [ "persist_probes", Int probes; "byte_exact", yes_no exact ] ]
+        [ "persist_probes", Int zw.persist_probes; "byte_exact", yes_no zw.byte_exact ] ]
 
 (* ---------------- overload: survival under deliberate abuse ---------------- *)
 
@@ -725,8 +767,8 @@ let overload_bytes_per_client = 65536
 let overload_soak_bytes = 262144
 
 let overload () =
-  let servers = [ Overloadbench.Sv_freebsd; Overloadbench.Sv_linux ] in
-  let server s = "server", Str (Overloadbench.server_name s) in
+  let servers = [ Netbench.Freebsd; Netbench.Linux ] in
+  let server s = "server", Str (Netbench.config_name s) in
   let floods =
     List.concat_map
       (fun sv ->
@@ -775,7 +817,7 @@ let overload () =
         let r = Overloadbench.loris_run ~guard ~loris:8 ~legit:4 () in
         let st = r.r_server in
         record "overload"
-          [ "kind", Str "loris"; server Overloadbench.Sv_freebsd; profile r.r_profile;
+          [ "kind", Str "loris"; server Netbench.Freebsd; profile r.r_profile;
             "loris", Int r.r_desc.loris; "legit", Int r.r_clients ]
           [ "served", Int (Overloadbench.loris_served r);
             "deadline_closed", Int st.Httpd.deadline_closed;
@@ -834,9 +876,7 @@ let bounds : bound list =
   let reactor clients = [ "mode", Str "reactor"; "clients", Int clients ] in
   let threads = [ "mode", Str "threads" ] in
   let lf_50ms mode = [ "rtt_ms", Float 50.0; "loss", Float 0.0; "buffers", Str mode ] in
-  let lf_mode mode bufmode =
-    [ "buffers", Str mode; "profile", p (Netbench.longfat_profile bufmode) ]
-  in
+  let lf_mode mode x = [ "buffers", Str mode; "profile", p x ] in
   let flooded =
     [ "kind", Str "flood"; "profile", p (Overloadbench.flood_profile ~defense:true);
       "flood_syns", Int 40 ]
@@ -876,9 +916,9 @@ let bounds : bound list =
     "longfat", [ "rtt_ms", Float 10.0; "loss", Float 0.01; "buffers", Str "autotune" ],
     "rexmits", Gt, zero;
     "longfat", lf_50ms "manual-bdp", "mbit", Ge,
-    Times (5.0, lf_mode "default" Netbench.Lf_default, "mbit");
+    Times (5.0, lf_mode "default" paper, "mbit");
     "longfat", lf_50ms "autotune", "mbit", Ge,
-    Times (0.9, lf_mode "manual-bdp" Netbench.Lf_manual, "mbit");
+    Times (0.9, lf_mode "manual-bdp" lf_manual, "mbit");
     "longfat", lf_50ms "autotune", "rcv_buf", Gt, Const (Int 65536);
     "longfat", [ "stall_ms", Int 3000 ], "persist_probes", Gt, zero;
     (* a defended 10x flood serves every legit client at >= 70% of clean

@@ -1,7 +1,11 @@
-(* The two-PC network experiment runner shared by the Table 1/2 and VM
-   benches: sets up each side of the testbed in any of the three system
-   configurations (they interoperate on the wire), runs a ttcp- or
-   rtcp-style workload in virtual time, and reports the paper's numbers. *)
+(* The TCP stream harness: the one place the two-PC testbed runs a ttcp-
+   or rtcp-shaped workload.  An endpoint sets up one host in any of the
+   three system configurations (they interoperate on the wire); [stream]
+   runs one bulk transfer between two endpoints and [rtt] one run of
+   1-byte round trips, in virtual time.  Table 1/2, glue, copies, chaos,
+   rtt, longfat, overload's soak and vmnet, the network test suites and
+   the bin/ diagnostics all drive TCP through it, so every configuration
+   runs the same way. *)
 
 type config = Oskit | Freebsd | Linux
 
@@ -14,263 +18,344 @@ let ok = function
   | Ok v -> v
   | Error e -> failwith ("netbench: " ^ Error.to_string e)
 
-(* A role-neutral socket bundle: blocking send/recv/close over whichever
-   stack the configuration dictates. *)
-type sock = {
-  send : bytes -> int -> int;
-  recv : bytes -> int -> int;
+(* Position-dependent payload so delivery is provably byte-exact: any
+   duplicated, reordered, or corrupted byte that leaks through TCP lands at
+   the wrong position and is caught at the receiver. *)
+let pattern pos = (pos * 131) lxor (pos lsr 8) land 0xff
+
+(* ---- endpoints ---- *)
+
+(* The native stack under an endpoint (the OSKit configuration's is the
+   FreeBSD stack behind its COM glue), and a connection's native socket
+   (under the OSKit configuration, a POSIX descriptor). *)
+type stack = Bsd of Bsd_socket.stack | Lx of Linux_inet.stack
+type sock = Bsd_sock of Bsd_socket.tsock | Lx_sock of Linux_inet.sock | Fd of int
+
+type conn = {
+  send : buf:bytes -> pos:int -> len:int -> (int, Error.t) result;
+  recv : buf:bytes -> pos:int -> len:int -> (int, Error.t) result;
   close : unit -> unit;
+  sock : sock;
 }
 
-(* Host-side protocol counters the chaos bench reads after a run:
-   retransmissions prove the loss was real; checksum/dup drops prove the
-   receiver discarded what netem damaged or repeated. *)
-type stack_stats = {
-  rexmits : unit -> int;
-  tcp_badsum : unit -> int;
-  tcp_dups : unit -> int;
+(* [listen ~port ~backlog] binds and listens, and returns the accept call
+   for that socket; [connect] makes a fresh socket and connects it.  Both
+   run inside a thread of [host]. *)
+type endpoint = {
+  host : Clientos.host;
+  stack : stack;
+  listen : port:int -> backlog:int -> unit -> (conn, Error.t) result;
+  connect : dst:int32 -> port:int -> (conn, Error.t) result;
 }
 
-let bsd_stats (stack : Bsd_socket.stack) =
-  let s = stack.Bsd_socket.tcp.Tcp.stats in
-  { rexmits = (fun () -> s.Tcp.sndrexmitpack + s.Tcp.fastrexmit);
-    tcp_badsum = (fun () -> s.Tcp.rcvbadsum);
-    tcp_dups = (fun () -> s.Tcp.rcvdup) }
-
-let linux_stats (stack : Linux_inet.stack) =
-  { rexmits = (fun () -> stack.Linux_inet.rexmits);
-    tcp_badsum = (fun () -> stack.Linux_inet.tcpbadsum);
-    tcp_dups = (fun () -> stack.Linux_inet.rcvdup) }
-
-(* Prepare a host in [config]; returns (serve, connect, stats):
-   [serve ~port k] spawns a server thread that accepts one connection and
-   passes its socket to [k]; [connect ~port k] spawns a client thread that
-   connects and passes its socket to [k]. *)
 let setup config host ~addr =
   match config with
   | Oskit ->
       let env, stack = Clientos.oskit_host host ~ip:addr ~mask in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
-            ok (Posix.listen env fd ~backlog:2);
-            let conn, _ = ok (Posix.accept env fd) in
-            k
-              { send = (fun b len -> ok (Posix.send env conn b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env conn b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.close env conn)) })
+      (* An accepted descriptor closes; a connected one shuts down, as
+         ttcp does. *)
+      let conn fd close =
+        { send = (fun ~buf ~pos ~len -> Posix.send env fd buf ~pos ~len);
+          recv = (fun ~buf ~pos ~len -> Posix.recv env fd buf ~pos ~len);
+          close = (fun () -> ignore (close env fd));
+          sock = Fd fd }
       in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port });
-            k
-              { send = (fun b len -> ok (Posix.send env fd b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env fd b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.shutdown env fd)) })
+      let listen ~port ~backlog =
+        let fd = ok (Posix.socket env Io_if.Sock_stream) in
+        ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
+        ok (Posix.listen env fd ~backlog);
+        fun () -> Result.map (fun (c, _) -> conn c Posix.close) (Posix.accept env fd)
       in
-      serve, connect, bsd_stats stack
+      let connect ~dst ~port =
+        let fd = ok (Posix.socket env Io_if.Sock_stream) in
+        Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port }
+        |> Result.map (fun () -> conn fd Posix.shutdown)
+      in
+      { host; stack = Bsd stack; listen; connect }
   | Freebsd ->
       let stack = Clientos.freebsd_host host ~ip:addr ~mask in
-      let of_tsock s =
-        { send = (fun b len -> ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Bsd_socket.so_recv s ~buf:b ~pos:0 ~len));
-          close = (fun () -> ignore (Bsd_socket.so_close s)) }
+      let conn s =
+        { send = Bsd_socket.so_send s;
+          recv = Bsd_socket.so_recv s;
+          close = (fun () -> ignore (Bsd_socket.so_close s));
+          sock = Bsd_sock s }
       in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_bind ls ~port);
-            ok (Bsd_socket.so_listen ls ~backlog:2);
-            k (of_tsock (ok (Bsd_socket.so_accept ls))))
+      let listen ~port ~backlog =
+        let ls = Bsd_socket.tcp_socket stack in
+        ok (Bsd_socket.so_bind ls ~port);
+        ok (Bsd_socket.so_listen ls ~backlog);
+        fun () -> Result.map conn (Bsd_socket.so_accept ls)
       in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_connect s ~dst ~dport:port);
-            k (of_tsock s))
+      let connect ~dst ~port =
+        let s = Bsd_socket.tcp_socket stack in
+        Result.map (fun () -> conn s) (Bsd_socket.so_connect s ~dst ~dport:port)
       in
-      serve, connect, bsd_stats stack
+      { host; stack = Bsd stack; listen; connect }
   | Linux ->
       let stack = Clientos.linux_host host ~ip:addr ~mask in
-      let of_sock s =
-        { send = (fun b len -> ok (Linux_inet.send stack s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Linux_inet.recv stack s ~buf:b ~pos:0 ~len));
-          close = (fun () -> Linux_inet.close stack s) }
+      let conn s =
+        { send = Linux_inet.send stack s;
+          recv = Linux_inet.recv stack s;
+          close = (fun () -> Linux_inet.close stack s);
+          sock = Lx_sock s }
       in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Linux_inet.socket stack in
-            Linux_inet.bind stack ls ~port;
-            Linux_inet.listen stack ls ~backlog:2;
-            k (of_sock (ok (Linux_inet.accept stack ls))))
+      let listen ~port ~backlog =
+        let ls = Linux_inet.socket stack in
+        Linux_inet.bind stack ls ~port;
+        Linux_inet.listen stack ls ~backlog;
+        fun () -> Result.map conn (Linux_inet.accept stack ls)
       in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Linux_inet.socket stack in
-            ok (Linux_inet.connect stack s ~dst ~dport:port);
-            k (of_sock s))
+      let connect ~dst ~port =
+        let s = Linux_inet.socket stack in
+        Result.map (fun () -> conn s) (Linux_inet.connect stack s ~dst ~dport:port)
       in
-      serve, connect, linux_stats stack
+      { host; stack = Lx stack; listen; connect }
 
-type transfer_result = {
-  mbit_sender : float; (* bandwidth from the sender's clock, ttcp-style *)
-  mbit_e2e : float;
-  copies_per_kpkt : int;
-  crossings_per_kpkt : int;
-  packets : int;
-  sg_xmits : int;          (* frames the NIC gathered from an iovec *)
-  linearized_xmits : int;  (* frames flattened at the glue (the copy) *)
-  checksummed_bytes : int;
+(* A stack's protocol counters, read when called: retransmissions prove
+   loss was real; checksum and duplicate drops prove the receiver
+   discarded what netem damaged or repeated. *)
+type stack_stats = {
+  rexmits : int;         (* data retransmissions *)
+  badsum : int;          (* IP + TCP checksum drops *)
+  dups : int;            (* duplicate-segment drops *)
+  nomem_drops : int;     (* segments or frames dropped for want of a buffer *)
+  persist_probes : int;  (* zero-window probes (the Linux stack's persist timer) *)
 }
 
-(* A run that takes [?profile] is installed under it ([Cost.with_config]),
-   [Cost.paper ()] by default: the paper's measured configuration, which
-   e.g. flattens mbuf chains at the mbuf->skbuff glue.  An ablation passes
-   that profile with named fields changed ([sg_tx] for scatter-gather
-   transmit), and the caller's configuration is back after the run. *)
+let stats = function
+  | Bsd st ->
+      let s = st.Bsd_socket.tcp.Tcp.stats and ip = st.Bsd_socket.ip in
+      { rexmits = s.Tcp.sndrexmitpack + s.Tcp.fastrexmit;
+        badsum = ip.Ip.badsum + s.Tcp.rcvbadsum;
+        dups = s.Tcp.rcvdup;
+        nomem_drops = s.Tcp.nomem_drops + ip.Ip.nomem_drops;
+        persist_probes = 0 }
+  | Lx st ->
+      { rexmits = st.Linux_inet.rexmits;
+        badsum = st.Linux_inet.ipbadsum + st.Linux_inet.tcpbadsum;
+        dups = st.Linux_inet.rcvdup;
+        nomem_drops = st.Linux_inet.nomem_drops;
+        persist_probes = st.Linux_inet.persist_probes }
 
-(* ttcp: [sender] pushes blocks x blocksize to [receiver]. *)
-let transfer ?(profile = Cost.paper ()) ~sender ~receiver ~blocks ~blocksize () =
-  Cost.with_config profile @@ fun () ->
+(* A connection's receive buffer, and a buffer override: a sender's send
+   buffer, a receiver's receive buffer (the Linux stack's send side has
+   no buffer to size). *)
+let rcv_buf = function
+  | Bsd_sock s -> s.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat
+  | Lx_sock s -> s.Linux_inet.rcv_buf_max
+  | Fd _ -> 0
+
+let override_buffer ~sender size = function
+  | Bsd_sock s ->
+      let pcb = s.Bsd_socket.pcb in
+      if sender then Tcp.set_buffer_sizes pcb ~snd:size ~rcv:pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat
+      else Tcp.set_buffer_sizes pcb ~snd:pcb.Tcp.snd_buf.Sockbuf.sb_hiwat ~rcv:size
+  | Lx_sock s -> if not sender then s.Linux_inet.rcv_buf_max <- size
+  | Fd _ -> invalid_arg "netbench: buffer override under the OSKit configuration"
+
+(* The counters so far, copied: a run's result keeps its own. *)
+let counters () = { Cost.counters with Cost.copies = Cost.counters.Cost.copies }
+
+(* Every run of the harness listens on one port with a backlog of 2: the
+   callers' different ports and backlogs moved no charged cycle. *)
+let port = 5001
+
+(* ---- stream: ttcp ---- *)
+
+(* One bulk transfer from [sender] on host A (10.0.0.1) to [receiver] on
+   host B (10.0.0.2), under the live configuration (a caller installs a
+   profile around the run with [Cost.with_config]).  The fields are what
+   the callers vary. *)
+type stream = {
+  sender : config;
+  receiver : config;
+  bytes : int;
+  send_chunk : int;      (* bytes per send call *)
+  recv_chunk : int;      (* bytes per receive call *)
+  delay_ns : int;        (* the sender connects this long into the run *)
+  models : string * string;  (* NIC models of hosts A and B *)
+  latency_ns : int option;       (* one-way wire latency (default 1 us) *)
+  netem : Netem.t option;
+  fault : (bytes -> bool) option;  (* drop the frames it says *)
+  tap : (int -> bytes -> unit) option;  (* hears every delivered frame, with the time *)
+  stall_ns : int;        (* the receiver sleeps this long after accept *)
+  retry : bool;
+      (* retry short sends and Nomem, and a failed connect on a fresh
+         socket (20 times, 10 ms apart), as a caller that sees ENOBUFS must *)
+  buffers : int option;  (* override the sender's send and receiver's receive buffer *)
+}
+
+(* Table 1's transfer: 2,048 4 KB blocks, OSKit to a FreeBSD sink. *)
+let ttcp =
+  { sender = Oskit; receiver = Freebsd; bytes = 2048 * 4096; send_chunk = 4096;
+    recv_chunk = 16384; delay_ns = 2_000_000;
+    models = ("3c905", "tulip"); latency_ns = None; netem = None;
+    fault = None; tap = None; stall_ns = 0; retry = false; buffers = None }
+
+type result = {
+  mbit_sender : float;    (* over the sender's send loop, ttcp-style *)
+  mbit_receiver : float;  (* over the receiver's clock at EOF *)
+  conn_ns : int;       (* the sender's clock from connect to close *)
+  completed : bool;       (* the receiver read EOF *)
+  received : int;
+  byte_exact : bool;      (* ... after every byte, once, in order, right *)
+  rexmits : int;          (* the sender stack's, at the end of the run *)
+  sent_rexmits : int;     (* ... when its last send returned *)
+  wire_carried : int;
+  wire_dropped : int;     (* frames netem or the fault injector discarded *)
+  persist_probes : int;   (* both stacks *)
+  nomem_drops : int;      (* both stacks *)
+  final_rcv_buf : int;    (* the receiver's buffer at EOF (0 under OSKit) *)
+  counters : Cost.counters;  (* counted from the first event of the run *)
+  tx : endpoint;
+  rx : endpoint;
+  tx_sock : sock option;  (* the sender's socket, once connected *)
+  testbed : Clientos.testbed;
+}
+
+let stream d =
   Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let total = blocks * blocksize in
-  let serve, _, _ = setup receiver tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, _ = setup sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let send_ns = ref 0 and recv_done = ref 0 in
-  serve ~port:5001 (fun s ->
-      let buf = Bytes.create 16384 in
+  let tb = Clientos.make_testbed ~models:d.models ?latency_ns:d.latency_ns () in
+  let wire = tb.Clientos.wire in
+  if Option.is_some d.netem then Wire.set_netem wire d.netem;
+  if Option.is_some d.fault then Wire.set_fault_injector wire d.fault;
+  (match d.tap with
+  | Some f -> ignore (Wire.attach wire ~rx:(fun frame -> f (World.now tb.Clientos.world) frame))
+  | None -> ());
+  let rx = setup d.receiver tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let tx = setup d.sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let clock (ep : endpoint) = Machine.now ep.host.Clientos.machine in
+  let received = ref 0 and mismatches = ref 0 and recv_done = ref 0 and final_rcv_buf = ref 0 in
+  let tx_sock = ref None in
+  let t_connect = ref 0 and t_sending = ref 0 and t_sent = ref 0 and t_closed = ref 0 in
+  let sent_rexmits = ref 0 in
+  Clientos.spawn rx.host ~name:"server" (fun () ->
+      let c = ok (rx.listen ~port ~backlog:2 ()) in
+      Option.iter (fun size -> override_buffer ~sender:false size c.sock) d.buffers;
+      if d.stall_ns > 0 then Kclock.sleep_ns d.stall_ns;
+      let buf = Bytes.create d.recv_chunk in
       let rec loop () =
-        match s.recv buf 16384 with
+        match ok (c.recv ~buf ~pos:0 ~len:d.recv_chunk) with
         | 0 ->
-            recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-            s.close ()
-        | _ -> loop ()
+            final_rcv_buf := rcv_buf c.sock;
+            recv_done := clock rx;
+            c.close ()
+        | n ->
+            for i = 0 to n - 1 do
+              if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mismatches
+            done;
+            received := !received + n;
+            loop ()
       in
       loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5001 (fun s ->
-      let block = Bytes.make blocksize 'T' in
-      let t0 = Machine.now tb.Clientos.host_a.Clientos.machine in
-      for _ = 1 to blocks do
-        if s.send block blocksize <> blocksize then failwith "short send"
-      done;
-      send_ns := Machine.now tb.Clientos.host_a.Clientos.machine - t0;
-      s.close ());
+  Clientos.spawn tx.host ~name:"client" (fun () ->
+      Kclock.sleep_ns d.delay_ns;
+      t_connect := clock tx;
+      let rec connect tries =
+        match tx.connect ~dst:(ip "10.0.0.2") ~port with
+        | Ok c -> c
+        | Error _ when d.retry && tries < 20 ->
+            Kclock.sleep_ns 10_000_000;
+            connect (tries + 1)
+        | Error e -> failwith ("netbench: connect: " ^ Error.to_string e)
+      in
+      let c = connect 0 in
+      tx_sock := Some c.sock;
+      Option.iter (fun size -> override_buffer ~sender:true size c.sock) d.buffers;
+      t_sending := clock tx;
+      let block = Bytes.create d.send_chunk in
+      let rec send_all off len =
+        if off < len then
+          match c.send ~buf:block ~pos:off ~len:(len - off) with
+          | Ok n when n > 0 && (d.retry || n = len - off) -> send_all (off + n) len
+          | Ok 0 when d.retry ->
+              Kclock.sleep_ns 1_000_000;
+              send_all off len
+          | Error Error.Nomem when d.retry ->
+              Kclock.sleep_ns 5_000_000;
+              send_all off len
+          | Ok _ -> failwith "netbench: short send"
+          | Error e -> failwith ("netbench: send: " ^ Error.to_string e)
+      in
+      let rec push sent =
+        if sent < d.bytes then begin
+          let n = min d.send_chunk (d.bytes - sent) in
+          for i = 0 to n - 1 do
+            Bytes.set block i (Char.chr (pattern (sent + i)))
+          done;
+          send_all 0 n;
+          push (sent + n)
+        end
+      in
+      push 0;
+      t_sent := clock tx;
+      sent_rexmits := (stats tx.stack).rexmits;
+      c.close ();
+      t_closed := clock tx);
   Cost.reset_counters ();
-  Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  let packets = Wire.frames_carried tb.Clientos.wire in
-  { mbit_sender = float_of_int total *. 8e3 /. float_of_int !send_ns;
-    mbit_e2e = float_of_int total *. 8e3 /. float_of_int !recv_done;
-    copies_per_kpkt = Cost.counters.Cost.copies * 1000 / max 1 packets;
-    crossings_per_kpkt = Cost.counters.Cost.glue_crossings * 1000 / max 1 packets;
-    packets;
-    sg_xmits = Cost.counters.Cost.sg_xmits;
-    linearized_xmits = Cost.counters.Cost.linearized_xmits;
-    checksummed_bytes = Cost.counters.Cost.checksummed_bytes }
+  (* A run that livelocks stops at the world's fuel limit and reports
+     itself not completed, with its endpoints, for the caller to inspect. *)
+  (try Clientos.run tb ~until:(fun () -> !recv_done > 0) with World.Out_of_fuel -> ());
+  let ts = stats tx.stack and rs = stats rx.stack in
+  let mbit ns = float_of_int d.bytes *. 8e3 /. float_of_int ns in
+  { mbit_sender = mbit (!t_sent - !t_sending);
+    mbit_receiver = mbit !recv_done;
+    conn_ns = !t_closed - !t_connect;
+    completed = !recv_done > 0;
+    received = !received;
+    byte_exact = !recv_done > 0 && !mismatches = 0 && !received = d.bytes;
+    rexmits = ts.rexmits;
+    sent_rexmits = !sent_rexmits;
+    wire_carried = Wire.frames_carried wire;
+    wire_dropped = Wire.frames_dropped wire;
+    persist_probes = ts.persist_probes + rs.persist_probes;
+    nomem_drops = ts.nomem_drops + rs.nomem_drops;
+    final_rcv_buf = !final_rcv_buf;
+    counters = counters ();
+    tx; rx; tx_sock = !tx_sock; testbed = tb }
 
-(* rtcp: 1-byte round trips, both sides in [config]. *)
-let rtt_us ?(profile = Cost.paper ()) config ~trips =
-  Cost.with_config profile @@ fun () ->
+(* ---- rtt: rtcp ---- *)
+
+(* 1-byte round trips, both sides in [config]: one warm-up trip, then
+   [trips] timed ones on the client's clock.  Returns each trip's virtual
+   nanoseconds (reading the clock charges nothing, so they sum to the
+   whole run's time) and the run's counters. *)
+let rtt config ~trips =
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let serve, _, _ = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, _ = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let result = ref 0.0 in
-  serve ~port:5002 (fun s ->
+  let server = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let client = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let samples = Array.make trips 0 and finished = ref false in
+  Clientos.spawn server.host ~name:"server" (fun () ->
+      let c = ok (server.listen ~port ~backlog:2 ()) in
       let buf = Bytes.create 1 in
       let rec loop () =
-        match s.recv buf 1 with
-        | 0 -> s.close ()
+        match ok (c.recv ~buf ~pos:0 ~len:1) with
+        | 0 -> c.close ()
         | _ ->
-            ignore (s.send buf 1);
+            ignore (ok (c.send ~buf ~pos:0 ~len:1));
             loop ()
       in
       loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5002 (fun s ->
-      let one = Bytes.make 1 'R' in
-      let buf = Bytes.create 1 in
-      ignore (s.send one 1);
-      ignore (s.recv buf 1);
-      let t0 = Machine.now tb.Clientos.host_a.Clientos.machine in
-      for _ = 1 to trips do
-        ignore (s.send one 1);
-        ignore (s.recv buf 1)
-      done;
-      result :=
-        float_of_int (Machine.now tb.Clientos.host_a.Clientos.machine - t0)
-        /. float_of_int trips /. 1e3;
-      s.close ());
-  Clientos.run tb ~until:(fun () -> !result > 0.0);
-  !result
-
-(* rtcp again, but keeping the whole per-trip distribution and the receive
-   fast-path counters (header prediction, the demux's PCB cache, batched
-   RX).  The per-trip [Machine.now] reads charge nothing, so the mean here
-   agrees with [rtt_us] under the same profile. *)
-type rtt_dist = {
-  rtt_mean_us : float;
-  rtt_p50_us : float;
-  rtt_p95_us : float;
-  rtt_p99_us : float;
-  rtt_fastpath_hits : int;
-  rtt_fastpath_fallbacks : int;
-  rtt_pcb_cache_hits : int;
-  rtt_pcb_cache_misses : int;
-  rtt_rx_polls : int;        (* vectored bursts through the glue *)
-  rtt_rx_frames : int;       (* frames those bursts carried *)
-}
-
-let dist ?(profile = Cost.paper ()) config ~trips =
-  Cost.with_config profile @@ fun () ->
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let serve, _, _ = setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, _ = setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let samples = Array.make (max 1 trips) 0 in
-  let finished = ref false in
-  serve ~port:5002 (fun s ->
-      let buf = Bytes.create 1 in
-      let rec loop () =
-        match s.recv buf 1 with
-        | 0 -> s.close ()
-        | _ ->
-            ignore (s.send buf 1);
-            loop ()
+  Clientos.spawn client.host ~name:"client" (fun () ->
+      Kclock.sleep_ns 2_000_000;
+      let c = ok (client.connect ~dst:(ip "10.0.0.2") ~port) in
+      let one = Bytes.make 1 'R' and buf = Bytes.create 1 in
+      let trip () =
+        ignore (ok (c.send ~buf:one ~pos:0 ~len:1));
+        ignore (ok (c.recv ~buf ~pos:0 ~len:1))
       in
-      loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5002 (fun s ->
-      let one = Bytes.make 1 'R' in
-      let buf = Bytes.create 1 in
-      ignore (s.send one 1);
-      ignore (s.recv buf 1);
-      let machine = tb.Clientos.host_a.Clientos.machine in
+      trip ();
+      let machine = client.host.Clientos.machine in
       for i = 0 to trips - 1 do
         let t0 = Machine.now machine in
-        ignore (s.send one 1);
-        ignore (s.recv buf 1);
+        trip ();
         samples.(i) <- Machine.now machine - t0
       done;
       finished := true;
-      s.close ());
+      c.close ());
   Clientos.run tb ~until:(fun () -> !finished);
-  let pct = Percentile.us_of_ns samples in
-  { rtt_mean_us =
-      float_of_int (Array.fold_left ( + ) 0 samples)
-      /. float_of_int (max 1 trips) /. 1e3;
-    rtt_p50_us = pct 50;
-    rtt_p95_us = pct 95;
-    rtt_p99_us = pct 99;
-    rtt_fastpath_hits = Cost.counters.Cost.fastpath_hits;
-    rtt_fastpath_fallbacks = Cost.counters.Cost.fastpath_fallbacks;
-    rtt_pcb_cache_hits = Cost.counters.Cost.pcb_cache_hits;
-    rtt_pcb_cache_misses = Cost.counters.Cost.pcb_cache_misses;
-    rtt_rx_polls = Cost.counters.Cost.rx_polls;
-    rtt_rx_frames = Cost.counters.Cost.rx_batched_frames }
+  samples, counters ()
 
 (* Section 6.2.6: throughput measured from inside the bytecode VM on the
    OSKit configuration.  The VM program loops sys_recv (or sys_send); the
@@ -278,9 +363,9 @@ let dist ?(profile = Cost.paper ()) config ~trips =
 let vm_throughput ~direction ~bytes =
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let vm_host = tb.Clientos.host_a and peer = tb.Clientos.host_b in
-  let env, _ = Clientos.oskit_host vm_host ~ip:(ip "10.0.0.1") ~mask in
-  let stack = Clientos.freebsd_host peer ~ip:(ip "10.0.0.2") ~mask in
+  let vm_ep = setup Oskit tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let peer = setup Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let machine = vm_ep.host.Clientos.machine in
   let finished_ns = ref 0 in
   let chunk = 8192 in
   (* VM program: loop { n = sys(recv/send)(heap 8192, 8192); global1 += n;
@@ -299,335 +384,40 @@ let vm_throughput ~direction ~bytes =
        Vm.Halt |]
   in
   (* Peer: FreeBSD-native source or sink. *)
-  Clientos.spawn peer ~name:"peer" (fun () ->
-      let ls = Bsd_socket.tcp_socket stack in
-      ok (Bsd_socket.so_bind ls ~port:5003);
-      ok (Bsd_socket.so_listen ls ~backlog:1);
-      let conn = ok (Bsd_socket.so_accept ls) in
+  Clientos.spawn peer.host ~name:"peer" (fun () ->
+      let c = ok (peer.listen ~port ~backlog:2 ()) in
       let buf = Bytes.make chunk 'V' in
-      (match direction with
+      match direction with
       | `Receive ->
           (* Peer sends [bytes] to the VM. *)
           let rec push sent =
-            if sent < bytes then begin
-              let n = ok (Bsd_socket.so_send conn ~buf ~pos:0 ~len:(min chunk (bytes - sent))) in
-              push (sent + n)
-            end
+            if sent < bytes then
+              push (sent + ok (c.send ~buf ~pos:0 ~len:(min chunk (bytes - sent))))
           in
           push 0;
-          ignore (Bsd_socket.so_close conn)
+          c.close ()
       | `Send ->
-          let rec sink () =
-            match ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:chunk) with
-            | 0 -> ()
-            | _ -> sink ()
-          in
-          sink ()));
-  Clientos.spawn vm_host ~name:"vm" (fun () ->
+          let rec sink () = if ok (c.recv ~buf ~pos:0 ~len:chunk) > 0 then sink () in
+          sink ());
+  Clientos.spawn vm_ep.host ~name:"vm" (fun () ->
       Kclock.sleep_ns 2_000_000;
-      let fd = ok (Posix.socket env Io_if.Sock_stream) in
-      ok (Posix.connect env fd { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 5003 });
+      let c = ok (vm_ep.connect ~dst:(ip "10.0.0.2") ~port) in
+      let copied = function
+        | Ok n ->
+            Cost.charge_copy n (* the VM-heap copy *);
+            n
+        | Error _ -> 0
+      in
       let bindings =
         { Vm.putc = (fun _ -> ());
-          send =
-            (fun b ~pos ~len ->
-              match Posix.send env fd b ~pos ~len with
-              | Ok n ->
-                  Cost.charge_copy n (* the VM-heap copy *);
-                  n
-              | Error _ -> 0);
-          recv =
-            (fun b ~pos ~len ->
-              match Posix.recv env fd b ~pos ~len with
-              | Ok n ->
-                  Cost.charge_copy n;
-                  n
-              | Error _ -> 0);
-          time_ns = (fun () -> Machine.now vm_host.Clientos.machine) }
+          send = (fun buf ~pos ~len -> copied (c.send ~buf ~pos ~len));
+          recv = (fun buf ~pos ~len -> copied (c.recv ~buf ~pos ~len));
+          time_ns = (fun () -> Machine.now machine) }
       in
       let vm = Vm.create ~heap_size:(64 * 1024) ~bindings program in
-      let t0 = Machine.now vm_host.Clientos.machine in
+      let t0 = Machine.now machine in
       ignore (Vm.run ~fuel:200_000_000 vm);
-      (match direction with `Send -> ignore (Posix.shutdown env fd) | `Receive -> ());
-      finished_ns := Machine.now vm_host.Clientos.machine - t0);
+      (match direction with `Send -> c.close () | `Receive -> ());
+      finished_ns := Machine.now machine - t0);
   Clientos.run tb ~until:(fun () -> !finished_ns > 0);
   float_of_int bytes *. 8e3 /. float_of_int !finished_ns
-
-(* ---- chaos mode: ttcp under injected faults ---- *)
-
-(* Position-dependent payload so delivery is provably byte-exact: any
-   duplicated, reordered, or corrupted byte that leaks through TCP lands at
-   the wrong position and is caught at the receiver. *)
-let pattern pos = (pos * 131) land 0xff
-
-type chaos_result = {
-  goodput_mbit : float;  (* end-to-end, from the receiver's clock *)
-  chaos_rexmits : int;   (* sender-stack data retransmissions *)
-  wire_offered : int;
-  wire_dropped : int;    (* frames netem discarded in transit *)
-  byte_exact : bool;     (* every payload byte correct and accounted for *)
-  rcv_badsum : int;      (* receiver-stack TCP checksum drops *)
-  rcv_dups : int;        (* receiver-stack duplicate-segment drops *)
-}
-
-let chaos_transfer ?(seed = 42) ?(loss = 0.01) ?(corrupt = 0.0)
-    ?(corrupt_min_len = 0) ?(duplicate = 0.0) ?(profile = Cost.paper ()) ~sender
-    ~receiver ~blocks ~blocksize () =
-  Cost.with_config profile @@ fun () ->
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let em =
-    Netem.create ~seed
-      ~policy:{ Netem.default_policy with loss; corrupt; corrupt_min_len; duplicate }
-      ()
-  in
-  Wire.set_netem tb.Clientos.wire (Some em);
-  let total = blocks * blocksize in
-  let serve, _, rstats = setup receiver tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
-  serve ~port:5004 (fun s ->
-      let buf = Bytes.create 16384 in
-      let rec loop () =
-        match s.recv buf 16384 with
-        | 0 ->
-            recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-            s.close ()
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then
-                incr mismatches
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:5004 (fun s ->
-      let block = Bytes.create blocksize in
-      for b = 0 to blocks - 1 do
-        for i = 0 to blocksize - 1 do
-          Bytes.set block i (Char.chr (pattern ((b * blocksize) + i)))
-        done;
-        if s.send block blocksize <> blocksize then failwith "chaos: short send"
-      done;
-      s.close ());
-  Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  if !recv_done = 0 then failwith "chaos: transfer did not complete";
-  { goodput_mbit = float_of_int total *. 8e3 /. float_of_int !recv_done;
-    chaos_rexmits = sstats.rexmits ();
-    wire_offered = Wire.frames_carried tb.Clientos.wire;
-    wire_dropped = Wire.frames_dropped tb.Clientos.wire;
-    byte_exact = (!mismatches = 0 && !received = total);
-    rcv_badsum = rstats.tcp_badsum ();
-    rcv_dups = rstats.tcp_dups () }
-
-(* ---- long fat pipes: ttcp over a stretched wire ---- *)
-
-(* Socket-buffer discipline for a longfat run.  [Lf_default] is the seed
-   configuration (16-bit windows, fixed buffers); [Lf_manual] negotiates
-   wscale and hand-sizes both ends' buffers to 2x the path BDP — the
-   operator's recipe; [Lf_autotune] negotiates wscale and lets the stacks
-   grow their own buffers ([tcp_autotune]); [longfat_profile] says which
-   profile each runs under. *)
-type bufmode = Lf_default | Lf_manual | Lf_autotune
-
-type longfat_result = {
-  lf_mbit : float;          (* end-to-end goodput, receiver's clock *)
-  lf_byte_exact : bool;
-  lf_rexmits : int;
-  lf_rcv_buf : int;         (* receiver buffer at the end of the run *)
-  lf_persist_probes : int;  (* Linux only; 0 elsewhere *)
-}
-
-let longfat_profile bufmode =
-  let p = Cost.paper () in
-  match bufmode with
-  | Lf_default -> p
-  | Lf_manual -> { p with Cost.tcp_wscale = true }
-  | Lf_autotune -> { p with Cost.tcp_wscale = true; tcp_autotune = true }
-
-let longfat_transfer ?(seed = 42) ?(loss = 0.0) ~config ~rtt_ns ~bufmode ~bytes
-    () =
-  let profile = longfat_profile bufmode in
-  Cost.with_config profile @@ fun () ->
-  Clientos.reset_globals ();
-  let tb =
-    Clientos.make_testbed ~models:("3c905", "tulip")
-      ~latency_ns:(max 1_000 (rtt_ns / 2)) ()
-  in
-  if loss > 0.0 then begin
-    let em = Netem.create ~seed ~policy:{ Netem.default_policy with loss } () in
-    Wire.set_netem tb.Clientos.wire (Some em)
-  end;
-  (* BDP at the wire's 100 Mbps: bytes = rate/8 * rtt.  Manual mode sizes
-     to 2x BDP (headroom for ACK clocking), floored at the seed default. *)
-  let bdp = rtt_ns / 80 in
-  let manual =
-    match bufmode with
-    | Lf_manual -> Some (min profile.Cost.tcp_sockbuf_max (max (64 * 1024) (2 * bdp)))
-    | _ -> None
-  in
-  let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
-  let final_rcv_buf = ref 0 and persist_probes = ref 0 and rexmits = ref 0 in
-  let check buf n =
-    for i = 0 to n - 1 do
-      if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mismatches
-    done;
-    received := !received + n
-  in
-  let blocksize = 16384 in
-  (match config with
-  | Oskit | Freebsd ->
-      let stack_b = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-      let stack_a = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-      Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-          let ls = Bsd_socket.tcp_socket stack_b in
-          ok (Bsd_socket.so_bind ls ~port:5005);
-          ok (Bsd_socket.so_listen ls ~backlog:2);
-          let c = ok (Bsd_socket.so_accept ls) in
-          (match manual with
-          | Some b ->
-              Tcp.set_buffer_sizes c.Bsd_socket.pcb
-                ~snd:c.Bsd_socket.pcb.Tcp.snd_buf.Sockbuf.sb_hiwat ~rcv:b
-          | None -> ());
-          let buf = Bytes.create blocksize in
-          let rec loop () =
-            match ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:blocksize) with
-            | 0 ->
-                final_rcv_buf := c.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat;
-                recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-                ignore (Bsd_socket.so_close c)
-            | n ->
-                check buf n;
-                loop ()
-          in
-          loop ());
-      Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-          Kclock.sleep_ns 2_000_000;
-          let s = Bsd_socket.tcp_socket stack_a in
-          (match manual with
-          | Some b ->
-              Tcp.set_buffer_sizes s.Bsd_socket.pcb ~snd:b
-                ~rcv:s.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat
-          | None -> ());
-          ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:5005);
-          let block = Bytes.create blocksize in
-          let rec push sent =
-            if sent < bytes then begin
-              let n = min blocksize (bytes - sent) in
-              for i = 0 to n - 1 do
-                Bytes.set block i (Char.chr (pattern (sent + i)))
-              done;
-              if ok (Bsd_socket.so_send s ~buf:block ~pos:0 ~len:n) <> n then
-                failwith "longfat: short send";
-              push (sent + n)
-            end
-          in
-          push 0;
-          rexmits :=
-            stack_a.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack
-            + stack_a.Bsd_socket.tcp.Tcp.stats.Tcp.fastrexmit;
-          ignore (Bsd_socket.so_close s))
-  | Linux ->
-      let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-      let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-      Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-          let ls = Linux_inet.socket stack_b in
-          Linux_inet.bind stack_b ls ~port:5005;
-          Linux_inet.listen stack_b ls ~backlog:2;
-          let c = ok (Linux_inet.accept stack_b ls) in
-          (match manual with Some b -> c.Linux_inet.rcv_buf_max <- b | None -> ());
-          let buf = Bytes.create blocksize in
-          let rec loop () =
-            match ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:blocksize) with
-            | 0 ->
-                final_rcv_buf := c.Linux_inet.rcv_buf_max;
-                recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-                Linux_inet.close stack_b c
-            | n ->
-                check buf n;
-                loop ()
-          in
-          loop ());
-      Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-          Kclock.sleep_ns 2_000_000;
-          let s = Linux_inet.socket stack_a in
-          ok (Linux_inet.connect stack_a s ~dst:(ip "10.0.0.2") ~dport:5005);
-          let block = Bytes.create blocksize in
-          let rec push sent =
-            if sent < bytes then begin
-              let n = min blocksize (bytes - sent) in
-              for i = 0 to n - 1 do
-                Bytes.set block i (Char.chr (pattern (sent + i)))
-              done;
-              if ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
-                failwith "longfat: short send";
-              push (sent + n)
-            end
-          in
-          push 0;
-          rexmits := stack_a.Linux_inet.rexmits;
-          persist_probes :=
-            stack_a.Linux_inet.persist_probes + stack_b.Linux_inet.persist_probes;
-          Linux_inet.close stack_a s));
-  Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  if !recv_done = 0 then failwith "longfat: transfer did not complete";
-  { lf_mbit = float_of_int bytes *. 8e3 /. float_of_int !recv_done;
-    lf_byte_exact = (!mismatches = 0 && !received = bytes);
-    lf_rexmits = !rexmits;
-    lf_rcv_buf = !final_rcv_buf;
-    lf_persist_probes = !persist_probes }
-
-(* Forced zero window on the Linux stack: the receiver accepts, then sits
-   on a full receive queue for [stall_ns] of virtual time before draining.
-   The sender exhausts the advertised window and parks in [send]; only the
-   persist timer talks during the stall.  Returns (persist probes sent,
-   byte-exact). *)
-let zero_window_run ?(stall_ns = 3_000_000_000) ?(bytes = 256 * 1024) () =
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let stack_b = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  let stack_a = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-  let recv_done = ref 0 and mismatches = ref 0 and received = ref 0 in
-  Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-      let ls = Linux_inet.socket stack_b in
-      Linux_inet.bind stack_b ls ~port:5006;
-      Linux_inet.listen stack_b ls ~backlog:2;
-      let c = ok (Linux_inet.accept stack_b ls) in
-      Kclock.sleep_ns stall_ns;
-      let buf = Bytes.create 16384 in
-      let rec loop () =
-        match ok (Linux_inet.recv stack_b c ~buf ~pos:0 ~len:16384) with
-        | 0 ->
-            recv_done := Machine.now tb.Clientos.host_b.Clientos.machine;
-            Linux_inet.close stack_b c
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then
-                incr mismatches
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-      Kclock.sleep_ns 2_000_000;
-      let s = Linux_inet.socket stack_a in
-      ok (Linux_inet.connect stack_a s ~dst:(ip "10.0.0.2") ~dport:5006);
-      let block = Bytes.create 16384 in
-      let rec push sent =
-        if sent < bytes then begin
-          let n = min 16384 (bytes - sent) in
-          for i = 0 to n - 1 do
-            Bytes.set block i (Char.chr (pattern (sent + i)))
-          done;
-          if ok (Linux_inet.send stack_a s ~buf:block ~pos:0 ~len:n) <> n then
-            failwith "zero_window: short send";
-          push (sent + n)
-        end
-      in
-      push 0;
-      Linux_inet.close stack_a s);
-  Clientos.run tb ~until:(fun () -> !recv_done > 0);
-  ( stack_a.Linux_inet.persist_probes,
-    !mismatches = 0 && !received = bytes )

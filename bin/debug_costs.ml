@@ -1,40 +1,21 @@
 (* Sweep cost knobs to see per-component contribution to ttcp elapsed.
-   Each run is the paper profile with the named costs zeroed. *)
+   Each run is the paper profile with the named costs zeroed: 4 MB from
+   one native FreeBSD host to another, through the stream harness. *)
 let run label profile =
-  Cost.with_config profile @@ fun () ->
-  Clientos.reset_globals ();
-  let ip = Oskit.ip_of_string in
-  let mask = ip "255.255.255.0" in
-  let ok = function Ok v -> v | Error e -> failwith (Error.to_string e) in
-  let tb = Clientos.make_testbed () in
-  let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-  let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  let bytes = 4 * 1024 * 1024 in
-  let done_flag = ref false in
-  let t0 = ref 0 and t1 = ref 0 in
-  Clientos.spawn tb.Clientos.host_b (fun () ->
-      let ls = Bsd_socket.tcp_socket sb in
-      ok (Bsd_socket.so_bind ls ~port:5001);
-      ok (Bsd_socket.so_listen ls ~backlog:1);
-      let conn = ok (Bsd_socket.so_accept ls) in
-      let buf = Bytes.create 16384 in
-      let rec loop () =
-        match ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:16384) with
-        | 0 -> (t1 := Machine.now tb.Clientos.host_b.Clientos.machine; done_flag := true)
-        | _ -> loop ()
-      in loop ());
-  Clientos.spawn tb.Clientos.host_a (fun () ->
-      Kclock.sleep_ns 2_000_000;
-      t0 := Machine.now tb.Clientos.host_a.Clientos.machine;
-      let s = Bsd_socket.tcp_socket sa in
-      ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:5001);
-      let data = Bytes.make 16384 'x' in
-      for _ = 1 to bytes / 16384 do ignore (ok (Bsd_socket.so_send s ~buf:data ~pos:0 ~len:16384)) done;
-      ok (Bsd_socket.so_close s));
-  Clientos.run tb ~until:(fun () -> !done_flag);
-  Printf.printf "%-28s %6.2f Mbit/s  (segments=%d acks~=%d)\n%!" label
-    (float_of_int bytes *. 8e3 /. float_of_int (!t1 - !t0))
-    sa.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack sb.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack
+  let r =
+    Cost.with_config profile @@ fun () ->
+    Netbench.stream
+      { Netbench.ttcp with
+        sender = Netbench.Freebsd; receiver = Netbench.Freebsd; bytes = 4 * 1024 * 1024;
+        send_chunk = 16384 }
+  in
+  let segments (ep : Netbench.endpoint) =
+    match ep.stack with
+    | Netbench.Bsd st -> st.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack
+    | Netbench.Lx _ -> 0
+  in
+  Printf.printf "%-28s %6.2f Mbit/s  (segments=%d acks~=%d)\n%!" label r.mbit_receiver
+    (segments r.tx) (segments r.rx)
 
 let () =
   let p = Cost.paper () in

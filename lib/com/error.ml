@@ -105,3 +105,5 @@ exception Error of t
 
 let fail e = raise (Error e)
 let to_result f = try Ok (f ()) with Error e -> Result.Error e
+
+let bad_range buf ~pos ~len = pos < 0 || len < 0 || pos > Bytes.length buf - len

@@ -70,3 +70,10 @@ val fail : t -> 'a
 
 (** [to_result f] runs [f], catching [Error] into [Result.Error]. *)
 val to_result : (unit -> 'a) -> ('a, t) result
+
+(** [bad_range buf ~pos ~len] is true when [pos, pos + len) is not inside
+    [buf].  Every socket call that takes a caller's [~buf ~pos ~len]
+    checks it first and returns [Inval] before any charge, dequeue or
+    state change, so a bad range can neither raise inside a stack nor
+    lose data. *)
+val bad_range : bytes -> pos:int -> len:int -> bool

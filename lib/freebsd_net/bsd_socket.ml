@@ -181,7 +181,7 @@ let so_send s ~buf ~pos ~len =
               push sent)
       | Ok n -> push (sent + n)
   in
-  push 0
+  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval else push 0
 
 (* sosend for mapped file fragments (the sendfile path): loan the
    fragments into the send buffer with no copy, blocking until the bytes
@@ -222,7 +222,9 @@ let so_recv s ~buf ~pos ~len =
           sbwait s 0;
           wait ()
   in
-  if len = 0 then Ok 0 else wait ()
+  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
+  else if len = 0 then Ok 0
+  else wait ()
 
 let so_close s =
   Tcp.usr_close s.st.tcp s.pcb;
@@ -252,13 +254,16 @@ let udp_socket st =
 let uso_bind s ~port = Udp.bind s.ust.udp s.upcb ~port
 
 let uso_sendto s ~buf ~pos ~len ~dst ~dport =
-  Cost.charge_cycles Cost.config.socket_op_cycles;
-  match
-    Error.to_result (fun () ->
-        Udp.output s.ust.udp s.upcb ~dst ~dport ~src:buf ~src_pos:pos ~len)
-  with
-  | Ok () -> Ok len
-  | Result.Error _ as e -> e
+  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
+  else begin
+    Cost.charge_cycles Cost.config.socket_op_cycles;
+    match
+      Error.to_result (fun () ->
+          Udp.output s.ust.udp s.upcb ~dst ~dport ~src:buf ~src_pos:pos ~len)
+    with
+    | Ok () -> Ok len
+    | Result.Error _ as e -> e
+  end
 
 let uso_recvfrom s =
   Cost.charge_cycles Cost.config.socket_op_cycles;

@@ -243,12 +243,14 @@ let udp_socket_com (s : Bsd_socket.usock) : Io_if.socket =
           | None -> Result.Error Error.Notconn);
       so_recv =
         (fun ~buf ~pos ~len ->
-          enter (fun () ->
-              let _, _, payload = Bsd_socket.uso_recvfrom s in
-              let n = min len (Bytes.length payload) in
-              Cost.charge_copy n;
-              Bytes.blit payload 0 buf pos n;
-              Ok n));
+          if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
+          else
+            enter (fun () ->
+                let _, _, payload = Bsd_socket.uso_recvfrom s in
+                let n = min len (Bytes.length payload) in
+                Cost.charge_copy n;
+                Bytes.blit payload 0 buf pos n;
+                Ok n));
       so_sendto =
         (fun ~buf ~pos ~len ~dst ->
           enter (fun () ->
@@ -256,12 +258,14 @@ let udp_socket_com (s : Bsd_socket.usock) : Io_if.socket =
                 ~dport:dst.Io_if.sin_port));
       so_recvfrom =
         (fun ~buf ~pos ~len ->
-          enter (fun () ->
-              let src, sport, payload = Bsd_socket.uso_recvfrom s in
-              let n = min len (Bytes.length payload) in
-              Cost.charge_copy n;
-              Bytes.blit payload 0 buf pos n;
-              Ok (n, { Io_if.sin_addr = src; sin_port = sport })));
+          if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
+          else
+            enter (fun () ->
+                let src, sport, payload = Bsd_socket.uso_recvfrom s in
+                let n = min len (Bytes.length payload) in
+                Cost.charge_copy n;
+                Bytes.blit payload 0 buf pos n;
+                Ok (n, { Io_if.sin_addr = src; sin_port = sport })));
       so_getsockname =
         (fun () ->
           Ok { Io_if.sin_addr = s.Bsd_socket.upcb.Udp.laddr; sin_port = s.Bsd_socket.upcb.Udp.lport });

@@ -1180,7 +1180,7 @@ let send t s ~buf ~pos ~len =
       | Closed -> Result.Error (Option.value s.err ~default:Error.Pipe)
       | _ -> Result.Error Error.Pipe
   in
-  push 0
+  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval else push 0
 
 (* Blocking receive of at least one byte (0 = EOF). *)
 let recv t s ~buf ~pos ~len =
@@ -1223,7 +1223,9 @@ let recv t s ~buf ~pos ~len =
           Sleep_record.sleep s.sleep;
           wait ()
   in
-  if len = 0 then Ok 0 else wait ()
+  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
+  else if len = 0 then Ok 0
+  else wait ()
 
 (* Hard-reset a never-accepted child of a closing listener: free its
    retransmission frames, RST the peer, drop the sock. *)

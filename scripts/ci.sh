@@ -39,6 +39,12 @@
 # touched only by its push_front and is_empty and by the pcb_list
 # accessor, so no segment, SYN, bind or close grows a walk over the whole
 # population back.
+# Every ttcp- or rtcp-shaped run in bench/ and bin/ goes through the one
+# TCP stream harness, bench/netbench.ml (its endpoints, stream and rtt
+# runs): a grep must find so_accept, Linux_inet.accept and Posix.accept
+# nowhere in bench/ or bin/ outside that file, so no second copy grows
+# back beside it; and `type stack_stats` and `let setup config host` must
+# be defined there only, in lib, bench, bin, examples or test.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -66,6 +72,16 @@ fi
 if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \
   | grep -vE 'Dlist\.(push_front|is_empty) t\.pcbs\b|:let pcb_list t = Dlist\.to_list t\.pcbs$'; then
   echo "BSD TCP walks its pcb list outside the pcb_list accessor" >&2
+  exit 1
+fi
+if grep -rnE 'so_accept|Linux_inet\.accept|Posix\.accept' bench bin \
+  | grep -v '^bench/netbench\.ml:'; then
+  echo "TCP accept loop in bench/ or bin/ outside the stream harness" >&2
+  exit 1
+fi
+if grep -rnE '^ *(type stack_stats\b|let setup config host\b)' lib bench bin examples test \
+  | grep -v '^bench/netbench\.ml:'; then
+  echo "stream-harness endpoint or stats type defined outside bench/netbench.ml" >&2
   exit 1
 fi
 dune runtest

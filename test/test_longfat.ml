@@ -16,114 +16,35 @@ let ok = function
 let with_longfat ?(wscale = true) ?(autotune = true) f =
   Cost.with_config { Cost.config with Cost.tcp_wscale = wscale; tcp_autotune = autotune } f
 
-(* Position-dependent payload so any misordered or duplicated byte shows
-   up as a content mismatch, not just a length error. *)
-let pattern i = (i * 131) lxor (i lsr 8) land 0xff
-
 let fresh_testbed ?latency_ns () =
   Clientos.reset_globals ();
   Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
 
-(* One bulk transfer on the Linux stack; returns (byte_exact, client sock,
-   stacks) so callers can pin estimator / flow-control internals. *)
-let linux_transfer ?latency_ns ?netem ?(bytes = 128 * 1024) ?(rcv_stall_ns = 0) () =
-  let tb = fresh_testbed ?latency_ns () in
-  let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-  let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
-  let mism = ref 0 and received = ref 0 and done_flag = ref false in
-  let client_sock = ref None in
-  Clientos.spawn tb.Clientos.host_b ~name:"lf-srv" (fun () ->
-      let ls = Linux_inet.socket sb in
-      Linux_inet.bind sb ls ~port:6100;
-      Linux_inet.listen sb ls ~backlog:1;
-      let c = ok (Linux_inet.accept sb ls) in
-      if rcv_stall_ns > 0 then Kclock.sleep_ns rcv_stall_ns;
-      let buf = Bytes.create 8192 in
-      let rec loop () =
-        match ok (Linux_inet.recv sb c ~buf ~pos:0 ~len:8192) with
-        | 0 ->
-            Linux_inet.close sb c;
-            done_flag := true
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mism
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  Clientos.spawn tb.Clientos.host_a ~name:"lf-cli" (fun () ->
-      Kclock.sleep_ns 1_000_000;
-      let s = Linux_inet.socket sa in
-      client_sock := Some s;
-      ok (Linux_inet.connect sa s ~dst:(ip "10.0.0.2") ~dport:6100);
-      let block = Bytes.create 8192 in
-      let rec push sent =
-        if sent < bytes then begin
-          let n = min 8192 (bytes - sent) in
-          for i = 0 to n - 1 do
-            Bytes.set block i (Char.chr (pattern (sent + i)))
-          done;
-          ignore (ok (Linux_inet.send sa s ~buf:block ~pos:0 ~len:n));
-          push (sent + n)
-        end
-      in
-      push 0;
-      Linux_inet.close sa s);
-  Clientos.run tb ~until:(fun () -> !done_flag);
-  let byte_exact = !done_flag && !mism = 0 && !received = bytes in
-  (byte_exact, Option.get !client_sock, sa, sb)
+(* One patterned bulk transfer on [config]'s stack at both ends (the
+   stream harness's run, 8 KB sends and receives, connect at 1 ms); the
+   result carries the stacks and sockets, so callers can pin estimator
+   and flow-control internals. *)
+let transfer config ?latency_ns ?netem ?(bytes = 128 * 1024) ?(stall_ns = 0) () =
+  Netbench.stream
+    { Netbench.ttcp with
+      sender = config; receiver = config; bytes; send_chunk = 8192; recv_chunk = 8192;
+      delay_ns = 1_000_000; latency_ns; netem; stall_ns }
 
-(* Same shape on the BSD stack. *)
-let bsd_transfer ?latency_ns ?netem ?(bytes = 128 * 1024) () =
-  let tb = fresh_testbed ?latency_ns () in
-  let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-  let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-  (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
-  let mism = ref 0 and received = ref 0 and done_flag = ref false in
-  let client_sock = ref None and server_sock = ref None in
-  Clientos.spawn tb.Clientos.host_b ~name:"lf-srv" (fun () ->
-      let ls = Bsd_socket.tcp_socket sb in
-      ok (Bsd_socket.so_bind ls ~port:6101);
-      ok (Bsd_socket.so_listen ls ~backlog:1);
-      let c = ok (Bsd_socket.so_accept ls) in
-      server_sock := Some c;
-      let buf = Bytes.create 8192 in
-      let rec loop () =
-        match ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:8192) with
-        | 0 ->
-            ignore (Bsd_socket.so_close c);
-            done_flag := true
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mism
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  Clientos.spawn tb.Clientos.host_a ~name:"lf-cli" (fun () ->
-      Kclock.sleep_ns 1_000_000;
-      let s = Bsd_socket.tcp_socket sa in
-      client_sock := Some s;
-      ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:6101);
-      let block = Bytes.create 8192 in
-      let rec push sent =
-        if sent < bytes then begin
-          let n = min 8192 (bytes - sent) in
-          for i = 0 to n - 1 do
-            Bytes.set block i (Char.chr (pattern (sent + i)))
-          done;
-          ignore (ok (Bsd_socket.so_send s ~buf:block ~pos:0 ~len:n));
-          push (sent + n)
-        end
-      in
-      push 0;
-      ignore (Bsd_socket.so_close s));
-  Clientos.run tb ~until:(fun () -> !done_flag);
-  let byte_exact = !done_flag && !mism = 0 && !received = bytes in
-  (byte_exact, Option.get !client_sock, Option.get !server_sock, sa, sb)
+(* Both ends' stacks, and the sender's socket, on one stack type. *)
+let linux_stacks (r : Netbench.result) =
+  match r.tx.stack, r.rx.stack with
+  | Netbench.Lx a, Netbench.Lx b -> a, b
+  | _ -> Alcotest.fail "not a Linux pair"
+
+let linux_sender (r : Netbench.result) =
+  match r.tx_sock with
+  | Some (Netbench.Lx_sock s) -> s
+  | _ -> Alcotest.fail "no Linux sender socket"
+
+let bsd_sender (r : Netbench.result) =
+  match r.tx_sock with
+  | Some (Netbench.Bsd_sock s) -> s
+  | _ -> Alcotest.fail "no BSD sender socket"
 
 (* ------------------------------------------------------------------ *)
 (* Zero-window deadlock: the receiver accepts and then sits on a full
@@ -134,22 +55,18 @@ let bsd_transfer ?latency_ns ?netem ?(bytes = 128 * 1024) () =
    alive and the transfer completes byte-exact. *)
 
 let test_zero_window_probe_recovers () =
-  let byte_exact, _, sa, sb =
-    linux_transfer ~bytes:(192 * 1024) ~rcv_stall_ns:2_500_000_000 ()
-  in
-  Alcotest.(check bool) "transfer completed byte-exact through the stall" true byte_exact;
-  Alcotest.(check bool) "persist probes fired during the stall" true
-    (sa.Linux_inet.persist_probes + sb.Linux_inet.persist_probes > 0)
+  let r = transfer Netbench.Linux ~bytes:(192 * 1024) ~stall_ns:2_500_000_000 () in
+  Alcotest.(check bool) "transfer completed byte-exact through the stall" true r.byte_exact;
+  Alcotest.(check bool) "persist probes fired during the stall" true (r.persist_probes > 0)
 
 (* The probe must not desynchronize sequence space: flags-off transfer with
    a stall plus loss still ends byte-exact, and the peer counts the probe
    bytes as duplicates rather than data. *)
 let test_zero_window_probe_is_sequence_neutral () =
   let em = Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss = 0.02 } () in
-  let byte_exact, _, sa, sb =
-    linux_transfer ~netem:em ~bytes:(128 * 1024) ~rcv_stall_ns:2_000_000_000 ()
-  in
-  Alcotest.(check bool) "byte-exact with stall + 2% loss" true byte_exact;
+  let r = transfer Netbench.Linux ~netem:em ~bytes:(128 * 1024) ~stall_ns:2_000_000_000 () in
+  let sa, sb = linux_stacks r in
+  Alcotest.(check bool) "byte-exact with stall + 2% loss" true r.byte_exact;
   Alcotest.(check bool) "probes fired" true (sa.Linux_inet.persist_probes > 0);
   Alcotest.(check bool) "peer dropped probe bytes as duplicates" true
     (sb.Linux_inet.rcvdup > 0)
@@ -169,11 +86,10 @@ let karn_policy =
 let test_karn_reordering_linux () =
   with_longfat (fun () ->
       let em = Netem.create ~seed:11 ~policy:karn_policy () in
-      let byte_exact, s, sa, _ =
-        linux_transfer ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) ()
-      in
-      Alcotest.(check bool) "byte-exact under loss + reordering" true byte_exact;
-      Alcotest.(check bool) "retransmissions happened" true (sa.Linux_inet.rexmits > 0);
+      let r = transfer Netbench.Linux ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) () in
+      let s = linux_sender r in
+      Alcotest.(check bool) "byte-exact under loss + reordering" true r.byte_exact;
+      Alcotest.(check bool) "retransmissions happened" true (r.rexmits > 0);
       Alcotest.(check bool) "srtt sampled at all" true (s.Linux_inet.srtt_ns > 0);
       (* Path RTT is ~2 ms (+5 ms reorder delay tail); an RTO-ambiguous
          sample is >= 300 ms. *)
@@ -183,13 +99,10 @@ let test_karn_reordering_linux () =
 let test_karn_reordering_bsd () =
   with_longfat (fun () ->
       let em = Netem.create ~seed:13 ~policy:karn_policy () in
-      let byte_exact, s, _, sa, _ =
-        bsd_transfer ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) ()
-      in
-      Alcotest.(check bool) "byte-exact under loss + reordering" true byte_exact;
-      let stats = sa.Bsd_socket.tcp.Tcp.stats in
-      Alcotest.(check bool) "retransmissions happened" true
-        (stats.Tcp.sndrexmitpack + stats.Tcp.fastrexmit > 0);
+      let r = transfer Netbench.Freebsd ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) () in
+      let s = bsd_sender r in
+      Alcotest.(check bool) "byte-exact under loss + reordering" true r.byte_exact;
+      Alcotest.(check bool) "retransmissions happened" true (r.rexmits > 0);
       (* t_srtt is in 500 ms slow-timer ticks << 3: a legitimate ~2 ms
          sample rounds to 0-1 ticks; an ambiguous RTO-scale sample is
          >= 2 ticks (16 after the shift). *)
@@ -265,15 +178,8 @@ let prop_grid_byte_exact =
                      { Netem.default_policy with loss = float_of_int loss_pm /. 1000. }
                    ())
           in
-          let byte_exact =
-            if linux then
-              let be, _, _, _ = linux_transfer ~latency_ns ?netem ~bytes:(96 * 1024) () in
-              be
-            else
-              let be, _, _, _, _ = bsd_transfer ~latency_ns ?netem ~bytes:(96 * 1024) () in
-              be
-          in
-          byte_exact))
+          let config = if linux then Netbench.Linux else Netbench.Freebsd in
+          (transfer config ~latency_ns ?netem ~bytes:(96 * 1024) ()).byte_exact))
 
 (* ------------------------------------------------------------------ *)
 (* Autotuning converges to the BDP: at 20 ms RTT on a 100 Mbit wire the
@@ -287,83 +193,18 @@ let test_autotune_converges_to_bdp () =
   let bdp = rtt_ns / 80 in
   (* Measure the receiver's buffer just before EOF, when the clump
      detector has had the whole transfer to react. *)
-  let measure_linux () =
-    with_longfat (fun () ->
-        let tb = fresh_testbed ~latency_ns:(rtt_ns / 2) () in
-        let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-        let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-        let final = ref 0 and done_flag = ref false in
-        let bytes = 4 * 1024 * 1024 in
-        Clientos.spawn tb.Clientos.host_b ~name:"at-srv" (fun () ->
-            let ls = Linux_inet.socket sb in
-            Linux_inet.bind sb ls ~port:6103;
-            Linux_inet.listen sb ls ~backlog:1;
-            let c = ok (Linux_inet.accept sb ls) in
-            let buf = Bytes.create 16384 in
-            let rec loop () =
-              match ok (Linux_inet.recv sb c ~buf ~pos:0 ~len:16384) with
-              | 0 ->
-                  final := c.Linux_inet.rcv_buf_max;
-                  Linux_inet.close sb c;
-                  done_flag := true
-              | _ -> loop ()
-            in
-            loop ());
-        Clientos.spawn tb.Clientos.host_a ~name:"at-cli" (fun () ->
-            Kclock.sleep_ns 1_000_000;
-            let s = Linux_inet.socket sa in
-            ok (Linux_inet.connect sa s ~dst:(ip "10.0.0.2") ~dport:6103);
-            let block = Bytes.make 16384 'a' in
-            let rec push sent =
-              if sent < bytes then begin
-                ignore (ok (Linux_inet.send sa s ~buf:block ~pos:0 ~len:16384));
-                push (sent + 16384)
-              end
-            in
-            push 0;
-            Linux_inet.close sa s);
-        Clientos.run tb ~until:(fun () -> !done_flag);
-        !final)
+  let measure config =
+    let r =
+      with_longfat (fun () ->
+          Netbench.stream
+            { Netbench.ttcp with
+              sender = config; receiver = config; bytes = 4 * 1024 * 1024; send_chunk = 16384;
+              delay_ns = 1_000_000; latency_ns = Some (rtt_ns / 2) })
+    in
+    Alcotest.(check bool) (Netbench.config_name config ^ ": byte-exact") true r.byte_exact;
+    r.final_rcv_buf
   in
-  let measure_bsd () =
-    with_longfat (fun () ->
-        let tb = fresh_testbed ~latency_ns:(rtt_ns / 2) () in
-        let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-        let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-        let final = ref 0 and done_flag = ref false in
-        let bytes = 4 * 1024 * 1024 in
-        Clientos.spawn tb.Clientos.host_b ~name:"at-srv" (fun () ->
-            let ls = Bsd_socket.tcp_socket sb in
-            ok (Bsd_socket.so_bind ls ~port:6104);
-            ok (Bsd_socket.so_listen ls ~backlog:1);
-            let c = ok (Bsd_socket.so_accept ls) in
-            let buf = Bytes.create 16384 in
-            let rec loop () =
-              match ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:16384) with
-              | 0 ->
-                  final := c.Bsd_socket.pcb.Tcp.rcv_buf.Sockbuf.sb_hiwat;
-                  ignore (Bsd_socket.so_close c);
-                  done_flag := true
-              | _ -> loop ()
-            in
-            loop ());
-        Clientos.spawn tb.Clientos.host_a ~name:"at-cli" (fun () ->
-            Kclock.sleep_ns 1_000_000;
-            let s = Bsd_socket.tcp_socket sa in
-            ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:6104);
-            let block = Bytes.make 16384 'a' in
-            let rec push sent =
-              if sent < bytes then begin
-                ignore (ok (Bsd_socket.so_send s ~buf:block ~pos:0 ~len:16384));
-                push (sent + 16384)
-              end
-            in
-            push 0;
-            ignore (Bsd_socket.so_close s));
-        Clientos.run tb ~until:(fun () -> !done_flag);
-        !final)
-  in
-  let lx = measure_linux () and fb = measure_bsd () in
+  let lx = measure Netbench.Linux and fb = measure Netbench.Freebsd in
   Alcotest.(check bool)
     (Printf.sprintf "linux receive buffer grew past the BDP (%d >= %d)" lx bdp)
     true (lx >= bdp);
@@ -377,18 +218,20 @@ let test_autotune_converges_to_bdp () =
 let test_jumbo_mss () =
   Cost.with_config { Cost.config with Cost.tcp_mss = 9000 } (fun () ->
       with_longfat (fun () ->
-          let byte_exact, s, _, _ = linux_transfer ~bytes:(512 * 1024) () in
-          Alcotest.(check bool) "linux: byte-exact at MSS 9000" true byte_exact;
-          Alcotest.(check int) "linux: negotiated jumbo segment" 9000 s.Linux_inet.smss;
-          let byte_exact, s, _, _, _ = bsd_transfer ~bytes:(512 * 1024) () in
-          Alcotest.(check bool) "bsd: byte-exact at MSS 9000" true byte_exact;
+          let r = transfer Netbench.Linux ~bytes:(512 * 1024) () in
+          Alcotest.(check bool) "linux: byte-exact at MSS 9000" true r.byte_exact;
+          Alcotest.(check int) "linux: negotiated jumbo segment" 9000
+            (linux_sender r).Linux_inet.smss;
+          let r = transfer Netbench.Freebsd ~bytes:(512 * 1024) () in
+          Alcotest.(check bool) "bsd: byte-exact at MSS 9000" true r.byte_exact;
           Alcotest.(check int) "bsd: negotiated jumbo segment" 9000
-            s.Bsd_socket.pcb.Tcp.t_maxseg))
+            (bsd_sender r).Bsd_socket.pcb.Tcp.t_maxseg))
 
 (* Knob off: buffers must not move, even on a long-fat path. *)
 let test_autotune_off_buffers_fixed () =
-  let byte_exact, _, _, sb = linux_transfer ~latency_ns:10_000_000 ~bytes:(512 * 1024) () in
-  Alcotest.(check bool) "flags-off transfer still byte-exact" true byte_exact;
+  let r = transfer Netbench.Linux ~latency_ns:10_000_000 ~bytes:(512 * 1024) () in
+  let _, sb = linux_stacks r in
+  Alcotest.(check bool) "flags-off transfer still byte-exact" true r.byte_exact;
   List.iter
     (fun s ->
       Alcotest.(check int) "linux rcv_buf_max untouched" Linux_inet.default_window

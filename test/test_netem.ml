@@ -7,10 +7,6 @@
 let ip = Oskit.ip_of_string
 let mask = ip "255.255.255.0"
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-
 (* ------------------------------------------------------------------ *)
 (* The emulator in isolation.                                          *)
 
@@ -107,156 +103,9 @@ let test_per_port_policy () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: ttcp through the emulator, all three configurations.    *)
-
-type config = Oskit | Freebsd | Linux
-
-type sock = {
-  send : bytes -> int -> int;
-  recv : bytes -> int -> int;
-  close : unit -> unit;
-}
-
-type stack_stats = {
-  rexmits : unit -> int;
-  badsum : unit -> int; (* IP + TCP checksum drops *)
-  dups : unit -> int;
-}
-
-let bsd_stats (stack : Bsd_socket.stack) =
-  let s = stack.Bsd_socket.tcp.Tcp.stats in
-  { rexmits = (fun () -> s.Tcp.sndrexmitpack + s.Tcp.fastrexmit);
-    badsum = (fun () -> stack.Bsd_socket.ip.Ip.badsum + s.Tcp.rcvbadsum);
-    dups = (fun () -> s.Tcp.rcvdup) }
-
-let linux_stats (stack : Linux_inet.stack) =
-  { rexmits = (fun () -> stack.Linux_inet.rexmits);
-    badsum = (fun () -> stack.Linux_inet.ipbadsum + stack.Linux_inet.tcpbadsum);
-    dups = (fun () -> stack.Linux_inet.rcvdup) }
-
-(* Prepare one host of the testbed in [config]; returns (serve, connect,
-   stats) — the same role-neutral shape the benches use, so the three
-   configurations interoperate freely on the shared wire. *)
-let setup config host ~addr =
-  match config with
-  | Oskit ->
-      let env, stack = Clientos.oskit_host host ~ip:addr ~mask in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.bind env fd { Io_if.sin_addr = addr; sin_port = port });
-            ok (Posix.listen env fd ~backlog:2);
-            let conn, _ = ok (Posix.accept env fd) in
-            k
-              { send = (fun b len -> ok (Posix.send env conn b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env conn b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.close env conn)) })
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let fd = ok (Posix.socket env Io_if.Sock_stream) in
-            ok (Posix.connect env fd { Io_if.sin_addr = dst; sin_port = port });
-            k
-              { send = (fun b len -> ok (Posix.send env fd b ~pos:0 ~len));
-                recv = (fun b len -> ok (Posix.recv env fd b ~pos:0 ~len));
-                close = (fun () -> ignore (Posix.shutdown env fd)) })
-      in
-      serve, connect, bsd_stats stack
-  | Freebsd ->
-      let stack = Clientos.freebsd_host host ~ip:addr ~mask in
-      let of_tsock s =
-        { send = (fun b len -> ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Bsd_socket.so_recv s ~buf:b ~pos:0 ~len));
-          close = (fun () -> ignore (Bsd_socket.so_close s)) }
-      in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_bind ls ~port);
-            ok (Bsd_socket.so_listen ls ~backlog:2);
-            k (of_tsock (ok (Bsd_socket.so_accept ls))))
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Bsd_socket.tcp_socket stack in
-            ok (Bsd_socket.so_connect s ~dst ~dport:port);
-            k (of_tsock s))
-      in
-      serve, connect, bsd_stats stack
-  | Linux ->
-      let stack = Clientos.linux_host host ~ip:addr ~mask in
-      let of_sock s =
-        { send = (fun b len -> ok (Linux_inet.send stack s ~buf:b ~pos:0 ~len));
-          recv = (fun b len -> ok (Linux_inet.recv stack s ~buf:b ~pos:0 ~len));
-          close = (fun () -> Linux_inet.close stack s) }
-      in
-      let serve ~port k =
-        Clientos.spawn host ~name:"server" (fun () ->
-            let ls = Linux_inet.socket stack in
-            Linux_inet.bind stack ls ~port;
-            Linux_inet.listen stack ls ~backlog:2;
-            k (of_sock (ok (Linux_inet.accept stack ls))))
-      in
-      let connect ~dst ~port k =
-        Clientos.spawn host ~name:"client" (fun () ->
-            Kclock.sleep_ns 2_000_000;
-            let s = Linux_inet.socket stack in
-            ok (Linux_inet.connect stack s ~dst ~dport:port);
-            k (of_sock s))
-      in
-      serve, connect, linux_stats stack
-
-(* Position-dependent payload: a duplicated, reordered, or damaged byte
-   that leaked through TCP lands at the wrong offset and is caught. *)
-let pattern pos = (pos * 131) land 0xff
-
-(* ttcp from a [sender]-config host to a FreeBSD-native receiver under a
-   fault plan; returns (byte_exact, sender_stats, receiver_stats, testbed).
-   [tap] hears every frame the wire delivers, with the world's time. *)
-let run_transfer ?netem ?fault ?tap ~sender ~blocks ~blocksize () =
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  (match netem with Some em -> Wire.set_netem tb.Clientos.wire (Some em) | None -> ());
-  (match fault with
-  | Some f -> Wire.set_fault_injector tb.Clientos.wire (Some f)
-  | None -> ());
-  (match tap with
-  | Some f ->
-      let w = tb.Clientos.world in
-      ignore (Wire.attach tb.Clientos.wire ~rx:(fun frame -> f (World.now w) frame))
-  | None -> ());
-  let total = blocks * blocksize in
-  let serve, _, rstats = setup Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let _, connect, sstats = setup sender tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let recv_done = ref false and mismatches = ref 0 and received = ref 0 in
-  serve ~port:6001 (fun s ->
-      let buf = Bytes.create 16384 in
-      let rec loop () =
-        match s.recv buf 16384 with
-        | 0 ->
-            recv_done := true;
-            s.close ()
-        | n ->
-            for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then incr mismatches
-            done;
-            received := !received + n;
-            loop ()
-      in
-      loop ());
-  connect ~dst:(ip "10.0.0.2") ~port:6001 (fun s ->
-      let block = Bytes.create blocksize in
-      for b = 0 to blocks - 1 do
-        for i = 0 to blocksize - 1 do
-          Bytes.set block i (Char.chr (pattern ((b * blocksize) + i)))
-        done;
-        if s.send block blocksize <> blocksize then Alcotest.fail "short send"
-      done;
-      s.close ());
-  Clientos.run tb ~until:(fun () -> !recv_done);
-  (!mismatches = 0 && !received = total), sstats, rstats, tb
+(* End-to-end: ttcp through the emulator, all three configurations,
+   each run the stream harness's: 4 KB blocks from a [sender]-config
+   host to a FreeBSD-native receiver, under a fault plan.               *)
 
 (* Drop exactly one mid-flow data segment and one mid-flow ACK: the
    retransmission path must repair both without corrupting the stream. *)
@@ -272,15 +121,13 @@ let targeted_drop_test sender () =
       !small = 12
     end
   in
-  let byte_exact, sstats, _, tb =
-    run_transfer ~fault ~sender ~blocks:32 ~blocksize:4096 ()
-  in
-  Alcotest.(check bool) "delivery is byte-exact" true byte_exact;
-  Alcotest.(check int) "exactly two frames dropped" 2 (Wire.frames_dropped tb.Clientos.wire);
-  Alcotest.(check bool) "the lost data segment was retransmitted" true (sstats.rexmits () >= 1);
-  Alcotest.(check int) "wire accounting: carried = delivered + dropped"
-    (Wire.frames_carried tb.Clientos.wire)
-    (Wire.frames_delivered tb.Clientos.wire + Wire.frames_dropped tb.Clientos.wire)
+  let r = Netbench.stream { Netbench.ttcp with sender; fault = Some fault; bytes = 32 * 4096 } in
+  let wire = r.testbed.Clientos.wire in
+  Alcotest.(check bool) "delivery is byte-exact" true r.byte_exact;
+  Alcotest.(check int) "exactly two frames dropped" 2 r.wire_dropped;
+  Alcotest.(check bool) "the lost data segment was retransmitted" true (r.rexmits >= 1);
+  Alcotest.(check int) "wire accounting: carried = delivered + dropped" r.wire_carried
+    (Wire.frames_delivered wire + r.wire_dropped)
 
 let test_corruption_detected () =
   let em =
@@ -288,27 +135,30 @@ let test_corruption_detected () =
       ~policy:{ Netem.default_policy with corrupt = 0.05; corrupt_min_len = 1000 }
       ()
   in
-  let byte_exact, _, rstats, _ =
-    run_transfer ~netem:em ~sender:Freebsd ~blocks:32 ~blocksize:4096 ()
+  let r =
+    Netbench.stream
+      { Netbench.ttcp with sender = Netbench.Freebsd; netem = Some em; bytes = 32 * 4096 }
   in
   let c = Netem.counters em in
   Alcotest.(check bool) "frames were corrupted" true (c.Netem.corrupted >= 1);
   Alcotest.(check int) "every damaged frame caught by a checksum" c.Netem.corrupted
-    (rstats.badsum ());
-  Alcotest.(check bool) "stream survived byte-exact" true byte_exact
+    (Netbench.stats r.rx.stack).badsum;
+  Alcotest.(check bool) "stream survived byte-exact" true r.byte_exact
 
 let test_duplicate_segments () =
   let em = Netem.create ~seed:5 ~policy:{ Netem.default_policy with duplicate = 0.1 } () in
-  let byte_exact, _, rstats, tb =
-    run_transfer ~netem:em ~sender:Freebsd ~blocks:16 ~blocksize:4096 ()
+  let r =
+    Netbench.stream
+      { Netbench.ttcp with sender = Netbench.Freebsd; netem = Some em; bytes = 16 * 4096 }
   in
   let c = Netem.counters em in
   Alcotest.(check bool) "duplicates injected" true (c.Netem.duplicated >= 1);
-  Alcotest.(check bool) "receiver discarded repeated segments" true (rstats.dups () >= 1);
-  Alcotest.(check bool) "stream survived byte-exact" true byte_exact;
+  Alcotest.(check bool) "receiver discarded repeated segments" true
+    ((Netbench.stats r.rx.stack).dups >= 1);
+  Alcotest.(check bool) "stream survived byte-exact" true r.byte_exact;
   Alcotest.(check int) "wire accounting includes duplicate deliveries"
-    (Wire.frames_carried tb.Clientos.wire + c.Netem.duplicated)
-    (Wire.frames_delivered tb.Clientos.wire + Wire.frames_dropped tb.Clientos.wire)
+    (r.wire_carried + c.Netem.duplicated)
+    (Wire.frames_delivered r.testbed.Clientos.wire + r.wire_dropped)
 
 (* ------------------------------------------------------------------ *)
 (* ARP hardening.                                                      *)
@@ -319,13 +169,14 @@ let test_duplicate_segments () =
    The resolver is shared, so both stacks must give the same account. *)
 let test_arp_bounded_queue_and_give_up config () =
   Clientos.reset_globals ();
-  let models = if config = Linux then "3c59x", "lance" else "3c905", "tulip" in
+  let models = if config = Netbench.Linux then "3c59x", "lance" else "3c905", "tulip" in
   let tb = Clientos.make_testbed ~models () in
   let host = tb.Clientos.host_a and addr = ip "10.0.0.1" in
   let a =
     match config with
-    | Linux -> (Clientos.linux_host host ~ip:addr ~mask).Linux_inet.arp
-    | Freebsd | Oskit -> (Clientos.freebsd_host host ~ip:addr ~mask).Bsd_socket.arp
+    | Netbench.Linux -> (Clientos.linux_host host ~ip:addr ~mask).Linux_inet.arp
+    | Netbench.Freebsd | Netbench.Oskit ->
+        (Clientos.freebsd_host host ~ip:addr ~mask).Bsd_socket.arp
   in
   let drops = ref 0 and resolved = ref 0 in
   Clientos.spawn host (fun () ->
@@ -348,17 +199,17 @@ let test_arp_bounded_queue_and_give_up config () =
 let test_arp_retry_recovers_after_partition () =
   let em = Netem.create ~seed:3 () in
   Netem.add_partition em ~from_ns:0 ~until_ns:1_200_000_000;
-  let byte_exact, sstats, _, tb =
-    run_transfer ~netem:em ~sender:Freebsd ~blocks:4 ~blocksize:1024 ()
+  let r =
+    Netbench.stream
+      { Netbench.ttcp with
+        sender = Netbench.Freebsd; netem = Some em; bytes = 4 * 1024; send_chunk = 1024 }
   in
-  ignore sstats;
-  Alcotest.(check bool) "transfer completed byte-exact" true byte_exact;
+  Alcotest.(check bool) "transfer completed byte-exact" true r.byte_exact;
   let c = Netem.counters em in
   Alcotest.(check bool) "the partition really ate frames" true (c.Netem.partitioned >= 2);
   (* The client ARPs for the server: request at ~2 ms and the 0.5 s retry
      both land in the partition; the 1.5 s retry gets through. *)
-  Alcotest.(check bool) "resolution needed the backoff retries" true
-    (Wire.frames_dropped tb.Clientos.wire >= 2)
+  Alcotest.(check bool) "resolution needed the backoff retries" true (r.wire_dropped >= 2)
 
 (* The Linux stack's backstop: connecting to a host ARP can never resolve
    must end in Timedout — not an infinite retransmit loop — with the ARP
@@ -386,15 +237,16 @@ let suite =
     Alcotest.test_case "partition window" `Quick test_partition_window;
     Alcotest.test_case "gilbert-elliott burst loss" `Quick test_ge_burst_loss;
     Alcotest.test_case "per-port asymmetric policy" `Quick test_per_port_policy;
-    Alcotest.test_case "targeted drop: freebsd sender" `Quick (targeted_drop_test Freebsd);
-    Alcotest.test_case "targeted drop: oskit sender" `Quick (targeted_drop_test Oskit);
-    Alcotest.test_case "targeted drop: linux sender" `Quick (targeted_drop_test Linux);
+    Alcotest.test_case "targeted drop: freebsd sender" `Quick
+      (targeted_drop_test Netbench.Freebsd);
+    Alcotest.test_case "targeted drop: oskit sender" `Quick (targeted_drop_test Netbench.Oskit);
+    Alcotest.test_case "targeted drop: linux sender" `Quick (targeted_drop_test Netbench.Linux);
     Alcotest.test_case "corruption caught by checksums" `Quick test_corruption_detected;
     Alcotest.test_case "duplicate segments discarded" `Quick test_duplicate_segments;
     Alcotest.test_case "arp bounded queue and give-up" `Quick
-      (test_arp_bounded_queue_and_give_up Freebsd);
+      (test_arp_bounded_queue_and_give_up Netbench.Freebsd);
     Alcotest.test_case "arp bounded queue and give-up: linux" `Quick
-      (test_arp_bounded_queue_and_give_up Linux);
+      (test_arp_bounded_queue_and_give_up Netbench.Linux);
     Alcotest.test_case "arp retry recovers after partition" `Quick
       test_arp_retry_recovers_after_partition;
     Alcotest.test_case "linux unreachable host times out" `Quick

@@ -362,14 +362,22 @@ let client_ip = ip "10.0.0.2"
 let listen_port = 7007
 
 (* A fresh testbed with a [config] listener on host A and a FreeBSD
-   client on host B, whose card also serves as the raw frame injector. *)
+   client on host B, whose card also serves as the raw frame injector.
+   [connect k] connects from B, 2 ms on, and hands [k] the connection. *)
 let listening_rig config =
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let serve, _, _ = Test_netem.setup config tb.Clientos.host_a ~addr:server_ip in
-  let _, connect, _ = Test_netem.setup Test_netem.Freebsd tb.Clientos.host_b ~addr:client_ip in
+  let server = Netbench.setup config tb.Clientos.host_a ~addr:server_ip in
+  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_b ~addr:client_ip in
   let accepted = ref false in
-  serve ~port:listen_port (fun _ -> accepted := true);
+  Clientos.spawn server.host (fun () ->
+      ignore (Netbench.ok (server.listen ~port:listen_port ~backlog:2 ()));
+      accepted := true);
+  let connect k =
+    Clientos.spawn client.host (fun () ->
+        Kclock.sleep_ns 2_000_000;
+        k (Netbench.ok (client.connect ~dst:server_ip ~port:listen_port)))
+  in
   tb, connect, accepted
 
 let run_for tb ns =
@@ -419,7 +427,7 @@ let test_malformed_headers config () =
   inject tb ~ethertype:0x0800 (datagram ~total:10 (bad_offset_syn 20));
   run_for tb 50_000_000;
   Alcotest.(check bool) "nothing accepted from garbage" false !accepted;
-  connect ~dst:server_ip ~port:listen_port (fun _ -> ());
+  connect ignore;
   let deadline = World.now tb.Clientos.world + 5_000_000_000 in
   Clientos.run tb ~until:(fun () -> !accepted || World.now tb.Clientos.world >= deadline);
   Alcotest.(check bool) "the listener still accepts a clean connection" true !accepted
@@ -430,13 +438,13 @@ let test_malformed_headers config () =
    included, as it crossed the wire. *)
 let clean_frames =
   lazy
-    (let tb, connect, _ = listening_rig Test_netem.Freebsd in
+    (let tb, connect, _ = listening_rig Netbench.Freebsd in
      let frames = ref [] in
      ignore (Wire.attach tb.Clientos.wire ~rx:(fun f -> frames := f :: !frames));
      let sent = ref false in
-     connect ~dst:server_ip ~port:listen_port (fun s ->
-         ignore (s.Test_netem.send (Bytes.make 3000 'z') 3000);
-         s.Test_netem.close ();
+     connect (fun c ->
+         ignore (Netbench.ok (c.send ~buf:(Bytes.make 3000 'z') ~pos:0 ~len:3000));
+         c.close ();
          sent := true);
      Clientos.run tb ~until:(fun () -> !sent);
      run_for tb 10_000_000;
@@ -498,7 +506,7 @@ let prop_damaged_headers_never_raise =
           run_for tb 1_000_000;
           inject tb ~ethertype:(Bytes.get_uint16_be f 12) (Bytes.sub f 14 (Bytes.length f - 14));
           run_for tb 5_000_000)
-        Test_netem.[ Linux; Freebsd; Oskit ];
+        Netbench.[ Linux; Freebsd; Oskit ];
       true)
 
 (* ---- ARP input frees the request on every path ---- *)
@@ -569,11 +577,11 @@ let suite =
       test_udp_short_length_field;
     QCheck_alcotest.to_alcotest prop_tcp_header_roundtrip;
     Alcotest.test_case "malformed headers: linux" `Quick
-      (test_malformed_headers Test_netem.Linux);
+      (test_malformed_headers Netbench.Linux);
     Alcotest.test_case "malformed headers: freebsd" `Quick
-      (test_malformed_headers Test_netem.Freebsd);
+      (test_malformed_headers Netbench.Freebsd);
     Alcotest.test_case "malformed headers: oskit" `Quick
-      (test_malformed_headers Test_netem.Oskit);
+      (test_malformed_headers Netbench.Oskit);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
       prop_damaged_headers_never_raise;
     Alcotest.test_case "arp reply refused: request freed (bsd)" `Quick

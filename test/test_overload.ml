@@ -491,127 +491,23 @@ let test_tw_cap_linux () = tw_cap ~linux:true ()
    pooled allocations (in bursts of 2), a bulk transfer on either stack
    still completes byte-exact and no Nomem ever escapes as an exception
    (an escape would kill the spawned thread and the transfer would never
-   finish).  The client code here is deliberately backpressure-honest:
-   partial sends and Nomem errors are retried, the way a caller that
-   receives ENOBUFS has to.                                              *)
-
-let pattern i = (i * 131) lxor (i lsr 8) land 0xff
+   finish).  The stream harness's sender is backpressure-honest here
+   ([retry]): partial sends, Nomem errors and a refused connect are
+   retried, the way a caller that receives ENOBUFS has to.               *)
 
 let soak_transfer ~linux ~prob ~burst ~seed ~bytes () =
   with_overload ~alloc_fail_prob:prob ~alloc_fail_burst:burst ~alloc_fail_seed:seed
     (fun () ->
-      let tb = fresh_testbed () in
-      let mism = ref 0 and received = ref 0 and done_flag = ref false in
-      let send_all send buf len =
-        let rec go off =
-          if off < len then
-            match send ~buf ~pos:off ~len:(len - off) with
-            | Ok n when n > 0 -> go (off + n)
-            | Ok _ -> Kclock.sleep_ns 1_000_000; go off
-            | Error Error.Nomem -> Kclock.sleep_ns 5_000_000; go off
-            | Error e -> Alcotest.failf "send failed: %s" (Error.to_string e)
-        in
-        go 0
+      let config = if linux then Netbench.Linux else Netbench.Freebsd in
+      let r =
+        Netbench.stream
+          { Netbench.ttcp with
+            sender = config; receiver = config; bytes; recv_chunk = 4096;
+            delay_ns = 1_000_000; retry = true }
       in
-      let fill block sent n =
-        for i = 0 to n - 1 do
-          Bytes.set block i (Char.chr (pattern (sent + i)))
-        done
-      in
-      if linux then begin
-        let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-        let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-        Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-            let ls = Linux_inet.socket sb in
-            Linux_inet.bind sb ls ~port:7600;
-            Linux_inet.listen sb ls ~backlog:2;
-            let c = ok (Linux_inet.accept sb ls) in
-            let buf = Bytes.create 4096 in
-            let rec loop () =
-              match ok (Linux_inet.recv sb c ~buf ~pos:0 ~len:4096) with
-              | 0 -> Linux_inet.close sb c; done_flag := true
-              | n ->
-                  for i = 0 to n - 1 do
-                    if Char.code (Bytes.get buf i) <> pattern (!received + i) then
-                      incr mism
-                  done;
-                  received := !received + n;
-                  loop ()
-            in
-            loop ());
-        Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
-            Kclock.sleep_ns 1_000_000;
-            (* connect can legitimately refuse with Nomem under injection:
-               retry with a fresh socket, as a real caller would. *)
-            let rec connect tries =
-              let s = Linux_inet.socket sa in
-              match Linux_inet.connect sa s ~dst:(ip "10.0.0.2") ~dport:7600 with
-              | Ok () -> s
-              | Error _ when tries < 20 -> Kclock.sleep_ns 10_000_000; connect (tries + 1)
-              | Error e -> Alcotest.failf "connect: %s" (Error.to_string e)
-            in
-            let s = connect 0 in
-            let block = Bytes.create 4096 in
-            let rec push sent =
-              if sent < bytes then begin
-                let n = min 4096 (bytes - sent) in
-                fill block sent n;
-                send_all (fun ~buf ~pos ~len -> Linux_inet.send sa s ~buf ~pos ~len)
-                  block n;
-                push (sent + n)
-              end
-            in
-            push 0;
-            Linux_inet.close sa s)
-      end
-      else begin
-        let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-        let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-        Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-            let ls = Bsd_socket.tcp_socket sb in
-            ok (Bsd_socket.so_bind ls ~port:7600);
-            ok (Bsd_socket.so_listen ls ~backlog:2);
-            let c = ok (Bsd_socket.so_accept ls) in
-            let buf = Bytes.create 4096 in
-            let rec loop () =
-              match ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:4096) with
-              | 0 -> ignore (Bsd_socket.so_close c); done_flag := true
-              | n ->
-                  for i = 0 to n - 1 do
-                    if Char.code (Bytes.get buf i) <> pattern (!received + i) then
-                      incr mism
-                  done;
-                  received := !received + n;
-                  loop ()
-            in
-            loop ());
-        Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
-            Kclock.sleep_ns 1_000_000;
-            let rec connect tries =
-              let s = Bsd_socket.tcp_socket sa in
-              match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:7600 with
-              | Ok () -> s
-              | Error _ when tries < 20 -> Kclock.sleep_ns 10_000_000; connect (tries + 1)
-              | Error e -> Alcotest.failf "connect: %s" (Error.to_string e)
-            in
-            let s = connect 0 in
-            let block = Bytes.create 4096 in
-            let rec push sent =
-              if sent < bytes then begin
-                let n = min 4096 (bytes - sent) in
-                fill block sent n;
-                send_all (fun ~buf ~pos ~len -> Bsd_socket.so_send s ~buf ~pos ~len)
-                  block n;
-                push (sent + n)
-              end
-            in
-            push 0;
-            ignore (Bsd_socket.so_close s))
-      end;
-      Clientos.run tb ~until:(fun () -> !done_flag);
-      Alcotest.(check bool) "transfer completed" true !done_flag;
-      Alcotest.(check int) "no byte mismatches" 0 !mism;
-      Alcotest.(check int) "every byte arrived" bytes !received;
+      Alcotest.(check bool) "transfer completed" true r.completed;
+      Alcotest.(check bool) "no byte mismatches" true r.byte_exact;
+      Alcotest.(check int) "every byte arrived" bytes r.received;
       Alcotest.(check bool) "the injector was drawing verdicts" true
         (Memfault.draws () > 0);
       Memfault.failures ())
@@ -641,7 +537,7 @@ let make_root () =
   let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
   let root = ok (Fs_glue.newfs dev) in
   let f = ok (root.Io_if.d_create "index.html") in
-  let body = Bytes.init file_bytes (fun i -> Char.chr (pattern i)) in
+  let body = Bytes.init file_bytes (fun i -> Char.chr (Netbench.pattern i)) in
   let rec push off =
     if off < file_bytes then
       match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off) with

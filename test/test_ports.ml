@@ -12,7 +12,7 @@ let addr_a = ip "10.0.0.1"
 let addr_b = ip "10.0.0.2"
 let server_port = 5001
 let bytes = 20_000
-let pattern n = Bytes.init n (fun i -> Char.chr ((i * 131) land 0xff))
+let pattern n = Bytes.init n (fun i -> Char.chr (Netbench.pattern i))
 
 let ok = function
   | Ok v -> v

@@ -367,13 +367,10 @@ let test_blkio_aligned_write_no_copy () =
 let test_sg_ttcp_byte_exact_under_loss () =
   with_sg_tx true (fun () ->
       let em = Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss = 0.03 } () in
-      let byte_exact, _, _, tb =
-        Test_netem.run_transfer ~netem:em ~sender:Test_netem.Oskit ~blocks:32
-          ~blocksize:4096 ()
-      in
-      Alcotest.(check bool) "sg + 3% loss: byte-exact" true byte_exact;
+      let r = Netbench.stream { Netbench.ttcp with netem = Some em; bytes = 32 * 4096 } in
+      Alcotest.(check bool) "sg + 3% loss: byte-exact" true r.byte_exact;
       Alcotest.(check bool) "losses were real (frames dropped in transit)" true
-        (Wire.frames_dropped tb.Clientos.wire > 0);
+        (r.wire_dropped > 0);
       Alcotest.(check int) "sg path carried the data" 0 Cost.counters.Cost.linearized_xmits;
       Alcotest.(check bool) "sg xmits happened" true (Cost.counters.Cost.sg_xmits > 0))
 

@@ -252,8 +252,6 @@ let test_nic_rss_queues () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end across CPU counts: ttcp, byte-exact, clean and lossy.    *)
 
-let pattern pos = (pos * 131) land 0xff
-
 let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
   with_ncpus ncpus @@ fun () ->
   Clientos.reset_globals ();
@@ -279,7 +277,7 @@ let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
             ignore (Bsd_socket.so_close s)
         | n ->
             for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> pattern (!received + i) then
+              if Char.code (Bytes.get buf i) <> Netbench.pattern (!received + i) then
                 incr mismatches
             done;
             received := !received + n;
@@ -293,7 +291,7 @@ let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
       let block = Bytes.create blocksize in
       for b = 0 to blocks - 1 do
         for i = 0 to blocksize - 1 do
-          Bytes.set block i (Char.chr (pattern ((b * blocksize) + i)))
+          Bytes.set block i (Char.chr (Netbench.pattern ((b * blocksize) + i)))
         done;
         let rec push off =
           if off < blocksize then
@@ -370,7 +368,7 @@ let run_httpd ?(loss = 0.0) ~ncpus ~clients () =
   let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
   let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
   let root = ok (Fs_glue.newfs dev) in
-  let body = String.init 512 (fun i -> Char.chr (pattern i)) in
+  let body = String.init 512 (fun i -> Char.chr (Netbench.pattern i)) in
   let f = ok (root.Io_if.d_create "index.html") in
   (let b = Bytes.of_string body in
    let rec push off =
