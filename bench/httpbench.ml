@@ -14,20 +14,19 @@
    path and the Slowloris half of the overload bench — is data: a [desc]
    of the run (testbed, site, budgets, request shape, client schedule)
    and a [Cost.config] profile the run is installed under.  Every response
-   is checked byte for byte against the served file. *)
+   is checked byte for byte against the served file.
 
-type stack = Freebsd_com | Linux_com | Oskit_com
-
-let stack_name = function
-  | Freebsd_com -> "FreeBSD"
-  | Linux_com -> "Linux"
-  | Oskit_com -> "OSKit"
+   A run is [serve] (the testbed, the site and the server) plus clients
+   built from [connect], [send_string], [drain] and [reader].  The HTTP
+   tests use the same parts with their own clients, so the code that
+   decides the bench's byte-exact verdicts is the code the tests
+   exercise. *)
 
 type shape = Reactor | Threads
 
 let shape_name = function Reactor -> "reactor" | Threads -> "threads"
 
-let ip, mask, ok = Netbench.(ip, mask, ok)
+let ip, ok = Netbench.(ip, ok)
 let server_ip = ip "10.0.0.2"
 let server_port = 80
 
@@ -37,30 +36,28 @@ let server_port = 80
 
 type site = {
   disk_bytes : int; (* memfs device the site is formatted on *)
-  names : string array;
-  file_bytes : int;
+  files : (string * int) array; (* each file's name and size *)
 }
 
 let pattern ~file pos = ((pos * 131) + (file * 17)) land 0xff
 
 (* One 1 KB page on a 1 MB disk. *)
-let index_site = { disk_bytes = 1 lsl 20; names = [| "index.html" |]; file_bytes = 1024 }
+let index_site = { disk_bytes = 1 lsl 20; files = [| ("index.html", 1024) |] }
 
-(* A working set of [files] files.  16 MB, because ninodes scales with the
-   device (nblocks/8) and 4 MB leaves only 125 usable inodes. *)
-let file_site ~files ~file_bytes =
+(* Files f0.bin, f1.bin, ... of the given sizes.  16 MB, because ninodes
+   scales with the device (nblocks/8) and 4 MB leaves only 125 usable
+   inodes. *)
+let file_site sizes =
   { disk_bytes = 16 lsl 20;
-    names = Array.init files (Printf.sprintf "f%d.bin");
-    file_bytes }
+    files = Array.mapi (fun i n -> (Printf.sprintf "f%d.bin" i, n)) sizes }
 
 (* A freshly formatted memfs holding the site — the FFS/blkio path the
    server reads through on every request. *)
 let make_root site =
   let root = ok (Fs_glue.newfs (Mem_blkio.make ~bytes:site.disk_bytes ())) in
-  let n = site.file_bytes in
   let bodies =
     Array.mapi
-      (fun fi name ->
+      (fun fi (name, n) ->
         let f = ok (root.Io_if.d_create name) in
         let body = Bytes.init n (fun i -> Char.chr (pattern ~file:fi i)) in
         let rec push off =
@@ -69,7 +66,7 @@ let make_root site =
         in
         push 0;
         Bytes.to_string body)
-      site.names
+      site.files
   in
   root, bodies
 
@@ -147,7 +144,7 @@ let concurrency_profile = { (Cost.paper ()) with Cost.thread_spawn_cycles = 20_0
 (* ---- one run ---- *)
 
 type result = {
-  r_stack : stack;
+  r_stack : Netbench.config;
   r_shape : shape;
   r_desc : desc;
   r_profile : Cost.config;
@@ -175,6 +172,8 @@ type result = {
   r_cpu_share : float array; (* fraction of segment input per server CPU *)
 }
 
+(* ---- responses ---- *)
+
 let index_of s sub =
   let n = String.length s and m = String.length sub in
   let rec go i =
@@ -182,121 +181,184 @@ let index_of s sub =
   in
   go 0
 
-(* Parse "Content-Length: N" out of a response header block. *)
-let content_length hdr =
-  match index_of (String.lowercase_ascii hdr) "content-length:" with
-  | None -> None
-  | Some i ->
-      let rest = String.sub hdr (i + 15) (String.length hdr - i - 15) in
-      let line =
-        match String.index_opt rest '\r' with Some j -> String.sub rest 0 j | None -> rest
-      in
-      int_of_string_opt (String.trim line)
+(* The line of [s] that starts at [i], without its CR LF. *)
+let line_at s i =
+  let rest = String.sub s i (String.length s - i) in
+  match String.index_opt rest '\r' with Some j -> String.sub rest 0 j | None -> rest
+
+(* The value of header [name] (lowercase) in a header block, if present. *)
+let header_value hdr name =
+  Option.map
+    (fun i -> String.trim (line_at hdr (i + String.length name + 1)))
+    (index_of (String.lowercase_ascii hdr) (name ^ ":"))
+
+let content_length hdr = Option.bind (header_value hdr "content-length") int_of_string_opt
+
+(* What follows the blank line that ends a response's header block. *)
+let body_of resp =
+  Option.map
+    (fun i -> String.sub resp (i + 4) (String.length resp - i - 4))
+    (index_of resp "\r\n\r\n")
 
 (* The one response check: a 200 in the request's HTTP version, carrying
    exactly [body]. *)
 let is_200 v hdr = String.length hdr > 12 && String.sub hdr 0 12 = "HTTP/" ^ v ^ " 200"
+let exact_200 resp body = is_200 "1.0" resp && body_of resp = Some body
 
-let exact_200 resp body =
-  is_200 "1.0" resp
-  && match index_of resp "\r\n\r\n" with
-     | Some i -> String.sub resp (i + 4) (String.length resp - i - 4) = body
-     | None -> false
+(* ---- the client side, over any stream connection ---- *)
 
-(* The server side: the httpd's listen socket on the chosen stack, its
-   listen-overflow counter, and per-CPU segment input. *)
-let build_server stack host =
-  let bsd stack =
-    ( Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack),
-      (fun () -> stack.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow),
-      fun cpu -> (Tcp.stats_for stack.Bsd_socket.tcp ~cpu).Tcp.rcvpack )
+(* Send [s] whole; an error ends it early. *)
+let send_string (c : Netbench.conn) s =
+  let b = Bytes.of_string s in
+  let rec go off =
+    if off < Bytes.length b then
+      match c.send ~buf:b ~pos:off ~len:(Bytes.length b - off) with
+      | Ok n -> go (off + n)
+      | Error _ -> ()
   in
-  match stack with
-  | Freebsd_com -> bsd (Clientos.freebsd_host host ~ip:server_ip ~mask)
-  | Linux_com ->
-      let stack = Clientos.linux_host host ~ip:server_ip ~mask in
-      ( Linux_sock_com.socket_com stack (Linux_inet.socket stack),
-        (fun () -> stack.Linux_inet.listen_overflow),
-        fun _ -> 0 )
-  | Oskit_com ->
-      (* The paper's netcomputer shape: the BSD stack over the Linux
-         driver through fdev/COM — the only configuration whose receive
-         frames cross the glue, so the only one the batched-RX counters
-         can observe. *)
-      bsd (snd (Clientos.oskit_host host ~ip:server_ip ~mask))
+  go 0
 
-(* One run: [clients] blocking FreeBSD-native clients on host_a each issue
-   [d.reqs_per_client] GETs, round-robin over the site, against the server
-   on host_b, with [profile] installed for the whole run.  Both machines
-   get [profile.ncpus] CPUs; the reactor shape runs one reactor per server
-   CPU, each driven by a loop thread pinned there, and each accepted
-   connection migrates to its RSS home — the same symmetric flow hash RX
-   steering uses, so the reactor that parks a connection is the CPU its
-   frames arrive on (the DragonFly shape; at 1 CPU exactly
-   [Httpd.serve_reactor]). *)
-let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
-  Cost.with_config profile @@ fun () ->
+(* Everything [c] delivers until EOF or an error. *)
+let drain ?(size_hint = 4096) (c : Netbench.conn) =
+  let buf = Bytes.create 4096 and acc = Buffer.create size_hint in
+  let rec go () =
+    match c.recv ~buf ~pos:0 ~len:4096 with
+    | Ok 0 | Error _ -> Buffer.contents acc
+    | Ok n ->
+        Buffer.add_subbytes acc buf 0 n;
+        go ()
+  in
+  go ()
+
+(* A Content-Length framer over [c]: each call of the result reads the
+   next response as (header block, body) — or None at EOF, on a header
+   block with no Content-Length, or when the stream ends mid-body. *)
+let reader (c : Netbench.conn) =
+  let buf = Bytes.create 4096 and acc = Buffer.create 4096 in
+  let consumed = ref 0 in
+  let rec fill need =
+    Buffer.length acc - !consumed >= need
+    ||
+    match c.recv ~buf ~pos:0 ~len:4096 with
+    | Ok 0 | Error _ -> false
+    | Ok n ->
+        Buffer.add_subbytes acc buf 0 n;
+        fill need
+  in
+  let avail () = String.sub (Buffer.contents acc) !consumed (Buffer.length acc - !consumed) in
+  let rec hdr_end () =
+    match index_of (avail ()) "\r\n\r\n" with
+    | Some i -> Some i
+    | None -> if fill (Buffer.length acc - !consumed + 1) then hdr_end () else None
+  in
+  fun () ->
+    Option.bind (hdr_end ()) (fun he ->
+        let hdr = String.sub (avail ()) 0 he in
+        match content_length hdr with
+        | Some len when fill (he + 4 + len) ->
+            let body = String.sub (avail ()) (he + 4) len in
+            consumed := !consumed + he + 4 + len;
+            if Buffer.length acc = !consumed then begin
+              Buffer.clear acc;
+              consumed := 0
+            end;
+            Some (hdr, body)
+        | _ -> None)
+
+(* ---- the server side ---- *)
+
+type served = {
+  testbed : Clientos.testbed;
+  client : Netbench.endpoint; (* FreeBSD, host A at 10.0.0.1 *)
+  server : Netbench.endpoint; (* host B at [server_ip], whose stack the httpd serves from *)
+  bodies : string array; (* the site's files, in order *)
+  stats : unit -> Httpd.stats; (* the server's counts, once its thread has started *)
+  reactors : Reactor.t array; (* one per server CPU *)
+}
+
+(* A fresh testbed serving [site] from the httpd in [shape] on [stack],
+   listening at [server_ip]:[server_port], under the installed profile.
+   Both machines get its [ncpus] CPUs; the reactor shape runs one reactor
+   per server CPU, each driven by a loop thread pinned there until
+   [until], and each accepted connection migrates to its RSS home — the
+   same symmetric flow hash RX steering uses, so the reactor that parks a
+   connection is the CPU its frames arrive on (the DragonFly shape; at 1
+   CPU exactly [Httpd.serve_reactor]).  The caller spawns its clients on
+   [client] and runs the testbed. *)
+let serve ?models ?bandwidth_bps ?max_threads ?max_conns ~site ~backlog ~stack ~shape
+    ~until () =
   Clientos.reset_globals ();
-  let ncpus = profile.Cost.ncpus in
-  let tb = Clientos.make_testbed ~models:d.models ?bandwidth_bps:d.bandwidth_bps () in
-  let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, bodies = make_root d.site in
-  let files = Array.length bodies in
-  let sock, listen_overflow, rcvpack = build_server stack server in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let done_clients = ref 0 in
-  let all_done () = !done_clients >= clients in
-  let server_stats = ref None in
+  let ncpus = Cost.config.Cost.ncpus in
+  let tb = Clientos.make_testbed ?models ?bandwidth_bps () in
+  let host = tb.Clientos.host_b in
+  let root, bodies = make_root site in
+  let server = Netbench.setup stack host ~addr:server_ip in
+  let sock =
+    match server.stack with
+    | Netbench.Bsd bsd -> Freebsd_glue.socket_com bsd (Bsd_socket.tcp_socket bsd)
+    | Netbench.Lx lx -> Linux_sock_com.socket_com lx (Linux_inet.socket lx)
+  in
+  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let stats = ref None in
   let reactors = Array.init ncpus (fun _ -> Reactor.create ()) in
   let home (peer : Io_if.sockaddr) =
     Rss.cpu_of_flow ~ncpus ~proto:6 ~addr_a:server_ip ~port_a:server_port
       ~addr_b:peer.Io_if.sin_addr ~port_b:peer.Io_if.sin_port
   in
-  Clientos.spawn server ~cpu:0 ~name:"httpd" (fun () ->
+  Clientos.spawn host ~cpu:0 ~name:"httpd" (fun () ->
       ok (sock.Io_if.so_bind { Io_if.sin_addr = server_ip; sin_port = server_port });
-      ok (sock.Io_if.so_listen ~backlog:d.backlog);
+      ok (sock.Io_if.so_listen ~backlog);
       match shape with
       | Reactor ->
-          server_stats :=
-            Some
-              (Httpd.serve_reactor_sharded ~reactors ~home ~root ~sock
-                 ?max_conns:d.max_conns ());
-          Reactor.run reactors.(0) ~until:all_done
+          stats :=
+            Some (Httpd.serve_reactor_sharded ~reactors ~home ~root ~sock ?max_conns ());
+          Reactor.run reactors.(0) ~until
       | Threads ->
-          server_stats :=
+          stats :=
             Some
               (Httpd.serve_threaded
-                 ~spawn:(fun f -> Clientos.spawn server f)
-                 ~root ~sock ?max_threads:d.max_threads ()));
+                 ~spawn:(fun f -> Clientos.spawn host f)
+                 ~root ~sock ?max_threads ()));
   if shape = Reactor then
     for c = 1 to ncpus - 1 do
-      Clientos.spawn server ~cpu:c
+      Clientos.spawn host ~cpu:c
         ~name:(Printf.sprintf "httpd-cpu%d" c)
-        (fun () -> Reactor.run reactors.(c) ~until:all_done)
+        (fun () -> Reactor.run reactors.(c) ~until)
     done;
+  { testbed = tb; client; server; bodies; stats = (fun () -> Option.get !stats); reactors }
+
+(* A fresh connection from the client host to the server. *)
+let connect s = s.client.connect ~dst:server_ip ~port:server_port
+
+(* ---- one run ---- *)
+
+(* One run: [clients] blocking FreeBSD-native clients on host A each issue
+   [d.reqs_per_client] GETs, round-robin over the site, against the
+   server on host B, with [profile] installed for the whole run. *)
+let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
+  Cost.with_config profile @@ fun () ->
+  let ncpus = profile.Cost.ncpus in
+  let done_clients = ref 0 in
+  let all_done () = !done_clients >= clients in
+  let s =
+    serve ~models:d.models ?bandwidth_bps:d.bandwidth_bps ?max_threads:d.max_threads
+      ?max_conns:d.max_conns ~site:d.site ~backlog:d.backlog ~stack ~shape ~until:all_done ()
+  in
+  let chost = s.client.host and bodies = s.bodies in
+  let files = Array.length bodies in
   let samples = ref [] and mismatches = ref 0 in
   let t_start = ref max_int and t_end = ref 0 in
   let now () = Machine.now chost.Clientos.machine in
-  let push s frag =
-    let b = Bytes.of_string frag in
-    let rec go off =
-      if off < Bytes.length b then
-        match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-        | Ok n -> go (off + n)
-        | Error _ -> ()
-    in
-    go 0
-  in
-  let get fi v = Printf.sprintf "GET /%s HTTP/%s\r\n" d.site.names.(fi) v in
+  let get fi v = Printf.sprintf "GET /%s HTTP/%s\r\n" (fst d.site.files.(fi)) v in
   (* One connection: connect, [talk] over it, close; timed if recorded.
      A failed connect fails [n] requests. *)
   let connection ~record ~n talk =
     let t0 = now () in
-    let s = Bsd_socket.tcp_socket cstack in
-    (match Bsd_socket.so_connect s ~dst:server_ip ~dport:server_port with
+    (match connect s with
     | Error _ -> mismatches := !mismatches + n
-    | Ok () -> talk s);
-    ignore (Bsd_socket.so_close s);
+    | Ok c ->
+        talk c;
+        c.close ());
     let t1 = now () in
     if record then begin
       if t0 < !t_start then t_start := t0;
@@ -306,76 +368,34 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
   in
   (* HTTP/1.0: one request, the response drained to EOF. *)
   let request_10 ~record fi =
-    connection ~record ~n:1 (fun s ->
+    connection ~record ~n:1 (fun c ->
         (match d.request with
         | Http10_dribble ->
-            push s (get fi "1.0");
+            send_string c (get fi "1.0");
             Kclock.sleep_ns think_ns;
-            push s "\r\n"
-        | Http10 | Http11 _ -> push s (get fi "1.0" ^ "\r\n"));
-        let buf = Bytes.create 4096 in
-        let acc = Buffer.create (d.site.file_bytes + 256) in
-        let rec drain () =
-          match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-          | Ok 0 | Error _ -> ()
-          | Ok n ->
-              Buffer.add_subbytes acc buf 0 n;
-              drain ()
-        in
-        drain ();
-        if not (exact_200 (Buffer.contents acc) bodies.(fi)) then incr mismatches)
+            send_string c "\r\n"
+        | Http10 | Http11 _ -> send_string c (get fi "1.0" ^ "\r\n"));
+        let resp = drain ~size_hint:(String.length bodies.(fi) + 256) c in
+        if not (exact_200 resp bodies.(fi)) then incr mismatches)
   in
   (* HTTP/1.1: [n] requests from [first] on one connection, sent in
      bursts of [depth] (one send per burst: a pipelining client's
      requests ride a single segment instead of one apiece) and read back
      in order. *)
   let requests_11 ~record ~depth ~first n =
-    connection ~record ~n (fun s ->
-        let buf = Bytes.create 4096 in
-        let acc = Buffer.create (d.site.file_bytes + 256) in
-        let consumed = ref 0 in
-        let rec fill need =
-          Buffer.length acc - !consumed >= need
-          ||
-          match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-          | Ok 0 | Error _ -> false
-          | Ok got ->
-              Buffer.add_subbytes acc buf 0 got;
-              fill need
-        in
-        let avail () =
-          String.sub (Buffer.contents acc) !consumed (Buffer.length acc - !consumed)
-        in
-        let rec hdr_end () =
-          match index_of (avail ()) "\r\n\r\n" with
-          | Some i -> Some i
-          | None -> if fill (Buffer.length acc - !consumed + 1) then hdr_end () else None
-        in
-        let read_resp fi =
-          match hdr_end () with
-          | None -> incr mismatches
-          | Some he -> (
-              let hdr = String.sub (avail ()) 0 he in
-              match content_length hdr with
-              | Some len when fill (he + 4 + len) ->
-                  if not (is_200 "1.1" hdr && String.sub (avail ()) (he + 4) len = bodies.(fi)) then
-                    incr mismatches;
-                  consumed := !consumed + he + 4 + len;
-                  if Buffer.length acc = !consumed then begin
-                    Buffer.clear acc;
-                    consumed := 0
-                  end
-              | _ -> incr mismatches)
-        in
+    connection ~record ~n (fun c ->
+        let next = reader c in
         let sent = ref 0 in
         while !sent < n do
           let burst = min depth (n - !sent) in
           let file k = (first + !sent + k) mod files in
-          push s
+          send_string c
             (String.concat ""
                (List.init burst (fun k -> get (file k) "1.1" ^ "Host: b\r\n\r\n")));
           for k = 0 to burst - 1 do
-            read_resp (file k)
+            match next () with
+            | Some (hdr, body) when is_200 "1.1" hdr && body = bodies.(file k) -> ()
+            | _ -> incr mismatches
           done;
           sent := !sent + burst
         done)
@@ -400,13 +420,14 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
       ~name:(Printf.sprintf "loris%d" i)
       (fun () ->
         Kclock.sleep_ns (3_000_000 + (i * 100_000));
-        connection ~record:false ~n:0 (fun s ->
-            push s (get 0 "1.0" ^ "X-Slow: yes\r\n");
+        connection ~record:false ~n:0 (fun c ->
+            send_string c (get 0 "1.0" ^ "X-Slow: yes\r\n");
             (* Hold the connection; never finish the headers. *)
-            ignore (Bsd_socket.so_recv s ~buf:(Bytes.create 256) ~pos:0 ~len:256)))
+            ignore (c.recv ~buf:(Bytes.create 256) ~pos:0 ~len:256)))
   done;
-  (* Counter baseline: everything after the warmup is the measured run. *)
-  let c0_hits = ref 0 and c0_misses = ref 0 in
+  (* Counter baseline, taken by the first measured client to start:
+     everything after the warmup is the measured run. *)
+  let baseline = ref false and c0_hits = ref 0 and c0_misses = ref 0 in
   for i = 0 to clients - 1 do
     Clientos.spawn chost ~cpu:(i mod ncpus)
       ~name:(Printf.sprintf "c%d" i)
@@ -415,15 +436,16 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
         while not !warm do
           Kclock.sleep_ns 200_000
         done;
-        if !c0_hits = 0 && !c0_misses = 0 then begin
+        if not !baseline then begin
+          baseline := true;
           c0_hits := Cost.counters.Cost.bufcache_hits;
           c0_misses := Cost.counters.Cost.bufcache_misses
         end;
         requests ~record:true ~first:i d.reqs_per_client;
         incr done_clients)
   done;
-  Clientos.run tb ~until:all_done;
-  let st = Option.get !server_stats in
+  Clientos.run s.testbed ~until:all_done;
+  let st = s.stats () in
   let pct = Percentile.us_of_ns (Array.of_list !samples) in
   let duration = max 1 (!t_end - !t_start) in
   let total = clients * d.reqs_per_client in
@@ -433,8 +455,14 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
     | true, Http11 _ -> files, 1
     | true, (Http10 | Http10_dribble) -> files, files
   in
-  let sum f = Array.fold_left (fun a r -> a + f (Reactor.stats r)) 0 reactors in
-  let per_cpu = Array.init ncpus rcvpack in
+  let sum f = Array.fold_left (fun a r -> a + f (Reactor.stats r)) 0 s.reactors in
+  let listen_overflow, per_cpu =
+    match s.server.stack with
+    | Netbench.Bsd bsd ->
+        ( bsd.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow,
+          Array.init ncpus (fun cpu -> (Tcp.stats_for bsd.Bsd_socket.tcp ~cpu).Tcp.rcvpack) )
+    | Netbench.Lx lx -> lx.Linux_inet.listen_overflow, Array.make ncpus 0
+  in
   let steered = max 1 (Array.fold_left ( + ) 0 per_cpu) in
   let c = Cost.counters in
   { r_stack = stack;
@@ -450,7 +478,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
     r_server = st;
     r_accepted = st.Httpd.accepted - warm_conns;
     r_responses = st.Httpd.responses - warm_reqs;
-    r_listen_overflow = listen_overflow ();
+    r_listen_overflow = listen_overflow;
     r_mismatches = !mismatches;
     r_reactor_sleeps = sum (fun s -> s.Reactor.sleeps);
     r_reactor_spurious = sum (fun s -> s.Reactor.spurious);

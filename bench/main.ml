@@ -478,7 +478,7 @@ let rtt () =
   in
   let http p =
     let r =
-      Httpbench.run ~profile:p Httpbench.concurrency ~stack:Httpbench.Oskit_com
+      Httpbench.run ~profile:p Httpbench.concurrency ~stack:Netbench.Oskit
         ~shape:Httpbench.Reactor ~clients:128 ()
     in
     Httpbench.check ~what:"rtt" r;
@@ -527,11 +527,11 @@ let http () =
               in
               Httpbench.check ~what:"http" r;
               record "http"
-                [ "stack", Str (Httpbench.stack_name stack);
+                [ "stack", Str (Netbench.config_name stack);
                   "mode", Str (Httpbench.shape_name shape);
                   "clients", Int clients;
                   profile Httpbench.concurrency_profile;
-                  "file_bytes", Int d.site.file_bytes;
+                  "file_bytes", Int (snd d.site.files.(0));
                   "ram_budget", Int Httpbench.ram_budget;
                   "max_threads", Int Httpbench.max_threads;
                   "max_conns", Int Httpbench.max_conns;
@@ -542,7 +542,7 @@ let http () =
                 @ words r.r_requests))
             [ Httpbench.Threads; Httpbench.Reactor ])
         [ 1; 4; 16; 64; 256 ])
-    [ Httpbench.Freebsd_com; Httpbench.Linux_com ]
+    [ Netbench.Freebsd; Netbench.Linux ]
 
 (* smp: the reactor httpd sharded netisr-style across a multi-CPU server.
    NIC RX computes an RSS hash over each frame's 4-tuple and steers it to
@@ -567,13 +567,13 @@ let smp () =
         (fun ncpus ->
           let p = smp_profile ncpus in
           let r =
-            Httpbench.run ~profile:p smp_desc ~stack:Httpbench.Freebsd_com
+            Httpbench.run ~profile:p smp_desc ~stack:Netbench.Freebsd
               ~shape:Httpbench.Reactor ~clients ()
           in
           Httpbench.check ~what:"smp" r;
           record "smp"
             [ "clients", Int clients; profile p;
-              "file_bytes", Int smp_desc.site.file_bytes; "backlog", Int smp_desc.backlog ]
+              "file_bytes", Int (snd smp_desc.site.files.(0)); "backlog", Int smp_desc.backlog ]
             (server_metrics r
             @ [ "rss_steered", Int r.r_rss_steered;
                 "netisr_queued", Int r.r_netisr_queued;
@@ -598,13 +598,13 @@ let smp () =
    the 64-block buffer cache.  With keep-alive on, each client holds one
    connection, pipelined to [pipeline] (within [http_pipeline_max], so
    the server's parse-ahead bound never throttles the reader). *)
-let file_cell ?(stack = Httpbench.Freebsd_com) ?(shape = Httpbench.Reactor) ?(clients = 16)
+let file_cell ?(stack = Netbench.Freebsd) ?(shape = Httpbench.Reactor) ?(clients = 16)
     ?(reqs = 125) ?(files = 16) ?(file_bytes = 4096) ?(pipeline = 1) p =
   let request = if p.Cost.http_keepalive then Httpbench.Http11 pipeline else Httpbench.Http10 in
   let r =
     Httpbench.run ~profile:p
       { Httpbench.concurrency with
-        Httpbench.site = Httpbench.file_site ~files ~file_bytes;
+        Httpbench.site = Httpbench.file_site (Array.make files file_bytes);
         max_threads = None;
         max_conns = None;
         request;
@@ -615,7 +615,7 @@ let file_cell ?(stack = Httpbench.Freebsd_com) ?(shape = Httpbench.Reactor) ?(cl
   Httpbench.check ~what:"file" r;
   let st = r.r_server in
   record "file"
-    [ "stack", Str (Httpbench.stack_name stack);
+    [ "stack", Str (Netbench.config_name stack);
       "mode", Str (Httpbench.shape_name shape);
       profile p;
       "clients", Int clients;
@@ -652,7 +652,7 @@ let file () =
       List.concat_map
         (fun shape -> List.map (file_cell ~stack ~shape) profiles)
         [ Httpbench.Reactor; Httpbench.Threads ])
-    [ Httpbench.Freebsd_com; Httpbench.Linux_com; Httpbench.Oskit_com ]
+    [ Netbench.Freebsd; Netbench.Linux; Netbench.Oskit ]
   (* A working set twice the cache: eviction under load. *)
   @ List.map (file_cell ~files:128) [ keepalive; ka_sendfile ]
   (* Body sizes: the copy path scales with the body, warm sendfile stays
@@ -670,7 +670,7 @@ let file () =
      stacks on the sendfile profile. *)
   @ (let burst = file_cell ~clients:64 ~reqs:4 in
      List.map burst profiles
-     @ [ burst ~shape:Httpbench.Threads ka_sendfile; burst ~stack:Httpbench.Linux_com ka_sendfile ])
+     @ [ burst ~shape:Httpbench.Threads ka_sendfile; burst ~stack:Netbench.Linux ka_sendfile ])
 
 (* ---------------- longfat: RTT x loss with scaled windows ---------------- *)
 

@@ -218,6 +218,6 @@ let loris_run ~guard ~loris ~legit () =
       stagger_ns = 200_000;
       warmup = false;
       loris }
-    ~stack:Httpbench.Freebsd_com ~shape:Httpbench.Reactor ~clients:legit ()
+    ~stack:Netbench.Freebsd ~shape:Httpbench.Reactor ~clients:legit ()
 
 let loris_served r = r.Httpbench.r_requests - r.Httpbench.r_mismatches

@@ -42,9 +42,14 @@
 # Every ttcp- or rtcp-shaped run in bench/ and bin/ goes through the one
 # TCP stream harness, bench/netbench.ml (its endpoints, stream and rtt
 # runs): a grep must find so_accept, Linux_inet.accept and Posix.accept
-# nowhere in bench/ or bin/ outside that file, so no second copy grows
-# back beside it; and `type stack_stats` and `let setup config host` must
-# be defined there only, in lib, bench, bin, examples or test.
+# nowhere in bench/ or bin/ outside that file, nor in the tests that moved
+# onto its endpoints (test_http11, test_overload, test_smp, test_ports),
+# so no second copy grows back beside it; and `type stack_stats` and `let
+# setup config host` must be defined there only, in lib, bench, bin,
+# examples or test.
+# Every httpd a bench section or a test runs is built by the one HTTP
+# harness, bench/httpbench.ml (Httpbench.serve): a grep must find no call
+# of an Httpd.serve_ function in bench/, test/ or bin/ outside that file.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -74,9 +79,14 @@ if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \
   echo "BSD TCP walks its pcb list outside the pcb_list accessor" >&2
   exit 1
 fi
-if grep -rnE 'so_accept|Linux_inet\.accept|Posix\.accept' bench bin \
+if grep -rnE 'so_accept|Linux_inet\.accept|Posix\.accept' bench bin test/test_http11.ml \
+  test/test_overload.ml test/test_smp.ml test/test_ports.ml \
   | grep -v '^bench/netbench\.ml:'; then
-  echo "TCP accept loop in bench/ or bin/ outside the stream harness" >&2
+  echo "TCP accept loop in bench/, bin/ or a converted test outside the stream harness" >&2
+  exit 1
+fi
+if grep -rn 'Httpd\.serve_' bench test bin | grep -v '^bench/httpbench\.ml:'; then
+  echo "httpd served outside the HTTP harness, bench/httpbench.ml" >&2
   exit 1
 fi
 if grep -rnE '^ *(type stack_stats\b|let setup config host\b)' lib bench bin examples test \

@@ -6,9 +6,6 @@
    across block boundaries (also under 2% loss), buffer-cache pin and
    eviction hardening, and the flags-off world untouched. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
@@ -27,153 +24,35 @@ let with_http11 ?(keepalive = true) ?(sendfile = false) ?(sg = false)
       http_pipeline_max = pipeline_max }
     f
 
-(* ---- a server rig: FFS root with one pattern file per size ---- *)
+(* ---- the server: Httpbench's, on the FreeBSD stack, one pattern file
+   per size on a 4 MB disk ---- *)
 
-let pattern ~file pos = ((pos * 131) + (file * 17)) land 0xff
 let file_name i = Printf.sprintf "f%d.bin" i
 
-let make_root sizes =
-  let dev = Mem_blkio.make ~bytes:(4 * 1024 * 1024) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let bodies =
-    List.mapi
-      (fun fi size ->
-        let f = ok (root.Io_if.d_create (file_name fi)) in
-        let body = Bytes.init size (fun i -> Char.chr (pattern ~file:fi i)) in
-        let rec push off =
-          if off < size then
-            match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(size - off) with
-            | Ok n -> push (off + n)
-            | Error e -> Alcotest.failf "root write: %s" (Error.to_string e)
-        in
-        push 0;
-        Bytes.to_string body)
-      sizes
+let site sizes =
+  { (Httpbench.file_site (Array.of_list sizes)) with Httpbench.disk_bytes = 4 * 1024 * 1024 }
+
+(* Serve [sizes] in [shape] with a backlog of 16, [loss] on the wire
+   (netem seed 29); [client] runs on host A from 3 ms, and the testbed
+   runs until [until].  Returns the server's counts. *)
+let serve_to ?loss ?(shape = Httpbench.Reactor) ~sizes ~until client =
+  let s =
+    Httpbench.serve ~site:(site sizes) ~backlog:16 ~stack:Netbench.Freebsd ~shape ~until ()
   in
-  (root, Array.of_list bodies)
+  Option.iter
+    (fun loss ->
+      Wire.set_netem s.Httpbench.testbed.Clientos.wire
+        (Some (Netem.create ~seed:29 ~policy:{ Netem.default_policy with loss } ())))
+    loss;
+  Clientos.spawn s.Httpbench.client.Netbench.host ~name:"client" (fun () ->
+      Kclock.sleep_ns 3_000_000;
+      client s);
+  Clientos.run s.Httpbench.testbed ~until;
+  s.Httpbench.stats ()
 
-(* Serve [sizes] from host_b in [mode]; [f] drives clients on host_a and
-   must eventually make [until] true. *)
-let rig ?loss ?(mode = `Reactor) ?(server_stats = ref None) ~sizes ~until f =
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  (match loss with
-  | Some l ->
-      Wire.set_netem tb.Clientos.wire
-        (Some (Netem.create ~seed:29 ~policy:{ Netem.default_policy with loss = l } ()))
-  | None -> ());
-  let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, bodies = make_root sizes in
-  let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let reactor = Reactor.create () in
-  Clientos.spawn server ~name:"httpd" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog:16);
-      match mode with
-      | `Reactor ->
-          server_stats := Some (Httpd.serve_reactor ~reactor ~root ~sock ());
-          Reactor.run reactor ~until
-      | `Threads ->
-          server_stats :=
-            Some
-              (Httpd.serve_threaded
-                 ~spawn:(fun g -> Clientos.spawn server g)
-                 ~root ~sock ()));
-  f chost cstack bodies;
-  Clientos.run tb ~until;
-  Option.get !server_stats
-
-(* ---- client helpers ---- *)
-
-let push_str s frag =
-  let b = Bytes.of_string frag in
-  let rec go off =
-    if off < Bytes.length b then
-      match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-      | Ok n -> go (off + n)
-      | Error _ -> ()
-  in
-  go 0
-
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
-let line_at s i =
-  let rest = String.sub s i (String.length s - i) in
-  match String.index_opt rest '\r' with Some j -> String.sub rest 0 j | None -> rest
-
-(* The value of header [name] (lowercase), if present. *)
-let header_value hdr name =
-  Option.map
-    (fun i -> String.trim (line_at hdr (i + String.length name + 1)))
-    (index_of (String.lowercase_ascii hdr) (name ^ ":"))
-
-let content_length hdr = Option.bind (header_value hdr "content-length") int_of_string_opt
-
-(* A Content-Length framer over one connection: [framer s] returns a
-   thunk that reads the next (header, body) pair, or None at EOF. *)
-let framer s =
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 4096 in
-  let consumed = ref 0 in
-  let rec fill need =
-    if Buffer.length acc - !consumed >= need then true
-    else
-      match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-      | Ok 0 | Error _ -> false
-      | Ok n ->
-          Buffer.add_subbytes acc buf 0 n;
-          fill need
-  in
-  let avail () =
-    String.sub (Buffer.contents acc) !consumed (Buffer.length acc - !consumed)
-  in
-  let rec hdr_end () =
-    match index_of (avail ()) "\r\n\r\n" with
-    | Some i -> Some i
-    | None -> if fill (Buffer.length acc - !consumed + 1) then hdr_end () else None
-  in
-  fun () ->
-    match hdr_end () with
-    | None -> None
-    | Some he -> (
-        let hdr = String.sub (avail ()) 0 he in
-        match content_length hdr with
-        | None -> None
-        | Some len ->
-            if fill (he + 4 + len) then begin
-              let body = String.sub (avail ()) (he + 4) len in
-              consumed := !consumed + he + 4 + len;
-              if Buffer.length acc - !consumed = 0 then begin
-                Buffer.clear acc;
-                consumed := 0
-              end;
-              Some (hdr, body)
-            end
-            else None)
-
+let connect s = ok (Httpbench.connect s)
 let get_request fi = Printf.sprintf "GET /%s HTTP/1.1\r\nHost: b\r\n\r\n" (file_name fi)
-
 let status_of hdr = if String.length hdr >= 12 then String.sub hdr 9 3 else "???"
-
-let drain s =
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 4096 in
-  let rec go () =
-    match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-    | Ok 0 | Error _ -> ()
-    | Ok n ->
-        Buffer.add_subbytes acc buf 0 n;
-        go ()
-  in
-  go ();
-  Buffer.contents acc
 
 (* ------------------------------------------------------------------ *)
 (* The request scanner: one-byte drips cost one cursor step per byte
@@ -233,62 +112,51 @@ let test_scanner_pipelined_and_terminators () =
 
 let sizes3 = [ 1000; 4096; 300 ]
 
-let keepalive_sequence mode =
+let keepalive_sequence shape =
   let reqs = [ 0; 1; 2; 0; 2 ] in
   let ka_results = ref [] and ka_done = ref false in
   let st =
     with_http11 (fun () ->
-        rig ~mode ~sizes:sizes3
+        serve_to ~shape ~sizes:sizes3
           ~until:(fun () -> !ka_done)
-          (fun chost cstack _bodies ->
-            Clientos.spawn chost ~name:"ka" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                let next = framer s in
-                List.iter
-                  (fun fi ->
-                    push_str s (get_request fi);
-                    match next () with
-                    | Some (hdr, body) ->
-                        ka_results := (status_of hdr, body) :: !ka_results
-                    | None -> ka_results := (("eof", "") :: !ka_results))
-                  reqs;
-                ignore (Bsd_socket.so_close s);
-                ka_done := true)))
+          (fun s ->
+            let c = connect s in
+            let next = Httpbench.reader c in
+            List.iter
+              (fun fi ->
+                Httpbench.send_string c (get_request fi);
+                match next () with
+                | Some (hdr, body) -> ka_results := (status_of hdr, body) :: !ka_results
+                | None -> ka_results := ("eof", "") :: !ka_results)
+              reqs;
+            c.close ();
+            ka_done := true))
   in
   let h10_results = ref [] and h10_done = ref false in
   ignore
     (with_http11 ~keepalive:false (fun () ->
-         rig ~sizes:sizes3
+         serve_to ~sizes:sizes3
            ~until:(fun () -> !h10_done)
-           (fun chost cstack _bodies ->
-             Clientos.spawn chost ~name:"h10" (fun () ->
-                 Kclock.sleep_ns 3_000_000;
-                 List.iter
-                   (fun fi ->
-                     let s = Bsd_socket.tcp_socket cstack in
-                     ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                     push_str s
-                       (Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" (file_name fi));
-                     let resp = drain s in
-                     let body =
-                       match index_of resp "\r\n\r\n" with
-                       | Some i -> String.sub resp (i + 4) (String.length resp - i - 4)
-                       | None -> ""
-                     in
-                     h10_results := (status_of resp, body) :: !h10_results;
-                     ignore (Bsd_socket.so_close s))
-                   reqs;
-                 h10_done := true))));
+           (fun s ->
+             List.iter
+               (fun fi ->
+                 let c = connect s in
+                 Httpbench.send_string c
+                   (Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" (file_name fi));
+                 let resp = Httpbench.drain c in
+                 let body = Option.value ~default:"" (Httpbench.body_of resp) in
+                 h10_results := (status_of resp, body) :: !h10_results;
+                 c.close ())
+               reqs;
+             h10_done := true)));
   Alcotest.(check (list (pair string string)))
     "keep-alive sequence matches N fresh HTTP/1.0 connections" !h10_results !ka_results;
   Alcotest.(check int) "one connection carried all requests" 1 st.Httpd.accepted;
   Alcotest.(check int) "every request after the first counted as reuse"
     (List.length reqs - 1) st.Httpd.reused
 
-let test_keepalive_sequence_reactor () = keepalive_sequence `Reactor
-let test_keepalive_sequence_threaded () = keepalive_sequence `Threads
+let test_keepalive_sequence_reactor () = keepalive_sequence Httpbench.Reactor
+let test_keepalive_sequence_threaded () = keepalive_sequence Httpbench.Threads
 
 (* ------------------------------------------------------------------ *)
 (* Pipelining: a burst of requests sent before any response is read
@@ -299,30 +167,27 @@ let test_pipelined_in_order () =
   let got = ref [] and done_f = ref false in
   let st =
     with_http11 (fun () ->
-        rig ~sizes:sizes3
+        serve_to ~sizes:sizes3
           ~until:(fun () -> !done_f)
-          (fun chost cstack _bodies ->
-            Clientos.spawn chost ~name:"pipe" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                let b = Buffer.create 256 in
-                List.iter (fun fi -> Buffer.add_string b (get_request fi)) order;
-                push_str s (Buffer.contents b);
-                let next = framer s in
-                List.iter
-                  (fun _ ->
-                    match next () with
-                    | Some (_, body) -> got := body :: !got
-                    | None -> ())
-                  order;
-                ignore (Bsd_socket.so_close s);
-                done_f := true)))
+          (fun s ->
+            let c = connect s in
+            let b = Buffer.create 256 in
+            List.iter (fun fi -> Buffer.add_string b (get_request fi)) order;
+            Httpbench.send_string c (Buffer.contents b);
+            let next = Httpbench.reader c in
+            List.iter
+              (fun _ ->
+                match next () with
+                | Some (_, body) -> got := body :: !got
+                | None -> ())
+              order;
+            c.close ();
+            done_f := true))
   in
   let expect =
     List.map
       (fun fi ->
-        String.init (List.nth sizes3 fi) (fun i -> Char.chr (pattern ~file:fi i)))
+        String.init (List.nth sizes3 fi) (fun i -> Char.chr (Httpbench.pattern ~file:fi i)))
       order
   in
   Alcotest.(check (list string)) "responses in request order" expect (List.rev !got);
@@ -336,20 +201,17 @@ let test_idle_timeout () =
   let eof = ref false and served = ref false in
   let st =
     with_http11 ~idle_ns:50_000_000 (fun () ->
-        rig ~sizes:sizes3
+        serve_to ~sizes:sizes3
           ~until:(fun () -> !eof)
-          (fun chost cstack _bodies ->
-            Clientos.spawn chost ~name:"idler" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s (get_request 0);
-                let next = framer s in
-                (match next () with Some _ -> served := true | None -> ());
-                (* Go idle: the next read must see the server's close,
-                   not hang forever. *)
-                (match next () with None -> eof := true | Some _ -> ());
-                ignore (Bsd_socket.so_close s))))
+          (fun s ->
+            let c = connect s in
+            Httpbench.send_string c (get_request 0);
+            let next = Httpbench.reader c in
+            (match next () with Some _ -> served := true | None -> ());
+            (* Go idle: the next read must see the server's close, not
+               hang forever. *)
+            (match next () with None -> eof := true | Some _ -> ());
+            c.close ()))
   in
   Alcotest.(check bool) "the request before the idle gap was served" true !served;
   Alcotest.(check bool) "the idle connection saw EOF" true !eof;
@@ -364,31 +226,29 @@ let test_max_reqs_cap () =
   let hdrs = ref [] and eof = ref false in
   let st =
     with_http11 ~max_reqs:2 (fun () ->
-        rig ~sizes:sizes3
+        serve_to ~sizes:sizes3
           ~until:(fun () -> !eof)
-          (fun chost cstack _bodies ->
-            Clientos.spawn chost ~name:"capped" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                let next = framer s in
-                for fi = 0 to 1 do
-                  push_str s (get_request fi);
-                  match next () with
-                  | Some (hdr, _) -> hdrs := hdr :: !hdrs
-                  | None -> ()
-                done;
-                (* The server hung up after the capped response. *)
-                push_str s (get_request 2);
-                (match next () with None -> eof := true | Some _ -> ());
-                ignore (Bsd_socket.so_close s))))
+          (fun s ->
+            let c = connect s in
+            let next = Httpbench.reader c in
+            for fi = 0 to 1 do
+              Httpbench.send_string c (get_request fi);
+              match next () with
+              | Some (hdr, _) -> hdrs := hdr :: !hdrs
+              | None -> ()
+            done;
+            (* The server hung up after the capped response. *)
+            Httpbench.send_string c (get_request 2);
+            (match next () with None -> eof := true | Some _ -> ());
+            c.close ()))
   in
+  let has hdr line = Httpbench.index_of (String.lowercase_ascii hdr) line <> None in
   (match !hdrs with
   | [ second; first ] ->
       Alcotest.(check bool) "first response keeps the connection" true
-        (index_of (String.lowercase_ascii first) "connection: keep-alive" <> None);
+        (has first "connection: keep-alive");
       Alcotest.(check bool) "capped response advertises close" true
-        (index_of (String.lowercase_ascii second) "connection: close" <> None)
+        (has second "connection: close")
   | l -> Alcotest.failf "expected 2 responses, got %d" (List.length l));
   Alcotest.(check bool) "request past the cap saw EOF" true !eof;
   Alcotest.(check int) "one connection capped" 1 st.Httpd.capped
@@ -402,19 +262,16 @@ let fetch_one ~sendfile ~loss size =
   let body = ref None and done_f = ref false in
   let st =
     with_http11 ~sendfile ~sg:sendfile (fun () ->
-        rig ?loss ~sizes:[ size ]
+        serve_to ?loss ~sizes:[ size ]
           ~until:(fun () -> !done_f)
-          (fun chost cstack _bodies ->
-            Clientos.spawn chost ~name:"fetch" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s (get_request 0);
-                (match framer s () with
-                | Some (hdr, b) when status_of hdr = "200" -> body := Some b
-                | _ -> ());
-                ignore (Bsd_socket.so_close s);
-                done_f := true)))
+          (fun s ->
+            let c = connect s in
+            Httpbench.send_string c (get_request 0);
+            (match Httpbench.reader c () with
+            | Some (hdr, b) when status_of hdr = "200" -> body := Some b
+            | _ -> ());
+            c.close ();
+            done_f := true))
   in
   (!body, st)
 
@@ -425,7 +282,7 @@ let prop_sendfile_byte_exact =
     (fun (blocks, delta, lossy) ->
       let size = max 1 ((blocks * 4096) + delta) in
       let loss = if lossy then Some 0.02 else None in
-      let expect = String.init size (fun i -> Char.chr (pattern ~file:0 i)) in
+      let expect = String.init size (fun i -> Char.chr (Httpbench.pattern ~file:0 i)) in
       let sf_body, sf_st = fetch_one ~sendfile:true ~loss size in
       let cp_body, cp_st = fetch_one ~sendfile:false ~loss size in
       sf_body = Some expect && cp_body = Some expect
@@ -434,6 +291,51 @@ let prop_sendfile_byte_exact =
       && sf_st.Httpd.body_bytes_copied = 0
       && cp_st.Httpd.sendfile_bodies = 0
       && cp_st.Httpd.body_bytes_copied = size)
+
+(* ------------------------------------------------------------------ *)
+(* The shared response reader, which decides byte-exactness for the
+   bench and for the tests above: over a connection whose receives
+   return a canned stream cut at arbitrary points, pipelined responses
+   read back whole and in order, and a response with no Content-Length
+   or cut short mid-body reads as None.                                 *)
+
+(* A connection whose receives return [stream] in the pieces the offsets
+   [cuts] make, each capped at the caller's length, then EOF. *)
+let canned stream cuts =
+  let len = String.length stream in
+  let ends = ref (List.sort_uniq compare (len :: List.filter (fun c -> c > 0 && c < len) cuts)) in
+  let at = ref 0 in
+  let recv ~buf ~pos ~len =
+    match !ends with
+    | [] -> Ok 0
+    | e :: rest ->
+        let n = min len (e - !at) in
+        Bytes.blit_string stream !at buf pos n;
+        at := !at + n;
+        if !at = e then ends := rest;
+        Ok n
+  in
+  { Netbench.send = (fun ~buf:_ ~pos:_ ~len -> Ok len); recv; close = ignore; sock = Netbench.Fd 0 }
+
+let header body = Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d" (String.length body)
+let response body = header body ^ "\r\n\r\n" ^ body
+
+let prop_reader_framing =
+  QCheck.Test.make ~name:"http11: the response reader frames any cut of the stream"
+    ~count:200
+    QCheck.(
+      pair (list_of_size Gen.(1 -- 5) (string_of_size Gen.(0 -- 6000))) (list (int_bound 30_000)))
+    (fun (bodies, cuts) ->
+      let whole = String.concat "" (List.map response bodies) in
+      let reads stream =
+        let next = Httpbench.reader (canned stream cuts) in
+        List.map (fun _ -> next ()) (bodies @ [ "" ])
+      in
+      let expect = List.map (fun b -> Some (header b, b)) bodies @ [ None ] in
+      let cut = response "xy" in
+      reads whole = expect
+      && reads (whole ^ "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\nxy") = expect
+      && reads (whole ^ String.sub cut 0 (String.length cut - 1)) = expect)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-cache hardening: true-LRU eviction, pinned buffers are never
@@ -500,31 +402,23 @@ let test_buf_all_pinned_grows () =
 let test_flags_off_untouched () =
   let resp = ref "" and done_f = ref false in
   let st =
-    rig ~sizes:sizes3
+    serve_to ~sizes:sizes3
       ~until:(fun () -> !done_f)
-      (fun chost cstack _bodies ->
-        Clientos.spawn chost ~name:"v10" (fun () ->
-            Kclock.sleep_ns 3_000_000;
-            let s = Bsd_socket.tcp_socket cstack in
-            ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-            push_str s "GET /f1.bin HTTP/1.0\r\n\r\n";
-            resp := drain s;
-            ignore (Bsd_socket.so_close s);
-            done_f := true))
+      (fun s ->
+        let c = connect s in
+        Httpbench.send_string c "GET /f1.bin HTTP/1.0\r\n\r\n";
+        resp := Httpbench.drain c;
+        c.close ();
+        done_f := true)
   in
-  let expect = String.init 4096 (fun i -> Char.chr (pattern ~file:1 i)) in
+  let expect = String.init 4096 (fun i -> Char.chr (Httpbench.pattern ~file:1 i)) in
   Alcotest.(check bool) "stock HTTP/1.0 close-per-request response" true
-    (String.length !resp > 12
-    && String.sub !resp 0 12 = "HTTP/1.0 200"
-    &&
-    match index_of !resp "\r\n\r\n" with
-    | Some i -> String.sub !resp (i + 4) (String.length !resp - i - 4) = expect
-    | None -> false);
+    (Httpbench.exact_200 !resp expect);
   Alcotest.(check int) "no reuse counted" 0 st.Httpd.reused;
   Alcotest.(check int) "no pipelining counted" 0 st.Httpd.pipelined;
   Alcotest.(check int) "no idle closes" 0 st.Httpd.idle_closed;
   Alcotest.(check int) "no caps" 0 st.Httpd.capped;
-  (* The rig's reset_globals zeroed the counters; the flags-off run must
+  (* The harness's reset_globals zeroed the counters; the flags-off run must
      not have moved the sendfile ones at all, and its one copied body is
      counted like any other. *)
   Alcotest.(check int) "no sendfile bodies" 0 Cost.counters.Cost.sendfile_bodies;
@@ -556,35 +450,35 @@ let engine_edges =
     ( "HTTP/1.1 request line", Some (get_request 0), false,
       ("HTTP/1.0 200 OK", "close"), ("HTTP/1.1 200 OK", "keep-alive"), 0, 0 ) ]
 
-let edge_cell ~mode ~keepalive (name, send, guard, off, on, perr, hov) =
-  let shape = match mode with `Reactor -> "reactor" | `Threads -> "threads" in
-  let cell = Printf.sprintf "%s, %s, keep-alive %b" name shape keepalive in
+let edge_cell ~shape ~keepalive (name, send, guard, off, on, perr, hov) =
+  let cell =
+    Printf.sprintf "%s, %s, keep-alive %b" name (Httpbench.shape_name shape) keepalive
+  in
   let got = ref ("", "") and done_f = ref false in
-  let server_stats = ref None in
+  (* The server's counts, once the client has the server. *)
+  let stats = ref None in
   let until () =
-    !done_f && match !server_stats with Some st -> st.Httpd.active = 0 | None -> false
+    !done_f && match !stats with Some st -> (st ()).Httpd.active = 0 | None -> false
   in
   let st =
     Cost.with_config
       { Cost.config with Cost.httpd_guard = guard; httpd_max_header_bytes = 256 }
       (fun () ->
         with_http11 ~keepalive (fun () ->
-            rig ~mode ~server_stats ~sizes:sizes3 ~until (fun chost cstack _bodies ->
-                Clientos.spawn chost ~name:"edge" (fun () ->
-                    Kclock.sleep_ns 3_000_000;
-                    let s = Bsd_socket.tcp_socket cstack in
-                    ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                    Option.iter
-                      (fun req ->
-                        push_str s req;
-                        match framer s () with
-                        | Some (hdr, _) ->
-                            let conn = header_value hdr "connection" in
-                            got := (line_at hdr 0, Option.value ~default:"" conn)
-                        | None -> ())
-                      send;
-                    ignore (Bsd_socket.so_close s);
-                    done_f := true))))
+            serve_to ~shape ~sizes:sizes3 ~until (fun s ->
+                stats := Some s.Httpbench.stats;
+                let c = connect s in
+                Option.iter
+                  (fun req ->
+                    Httpbench.send_string c req;
+                    match Httpbench.reader c () with
+                    | Some (hdr, _) ->
+                        let conn = Httpbench.header_value hdr "connection" in
+                        got := (Httpbench.line_at hdr 0, Option.value ~default:"" conn)
+                    | None -> ())
+                  send;
+                c.close ();
+                done_f := true)))
   in
   let status, conn = if keepalive then on else off in
   Alcotest.(check (pair string string)) (cell ^ ": status line, Connection") (status, conn) !got;
@@ -595,9 +489,9 @@ let test_engine_edges () =
   List.iter
     (fun case ->
       List.iter
-        (fun mode ->
-          List.iter (fun keepalive -> edge_cell ~mode ~keepalive case) [ false; true ])
-        [ `Reactor; `Threads ])
+        (fun shape ->
+          List.iter (fun keepalive -> edge_cell ~shape ~keepalive case) [ false; true ])
+        [ Httpbench.Reactor; Httpbench.Threads ])
     engine_edges
 
 let suite =
@@ -615,6 +509,7 @@ let suite =
     Alcotest.test_case "http_max_reqs_per_conn caps with Connection: close" `Quick
       test_max_reqs_cap;
     QCheck_alcotest.to_alcotest prop_sendfile_byte_exact;
+    QCheck_alcotest.to_alcotest prop_reader_framing;
     Alcotest.test_case "buf cache: true-LRU eviction" `Quick test_buf_lru_and_pins;
     Alcotest.test_case "buf cache: pinned buffers are never evicted" `Quick
       test_buf_pinned_never_evicted;

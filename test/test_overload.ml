@@ -42,6 +42,11 @@ let send_raw_tcp cstack ~src ~sport ~dst ~dport ~seq ~ack ~flags =
   Ip.output cstack.Bsd_socket.ip ~proto:Ip.proto_tcp ~src ~dst
     (Tcp.raw_segment ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win:8192 ~mss:None)
 
+(* The attacking host: a FreeBSD endpoint at 10.0.0.1 and its stack. *)
+let attacker tb =
+  let ep = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  match ep.stack with Netbench.Bsd st -> ep, st | Netbench.Lx _ -> assert false
+
 (* ------------------------------------------------------------------ *)
 (* SYN cookies: the ISS round-trips through check_cookie on both stacks
    and decodes to the right MSS class; a perturbed 4-tuple rejects.      *)
@@ -184,59 +189,33 @@ let test_syncache_mss_without_option () =
    defended listener fully usable — every legitimate client connects and
    gets its echo back, on both stacks.                                   *)
 
-let flood_then_legit ~linux () =
+let flood_then_legit config () =
   with_overload ~syn_defense:true ~syncache_size:16 (fun () ->
       let tb = fresh_testbed () in
-      let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+      let client, cstack = attacker tb in
+      let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let served = ref 0 and echoed = ref 0 and finished = ref 0 in
       let legit = 4 and flood = 40 in
-      let counters =
-        if linux then begin
-          let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-          Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-              let ls = Linux_inet.socket sb in
-              Linux_inet.bind sb ls ~port:7200;
-              Linux_inet.listen sb ls ~backlog:4;
-              for _ = 1 to legit do
-                let c = ok (Linux_inet.accept sb ls) in
-                let buf = Bytes.create 64 in
-                let n = ok (Linux_inet.recv sb c ~buf ~pos:0 ~len:64) in
-                ignore (ok (Linux_inet.send sb c ~buf ~pos:0 ~len:n));
-                Linux_inet.close sb c;
-                incr served
-              done)
-            ;
-          let sc = sb.Linux_inet.syncache.Syncache.stats in
-          fun () ->
-            ( sc.Syncache.added,
-              sc.Syncache.completed + sc.Syncache.validated,
-              sb.Linux_inet.listen_overflow )
-        end
-        else begin
-          let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-          Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-              let ls = Bsd_socket.tcp_socket sb in
-              ok (Bsd_socket.so_bind ls ~port:7200);
-              ok (Bsd_socket.so_listen ls ~backlog:4);
-              for _ = 1 to legit do
-                let c = ok (Bsd_socket.so_accept ls) in
-                let buf = Bytes.create 64 in
-                let n = ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:64) in
-                ignore (ok (Bsd_socket.so_send c ~buf ~pos:0 ~len:n));
-                ignore (Bsd_socket.so_close c);
-                incr served
-              done);
-          let st = sb.Bsd_socket.tcp.Tcp.stats in
-          let sc = sb.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
-          fun () ->
-            ( sc.Syncache.added,
-              sc.Syncache.completed + sc.Syncache.validated,
-              st.Tcp.listen_overflow )
-        end
+      Clientos.spawn server.host ~name:"srv" (fun () ->
+          let accept = server.listen ~port:7200 ~backlog:4 in
+          for _ = 1 to legit do
+            let c = ok (accept ()) in
+            let buf = Bytes.create 64 in
+            let n = ok (c.recv ~buf ~pos:0 ~len:64) in
+            ignore (ok (c.send ~buf ~pos:0 ~len:n));
+            c.close ();
+            incr served
+          done);
+      let syncache, overflow =
+        match server.stack with
+        | Netbench.Bsd sb ->
+            ( sb.Bsd_socket.tcp.Tcp.syncache,
+              fun () -> sb.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow )
+        | Netbench.Lx sb -> sb.Linux_inet.syncache, fun () -> sb.Linux_inet.listen_overflow
       in
       (* The flood: 10x the legitimate load, every SYN from a different
          spoofed address, so the SYN-ACKs go to hosts that do not exist. *)
-      Clientos.spawn tb.Clientos.host_a ~name:"flood" (fun () ->
+      Clientos.spawn client.host ~name:"flood" (fun () ->
           Kclock.sleep_ns 1_000_000;
           (* One SYN first, then a beat: resolves the attacker's ARP entry
              for the target so the burst below isn't throttled by the
@@ -251,21 +230,21 @@ let flood_then_legit ~linux () =
               ~ack:0 ~flags:Tcp.th_syn
           done);
       for i = 0 to legit - 1 do
-        Clientos.spawn tb.Clientos.host_a ~name:(Printf.sprintf "legit%d" i) (fun () ->
+        Clientos.spawn client.host ~name:(Printf.sprintf "legit%d" i) (fun () ->
             Kclock.sleep_ns (3_000_000 + (i * 500_000));
-            let s = Bsd_socket.tcp_socket cstack in
-            ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:7200);
+            let c = ok (client.connect ~dst:(ip "10.0.0.2") ~port:7200) in
             let msg = Bytes.of_string (Printf.sprintf "ping-%d" i) in
-            ignore (ok (Bsd_socket.so_send s ~buf:msg ~pos:0 ~len:(Bytes.length msg)));
+            ignore (ok (c.send ~buf:msg ~pos:0 ~len:(Bytes.length msg)));
             let buf = Bytes.create 64 in
-            (match Bsd_socket.so_recv s ~buf ~pos:0 ~len:64 with
+            (match c.recv ~buf ~pos:0 ~len:64 with
             | Ok n when n > 0 && Bytes.sub buf 0 n = Bytes.sub msg 0 n -> incr echoed
             | _ -> ());
-            ignore (Bsd_socket.so_close s);
+            c.close ();
             incr finished)
       done;
       Clientos.run tb ~until:(fun () -> !finished >= legit);
-      let added, completed, overflow = counters () in
+      let sc = syncache.Syncache.stats in
+      let added = sc.Syncache.added and completed = sc.Syncache.completed + sc.Syncache.validated in
       Alcotest.(check int) "every legitimate client served" legit !served;
       Alcotest.(check int) "every echo byte-exact" legit !echoed;
       Alcotest.(check bool)
@@ -274,57 +253,41 @@ let flood_then_legit ~linux () =
         (added >= flood);
       Alcotest.(check bool) "legit handshakes completed from cache or cookie" true
         (completed >= legit);
-      Alcotest.(check int) "embryonic flood never overflowed the backlog" 0 overflow)
+      Alcotest.(check int) "embryonic flood never overflowed the backlog" 0 (overflow ()))
 
-let test_flood_then_legit_bsd () = flood_then_legit ~linux:false ()
-let test_flood_then_legit_linux () = flood_then_legit ~linux:true ()
+let test_flood_then_legit_bsd () = flood_then_legit Netbench.Freebsd ()
+let test_flood_then_legit_linux () = flood_then_legit Netbench.Linux ()
 
 (* ------------------------------------------------------------------ *)
 (* Stateless completion: an ACK whose cookie checks out builds the
    connection with no cached state at all; a bogus ACK is rejected.      *)
 
-let cookie_completion ~linux () =
+let cookie_completion config () =
   with_overload ~syn_defense:true (fun () ->
       let tb = fresh_testbed () in
-      let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+      let _, cstack = attacker tb in
+      let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let accepted_port = ref 0 and done_flag = ref false in
       let raddr = ip "10.0.0.77" and rport = 5555 and lport = 7300 in
-      let validated, rejected, cookie_of =
-        if linux then begin
-          let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-          Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-              let ls = Linux_inet.socket sb in
-              Linux_inet.bind sb ls ~port:lport;
-              Linux_inet.listen sb ls ~backlog:4;
-              let c = ok (Linux_inet.accept sb ls) in
-              accepted_port := c.Linux_inet.rport;
-              done_flag := true);
-          let sc = sb.Linux_inet.syncache in
-          ( (fun () -> sc.Syncache.stats.Syncache.validated),
-            (fun () -> sc.Syncache.stats.Syncache.rejected),
-            fun () -> Syncache.cookie sc ~raddr ~rport ~lport ~mss:1460 )
-        end
-        else begin
-          let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-          Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-              let ls = Bsd_socket.tcp_socket sb in
-              ok (Bsd_socket.so_bind ls ~port:lport);
-              ok (Bsd_socket.so_listen ls ~backlog:4);
-              let c = ok (Bsd_socket.so_accept ls) in
-              accepted_port := c.Bsd_socket.pcb.Tcp.rport;
-              done_flag := true);
-          let sc = sb.Bsd_socket.tcp.Tcp.syncache in
-          ( (fun () -> sc.Syncache.stats.Syncache.validated),
-            (fun () -> sc.Syncache.stats.Syncache.rejected),
-            fun () -> Syncache.cookie sc ~raddr ~rport ~lport ~mss:1460 )
-        end
+      Clientos.spawn server.host ~name:"srv" (fun () ->
+          let c = ok (server.listen ~port:lport ~backlog:4 ()) in
+          (accepted_port :=
+             match c.sock with
+             | Netbench.Bsd_sock s -> s.Bsd_socket.pcb.Tcp.rport
+             | Netbench.Lx_sock s -> s.Linux_inet.rport
+             | Netbench.Fd _ -> assert false);
+          done_flag := true);
+      let sc =
+        match server.stack with
+        | Netbench.Bsd sb -> sb.Bsd_socket.tcp.Tcp.syncache
+        | Netbench.Lx sb -> sb.Linux_inet.syncache
       in
       (* The cookie the server would have answered with, recomputed from
          its secret — then echoed (+1) in a bare ACK, as if the SYN-ACK
          had been received by a client whose cache entry was long evicted. *)
       Clientos.spawn tb.Clientos.host_a ~name:"ack" (fun () ->
           Kclock.sleep_ns 1_000_000;
-          let iss = cookie_of () in
+          let iss = Syncache.cookie sc ~raddr ~rport ~lport ~mss:1460 in
           (* Bogus completion first (the run ends once the valid one is
              accepted): the hash cannot match, so it must be rejected. *)
           send_raw_tcp cstack ~src:(ip "10.0.0.78") ~sport:rport
@@ -337,11 +300,12 @@ let cookie_completion ~linux () =
       Alcotest.(check bool) "cookie ACK produced an accepted connection" true !done_flag;
       Alcotest.(check int) "the accepted connection is the cookie's 4-tuple" rport
         !accepted_port;
-      Alcotest.(check int) "exactly one cookie validated" 1 (validated ());
-      Alcotest.(check bool) "the bogus ACK was rejected" true (rejected () >= 1))
+      Alcotest.(check int) "exactly one cookie validated" 1 sc.Syncache.stats.Syncache.validated;
+      Alcotest.(check bool) "the bogus ACK was rejected" true
+        (sc.Syncache.stats.Syncache.rejected >= 1))
 
-let test_cookie_completion_bsd () = cookie_completion ~linux:false ()
-let test_cookie_completion_linux () = cookie_completion ~linux:true ()
+let test_cookie_completion_bsd () = cookie_completion Netbench.Freebsd ()
+let test_cookie_completion_linux () = cookie_completion Netbench.Linux ()
 
 (* ------------------------------------------------------------------ *)
 (* Error-response rate limiting: RSTs answering unclaimed segments and
@@ -404,73 +368,41 @@ let test_udp_unreachable_rate_limit () =
    new connections keep working throughout.  Both stacks, client side
    (the active closer owns the TIME_WAIT).                               *)
 
-let tw_cap ~linux () =
+let tw_cap config () =
   with_overload ~tw_max:2 (fun () ->
       let tb = fresh_testbed () in
       let rounds = 5 in
       let served = ref 0 in
+      let client = Netbench.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+      let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+      Clientos.spawn server.host ~name:"srv" (fun () ->
+          let accept = server.listen ~port:7500 ~backlog:2 in
+          for _ = 1 to rounds do
+            let c = ok (accept ()) in
+            let buf = Bytes.create 16 in
+            let rec drain () = if ok (c.recv ~buf ~pos:0 ~len:16) > 0 then drain () in
+            drain ();
+            c.close ()
+          done);
+      Clientos.spawn client.host ~name:"cli" (fun () ->
+          Kclock.sleep_ns 1_000_000;
+          for _ = 1 to rounds do
+            let c = ok (client.connect ~dst:(ip "10.0.0.2") ~port:7500) in
+            let b = Bytes.of_string "x" in
+            ignore (ok (c.send ~buf:b ~pos:0 ~len:1));
+            (* Active close: this side owns the TIME_WAIT. *)
+            c.close ();
+            Kclock.sleep_ns 2_000_000;
+            incr served
+          done);
       let tw_now, reclaimed =
-        if linux then begin
-          let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-          let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-          Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-              let ls = Linux_inet.socket sb in
-              Linux_inet.bind sb ls ~port:7500;
-              Linux_inet.listen sb ls ~backlog:2;
-              for _ = 1 to rounds do
-                let c = ok (Linux_inet.accept sb ls) in
-                let buf = Bytes.create 16 in
-                let rec drain () =
-                  if ok (Linux_inet.recv sb c ~buf ~pos:0 ~len:16) > 0 then drain ()
-                in
-                drain ();
-                Linux_inet.close sb c
-              done);
-          Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
-              Kclock.sleep_ns 1_000_000;
-              for _ = 1 to rounds do
-                let s = Linux_inet.socket sa in
-                ok (Linux_inet.connect sa s ~dst:(ip "10.0.0.2") ~dport:7500);
-                let b = Bytes.of_string "x" in
-                ignore (ok (Linux_inet.send sa s ~buf:b ~pos:0 ~len:1));
-                (* Active close: this side owns the TIME_WAIT. *)
-                Linux_inet.close sa s;
-                Kclock.sleep_ns 2_000_000;
-                incr served
-              done);
-          ( (fun () -> sa.Linux_inet.tw.Tw_queue.live),
-            fun () -> sa.Linux_inet.time_wait_reclaimed )
-        end
-        else begin
-          let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-          let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
-          Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-              let ls = Bsd_socket.tcp_socket sb in
-              ok (Bsd_socket.so_bind ls ~port:7500);
-              ok (Bsd_socket.so_listen ls ~backlog:2);
-              for _ = 1 to rounds do
-                let c = ok (Bsd_socket.so_accept ls) in
-                let buf = Bytes.create 16 in
-                let rec drain () =
-                  if ok (Bsd_socket.so_recv c ~buf ~pos:0 ~len:16) > 0 then drain ()
-                in
-                drain ();
-                ignore (Bsd_socket.so_close c)
-              done);
-          Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
-              Kclock.sleep_ns 1_000_000;
-              for _ = 1 to rounds do
-                let s = Bsd_socket.tcp_socket sa in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:7500);
-                let b = Bytes.of_string "x" in
-                ignore (ok (Bsd_socket.so_send s ~buf:b ~pos:0 ~len:1));
-                ignore (Bsd_socket.so_close s);
-                Kclock.sleep_ns 2_000_000;
-                incr served
-              done);
-          ( (fun () -> sa.Bsd_socket.tcp.Tcp.tw.Tw_queue.live),
-            fun () -> sa.Bsd_socket.tcp.Tcp.stats.Tcp.time_wait_reclaimed )
-        end
+        match client.stack with
+        | Netbench.Bsd sa ->
+            ( (fun () -> sa.Bsd_socket.tcp.Tcp.tw.Tw_queue.live),
+              fun () -> sa.Bsd_socket.tcp.Tcp.stats.Tcp.time_wait_reclaimed )
+        | Netbench.Lx sa ->
+            ( (fun () -> sa.Linux_inet.tw.Tw_queue.live),
+              fun () -> sa.Linux_inet.time_wait_reclaimed )
       in
       Clientos.run tb ~until:(fun () -> !served >= rounds);
       Alcotest.(check int) "all five rounds completed" rounds !served;
@@ -483,8 +415,8 @@ let tw_cap ~linux () =
         true
         (reclaimed () >= rounds - 2 - 1))
 
-let test_tw_cap_bsd () = tw_cap ~linux:false ()
-let test_tw_cap_linux () = tw_cap ~linux:true ()
+let test_tw_cap_bsd () = tw_cap Netbench.Freebsd ()
+let test_tw_cap_linux () = tw_cap Netbench.Linux ()
 
 (* ------------------------------------------------------------------ *)
 (* The allocation-failure soak: with the injector firing on 0.1%-1% of
@@ -495,10 +427,9 @@ let test_tw_cap_linux () = tw_cap ~linux:true ()
    ([retry]): partial sends, Nomem errors and a refused connect are
    retried, the way a caller that receives ENOBUFS has to.               *)
 
-let soak_transfer ~linux ~prob ~burst ~seed ~bytes () =
+let soak_transfer config ~prob ~burst ~seed ~bytes () =
   with_overload ~alloc_fail_prob:prob ~alloc_fail_burst:burst ~alloc_fail_seed:seed
     (fun () ->
-      let config = if linux then Netbench.Linux else Netbench.Freebsd in
       let r =
         Netbench.stream
           { Netbench.ttcp with
@@ -518,10 +449,11 @@ let test_alloc_soak () =
      sweep as a whole injected real failures. *)
   let total =
     List.fold_left
-      (fun acc (linux, prob, seed) ->
-        acc + soak_transfer ~linux ~prob ~burst:2 ~seed ~bytes:(64 * 1024) ())
+      (fun acc (config, prob, seed) ->
+        acc + soak_transfer config ~prob ~burst:2 ~seed ~bytes:(64 * 1024) ())
       0
-      [ (false, 0.001, 42); (false, 0.01, 43); (true, 0.001, 44); (true, 0.01, 45) ]
+      [ (Netbench.Freebsd, 0.001, 42); (Netbench.Freebsd, 0.01, 43);
+        (Netbench.Linux, 0.001, 44); (Netbench.Linux, 0.01, 45) ]
   in
   Alcotest.(check bool) "the sweep injected failures" true (total > 0)
 
@@ -531,128 +463,53 @@ let test_alloc_soak () =
    drip-feeds unbounded header bytes is cut at the byte bound, and a
    well-behaved-but-slow client sails through both guards.               *)
 
-let file_bytes = 1024
+(* The httpd (reactor shape, FreeBSD stack, backlog 16) serving the 1 KB
+   index page; its clients run on [s.client]. *)
+let httpd ~until =
+  Httpbench.serve ~site:Httpbench.index_site ~backlog:16 ~stack:Netbench.Freebsd
+    ~shape:Httpbench.Reactor ~until ()
 
-let make_root () =
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  let body = Bytes.init file_bytes (fun i -> Char.chr (Netbench.pattern i)) in
-  let rec push off =
-    if off < file_bytes then
-      match f.Io_if.f_write ~buf:body ~pos:off ~offset:off ~amount:(file_bytes - off) with
-      | Ok n -> push (off + n)
-      | Error e -> Alcotest.failf "root write: %s" (Error.to_string e)
-  in
-  push 0;
-  (root, Bytes.to_string body)
-
-let httpd_rig ?(server_stats = ref None) ~until f =
-  let tb = fresh_testbed () in
-  let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let root, expect = make_root () in
-  let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let reactor = Reactor.create () in
-  Clientos.spawn server ~name:"httpd" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog:16);
-      server_stats := Some (Httpd.serve_reactor ~reactor ~root ~sock ());
-      Reactor.run reactor ~until);
-  f tb chost cstack expect;
-  Clientos.run tb ~until;
-  Option.get !server_stats
-
-(* Send [frag] fully over a blocking BSD socket. *)
-let push_str s frag =
-  let b = Bytes.of_string frag in
-  let rec go off =
-    if off < Bytes.length b then
-      match Bsd_socket.so_send s ~buf:b ~pos:off ~len:(Bytes.length b - off) with
-      | Ok n -> go (off + n)
-      | Error _ -> ()
-  in
-  go 0
-
-let drain_str s =
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 2048 in
-  let rec go () =
-    match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-    | Ok 0 | Error _ -> ()
-    | Ok n -> Buffer.add_subbytes acc buf 0 n; go ()
-  in
-  go ();
-  Buffer.contents acc
+(* On host A from [at] ns: connect, [f] over the connection, close. *)
+let spawn_client (s : Httpbench.served) ~name ~at f =
+  Clientos.spawn s.client.Netbench.host ~name (fun () ->
+      Kclock.sleep_ns at;
+      let c = ok (Httpbench.connect s) in
+      f c;
+      c.Netbench.close ())
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_httpd_deadline_and_header_bound () =
   with_overload ~httpd_guard:true ~httpd_header_deadline_ns:50_000_000
     ~httpd_max_header_bytes:256 (fun () ->
       let slow_cut = ref false and over_cut = ref false and legit_200 = ref false in
       let all () = !slow_cut && !over_cut && !legit_200 in
-      let st =
-        httpd_rig ~until:all (fun _tb chost cstack expect ->
-            (* Slowloris: the request line and then silence, holding the
-               connection open until the server's deadline cuts it. *)
-            Clientos.spawn chost ~name:"slowloris" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
-                (* Never send the terminator: block in recv until the
-                   deadline closes the connection under us. *)
-                let got = drain_str s in
-                if got = "" then slow_cut := true;
-                ignore (Bsd_socket.so_close s));
-            (* Drip-fed oversized headers: cut at the byte bound long
-               before the deadline. *)
-            Clientos.spawn chost ~name:"overflow" (fun () ->
-                Kclock.sleep_ns 4_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
-                for _ = 1 to 40 do
-                  push_str s "X-Padding: aaaaaaaaaaaaaaaa\r\n"
-                done;
-                let got = drain_str s in
-                if got = "" then over_cut := true;
-                ignore (Bsd_socket.so_close s));
-            (* Slow but legitimate: finishes inside the deadline and must
-               be served byte-exact. *)
-            Clientos.spawn chost ~name:"legit" (fun () ->
-                Kclock.sleep_ns 5_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
-                Kclock.sleep_ns 20_000_000;
-                push_str s "\r\n";
-                let resp = drain_str s in
-                (match String.index_opt resp '\r' with _ -> ());
-                let body_ok =
-                  match
-                    let rec find i =
-                      if i + 4 > String.length resp then None
-                      else if String.sub resp i 4 = "\r\n\r\n" then Some (i + 4)
-                      else find (i + 1)
-                    in
-                    find 0
-                  with
-                  | Some i -> String.sub resp i (String.length resp - i) = expect
-                  | None -> false
-                in
-                if starts_with ~prefix:"HTTP/1.0 200" resp && body_ok then
-                  legit_200 := true;
-                ignore (Bsd_socket.so_close s)))
-      in
+      let s = httpd ~until:all in
+      (* Slowloris: the request line and then silence, holding the
+         connection open until the server's deadline cuts it. *)
+      spawn_client s ~name:"slowloris" ~at:3_000_000 (fun c ->
+          Httpbench.send_string c "GET /index.html HTTP/1.0\r\n";
+          (* Never send the terminator: block in recv until the deadline
+             closes the connection under us. *)
+          if Httpbench.drain c = "" then slow_cut := true);
+      (* Drip-fed oversized headers: cut at the byte bound long before the
+         deadline. *)
+      spawn_client s ~name:"overflow" ~at:4_000_000 (fun c ->
+          Httpbench.send_string c "GET /index.html HTTP/1.0\r\n";
+          for _ = 1 to 40 do
+            Httpbench.send_string c "X-Padding: aaaaaaaaaaaaaaaa\r\n"
+          done;
+          if Httpbench.drain c = "" then over_cut := true);
+      (* Slow but legitimate: finishes inside the deadline and must be
+         served byte-exact. *)
+      spawn_client s ~name:"legit" ~at:5_000_000 (fun c ->
+          Httpbench.send_string c "GET /index.html HTTP/1.0\r\n";
+          Kclock.sleep_ns 20_000_000;
+          Httpbench.send_string c "\r\n";
+          if Httpbench.exact_200 (Httpbench.drain c) s.bodies.(0) then legit_200 := true);
+      Clientos.run s.testbed ~until:all;
+      let st = s.stats () in
       Alcotest.(check bool) "slowloris was cut with no response" true !slow_cut;
       Alcotest.(check bool) "oversized headers were cut with no response" true !over_cut;
       Alcotest.(check bool) "slow-but-legit client got its 200 byte-exact" true !legit_200;
@@ -664,32 +521,25 @@ let test_httpd_shed_503 () =
   with_overload ~httpd_guard:true ~httpd_shed_hiwat:1 (fun () ->
       let got_200 = ref false and got_503 = ref false in
       let all () = !got_200 && !got_503 in
-      let st =
-        httpd_rig ~until:all (fun _tb chost cstack _expect ->
-            (* The first client parks itself mid-request, holding [active]
-               at the high-water mark... *)
-            Clientos.spawn chost ~name:"holder" (fun () ->
-                Kclock.sleep_ns 3_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n";
-                Kclock.sleep_ns 30_000_000;
-                push_str s "\r\n";
-                let resp = drain_str s in
-                if starts_with ~prefix:"HTTP/1.0 200" resp then got_200 := true;
-                ignore (Bsd_socket.so_close s));
-            (* ... so the second is answered 503 + Retry-After and closed
-               instead of being parked behind it. *)
-            Clientos.spawn chost ~name:"shed-me" (fun () ->
-                Kclock.sleep_ns 10_000_000;
-                let s = Bsd_socket.tcp_socket cstack in
-                ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                push_str s "GET /index.html HTTP/1.0\r\n\r\n";
-                let resp = drain_str s in
-                if starts_with ~prefix:"HTTP/1.0 503" resp && contains resp "Retry-After"
-                then got_503 := true;
-                ignore (Bsd_socket.so_close s)))
-      in
+      let s = httpd ~until:all in
+      (* The first client parks itself mid-request, holding [active] at
+         the high-water mark... *)
+      spawn_client s ~name:"holder" ~at:3_000_000 (fun c ->
+          Httpbench.send_string c "GET /index.html HTTP/1.0\r\n";
+          Kclock.sleep_ns 30_000_000;
+          Httpbench.send_string c "\r\n";
+          if starts_with ~prefix:"HTTP/1.0 200" (Httpbench.drain c) then got_200 := true);
+      (* ... so the second is answered 503 + Retry-After and closed instead
+         of being parked behind it. *)
+      spawn_client s ~name:"shed-me" ~at:10_000_000 (fun c ->
+          Httpbench.send_string c "GET /index.html HTTP/1.0\r\n\r\n";
+          let resp = Httpbench.drain c in
+          if
+            starts_with ~prefix:"HTTP/1.0 503" resp
+            && Httpbench.index_of resp "Retry-After" <> None
+          then got_503 := true);
+      Clientos.run s.testbed ~until:all;
+      let st = s.stats () in
       Alcotest.(check bool) "held connection still served" true !got_200;
       Alcotest.(check bool) "overload answered 503 + Retry-After" true !got_503;
       Alcotest.(check int) "one connection shed" 1 st.Httpd.shed_503;
@@ -703,33 +553,30 @@ let test_httpd_shed_503 () =
 let test_httpd_keepalive_drip_deadline () =
   Cost.with_config { Cost.config with Cost.http_keepalive = true } (fun () ->
       with_overload ~httpd_guard:true (fun () ->
-          let server_stats = ref None in
-          let deadline_closed () =
-            match !server_stats with Some st -> st.Httpd.deadline_closed | None -> 0
-          in
           let at_deadline = ref (-1) and finished = ref false in
-          let st =
-            httpd_rig ~server_stats ~until:(fun () -> !finished && !at_deadline >= 0)
-              (fun _tb chost cstack _expect ->
-                (* Sample the count just past the deadline. *)
-                Clientos.spawn chost ~name:"watch" (fun () ->
-                    Kclock.sleep_ns (3_000_000 + 1_200_000_000);
-                    at_deadline := deadline_closed ());
-                Clientos.spawn chost ~name:"dripper" (fun () ->
-                    Kclock.sleep_ns 3_000_000;
-                    let s = Bsd_socket.tcp_socket cstack in
-                    ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80);
-                    (* Eight drips (4 s) unless cut first. *)
-                    String.iter
-                      (fun ch ->
-                        if deadline_closed () = 0 then begin
-                          push_str s (String.make 1 ch);
-                          Kclock.sleep_ns 500_000_000
-                        end)
-                      "GET /ind";
-                    ignore (Bsd_socket.so_close s);
-                    finished := true))
-          in
+          let until () = !finished && !at_deadline >= 0 in
+          let s = httpd ~until in
+          let deadline_closed () = (s.stats ()).Httpd.deadline_closed in
+          let chost = s.client.Netbench.host in
+          (* Sample the count just past the deadline. *)
+          Clientos.spawn chost ~name:"watch" (fun () ->
+              Kclock.sleep_ns (3_000_000 + 1_200_000_000);
+              at_deadline := deadline_closed ());
+          Clientos.spawn chost ~name:"dripper" (fun () ->
+              Kclock.sleep_ns 3_000_000;
+              let c = ok (Httpbench.connect s) in
+              (* Eight drips (4 s) unless cut first. *)
+              String.iter
+                (fun ch ->
+                  if deadline_closed () = 0 then begin
+                    Httpbench.send_string c (String.make 1 ch);
+                    Kclock.sleep_ns 500_000_000
+                  end)
+                "GET /ind";
+              c.close ();
+              finished := true);
+          Clientos.run s.testbed ~until;
+          let st = s.stats () in
           Alcotest.(check int) "cut by the header deadline within 1.2 s" 1 !at_deadline;
           Alcotest.(check int) "one deadline close" 1 st.Httpd.deadline_closed;
           Alcotest.(check int) "not an idle close" 0 st.Httpd.idle_closed;
@@ -743,50 +590,51 @@ let test_httpd_keepalive_drip_deadline () =
 let test_flags_off_counters_untouched () =
   Memfault.reset ();
   let tb = fresh_testbed () in
-  let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
-  let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
+  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let server = Netbench.setup Netbench.Linux tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
   let served = ref false and echoed = ref false in
-  Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
-      let ls = Linux_inet.socket sb in
-      Linux_inet.bind sb ls ~port:7700;
-      Linux_inet.listen sb ls ~backlog:2;
-      let c = ok (Linux_inet.accept sb ls) in
+  Clientos.spawn server.host ~name:"srv" (fun () ->
+      let c = ok (server.listen ~port:7700 ~backlog:2 ()) in
       let buf = Bytes.create 64 in
-      let n = ok (Linux_inet.recv sb c ~buf ~pos:0 ~len:64) in
-      ignore (ok (Linux_inet.send sb c ~buf ~pos:0 ~len:n));
-      Linux_inet.close sb c;
+      let n = ok (c.recv ~buf ~pos:0 ~len:64) in
+      ignore (ok (c.send ~buf ~pos:0 ~len:n));
+      c.close ();
       served := true);
-  Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
+  Clientos.spawn client.host ~name:"cli" (fun () ->
       Kclock.sleep_ns 1_000_000;
-      let s = Bsd_socket.tcp_socket sa in
-      ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:7700);
+      let c = ok (client.connect ~dst:(ip "10.0.0.2") ~port:7700) in
       let msg = Bytes.of_string "plain" in
-      ignore (ok (Bsd_socket.so_send s ~buf:msg ~pos:0 ~len:5));
+      ignore (ok (c.send ~buf:msg ~pos:0 ~len:5));
       let buf = Bytes.create 64 in
-      (match Bsd_socket.so_recv s ~buf ~pos:0 ~len:64 with
+      (match c.recv ~buf ~pos:0 ~len:64 with
       | Ok n when n > 0 -> echoed := true
       | _ -> ());
-      ignore (Bsd_socket.so_close s));
+      c.close ());
   Clientos.run tb ~until:(fun () -> !served && !echoed);
   Alcotest.(check bool) "round trip completed" true (!served && !echoed);
-  let st = sa.Bsd_socket.tcp.Tcp.stats in
-  let bsc = sa.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
-  let lsc = sb.Linux_inet.syncache.Syncache.stats in
-  Alcotest.(check int) "bsd: no syncache activity" 0
-    (bsc.Syncache.added + bsc.Syncache.evicted + bsc.Syncache.completed);
-  Alcotest.(check int) "bsd: no cookie activity" 0
-    (bsc.Syncache.validated + bsc.Syncache.rejected);
-  Alcotest.(check int) "bsd: no TIME_WAIT reclaim" 0 st.Tcp.time_wait_reclaimed;
-  Alcotest.(check int) "bsd: no nomem drops" 0 st.Tcp.nomem_drops;
-  Alcotest.(check int) "bsd: no rate limiting" 0 st.Tcp.rst_ratelimited;
-  Alcotest.(check int) "bsd udp: no rate limiting" 0 sa.Bsd_socket.udp.Udp.icmp_ratelimited;
-  Alcotest.(check int) "linux: no syncache activity" 0
-    (lsc.Syncache.added + lsc.Syncache.evicted + lsc.Syncache.completed);
-  Alcotest.(check int) "linux: no cookie activity" 0
-    (lsc.Syncache.validated + lsc.Syncache.rejected);
-  Alcotest.(check int) "linux: no TIME_WAIT reclaim" 0 sb.Linux_inet.time_wait_reclaimed;
-  Alcotest.(check int) "linux: no nomem drops" 0 sb.Linux_inet.nomem_drops;
-  Alcotest.(check int) "linux: no rate limiting" 0 sb.Linux_inet.rst_ratelimited;
+  (* Each stack's overload counters, every one of which must read 0. *)
+  let untouched (ep : Netbench.endpoint) =
+    match ep.stack with
+    | Netbench.Bsd sa ->
+        let st = sa.Bsd_socket.tcp.Tcp.stats in
+        let sc = sa.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
+        [ ( "bsd: no syncache activity",
+            sc.Syncache.added + sc.Syncache.evicted + sc.Syncache.completed );
+          ("bsd: no cookie activity", sc.Syncache.validated + sc.Syncache.rejected);
+          ("bsd: no TIME_WAIT reclaim", st.Tcp.time_wait_reclaimed);
+          ("bsd: no nomem drops", st.Tcp.nomem_drops);
+          ("bsd: no rate limiting", st.Tcp.rst_ratelimited);
+          ("bsd udp: no rate limiting", sa.Bsd_socket.udp.Udp.icmp_ratelimited) ]
+    | Netbench.Lx sb ->
+        let sc = sb.Linux_inet.syncache.Syncache.stats in
+        [ ( "linux: no syncache activity",
+            sc.Syncache.added + sc.Syncache.evicted + sc.Syncache.completed );
+          ("linux: no cookie activity", sc.Syncache.validated + sc.Syncache.rejected);
+          ("linux: no TIME_WAIT reclaim", sb.Linux_inet.time_wait_reclaimed);
+          ("linux: no nomem drops", sb.Linux_inet.nomem_drops);
+          ("linux: no rate limiting", sb.Linux_inet.rst_ratelimited) ]
+  in
+  List.iter (fun (name, n) -> Alcotest.(check int) name 0 n) (untouched client @ untouched server);
   Alcotest.(check int) "injector: no draws, no failures" 0
     (Memfault.draws () + Memfault.failures ())
 

@@ -35,21 +35,25 @@ let received_matches name got =
   Alcotest.(check bool) (name ^ ": byte-exact") true (Buffer.to_bytes got = pattern bytes)
 
 (* Server on B; on A, sockets holding 65535 and 1024, then a connect. *)
-let test_bsd_tcp () =
+let tcp_wraps ?models config () =
   Clientos.reset_globals ();
-  let tb = Clientos.make_testbed () in
-  let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:addr_a ~mask in
-  let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:addr_b ~mask in
+  let tb = Clientos.make_testbed ?models () in
+  let client = Netbench.setup config tb.Clientos.host_a ~addr:addr_a in
+  let server = Netbench.setup config tb.Clientos.host_b ~addr:addr_b in
   let got = Buffer.create bytes and peer_port = ref 0 and done_ = ref false in
-  Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-      let ls = Bsd_socket.tcp_socket sb in
-      ok (Bsd_socket.so_bind ls ~port:server_port);
-      ok (Bsd_socket.so_listen ls ~backlog:4);
-      let conn = ok (Bsd_socket.so_accept ls) in
-      peer_port := conn.Bsd_socket.pcb.Tcp.rport;
+  let port_of (c : Netbench.conn) ~remote =
+    match c.sock with
+    | Netbench.Bsd_sock s ->
+        if remote then s.Bsd_socket.pcb.Tcp.rport else s.Bsd_socket.pcb.Tcp.lport
+    | Netbench.Lx_sock s -> if remote then s.Linux_inet.rport else s.Linux_inet.lport
+    | Netbench.Fd _ -> assert false
+  in
+  Clientos.spawn server.host ~name:"server" (fun () ->
+      let conn = ok (server.listen ~port:server_port ~backlog:4 ()) in
+      peer_port := port_of conn ~remote:true;
       let buf = Bytes.create 8192 in
       let rec loop () =
-        match ok (Bsd_socket.so_recv conn ~buf ~pos:0 ~len:8192) with
+        match ok (conn.recv ~buf ~pos:0 ~len:8192) with
         | 0 -> done_ := true
         | n ->
             Buffer.add_subbytes got buf 0 n;
@@ -57,63 +61,26 @@ let test_bsd_tcp () =
       in
       loop ());
   let lport = ref 0 in
-  Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
+  Clientos.spawn client.host ~name:"client" (fun () ->
       List.iter
         (fun port ->
-          let s = Bsd_socket.tcp_socket sa in
-          ok (Bsd_socket.so_bind s ~port);
-          ok (Bsd_socket.so_listen s ~backlog:1))
+          let (_ : unit -> _) = client.listen ~port ~backlog:1 in
+          ())
         [ 65535; 1024 ];
-      sa.Bsd_socket.tcp.Tcp.ports.Port_alloc.cursor <- 65535;
-      let s = Bsd_socket.tcp_socket sa in
-      ok (Bsd_socket.so_connect s ~dst:addr_b ~dport:server_port);
-      lport := s.Bsd_socket.pcb.Tcp.lport;
-      ignore (ok (Bsd_socket.so_send s ~buf:(pattern bytes) ~pos:0 ~len:bytes));
-      ok (Bsd_socket.so_close s));
+      (match client.stack with
+      | Netbench.Bsd sa -> sa.Bsd_socket.tcp.Tcp.ports.Port_alloc.cursor <- 65535
+      | Netbench.Lx sa -> sa.Linux_inet.ports.Port_alloc.cursor <- 65535);
+      let c = ok (client.connect ~dst:addr_b ~port:server_port) in
+      lport := port_of c ~remote:false;
+      ignore (ok (c.send ~buf:(pattern bytes) ~pos:0 ~len:bytes));
+      c.close ());
   Clientos.run tb ~until:(fun () -> !done_);
   Alcotest.(check int) "connect took 1025" 1025 !lport;
   Alcotest.(check int) "server saw 1025" 1025 !peer_port;
-  received_matches "bsd tcp" got
+  received_matches (Netbench.config_name config ^ " tcp") got
 
-let test_linux_tcp () =
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
-  let sa = Clientos.linux_host tb.Clientos.host_a ~ip:addr_a ~mask in
-  let sb = Clientos.linux_host tb.Clientos.host_b ~ip:addr_b ~mask in
-  let got = Buffer.create bytes and peer_port = ref 0 and done_ = ref false in
-  Clientos.spawn tb.Clientos.host_b ~name:"server" (fun () ->
-      let ls = Linux_inet.socket sb in
-      Linux_inet.bind sb ls ~port:server_port;
-      Linux_inet.listen sb ls ~backlog:4;
-      let conn = ok (Linux_inet.accept sb ls) in
-      peer_port := conn.Linux_inet.rport;
-      let buf = Bytes.create 8192 in
-      let rec loop () =
-        match ok (Linux_inet.recv sb conn ~buf ~pos:0 ~len:8192) with
-        | 0 -> done_ := true
-        | n ->
-            Buffer.add_subbytes got buf 0 n;
-            loop ()
-      in
-      loop ());
-  let lport = ref 0 in
-  Clientos.spawn tb.Clientos.host_a ~name:"client" (fun () ->
-      List.iter
-        (fun port ->
-          let s = Linux_inet.socket sa in
-          Linux_inet.bind sa s ~port;
-          Linux_inet.listen sa s ~backlog:1)
-        [ 65535; 1024 ];
-      sa.Linux_inet.ports.Port_alloc.cursor <- 65535;
-      let s = Linux_inet.socket sa in
-      ok (Linux_inet.connect sa s ~dst:addr_b ~dport:server_port);
-      lport := s.Linux_inet.lport;
-      ignore (ok (Linux_inet.send sa s ~buf:(pattern bytes) ~pos:0 ~len:bytes));
-      Linux_inet.close sa s);
-  Clientos.run tb ~until:(fun () -> !done_);
-  Alcotest.(check int) "connect took 1025" 1025 !lport;
-  Alcotest.(check int) "server saw 1025" 1025 !peer_port;
-  received_matches "linux tcp" got
+let test_bsd_tcp = tcp_wraps Netbench.Freebsd
+let test_linux_tcp = tcp_wraps ~models:("3c59x", "lance") Netbench.Linux
 
 (* UDP's range is 49152-65535: an echo server on B answers each datagram
    to its source port, which A's implicit bind chose. *)

@@ -7,7 +7,6 @@
    byte-exact at every CPU count, clean and under loss. *)
 
 let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
 
 let ok = function
   | Ok v -> v
@@ -252,29 +251,25 @@ let test_nic_rss_queues () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end across CPU counts: ttcp, byte-exact, clean and lossy.    *)
 
-let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
+let cross_cpu_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
   with_ncpus ncpus @@ fun () ->
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
   if loss > 0.0 then
     Wire.set_netem tb.Clientos.wire
       (Some (Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss } ()));
-  let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let sstack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
+  let server = Netbench.setup Netbench.Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let total = blocks * blocksize in
   let received = ref 0 and mismatches = ref 0 and finished = ref false in
-  Clientos.spawn server ~cpu:0 ~name:"ttcp-srv" (fun () ->
-      let ls = Bsd_socket.tcp_socket sstack in
-      ok (Bsd_socket.so_bind ls ~port:6001);
-      ok (Bsd_socket.so_listen ls ~backlog:2);
-      let s = ok (Bsd_socket.so_accept ls) in
+  Clientos.spawn server.host ~cpu:0 ~name:"ttcp-srv" (fun () ->
+      let c = ok (server.listen ~port:6001 ~backlog:2 ()) in
       let buf = Bytes.create 16384 in
       let rec loop () =
-        match ok (Bsd_socket.so_recv s ~buf ~pos:0 ~len:16384) with
+        match ok (c.recv ~buf ~pos:0 ~len:16384) with
         | 0 ->
             finished := true;
-            ignore (Bsd_socket.so_close s)
+            c.close ()
         | n ->
             for i = 0 to n - 1 do
               if Char.code (Bytes.get buf i) <> Netbench.pattern (!received + i) then
@@ -284,10 +279,9 @@ let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
             loop ()
       in
       loop ());
-  Clientos.spawn chost ~cpu:(ncpus - 1) ~name:"ttcp-cli" (fun () ->
+  Clientos.spawn client.host ~cpu:(ncpus - 1) ~name:"ttcp-cli" (fun () ->
       Kclock.sleep_ns 2_000_000;
-      let s = Bsd_socket.tcp_socket cstack in
-      ok (Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:6001);
+      let c = ok (client.connect ~dst:(ip "10.0.0.2") ~port:6001) in
       let block = Bytes.create blocksize in
       for b = 0 to blocks - 1 do
         for i = 0 to blocksize - 1 do
@@ -295,11 +289,11 @@ let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
         done;
         let rec push off =
           if off < blocksize then
-            push (off + ok (Bsd_socket.so_send s ~buf:block ~pos:off ~len:(blocksize - off)))
+            push (off + ok (c.send ~buf:block ~pos:off ~len:(blocksize - off)))
         in
         push 0
       done;
-      ignore (Bsd_socket.so_close s));
+      c.close ());
   Clientos.run tb ~until:(fun () -> !finished);
   Alcotest.(check int)
     (Printf.sprintf "ncpus=%d loss=%.2f: no corrupted bytes" ncpus loss)
@@ -309,13 +303,13 @@ let run_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
     total !received
 
 let test_ttcp_cross_cpu () =
-  List.iter (fun ncpus -> run_ttcp ~ncpus ~blocks:64 ~blocksize:4096 ()) [ 1; 2; 4 ];
+  List.iter (fun ncpus -> cross_cpu_ttcp ~ncpus ~blocks:64 ~blocksize:4096 ()) [ 1; 2; 4 ];
   Alcotest.(check bool) "at 4 CPUs the NIC actually steered" true
     (Cost.counters.Cost.rss_steered > 0)
 
 let test_ttcp_cross_cpu_lossy () =
   List.iter
-    (fun ncpus -> run_ttcp ~loss:0.03 ~ncpus ~blocks:32 ~blocksize:4096 ())
+    (fun ncpus -> cross_cpu_ttcp ~loss:0.03 ~ncpus ~blocks:32 ~blocksize:4096 ())
     [ 1; 2; 4 ]
 
 let sum_shards f =
@@ -327,7 +321,7 @@ let sum_shards f =
 
 let test_shards_sum_to_aggregate () =
   (* Leaves the counters populated by a genuinely multi-CPU run. *)
-  run_ttcp ~ncpus:4 ~blocks:32 ~blocksize:4096 ();
+  cross_cpu_ttcp ~ncpus:4 ~blocks:32 ~blocksize:4096 ();
   let agg = Cost.counters in
   let pairs =
     [ "copies", agg.Cost.copies, sum_shards (fun c -> c.Cost.copies);
@@ -351,108 +345,42 @@ let test_shards_sum_to_aggregate () =
 (* ------------------------------------------------------------------ *)
 (* The sharded reactor httpd end-to-end, every response byte-exact.    *)
 
-let index_of s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
-let run_httpd ?(loss = 0.0) ~ncpus ~clients () =
+let cross_cpu_httpd ?(loss = 0.0) ~ncpus ~clients () =
   with_ncpus ncpus @@ fun () ->
-  Clientos.reset_globals ();
-  let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
-  if loss > 0.0 then
-    Wire.set_netem tb.Clientos.wire
-      (Some (Netem.create ~seed:11 ~policy:{ Netem.default_policy with loss } ()));
-  let server = tb.Clientos.host_b and chost = tb.Clientos.host_a in
-  let dev = Mem_blkio.make ~bytes:(1 lsl 20) () in
-  let root = ok (Fs_glue.newfs dev) in
-  let body = String.init 512 (fun i -> Char.chr (Netbench.pattern i)) in
-  let f = ok (root.Io_if.d_create "index.html") in
-  (let b = Bytes.of_string body in
-   let rec push off =
-     if off < Bytes.length b then
-       match
-         f.Io_if.f_write ~buf:b ~pos:off ~offset:off ~amount:(Bytes.length b - off)
-       with
-       | Ok n -> push (off + n)
-       | Error e -> Alcotest.failf "write: %s" (Error.to_string e)
-   in
-   push 0);
-  let stack = Clientos.freebsd_host server ~ip:(ip "10.0.0.2") ~mask in
-  let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
-  let sock = Freebsd_glue.socket_com stack (Bsd_socket.tcp_socket stack) in
-  let reactors = Array.init ncpus (fun _ -> Reactor.create ()) in
-  let home (peer : Io_if.sockaddr) =
-    Rss.cpu_of_flow ~ncpus ~proto:6 ~addr_a:(ip "10.0.0.2") ~port_a:80
-      ~addr_b:peer.Io_if.sin_addr ~port_b:peer.Io_if.sin_port
-  in
   let done_clients = ref 0 in
   let all_done () = !done_clients >= clients in
-  Clientos.spawn server ~cpu:0 ~name:"httpd-accept" (fun () ->
-      ok (sock.Io_if.so_bind { Io_if.sin_addr = ip "10.0.0.2"; sin_port = 80 });
-      ok (sock.Io_if.so_listen ~backlog:64);
-      ignore (Httpd.serve_reactor_sharded ~reactors ~home ~root ~sock ());
-      Reactor.run reactors.(0) ~until:all_done);
-  for c = 1 to ncpus - 1 do
-    Clientos.spawn server ~cpu:c
-      ~name:(Printf.sprintf "httpd-cpu%d" c)
-      (fun () -> Reactor.run reactors.(c) ~until:all_done)
-  done;
+  let s =
+    Httpbench.serve ~models:("3c905", "fxp-sim")
+      ~site:{ Httpbench.index_site with files = [| ("index.html", 512) |] }
+      ~backlog:64 ~stack:Netbench.Freebsd ~shape:Httpbench.Reactor ~until:all_done ()
+  in
+  if loss > 0.0 then
+    Wire.set_netem s.testbed.Clientos.wire
+      (Some (Netem.create ~seed:11 ~policy:{ Netem.default_policy with loss } ()));
   let bad = ref 0 in
   for i = 0 to clients - 1 do
-    Clientos.spawn chost ~cpu:(i mod ncpus)
+    Clientos.spawn s.client.Netbench.host ~cpu:(i mod ncpus)
       ~name:(Printf.sprintf "c%d" i)
       (fun () ->
         Kclock.sleep_ns (2_000_000 + (i * 50_000));
-        let s = Bsd_socket.tcp_socket cstack in
-        (match Bsd_socket.so_connect s ~dst:(ip "10.0.0.2") ~dport:80 with
+        (match Httpbench.connect s with
         | Error _ -> incr bad
-        | Ok () ->
-            let req = Bytes.of_string "GET /index.html HTTP/1.0\r\n\r\n" in
-            let rec push off =
-              if off < Bytes.length req then
-                match
-                  Bsd_socket.so_send s ~buf:req ~pos:off ~len:(Bytes.length req - off)
-                with
-                | Ok n -> push (off + n)
-                | Error _ -> ()
-            in
-            push 0;
-            let buf = Bytes.create 4096 in
-            let acc = Buffer.create 1024 in
-            let rec drain () =
-              match Bsd_socket.so_recv s ~buf ~pos:0 ~len:4096 with
-              | Ok 0 | Error _ -> ()
-              | Ok n ->
-                  Buffer.add_subbytes acc buf 0 n;
-                  drain ()
-            in
-            drain ();
-            let resp = Buffer.contents acc in
-            let exact =
-              String.length resp > 12
-              && String.sub resp 0 12 = "HTTP/1.0 200"
-              &&
-              match index_of resp "\r\n\r\n" with
-              | Some i -> String.sub resp (i + 4) (String.length resp - i - 4) = body
-              | None -> false
-            in
-            if not exact then incr bad);
-        ignore (Bsd_socket.so_close s);
+        | Ok c ->
+            Httpbench.send_string c "GET /index.html HTTP/1.0\r\n\r\n";
+            if not (Httpbench.exact_200 (Httpbench.drain c) s.bodies.(0)) then incr bad;
+            c.close ());
         incr done_clients)
   done;
-  Clientos.run tb ~until:all_done;
+  Clientos.run s.testbed ~until:all_done;
   Alcotest.(check int)
     (Printf.sprintf "ncpus=%d loss=%.2f: every response byte-exact" ncpus loss)
     0 !bad
 
 let test_httpd_cross_cpu () =
-  List.iter (fun ncpus -> run_httpd ~ncpus ~clients:16 ()) [ 1; 2; 4 ]
+  List.iter (fun ncpus -> cross_cpu_httpd ~ncpus ~clients:16 ()) [ 1; 2; 4 ]
 
 let test_httpd_cross_cpu_lossy () =
-  List.iter (fun ncpus -> run_httpd ~loss:0.02 ~ncpus ~clients:8 ()) [ 1; 2; 4 ]
+  List.iter (fun ncpus -> cross_cpu_httpd ~loss:0.02 ~ncpus ~clients:8 ()) [ 1; 2; 4 ]
 
 let suite =
   [ Alcotest.test_case "smp: cpu_number reports the executing CPU" `Quick
