@@ -26,7 +26,7 @@ type shape = Reactor | Threads
 
 let shape_name = function Reactor -> "reactor" | Threads -> "threads"
 
-let ip, ok = Netbench.(ip, ok)
+let ip, ok = Endpoint.(ip, ok)
 let server_ip = ip "10.0.0.2"
 let server_port = 80
 
@@ -144,7 +144,7 @@ let concurrency_profile = { (Cost.paper ()) with Cost.thread_spawn_cycles = 20_0
 (* ---- one run ---- *)
 
 type result = {
-  r_stack : Netbench.config;
+  r_stack : Endpoint.config;
   r_shape : shape;
   r_desc : desc;
   r_profile : Cost.config;
@@ -208,7 +208,7 @@ let exact_200 resp body = is_200 "1.0" resp && body_of resp = Some body
 (* ---- the client side, over any stream connection ---- *)
 
 (* Send [s] whole; an error ends it early. *)
-let send_string (c : Netbench.conn) s =
+let send_string (c : Endpoint.conn) s =
   let b = Bytes.of_string s in
   let rec go off =
     if off < Bytes.length b then
@@ -219,7 +219,7 @@ let send_string (c : Netbench.conn) s =
   go 0
 
 (* Everything [c] delivers until EOF or an error. *)
-let drain ?(size_hint = 4096) (c : Netbench.conn) =
+let drain ?(size_hint = 4096) (c : Endpoint.conn) =
   let buf = Bytes.create 4096 and acc = Buffer.create size_hint in
   let rec go () =
     match c.recv ~buf ~pos:0 ~len:4096 with
@@ -233,7 +233,7 @@ let drain ?(size_hint = 4096) (c : Netbench.conn) =
 (* A Content-Length framer over [c]: each call of the result reads the
    next response as (header block, body) — or None at EOF, on a header
    block with no Content-Length, or when the stream ends mid-body. *)
-let reader (c : Netbench.conn) =
+let reader (c : Endpoint.conn) =
   let buf = Bytes.create 4096 and acc = Buffer.create 4096 in
   let consumed = ref 0 in
   let rec fill need =
@@ -269,8 +269,8 @@ let reader (c : Netbench.conn) =
 
 type served = {
   testbed : Clientos.testbed;
-  client : Netbench.endpoint; (* FreeBSD, host A at 10.0.0.1 *)
-  server : Netbench.endpoint; (* host B at [server_ip], whose stack the httpd serves from *)
+  client : Endpoint.t; (* FreeBSD, host A at 10.0.0.1 *)
+  server : Endpoint.t; (* host B at [server_ip], whose stack the httpd serves from *)
   bodies : string array; (* the site's files, in order *)
   stats : unit -> Httpd.stats; (* the server's counts, once its thread has started *)
   reactors : Reactor.t array; (* one per server CPU *)
@@ -292,13 +292,13 @@ let serve ?models ?bandwidth_bps ?max_threads ?max_conns ~site ~backlog ~stack ~
   let tb = Clientos.make_testbed ?models ?bandwidth_bps () in
   let host = tb.Clientos.host_b in
   let root, bodies = make_root site in
-  let server = Netbench.setup stack host ~addr:server_ip in
+  let server = Endpoint.setup stack host ~addr:server_ip in
   let sock =
     match server.stack with
-    | Netbench.Bsd bsd -> Freebsd_glue.socket_com bsd (Bsd_socket.tcp_socket bsd)
-    | Netbench.Lx lx -> Linux_sock_com.socket_com lx (Linux_inet.socket lx)
+    | Endpoint.Bsd bsd -> Freebsd_glue.socket_com bsd (Bsd_socket.tcp_socket bsd)
+    | Endpoint.Lx lx -> Linux_sock_com.socket_com lx (Linux_inet.socket lx)
   in
-  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let stats = ref None in
   let reactors = Array.init ncpus (fun _ -> Reactor.create ()) in
   let home (peer : Io_if.sockaddr) =
@@ -458,10 +458,10 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
   let sum f = Array.fold_left (fun a r -> a + f (Reactor.stats r)) 0 s.reactors in
   let listen_overflow, per_cpu =
     match s.server.stack with
-    | Netbench.Bsd bsd ->
+    | Endpoint.Bsd bsd ->
         ( bsd.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow,
           Array.init ncpus (fun cpu -> (Tcp.stats_for bsd.Bsd_socket.tcp ~cpu).Tcp.rcvpack) )
-    | Netbench.Lx lx -> lx.Linux_inet.listen_overflow, Array.make ncpus 0
+    | Endpoint.Lx lx -> lx.Linux_inet.listen_overflow, Array.make ncpus 0
   in
   let steered = max 1 (Array.fold_left ( + ) 0 per_cpu) in
   let c = Cost.counters in

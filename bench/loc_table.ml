@@ -87,6 +87,7 @@ let descriptions =
     "inet", "Shared wire codec, ARP & policy";
     "linux_fs", "Linux FAT file system";
     "netbsd_fs", "NetBSD file system";
+    "ttcp", "ttcp/rtcp workloads & endpoints";
     "vm", "Bytecode VM (Kaffe stand-in)";
     "core", "Assembly recipes" ]
 

@@ -85,8 +85,8 @@ let ka_sendfile = { keepalive with Cost.sendfile = true; sg_tx = true }
 
 let record section cell metrics = { section; cell; metrics }
 let yes_no b = Str (if b then "yes" else "no")
-let systems = [ Netbench.Linux; Netbench.Freebsd; Netbench.Oskit ]
-let system config = "system", Str (Netbench.config_name config)
+let systems = [ Endpoint.Linux; Endpoint.Freebsd; Endpoint.Oskit ]
+let system config = "system", Str (Endpoint.config_name config)
 
 (* Host cost, exact: the words the simulator allocates per operation of a
    cell, as Gc deltas around [f], returned with [f]'s result as a
@@ -115,14 +115,14 @@ let ttcp ?(profile = paper) ~sender ~receiver ~blocks () =
   let r =
     Cost.with_config profile @@ fun () ->
     Netbench.stream
-      { Netbench.ttcp with sender; receiver; bytes = blocks * blocksize; send_chunk = blocksize }
+      { Workload.table1 with sender; receiver; bytes = blocks * blocksize; send_chunk = blocksize }
   in
   if not r.completed then failwith "ttcp: the transfer ran out of fuel";
   r
 
-let per_kpkt (t : Netbench.result) n = Int (n * 1000 / max 1 t.wire_carried)
+let per_kpkt (t : Workload.result) n = Int (n * 1000 / max 1 t.wire_carried)
 
-let transfer_counts (t : Netbench.result) =
+let transfer_counts (t : Workload.result) =
   let c = t.counters in
   [ "copies_per_kpkt", per_kpkt t c.Cost.copies;
     "crossings_per_kpkt", per_kpkt t c.Cost.glue_crossings;
@@ -130,12 +130,8 @@ let transfer_counts (t : Netbench.result) =
     "linearized_xmits", Int c.Cost.linearized_xmits;
     "checksummed_bytes", Int c.Cost.checksummed_bytes ]
 
-(* rtcp's figure: the mean round trip, in microseconds. *)
-let mean_us samples =
-  float_of_int (Array.fold_left ( + ) 0 samples) /. float_of_int (Array.length samples) /. 1e3
-
 let rtt_us ?(profile = paper) config ~trips =
-  mean_us (fst (Cost.with_config profile (fun () -> Netbench.rtt config ~trips)))
+  Percentile.mean_us (fst (Cost.with_config profile (fun () -> Netbench.rtt config ~trips)))
 
 (* ---------------- Table 1 ---------------- *)
 
@@ -154,12 +150,12 @@ let table1 () =
             host_words (fun () ->
                 (* Only the send run's figures outlive it: its simulated
                    world is garbage before the receive run starts. *)
-                let send = run config Netbench.Freebsd in
+                let send = run config Endpoint.Freebsd in
                 let send_mbit = send.mbit_sender and counts = transfer_counts send in
                 ( send_mbit,
                   counts,
                   if transfers = 2 then
-                    [ "recv_mbit", Float (run Netbench.Freebsd config).mbit_receiver ]
+                    [ "recv_mbit", Float (run Endpoint.Freebsd config).mbit_receiver ]
                   else [] ))
           in
           record "table1"
@@ -398,12 +394,12 @@ let glue () =
     (fun cycles ->
       let p = { paper with Cost.glue_crossing_cycles = cycles } in
       let t =
-        ttcp ~profile:p ~sender:Netbench.Oskit ~receiver:Netbench.Freebsd ~blocks:(blocks / 2) ()
+        ttcp ~profile:p ~sender:Endpoint.Oskit ~receiver:Endpoint.Freebsd ~blocks:(blocks / 2) ()
       in
       record "glue"
-        [ system Netbench.Oskit; profile p; "blocks", Int (blocks / 2); "trips", Int 100 ]
+        [ system Endpoint.Oskit; profile p; "blocks", Int (blocks / 2); "trips", Int 100 ]
         [ "send_mbit", Float t.mbit_sender;
-          "rtt_us", Float (rtt_us ~profile:p Netbench.Oskit ~trips:100) ])
+          "rtt_us", Float (rtt_us ~profile:p Endpoint.Oskit ~trips:100) ])
     [ 0; 500; 1500; 3000; 6000 ]
 
 (* B: copies and glue crossings per 1000 wire packets: the send path
@@ -413,16 +409,16 @@ let copies () =
     (fun (sender, receiver) ->
       let t = ttcp ~sender ~receiver ~blocks:(blocks / 2) () in
       record "copies"
-        [ "sender", Str (Netbench.config_name sender);
-          "receiver", Str (Netbench.config_name receiver);
+        [ "sender", Str (Endpoint.config_name sender);
+          "receiver", Str (Endpoint.config_name receiver);
           profile paper;
           "blocks", Int (blocks / 2) ]
         [ "copies_per_kpkt", per_kpkt t t.counters.Cost.copies;
           "crossings_per_kpkt", per_kpkt t t.counters.Cost.glue_crossings ])
-    [ Netbench.Freebsd, Netbench.Freebsd;
-      Netbench.Oskit, Netbench.Freebsd;
-      Netbench.Freebsd, Netbench.Oskit;
-      Netbench.Linux, Netbench.Linux ]
+    [ Endpoint.Freebsd, Endpoint.Freebsd;
+      Endpoint.Oskit, Endpoint.Freebsd;
+      Endpoint.Freebsd, Endpoint.Oskit;
+      Endpoint.Linux, Endpoint.Linux ]
 
 (* ---------------- chaos: goodput under injected loss ---------------- *)
 
@@ -435,10 +431,10 @@ let chaos () =
     let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss } () in
     let r =
       Cost.with_config p @@ fun () ->
-      Netbench.stream { Netbench.ttcp with sender; netem = Some netem; bytes = blocks * blocksize }
+      Netbench.stream ~netem { Workload.table1 with sender; bytes = blocks * blocksize }
     in
     record "chaos"
-      [ "sender", Str (Netbench.config_name sender); profile p; "loss", Float loss;
+      [ "sender", Str (Endpoint.config_name sender); profile p; "loss", Float loss;
         "seed", Int 42; "blocks", Int blocks; "blocksize", Int blocksize ]
       [ "goodput_mbit", Float r.mbit_receiver;
         "rexmits", Int r.rexmits;
@@ -448,10 +444,10 @@ let chaos () =
   let sweep p senders losses =
     List.concat_map (fun sender -> List.map (run p sender) losses) senders
   in
-  sweep paper [ Netbench.Freebsd; Netbench.Oskit; Netbench.Linux ]
+  sweep paper [ Endpoint.Freebsd; Endpoint.Oskit; Endpoint.Linux ]
     [ 0.0; 0.005; 0.01; 0.02; 0.05 ]
-  @ sweep sg_on [ Netbench.Oskit ] [ 0.0; 0.01; 0.05 ]
-  @ sweep fast [ Netbench.Oskit; Netbench.Linux ] [ 0.0; 0.01 ]
+  @ sweep sg_on [ Endpoint.Oskit ] [ 0.0; 0.01; 0.05 ]
+  @ sweep fast [ Endpoint.Oskit; Endpoint.Linux ] [ 0.0; 0.01 ]
 
 (* ---------------- rtt: the Table 2 gap, attacked ---------------- *)
 
@@ -465,7 +461,7 @@ let rtt () =
     let pct = Percentile.us_of_ns samples in
     record "rtt"
       [ "workload", Str "rtcp"; system config; profile p; "trips", Int trips ]
-      [ "mean_us", Float (mean_us samples);
+      [ "mean_us", Float (Percentile.mean_us samples);
         "p50_us", Float (pct 50);
         "p95_us", Float (pct 95);
         "p99_us", Float (pct 99);
@@ -478,19 +474,19 @@ let rtt () =
   in
   let http p =
     let r =
-      Httpbench.run ~profile:p Httpbench.concurrency ~stack:Netbench.Oskit
+      Httpbench.run ~profile:p Httpbench.concurrency ~stack:Endpoint.Oskit
         ~shape:Httpbench.Reactor ~clients:128 ()
     in
     Httpbench.check ~what:"rtt" r;
     record "rtt"
-      [ "workload", Str "http"; system Netbench.Oskit; profile p; "clients", Int 128 ]
+      [ "workload", Str "http"; system Endpoint.Oskit; profile p; "clients", Int 128 ]
       [ "p50_us", Float r.r_p50_us;
         "p99_us", Float r.r_p99_us;
         "rx_polls", Int r.r_rx_polls;
         "rx_frames", Int r.r_rx_frames ]
   in
   List.concat_map (fun config -> List.map (rtcp config 200) [ paper; fast ]) systems
-  @ List.map (rtcp Netbench.Oskit 100) [ paper; fast ]
+  @ List.map (rtcp Endpoint.Oskit 100) [ paper; fast ]
   @ List.map http [ Httpbench.concurrency_profile; http128_fast ]
 
 (* ---------------- HTTP runs ---------------- *)
@@ -527,7 +523,7 @@ let http () =
               in
               Httpbench.check ~what:"http" r;
               record "http"
-                [ "stack", Str (Netbench.config_name stack);
+                [ "stack", Str (Endpoint.config_name stack);
                   "mode", Str (Httpbench.shape_name shape);
                   "clients", Int clients;
                   profile Httpbench.concurrency_profile;
@@ -542,7 +538,7 @@ let http () =
                 @ words r.r_requests))
             [ Httpbench.Threads; Httpbench.Reactor ])
         [ 1; 4; 16; 64; 256 ])
-    [ Netbench.Freebsd; Netbench.Linux ]
+    [ Endpoint.Freebsd; Endpoint.Linux ]
 
 (* smp: the reactor httpd sharded netisr-style across a multi-CPU server.
    NIC RX computes an RSS hash over each frame's 4-tuple and steers it to
@@ -567,7 +563,7 @@ let smp () =
         (fun ncpus ->
           let p = smp_profile ncpus in
           let r =
-            Httpbench.run ~profile:p smp_desc ~stack:Netbench.Freebsd
+            Httpbench.run ~profile:p smp_desc ~stack:Endpoint.Freebsd
               ~shape:Httpbench.Reactor ~clients ()
           in
           Httpbench.check ~what:"smp" r;
@@ -598,7 +594,7 @@ let smp () =
    the 64-block buffer cache.  With keep-alive on, each client holds one
    connection, pipelined to [pipeline] (within [http_pipeline_max], so
    the server's parse-ahead bound never throttles the reader). *)
-let file_cell ?(stack = Netbench.Freebsd) ?(shape = Httpbench.Reactor) ?(clients = 16)
+let file_cell ?(stack = Endpoint.Freebsd) ?(shape = Httpbench.Reactor) ?(clients = 16)
     ?(reqs = 125) ?(files = 16) ?(file_bytes = 4096) ?(pipeline = 1) p =
   let request = if p.Cost.http_keepalive then Httpbench.Http11 pipeline else Httpbench.Http10 in
   let r =
@@ -615,7 +611,7 @@ let file_cell ?(stack = Netbench.Freebsd) ?(shape = Httpbench.Reactor) ?(clients
   Httpbench.check ~what:"file" r;
   let st = r.r_server in
   record "file"
-    [ "stack", Str (Netbench.config_name stack);
+    [ "stack", Str (Endpoint.config_name stack);
       "mode", Str (Httpbench.shape_name shape);
       profile p;
       "clients", Int clients;
@@ -652,7 +648,7 @@ let file () =
       List.concat_map
         (fun shape -> List.map (file_cell ~stack ~shape) profiles)
         [ Httpbench.Reactor; Httpbench.Threads ])
-    [ Netbench.Freebsd; Netbench.Linux; Netbench.Oskit ]
+    [ Endpoint.Freebsd; Endpoint.Linux; Endpoint.Oskit ]
   (* A working set twice the cache: eviction under load. *)
   @ List.map (file_cell ~files:128) [ keepalive; ka_sendfile ]
   (* Body sizes: the copy path scales with the body, warm sendfile stays
@@ -670,7 +666,7 @@ let file () =
      stacks on the sendfile profile. *)
   @ (let burst = file_cell ~clients:64 ~reqs:4 in
      List.map burst profiles
-     @ [ burst ~shape:Httpbench.Threads ka_sendfile; burst ~stack:Netbench.Linux ka_sendfile ])
+     @ [ burst ~shape:Httpbench.Threads ka_sendfile; burst ~stack:Endpoint.Linux ka_sendfile ])
 
 (* ---------------- longfat: RTT x loss with scaled windows ---------------- *)
 
@@ -698,10 +694,8 @@ let longfat_cell config ~rtt_ms ~loss ~bytes (mode_name, p, manual) =
   in
   let r =
     Cost.with_config p @@ fun () ->
-    Netbench.stream
-      { Netbench.ttcp with
-        sender = config; receiver = config; bytes; send_chunk = 16384;
-        latency_ns = Some (max 1_000 (rtt_ns / 2)); netem; buffers }
+    Netbench.stream ~latency_ns:(max 1_000 (rtt_ns / 2)) ?netem ?buffers
+      { Workload.table1 with sender = config; receiver = config; bytes; send_chunk = 16384 }
   in
   record "longfat"
     [ system config; "rtt_ms", Float rtt_ms; "loss", Float loss; "buffers", Str mode_name;
@@ -718,7 +712,7 @@ let longfat_cell config ~rtt_ms ~loss ~bytes (mode_name, p, manual) =
    forced zero-window stall on the Linux stack that only the persist
    timer talks through. *)
 let longfat () =
-  let stacks = [ Netbench.Freebsd; Netbench.Linux ] in
+  let stacks = [ Endpoint.Freebsd; Endpoint.Linux ] in
   let grid =
     List.concat_map
       (fun config ->
@@ -746,13 +740,13 @@ let longfat () =
   let stall_ns = 3_000_000_000 and bytes = 256 * 1024 in
   let zw =
     Netbench.stream
-      { Netbench.ttcp with
-        sender = Netbench.Linux; receiver = Netbench.Linux; bytes; send_chunk = 16384;
+      { Workload.table1 with
+        sender = Endpoint.Linux; receiver = Endpoint.Linux; bytes; send_chunk = 16384;
         stall_ns }
   in
   grid @ eight_mb
   @ [ record "longfat"
-        [ system Netbench.Linux; profile paper; "bytes", Int bytes;
+        [ system Endpoint.Linux; profile paper; "bytes", Int bytes;
           "stall_ms", Int (stall_ns / 1_000_000) ]
         [ "persist_probes", Int zw.persist_probes; "byte_exact", yes_no zw.byte_exact ] ]
 
@@ -767,8 +761,8 @@ let overload_bytes_per_client = 65536
 let overload_soak_bytes = 262144
 
 let overload () =
-  let servers = [ Netbench.Freebsd; Netbench.Linux ] in
-  let server s = "server", Str (Netbench.config_name s) in
+  let servers = [ Endpoint.Freebsd; Endpoint.Linux ] in
+  let server s = "server", Str (Endpoint.config_name s) in
   let floods =
     List.concat_map
       (fun sv ->
@@ -817,7 +811,7 @@ let overload () =
         let r = Overloadbench.loris_run ~guard ~loris:8 ~legit:4 () in
         let st = r.r_server in
         record "overload"
-          [ "kind", Str "loris"; server Netbench.Freebsd; profile r.r_profile;
+          [ "kind", Str "loris"; server Endpoint.Freebsd; profile r.r_profile;
             "loris", Int r.r_desc.loris; "legit", Int r.r_clients ]
           [ "served", Int (Overloadbench.loris_served r);
             "deadline_closed", Int st.Httpd.deadline_closed;

@@ -19,12 +19,12 @@
 
    Each run installs its own profile: the paper defaults with the
    overload fields it studies changed, so the calibrated Table 1/2/rtt
-   baselines never see any of this machinery.  The servers are the TCP
-   stream harness's endpoints (Netbench) and the soak is its stream run;
-   the Slowloris runs are the shared HTTP harness (Httpbench) under such
-   a profile. *)
+   baselines never see any of this machinery.  The servers are lib/ttcp's
+   endpoints (Endpoint) and the soak is the stream harness's run; the
+   Slowloris runs are the shared HTTP harness (Httpbench) under such a
+   profile. *)
 
-let ip, mask, ok, pattern = Netbench.(ip, mask, ok, pattern)
+let ip, mask, ok, pattern = Endpoint.(ip, mask, ok, pattern)
 
 (* Run [f] under [profile], re-seeding the allocation injector from the
    profile on the way in and from the caller's configuration on the way
@@ -72,7 +72,7 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
       let served = ref 0 and finished = ref 0 and bytes_got = ref 0 in
       let t_start = ref max_int and t_end = ref 0 in
       let block = Bytes.init 4096 (fun i -> Char.chr (pattern i)) in
-      let serve (c : Netbench.conn) =
+      let serve (c : Endpoint.conn) =
         (* Push bytes_per_client of patterned data, then close. *)
         let rec push sent =
           if sent < bytes_per_client then begin
@@ -86,7 +86,7 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
         push 0;
         c.close ()
       in
-      let srv = Netbench.setup server tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+      let srv = Endpoint.setup server tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       Clientos.spawn srv.host ~name:"srv" (fun () ->
           let accept = srv.listen ~port:7900 ~backlog:4 in
           for _ = 1 to legit do
@@ -94,12 +94,12 @@ let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
           done);
       let counters () =
         match srv.stack with
-        | Netbench.Lx sb ->
+        | Endpoint.Lx sb ->
             let sc = sb.Linux_inet.syncache.Syncache.stats in
             ( sc.Syncache.added,
               sc.Syncache.completed + sc.Syncache.validated,
               sb.Linux_inet.listen_overflow )
-        | Netbench.Bsd sb ->
+        | Endpoint.Bsd sb ->
             let sc = sb.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
             ( sc.Syncache.added,
               sc.Syncache.completed + sc.Syncache.validated,
@@ -180,10 +180,9 @@ let alloc_run ~server ~prob ~seed ~bytes () =
   let profile = alloc_profile ~prob ~seed in
   under profile (fun () ->
       let r =
-        Netbench.stream
-          { Netbench.ttcp with
-            sender = server; receiver = server; bytes; recv_chunk = 4096;
-            delay_ns = 1_000_000; retry = true }
+        Netbench.stream ~retry:true
+          { Workload.table1 with
+            sender = server; receiver = server; bytes; recv_chunk = 4096; delay_ns = 1_000_000 }
       in
       { al_profile = profile;
         al_byte_exact = r.byte_exact;
@@ -218,6 +217,6 @@ let loris_run ~guard ~loris ~legit () =
       stagger_ns = 200_000;
       warmup = false;
       loris }
-    ~stack:Netbench.Freebsd ~shape:Httpbench.Reactor ~clients:legit ()
+    ~stack:Endpoint.Freebsd ~shape:Httpbench.Reactor ~clients:legit ()
 
 let loris_served r = r.Httpbench.r_requests - r.Httpbench.r_mismatches

@@ -5,14 +5,14 @@ let run label profile =
   let r =
     Cost.with_config profile @@ fun () ->
     Netbench.stream
-      { Netbench.ttcp with
-        sender = Netbench.Freebsd; receiver = Netbench.Freebsd; bytes = 4 * 1024 * 1024;
+      { Workload.table1 with
+        sender = Endpoint.Freebsd; receiver = Endpoint.Freebsd; bytes = 4 * 1024 * 1024;
         send_chunk = 16384 }
   in
-  let segments (ep : Netbench.endpoint) =
+  let segments (ep : Endpoint.t) =
     match ep.stack with
-    | Netbench.Bsd st -> st.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack
-    | Netbench.Lx _ -> 0
+    | Endpoint.Bsd st -> st.Bsd_socket.tcp.Tcp.stats.Tcp.sndpack
+    | Endpoint.Lx _ -> 0
   in
   Printf.printf "%-28s %6.2f Mbit/s  (segments=%d acks~=%d)\n%!" label r.mbit_receiver
     (segments r.tx) (segments r.rx)

@@ -7,17 +7,17 @@ let () =
   let bytes = 200 * 1024 in
   let r =
     Netbench.stream
-      { Netbench.ttcp with
-        sender = Netbench.Freebsd; receiver = Netbench.Freebsd; bytes; send_chunk = bytes;
-        recv_chunk = 8192; delay_ns = 1_000_000;
-        fault = Some (fun _ -> incr n; !n mod 13 = 0) }
+      ~fault:(fun _ -> incr n; !n mod 13 = 0)
+      { Workload.table1 with
+        sender = Endpoint.Freebsd; receiver = Endpoint.Freebsd; bytes; send_chunk = bytes;
+        recv_chunk = 8192; delay_ns = 1_000_000 }
   in
   Printf.printf "done=%b received=%d/%d byte_exact=%b now=%.3fs dropped=%d\n" r.completed
     r.received bytes r.byte_exact
     (float_of_int (World.now r.testbed.Clientos.world) /. 1e9)
     r.wire_dropped;
-  let bsd (ep : Netbench.endpoint) =
-    match ep.stack with Netbench.Bsd st -> st | Netbench.Lx _ -> assert false
+  let bsd (ep : Endpoint.t) =
+    match ep.stack with Endpoint.Bsd st -> st | Endpoint.Lx _ -> assert false
   in
   let sa = bsd r.tx and sb = bsd r.rx in
   let st = sa.Bsd_socket.tcp.Tcp.stats in
@@ -39,7 +39,7 @@ let () =
         p.Tcp.rcv_nxt (List.length p.Tcp.reass) p.Tcp.rcv_buf.Sockbuf.sb_cc)
     (Tcp.pcb_list sb.Bsd_socket.tcp);
   List.iter
-    (fun (side, (ep : Netbench.endpoint)) ->
+    (fun (side, (ep : Endpoint.t)) ->
       List.iter
         (fun (name, e) -> Printf.printf "%s thread %s died: %s\n" side name (Printexc.to_string e))
         (Thread.failures (Kernel.sched ep.host.Clientos.kernel)))

@@ -39,17 +39,27 @@
 # touched only by its push_front and is_empty and by the pcb_list
 # accessor, so no segment, SYN, bind or close grows a walk over the whole
 # population back.
-# Every ttcp- or rtcp-shaped run in bench/ and bin/ goes through the one
-# TCP stream harness, bench/netbench.ml (its endpoints, stream and rtt
-# runs): a grep must find so_accept, Linux_inet.accept and Posix.accept
-# nowhere in bench/ or bin/ outside that file, nor in the tests that moved
-# onto its endpoints (test_http11, test_overload, test_smp, test_ports),
-# so no second copy grows back beside it; and `type stack_stats` and `let
-# setup config host` must be defined there only, in lib, bench, bin,
-# examples or test.
+# Every ttcp- or rtcp-shaped run goes through one component library,
+# lib/ttcp: its endpoints (lib/ttcp/endpoint.ml) and its ttcp and rtcp
+# workloads, which the example kernels call directly and the bench, the
+# tests and bin/ call through the stream harness, bench/netbench.ml.  A
+# grep must find so_accept, Linux_inet.accept and Posix.accept nowhere in
+# bench/, bin/, lib/ttcp or the ttcp and rtcp examples outside the
+# endpoint file, nor in the tests that moved onto its endpoints
+# (test_http11, test_overload, test_smp, test_ports), so no second copy
+# grows back beside it; the two examples must call no socket layer
+# (Posix, Bsd_socket, Linux_inet) at all; and `type stack_stats` and `let
+# setup config host` must be defined in the endpoint file only, in lib,
+# bench, bin, examples or test.
 # Every httpd a bench section or a test runs is built by the one HTTP
 # harness, bench/httpbench.ml (Httpbench.serve): a grep must find no call
 # of an Httpd.serve_ function in bench/, test/ or bin/ outside that file.
+# The example kernels are the measured kernels: run from their defaults
+# (only a pairing or a system on the command line), ttcp prints each
+# paper-profile Table 1 cell (X -> FreeBSD for send, FreeBSD -> X for
+# receive) and rtcp each Table 2 cell, equal to the committed BENCH cell
+# at the digits the file keeps, under a header naming the cell's pairing
+# and scale (blocks and block size, or trips).
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -79,10 +89,15 @@ if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \
   echo "BSD TCP walks its pcb list outside the pcb_list accessor" >&2
   exit 1
 fi
-if grep -rnE 'so_accept|Linux_inet\.accept|Posix\.accept' bench bin test/test_http11.ml \
-  test/test_overload.ml test/test_smp.ml test/test_ports.ml \
-  | grep -v '^bench/netbench\.ml:'; then
-  echo "TCP accept loop in bench/, bin/ or a converted test outside the stream harness" >&2
+if grep -rnE 'so_accept|Linux_inet\.accept|Posix\.accept' bench bin lib/ttcp \
+  examples/ttcp.ml examples/rtcp.ml test/test_http11.ml test/test_overload.ml \
+  test/test_smp.ml test/test_ports.ml \
+  | grep -v '^lib/ttcp/endpoint\.ml:'; then
+  echo "TCP accept loop outside lib/ttcp's endpoints" >&2
+  exit 1
+fi
+if grep -nE '(Posix|Bsd_socket|Linux_inet)\.' examples/ttcp.ml examples/rtcp.ml; then
+  echo "example kernel calls a socket layer instead of lib/ttcp's endpoints" >&2
   exit 1
 fi
 if grep -rn 'Httpd\.serve_' bench test bin | grep -v '^bench/httpbench\.ml:'; then
@@ -90,8 +105,8 @@ if grep -rn 'Httpd\.serve_' bench test bin | grep -v '^bench/httpbench\.ml:'; th
   exit 1
 fi
 if grep -rnE '^ *(type stack_stats\b|let setup config host\b)' lib bench bin examples test \
-  | grep -v '^bench/netbench\.ml:'; then
-  echo "stream-harness endpoint or stats type defined outside bench/netbench.ml" >&2
+  | grep -v '^lib/ttcp/endpoint\.ml:'; then
+  echo "endpoint or stats type defined outside lib/ttcp/endpoint.ml" >&2
   exit 1
 fi
 dune runtest
@@ -104,6 +119,39 @@ if [ -n "$(git status --porcelain -- 'BENCH_*.json' EXPERIMENTS.md)" ]; then
   echo "bench records differ from the committed BENCH files or EXPERIMENTS.md" >&2
   exit 1
 fi
+cell() { # BENCH_FILE SYSTEM KEY: the paper-profile cell's value of KEY
+  grep "\"system\": \"$2\", \"profile\": \"\"," "$1" | sed -n "s/.*\"$3\": \([0-9.]*\).*/\1/p"
+}
+kernel() { # WANT HEADER LABEL EXAMPLE ARGS...
+  want=$1 header=$2 label=$3 exe=$4
+  shift 4
+  out=$("_build/default/examples/$exe.exe" "$@")
+  got=$(echo "$out" | sed -n "s/^  $label: *\([0-9.]*\) .*/\1/p")
+  case "$out" in
+    *"$header"*) ;;
+    *) got="$got, not under '$header'" ;;
+  esac
+  if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "$out" >&2
+    echo "$exe $*: $label $got; the committed cell is '$want'" >&2
+    exit 1
+  fi
+}
+for system in OSKit Linux FreeBSD; do
+  arg=$(echo "$system" | tr 'A-Z' 'a-z')
+  # OSKit is both examples' default system: it runs with no argument.
+  default=$arg
+  if [ "$system" = OSKit ]; then default=""; fi
+  t1=BENCH_table1.json t2=BENCH_table2.json
+  scale="$(cell $t1 "$system" blocks) blocks x $(cell $t1 "$system" blocksize) bytes"
+  kernel "$(cell $t1 "$system" send_mbit)" "ttcp: $system -> FreeBSD, $scale" \
+    send ttcp $default
+  kernel "$(cell $t1 "$system" recv_mbit)" "ttcp: FreeBSD -> $system, $scale" \
+    receive ttcp freebsd "$arg"
+  kernel "$(cell $t2 "$system" rtt_us)" \
+    "rtcp: $system, $(cell $t2 "$system" trips) one-byte round trips" \
+    "round-trip time" rtcp $default
+done
 status=0
 dune exec bench/main.exe -- sgsmoke || status=$?
 if [ "$status" -ne 2 ]; then

@@ -40,7 +40,7 @@ let fresh_testbed () =
   Clientos.reset_globals ();
   Clientos.make_testbed ~models:("3c905", "tulip") ()
 
-let pattern pos = Char.chr (Netbench.pattern pos)
+let pattern pos = Char.chr (Endpoint.pattern pos)
 
 let aio_of (sock : Io_if.socket) =
   ok (Com.query sock.Io_if.so_unknown Io_if.asyncio_iid)

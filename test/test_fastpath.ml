@@ -38,18 +38,18 @@ let equivalence sender label =
               loss = float_of_int loss_mil /. 1000.;
               reorder = float_of_int reorder_mil /. 1000.;
               reorder_delay_ns = 400_000 };
-          (Netbench.stream { Netbench.ttcp with sender; netem = Some em; bytes = 16 * 4096 })
+          (Netbench.stream ~netem:em { Workload.table1 with sender; bytes = 16 * 4096 })
             .byte_exact))
 
-let equivalence_oskit = equivalence Netbench.Oskit "oskit"
-let equivalence_linux = equivalence Netbench.Linux "linux"
+let equivalence_oskit = equivalence Endpoint.Oskit "oskit"
+let equivalence_linux = equivalence Endpoint.Linux "linux"
 
 (* Clean in-order transfer with the flags on: byte-exact, the predictor
    actually fires, and nothing falls back (the rtt bench's bound on
    fastpath_fallbacks, pinned here at unit scale). *)
 let test_clean_transfer_predicts () =
   with_fast (fun () ->
-      let r = Netbench.stream { Netbench.ttcp with bytes = 32 * 4096 } in
+      let r = Netbench.stream { Workload.table1 with bytes = 32 * 4096 } in
       Alcotest.(check bool) "byte-exact" true r.byte_exact;
       Alcotest.(check bool) "prediction fired" true (Cost.counters.Cost.fastpath_hits > 0);
       Alcotest.(check int) "no fallbacks on a clean wire" 0
@@ -267,10 +267,9 @@ let tapped_transfer sender ~seed ~fastpath =
     { Netem.default_policy with loss = 0.02; reorder = 0.02; reorder_delay_ns = 400_000 };
   let frames = ref [] in
   let r =
-    Netbench.stream
-      { Netbench.ttcp with
-        sender; netem = Some em; tap = Some (fun at f -> frames := (at, f) :: !frames);
-        bytes = 16 * 4096 }
+    Netbench.stream ~netem:em
+      ~tap:(fun at f -> frames := (at, f) :: !frames)
+      { Workload.table1 with sender; bytes = 16 * 4096 }
   in
   r.byte_exact, List.rev_map (fun (at, f) -> at, by_host r.testbed f) !frames
 
@@ -292,7 +291,7 @@ let test_prediction_only_charges () =
               Alcotest.(check bool) (name ^ ": every frame, byte and time, identical") true
                 (List.for_all2 (fun (ta, a) (tb, b) -> ta = tb && Bytes.equal a b) off on))
             [ 1; 2; 3 ])
-        Netbench.[ Oskit, "oskit"; Freebsd, "freebsd"; Linux, "linux" ];
+        Endpoint.[ Oskit, "oskit"; Freebsd, "freebsd"; Linux, "linux" ];
       Alcotest.(check bool) "segments were predicted" true (!hits > 0);
       Alcotest.(check bool) "segments fell back" true (!fallbacks > 0))
 

@@ -37,14 +37,14 @@ let site sizes =
    runs until [until].  Returns the server's counts. *)
 let serve_to ?loss ?(shape = Httpbench.Reactor) ~sizes ~until client =
   let s =
-    Httpbench.serve ~site:(site sizes) ~backlog:16 ~stack:Netbench.Freebsd ~shape ~until ()
+    Httpbench.serve ~site:(site sizes) ~backlog:16 ~stack:Endpoint.Freebsd ~shape ~until ()
   in
   Option.iter
     (fun loss ->
       Wire.set_netem s.Httpbench.testbed.Clientos.wire
         (Some (Netem.create ~seed:29 ~policy:{ Netem.default_policy with loss } ())))
     loss;
-  Clientos.spawn s.Httpbench.client.Netbench.host ~name:"client" (fun () ->
+  Clientos.spawn s.Httpbench.client.Endpoint.host ~name:"client" (fun () ->
       Kclock.sleep_ns 3_000_000;
       client s);
   Clientos.run s.Httpbench.testbed ~until;
@@ -315,7 +315,7 @@ let canned stream cuts =
         if !at = e then ends := rest;
         Ok n
   in
-  { Netbench.send = (fun ~buf:_ ~pos:_ ~len -> Ok len); recv; close = ignore; sock = Netbench.Fd 0 }
+  { Endpoint.send = (fun ~buf:_ ~pos:_ ~len -> Ok len); recv; close = ignore; sock = Endpoint.Fd 0 }
 
 let header body = Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d" (String.length body)
 let response body = header body ^ "\r\n\r\n" ^ body

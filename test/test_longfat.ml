@@ -25,25 +25,24 @@ let fresh_testbed ?latency_ns () =
    result carries the stacks and sockets, so callers can pin estimator
    and flow-control internals. *)
 let transfer config ?latency_ns ?netem ?(bytes = 128 * 1024) ?(stall_ns = 0) () =
-  Netbench.stream
-    { Netbench.ttcp with
-      sender = config; receiver = config; bytes; send_chunk = 8192; recv_chunk = 8192;
-      delay_ns = 1_000_000; latency_ns; netem; stall_ns }
+  Netbench.stream ?latency_ns ?netem
+    { Workload.sender = config; receiver = config; bytes; send_chunk = 8192; recv_chunk = 8192;
+      delay_ns = 1_000_000; stall_ns }
 
 (* Both ends' stacks, and the sender's socket, on one stack type. *)
-let linux_stacks (r : Netbench.result) =
+let linux_stacks (r : Workload.result) =
   match r.tx.stack, r.rx.stack with
-  | Netbench.Lx a, Netbench.Lx b -> a, b
+  | Endpoint.Lx a, Endpoint.Lx b -> a, b
   | _ -> Alcotest.fail "not a Linux pair"
 
-let linux_sender (r : Netbench.result) =
+let linux_sender (r : Workload.result) =
   match r.tx_sock with
-  | Some (Netbench.Lx_sock s) -> s
+  | Some (Endpoint.Lx_sock s) -> s
   | _ -> Alcotest.fail "no Linux sender socket"
 
-let bsd_sender (r : Netbench.result) =
+let bsd_sender (r : Workload.result) =
   match r.tx_sock with
-  | Some (Netbench.Bsd_sock s) -> s
+  | Some (Endpoint.Bsd_sock s) -> s
   | _ -> Alcotest.fail "no BSD sender socket"
 
 (* ------------------------------------------------------------------ *)
@@ -55,7 +54,7 @@ let bsd_sender (r : Netbench.result) =
    alive and the transfer completes byte-exact. *)
 
 let test_zero_window_probe_recovers () =
-  let r = transfer Netbench.Linux ~bytes:(192 * 1024) ~stall_ns:2_500_000_000 () in
+  let r = transfer Endpoint.Linux ~bytes:(192 * 1024) ~stall_ns:2_500_000_000 () in
   Alcotest.(check bool) "transfer completed byte-exact through the stall" true r.byte_exact;
   Alcotest.(check bool) "persist probes fired during the stall" true (r.persist_probes > 0)
 
@@ -64,7 +63,7 @@ let test_zero_window_probe_recovers () =
    bytes as duplicates rather than data. *)
 let test_zero_window_probe_is_sequence_neutral () =
   let em = Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss = 0.02 } () in
-  let r = transfer Netbench.Linux ~netem:em ~bytes:(128 * 1024) ~stall_ns:2_000_000_000 () in
+  let r = transfer Endpoint.Linux ~netem:em ~bytes:(128 * 1024) ~stall_ns:2_000_000_000 () in
   let sa, sb = linux_stacks r in
   Alcotest.(check bool) "byte-exact with stall + 2% loss" true r.byte_exact;
   Alcotest.(check bool) "probes fired" true (sa.Linux_inet.persist_probes > 0);
@@ -86,7 +85,7 @@ let karn_policy =
 let test_karn_reordering_linux () =
   with_longfat (fun () ->
       let em = Netem.create ~seed:11 ~policy:karn_policy () in
-      let r = transfer Netbench.Linux ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) () in
+      let r = transfer Endpoint.Linux ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) () in
       let s = linux_sender r in
       Alcotest.(check bool) "byte-exact under loss + reordering" true r.byte_exact;
       Alcotest.(check bool) "retransmissions happened" true (r.rexmits > 0);
@@ -99,7 +98,7 @@ let test_karn_reordering_linux () =
 let test_karn_reordering_bsd () =
   with_longfat (fun () ->
       let em = Netem.create ~seed:13 ~policy:karn_policy () in
-      let r = transfer Netbench.Freebsd ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) () in
+      let r = transfer Endpoint.Freebsd ~latency_ns:1_000_000 ~netem:em ~bytes:(256 * 1024) () in
       let s = bsd_sender r in
       Alcotest.(check bool) "byte-exact under loss + reordering" true r.byte_exact;
       Alcotest.(check bool) "retransmissions happened" true (r.rexmits > 0);
@@ -178,7 +177,7 @@ let prop_grid_byte_exact =
                      { Netem.default_policy with loss = float_of_int loss_pm /. 1000. }
                    ())
           in
-          let config = if linux then Netbench.Linux else Netbench.Freebsd in
+          let config = if linux then Endpoint.Linux else Endpoint.Freebsd in
           (transfer config ~latency_ns ?netem ~bytes:(96 * 1024) ()).byte_exact))
 
 (* ------------------------------------------------------------------ *)
@@ -196,15 +195,15 @@ let test_autotune_converges_to_bdp () =
   let measure config =
     let r =
       with_longfat (fun () ->
-          Netbench.stream
-            { Netbench.ttcp with
+          Netbench.stream ~latency_ns:(rtt_ns / 2)
+            { Workload.table1 with
               sender = config; receiver = config; bytes = 4 * 1024 * 1024; send_chunk = 16384;
-              delay_ns = 1_000_000; latency_ns = Some (rtt_ns / 2) })
+              delay_ns = 1_000_000 })
     in
-    Alcotest.(check bool) (Netbench.config_name config ^ ": byte-exact") true r.byte_exact;
+    Alcotest.(check bool) (Endpoint.config_name config ^ ": byte-exact") true r.byte_exact;
     r.final_rcv_buf
   in
-  let lx = measure Netbench.Linux and fb = measure Netbench.Freebsd in
+  let lx = measure Endpoint.Linux and fb = measure Endpoint.Freebsd in
   Alcotest.(check bool)
     (Printf.sprintf "linux receive buffer grew past the BDP (%d >= %d)" lx bdp)
     true (lx >= bdp);
@@ -218,18 +217,18 @@ let test_autotune_converges_to_bdp () =
 let test_jumbo_mss () =
   Cost.with_config { Cost.config with Cost.tcp_mss = 9000 } (fun () ->
       with_longfat (fun () ->
-          let r = transfer Netbench.Linux ~bytes:(512 * 1024) () in
+          let r = transfer Endpoint.Linux ~bytes:(512 * 1024) () in
           Alcotest.(check bool) "linux: byte-exact at MSS 9000" true r.byte_exact;
           Alcotest.(check int) "linux: negotiated jumbo segment" 9000
             (linux_sender r).Linux_inet.smss;
-          let r = transfer Netbench.Freebsd ~bytes:(512 * 1024) () in
+          let r = transfer Endpoint.Freebsd ~bytes:(512 * 1024) () in
           Alcotest.(check bool) "bsd: byte-exact at MSS 9000" true r.byte_exact;
           Alcotest.(check int) "bsd: negotiated jumbo segment" 9000
             (bsd_sender r).Bsd_socket.pcb.Tcp.t_maxseg))
 
 (* Knob off: buffers must not move, even on a long-fat path. *)
 let test_autotune_off_buffers_fixed () =
-  let r = transfer Netbench.Linux ~latency_ns:10_000_000 ~bytes:(512 * 1024) () in
+  let r = transfer Endpoint.Linux ~latency_ns:10_000_000 ~bytes:(512 * 1024) () in
   let _, sb = linux_stacks r in
   Alcotest.(check bool) "flags-off transfer still byte-exact" true r.byte_exact;
   List.iter

@@ -121,7 +121,7 @@ let targeted_drop_test sender () =
       !small = 12
     end
   in
-  let r = Netbench.stream { Netbench.ttcp with sender; fault = Some fault; bytes = 32 * 4096 } in
+  let r = Netbench.stream ~fault { Workload.table1 with sender; bytes = 32 * 4096 } in
   let wire = r.testbed.Clientos.wire in
   Alcotest.(check bool) "delivery is byte-exact" true r.byte_exact;
   Alcotest.(check int) "exactly two frames dropped" 2 r.wire_dropped;
@@ -136,29 +136,46 @@ let test_corruption_detected () =
       ()
   in
   let r =
-    Netbench.stream
-      { Netbench.ttcp with sender = Netbench.Freebsd; netem = Some em; bytes = 32 * 4096 }
+    Netbench.stream ~netem:em { Workload.table1 with sender = Endpoint.Freebsd; bytes = 32 * 4096 }
   in
   let c = Netem.counters em in
   Alcotest.(check bool) "frames were corrupted" true (c.Netem.corrupted >= 1);
   Alcotest.(check int) "every damaged frame caught by a checksum" c.Netem.corrupted
-    (Netbench.stats r.rx.stack).badsum;
+    (Endpoint.stats r.rx.stack).badsum;
   Alcotest.(check bool) "stream survived byte-exact" true r.byte_exact
 
 let test_duplicate_segments () =
   let em = Netem.create ~seed:5 ~policy:{ Netem.default_policy with duplicate = 0.1 } () in
   let r =
-    Netbench.stream
-      { Netbench.ttcp with sender = Netbench.Freebsd; netem = Some em; bytes = 16 * 4096 }
+    Netbench.stream ~netem:em { Workload.table1 with sender = Endpoint.Freebsd; bytes = 16 * 4096 }
   in
   let c = Netem.counters em in
   Alcotest.(check bool) "duplicates injected" true (c.Netem.duplicated >= 1);
   Alcotest.(check bool) "receiver discarded repeated segments" true
-    ((Netbench.stats r.rx.stack).dups >= 1);
+    ((Endpoint.stats r.rx.stack).dups >= 1);
   Alcotest.(check bool) "stream survived byte-exact" true r.byte_exact;
   Alcotest.(check int) "wire accounting includes duplicate deliveries"
     (r.wire_carried + c.Netem.duplicated)
     (Wire.frames_delivered r.testbed.Clientos.wire + r.wire_dropped)
+
+(* The chaos section's stream at 0.5% loss (netem seed 42, 64 x 4 KB)
+   from a Linux sender, to a FreeBSD sink and to a Linux one.  Both
+   complete byte-exact, but the paper-profile Linux receiver keeps no
+   out-of-order segments, so the Linux pair recovers go-back-N, one frame
+   per RTO: 1,884 retransmissions and 1,128 s of virtual time, against
+   the FreeBSD sink's 3 retransmissions and 0.033 s. *)
+let test_lossy_linux_sender () =
+  List.iter
+    (fun receiver ->
+      let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss = 0.005 } () in
+      let r =
+        Netbench.stream ~netem
+          { Workload.table1 with sender = Endpoint.Linux; receiver; bytes = 64 * 4096 }
+      in
+      let name = "linux to " ^ Endpoint.config_name receiver in
+      Alcotest.(check bool) (name ^ ": completed") true r.completed;
+      Alcotest.(check bool) (name ^ ": byte-exact") true r.byte_exact)
+    [ Endpoint.Freebsd; Endpoint.Linux ]
 
 (* ------------------------------------------------------------------ *)
 (* ARP hardening.                                                      *)
@@ -169,13 +186,13 @@ let test_duplicate_segments () =
    The resolver is shared, so both stacks must give the same account. *)
 let test_arp_bounded_queue_and_give_up config () =
   Clientos.reset_globals ();
-  let models = if config = Netbench.Linux then "3c59x", "lance" else "3c905", "tulip" in
+  let models = if config = Endpoint.Linux then "3c59x", "lance" else "3c905", "tulip" in
   let tb = Clientos.make_testbed ~models () in
   let host = tb.Clientos.host_a and addr = ip "10.0.0.1" in
   let a =
     match config with
-    | Netbench.Linux -> (Clientos.linux_host host ~ip:addr ~mask).Linux_inet.arp
-    | Netbench.Freebsd | Netbench.Oskit ->
+    | Endpoint.Linux -> (Clientos.linux_host host ~ip:addr ~mask).Linux_inet.arp
+    | Endpoint.Freebsd | Endpoint.Oskit ->
         (Clientos.freebsd_host host ~ip:addr ~mask).Bsd_socket.arp
   in
   let drops = ref 0 and resolved = ref 0 in
@@ -200,9 +217,8 @@ let test_arp_retry_recovers_after_partition () =
   let em = Netem.create ~seed:3 () in
   Netem.add_partition em ~from_ns:0 ~until_ns:1_200_000_000;
   let r =
-    Netbench.stream
-      { Netbench.ttcp with
-        sender = Netbench.Freebsd; netem = Some em; bytes = 4 * 1024; send_chunk = 1024 }
+    Netbench.stream ~netem:em
+      { Workload.table1 with sender = Endpoint.Freebsd; bytes = 4 * 1024; send_chunk = 1024 }
   in
   Alcotest.(check bool) "transfer completed byte-exact" true r.byte_exact;
   let c = Netem.counters em in
@@ -238,15 +254,16 @@ let suite =
     Alcotest.test_case "gilbert-elliott burst loss" `Quick test_ge_burst_loss;
     Alcotest.test_case "per-port asymmetric policy" `Quick test_per_port_policy;
     Alcotest.test_case "targeted drop: freebsd sender" `Quick
-      (targeted_drop_test Netbench.Freebsd);
-    Alcotest.test_case "targeted drop: oskit sender" `Quick (targeted_drop_test Netbench.Oskit);
-    Alcotest.test_case "targeted drop: linux sender" `Quick (targeted_drop_test Netbench.Linux);
+      (targeted_drop_test Endpoint.Freebsd);
+    Alcotest.test_case "targeted drop: oskit sender" `Quick (targeted_drop_test Endpoint.Oskit);
+    Alcotest.test_case "targeted drop: linux sender" `Quick (targeted_drop_test Endpoint.Linux);
     Alcotest.test_case "corruption caught by checksums" `Quick test_corruption_detected;
     Alcotest.test_case "duplicate segments discarded" `Quick test_duplicate_segments;
+    Alcotest.test_case "0.5% loss: linux sender, both sinks" `Quick test_lossy_linux_sender;
     Alcotest.test_case "arp bounded queue and give-up" `Quick
-      (test_arp_bounded_queue_and_give_up Netbench.Freebsd);
+      (test_arp_bounded_queue_and_give_up Endpoint.Freebsd);
     Alcotest.test_case "arp bounded queue and give-up: linux" `Quick
-      (test_arp_bounded_queue_and_give_up Netbench.Linux);
+      (test_arp_bounded_queue_and_give_up Endpoint.Linux);
     Alcotest.test_case "arp retry recovers after partition" `Quick
       test_arp_retry_recovers_after_partition;
     Alcotest.test_case "linux unreachable host times out" `Quick

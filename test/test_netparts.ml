@@ -367,16 +367,16 @@ let listen_port = 7007
 let listening_rig config =
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
-  let server = Netbench.setup config tb.Clientos.host_a ~addr:server_ip in
-  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_b ~addr:client_ip in
+  let server = Endpoint.setup config tb.Clientos.host_a ~addr:server_ip in
+  let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_b ~addr:client_ip in
   let accepted = ref false in
   Clientos.spawn server.host (fun () ->
-      ignore (Netbench.ok (server.listen ~port:listen_port ~backlog:2 ()));
+      ignore (Endpoint.ok (server.listen ~port:listen_port ~backlog:2 ()));
       accepted := true);
   let connect k =
     Clientos.spawn client.host (fun () ->
         Kclock.sleep_ns 2_000_000;
-        k (Netbench.ok (client.connect ~dst:server_ip ~port:listen_port)))
+        k (Endpoint.ok (client.connect ~dst:server_ip ~port:listen_port)))
   in
   tb, connect, accepted
 
@@ -438,12 +438,12 @@ let test_malformed_headers config () =
    included, as it crossed the wire. *)
 let clean_frames =
   lazy
-    (let tb, connect, _ = listening_rig Netbench.Freebsd in
+    (let tb, connect, _ = listening_rig Endpoint.Freebsd in
      let frames = ref [] in
      ignore (Wire.attach tb.Clientos.wire ~rx:(fun f -> frames := f :: !frames));
      let sent = ref false in
      connect (fun c ->
-         ignore (Netbench.ok (c.send ~buf:(Bytes.make 3000 'z') ~pos:0 ~len:3000));
+         ignore (Endpoint.ok (c.send ~buf:(Bytes.make 3000 'z') ~pos:0 ~len:3000));
          c.close ();
          sent := true);
      Clientos.run tb ~until:(fun () -> !sent);
@@ -506,7 +506,7 @@ let prop_damaged_headers_never_raise =
           run_for tb 1_000_000;
           inject tb ~ethertype:(Bytes.get_uint16_be f 12) (Bytes.sub f 14 (Bytes.length f - 14));
           run_for tb 5_000_000)
-        Netbench.[ Linux; Freebsd; Oskit ];
+        Endpoint.[ Linux; Freebsd; Oskit ];
       true)
 
 (* ---- ARP input frees the request on every path ---- *)
@@ -577,11 +577,11 @@ let suite =
       test_udp_short_length_field;
     QCheck_alcotest.to_alcotest prop_tcp_header_roundtrip;
     Alcotest.test_case "malformed headers: linux" `Quick
-      (test_malformed_headers Netbench.Linux);
+      (test_malformed_headers Endpoint.Linux);
     Alcotest.test_case "malformed headers: freebsd" `Quick
-      (test_malformed_headers Netbench.Freebsd);
+      (test_malformed_headers Endpoint.Freebsd);
     Alcotest.test_case "malformed headers: oskit" `Quick
-      (test_malformed_headers Netbench.Oskit);
+      (test_malformed_headers Endpoint.Oskit);
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 17 |])
       prop_damaged_headers_never_raise;
     Alcotest.test_case "arp reply refused: request freed (bsd)" `Quick

@@ -44,8 +44,8 @@ let send_raw_tcp cstack ~src ~sport ~dst ~dport ~seq ~ack ~flags =
 
 (* The attacking host: a FreeBSD endpoint at 10.0.0.1 and its stack. *)
 let attacker tb =
-  let ep = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  match ep.stack with Netbench.Bsd st -> ep, st | Netbench.Lx _ -> assert false
+  let ep = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  match ep.stack with Endpoint.Bsd st -> ep, st | Endpoint.Lx _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* SYN cookies: the ISS round-trips through check_cookie on both stacks
@@ -193,7 +193,7 @@ let flood_then_legit config () =
   with_overload ~syn_defense:true ~syncache_size:16 (fun () ->
       let tb = fresh_testbed () in
       let client, cstack = attacker tb in
-      let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+      let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let served = ref 0 and echoed = ref 0 and finished = ref 0 in
       let legit = 4 and flood = 40 in
       Clientos.spawn server.host ~name:"srv" (fun () ->
@@ -208,10 +208,10 @@ let flood_then_legit config () =
           done);
       let syncache, overflow =
         match server.stack with
-        | Netbench.Bsd sb ->
+        | Endpoint.Bsd sb ->
             ( sb.Bsd_socket.tcp.Tcp.syncache,
               fun () -> sb.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow )
-        | Netbench.Lx sb -> sb.Linux_inet.syncache, fun () -> sb.Linux_inet.listen_overflow
+        | Endpoint.Lx sb -> sb.Linux_inet.syncache, fun () -> sb.Linux_inet.listen_overflow
       in
       (* The flood: 10x the legitimate load, every SYN from a different
          spoofed address, so the SYN-ACKs go to hosts that do not exist. *)
@@ -255,8 +255,8 @@ let flood_then_legit config () =
         (completed >= legit);
       Alcotest.(check int) "embryonic flood never overflowed the backlog" 0 (overflow ()))
 
-let test_flood_then_legit_bsd () = flood_then_legit Netbench.Freebsd ()
-let test_flood_then_legit_linux () = flood_then_legit Netbench.Linux ()
+let test_flood_then_legit_bsd () = flood_then_legit Endpoint.Freebsd ()
+let test_flood_then_legit_linux () = flood_then_legit Endpoint.Linux ()
 
 (* ------------------------------------------------------------------ *)
 (* Stateless completion: an ACK whose cookie checks out builds the
@@ -266,21 +266,21 @@ let cookie_completion config () =
   with_overload ~syn_defense:true (fun () ->
       let tb = fresh_testbed () in
       let _, cstack = attacker tb in
-      let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+      let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let accepted_port = ref 0 and done_flag = ref false in
       let raddr = ip "10.0.0.77" and rport = 5555 and lport = 7300 in
       Clientos.spawn server.host ~name:"srv" (fun () ->
           let c = ok (server.listen ~port:lport ~backlog:4 ()) in
           (accepted_port :=
              match c.sock with
-             | Netbench.Bsd_sock s -> s.Bsd_socket.pcb.Tcp.rport
-             | Netbench.Lx_sock s -> s.Linux_inet.rport
-             | Netbench.Fd _ -> assert false);
+             | Endpoint.Bsd_sock s -> s.Bsd_socket.pcb.Tcp.rport
+             | Endpoint.Lx_sock s -> s.Linux_inet.rport
+             | Endpoint.Fd _ -> assert false);
           done_flag := true);
       let sc =
         match server.stack with
-        | Netbench.Bsd sb -> sb.Bsd_socket.tcp.Tcp.syncache
-        | Netbench.Lx sb -> sb.Linux_inet.syncache
+        | Endpoint.Bsd sb -> sb.Bsd_socket.tcp.Tcp.syncache
+        | Endpoint.Lx sb -> sb.Linux_inet.syncache
       in
       (* The cookie the server would have answered with, recomputed from
          its secret — then echoed (+1) in a bare ACK, as if the SYN-ACK
@@ -304,8 +304,8 @@ let cookie_completion config () =
       Alcotest.(check bool) "the bogus ACK was rejected" true
         (sc.Syncache.stats.Syncache.rejected >= 1))
 
-let test_cookie_completion_bsd () = cookie_completion Netbench.Freebsd ()
-let test_cookie_completion_linux () = cookie_completion Netbench.Linux ()
+let test_cookie_completion_bsd () = cookie_completion Endpoint.Freebsd ()
+let test_cookie_completion_linux () = cookie_completion Endpoint.Linux ()
 
 (* ------------------------------------------------------------------ *)
 (* Error-response rate limiting: RSTs answering unclaimed segments and
@@ -373,8 +373,8 @@ let tw_cap config () =
       let tb = fresh_testbed () in
       let rounds = 5 in
       let served = ref 0 in
-      let client = Netbench.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-      let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+      let client = Endpoint.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+      let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       Clientos.spawn server.host ~name:"srv" (fun () ->
           let accept = server.listen ~port:7500 ~backlog:2 in
           for _ = 1 to rounds do
@@ -397,10 +397,10 @@ let tw_cap config () =
           done);
       let tw_now, reclaimed =
         match client.stack with
-        | Netbench.Bsd sa ->
+        | Endpoint.Bsd sa ->
             ( (fun () -> sa.Bsd_socket.tcp.Tcp.tw.Tw_queue.live),
               fun () -> sa.Bsd_socket.tcp.Tcp.stats.Tcp.time_wait_reclaimed )
-        | Netbench.Lx sa ->
+        | Endpoint.Lx sa ->
             ( (fun () -> sa.Linux_inet.tw.Tw_queue.live),
               fun () -> sa.Linux_inet.time_wait_reclaimed )
       in
@@ -415,8 +415,8 @@ let tw_cap config () =
         true
         (reclaimed () >= rounds - 2 - 1))
 
-let test_tw_cap_bsd () = tw_cap Netbench.Freebsd ()
-let test_tw_cap_linux () = tw_cap Netbench.Linux ()
+let test_tw_cap_bsd () = tw_cap Endpoint.Freebsd ()
+let test_tw_cap_linux () = tw_cap Endpoint.Linux ()
 
 (* ------------------------------------------------------------------ *)
 (* The allocation-failure soak: with the injector firing on 0.1%-1% of
@@ -431,10 +431,9 @@ let soak_transfer config ~prob ~burst ~seed ~bytes () =
   with_overload ~alloc_fail_prob:prob ~alloc_fail_burst:burst ~alloc_fail_seed:seed
     (fun () ->
       let r =
-        Netbench.stream
-          { Netbench.ttcp with
-            sender = config; receiver = config; bytes; recv_chunk = 4096;
-            delay_ns = 1_000_000; retry = true }
+        Netbench.stream ~retry:true
+          { Workload.table1 with
+            sender = config; receiver = config; bytes; recv_chunk = 4096; delay_ns = 1_000_000 }
       in
       Alcotest.(check bool) "transfer completed" true r.completed;
       Alcotest.(check bool) "no byte mismatches" true r.byte_exact;
@@ -452,8 +451,8 @@ let test_alloc_soak () =
       (fun acc (config, prob, seed) ->
         acc + soak_transfer config ~prob ~burst:2 ~seed ~bytes:(64 * 1024) ())
       0
-      [ (Netbench.Freebsd, 0.001, 42); (Netbench.Freebsd, 0.01, 43);
-        (Netbench.Linux, 0.001, 44); (Netbench.Linux, 0.01, 45) ]
+      [ (Endpoint.Freebsd, 0.001, 42); (Endpoint.Freebsd, 0.01, 43);
+        (Endpoint.Linux, 0.001, 44); (Endpoint.Linux, 0.01, 45) ]
   in
   Alcotest.(check bool) "the sweep injected failures" true (total > 0)
 
@@ -466,16 +465,16 @@ let test_alloc_soak () =
 (* The httpd (reactor shape, FreeBSD stack, backlog 16) serving the 1 KB
    index page; its clients run on [s.client]. *)
 let httpd ~until =
-  Httpbench.serve ~site:Httpbench.index_site ~backlog:16 ~stack:Netbench.Freebsd
+  Httpbench.serve ~site:Httpbench.index_site ~backlog:16 ~stack:Endpoint.Freebsd
     ~shape:Httpbench.Reactor ~until ()
 
 (* On host A from [at] ns: connect, [f] over the connection, close. *)
 let spawn_client (s : Httpbench.served) ~name ~at f =
-  Clientos.spawn s.client.Netbench.host ~name (fun () ->
+  Clientos.spawn s.client.Endpoint.host ~name (fun () ->
       Kclock.sleep_ns at;
       let c = ok (Httpbench.connect s) in
       f c;
-      c.Netbench.close ())
+      c.Endpoint.close ())
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -557,7 +556,7 @@ let test_httpd_keepalive_drip_deadline () =
           let until () = !finished && !at_deadline >= 0 in
           let s = httpd ~until in
           let deadline_closed () = (s.stats ()).Httpd.deadline_closed in
-          let chost = s.client.Netbench.host in
+          let chost = s.client.Endpoint.host in
           (* Sample the count just past the deadline. *)
           Clientos.spawn chost ~name:"watch" (fun () ->
               Kclock.sleep_ns (3_000_000 + 1_200_000_000);
@@ -590,8 +589,8 @@ let test_httpd_keepalive_drip_deadline () =
 let test_flags_off_counters_untouched () =
   Memfault.reset ();
   let tb = fresh_testbed () in
-  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
-  let server = Netbench.setup Netbench.Linux tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let server = Endpoint.setup Endpoint.Linux tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
   let served = ref false and echoed = ref false in
   Clientos.spawn server.host ~name:"srv" (fun () ->
       let c = ok (server.listen ~port:7700 ~backlog:2 ()) in
@@ -613,9 +612,9 @@ let test_flags_off_counters_untouched () =
   Clientos.run tb ~until:(fun () -> !served && !echoed);
   Alcotest.(check bool) "round trip completed" true (!served && !echoed);
   (* Each stack's overload counters, every one of which must read 0. *)
-  let untouched (ep : Netbench.endpoint) =
+  let untouched (ep : Endpoint.t) =
     match ep.stack with
-    | Netbench.Bsd sa ->
+    | Endpoint.Bsd sa ->
         let st = sa.Bsd_socket.tcp.Tcp.stats in
         let sc = sa.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
         [ ( "bsd: no syncache activity",
@@ -625,7 +624,7 @@ let test_flags_off_counters_untouched () =
           ("bsd: no nomem drops", st.Tcp.nomem_drops);
           ("bsd: no rate limiting", st.Tcp.rst_ratelimited);
           ("bsd udp: no rate limiting", sa.Bsd_socket.udp.Udp.icmp_ratelimited) ]
-    | Netbench.Lx sb ->
+    | Endpoint.Lx sb ->
         let sc = sb.Linux_inet.syncache.Syncache.stats in
         [ ( "linux: no syncache activity",
             sc.Syncache.added + sc.Syncache.evicted + sc.Syncache.completed );

@@ -12,7 +12,7 @@ let addr_a = ip "10.0.0.1"
 let addr_b = ip "10.0.0.2"
 let server_port = 5001
 let bytes = 20_000
-let pattern n = Bytes.init n (fun i -> Char.chr (Netbench.pattern i))
+let pattern n = Bytes.init n (fun i -> Char.chr (Endpoint.pattern i))
 
 let ok = function
   | Ok v -> v
@@ -38,15 +38,15 @@ let received_matches name got =
 let tcp_wraps ?models config () =
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed ?models () in
-  let client = Netbench.setup config tb.Clientos.host_a ~addr:addr_a in
-  let server = Netbench.setup config tb.Clientos.host_b ~addr:addr_b in
+  let client = Endpoint.setup config tb.Clientos.host_a ~addr:addr_a in
+  let server = Endpoint.setup config tb.Clientos.host_b ~addr:addr_b in
   let got = Buffer.create bytes and peer_port = ref 0 and done_ = ref false in
-  let port_of (c : Netbench.conn) ~remote =
+  let port_of (c : Endpoint.conn) ~remote =
     match c.sock with
-    | Netbench.Bsd_sock s ->
+    | Endpoint.Bsd_sock s ->
         if remote then s.Bsd_socket.pcb.Tcp.rport else s.Bsd_socket.pcb.Tcp.lport
-    | Netbench.Lx_sock s -> if remote then s.Linux_inet.rport else s.Linux_inet.lport
-    | Netbench.Fd _ -> assert false
+    | Endpoint.Lx_sock s -> if remote then s.Linux_inet.rport else s.Linux_inet.lport
+    | Endpoint.Fd _ -> assert false
   in
   Clientos.spawn server.host ~name:"server" (fun () ->
       let conn = ok (server.listen ~port:server_port ~backlog:4 ()) in
@@ -68,8 +68,8 @@ let tcp_wraps ?models config () =
           ())
         [ 65535; 1024 ];
       (match client.stack with
-      | Netbench.Bsd sa -> sa.Bsd_socket.tcp.Tcp.ports.Port_alloc.cursor <- 65535
-      | Netbench.Lx sa -> sa.Linux_inet.ports.Port_alloc.cursor <- 65535);
+      | Endpoint.Bsd sa -> sa.Bsd_socket.tcp.Tcp.ports.Port_alloc.cursor <- 65535
+      | Endpoint.Lx sa -> sa.Linux_inet.ports.Port_alloc.cursor <- 65535);
       let c = ok (client.connect ~dst:addr_b ~port:server_port) in
       lport := port_of c ~remote:false;
       ignore (ok (c.send ~buf:(pattern bytes) ~pos:0 ~len:bytes));
@@ -77,10 +77,10 @@ let tcp_wraps ?models config () =
   Clientos.run tb ~until:(fun () -> !done_);
   Alcotest.(check int) "connect took 1025" 1025 !lport;
   Alcotest.(check int) "server saw 1025" 1025 !peer_port;
-  received_matches (Netbench.config_name config ^ " tcp") got
+  received_matches (Endpoint.config_name config ^ " tcp") got
 
-let test_bsd_tcp = tcp_wraps Netbench.Freebsd
-let test_linux_tcp = tcp_wraps ~models:("3c59x", "lance") Netbench.Linux
+let test_bsd_tcp = tcp_wraps Endpoint.Freebsd
+let test_linux_tcp = tcp_wraps ~models:("3c59x", "lance") Endpoint.Linux
 
 (* UDP's range is 49152-65535: an echo server on B answers each datagram
    to its source port, which A's implicit bind chose. *)

@@ -118,10 +118,10 @@ let test_determinism () =
 let test_bad_range config () =
   Clientos.reset_globals ();
   let tb = Clientos.make_testbed () in
-  let server = Netbench.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let client = Netbench.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let client = Endpoint.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let refused = ref [] and got = ref None in
-  let refuse (ep : Netbench.endpoint) what call =
+  let refuse (ep : Endpoint.t) what call =
     let t0 = Machine.now ep.host.Clientos.machine in
     let r = call () in
     refused := (what, r, Machine.now ep.host.Clientos.machine - t0) :: !refused
@@ -147,7 +147,7 @@ let test_bad_range config () =
   List.iter
     (fun (what, r, charged_ns) ->
       Alcotest.(check bool) (what ^ ": EINVAL") true (r = Error Error.Inval);
-      if config <> Netbench.Oskit then
+      if config <> Endpoint.Oskit then
         Alcotest.(check int) (what ^ ": nothing charged") 0 charged_ns)
     !refused;
   Alcotest.(check (option string)) "the stream is intact" (Some "0123456789") !got
@@ -190,9 +190,9 @@ let suite =
     Alcotest.test_case "fd bookkeeping" `Quick test_fd_bookkeeping;
     Alcotest.test_case "simulation determinism" `Quick test_determinism;
     Alcotest.test_case "bad buffer range: freebsd stack refuses" `Quick
-      (test_bad_range Netbench.Freebsd);
+      (test_bad_range Endpoint.Freebsd);
     Alcotest.test_case "bad buffer range: linux stack refuses" `Quick
-      (test_bad_range Netbench.Linux);
+      (test_bad_range Endpoint.Linux);
     Alcotest.test_case "bad buffer range: posix on the oskit config refuses" `Quick
-      (test_bad_range Netbench.Oskit);
+      (test_bad_range Endpoint.Oskit);
     Alcotest.test_case "bad buffer range: udp keeps the datagram" `Quick test_udp_bad_range ]

@@ -367,7 +367,7 @@ let test_blkio_aligned_write_no_copy () =
 let test_sg_ttcp_byte_exact_under_loss () =
   with_sg_tx true (fun () ->
       let em = Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss = 0.03 } () in
-      let r = Netbench.stream { Netbench.ttcp with netem = Some em; bytes = 32 * 4096 } in
+      let r = Netbench.stream ~netem:em { Workload.table1 with bytes = 32 * 4096 } in
       Alcotest.(check bool) "sg + 3% loss: byte-exact" true r.byte_exact;
       Alcotest.(check bool) "losses were real (frames dropped in transit)" true
         (r.wire_dropped > 0);

@@ -258,8 +258,8 @@ let cross_cpu_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
   if loss > 0.0 then
     Wire.set_netem tb.Clientos.wire
       (Some (Netem.create ~seed:7 ~policy:{ Netem.default_policy with loss } ()));
-  let server = Netbench.setup Netbench.Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
-  let client = Netbench.setup Netbench.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
+  let server = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
+  let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let total = blocks * blocksize in
   let received = ref 0 and mismatches = ref 0 and finished = ref false in
   Clientos.spawn server.host ~cpu:0 ~name:"ttcp-srv" (fun () ->
@@ -272,7 +272,7 @@ let cross_cpu_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
             c.close ()
         | n ->
             for i = 0 to n - 1 do
-              if Char.code (Bytes.get buf i) <> Netbench.pattern (!received + i) then
+              if Char.code (Bytes.get buf i) <> Endpoint.pattern (!received + i) then
                 incr mismatches
             done;
             received := !received + n;
@@ -285,7 +285,7 @@ let cross_cpu_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
       let block = Bytes.create blocksize in
       for b = 0 to blocks - 1 do
         for i = 0 to blocksize - 1 do
-          Bytes.set block i (Char.chr (Netbench.pattern ((b * blocksize) + i)))
+          Bytes.set block i (Char.chr (Endpoint.pattern ((b * blocksize) + i)))
         done;
         let rec push off =
           if off < blocksize then
@@ -352,14 +352,14 @@ let cross_cpu_httpd ?(loss = 0.0) ~ncpus ~clients () =
   let s =
     Httpbench.serve ~models:("3c905", "fxp-sim")
       ~site:{ Httpbench.index_site with files = [| ("index.html", 512) |] }
-      ~backlog:64 ~stack:Netbench.Freebsd ~shape:Httpbench.Reactor ~until:all_done ()
+      ~backlog:64 ~stack:Endpoint.Freebsd ~shape:Httpbench.Reactor ~until:all_done ()
   in
   if loss > 0.0 then
     Wire.set_netem s.testbed.Clientos.wire
       (Some (Netem.create ~seed:11 ~policy:{ Netem.default_policy with loss } ()));
   let bad = ref 0 in
   for i = 0 to clients - 1 do
-    Clientos.spawn s.client.Netbench.host ~cpu:(i mod ncpus)
+    Clientos.spawn s.client.Endpoint.host ~cpu:(i mod ncpus)
       ~name:(Printf.sprintf "c%d" i)
       (fun () ->
         Kclock.sleep_ns (2_000_000 + (i * 50_000));
