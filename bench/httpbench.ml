@@ -287,7 +287,6 @@ type served = {
    [client] and runs the testbed. *)
 let serve ?models ?bandwidth_bps ?max_threads ?max_conns ~site ~backlog ~stack ~shape
     ~until () =
-  Clientos.reset_globals ();
   let ncpus = Cost.config.Cost.ncpus in
   let tb = Clientos.make_testbed ?models ?bandwidth_bps () in
   let host = tb.Clientos.host_b in

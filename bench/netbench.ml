@@ -67,7 +67,6 @@ let override_buffer ~sender size (ep : Endpoint.t) =
    frames it says and [tap] hears every delivered frame, with the time;
    [buffers] overrides the sender's send and receiver's receive buffer. *)
 let stream ?models ?latency_ns ?netem ?fault ?tap ?(retry = false) ?buffers w =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ?models ?latency_ns () in
   let wire = tb.Clientos.wire in
   if Option.is_some netem then Wire.set_netem wire netem;
@@ -86,14 +85,12 @@ let stream ?models ?latency_ns ?netem ?fault ?tap ?(retry = false) ?buffers w =
 (* rtcp on a fresh testbed: each timed trip's virtual nanoseconds and the
    run's counters. *)
 let rtt config ~trips =
-  Clientos.reset_globals ();
   Workload.rtcp (Clientos.make_testbed ()) config ~trips
 
 (* Section 6.2.6: throughput measured from inside the bytecode VM on the
    OSKit configuration.  The VM program loops sys_recv (or sys_send); the
    other side is a native FreeBSD peer. *)
 let vm_throughput ~direction ~bytes =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let vm_ep = Endpoint.setup Oskit tb.Clientos.host_a ~addr:Endpoint.addr_a in
   let peer = Endpoint.setup Freebsd tb.Clientos.host_b ~addr:Endpoint.addr_b in

@@ -65,7 +65,6 @@ let flood_profile ~defense = { paper with Cost.syn_defense = defense }
 let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
   let profile = flood_profile ~defense in
   under profile (fun () ->
-      Clientos.reset_globals ();
       let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
       let chost = tb.Clientos.host_a in
       let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in

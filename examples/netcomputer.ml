@@ -53,7 +53,6 @@ halt
 |}
 
 let () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("eepro100", "3c905") () in
   let nc = tb.Clientos.host_a (* the network computer *) in
   let browser = tb.Clientos.host_b in

@@ -17,7 +17,6 @@ let () =
   in
   let trips = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 200 in
   Printf.printf "rtcp: %s, %d one-byte round trips\n%!" (Endpoint.config_name config) trips;
-  Clientos.reset_globals ();
   let samples, _ = Workload.rtcp (Clientos.make_testbed ()) config ~trips in
   let pct = Percentile.us_of_ns samples in
   Printf.printf "  round-trip time: %.4f usec mean\n" (Percentile.mean_us samples);

@@ -29,7 +29,6 @@ let () =
   Printf.printf "ttcp: %s -> %s, %d blocks x %d bytes = %d MB over 100 Mbps Ethernet\n%!"
     (Endpoint.config_name sender) (Endpoint.config_name receiver) blocks blocksize
     (bytes / 1024 / 1024);
-  Clientos.reset_globals ();
   let r =
     Workload.ttcp (Clientos.make_testbed ())
       { Workload.table1 with sender; receiver; bytes; send_chunk = blocksize }

@@ -1,32 +1,34 @@
 type host = { machine : Machine.t; kernel : Kernel.t; nic : Nic.t }
 type testbed = { world : World.t; wire : Wire.t; host_a : host; host_b : host }
 
-let mac_counter = ref 0
+let reset_globals () =
+  Fdev.clear_drivers ();
+  (* Warm buffer pools would make a repeated simulation cheaper than its
+     first run; every run starts cold. *)
+  Mbuf.pool_reset ();
+  Skbuff.pool_reset ();
+  (* Counters only: the cost *configuration* belongs to the experiment
+     (ablations sweep it around individual runs). *)
+  Cost.reset_counters ()
 
-let fresh_mac () =
-  incr mac_counter;
-  let b = Bytes.make 6 '\000' in
-  Bytes.set b 0 '\x02' (* locally administered *);
-  Bytes.set_uint16_be b 4 !mac_counter;
-  Bytes.to_string b
-
-let make_host world wire ~name ~model ~ram_bytes =
+(* The NIC's MAC is fixed by the host's position in the testbed: the
+   locally administered 02:00:00:00:00:[last]. *)
+let make_host world wire ~name ~model ~ram_bytes ~last =
   let machine = Machine.create ~name ~ram_bytes world in
   let kernel = Kernel.create machine in
-  let nic = Nic.create ~machine ~wire ~mac:(fresh_mac ()) ~irq:9 () in
-  (* A fresh machine must not inherit the bus inventory of an earlier
-     simulation's machine that happened to share its name. *)
-  Bus.clear machine;
+  let mac = "\x02\x00\x00\x00\x00" ^ String.make 1 (Char.chr last) in
+  let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
   Bus.register_hw machine (Bus.Hw_nic { model; nic });
   { machine; kernel; nic }
 
 let make_testbed ?(models = "3c905", "tulip") ?(ram_bytes = 8 * 1024 * 1024)
     ?bandwidth_bps ?latency_ns () =
+  reset_globals ();
   let world = World.create () in
   let wire = Wire.create ?bandwidth_bps ?latency_ns world in
   let model_a, model_b = models in
-  let host_a = make_host world wire ~name:"pc-a" ~model:model_a ~ram_bytes in
-  let host_b = make_host world wire ~name:"pc-b" ~model:model_b ~ram_bytes in
+  let host_a = make_host world wire ~name:"pc-a" ~model:model_a ~ram_bytes ~last:1 in
+  let host_b = make_host world wire ~name:"pc-b" ~model:model_b ~ram_bytes ~last:2 in
   { world; wire; host_a; host_b }
 
 (* The paper's Section 5 initialization listing, step for step:
@@ -80,14 +82,3 @@ let linux_host host ~ip ~mask =
 
 let spawn host ?cpu ?name f = Kernel.spawn host.kernel ?cpu ?name f
 let run testbed ~until = World.run testbed.world ~until
-
-let reset_globals () =
-  Linux_glue.reset ();
-  Fdev.clear_drivers ();
-  (* Warm buffer pools would make a repeated simulation cheaper than its
-     first run; every run starts cold. *)
-  Mbuf.pool_reset ();
-  Skbuff.pool_reset ();
-  (* Counters only: the cost *configuration* belongs to the experiment
-     (ablations sweep it around individual runs). *)
-  Cost.reset_counters ()

@@ -30,10 +30,15 @@ type testbed = {
   host_b : host;
 }
 
-(** Build two PCs on one 100 Mbps segment.  [models] picks the NIC chip
-    each "card" reports to probes (default ["3c905"], ["tulip"]).
-    [bandwidth_bps]/[latency_ns] override the wire (defaults 100 Mbps,
-    1 us) — the longfat bench stretches latency to emulate WAN RTTs. *)
+(** Start a fresh simulation ({!reset_globals}) and build two PCs on one
+    100 Mbps segment: host A ("pc-a", MAC 02:00:00:00:00:01) and host B
+    ("pc-b", 02:00:00:00:00:02), each with one NIC on its bus.  Each
+    machine carries its own state (bus inventory, scheduler, netisr), so
+    testbeds built one after another, or alive at once, share none of it.
+    [models] picks the NIC chip each "card" reports to probes (default
+    ["3c905"], ["tulip"]).  [bandwidth_bps]/[latency_ns] override the wire
+    (defaults 100 Mbps, 1 us) — the longfat bench stretches latency to
+    emulate WAN RTTs. *)
 val make_testbed :
   ?models:string * string ->
   ?ram_bytes:int ->
@@ -64,7 +69,9 @@ val spawn : host -> ?cpu:int -> ?name:string -> (unit -> unit) -> unit
     progress fuel bound. *)
 val run : testbed -> until:(unit -> bool) -> unit
 
-(** Reset cross-simulation global state (driver probe lists, cost
-    counters — but not the cost configuration, which experiments own).
-    Call between independent simulations in one process. *)
+(** Reset the state the simulation's components still share process-wide:
+    the registered driver table, the mbuf and skbuff buffer pools and the
+    cost counters — not the cost configuration, which experiments own.
+    {!make_testbed} calls it; a harness that builds its machines itself
+    calls it first. *)
 val reset_globals : unit -> unit

@@ -3,20 +3,11 @@ type hw =
   | Hw_disk of { model : string; disk : Disk.t }
   | Hw_serial of { model : string; serial : Serial.t }
 
-let table : (string, hw list ref) Hashtbl.t = Hashtbl.create 8
-
-let slot machine =
-  let key = Machine.name machine in
-  match Hashtbl.find_opt table key with
-  | Some r -> r
-  | None ->
-      let r = ref [] in
-      Hashtbl.replace table key r;
-      r
+let inventory : hw list ref Machine.key = Machine.key (fun _ -> ref [])
 
 let register_hw machine hw =
-  let r = slot machine in
+  let r = Machine.get machine inventory in
   r := !r @ [ hw ]
 
-let hardware machine = !(slot machine)
-let clear machine = Hashtbl.remove table (Machine.name machine)
+let hardware machine = !(Machine.get machine inventory)
+let clear machine = Machine.get machine inventory := []

@@ -3,7 +3,8 @@
     Probe routines need something to probe: example setups register the
     simulated controllers present on a machine here, and driver probe
     functions scan for models they recognise — the ISA/PCI walk of a real
-    driver, reduced to its essence. *)
+    driver, reduced to its essence.  The inventory lives on the machine
+    itself, so a fresh machine starts empty. *)
 
 type hw =
   | Hw_nic of { model : string; nic : Nic.t }
@@ -13,5 +14,5 @@ type hw =
 val register_hw : Machine.t -> hw -> unit
 val hardware : Machine.t -> hw list
 
-(** Forget a machine's inventory (tests). *)
+(** Forget a machine's inventory. *)
 val clear : Machine.t -> unit

@@ -25,8 +25,6 @@ let supported_models =
   [ "sio-16550"; "sio-16450"; "cyclades"; "digiboard"; "rocketport"; "syscons"; "pcvt";
     "stallion" ]
 
-let found : tty list ref = ref []
-
 let rint tty () =
   (* Receive interrupt: drain the UART FIFO into the clist. *)
   let rec drain () =
@@ -43,27 +41,23 @@ let rint tty () =
   in
   drain ()
 
+(* A probe names the ports it finds on its machine tty0, tty1, ... in bus
+   order. *)
 let probe_ttys osenv =
-  let machine = Osenv.machine osenv in
-  let ttys =
-    List.filter_map
-      (fun hw ->
-        match hw with
-        | Bus.Hw_serial { model; serial } when List.mem model supported_models ->
-            Some
-              { t_name = "tty" ^ string_of_int (List.length !found);
-                t_model = model;
-                hw = serial;
-                t_canq = Queue.create ();
-                t_rsel = Sleep_record.create ~name:"ttyin" ();
-                t_echo = false;
-                t_overflows = 0;
-                opened = false }
-        | Bus.Hw_serial _ | Bus.Hw_nic _ | Bus.Hw_disk _ -> None)
-      (Bus.hardware machine)
-  in
-  found := !found @ ttys;
-  ttys
+  Bus.hardware (Osenv.machine osenv)
+  |> List.filter_map (function
+       | Bus.Hw_serial { model; serial } when List.mem model supported_models ->
+           Some (model, serial)
+       | Bus.Hw_serial _ | Bus.Hw_nic _ | Bus.Hw_disk _ -> None)
+  |> List.mapi (fun i (model, serial) ->
+         { t_name = "tty" ^ string_of_int i;
+           t_model = model;
+           hw = serial;
+           t_canq = Queue.create ();
+           t_rsel = Sleep_record.create ~name:"ttyin" ();
+           t_echo = false;
+           t_overflows = 0;
+           opened = false })
 
 let tty_open osenv tty =
   if not tty.opened then begin
@@ -108,5 +102,3 @@ let tty_write tty ~buf ~pos ~amount =
     Serial.write_byte tty.hw (Char.code (Bytes.get buf (pos + i)))
   done;
   amount
-
-let reset () = found := []

@@ -27,5 +27,3 @@ let init_char_devices () =
       drv_origin = "freebsd-2.1.5";
       drv_probe =
         (fun osenv -> List.map (chario_of osenv) (Freebsd_char_drv.probe_ttys osenv)) }
-
-let reset = Freebsd_char_drv.reset

@@ -9,38 +9,16 @@ type sched = {
   runqs : (unit -> unit) Queue.t array; (* one per CPU *)
   mutable live : int;
   running : bool array; (* per CPU *)
-  current_name : string option array; (* per CPU *)
   mutable failures : (string * exn) list;
 }
 
-(* One scheduler per machine, found again through the current-machine
-   context so [yield]/[suspend] need no explicit handle. *)
-let scheds : (string, sched) Hashtbl.t = Hashtbl.create 8
-
 let create_sched machine =
   let n = Machine.ncpus machine in
-  let s =
-    { machine;
-      runqs = Array.init n (fun _ -> Queue.create ());
-      live = 0;
-      running = Array.make n false;
-      current_name = Array.make n None;
-      failures = [] }
-  in
-  Hashtbl.replace scheds (Machine.name machine) s;
-  s
-
-let self_sched () =
-  match Machine.current () with
-  | None -> None
-  | Some m -> Hashtbl.find_opt scheds (Machine.name m)
-
-let self_name () =
-  Option.bind (self_sched ()) (fun s ->
-      s.current_name.(Machine.cpu s.machine))
-
-let self_cpu () =
-  match self_sched () with None -> 0 | Some s -> Machine.cpu s.machine
+  { machine;
+    runqs = Array.init n (fun _ -> Queue.create ());
+    live = 0;
+    running = Array.make n false;
+    failures = [] }
 
 let enqueue s ~cpu thunk = Queue.add thunk s.runqs.(cpu)
 
@@ -79,9 +57,7 @@ let handler s ~cpu name =
         | Yield ->
             Some
               (fun (k : (a, unit) continuation) ->
-                enqueue s ~cpu (fun () ->
-                    s.current_name.(cpu) <- Some name;
-                    continue k ()))
+                enqueue s ~cpu (fun () -> continue k ()))
         | Suspend f ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -89,9 +65,7 @@ let handler s ~cpu name =
                 let waker () =
                   if not !fired then begin
                     fired := true;
-                    enqueue s ~cpu (fun () ->
-                        s.current_name.(cpu) <- Some name;
-                        continue k ());
+                    enqueue s ~cpu (fun () -> continue k ());
                     (* If the wake came from outside the home CPU's
                        execution (a bare world event, or another CPU), get
                        that CPU's scheduler re-entered. *)
@@ -104,9 +78,7 @@ let handler s ~cpu name =
 let spawn s ?cpu ?(name = "thread") f =
   let cpu = match cpu with Some c -> c | None -> Machine.cpu s.machine in
   s.live <- s.live + 1;
-  enqueue s ~cpu (fun () ->
-      s.current_name.(cpu) <- Some name;
-      Effect.Deep.match_with f () (handler s ~cpu name))
+  enqueue s ~cpu (fun () -> Effect.Deep.match_with f () (handler s ~cpu name))
 
 let yield () = Effect.perform Yield
 let suspend f = Effect.perform (Suspend f)

@@ -47,13 +47,3 @@ val live : sched -> int
 
 (** Exceptions that escaped threads, oldest first. *)
 val failures : sched -> (string * exn) list
-
-(** The scheduler of the machine currently executing, if installed. *)
-val self_sched : unit -> sched option
-
-(** Name of the running thread (for diagnostics and the "current process"
-    emulation in glue code). *)
-val self_name : unit -> string option
-
-(** CPU the caller executes on (0 outside any machine). *)
-val self_cpu : unit -> int

@@ -20,9 +20,8 @@ let current_task : task_struct option ref = ref None
    it. *)
 let with_current f =
   let saved = !current_task in
-  let comm = Option.value (Thread.self_name ()) ~default:"oskit" in
   incr next_fake_pid;
-  current_task := Some { comm; pid = !next_fake_pid };
+  current_task := Some { comm = "oskit"; pid = !next_fake_pid };
   Fun.protect ~finally:(fun () -> current_task := saved) f
 
 let current () =

@@ -37,8 +37,6 @@ let supported_models =
 let nothing_rx (_ : Skbuff.sk_buff) = ()
 let nothing_rx_v (_ : Skbuff.sk_buff list) = ()
 
-let found : device list ref = ref []
-
 (* eth_type_trans: strip the link header, note the protocol. *)
 let eth_type_trans skb =
   let off = skb.Skbuff.head in
@@ -156,30 +154,25 @@ let device_interrupt dev () =
     | Some machine -> napi_schedule machine dev
     | None -> ()
 
+(* A probe names the cards it finds on its machine eth0, eth1, ... in bus
+   order. *)
 let probe_devices osenv =
-  let machine = Osenv.machine osenv in
-  let devices =
-    List.filter_map
-      (fun hw ->
-        match hw with
-        | Bus.Hw_nic { model; nic } when List.mem model supported_models ->
-            Some
-              { name = "eth" ^ string_of_int (List.length !found);
-                model;
-                hw = nic;
-                dev_addr = Nic.mac nic;
-                opened = false;
-                netif_rx = nothing_rx;
-                netif_rx_v = nothing_rx_v;
-                napi_scheduled = false;
-                tx_packets = 0;
-                rx_packets = 0;
-                irq_requested = false }
-        | Bus.Hw_nic _ | Bus.Hw_disk _ | Bus.Hw_serial _ -> None)
-      (Bus.hardware machine)
-  in
-  found := !found @ devices;
-  devices
+  Bus.hardware (Osenv.machine osenv)
+  |> List.filter_map (function
+       | Bus.Hw_nic { model; nic } when List.mem model supported_models -> Some (model, nic)
+       | Bus.Hw_nic _ | Bus.Hw_disk _ | Bus.Hw_serial _ -> None)
+  |> List.mapi (fun i (model, nic) ->
+         { name = "eth" ^ string_of_int i;
+           model;
+           hw = nic;
+           dev_addr = Nic.mac nic;
+           opened = false;
+           netif_rx = nothing_rx;
+           netif_rx_v = nothing_rx_v;
+           napi_scheduled = false;
+           tx_packets = 0;
+           rx_packets = 0;
+           irq_requested = false })
 
 let dev_open osenv dev ~rx ?rx_v () =
   if dev.opened then Result.Error Error.Busy
@@ -226,6 +219,3 @@ let eth_header skb ~src ~dst ~proto =
   Bytes.set skb.Skbuff.skb_data (off + 12) (Char.chr (proto lsr 8));
   Bytes.set skb.Skbuff.skb_data (off + 13) (Char.chr (proto land 0xff));
   skb.Skbuff.link_ready <- true
-
-(* Forget past probes (simulation restart). *)
-let reset () = found := []

@@ -262,7 +262,3 @@ let init_ide () =
 
 let native_devices osenv = Linux_eth_drv.probe_devices osenv
 let native_open osenv dev ~rx = Linux_eth_drv.dev_open osenv dev ~rx ()
-
-let reset () =
-  Linux_eth_drv.reset ();
-  Linux_ide_drv.reset ()

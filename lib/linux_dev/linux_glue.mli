@@ -51,6 +51,3 @@ val native_devices : Osenv.t -> Linux_eth_drv.device list
 
 val native_open :
   Osenv.t -> Linux_eth_drv.device -> rx:(Skbuff.sk_buff -> unit) -> (unit, Error.t) result
-
-(** Reset probe state (between simulations in one process). *)
-val reset : unit -> unit

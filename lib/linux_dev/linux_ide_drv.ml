@@ -30,29 +30,22 @@ type drive = {
 
 let supported_models = [ "WDC-AC2850"; "ST-3491A"; "QUANTUM-LPS540"; "AHA-1542"; "NCR-53c810" ]
 
-let found : drive list ref = ref []
-
+(* A probe names the drives it finds on its machine hda, hdb, ... in bus
+   order. *)
 let probe_drives osenv =
-  let machine = Osenv.machine osenv in
-  let drives =
-    List.filter_map
-      (fun hw ->
-        match hw with
-        | Bus.Hw_disk { model; disk } when List.mem model supported_models ->
-            Some
-              { name = "hd" ^ String.make 1 (Char.chr (Char.code 'a' + List.length !found));
-                model;
-                hw = disk;
-                queue = Queue.create ();
-                active = None;
-                irq_requested = false;
-                read_count = 0;
-                write_count = 0 }
-        | Bus.Hw_disk _ | Bus.Hw_nic _ | Bus.Hw_serial _ -> None)
-      (Bus.hardware machine)
-  in
-  found := !found @ drives;
-  drives
+  Bus.hardware (Osenv.machine osenv)
+  |> List.filter_map (function
+       | Bus.Hw_disk { model; disk } when List.mem model supported_models -> Some (model, disk)
+       | Bus.Hw_disk _ | Bus.Hw_nic _ | Bus.Hw_serial _ -> None)
+  |> List.mapi (fun i (model, disk) ->
+         { name = "hd" ^ String.make 1 (Char.chr (Char.code 'a' + i));
+           model;
+           hw = disk;
+           queue = Queue.create ();
+           active = None;
+           irq_requested = false;
+           read_count = 0;
+           write_count = 0 })
 
 (* Start the head of the queue on the controller. *)
 let rec do_request drive =
@@ -129,5 +122,3 @@ let ide_rw drive cmd ~sector ~nr_sectors ~buffer ?(buf_pos = 0) () =
   | `Read -> drive.read_count <- drive.read_count + 1
   | `Write -> drive.write_count <- drive.write_count + 1);
   if req.errors > 0 then Error.fail Error.Io
-
-let reset () = found := []

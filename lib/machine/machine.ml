@@ -1,5 +1,9 @@
 let irq_lines = 16
 
+(* A slot of the per-machine store: empty, or a value with the type
+   witness of the key that put it there. *)
+type binding = Empty | Bound : 'a Type.Id.t * 'a -> binding
+
 type t = {
   name : string;
   world : World.t;
@@ -17,7 +21,38 @@ type t = {
   in_dispatch : bool array; (* per CPU *)
   mutable run_hook : unit -> unit;
   kick_queued : bool array; (* per CPU *)
+  mutable store : binding array; (* indexed by key slot *)
 }
+
+type 'a key = { id : 'a Type.Id.t; slot : int; init : t -> 'a }
+
+(* One key per component that keeps state on a machine, normally made at
+   module initialisation; each owns one slot of every machine's store, and
+   a key made after a machine grows that machine's store on first use. *)
+let slots = ref 0
+
+let key init =
+  let slot = !slots in
+  incr slots;
+  { id = Type.Id.make (); slot; init }
+
+(* A slot only ever holds its own key's value, so the witnesses agree. *)
+let cast : type a b. a Type.Id.t -> b Type.Id.t -> b -> a =
+ fun want have v ->
+  match Type.Id.provably_equal want have with Some Type.Equal -> v | None -> assert false
+
+let get t k =
+  if k.slot >= Array.length t.store then begin
+    let store = Array.make !slots Empty in
+    Array.blit t.store 0 store 0 (Array.length t.store);
+    t.store <- store
+  end;
+  match t.store.(k.slot) with
+  | Bound (id, v) -> cast k.id id v
+  | Empty ->
+      let v = k.init t in
+      t.store.(k.slot) <- Bound (k.id, v);
+      v
 
 let current_machine : t option ref = ref None
 
@@ -56,7 +91,8 @@ let create ?(name = "pc") ?(ram_bytes = 8 * 1024 * 1024) ?ncpus world =
     enabled = true;
     in_dispatch = Array.make ncpus false;
     run_hook = (fun () -> ());
-    kick_queued = Array.make ncpus false }
+    kick_queued = Array.make ncpus false;
+    store = Array.make !slots Empty }
 
 let name t = t.name
 let world t = t.world

@@ -53,6 +53,24 @@ val run_on : t -> cpu:int -> (unit -> 'a) -> 'a
 (** The machine currently executing, if any. *)
 val current : unit -> t option
 
+(** {2 Per-machine state}
+
+    A component that keeps state for each machine it runs on (the bus
+    inventory, the netisr queues) keeps it here, on the machine, so two
+    machines — of one testbed or of two — never share it, whatever their
+    names. *)
+
+(** A slot in every machine's store, holding one ['a] per machine. *)
+type 'a key
+
+(** [key init] makes a new slot (normally once, at module
+    initialisation); [init m] builds [m]'s value on its first {!get}. *)
+val key : (t -> 'a) -> 'a key
+
+(** [get m k] is [m]'s value for [k], built by [k]'s [init] on first use.
+    O(1), and allocates nothing once the value exists. *)
+val get : t -> 'a key -> 'a
+
 (** {2 Interrupts} *)
 
 val irq_lines : int (* 16, like the PC's cascaded 8259s *)

@@ -15,24 +15,15 @@ type t = {
   scheduled : bool array;
 }
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let for_machine ?qmax machine =
-  match Hashtbl.find_opt registry (Machine.name machine) with
-  | Some t when t.machine == machine -> t
-  | _ ->
+let instance =
+  Machine.key (fun machine ->
       let n = Machine.ncpus machine in
-      let qmax =
-        match qmax with Some q -> q | None -> Cost.config.Cost.netisr_qmax
-      in
-      let t =
-        { machine;
-          qmax;
-          queues = Array.init n (fun _ -> Queue.create ());
-          scheduled = Array.make n false }
-      in
-      Hashtbl.replace registry (Machine.name machine) t;
-      t
+      { machine;
+        qmax = Cost.config.Cost.netisr_qmax;
+        queues = Array.init n (fun _ -> Queue.create ());
+        scheduled = Array.make n false })
+
+let for_machine machine = Machine.get machine instance
 
 let queue_len t ~cpu = Queue.length t.queues.(cpu)
 

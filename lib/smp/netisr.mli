@@ -9,9 +9,9 @@
 
 type t
 
-(** The machine's netisr instance (created on first use; [qmax] defaults
-    to [Cost.config.netisr_qmax]). *)
-val for_machine : ?qmax:int -> Machine.t -> t
+(** The machine's netisr instance, kept on the machine and created on
+    first use with queues bounded at [Cost.config.netisr_qmax]. *)
+val for_machine : Machine.t -> t
 
 (** [dispatch t ~cpu f] runs [f] on CPU [cpu].  Returns [false] if the
     frame was dropped on queue overflow ([f] will never run). *)

@@ -54,6 +54,12 @@
 # Every httpd a bench section or a test runs is built by the one HTTP
 # harness, bench/httpbench.ml (Httpbench.serve): a grep must find no call
 # of an Httpd.serve_ function in bench/, test/ or bin/ outside that file.
+# A simulation's state lives on its machines (Machine.key), never in a
+# table keyed by a machine's name: every testbed names its hosts "pc-a"
+# and "pc-b", so such a table cross-wires two testbeds.  A grep must find
+# Machine.name nowhere in lib/ outside lib/machine.  Clientos.make_testbed
+# starts every simulation, so a grep must find no call of reset_globals
+# or Bus.clear in bench/, test/, bin/ or examples/.
 # The example kernels are the measured kernels: run from their defaults
 # (only a pairing or a system on the command line), ttcp prints each
 # paper-profile Table 1 cell (X -> FreeBSD for send, FreeBSD -> X for
@@ -107,6 +113,14 @@ fi
 if grep -rnE '^ *(type stack_stats\b|let setup config host\b)' lib bench bin examples test \
   | grep -v '^lib/ttcp/endpoint\.ml:'; then
   echo "endpoint or stats type defined outside lib/ttcp/endpoint.ml" >&2
+  exit 1
+fi
+if grep -rn 'Machine\.name\b' lib | grep -v '^lib/machine/'; then
+  echo "machine name used outside lib/machine: keep per-machine state on the machine" >&2
+  exit 1
+fi
+if grep -rnE 'reset_globals|Bus\.clear' bench test bin examples; then
+  echo "simulation reset outside Clientos.make_testbed" >&2
   exit 1
 fi
 dune runtest

@@ -93,12 +93,10 @@ let test_simultaneous_open () =
 
 let test_medium_grained_concurrency () =
   Fdev.clear_drivers ();
-  Linux_glue.reset ();
   let w = World.create () in
   let m = Machine.create ~name:"conc-pc" w in
   let sched = Thread.create_sched m in
   Thread.install sched;
-  Bus.clear m;
   let disk = Disk.create ~machine:m ~sectors:8192 ~irq:14 () in
   Bus.register_hw m (Bus.Hw_disk { model = "WDC-AC2850"; disk });
   Linux_glue.init_ide ();

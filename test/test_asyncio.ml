@@ -36,10 +36,6 @@ let com_server kind host =
       ( Linux_sock_com.socket_com stack (Linux_inet.socket stack),
         fun () -> stack.Linux_inet.listen_overflow )
 
-let fresh_testbed () =
-  Clientos.reset_globals ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ()
-
 let pattern pos = Char.chr (Endpoint.pattern pos)
 
 let aio_of (sock : Io_if.socket) =
@@ -52,7 +48,7 @@ let aio_of (sock : Io_if.socket) =
    sink on [kind]; the sink reads either with a blocking thread or with
    reactor-driven non-blocking recv.  Returns what the sink received. *)
 let transfer kind ~via_reactor ~len =
-  let tb = fresh_testbed () in
+  let tb = Clientos.make_testbed () in
   let sock, _ = com_server kind tb.Clientos.host_b in
   let acc = Buffer.create len in
   let finished = ref false in
@@ -181,7 +177,7 @@ let synthetic () =
     listeners = (fun () -> List.length !subs) }
 
 let test_spurious_and_churn () =
-  let tb = fresh_testbed () in
+  let tb = Clientos.make_testbed () in
   let a = synthetic () and b = synthetic () in
   let r = Reactor.create () in
   let hits_a = ref 0 and hits_b = ref 0 and stopped_hits = ref 0 in
@@ -295,7 +291,7 @@ let test_rewatch_self_in_pass () =
 let test_accept_under_loss () =
   List.iter
     (fun (kind, loss, seed) ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let em = Netem.create ~seed ~policy:{ Netem.default_policy with loss } () in
       Wire.set_netem tb.Clientos.wire (Some em);
       let sock, _ = com_server kind tb.Clientos.host_b in
@@ -368,7 +364,7 @@ let test_accept_under_loss () =
 let test_listen_overflow () =
   List.iter
     (fun kind ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let sock, overflow = com_server kind tb.Clientos.host_b in
       let served = ref 0 in
       let clients = 8 in
@@ -425,7 +421,7 @@ let test_listen_overflow () =
 let test_close_wakes_accepters () =
   List.iter
     (fun kind ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let sock, _ = com_server kind tb.Clientos.host_b in
       let outcome = ref `Pending in
       Clientos.spawn tb.Clientos.host_b ~name:"accepter" (fun () ->
@@ -450,7 +446,7 @@ let test_close_wakes_accepters () =
 let test_nonblock_basics () =
   List.iter
     (fun kind ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let sock, _ = com_server kind tb.Clientos.host_b in
       let checked = ref false in
       Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->

@@ -3,7 +3,7 @@
 
 let make_machine () =
   let w = World.create () in
-  Machine.create ~name:(Printf.sprintf "boot-pc-%d" (Random.int 1_000_000)) w
+  Machine.create ~name:"boot-pc" w
 
 let test_info_roundtrip () =
   let m = make_machine () in

@@ -8,13 +8,10 @@ let ok = function
 
 let make_machine_with_tty () =
   Fdev.clear_drivers ();
-  Freebsd_dev_glue.reset ();
-  Linux_glue.reset ();
   let w = World.create () in
-  let m = Machine.create ~name:(Printf.sprintf "tty-pc-%d" (Random.int 1_000_000)) w in
+  let m = Machine.create ~name:"tty-pc" w in
   let sched = Thread.create_sched m in
   Thread.install sched;
-  Bus.clear m;
   let serial = Serial.create ~machine:m ~irq:4 () in
   Bus.register_hw m (Bus.Hw_serial { model = "sio-16550"; serial });
   w, m, sched, serial
@@ -69,11 +66,8 @@ let test_mixed_donor_probe () =
   (* One machine with a Linux NIC, a Linux IDE disk, and a FreeBSD tty:
      all three driver sets probe side by side. *)
   Fdev.clear_drivers ();
-  Freebsd_dev_glue.reset ();
-  Linux_glue.reset ();
   let w = World.create () in
   let m = Machine.create ~name:"mixed-pc" w in
-  Bus.clear m;
   let wire = Wire.create w in
   Bus.register_hw m
     (Bus.Hw_nic
@@ -96,14 +90,13 @@ let test_mixed_donor_probe () =
 
 let test_input_overflow_counted () =
   let w, m, _sched, serial = make_machine_with_tty () in
-  Freebsd_dev_glue.init_char_devices ();
   let osenv = Osenv.create m in
-  ignore (Fdev.probe osenv);
-  (* Nobody reads; flood the line far past the clist limit. *)
-  ignore (Machine.at m 1000 (fun () -> Serial.inject serial (String.make 600 'x')));
-  World.run w;
-  match !Freebsd_char_drv.found with
+  match Freebsd_char_drv.probe_ttys osenv with
   | [ tty ] ->
+      Freebsd_char_drv.tty_open osenv tty;
+      (* Nobody reads; flood the line far past the clist limit. *)
+      ignore (Machine.at m 1000 (fun () -> Serial.inject serial (String.make 600 'x')));
+      World.run w;
       Alcotest.(check bool) "overflow recorded" true (tty.Freebsd_char_drv.t_overflows > 0);
       Alcotest.(check int) "queue capped at the clist limit" 256
         (Queue.length tty.Freebsd_char_drv.t_canq)

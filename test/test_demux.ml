@@ -105,10 +105,6 @@ let bsd_segment hdr =
   Mbuf.m_append m ~src:hdr ~src_pos:0 ~len:(Bytes.length hdr);
   m
 
-let testbed () =
-  Clientos.reset_globals ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ()
-
 (* ------------------------------------------------------------------ *)
 
 (* A stack's port use table equals the multiset of its pcbs' [lports]
@@ -146,7 +142,7 @@ let to_child t p ~flags =
 
 let bsd_tcp (tw_max, ops) =
   with_tw_max tw_max (fun () ->
-      let tb = testbed () in
+      let tb = Clientos.make_testbed () in
       let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
       let t = st.Bsd_socket.tcp in
       let live = ref [] and fresh = ref [] in
@@ -208,7 +204,7 @@ let bsd_tcp (tw_max, ops) =
 
 let linux_tcp (tw_max, ops) =
   with_tw_max tw_max (fun () ->
-      let tb = testbed () in
+      let tb = Clientos.make_testbed () in
       let t = Clientos.linux_host tb.Clientos.host_a ~ip:local ~mask in
       let live = ref [] and fresh = ref [] in
       let step (kind, a, b, c) =
@@ -268,7 +264,7 @@ let linux_tcp (tw_max, ops) =
 (* UDP has no TIME_WAIT: kinds map to bind, connected bind (the exact
    4-tuple key), implicit bind by sending, and detach. *)
 let bsd_udp (_, ops) =
-  let tb = testbed () in
+  let tb = Clientos.make_testbed () in
   let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
   let u = st.Bsd_socket.udp in
   let live = ref [] in
@@ -297,7 +293,7 @@ let bsd_udp (_, ops) =
    scan finds the newest) must not be shadowed by the cached older one,
    and closing the newer must uncover the older again. *)
 let test_tuple_reuse () =
-  let tb = testbed () in
+  let tb = Clientos.make_testbed () in
   let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
   let t = st.Bsd_socket.tcp in
   let connect () =
@@ -326,7 +322,7 @@ let test_tuple_reuse () =
    connected after it, on the other's 4-tuple while that one sits in
    TIME_WAIT, is the one both lookups find. *)
 let test_linux_connect_order () =
-  let tb = testbed () in
+  let tb = Clientos.make_testbed () in
   let t = Clientos.linux_host tb.Clientos.host_a ~ip:local ~mask in
   let older = Linux_inet.socket t in
   let newer = Linux_inet.socket t in
@@ -348,7 +344,7 @@ let test_linux_connect_order () =
 (* Pinned from the property: an unbound UDP pcb (lport 0) takes nothing,
    not even a datagram to port 0. *)
 let test_udp_unbound () =
-  let tb = testbed () in
+  let tb = Clientos.make_testbed () in
   let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
   let u = st.Bsd_socket.udp in
   ignore (Udp.create_pcb u);
@@ -372,7 +368,7 @@ let tcp_of_frame f =
    order the walk of the newest-first pcb list met them — and leaves its
    SYN_RCVD queue empty. *)
 let test_listener_close_order () =
-  let tb = testbed () in
+  let tb = Clientos.make_testbed () in
   let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
   let t = st.Bsd_socket.tcp in
   let peer = raddrs.(0) in

@@ -130,7 +130,6 @@ let test_bsd_cache_invalidated_on_close () =
 
 let test_linux_cache_invalidated_on_close () =
   with_fast (fun () ->
-      Clientos.reset_globals ();
       let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
       let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in

@@ -418,9 +418,9 @@ let test_flags_off_untouched () =
   Alcotest.(check int) "no pipelining counted" 0 st.Httpd.pipelined;
   Alcotest.(check int) "no idle closes" 0 st.Httpd.idle_closed;
   Alcotest.(check int) "no caps" 0 st.Httpd.capped;
-  (* The harness's reset_globals zeroed the counters; the flags-off run must
-     not have moved the sendfile ones at all, and its one copied body is
-     counted like any other. *)
+  (* The harness's testbed started with zeroed counters; the flags-off run
+     must not have moved the sendfile ones at all, and its one copied body
+     is counted like any other. *)
   Alcotest.(check int) "no sendfile bodies" 0 Cost.counters.Cost.sendfile_bodies;
   Alcotest.(check int) "no sendfile fallbacks" 0 Cost.counters.Cost.sendfile_fallbacks;
   Alcotest.(check (pair int int)) "one counted body copy of 4096 bytes" (1, 4096)

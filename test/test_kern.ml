@@ -3,7 +3,7 @@
 
 let with_machine f =
   let w = World.create () in
-  let m = Machine.create ~name:(Printf.sprintf "kern-pc-%d" (Random.int 1_000_000)) w in
+  let m = Machine.create ~name:"kern-pc" w in
   let k = Kernel.create m in
   f w m k
 

@@ -16,10 +16,6 @@ let ok = function
 let with_longfat ?(wscale = true) ?(autotune = true) f =
   Cost.with_config { Cost.config with Cost.tcp_wscale = wscale; tcp_autotune = autotune } f
 
-let fresh_testbed ?latency_ns () =
-  Clientos.reset_globals ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
-
 (* One patterned bulk transfer on [config]'s stack at both ends (the
    stream harness's run, 8 KB sends and receives, connect at 1 ms); the
    result carries the stacks and sockets, so callers can pin estimator
@@ -115,7 +111,7 @@ let test_karn_reordering_bsd () =
    purged. *)
 
 let test_linux_time_wait_expiry_purges () =
-  let tb = fresh_testbed () in
+  let tb = Clientos.make_testbed () in
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
   let client_sock = ref None and closed = ref false in

@@ -587,6 +587,22 @@ let test_with_config_installs_every_field () =
       Alcotest.(check bool) name true (Cost.with_config q (fun () -> Cost.config = q)))
     (one_field_profiles ())
 
+(* The per-machine store: one value per machine, never per name, and a
+   lookup that allocates nothing.  The key is made after the machines, so
+   their stores grow to hold it. *)
+let test_machine_store () =
+  let w = World.create () in
+  let m1 = Machine.create ~name:"pc" w and m2 = Machine.create ~name:"pc" w in
+  let k = Machine.key (fun _ -> ref 0) in
+  incr (Machine.get m1 k);
+  Alcotest.(check int) "per machine" 0 !(Machine.get m2 k);
+  Alcotest.(check int) "kept" 1 !(Machine.get m1 k);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Machine.get m1 k))
+  done;
+  Alcotest.(check bool) "lookup allocates nothing" true (Gc.minor_words () -. before < 100.)
+
 let suite =
   [ Alcotest.test_case "world ordering" `Quick test_world_ordering;
     Alcotest.test_case "world same-time FIFO" `Quick test_world_same_time_fifo;
@@ -620,4 +636,5 @@ let suite =
     Alcotest.test_case "serial loopback" `Quick test_serial_loopback;
     Alcotest.test_case "serial capture" `Quick test_serial_capture;
     Alcotest.test_case "timer periodic" `Quick test_timer_periodic;
-    Alcotest.test_case "timer oneshot" `Quick test_timer_oneshot ]
+    Alcotest.test_case "timer oneshot" `Quick test_timer_oneshot;
+    Alcotest.test_case "per-machine store" `Quick test_machine_store ]

@@ -155,11 +155,9 @@ let test_bsd_malloc_free_checks () =
 
 let test_fdev_probe_and_lookup () =
   Fdev.clear_drivers ();
-  Linux_glue.reset ();
   let w = World.create () in
   let wire = Wire.create w in
   let m = Machine.create ~name:"probe-pc" w in
-  Bus.clear m;
   Bus.register_hw m
     (Bus.Hw_nic
        { model = "NE2000"; nic = Nic.create ~machine:m ~wire ~mac:"\x02\x00\x00\x00\x09\x01" ~irq:9 () });
@@ -179,6 +177,25 @@ let test_fdev_probe_and_lookup () =
   Alcotest.(check int) "one etherdev" 1 (List.length (Fdev.lookup osenv Io_if.etherdev_iid));
   Alcotest.(check int) "one blkio" 1 (List.length (Fdev.lookup osenv Io_if.blkio_iid));
   Fdev.clear_drivers ()
+
+(* One probe numbers the devices it finds on its machine in bus order. *)
+let test_probe_names_devices () =
+  let w = World.create () in
+  let wire = Wire.create w in
+  let m = Machine.create ~name:"names-pc" w in
+  List.iteri
+    (fun i model ->
+      let mac = Printf.sprintf "\x02\x00\x00\x00\x0a%c" (Char.chr i) in
+      let nic = Nic.create ~machine:m ~wire ~mac ~irq:(9 + i) () in
+      Bus.register_hw m (Bus.Hw_nic { model; nic });
+      let disk = Disk.create ~machine:m ~sectors:64 ~irq:(14 + i) () in
+      Bus.register_hw m (Bus.Hw_disk { model = "WDC-AC2850"; disk }))
+    [ "NE2000"; "tulip" ];
+  let osenv = Osenv.create m in
+  Alcotest.(check (list string)) "cards" [ "eth0"; "eth1" ]
+    (List.map (fun d -> d.Linux_eth_drv.name) (Linux_eth_drv.probe_devices osenv));
+  Alcotest.(check (list string)) "drives" [ "hda"; "hdb" ]
+    (List.map (fun d -> d.Linux_ide_drv.name) (Linux_ide_drv.probe_drives osenv))
 
 let test_osenv_services () =
   let w = World.create () in
@@ -209,12 +226,10 @@ let test_osenv_services () =
 
 let test_ide_blkio_path () =
   Fdev.clear_drivers ();
-  Linux_glue.reset ();
   let w = World.create () in
   let m = Machine.create ~name:"ide-pc" w in
   let sched = Thread.create_sched m in
   Thread.install sched;
-  Bus.clear m;
   let disk = Disk.create ~machine:m ~sectors:8192 ~irq:14 () in
   Bus.register_hw m (Bus.Hw_disk { model = "QUANTUM-LPS540"; disk });
   Linux_glue.init_ide ();
@@ -257,4 +272,5 @@ let suite =
     Alcotest.test_case "bsd malloc: free checks" `Quick test_bsd_malloc_free_checks;
     Alcotest.test_case "fdev probe and lookup" `Quick test_fdev_probe_and_lookup;
     Alcotest.test_case "osenv services" `Quick test_osenv_services;
-    Alcotest.test_case "linux IDE via blkio" `Quick test_ide_blkio_path ]
+    Alcotest.test_case "linux IDE via blkio" `Quick test_ide_blkio_path;
+    Alcotest.test_case "probe numbers its devices" `Quick test_probe_names_devices ]

@@ -22,6 +22,26 @@ let matrix sender receiver () =
 
 let configs = Endpoint.[ Oskit; Freebsd; Linux ]
 
+(* Two testbeds built before either runs share nothing, though both name
+   their hosts "pc-a" and "pc-b": each host probes its own NIC, so each
+   transfer is byte-exact and rides its own wire only. *)
+let two_testbeds config () =
+  let tb1 = Clientos.make_testbed () in
+  let tb2 = Clientos.make_testbed () in
+  let frames tb = Wire.frames_carried tb.Clientos.wire in
+  let run tb =
+    Workload.ttcp tb
+      { Workload.table1 with sender = config; receiver = config; bytes = 64 * 4096 }
+  in
+  let r1 = run tb1 in
+  Alcotest.(check bool) "first transfer byte-exact" true r1.byte_exact;
+  Alcotest.(check bool) "on the first wire" true (r1.wire_carried > 0);
+  Alcotest.(check int) "the second wire idle" 0 (frames tb2);
+  let r2 = run tb2 in
+  Alcotest.(check bool) "second transfer byte-exact" true r2.byte_exact;
+  Alcotest.(check bool) "on the second wire" true (r2.wire_carried > 0);
+  Alcotest.(check int) "the first wire untouched by it" r1.wire_carried (frames tb1)
+
 let suite =
   [ Alcotest.test_case "freebsd-native 256KB transfer" `Quick (fun () ->
         transfer Endpoint.Freebsd Endpoint.Freebsd ~bytes:(256 * 1024));
@@ -45,4 +65,10 @@ let suite =
                  (Endpoint.config_name r))
               `Quick (matrix s r))
           configs)
+      configs
+  @ List.map
+      (fun c ->
+        Alcotest.test_case
+          (Printf.sprintf "two live testbeds: %s transfers stay apart" (Endpoint.config_name c))
+          `Quick (two_testbeds c))
       configs

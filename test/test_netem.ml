@@ -185,7 +185,6 @@ let test_lossy_linux_sender () =
    retries are exhausted every queued waiter is failed so nothing leaks.
    The resolver is shared, so both stacks must give the same account. *)
 let test_arp_bounded_queue_and_give_up config () =
-  Clientos.reset_globals ();
   let models = if config = Endpoint.Linux then "3c59x", "lance" else "3c905", "tulip" in
   let tb = Clientos.make_testbed ~models () in
   let host = tb.Clientos.host_a and addr = ip "10.0.0.1" in
@@ -231,7 +230,6 @@ let test_arp_retry_recovers_after_partition () =
    must end in Timedout — not an infinite retransmit loop — with the ARP
    give-up and the retransmit give-up both accounted. *)
 let test_linux_unreachable_times_out () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let result = ref None in

@@ -365,7 +365,6 @@ let listen_port = 7007
    client on host B, whose card also serves as the raw frame injector.
    [connect k] connects from B, 2 ms on, and hands [k] the connection. *)
 let listening_rig config =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
   let server = Endpoint.setup config tb.Clientos.host_a ~addr:server_ip in
   let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_b ~addr:client_ip in
@@ -536,7 +535,6 @@ let test_arp_reply_nomem_frees_request_bsd () =
   Alcotest.(check bool) "request mbuf freed" true m.Mbuf.m_freed
 
 let test_arp_reply_nomem_frees_request_linux () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed () in
   let host = tb.Clientos.host_a in
   let st = Clientos.linux_host host ~ip:(ip "10.1.0.1") ~mask:(ip "255.255.255.0") in

@@ -12,10 +12,6 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
 
-let fresh_testbed ?latency_ns () =
-  Clientos.reset_globals ();
-  Clientos.make_testbed ~models:("3c905", "tulip") ?latency_ns ()
-
 (* Set the overload knobs for [f], restoring the seed defaults after, and
    re-seed the allocation injector on both edges so no test leaks failure
    state into its neighbours.  Stacks built inside [f] see the knobs at
@@ -53,7 +49,7 @@ let attacker tb =
 
 let cookie_rigs =
   lazy
-    (let tb = fresh_testbed () in
+    (let tb = Clientos.make_testbed () in
      let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
      let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
      (sa.Bsd_socket.tcp, sb))
@@ -85,7 +81,7 @@ let prop_cookie_roundtrip =
 
 let test_syncache_eviction_and_listener_close () =
   with_overload ~syn_defense:true ~syncache_size:4 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let bsd_srcs = ref [] and bsd_after_close = ref (-1) in
@@ -148,7 +144,7 @@ let test_syncache_eviction_and_listener_close () =
 
 let test_syncache_mss_without_option () =
   Cost.with_config { Cost.config with Cost.tcp_mss = 9000 } (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let baddr = ip "10.0.0.1" and laddr = ip "10.0.0.2" and src = ip "10.0.0.9" in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:baddr ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:laddr ~mask in
@@ -191,7 +187,7 @@ let test_syncache_mss_without_option () =
 
 let flood_then_legit config () =
   with_overload ~syn_defense:true ~syncache_size:16 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let client, cstack = attacker tb in
       let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let served = ref 0 and echoed = ref 0 and finished = ref 0 in
@@ -264,7 +260,7 @@ let test_flood_then_legit_linux () = flood_then_legit Endpoint.Linux ()
 
 let cookie_completion config () =
   with_overload ~syn_defense:true (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let _, cstack = attacker tb in
       let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let accepted_port = ref 0 and done_flag = ref false in
@@ -314,7 +310,7 @@ let test_cookie_completion_linux () = cookie_completion Endpoint.Linux ()
 
 let test_rst_rate_limit_both_stacks () =
   with_overload ~icmp_ratelimit:3 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let done_flag = ref false in
@@ -341,7 +337,7 @@ let test_rst_rate_limit_both_stacks () =
 
 let test_udp_unreachable_rate_limit () =
   with_overload ~icmp_ratelimit:3 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
       let done_flag = ref false in
@@ -370,7 +366,7 @@ let test_udp_unreachable_rate_limit () =
 
 let tw_cap config () =
   with_overload ~tw_max:2 (fun () ->
-      let tb = fresh_testbed () in
+      let tb = Clientos.make_testbed () in
       let rounds = 5 in
       let served = ref 0 in
       let client = Endpoint.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
@@ -588,7 +584,7 @@ let test_httpd_keepalive_drip_deadline () =
 
 let test_flags_off_counters_untouched () =
   Memfault.reset ();
-  let tb = fresh_testbed () in
+  let tb = Clientos.make_testbed () in
   let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let server = Endpoint.setup Endpoint.Linux tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
   let served = ref false and echoed = ref false in

@@ -36,7 +36,6 @@ let received_matches name got =
 
 (* Server on B; on A, sockets holding 65535 and 1024, then a connect. *)
 let tcp_wraps ?models config () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ?models () in
   let client = Endpoint.setup config tb.Clientos.host_a ~addr:addr_a in
   let server = Endpoint.setup config tb.Clientos.host_b ~addr:addr_b in
@@ -85,7 +84,6 @@ let test_linux_tcp = tcp_wraps ~models:("3c59x", "lance") Endpoint.Linux
 (* UDP's range is 49152-65535: an echo server on B answers each datagram
    to its source port, which A's implicit bind chose. *)
 let test_bsd_udp () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed () in
   let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:addr_a ~mask in
   let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:addr_b ~mask in

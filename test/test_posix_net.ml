@@ -9,7 +9,6 @@ let ok = function
   | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
 
 let make_pair () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("rtl8139", "de4x5") () in
   let env_a, _ = Clientos.oskit_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let env_b, _ = Clientos.oskit_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
@@ -116,7 +115,6 @@ let test_determinism () =
    OSKit row goes through POSIX and the COM glue, whose crossing is
    charged before the stack refuses. *)
 let test_bad_range config () =
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed () in
   let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
   let client = Endpoint.setup config tb.Clientos.host_a ~addr:(ip "10.0.0.1") in

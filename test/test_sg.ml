@@ -304,12 +304,10 @@ let test_nic_gather_equals_linear () =
 
 let test_blkio_aligned_write_no_copy () =
   Fdev.clear_drivers ();
-  Linux_glue.reset ();
   let w = World.create () in
   let m = Machine.create ~name:"sg-ide" w in
   let sched = Thread.create_sched m in
   Thread.install sched;
-  Bus.clear m;
   let disk = Disk.create ~machine:m ~sectors:4096 ~irq:14 () in
   Bus.register_hw m (Bus.Hw_disk { model = "QUANTUM-LPS540"; disk });
   Linux_glue.init_ide ();

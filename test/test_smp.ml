@@ -172,11 +172,11 @@ let prop_direction_symmetry =
 (* Netisr: FIFO per CPU, direct dispatch on the home CPU, bounded.     *)
 
 let test_netisr () =
-  with_ncpus 2 @@ fun () ->
+  Cost.with_config { Cost.config with Cost.ncpus = 2; netisr_qmax = 4 } @@ fun () ->
   let w = World.create () in
   let m = Machine.create ~name:"isr-pc" w in
   Cost.reset_counters ();
-  let isr = Netisr.for_machine ~qmax:4 m in
+  let isr = Netisr.for_machine m in
   Machine.run_on m ~cpu:0 (fun () ->
       let ran = ref false in
       ignore (Netisr.dispatch isr ~cpu:0 (fun () -> ran := true));
@@ -201,6 +201,24 @@ let test_netisr () =
   Alcotest.(check int) "overflow dropped, not wedged" 2 !dropped;
   Alcotest.(check int) "crossings counted" 4 Cost.counters.Cost.netisr_queued;
   Alcotest.(check int) "drops counted" 2 Cost.counters.Cost.netisr_drops
+
+(* A machine's netisr lives on that machine: a same-named machine gets its
+   own, and work queued on the first survives the second's lookup. *)
+let test_netisr_per_machine () =
+  let w = World.create () in
+  let m1 = Machine.create ~name:"isr-pc" ~ncpus:2 w in
+  let m2 = Machine.create ~name:"isr-pc" ~ncpus:2 w in
+  let isr = Netisr.for_machine m1 in
+  let ran = ref false in
+  Machine.run_on m1 ~cpu:0 (fun () ->
+      ignore (Netisr.dispatch isr ~cpu:1 (fun () -> ran := true)));
+  Alcotest.(check bool) "the same-named machine's is another" true
+    (Netisr.for_machine m2 != isr);
+  Alcotest.(check bool) "the first machine keeps its own" true (Netisr.for_machine m1 == isr);
+  Alcotest.(check int) "its queued frame survives" 1
+    (Netisr.queue_len (Netisr.for_machine m1) ~cpu:1);
+  World.run w;
+  Alcotest.(check bool) "and runs" true !ran
 
 (* ------------------------------------------------------------------ *)
 (* The multi-queue RSS NIC: per-queue rings, per-queue vectors.        *)
@@ -253,7 +271,6 @@ let test_nic_rss_queues () =
 
 let cross_cpu_ttcp ?(loss = 0.0) ~ncpus ~blocks ~blocksize () =
   with_ncpus ncpus @@ fun () ->
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c905", "fxp-sim") () in
   if loss > 0.0 then
     Wire.set_netem tb.Clientos.wire
@@ -408,4 +425,6 @@ let suite =
     Alcotest.test_case "sharded httpd byte-exact at 1/2/4 CPUs" `Quick
       test_httpd_cross_cpu;
     Alcotest.test_case "sharded httpd byte-exact at 1/2/4 CPUs under 2% loss"
-      `Quick test_httpd_cross_cpu_lossy ]
+      `Quick test_httpd_cross_cpu_lossy;
+    Alcotest.test_case "netisr: one per machine, whatever its name" `Quick
+      test_netisr_per_machine ]

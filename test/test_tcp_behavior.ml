@@ -20,14 +20,11 @@ type rig = {
   sb : Bsd_socket.stack;
 }
 
-let fresh = ref 0
-
 let make_rig () =
-  incr fresh;
   let w = World.create () in
   let wire = Wire.create w in
   let mk name mac ipaddr =
-    let machine = Machine.create ~name:(Printf.sprintf "%s-%d" name !fresh) w in
+    let machine = Machine.create ~name w in
     let sched = Thread.create_sched machine in
     Thread.install sched;
     let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
@@ -336,7 +333,6 @@ let test_delack_after_timer_quiesce () =
 
 let test_linux_loss_recovery () =
   (* The Linux stack recovers from loss too (coarser: timer-driven). *)
-  Clientos.reset_globals ();
   let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
   let n = ref 0 in
   Wire.set_fault_injector tb.Clientos.wire
