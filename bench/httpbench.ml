@@ -163,6 +163,7 @@ type result = {
   r_reactor_spurious : int;
   r_bufcache_hits : int; (* measured run only *)
   r_bufcache_misses : int;
+  r_glue_crossings : int; (* measured run only; both machines *)
   r_rss_steered : int; (* frames the NIC's hardware RSS queued to a home CPU *)
   r_netisr_queued : int; (* frames that crossed CPUs through the netisr *)
   r_netisr_drops : int;
@@ -426,7 +427,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
   done;
   (* Counter baseline, taken by the first measured client to start:
      everything after the warmup is the measured run. *)
-  let baseline = ref false and c0_hits = ref 0 and c0_misses = ref 0 in
+  let baseline = ref false and c0_hits = ref 0 and c0_misses = ref 0 and c0_glue = ref 0 in
   for i = 0 to clients - 1 do
     Clientos.spawn chost ~cpu:(i mod ncpus)
       ~name:(Printf.sprintf "c%d" i)
@@ -438,7 +439,8 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
         if not !baseline then begin
           baseline := true;
           c0_hits := Cost.counters.Cost.bufcache_hits;
-          c0_misses := Cost.counters.Cost.bufcache_misses
+          c0_misses := Cost.counters.Cost.bufcache_misses;
+          c0_glue := Cost.counters.Cost.glue_crossings
         end;
         requests ~record:true ~first:i d.reqs_per_client;
         incr done_clients)
@@ -483,6 +485,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
     r_reactor_spurious = sum (fun s -> s.Reactor.spurious);
     r_bufcache_hits = c.Cost.bufcache_hits - !c0_hits;
     r_bufcache_misses = c.Cost.bufcache_misses - !c0_misses;
+    r_glue_crossings = c.Cost.glue_crossings - !c0_glue;
     r_rss_steered = c.Cost.rss_steered;
     r_netisr_queued = c.Cost.netisr_queued;
     r_netisr_drops = c.Cost.netisr_drops;

@@ -135,7 +135,7 @@ let transfer_counts (t : Workload.result) =
     "checksummed_bytes", Int c.Cost.checksummed_bytes ]
 
 let rtt_us ?(profile = paper) config ~trips =
-  Percentile.mean_us (fst (Cost.with_config profile (fun () -> Netbench.rtt config ~trips)))
+  Percentile.mean_us (Cost.with_config profile (fun () -> Netbench.rtt config ~trips)).samples
 
 (* ---------------- Table 1 ---------------- *)
 
@@ -461,7 +461,9 @@ let chaos () =
    actually cross the glue and batching can coalesce them. *)
 let rtt () =
   let rtcp config trips p =
-    let samples, c = Cost.with_config p (fun () -> Netbench.rtt config ~trips) in
+    let { Workload.samples; counters = c; _ } =
+      Cost.with_config p (fun () -> Netbench.rtt config ~trips)
+    in
     let pct = Percentile.us_of_ns samples in
     record "rtt"
       [ "workload", Str "rtcp"; system config; profile p; "trips", Int trips ]
@@ -495,6 +497,11 @@ let rtt () =
 
 (* ---------------- HTTP runs ---------------- *)
 
+(* Glue crossings per measured request: 0 on a native server, which has no
+   glue; the fdev, socket and file glue of an OSKit one. *)
+let crossings_per_req (r : Httpbench.result) =
+  "crossings_per_req", Float (float_of_int r.r_glue_crossings /. float_of_int (max 1 r.r_requests))
+
 let server_metrics (r : Httpbench.result) =
   let st = r.r_server in
   [ "requests", Int r.r_requests;
@@ -508,7 +515,8 @@ let server_metrics (r : Httpbench.result) =
     "shed", Int st.Httpd.shed;
     "listen_overflow", Int r.r_listen_overflow;
     "protocol_errors", Int st.Httpd.protocol_errors;
-    "mismatches", Int r.r_mismatches ]
+    "mismatches", Int r.r_mismatches;
+    crossings_per_req r ]
 
 (* http: event-driven vs thread-per-connection at an equal RAM budget,
    the same server component on both stacks. *)
@@ -641,7 +649,8 @@ let file_cell ?(stack = Endpoint.Freebsd) ?(shape = Httpbench.Reactor) ?(clients
       "bufcache_hits", Int r.r_bufcache_hits;
       "bufcache_misses", Int r.r_bufcache_misses;
       "protocol_errors", Int st.Httpd.protocol_errors;
-      "mismatches", Int r.r_mismatches ]
+      "mismatches", Int r.r_mismatches;
+      crossings_per_req r ]
 
 let file () =
   let profiles = [ http10; keepalive; ka_sendfile ] in
@@ -886,7 +895,8 @@ let bounds : bound list =
   let smp4 clients = [ "clients", Int clients; "profile", p (smp_profile 4) ] in
   let smp1 = profile_is (smp_profile 1) in
   let kq idle = [ "kind", Str "kqueue"; "idle", Int idle ] and wheel = [ "kind", Str "wheel" ] in
-  let warm_sf stack = [ "stack", Str stack; "profile", p ka_sendfile ] in
+  let stack name = [ "stack", Str name ] in
+  let warm_sf name = stack name @ [ "profile", p ka_sendfile ] in
   let scale x depth = [ "reqs", Int 625; "profile", p x; "pipeline", Int depth ] in
   [ (* scatter-gather sends no slower, and does remove the flatten copy *)
     "table1", profile_is sg_on, "send_mbit", Ge, Times (1.0, profile_is paper, "send_mbit");
@@ -955,7 +965,15 @@ let bounds : bound list =
     "file", warm_sf "FreeBSD", "sendfile_fallbacks", Eq, zero;
     "file", warm_sf "FreeBSD", "sendfile_bodies", Ge, Times (1.0, [], "requests");
     "file", warm_sf "Linux", "sendfile_fallbacks", Gt, zero;
-    "file", warm_sf "Linux", "body_bytes_copied", Gt, zero ]
+    "file", warm_sf "Linux", "body_bytes_copied", Gt, zero;
+    (* a native server crosses no glue; an OSKit one crosses it on every
+       request *)
+    "http", stack "FreeBSD", "crossings_per_req", Eq, zero;
+    "http", stack "Linux", "crossings_per_req", Eq, zero;
+    "smp", [], "crossings_per_req", Eq, zero;
+    "file", stack "FreeBSD", "crossings_per_req", Eq, zero;
+    "file", stack "Linux", "crossings_per_req", Eq, zero;
+    "file", stack "OSKit", "crossings_per_req", Gt, zero ]
 
 (* ---------------- driver ---------------- *)
 

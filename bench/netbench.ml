@@ -83,9 +83,11 @@ let stream ?models ?latency_ns ?netem ?fault ?tap ?(retry = false) ?buffers w =
 (* ---- rtt: rtcp ---- *)
 
 (* rtcp on a fresh testbed: each timed trip's virtual nanoseconds and the
-   run's counters. *)
+   run's counters.  A run whose trips do not all finish fails. *)
 let rtt config ~trips =
-  Workload.rtcp (Clientos.make_testbed ()) config ~trips
+  let r = Workload.rtcp (Clientos.make_testbed ()) config ~trips in
+  if not r.finished then failwith "netbench: rtcp trips unfinished at the time limit";
+  r
 
 (* Section 6.2.6: throughput measured from inside the bytecode VM on the
    OSKit configuration.  The VM program loops sys_recv (or sys_send); the

@@ -17,7 +17,11 @@ let () =
   in
   let trips = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 200 in
   Printf.printf "rtcp: %s, %d one-byte round trips\n%!" (Endpoint.config_name config) trips;
-  let samples, _ = Workload.rtcp (Clientos.make_testbed ()) config ~trips in
+  let { Workload.samples; finished; _ } = Workload.rtcp (Clientos.make_testbed ()) config ~trips in
+  if not finished then begin
+    Printf.printf "  incomplete: %d of %d trips within the time limit\n" (Array.length samples) trips;
+    exit 1
+  end;
   let pct = Percentile.us_of_ns samples in
   Printf.printf "  round-trip time: %.4f usec mean\n" (Percentile.mean_us samples);
   Printf.printf "  p50 %.1f   p95 %.1f   p99 %.1f usec\n" (pct 50) (pct 95) (pct 99)

@@ -84,6 +84,9 @@ let mbuf_of_bufio ?cache (io : Io_if.bufio) =
 (* ---- binding the stack to a COM etherdev ---- *)
 
 let open_ether_if stack (ed : Io_if.etherdev) =
+  (* The stack reaches its device through the fdev glue: an OSKit kernel,
+     which pays every crossing. *)
+  Machine.bind_kernel stack.Bsd_socket.machine Machine.Oskit;
   let ifp = stack.Bsd_socket.ifp in
   (* The stack learns the device's station address. *)
   ifp.Netif.if_hwaddr <- ed.Io_if.ed_ethaddr ();

@@ -8,6 +8,9 @@
 
 let attach stack nic =
   let machine = stack.Bsd_socket.machine in
+  (* No glue, so none is charged: the COM faces a native kernel exports
+     cost what the direct calls cost. *)
+  Machine.bind_kernel machine Machine.Native;
   let ifp = stack.Bsd_socket.ifp in
   ifp.Netif.if_hwaddr <- Nic.mac nic;
   ifp.Netif.if_xmit <-

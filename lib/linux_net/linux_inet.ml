@@ -1058,7 +1058,10 @@ let netif_rx t skb =
     | _ -> Skbuff.skb_free skb
   with Memfault.Nomem -> t.nomem_drops <- t.nomem_drops + 1
 
+(* The native Linux kernel links its driver directly: the machine crosses
+   no glue. *)
 let attach_dev t osenv dev =
+  Machine.bind_kernel t.machine Machine.Native;
   t.dev <- Some dev;
   match Linux_eth_drv.dev_open osenv dev ~rx:(fun skb -> netif_rx t skb) () with
   | Ok () -> ()

@@ -37,7 +37,8 @@ let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
       so_sendto = (fun ~buf:_ ~pos:_ ~len:_ ~dst:_ -> Result.Error Error.Notsup);
       so_recvfrom = (fun ~buf:_ ~pos:_ ~len:_ -> Result.Error Error.Notsup);
       so_getsockname =
-        (fun () -> Ok { Io_if.sin_addr = t.Linux_inet.my_ip; sin_port = s.Linux_inet.lport });
+        (fun () ->
+          enter (fun () -> Ok { Io_if.sin_addr = t.Linux_inet.my_ip; sin_port = s.Linux_inet.lport }));
       so_setsockopt =
         (fun name value ->
           enter (fun () ->
@@ -70,19 +71,5 @@ let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
       (Com.create (fun _ ->
            [ Iid.B (Io_if.socket_iid, fun () -> view ());
              Iid.B (Io_if.asyncio_iid, fun () -> Lazy.force aio) ]))
-  and unknown () = Lazy.force obj in
-  view ()
-
-let socket_factory (t : Linux_inet.stack) : Io_if.socket_factory =
-  let rec view () =
-    { Io_if.sf_unknown = unknown ();
-      sf_create =
-        (fun typ ->
-          Cost.charge_glue_crossing ();
-          match typ with
-          | Io_if.Sock_stream -> Ok (socket_com t (Linux_inet.socket t))
-          | Io_if.Sock_dgram -> Result.Error Error.Notsup) }
-  and obj =
-    lazy (Com.create (fun _ -> [ Iid.B (Io_if.socket_factory_iid, fun () -> view ()) ]))
   and unknown () = Lazy.force obj in
   view ()

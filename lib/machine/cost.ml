@@ -287,6 +287,13 @@ let current_cpu () = match !cpu_source with Some f -> f () | None -> 0
 let counters_for ~cpu = shards.(cpu)
 let shard () = shards.(current_cpu ())
 
+(* Whether the executing machine runs a native kernel, which has no
+   component glue to cross.  Installed by Machine like the CPU source;
+   outside any machine context every crossing is charged. *)
+let native_source : (unit -> bool) option ref = ref None
+let set_native_source f = native_source := f
+let executing_native () = match !native_source with Some f -> f () | None -> false
+
 let charge_ns ns = match !sink with Some f -> f ns | None -> ()
 
 (* 200 MHz = 5 ns per cycle; compute exactly to stay calibratable. *)
@@ -353,9 +360,14 @@ let charge_com_call () =
   bump (fun c -> c.com_calls <- c.com_calls + 1);
   charge_cycles config.com_call_cycles
 
+(* A native kernel links its stack, drivers and file system directly, so
+   a call that crosses the glue on an OSKit machine costs there exactly
+   what the direct call costs: nothing is charged or counted. *)
 let charge_glue_crossing () =
-  bump (fun c -> c.glue_crossings <- c.glue_crossings + 1);
-  charge_cycles config.glue_crossing_cycles
+  if not (executing_native ()) then begin
+    bump (fun c -> c.glue_crossings <- c.glue_crossings + 1);
+    charge_cycles config.glue_crossing_cycles
+  end
 
 let charge_alloc () = charge_cycles config.alloc_cycles
 

@@ -257,6 +257,11 @@ val charge_copy : int -> unit
 val charge_checksum : int -> unit
 
 val charge_com_call : unit -> unit
+
+(** [charge_glue_crossing ()] charges one crossing of the OSKit glue
+    ([glue_crossing_cycles], counted in [glue_crossings]) — unless the
+    executing machine runs a native kernel ({!Machine.bind_kernel}), which
+    has no glue: there it charges and counts nothing. *)
 val charge_glue_crossing : unit -> unit
 val charge_alloc : unit -> unit
 
@@ -392,3 +397,8 @@ val set_cpu_source : (unit -> int) option -> unit
 
 (** The executing CPU per the installed source; 0 outside any machine. *)
 val current_cpu : unit -> int
+
+(** [set_native_source f] installs the reader of whether the executing
+    machine runs a native kernel, which {!charge_glue_crossing} consults.
+    Installed by {!Machine}; not for client use. *)
+val set_native_source : (unit -> bool) option -> unit

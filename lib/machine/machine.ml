@@ -54,6 +54,22 @@ let get t k =
       t.store.(k.slot) <- Bound (k.id, v);
       v
 
+(* The kernel a machine runs, as recorded by the code that binds its
+   protocol stack to its NIC: linked directly (native), or through the
+   fdev glue (OSKit). *)
+type kernel = Native | Oskit
+
+let kernel_slot : kernel option ref key = key (fun _ -> ref None)
+
+let bind_kernel t k =
+  let bound = get t kernel_slot in
+  match !bound with
+  | Some k' when k' <> k ->
+      invalid_arg "Machine.bind_kernel: a native and an OSKit kernel on one machine"
+  | _ -> bound := Some k
+
+let native t = match !(get t kernel_slot) with Some Native -> true | Some Oskit | None -> false
+
 let current_machine : t option ref = ref None
 
 let () =
@@ -68,7 +84,10 @@ let () =
          | None -> ()));
   Cost.set_cpu_source
     (Some
-       (fun () -> match !current_machine with Some m -> m.cur_cpu | None -> 0))
+       (fun () -> match !current_machine with Some m -> m.cur_cpu | None -> 0));
+  (* A native kernel crosses no glue: the one place that rule lives. *)
+  Cost.set_native_source
+    (Some (fun () -> match !current_machine with Some m -> native m | None -> false))
 
 let create ?(name = "pc") ?(ram_bytes = 8 * 1024 * 1024) ?ncpus world =
   let ncpus = match ncpus with Some n -> n | None -> Cost.config.Cost.ncpus in

@@ -71,6 +71,23 @@ val key : (t -> 'a) -> 'a key
     O(1), and allocates nothing once the value exists. *)
 val get : t -> 'a key -> 'a
 
+(** {2 The kernel a machine runs} *)
+
+(** How a machine's protocol stack is bound to its NIC: [Native] — linked
+    directly against the driver, as the paper's FreeBSD and Linux
+    baselines are — or [Oskit] — through the fdev glue's COM interfaces. *)
+type kernel = Native | Oskit
+
+(** [bind_kernel t k] records that [t] runs a [k] kernel; the code that
+    binds a stack to a NIC calls it.  A native machine has no component
+    glue, so {!Cost.charge_glue_crossing} charges nothing while it
+    executes.  Raises [Invalid_argument] if [t] already bound the other
+    kind. *)
+val bind_kernel : t -> kernel -> unit
+
+(** Whether [t] bound a native kernel ({!bind_kernel}). *)
+val native : t -> bool
+
 (** {2 Interrupts} *)
 
 val irq_lines : int (* 16, like the PC's cascaded 8259s *)

@@ -12,6 +12,24 @@ let ok = Endpoint.ok
 (* The counters so far, copied: a run's result keeps its own. *)
 let counters () = { Cost.counters with Cost.copies = Cost.counters.Cost.copies }
 
+(* Every run ends within this much virtual time: one day, about twice the
+   longest transfer any caller makes (the longfat bench's Linux transfer
+   with 16-bit windows over a 50 ms path losing 3% of its frames, 43,799 s).
+   A run that cannot finish — a receiver that never reads, a livelocked
+   connection — would otherwise keep its timers firing until the world's
+   event fuel runs out. *)
+let time_limit_ns = 86_400 * 1_000_000_000
+
+(* Run [tb] until [finished ()] or until [time_limit_ns] of virtual time
+   has passed, whichever comes first; the world's clock stops at the limit.
+   Returns [finished ()]. *)
+let run_limited (tb : Clientos.testbed) ~finished =
+  let expired = ref false in
+  let limit = World.after tb.Clientos.world time_limit_ns (fun () -> expired := true) in
+  Clientos.run tb ~until:(fun () -> finished () || !expired);
+  World.cancel limit;
+  finished ()
+
 (* ---- ttcp: push and sink ---- *)
 
 (* The transfer: [sender] on host A pushes [bytes] of [Endpoint.pattern]
@@ -35,7 +53,7 @@ type result = {
   mbit_sender : float;    (* over the sender's send loop, ttcp-style *)
   mbit_receiver : float;  (* over the receiver's clock at EOF *)
   conn_ns : int;       (* the sender's clock from connect to close *)
-  completed : bool;       (* the receiver read EOF *)
+  completed : bool;       (* the receiver read EOF within [time_limit_ns] *)
   received : int;
   byte_exact : bool;      (* ... after every byte, once, in order, right *)
   rexmits : int;          (* the sender stack's, at the end of the run *)
@@ -104,9 +122,11 @@ let ttcp ?(adapt = fun ~sender:_ ep -> ep) (tb : Clientos.testbed) w =
       c.close ();
       t_closed := clock tx);
   Cost.reset_counters ();
-  (* A run that livelocks stops at the world's fuel limit and reports
-     itself not completed, with its endpoints, for the caller to inspect. *)
-  (try Clientos.run tb ~until:(fun () -> !recv_done > 0) with World.Out_of_fuel -> ());
+  (* A run that cannot finish stops at the time limit (or, livelocked at
+     one instant, at the world's fuel limit) and reports itself not
+     completed, with its endpoints, for the caller to inspect. *)
+  (try ignore (run_limited tb ~finished:(fun () -> !recv_done > 0))
+   with World.Out_of_fuel -> ());
   let ts = Endpoint.stats tx.stack and rs = Endpoint.stats rx.stack in
   let mbit ns = float_of_int w.bytes *. 8e3 /. float_of_int ns in
   { mbit_sender = mbit (!t_sent - !t_sending);
@@ -127,13 +147,20 @@ let ttcp ?(adapt = fun ~sender:_ ep -> ep) (tb : Clientos.testbed) w =
 
 (* ---- rtcp: echo and timed trips ---- *)
 
+type trips = {
+  samples : int array;  (* each finished timed trip's virtual ns, in order *)
+  finished : bool;      (* every trip finished within [time_limit_ns] *)
+  counters : Cost.counters;
+}
+
 (* 1-byte round trips, both sides in [config]: one warm-up trip, then
-   [trips] timed ones on the client's clock.  Returns each trip's virtual
-   nanoseconds (reading the clock charges nothing, so they sum to the
-   whole run's time) and the run's counters. *)
+   [trips] timed ones on the client's clock.  Returns each finished
+   trip's virtual nanoseconds (reading the clock charges nothing, so they
+   sum to the whole run's time), whether all of them finished, and the
+   run's counters. *)
 let rtcp (tb : Clientos.testbed) config ~trips =
   let client, server = Endpoint.pair tb ~a:config ~b:config in
-  let samples = Array.make trips 0 and finished = ref false in
+  let samples = Array.make trips 0 and timed = ref 0 and finished = ref false in
   Clientos.spawn server.host ~name:"server" (fun () ->
       let c = ok (server.listen ~port:Endpoint.port ~backlog:2 ()) in
       let buf = Bytes.create 1 in
@@ -158,9 +185,10 @@ let rtcp (tb : Clientos.testbed) config ~trips =
       for i = 0 to trips - 1 do
         let t0 = Machine.now machine in
         trip ();
-        samples.(i) <- Machine.now machine - t0
+        samples.(i) <- Machine.now machine - t0;
+        timed := i + 1
       done;
       finished := true;
       c.close ());
-  Clientos.run tb ~until:(fun () -> !finished);
-  samples, counters ()
+  let finished = run_limited tb ~finished:(fun () -> !finished) in
+  { samples = Array.sub samples 0 !timed; finished; counters = counters () }

@@ -69,7 +69,11 @@
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
-# its result line reports "correct": true and "failed": 0.
+# its result line reports "correct": true and "failed": 0.  The same
+# result lines gate who pays the glue: http_close serves from a native
+# FreeBSD kernel, which crosses no glue, so its
+# fdev.glue_crossings_per_pkt must be exactly 0; http_keepalive serves
+# from the OSKit configuration, so its must be above 0.
 set -eux
 
 dune build
@@ -179,4 +183,15 @@ for workload in paper_net http_close http_keepalive; do
     *'"correct": true'*'"failed": 0,'*) ;;
     *) echo "perfbench $workload: $last" >&2; exit 1 ;;
   esac
+  glue=$(echo "$last" \
+    | sed -n 's/.*"fdev\.glue_crossings_per_pkt": {"value": \([-+.0-9eE]*\),.*/\1/p')
+  case "$workload" in
+    http_close) want='g == 0' ;;
+    http_keepalive) want='g > 0' ;;
+    *) continue ;;
+  esac
+  if [ -z "$glue" ] || ! awk -v g="$glue" "BEGIN { exit !($want) }"; then
+    echo "perfbench $workload: fdev.glue_crossings_per_pkt '$glue', want $want" >&2
+    exit 1
+  fi
 done

@@ -12,6 +12,7 @@ let () =
       "fs", Test_fs.suite;
       "netparts", Test_netparts.suite;
       "net", Test_net.suite;
+      "glue", Test_glue.suite;
       "netem", Test_netem.suite;
       "sg", Test_sg.suite;
       "tcp-behavior", Test_tcp_behavior.suite;

@@ -42,6 +42,21 @@ let two_testbeds config () =
   Alcotest.(check bool) "on the second wire" true (r2.wire_carried > 0);
   Alcotest.(check int) "the first wire untouched by it" r1.wire_carried (frames tb1)
 
+(* A receiver that sleeps past the workloads' time limit: the run stops at
+   the limit, reporting itself not completed, instead of running on until
+   the receiver wakes. *)
+let stalled_past_limit () =
+  let r =
+    Netbench.stream
+      { Workload.table1 with
+        sender = Endpoint.Freebsd;
+        bytes = 64 * 4096;
+        stall_ns = Workload.time_limit_ns + 1_000_000_000 }
+  in
+  Alcotest.(check bool) "transfer not completed" false r.completed;
+  Alcotest.(check bool) "stopped at the limit" true
+    (World.now r.testbed.Clientos.world <= Workload.time_limit_ns)
+
 let suite =
   [ Alcotest.test_case "freebsd-native 256KB transfer" `Quick (fun () ->
         transfer Endpoint.Freebsd Endpoint.Freebsd ~bytes:(256 * 1024));
@@ -55,7 +70,9 @@ let suite =
     Alcotest.test_case "freebsd tiny (1 byte)" `Quick (fun () ->
         transfer Endpoint.Freebsd Endpoint.Freebsd ~bytes:1);
     Alcotest.test_case "oskit odd size (12345)" `Quick (fun () ->
-        transfer ~models:("NE2000", "tulip") Endpoint.Oskit Endpoint.Oskit ~bytes:12345) ]
+        transfer ~models:("NE2000", "tulip") Endpoint.Oskit Endpoint.Oskit ~bytes:12345);
+    Alcotest.test_case "a receiver stalled past the time limit ends the run" `Quick
+      stalled_past_limit ]
   @ List.concat_map
       (fun s ->
         List.map
