@@ -164,6 +164,7 @@ type result = {
   r_bufcache_hits : int; (* measured run only *)
   r_bufcache_misses : int;
   r_glue_crossings : int; (* measured run only; both machines *)
+  r_checksummed_bytes : int; (* measured run only; both machines *)
   r_rss_steered : int; (* frames the NIC's hardware RSS queued to a home CPU *)
   r_netisr_queued : int; (* frames that crossed CPUs through the netisr *)
   r_netisr_drops : int;
@@ -273,6 +274,7 @@ type served = {
   client : Endpoint.t; (* FreeBSD, host A at 10.0.0.1 *)
   server : Endpoint.t; (* host B at [server_ip], whose stack the httpd serves from *)
   bodies : string array; (* the site's files, in order *)
+  root : Io_if.dir; (* the served file system's root *)
   stats : unit -> Httpd.stats; (* the server's counts, once its thread has started *)
   reactors : Reactor.t array; (* one per server CPU *)
 }
@@ -325,7 +327,7 @@ let serve ?models ?bandwidth_bps ?max_threads ?max_conns ~site ~backlog ~stack ~
         ~name:(Printf.sprintf "httpd-cpu%d" c)
         (fun () -> Reactor.run reactors.(c) ~until)
     done;
-  { testbed = tb; client; server; bodies; stats = (fun () -> Option.get !stats); reactors }
+  { testbed = tb; client; server; bodies; root; stats = (fun () -> Option.get !stats); reactors }
 
 (* A fresh connection from the client host to the server. *)
 let connect s = s.client.connect ~dst:server_ip ~port:server_port
@@ -427,7 +429,8 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
   done;
   (* Counter baseline, taken by the first measured client to start:
      everything after the warmup is the measured run. *)
-  let baseline = ref false and c0_hits = ref 0 and c0_misses = ref 0 and c0_glue = ref 0 in
+  let baseline = ref false and c0_hits = ref 0 and c0_misses = ref 0 and c0_glue = ref 0
+  and c0_cksum = ref 0 in
   for i = 0 to clients - 1 do
     Clientos.spawn chost ~cpu:(i mod ncpus)
       ~name:(Printf.sprintf "c%d" i)
@@ -440,7 +443,8 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
           baseline := true;
           c0_hits := Cost.counters.Cost.bufcache_hits;
           c0_misses := Cost.counters.Cost.bufcache_misses;
-          c0_glue := Cost.counters.Cost.glue_crossings
+          c0_glue := Cost.counters.Cost.glue_crossings;
+          c0_cksum := Cost.counters.Cost.checksummed_bytes
         end;
         requests ~record:true ~first:i d.reqs_per_client;
         incr done_clients)
@@ -486,6 +490,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
     r_bufcache_hits = c.Cost.bufcache_hits - !c0_hits;
     r_bufcache_misses = c.Cost.bufcache_misses - !c0_misses;
     r_glue_crossings = c.Cost.glue_crossings - !c0_glue;
+    r_checksummed_bytes = c.Cost.checksummed_bytes - !c0_cksum;
     r_rss_steered = c.Cost.rss_steered;
     r_netisr_queued = c.Cost.netisr_queued;
     r_netisr_drops = c.Cost.netisr_drops;

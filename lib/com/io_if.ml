@@ -311,11 +311,29 @@ let dir_iid : dir Iid.t = Iid.declare "oskit.dir"
     the mapping's lifetime (e.g. a socket buffer holding them until the
     peer acknowledges) takes its own hold and pairs it with its own
     [fr_release].  Every hold, including the mapping's original one, is
-    returned with exactly one [fr_release]. *)
+    returned with exactly one [fr_release].
+
+    [fr_sums], when present, is a checksum memo over the whole of
+    [fr_data]: slot [i] covers bytes [\[i * cksum_chunk, (i + 1) *
+    cksum_chunk)] and holds their folded Internet-checksum partial sum,
+    taken with the chunk's first byte as the high half of a word, or [-1]
+    while that chunk has not been summed.  A consumer may sum an empty
+    slot's chunk and store the result, and may add a filled slot instead
+    of reading the chunk again.  The owner of the bytes resets every slot
+    to [-1], in place, whenever the bytes may change, so a memo reached
+    through any hold always describes the bytes as they are now.  [None]:
+    the bytes have no memo (httpd's header fragment, say). *)
+type cksum_memo = int array
+
+(** Bytes per checksum-memo slot.  Even, so every chunk starts at an even
+    offset of the block. *)
+let cksum_chunk = 64
+
 type file_frag = {
   fr_data : bytes;
   fr_off : int;
   fr_len : int;
+  fr_sums : cksum_memo option;
   fr_hold : unit -> unit;
   fr_release : unit -> unit;
 }

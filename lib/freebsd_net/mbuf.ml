@@ -26,8 +26,12 @@ let mhlen = msize - 28 (* data bytes in a packet-header mbuf *)
 let mclbytes = 2048 (* cluster size *)
 
 (* Where an mbuf's backing storage came from, so m_free knows whether (and
-   where) to recycle it. *)
-type storage = Pool_small | Pool_clust | Foreign
+   where) to recycle it.  [Loaned] storage is foreign too: a sendfile
+   block, with the block's checksum memo (Io_if.file_frag's fr_sums),
+   which In_cksum reads and fills.  m_copym aliases share the storage and
+   so carry the memo; m_makewritable's private copy is [Foreign], without
+   one. *)
+type storage = Pool_small | Pool_clust | Foreign | Loaned of Io_if.cksum_memo
 
 type mbuf = {
   mutable m_next : mbuf option;
@@ -89,10 +93,12 @@ let m_ext_wrap buf ~off ~len =
    when the last alias of the loaned storage is retired.  The sendfile
    path wraps pinned buffer-cache fragments this way; on_free is the
    unpin, so the block stays wired exactly as long as any socket buffer,
-   in-flight segment or retransmit alias still references it. *)
-let m_ext_wrap_free buf ~off ~len ~on_free =
+   in-flight segment or retransmit alias still references it.  [sums] is
+   the block's checksum memo, if it has one. *)
+let m_ext_wrap_free buf ~off ~len ~sums ~on_free =
   let m = m_ext_wrap buf ~off ~len in
   m.m_on_free <- Some on_free;
+  (match sums with Some memo -> m.m_store <- Loaned memo | None -> ());
   m
 
 (* MFREE: retire one mbuf.  Its storage goes back to the owning pool when
@@ -107,7 +113,7 @@ let m_free m =
     (match m.m_store with
     | Pool_small -> Bpool.put small_pool m.m_data
     | Pool_clust -> Bpool.put clust_pool m.m_data
-    | Foreign -> ());
+    | Foreign | Loaned _ -> ());
     match m.m_on_free with Some f -> f () | None -> ()
   end
 
@@ -239,7 +245,7 @@ let m_makewritable m ~off ~len =
         (match x.m_store with
         | Pool_small -> Bpool.put small_pool x.m_data
         | Pool_clust -> Bpool.put clust_pool x.m_data
-        | Foreign -> ());
+        | Foreign | Loaned _ -> ());
         match x.m_on_free with Some f -> f () | None -> ()
       end;
       x.m_data <- priv;

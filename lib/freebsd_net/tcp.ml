@@ -1411,7 +1411,9 @@ let usr_send t pcb ~src ~src_pos ~len =
    on the backing cache block and releases it when the last alias of the
    storage is freed, i.e. once the bytes are acked and dropped from the
    socket buffer (retransmit aliases made by m_copym share the reference,
-   so a block stays pinned across recovery).  Returns bytes accepted. *)
+   so a block stays pinned across recovery).  The block's checksum memo
+   rides on each mbuf, so a resent block's bytes are not summed again.
+   Returns bytes accepted. *)
 let usr_sendv t pcb ~frags ~pos =
   Cost.charge_cycles Cost.config.socket_op_cycles;
   match pcb.t_state with
@@ -1432,7 +1434,7 @@ let usr_sendv t pcb ~frags ~pos =
                   f.Io_if.fr_hold ();
                   let m =
                     Mbuf.m_ext_wrap_free f.Io_if.fr_data ~off:(f.Io_if.fr_off + skip)
-                      ~len:take ~on_free:f.Io_if.fr_release
+                      ~len:take ~sums:f.Io_if.fr_sums ~on_free:f.Io_if.fr_release
                   in
                   build rest 0 (need - take) (m :: acc)
                 end

@@ -356,6 +356,7 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
                 { Io_if.fr_data = hdr;
                   fr_off = 0;
                   fr_len = Bytes.length hdr;
+                  fr_sums = None;
                   fr_hold = (fun () -> ());
                   fr_release = (fun () -> ()) }
               in

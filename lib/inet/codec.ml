@@ -61,6 +61,54 @@ let sum_bytes data off len sum odd =
 
 let finish sum = lnot (fold sum) land 0xffff
 
+(* A checksum memo over [data] (Io_if.cksum_memo): slot [c] holds the
+   folded sum of bytes [c*chunk, (c+1)*chunk), first byte high, or -1 while
+   unsummed; [chunk] is even.  Within [off, off+len) the whole chunks lie
+   in slots [first, last); the partial chunks at either edge are not
+   memoized.
+
+   [sum_bytes data off len sum odd] through [memo]: whole chunks are added
+   from their slots, each summed and stored first if its slot is empty,
+   and the edges are summed.  Whole chunks are even-sized, so they all sit
+   at the parity the head edge leaves, and their total is swapped into
+   place once, as [sum_bytes] does for an odd range. *)
+let sum_memo ~memo ~chunk data off len sum odd =
+  if off < 0 || len < 0 || off > Bytes.length data - len
+     || Array.length memo * chunk < Bytes.length data
+  then invalid_arg "Codec.sum_memo";
+  let first = (off + chunk - 1) / chunk and last = (off + len) / chunk in
+  if first >= last then sum_bytes data off len sum odd
+  else begin
+    let head = (first * chunk) - off and tail_at = last * chunk in
+    let sum = sum_bytes data off head sum odd in
+    let odd = odd <> (head land 1 = 1) in
+    let s = ref 0 in
+    for c = first to last - 1 do
+      let v = memo.(c) in
+      if v >= 0 then s := !s + v
+      else begin
+        let v = fold (sum_bytes data (c * chunk) chunk 0 false) in
+        memo.(c) <- v;
+        s := !s + v
+      end
+    done;
+    let sum = sum + if odd then swap16 (fold !s) else !s in
+    sum_bytes data tail_at (off + len - tail_at) sum odd
+  end
+
+(* The bytes [sum_memo] would read over the same range now: the edges and
+   every whole chunk whose slot is empty. *)
+let memo_cold_bytes ~memo ~chunk off len =
+  let first = (off + chunk - 1) / chunk and last = (off + len) / chunk in
+  if first >= last then len
+  else begin
+    let n = ref (len - ((last - first) * chunk)) in
+    for c = first to last - 1 do
+      if memo.(c) < 0 then n := !n + chunk
+    done;
+    !n
+  end
+
 (* Charged per byte: on the testbed CPU this pass over the data was a
    visible part of per-packet cost. *)
 let cksum_bytes ?(init = 0) data ~off ~len =

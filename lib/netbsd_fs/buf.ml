@@ -13,6 +13,15 @@
  * the true least-recently-used unreferenced buffer (oldest [b_lru_tick],
  * not hash-iteration order).  If everything is pinned the cache grows
  * past [max_bufs], as BSD's does under wired pages.
+ *
+ * Checksum memo: a block loaned to sendfile carries one
+ * ({!Io_if.cksum_memo}, made on the first loan), which the network stack
+ * fills as it sums the block's bytes and reuses on the next send of the
+ * same bytes.  The cache does not know who writes a block, so every
+ * access other than a loan ([bread_loan]) resets the memo: any other
+ * caller may change the bytes.  The reset is in place, because socket
+ * buffers and retransmit queues may still hold the memo through their own
+ * pins.  Eviction drops the memo with the buffer.
  *)
 
 type buf = {
@@ -21,6 +30,7 @@ type buf = {
   mutable b_dirty : bool;
   mutable b_refs : int;
   mutable b_lru_tick : int;
+  mutable b_sums : Io_if.cksum_memo option; (* made by the first loan *)
 }
 
 type t = {
@@ -95,15 +105,36 @@ let getblk t blkno ~fill =
       if Hashtbl.length t.cache >= t.max_bufs then evict_one t;
       let data = Bytes.make t.bsize '\000' in
       if fill then device_read t blkno data;
-      let b = { b_blkno = blkno; b_data = data; b_dirty = false; b_refs = 1; b_lru_tick = t.tick } in
+      let b =
+        { b_blkno = blkno; b_data = data; b_dirty = false; b_refs = 1; b_lru_tick = t.tick;
+          b_sums = None }
+      in
       Hashtbl.replace t.cache blkno b;
       b
 
+let clear_sums b =
+  match b.b_sums with Some sums -> Array.fill sums 0 (Array.length sums) (-1) | None -> ()
+
 (* bread: a referenced buffer with the block's contents. *)
-let bread t blkno = getblk t blkno ~fill:true
+let bread t blkno =
+  let b = getblk t blkno ~fill:true in
+  clear_sums b;
+  b
 
 (* getblk-without-read: caller will overwrite the whole block. *)
-let getblk_nofill t blkno = getblk t blkno ~fill:false
+let getblk_nofill t blkno =
+  let b = getblk t blkno ~fill:false in
+  clear_sums b;
+  b
+
+(* bread for a loan to sendfile, whose consumers only read the bytes: the
+   one access that keeps the block's checksum memo, making it if absent. *)
+let bread_loan t blkno =
+  let b = getblk t blkno ~fill:true in
+  (match b.b_sums with
+  | Some _ -> ()
+  | None -> b.b_sums <- Some (Array.make (t.bsize / Io_if.cksum_chunk) (-1)));
+  b
 
 let brelse b = if b.b_refs > 0 then b.b_refs <- b.b_refs - 1
 

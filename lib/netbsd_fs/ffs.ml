@@ -307,8 +307,9 @@ let read t node ~off ~len ~dst ~dst_pos =
 
 (* Map [off, off+len) (clamped to the file size) as pinned buffer-cache
    fragments — the fs half of the sendfile path.  Each fragment's backing
-   block is faulted in through the ordinary bread path (so it hits or
-   populates the cache like any read) and its reference is kept as the
+   block is faulted in through the bread path (so it hits or populates the
+   cache like any read; [bread_loan] also keeps the block's checksum memo,
+   which every fragment carries) and its reference is kept as the
    mapping's pin instead of being brelse'd; the caller releases each
    fragment exactly once, and may take further holds for bytes it keeps in
    flight.  Returns [None] if the range crosses a hole: loaning out the
@@ -329,11 +330,11 @@ let map_blocks t node ~off ~len =
         None
       end
       else begin
-        let b = Buf.bread t.bc blk in
+        let b = Buf.bread_loan t.bc blk in
         (* bread's reference becomes the mapping's pin. *)
         Buf.pin_held t.bc b;
         let frag =
-          { Io_if.fr_data = b.Buf.b_data; fr_off = boff; fr_len = n;
+          { Io_if.fr_data = b.Buf.b_data; fr_off = boff; fr_len = n; fr_sums = b.Buf.b_sums;
             fr_hold = (fun () -> Buf.pin t.bc b);
             fr_release = (fun () -> Buf.unpin t.bc b) }
         in

@@ -32,13 +32,13 @@ let file_name i = Printf.sprintf "f%d.bin" i
 let site sizes =
   { (Httpbench.file_site (Array.of_list sizes)) with Httpbench.disk_bytes = 4 * 1024 * 1024 }
 
-(* Serve [sizes] in [shape] with a backlog of 16, [loss] on the wire
-   (netem seed 29); [client] runs on host A from 3 ms, and the testbed
-   runs until [until].  Returns the server's counts. *)
-let serve_to ?loss ?(shape = Httpbench.Reactor) ~sizes ~until client =
-  let s =
-    Httpbench.serve ~site:(site sizes) ~backlog:16 ~stack:Endpoint.Freebsd ~shape ~until ()
-  in
+(* Serve [sizes] from [stack] (native FreeBSD by default) in [shape] with
+   a backlog of 16, [loss] on the wire (netem seed 29); [client] runs on
+   host A from 3 ms, and the testbed runs until [until].  Returns the
+   server's counts. *)
+let serve_to ?loss ?(stack = Endpoint.Freebsd) ?(shape = Httpbench.Reactor) ~sizes ~until
+    client =
+  let s = Httpbench.serve ~site:(site sizes) ~backlog:16 ~stack ~shape ~until () in
   Option.iter
     (fun loss ->
       Wire.set_netem s.Httpbench.testbed.Clientos.wire
@@ -51,6 +51,13 @@ let serve_to ?loss ?(shape = Httpbench.Reactor) ~sizes ~until client =
   s.Httpbench.stats ()
 
 let connect s = ok (Httpbench.connect s)
+
+(* TCP segments the client dropped for a bad checksum. *)
+let client_rcvbadsum (s : Httpbench.served) =
+  match s.Httpbench.client.Endpoint.stack with
+  | Endpoint.Bsd st -> st.Bsd_socket.tcp.Tcp.stats.Tcp.rcvbadsum
+  | Endpoint.Lx _ -> Alcotest.fail "the HTTP client runs on the FreeBSD stack"
+
 let get_request fi = Printf.sprintf "GET /%s HTTP/1.1\r\nHost: b\r\n\r\n" (file_name fi)
 let status_of hdr = if String.length hdr >= 12 then String.sub hdr 9 3 else "???"
 
@@ -259,12 +266,13 @@ let test_max_reqs_cap () =
    and without 2% loss on the wire.                                     *)
 
 let fetch_one ~sendfile ~loss size =
-  let body = ref None and done_f = ref false in
+  let body = ref None and done_f = ref false and served = ref None in
   let st =
     with_http11 ~sendfile ~sg:sendfile (fun () ->
         serve_to ?loss ~sizes:[ size ]
           ~until:(fun () -> !done_f)
           (fun s ->
+            served := Some s;
             let c = connect s in
             Httpbench.send_string c (get_request 0);
             (match Httpbench.reader c () with
@@ -273,7 +281,7 @@ let fetch_one ~sendfile ~loss size =
             c.close ();
             done_f := true))
   in
-  (!body, st)
+  (!body, st, client_rcvbadsum (Option.get !served))
 
 let prop_sendfile_byte_exact =
   QCheck.Test.make ~name:"http11: sendfile body byte-exact across block edges (+loss)"
@@ -283,14 +291,93 @@ let prop_sendfile_byte_exact =
       let size = max 1 ((blocks * 4096) + delta) in
       let loss = if lossy then Some 0.02 else None in
       let expect = String.init size (fun i -> Char.chr (Httpbench.pattern ~file:0 i)) in
-      let sf_body, sf_st = fetch_one ~sendfile:true ~loss size in
-      let cp_body, cp_st = fetch_one ~sendfile:false ~loss size in
+      let sf_body, sf_st, sf_badsum = fetch_one ~sendfile:true ~loss size in
+      let cp_body, cp_st, cp_badsum = fetch_one ~sendfile:false ~loss size in
+      (* A wrong checksum that a retransmit later repairs still delivers
+         exact bytes: the client must also have dropped none. *)
       sf_body = Some expect && cp_body = Some expect
+      && sf_badsum = 0 && cp_badsum = 0
       && sf_st.Httpd.sendfile_bodies = 1
       && sf_st.Httpd.sendfile_fallbacks = 0
       && sf_st.Httpd.body_bytes_copied = 0
       && cp_st.Httpd.sendfile_bodies = 0
       && cp_st.Httpd.body_bytes_copied = size)
+
+(* ------------------------------------------------------------------ *)
+(* Warm resend, then invalidation: one file of four blocks served four
+   times by sendfile under 2% loss, so the same cached blocks are resent
+   through their checksum memos; then, in the same testbed, rewritten
+   across a block edge with f_write, truncated to two blocks and regrown
+   with new bytes into the same (freed and reused) cache blocks, and
+   served twice more.  Every body must be the file's bytes at the time,
+   and the client must have dropped no segment for a bad checksum: a
+   memo that outlived a write would give the new bytes the old sums,
+   and every resend of them too, so the run gives up after a minute.    *)
+
+let warm_bytes = (3 * 4096) + 1000
+
+let warm_resend_then_rewrite stack () =
+  let body0 = String.init warm_bytes (fun i -> Char.chr (Httpbench.pattern ~file:0 i)) in
+  let patch = String.init 300 (fun i -> Char.chr (((i * 7) + 1) land 0xff)) in
+  let cut = 5000 in
+  let regrown = String.init (warm_bytes - cut) (fun i -> Char.chr (((i * 13) + 5) land 0xff)) in
+  let body1 = String.sub body0 0 4000 ^ patch ^ String.sub body0 4300 (cut - 4300) ^ regrown in
+  let got = ref [] and done_f = ref false and served = ref None and reused = ref false in
+  let gave_up () =
+    match !served with
+    | Some s -> Machine.now s.Httpbench.client.Endpoint.host.Clientos.machine > 60_000_000_000
+    | None -> false
+  in
+  let st =
+    with_http11 ~sendfile:true ~sg:true (fun () ->
+        serve_to ~loss:0.02 ~stack ~sizes:[ warm_bytes ]
+          ~until:(fun () -> !done_f || gave_up ())
+          (fun s ->
+            served := Some s;
+            let c = connect s in
+            let next = Httpbench.reader c in
+            let fetch () =
+              Httpbench.send_string c (get_request 0);
+              got := (match next () with Some (_, b) -> b | None -> "") :: !got
+            in
+            for _ = 1 to 4 do
+              fetch ()
+            done;
+            let f =
+              match ok (s.Httpbench.root.Io_if.d_lookup (file_name 0)) with
+              | Io_if.Node_file f -> f
+              | Io_if.Node_dir _ -> Alcotest.fail "f0.bin is a directory"
+            in
+            (* The cache buffers behind the file's blocks, by identity. *)
+            let blocks () =
+              let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+              let frags = ok (fm.Io_if.fm_map_blocks ~offset:0 ~amount:warm_bytes) in
+              Io_if.frags_release frags;
+              List.map (fun fr -> fr.Io_if.fr_data) frags
+            in
+            let before = blocks () in
+            let write at str =
+              let n = String.length str in
+              ignore (ok (f.Io_if.f_write ~buf:(Bytes.of_string str) ~pos:0 ~offset:at ~amount:n))
+            in
+            write 4000 patch;
+            ok (f.Io_if.f_setsize cut);
+            write cut regrown;
+            reused := List.for_all2 ( == ) before (blocks ());
+            fetch ();
+            fetch ();
+            c.close ();
+            done_f := true))
+  in
+  Alcotest.(check bool) "the regrown file reuses the freed cache blocks" true !reused;
+  Alcotest.(check (list string)) "bodies before and after the rewrite"
+    [ body0; body0; body0; body0; body1; body1 ]
+    (List.rev !got);
+  Alcotest.(check int) "every body by sendfile" 6 st.Httpd.sendfile_bodies;
+  let s = Option.get !served in
+  Alcotest.(check bool) "the server retransmitted" true
+    ((Endpoint.stats s.Httpbench.server.Endpoint.stack).Endpoint.rexmits > 0);
+  Alcotest.(check int) "client segments dropped for a bad checksum" 0 (client_rcvbadsum s)
 
 (* ------------------------------------------------------------------ *)
 (* The shared response reader, which decides byte-exactness for the
@@ -509,6 +596,10 @@ let suite =
     Alcotest.test_case "http_max_reqs_per_conn caps with Connection: close" `Quick
       test_max_reqs_cap;
     QCheck_alcotest.to_alcotest prop_sendfile_byte_exact;
+    Alcotest.test_case "sendfile: warm resend under loss, then rewrite (FreeBSD)" `Quick
+      (warm_resend_then_rewrite Endpoint.Freebsd);
+    Alcotest.test_case "sendfile: warm resend under loss, then rewrite (OSKit)" `Quick
+      (warm_resend_then_rewrite Endpoint.Oskit);
     QCheck_alcotest.to_alcotest prop_reader_framing;
     Alcotest.test_case "buf cache: true-LRU eviction" `Quick test_buf_lru_and_pins;
     Alcotest.test_case "buf cache: pinned buffers are never evicted" `Quick

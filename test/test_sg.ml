@@ -193,6 +193,86 @@ let test_cksum_range_errors () =
   raises "chain: short from an offset" (fun () -> In_cksum.cksum_chain m ~off:4 ~len:7);
   raises "chain: negative offset" (fun () -> In_cksum.cksum_chain m ~off:(-1) ~len:2)
 
+(* ---- the checksum memo of a sendfile block ---- *)
+
+(* [len] bytes of a loaned block from [off], checksummed as TCP sums a
+   sendfile segment: one mbuf over the block carrying its memo, behind a
+   one-byte mbuf when [odd] so the block's bytes start at an odd stream
+   offset.  Returns the checksum and the bytes charged. *)
+let memo_cksum ~init (b : Buf.buf) ~odd ~off ~len =
+  let m = Mbuf.m_ext_wrap_free b.Buf.b_data ~off ~len ~sums:b.Buf.b_sums ~on_free:ignore in
+  let m =
+    if odd then begin
+      let h = Mbuf.m_ext_wrap (Bytes.make 1 '\x5a') ~off:0 ~len:1 in
+      Mbuf.m_cat h m;
+      h
+    end
+    else m
+  in
+  let _, bytes, r =
+    charged (fun () -> In_cksum.cksum_chain ~init m ~off:0 ~len:(len + Bool.to_int odd))
+  in
+  match r with Ok sum -> (sum, bytes) | Error e -> raise e
+
+(* For any block contents, initial sum and parity: a warm-up range summed
+   through a cold memo, then a second range twice (partly warm, then fully
+   warm), then the second range again after a write through an ordinary
+   bread.  Every pass must equal the flat RFC 1071 sum of the same bytes
+   and charge exactly the edges plus the whole chunks it found cold; the
+   write resets every chunk. *)
+let memo_vs_reference =
+  let chunk = Io_if.cksum_chunk and bsize = 4096 in
+  QCheck.Test.make ~count:300 ~name:"checksum memo == RFC 1071; charges edges + cold chunks"
+    (QCheck.make
+       ~print:(fun ((fill, init, seed, odd), ((o1, l1), (o2, l2))) ->
+         Printf.sprintf "fill=%s init=%d seed=%d odd=%b warm-up=(%d,%d) range=(%d,%d)"
+           (fill_name fill) init seed odd o1 l1 o2 l2)
+       QCheck.Gen.(
+         pair
+           (quad fill_gen init_gen (int_bound 1_000_000) bool)
+           (pair (pair (int_bound bsize) (int_bound bsize)) (pair (int_bound bsize) (int_bound bsize)))))
+    (fun ((fill, init, seed, odd), ((o1, l1), (o2, l2))) ->
+      let st = Random.State.make [| seed |] in
+      let bc = Buf.create ~bsize (Mem_blkio.make ~bytes:(16 * bsize) ()) in
+      let w = Buf.getblk_nofill bc 0 in
+      Bytes.blit (bytes_of_fill fill st bsize) 0 w.Buf.b_data 0 bsize;
+      Buf.brelse w;
+      let b = Buf.bread_loan bc 0 in
+      (* The model: which chunks the memo holds. *)
+      let warm = Array.make (bsize / chunk) false in
+      let pass (off, len) =
+        let first = (off + chunk - 1) / chunk and last = (off + len) / chunk in
+        let cold = ref 0 in
+        for c = first to last - 1 do
+          if not warm.(c) then incr cold;
+          warm.(c) <- true
+        done;
+        let edges = len - (chunk * max 0 (last - first)) in
+        let flat =
+          Bytes.cat (if odd then Bytes.make 1 '\x5a' else Bytes.empty) (Bytes.sub b.Buf.b_data off len)
+        in
+        let sum, read = memo_cksum ~init b ~odd ~off ~len in
+        sum = rfc1071 ~init flat ~off:0 ~len:(Bytes.length flat)
+        && read = Bool.to_int odd + edges + (chunk * !cold)
+      in
+      let range o l =
+        let off = o mod (bsize + 1) in
+        (off, l mod (bsize - off + 1))
+      in
+      let warm_up = range o1 l1 and ((off, len) as r) = range o2 l2 in
+      let cold_ok = pass warm_up in
+      let partly_ok = pass r in
+      let fully_ok = pass r in
+      let x = Buf.bread bc 0 in
+      let at = if len > 0 then off + (seed mod len) else seed mod bsize in
+      Bytes.set x.Buf.b_data at (Char.chr (Char.code (Bytes.get x.Buf.b_data at) lxor 0x5a));
+      Buf.bdwrite x;
+      Buf.brelse x;
+      Array.fill warm 0 (Array.length warm) false;
+      let rewritten_ok = pass r in
+      Buf.brelse b;
+      cold_ok && partly_ok && fully_ok && rewritten_ok)
+
 (* ---- nonlinear sk_buffs ---- *)
 
 let test_skb_of_frags_linearize_roundtrip () =
@@ -379,6 +459,7 @@ let suite =
     Alcotest.test_case "iovec checksum: single charge" `Quick test_cksum_chain_charges_once;
     QCheck_alcotest.to_alcotest cksum_bytes_vs_reference;
     QCheck_alcotest.to_alcotest cksum_chain_vs_reference;
+    QCheck_alcotest.to_alcotest memo_vs_reference;
     Alcotest.test_case "checksum: out-of-range calls raise, charge nothing" `Quick
       test_cksum_range_errors;
     Alcotest.test_case "nonlinear skb: build + linearize round-trip" `Quick
