@@ -443,6 +443,7 @@ let chaos () =
       [ "goodput_mbit", Float r.mbit_receiver;
         "rexmits", Int r.rexmits;
         "wire_dropped", Int r.wire_dropped;
+        "crossings_per_kpkt", per_kpkt r r.counters.Cost.glue_crossings;
         "byte_exact", yes_no r.byte_exact ]
   in
   let sweep p senders losses =
@@ -912,6 +913,11 @@ let bounds : bound list =
     "table1", profile_is sg_on, "linearized_xmits", Eq, zero;
     "table1", [ "system", Str "OSKit"; "profile", p paper ], "linearized_xmits", Gt, zero;
     "chaos", [], "byte_exact", Eq, yes;
+    (* the batched glue crosses once per transmit burst as well as once
+       per receive poll: under 60% of the per-frame glue's crossings per
+       wire frame on the clean OSKit transfer *)
+    "chaos", [ "sender", Str "OSKit"; "profile", p fast; "loss", Float 0.0 ],
+    "crossings_per_kpkt", Lt, Times (0.6, profile_is paper, "crossings_per_kpkt");
     (* the receive fast path: off never predicts; on, strictly lower RTT
        with every established segment predicted and the pcb cache hit;
        under http load, more than one frame per batched poll *)

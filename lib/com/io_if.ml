@@ -67,11 +67,15 @@ let bufio_iid : bufio Iid.t = Iid.declare "oskit.bufio"
 type netio = {
   nio_unknown : Com.unknown;
   push : bufio -> (unit, Error.t) result;
-  push_v : bufio list -> (unit, Error.t) result;
+  push_v : bufio list -> (unit, Error.t * int) result;
       (** Vectored push: deliver a bounded burst of packets through ONE
-          boundary crossing (the NAPI-style receive batch behind
-          Cost.config.rx_batch).  Semantically identical to pushing each
-          buffer in order; only the per-burst dispatch overhead differs. *)
+          boundary crossing.  It carries both directions of the batched
+          glue (Cost.config.rx_batch > 1): the NAPI-style receive batch
+          and a transmit burst (one BSD [tcp_output]'s frames).
+          Semantically identical to pushing each buffer in order, every
+          buffer attempted; only the per-burst dispatch overhead
+          differs.  [Error (e, n)]: [n] buffers were refused, [e] being
+          the first refusal's error. *)
 }
 
 let netio_iid : netio Iid.t = Iid.declare "oskit.netio"

@@ -285,7 +285,13 @@ let uso_close s =
 let netstat st =
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  let ip = st.ip and tcp = st.tcp.Tcp.stats and udp = st.udp and arp = st.arp in
+  let ifp = st.ifp and ip = st.ip and tcp = st.tcp.Tcp.stats and udp = st.udp
+  and arp = st.arp in
+  line "%s:" ifp.Netif.if_name;
+  line "  %d packets received" ifp.Netif.if_ipackets;
+  line "  %d packets sent" ifp.Netif.if_opackets;
+  line "  %d input drops for want of memory" ifp.Netif.if_idrops;
+  line "  %d output errors (refused by the driver)" ifp.Netif.if_oerrors;
   line "ip:";
   line "  %d packets received" ip.Ip.ipackets;
   line "  %d packets sent" ip.Ip.opackets;

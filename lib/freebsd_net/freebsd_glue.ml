@@ -119,13 +119,21 @@ let open_ether_if stack (ed : Io_if.etherdev) =
   match ed.Io_if.ed_open ~recv:recv_netio with
   | Result.Error _ as e -> e
   | Ok xmit ->
+      (* The crossing is charged by the driver's xmit netio.  The push is
+         synchronous: once it returns the frame is on the wire (or
+         refused) and the chain can be retired. *)
       ifp.Netif.if_xmit <-
-        (* The crossing is charged by the driver's xmit netio.  The push is
-           synchronous: once it returns the frame is on the wire (or
-           dropped) and the chain can be retired. *)
         (fun m ->
-          ignore (xmit.Io_if.push (bufio_of_mbuf m));
-          Mbuf.m_freem m);
+          let r = xmit.Io_if.push (bufio_of_mbuf m) in
+          Mbuf.m_freem m;
+          Result.is_ok r);
+      (* The batched glue (Cost.config.rx_batch > 1) batches both ways: a
+         held burst (Netif.with_burst) crosses as one vectored push. *)
+      if Cost.config.Cost.rx_batch > 1 then
+        Netif.set_vectored_xmit ifp (fun ms ->
+            let r = xmit.Io_if.push_v (List.map bufio_of_mbuf ms) in
+            List.iter Mbuf.m_freem ms;
+            match r with Ok () -> 0 | Result.Error (_, refused) -> refused);
       Ok ()
 
 (* ---- COM socket export ---- *)

@@ -22,7 +22,8 @@ let attach stack nic =
       (* The controller is done with the fragments; retire the chain
          (cluster storage shared with the socket buffer just drops a
          reference). *)
-      Mbuf.m_freem m);
+      Mbuf.m_freem m;
+      true);
   let deliver frame () =
     Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
     let m = Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame) in

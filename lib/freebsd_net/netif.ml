@@ -1,8 +1,14 @@
-(* ENCAPSULATED LEGACY CODE — if_ethersubr.c: the BSD network-interface
+(* ENCAPSULATED LEGACY CODE — if_ethersubr.c / if.c: the BSD network-interface
  * layer.  An ifnet carries the interface addresses and the link to the
  * driver below; ether_output prepends the 14-byte header and hands the
  * frame down, ether_input strips it and dispatches on ethertype to the
  * protocols that registered above (ARP, IP).
+ *
+ * The send queue is the donor's if_snd, drained by if_start.  Only an
+ * interface bound through the batched glue has one.  A frame is queued
+ * there only while a burst is held open ([with_burst]); the queue
+ * crosses to the driver in one call when the outermost hold closes.
+ * Otherwise every frame goes down alone.
  *)
 
 let eth_hlen = 14
@@ -10,24 +16,42 @@ let ethertype_ip = 0x0800
 let ethertype_arp = 0x0806
 let ether_broadcast = "\xff\xff\xff\xff\xff\xff"
 
+(* The donor's ifqmaxlen.  A full queue is handed down at once rather
+   than dropped: the hold batches frames, it does not buffer them. *)
+let ifqmaxlen = 50
+
+type ifqueue = {
+  (* A burst of full frames to the driver in one call, every frame
+     attempted; returns how many the driver refused. *)
+  ifq_xmit_v : Mbuf.mbuf list -> int;
+  mutable ifq_hold : int; (* open [with_burst] holds *)
+  mutable ifq_head : Mbuf.mbuf list; (* held frames, newest first *)
+  mutable ifq_len : int;
+}
+
 type ifnet = {
   if_name : string;
   mutable if_hwaddr : string; (* learned from the bound device *)
   mutable if_addr : int32; (* IP, host order *)
   mutable if_mask : int32;
   mutable if_mtu : int; (* payload above the ether header *)
-  mutable if_xmit : Mbuf.mbuf -> unit; (* full frame to the driver *)
+  mutable if_xmit : Mbuf.mbuf -> bool; (* full frame to the driver; false = refused *)
+  mutable if_snd : ifqueue option; (* None: every frame goes down alone *)
   mutable if_protos : (int * (Mbuf.mbuf -> unit)) list; (* ethertype -> input *)
   mutable if_ipackets : int;
   mutable if_opackets : int;
   mutable if_idrops : int; (* input frames dropped for want of an mbuf *)
+  mutable if_oerrors : int; (* output frames the driver refused *)
 }
 
 let create ~name ~hwaddr =
   if String.length hwaddr <> 6 then invalid_arg "Netif.create: hwaddr";
   { if_name = name; if_hwaddr = hwaddr; if_addr = 0l; if_mask = 0l; if_mtu = 1500;
-    if_xmit = (fun _ -> ()); if_protos = []; if_ipackets = 0; if_opackets = 0;
-    if_idrops = 0 }
+    if_xmit = (fun _ -> true); if_snd = None; if_protos = []; if_ipackets = 0;
+    if_opackets = 0; if_idrops = 0; if_oerrors = 0 }
+
+let set_vectored_xmit ifp xmit_v =
+  ifp.if_snd <- Some { ifq_xmit_v = xmit_v; ifq_hold = 0; ifq_head = []; ifq_len = 0 }
 
 let set_proto_input ifp ~ethertype handler =
   ifp.if_protos <- (ethertype, handler) :: List.remove_assoc ethertype ifp.if_protos
@@ -39,6 +63,37 @@ let ifconfig ifp ~addr ~mask =
 let same_subnet ifp other =
   Int32.logand other ifp.if_mask = Int32.logand ifp.if_addr ifp.if_mask
 
+(* if_start: hand the whole send queue to the driver in one call. *)
+let if_start ifp q =
+  match q.ifq_head with
+  | [] -> ()
+  | held ->
+      q.ifq_head <- [];
+      q.ifq_len <- 0;
+      ifp.if_oerrors <- ifp.if_oerrors + q.ifq_xmit_v (List.rev held)
+
+let release ifp q =
+  q.ifq_hold <- q.ifq_hold - 1;
+  if q.ifq_hold = 0 then if_start ifp q
+
+(* [with_burst ifp f a b] runs [f a b] with the send queue held, and
+   drains the queue in one call when the outermost hold closes, on a
+   normal return or an exception.  On an interface with no send queue
+   this is exactly [f a b] and allocates nothing.  [f] must not sleep: a
+   held frame waits for the hold to close. *)
+let with_burst ifp f a b =
+  match ifp.if_snd with
+  | Some q -> (
+      q.ifq_hold <- q.ifq_hold + 1;
+      match f a b with
+      | r ->
+          release ifp q;
+          r
+      | exception e ->
+          release ifp q;
+          raise e)
+  | None -> f a b
+
 (* ether_output: m is the payload (IP datagram / ARP message). *)
 let ether_output ifp m ~dst_mac ~ethertype =
   let m = Mbuf.m_prepend m eth_hlen in
@@ -48,7 +103,12 @@ let ether_output ifp m ~dst_mac ~ethertype =
   Bytes.set d (o + 12) (Char.chr (ethertype lsr 8));
   Bytes.set d (o + 13) (Char.chr (ethertype land 0xff));
   ifp.if_opackets <- ifp.if_opackets + 1;
-  ifp.if_xmit m
+  match ifp.if_snd with
+  | Some q when q.ifq_hold > 0 ->
+      q.ifq_head <- m :: q.ifq_head;
+      q.ifq_len <- q.ifq_len + 1;
+      if q.ifq_len >= ifqmaxlen then if_start ifp q
+  | _ -> if not (ifp.if_xmit m) then ifp.if_oerrors <- ifp.if_oerrors + 1
 
 (* ether_input: m is the full frame.  Consumes the chain: protocol inputs
    take ownership, drops retire it. *)

@@ -497,7 +497,12 @@ and send_synack_raw t ~laddr ~lport ~raddr ~rport ~iss ~irs ~mss =
 (* ------------------------------------------------------------------ *)
 (* tcp_output                                                          *)
 
-and tcp_output t pcb =
+(* One call's segments leave as one transmit burst under the batched
+   glue (Netif.with_burst): its loop never sleeps, so no frame waits on
+   anything but the loop itself. *)
+and tcp_output t pcb = Netif.with_burst t.ip.Ip.ifp tcp_output_segs t pcb
+
+and tcp_output_segs t pcb =
   let sendable_state =
     match pcb.t_state with
     | Established | Close_wait | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait ->
@@ -563,7 +568,7 @@ and tcp_output t pcb =
         if Codec.seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
         if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
       end;
-      if len > 0 && not all_data_sent then tcp_output t pcb
+      if len > 0 && not all_data_sent then tcp_output_segs t pcb
     end
   end
   else if

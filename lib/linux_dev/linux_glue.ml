@@ -117,15 +117,23 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
        COM query, steady-state frames skip it (the paper's per-packet
        indirect-call overhead, hoisted). *)
     let cache = fresh_recognition () in
+    (* A frame is refused when the driver rejects it or when no sk_buff
+       can be had to copy it into: either way the caller learns it from
+       the result, never by an exception. *)
     let xmit_one io =
-      let skb, copied = skb_of_bufio ~cache io in
-      match Linux_eth_drv.hard_start_xmit dev skb with
-      | () ->
-          (* A copy made for this transmit is dead once the frame is
-             on the wire; unwrapped/fake skbs belong to the caller. *)
+      match skb_of_bufio ~cache io with
+      | exception Memfault.Nomem -> Result.Error Error.Nomem
+      | skb, copied ->
+          let r =
+            match Linux_eth_drv.hard_start_xmit dev skb with
+            | () -> Ok ()
+            | exception Error.Error e -> Result.Error e
+          in
+          (* A copy made for this transmit is dead once the frame is on
+             the wire or refused; unwrapped/fake skbs belong to the
+             caller. *)
           if copied then Skbuff.skb_free skb;
-          Ok ()
-      | exception Error.Error e -> Result.Error e
+          r
     in
     let rec view () =
       { Io_if.nio_unknown = unknown ();
@@ -135,10 +143,16 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
             xmit_one io);
         push_v =
           (fun ios ->
-            (* One crossing carries the whole burst. *)
+            (* One crossing carries the whole burst.  Every frame is
+               attempted, as [push] on each would be, and each refusal
+               is counted. *)
             Cost.charge_glue_crossing ();
             List.fold_left
-              (fun acc io -> match acc with Ok () -> xmit_one io | e -> e)
+              (fun acc io ->
+                match acc, xmit_one io with
+                | _, Ok () -> acc
+                | Ok (), Result.Error e -> Result.Error (e, 1)
+                | Result.Error (e, n), Result.Error _ -> Result.Error (e, n + 1))
               (Ok ()) ios) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
     and unknown () = Lazy.force obj in

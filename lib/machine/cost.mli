@@ -71,11 +71,13 @@ type config = {
           because [perfbench/pb_http.ml] still assigns it.  Default
           [false]. *)
   mutable rx_batch : int;
-      (** NAPI-style RX batching budget: how many pending frames one
-          interrupt may carry from the driver to the stack through a
-          single glue crossing.  [<= 1] reproduces today's
-          frame-per-crossing behavior exactly; larger values amortize the
-          crossing under load.  Default 1. *)
+      (** [> 1] selects the batched glue in both directions; the value
+          is the receive poll budget.  Receive: how many pending frames
+          one interrupt may carry from the driver to the stack through a
+          single glue crossing.  Transmit: the frames one BSD
+          [tcp_output] call emits cross to the driver as one burst
+          ([Netif.with_burst]).  [<= 1]: every frame crosses alone, in
+          both directions.  Default 1. *)
   mutable tcp_wscale : bool;
       (** RFC 1323 window scaling in both stacks: offer a wscale option on
           SYN/SYN-ACK, and when both ends offer, interpret window fields

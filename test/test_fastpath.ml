@@ -24,7 +24,11 @@ let with_fast ?(batch = 8) f =
 (* Equivalence: flags on, transfers stay byte-exact under clean wire,
    loss, and reordering — for both the OSKit (COM-glued) and Linux
    senders.  The netem seed, loss rate, and reorder rate are generated;
-   loss/reorder up to 3% forces the predicted/slow-path interleave. *)
+   loss/reorder up to 3% forces the predicted/slow-path interleave.  The
+   OSKit sender's transmit bursts leave nothing held on its interface. *)
+
+let snd_idle (ep : Endpoint.t) =
+  match ep.stack with Endpoint.Bsd st -> Test_glue.snd_idle st.Bsd_socket.ifp | Endpoint.Lx _ -> true
 
 let equivalence sender label =
   QCheck.Test.make ~count:5
@@ -38,8 +42,8 @@ let equivalence sender label =
               loss = float_of_int loss_mil /. 1000.;
               reorder = float_of_int reorder_mil /. 1000.;
               reorder_delay_ns = 400_000 };
-          (Netbench.stream ~netem:em { Workload.table1 with sender; bytes = 16 * 4096 })
-            .byte_exact))
+          let r = Netbench.stream ~netem:em { Workload.table1 with sender; bytes = 16 * 4096 } in
+          r.byte_exact && snd_idle r.tx))
 
 let equivalence_oskit = equivalence Endpoint.Oskit "oskit"
 let equivalence_linux = equivalence Endpoint.Linux "linux"
@@ -51,6 +55,7 @@ let test_clean_transfer_predicts () =
   with_fast (fun () ->
       let r = Netbench.stream { Workload.table1 with bytes = 32 * 4096 } in
       Alcotest.(check bool) "byte-exact" true r.byte_exact;
+      Alcotest.(check bool) "nothing held on the sender's interface" true (snd_idle r.tx);
       Alcotest.(check bool) "prediction fired" true (Cost.counters.Cost.fastpath_hits > 0);
       Alcotest.(check int) "no fallbacks on a clean wire" 0
         Cost.counters.Cost.fastpath_fallbacks;

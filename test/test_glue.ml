@@ -116,10 +116,187 @@ let both_kinds () =
       Clientos.freebsd_host host ~ip:server_ip ~mask:Endpoint.mask);
   Alcotest.(check bool) "an OSKit machine is not native" false (Machine.native host.Clientos.machine)
 
+(* ---- One crossing per transmit burst ---- *)
+
+(* The batched glue is the receive poll budget's profile: rx_batch > 1
+   batches both directions. *)
+let with_batch batch f = Cost.with_config { Cost.config with Cost.rx_batch = batch } f
+
+(* An interface's send queue is empty and no hold is open on it. *)
+let snd_idle (ifp : Netif.ifnet) =
+  match ifp.Netif.if_snd with
+  | None -> true
+  | Some q -> q.Netif.ifq_len = 0 && q.Netif.ifq_head = [] && q.Netif.ifq_hold = 0
+
+let check_snd_idle what ifp = Alcotest.(check bool) (what ^ ": send queue idle") true (snd_idle ifp)
+
+(* Off the batched glue a burst is the bare call: 1,000 of them on an
+   interface with no send queue allocate no more host words than the
+   empty measurement itself. *)
+let add a b = a + b
+
+let burst_off_allocates_nothing () =
+  let ifp = Netif.create ~name:"bench0" ~hwaddr:"\x02\x00\x00\x00\x00\x09" in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let empty = words (fun () -> ()) in
+  let sum = ref 0 in
+  let bursts =
+    words (fun () ->
+        for i = 1 to 1000 do
+          sum := !sum + Netif.with_burst ifp add i 1
+        done)
+  in
+  Alcotest.(check int) "every call ran" 501500 !sum;
+  Alcotest.(check (float 0.0)) "no words allocated" empty bursts
+
+(* A [config] sender connected to a native FreeBSD sink runs one
+   tcp_output with [k] full segments of new data in its send buffer and
+   its congestion window open to all of them.  Returns the glue crossings
+   charged while it ran and the frames its NIC sent meanwhile. *)
+let one_output config ~batch ~k =
+  with_batch batch @@ fun () ->
+  let tb = Clientos.make_testbed () in
+  let host = tb.Clientos.host_a in
+  let stack =
+    match config with
+    | Endpoint.Oskit -> snd (Clientos.oskit_host host ~ip:Endpoint.addr_a ~mask:Endpoint.mask)
+    | _ -> Clientos.freebsd_host host ~ip:Endpoint.addr_a ~mask:Endpoint.mask
+  in
+  let sink = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_b ~addr:server_ip in
+  let measured = ref None in
+  Clientos.spawn sink.host ~name:"sink" (fun () -> ignore (ok (sink.listen ~port ~backlog:1 ())));
+  Clientos.spawn host ~name:"sender" (fun () ->
+      Kclock.sleep_ns 2_000_000;
+      let s = Bsd_socket.tcp_socket stack in
+      ok (Bsd_socket.so_connect s ~dst:server_ip ~dport:port);
+      let pcb = s.Bsd_socket.pcb in
+      let len = k * pcb.Tcp.t_maxseg in
+      pcb.Tcp.snd_cwnd <- len;
+      Sockbuf.sbappend_bytes pcb.Tcp.snd_buf ~src:(Bytes.make len 'b') ~src_pos:0 ~len;
+      let c0 = Cost.counters.Cost.glue_crossings and t0 = Nic.tx_count host.Clientos.nic in
+      Tcp.tcp_output stack.Bsd_socket.tcp pcb;
+      measured :=
+        Some (Cost.counters.Cost.glue_crossings - c0, Nic.tx_count host.Clientos.nic - t0));
+  Clientos.run tb ~until:(fun () -> !measured <> None);
+  check_snd_idle "sender" stack.Bsd_socket.ifp;
+  match !measured with
+  | Some m -> m
+  | None -> Alcotest.fail "the sender never connected"
+
+let burst_crossings () =
+  let k = 6 in
+  let case what config batch want =
+    let crossings, frames = one_output config ~batch ~k in
+    Alcotest.(check int) (what ^ ": segments sent") k frames;
+    Alcotest.(check int) (what ^ ": transmit crossings") want crossings
+  in
+  case "OSKit, rx_batch 8" Endpoint.Oskit 8 1;
+  case "OSKit, rx_batch 1" Endpoint.Oskit 1 k;
+  case "native FreeBSD, rx_batch 8" Endpoint.Freebsd 8 0;
+  case "native FreeBSD, rx_batch 1" Endpoint.Freebsd 1 0
+
+(* A closed device refuses every frame: each one is counted once in the
+   interface's output errors, whether it went down alone or in a burst,
+   and the vectored push attempts and reports the whole burst. *)
+let refused_after_close () =
+  let frames = 5 in
+  let frame () =
+    let m = Mbuf.m_gethdr () in
+    Mbuf.m_append m ~src:(Bytes.make 46 'r') ~src_pos:0 ~len:46;
+    m
+  in
+  let send ifp () =
+    Netif.ether_output ifp (frame ()) ~dst_mac:Netif.ether_broadcast
+      ~ethertype:Netif.ethertype_ip
+  in
+  List.iter
+    (fun batch ->
+      with_batch batch @@ fun () ->
+      let tb = Clientos.make_testbed () in
+      let host = tb.Clientos.host_a in
+      Machine.run_in host.Clientos.machine (fun () ->
+          Linux_glue.init_ethernet ();
+          let osenv = Osenv.create host.Clientos.machine in
+          ignore (Fdev.probe osenv);
+          let dev = List.hd (Fdev.lookup osenv Io_if.etherdev_iid) in
+          let stack = Freebsd_glue.init host.Clientos.machine in
+          ok (Freebsd_glue.open_ether_if stack dev);
+          let ifp = stack.Bsd_socket.ifp in
+          ok (dev.Io_if.ed_close ());
+          let what = Printf.sprintf "rx_batch %d" batch in
+          let c0 = Cost.counters.Cost.glue_crossings in
+          for _ = 1 to frames do
+            Netif.with_burst ifp send ifp ()
+          done;
+          Alcotest.(check int) (what ^ ": one crossing per lone frame") frames
+            (Cost.counters.Cost.glue_crossings - c0);
+          Alcotest.(check int) (what ^ ": every lone frame refused") frames ifp.Netif.if_oerrors;
+          let c0 = Cost.counters.Cost.glue_crossings in
+          Netif.with_burst ifp
+            (fun ifp () ->
+              for _ = 1 to frames do
+                send ifp ()
+              done)
+            ifp ();
+          Alcotest.(check int)
+            (what ^ ": a burst crosses once when batched")
+            (if batch > 1 then 1 else frames)
+            (Cost.counters.Cost.glue_crossings - c0);
+          Alcotest.(check int) (what ^ ": every burst frame refused") (2 * frames)
+            ifp.Netif.if_oerrors;
+          check_snd_idle what ifp))
+    [ 1; 8 ]
+
+(* The batched glue under allocation failure and 1% loss (a feature x
+   feature cell): an OSKit sender with rx_batch 8, the allocation
+   injector firing, a backpressure-honest stream.  The transfer is
+   byte-exact, the failures were real and counted, every frame the stack
+   handed its interface either reached the NIC or was counted refused,
+   and at quiescence the send queue is empty with no hold open. *)
+let burst_conservation () =
+  Fun.protect ~finally:Memfault.reset @@ fun () ->
+  Cost.with_config
+    { Cost.config with
+      Cost.rx_batch = 8; tcp_fastpath = true; alloc_fail_prob = 0.01; alloc_fail_seed = 43;
+      alloc_fail_burst = 2 }
+  @@ fun () ->
+  Memfault.reset ();
+  let bytes = 128 * 1024 in
+  let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss = 0.01 } () in
+  let r =
+    Netbench.stream ~retry:true ~netem
+      { Workload.table1 with bytes; recv_chunk = 4096; delay_ns = 1_000_000 }
+  in
+  Alcotest.(check bool) "transfer completed" true r.completed;
+  Alcotest.(check bool) "byte-exact" true r.byte_exact;
+  Alcotest.(check int) "every byte arrived" bytes r.received;
+  Alcotest.(check bool) "netem dropped frames" true (r.wire_dropped > 0);
+  Alcotest.(check bool) "the injector failed allocations" true (Memfault.failures () > 0);
+  let ifp =
+    match r.tx.Endpoint.stack with
+    | Endpoint.Bsd st -> st.Bsd_socket.ifp
+    | Endpoint.Lx _ -> Alcotest.fail "the OSKit sender runs the BSD stack"
+  in
+  Alcotest.(check bool) "Nomem drops counted" true (r.nomem_drops + ifp.Netif.if_oerrors > 0);
+  Alcotest.(check int) "every frame sent or counted refused" ifp.Netif.if_opackets
+    (Nic.tx_count r.testbed.Clientos.host_a.Clientos.nic + ifp.Netif.if_oerrors);
+  check_snd_idle "sender" ifp
+
 let suite =
   [ Alcotest.test_case "native FreeBSD: COM socket and file calls cross no glue" `Quick
       (native Endpoint.Freebsd);
     Alcotest.test_case "native Linux: COM socket and file calls cross no glue" `Quick
       (native Endpoint.Linux);
     Alcotest.test_case "OSKit: one glue crossing per COM socket and file call" `Quick oskit;
-    Alcotest.test_case "one machine, one kind of kernel" `Quick both_kinds ]
+    Alcotest.test_case "one machine, one kind of kernel" `Quick both_kinds;
+    Alcotest.test_case "no send queue: a burst allocates nothing" `Quick
+      burst_off_allocates_nothing;
+    Alcotest.test_case "one transmit crossing per tcp_output burst" `Quick burst_crossings;
+    Alcotest.test_case "refused frames counted once each, lone or burst" `Quick
+      refused_after_close;
+    Alcotest.test_case "batched glue x alloc failure x 1% loss: conserved" `Quick
+      burst_conservation ]
