@@ -67,15 +67,15 @@ let bufio_iid : bufio Iid.t = Iid.declare "oskit.bufio"
 type netio = {
   nio_unknown : Com.unknown;
   push : bufio -> (unit, Error.t) result;
-  push_v : bufio list -> (unit, Error.t * int) result;
+  push_v : bufio list -> (unit, Error.t list) result;
       (** Vectored push: deliver a bounded burst of packets through ONE
           boundary crossing.  It carries both directions of the batched
           glue (Cost.config.rx_batch > 1): the NAPI-style receive batch
           and a transmit burst (one BSD [tcp_output]'s frames).
           Semantically identical to pushing each buffer in order, every
           buffer attempted; only the per-burst dispatch overhead
-          differs.  [Error (e, n)]: [n] buffers were refused, [e] being
-          the first refusal's error. *)
+          differs.  [Error errs]: one error per refused buffer, in
+          order. *)
 }
 
 let netio_iid : netio Iid.t = Iid.declare "oskit.netio"

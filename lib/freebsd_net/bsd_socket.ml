@@ -292,6 +292,7 @@ let netstat st =
   line "  %d packets sent" ifp.Netif.if_opackets;
   line "  %d input drops for want of memory" ifp.Netif.if_idrops;
   line "  %d output errors (refused by the driver)" ifp.Netif.if_oerrors;
+  line "  %d output drops for want of memory (refused by the driver)" ifp.Netif.if_onomem;
   line "ip:";
   line "  %d packets received" ip.Ip.ipackets;
   line "  %d packets sent" ip.Ip.opackets;

@@ -126,14 +126,14 @@ let open_ether_if stack (ed : Io_if.etherdev) =
         (fun m ->
           let r = xmit.Io_if.push (bufio_of_mbuf m) in
           Mbuf.m_freem m;
-          Result.is_ok r);
+          r);
       (* The batched glue (Cost.config.rx_batch > 1) batches both ways: a
          held burst (Netif.with_burst) crosses as one vectored push. *)
       if Cost.config.Cost.rx_batch > 1 then
         Netif.set_vectored_xmit ifp (fun ms ->
             let r = xmit.Io_if.push_v (List.map bufio_of_mbuf ms) in
             List.iter Mbuf.m_freem ms;
-            match r with Ok () -> 0 | Result.Error (_, refused) -> refused);
+            match r with Ok () -> [] | Result.Error errs -> errs);
       Ok ()
 
 (* ---- COM socket export ---- *)

@@ -23,7 +23,7 @@ let attach stack nic =
          (cluster storage shared with the socket buffer just drops a
          reference). *)
       Mbuf.m_freem m;
-      true);
+      Ok ());
   let deliver frame () =
     Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
     let m = Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame) in

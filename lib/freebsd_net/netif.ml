@@ -22,8 +22,8 @@ let ifqmaxlen = 50
 
 type ifqueue = {
   (* A burst of full frames to the driver in one call, every frame
-     attempted; returns how many the driver refused. *)
-  ifq_xmit_v : Mbuf.mbuf list -> int;
+     attempted; returns the error of each frame the driver refused. *)
+  ifq_xmit_v : Mbuf.mbuf list -> Error.t list;
   mutable ifq_hold : int; (* open [with_burst] holds *)
   mutable ifq_head : Mbuf.mbuf list; (* held frames, newest first *)
   mutable ifq_len : int;
@@ -35,20 +35,21 @@ type ifnet = {
   mutable if_addr : int32; (* IP, host order *)
   mutable if_mask : int32;
   mutable if_mtu : int; (* payload above the ether header *)
-  mutable if_xmit : Mbuf.mbuf -> bool; (* full frame to the driver; false = refused *)
+  mutable if_xmit : Mbuf.mbuf -> (unit, Error.t) result; (* full frame to the driver *)
   mutable if_snd : ifqueue option; (* None: every frame goes down alone *)
   mutable if_protos : (int * (Mbuf.mbuf -> unit)) list; (* ethertype -> input *)
   mutable if_ipackets : int;
   mutable if_opackets : int;
   mutable if_idrops : int; (* input frames dropped for want of an mbuf *)
-  mutable if_oerrors : int; (* output frames the driver refused *)
+  mutable if_oerrors : int; (* output frames the driver refused, a closed device say *)
+  mutable if_onomem : int; (* output frames the driver refused for want of a buffer *)
 }
 
 let create ~name ~hwaddr =
   if String.length hwaddr <> 6 then invalid_arg "Netif.create: hwaddr";
   { if_name = name; if_hwaddr = hwaddr; if_addr = 0l; if_mask = 0l; if_mtu = 1500;
-    if_xmit = (fun _ -> true); if_snd = None; if_protos = []; if_ipackets = 0;
-    if_opackets = 0; if_idrops = 0; if_oerrors = 0 }
+    if_xmit = (fun _ -> Ok ()); if_snd = None; if_protos = []; if_ipackets = 0;
+    if_opackets = 0; if_idrops = 0; if_oerrors = 0; if_onomem = 0 }
 
 let set_vectored_xmit ifp xmit_v =
   ifp.if_snd <- Some { ifq_xmit_v = xmit_v; ifq_hold = 0; ifq_head = []; ifq_len = 0 }
@@ -63,6 +64,11 @@ let ifconfig ifp ~addr ~mask =
 let same_subnet ifp other =
   Int32.logand other ifp.if_mask = Int32.logand ifp.if_addr ifp.if_mask
 
+(* An output frame the driver refused with [e], counted by cause. *)
+let count_refused ifp = function
+  | Error.Nomem -> ifp.if_onomem <- ifp.if_onomem + 1
+  | _ -> ifp.if_oerrors <- ifp.if_oerrors + 1
+
 (* if_start: hand the whole send queue to the driver in one call. *)
 let if_start ifp q =
   match q.ifq_head with
@@ -70,7 +76,7 @@ let if_start ifp q =
   | held ->
       q.ifq_head <- [];
       q.ifq_len <- 0;
-      ifp.if_oerrors <- ifp.if_oerrors + q.ifq_xmit_v (List.rev held)
+      List.iter (count_refused ifp) (q.ifq_xmit_v (List.rev held))
 
 let release ifp q =
   q.ifq_hold <- q.ifq_hold - 1;
@@ -108,7 +114,7 @@ let ether_output ifp m ~dst_mac ~ethertype =
       q.ifq_head <- m :: q.ifq_head;
       q.ifq_len <- q.ifq_len + 1;
       if q.ifq_len >= ifqmaxlen then if_start ifp q
-  | _ -> if not (ifp.if_xmit m) then ifp.if_oerrors <- ifp.if_oerrors + 1
+  | _ -> ( match ifp.if_xmit m with Ok () -> () | Error e -> count_refused ifp e)
 
 (* ether_input: m is the full frame.  Consumes the chain: protocol inputs
    take ownership, drops retire it. *)

@@ -329,12 +329,11 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
               match Option.bind sv (fun _ -> filemap_of f) with
               | None -> fallback ()
               | Some fm -> (
-                  match f.Io_if.f_getstat () with
-                  | Result.Error _ -> None (* the copy path reports the error *)
-                  | Ok fst -> (
-                      match fm.Io_if.fm_map_blocks ~offset:0 ~amount:fst.Io_if.st_size with
-                      | Ok frags -> Some frags
-                      | Result.Error _ -> fallback () (* a hole, or an fs that cannot loan *)))
+                  (* The mapping is short at end of file, so the whole body
+                     needs no size first. *)
+                  match fm.Io_if.fm_map_blocks ~offset:0 ~amount:max_int with
+                  | Ok frags -> Some frags
+                  | Result.Error _ -> fallback () (* a hole, or an fs that cannot loan *))
           in
           match mapped with
           | Some frags ->

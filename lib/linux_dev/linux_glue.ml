@@ -147,13 +147,13 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
                attempted, as [push] on each would be, and each refusal
                is counted. *)
             Cost.charge_glue_crossing ();
-            List.fold_left
-              (fun acc io ->
-                match acc, xmit_one io with
-                | _, Ok () -> acc
-                | Ok (), Result.Error e -> Result.Error (e, 1)
-                | Result.Error (e, n), Result.Error _ -> Result.Error (e, n + 1))
-              (Ok ()) ios) }
+            match
+              List.filter_map
+                (fun io -> match xmit_one io with Ok () -> None | Result.Error e -> Some e)
+                ios
+            with
+            | [] -> Ok ()
+            | errs -> Result.Error errs) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
     and unknown () = Lazy.force obj in
     view ()

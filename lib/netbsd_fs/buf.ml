@@ -15,13 +15,22 @@
  * past [max_bufs], as BSD's does under wired pages.
  *
  * Checksum memo: a block loaned to sendfile carries one
- * ({!Io_if.cksum_memo}, made on the first loan), which the network stack
- * fills as it sums the block's bytes and reuses on the next send of the
- * same bytes.  The cache does not know who writes a block, so every
- * access other than a loan ([bread_loan]) resets the memo: any other
- * caller may change the bytes.  The reset is in place, because socket
- * buffers and retransmit queues may still hold the memo through their own
- * pins.  Eviction drops the memo with the buffer.
+ * ({!Io_if.cksum_memo}, made on the block's first loan), which the
+ * network stack fills as it sums the block's bytes and reuses on the next
+ * send of the same bytes.  The memo belongs to the device block, not to
+ * the buffer that holds it: the cache keeps memos by block number
+ * ([sums]), eviction keeps the memo, and [bread_loan] attaches it again
+ * when it faults the block back in, so a block evicted under pressure is
+ * not summed again when it returns.  This rests on the assumption the
+ * cached bytes already make: while the file system is mounted, the device
+ * is written only through this cache.  The cache does not know who writes
+ * a block, so every access other than a loan ([bread], [getblk_nofill])
+ * resets the block's memo, cached or not: any other caller may change the
+ * bytes.  The reset is in place, because socket buffers and retransmit
+ * queues may still hold the memo through their own pins.  [drop_sums]
+ * forgets a block's memo; the file system calls it when it frees the
+ * block, so the memos number at most one per allocated block that has
+ * held loaned file data, each 1/8 of its block's size.
  *)
 
 type buf = {
@@ -30,13 +39,14 @@ type buf = {
   mutable b_dirty : bool;
   mutable b_refs : int;
   mutable b_lru_tick : int;
-  mutable b_sums : Io_if.cksum_memo option; (* made by the first loan *)
+  mutable b_sums : Io_if.cksum_memo option; (* the block's memo (see [sums]) *)
 }
 
 type t = {
   dev : Io_if.blkio;
   bsize : int;
   cache : (int, buf) Hashtbl.t;
+  sums : (int, Io_if.cksum_memo) Hashtbl.t; (* checksum memos by block number *)
   max_bufs : int;
   mutable tick : int;
   mutable reads : int; (* device reads actually issued *)
@@ -49,8 +59,8 @@ type t = {
 }
 
 let create ?(max_bufs = 64) ~bsize dev =
-  { dev; bsize; cache = Hashtbl.create 64; max_bufs; tick = 0; reads = 0; writes = 0;
-    hits = 0; misses = 0; evictions = 0; pins = 0; unpins = 0 }
+  { dev; bsize; cache = Hashtbl.create 64; sums = Hashtbl.create 64; max_bufs; tick = 0;
+    reads = 0; writes = 0; hits = 0; misses = 0; evictions = 0; pins = 0; unpins = 0 }
 
 let device_read t blkno data =
   t.reads <- t.reads + 1;
@@ -107,7 +117,7 @@ let getblk t blkno ~fill =
       if fill then device_read t blkno data;
       let b =
         { b_blkno = blkno; b_data = data; b_dirty = false; b_refs = 1; b_lru_tick = t.tick;
-          b_sums = None }
+          b_sums = Hashtbl.find_opt t.sums blkno }
       in
       Hashtbl.replace t.cache blkno b;
       b
@@ -115,7 +125,8 @@ let getblk t blkno ~fill =
 let clear_sums b =
   match b.b_sums with Some sums -> Array.fill sums 0 (Array.length sums) (-1) | None -> ()
 
-(* bread: a referenced buffer with the block's contents. *)
+(* bread: a referenced buffer with the block's contents.  A block faulted
+   back in has its memo attached again, so this resets it too. *)
 let bread t blkno =
   let b = getblk t blkno ~fill:true in
   clear_sums b;
@@ -133,8 +144,25 @@ let bread_loan t blkno =
   let b = getblk t blkno ~fill:true in
   (match b.b_sums with
   | Some _ -> ()
-  | None -> b.b_sums <- Some (Array.make (t.bsize / Io_if.cksum_chunk) (-1)));
+  | None ->
+      let sums = Array.make (t.bsize / Io_if.cksum_chunk) (-1) in
+      Hashtbl.replace t.sums blkno sums;
+      b.b_sums <- Some sums);
   b
+
+(* The block is no longer the file system's (it was freed): forget its
+   memo, reset first.  A pinned buffer keeps the memo object, which socket
+   buffers hold through their pins and the block's next writer must still
+   reset; it dies with the buffer. *)
+let drop_sums t blkno =
+  match Hashtbl.find_opt t.sums blkno with
+  | None -> ()
+  | Some sums -> (
+      Array.fill sums 0 (Array.length sums) (-1);
+      Hashtbl.remove t.sums blkno;
+      match Hashtbl.find_opt t.cache blkno with
+      | Some b when b.b_refs = 0 -> b.b_sums <- None
+      | Some _ | None -> ())
 
 let brelse b = if b.b_refs > 0 then b.b_refs <- b.b_refs - 1
 
@@ -186,10 +214,11 @@ type cache_stats = {
   cs_unpins : int;
   cs_cached : int; (* buffers currently resident *)
   cs_pinned : int; (* buffers currently referenced (refs > 0) *)
+  cs_memos : int; (* checksum memos kept, cached blocks or not *)
 }
 
 let cache_stats t =
   let pinned = Hashtbl.fold (fun _ b acc -> if b.b_refs > 0 then acc + 1 else acc) t.cache 0 in
   { cs_reads = t.reads; cs_writes = t.writes; cs_hits = t.hits; cs_misses = t.misses;
     cs_evictions = t.evictions; cs_pins = t.pins; cs_unpins = t.unpins;
-    cs_cached = Hashtbl.length t.cache; cs_pinned = pinned }
+    cs_cached = Hashtbl.length t.cache; cs_pinned = pinned; cs_memos = Hashtbl.length t.sums }

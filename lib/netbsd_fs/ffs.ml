@@ -7,6 +7,19 @@
  *
  * Everything here is keyed by inode number; the glue (Fs_glue) wraps the
  * VFS-granularity operations in the OSKit's COM dir/file interfaces.
+ *
+ * Name cache (4.4BSD vfs_cache.c's cache_lookup/cache_enter/cache_purge):
+ * [dir_lookup] answers a (directory inode, name) it has found before from
+ * [ncache] instead of reading every dirent up to the target again.  It
+ * keeps positive entries only, each the dirent's slot and inode; a miss
+ * scans the directory ([dir_scan]) and enters what it finds.  Every dirent
+ * write purges the directory's entries (entering, removing and renaming a
+ * name, and rewriting a moved directory's ".."), and freeing an inode
+ * purges the entries of the directory it was, so a reused inode number
+ * never answers with its last life's names.
+ *
+ * Freeing a block also drops the buffer cache's checksum memo for it
+ * ([Buf.drop_sums]): the memos outlive eviction, but not the block.
  *)
 
 let bsize = 4096
@@ -47,12 +60,33 @@ type t = {
   bc : Buf.t;
   sb : sb;
   icache : (int, inode) Hashtbl.t;
+  ncache : (int, (string, int * int) Hashtbl.t) Hashtbl.t; (* dir ino -> name -> (slot, ino) *)
   mutable allocated_blocks : int;
 }
 
 exception Fs_error of Error.t
 
 let fail e = raise (Fs_error e)
+
+(* ---- the name cache ---- *)
+
+let cache_purge t ino = Hashtbl.remove t.ncache ino
+
+let cache_lookup t dnode name =
+  match Hashtbl.find_opt t.ncache dnode.ino with
+  | Some names -> Hashtbl.find_opt names name
+  | None -> None
+
+let cache_enter t dnode name hit =
+  let names =
+    match Hashtbl.find_opt t.ncache dnode.ino with
+    | Some names -> names
+    | None ->
+        let names = Hashtbl.create 16 in
+        Hashtbl.replace t.ncache dnode.ino names;
+        names
+  in
+  Hashtbl.replace names name hit
 
 (* ---- superblock encode/decode ---- *)
 
@@ -138,6 +172,7 @@ let balloc t =
 let bfree t blk =
   if blk <> 0 then begin
     bitmap_set t ~start:t.sb.bbmap_start (blk - t.sb.data_start) false;
+    Buf.drop_sums t.bc blk;
     t.allocated_blocks <- t.allocated_blocks - 1
   end
 
@@ -406,6 +441,7 @@ let truncate t node size =
   iupdate t node
 
 let ifree t node =
+  cache_purge t node.ino;
   truncate t node 0;
   node.i_kind <- K_free;
   node.i_nlink <- 0;
@@ -426,6 +462,7 @@ let dirent_read t node idx =
   if ino = 0 then None else Some (ino, Bytes.sub_string buf 5 (min namelen max_name))
 
 let dirent_write t node idx ~ino ~name =
+  cache_purge t node.ino;
   let buf = Bytes.make dirent_size '\000' in
   Bytes.set_int32_le buf 0 (Int32.of_int ino);
   Bytes.set buf 4 (Char.chr (String.length name));
@@ -436,7 +473,9 @@ let check_name name =
   if name = "" || String.length name > max_name || String.contains name '/' then
     fail Error.Nametoolong
 
-let dir_lookup t dnode name =
+(* The linear scan: [name]'s slot and inode, reading every dirent before
+   it. *)
+let dir_scan t dnode name =
   if dnode.i_kind <> K_dir then fail Error.Notdir;
   let n = dirent_count dnode in
   let rec go i =
@@ -447,6 +486,15 @@ let dir_lookup t dnode name =
       | Some _ | None -> go (i + 1)
   in
   go 0
+
+let dir_lookup t dnode name =
+  if dnode.i_kind <> K_dir then fail Error.Notdir;
+  match cache_lookup t dnode name with
+  | Some _ as hit -> hit
+  | None ->
+      let found = dir_scan t dnode name in
+      Option.iter (cache_enter t dnode name) found;
+      found
 
 let dir_enter t dnode ~name ~ino =
   check_name name;
@@ -590,7 +638,7 @@ let newfs dev =
       itab_blocks; data_start }
   in
   let bc = Buf.create ~bsize dev in
-  let t = { bc; sb; icache = Hashtbl.create 64; allocated_blocks = 0 } in
+  let t = { bc; sb; icache = Hashtbl.create 64; ncache = Hashtbl.create 16; allocated_blocks = 0 } in
   (* Zero the metadata area. *)
   for blk = ibmap_start to data_start - 1 do
     zero_block t blk
@@ -616,7 +664,7 @@ let mount dev =
   match sb_read bc with
   | None -> fail Error.Inval
   | Some sb ->
-      let t = { bc; sb; icache = Hashtbl.create 64; allocated_blocks = 0 } in
+      let t = { bc; sb; icache = Hashtbl.create 64; ncache = Hashtbl.create 16; allocated_blocks = 0 } in
       (* Count allocated data blocks for statistics. *)
       let limit = sb.nblocks - sb.data_start in
       for i = 0 to limit - 1 do

@@ -132,7 +132,7 @@ type stack_stats = {
   rexmits : int;         (* data retransmissions *)
   badsum : int;          (* IP + TCP checksum drops *)
   dups : int;            (* duplicate-segment drops *)
-  nomem_drops : int;     (* segments or frames dropped for want of a buffer *)
+  nomem_drops : int;     (* dropped for want of a buffer: segments, frames, driver refusals *)
   persist_probes : int;  (* zero-window probes (the Linux stack's persist timer) *)
 }
 
@@ -142,7 +142,7 @@ let stats = function
       { rexmits = s.Tcp.sndrexmitpack + s.Tcp.fastrexmit;
         badsum = ip.Ip.badsum + s.Tcp.rcvbadsum;
         dups = s.Tcp.rcvdup;
-        nomem_drops = s.Tcp.nomem_drops + ip.Ip.nomem_drops;
+        nomem_drops = s.Tcp.nomem_drops + ip.Ip.nomem_drops + st.Bsd_socket.ifp.Netif.if_onomem;
         persist_probes = 0 }
   | Lx st ->
       { rexmits = st.Linux_inet.rexmits;

@@ -307,6 +307,102 @@ let test_diskpart_and_fs () =
   let parts' = ok (Diskpart.read_partitions dev) in
   Alcotest.(check int) "label survived" 2 (List.length parts')
 
+(* The name cache against the linear scan: random creates, removes,
+   renames (within and across directories, over existing names),
+   mkdirs and rmdirs over a pool of four names, so freed inode numbers are
+   reused by later files and directories.  After every operation each live
+   directory answers every pool name, "." and ".." through [dir_lookup]
+   (which fills the cache the next operations must purge) exactly as a
+   scan with no cache does, and a create or mkdir of a name the scan does
+   not find succeeds (a stale entry would refuse it as existing). *)
+type ncache_op =
+  | Create of int * int
+  | Remove of int * int
+  | Mkdir of int * int
+  | Rmdir of int * int
+  | Rename of (int * int) * (int * int)
+
+let ncache_pool = [| "a"; "b"; "c"; "d" |]
+
+let ncache_op_print =
+  let dn (d, n) = Printf.sprintf "dir%d/%s" d ncache_pool.(n) in
+  function
+  | Create (d, n) -> "create " ^ dn (d, n)
+  | Remove (d, n) -> "remove " ^ dn (d, n)
+  | Mkdir (d, n) -> "mkdir " ^ dn (d, n)
+  | Rmdir (d, n) -> "rmdir " ^ dn (d, n)
+  | Rename (a, b) -> Printf.sprintf "rename %s %s" (dn a) (dn b)
+
+let ncache_op_gen =
+  let open QCheck.Gen in
+  let dn = pair (int_bound 7) (int_bound (Array.length ncache_pool - 1)) in
+  frequency
+    [ 3, map (fun x -> Create (fst x, snd x)) dn;
+      2, map (fun x -> Remove (fst x, snd x)) dn;
+      2, map (fun x -> Mkdir (fst x, snd x)) dn;
+      2, map (fun x -> Rmdir (fst x, snd x)) dn;
+      3, map2 (fun a b -> Rename (a, b)) dn dn ]
+
+(* Every directory reachable from the root, in a fixed order. *)
+let live_dirs fs =
+  let seen = Hashtbl.create 8 in
+  let rec walk acc (node : Ffs.inode) =
+    if Hashtbl.mem seen node.Ffs.ino then acc
+    else begin
+      Hashtbl.replace seen node.Ffs.ino ();
+      List.fold_left
+        (fun acc name ->
+          match Ffs.dir_scan fs node name with
+          | Some (_, ino) ->
+              let child = Ffs.iget fs ino in
+              if child.Ffs.i_kind = Ffs.K_dir then walk acc child else acc
+          | None -> acc)
+        (node :: acc) (Ffs.dir_entries fs node)
+    end
+  in
+  List.rev (walk [] (Ffs.root fs))
+
+let prop_name_cache =
+  QCheck.Test.make ~name:"ffs: name cache lookups == linear scan" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map ncache_op_print ops))
+       QCheck.Gen.(list_size (int_range 1 40) ncache_op_gen))
+    (fun ops ->
+      let fs = Ffs.newfs (mem_dev ~mb:1 ()) in
+      let agrees () =
+        List.for_all
+          (fun dir ->
+            List.for_all
+              (fun name -> Ffs.dir_lookup fs dir name = Ffs.dir_scan fs dir name)
+              ("." :: ".." :: Array.to_list ncache_pool))
+          (live_dirs fs)
+      in
+      let dir d =
+        let dirs = Array.of_list (live_dirs fs) in
+        dirs.(d mod Array.length dirs)
+      in
+      let name n = ncache_pool.(n) in
+      let fresh d n = Ffs.dir_scan fs (dir d) (name n) = None in
+      List.for_all
+        (fun op ->
+          let must_succeed =
+            match op with Create (d, n) | Mkdir (d, n) -> fresh d n | _ -> false
+          in
+          let succeeded =
+            try
+              (match op with
+              | Create (d, n) -> ignore (Ffs.create_file fs (dir d) ~name:(name n))
+              | Remove (d, n) -> Ffs.unlink fs (dir d) ~name:(name n)
+              | Mkdir (d, n) -> ignore (Ffs.make_dir fs (dir d) ~name:(name n))
+              | Rmdir (d, n) -> Ffs.remove_dir fs (dir d) ~name:(name n)
+              | Rename ((d, n), (d', n')) ->
+                  Ffs.rename fs (dir d) ~src_name:(name n) (dir d') ~dst_name:(name n'));
+              true
+            with Ffs.Fs_error _ -> false
+          in
+          (succeeded || not must_succeed) && agrees ())
+        ops)
+
 let suite =
   [ Alcotest.test_case "create/read/write" `Quick test_create_read_write;
     Alcotest.test_case "directories" `Quick test_directories;
@@ -319,5 +415,6 @@ let suite =
     Alcotest.test_case "error paths" `Quick test_errors;
     Alcotest.test_case "buffer cache" `Quick test_buffer_cache;
     QCheck_alcotest.to_alcotest prop_fs_model;
+    QCheck_alcotest.to_alcotest prop_name_cache;
     Alcotest.test_case "fsread over ffs image" `Quick test_fsread_sees_ffs;
     Alcotest.test_case "diskpart + fs + fsread" `Quick test_diskpart_and_fs ]

@@ -201,7 +201,8 @@ let burst_crossings () =
 
 (* A closed device refuses every frame: each one is counted once in the
    interface's output errors, whether it went down alone or in a burst,
-   and the vectored push attempts and reports the whole burst. *)
+   and none as a drop for want of memory; the vectored push attempts and
+   reports the whole burst. *)
 let refused_after_close () =
   let frames = 5 in
   let frame () =
@@ -248,6 +249,7 @@ let refused_after_close () =
             (Cost.counters.Cost.glue_crossings - c0);
           Alcotest.(check int) (what ^ ": every burst frame refused") (2 * frames)
             ifp.Netif.if_oerrors;
+          Alcotest.(check int) (what ^ ": no refusal for want of memory") 0 ifp.Netif.if_onomem;
           check_snd_idle what ifp))
     [ 1; 8 ]
 
@@ -256,7 +258,9 @@ let refused_after_close () =
    injector firing, a backpressure-honest stream.  The transfer is
    byte-exact, the failures were real and counted, every frame the stack
    handed its interface either reached the NIC or was counted refused,
-   and at quiescence the send queue is empty with no hold open. *)
+   the driver's refusals for want of an sk_buff are counted as such and
+   reach the run's Nomem drops, and at quiescence the send queue is empty
+   with no hold open. *)
 let burst_conservation () =
   Fun.protect ~finally:Memfault.reset @@ fun () ->
   Cost.with_config
@@ -281,9 +285,20 @@ let burst_conservation () =
     | Endpoint.Bsd st -> st.Bsd_socket.ifp
     | Endpoint.Lx _ -> Alcotest.fail "the OSKit sender runs the BSD stack"
   in
-  Alcotest.(check bool) "Nomem drops counted" true (r.nomem_drops + ifp.Netif.if_oerrors > 0);
+  let stack_drops ep =
+    match ep.Endpoint.stack with
+    | Endpoint.Bsd st ->
+        st.Bsd_socket.tcp.Tcp.stats.Tcp.nomem_drops + st.Bsd_socket.ip.Ip.nomem_drops
+    | Endpoint.Lx st -> st.Linux_inet.nomem_drops
+  in
+  Alcotest.(check bool) "the driver refused frames for want of memory" true
+    (ifp.Netif.if_onomem > 0);
+  Alcotest.(check int) "no frame refused for a closed device" 0 ifp.Netif.if_oerrors;
+  Alcotest.(check int) "Nomem drops: both stacks' TCP/IP drops + the driver's refusals"
+    (stack_drops r.tx + stack_drops r.rx + ifp.Netif.if_onomem)
+    r.nomem_drops;
   Alcotest.(check int) "every frame sent or counted refused" ifp.Netif.if_opackets
-    (Nic.tx_count r.testbed.Clientos.host_a.Clientos.nic + ifp.Netif.if_oerrors);
+    (Nic.tx_count r.testbed.Clientos.host_a.Clientos.nic + ifp.Netif.if_onomem);
   check_snd_idle "sender" ifp
 
 let suite =

@@ -273,6 +273,136 @@ let memo_vs_reference =
       Buf.brelse b;
       cold_ok && partly_ok && fully_ok && rewritten_ok)
 
+(* ---- the memo's lifetime: the device block's, not the buffer's ---- *)
+
+(* A file system on a RAM disk, through its COM faces: a six-block file
+   [memo], and a second file [pressure] of [npressure] blocks whose
+   reading evicts every unpinned block of the 64-block buffer cache.
+   Returns the memo file's bytes as written, the buffer cache, the file
+   and the eviction. *)
+let npressure = 80
+
+let memo_fs () =
+  let bytes = Bytes.init (6 * 4096) (fun i -> Char.chr (((i * 31) + (i / 4096)) land 0xff)) in
+  let fs, root = ok (Fs_glue.newfs_fs (Mem_blkio.make ~bytes:(1024 * 4096) ())) in
+  let create name content =
+    let f = ok (root.Io_if.d_create name) in
+    let n = Bytes.length content in
+    Alcotest.(check int) (name ^ " written") n
+      (ok (f.Io_if.f_write ~buf:content ~pos:0 ~offset:0 ~amount:n));
+    f
+  in
+  let f = create "memo" bytes in
+  let p = create "pressure" (Bytes.make (npressure * 4096) 'p') in
+  let evict () =
+    let buf = Bytes.create (npressure * 4096) in
+    ignore (ok (p.Io_if.f_read ~buf ~pos:0 ~offset:0 ~amount:(npressure * 4096)))
+  in
+  (bytes, fs.Ffs.bc, f, evict)
+
+(* Map [off, off+len) of [f] and checksum it as TCP sums a sendfile
+   segment: one mbuf per fragment, each carrying its block's memo.
+   Returns whether the sum equals the flat RFC 1071 sum of [content] (the
+   file's bytes, as written: reading them back through the cache would
+   reset the memos) there, and the bytes charged. *)
+let loan_cksum (f : Io_if.file) content ~off ~len =
+  let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+  let frags = ok (fm.Io_if.fm_map_blocks ~offset:off ~amount:len) in
+  let m =
+    match
+      List.map
+        (fun fr ->
+          Mbuf.m_ext_wrap_free fr.Io_if.fr_data ~off:fr.Io_if.fr_off ~len:fr.Io_if.fr_len
+            ~sums:fr.Io_if.fr_sums ~on_free:ignore)
+        frags
+    with
+    | [] -> Alcotest.fail "empty mapping"
+    | head :: rest ->
+        List.iter (Mbuf.m_cat head) rest;
+        head
+  in
+  let _, bytes, r = charged (fun () -> In_cksum.cksum_chain m ~off:0 ~len) in
+  Io_if.frags_release frags;
+  match r with
+  | Ok sum -> (sum = rfc1071 content ~off ~len, bytes)
+  | Error e -> raise e
+
+(* The range every memo test sums: four blocks' worth from byte 100, so
+   the first and last fragments have partial chunks at their outer edges
+   (28 bytes before the first whole chunk, 36 after the last). *)
+let memo_off = 100
+let memo_len = 4 * 4096
+let memo_edges = 28 + 36
+
+let check_pass what (sum_ok, charged) want =
+  Alcotest.(check bool) (what ^ ": sum == RFC 1071") true sum_ok;
+  Alcotest.(check int) (what ^ ": bytes charged") want charged
+
+(* Loan and sum, evict the blocks under pressure, loan again: the blocks
+   were faulted back in from the device, and only the edges are summed. *)
+let memo_survives_eviction () =
+  let content, bc, f, evict = memo_fs () in
+  check_pass "cold" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_len;
+  check_pass "warm" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_edges;
+  evict ();
+  let misses = (Buf.cache_stats bc).Buf.cs_misses in
+  check_pass "after eviction" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_edges;
+  Alcotest.(check int) "all five blocks were faulted back in" 5
+    ((Buf.cache_stats bc).Buf.cs_misses - misses);
+  Alcotest.(check int) "one memo per loaned block" 5 (Buf.cache_stats bc).Buf.cs_memos
+
+(* A write that faults an evicted block back in resets the block's memo:
+   a partial write into block 1 (through bread) and a whole-block write
+   into block 2 (through getblk_nofill), each after eviction.  The next
+   loan sums both blocks whole, and the new bytes' sum is right. *)
+let memo_reset_by_write_after_eviction () =
+  let content, bc, f, evict = memo_fs () in
+  check_pass "cold" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_len;
+  let write ~at b =
+    let n = Bytes.length b in
+    Alcotest.(check int) "rewritten" n (ok (f.Io_if.f_write ~buf:b ~pos:0 ~offset:at ~amount:n));
+    Bytes.blit b 0 content at n
+  in
+  evict ();
+  let misses = (Buf.cache_stats bc).Buf.cs_misses in
+  write ~at:(4096 + 1000) (Bytes.make 300 '\x5a');
+  evict ();
+  write ~at:(2 * 4096) (Bytes.make 4096 '\xa5');
+  Alcotest.(check bool) "both writes faulted their block in" true
+    ((Buf.cache_stats bc).Buf.cs_misses - misses >= 2);
+  check_pass "after the writes" (loan_cksum f content ~off:memo_off ~len:memo_len)
+    (memo_edges + (2 * 4096))
+
+(* Truncate the file to one block and regrow it with new bytes: the freed
+   blocks' memos are dropped, the regrown file reuses those blocks, and
+   they are summed again whole. *)
+let memo_dropped_when_block_freed () =
+  let content, bc, f, evict = memo_fs () in
+  let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+  let blocks () =
+    let frags = ok (fm.Io_if.fm_map_blocks ~offset:0 ~amount:(6 * 4096)) in
+    Io_if.frags_release frags;
+    List.map (fun fr -> fr.Io_if.fr_data) frags
+  in
+  check_pass "cold" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_len;
+  let before = blocks () in
+  let memos = (Buf.cache_stats bc).Buf.cs_memos in
+  ok (f.Io_if.f_setsize 4096);
+  Alcotest.(check int) "the five freed blocks' memos dropped" (memos - 5)
+    (Buf.cache_stats bc).Buf.cs_memos;
+  let regrown = Bytes.init (5 * 4096) (fun i -> Char.chr (((i * 7) + 3) land 0xff)) in
+  Alcotest.(check int) "regrown" (5 * 4096)
+    (ok (f.Io_if.f_write ~buf:regrown ~pos:0 ~offset:4096 ~amount:(5 * 4096)));
+  Bytes.blit regrown 0 content 4096 (5 * 4096);
+  Alcotest.(check bool) "the regrown file reuses the freed blocks" true
+    (List.for_all2 ( == ) before (blocks ()));
+  (* Blocks 1-3 whole, and the one whole chunk of block 4's fragment. *)
+  check_pass "regrown" (loan_cksum f content ~off:memo_off ~len:memo_len)
+    (memo_edges + (3 * 4096) + 64);
+  evict ();
+  check_pass "regrown, after eviction" (loan_cksum f content ~off:memo_off ~len:memo_len)
+    memo_edges
+
 (* ---- nonlinear sk_buffs ---- *)
 
 let test_skb_of_frags_linearize_roundtrip () =
@@ -460,6 +590,12 @@ let suite =
     QCheck_alcotest.to_alcotest cksum_bytes_vs_reference;
     QCheck_alcotest.to_alcotest cksum_chain_vs_reference;
     QCheck_alcotest.to_alcotest memo_vs_reference;
+    Alcotest.test_case "checksum memo: survives eviction, only edges summed again" `Quick
+      memo_survives_eviction;
+    Alcotest.test_case "checksum memo: a write faulting an evicted block in resets it" `Quick
+      memo_reset_by_write_after_eviction;
+    Alcotest.test_case "checksum memo: dropped with a freed block, reused block summed again"
+      `Quick memo_dropped_when_block_freed;
     Alcotest.test_case "checksum: out-of-range calls raise, charge nothing" `Quick
       test_cksum_range_errors;
     Alcotest.test_case "nonlinear skb: build + linearize round-trip" `Quick
