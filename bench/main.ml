@@ -728,8 +728,9 @@ let longfat_cell config ~rtt_ms ~loss ~bytes (mode_name, p, manual) =
       "byte_exact", yes_no r.byte_exact ]
 
 (* Enough bytes to amortize slow start at the given BDP; lossy cells get a
-   smaller transfer (the Linux receiver keeps no out-of-order queue, so
-   each loss replays go-back-N at one frame per RTT — see DESIGN.md).
+   smaller transfer (loss holds both stacks far below line rate — about
+   1 Mbit/s at 50 ms and 3% — so four BDPs already span dozens of loss
+   recoveries, and more bytes only lengthen the run).
    After the grid, the 50 ms clean path again at a fixed 8 MB, and a
    forced zero-window stall on the Linux stack that only the persist
    timer talks through. *)

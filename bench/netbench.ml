@@ -1,7 +1,7 @@
 (* The TCP stream harness: the bench's and the tests' testbed wiring
    around the ttcp and rtcp workloads (lib/ttcp's Workload), the same
    bodies the example kernels run.  [stream] builds the testbed a transfer
-   needs (NIC models, wire latency, netem, a fault injector, a tap) and
+   needs (NIC models, wire latency, netem, a tap) and
    may wrap its endpoints (retries, buffer overrides); [rtt] runs rtcp on
    a plain testbed.  Table 1/2, glue, copies, chaos, rtt, longfat,
    overload's soak and vmnet, the network test suites and the bin/
@@ -63,14 +63,13 @@ let override_buffer ~sender size (ep : Endpoint.t) =
 
 (* One ttcp transfer [w] on a fresh testbed, host A (10.0.0.1) sending to
    host B (10.0.0.2).  [models] are the NIC models of hosts A and B,
-   [latency_ns] the one-way wire latency (default 1 us); [fault] drops the
-   frames it says and [tap] hears every delivered frame, with the time;
+   [latency_ns] the one-way wire latency (default 1 us); [netem] faults
+   the wire and [tap] hears every delivered frame, with the time;
    [buffers] overrides the sender's send and receiver's receive buffer. *)
-let stream ?models ?latency_ns ?netem ?fault ?tap ?(retry = false) ?buffers w =
+let stream ?models ?latency_ns ?netem ?tap ?(retry = false) ?buffers w =
   let tb = Clientos.make_testbed ?models ?latency_ns () in
   let wire = tb.Clientos.wire in
   if Option.is_some netem then Wire.set_netem wire netem;
-  if Option.is_some fault then Wire.set_fault_injector wire fault;
   Option.iter
     (fun f -> ignore (Wire.attach wire ~rx:(fun frame -> f (World.now tb.Clientos.world) frame)))
     tap;

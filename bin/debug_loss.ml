@@ -7,7 +7,7 @@ let () =
   let bytes = 200 * 1024 in
   let r =
     Netbench.stream
-      ~fault:(fun _ -> incr n; !n mod 13 = 0)
+      ~netem:(Netem.of_filter (fun _ -> incr n; !n mod 13 = 0))
       { Workload.table1 with
         sender = Endpoint.Freebsd; receiver = Endpoint.Freebsd; bytes; send_chunk = bytes;
         recv_chunk = 8192; delay_ns = 1_000_000 }

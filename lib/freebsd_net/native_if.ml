@@ -6,6 +6,14 @@
  * monolithic configuration the OSKit numbers are compared against.
  *)
 
+(* Drain RX queue [q], handing each frame to its home CPU's netisr. *)
+let rec rx_drain nic ~q isr ~ncpus deliver =
+  match Nic.pop_rx_q nic ~q with
+  | None -> ()
+  | Some frame ->
+      ignore (Netisr.dispatch isr ~cpu:(Rss.cpu_of_frame ~ncpus frame) deliver frame);
+      rx_drain nic ~q isr ~ncpus deliver
+
 let attach stack nic =
   let machine = stack.Bsd_socket.machine in
   (* No glue, so none is charged: the COM faces a native kernel exports
@@ -24,60 +32,32 @@ let attach stack nic =
          reference). *)
       Mbuf.m_freem m;
       Ok ());
-  let deliver frame () =
+  let deliver frame =
     Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
     let m = Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame) in
     Netif.ether_input ifp m
   in
+  (* Hardware RSS: one RX queue per CPU, programmed with the same
+     symmetric flow hash the stack shards by, each queue's MSI-X vector
+     routed to its CPU — so a flow's frames interrupt their home CPU
+     directly and even interrupt entry lands there.  Queue 0 keeps the
+     card's legacy line (at one CPU it is the only queue, and the card
+     stays unprogrammed); the other vectors borrow spare PIC lines (the
+     testbed uses 0/4/9 for timer/serial/NIC and 13/14 for disks).  The
+     handler re-derives each frame's home CPU and hands it to the netisr,
+     which direct-dispatches on a hit; frames the hardware couldn't steer
+     to their home CPU (more CPUs than vectors, non-IP traffic) cross
+     through the netisr queues instead of being misdelivered. *)
   let ncpus = Machine.ncpus machine in
-  if ncpus <= 1 then begin
-    let rx_handler () =
-      let rec drain () =
-        match Nic.pop_rx nic with
-        | None -> ()
-        | Some frame ->
-            deliver frame ();
-            drain ()
-      in
-      drain ()
-    in
-    Machine.set_irq_handler machine ~irq:(Nic.irq nic) rx_handler;
-    Machine.unmask_irq machine ~irq:(Nic.irq nic)
-  end
-  else begin
-    (* Hardware RSS: program the card with one RX queue per CPU and the
-       same symmetric flow hash the stack shards by, and route each
-       queue's MSI-X vector to its CPU — so a flow's frames interrupt
-       their home CPU directly and even interrupt entry lands there.
-       Queue 0 keeps the card's legacy line; the other vectors borrow
-       spare PIC lines (the testbed uses 0/4/9 for timer/serial/NIC and
-       13/14 for disks).  The handler re-derives each frame's home CPU and
-       hands it to the netisr, which direct-dispatches on a hit; frames
-       the hardware couldn't steer to their home CPU (more CPUs than
-       vectors, non-IP traffic) cross through the netisr queues instead
-       of being misdelivered. *)
-    let spares = [| 5; 6; 7; 8; 11; 12; 15 |] in
-    let queues = min ncpus (1 + Array.length spares) in
-    let vectors =
-      Array.init queues (fun q -> if q = 0 then Nic.irq nic else spares.(q - 1))
-    in
+  let spares = [| 5; 6; 7; 8; 11; 12; 15 |] in
+  let queues = min ncpus (1 + Array.length spares) in
+  let vectors = Array.init queues (fun q -> if q = 0 then Nic.irq nic else spares.(q - 1)) in
+  if queues > 1 then
     Nic.set_rss nic ~vectors ~classify:(fun frame -> Rss.cpu_of_frame ~ncpus frame);
-    let isr = Netisr.for_machine machine in
-    Array.iteri
-      (fun q line ->
-        let handler () =
-          let rec drain () =
-            match Nic.pop_rx_q nic ~q with
-            | None -> ()
-            | Some frame ->
-                let cpu = Rss.cpu_of_frame ~ncpus frame in
-                ignore (Netisr.dispatch isr ~cpu (deliver frame));
-                drain ()
-          in
-          drain ()
-        in
-        Machine.set_irq_handler machine ~irq:line handler;
-        Machine.set_irq_affinity machine ~irq:line ~cpu:q;
-        Machine.unmask_irq machine ~irq:line)
-      vectors
-  end
+  let isr = Netisr.for_machine machine in
+  Array.iteri
+    (fun q line ->
+      Machine.set_irq_handler machine ~irq:line (fun () -> rx_drain nic ~q isr ~ncpus deliver);
+      Machine.set_irq_affinity machine ~irq:line ~cpu:q;
+      Machine.unmask_irq machine ~irq:line)
+    vectors

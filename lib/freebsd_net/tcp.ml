@@ -326,17 +326,12 @@ let detach t pcb =
   for slot = tw_rexmt to tw_delack do
     tw_cancel pcb slot
   done;
-  (* With the sendfile knob on, a dying connection must retire its socket
-     buffers: the send buffer may hold loaned ext mbufs whose on-free
-     callbacks unpin buffer-cache blocks, and an abort (peer RST, rexmt
-     give-up) is the one path where those bytes are never acked and
-     dropped.  Gated on the knob because freeing recycles pooled storage
-     and changes later Bpool hit/miss charges — flag-off runs must stay
-     bit-identical to the committed baselines. *)
-  if Cost.config.Cost.sendfile then begin
-    Sockbuf.sbdrop pcb.snd_buf pcb.snd_buf.Sockbuf.sb_cc;
-    Sockbuf.sbdrop pcb.rcv_buf pcb.rcv_buf.Sockbuf.sb_cc
-  end;
+  (* A dying connection retires its socket buffers, so their clusters go
+     back to the pool and loaned ext mbufs run the on-free callbacks that
+     unpin buffer-cache blocks: an abort (peer RST, rexmt give-up) is the
+     one path where those bytes are never acked and dropped. *)
+  Sockbuf.sbdrop pcb.snd_buf pcb.snd_buf.Sockbuf.sb_cc;
+  Sockbuf.sbdrop pcb.rcv_buf pcb.rcv_buf.Sockbuf.sb_cc;
   Option.iter
     (fun n ->
       Dlist.remove n;

@@ -66,93 +66,82 @@ let wrap_rx dev frame =
    timer expires, whichever is sooner, like a NIC's coalescing timer. *)
 let napi_coalesce_ns = 100_000
 
+(* Hand each RSS home CPU its slice of a burst as [up cpu slice], arrival
+   order kept within a slice (a flow always maps to one CPU, so per-flow
+   order is kept).  A burst whose frames share one home CPU — every burst
+   at one CPU — is one slice, handed up as it is, not rebuilt. *)
+let rec same_cpu ~ncpus cpu = function
+  | [] -> true
+  | frame :: rest -> Rss.cpu_of_frame ~ncpus frame = cpu && same_cpu ~ncpus cpu rest
+
+let group_by_cpu ~ncpus frames up =
+  match frames with
+  | [] -> ()
+  | first :: _ ->
+      let cpu = Rss.cpu_of_frame ~ncpus first in
+      if same_cpu ~ncpus cpu frames then up cpu frames
+      else begin
+        let groups = ref [] in
+        List.iter
+          (fun frame ->
+            let cpu = Rss.cpu_of_frame ~ncpus frame in
+            match List.assoc_opt cpu !groups with
+            | Some r -> r := frame :: !r
+            | None -> groups := !groups @ [ (cpu, ref [ frame ]) ])
+          frames;
+        List.iter (fun (cpu, r) -> up cpu (List.rev !r)) !groups
+      end
+
 (* The NAPI-style poll (Cost.config.rx_batch > 1): frames that arrived
    while the CPU was busy (or during the coalescing window) are already in
-   the ring; hand them up [budget] at a time, each chunk ONE vectored
-   upcall, until the ring is empty, then unmask and revert to interrupts.
-   Draining fully before unmasking bounds ring occupancy — leaving frames
-   behind for another window is how rings overflow and drops turn into
-   peer retransmit timeouts.  This is exactly Linux's interrupt mitigation
-   loop: under light load it degenerates to one interrupt, one frame, no
-   added latency. *)
-(* Group a burst by RSS home CPU, preserving arrival order within each
-   group (a flow always maps to one CPU, so per-flow order is kept). *)
-let group_by_cpu ~ncpus frames =
-  let groups = ref [] in
-  List.iter
-    (fun frame ->
-      let cpu = Rss.cpu_of_frame ~ncpus frame in
-      match List.assoc_opt cpu !groups with
-      | Some r -> r := frame :: !r
-      | None -> groups := !groups @ [ (cpu, ref [ frame ]) ])
-    frames;
-  List.map (fun (cpu, r) -> (cpu, List.rev !r)) !groups
+   the ring; hand them up [budget] at a time, each home CPU's slice of a
+   chunk ONE vectored upcall, until the ring is empty, then unmask and
+   revert to interrupts.  Draining fully before unmasking bounds ring
+   occupancy — leaving frames behind for another window is how rings
+   overflow and drops turn into peer retransmit timeouts.  This is exactly
+   Linux's interrupt mitigation loop: under light load it degenerates to
+   one interrupt, one frame, no added latency. *)
+let rec napi_drain dev ~ncpus ~budget up =
+  match Nic.pop_rx_burst dev.hw ~max:budget with
+  | [] -> ()
+  | frames ->
+      group_by_cpu ~ncpus frames up;
+      napi_drain dev ~ncpus ~budget up
 
-let napi_poll machine dev () =
-  dev.napi_scheduled <- false;
-  let budget = max 1 Cost.config.rx_batch in
+let rec rx_drain dev isr ~ncpus rx_one =
+  match Nic.pop_rx dev.hw with
+  | None -> ()
+  | Some frame ->
+      ignore (Netisr.dispatch isr ~cpu:(Rss.cpu_of_frame ~ncpus frame) rx_one frame);
+      rx_drain dev isr ~ncpus rx_one
+
+(* The receive interrupt, built once when the device opens.  Every frame
+   goes to its RSS home CPU through the machine's netisr, which runs it in
+   place on a hit (every frame at one CPU), so the per-frame driver work,
+   the glue crossing and the protocol input all charge the home CPU.  With
+   the default budget the ring drains frame by frame, one upcall each;
+   with a batch budget the frames stay in the ring and the poll above is
+   scheduled. *)
+let device_interrupt machine dev =
   let ncpus = Machine.ncpus machine in
-  let rec drain () =
-    match Nic.pop_rx_burst dev.hw ~max:budget with
-    | [] -> ()
-    | frames ->
-        if ncpus <= 1 then dev.netif_rx_v (List.map (wrap_rx dev) frames)
-        else begin
-          (* RSS: each home CPU gets its slice of the burst as one vectored
-             upcall on that CPU, so the per-frame driver work, the glue
-             crossing, and the protocol input all charge the home CPU. *)
-          let isr = Netisr.for_machine machine in
-          List.iter
-            (fun (cpu, fs) ->
-              ignore
-                (Netisr.dispatch isr ~cpu (fun () ->
-                     dev.netif_rx_v (List.map (wrap_rx dev) fs))))
-            (group_by_cpu ~ncpus frames)
-        end;
-        drain ()
+  let isr = Netisr.for_machine machine in
+  let rx_one frame = dev.netif_rx (wrap_rx dev frame) in
+  let rx_burst frames = dev.netif_rx_v (List.map (wrap_rx dev) frames) in
+  let up cpu frames = ignore (Netisr.dispatch isr ~cpu rx_burst frames) in
+  let poll () =
+    dev.napi_scheduled <- false;
+    napi_drain dev ~ncpus ~budget:(max 1 Cost.config.rx_batch) up;
+    Machine.unmask_irq machine ~irq:(Nic.irq dev.hw)
   in
-  drain ();
-  Machine.unmask_irq machine ~irq:(Nic.irq dev.hw)
-
-let napi_schedule machine dev =
-  if not dev.napi_scheduled then begin
-    dev.napi_scheduled <- true;
-    Machine.mask_irq machine ~irq:(Nic.irq dev.hw);
-    let wnow = World.now (Machine.world machine) in
-    let lead = max 0 (Machine.now machine - wnow) in
-    ignore (Machine.at machine (wnow + min lead napi_coalesce_ns) (napi_poll machine dev))
-  end
-
-(* The receive interrupt: with the default budget, drain the ring frame by
-   frame — one upcall each, today's exact behaviour.  With a batch budget,
-   leave the frames in the ring and schedule the poll above. *)
-let device_interrupt dev () =
-  if Cost.config.rx_batch <= 1 then begin
-    let steer =
-      match Machine.current () with
-      | Some machine when Machine.ncpus machine > 1 -> Some machine
-      | _ -> None
-    in
-    let rec drain () =
-      match Nic.pop_rx dev.hw with
-      | None -> ()
-      | Some frame ->
-          (match steer with
-          | None -> dev.netif_rx (wrap_rx dev frame)
-          | Some machine ->
-              let ncpus = Machine.ncpus machine in
-              let cpu = Rss.cpu_of_frame ~ncpus frame in
-              ignore
-                (Netisr.dispatch (Netisr.for_machine machine) ~cpu (fun () ->
-                     dev.netif_rx (wrap_rx dev frame))));
-          drain ()
-    in
-    drain ()
-  end
-  else if Nic.rx_pending dev.hw > 0 then
-    match Machine.current () with
-    | Some machine -> napi_schedule machine dev
-    | None -> ()
+  fun () ->
+    if Cost.config.rx_batch <= 1 then rx_drain dev isr ~ncpus rx_one
+    else if Nic.rx_pending dev.hw > 0 && not dev.napi_scheduled then begin
+      dev.napi_scheduled <- true;
+      Machine.mask_irq machine ~irq:(Nic.irq dev.hw);
+      let wnow = World.now (Machine.world machine) in
+      let lead = max 0 (Machine.now machine - wnow) in
+      ignore (Machine.at machine (wnow + min lead napi_coalesce_ns) poll)
+    end
 
 (* A probe names the cards it finds on its machine eth0, eth1, ... in bus
    order. *)
@@ -180,7 +169,8 @@ let dev_open osenv dev ~rx ?rx_v () =
     dev.netif_rx <- rx;
     dev.netif_rx_v <-
       (match rx_v with Some f -> f | None -> fun skbs -> List.iter rx skbs);
-    match Osenv.irq_request osenv ~irq:(Nic.irq dev.hw) ~handler:(device_interrupt dev) with
+    let handler = device_interrupt (Osenv.machine osenv) dev in
+    match Osenv.irq_request osenv ~irq:(Nic.irq dev.hw) ~handler with
     | Ok () ->
         dev.irq_requested <- true;
         dev.opened <- true;

@@ -7,8 +7,8 @@
  * The TCP keeps Linux 2.0's observable behaviour on a LAN: one copy
  * user->skb on send, MSS-sized segments, an ACK for every data segment
  * (2.0 had no effective delayed-ACK coalescing), slow start with a coarse
- * retransmit timer, and no out-of-order queue to speak of.  It speaks
- * standard TCP on the wire and interoperates with the BSD stack.
+ * retransmit timer, and out-of-order segments held for reassembly.  It
+ * speaks standard TCP on the wire and interoperates with the BSD stack.
  *)
 
 let eth_hlen = 14
@@ -86,9 +86,8 @@ type sock = {
   rxclump : Autotune.clump; (* receive-buffer autotuning *)
   rcv_q : Skbuff.sk_buff Queue.t; (* in-order payload skbs (data at head) *)
   mutable rcv_q_bytes : int;
-  (* Out-of-order reassembly, kept only under Cost.config.tcp_wscale: 2.0
-     dropped OOO segments, which at scaled windows turns every loss into a
-     one-frame-per-RTT go-back-N replay of the whole window. *)
+  (* Out-of-order reassembly, bounded by the receive buffer: without it
+     every loss becomes a go-back-N replay of the window behind it. *)
   mutable ooo_q : (int * Skbuff.sk_buff) list; (* (seq, payload), seq-sorted *)
   mutable ooo_bytes : int;
   mutable head_consumed : int;
@@ -133,7 +132,7 @@ and stack = {
   mutable ipbadsum : int;       (* IP header checksum failures *)
   mutable tcpbadsum : int;      (* TCP checksum failures *)
   mutable rcvdup : int;         (* data at or below rcv_nxt, dropped *)
-  mutable rcvoo : int;          (* data beyond rcv_nxt (no OOO queue here) *)
+  mutable rcvoo : int;          (* data beyond rcv_nxt, held for reassembly *)
   mutable rcvfull : int;        (* in-order data dropped: receive queue full *)
   mutable rexmt_give_ups : int; (* connections reset by the rexmt backstop *)
   mutable persist_probes : int; (* zero-window probes sent by the persist timer *)
@@ -230,6 +229,17 @@ let detach t s =
   end;
   Option.iter (Tw_queue.remove t.tw) s.tw_ent;
   Demux.remove t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
+
+(* A dead connection's held frames: the retransmission queue (nobody will
+   resend it, and an armed timer finding it empty stands down) and the
+   reassembly queue (nobody will read it). *)
+let retire_queues s =
+  List.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
+  s.rexmt_q <- [];
+  s.rexmt_q_len <- 0;
+  List.iter (fun (_, skb) -> Skbuff.skb_free skb) s.ooo_q;
+  s.ooo_q <- [];
+  s.ooo_bytes <- 0
 
 (* Arm a per-flow timer on the flow's home CPU, so the fire (retransmit,
    probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 the
@@ -477,9 +487,7 @@ and arm_rexmt t s =
                    (* Give up: error the socket and free every queued frame. *)
                    s.rexmt_armed <- false;
                    t.rexmt_give_ups <- t.rexmt_give_ups + 1;
-                   List.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
-                   s.rexmt_q <- [];
-                   s.rexmt_q_len <- 0;
+                   retire_queues s;
                    s.err <- Some Error.Timedout;
                    s.state <- Closed;
                    detach t s;
@@ -739,17 +747,12 @@ let fastpath_pred s ~seq ~flags ~dlen =
 let autotune_rcv t s ~dlen =
   s.rcv_buf_max <- Autotune.rcv s.rxclump t.machine ~dlen ~buf:s.rcv_buf_max
 
-(* Out-of-order segment: hold it for reassembly (wscale mode only; the
-   donor stack dropped these, go-back-N).  Returns whether the skb was
-   stored.  Counters keep their netstat meaning: rcvoo/rcvdup/rcvfull
-   count only segments actually dropped. *)
+(* Out-of-order segment: hold it for reassembly.  Returns whether the skb
+   was stored.  Counters keep their netstat meaning: rcvoo counts each
+   segment held, rcvdup and rcvfull the ones dropped. *)
 let ooo_insert t s ~seq skb =
   let dlen = skb.Skbuff.len in
-  if not Cost.config.tcp_wscale then begin
-    t.rcvoo <- t.rcvoo + 1;
-    false
-  end
-  else if List.exists (fun (q, _) -> q = seq) s.ooo_q then begin
+  if List.exists (fun (q, _) -> q = seq) s.ooo_q then begin
     t.rcvdup <- t.rcvdup + 1;
     false
   end
@@ -765,6 +768,7 @@ let ooo_insert t s ~seq skb =
     in
     s.ooo_q <- ins s.ooo_q;
     s.ooo_bytes <- s.ooo_bytes + dlen;
+    t.rcvoo <- t.rcvoo + 1;
     true
   end
 
@@ -854,6 +858,7 @@ let tcp_rcv t skb ~src =
           end;
           if flags land th_rst <> 0 then begin
             if s.state <> Listen then begin
+              retire_queues s;
               s.err <- Some Error.Connreset;
               s.state <- Closed;
               detach t s;
@@ -947,9 +952,7 @@ let tcp_rcv t skb ~src =
                   | Some p when p.state <> Listen ->
                       (* The listener closed while our handshake completed:
                          nobody will ever accept us — reset, don't leak. *)
-                      List.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
-                      s.rexmt_q <- [];
-                      s.rexmt_q_len <- 0;
+                      retire_queues s;
                       s.state <- Closed;
                       detach t s;
                       ignore
@@ -996,8 +999,8 @@ let tcp_rcv t skb ~src =
                     wake s
                   end
                   else if Codec.seq_gt seq s.rcv_nxt then begin
-                    (* Beyond the hole: reassemble (wscale mode) or drop as
-                       2.0 did; either way the dup-ACK goes out. *)
+                    (* Beyond the hole: hold it for reassembly; the dup-ACK
+                       goes out either way. *)
                     if ooo_insert t s ~seq skb then stored := true;
                     send_ack t s
                   end
@@ -1231,12 +1234,10 @@ let recv t s ~buf ~pos ~len =
   else wait ()
 
 (* Hard-reset a never-accepted child of a closing listener: free its
-   retransmission frames, RST the peer, drop the sock. *)
+   held frames, RST the peer, drop the sock. *)
 let abort_orphan t c =
   if c.state <> Closed then begin
-    List.iter (fun e -> Skbuff.skb_free e.rx_frame) c.rexmt_q;
-    c.rexmt_q <- [];
-    c.rexmt_q_len <- 0;
+    retire_queues c;
     c.err <- Some Error.Connreset;
     c.state <- Closed;
     detach t c;
@@ -1299,7 +1300,7 @@ let netstat t =
     \  %d segments retransmitted\n\
     \  %d bad checksums\n\
     \  %d duplicate segments dropped\n\
-    \  %d out-of-order segments dropped\n\
+    \  %d out-of-order segments queued\n\
     \  %d segments dropped, full receive queue\n\
     \  %d listen queue overflows\n\
     \  %d connections timed out retransmitting\n\

@@ -50,7 +50,8 @@ type t
 val create : ?seed:int -> ?policy:policy -> unit -> t
 
 (** An emulator whose only effect is dropping frames the predicate
-    matches — the shape of the wire's historical fault hook. *)
+    matches.  The predicate is called exactly once per offered frame, in
+    send order, so it may count frames to pick the ones it drops. *)
 val of_filter : (bytes -> bool) -> t
 
 (** [set_policy t ?port p] installs [p] for frames sent from wire port

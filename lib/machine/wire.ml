@@ -64,9 +64,6 @@ let send t port frame ~at =
 
 let set_netem t em = t.netem <- em
 
-let set_fault_injector t f =
-  t.netem <- (match f with None -> None | Some pred -> Some (Netem.of_filter pred))
-
 let frames_dropped t = t.dropped
 let frames_delivered t = t.delivered
 let frames_carried t = t.frames

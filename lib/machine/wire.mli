@@ -33,11 +33,6 @@ val send : t -> port -> bytes -> at:int -> int
     restores perfect delivery. *)
 val set_netem : t -> Netem.t option -> unit
 
-(** [set_fault_injector t f] — back-compat shim over [set_netem]: [f frame]
-    returning true silently drops the frame in transit.  The predicate is
-    called exactly once per offered frame, in send order. *)
-val set_fault_injector : t -> (bytes -> bool) option -> unit
-
 (** Frames discarded in transit (by any fault: filter, loss, burst,
     partition). *)
 val frames_dropped : t -> int

@@ -24,9 +24,10 @@
  * not summed again when it returns.  This rests on the assumption the
  * cached bytes already make: while the file system is mounted, the device
  * is written only through this cache.  The cache does not know who writes
- * a block, so every access other than a loan ([bread], [getblk_nofill])
- * resets the block's memo, cached or not: any other caller may change the
- * bytes.  The reset is in place, because socket buffers and retransmit
+ * a block, so every access that may change the bytes ([bread],
+ * [getblk_nofill]) resets the block's memo, cached or not; only the two
+ * that promise to read alone, a loan ([bread_loan]) and a file read
+ * ([bread_ro]), keep it.  The reset is in place, because socket buffers and retransmit
  * queues may still hold the memo through their own pins.  [drop_sums]
  * forgets a block's memo; the file system calls it when it frees the
  * block, so the memos number at most one per allocated block that has
@@ -138,10 +139,14 @@ let getblk_nofill t blkno =
   clear_sums b;
   b
 
-(* bread for a loan to sendfile, whose consumers only read the bytes: the
-   one access that keeps the block's checksum memo, making it if absent. *)
+(* bread for a caller that only reads the bytes (a file read): keeps the
+   block's checksum memo. *)
+let bread_ro t blkno = getblk t blkno ~fill:true
+
+(* bread for a loan to sendfile, whose consumers only read the bytes: keeps
+   the block's checksum memo, making it if absent. *)
 let bread_loan t blkno =
-  let b = getblk t blkno ~fill:true in
+  let b = bread_ro t blkno in
   (match b.b_sums with
   | Some _ -> ()
   | None ->

@@ -330,7 +330,7 @@ let read t node ~off ~len ~dst ~dst_pos =
       let blk = bmap t node fblk ~alloc:false in
       (if blk = 0 then Bytes.fill dst dst_pos n '\000' (* hole *)
        else begin
-         let b = Buf.bread t.bc blk in
+         let b = Buf.bread_ro t.bc blk in
          Cost.charge_copy n;
          Bytes.blit b.Buf.b_data boff dst dst_pos n;
          Buf.brelse b

@@ -1,11 +1,12 @@
 (* DragonFly-style netisr: one protocol shard per CPU, fed by a bounded
    message queue.  A frame steered to the executing CPU is processed
-   directly (DragonFly's "direct dispatch"), so at ncpus=1 every frame
-   takes exactly the pre-SMP code path; a frame for another CPU is
-   enqueued and a drain event — the per-CPU protocol thread — runs it on
-   its home CPU at the steering CPU's local time.  Queues are FIFO per
-   CPU, so per-flow ordering is preserved (a flow only ever targets one
-   CPU); overflow drops the frame and counts it, like a software-interrupt
+   directly (DragonFly's "direct dispatch") — at ncpus=1 that is every
+   frame, so the drivers keep one receive loop at any CPU count and a
+   direct dispatch allocates nothing; a frame for another CPU is enqueued
+   and a drain event — the per-CPU protocol thread — runs it on its home
+   CPU at the steering CPU's local time.  Queues are FIFO per CPU, so
+   per-flow ordering is preserved (a flow only ever targets one CPU);
+   overflow drops the frame and counts it, like a software-interrupt
    queue overflow. *)
 
 type t = {
@@ -45,17 +46,11 @@ let schedule_drain t cpu =
     ignore (Machine.at_on t.machine ~cpu (Machine.now t.machine) (drain t cpu))
   end
 
-let dispatch t ~cpu f =
-  if Machine.ncpus t.machine <= 1 then begin
-    f ();
-    true
-  end
-  else if
-    cpu = Machine.cpu t.machine && Queue.is_empty t.queues.(cpu)
-  then begin
+let dispatch t ~cpu f x =
+  if cpu = Machine.cpu t.machine && Queue.is_empty t.queues.(cpu) then begin
     (* Direct dispatch: already on the home CPU with nothing queued ahead
        (the emptiness check keeps FIFO order if a drain is in progress). *)
-    f ();
+    f x;
     true
   end
   else if Queue.length t.queues.(cpu) >= t.qmax then begin
@@ -63,7 +58,7 @@ let dispatch t ~cpu f =
     false
   end
   else begin
-    Queue.add f t.queues.(cpu);
+    Queue.add (fun () -> f x) t.queues.(cpu);
     Cost.count_netisr_queued ();
     schedule_drain t cpu;
     true

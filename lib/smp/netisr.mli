@@ -2,8 +2,8 @@
 
     One bounded message queue per CPU; {!dispatch} either runs the handler
     directly (already on the home CPU — at [ncpus = 1] this is every frame,
-    reproducing the pre-SMP path exactly) or enqueues it and schedules a
-    drain on the home CPU via a world event.  Queues are FIFO per CPU, so
+    with no allocation) or enqueues it and schedules a drain on the home
+    CPU via a world event.  Queues are FIFO per CPU, so
     per-flow ordering is preserved; overflow drops and counts
     ([Cost.counters.netisr_drops]). *)
 
@@ -13,9 +13,9 @@ type t
     first use with queues bounded at [Cost.config.netisr_qmax]. *)
 val for_machine : Machine.t -> t
 
-(** [dispatch t ~cpu f] runs [f] on CPU [cpu].  Returns [false] if the
+(** [dispatch t ~cpu f x] runs [f x] on CPU [cpu].  Returns [false] if the
     frame was dropped on queue overflow ([f] will never run). *)
-val dispatch : t -> cpu:int -> (unit -> unit) -> bool
+val dispatch : t -> cpu:int -> ('a -> unit) -> 'a -> bool
 
 (** Frames steered to [cpu] but not yet processed. *)
 val queue_len : t -> cpu:int -> int

@@ -66,6 +66,14 @@
 # receive) and rtcp each Table 2 cell, equal to the committed BENCH cell
 # at the digits the file keeps, under a header naming the cell's pairing
 # and scale (blocks and block size, or trips).
+# A setting is a parameter of one path, not a switch between two: the
+# two NIC drivers keep one receive loop at any CPU count (the netisr
+# dispatches a frame in place when it is on its home CPU, as every frame
+# is at one CPU), so a grep must find no `ncpus <= 1` or `ncpus > 1` test
+# in lib/linux_dev/linux_eth_drv.ml or lib/freebsd_net/native_if.ml; and
+# BSD TCP retires a dead connection's socket buffers whatever the
+# sendfile knob says, so a grep must find no read of it in
+# lib/freebsd_net/tcp.ml.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -134,6 +142,15 @@ if grep -rn 'Machine\.name\b' lib | grep -v '^lib/machine/'; then
 fi
 if grep -rnE 'reset_globals|Bus\.clear' bench test bin examples; then
   echo "simulation reset outside Clientos.make_testbed" >&2
+  exit 1
+fi
+if grep -nE 'ncpus( [a-z_]+)? *(<= *1|> *1)' lib/linux_dev/linux_eth_drv.ml \
+  lib/freebsd_net/native_if.ml; then
+  echo "a NIC driver forks its receive loop on the CPU count" >&2
+  exit 1
+fi
+if grep -nE '\.(Cost\.)?sendfile\b' lib/freebsd_net/tcp.ml; then
+  echo "BSD TCP reads the sendfile knob" >&2
   exit 1
 fi
 dune runtest

@@ -196,9 +196,9 @@ let test_tick_fires_on_home_cpu () =
   let dropped = ref false in
   let rexmt = ref None and delack = ref None in
   let snapshot m = World.now tb.Clientos.world, Machine.cpu m, busy m in
-  Wire.set_fault_injector tb.Clientos.wire
+  Wire.set_netem tb.Clientos.wire
     (Some
-       (fun f ->
+       (Netem.of_filter (fun f ->
          match tcp_of_frame f, Machine.current () with
          | Some (src, _, _, len), Some m when len > 0 && Int32.equal src addr_a ->
              if !dropped then (if !rexmt = None then rexmt := Some (snapshot m); false)
@@ -216,7 +216,7 @@ let test_tick_fires_on_home_cpu () =
            when Int32.equal src addr_b && !rexmt <> None && !delack = None ->
              delack := Some (snapshot m);
              false
-         | _ -> false));
+         | _ -> false)));
   Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
       let ls = Bsd_socket.tcp_socket sb in
       net_ok (Bsd_socket.so_bind ls ~port:5001);
@@ -264,14 +264,14 @@ let test_tick_fires_on_home_cpu () =
 let same_tick_ack_order ~send_first_on_older =
   with_bsd_pair ~ncpus:1 @@ fun tb sa sb ->
   let sent = ref false and acks = ref [] in
-  Wire.set_fault_injector tb.Clientos.wire
+  Wire.set_netem tb.Clientos.wire
     (Some
-       (fun f ->
+       (Netem.of_filter (fun f ->
          (match tcp_of_frame f with
          | Some (src, _, dport, 0) when !sent && Int32.equal src addr_b ->
              acks := dport :: !acks
          | _ -> ());
-         false));
+         false)));
   Clientos.spawn tb.Clientos.host_b ~name:"srv" (fun () ->
       let ls = Bsd_socket.tcp_socket sb in
       net_ok (Bsd_socket.so_bind ls ~port:5001);

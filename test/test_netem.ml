@@ -121,7 +121,10 @@ let targeted_drop_test sender () =
       !small = 12
     end
   in
-  let r = Netbench.stream ~fault { Workload.table1 with sender; bytes = 32 * 4096 } in
+  let r =
+    Netbench.stream ~netem:(Netem.of_filter fault)
+      { Workload.table1 with sender; bytes = 32 * 4096 }
+  in
   let wire = r.testbed.Clientos.wire in
   Alcotest.(check bool) "delivery is byte-exact" true r.byte_exact;
   Alcotest.(check int) "exactly two frames dropped" 2 r.wire_dropped;
@@ -160,22 +163,33 @@ let test_duplicate_segments () =
 
 (* The chaos section's stream at 0.5% loss (netem seed 42, 64 x 4 KB)
    from a Linux sender, to a FreeBSD sink and to a Linux one.  Both
-   complete byte-exact, but the paper-profile Linux receiver keeps no
-   out-of-order segments, so the Linux pair recovers go-back-N, one frame
-   per RTO: 1,884 retransmissions and 1,128 s of virtual time, against
-   the FreeBSD sink's 3 retransmissions and 0.033 s. *)
+   complete byte-exact, and the Linux receiver holds out-of-order segments
+   as the BSD one does, so the Linux pair recovers as a TCP: within a
+   second of virtual time and with at most twice the FreeBSD sink's
+   retransmissions. *)
 let test_lossy_linux_sender () =
-  List.iter
-    (fun receiver ->
-      let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss = 0.005 } () in
-      let r =
-        Netbench.stream ~netem
-          { Workload.table1 with sender = Endpoint.Linux; receiver; bytes = 64 * 4096 }
-      in
-      let name = "linux to " ^ Endpoint.config_name receiver in
-      Alcotest.(check bool) (name ^ ": completed") true r.completed;
-      Alcotest.(check bool) (name ^ ": byte-exact") true r.byte_exact)
-    [ Endpoint.Freebsd; Endpoint.Linux ]
+  let run receiver =
+    let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss = 0.005 } () in
+    let r =
+      Netbench.stream ~netem
+        { Workload.table1 with sender = Endpoint.Linux; receiver; bytes = 64 * 4096 }
+    in
+    let name = "linux to " ^ Endpoint.config_name receiver in
+    Alcotest.(check bool) (name ^ ": completed") true r.completed;
+    Alcotest.(check bool) (name ^ ": byte-exact") true r.byte_exact;
+    Alcotest.(check bool) (name ^ ": frames were lost") true (r.wire_dropped > 0);
+    (r.rexmits, World.now r.testbed.Clientos.world)
+  in
+  let bsd_rexmits, _ = run Endpoint.Freebsd in
+  let lx_rexmits, lx_ns = run Endpoint.Linux in
+  Alcotest.(check bool)
+    (Printf.sprintf "linux to linux: %d ns of virtual time, under 1 s" lx_ns)
+    true (lx_ns < 1_000_000_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "linux to linux: %d retransmissions, at most 2 x the freebsd sink's %d"
+       lx_rexmits bsd_rexmits)
+    true
+    (lx_rexmits <= 2 * bsd_rexmits)
 
 (* ------------------------------------------------------------------ *)
 (* ARP hardening.                                                      *)

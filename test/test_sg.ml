@@ -303,8 +303,7 @@ let memo_fs () =
 (* Map [off, off+len) of [f] and checksum it as TCP sums a sendfile
    segment: one mbuf per fragment, each carrying its block's memo.
    Returns whether the sum equals the flat RFC 1071 sum of [content] (the
-   file's bytes, as written: reading them back through the cache would
-   reset the memos) there, and the bytes charged. *)
+   file's bytes, as written) there, and the bytes charged. *)
 let loan_cksum (f : Io_if.file) content ~off ~len =
   let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
   let frags = ok (fm.Io_if.fm_map_blocks ~offset:off ~amount:len) in
@@ -402,6 +401,18 @@ let memo_dropped_when_block_freed () =
   evict ();
   check_pass "regrown, after eviction" (loan_cksum f content ~off:memo_off ~len:memo_len)
     memo_edges
+
+(* A file read between two loans reads the blocks without changing them,
+   so it keeps their memos: the second loan sums only the edges. *)
+let memo_kept_by_read () =
+  let content, _, f, _ = memo_fs () in
+  check_pass "cold" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_len;
+  let buf = Bytes.create memo_len in
+  Alcotest.(check int) "read" memo_len
+    (ok (f.Io_if.f_read ~buf ~pos:0 ~offset:memo_off ~amount:memo_len));
+  Alcotest.(check bool) "the read returns the bytes as written" true
+    (Bytes.equal buf (Bytes.sub content memo_off memo_len));
+  check_pass "after the read" (loan_cksum f content ~off:memo_off ~len:memo_len) memo_edges
 
 (* ---- nonlinear sk_buffs ---- *)
 
@@ -596,6 +607,7 @@ let suite =
       memo_reset_by_write_after_eviction;
     Alcotest.test_case "checksum memo: dropped with a freed block, reused block summed again"
       `Quick memo_dropped_when_block_freed;
+    Alcotest.test_case "checksum memo: kept by a file read" `Quick memo_kept_by_read;
     Alcotest.test_case "checksum: out-of-range calls raise, charge nothing" `Quick
       test_cksum_range_errors;
     Alcotest.test_case "nonlinear skb: build + linearize round-trip" `Quick

@@ -179,7 +179,7 @@ let test_netisr () =
   let isr = Netisr.for_machine m in
   Machine.run_on m ~cpu:0 (fun () ->
       let ran = ref false in
-      ignore (Netisr.dispatch isr ~cpu:0 (fun () -> ran := true));
+      ignore (Netisr.dispatch isr ~cpu:0 (fun () -> ran := true) ());
       Alcotest.(check bool) "home CPU: direct dispatch, no queueing" true !ran);
   Alcotest.(check int) "direct dispatch not counted as a crossing" 0
     Cost.counters.Cost.netisr_queued;
@@ -188,9 +188,11 @@ let test_netisr () =
   Machine.run_on m ~cpu:0 (fun () ->
       for i = 1 to 6 do
         if
-          Netisr.dispatch isr ~cpu:1 (fun () ->
+          Netisr.dispatch isr ~cpu:1
+            (fun i ->
               Alcotest.(check int) "runs on its home CPU" 1 (Machine.cpu m);
               order := i :: !order)
+            i
         then incr accepted
         else incr dropped
       done);
@@ -211,7 +213,7 @@ let test_netisr_per_machine () =
   let isr = Netisr.for_machine m1 in
   let ran = ref false in
   Machine.run_on m1 ~cpu:0 (fun () ->
-      ignore (Netisr.dispatch isr ~cpu:1 (fun () -> ran := true)));
+      ignore (Netisr.dispatch isr ~cpu:1 (fun () -> ran := true) ()));
   Alcotest.(check bool) "the same-named machine's is another" true
     (Netisr.for_machine m2 != isr);
   Alcotest.(check bool) "the first machine keeps its own" true (Netisr.for_machine m1 == isr);

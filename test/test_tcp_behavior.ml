@@ -69,11 +69,11 @@ let test_loss_recovery () =
   let rig = make_rig () in
   (* Drop every 13th frame, both directions: data, ACKs, even SYNs. *)
   let n = ref 0 in
-  Wire.set_fault_injector rig.wire
+  Wire.set_netem rig.wire
     (Some
-       (fun _ ->
+       (Netem.of_filter (fun _ ->
          incr n;
-         !n mod 13 = 0));
+         !n mod 13 = 0)));
   let bytes = 200 * 1024 in
   let data = Bytes.init bytes (fun i -> Char.chr ((i * 31) land 0xff)) in
   let received = Buffer.create bytes in
@@ -95,15 +95,15 @@ let test_fast_retransmit_on_single_drop () =
   (* Drop exactly one large data frame mid-flow. *)
   let dropped = ref false in
   let count = ref 0 in
-  Wire.set_fault_injector rig.wire
+  Wire.set_netem rig.wire
     (Some
-       (fun f ->
+       (Netem.of_filter (fun f ->
          if Bytes.length f > 1000 then incr count;
          if !count = 20 && not !dropped then begin
            dropped := true;
            true
          end
-         else false));
+         else false)));
   let bytes = 300 * 1024 in
   let data = Bytes.make bytes 'F' in
   let received = Buffer.create bytes in
@@ -335,11 +335,11 @@ let test_linux_loss_recovery () =
   (* The Linux stack recovers from loss too (coarser: timer-driven). *)
   let tb = Clientos.make_testbed ~models:("3c59x", "lance") () in
   let n = ref 0 in
-  Wire.set_fault_injector tb.Clientos.wire
+  Wire.set_netem tb.Clientos.wire
     (Some
-       (fun _ ->
+       (Netem.of_filter (fun _ ->
          incr n;
-         !n mod 17 = 0));
+         !n mod 17 = 0)));
   let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
   let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
   let bytes = 100 * 1024 in
@@ -371,6 +371,75 @@ let test_linux_loss_recovery () =
     (Digest.to_hex (Digest.bytes (Buffer.to_bytes received)));
   Alcotest.(check bool) "linux retransmitted" true (sa.Linux_inet.rexmits > 0)
 
+(* A reset connection stops retransmitting.  A FreeBSD receiver that never
+   reads aborts its connection at 2 ms with a Linux sender's data still
+   unacknowledged; the RST must retire the closed sock's retransmission
+   queue, so that over the next two minutes the sock neither resends a
+   frame nor gives the connection up a second time. *)
+let test_linux_rst_stops_rexmt () =
+  let tb = Clientos.make_testbed ~models:("3c59x", "tulip") () in
+  let sa = Clientos.linux_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+  let sb = Clientos.freebsd_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
+  let aborted = ref false and send_result = ref None in
+  Clientos.spawn tb.Clientos.host_b (fun () ->
+      let ls = Bsd_socket.tcp_socket sb in
+      ok (Bsd_socket.so_bind ls ~port:80);
+      ok (Bsd_socket.so_listen ls ~backlog:2);
+      let conn = ok (Bsd_socket.so_accept ls) in
+      Kclock.sleep_ns (2_000_000 - Kclock.now_ns ());
+      ok (Bsd_socket.so_abort conn);
+      aborted := true);
+  let sock = ref None in
+  Clientos.spawn tb.Clientos.host_a (fun () ->
+      let s = Linux_inet.socket sa in
+      sock := Some s;
+      ok (Linux_inet.connect sa s ~dst:(ip "10.0.0.2") ~dport:80);
+      let data = Bytes.make (256 * 1024) 'r' in
+      send_result := Some (Linux_inet.send sa s ~buf:data ~pos:0 ~len:(Bytes.length data)));
+  Clientos.run tb ~until:(fun () -> World.now tb.Clientos.world >= 120_000_000_000);
+  Alcotest.(check bool) "the receiver aborted" true !aborted;
+  (match !send_result with
+  | Some (Error Error.Connreset) -> ()
+  | Some (Ok n) -> Alcotest.failf "send returned %d, expected ECONNRESET" n
+  | Some (Error e) -> Alcotest.failf "send failed with %s" (Error.to_string e)
+  | None -> Alcotest.fail "send never returned");
+  let s = Option.get !sock in
+  Alcotest.(check bool) "the sock is closed" true (s.Linux_inet.state = Linux_inet.Closed);
+  Alcotest.(check int) "nothing held for retransmission" 0 s.Linux_inet.rexmt_q_len;
+  Alcotest.(check int) "no retransmission after the reset" 0 sa.Linux_inet.rexmits;
+  Alcotest.(check int) "no give-up after the reset" 0 sa.Linux_inet.rexmt_give_ups
+
+(* Under the paper profile (no sendfile), a connection aborted with
+   unacknowledged data in its send buffer gives the buffer's clusters back
+   to the mbuf cluster pool.  Every frame from the sender is dropped once
+   the handshake is done, so the data stays unacknowledged. *)
+let test_bsd_abort_returns_clusters () =
+  Cost.with_config (Cost.paper ()) @@ fun () ->
+  let rig = make_rig () in
+  let cut = ref false in
+  Wire.set_netem rig.wire (Some (Netem.of_filter (fun _ -> !cut)));
+  spawn_server rig (Buffer.create 16) (ref false);
+  let outcome = ref None in
+  Thread.spawn rig.ka ~name:"client" (fun () ->
+      let s = Bsd_socket.tcp_socket rig.sa in
+      ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
+      cut := true;
+      let data = Bytes.make 8192 'u' in
+      let _ = ok (Bsd_socket.so_send s ~buf:data ~pos:0 ~len:(Bytes.length data)) in
+      let held = s.Bsd_socket.pcb.Tcp.snd_buf.Sockbuf.sb_cc in
+      let kept = Bpool.kept Mbuf.clust_pool in
+      ok (Bsd_socket.so_abort s);
+      outcome := Some (held, Bpool.kept Mbuf.clust_pool - kept));
+  Machine.kick rig.ma;
+  World.run rig.world ~until:(fun () -> !outcome <> None);
+  let held, returned = Option.get !outcome in
+  Alcotest.(check int) "the send buffer held the unacknowledged data" 8192 held;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d clusters returned to the pool, at least %d" returned
+       (held / Mbuf.mclbytes))
+    true
+    (returned >= held / Mbuf.mclbytes)
+
 let suite =
   [ Alcotest.test_case "loss recovery (periodic drops)" `Quick test_loss_recovery;
     Alcotest.test_case "fast retransmit on single drop" `Quick
@@ -382,4 +451,8 @@ let suite =
     Alcotest.test_case "RST on abort" `Quick test_rst_on_abort;
     Alcotest.test_case "delayed ACK after the timer loops quiesce" `Quick
       test_delack_after_timer_quiesce;
-    Alcotest.test_case "linux stack loss recovery" `Quick test_linux_loss_recovery ]
+    Alcotest.test_case "linux stack loss recovery" `Quick test_linux_loss_recovery;
+    Alcotest.test_case "a reset linux connection stops retransmitting" `Quick
+      test_linux_rst_stops_rexmt;
+    Alcotest.test_case "an aborted connection returns its clusters" `Quick
+      test_bsd_abort_returns_clusters ]
