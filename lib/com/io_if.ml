@@ -121,6 +121,13 @@ type socket = {
   so_recvfrom : buf:bytes -> pos:int -> len:int -> (int * sockaddr, Error.t) result;
   so_getsockname : unit -> (sockaddr, Error.t) result;
   so_setsockopt : string -> int -> (unit, Error.t) result;
+      (** Options by name; an option a stack does not know is [Notsup].
+          FreeBSD TCP ({!Freebsd_glue}): ["sndbuf"], ["rcvbuf"],
+          ["nonblock"] and ["nopush"] (TCP_NOPUSH: while nonzero, a
+          sub-MSS tail of new data waits for more data or the FIN; a
+          listener's setting passes to the connections it accepts, and
+          clearing it sends the tail).  FreeBSD UDP: none.  Linux
+          ({!Linux_sock_com}): ["nonblock"] only — Linux 2.0 had no cork. *)
   so_shutdown : unit -> (unit, Error.t) result;
   so_close : unit -> (unit, Error.t) result;
 }

@@ -106,6 +106,7 @@ let so_remove_listener s id =
   s.listeners <- List.filter (fun l -> l.rl_id <> id) s.listeners
 
 let so_set_nonblock s v = s.nonblock <- v
+let so_set_nopush s v = Tcp.usr_set_nopush s.st.tcp s.pcb v
 
 let wrap_pcb st pcb =
   let s = { st; pcb; chan = alloc_chan st; nonblock = false; listeners = []; next_lid = 1 } in

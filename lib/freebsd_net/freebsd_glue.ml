@@ -189,6 +189,9 @@ let rec socket_com stack (s : Bsd_socket.tsock) : Io_if.socket =
               | "nonblock" ->
                   Bsd_socket.so_set_nonblock s (value <> 0);
                   Ok ()
+              | "nopush" ->
+                  Bsd_socket.so_set_nopush s (value <> 0);
+                  Ok ()
               | _ -> Result.Error Error.Notsup));
       so_shutdown = (fun () -> enter (fun () -> Bsd_socket.so_shutdown s));
       so_close = (fun () -> enter (fun () -> Bsd_socket.so_close s)) }

@@ -107,6 +107,11 @@ type tcpcb = {
   snd_buf : Sockbuf.t;
   mutable snd_fin_pending : bool;
   mutable fin_sent : bool;
+  (* TCP_NOPUSH (T/TCP's cork): while set, tcp_output holds a final
+     sub-MSS tail of new data until more data, the FIN, an ACK or window
+     update to carry it, or the option's clearing.  A listener's value is
+     copied into the connections it spawns. *)
+  mutable t_nopush : bool;
   (* receive sequence space *)
   mutable irs : int;
   mutable rcv_nxt : int;
@@ -204,7 +209,7 @@ let create_pcb t =
     snd_wl1 = 0; snd_wl2 = 0; snd_cwnd = Cost.config.tcp_mss; snd_ssthresh = max_win;
     snd_recover = 0; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
     snd_buf = Sockbuf.create ~hiwat:default_sb_size; snd_fin_pending = false;
-    fin_sent = false; irs = 0; rcv_nxt = 0; rcv_adv = 0;
+    fin_sent = false; t_nopush = false; irs = 0; rcv_nxt = 0; rcv_adv = 0;
     rcv_buf = Sockbuf.create ~hiwat:default_sb_size; rcv_fin = false; reass = [];
     tw_ents = Array.make 4 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
@@ -521,7 +526,13 @@ and tcp_output_segs t pcb =
          (Codec.m32 (pcb.rcv_nxt + rcv_window pcb))
          (Codec.m32 (pcb.rcv_adv + (2 * pcb.t_maxseg)))
   in
-  if (len > 0 && win > off) || send_fin || pcb.ack_now || window_update then begin
+  (* Corked: the last new-data segment, shorter than a full one, waits
+     for company.  A retransmission (snd_nxt behind snd_max) never waits. *)
+  let hold =
+    pcb.t_nopush && len < pcb.t_maxseg && all_data_sent
+    && Codec.seq_geq pcb.snd_nxt pcb.snd_max
+  in
+  if (len > 0 && win > off && not hold) || send_fin || pcb.ack_now || window_update then begin
     let flags =
       (if sendable_state then th_ack else 0)
       lor (if send_fin then th_fin else 0)
@@ -898,6 +909,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
           conn.raddr <- src;
           conn.rport <- sport;
           conn.listen_parent <- Some pcb;
+          conn.t_nopush <- pcb.t_nopush;
           (match mss with Some v -> conn.t_maxseg <- min Cost.config.tcp_mss v | None -> ());
           (match wscale with Some s -> setup_scaling conn ~peer:s | None -> ());
           conn.irs <- seq;
@@ -1175,6 +1187,7 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         conn.raddr <- src;
         conn.rport <- sport;
         conn.listen_parent <- Some pcb;
+        conn.t_nopush <- pcb.t_nopush;
         conn.t_maxseg <- min Cost.config.tcp_mss mss;
         conn.irs <- irs;
         conn.rcv_nxt <- Codec.m32 (irs + 1);
@@ -1516,6 +1529,11 @@ let usr_close t pcb =
       pcb.on_state ();
       tcp_output t pcb
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> ()
+
+(* TCP_NOPUSH.  Clearing it pushes whatever tail the cork held. *)
+let usr_set_nopush t pcb on =
+  pcb.t_nopush <- on;
+  if not on then tcp_output t pcb
 
 let set_buffer_sizes pcb ~snd ~rcv =
   pcb.snd_buf.Sockbuf.sb_hiwat <- snd;

@@ -33,6 +33,16 @@
  * httpd_header_deadline_ns is cut (Slowloris), and in both shapes a
  * request header over httpd_max_header_bytes is cut.
  *
+ * Corking: both shapes set TCP_NOPUSH ("nopush") once on the listening
+ * socket, so every accepted connection is born corked at no per-request
+ * crossing — a stack that refuses the option (Linux) simply never corks.
+ * A corked socket holds a reply's sub-MSS tail, so a close-per-request
+ * reply (and the 503 shed reply) leaves as one data+FIN segment.  A
+ * keep-alive engine uncorks when its response queue drains, which is
+ * always before it waits for input, and re-corks only when more than one
+ * response is queued: each toggle is a setsockopt, a glue crossing on an
+ * OSKit server, which a single response's saved segment does not repay.
+ *
  * Body path (Cost.config.sendfile): a 200 body is served zero-copy when
  * the socket exports the {!Io_if.sendv} face and the file the
  * {!Io_if.filemap} face — the file's buffer-cache blocks are loaned to the
@@ -382,6 +392,20 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
           st.not_found <- st.not_found + 1;
           copied ~status:404 ~reason:"Not Found" ~keep (Bytes.of_string "not found\n"))
 
+(* The cork switch of a connection born corked when [corks] (and never
+   corked otherwise): a toggle is a setsockopt, made only when the state
+   changes. *)
+let corker ~corks (c : Io_if.socket) =
+  if not corks then fun _ -> ()
+  else begin
+    let corked = ref true in
+    fun on ->
+      if on <> !corked then begin
+        corked := on;
+        ignore (c.Io_if.so_setsockopt "nopush" (if on then 1 else 0))
+      end
+  end
+
 (* ---- event-driven mode ---- *)
 
 (* One accepted connection on [reactor] (in the sharded mode, the one
@@ -392,8 +416,9 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
    Keep-alive off, the first framed request's response says close, so
    exactly one is framed.  Footprint stays O(1) per connection: the
    request buffer, the bounded response queue, one watch, and at most two
-   callouts; [scratch], the receive buffer, is the reactor's. *)
-let reactor_conn ~reactor ~scratch st root (c : Io_if.socket) =
+   callouts; [scratch], the receive buffer, is the reactor's.  [corks]:
+   the stack took "nopush" on the listener, so [c] is born corked. *)
+let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
   st.accepted <- st.accepted + 1;
   st.active <- st.active + 1;
   if st.active > st.peak_active then st.peak_active <- st.active;
@@ -409,6 +434,7 @@ let reactor_conn ~reactor ~scratch st root (c : Io_if.socket) =
   let closing = ref false in (* a Connection: close response is queued *)
   let cur_mask = ref Io_if.aio_read in
   let idle_gen = ref 0 in
+  let cork = corker ~corks c in
   (* Idempotent: a callout can fire after the connection already finished
      (or it was torn down twice by racing read/write errors); only the
      first close may touch the counts. *)
@@ -461,6 +487,7 @@ let reactor_conn ~reactor ~scratch st root (c : Io_if.socket) =
           incr reqs;
           let r = build_response st root ~sv ~nth:!reqs raw in
           Queue.push r pending;
+          if Queue.length pending > 1 then cork true;
           if r.rs_close then closing := true else parse_loop ()
   and on_writable () =
     if not !closed then
@@ -498,8 +525,10 @@ let reactor_conn ~reactor ~scratch st root (c : Io_if.socket) =
         release_resp r;
         if r.rs_close then finish ()
         else begin
-          (* Below the parse-ahead cap again: frame what is buffered. *)
+          (* Below the parse-ahead cap again: frame what is buffered.  A
+             drained queue waits for input: push the held tail first. *)
           parse_loop ();
+          if Queue.is_empty pending then cork false;
           update_mask ();
           if not (Queue.is_empty pending) then on_writable ()
         end
@@ -575,6 +604,7 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
      next one. *)
   let scratch = Array.map (fun _ -> Bytes.create 2048) reactors in
   ignore (sock.Io_if.so_setsockopt "nonblock" 1);
+  let corks = sock.Io_if.so_setsockopt "nopush" 1 = Ok () in
   let rec accept_drain () =
     match sock.Io_if.so_accept () with
     | Ok (c, peer) ->
@@ -585,7 +615,8 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
         then begin
           (* Above the high-water mark: tell the client to come back
              (best-effort — the socket buffer of a fresh connection takes
-             the whole response) instead of silently dropping it. *)
+             the whole response, and a corked one sends it with the FIN)
+             instead of silently dropping it. *)
           st.shed_503 <- st.shed_503 + 1;
           let b = Bytes.of_string resp_503 in
           ignore (c.Io_if.so_send ~buf:b ~pos:0 ~len:(Bytes.length b));
@@ -597,7 +628,7 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
         end
         else begin
           let i = home peer mod Array.length reactors in
-          reactor_conn ~reactor:reactors.(i) ~scratch:scratch.(i) st root c
+          reactor_conn ~reactor:reactors.(i) ~scratch:scratch.(i) ~corks st root c
         end;
         accept_drain ()
     | Result.Error _ -> () (* Wouldblock: drained *)
@@ -648,7 +679,7 @@ let wait_ready_or_timeout (aio : Io_if.asyncio) ~mask ~ns =
    buffered are answered back-to-back in arrival order.  Keep-alive on,
    the socket is nonblocking so the idle wait can race the timeout;
    keep-alive off, one blocking request/response and the thread is done. *)
-let handle_blocking st root (c : Io_if.socket) =
+let handle_blocking ~corks st root (c : Io_if.socket) =
   let caio =
     if Cost.config.http_keepalive then begin
       ignore (c.Io_if.so_setsockopt "nonblock" 1);
@@ -665,6 +696,7 @@ let handle_blocking st root (c : Io_if.socket) =
   let rb = rb_create () in
   let scratch = Bytes.create 2048 in
   let reqs = ref 0 in
+  let cork = corker ~corks c in
   let rec push_bytes buf off len =
     if len = 0 then true
     else
@@ -695,10 +727,17 @@ let handle_blocking st root (c : Io_if.socket) =
     match rb_next_request rb with
     | Some raw ->
         incr reqs;
-        if rb_pending rb > 0 then st.pipelined <- st.pipelined + 1;
+        if rb_pending rb > 0 then begin
+          (* Another request is already arriving: keep this tail for it. *)
+          st.pipelined <- st.pipelined + 1;
+          cork true
+        end;
         let r = build_response st root ~sv ~nth:!reqs raw in
         if send_resp r && not r.rs_close then serve ()
     | None ->
+        (* Every framed request is answered: push the held tail before
+           waiting for the next. *)
+        if !reqs > 0 then cork false;
         if Cost.config.httpd_guard && rb_pending rb > Cost.config.httpd_max_header_bytes
         then st.hdr_overflow <- st.hdr_overflow + 1
         else (
@@ -720,6 +759,7 @@ let handle_blocking st root (c : Io_if.socket) =
    thread-per-connection failure mode the reactor exists to avoid. *)
 let serve_threaded ~spawn ~root ~(sock : Io_if.socket) ?(max_threads = max_int) () =
   let st = make_stats () in
+  let corks = sock.Io_if.so_setsockopt "nopush" 1 = Ok () in
   let gate = Sleep_record.create ~name:"httpd_gate" () in
   let rec loop () =
     if st.active >= max_threads then begin
@@ -733,7 +773,7 @@ let serve_threaded ~spawn ~root ~(sock : Io_if.socket) ?(max_threads = max_int) 
           st.active <- st.active + 1;
           if st.active > st.peak_active then st.peak_active <- st.active;
           spawn (fun () ->
-              handle_blocking st root c;
+              handle_blocking ~corks st root c;
               st.active <- st.active - 1;
               Sleep_record.wakeup gate);
           loop ()

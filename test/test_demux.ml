@@ -354,16 +354,6 @@ let test_udp_unbound () =
         (find ~src:raddrs.(0) ~sport:53 ~dport:0 = None))
     [ Udp.find_pcb u; udp_scan u ]
 
-(* The TCP header of an Ethernet/IPv4 frame, if it carries one. *)
-let tcp_of_frame f =
-  let len = Bytes.length f - 14 in
-  if len < 0 || Bytes.get_uint16_be f 12 <> 0x0800 then None
-  else
-    match Codec.parse_ip f ~off:14 ~len with
-    | Some ip when ip.Codec.proto = 6 ->
-        Codec.parse_tcp f ~off:(14 + ip.Codec.ihl) ~len:(ip.Codec.total - ip.Codec.ihl)
-    | _ -> None
-
 (* Closing a listener resets its SYN_RCVD children newest first — the
    order the walk of the newest-first pcb list met them — and leaves its
    SYN_RCVD queue empty. *)
@@ -377,8 +367,8 @@ let test_listener_close_order () =
   let rsts = ref [] in
   ignore
     (Wire.attach tb.Clientos.wire ~rx:(fun f ->
-         match tcp_of_frame f with
-         | Some h when h.Codec.flags land Tcp.th_rst <> 0 -> rsts := h.Codec.dport :: !rsts
+         match Test_tcp_behavior.tcp_of_frame f with
+         | Some (h, _) when h.Codec.flags land Tcp.th_rst <> 0 -> rsts := h.Codec.dport :: !rsts
          | _ -> ()));
   let ls = Tcp.create_pcb t in
   Alcotest.(check bool) "bind" true (Result.is_ok (Tcp.usr_bind t ls ~port:80));

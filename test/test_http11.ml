@@ -581,6 +581,107 @@ let test_engine_edges () =
         [ Httpbench.Reactor; Httpbench.Threads ])
     engine_edges
 
+(* ------------------------------------------------------------------ *)
+(* Corked replies: the httpd sets "nopush" on its listener, so a
+   close-per-request reply leaves with its FIN, and a keep-alive engine
+   uncorks when its response queue drains.                              *)
+
+(* [n] sequential HTTP/1.0 GETs of a 1000-byte file from [stack] in
+   [shape], keep-alive off.  Returns the server's TCP segments (see
+   Test_tcp_behavior.tap_segments), the count of byte-exact responses,
+   the frames the wire carried and the virtual time the last response
+   was drained. *)
+let http10_gets ~stack ~shape n =
+  with_http11 ~keepalive:false @@ fun () ->
+  let finished = ref false and exact = ref 0 and end_ns = ref 0 in
+  let s =
+    Httpbench.serve ~site:(site [ 1000 ]) ~backlog:16 ~stack ~shape
+      ~until:(fun () -> !finished)
+      ()
+  in
+  let wire = s.Httpbench.testbed.Clientos.wire in
+  let sent = Test_tcp_behavior.tap_segments wire ~sport:Httpbench.server_port in
+  Clientos.spawn s.Httpbench.client.Endpoint.host ~name:"client" (fun () ->
+      Kclock.sleep_ns 3_000_000;
+      for _ = 1 to n do
+        let c = connect s in
+        Httpbench.send_string c (Printf.sprintf "GET /%s HTTP/1.0\r\n\r\n" (file_name 0));
+        if Httpbench.exact_200 (Httpbench.drain c) s.Httpbench.bodies.(0) then incr exact;
+        c.close ()
+      done;
+      end_ns := Kclock.now_ns ();
+      (* Long enough for the last connection's closing ACKs. *)
+      Kclock.sleep_ns 10_000_000;
+      finished := true);
+  Clientos.run s.Httpbench.testbed ~until:(fun () -> !finished);
+  sent (), !exact, Wire.frames_carried wire, !end_ns
+
+let http10_requests = 5
+
+(* FreeBSD: SYN-ACK, the reply with its FIN, and the ACK of the client's
+   FIN — three segments per request, where an uncorked reply sends its
+   FIN apart (four). *)
+let reply_carries_fin shape () =
+  let n = http10_requests in
+  let segs, exact, _, _ = http10_gets ~stack:Endpoint.Freebsd ~shape n in
+  Alcotest.(check int) "every body byte-exact" n exact;
+  Alcotest.(check int) "three server segments per request" (3 * n) (List.length segs);
+  Alcotest.(check int) "each reply carries its FIN" n
+    (List.length
+       (List.filter (fun (flags, len) -> len > 0 && flags land Tcp.th_fin <> 0) segs))
+
+(* Linux refuses "nopush" (Linux 2.0 had no cork), so its replies leave as
+   before: the segment and frame counts and the virtual time are the ones
+   the uncorked httpd gave. *)
+let linux_uncorked shape ~frames ~end_ns () =
+  let tb = Clientos.make_testbed () in
+  let lx =
+    Clientos.linux_host tb.Clientos.host_a ~ip:Httpbench.server_ip
+      ~mask:(Oskit.ip_of_string "255.255.255.0")
+  in
+  let sock = Linux_sock_com.socket_com lx (Linux_inet.socket lx) in
+  Alcotest.(check bool) "the Linux socket refuses nopush" true
+    (sock.Io_if.so_setsockopt "nopush" 1 = Error Error.Notsup);
+  let n = http10_requests in
+  let segs, exact, got_frames, got_end_ns = http10_gets ~stack:Endpoint.Linux ~shape n in
+  Alcotest.(check int) "every body byte-exact" n exact;
+  Alcotest.(check int) "no reply carries its FIN" 0
+    (List.length
+       (List.filter (fun (flags, len) -> len > 0 && flags land Tcp.th_fin <> 0) segs));
+  Alcotest.(check int) "frames on the wire" frames got_frames;
+  Alcotest.(check int) "virtual time of the last response" end_ns got_end_ns
+
+(* Keep-alive: a lone sub-MSS reply is pushed when the response queue
+   drains, not held until a timer (the 5 s idle reaper) closes the
+   connection under it. *)
+let lone_reply_not_held shape () =
+  let lat = ref [] and finished = ref false in
+  let st =
+    with_http11 (fun () ->
+        serve_to ~shape ~sizes:[ 1000 ]
+          ~until:(fun () -> !finished)
+          (fun s ->
+            let c = connect s in
+            let next = Httpbench.reader c in
+            for _ = 1 to 2 do
+              let t0 = Kclock.now_ns () in
+              Httpbench.send_string c (get_request 0);
+              match next () with
+              | Some (hdr, body) when status_of hdr = "200" && body = s.Httpbench.bodies.(0) ->
+                  lat := (Kclock.now_ns () - t0) :: !lat
+              | _ -> lat := max_int :: !lat
+            done;
+            c.close ();
+            finished := true))
+  in
+  List.iteri
+    (fun i ns ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reply %d byte-exact within 10 ms (%d ns)" (2 - i) ns)
+        true (ns < 10_000_000))
+    !lat;
+  Alcotest.(check int) "no idle close" 0 st.Httpd.idle_closed
+
 let suite =
   [ Alcotest.test_case "scanner: one-byte drips, cursor never rewinds" `Quick
       test_scanner_drip;
@@ -609,4 +710,16 @@ let suite =
     Alcotest.test_case "flags off: stock 1.0 engine, new counters untouched" `Quick
       test_flags_off_untouched;
     Alcotest.test_case "one engine: edge requests x shape x keep-alive pinned" `Quick
-      test_engine_edges ]
+      test_engine_edges;
+    Alcotest.test_case "corked 1.0 reply: data+FIN, 3 segments (reactor)" `Quick
+      (reply_carries_fin Httpbench.Reactor);
+    Alcotest.test_case "corked 1.0 reply: data+FIN, 3 segments (threads)" `Quick
+      (reply_carries_fin Httpbench.Threads);
+    Alcotest.test_case "linux refuses the cork: 1.0 frames unmoved (reactor)" `Quick
+      (linux_uncorked Httpbench.Reactor ~frames:52 ~end_ns:6_963_425);
+    Alcotest.test_case "linux refuses the cork: 1.0 frames unmoved (threads)" `Quick
+      (linux_uncorked Httpbench.Threads ~frames:52 ~end_ns:6_955_425);
+    Alcotest.test_case "keep-alive lone reply not held: reactor" `Quick
+      (lone_reply_not_held Httpbench.Reactor);
+    Alcotest.test_case "keep-alive lone reply not held: threads" `Quick
+      (lone_reply_not_held Httpbench.Threads) ]

@@ -517,6 +517,9 @@ let test_httpd_shed_503 () =
       let got_200 = ref false and got_503 = ref false in
       let all () = !got_200 && !got_503 in
       let s = httpd ~until:all in
+      let sent =
+        Test_tcp_behavior.tap_segments s.testbed.Clientos.wire ~sport:Httpbench.server_port
+      in
       (* The first client parks itself mid-request, holding [active] at
          the high-water mark... *)
       spawn_client s ~name:"holder" ~at:3_000_000 (fun c ->
@@ -538,6 +541,12 @@ let test_httpd_shed_503 () =
       Alcotest.(check bool) "held connection still served" true !got_200;
       Alcotest.(check bool) "overload answered 503 + Retry-After" true !got_503;
       Alcotest.(check int) "one connection shed" 1 st.Httpd.shed_503;
+      (* Born corked, the shed connection sends its reply with the FIN. *)
+      Alcotest.(check bool) "the 503 leaves with its FIN" true
+        (List.exists
+           (fun (flags, len) ->
+             len = String.length Httpd.resp_503 && flags land Tcp.th_fin <> 0)
+           (sent ()));
       Alcotest.(check int) "no guard closes" 0
         (st.Httpd.deadline_closed + st.Httpd.hdr_overflow))
 

@@ -440,6 +440,146 @@ let test_bsd_abort_returns_clusters () =
     true
     (returned >= held / Mbuf.mclbytes)
 
+(* ---- TCP_NOPUSH: a corked BSD connection ---- *)
+
+(* The TCP header and payload length of an Ethernet/IPv4 frame. *)
+let tcp_of_frame f =
+  let len = Bytes.length f - 14 in
+  if len < 0 || Bytes.get_uint16_be f 12 <> 0x0800 then None
+  else
+    match Codec.parse_ip f ~off:14 ~len with
+    | Some ip when ip.Codec.proto = 6 ->
+        Option.map
+          (fun h -> h, ip.Codec.total - ip.Codec.ihl - h.Codec.hlen)
+          (Codec.parse_tcp f ~off:(14 + ip.Codec.ihl) ~len:(ip.Codec.total - ip.Codec.ihl))
+    | _ -> None
+
+(* Tap [wire] for the TCP segments sent from port [sport]: the result
+   lists them so far, as (flags, payload bytes) in send order.  [lose]
+   sees each one's payload size and says whether the wire drops it. *)
+let tap_segments ?(lose = fun _ -> false) wire ~sport =
+  let segs = ref [] in
+  Wire.set_netem wire
+    (Some
+       (Netem.of_filter (fun f ->
+            match tcp_of_frame f with
+            | Some (h, plen) when h.Codec.sport = sport ->
+                segs := (h.Codec.flags, plen) :: !segs;
+                lose plen
+            | _ -> false)));
+  fun () -> List.rev !segs
+
+(* A server on B whose listener is corked before it accepts: [script]
+   runs on the accepted connection with [sent], B's segments so far (see
+   [tap_segments]), and [lose], which makes the wire drop B's next n data
+   segments.  The client on A reads to EOF.  Returns whether the accepted
+   connection was born corked and the bytes the client received. *)
+let corked_server ?(syn_defense = false) script =
+  Cost.with_config { Cost.config with Cost.syn_defense } @@ fun () ->
+  let rig = make_rig () in
+  let to_lose = ref 0 in
+  let sent =
+    tap_segments rig.wire ~sport:5001 ~lose:(fun plen ->
+        plen > 0 && !to_lose > 0
+        && begin
+             decr to_lose;
+             true
+           end)
+  in
+  let born_corked = ref false and received = Buffer.create 4096 and eof = ref false in
+  Thread.spawn rig.kb ~name:"server" (fun () ->
+      let ls = Bsd_socket.tcp_socket rig.sb in
+      ok (Bsd_socket.so_bind ls ~port:5001);
+      Bsd_socket.so_set_nopush ls true;
+      ok (Bsd_socket.so_listen ls ~backlog:2);
+      let conn = ok (Bsd_socket.so_accept ls) in
+      born_corked := conn.Bsd_socket.pcb.Tcp.t_nopush;
+      script conn ~sent ~lose:(fun n -> to_lose := n));
+  Machine.kick rig.mb;
+  Thread.spawn rig.ka ~name:"client" (fun () ->
+      Kclock.sleep_ns 1_000_000;
+      let s = Bsd_socket.tcp_socket rig.sa in
+      ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
+      let buf = Bytes.create 8192 in
+      let rec loop () =
+        match ok (Bsd_socket.so_recv s ~buf ~pos:0 ~len:8192) with
+        | 0 ->
+            ok (Bsd_socket.so_close s);
+            eof := true
+        | n ->
+            Buffer.add_subbytes received buf 0 n;
+            loop ()
+      in
+      loop ());
+  Machine.kick rig.ma;
+  World.run rig.world ~until:(fun () -> !eof);
+  !born_corked, Buffer.contents received
+
+let send_all conn n =
+  ignore (ok (Bsd_socket.so_send conn ~buf:(Bytes.make n 'k') ~pos:0 ~len:n))
+
+(* The payload sizes of the data-carrying segments among [segs]. *)
+let data_sizes segs = List.filter_map (fun (_, n) -> if n > 0 then Some n else None) segs
+
+let mss = Cost.config.Cost.tcp_mss
+
+let test_nopush_holds_tail () =
+  let tail = 80 in
+  let born, got =
+    corked_server (fun conn ~sent ~lose:_ ->
+        send_all conn ((2 * mss) + tail);
+        (* A second is five slow ticks: long past any delayed ACK. *)
+        Kclock.sleep_ns 1_000_000_000;
+        Alcotest.(check (list int)) "full segments flow, the tail is held" [ mss; mss ]
+          (data_sizes (sent ()));
+        Bsd_socket.so_set_nopush conn false;
+        Alcotest.(check (list int)) "the uncork sends the tail as one segment"
+          [ mss; mss; tail ] (data_sizes (sent ()));
+        ok (Bsd_socket.so_close conn))
+  in
+  Alcotest.(check bool) "the accepted connection was born corked" true born;
+  Alcotest.(check int) "every byte arrived" ((2 * mss) + tail) (String.length got)
+
+(* Close while corked: the reply and the FIN leave as one segment. *)
+let nopush_close_carries_fin syn_defense () =
+  let born, got =
+    corked_server ~syn_defense (fun conn ~sent ~lose:_ ->
+        send_all conn 1000;
+        Kclock.sleep_ns 10_000_000;
+        Alcotest.(check (list int)) "the sub-MSS reply is held" [] (data_sizes (sent ()));
+        ok (Bsd_socket.so_close conn);
+        Alcotest.(check bool) "it leaves with the FIN" true
+          (List.exists
+             (fun (flags, n) -> n = 1000 && flags land Tcp.th_fin <> 0)
+             (sent ()));
+        Alcotest.(check int) "in the one data segment" 1 (List.length (data_sizes (sent ()))))
+  in
+  Alcotest.(check bool) "the accepted connection inherits the listener's cork" true born;
+  Alcotest.(check int) "every byte arrived" 1000 (String.length got)
+
+(* A flight whose two segments are both lost is resent while corked: the
+   sub-MSS second one is a retransmission (snd_nxt behind snd_max), never
+   held, so it goes out once the first one's ACK opens the window — not
+   on a second timeout. *)
+let test_nopush_retransmits_tail () =
+  let tail = 80 in
+  let resent = ref 0 and timeouts = ref 0 in
+  let _, got =
+    corked_server (fun conn ~sent ~lose ->
+        lose 2;
+        send_all conn (mss + tail);
+        Bsd_socket.so_set_nopush conn false;
+        Bsd_socket.so_set_nopush conn true;
+        Alcotest.(check (list int)) "the flight left" [ mss; tail ] (data_sizes (sent ()));
+        Kclock.sleep_ns 5_000_000_000;
+        resent := List.length (data_sizes (sent ())) - 2;
+        timeouts := conn.Bsd_socket.st.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack;
+        ok (Bsd_socket.so_close conn))
+  in
+  Alcotest.(check int) "both segments were resent" 2 !resent;
+  Alcotest.(check int) "after one retransmission timeout" 1 !timeouts;
+  Alcotest.(check int) "every byte arrived" (mss + tail) (String.length got)
+
 let suite =
   [ Alcotest.test_case "loss recovery (periodic drops)" `Quick test_loss_recovery;
     Alcotest.test_case "fast retransmit on single drop" `Quick
@@ -455,4 +595,12 @@ let suite =
     Alcotest.test_case "a reset linux connection stops retransmitting" `Quick
       test_linux_rst_stops_rexmt;
     Alcotest.test_case "an aborted connection returns its clusters" `Quick
-      test_bsd_abort_returns_clusters ]
+      test_bsd_abort_returns_clusters;
+    Alcotest.test_case "corked: full segments flow, uncork sends the tail" `Quick
+      test_nopush_holds_tail;
+    Alcotest.test_case "corked close: reply and FIN in one segment" `Quick
+      (nopush_close_carries_fin false);
+    Alcotest.test_case "corked syncache close: reply and FIN in one segment" `Quick
+      (nopush_close_carries_fin true);
+    Alcotest.test_case "corked: a lost tail is retransmitted, not held" `Quick
+      test_nopush_retransmits_tail ]
