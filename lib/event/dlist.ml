@@ -4,8 +4,8 @@
    Both halves of the event core live on these: kqueue ready queues (a
    firing connection enqueues itself in constant time) and timing-wheel
    slots (cancel unlinks in constant time, cascades splice whole slots).
-   So does BSD TCP's pcb list, newest first, which a pcb leaves in
-   constant time however many TIME_WAIT pcbs it holds.  A node remembers
+   So does a TCP connection table's list, newest first, which a
+   connection leaves in constant time however many are in TIME_WAIT.  A node remembers
    its owner so [remove] needs no list argument and double-removal is a
    checked no-op. *)
 

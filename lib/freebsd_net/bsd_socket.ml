@@ -69,7 +69,7 @@ let sowakeup st chan which = Bsd_sleep.wakeup st.sleepq ~channel:(chan + which)
 let so_readiness s =
   let pcb = s.pcb in
   let rd =
-    if pcb.Tcp.t_state = Tcp.Listen then not (Queue.is_empty pcb.Tcp.accept_q)
+    if pcb.Tcp.t_state = Tcp.Listen then Conn_table.acceptable s.st.tcp.Tcp.conns pcb
     else
       pcb.Tcp.rcv_buf.Sockbuf.sb_cc > 0 || pcb.Tcp.rcv_fin
       || pcb.Tcp.t_state = Tcp.Closed
@@ -135,10 +135,7 @@ let so_accept s =
   if s.pcb.Tcp.t_state <> Tcp.Listen then Result.Error Error.Inval
   else begin
     let rec wait () =
-      match
-        Tcp.with_accept_lock s.st.tcp (fun () ->
-            Queue.take_opt s.pcb.Tcp.accept_q)
-      with
+      match Conn_table.accept s.st.tcp.Tcp.conns s.pcb with
       | Some conn -> Ok (wrap_pcb s.st conn)
       | None ->
           if s.pcb.Tcp.t_state <> Tcp.Listen then Result.Error Error.Badf

@@ -13,7 +13,7 @@
  * on (default off, so the measured Table 2 shape is untouched) a segment
  * that fastpath_pred admits pays tcp_fastpath_cycles instead of the full
  * per-segment cost, and every segment runs the one input path below.
- * Connections are found through lib/inet's hashed demux.
+ * Connections are kept, found and admitted by lib/inet's connection table.
  *)
 
 let max_win = 65535
@@ -135,42 +135,21 @@ type tcpcb = {
   mutable delack_pending : bool;
   mutable t_dupacks : int;
   rxclump : Autotune.clump; (* receive-buffer autotuning *)
-  (* listen side *)
-  accept_q : tcpcb Queue.t;
-  mutable backlog : int;
-  mutable listen_parent : tcpcb option;
-  (* A listener's children registered in SYN_RCVD, newest first.  Those
-     that have left SYN_RCVD are pruned when the backlog is counted. *)
-  mutable syn_q : tcpcb list;
   syn_cache : Syncache.listener; (* listeners only *)
-  mutable tw_ent : tcpcb Tw_queue.entry option; (* set on entering TIME_WAIT *)
+  conn : tcpcb Conn_table.entry; (* this pcb's place in the connection table *)
   (* socket-layer callbacks *)
   mutable on_readable : unit -> unit;
   mutable on_writable : unit -> unit;
   mutable on_state : unit -> unit;
   mutable so_error : Error.t option;
-  (* SMP: the RSS home of this flow — the one CPU its frames are steered
-     to, its timers fire on, and its stats shard to.  Always 0 at
-     ncpus=1. *)
-  mutable home_cpu : int;
-  (* Registration serial: the later a pcb joined [pcbs], the higher, so
-     descending serials are the list's newest-first order. *)
-  mutable t_serial : int;
-  mutable t_node : tcpcb Dlist.node option; (* in [pcbs]: None = not registered *)
 }
 
 and t = {
   ip : Ip.t;
   machine : Machine.t;
-  (* Every registered pcb, newest first.  Only the knob-off demux walks
-     it; the indexes below keep every other lookup O(1) in its length. *)
-  pcbs : tcpcb Dlist.t;
-  mutable listeners : tcpcb list;  (* the Listen-state pcbs, newest first *)
-  ports : Port_alloc.t;  (* lport use counts and the ephemeral cursor *)
-  (* The shared lib/inet policy: hashed demux of connected pcbs
-     (listeners stay out; [listeners] serves the lport-only fallback), the
-     TIME_WAIT queue, the SYN-flood defense and the RST token bucket. *)
-  demux : tcpcb Demux.t;
+  (* The shared lib/inet policy: the connection table, the SYN-flood
+     defense and the RST token bucket. *)
+  conns : tcpcb Conn_table.t;
   mutable iss_source : int;
   mutable ticking : bool;  (* the 500 ms slow loop is scheduled *)
   mutable fast_ticking : bool;  (* the 200 ms fast loop is scheduled *)
@@ -181,8 +160,6 @@ and t = {
   slow_wheel : Timewheel.t;
   fast_wheel : Timewheel.t;
   mutable due : (tcpcb * int) list;  (* fired by the running tick *)
-  mutable registrations : int;  (* source of pcb serials *)
-  tw : tcpcb Tw_queue.t;
   syncache : Syncache.t;
   err_bucket : Token_bucket.t;
   (* [stats] is the aggregation view netstat and every existing test read;
@@ -190,11 +167,6 @@ and t = {
      One per machine CPU. *)
   stats : stats;
   stats_shards : stats array;
-  (* The accept queue is the one cross-CPU structure: children complete
-     their handshake on their RSS home CPU and park here; the application
-     accepts on CPU 0.  Guarded by an honest spinlock when ncpus > 1 (the
-     per-flow hot path takes no locks). *)
-  accept_lock : Smp.spinlock;
 }
 
 let default_sb_size = 48 * 1024
@@ -213,11 +185,9 @@ let create_pcb t =
     rcv_buf = Sockbuf.create ~hiwat:default_sb_size; rcv_fin = false; reass = [];
     tw_ents = Array.make 4 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
-    t_dupacks = 0; rxclump = Autotune.clump ();
-    accept_q = Queue.create (); backlog = 0; listen_parent = None; syn_q = [];
-    syn_cache = Syncache.listener (); tw_ent = None;
-    on_readable = (fun () -> ()); on_writable = (fun () -> ());
-    on_state = (fun () -> ()); so_error = None; home_cpu = 0; t_serial = 0; t_node = None }
+    t_dupacks = 0; rxclump = Autotune.clump (); syn_cache = Syncache.listener ();
+    conn = Conn_table.entry (); on_readable = (fun () -> ()); on_writable = (fun () -> ());
+    on_state = (fun () -> ()); so_error = None }
 
 let rcv_window pcb = min (Sockbuf.space pcb.rcv_buf) (max_win lsl pcb.rcv_scale)
 
@@ -236,40 +206,6 @@ let setup_scaling pcb ~peer =
     pcb.rcv_scale <- request_r_scale ();
     pcb.snd_ssthresh <- max_win lsl pcb.snd_scale
   end
-
-(* The listener index in [pcbs] order: a pcb that becomes a listener
-   after it registered (listen on a connected socket) files by serial. *)
-let add_listener t pcb =
-  if not (List.memq pcb t.listeners) then
-    t.listeners <- List.merge (fun a b -> compare b.t_serial a.t_serial) [ pcb ] t.listeners
-
-let register t pcb =
-  if pcb.t_node = None then begin
-    pcb.t_node <- Some (Dlist.push_front t.pcbs pcb);
-    Port_alloc.use t.ports pcb.lport;
-    t.registrations <- t.registrations + 1;
-    pcb.t_serial <- t.registrations;
-    match pcb.listen_parent with
-    | Some l when pcb.t_state = Syn_received -> l.syn_q <- pcb :: l.syn_q
-    | _ -> ()
-  end;
-  if pcb.t_state = Listen then add_listener t pcb
-  else begin
-    Demux.add t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb;
-    (* The flow's home CPU is fixed by the same symmetric hash the NIC
-       steers with, so input, timers, and output for this pcb all meet on
-       one CPU.  Listeners stay on CPU 0 (accepts happen there). *)
-    pcb.home_cpu <-
-      Rss.cpu_of_flow ~ncpus:(Machine.ncpus t.machine) ~proto:6
-        ~addr_a:pcb.laddr ~port_a:pcb.lport ~addr_b:pcb.raddr ~port_b:pcb.rport
-  end
-
-(* Run [f] under the listener accept-queue lock when the machine is
-   genuinely multiprocessor; single-CPU runs take today's lock-free path
-   (and charge nothing). *)
-let with_accept_lock t f =
-  if Machine.ncpus t.machine > 1 then Smp.with_spinlock t.accept_lock f
-  else f ()
 
 let stats_for t ~cpu = t.stats_shards.(cpu)
 
@@ -337,22 +273,14 @@ let detach t pcb =
      one path where those bytes are never acked and dropped. *)
   Sockbuf.sbdrop pcb.snd_buf pcb.snd_buf.Sockbuf.sb_cc;
   Sockbuf.sbdrop pcb.rcv_buf pcb.rcv_buf.Sockbuf.sb_cc;
-  Option.iter
-    (fun n ->
-      Dlist.remove n;
-      pcb.t_node <- None;
-      Port_alloc.release t.ports pcb.lport;
-      if List.memq pcb t.listeners then t.listeners <- List.filter (( != ) pcb) t.listeners)
-    pcb.t_node;
-  Option.iter (Tw_queue.remove t.tw) pcb.tw_ent;
-  Demux.remove t.demux ~raddr:pcb.raddr ~rport:pcb.rport ~lport:pcb.lport pcb
+  Conn_table.detach t.conns pcb
 
 let next_iss t =
   t.iss_source <- Codec.m32 (t.iss_source + 64000);
   t.iss_source
 
 (* Every registered pcb, newest first. *)
-let pcb_list t = Dlist.to_list t.pcbs
+let pcb_list t = Conn_table.to_list t.conns
 
 (* ------------------------------------------------------------------ *)
 (* overload policy (lib/inet)                                          *)
@@ -372,8 +300,8 @@ let retire_time_wait t pcb =
    BSD tradeoff) and every cached half-open handshake (the cookie can
    still complete those statelessly). *)
 let tcp_reclaim t =
-  Tw_queue.reclaim t.tw ~retire:(retire_time_wait t);
-  List.iter (fun pcb -> Syncache.drop_all t.syncache pcb.syn_cache) t.listeners
+  Conn_table.reclaim t.conns ~retire:(retire_time_wait t) (fun l ->
+      Syncache.drop_all t.syncache l.syn_cache)
 
 (* The RST answering a segment no connection claims passes the bucket. *)
 let err_allowed t =
@@ -430,7 +358,7 @@ let rec ensure_timers t =
 and tick_loop t ns wheel stop =
   ignore
     (Machine.after t.machine ns (fun () ->
-         if Dlist.is_empty t.pcbs then stop ()
+         if Conn_table.is_empty t.conns then stop ()
          else begin
            tick t wheel;
            tick_loop t ns wheel stop
@@ -652,28 +580,28 @@ and persist_timeout t pcb =
   set_persist t pcb (min 128 (max 2 (pcb.t_rxtcur * 2)))
 
 (* One loop event: advance [wheel] one tick, then fire what came due in
-   the order the donor's walk of the pcb list visits it.  On a
-   multiprocessor that walk goes one home CPU at a time, ascending, with
-   each CPU's fires charged to that CPU's clock; within a CPU it follows
-   the list, newest pcb first, and within a pcb it tests rexmt, persist,
-   then 2MSL.  Every due entry leaves the wheel before the first fires,
-   as the walk ages all of a pcb's counters before firing any. *)
+   the order the donor's walk of the pcb list visits it.  The walk goes
+   one home CPU at a time, ascending (one group at one CPU), with each
+   CPU's fires charged to that CPU's clock brought up to the tick's time;
+   within a CPU it follows the list, newest pcb first, and within a pcb it
+   tests rexmt, persist, then 2MSL.  Every due entry leaves the wheel
+   before the first fires, as the walk ages all of a pcb's counters before
+   firing any. *)
 and tick t wheel =
   ignore (Timewheel.advance wheel ~now_ns:(Timewheel.now_ns wheel + 1));
+  let home p = p.conn.Conn_table.home and serial p = p.conn.Conn_table.serial in
   let due =
-    List.sort
-      (fun (p, i) (q, j) -> compare (p.home_cpu, q.t_serial, i) (q.home_cpu, p.t_serial, j))
-      t.due
+    List.sort (fun (p, i) (q, j) -> compare (home p, serial q, i) (home q, serial p, j)) t.due
   in
   t.due <- [];
   let rec on_home_cpus = function
     | [] -> ()
     | (p, _) :: _ as due ->
-        let mine, rest = List.partition (fun (q, _) -> q.home_cpu = p.home_cpu) due in
-        Machine.run_on t.machine ~cpu:p.home_cpu (fun () -> List.iter (fire t) mine);
+        let mine, rest = List.partition (fun (q, _) -> home q = home p) due in
+        Machine.run_on t.machine ~cpu:(home p) (fun () -> List.iter (fire t) mine);
         on_home_cpus rest
   in
-  if Machine.ncpus t.machine > 1 then on_home_cpus due else List.iter (fire t) due
+  on_home_cpus due
 
 and fire t (pcb, slot) =
   if slot = tw_rexmt then rexmt_timeout t pcb
@@ -750,25 +678,10 @@ let rec reass_deliver pcb =
 (* ------------------------------------------------------------------ *)
 (* tcp_input                                                           *)
 
-let find_pcb t ~src ~sport ~dport =
-  match Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport with
-  | Some p as connected when p.t_state <> Listen -> connected
-  | _ -> List.find_opt (fun p -> p.lport = dport && p.t_state = Listen) t.listeners
-
-(* Embryonic connections (SYN_RCVD children of [pcb]) count against the
-   listen backlog alongside the already-established, not-yet-accepted ones
-   on the accept queue — the donor's so_qlen + so_q0len.  Children that
-   have left SYN_RCVD (completed, reset or aborted) leave [syn_q] here. *)
-let prune_syn_q pcb = pcb.syn_q <- List.filter (fun p -> p.t_state = Syn_received) pcb.syn_q
-
-let listen_q_len pcb =
-  prune_syn_q pcb;
-  Queue.length pcb.accept_q + List.length pcb.syn_q
-
 let enter_time_wait t pcb =
   pcb.t_state <- Time_wait;
   set_2msl t pcb (2 * msl_ticks);
-  pcb.tw_ent <- Some (Tw_queue.add t.tw pcb ~retire:(retire_time_wait t))
+  Conn_table.time_wait t.conns pcb ~retire:(retire_time_wait t)
 
 (* Cache (or, for a retransmitted SYN, re-answer) a half-open handshake
    without creating a child pcb.  A SYN with no MSS option gets the
@@ -782,7 +695,7 @@ let syncache_add t pcb ~src ~sport ~seq ~mss =
     ~iss:e.Syncache.iss ~irs:e.Syncache.irs ~mss:e.Syncache.mss
 
 let enter_established t pcb =
-  match pcb.listen_parent with
+  match pcb.conn.Conn_table.parent with
   | Some parent when parent.t_state <> Listen ->
       (* The listener closed while our handshake completed: nobody will
          ever accept us, so reset rather than leak an orphaned pcb. *)
@@ -797,10 +710,7 @@ let enter_established t pcb =
       (match parent_opt with
       | Some parent ->
           bump t (fun s -> s.accepts <- s.accepts + 1);
-          (* Park on the listener's queue: this runs on the child's home
-             CPU while accepts drain from CPU 0, so it is the one hot-path-
-             adjacent structure that genuinely needs the lock. *)
-          with_accept_lock t (fun () -> Queue.add pcb parent.accept_q);
+          Conn_table.established t.conns pcb;
           parent.on_readable ()
       | None -> bump t (fun s -> s.connects <- s.connects + 1));
       pcb.on_state ();
@@ -898,7 +808,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
         (if Cost.config.syn_defense then
            (* Embryonic state lives in the syncache, off the backlog. *)
            syncache_add t pcb ~src ~sport ~seq ~mss
-         else if listen_q_len pcb >= max 1 pcb.backlog then
+         else if not (Conn_table.admits_syn t.conns pcb) then
           (* Queue overflow: drop the SYN on the floor (the peer will
              retransmit it) and count the drop. *)
           bump t (fun s -> s.listen_overflow <- s.listen_overflow + 1)
@@ -908,7 +818,6 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
           conn.lport <- pcb.lport;
           conn.raddr <- src;
           conn.rport <- sport;
-          conn.listen_parent <- Some pcb;
           conn.t_nopush <- pcb.t_nopush;
           (match mss with Some v -> conn.t_maxseg <- min Cost.config.tcp_mss v | None -> ());
           (match wscale with Some s -> setup_scaling conn ~peer:s | None -> ());
@@ -921,7 +830,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
           conn.snd_max <- conn.iss;
           conn.snd_wnd <- win;
           conn.t_state <- Syn_received;
-          register t conn;
+          Conn_table.child t.conns conn ~parent:pcb ~laddr:conn.laddr ~raddr:src ~rport:sport;
           ensure_timers t;
           send_syn t conn ~with_ack:true
         end);
@@ -1173,7 +1082,7 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         send_rst t ~src ~dst:pcb.laddr ~sport ~dport:pcb.lport ~seq ~ack ~had_ack:true;
       false
   | Some { Syncache.iss; irs; mss; _ } ->
-      if Queue.length pcb.accept_q >= max 1 pcb.backlog then begin
+      if not (Conn_table.admits_cookie t.conns pcb) then begin
         (* Accept queue full: drop the ACK, not the handshake — the peer
            retransmits, and the cookie completes it once the queue
            drains. *)
@@ -1186,7 +1095,6 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         conn.lport <- pcb.lport;
         conn.raddr <- src;
         conn.rport <- sport;
-        conn.listen_parent <- Some pcb;
         conn.t_nopush <- pcb.t_nopush;
         conn.t_maxseg <- min Cost.config.tcp_mss mss;
         conn.irs <- irs;
@@ -1197,7 +1105,7 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         conn.snd_nxt <- Codec.m32 (iss + 1);
         conn.snd_max <- Codec.m32 (iss + 1);
         conn.t_state <- Syn_received;
-        register t conn;
+        Conn_table.child t.conns conn ~parent:pcb ~laddr:conn.laddr ~raddr:src ~rport:sport;
         ensure_timers t;
         segment_arrives t conn ~src ~sport ~seq ~ack ~flags ~win ~mss:None ~wscale:None ~data
       end
@@ -1272,7 +1180,7 @@ and input_segment t ~src ~dst m =
       | None -> drop_short m
       | Some { Codec.sport; dport; seq; ack; hlen; flags; win; mss; wscale } -> (
           Mbuf.m_adj m hlen;
-          match find_pcb t ~src ~sport ~dport with
+          match Conn_table.find t.conns ~raddr:src ~rport:sport ~lport:dport with
           | None ->
               slowpath ();
               if flags land th_rst = 0 && err_allowed t then begin
@@ -1329,26 +1237,25 @@ let make_stats () =
 
 let attach ip machine =
   let t =
-    { ip; machine; pcbs = Dlist.create (); listeners = [];
-      ports = Port_alloc.create ~lo:1024 ~hi:65535; demux = Demux.create 64; iss_source = 1;
-      ticking = false; fast_ticking = false;
+    { ip; machine; conns =
+        Conn_table.create machine ~entry:(fun p -> p.conn)
+          ~embryonic:(fun p -> p.t_state = Syn_received);
+      iss_source = 1; ticking = false; fast_ticking = false;
       slow_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
       fast_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
-      due = []; registrations = 0; tw = Tw_queue.create ();
-      syncache = Syncache.create machine ~secret:0x6b8b4567;
+      due = []; syncache = Syncache.create ~secret:0x6b8b4567;
       err_bucket = Token_bucket.create machine;
       stats = make_stats ();
-      stats_shards = Array.init (Machine.ncpus machine) (fun _ -> make_stats ());
-      accept_lock = Smp.spinlock ~name:"tcp-accept" () }
+      stats_shards = Array.init (Machine.ncpus machine) (fun _ -> make_stats ()) }
   in
   Ip.set_proto ip ~proto:Ip.proto_tcp (fun ~src ~dst m -> input t ~src ~dst m);
   t
 
+(* A pcb in the connection table is past binding (in_pcbbind's EINVAL). *)
 let usr_bind t pcb ~port =
-  if List.exists (fun x -> x != pcb && x.lport = port && x.t_state = Listen) t.listeners then
-    Result.Error Error.Addrinuse
+  if Conn_table.registered t.conns pcb then Result.Error Error.Inval
+  else if Option.is_some (Conn_table.listener t.conns ~lport:port) then Result.Error Error.Addrinuse
   else begin
-    if pcb.t_node <> None then Port_alloc.move t.ports ~old:pcb.lport port;
     pcb.lport <- port;
     pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
     Ok ()
@@ -1357,15 +1264,14 @@ let usr_bind t pcb ~port =
 (* An unbound pcb takes the next free ephemeral port. *)
 let bind_ephemeral t pcb =
   if pcb.lport <> 0 then Ok ()
-  else Result.map (fun p -> pcb.lport <- p) (Port_alloc.alloc t.ports)
+  else Result.map (fun p -> pcb.lport <- p) (Conn_table.ephemeral t.conns)
 
 let usr_listen t pcb ~backlog =
   Result.map
     (fun () ->
       if Int32.equal pcb.laddr 0l then pcb.laddr <- t.ip.Ip.ifp.Netif.if_addr;
-      pcb.backlog <- max 1 backlog;
       pcb.t_state <- Listen;
-      register t pcb;
+      Conn_table.listen t.conns pcb ~lport:pcb.lport ~backlog;
       ensure_timers t)
     (bind_ephemeral t pcb)
 
@@ -1382,7 +1288,7 @@ let usr_connect t pcb ~dst ~dport =
         pcb.snd_nxt <- pcb.iss;
         pcb.snd_max <- pcb.iss;
         pcb.t_state <- Syn_sent;
-        register t pcb;
+        Conn_table.connect t.conns pcb ~laddr:pcb.laddr ~lport:pcb.lport ~raddr:dst ~rport:dport;
         ensure_timers t;
         send_syn t pcb ~with_ack:false)
       (bind_ephemeral t pcb)
@@ -1511,11 +1417,9 @@ let usr_close t pcb =
       (* Half-open state cached for this listener dies with it (the
          late-arriving ACK of a freed entry gets the no-listener RST). *)
       Syncache.drop_all t.syncache pcb.syn_cache;
-      Queue.iter (fun conn -> if conn.t_state <> Closed then usr_abort t conn) pcb.accept_q;
-      Queue.clear pcb.accept_q;
-      prune_syn_q pcb;
-      List.iter (fun p -> if p.t_state = Syn_received then usr_abort t p) pcb.syn_q;
-      pcb.syn_q <- [];
+      List.iter
+        (fun conn -> if conn.t_state <> Closed then usr_abort t conn)
+        (Conn_table.orphans t.conns pcb);
       detach t pcb;
       pcb.on_state ()
   | Syn_received | Established ->

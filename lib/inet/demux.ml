@@ -1,8 +1,8 @@
-(* O(1) connection lookup, shared by both stacks' TCP and the BSD UDP,
-   and the only one they have: connections keyed by (raddr, rport, lport),
-   with the donor's one-entry tcp_last_inpcb cache in front for TCP.
-   Each stack keeps its own listener fallback.  A lookup adds no closure
-   and no allocation beyond the key tuple and [Hashtbl.find_opt]'s own. *)
+(* O(1) connection lookup by (raddr, rport, lport), the only one the BSD
+   UDP and both TCP stacks have, with the donor's one-entry tcp_last_inpcb
+   cache in front for TCP; Conn_table puts the listener fallback behind
+   it.  A lookup allocates only the key tuple and [Hashtbl.find_opt]'s
+   result. *)
 
 type 'a t = {
   tbl : (int32 * int * int, 'a) Hashtbl.t;

@@ -1,5 +1,5 @@
-(* Local port bookkeeping, shared by BSD TCP, BSD UDP and Linux TCP: a use
-   count per port, which each stack keeps equal to the multiset of its
+(* Local port bookkeeping, shared by BSD UDP and both TCP stacks' Conn_table:
+   a use count per port, kept equal to the multiset of the registered
    pcbs' local ports, and the ephemeral cursor.  [alloc] hands out the
    first free port at or after the cursor, wrapping from [hi] back to [lo],
    so a long-lived stack reuses the range instead of running past 65535.

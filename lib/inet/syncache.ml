@@ -31,21 +31,10 @@ type stats = {
   mutable rejected : int;  (* completing ACKs matching neither *)
 }
 
-(* [stats] is the aggregate netstat reads; [shards.(cpu)] the per-CPU
-   split.  Every bump updates both, so the shards sum to the aggregate. *)
-type t = { machine : Machine.t; secret : int; stats : stats; shards : stats array }
+type t = { secret : int; stats : stats (* what netstat reads *) }
 
-let make_stats () = { added = 0; evicted = 0; completed = 0; validated = 0; rejected = 0 }
-
-let create machine ~secret =
-  { machine; secret; stats = make_stats ();
-    shards = Array.init (Machine.ncpus machine) (fun _ -> make_stats ()) }
-
-let stats_for t ~cpu = t.shards.(cpu)
-
-let bump t f =
-  f t.stats;
-  f t.shards.(Machine.cpu t.machine)
+let create ~secret =
+  { secret; stats = { added = 0; evicted = 0; completed = 0; validated = 0; rejected = 0 } }
 
 let listener () = { entries = [] }
 
@@ -98,12 +87,12 @@ let add t l ~raddr ~rport ~lport ~irs ~mss ~own_mss =
   | None ->
       let mss = match mss with Some v -> min own_mss v | None -> own_mss in
       let e = { raddr; rport; irs; iss = cookie t ~raddr ~rport ~lport ~mss; mss } in
-      bump t (fun s -> s.added <- s.added + 1);
+      t.stats.added <- t.stats.added + 1;
       let cache = e :: l.entries in
       let cap = max 1 Cost.config.syncache_size in
       let n = List.length cache in
       if n > cap then begin
-        bump t (fun s -> s.evicted <- s.evicted + (n - cap));
+        t.stats.evicted <- t.stats.evicted + (n - cap);
         l.entries <- List.filteri (fun i _ -> i < cap) cache
       end
       else l.entries <- cache;
@@ -118,24 +107,24 @@ let expand t l ~raddr ~rport ~lport ~seq ~ack =
     match find l ~raddr ~rport with
     | Some e when ack = Codec.m32 (e.iss + 1) && seq = Codec.m32 (e.irs + 1) ->
         l.entries <- List.filter (fun x -> x != e) l.entries;
-        bump t (fun s -> s.completed <- s.completed + 1);
+        t.stats.completed <- t.stats.completed + 1;
         Some e
     | Some _ -> None
     | None -> (
         let iss = Codec.m32 (ack - 1) in
         match check_cookie t ~raddr ~rport ~lport ~iss with
         | Some mss ->
-            bump t (fun s -> s.validated <- s.validated + 1);
+            t.stats.validated <- t.stats.validated + 1;
             Some { raddr; rport; irs = Codec.m32 (seq - 1); iss; mss }
         | None -> None)
   in
-  if Option.is_none r then bump t (fun s -> s.rejected <- s.rejected + 1);
+  if Option.is_none r then t.stats.rejected <- t.stats.rejected + 1;
   r
 
 (* Listener close or memory-pressure reclaim: entries hold no segments, so
    dropping the list frees everything (a late ACK gets the cookie check). *)
 let drop_all t l =
   if l.entries <> [] then begin
-    bump t (fun s -> s.evicted <- s.evicted + List.length l.entries);
+    t.stats.evicted <- t.stats.evicted + List.length l.entries;
     l.entries <- []
   end

@@ -1,8 +1,8 @@
 (* TIME_WAIT connections oldest-first, for the Cost.config.tw_max cap and
-   memory-pressure reclaim, shared by both TCP stacks.  Each stack keeps
-   its own 2xMSL timer and supplies [retire] to close a victim early.
+   memory-pressure reclaim, kept by each TCP stack's Conn_table.  The stack
+   keeps its own 2xMSL timer and supplies [retire] to close a victim early.
 
-   O(1) per operation: [add] hands back an entry the stack keeps with the
+   O(1) per operation: [add] hands back an entry the table keeps with the
    connection, and [remove] (the connection left TIME_WAIT) only marks it.
    Marked entries leave as soon as they reach the head, so none outlives
    the oldest live one. *)

@@ -44,10 +44,6 @@ type ready_listener = { rl_id : int; rl_mask : int; rl_fn : int -> unit }
 type sock = {
   stack : stack;
   mutable state : tcp_state;
-  (* RSS home CPU: where this flow's input, timers, and stat bumps run.
-     Assigned when the 4-tuple is known (connect / SYN-child creation);
-     always 0 at ncpus=1. *)
-  mutable home_cpu : int;
   mutable lport : int;
   mutable rport : int;
   mutable raddr : int32;
@@ -92,12 +88,8 @@ type sock = {
   mutable ooo_bytes : int;
   mutable head_consumed : int;
   mutable peer_fin : bool;
-  (* listen side *)
-  backlog_q : sock Queue.t;
-  mutable backlog : int;
-  mutable parent : sock option;
-  syn_cache : Syncache.listener;
-  mutable tw_ent : sock Tw_queue.entry option; (* set on entering Time_wait *)
+  syn_cache : Syncache.listener; (* listeners only *)
+  conn : sock Conn_table.entry; (* this sock's place in the connection table *)
   mutable err : Error.t option;
   sleep : Sleep_record.t;
   mutable rexmt_armed : bool;
@@ -109,7 +101,6 @@ type sock = {
   mutable nb : bool; (* O_NONBLOCK *)
   mutable listeners : ready_listener list;
   mutable next_lid : int;
-  mutable on_list : bool; (* on the stack's [socks] *)
 }
 
 and stack = {
@@ -118,11 +109,7 @@ and stack = {
   mutable my_ip : int32;
   mutable my_mask : int32;
   arp : Arp_resolver.t;
-  mutable socks : sock list;
-  (* hashed demux of connected socks (lib/inet); listeners are found by
-     the lport-only fallback scan *)
-  demux : sock Demux.t;
-  ports : Port_alloc.t; (* the socks' lport use counts, ephemeral cursor *)
+  conns : sock Conn_table.t; (* lib/inet's connection table *)
   mutable next_iss : int;
   mutable ip_id : int;
   mutable segs_out : int;
@@ -142,15 +129,10 @@ and stack = {
   mutable predfallback : int; (* established-state segments that missed *)
   (* overload survival, the shared lib/inet policy *)
   syncache : Syncache.t;
-  tw : sock Tw_queue.t;
   err_bucket : Token_bucket.t;
   mutable time_wait_reclaimed : int;
   mutable nomem_drops : int;    (* segments/frames dropped for want of an skb *)
   mutable rst_ratelimited : int;
-  (* The listen backlog is the one structure touched from two CPUs (SYN
-     children enqueue on their home CPU, accept drains on the listener's);
-     everything per-flow stays lock-free. *)
-  lsk_accept_lock : Smp.spinlock;
 }
 
 let dev_of t = match t.dev with Some d -> d | None -> Error.fail Error.Nodev
@@ -180,55 +162,18 @@ let create machine =
         arp =
           Arp_resolver.create machine ~send:(fun ~op ~dst_mac ~target_mac ~target_ip ->
               arp_output (Lazy.force t) ~op ~dst_mac ~target_mac ~target_ip);
-        socks = []; demux = Demux.create 64; ports = Port_alloc.create ~lo:1024 ~hi:65535;
+        conns =
+          Conn_table.create machine ~entry:(fun s -> s.conn)
+            ~embryonic:(fun s -> s.state = Syn_recv);
         next_iss = 99000;
         ip_id = 1; segs_out = 0; segs_in = 0; rexmits = 0; ipbadsum = 0; tcpbadsum = 0;
         rcvdup = 0; rcvoo = 0; rcvfull = 0;
         rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
-        preddat = 0; predfallback = 0; syncache = Syncache.create machine ~secret:0x327b23c6;
-        tw = Tw_queue.create (); err_bucket = Token_bucket.create machine;
-        time_wait_reclaimed = 0; nomem_drops = 0; rst_ratelimited = 0;
-        lsk_accept_lock = Smp.spinlock ~name:"inet-accept" () }
+        preddat = 0; predfallback = 0; syncache = Syncache.create ~secret:0x327b23c6;
+        err_bucket = Token_bucket.create machine; time_wait_reclaimed = 0; nomem_drops = 0;
+        rst_ratelimited = 0 }
   in
   Lazy.force t
-
-let with_accept_lock t f =
-  if Machine.ncpus t.machine > 1 then Smp.with_spinlock t.lsk_accept_lock f
-  else f ()
-
-(* ---- hashed demux maintenance ---- *)
-
-(* Insert once the 4-tuple is known (connect, SYN-child creation).  This is
-   also the moment the flow's RSS home CPU becomes computable; the software
-   hash must agree with the frame-steering hash, and does because
-   [Rss.flow_hash] is direction-symmetric. *)
-let sock_hash_add t s =
-  s.home_cpu <-
-    Rss.cpu_of_flow ~ncpus:(Machine.ncpus t.machine) ~proto:6 ~addr_a:t.my_ip
-      ~port_a:s.lport ~addr_b:s.raddr ~port_b:s.rport;
-  Demux.add t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
-
-(* Put [s] at the head of [socks], where the scans meet it first. *)
-let to_front t s =
-  if s.on_list then t.socks <- s :: List.filter (fun x -> x != s) t.socks
-  else begin
-    s.on_list <- true;
-    t.socks <- s :: t.socks;
-    Port_alloc.use t.ports s.lport
-  end
-
-let set_lport t s p =
-  if s.on_list then Port_alloc.move t.ports ~old:s.lport p;
-  s.lport <- p
-
-let detach t s =
-  if s.on_list then begin
-    s.on_list <- false;
-    t.socks <- List.filter (fun x -> x != s) t.socks;
-    Port_alloc.release t.ports s.lport
-  end;
-  Option.iter (Tw_queue.remove t.tw) s.tw_ent;
-  Demux.remove t.demux ~raddr:s.raddr ~rport:s.rport ~lport:s.lport s
 
 (* A dead connection's held frames: the retransmission queue (nobody will
    resend it, and an armed timer finding it empty stands down) and the
@@ -242,10 +187,10 @@ let retire_queues s =
   s.ooo_bytes <- 0
 
 (* Arm a per-flow timer on the flow's home CPU, so the fire (retransmit,
-   probe, TIME_WAIT reclaim) charges that CPU's clock.  At ncpus=1 the
+   probe, TIME_WAIT reclaim) charges that CPU's clock.  On one CPU the
    home CPU is CPU 0 and this is exactly [Machine.after]. *)
 let after_home t s dt f =
-  ignore (Machine.at_on t.machine ~cpu:s.home_cpu (Machine.now t.machine + dt) f)
+  ignore (Machine.at_on t.machine ~cpu:s.conn.Conn_table.home (Machine.now t.machine + dt) f)
 
 let ifconfig t ~addr ~mask =
   t.my_ip <- addr;
@@ -315,7 +260,7 @@ let setup_scaling s ~peer =
 let sock_readiness s =
   let rd =
     match s.state with
-    | Listen -> not (Queue.is_empty s.backlog_q)
+    | Listen -> Conn_table.acceptable s.stack.conns s
     | Closed -> true
     | _ -> s.rcv_q_bytes > 0 || s.peer_fin
   in
@@ -362,26 +307,26 @@ let lx_close_tw t s =
   if s.state = Time_wait then begin
     s.state <- Closed;
     t.time_wait_reclaimed <- t.time_wait_reclaimed + 1;
-    detach t s;
+    Conn_table.detach t.conns s;
     wake s
   end
 
 let lx_enter_time_wait t s =
   s.state <- Time_wait;
-  s.tw_ent <- Some (Tw_queue.add t.tw s ~retire:(lx_close_tw t));
+  Conn_table.time_wait t.conns s ~retire:(lx_close_tw t);
   ignore
     (after_home t s time_wait_ns (fun () ->
          if s.state = Time_wait then begin
            s.state <- Closed;
-           detach t s
+           Conn_table.detach t.conns s
          end))
 
 (* Memory pressure: shed the coldest protocol state — every TIME_WAIT
    sock and every cached half-open handshake (cookies still complete
    those statelessly). *)
 let lx_reclaim t =
-  Tw_queue.reclaim t.tw ~retire:(lx_close_tw t);
-  List.iter (fun s -> Syncache.drop_all t.syncache s.syn_cache) t.socks
+  Conn_table.reclaim t.conns ~retire:(lx_close_tw t) (fun l ->
+      Syncache.drop_all t.syncache l.syn_cache)
 
 (* The no-sock RST passes the token bucket. *)
 let lx_err_allowed t =
@@ -490,7 +435,7 @@ and arm_rexmt t s =
                    retire_queues s;
                    s.err <- Some Error.Timedout;
                    s.state <- Closed;
-                   detach t s;
+                   Conn_table.detach t.conns s;
                    wake s
                  end
                  else begin
@@ -549,9 +494,9 @@ let send_ack t s =
      lost on the wire: the peer retransmits. *)
   ignore (tcp_xmit t s ~seq:s.snd_nxt ~flags:th_ack ~payload:None ~queue:false)
 
-(* A fresh sock, not yet on the stack's list. *)
+(* A fresh sock, not yet in the connection table. *)
 let blank_sock t =
-  { stack = t; state = Closed; home_cpu = 0; lport = 0; rport = 0; raddr = 0l; iss = 0; snd_una = 0;
+  { stack = t; state = Closed; lport = 0; rport = 0; raddr = 0l; iss = 0; snd_una = 0;
     snd_nxt = 0; snd_wnd = default_window; cwnd = Cost.config.tcp_mss;
     ssthresh = 64 * 1024;
     smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
@@ -561,26 +506,15 @@ let blank_sock t =
     persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
     rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
     rcv_buf_max = default_window; adv_wnd = default_window; rxclump = Autotune.clump ();
-    head_consumed = 0; peer_fin = false; backlog_q = Queue.create ();
-    backlog = 0; parent = None; syn_cache = Syncache.listener (); tw_ent = None; err = None;
-    sleep = Sleep_record.create ~name:"lx_sock" ();
+    head_consumed = 0; peer_fin = false; syn_cache = Syncache.listener ();
+    conn = Conn_table.entry (); err = None; sleep = Sleep_record.create ~name:"lx_sock" ();
     rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = [];
-    next_lid = 1; on_list = false }
+    next_lid = 1 }
 
 (* A minimal unsocketed RST. *)
 let send_rst_for t ~src ~sport ~dport ~ack =
   let fake = { (blank_sock t) with lport = dport; rport = sport; raddr = src } in
   ignore (tcp_xmit t fake ~seq:ack ~flags:th_rst ~payload:None ~queue:false)
-
-let new_sock t =
-  let s = blank_sock t in
-  to_front t s;
-  s
-
-let find_sock t ~src ~sport ~dport =
-  match Demux.lookup t.demux ~raddr:src ~rport:sport ~lport:dport with
-  | Some s as connected when s.state <> Listen -> connected
-  | _ -> List.find_opt (fun s -> s.lport = dport && s.state = Listen) t.socks
 
 (* A SYN-ACK with no sock behind it (Cost.config.syn_defense): seq/ack and
    MSS come from the syncache entry or the cookie.  Never queued — losing
@@ -609,18 +543,17 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
   match Syncache.expand t.syncache s.syn_cache ~raddr:src ~rport:sport ~lport:s.lport ~seq ~ack with
   | None -> if lx_err_allowed t then send_rst_for t ~src ~sport ~dport:s.lport ~ack
   | Some { Syncache.iss; irs; mss; _ } ->
-      if Queue.length s.backlog_q >= max 1 s.backlog then
+      if not (Conn_table.admits_cookie t.conns s) then
         (* Accept queue full: drop the ACK; the peer retransmits it and the
            cookie completes once there is room. *)
         t.listen_overflow <- t.listen_overflow + 1
       else begin
-        let c = new_sock t in
+        let c = blank_sock t in
         c.state <- Established;
-        set_lport t c s.lport;
+        c.lport <- s.lport;
         c.rport <- sport;
         c.raddr <- src;
-        sock_hash_add t c;
-        c.parent <- Some s;
+        Conn_table.child t.conns c ~parent:s ~laddr:t.my_ip ~raddr:src ~rport:sport;
         c.iss <- iss;
         c.snd_una <- Codec.m32 (iss + 1);
         c.snd_nxt <- Codec.m32 (iss + 1);
@@ -628,7 +561,7 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
         c.smss <- mss;
         c.snd_wnd <- win;
         c.cwnd <- 2 * c.smss;
-        with_accept_lock t (fun () -> Queue.add c s.backlog_q);
+        Conn_table.established t.conns c;
         wake s;
         wake c
       end
@@ -827,7 +760,7 @@ let tcp_rcv t skb ~src =
     | Some { Codec.sport; dport; seq; ack; hlen; flags; win; mss; wscale } -> (
       ignore (Skbuff.skb_pull skb hlen);
       let dlen = skb.Skbuff.len in
-      match find_sock t ~src ~sport ~dport with
+      match Conn_table.find t.conns ~raddr:src ~rport:sport ~lport:dport with
       | None ->
           slowpath ();
           (* The no-sock RST is this stack's generated-error path (it has
@@ -861,7 +794,7 @@ let tcp_rcv t skb ~src =
               retire_queues s;
               s.err <- Some Error.Connreset;
               s.state <- Closed;
-              detach t s;
+              Conn_table.detach t.conns s;
               wake s
             end
           end
@@ -878,27 +811,16 @@ let tcp_rcv t skb ~src =
                     lx_syncache_expand t s ~src ~sport ~seq ~ack ~win
                 end
                 else if flags land th_syn <> 0 then begin
-                  (* Embryonic children count against the backlog alongside
-                     the established-but-unaccepted ones. *)
-                  let embryonic =
-                    List.length
-                      (List.filter
-                         (fun c ->
-                           c.state = Syn_recv
-                           && match c.parent with Some p -> p == s | None -> false)
-                         t.socks)
-                  in
-                  if Queue.length s.backlog_q + embryonic >= max 1 s.backlog then
+                  if not (Conn_table.admits_syn t.conns s) then
                     (* Drop the SYN on the floor (the peer retransmits). *)
                     t.listen_overflow <- t.listen_overflow + 1
                   else begin
-                  let c = new_sock t in
+                  let c = blank_sock t in
                   c.state <- Syn_recv;
-                  set_lport t c s.lport;
+                  c.lport <- s.lport;
                   c.rport <- sport;
                   c.raddr <- src;
-                  sock_hash_add t c;
-                  c.parent <- Some s;
+                  Conn_table.child t.conns c ~parent:s ~laddr:t.my_ip ~raddr:src ~rport:sport;
                   c.rcv_nxt <- Codec.m32 (seq + 1);
                   c.iss <- next_iss t;
                   c.snd_una <- c.iss;
@@ -921,7 +843,7 @@ let tcp_rcv t skb ~src =
                        to the peer this is a lost SYN, and its retransmit
                        starts the handshake over. *)
                     c.state <- Closed;
-                    detach t c
+                    Conn_table.detach t.conns c
                   end
                   end
                 end
@@ -948,13 +870,13 @@ let tcp_rcv t skb ~src =
                      rather than waiting out the coarse timer. *)
                   retransmit_head t s
                 else if flags land th_ack <> 0 && ack = s.snd_nxt then begin
-                  match s.parent with
+                  match s.conn.Conn_table.parent with
                   | Some p when p.state <> Listen ->
                       (* The listener closed while our handshake completed:
                          nobody will ever accept us — reset, don't leak. *)
                       retire_queues s;
                       s.state <- Closed;
-                      detach t s;
+                      Conn_table.detach t.conns s;
                       ignore
                         (tcp_xmit t s ~seq:s.snd_nxt ~flags:th_rst ~payload:None
                            ~queue:false)
@@ -965,8 +887,7 @@ let tcp_rcv t skb ~src =
                       ack_advance t s ack;
                       (match parent_opt with
                       | Some p ->
-                          with_accept_lock t (fun () ->
-                              Queue.add s p.backlog_q);
+                          Conn_table.established t.conns s;
                           wake p
                       | None -> ());
                       wake s
@@ -982,7 +903,7 @@ let tcp_rcv t skb ~src =
                         wake s
                     | Last_ack ->
                         s.state <- Closed;
-                        detach t s;
+                        Conn_table.detach t.conns s;
                         wake s
                     | _ -> ()
                 end;
@@ -1072,23 +993,27 @@ let attach_dev t osenv dev =
 
 (* ---- blocking socket calls ---- *)
 
-let socket t = new_sock t
-let bind t s ~port = set_lport t s port
+let socket t = blank_sock t
+
+(* A sock in the connection table is past binding (inet_bind's EINVAL). *)
+let bind t s ~port =
+  if Conn_table.registered t.conns s then Error.fail Error.Inval;
+  s.lport <- port
 
 (* An unbound sock takes the next free ephemeral port. *)
 let bind_ephemeral t s =
-  if s.lport <> 0 then Ok () else Result.map (set_lport t s) (Port_alloc.alloc t.ports)
+  if s.lport <> 0 then Ok () else Result.map (fun p -> s.lport <- p) (Conn_table.ephemeral t.conns)
 
 (* Raises [Error.Error Addrnotavail] when no ephemeral port is free. *)
 let listen t s ~backlog =
   Result.iter_error Error.fail (bind_ephemeral t s);
-  s.backlog <- backlog;
-  s.state <- Listen
+  s.state <- Listen;
+  Conn_table.listen t.conns s ~lport:s.lport ~backlog
 
 let accept _t s =
   let t = s.stack in
   let rec wait () =
-    match with_accept_lock t (fun () -> Queue.take_opt s.backlog_q) with
+    match Conn_table.accept t.conns s with
     | Some c -> Ok c
     | None ->
         if s.state <> Listen then Result.Error Error.Badf
@@ -1100,17 +1025,16 @@ let accept _t s =
   in
   wait ()
 
-(* connect up to the wait for the SYN-ACK. *)
+(* connect up to the wait for the SYN-ACK.  A sock already in the
+   connection table gets EISCONN. *)
 let connect_start t s ~dst ~dport =
   match bind_ephemeral t s with
   | Result.Error e -> s.err <- Some e (* no free port: [connect] fails with it *)
+  | Ok () when Conn_table.registered t.conns s -> s.err <- Some Error.Isconn
   | Ok () ->
       s.raddr <- dst;
       s.rport <- dport;
-      (* The scan must meet the newest connection on a 4-tuple first, as the
-         hash does, whatever order the sockets were made in. *)
-      to_front t s;
-      sock_hash_add t s;
+      Conn_table.connect t.conns s ~laddr:t.my_ip ~lport:s.lport ~raddr:dst ~rport:dport;
       s.iss <- next_iss t;
       s.snd_una <- s.iss;
       s.snd_nxt <- Codec.m32 (s.iss + 1);
@@ -1120,7 +1044,7 @@ let connect_start t s ~dst ~dport =
            the connect with ENOBUFS instead of blocking forever. *)
         s.state <- Closed;
         s.err <- Some Error.Nomem;
-        detach t s
+        Conn_table.detach t.conns s
       end
 
 let connect t s ~dst ~dport =
@@ -1240,7 +1164,7 @@ let abort_orphan t c =
     retire_queues c;
     c.err <- Some Error.Connreset;
     c.state <- Closed;
-    detach t c;
+    Conn_table.detach t.conns c;
     ignore (tcp_xmit t c ~seq:c.snd_nxt ~flags:th_rst ~payload:None ~queue:false);
     wake c
   end
@@ -1270,20 +1194,12 @@ let rec close t s =
       (* Cached half-open handshakes die with the listener (no frames are
          held for them — defended SYN-ACKs are never queued). *)
       Syncache.drop_all t.syncache s.syn_cache;
-      Queue.iter (fun c -> abort_orphan t c) s.backlog_q;
-      Queue.clear s.backlog_q;
-      List.iter
-        (fun c ->
-          if
-            c.state = Syn_recv
-            && match c.parent with Some p -> p == s | None -> false
-          then abort_orphan t c)
-        t.socks;
-      detach t s;
+      List.iter (abort_orphan t) (Conn_table.orphans t.conns s);
+      Conn_table.detach t.conns s;
       wake s
   | Syn_sent ->
       s.state <- Closed;
-      detach t s;
+      Conn_table.detach t.conns s;
       wake s
   | _ -> ()
 

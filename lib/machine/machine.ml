@@ -143,8 +143,12 @@ let run_in_on t cpu f =
 
 let run_in t f = run_in_on t (cpu t) f
 
+(* Enter CPU [cpu]: its local clock catches up to the world (it can never
+   run backwards — it may already be ahead from computing), so an idle
+   CPU's work is charged from now, not from when it last ran. *)
 let run_on t ~cpu f =
   check_cpu t cpu "Machine.run_on";
+  t.clocks.(cpu) <- max t.clocks.(cpu) (World.now t.world);
   run_in_on t cpu f
 
 let current () = !current_machine
@@ -216,13 +220,6 @@ let with_interrupts_disabled t f =
   t.enabled <- false;
   Fun.protect ~finally:(fun () -> if was then enable_interrupts t) f
 
-(* Enter CPU [cpu] from a world event: its local clock catches up to the
-   world (it can never run backwards — it may already be ahead from
-   computing), then interrupt and process level run. *)
-let enter_from_world t cpu f =
-  t.clocks.(cpu) <- max t.clocks.(cpu) (World.now t.world);
-  run_in_on t cpu f
-
 let raise_irq t ~irq =
   if irq < 0 || irq >= irq_lines then invalid_arg "raise_irq: bad irq";
   t.pending <- t.pending lor bit irq;
@@ -234,13 +231,13 @@ let raise_irq t ~irq =
          event no earlier than the raising CPU's local time. *)
       ignore
         (World.at t.world t.clocks.(t.cur_cpu) (fun () ->
-             enter_from_world t target (fun () -> run_hook_and_drain t)))
+             run_on t ~cpu:target (fun () -> run_hook_and_drain t)))
   end
   else
     (* Raised from outside the machine (a world event): synchronise the
        servicing CPU's clock with the world and service the interrupt, then
        let the kernel's process level run. *)
-    enter_from_world t target (fun () -> run_hook_and_drain t)
+    run_on t ~cpu:target (fun () -> run_hook_and_drain t)
 
 let set_run_hook t f = t.run_hook <- f
 
@@ -251,7 +248,7 @@ let kick_on t ~cpu =
     ignore
       (World.at t.world t.clocks.(cpu) (fun () ->
            t.kick_queued.(cpu) <- false;
-           enter_from_world t cpu (fun () -> run_hook_and_drain t)))
+           run_on t ~cpu (fun () -> run_hook_and_drain t)))
   end
 
 let kick t = kick_on t ~cpu:(cpu t)
@@ -259,7 +256,7 @@ let kick t = kick_on t ~cpu:(cpu t)
 let at_on t ~cpu time f =
   check_cpu t cpu "Machine.at_on";
   World.at t.world time (fun () ->
-      enter_from_world t cpu (fun () ->
+      run_on t ~cpu (fun () ->
           f ();
           run_hook_and_drain t))
 

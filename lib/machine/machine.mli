@@ -46,8 +46,9 @@ val cpu : t -> int
     CPU when nested.  Reentrant across machines. *)
 val run_in : t -> (unit -> 'a) -> 'a
 
-(** [run_on t ~cpu f] executes [f] on a specific CPU of [t]: charges land
-    on that CPU's clock.  Nestable, like {!run_in}. *)
+(** [run_on t ~cpu f] executes [f] on a specific CPU of [t]: that CPU's
+    clock first catches up to world time (an idle CPU's clock is stale),
+    then charges land on it.  Nestable, like {!run_in}. *)
 val run_on : t -> cpu:int -> (unit -> 'a) -> 'a
 
 (** The machine currently executing, if any. *)

@@ -32,13 +32,19 @@
 # The Internet checksum is summed once too, in the same codec: a grep for
 # the one's-complement fold's end-around carry must find nothing outside
 # lib/inet, so no stack, bench or test grows a second checksum loop.
-# BSD TCP keeps its per-connection bookkeeping O(1) in the number of live
-# pcbs — TIME_WAIT ones included — through the hashed demux, a listener
-# index, per-listener SYN_RCVD queues, per-pcb list nodes and a port use
-# table: in lib/freebsd_net/tcp.ml a grep must find the full pcb list
-# touched only by its push_front and is_empty and by the pcb_list
-# accessor, so no segment, SYN, bind or close grows a walk over the whole
-# population back.
+# Both TCP stacks keep their connections in one table, lib/inet's
+# Conn_table, which keeps the bookkeeping O(1) in the number of live
+# connections — TIME_WAIT ones included — through the hashed demux, a
+# listener index, per-listener accept and SYN_RCVD queues, per-connection
+# list nodes and a port use table.  In lib/inet/conn_table.ml a grep must
+# find the full connection list touched only by its push_front and
+# is_empty and by the to_list accessor, and in the two stacks' TCP files
+# that accessor called only by BSD's pcb_list, so no segment, SYN, bind or
+# close grows a walk over the whole population back.  Neither TCP file
+# may keep a socks list, test the CPU count (the accept lock's one-CPU
+# rule lives in the table), or file a connection in the demux hash, the
+# port table or the TIME_WAIT queue itself (Demux.add, Port_alloc.use,
+# Tw_queue.add): only the table does.
 # Every ttcp- or rtcp-shaped run goes through one component library,
 # lib/ttcp: its endpoints (lib/ttcp/endpoint.ml) and its ttcp and rtcp
 # workloads, which the example kernels call directly and the bench, the
@@ -115,9 +121,19 @@ if grep -rnF "land 0xffff) + (" lib bench test bin examples | grep -v '^lib/inet
   echo "Internet checksum folded outside lib/inet's codec" >&2
   exit 1
 fi
-if grep -nE '\.pcbs\b|pcb_list' lib/freebsd_net/tcp.ml \
-  | grep -vE 'Dlist\.(push_front|is_empty) t\.pcbs\b|:let pcb_list t = Dlist\.to_list t\.pcbs$'; then
-  echo "BSD TCP walks its pcb list outside the pcb_list accessor" >&2
+if grep -nE '\.all\b|to_list' lib/inet/conn_table.ml \
+  | grep -vE 'Dlist\.(push_front|is_empty) t\.all\b|:let to_list t = Dlist\.to_list t\.all$'; then
+  echo "the connection table walks its list outside the to_list accessor" >&2
+  exit 1
+fi
+if grep -nE 'pcb_list|to_list' lib/freebsd_net/tcp.ml lib/linux_net/linux_inet.ml \
+  | grep -vE '^lib/freebsd_net/tcp\.ml:[0-9]+:let pcb_list t = Conn_table\.to_list t\.conns$'; then
+  echo "a TCP stack walks its connection list outside the pcb_list accessor" >&2
+  exit 1
+fi
+if grep -nE '\bsocks *:|\.socks\b|ncpus( [a-z_.]+)? *(<|>|=)|Demux\.add|Port_alloc\.use|Tw_queue\.add' \
+  lib/freebsd_net/tcp.ml lib/linux_net/linux_inet.ml; then
+  echo "a TCP stack keeps connection bookkeeping beside lib/inet's Conn_table" >&2
   exit 1
 fi
 if grep -rnE 'so_accept|Linux_inet\.accept|Posix\.accept' bench bin lib/ttcp \

@@ -1,16 +1,20 @@
-(* The hashed connection lookup (lib/inet Demux), each stack's only one,
-   against a reference model: a linear scan of the stack's full,
-   newest-first pcb list.  Random sequences of bind,
-   listen, connect, SYN arrival, close, TIME_WAIT entry, expiry and
-   reclaim — including 4-tuple reuse while a TIME_WAIT connection is
-   alive, and the tw_max cap retiring the oldest — are applied to BSD TCP,
-   Linux TCP and BSD UDP.  After every step, every probe tuple must find
-   the same pcb through the stack's lookup as through the scan.
+(* The connection table (lib/inet Conn_table), the one both TCP stacks
+   keep their connections in, and the BSD UDP's hashed lookup (Demux),
+   against reference models recomputed from the full, newest-first list
+   of registered connections.  Random sequences of bind, listen, connect,
+   SYN arrival, RSTs and handshake-completing ACKs to SYN_RCVD children,
+   close, TIME_WAIT entry, expiry and reclaim — including 4-tuple reuse
+   while a TIME_WAIT connection is alive, and the tw_max cap retiring the
+   oldest — are applied to BSD TCP, Linux TCP and BSD UDP.
 
-   BSD TCP also gets RSTs and handshake-completing ACKs for its SYN_RCVD
-   children, and after every step its O(1) indexes must equal what the
-   full pcb list says: the listener index, each listener's backlog count,
-   the port use table, and no pcb listed twice. *)
+   After every step one checker, the same for both TCP stacks, holds the
+   table to a linear scan of that list: every probe tuple finds the same
+   connection; the listener index lists the listeners newest first; each
+   listener's embryonic children are its SYN_RCVD children, newest first,
+   and with its accept queue stay within its backlog; the port use table
+   counts the connections' local ports; no connection is listed twice.
+   A step that closes a listener must abort exactly its parked children,
+   oldest first, then its embryonic ones, newest first. *)
 
 let ip = Oskit.ip_of_string
 let mask = ip "255.255.255.0"
@@ -19,6 +23,9 @@ let raddrs = [| ip "10.0.0.2"; ip "10.0.0.3" |]
 let rports = [| 80; 81 |]
 let syn_sports = [| 5000; 5001 |]
 let lports = [| 80; 81; 1100; 1101 |]
+
+(* Small enough that the SYN steps overflow it. *)
+let backlog = 2
 
 let with_tw_max n f = Cost.with_config { Cost.config with Cost.tw_max = n } f
 
@@ -40,31 +47,42 @@ let agree ~hashed ~linear used_lports =
       | _ -> false)
     (probes used_lports)
 
-(* The reference scans.  TCP: the newest connected pcb on the 4-tuple,
-   else the newest listener on the port; the pcb lists are newest first. *)
-let bsd_scan t ~src ~sport ~dport =
-  let all = Tcp.pcb_list t in
+(* What the checker needs to know of a stack's connection record. *)
+type 'a view = {
+  tbl : 'a Conn_table.t;
+  lport : 'a -> int;
+  rport : 'a -> int;
+  raddr : 'a -> int32;
+  listening : 'a -> bool;
+  syn_rcvd : 'a -> bool;
+  closed : 'a -> bool;
+}
+
+let bsd_view t =
+  { tbl = t.Tcp.conns; lport = (fun p -> p.Tcp.lport); rport = (fun p -> p.Tcp.rport);
+    raddr = (fun p -> p.Tcp.raddr); listening = (fun p -> p.Tcp.t_state = Tcp.Listen);
+    syn_rcvd = (fun p -> p.Tcp.t_state = Tcp.Syn_received);
+    closed = (fun p -> p.Tcp.t_state = Tcp.Closed) }
+
+let linux_view t =
+  { tbl = t.Linux_inet.conns; lport = (fun s -> s.Linux_inet.lport);
+    rport = (fun s -> s.Linux_inet.rport); raddr = (fun s -> s.Linux_inet.raddr);
+    listening = (fun s -> s.Linux_inet.state = Linux_inet.Listen);
+    syn_rcvd = (fun s -> s.Linux_inet.state = Linux_inet.Syn_recv);
+    closed = (fun s -> s.Linux_inet.state = Linux_inet.Closed) }
+
+let find v ~src ~sport ~dport = Conn_table.find v.tbl ~raddr:src ~rport:sport ~lport:dport
+
+(* The reference scan: the newest connected pcb on the 4-tuple, else the
+   newest listener on the port. *)
+let scan v ~src ~sport ~dport =
+  let all = Conn_table.to_list v.tbl in
   let on_tuple p =
-    p.Tcp.lport = dport && p.Tcp.rport = sport && Int32.equal p.Tcp.raddr src
-    && p.Tcp.t_state <> Tcp.Listen
+    v.lport p = dport && v.rport p = sport && Int32.equal (v.raddr p) src && not (v.listening p)
   in
   match List.find_opt on_tuple all with
   | Some _ as connected -> connected
-  | None -> List.find_opt (fun p -> p.Tcp.lport = dport && p.Tcp.t_state = Tcp.Listen) all
-
-let linux_scan t ~src ~sport ~dport =
-  let socks = t.Linux_inet.socks in
-  let on_tuple s =
-    s.Linux_inet.lport = dport && s.Linux_inet.rport = sport
-    && Int32.equal s.Linux_inet.raddr src
-    && s.Linux_inet.state <> Linux_inet.Listen
-  in
-  match List.find_opt on_tuple socks with
-  | Some _ as connected -> connected
-  | None ->
-      List.find_opt
-        (fun s -> s.Linux_inet.lport = dport && s.Linux_inet.state = Linux_inet.Listen)
-        socks
+  | None -> List.find_opt (fun p -> v.lport p = dport && v.listening p) all
 
 (* UDP: the newest pcb bound to the port, wildcard or connected to the
    source; an unbound pcb takes nothing, not even port 0. *)
@@ -74,6 +92,84 @@ let udp_scan u ~src ~sport ~dport =
       p.Udp.lport = dport && dport <> 0
       && (p.Udp.rport = 0 || (p.Udp.rport = sport && Int32.equal p.Udp.raddr src)))
     u.Udp.pcbs
+
+let backlog_of v l =
+  match (v.tbl.Conn_table.entry l).Conn_table.listen with
+  | Some b -> b
+  | None -> Alcotest.fail "a listener without a backlog"
+
+(* [l]'s SYN_RCVD children, found by walking the whole list. *)
+let embryonic v l =
+  List.filter
+    (fun p ->
+      v.syn_rcvd p
+      && match (v.tbl.Conn_table.entry p).Conn_table.parent with Some x -> x == l | None -> false)
+    (Conn_table.to_list v.tbl)
+
+(* A stack's port use table equals the multiset of its pcbs' [lports]
+   (port 0, unbound, uncounted). *)
+let ports_agree ports lports =
+  let reference = Port_alloc.create ~lo:0 ~hi:0 in
+  List.iter (Port_alloc.use reference) lports;
+  let sorted a = List.sort compare (Hashtbl.fold (fun p n l -> (p, n) :: l) a.Port_alloc.uses []) in
+  sorted ports = sorted reference
+
+let same a b = List.equal ( == ) a b
+
+let table_agrees v =
+  let all = Conn_table.to_list v.tbl in
+  let listeners = List.filter v.listening all in
+  let index = v.tbl.Conn_table.by_port in
+  agree ~hashed:(find v) ~linear:(scan v) (List.map v.lport all)
+  (* the listener index: each port's listeners, newest first *)
+  && Hashtbl.fold (fun _ ls n -> n + List.length ls) index 0 = List.length listeners
+  && List.for_all
+       (fun l ->
+         same
+           (Option.value (Hashtbl.find_opt index (v.lport l)) ~default:[])
+           (List.filter (fun x -> v.lport x = v.lport l) listeners))
+       listeners
+  && List.for_all
+       (fun l ->
+         let b = backlog_of v l and kids = embryonic v l in
+         same (Conn_table.embryos v.tbl l) kids
+         && Queue.length b.Conn_table.queue + List.length kids <= b.Conn_table.backlog)
+       listeners
+  && ports_agree v.tbl.Conn_table.ports (List.map v.lport all)
+  && List.for_all (fun p -> List.length (List.filter (( == ) p) all) = 1) all
+
+(* Close listener [l] with [close], recording each connection the stack
+   aborts through [watch c on_abort] (which returns how to stop
+   watching).  It must abort the children parked on [l]'s accept queue,
+   oldest first, then its embryonic children, newest first, and nothing
+   else. *)
+let closes_its_children v ~watch ~close l =
+  let b = backlog_of v l in
+  let expected =
+    List.filter (fun c -> not (v.closed c)) (List.of_seq (Queue.to_seq b.Conn_table.queue))
+    @ embryonic v l
+  in
+  let aborted = ref [] in
+  let unwatch =
+    List.map
+      (fun c ->
+        watch c (fun () ->
+            if v.closed c && not (List.memq c !aborted) then aborted := c :: !aborted))
+      (List.filter (( != ) l) (Conn_table.to_list v.tbl)
+      @ List.of_seq (Queue.to_seq b.Conn_table.queue))
+  in
+  close l;
+  List.iter (fun f -> f ()) (List.rev unwatch);
+  same (List.rev !aborted) expected
+
+let bsd_watch p f =
+  let before = p.Tcp.on_state in
+  p.Tcp.on_state <- f;
+  fun () -> p.Tcp.on_state <- before
+
+let linux_watch s f =
+  let id = Linux_inet.add_listener s ~mask:Io_if.aio_exception (fun _ -> f ()) in
+  fun () -> Linux_inet.remove_listener s id
 
 (* One step: (kind, a, b, c) with kind 0..9, a 0..3, b and c 0..1. *)
 let gen_ops =
@@ -105,161 +201,139 @@ let bsd_segment hdr =
   Mbuf.m_append m ~src:hdr ~src_pos:0 ~len:(Bytes.length hdr);
   m
 
-(* ------------------------------------------------------------------ *)
-
-(* A stack's port use table equals the multiset of its pcbs' [lports]
-   (port 0, unbound, uncounted). *)
-let ports_agree ports lports =
-  let reference = Port_alloc.create ~lo:0 ~hi:0 in
-  List.iter (Port_alloc.use reference) lports;
-  let sorted a = List.sort compare (Hashtbl.fold (fun p n l -> (p, n) :: l) a.Port_alloc.uses []) in
-  sorted ports = sorted reference
-
-(* BSD TCP's indexes against a reference recomputed from the pcb list. *)
-let bsd_indexes_agree t =
-  let all = Tcp.pcb_list t in
-  let is_child l p =
-    p.Tcp.t_state = Tcp.Syn_received
-    && match p.Tcp.listen_parent with Some x -> x == l | None -> false
+(* The steps both stacks share.  [listen] returns the new listener, if
+   the port was free; [to_child] sends an RST or an ACK from a child's
+   peer, in the child's window. *)
+let tcp_steps v ~listen ~connect ~syn ~to_child ~close ~abort ~watch ~time_wait ~expire
+    ~reclaim ~fresh:make ops =
+  let live = ref [] and fresh = ref [] in
+  let step (kind, a, b, c) =
+    let closes_in_order =
+      match kind with
+      | 0 ->
+          let x = take_fresh fresh make in
+          connect x ~port:(if a >= 2 then Some lports.(a) else None) ~dst:raddrs.(b)
+            ~dport:rports.(c);
+          live := x :: !live;
+          true
+      | 1 ->
+          Option.iter (fun x -> live := x :: !live) (listen ~port:lports.(a land 1));
+          true
+      | 2 ->
+          (* one SYN, or a SYN from each peer address *)
+          Array.iteri
+            (fun i src -> if i <= b then syn ~src ~sport:syn_sports.(c) ~dport:lports.(a land 1))
+            raddrs;
+          live := List.filter (fun p -> not (List.memq p !live)) (Conn_table.to_list v.tbl) @ !live;
+          true
+      | 3 -> (
+          (* half the closes pick a listener, if there is one *)
+          let listeners = List.filter v.listening (Conn_table.to_list v.tbl) in
+          match nth_live (if b = 1 && c = 1 then listeners else !live) a with
+          | Some x when b = 1 && v.listening x -> closes_its_children v ~watch ~close x
+          | Some x ->
+              if b = 0 then abort x else close x;
+              true
+          | None -> true)
+      | 4 ->
+          Option.iter time_wait (nth_live !live a);
+          true
+      | 5 ->
+          Option.iter expire (nth_live !live a);
+          true
+      | 6 ->
+          reclaim ();
+          true
+      | 7 ->
+          fresh := make () :: !fresh;
+          true
+      | _ ->
+          (* An RST, or the ACK that completes the handshake, to a
+             SYN_RCVD child. *)
+          let children = List.filter v.syn_rcvd (Conn_table.to_list v.tbl) in
+          Option.iter (to_child ~rst:(kind = 8)) (nth_live children a);
+          true
+    in
+    closes_in_order && table_agrees v
   in
-  let listeners = List.filter (fun p -> p.Tcp.t_state = Tcp.Listen) all in
-  List.length t.Tcp.listeners = List.length listeners
-  && List.for_all2 ( == ) t.Tcp.listeners listeners
-  && List.for_all
-       (fun l ->
-         Tcp.listen_q_len l
-         = Queue.length l.Tcp.accept_q + List.length (List.filter (is_child l) all))
-       listeners
-  && ports_agree t.Tcp.ports (List.map (fun p -> p.Tcp.lport) all)
-  && List.for_all (fun p -> List.length (List.filter (( == ) p) all) = 1) all
-
-(* A segment from [p]'s peer, in [p]'s receive window. *)
-let to_child t p ~flags =
-  Tcp.input t ~src:p.Tcp.raddr ~dst:local
-    (bsd_segment
-       (tcp_header ~src:p.Tcp.raddr ~sport:p.Tcp.rport ~dport:p.Tcp.lport ~seq:p.Tcp.rcv_nxt
-          ~ack:p.Tcp.snd_nxt ~flags ()))
+  List.for_all step ops
 
 let bsd_tcp (tw_max, ops) =
-  with_tw_max tw_max (fun () ->
-      let tb = Clientos.make_testbed () in
-      let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
-      let t = st.Bsd_socket.tcp in
-      let live = ref [] and fresh = ref [] in
-      let step (kind, a, b, c) =
-        (match kind with
-        | 0 ->
-            let pcb = take_fresh fresh (fun () -> Tcp.create_pcb t) in
-            if a >= 2 then ignore (Tcp.usr_bind t pcb ~port:lports.(a));
-            ignore (Tcp.usr_connect t pcb ~dst:raddrs.(b) ~dport:rports.(c));
-            live := pcb :: !live
-        | 1 ->
-            let pcb = Tcp.create_pcb t in
-            if Result.is_ok (Tcp.usr_bind t pcb ~port:lports.(a land 1)) then begin
-              ignore (Tcp.usr_listen t pcb ~backlog:4);
-              live := pcb :: !live
-            end
-        | 2 ->
-            let src = raddrs.(b) in
-            Tcp.input t ~src ~dst:local
-              (bsd_segment (tcp_header ~src ~sport:syn_sports.(c) ~dport:lports.(a land 1)
-                              ~flags:Tcp.th_syn ()));
-            live := List.filter (fun p -> not (List.memq p !live)) (Tcp.pcb_list t) @ !live
-        | 3 ->
-            Option.iter
-              (fun p -> if b = 0 then Tcp.usr_abort t p else Tcp.usr_close t p)
-              (nth_live !live a)
-        | 4 ->
-            Option.iter
-              (fun p ->
-                match p.Tcp.t_state with
-                | Tcp.Listen | Tcp.Closed | Tcp.Time_wait -> ()
-                | _ -> Tcp.enter_time_wait t p)
-              (nth_live !live a)
-        | 5 ->
-            (* the 2xMSL expiry *)
-            Option.iter
-              (fun p ->
-                if p.Tcp.t_state = Tcp.Time_wait then begin
-                  p.Tcp.t_state <- Tcp.Closed;
-                  Tcp.detach t p
-                end)
-              (nth_live !live a)
-        | 6 -> Tcp.tcp_reclaim t
-        | 7 -> fresh := Tcp.create_pcb t :: !fresh
-        | kind ->
-            (* An RST, or the ACK that completes the handshake, to a
-               SYN_RCVD child. *)
-            let children =
-              List.filter (fun p -> p.Tcp.t_state = Tcp.Syn_received) (Tcp.pcb_list t)
-            in
-            Option.iter
-              (to_child t ~flags:(if kind = 8 then Tcp.th_rst else Tcp.th_ack))
-              (nth_live children a));
-        agree ~hashed:(Tcp.find_pcb t) ~linear:(bsd_scan t)
-          (List.map (fun p -> p.Tcp.lport) (Tcp.pcb_list t))
-        && bsd_indexes_agree t
-      in
-      List.for_all step ops)
+  with_tw_max tw_max @@ fun () ->
+  let tb = Clientos.make_testbed () in
+  let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
+  let t = st.Bsd_socket.tcp in
+  let input hdr ~src = Tcp.input t ~src ~dst:local (bsd_segment hdr) in
+  tcp_steps (bsd_view t) ~fresh:(fun () -> Tcp.create_pcb t)
+    ~connect:(fun pcb ~port ~dst ~dport ->
+      Option.iter (fun port -> ignore (Tcp.usr_bind t pcb ~port)) port;
+      ignore (Tcp.usr_connect t pcb ~dst ~dport))
+    ~listen:(fun ~port ->
+      let pcb = Tcp.create_pcb t in
+      if Result.is_ok (Tcp.usr_bind t pcb ~port) then begin
+        ignore (Tcp.usr_listen t pcb ~backlog);
+        Some pcb
+      end
+      else None)
+    ~syn:(fun ~src ~sport ~dport ->
+      input ~src (tcp_header ~src ~sport ~dport ~flags:Tcp.th_syn ()))
+    ~to_child:(fun ~rst p ->
+      let src = p.Tcp.raddr in
+      input ~src
+        (tcp_header ~src ~sport:p.Tcp.rport ~dport:p.Tcp.lport ~seq:p.Tcp.rcv_nxt
+           ~ack:p.Tcp.snd_nxt ~flags:(if rst then Tcp.th_rst else Tcp.th_ack) ()))
+    ~close:(Tcp.usr_close t) ~abort:(Tcp.usr_abort t) ~watch:bsd_watch
+    ~time_wait:(fun p ->
+      match p.Tcp.t_state with
+      | Tcp.Listen | Tcp.Closed | Tcp.Time_wait -> ()
+      | _ -> Tcp.enter_time_wait t p)
+    ~expire:(fun p ->
+      (* the 2xMSL expiry *)
+      if p.Tcp.t_state = Tcp.Time_wait then begin
+        p.Tcp.t_state <- Tcp.Closed;
+        Tcp.detach t p
+      end)
+    ~reclaim:(fun () -> Tcp.tcp_reclaim t)
+    ops
 
 let linux_tcp (tw_max, ops) =
-  with_tw_max tw_max (fun () ->
-      let tb = Clientos.make_testbed () in
-      let t = Clientos.linux_host tb.Clientos.host_a ~ip:local ~mask in
-      let live = ref [] and fresh = ref [] in
-      let step (kind, a, b, c) =
-        (match kind with
-        | 0 ->
-            let s = take_fresh fresh (fun () -> Linux_inet.socket t) in
-            if a >= 2 then Linux_inet.bind t s ~port:lports.(a);
-            Linux_inet.connect_start t s ~dst:raddrs.(b) ~dport:rports.(c);
-            live := s :: !live
-        | 1 ->
-            let port = lports.(a land 1) in
-            if
-              not
-                (List.exists
-                   (fun s -> s.Linux_inet.lport = port && s.Linux_inet.state = Linux_inet.Listen)
-                   t.Linux_inet.socks)
-            then begin
-              let s = Linux_inet.socket t in
-              Linux_inet.bind t s ~port;
-              Linux_inet.listen t s ~backlog:4;
-              live := s :: !live
-            end
-        | 2 ->
-            let src = raddrs.(b) in
-            Linux_inet.tcp_rcv t ~src
-              (Skbuff.skb_wrap
-                 (tcp_header ~src ~sport:syn_sports.(c) ~dport:lports.(a land 1)
-                    ~flags:Linux_inet.th_syn ()));
-            live := List.filter (fun s -> not (List.memq s !live)) t.Linux_inet.socks @ !live
-        | 3 ->
-            Option.iter
-              (fun s -> if b = 0 then Linux_inet.abort_orphan t s else Linux_inet.close t s)
-              (nth_live !live a)
-        | 4 ->
-            Option.iter
-              (fun s ->
-                match s.Linux_inet.state with
-                | Linux_inet.Listen | Linux_inet.Closed | Linux_inet.Time_wait -> ()
-                | _ -> Linux_inet.lx_enter_time_wait t s)
-              (nth_live !live a)
-        | 5 ->
-            Option.iter
-              (fun s ->
-                if s.Linux_inet.state = Linux_inet.Time_wait then begin
-                  s.Linux_inet.state <- Linux_inet.Closed;
-                  Linux_inet.detach t s
-                end)
-              (nth_live !live a)
-        | 6 -> Linux_inet.lx_reclaim t
-        | _ -> fresh := Linux_inet.socket t :: !fresh);
-        let lports = List.map (fun s -> s.Linux_inet.lport) t.Linux_inet.socks in
-        agree ~hashed:(Linux_inet.find_sock t) ~linear:(linux_scan t) lports
-        && ports_agree t.Linux_inet.ports lports
-      in
-      List.for_all step ops)
+  with_tw_max tw_max @@ fun () ->
+  let tb = Clientos.make_testbed () in
+  let t = Clientos.linux_host tb.Clientos.host_a ~ip:local ~mask in
+  let input hdr ~src = Linux_inet.tcp_rcv t ~src (Skbuff.skb_wrap hdr) in
+  tcp_steps (linux_view t) ~fresh:(fun () -> Linux_inet.socket t)
+    ~connect:(fun s ~port ~dst ~dport ->
+      Option.iter (fun port -> Linux_inet.bind t s ~port) port;
+      Linux_inet.connect_start t s ~dst ~dport)
+    ~listen:(fun ~port ->
+      (* Linux binds without checking the port: one listener per port. *)
+      if Option.is_some (Conn_table.listener t.Linux_inet.conns ~lport:port) then None
+      else begin
+        let s = Linux_inet.socket t in
+        Linux_inet.bind t s ~port;
+        Linux_inet.listen t s ~backlog;
+        Some s
+      end)
+    ~syn:(fun ~src ~sport ~dport ->
+      input ~src (tcp_header ~src ~sport ~dport ~flags:Linux_inet.th_syn ()))
+    ~to_child:(fun ~rst s ->
+      let src = s.Linux_inet.raddr in
+      input ~src
+        (tcp_header ~src ~sport:s.Linux_inet.rport ~dport:s.Linux_inet.lport
+           ~seq:s.Linux_inet.rcv_nxt ~ack:s.Linux_inet.snd_nxt
+           ~flags:(if rst then Linux_inet.th_rst else Linux_inet.th_ack) ()))
+    ~close:(Linux_inet.close t) ~abort:(Linux_inet.abort_orphan t) ~watch:linux_watch
+    ~time_wait:(fun s ->
+      match s.Linux_inet.state with
+      | Linux_inet.Listen | Linux_inet.Closed | Linux_inet.Time_wait -> ()
+      | _ -> Linux_inet.lx_enter_time_wait t s)
+    ~expire:(fun s ->
+      if s.Linux_inet.state = Linux_inet.Time_wait then begin
+        s.Linux_inet.state <- Linux_inet.Closed;
+        Conn_table.detach t.Linux_inet.conns s
+      end)
+    ~reclaim:(fun () -> Linux_inet.lx_reclaim t)
+    ops
 
 (* UDP has no TIME_WAIT: kinds map to bind, connected bind (the exact
    4-tuple key), implicit bind by sending, and detach. *)
@@ -309,7 +383,7 @@ let test_tuple_reuse () =
           (match find ~src:raddrs.(0) ~sport:80 ~dport:1100 with
           | Some p -> p == pcb
           | None -> false))
-      [ "hashed", Tcp.find_pcb t; "scan", bsd_scan t ]
+      [ "hashed", find (bsd_view t); "scan", scan (bsd_view t) ]
   in
   let older = connect () in
   check "one connection" older;
@@ -339,7 +413,7 @@ let test_linux_connect_order () =
         (match find ~src:raddrs.(0) ~sport:80 ~dport:1100 with
         | Some s -> s == older
         | None -> false))
-    [ "hashed", Linux_inet.find_sock t; "scan", linux_scan t ]
+    [ "hashed", find (linux_view t); "scan", scan (linux_view t) ]
 
 (* Pinned from the property: an unbound UDP pcb (lport 0) takes nothing,
    not even a datagram to port 0. *)
@@ -354,22 +428,28 @@ let test_udp_unbound () =
         (find ~src:raddrs.(0) ~sport:53 ~dport:0 = None))
     [ Udp.find_pcb u; udp_scan u ]
 
-(* Closing a listener resets its SYN_RCVD children newest first — the
-   order the walk of the newest-first pcb list met them — and leaves its
-   SYN_RCVD queue empty. *)
-let test_listener_close_order () =
-  let tb = Clientos.make_testbed () in
-  let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
-  let t = st.Bsd_socket.tcp in
-  let peer = raddrs.(0) in
-  Hashtbl.replace st.Bsd_socket.arp.Arp_resolver.table peer
-    (Arp_resolver.Resolved "\x02\x00\x00\x00\x00\x99");
+(* The destination ports of the RSTs [tb]'s wire carries, latest first. *)
+let tap_rsts tb =
   let rsts = ref [] in
   ignore
     (Wire.attach tb.Clientos.wire ~rx:(fun f ->
          match Test_tcp_behavior.tcp_of_frame f with
          | Some (h, _) when h.Codec.flags land Tcp.th_rst <> 0 -> rsts := h.Codec.dport :: !rsts
          | _ -> ()));
+  rsts
+
+let resolved = Arp_resolver.Resolved "\x02\x00\x00\x00\x00\x99"
+
+(* Closing a listener resets its SYN_RCVD children newest first — the
+   order the walk of the newest-first pcb list met them — and leaves no
+   embryonic child behind. *)
+let test_listener_close_order () =
+  let tb = Clientos.make_testbed () in
+  let st = Clientos.freebsd_host tb.Clientos.host_a ~ip:local ~mask in
+  let t = st.Bsd_socket.tcp in
+  let peer = raddrs.(0) in
+  Hashtbl.replace st.Bsd_socket.arp.Arp_resolver.table peer resolved;
+  let rsts = tap_rsts tb in
   let ls = Tcp.create_pcb t in
   Alcotest.(check bool) "bind" true (Result.is_ok (Tcp.usr_bind t ls ~port:80));
   Alcotest.(check bool) "listen" true (Result.is_ok (Tcp.usr_listen t ls ~backlog:8));
@@ -380,12 +460,39 @@ let test_listener_close_order () =
         (bsd_segment (tcp_header ~src:peer ~sport ~dport:80 ~flags:Tcp.th_syn ())))
     sports;
   Alcotest.(check (list int)) "children queued newest first" (List.rev sports)
-    (List.map (fun p -> p.Tcp.rport) ls.Tcp.syn_q);
+    (List.map (fun p -> p.Tcp.rport) (Conn_table.embryos t.Tcp.conns ls));
   Tcp.usr_close t ls;
   Clientos.run tb ~until:(fun () -> List.length !rsts = List.length sports);
   Alcotest.(check (list int)) "RSTs leave newest first" (List.rev sports) (List.rev !rsts);
-  Alcotest.(check int) "SYN_RCVD queue empty" 0 (List.length ls.Tcp.syn_q);
   Alcotest.(check int) "no pcb left" 0 (List.length (Tcp.pcb_list t))
+
+(* The Linux listen backlog counts embryonic children: a backlog-4
+   listener given 6 SYNs that never complete holds 4 children and drops 2
+   SYNs as listen overflows, and closing it resets the 4, newest first. *)
+let test_linux_backlog () =
+  let tb = Clientos.make_testbed () in
+  let t = Clientos.linux_host tb.Clientos.host_a ~ip:local ~mask in
+  let peer = raddrs.(0) in
+  Hashtbl.replace t.Linux_inet.arp.Arp_resolver.table peer resolved;
+  let rsts = tap_rsts tb in
+  let ls = Linux_inet.socket t in
+  Linux_inet.bind t ls ~port:80;
+  Linux_inet.listen t ls ~backlog:4;
+  let sports = [ 5000; 5001; 5002; 5003; 5004; 5005 ] in
+  List.iter
+    (fun sport ->
+      Linux_inet.tcp_rcv t ~src:peer
+        (Skbuff.skb_wrap (tcp_header ~src:peer ~sport ~dport:80 ~flags:Linux_inet.th_syn ())))
+    sports;
+  let children = List.filter (( != ) ls) (Conn_table.to_list t.Linux_inet.conns) in
+  Alcotest.(check (list int)) "4 children, newest first" [ 5003; 5002; 5001; 5000 ]
+    (List.map (fun s -> s.Linux_inet.rport) children);
+  Alcotest.(check int) "2 SYNs overflow the backlog" 2 t.Linux_inet.listen_overflow;
+  Linux_inet.close t ls;
+  Clientos.run tb ~until:(fun () -> List.length !rsts = 4);
+  Alcotest.(check (list int)) "RSTs leave newest first" [ 5003; 5002; 5001; 5000 ]
+    (List.rev !rsts);
+  Alcotest.(check int) "no sock left" 0 (List.length (Conn_table.to_list t.Linux_inet.conns))
 
 let prop name f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count:200 ~name gen_ops f)
 
@@ -399,4 +506,6 @@ let suite =
       test_linux_connect_order;
     Alcotest.test_case "demux: an unbound udp pcb takes nothing" `Quick test_udp_unbound;
     Alcotest.test_case "pcb index: listener close resets SYN_RCVD children newest first" `Quick
-      test_listener_close_order ]
+      test_listener_close_order;
+    Alcotest.test_case "linux backlog: 4 of 6 SYNs held, 2 overflow, RSTs newest first" `Quick
+      test_linux_backlog ]

@@ -235,8 +235,8 @@ let test_tick_fires_on_home_cpu () =
   let pcb_of (st : Bsd_socket.stack) =
     List.find (fun p -> p.Tcp.t_state = Tcp.Established) (Tcp.pcb_list st.Bsd_socket.tcp)
   in
-  Alcotest.(check int) "client pcb's home CPU" home (pcb_of sa).Tcp.home_cpu;
-  Alcotest.(check int) "server pcb's home CPU" home (pcb_of sb).Tcp.home_cpu;
+  Alcotest.(check int) "client pcb's home CPU" home (pcb_of sa).Tcp.conn.Conn_table.home;
+  Alcotest.(check int) "server pcb's home CPU" home (pcb_of sb).Tcp.conn.Conn_table.home;
   let check what (at, cpu, after) ~loop_start ~period ~before =
     Alcotest.(check int) (what ^ " fired on the home CPU") home cpu;
     let phase = (at - loop_start) mod period in
@@ -257,6 +257,40 @@ let test_tick_fires_on_home_cpu () =
     (Tcp.stats_for sa.Bsd_socket.tcp ~cpu:home).Tcp.sndrexmitpack;
   Alcotest.(check int) "one delayed ACK, counted on the home CPU" 1
     (Tcp.stats_for sb.Bsd_socket.tcp ~cpu:home).Tcp.delack
+
+(* On 2 CPUs, a connection homed on CPU 1, which nothing else wakes: its
+   SYNs are lost, and the retransmit fires on a tick of the slow loop,
+   which runs on CPU 0.  The fire runs on CPU 1 with that CPU's clock
+   brought up to the tick's time, so the retransmitted SYN is charged at
+   or after world time, not at the idle CPU's stale clock. *)
+let test_tick_fire_on_idle_cpu () =
+  with_bsd_pair ~ncpus:2 @@ fun tb sa _ ->
+  let home = 1 in
+  let rec pick p =
+    if Rss.cpu_of_flow ~ncpus:2 ~proto:6 ~addr_a ~port_a:p ~addr_b ~port_b:5001 = home
+    then p
+    else pick (p + 1)
+  in
+  let syns = ref [] in
+  Wire.set_netem tb.Clientos.wire
+    (Some
+       (Netem.of_filter (fun f ->
+         match tcp_of_frame f, Machine.current () with
+         | Some (src, _, _, _), Some m when Int32.equal src addr_a ->
+             syns := (Machine.cpu m, Machine.now m, World.now tb.Clientos.world) :: !syns;
+             true
+         | _ -> false)));
+  Clientos.spawn tb.Clientos.host_a ~name:"cli" (fun () ->
+      let s = Bsd_socket.tcp_socket sa in
+      net_ok (Bsd_socket.so_bind s ~port:(pick 2000));
+      ignore (Bsd_socket.so_connect s ~dst:addr_b ~dport:5001));
+  Clientos.run tb ~until:(fun () -> List.length !syns >= 2);
+  match List.rev !syns with
+  | _ :: (cpu, local, world) :: _ ->
+      Alcotest.(check int) "the retransmit runs on the home CPU" home cpu;
+      if local < world then
+        Alcotest.failf "retransmit charged at %d ns on CPU %d, world time %d ns" local cpu world
+  | _ -> Alcotest.fail "no retransmitted SYN"
 
 (* Two connections whose delayed ACKs come due in one fast tick emit in
    pcb-list order, newest first, whichever was armed first.  Returns the
@@ -401,6 +435,8 @@ let suite =
     Alcotest.test_case "tcp tick fires on the home CPU" `Quick test_tick_fires_on_home_cpu;
     Alcotest.test_case "tcp same-tick fires in pcb-list order" `Quick
       test_same_tick_fire_order;
+    Alcotest.test_case "tcp tick on an idle home CPU: world time" `Quick
+      test_tick_fire_on_idle_cpu;
     Alcotest.test_case "kqueue level/edge/oneshot/coalesce" `Quick test_kqueue_modes;
     Alcotest.test_case "reactor kqueue engine" `Quick test_reactor_kq_engine;
     Alcotest.test_case "flags off: new counters untouched" `Quick

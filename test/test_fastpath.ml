@@ -123,13 +123,13 @@ let test_bsd_cache_invalidated_on_close () =
       Alcotest.(check bool) "demux used the cache" true
         (Cost.counters.Cost.pcb_cache_hits > 0);
       Alcotest.(check int) "client hash purged" 0
-        (Hashtbl.length sa.Bsd_socket.tcp.Tcp.demux.Demux.tbl);
+        (Hashtbl.length sa.Bsd_socket.tcp.Tcp.conns.Conn_table.demux.Demux.tbl);
       Alcotest.(check int) "server hash purged" 0
-        (Hashtbl.length sb.Bsd_socket.tcp.Tcp.demux.Demux.tbl);
+        (Hashtbl.length sb.Bsd_socket.tcp.Tcp.conns.Conn_table.demux.Demux.tbl);
       Alcotest.(check bool) "client last-pcb cache purged" true
-        (sa.Bsd_socket.tcp.Tcp.demux.Demux.last = None);
+        (sa.Bsd_socket.tcp.Tcp.conns.Conn_table.demux.Demux.last = None);
       Alcotest.(check bool) "server last-pcb cache purged" true
-        (sb.Bsd_socket.tcp.Tcp.demux.Demux.last = None);
+        (sb.Bsd_socket.tcp.Tcp.conns.Conn_table.demux.Demux.last = None);
       Test_event.check_tick_wheels_quiescent "client" sa.Bsd_socket.tcp;
       Test_event.check_tick_wheels_quiescent "server" sb.Bsd_socket.tcp)
 
@@ -165,12 +165,14 @@ let test_linux_cache_invalidated_on_close () =
       Alcotest.(check string) "echo delivered" "ping" !echoed;
       Alcotest.(check bool) "demux used the cache" true
         (Cost.counters.Cost.pcb_cache_hits > 0);
-      Alcotest.(check int) "client hash purged" 0 (Hashtbl.length sa.Linux_inet.demux.Demux.tbl);
-      Alcotest.(check int) "server hash purged" 0 (Hashtbl.length sb.Linux_inet.demux.Demux.tbl);
+      Alcotest.(check int) "client hash purged" 0
+        (Hashtbl.length sa.Linux_inet.conns.Conn_table.demux.Demux.tbl);
+      Alcotest.(check int) "server hash purged" 0
+        (Hashtbl.length sb.Linux_inet.conns.Conn_table.demux.Demux.tbl);
       Alcotest.(check bool) "client last-sock cache purged" true
-        (sa.Linux_inet.demux.Demux.last = None);
+        (sa.Linux_inet.conns.Conn_table.demux.Demux.last = None);
       Alcotest.(check bool) "server last-sock cache purged" true
-        (sb.Linux_inet.demux.Demux.last = None))
+        (sb.Linux_inet.conns.Conn_table.demux.Demux.last = None))
 
 (* ------------------------------------------------------------------ *)
 (* UDP rides the same hashed demux; a datagram for a closed port must

@@ -689,7 +689,7 @@ let suite =
       `Quick test_scanner_pipelined_and_terminators;
     Alcotest.test_case "keep-alive sequence == N fresh 1.0 connections (reactor)"
       `Quick test_keepalive_sequence_reactor;
-    Alcotest.test_case "keep-alive sequence == N fresh 1.0 connections (threads)"
+    Alcotest.test_case "keep-alive (threads) sequence == N fresh 1.0 connections"
       `Quick test_keepalive_sequence_threaded;
     Alcotest.test_case "pipelined responses come back strictly in order" `Quick
       test_pipelined_in_order;
@@ -699,7 +699,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sendfile_byte_exact;
     Alcotest.test_case "sendfile: warm resend under loss, then rewrite (FreeBSD)" `Quick
       (warm_resend_then_rewrite Endpoint.Freebsd);
-    Alcotest.test_case "sendfile: warm resend under loss, then rewrite (OSKit)" `Quick
+    Alcotest.test_case "sendfile (OSKit): warm resend under loss, then rewrite" `Quick
       (warm_resend_then_rewrite Endpoint.Oskit);
     QCheck_alcotest.to_alcotest prop_reader_framing;
     Alcotest.test_case "buf cache: true-LRU eviction" `Quick test_buf_lru_and_pins;
@@ -713,11 +713,11 @@ let suite =
       test_engine_edges;
     Alcotest.test_case "corked 1.0 reply: data+FIN, 3 segments (reactor)" `Quick
       (reply_carries_fin Httpbench.Reactor);
-    Alcotest.test_case "corked 1.0 reply: data+FIN, 3 segments (threads)" `Quick
+    Alcotest.test_case "corked 1.0 reply (threads): data+FIN, 3 segments" `Quick
       (reply_carries_fin Httpbench.Threads);
     Alcotest.test_case "linux refuses the cork: 1.0 frames unmoved (reactor)" `Quick
       (linux_uncorked Httpbench.Reactor ~frames:52 ~end_ns:6_963_425);
-    Alcotest.test_case "linux refuses the cork: 1.0 frames unmoved (threads)" `Quick
+    Alcotest.test_case "linux refuses the cork (threads): 1.0 frames unmoved" `Quick
       (linux_uncorked Httpbench.Threads ~frames:52 ~end_ns:6_955_425);
     Alcotest.test_case "keep-alive lone reply not held: reactor" `Quick
       (lone_reply_not_held Httpbench.Reactor);

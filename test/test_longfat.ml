@@ -142,15 +142,16 @@ let test_linux_time_wait_expiry_purges () =
      demux to it, not spawn a RST-generating stranger. *)
   Clientos.run tb ~until:(fun () -> s.Linux_inet.state = Linux_inet.Time_wait);
   Alcotest.(check bool) "TIME_WAIT socket still hashed" true
-    (Hashtbl.length sa.Linux_inet.demux.Demux.tbl > 0);
+    (Hashtbl.length sa.Linux_inet.conns.Conn_table.demux.Demux.tbl > 0);
   (* Run the world dry: the 2 s expiry is the last event standing. *)
   Clientos.run tb ~until:(fun () -> false);
   Alcotest.(check bool) "expiry closed the socket" true (s.Linux_inet.state = Linux_inet.Closed);
-  Alcotest.(check int) "expiry purged the hash" 0 (Hashtbl.length sa.Linux_inet.demux.Demux.tbl);
+  Alcotest.(check int) "expiry purged the hash" 0
+    (Hashtbl.length sa.Linux_inet.conns.Conn_table.demux.Demux.tbl);
   Alcotest.(check bool) "expiry purged the last-sock cache" true
-    (sa.Linux_inet.demux.Demux.last = None);
+    (sa.Linux_inet.conns.Conn_table.demux.Demux.last = None);
   Alcotest.(check bool) "expiry removed it from the socket list" true
-    (not (List.memq s sa.Linux_inet.socks))
+    (not (List.memq s (Conn_table.to_list sa.Linux_inet.conns)))
 
 (* ------------------------------------------------------------------ *)
 (* Byte-exactness across the RTT x loss grid with scaled windows +
@@ -231,7 +232,7 @@ let test_autotune_off_buffers_fixed () =
     (fun s ->
       Alcotest.(check int) "linux rcv_buf_max untouched" Linux_inet.default_window
         s.Linux_inet.rcv_buf_max)
-    sb.Linux_inet.socks
+    (Conn_table.to_list sb.Linux_inet.conns)
 
 let suite =
   [ Alcotest.test_case "zero window: persist probe recovers the transfer" `Quick
@@ -240,7 +241,7 @@ let suite =
       test_zero_window_probe_is_sequence_neutral;
     Alcotest.test_case "karn: no ambiguous RTT sample under reordering (linux)" `Quick
       test_karn_reordering_linux;
-    Alcotest.test_case "karn: no ambiguous RTT sample under reordering (bsd)" `Quick
+    Alcotest.test_case "karn (bsd): no ambiguous RTT sample under reordering" `Quick
       test_karn_reordering_bsd;
     Alcotest.test_case "linux TIME_WAIT expiry purges hash, cache, socket list" `Quick
       test_linux_time_wait_expiry_purges;

@@ -170,7 +170,9 @@ let test_syncache_mss_without_option () =
             Linux_inet.tcp_rcv sb ~src (Skbuff.skb_wrap (syn ~dst:laddr ~port));
             if defended then (List.hd ls.Linux_inet.syn_cache.Syncache.entries).Syncache.mss
             else
-              (List.find (fun s -> s.Linux_inet.lport = port && s != ls) sb.Linux_inet.socks)
+              (List.find
+                 (fun s -> s.Linux_inet.lport = port && s != ls)
+                 (Conn_table.to_list sb.Linux_inet.conns))
                 .Linux_inet.smss)
       in
       Alcotest.(check int) "bsd: undefended child" 9000 (bsd ~defended:false ~port:80);
@@ -394,10 +396,10 @@ let tw_cap config () =
       let tw_now, reclaimed =
         match client.stack with
         | Endpoint.Bsd sa ->
-            ( (fun () -> sa.Bsd_socket.tcp.Tcp.tw.Tw_queue.live),
+            ( (fun () -> sa.Bsd_socket.tcp.Tcp.conns.Conn_table.tw.Tw_queue.live),
               fun () -> sa.Bsd_socket.tcp.Tcp.stats.Tcp.time_wait_reclaimed )
         | Endpoint.Lx sa ->
-            ( (fun () -> sa.Linux_inet.tw.Tw_queue.live),
+            ( (fun () -> sa.Linux_inet.conns.Conn_table.tw.Tw_queue.live),
               fun () -> sa.Linux_inet.time_wait_reclaimed )
       in
       Clientos.run tb ~until:(fun () -> !served >= rounds);
@@ -648,11 +650,11 @@ let suite =
       `Quick test_syncache_eviction_and_listener_close;
     Alcotest.test_case "10x SYN flood: every legit client served (bsd)" `Quick
       test_flood_then_legit_bsd;
-    Alcotest.test_case "10x SYN flood: every legit client served (linux)" `Quick
+    Alcotest.test_case "10x SYN flood (linux): every legit client served" `Quick
       test_flood_then_legit_linux;
     Alcotest.test_case "SYN cookie completes statelessly, bogus ACK rejected (bsd)"
       `Quick test_cookie_completion_bsd;
-    Alcotest.test_case "SYN cookie completes statelessly, bogus ACK rejected (linux)"
+    Alcotest.test_case "SYN cookie (linux) completes statelessly, bogus ACK rejected"
       `Quick test_cookie_completion_linux;
     Alcotest.test_case "RST generation is token-bucket limited, both stacks" `Quick
       test_rst_rate_limit_both_stacks;
@@ -660,7 +662,7 @@ let suite =
       test_udp_unreachable_rate_limit;
     Alcotest.test_case "TIME_WAIT cap reclaims oldest-first (bsd)" `Quick
       test_tw_cap_bsd;
-    Alcotest.test_case "TIME_WAIT cap reclaims oldest-first (linux)" `Quick
+    Alcotest.test_case "TIME_WAIT cap (linux) reclaims oldest-first" `Quick
       test_tw_cap_linux;
     Alcotest.test_case "alloc-failure soak: byte-exact at 0.1%-1%, both stacks"
       `Quick test_alloc_soak;

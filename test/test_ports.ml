@@ -67,8 +67,8 @@ let tcp_wraps ?models config () =
           ())
         [ 65535; 1024 ];
       (match client.stack with
-      | Endpoint.Bsd sa -> sa.Bsd_socket.tcp.Tcp.ports.Port_alloc.cursor <- 65535
-      | Endpoint.Lx sa -> sa.Linux_inet.ports.Port_alloc.cursor <- 65535);
+      | Endpoint.Bsd sa -> sa.Bsd_socket.tcp.Tcp.conns.Conn_table.ports.Port_alloc.cursor <- 65535
+      | Endpoint.Lx sa -> sa.Linux_inet.conns.Conn_table.ports.Port_alloc.cursor <- 65535);
       let c = ok (client.connect ~dst:addr_b ~port:server_port) in
       lport := port_of c ~remote:false;
       ignore (ok (c.send ~buf:(pattern bytes) ~pos:0 ~len:bytes));

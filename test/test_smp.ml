@@ -426,7 +426,7 @@ let suite =
       test_shards_sum_to_aggregate;
     Alcotest.test_case "sharded httpd byte-exact at 1/2/4 CPUs" `Quick
       test_httpd_cross_cpu;
-    Alcotest.test_case "sharded httpd byte-exact at 1/2/4 CPUs under 2% loss"
+    Alcotest.test_case "sharded httpd under 2% loss: byte-exact at 1/2/4 CPUs"
       `Quick test_httpd_cross_cpu_lossy;
     Alcotest.test_case "netisr: one per machine, whatever its name" `Quick
       test_netisr_per_machine ]
