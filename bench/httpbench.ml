@@ -52,9 +52,9 @@ let file_site sizes =
     files = Array.mapi (fun i n -> (Printf.sprintf "f%d.bin" i, n)) sizes }
 
 (* A freshly formatted memfs holding the site — the FFS/blkio path the
-   server reads through on every request. *)
+   server reads through on every request — and its buffer cache. *)
 let make_root site =
-  let root = ok (Fs_glue.newfs (Mem_blkio.make ~bytes:site.disk_bytes ())) in
+  let fs, root = ok (Fs_glue.newfs_fs (Mem_blkio.make ~bytes:site.disk_bytes ())) in
   let bodies =
     Array.mapi
       (fun fi (name, n) ->
@@ -68,7 +68,7 @@ let make_root site =
         Bytes.to_string body)
       site.files
   in
-  root, bodies
+  root, bodies, fs.Ffs.bc
 
 (* ---- the equal-memory budget of the concurrency sweep ---- *)
 
@@ -275,6 +275,7 @@ type served = {
   server : Endpoint.t; (* host B at [server_ip], whose stack the httpd serves from *)
   bodies : string array; (* the site's files, in order *)
   root : Io_if.dir; (* the served file system's root *)
+  bufcache : Buf.t; (* its buffer cache, whose blocks sendfile loans *)
   stats : unit -> Httpd.stats; (* the server's counts, once its thread has started *)
   reactors : Reactor.t array; (* one per server CPU *)
 }
@@ -293,7 +294,7 @@ let serve ?models ?bandwidth_bps ?max_threads ?max_conns ~site ~backlog ~stack ~
   let ncpus = Cost.config.Cost.ncpus in
   let tb = Clientos.make_testbed ?models ?bandwidth_bps () in
   let host = tb.Clientos.host_b in
-  let root, bodies = make_root site in
+  let root, bodies, bufcache = make_root site in
   let server = Endpoint.setup stack host ~addr:server_ip in
   let sock =
     match server.stack with
@@ -327,7 +328,14 @@ let serve ?models ?bandwidth_bps ?max_threads ?max_conns ~site ~backlog ~stack ~
         ~name:(Printf.sprintf "httpd-cpu%d" c)
         (fun () -> Reactor.run reactors.(c) ~until)
     done;
-  { testbed = tb; client; server; bodies; root; stats = (fun () -> Option.get !stats); reactors }
+  { testbed = tb;
+    client;
+    server;
+    bodies;
+    root;
+    bufcache;
+    stats = (fun () -> Option.get !stats);
+    reactors }
 
 (* A fresh connection from the client host to the server. *)
 let connect s = s.client.connect ~dst:server_ip ~port:server_port

@@ -33,23 +33,38 @@
  * httpd_header_deadline_ns is cut (Slowloris), and in both shapes a
  * request header over httpd_max_header_bytes is cut.
  *
+ * Sending: both shapes hand their response queue to the socket through
+ * one sender ({!send}).  A copy-path reply leaves by its own so_send; the
+ * mapped replies at the head of the queue leave together, in one
+ * sv_send_frags call over their concatenated fragments, so a pipelined
+ * burst of sendfile replies costs one socket call (one glue crossing on
+ * an OSKit server), not one per reply.  The bytes the socket took are
+ * credited to the queued replies in order, and a reply's pins are
+ * released the moment its last byte is handed over.  A socket that takes
+ * fewer bytes than offered is full: the engine waits until it is
+ * writable instead of calling again.
+ *
  * Corking: both shapes set TCP_NOPUSH ("nopush") once on the listening
  * socket, so every accepted connection is born corked at no per-request
  * crossing — a stack that refuses the option (Linux) simply never corks.
  * A corked socket holds a reply's sub-MSS tail, so a close-per-request
  * reply (and the 503 shed reply) leaves as one data+FIN segment.  A
  * keep-alive engine uncorks when its response queue drains, which is
- * always before it waits for input, and re-corks only when more than one
- * response is queued: each toggle is a setsockopt, a glue crossing on an
- * OSKit server, which a single response's saved segment does not repay.
+ * always before it waits for input, and re-corks only when a reply joins
+ * the queue that will leave in a call apart from the one ahead of it (a
+ * copy-path reply, or any reply behind one): only then can a tail wait
+ * for the next reply's bytes.  A queue of mapped replies leaves in one
+ * call and is never re-corked, so a keep-alive connection serving only
+ * sendfile bodies toggles its cork once.  Each toggle is a setsockopt, a
+ * glue crossing on an OSKit server.
  *
  * Body path (Cost.config.sendfile): a 200 body is served zero-copy when
  * the socket exports the {!Io_if.sendv} face and the file the
  * {!Io_if.filemap} face — the file's buffer-cache blocks are loaned to the
- * socket as pinned fragments and ride the scatter-gather transmit path to
- * the wire with no body copy.  Anything that cannot map (Linux sockets,
- * files with holes, flag off) takes the copy path, which counts every
- * body it copies.
+ * socket as pinned fragments, behind the header as a leading fragment,
+ * and ride the scatter-gather transmit path to the wire with no body
+ * copy.  Anything that cannot map (Linux sockets, files with holes, flag
+ * off) takes the copy path, which counts every body it copies.
  *)
 
 type stats = {
@@ -75,13 +90,17 @@ type stats = {
   mutable sendfile_bodies : int;  (* bodies served from mapped cache blocks *)
   mutable sendfile_fallbacks : int;  (* sendfile wanted, had to copy *)
   mutable body_bytes_copied : int;  (* 200 body bytes through the copy path *)
+  (* the sender *)
+  mutable send_calls : int;  (* so_send and sv_send_frags calls *)
+  mutable cork_toggles : int;  (* "nopush" setsockopt calls on accepted connections *)
 }
 
 let make_stats () =
   { accepted = 0; requests = 0; responses = 0; not_found = 0; protocol_errors = 0;
     shed = 0; bytes_out = 0; active = 0; peak_active = 0; shed_503 = 0;
     deadline_closed = 0; hdr_overflow = 0; reused = 0; pipelined = 0; idle_closed = 0;
-    capped = 0; sendfile_bodies = 0; sendfile_fallbacks = 0; body_bytes_copied = 0 }
+    capped = 0; sendfile_bodies = 0; sendfile_fallbacks = 0; body_bytes_copied = 0;
+    send_calls = 0; cork_toggles = 0 }
 
 (* The per-connection memory the two serving modes pay — what the
    equal-memory comparison in bench/httpbench divides a RAM budget by.  A
@@ -235,20 +254,25 @@ let resp_503 =
 
 (* ---- the protocol engine's response side ---- *)
 
-(* One queued response.  [rs_data] is the header (plus the body, when it
-   went through the copy path); [rs_frags] is the mapped body for the
-   sendfile path ([] = none).  The connection owns one release per
-   fragment and drops them the moment the body is fully handed to the
-   socket — the socket takes its own holds for bytes still in flight. *)
+(* One queued response.  A copy-path reply (the header, plus the body
+   when it went through the copy path) is [rs_data] and leaves by
+   so_send.  A mapped reply is [rs_frags]: the header as the leading
+   fragment, then the file's pinned cache blocks; it leaves by
+   sv_send_frags, gathered with every mapped reply queued behind it.
+   [rs_sent] counts the bytes handed to the socket.  The connection owns
+   one release per mapped fragment and drops them the moment the reply's
+   last byte is handed over — the socket takes its own holds for bytes
+   still in flight. *)
 type resp = {
-  rs_data : bytes;
-  rs_frags : Io_if.file_frag list;
-  rs_blen : int;  (* total mapped body bytes *)
+  rs_data : bytes;  (* the copy-path reply; empty when mapped *)
+  rs_frags : Io_if.file_frag list;  (* the mapped reply; [] on the copy path *)
+  rs_len : int;  (* reply bytes, either way *)
   rs_close : bool;  (* close the connection after this response *)
-  mutable rs_hsent : int;
-  mutable rs_bsent : int;
+  mutable rs_sent : int;
   mutable rs_released : bool;
 }
+
+let mapped r = r.rs_frags <> []
 
 let release_resp r =
   if not r.rs_released then begin
@@ -311,13 +335,14 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
   let v11 = ka && v11 in
   let keep = ka && (if v11 then not asked_close else asked_keep) && not capped in
   let copied ~status ~reason ~keep body =
-    { rs_data =
-        Bytes.cat (Bytes.of_string (resp_header ~v11 ~status ~reason ~len:(Bytes.length body) ~keep)) body;
+    let data =
+      Bytes.cat (Bytes.of_string (resp_header ~v11 ~status ~reason ~len:(Bytes.length body) ~keep)) body
+    in
+    { rs_data = data;
       rs_frags = [];
-      rs_blen = 0;
+      rs_len = Bytes.length data;
       rs_close = not keep;
-      rs_hsent = 0;
-      rs_bsent = 0;
+      rs_sent = 0;
       rs_released = true }
   in
   match path with
@@ -369,12 +394,11 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
                   fr_hold = (fun () -> ());
                   fr_release = (fun () -> ()) }
               in
-              { rs_data = Bytes.create 0;
+              { rs_data = Bytes.empty;
                 rs_frags = hfrag :: frags;
-                rs_blen = Bytes.length hdr + blen;
+                rs_len = Bytes.length hdr + blen;
                 rs_close = not keep;
-                rs_hsent = 0;
-                rs_bsent = 0;
+                rs_sent = 0;
                 rs_released = false }
           | None -> (
               match read_file f with
@@ -392,19 +416,134 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
           st.not_found <- st.not_found + 1;
           copied ~status:404 ~reason:"Not Found" ~keep (Bytes.of_string "not found\n"))
 
-(* The cork switch of a connection born corked when [corks] (and never
-   corked otherwise): a toggle is a setsockopt, made only when the state
-   changes. *)
-let corker ~corks (c : Io_if.socket) =
-  if not corks then fun _ -> ()
-  else begin
-    let corked = ref true in
-    fun on ->
-      if on <> !corked then begin
-        corked := on;
-        ignore (c.Io_if.so_setsockopt "nopush" (if on then 1 else 0))
-      end
+(* ---- one connection's engine (shared by both serving shapes) ----
+ *
+ * Both shapes frame and send through the functions below; they differ
+ * only in how they wait (a reactor watch, or a parked handler thread). *)
+
+type conn = {
+  st : stats;
+  root : Io_if.dir;
+  sock : Io_if.socket;
+  sv : Io_if.sendv option;  (* present: the socket takes loaned fragments *)
+  rb : reqbuf;
+  q : resp Queue.t;  (* framed and not yet wholly handed over, in request order *)
+  pipeline_max : int;
+  mutable reqs : int;  (* requests framed *)
+  mutable closing : bool;  (* a Connection: close response is queued *)
+  corks : bool;  (* the stack took "nopush" on the listener: [sock] is born corked *)
+  mutable corked : bool;
+}
+
+let conn_create ~corks st root sock =
+  { st;
+    root;
+    sock;
+    sv = (if Cost.config.Cost.sendfile then sendv_of sock else None);
+    rb = rb_create ();
+    q = Queue.create ();
+    pipeline_max = max 1 Cost.config.http_pipeline_max;
+    reqs = 0;
+    closing = false;
+    corks;
+    corked = corks }
+
+(* The cork switch: a toggle is a setsockopt, made only when the state
+   changes, and never on a socket that refused the cork. *)
+let cork cn on =
+  if cn.corks && on <> cn.corked then begin
+    cn.corked <- on;
+    cn.st.cork_toggles <- cn.st.cork_toggles + 1;
+    ignore (cn.sock.Io_if.so_setsockopt "nopush" (if on then 1 else 0))
   end
+
+(* Unsent mapped bodies still hold cache pins: drop them. *)
+let drop_queue cn =
+  Queue.iter release_resp cn.q;
+  Queue.clear cn.q
+
+(* Frame every buffered request the parse-ahead bound admits and queue
+   its response, stopping at one that closes the connection.  A reply
+   that will leave in a call apart from the one ahead of it re-corks the
+   socket, so the tail of the first waits for the second. *)
+let rec frame cn =
+  if (not cn.closing) && Queue.length cn.q < cn.pipeline_max then
+    match rb_next_request cn.rb with
+    | None -> ()
+    | Some raw ->
+        if not (Queue.is_empty cn.q) then cn.st.pipelined <- cn.st.pipelined + 1;
+        cn.reqs <- cn.reqs + 1;
+        let r = build_response cn.st cn.root ~sv:cn.sv ~nth:cn.reqs raw in
+        if
+          (not (Queue.is_empty cn.q))
+          && not (mapped r && Queue.fold (fun _ q -> mapped q) true cn.q)
+        then cork cn true;
+        Queue.push r cn.q;
+        if r.rs_close then cn.closing <- true else frame cn
+
+(* The mapped replies at the head of the queue, as one fragment list,
+   and the bytes of them not yet handed over. *)
+let gather q =
+  let run = ref [] and stop = ref false in
+  Queue.iter (fun r -> if not !stop then if mapped r then run := r :: !run else stop := true) q;
+  let left = List.fold_left (fun a r -> a + r.rs_len - r.rs_sent) 0 !run in
+  match !run with
+  | [ r ] -> (r.rs_frags, left)
+  | rs -> (List.fold_left (fun acc r -> r.rs_frags @ acc) [] rs, left)
+
+(* Credit [n] bytes the socket took to the queued replies in order: a
+   reply whose last byte is handed over releases its pins at once. *)
+let credit q n =
+  let left = ref n in
+  Queue.iter
+    (fun r ->
+      if !left > 0 then begin
+        let k = min !left (r.rs_len - r.rs_sent) in
+        r.rs_sent <- r.rs_sent + k;
+        left := !left - k;
+        if r.rs_sent = r.rs_len then release_resp r
+      end)
+    q
+
+(* Pop the replies handed over in full; true if one closes the connection. *)
+let rec pop_sent q =
+  match Queue.peek_opt q with
+  | Some r when r.rs_sent = r.rs_len ->
+      ignore (Queue.pop q);
+      r.rs_close || pop_sent q
+  | Some _ | None -> false
+
+type sent =
+  | Handed  (* the socket took every byte offered; whole replies are popped *)
+  | Full  (* it took fewer, or none: wait until it is writable *)
+  | Closed  (* a reply that closes the connection was handed over *)
+  | Failed
+
+(* The sender: one socket call for the head of the (non-empty) queue.  A
+   copy-path reply goes alone by so_send; a mapped one goes by
+   sv_send_frags together with every mapped reply queued behind it (the
+   sendv contract takes a concatenated fragment list and a stream
+   offset). *)
+let send cn =
+  let r = Queue.peek cn.q in
+  cn.st.send_calls <- cn.st.send_calls + 1;
+  let offered, took =
+    if not (mapped r) then
+      let len = r.rs_len - r.rs_sent in
+      (len, cn.sock.Io_if.so_send ~buf:r.rs_data ~pos:r.rs_sent ~len)
+    else
+      match cn.sv with
+      | None -> (0, Result.Error Error.Notsup) (* unreachable: only a sendv socket maps *)
+      | Some sv ->
+          let frags, left = gather cn.q in
+          (left, sv.Io_if.sv_send_frags ~frags ~pos:r.rs_sent)
+  in
+  match took with
+  | Ok n when n > 0 ->
+      credit cn.q n;
+      if pop_sent cn.q then Closed else if n < offered then Full else Handed
+  | Ok _ | Result.Error Error.Wouldblock -> Full
+  | Result.Error _ -> Failed
 
 (* ---- event-driven mode ---- *)
 
@@ -424,17 +563,11 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
   if st.active > st.peak_active then st.peak_active <- st.active;
   ignore (c.Io_if.so_setsockopt "nonblock" 1);
   let caio = aio_of c in
-  let sv = if Cost.config.Cost.sendfile then sendv_of c else None in
-  let pipeline_max = max 1 Cost.config.http_pipeline_max in
-  let rb = rb_create () in
-  let pending : resp Queue.t = Queue.create () in
-  let reqs = ref 0 in
+  let cn = conn_create ~corks st root c in
   let wref = ref None in
   let closed = ref false in
-  let closing = ref false in (* a Connection: close response is queued *)
   let cur_mask = ref Io_if.aio_read in
   let idle_gen = ref 0 in
-  let cork = corker ~corks c in
   (* Idempotent: a callout can fire after the connection already finished
      (or it was torn down twice by racing read/write errors); only the
      first close may touch the counts. *)
@@ -442,9 +575,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
     if not !closed then begin
       closed := true;
       (match !wref with Some w -> Reactor.unwatch reactor w | None -> ());
-      (* Unsent mapped bodies still hold cache pins: drop them. *)
-      Queue.iter release_resp pending;
-      Queue.clear pending;
+      drop_queue cn;
       ignore (c.Io_if.so_close ());
       st.active <- st.active - 1
     end
@@ -458,7 +589,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
       let gen = !idle_gen in
       callout_after ~ns (fun () ->
           if not !closed then begin
-            if gen = !idle_gen && Queue.is_empty pending then begin
+            if gen = !idle_gen && Queue.is_empty cn.q then begin
               st.idle_closed <- st.idle_closed + 1;
               finish ()
             end
@@ -466,11 +597,11 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
           end)
     end
   in
-  let rec update_mask () =
+  let update_mask () =
     if not !closed then begin
       let m =
-        (if Queue.length pending < pipeline_max && not !closing then Io_if.aio_read else 0)
-        lor (if not (Queue.is_empty pending) then Io_if.aio_write else 0)
+        (if Queue.length cn.q < cn.pipeline_max && not cn.closing then Io_if.aio_read else 0)
+        lor if not (Queue.is_empty cn.q) then Io_if.aio_write else 0
       in
       let m = if m = 0 then Io_if.aio_read else m in
       if m <> !cur_mask then begin
@@ -478,78 +609,35 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
         match !wref with Some w -> Reactor.rewatch reactor w ~mask:m | None -> ()
       end
     end
-  and parse_loop () =
-    if (not !closed) && (not !closing) && Queue.length pending < pipeline_max then
-      match rb_next_request rb with
-      | None -> ()
-      | Some raw ->
-          if not (Queue.is_empty pending) then st.pipelined <- st.pipelined + 1;
-          incr reqs;
-          let r = build_response st root ~sv ~nth:!reqs raw in
-          Queue.push r pending;
-          if Queue.length pending > 1 then cork true;
-          if r.rs_close then closing := true else parse_loop ()
-  and on_writable () =
-    if not !closed then
-      match Queue.peek_opt pending with
-      | None -> ()
-      | Some r ->
-          if r.rs_hsent < Bytes.length r.rs_data then (
-            match
-              c.Io_if.so_send ~buf:r.rs_data ~pos:r.rs_hsent
-                ~len:(Bytes.length r.rs_data - r.rs_hsent)
-            with
-            | Ok n ->
-                r.rs_hsent <- r.rs_hsent + n;
-                if r.rs_hsent >= Bytes.length r.rs_data then on_writable ()
-            | Result.Error Error.Wouldblock -> ()
-            | Result.Error _ -> finish ())
-          else if r.rs_bsent < r.rs_blen then (
-            match sv with
-            | None -> finish () (* unreachable: mapped bodies need the face *)
-            | Some sv_ -> (
-                match sv_.Io_if.sv_send_frags ~frags:r.rs_frags ~pos:r.rs_bsent with
-                | Ok n ->
-                    r.rs_bsent <- r.rs_bsent + n;
-                    if r.rs_bsent >= r.rs_blen then begin
-                      release_resp r;
-                      complete_resp ()
-                    end
-                    else if n > 0 then on_writable ()
-                | Result.Error Error.Wouldblock -> ()
-                | Result.Error _ -> finish ()))
-          else complete_resp ()
-  and complete_resp () =
-    match Queue.pop pending with
-    | r ->
-        release_resp r;
-        if r.rs_close then finish ()
-        else begin
+  in
+  let rec on_writable () =
+    if (not !closed) && not (Queue.is_empty cn.q) then
+      match send cn with
+      | Closed | Failed -> finish ()
+      | (Handed | Full) as sent ->
           (* Below the parse-ahead cap again: frame what is buffered.  A
              drained queue waits for input: push the held tail first. *)
-          parse_loop ();
-          if Queue.is_empty pending then cork false;
+          frame cn;
+          if Queue.is_empty cn.q then cork cn false;
           update_mask ();
-          if not (Queue.is_empty pending) then on_writable ()
-        end
-    | exception Queue.Empty -> ()
+          if sent = Handed then on_writable ()
   in
   let on_readable () =
     match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
     | Ok 0 ->
         (* Peer departed.  Mid-request it is a protocol error; between
            requests (or before the first) it is how connections end. *)
-        if rb_pending rb > 0 then st.protocol_errors <- st.protocol_errors + 1;
+        if rb_pending cn.rb > 0 then st.protocol_errors <- st.protocol_errors + 1;
         finish ()
     | Ok n ->
         incr idle_gen;
-        rb_append rb scratch n;
-        parse_loop ();
+        rb_append cn.rb scratch n;
+        frame cn;
         if
           Cost.config.httpd_guard
-          && (not !closing)
-          && Queue.length pending < pipeline_max
-          && rb_pending rb > Cost.config.httpd_max_header_bytes
+          && (not cn.closing)
+          && Queue.length cn.q < cn.pipeline_max
+          && rb_pending cn.rb > Cost.config.httpd_max_header_bytes
         then begin
           (* Unbounded drip-fed headers are the other half of the
              Slowloris hold: cap the buffer and cut the connection. *)
@@ -558,11 +646,11 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
         end
         else begin
           update_mask ();
-          if not (Queue.is_empty pending) then on_writable ()
+          on_writable ()
         end
     | Result.Error Error.Wouldblock -> ()
     | Result.Error _ ->
-        if rb_pending rb > 0 then st.protocol_errors <- st.protocol_errors + 1;
+        if rb_pending cn.rb > 0 then st.protocol_errors <- st.protocol_errors + 1;
         finish ()
   in
   let cb ready =
@@ -575,7 +663,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
        deadline, or the connection is cut.  Dripping bytes keeps the idle
        reaper quiet, never this. *)
     callout_after ~ns:Cost.config.httpd_header_deadline_ns (fun () ->
-        if (not !closed) && !reqs = 0 then begin
+        if (not !closed) && cn.reqs = 0 then begin
           st.deadline_closed <- st.deadline_closed + 1;
           finish ()
         end);
@@ -675,10 +763,11 @@ let wait_ready_or_timeout (aio : Io_if.asyncio) ~mask ~ns =
   end
 
 (* The handler thread: the reactor connection's protocol engine,
-   serialized — frame, respond, write, repeat; pipelined requests already
-   buffered are answered back-to-back in arrival order.  Keep-alive on,
-   the socket is nonblocking so the idle wait can race the timeout;
-   keep-alive off, one blocking request/response and the thread is done. *)
+   serialized — frame every buffered request (up to http_pipeline_max),
+   send the queue, repeat; a pipelined burst is answered as the reactor
+   answers it.  Keep-alive on, the socket is nonblocking so the idle wait
+   can race the timeout; keep-alive off, one blocking request/response
+   and the thread is done. *)
 let handle_blocking ~corks st root (c : Io_if.socket) =
   let caio =
     if Cost.config.http_keepalive then begin
@@ -692,65 +781,34 @@ let handle_blocking ~corks st root (c : Io_if.socket) =
     | Some aio -> wait_ready_or_timeout aio ~mask ~ns:Cost.config.http_idle_timeout_ns
     | None -> false
   in
-  let sv = if Cost.config.Cost.sendfile then sendv_of c else None in
-  let rb = rb_create () in
+  let cn = conn_create ~corks st root c in
   let scratch = Bytes.create 2048 in
-  let reqs = ref 0 in
-  let cork = corker ~corks c in
-  let rec push_bytes buf off len =
-    if len = 0 then true
-    else
-      match c.Io_if.so_send ~buf ~pos:off ~len with
-      | Ok 0 | Result.Error Error.Wouldblock -> wait Io_if.aio_write && push_bytes buf off len
-      | Ok n -> push_bytes buf (off + n) (len - n)
-      | Result.Error _ -> false
-  in
-  let rec push_frags sv_ r pos =
-    if pos >= r.rs_blen then true
-    else
-      match sv_.Io_if.sv_send_frags ~frags:r.rs_frags ~pos with
-      | Ok 0 | Result.Error Error.Wouldblock -> wait Io_if.aio_write && push_frags sv_ r pos
-      | Ok n -> push_frags sv_ r (pos + n)
-      | Result.Error _ -> false
-  in
-  let send_resp r =
-    let ok = push_bytes r.rs_data 0 (Bytes.length r.rs_data) in
-    let ok =
-      ok
-      && (r.rs_blen = 0
-         || match sv with Some sv_ -> push_frags sv_ r 0 | None -> false)
-    in
-    release_resp r;
-    ok
-  in
   let rec serve () =
-    match rb_next_request rb with
-    | Some raw ->
-        incr reqs;
-        if rb_pending rb > 0 then begin
-          (* Another request is already arriving: keep this tail for it. *)
-          st.pipelined <- st.pipelined + 1;
-          cork true
-        end;
-        let r = build_response st root ~sv ~nth:!reqs raw in
-        if send_resp r && not r.rs_close then serve ()
-    | None ->
-        (* Every framed request is answered: push the held tail before
-           waiting for the next. *)
-        if !reqs > 0 then cork false;
-        if Cost.config.httpd_guard && rb_pending rb > Cost.config.httpd_max_header_bytes
-        then st.hdr_overflow <- st.hdr_overflow + 1
-        else (
-          match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
-          | Ok n when n > 0 ->
-              rb_append rb scratch n;
-              serve ()
-          | Result.Error Error.Wouldblock ->
-              if wait Io_if.aio_read then serve () else st.idle_closed <- st.idle_closed + 1
-          | Ok _ | Result.Error _ ->
-              if rb_pending rb > 0 then st.protocol_errors <- st.protocol_errors + 1)
+    frame cn;
+    if not (Queue.is_empty cn.q) then
+      match send cn with
+      | Handed -> serve ()
+      | Full -> if wait Io_if.aio_write then serve ()
+      | Closed | Failed -> ()
+    else begin
+      (* Every framed request is answered: push the held tail before
+         waiting for the next. *)
+      if cn.reqs > 0 then cork cn false;
+      if Cost.config.httpd_guard && rb_pending cn.rb > Cost.config.httpd_max_header_bytes
+      then st.hdr_overflow <- st.hdr_overflow + 1
+      else
+        match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
+        | Ok n when n > 0 ->
+            rb_append cn.rb scratch n;
+            serve ()
+        | Result.Error Error.Wouldblock ->
+            if wait Io_if.aio_read then serve () else st.idle_closed <- st.idle_closed + 1
+        | Ok _ | Result.Error _ ->
+            if rb_pending cn.rb > 0 then st.protocol_errors <- st.protocol_errors + 1
+    end
   in
   serve ();
+  drop_queue cn;
   ignore (c.Io_if.so_close ())
 
 (* Spawns the blocking accept loop via [spawn] and returns immediately.

@@ -682,6 +682,130 @@ let lone_reply_not_held shape () =
     !lat;
   Alcotest.(check int) "no idle close" 0 st.Httpd.idle_closed
 
+(* ------------------------------------------------------------------ *)
+(* The gathered sender: the queued sendfile replies of a pipelined burst
+   leave in one sv_send_frags call, each reply's pins go the moment its
+   last byte is handed over, and a queue of mapped replies is never
+   re-corked.                                                           *)
+
+(* Files 0-3 straddle the 48 KB send buffer together; files 4-7 fit in it. *)
+let burst_sizes = [ 40 * 1024; 1024; 30 * 1024; 2 * 1024; 1024; 2 * 1024; 1024; 2 * 1024 ]
+
+(* Over one keep-alive connection to an OSKit sendfile server in [shape],
+   two bursts of four pipelined GETs: files 0-3, whose replies overrun
+   the send buffer, so the socket takes them over several calls as ACKs
+   free space; then files 4-7, whose replies all fit, so the burst leaves
+   in one call.  Handing each reply over in a call of its own took 28
+   and 4 calls, and re-corking behind each queued reply 3 cork toggles. *)
+let gathered_burst shape () =
+  let got = ref [] and finished = ref false and served = ref None in
+  let calls = ref [] in
+  let st =
+    with_http11 ~sendfile:true ~sg:true (fun () ->
+        serve_to ~stack:Endpoint.Oskit ~shape ~sizes:burst_sizes
+          ~until:(fun () -> !finished)
+          (fun s ->
+            served := Some s;
+            let c = connect s in
+            let next = Httpbench.reader c in
+            let send_calls () = (s.Httpbench.stats ()).Httpd.send_calls in
+            List.iter
+              (fun files ->
+                let c0 = send_calls () in
+                Httpbench.send_string c (String.concat "" (List.map get_request files));
+                List.iter
+                  (fun _ -> got := (match next () with Some (_, b) -> b | None -> "") :: !got)
+                  files;
+                calls := (send_calls () - c0) :: !calls)
+              [ [ 0; 1; 2; 3 ]; [ 4; 5; 6; 7 ] ];
+            c.close ();
+            (* Long enough for the server to see the close and the last ACKs. *)
+            Kclock.sleep_ns 50_000_000;
+            finished := true))
+  in
+  let s = Option.get !served in
+  Alcotest.(check (list string)) "bodies byte-exact" (Array.to_list s.Httpbench.bodies)
+    (List.rev !got);
+  Alcotest.(check int) "every body by sendfile" 8 st.Httpd.sendfile_bodies;
+  (match !calls with
+  | [ fitting; overrunning ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d calls hand over the overrunning burst" overrunning)
+        true (overrunning < 28);
+      Alcotest.(check int) "the fitting burst leaves in one call" 1 fitting
+  | _ -> Alcotest.fail "two bursts");
+  Alcotest.(check int) "the connection closed" 0 st.Httpd.active;
+  let cs = Buf.cache_stats s.Httpbench.bufcache in
+  Alcotest.(check int) "every pin returned" cs.Buf.cs_pins cs.Buf.cs_unpins;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cork toggles over two bursts" st.Httpd.cork_toggles)
+    true (st.Httpd.cork_toggles <= 1)
+
+(* An OSKit TCP socket whose sendv face takes [takes] bytes on its
+   successive calls, and what it took, in order. *)
+let scripted_socket takes =
+  let wire = Buffer.create 1024 in
+  let send_frags ~frags ~pos =
+    let n = min (List.hd !takes) (Io_if.frags_length frags - pos) in
+    takes := List.tl !takes;
+    ignore
+      (List.fold_left
+         (fun (skip, need) (f : Io_if.file_frag) ->
+           if skip >= f.Io_if.fr_len then (skip - f.Io_if.fr_len, need)
+           else begin
+             let k = min need (f.Io_if.fr_len - skip) in
+             Buffer.add_subbytes wire f.Io_if.fr_data (f.Io_if.fr_off + skip) k;
+             (0, need - k)
+           end)
+         (pos, n) frags);
+    Ok n
+  in
+  let rec sv = lazy { Io_if.sv_unknown = Lazy.force obj; sv_send_frags = send_frags }
+  and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.sendv_iid, fun () -> Lazy.force sv) ])) in
+  let tb = Clientos.make_testbed () in
+  let sock =
+    match (Endpoint.setup Endpoint.Oskit tb.Clientos.host_b ~addr:Httpbench.server_ip).stack with
+    | Endpoint.Bsd bsd -> Freebsd_glue.socket_com bsd (Bsd_socket.tcp_socket bsd)
+    | Endpoint.Lx _ -> Alcotest.fail "the OSKit configuration runs the FreeBSD stack"
+  in
+  ({ sock with Io_if.so_unknown = Lazy.force obj }, wire)
+
+(* Two queued sendfile replies, 40 KB and 30 KB, over a socket that takes
+   50 KB on the first call: the call ends inside the second reply, so it
+   returns the first reply's pins and keeps the second's; the next call
+   finishes the second and returns the rest. *)
+let test_partial_gather () =
+  with_http11 ~sendfile:true ~sg:true @@ fun () ->
+  let sizes = [ 40 * 1024; 30 * 1024 ] in
+  let root, bodies, bc = Httpbench.make_root (site sizes) in
+  let sock, wire = scripted_socket (ref [ 50 * 1024; max_int ]) in
+  let cn = Httpd.conn_create ~corks:false (Httpd.make_stats ()) root sock in
+  let reqs = get_request 0 ^ get_request 1 in
+  Httpd.rb_append cn.Httpd.rb (Bytes.of_string reqs) (String.length reqs);
+  let cs0 = Buf.cache_stats bc in
+  Httpd.frame cn;
+  let blocks =
+    List.of_seq (Seq.map (fun r -> List.length r.Httpd.rs_frags - 1) (Queue.to_seq cn.Httpd.q))
+  in
+  let returned () = (Buf.cache_stats bc).Buf.cs_unpins - cs0.Buf.cs_unpins in
+  let pinned () = (Buf.cache_stats bc).Buf.cs_pinned in
+  (match blocks with
+  | [ b0; b1 ] ->
+      Alcotest.(check bool) "the first call ends inside the second reply" true
+        (Httpd.send cn = Httpd.Full);
+      Alcotest.(check int) "one reply left" 1 (Queue.length cn.Httpd.q);
+      Alcotest.(check int) "the first reply's pins returned at once" b0 (returned ());
+      Alcotest.(check int) "the second's still held" b1 (pinned ());
+      Alcotest.(check bool) "the second call finishes it" true (Httpd.send cn = Httpd.Handed);
+      Alcotest.(check int) "its pins returned" (b0 + b1) (returned ());
+      Alcotest.(check int) "nothing pinned" 0 (pinned ())
+  | l -> Alcotest.failf "expected 2 queued replies, got %d" (List.length l));
+  let next = Httpbench.reader (canned (Buffer.contents wire) []) in
+  let got = List.map (fun _ -> Option.map snd (next ())) sizes in
+  Alcotest.(check (list (option string))) "both replies byte-exact"
+    (List.map Option.some (Array.to_list bodies))
+    got
+
 let suite =
   [ Alcotest.test_case "scanner: one-byte drips, cursor never rewinds" `Quick
       test_scanner_drip;
@@ -722,4 +846,9 @@ let suite =
     Alcotest.test_case "keep-alive lone reply not held: reactor" `Quick
       (lone_reply_not_held Httpbench.Reactor);
     Alcotest.test_case "keep-alive lone reply not held: threads" `Quick
-      (lone_reply_not_held Httpbench.Threads) ]
+      (lone_reply_not_held Httpbench.Threads);
+    Alcotest.test_case "gathered burst: one sendv (reactor)" `Quick
+      (gathered_burst Httpbench.Reactor);
+    Alcotest.test_case "gathered burst (threads): one sendv" `Quick
+      (gathered_burst Httpbench.Threads);
+    Alcotest.test_case "sender: a partial call ends in reply 2" `Quick test_partial_gather ]
