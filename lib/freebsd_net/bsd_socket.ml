@@ -64,8 +64,9 @@ let sowakeup st chan which = Bsd_sleep.wakeup st.sleepq ~channel:(chan + which)
 
 (* Current readiness, an [Io_if.aio_*] bitmask.  Mirrors what the blocking
    entry points below would do without sleeping: readable = soreceive or
-   soaccept returns immediately, writable = sosend can take at least one
-   byte, exception = a pending so_error. *)
+   soaccept returns immediately, writable = sosend can take the send
+   buffer's low-water mark (sowriteable), exception = a pending
+   so_error. *)
 let so_readiness s =
   let pcb = s.pcb in
   let rd =
@@ -76,7 +77,8 @@ let so_readiness s =
   in
   let wr =
     match pcb.Tcp.t_state with
-    | Tcp.Established | Tcp.Close_wait -> Sockbuf.space pcb.Tcp.snd_buf > 0
+    | Tcp.Established | Tcp.Close_wait ->
+        Sockbuf.space pcb.Tcp.snd_buf >= Sockbuf.lowat pcb.Tcp.snd_buf
     | Tcp.Closed -> true
     | _ -> false
   in

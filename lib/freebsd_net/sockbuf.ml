@@ -12,6 +12,11 @@ type t = { mutable sb_mb : Mbuf.mbuf option; mutable sb_cc : int; mutable sb_hiw
 let create ~hiwat = { sb_mb = None; sb_cc = 0; sb_hiwat = hiwat }
 let space sb = max 0 (sb.sb_hiwat - sb.sb_cc)
 
+(* The send low-water mark: the free space at which a writer is woken
+   (sowriteable).  soreserve sets it to one cluster, capped at the high
+   water mark. *)
+let lowat sb = min Mbuf.mclbytes sb.sb_hiwat
+
 (* Append raw bytes (the sosend path: one real copy, user -> cluster). *)
 let sbappend_bytes sb ~src ~src_pos ~len =
   (match sb.sb_mb with

@@ -31,12 +31,26 @@
  * queues may still hold the memo through their own pins.  [drop_sums]
  * forgets a block's memo; the file system calls it when it frees the
  * block, so the memos number at most one per allocated block that has
- * held loaned file data, each 1/8 of its block's size.
+ * held loaned file data, each 1/8 of its block's size.  How much of the
+ * block a buffer holds does not touch the memo: a loan maps only bytes the
+ * buffer holds, and reading the rest of the block changes none of them.
+ *
+ * Short buffers (BSD's [b_bcount]): a buffer holds the first [b_bcount]
+ * bytes of its block, and a read asks for as many as it needs.  The file
+ * system's file reads ask for the file's bytes in its last direct block
+ * rounded up to a fragment (FFS's [blksize]), so a small file's tail
+ * costs its fragments on the device, not a whole block.  A later read
+ * that needs more of a cached block reads only the rest ([b_bcount] up to
+ * the new size); [getblk_nofill] claims the whole block, and a write
+ * pushes the bytes the buffer holds.  Every writer reaches its block
+ * through [bread] or [getblk_nofill], which hold it whole, so a dirty
+ * buffer is always whole.
  *)
 
 type buf = {
   b_blkno : int;
   b_data : bytes;
+  mutable b_bcount : int; (* bytes of the block held, from its start *)
   mutable b_dirty : bool;
   mutable b_refs : int;
   mutable b_lru_tick : int;
@@ -52,8 +66,11 @@ type t = {
   mutable tick : int;
   mutable reads : int; (* device reads actually issued *)
   mutable writes : int;
+  mutable read_bytes : int; (* bytes those reads fetched *)
+  mutable written_bytes : int;
+  mutable peak : int; (* most buffers resident at once *)
   mutable hits : int;
-  mutable misses : int; (* lookups that had to fault the block in *)
+  mutable misses : int; (* lookups that had to read the block, or the rest of it *)
   mutable evictions : int; (* buffers pushed out under pressure *)
   mutable pins : int; (* sendfile pins taken (cumulative) *)
   mutable unpins : int; (* sendfile pins released (cumulative) *)
@@ -61,23 +78,28 @@ type t = {
 
 let create ?(max_bufs = 64) ~bsize dev =
   { dev; bsize; cache = Hashtbl.create 64; sums = Hashtbl.create 64; max_bufs; tick = 0;
-    reads = 0; writes = 0; hits = 0; misses = 0; evictions = 0; pins = 0; unpins = 0 }
+    reads = 0; writes = 0; read_bytes = 0; written_bytes = 0; peak = 0; hits = 0; misses = 0;
+    evictions = 0; pins = 0; unpins = 0 }
 
-let device_read t blkno data =
+(* Read the block's bytes [b_bcount, upto) into the buffer. *)
+let device_read t b ~upto =
+  let from = b.b_bcount and n = upto - b.b_bcount in
   t.reads <- t.reads + 1;
+  t.read_bytes <- t.read_bytes + n;
   match
-    t.dev.Io_if.bio_read ~buf:data ~pos:0 ~offset:(blkno * t.bsize) ~amount:t.bsize
+    t.dev.Io_if.bio_read ~buf:b.b_data ~pos:from ~offset:((b.b_blkno * t.bsize) + from) ~amount:n
   with
-  | Ok n when n = t.bsize -> ()
+  | Ok m when m = n -> b.b_bcount <- upto
   | Ok _ -> Error.fail Error.Io
   | Result.Error e -> Error.fail e
 
-let device_write t blkno data =
+(* Write the bytes the buffer holds. *)
+let device_write t b =
+  let n = b.b_bcount in
   t.writes <- t.writes + 1;
-  match
-    t.dev.Io_if.bio_write ~buf:data ~pos:0 ~offset:(blkno * t.bsize) ~amount:t.bsize
-  with
-  | Ok n when n = t.bsize -> ()
+  t.written_bytes <- t.written_bytes + n;
+  match t.dev.Io_if.bio_write ~buf:b.b_data ~pos:0 ~offset:(b.b_blkno * t.bsize) ~amount:n with
+  | Ok m when m = n -> b.b_dirty <- false
   | Ok _ -> Error.fail Error.Io
   | Result.Error e -> Error.fail e
 
@@ -97,56 +119,72 @@ let evict_one t =
   match !victim with
   | None -> () (* everything referenced: let the cache grow, as BSD does *)
   | Some b ->
-      if b.b_dirty then device_write t b.b_blkno b.b_data;
+      if b.b_dirty then device_write t b;
       Hashtbl.remove t.cache b.b_blkno;
       t.evictions <- t.evictions + 1
 
-let getblk t blkno ~fill =
+let count_lookup t ~hit =
+  if hit then begin
+    t.hits <- t.hits + 1;
+    Cost.count_bufcache_hit ()
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    Cost.count_bufcache_miss ()
+  end
+
+(* The buffer of [blkno], to hold at least its first [size] bytes once
+   the caller reads any it lacks.  A lookup that finds the buffer holding
+   them is a hit; one that faults the block in, or must read the rest of a
+   short buffer, is a miss. *)
+let getblk t blkno ~size =
   t.tick <- t.tick + 1;
   match Hashtbl.find_opt t.cache blkno with
   | Some b ->
-      t.hits <- t.hits + 1;
-      Cost.count_bufcache_hit ();
+      count_lookup t ~hit:(b.b_bcount >= size);
       b.b_refs <- b.b_refs + 1;
       b.b_lru_tick <- t.tick;
       b
   | None ->
-      t.misses <- t.misses + 1;
-      Cost.count_bufcache_miss ();
+      count_lookup t ~hit:false;
       if Hashtbl.length t.cache >= t.max_bufs then evict_one t;
-      let data = Bytes.make t.bsize '\000' in
-      if fill then device_read t blkno data;
       let b =
-        { b_blkno = blkno; b_data = data; b_dirty = false; b_refs = 1; b_lru_tick = t.tick;
-          b_sums = Hashtbl.find_opt t.sums blkno }
+        { b_blkno = blkno; b_data = Bytes.make t.bsize '\000'; b_bcount = 0; b_dirty = false;
+          b_refs = 1; b_lru_tick = t.tick; b_sums = Hashtbl.find_opt t.sums blkno }
       in
       Hashtbl.replace t.cache blkno b;
+      t.peak <- max t.peak (Hashtbl.length t.cache);
       b
 
 let clear_sums b =
   match b.b_sums with Some sums -> Array.fill sums 0 (Array.length sums) (-1) | None -> ()
 
-(* bread: a referenced buffer with the block's contents.  A block faulted
-   back in has its memo attached again, so this resets it too. *)
+(* bread: a referenced buffer with the block's whole contents.  A block
+   faulted back in has its memo attached again, so this resets it too. *)
 let bread t blkno =
-  let b = getblk t blkno ~fill:true in
+  let b = getblk t blkno ~size:t.bsize in
+  if b.b_bcount < t.bsize then device_read t b ~upto:t.bsize;
   clear_sums b;
   b
 
 (* getblk-without-read: caller will overwrite the whole block. *)
 let getblk_nofill t blkno =
-  let b = getblk t blkno ~fill:false in
+  let b = getblk t blkno ~size:0 in
+  b.b_bcount <- t.bsize;
   clear_sums b;
   b
 
-(* bread for a caller that only reads the bytes (a file read): keeps the
-   block's checksum memo. *)
-let bread_ro t blkno = getblk t blkno ~fill:true
+(* bread for a caller that only reads the bytes (a file read), of which it
+   needs the first [size]: keeps the block's checksum memo. *)
+let bread_ro t blkno ~size =
+  let b = getblk t blkno ~size in
+  if b.b_bcount < size then device_read t b ~upto:size;
+  b
 
-(* bread for a loan to sendfile, whose consumers only read the bytes: keeps
-   the block's checksum memo, making it if absent. *)
-let bread_loan t blkno =
-  let b = bread_ro t blkno in
+(* bread_ro for a loan to sendfile, whose consumers only read the bytes:
+   keeps the block's checksum memo, making it if absent. *)
+let bread_loan t blkno ~size =
+  let b = bread_ro t blkno ~size in
   (match b.b_sums with
   | Some _ -> ()
   | None ->
@@ -194,36 +232,37 @@ let unpin t b =
 (* bdwrite: mark dirty, write later. *)
 let bdwrite b = b.b_dirty <- true
 
-(* bwrite: write through now. *)
-let bwrite t b =
-  device_write t b.b_blkno b.b_data;
-  b.b_dirty <- false
+(* bwrite: write through now.  (The file system's bawrite, which BSD
+   starts without waiting, is this call too: the blkio below completes
+   every request before it returns.) *)
+let bwrite t b = device_write t b
 
 let sync t =
   let dirty = Hashtbl.fold (fun _ b acc -> if b.b_dirty then b :: acc else acc) t.cache [] in
-  List.iter
-    (fun b ->
-      device_write t b.b_blkno b.b_data;
-      b.b_dirty <- false)
-    (List.sort (fun a b -> Int.compare a.b_blkno b.b_blkno) dirty)
+  List.iter (device_write t) (List.sort (fun a b -> Int.compare a.b_blkno b.b_blkno) dirty)
 
 let stats t = t.reads, t.writes, t.hits
 
 type cache_stats = {
   cs_reads : int;
   cs_writes : int;
+  cs_read_bytes : int; (* device bytes read *)
+  cs_written_bytes : int; (* device bytes written *)
   cs_hits : int;
   cs_misses : int;
   cs_evictions : int;
   cs_pins : int;
   cs_unpins : int;
   cs_cached : int; (* buffers currently resident *)
+  cs_peak : int; (* most buffers resident at once *)
   cs_pinned : int; (* buffers currently referenced (refs > 0) *)
   cs_memos : int; (* checksum memos kept, cached blocks or not *)
 }
 
 let cache_stats t =
   let pinned = Hashtbl.fold (fun _ b acc -> if b.b_refs > 0 then acc + 1 else acc) t.cache 0 in
-  { cs_reads = t.reads; cs_writes = t.writes; cs_hits = t.hits; cs_misses = t.misses;
+  { cs_reads = t.reads; cs_writes = t.writes; cs_read_bytes = t.read_bytes;
+    cs_written_bytes = t.written_bytes; cs_hits = t.hits; cs_misses = t.misses;
     cs_evictions = t.evictions; cs_pins = t.pins; cs_unpins = t.unpins;
-    cs_cached = Hashtbl.length t.cache; cs_pinned = pinned; cs_memos = Hashtbl.length t.sums }
+    cs_cached = Hashtbl.length t.cache; cs_peak = t.peak; cs_pinned = pinned;
+    cs_memos = Hashtbl.length t.sums }

@@ -20,9 +20,21 @@
  *
  * Freeing a block also drops the buffer cache's checksum memo for it
  * ([Buf.drop_sums]): the memos outlive eviction, but not the block.
+ *
+ * Device I/O as ffs_read/ffs_write do it.  A file read ([read],
+ * [map_blocks]) faults a block in at [blksize]: a file's last direct
+ * block only up to its last byte rounded up to a fragment (bsize/8), every
+ * other block whole (FFS gives the blocks past the twelve direct ones no
+ * fragments).  A write that reaches the end of a block writes it to the
+ * device at once (ffs_write's bawrite); only a partial block is a delayed
+ * write.  A partial write reads the block whole first, so a block read
+ * short fetches the rest before it is changed.  Neither rule touches the
+ * checksum memo: a short read keeps it as a whole one would, and every
+ * write still reaches its block through a call that resets it.
  *)
 
 let bsize = 4096
+let fsize = bsize / 8 (* a fragment *)
 let magic = 0x4F465331
 let inode_size = 128
 let inodes_per_block = bsize / inode_size
@@ -319,6 +331,13 @@ let rec bmap t node fblk ~alloc =
 
 (* ---- file read/write ---- *)
 
+(* FFS's blksize: the bytes of file block [fblk] a read needs — the file's
+   bytes in it rounded up to a fragment if it is the file's last direct
+   block, else the whole block. *)
+let blksize node fblk =
+  if fblk >= ndirect || node.i_size >= (fblk + 1) * bsize then bsize
+  else (node.i_size - (fblk * bsize) + fsize - 1) / fsize * fsize
+
 let read t node ~off ~len ~dst ~dst_pos =
   if off < 0 then fail Error.Inval;
   let len = max 0 (min len (node.i_size - off)) in
@@ -330,7 +349,7 @@ let read t node ~off ~len ~dst ~dst_pos =
       let blk = bmap t node fblk ~alloc:false in
       (if blk = 0 then Bytes.fill dst dst_pos n '\000' (* hole *)
        else begin
-         let b = Buf.bread_ro t.bc blk in
+         let b = Buf.bread_ro t.bc blk ~size:(blksize node fblk) in
          Cost.charge_copy n;
          Bytes.blit b.Buf.b_data boff dst dst_pos n;
          Buf.brelse b
@@ -365,7 +384,7 @@ let map_blocks t node ~off ~len =
         None
       end
       else begin
-        let b = Buf.bread_loan t.bc blk in
+        let b = Buf.bread_loan t.bc blk ~size:(blksize node fblk) in
         (* bread's reference becomes the mapping's pin. *)
         Buf.pin_held t.bc b;
         let frag =
@@ -391,21 +410,33 @@ let write t node ~off ~len ~src ~src_pos =
       let b = if whole then Buf.getblk_nofill t.bc blk else Buf.bread t.bc blk in
       Cost.charge_copy n;
       Bytes.blit src src_pos b.Buf.b_data boff n;
-      Buf.bdwrite b;
+      (* A filled block goes to the device now (ffs_write's bawrite). *)
+      if boff + n = bsize then Buf.bwrite t.bc b else Buf.bdwrite b;
       Buf.brelse b;
       go (off + n) (len - n) (src_pos + n) (written + n)
     end
   in
   let written = go off len src_pos 0 in
-  if off + written > node.i_size then begin
+  if written > 0 && off + written > node.i_size then begin
     node.i_size <- off + written;
     iupdate t node
   end;
   written
 
-(* Free all blocks past [size] and shrink. *)
+(* Free all blocks past [size] and shrink.  The kept part of a partial last
+   block has its tail zeroed, as ffs_truncate does, so a file that grows
+   again reads zeros there (ffs_truncate then writes the block at once;
+   here it stays a delayed write, like any partial block). *)
 let truncate t node size =
   if size < node.i_size then begin
+    (if size mod bsize <> 0 then
+       let blk = bmap t node (size / bsize) ~alloc:false in
+       if blk <> 0 then begin
+         let b = Buf.bread t.bc blk in
+         Bytes.fill b.Buf.b_data (size mod bsize) (bsize - (size mod bsize)) '\000';
+         Buf.bdwrite b;
+         Buf.brelse b
+       end);
     let keep_blocks = (size + bsize - 1) / bsize in
     let last_fblk = (node.i_size + bsize - 1) / bsize in
     for fblk = keep_blocks to last_fblk - 1 do
@@ -619,7 +650,7 @@ let rename t src_dir ~src_name dst_dir ~dst_name =
 
 (* ---- mkfs / mount ---- *)
 
-let newfs dev =
+let newfs ?max_bufs dev =
   let bytes = dev.Io_if.getsize () in
   let nblocks = bytes / bsize in
   if nblocks < 16 then fail Error.Nospc;
@@ -637,7 +668,7 @@ let newfs dev =
     { nblocks; ninodes; ibmap_start; ibmap_blocks; bbmap_start; bbmap_blocks; itab_start;
       itab_blocks; data_start }
   in
-  let bc = Buf.create ~bsize dev in
+  let bc = Buf.create ?max_bufs ~bsize dev in
   let t = { bc; sb; icache = Hashtbl.create 64; ncache = Hashtbl.create 16; allocated_blocks = 0 } in
   (* Zero the metadata area. *)
   for blk = ibmap_start to data_start - 1 do
@@ -659,8 +690,8 @@ let newfs dev =
   Buf.sync bc;
   t
 
-let mount dev =
-  let bc = Buf.create ~bsize dev in
+let mount ?max_bufs dev =
+  let bc = Buf.create ?max_bufs ~bsize dev in
   match sb_read bc with
   | None -> fail Error.Inval
   | Some sb ->

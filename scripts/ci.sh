@@ -99,7 +99,13 @@
 # block, evicted from the cache or not, so its
 # cost.cksum_bytes_per_payload_byte must stay below 1.35 (summing every
 # sent byte again, with the client's verification, gives about 2.1, and a
-# memo that died with its buffer about 1.48).  And they gate the cork:
+# memo that died with its buffer about 1.48).  They gate the file
+# system's device I/O too: it reads a file's last direct block only as
+# far as the file's last fragment and writes a block out as soon as a
+# write fills it, so http_keepalive's cost.copy_bytes_per_payload_byte
+# must stay below 1.41 (about 1.37-1.38 at one second; reading every
+# block whole and flushing the blocks file creation left dirty inside the
+# run gives 1.43-1.46).  And they gate the cork:
 # the httpd corks its listener (TCP_NOPUSH), so each http_close reply
 # leaves with its FIN and the request costs 8 frames on the wire, where
 # a reply that sends its FIN apart costs 9: machine.frames_per_op must
@@ -247,6 +253,7 @@ for workload in paper_net http_close http_keepalive; do
     http_keepalive)
       gate 'fdev\.glue_crossings_per_pkt' 'v > 0 && v < 0.36'
       gate 'cost\.cksum_bytes_per_payload_byte' 'v < 1.35'
+      gate 'cost\.copy_bytes_per_payload_byte' 'v < 1.41'
       ;;
   esac
 done

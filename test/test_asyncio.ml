@@ -10,7 +10,8 @@
    - accept + serve under netem loss (seeded);
    - the listen-backlog overflow counter on both stacks;
    - closing a listener fails parked accepters instead of leaking them;
-   - basic Wouldblock behaviour of non-blocking accept/recv. *)
+   - basic Wouldblock behaviour of non-blocking accept/recv;
+   - the BSD send low-water mark. *)
 
 let ip = Oskit.ip_of_string
 let mask = ip "255.255.255.0"
@@ -490,6 +491,33 @@ let test_nonblock_basics () =
       Alcotest.(check bool) (kind_name kind ^ ": nonblock paths checked") true !checked)
     [ Fb; Lx ]
 
+(* ------------------------------------------------------------------ *)
+(* The send low-water mark (FreeBSD's sowriteable): a connected BSD
+   socket is writable once its send buffer has one cluster (2,048 bytes)
+   free, or all of a smaller buffer.                                   *)
+
+let test_send_lowat () =
+  let tb = Clientos.make_testbed () in
+  let stack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
+  let s = Bsd_socket.tcp_socket stack in
+  let pcb = s.Bsd_socket.pcb in
+  let sb = pcb.Tcp.snd_buf in
+  let writable ~hiwat ~free =
+    sb.Sockbuf.sb_hiwat <- hiwat;
+    sb.Sockbuf.sb_cc <- hiwat - free;
+    Bsd_socket.so_readiness s land Io_if.aio_write <> 0
+  in
+  pcb.Tcp.t_state <- Tcp.Established;
+  let hiwat = sb.Sockbuf.sb_hiwat in
+  Alcotest.(check bool) "2,047 bytes free: not writable" false (writable ~hiwat ~free:2047);
+  Alcotest.(check bool) "2,048 bytes free: writable" true (writable ~hiwat ~free:2048);
+  Alcotest.(check bool) "1,000-byte buffer, 999 free: not writable" false
+    (writable ~hiwat:1000 ~free:999);
+  Alcotest.(check bool) "1,000-byte buffer, all free: writable" true
+    (writable ~hiwat:1000 ~free:1000);
+  ignore (writable ~hiwat ~free:hiwat);
+  pcb.Tcp.t_state <- Tcp.Closed
+
 let suite =
   [ Alcotest.test_case "readiness-vs-blocking equivalence (both stacks)" `Quick
       test_equivalence;
@@ -506,4 +534,5 @@ let suite =
     Alcotest.test_case "listener close fails parked accepters" `Quick
       test_close_wakes_accepters;
     Alcotest.test_case "nonblocking accept/recv return Wouldblock" `Quick
-      test_nonblock_basics ]
+      test_nonblock_basics;
+    Alcotest.test_case "send low-water mark gates writability" `Quick test_send_lowat ]

@@ -269,6 +269,263 @@ let prop_fs_model =
       && List.sort compare (Ffs.dir_entries fs root)
          = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) model []))
 
+(* ---- device I/O as ffs_read and ffs_write do it ---- *)
+
+(* Every test below runs on a cache of eight buffers. *)
+let small_bufs = 8
+
+let pattern ~seed n = Bytes.init n (fun i -> Char.chr (((i * 31) + (i / 4096) + seed) land 0xff))
+let io fs = Buf.cache_stats fs.Ffs.bc
+
+let read_all fs node =
+  let b = Bytes.create node.Ffs.i_size in
+  Bytes.sub b 0 (Ffs.read fs node ~off:0 ~len:node.Ffs.i_size ~dst:b ~dst_pos:0)
+
+(* The bytes the sendfile mapping of [off, off+len) loans, its pins
+   released; [None] when the mapping refuses a hole. *)
+let map_bytes fs node ~off ~len =
+  Option.map
+    (fun frags ->
+      let b =
+        Bytes.concat Bytes.empty
+          (List.map (fun fr -> Bytes.sub fr.Io_if.fr_data fr.Io_if.fr_off fr.Io_if.fr_len) frags)
+      in
+      Io_if.frags_release frags;
+      b)
+    (Ffs.map_blocks fs node ~off ~len)
+
+(* [name] written with [content] and synced, then the device mounted
+   afresh: the file's blocks are cold in the new cache. *)
+let cold_file ~name content =
+  let dev = mem_dev () in
+  let fs = Ffs.newfs ~max_bufs:small_bufs dev in
+  let node = Ffs.create_file fs (Ffs.root fs) ~name in
+  ignore (Ffs.write fs node ~off:0 ~len:(Bytes.length content) ~src:content ~src_pos:0);
+  Ffs.sync fs;
+  let fs = Ffs.mount ~max_bufs:small_bufs dev in
+  match Ffs.dir_lookup fs (Ffs.root fs) name with
+  | Some (_, ino) -> dev, fs, Ffs.iget fs ino
+  | None -> Alcotest.fail "file lost across the remount"
+
+(* A 5,000-byte file is one whole block and 904 bytes of the second, which
+   a read fetches as far as its second fragment: through [read] and
+   through the sendfile mapping alike. *)
+let test_cold_read_is_short () =
+  let content = pattern ~seed:1 5000 in
+  let _, fs, node = cold_file ~name:"small" content in
+  let before = io fs in
+  Alcotest.(check bool) "bytes exact" true (Bytes.equal content (read_all fs node));
+  let after = io fs in
+  Alcotest.(check int) "device bytes read" (4096 + 1024)
+    (after.Buf.cs_read_bytes - before.Buf.cs_read_bytes);
+  Alcotest.(check int) "device reads" 2 (after.Buf.cs_reads - before.Buf.cs_reads);
+  let _, fs, node = cold_file ~name:"small" content in
+  let before = io fs in
+  Alcotest.(check (option bool)) "mapped bytes exact" (Some true)
+    (Option.map (Bytes.equal content) (map_bytes fs node ~off:0 ~len:max_int));
+  Alcotest.(check int) "device bytes mapped" (4096 + 1024)
+    ((io fs).Buf.cs_read_bytes - before.Buf.cs_read_bytes)
+
+(* Past the twelve direct blocks there are no fragments: a 60,000-byte
+   file's last block, block 14, holds 2,656 bytes and is read whole, as
+   is the indirect block that maps it. *)
+let test_indirect_tail_read_whole () =
+  let content = pattern ~seed:2 60_000 in
+  let _, fs, node = cold_file ~name:"big" content in
+  let before = io fs in
+  let b = Bytes.create (60_000 - (14 * 4096)) in
+  ignore (Ffs.read fs node ~off:(14 * 4096) ~len:(Bytes.length b) ~dst:b ~dst_pos:0);
+  Alcotest.(check bool) "bytes exact" true
+    (Bytes.equal b (Bytes.sub content (14 * 4096) (Bytes.length b)));
+  Alcotest.(check int) "indirect block + block 14, both whole" (2 * 4096)
+    ((io fs).Buf.cs_read_bytes - before.Buf.cs_read_bytes)
+
+(* A write into a block that was read short reads the rest of the block
+   first (and only the rest), and the block's old bytes survive it: in the
+   cache, and on the device after a sync. *)
+let test_append_fetches_rest () =
+  let content = pattern ~seed:3 5000 in
+  let dev, fs, node = cold_file ~name:"grow" content in
+  ignore (read_all fs node);
+  let tail = pattern ~seed:4 500 in
+  let before = io fs in
+  ignore (Ffs.write fs node ~off:5000 ~len:500 ~src:tail ~src_pos:0);
+  let after = io fs in
+  Alcotest.(check int) "the rest of the short block, one read" 3072
+    (after.Buf.cs_read_bytes - before.Buf.cs_read_bytes);
+  Alcotest.(check int) "one device read" 1 (after.Buf.cs_reads - before.Buf.cs_reads);
+  let want = Bytes.cat content tail in
+  Alcotest.(check bool) "bytes exact" true (Bytes.equal want (read_all fs node));
+  Ffs.sync fs;
+  let fs = Ffs.mount ~max_bufs:small_bufs dev in
+  match Ffs.dir_lookup fs (Ffs.root fs) "grow" with
+  | Some (_, ino) ->
+      Alcotest.(check bool) "bytes exact after remount" true
+        (Bytes.equal want (read_all fs (Ffs.iget fs ino)))
+  | None -> Alcotest.fail "file lost across the remount"
+
+(* A write that reaches the end of a block puts the block on the device at
+   once — in one write or in two — while a partial tail block stays a
+   delayed write until the sync. *)
+let test_filled_block_written_at_once () =
+  let dev = mem_dev () in
+  let fs = Ffs.newfs ~max_bufs:small_bufs dev in
+  let node = Ffs.create_file fs (Ffs.root fs) ~name:"w" in
+  let content = pattern ~seed:5 ((2 * 4096) + 100) in
+  let write off len = ignore (Ffs.write fs node ~off ~len ~src:content ~src_pos:off) in
+  (* Whether the device holds the first [n] bytes written to block [fblk]. *)
+  let on_device fblk n =
+    let got = Bytes.create n in
+    ignore (dev.Io_if.bio_read ~buf:got ~pos:0 ~offset:(node.Ffs.i_direct.(fblk) * 4096) ~amount:n);
+    Bytes.equal got (Bytes.sub content (fblk * 4096) n)
+  in
+  let resident fblk = Hashtbl.mem fs.Ffs.bc.Buf.cache node.Ffs.i_direct.(fblk) in
+  write 0 4096;
+  write 4096 3000;
+  Alcotest.(check bool) "block 0, filled by one write, on the device" true (on_device 0 4096);
+  Alcotest.(check bool) "block 1, 3,000 bytes of it, not yet" false (on_device 1 3000);
+  write 7096 1096;
+  Alcotest.(check bool) "block 1, filled by a second write, on the device" true
+    (on_device 1 4096);
+  write 8192 100;
+  Alcotest.(check bool) "block 2, a partial tail, not yet" false (on_device 2 100);
+  Alcotest.(check (list bool)) "still cached: no eviction pushed them" [ true; true; true ]
+    (List.map resident [ 0; 1; 2 ]);
+  Ffs.sync fs;
+  Alcotest.(check bool) "block 2 after the sync" true (on_device 2 100)
+
+(* The cache's counters: bytes through the device each way, and the most
+   buffers resident at once, which pins can push past the cache's size. *)
+let test_cache_counters () =
+  let dev = mem_dev ~mb:1 () in
+  let bc = Buf.create ~bsize:4096 ~max_bufs:2 dev in
+  let w = Buf.getblk_nofill bc 5 in
+  Buf.bwrite bc w;
+  Buf.brelse w;
+  let r = Buf.bread_ro bc 6 ~size:1536 in
+  Buf.brelse r;
+  let pinned = List.init 3 (fun i -> Buf.bread bc (10 + i)) in
+  let s = Buf.cache_stats bc in
+  Alcotest.(check int) "bytes written" 4096 s.Buf.cs_written_bytes;
+  Alcotest.(check int) "bytes read" (1536 + (3 * 4096)) s.Buf.cs_read_bytes;
+  Alcotest.(check int) "peak: three held buffers past a cache of two" 3 s.Buf.cs_peak;
+  List.iter Buf.brelse pinned;
+  Buf.brelse (Buf.bread bc 20);
+  Alcotest.(check int) "the peak stays a peak" 3 (Buf.cache_stats bc).Buf.cs_peak
+
+(* Random write/append/truncate/read/map sequences over three files
+   against an in-memory model, on an eight-buffer cache, so blocks are read
+   short, evicted dirty and faulted back in: every read and every mapping
+   returns the model's bytes, a mapping is refused exactly when its range
+   crosses a block no write has allocated, and after a sync a fresh mount
+   of the device reads every file as the model holds it.  Offsets reach
+   past the twelve direct blocks; a write of no bytes changes nothing. *)
+type io_op =
+  | Write of int * int * int * int (* file, offset, length, seed *)
+  | Append of int * int * int
+  | Trunc of int * int
+  | Read of int * int * int
+  | Map of int * int * int
+
+let io_op_print = function
+  | Write (f, off, len, seed) -> Printf.sprintf "write %d @%d +%d #%d" f off len seed
+  | Append (f, len, seed) -> Printf.sprintf "append %d +%d #%d" f len seed
+  | Trunc (f, size) -> Printf.sprintf "truncate %d %d" f size
+  | Read (f, off, len) -> Printf.sprintf "read %d @%d +%d" f off len
+  | Map (f, off, len) -> Printf.sprintf "map %d @%d +%d" f off len
+
+let io_op_gen =
+  let open QCheck.Gen in
+  let file = int_bound 2 and off = int_bound 60_000 in
+  let len = frequency [ 1, return 0; 15, int_bound 9_000 ] in
+  frequency
+    [ 4, map (fun (f, (o, l, s)) -> Write (f, o, l, s)) (pair file (triple off len nat));
+      3, map (fun (f, l, s) -> Append (f, l, s)) (triple file len nat);
+      3, map2 (fun f n -> Trunc (f, n)) file (frequency [ 1, return 0; 2, int_bound 64_000 ]);
+      3, map (fun (f, o, l) -> Read (f, o, l)) (triple file off (int_bound 20_000));
+      3, map (fun (f, o, l) -> Map (f, o, l)) (triple file off (int_bound 20_000)) ]
+
+(* The model of one file: its bytes, and which of its blocks hold data. *)
+type model_file = { mutable data : Bytes.t; blocks : (int, unit) Hashtbl.t }
+
+let prop_short_reads_model =
+  QCheck.Test.make ~name:"ffs: short reads + write-at-fill == model" ~count:200
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map io_op_print ops))
+       QCheck.Gen.(list_size (int_range 1 30) io_op_gen))
+    (fun ops ->
+      let bsize = Ffs.bsize in
+      let dev = mem_dev ~mb:2 () in
+      let fs = Ffs.newfs ~max_bufs:small_bufs dev in
+      let name f = "f" ^ string_of_int f in
+      let files = Array.init 3 (fun f -> Ffs.create_file fs (Ffs.root fs) ~name:(name f)) in
+      let model = Array.init 3 (fun _ -> { data = Bytes.empty; blocks = Hashtbl.create 16 }) in
+      let resize m size =
+        let n = Bytes.length m.data in
+        m.data <-
+          (if size <= n then Bytes.sub m.data 0 size
+           else Bytes.cat m.data (Bytes.make (size - n) '\000'));
+        Hashtbl.filter_map_inplace (fun b () -> if b * bsize < size then Some () else None) m.blocks
+      in
+      let write f off len seed =
+        let src = pattern ~seed len in
+        ignore (Ffs.write fs files.(f) ~off ~len ~src ~src_pos:0);
+        let m = model.(f) in
+        if len > 0 then begin
+          if off + len > Bytes.length m.data then resize m (off + len);
+          Bytes.blit src 0 m.data off len;
+          for b = off / bsize to (off + len - 1) / bsize do
+            Hashtbl.replace m.blocks b ()
+          done
+        end
+      in
+      let expect f off len =
+        let m = model.(f) in
+        if off >= Bytes.length m.data then Bytes.empty
+        else Bytes.sub m.data off (min len (Bytes.length m.data - off))
+      in
+      let step = function
+        | Write (f, off, len, seed) ->
+            write f off len seed;
+            true
+        | Append (f, len, seed) ->
+            write f (Bytes.length model.(f).data) len seed;
+            true
+        | Trunc (f, size) ->
+            Ffs.truncate fs files.(f) size;
+            resize model.(f) size;
+            true
+        | Read (f, off, len) ->
+            let dst = Bytes.create len in
+            let n = Ffs.read fs files.(f) ~off ~len ~dst ~dst_pos:0 in
+            Bytes.equal (Bytes.sub dst 0 n) (expect f off len)
+        | Map (f, off, len) -> (
+            let want = expect f off len in
+            let hole =
+              let first = off / bsize and last = (off + Bytes.length want - 1) / bsize in
+              Bytes.length want > 0
+              && List.exists
+                   (fun b -> not (Hashtbl.mem model.(f).blocks b))
+                   (List.init (last - first + 1) (( + ) first))
+            in
+            match map_bytes fs files.(f) ~off ~len with
+            | None -> hole
+            | Some got -> (not hole) && Bytes.equal got want)
+      in
+      let whole fs node = Bytes.equal (read_all fs node) in
+      List.for_all step ops
+      && Array.for_all2 (fun node m -> whole fs node m.data) files model
+      && begin
+           Ffs.sync fs;
+           let fs = Ffs.mount ~max_bufs:small_bufs dev in
+           Array.for_all
+             (fun f ->
+               match Ffs.dir_lookup fs (Ffs.root fs) (name f) with
+               | Some (_, ino) -> whole fs (Ffs.iget fs ino) model.(f).data
+               | None -> false)
+             [| 0; 1; 2 |]
+         end)
+
 (* ---- fsread + diskpart over the same image ---- *)
 
 let test_fsread_sees_ffs () =
@@ -416,5 +673,11 @@ let suite =
     Alcotest.test_case "buffer cache" `Quick test_buffer_cache;
     QCheck_alcotest.to_alcotest prop_fs_model;
     QCheck_alcotest.to_alcotest prop_name_cache;
+    Alcotest.test_case "cold 5,000-byte file reads 5,120 B" `Quick test_cold_read_is_short;
+    Alcotest.test_case "indirect tail block is read whole" `Quick test_indirect_tail_read_whole;
+    Alcotest.test_case "write into a short block reads rest" `Quick test_append_fetches_rest;
+    Alcotest.test_case "filled block is written at once" `Quick test_filled_block_written_at_once;
+    Alcotest.test_case "cache counts bytes and peak buffers" `Quick test_cache_counters;
+    QCheck_alcotest.to_alcotest prop_short_reads_model;
     Alcotest.test_case "fsread over ffs image" `Quick test_fsread_sees_ffs;
     Alcotest.test_case "diskpart + fs + fsread" `Quick test_diskpart_and_fs ]

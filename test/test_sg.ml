@@ -237,7 +237,7 @@ let memo_vs_reference =
       let w = Buf.getblk_nofill bc 0 in
       Bytes.blit (bytes_of_fill fill st bsize) 0 w.Buf.b_data 0 bsize;
       Buf.brelse w;
-      let b = Buf.bread_loan bc 0 in
+      let b = Buf.bread_loan bc 0 ~size:bsize in
       (* The model: which chunks the memo holds. *)
       let warm = Array.make (bsize / chunk) false in
       let pass (off, len) =
