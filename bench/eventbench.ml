@@ -1,5 +1,5 @@
 (* Event-core microbench: the complexity curves behind the kqueue
-   reactor engine and the hierarchical timing wheel.
+   reactor engine and the timing wheel.
 
    Both experiments hold the *hot* population fixed (128 ready watches,
    128 due timers) and sweep the *idle* population 10^2..10^5.  The
@@ -13,13 +13,12 @@
      column is the strawman of (idle + hot) x rounds visits — what a
      registration-order pass over every watch pays (O(watches)).
 
-   - timing wheel: N idle timers parked seconds-to-minutes out + 128
-     timers due inside a 900-tick window; one [Timewheel.advance] walks
-     the window.  Wheel work = fires + cascade re-files, against the
-     every-tick-scan strawman of armed x ticks visits (what the
-     pre-wheel TCP slow tick paid per PCB).  The same run checks the
-     timing contract: no fire before its deadline, none more than one
-     granule after. *)
+   - timing wheel: N idle timers parked 129-255 ticks out + 128 timers
+     due inside a 128-tick window (BSD TCP's longest deadline); one
+     [Timewheel.advance] walks the window.  Wheel work = the entries it
+     fires, against the every-tick-scan strawman of armed x ticks visits
+     (what the pre-wheel TCP slow tick paid per PCB).  The same run
+     checks the timing contract: every timer fires on its own tick. *)
 
 (* ---- synthetic asyncio: exact, driver-free readiness source ---- *)
 
@@ -97,52 +96,47 @@ type wheel_row = {
   wr_idle : int;
   wr_hot : int;
   wr_ticks : int; (* window walked by [advance] *)
-  wr_fires : int;
-  wr_cascades : int;
-  wr_work : int; (* fires + cascades: the wheel's actual visits *)
+  wr_fires : int; (* every entry the wheel visited, since it visits only due ones *)
   wr_scan_visits : int; (* strawman: every-tick scan of all armed *)
-  wr_early : int; (* fires before deadline (must be 0) *)
-  wr_late : int; (* fires > 1 granule past deadline (must be 0) *)
+  wr_early : int; (* fires before their tick (must be 0) *)
+  wr_late : int; (* fires after their tick (must be 0) *)
   wr_missed : int; (* due timers that never fired (must be 0) *)
 }
 
-let wheel_window_ticks = 900
+(* BSD TCP's longest deadline: its retransmit and persist timers are
+   clamped at 128 slow ticks. *)
+let wheel_window_ticks = 128
 
 let wheel_run ~idle ~hot =
-  let w = Timewheel.create ~now_ns:0 () in
-  let g = Timewheel.granularity_ns w in
-  (* Idle park: deadlines 1024 ticks .. ~60s, spread across levels 1-2,
-     all safely past the advance window so none fire or cascade. *)
+  let w = Timewheel.create () in
+  (* Idle park: 129..255 ticks out, past the advance window and inside
+     the wheel's span, so none fire. *)
   for i = 0 to idle - 1 do
-    let tick = 1024 + (i * 389 mod 60_000) in
-    ignore (Timewheel.arm w ~deadline_ns:(tick * g) (fun () -> ()))
+    let ticks = wheel_window_ticks + 1 + (i * 389 mod 127) in
+    ignore (Timewheel.arm w ~ticks (fun () -> ()))
   done;
   let early = ref 0 and late = ref 0 and fired_hot = ref 0 in
   for i = 0 to hot - 1 do
-    (* Mid-granule deadlines inside the window, exercising the ceiling. *)
-    let deadline_ns = (((1 + (i * 7 mod (wheel_window_ticks - 1))) * g) + (g / 2)) in
+    let due = 1 + (i * 7 mod wheel_window_ticks) in
     ignore
-      (Timewheel.arm w ~deadline_ns (fun () ->
+      (Timewheel.arm w ~ticks:due (fun () ->
            incr fired_hot;
-           let at = Timewheel.now_ns w in
-           if at < deadline_ns then incr early;
-           if at - deadline_ns >= g then incr late))
+           let at = Timewheel.now w in
+           if at < due then incr early;
+           if at > due then incr late))
   done;
   (* Walk the window in uneven chunks, the way a live driver would. *)
-  let now = ref 0 in
-  let chunk = ref (3 * g) in
-  while !now < wheel_window_ticks * g do
-    now := min (wheel_window_ticks * g) (!now + !chunk);
-    chunk := ((!chunk * 7) mod (97 * g)) + g;
-    ignore (Timewheel.advance w ~now_ns:!now)
+  let now = ref 0 and fires = ref 0 in
+  let chunk = ref 3 in
+  while !now < wheel_window_ticks do
+    now := min wheel_window_ticks (!now + !chunk);
+    chunk := (!chunk * 7 mod 97) + 1;
+    fires := !fires + Timewheel.advance w ~now:!now
   done;
-  let st = Timewheel.stats w in
   { wr_idle = idle;
     wr_hot = hot;
     wr_ticks = wheel_window_ticks;
-    wr_fires = st.Timewheel.fires;
-    wr_cascades = st.Timewheel.cascades;
-    wr_work = st.Timewheel.fires + st.Timewheel.cascades;
+    wr_fires = !fires;
     wr_scan_visits = (idle + hot) * wheel_window_ticks;
     wr_early = !early;
     wr_late = !late;

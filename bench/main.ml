@@ -868,9 +868,8 @@ let event () =
         record "event"
           [ "kind", Str "wheel"; "idle", Int idle; "hot", Int hot;
             "wheel_ticks", Int Eventbench.wheel_window_ticks ]
-          [ "work", Int r.wr_work;
+          [ "work", Int r.wr_fires;
             "fires", Int r.wr_fires;
-            "cascades", Int r.wr_cascades;
             "scan_visits", Int r.wr_scan_visits;
             "early", Int r.wr_early;
             "late", Int r.wr_late;

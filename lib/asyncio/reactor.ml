@@ -69,7 +69,7 @@ let watch t aio ~mask cb =
   t.next_id <- id + 1;
   let w = { w_id = id; w_aio = aio; w_mask = mask; w_cb = cb; w_active = true } in
   Hashtbl.replace t.by_id id w;
-  ignore (Kqueue.add t.kq ~ident:id ~aio ~filter:mask ~flags:0);
+  ignore (Kqueue.add t.kq ~ident:id ~aio ~filter:mask);
   w
 
 let unwatch t w =
@@ -86,7 +86,7 @@ let rewatch t w ~mask =
   if w.w_active then begin
     ignore (Kqueue.delete t.kq ~ident:w.w_id ~filter:w.w_mask);
     w.w_mask <- mask;
-    ignore (Kqueue.add t.kq ~ident:w.w_id ~aio:w.w_aio ~filter:mask ~flags:0)
+    ignore (Kqueue.add t.kq ~ident:w.w_id ~aio:w.w_aio ~filter:mask)
   end
 
 (* One pass: drain the ready queue and dispatch every ready watch, or
@@ -97,7 +97,7 @@ let rewatch t w ~mask =
 let step t =
   let ks = Kqueue.stats t.kq in
   let d0 = ks.Kqueue.delivered and sp0 = ks.Kqueue.spurious in
-  let evs = Kqueue.kevent ~relevel:false t.kq ~max:max_int in
+  let evs = Kqueue.kevent t.kq ~max:max_int in
   let dequeued = ks.Kqueue.delivered - d0 + (ks.Kqueue.spurious - sp0) in
   t.stats.visits <- t.stats.visits + dequeued;
   t.stats.polls <- t.stats.polls + dequeued;
@@ -111,13 +111,13 @@ let step t =
       let fired = ref 0 in
       List.iter
         (fun ev ->
-          match Hashtbl.find_opt t.by_id ev.Io_if.ke_ident with
+          match Hashtbl.find_opt t.by_id ev.Kqueue.ident with
           | Some w when w.w_active ->
               t.stats.dispatches <- t.stats.dispatches + 1;
               incr fired;
-              w.w_cb (ev.Io_if.ke_filter land w.w_mask);
+              w.w_cb (ev.Kqueue.filter land w.w_mask);
               if w.w_active then
-                Kqueue.relevel t.kq ~ident:w.w_id ~filter:ev.Io_if.ke_filter
+                Kqueue.relevel t.kq ~ident:w.w_id ~filter:ev.Kqueue.filter
           | Some _ | None -> ())
         evs;
       !fired

@@ -209,54 +209,6 @@ let asyncio_view ~unknown ~poll ~add_listener ~remove_listener
             Ok ());
     aio_readable = readable }
 
-(** {1 Scalable readiness: the kqueue view}
-
-    Where {!asyncio} is per-object (one poll, one listener table), this is
-    the aggregating component: a changelist + ready-queue over many
-    asyncio sources, the BSD [kqueue]/[kevent] shape.  A registered
-    (ident, filter) pair is a {e knote}; the source's notification hook
-    enqueues the knote on a ready queue in O(1), and [kq_kevent] returns
-    only queued entries — O(ready), never O(registered).  Implemented by
-    {!Kqueue} in [lib/event]; declared here so any component can hold one
-    through COM navigation without depending on the event library. *)
-
-(** Changelist action / mode flags ([EV_*]). *)
-let ev_add = 1
-
-let ev_delete = 2
-
-let ev_oneshot = 4
-(** report at most once, then auto-delete the knote *)
-
-let ev_clear = 8
-(** edge-triggered: report on notifications only, no level re-arm *)
-
-type kevent_desc = {
-  ke_ident : int;  (** caller-chosen identity (fd number, conn id, ...) *)
-  ke_filter : int;  (** one [aio_*] condition bit *)
-  ke_flags : int;  (** [ev_*] bits: mode on input, echo on output *)
-  ke_data : int;  (** filter-specific: bytes readable for [aio_read] *)
-}
-
-type kqueue = {
-  kq_unknown : Com.unknown;
-  kq_add : ident:int -> aio:asyncio -> filter:int -> flags:int -> (unit, Error.t) result;
-      (** Changelist [EV_ADD]: register a knote for each condition bit in
-          [filter] over [aio]; re-adding an (ident, bit) replaces it. *)
-  kq_delete : ident:int -> filter:int -> (unit, Error.t) result;
-      (** Changelist [EV_DELETE] of the (ident, bit) knotes. *)
-  kq_kevent : max:int -> kevent_desc list;
-      (** Drain up to [max] ready entries (never more than were queued at
-          entry, so a level-triggered source cannot spin the call).
-          Returns only ready entries: empty list = nothing pending. *)
-  kq_depth : unit -> int;  (** current ready-queue depth *)
-  kq_set_wakeup : (unit -> unit) -> unit;
-      (** Called (at notification level) when an empty ready queue goes
-          non-empty — the reactor's "wake up and poll" hook. *)
-}
-
-let kqueue_iid : kqueue Iid.t = Iid.declare "oskit.kqueue"
-
 (** The "socket factory" returned by a protocol stack's init and registered
     with the C library ([posix_set_socketcreator] in Section 5's listing). *)
 type socket_factory = {

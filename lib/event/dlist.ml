@@ -3,7 +3,7 @@
 
    Both halves of the event core live on these: kqueue ready queues (a
    firing connection enqueues itself in constant time) and timing-wheel
-   slots (cancel unlinks in constant time, cascades splice whole slots).
+   slots (cancel unlinks in constant time).
    So does a TCP connection table's list, newest first, which a
    connection leaves in constant time however many are in TIME_WAIT.  A node remembers
    its owner so [remove] needs no list argument and double-removal is a
@@ -25,8 +25,6 @@ and 'a t = {
 let create () = { first = None; last = None; length = 0 }
 let length t = t.length
 let is_empty t = t.length = 0
-let value n = n.v
-let linked n = n.owner <> None
 
 let push_back t v =
   let n = { v; prev = t.last; next = None; owner = Some t } in
@@ -77,9 +75,8 @@ let to_list t =
   iter (fun v -> acc := v :: !acc) t;
   List.rev !acc
 
-(* Unlink every node and hand the values over, front to back.  Used by
-   wheel cascades: the slot must be empty before entries re-file, since
-   re-filing may target the very slot being drained. *)
+(* Unlink every node and hand the values over, front to back: a wheel
+   slot is emptied before its entries fire. *)
 let drain t =
   let rec go acc =
     match pop_front t with None -> List.rev acc | Some v -> go (v :: acc)

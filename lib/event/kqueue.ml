@@ -1,5 +1,5 @@
-(* The oskit_kqueue readiness aggregator: changelist + ready queue over
-   asyncio sources, the scalable half of the event core.
+(* The kqueue readiness aggregator: changelist + ready queue over asyncio
+   sources, the scalable half of the event core.
 
    Each registered (ident, condition-bit) pair is a knote holding a COM
    listener on its source.  When the source's condition becomes true the
@@ -9,14 +9,11 @@
    how many idle registrations exist — the reactor's old
    scan-every-watch pass was O(watches).
 
-   Modes, per BSD: level-triggered (default) knotes re-enqueue while the
-   condition holds; edge-triggered ([ev_clear]) knotes report once per
-   activation; one-shot ([ev_oneshot]) knotes auto-delete after their
-   first report.  Every dequeue re-polls the source, so a condition
-   consumed between notification and dispatch is dropped as spurious
-   rather than delivered stale. *)
-
-type mode = Level | Edge | Oneshot
+   Knotes are level-triggered, as BSD's default: every dequeue re-polls
+   the source, so a condition consumed between notification and dispatch
+   is dropped as spurious rather than delivered stale, and [relevel]
+   re-enqueues a knote whose condition still holds once its caller has
+   handled it. *)
 
 type stats = {
   mutable posted : int;  (* activations that enqueued a knote *)
@@ -25,11 +22,13 @@ type stats = {
   mutable spurious : int;  (* dequeues whose condition had evaporated *)
 }
 
+(* What [kevent] reports: the caller's identity and one ready aio_* bit. *)
+type event = { ident : int; filter : int }
+
 type knote = {
   kn_ident : int;
   kn_filter : int;  (* exactly one aio_* bit *)
   kn_aio : Io_if.asyncio;
-  kn_mode : mode;
   mutable kn_listener : Io_if.listener option;
   mutable kn_active : bool;
   mutable kn_node : knote Dlist.node option;
@@ -39,7 +38,7 @@ type knote = {
 and t = {
   knotes : (int * int, knote) Hashtbl.t;  (* (ident, filter bit) *)
   ready : knote Dlist.t;
-  mutable wakeup : unit -> unit;
+  wakeup : unit -> unit;
   stats : stats;
 }
 
@@ -49,18 +48,15 @@ let create ?(wakeup = fun () -> ()) () =
     wakeup;
     stats = { posted = 0; coalesced = 0; delivered = 0; spurious = 0 } }
 
-let set_wakeup t f = t.wakeup <- f
 let depth t = Dlist.length t.ready
 let watches t = Hashtbl.length t.knotes
 let stats t = t.stats
-
-let queued kn = kn.kn_node <> None
 
 (* Notification-level entry: O(1), no polling, no blocking. *)
 let enqueue kn =
   let t = kn.kn_kq in
   if kn.kn_active then
-    if queued kn then begin
+    if kn.kn_node <> None then begin
       t.stats.coalesced <- t.stats.coalesced + 1;
       Cost.count_kq_coalesced ()
     end
@@ -73,6 +69,7 @@ let enqueue kn =
     end
 
 let filter_bits = [ Io_if.aio_read; Io_if.aio_write; Io_if.aio_exception ]
+let bits_of filter = List.filter (fun b -> filter land b <> 0) filter_bits
 
 let delete_knote kn =
   kn.kn_active <- false;
@@ -90,8 +87,9 @@ let delete_knote kn =
 
 (* EV_ADD of one condition bit: replace any existing knote, register the
    listener, and enqueue immediately if the condition already holds (the
-   registration-time mask closes the arm-vs-ready race). *)
-let add_bit t ~ident ~aio ~bit ~mode =
+   registration-time mask closes the arm-vs-ready race).  Returns the new
+   knote, or the source's error with nothing left registered. *)
+let add_bit t ~ident ~aio bit =
   (match Hashtbl.find_opt t.knotes (ident, bit) with
   | Some old -> delete_knote old
   | None -> ());
@@ -99,7 +97,6 @@ let add_bit t ~ident ~aio ~bit ~mode =
     { kn_ident = ident;
       kn_filter = bit;
       kn_aio = aio;
-      kn_mode = mode;
       kn_listener = None;
       kn_active = true;
       kn_node = None;
@@ -109,31 +106,29 @@ let add_bit t ~ident ~aio ~bit ~mode =
   kn.kn_listener <- Some l;
   Hashtbl.replace t.knotes (ident, bit) kn;
   match aio.Io_if.aio_add_listener l bit with
-  | Result.Error _ as e ->
+  | Result.Error e ->
+      kn.kn_listener <- None;
       delete_knote kn;
-      e
+      Result.Error e
   | Ok initial ->
       if initial land bit <> 0 then enqueue kn;
-      Ok initial
+      Ok kn
 
-let mode_of_flags flags =
-  if flags land Io_if.ev_oneshot <> 0 then Oneshot
-  else if flags land Io_if.ev_clear <> 0 then Edge
-  else Level
-
-let add t ~ident ~aio ~filter ~flags =
-  let mode = mode_of_flags flags in
-  let bits = List.filter (fun b -> filter land b <> 0) filter_bits in
-  if bits = [] then Result.Error Error.Inval
-  else begin
-    List.iter
-      (fun bit -> ignore (add_bit t ~ident ~aio ~bit ~mode))
-      bits;
-    Ok ()
-  end
+(* One knote per condition bit in [filter].  If the source refuses a bit,
+   the knotes this call already added go too, and the error is returned. *)
+let add t ~ident ~aio ~filter =
+  let rec go added = function
+    | [] -> Ok ()
+    | bit :: rest -> (
+        match add_bit t ~ident ~aio bit with
+        | Ok kn -> go (kn :: added) rest
+        | Result.Error _ as e ->
+            List.iter delete_knote added;
+            e)
+  in
+  match bits_of filter with [] -> Result.Error Error.Inval | bits -> go [] bits
 
 let delete t ~ident ~filter =
-  let bits = List.filter (fun b -> filter land b <> 0) filter_bits in
   let found = ref false in
   List.iter
     (fun bit ->
@@ -142,26 +137,13 @@ let delete t ~ident ~filter =
           found := true;
           delete_knote kn
       | None -> ())
-    bits;
+    (bits_of filter);
   if !found then Ok () else Result.Error Error.Inval
 
-let data_of kn mask =
-  if mask land Io_if.aio_read <> 0 then kn.kn_aio.Io_if.aio_readable () else 0
-
-let flags_of_mode = function
-  | Level -> 0
-  | Edge -> Io_if.ev_clear
-  | Oneshot -> Io_if.ev_oneshot
-
-(* Drain up to [max] entries, never more than were queued at entry — a
-   level-triggered knote re-enqueued by [relevel] waits for the next
-   call, so one hot connection cannot spin the caller.
-
-   [relevel]: when true (the COM default), a level knote still ready at
-   drain time goes back on the queue so it keeps reporting.  The reactor
-   passes false and calls {!relevel} after the handler has consumed the
-   condition — same semantics, no spurious round trip. *)
-let kevent ?(relevel = true) t ~max =
+(* Drain up to [max] entries, never more than were queued at entry.  A
+   delivered knote leaves the queue; the caller re-arms it with [relevel]
+   after handling it, so one hot connection cannot spin the caller. *)
+let kevent t ~max =
   let budget = min max (Dlist.length t.ready) in
   let rec go n acc =
     if n = 0 then List.rev acc
@@ -170,28 +152,14 @@ let kevent ?(relevel = true) t ~max =
       | None -> List.rev acc
       | Some kn ->
           kn.kn_node <- None;
-          if not kn.kn_active then go n acc
+          if kn.kn_aio.Io_if.aio_poll () land kn.kn_filter = 0 then begin
+            (* condition consumed before dispatch *)
+            t.stats.spurious <- t.stats.spurious + 1;
+            go (n - 1) acc
+          end
           else begin
-            let m = kn.kn_aio.Io_if.aio_poll () land kn.kn_filter in
-            if m = 0 && kn.kn_mode <> Edge then begin
-              (* condition consumed before dispatch *)
-              t.stats.spurious <- t.stats.spurious + 1;
-              go (n - 1) acc
-            end
-            else begin
-              let desc =
-                { Io_if.ke_ident = kn.kn_ident;
-                  ke_filter = kn.kn_filter;
-                  ke_flags = flags_of_mode kn.kn_mode;
-                  ke_data = data_of kn m }
-              in
-              t.stats.delivered <- t.stats.delivered + 1;
-              (match kn.kn_mode with
-              | Oneshot -> delete_knote kn
-              | Level -> if relevel && m <> 0 then enqueue kn
-              | Edge -> ());
-              go (n - 1) (desc :: acc)
-            end
+            t.stats.delivered <- t.stats.delivered + 1;
+            go (n - 1) ({ ident = kn.kn_ident; filter = kn.kn_filter } :: acc)
           end
   in
   go budget []
@@ -201,25 +169,7 @@ let kevent ?(relevel = true) t ~max =
 let relevel t ~ident ~filter =
   List.iter
     (fun bit ->
-      if filter land bit <> 0 then
-        match Hashtbl.find_opt t.knotes (ident, bit) with
-        | Some kn when kn.kn_active && kn.kn_mode = Level ->
-            if kn.kn_aio.Io_if.aio_poll () land bit <> 0 then enqueue kn
-        | _ -> ())
-    filter_bits
-
-(* The COM face: an [oskit_kqueue] object over this queue. *)
-let kqueue_view t =
-  let rec view () =
-    { Io_if.kq_unknown = unknown ();
-      kq_add = (fun ~ident ~aio ~filter ~flags -> add t ~ident ~aio ~filter ~flags);
-      kq_delete = (fun ~ident ~filter -> delete t ~ident ~filter);
-      kq_kevent = (fun ~max -> kevent t ~max);
-      kq_depth = (fun () -> depth t);
-      kq_set_wakeup = (fun f -> set_wakeup t f) }
-  and obj =
-    lazy
-      (Com.create (fun _self ->
-           [ Iid.B (Io_if.kqueue_iid, fun () -> view ()) ]))
-  and unknown () = Lazy.force obj in
-  view ()
+      match Hashtbl.find_opt t.knotes (ident, bit) with
+      | Some kn -> if kn.kn_aio.Io_if.aio_poll () land bit <> 0 then enqueue kn
+      | None -> ())
+    (bits_of filter)

@@ -334,9 +334,9 @@ let netstat st =
   line "  %d waiters dropped (queue full)" arp.Arp_resolver.waiters_dropped;
   line "  %d resolutions abandoned (retries exhausted)" arp.Arp_resolver.abandoned;
   line "event:";
-  line "  %d timer-wheel arms (%d cancels, %d fires, %d cascades)"
+  line "  %d timer-wheel arms (%d cancels, %d fires)"
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels
-    Cost.counters.Cost.wheel_fires Cost.counters.Cost.wheel_cascades;
+    Cost.counters.Cost.wheel_fires;
   line "  %d kqueue events posted (%d coalesced)" Cost.counters.Cost.kq_posted
     Cost.counters.Cost.kq_coalesced;
   Buffer.contents b

@@ -430,14 +430,3 @@ let pool_reset () =
   Bpool.reset_stats clust_pool;
   stats_allocated := 0;
   stats_freed := 0
-
-(* Flatten a chain to plain bytes WITHOUT charging (diagnostic use only). *)
-let m_to_bytes_uncharged m =
-  let len = m_length m in
-  let dst = Bytes.create len in
-  let rec go m dst_pos =
-    Bytes.blit m.m_data m.m_off dst dst_pos m.m_len;
-    match m.m_next with Some nx -> go nx (dst_pos + m.m_len) | None -> ()
-  in
-  go m 0;
-  dst

@@ -242,15 +242,14 @@ let tw_arm t pcb slot n =
   tw_cancel pcb slot;
   let w = if slot = tw_delack then t.fast_wheel else t.slow_wheel in
   let e =
-    Timewheel.arm w ~deadline_ns:(Timewheel.now_ns w + n) (fun () ->
+    Timewheel.arm w ~ticks:n (fun () ->
         pcb.tw_ents.(slot) <- None;
         t.due <- (pcb, slot) :: t.due)
   in
   pcb.tw_ents.(slot) <- Some e
 
 (* The slow-timer setters: [n] slow ticks ahead; 0 disarms.  Every TCP
-   deadline is at most 128 ticks out, so it files into the wheel's first
-   level and never cascades. *)
+   deadline is at most 128 ticks out, inside the wheel's 255-tick span. *)
 let set_timer t pcb slot n = if n <= 0 then tw_cancel pcb slot else tw_arm t pcb slot n
 let set_rexmt t pcb n = set_timer t pcb tw_rexmt n
 let set_persist t pcb n = set_timer t pcb tw_persist n
@@ -494,7 +493,7 @@ and tcp_output_segs t pcb =
            let an ACK of the original transmission feed update_rtt an
            ambiguous (far too short) sample. *)
         if pcb.t_rtt < 0 && len > 0 && Codec.seq_geq pcb.snd_nxt pcb.snd_max then begin
-          pcb.t_rtt <- Timewheel.now_ns t.slow_wheel;
+          pcb.t_rtt <- Timewheel.now t.slow_wheel;
           pcb.t_rtseq <- pcb.snd_nxt
         end;
         pcb.snd_nxt <- Codec.m32 (pcb.snd_nxt + len + if send_fin then 1 else 0);
@@ -588,7 +587,7 @@ and persist_timeout t pcb =
    before the first fires, as the walk ages all of a pcb's counters before
    firing any. *)
 and tick t wheel =
-  ignore (Timewheel.advance wheel ~now_ns:(Timewheel.now_ns wheel + 1));
+  ignore (Timewheel.advance wheel ~now:(Timewheel.now wheel + 1));
   let home p = p.conn.Conn_table.home and serial p = p.conn.Conn_table.serial in
   let due =
     List.sort (fun (p, i) (q, j) -> compare (home p, serial q, i) (home q, serial p, j)) t.due
@@ -625,7 +624,7 @@ and fire t (pcb, slot) =
 
 (* The Karn-filtered RTT sample, in slow ticks: 1 at the timed send, +1
    per slow tick since, as the donor's per-tick [t_rtt++] counts. *)
-let rtt_sample t pcb = 1 + Timewheel.now_ns t.slow_wheel - pcb.t_rtt
+let rtt_sample t pcb = 1 + Timewheel.now t.slow_wheel - pcb.t_rtt
 
 let update_rtt pcb rtt =
   if pcb.t_srtt <> 0 then begin
@@ -1241,8 +1240,8 @@ let attach ip machine =
         Conn_table.create machine ~entry:(fun p -> p.conn)
           ~embryonic:(fun p -> p.t_state = Syn_received);
       iss_source = 1; ticking = false; fast_ticking = false;
-      slow_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
-      fast_wheel = Timewheel.create ~granularity_ns:1 ~now_ns:0 ();
+      slow_wheel = Timewheel.create ();
+      fast_wheel = Timewheel.create ();
       due = []; syncache = Syncache.create ~secret:0x6b8b4567;
       err_bucket = Token_bucket.create machine;
       stats = make_stats ();

@@ -275,4 +275,3 @@ let init_ide () =
         (fun osenv -> List.map (blkio_of osenv) (Linux_ide_drv.probe_drives osenv)) }
 
 let native_devices osenv = Linux_eth_drv.probe_devices osenv
-let native_open osenv dev ~rx = Linux_eth_drv.dev_open osenv dev ~rx ()

@@ -48,6 +48,3 @@ val fresh_recognition : unit -> bool option ref
 (** Direct (non-COM) access to the probed legacy devices, for the Linux
     inet baseline which links against this driver code natively. *)
 val native_devices : Osenv.t -> Linux_eth_drv.device list
-
-val native_open :
-  Osenv.t -> Linux_eth_drv.device -> rx:(Skbuff.sk_buff -> unit) -> (unit, Error.t) result

@@ -162,14 +162,3 @@ let skb_pull skb n =
   skb.head
 
 let skb_trim skb n = if n < skb.len then skb.len <- n
-
-(* Copy out the valid data (costed: this is a real memcpy). *)
-let skb_copy_out skb =
-  Cost.charge_copy skb.len;
-  Bytes.sub skb.skb_data skb.head skb.len
-
-(* Copy user/foreign data into the tail (memcpy_fromfs in the donor). *)
-let skb_copy_in skb src src_pos n =
-  let at = skb_put skb n in
-  Cost.charge_copy n;
-  Bytes.blit src src_pos skb.skb_data at n

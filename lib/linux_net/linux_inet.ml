@@ -1233,7 +1233,7 @@ let netstat t =
     \  %d waiters dropped (queue full)\n\
     \  %d resolutions abandoned (retries exhausted)\n\
      event:\n\
-    \  %d timer-wheel arms (%d cancels, %d fires, %d cascades)\n\
+    \  %d timer-wheel arms (%d cancels, %d fires)\n\
     \  %d kqueue events posted (%d coalesced)\n"
     t.ipbadsum t.segs_out t.segs_in t.rexmits t.tcpbadsum t.rcvdup t.rcvoo
     t.rcvfull t.listen_overflow t.rexmt_give_ups t.predack t.preddat t.predfallback
@@ -1242,5 +1242,5 @@ let netstat t =
     t.nomem_drops t.rst_ratelimited t.arp.Arp_resolver.waiters_dropped
     t.arp.Arp_resolver.abandoned
     Cost.counters.Cost.wheel_arms Cost.counters.Cost.wheel_cancels
-    Cost.counters.Cost.wheel_fires Cost.counters.Cost.wheel_cascades
+    Cost.counters.Cost.wheel_fires
     Cost.counters.Cost.kq_posted Cost.counters.Cost.kq_coalesced

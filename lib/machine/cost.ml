@@ -340,7 +340,6 @@ let count_kq_posted () = bump (fun c -> c.kq_posted <- c.kq_posted + 1)
 let count_kq_coalesced () = bump (fun c -> c.kq_coalesced <- c.kq_coalesced + 1)
 let count_wheel_arm () = bump (fun c -> c.wheel_arms <- c.wheel_arms + 1)
 let count_wheel_cancel () = bump (fun c -> c.wheel_cancels <- c.wheel_cancels + 1)
-let count_wheel_cascade () = bump (fun c -> c.wheel_cascades <- c.wheel_cascades + 1)
 let count_wheel_fire () = bump (fun c -> c.wheel_fires <- c.wheel_fires + 1)
 let count_bufcache_hit () = bump (fun c -> c.bufcache_hits <- c.bufcache_hits + 1)
 let count_bufcache_miss () = bump (fun c -> c.bufcache_misses <- c.bufcache_misses + 1)

@@ -311,7 +311,8 @@ type counters = {
   mutable wheel_arms : int;  (** timing-wheel entries armed *)
   mutable wheel_cancels : int;  (** timing-wheel entries cancelled before firing *)
   mutable wheel_cascades : int;
-      (** entries re-filed from a higher wheel level on a slot-wrap *)
+      (** Always 0: the timing wheel has one level and re-files nothing.
+          Kept because perfbench reads it. *)
   mutable wheel_fires : int;  (** timing-wheel entries fired *)
   mutable tick_visits : int;
       (** Always 0: no timer walks the PCB list any more.  Kept because
@@ -367,7 +368,6 @@ val count_kq_posted : unit -> unit
 val count_kq_coalesced : unit -> unit
 val count_wheel_arm : unit -> unit
 val count_wheel_cancel : unit -> unit
-val count_wheel_cascade : unit -> unit
 val count_wheel_fire : unit -> unit
 val count_bufcache_hit : unit -> unit
 val count_bufcache_miss : unit -> unit

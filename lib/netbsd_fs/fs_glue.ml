@@ -109,11 +109,9 @@ let link root ~from_dir ~from_name ~to_dir ~to_name =
 let newfs dev = enter (fun () -> Ffs.newfs dev) |> Result.map (fun fs -> dir_of fs (Ffs.root fs))
 let mount dev = enter (fun () -> Ffs.mount dev) |> Result.map (fun fs -> dir_of fs (Ffs.root fs))
 
-(* Variants that also return the file-system handle for glue-level
+(* [newfs] that also returns the file-system handle for glue-level
    extensions such as [link]. *)
 let newfs_fs dev =
   enter (fun () -> Ffs.newfs dev) |> Result.map (fun fs -> fs, dir_of fs (Ffs.root fs))
 
-let mount_fs dev =
-  enter (fun () -> Ffs.mount dev) |> Result.map (fun fs -> fs, dir_of fs (Ffs.root fs))
 let sync_all (root : Io_if.dir) = root.Io_if.d_sync ()

@@ -22,11 +22,9 @@ val mount : Io_if.blkio -> (Io_if.dir, Error.t) result
 (** Flush delayed writes (the [d_sync]/[f_sync] methods do this too). *)
 val sync_all : Io_if.dir -> (unit, Error.t) result
 
-(** Variants returning the file-system handle alongside the root, for the
+(** [newfs] returning the file-system handle alongside the root, for the
     glue-level extensions below. *)
 val newfs_fs : Io_if.blkio -> (Ffs.t * Io_if.dir, Error.t) result
-
-val mount_fs : Io_if.blkio -> (Ffs.t * Io_if.dir, Error.t) result
 
 (** [link fs ~from_dir ~from_name ~to_dir ~to_name] — hard link, a
     glue-level extension (the public COM dir contract omits it); both

@@ -80,6 +80,13 @@
 # BSD TCP retires a dead connection's socket buffers whatever the
 # sendfile knob says, so a grep must find no read of it in
 # lib/freebsd_net/tcp.ml.
+# The event core keeps only what its two clients run: the reactor adds
+# level-triggered knotes and re-arms them itself, and BSD TCP arms its
+# tick wheels at most 128 ticks ahead.  So a grep must find no kqueue
+# edge or one-shot mode and no oskit_kqueue COM face (ev_oneshot,
+# ev_clear, kqueue_iid, kqueue_view) in lib, bench, test, bin or
+# examples, and no cascade in lib/event, so neither the unused modes nor
+# the multi-level wheel grows back without a client.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -180,6 +187,11 @@ if grep -nE 'ncpus( [a-z_]+)? *(<= *1|> *1)' lib/linux_dev/linux_eth_drv.ml \
 fi
 if grep -nE '\.(Cost\.)?sendfile\b' lib/freebsd_net/tcp.ml; then
   echo "BSD TCP reads the sendfile knob" >&2
+  exit 1
+fi
+if grep -rnE 'ev_oneshot|ev_clear|kqueue_iid|kqueue_view' lib bench test bin examples \
+  || grep -rn 'cascade' lib/event; then
+  echo "a removed event-core design grew back: a kqueue mode, its COM face or a wheel cascade" >&2
   exit 1
 fi
 dune runtest

@@ -1,8 +1,9 @@
-(* The event core: hierarchical timing wheel against a reference
-   scheduler, cascade boundaries, BSD TCP's tick wheels on a stack (fires
-   on a tick boundary, on the flow's home CPU, in pcb-list order), kqueue
-   trigger modes and coalescing, the World.cancel regression, and the
-   discipline that plain timers never touch the new counters. *)
+(* The event core: the timing wheel against a reference scheduler and at
+   its horizon, BSD TCP's tick wheels on a stack (fires on a tick
+   boundary, on the flow's home CPU, in pcb-list order), kqueue
+   level-triggering, coalescing and registration errors, a served httpd
+   at quiescence, the World.cancel regression, and the discipline that
+   plain timers never touch the new counters. *)
 
 let ok = function Ok v -> v | Result.Error _ -> Alcotest.fail "unexpected COM error"
 
@@ -26,9 +27,9 @@ let test_world_cancel () =
 (* ---- timing wheel vs reference scheduler ----
 
    The model mirrors the documented contract exactly: an entry armed at
-   wheel tick T for deadline D is due at tick max(ceil(D/g), T+1), and
-   fires at the wheel time of that very tick.  Random interleavings of
-   arm / cancel / advance must agree with the model at every step. *)
+   wheel tick T for d ticks, 1 <= d <= 255, is due at tick T + d and fires
+   when the wheel reaches that very tick.  Random interleavings of arm /
+   cancel / advance must agree with the model at every step. *)
 
 type model_entry = {
   due_tick : int;
@@ -39,39 +40,31 @@ type model_entry = {
 
 let prop_wheel_model =
   QCheck.Test.make ~name:"timewheel: agrees with reference scheduler" ~count:200
-    QCheck.(small_list (triple (int_range 0 2) (int_range 0 70_000) (int_range 1 700)))
+    QCheck.(small_list (triple (int_range 0 2) (int_range 0 600) (int_range 1 255)))
     (fun ops ->
-      let w = Timewheel.create ~now_ns:0 () in
-      let g = Timewheel.granularity_ns w in
-      let now = ref 0 and tick = ref 0 in
+      let w = Timewheel.create () in
       let entries = ref [] in
       let contract_ok = ref true in
       List.iter
-        (fun (k, x, y) ->
+        (fun (k, x, ticks) ->
           match k with
           | 0 ->
-              (* arm, mid-granule jitter to exercise the ceiling *)
-              let deadline_ns = !now + (x * g) + (y * 917) in
-              let due =
-                let d =
-                  if deadline_ns <= 0 then 0 else (deadline_ns + g - 1) / g
-                in
-                max d (!tick + 1)
-              in
               let cell = ref None in
               let e =
-                Timewheel.arm w ~deadline_ns (fun () ->
+                Timewheel.arm w ~ticks (fun () ->
                     match !cell with
                     | None -> contract_ok := false
                     | Some me ->
                         if me.m_fired || me.m_cancelled then contract_ok := false;
                         me.m_fired <- true;
-                        (* fires at exactly its due tick's wheel time *)
-                        if Timewheel.now_ns w <> me.due_tick * g then
-                          contract_ok := false)
+                        (* fires at exactly its due tick *)
+                        if Timewheel.now w <> me.due_tick then contract_ok := false)
               in
               let me =
-                { due_tick = due; m_fired = false; m_cancelled = false; m_entry = e }
+                { due_tick = Timewheel.now w + ticks;
+                  m_fired = false;
+                  m_cancelled = false;
+                  m_entry = e }
               in
               cell := Some me;
               entries := me :: !entries
@@ -86,49 +79,37 @@ let prop_wheel_model =
                   let me = List.nth live (x mod List.length live) in
                   me.m_cancelled <- true;
                   Timewheel.cancel me.m_entry)
-          | _ ->
-              (* advance *)
-              now := !now + (x * g) + y;
-              tick := max !tick (!now / g);
-              ignore (Timewheel.advance w ~now_ns:!now))
+          | _ -> ignore (Timewheel.advance w ~now:(Timewheel.now w + x)))
         ops;
       (* flush everything still armed *)
-      now := !now + (80_000 * g);
-      tick := max !tick (!now / g);
-      ignore (Timewheel.advance w ~now_ns:!now);
+      ignore (Timewheel.advance w ~now:(Timewheel.now w + 256));
       !contract_ok
       && List.for_all
            (fun me ->
              if me.m_cancelled then not me.m_fired
-             else me.m_fired && me.due_tick <= !tick)
+             else me.m_fired && me.due_tick <= Timewheel.now w)
            !entries
       && Timewheel.armed w = 0)
 
-(* ---- cascade boundaries: entries trickle down and fire exactly once ---- *)
+(* ---- the wheel's horizon: 255 ticks is the longest delay ---- *)
 
-let test_cascades () =
-  let w = Timewheel.create ~now_ns:0 () in
-  let g = Timewheel.granularity_ns w in
-  (* Around the level-0/1 boundary, the level-1/2 boundary, and one
-     entry deep in level 2: every tier of the cascade path. *)
-  let ticks = [ 1; 255; 256; 257; 511; 65_535; 65_536; 65_537; 200_000 ] in
-  let fires = ref [] in
+let test_wheel_horizon () =
+  let w = Timewheel.create () in
+  (* Start off slot 0, so the 255-tick entry's slot wraps. *)
+  ignore (Timewheel.advance w ~now:10);
+  let fired_at = ref None in
+  ignore (Timewheel.arm w ~ticks:255 (fun () -> fired_at := Some (Timewheel.now w)));
+  ignore (Timewheel.advance w ~now:264);
+  Alcotest.(check (option int)) "not fired a tick early" None !fired_at;
+  ignore (Timewheel.advance w ~now:400);
+  Alcotest.(check (option int)) "fired on exactly its tick" (Some 265) !fired_at;
   List.iter
-    (fun tk ->
-      ignore
-        (Timewheel.arm w ~deadline_ns:(tk * g) (fun () ->
-             fires := (tk, Timewheel.now_ns w) :: !fires)))
-    ticks;
-  ignore (Timewheel.advance w ~now_ns:(250_000 * g));
-  Alcotest.(check int) "every entry fired once" (List.length ticks)
-    (List.length !fires);
-  List.iter
-    (fun (tk, at) ->
-      Alcotest.(check int) (Printf.sprintf "entry %d fired on its tick" tk) (tk * g) at)
-    !fires;
-  Alcotest.(check int) "nothing left armed" 0 (Timewheel.armed w);
-  if (Timewheel.stats w).Timewheel.cascades = 0 then
-    Alcotest.fail "no cascades happened: boundaries were not exercised"
+    (fun ticks ->
+      match Timewheel.arm w ~ticks (fun () -> ()) with
+      | _ -> Alcotest.failf "a delay of %d ticks was armed" ticks
+      | exception Invalid_argument _ -> ())
+    [ 256; 0 ];
+  Alcotest.(check int) "nothing left armed" 0 (Timewheel.armed w)
 
 (* ---- BSD TCP's tick wheels, on a stack ---- *)
 
@@ -340,23 +321,25 @@ let test_same_tick_fire_order () =
   Alcotest.(check (list int)) "newer armed first: list order" [ 3002; 3001 ]
     (same_tick_ack_order ~send_first_on_older:false)
 
-(* ---- kqueue: trigger modes, coalescing, spurious drops ---- *)
+(* ---- kqueue: level-triggering, coalescing, spurious drops ---- *)
 
-let test_kqueue_modes () =
+let test_kqueue_level () =
   let kq = Kqueue.create () in
   let s = Test_asyncio.synthetic () in
-  ok (Kqueue.add kq ~ident:7 ~aio:s.Test_asyncio.syn_aio ~filter:Io_if.aio_read ~flags:0);
-  (* level: reported as long as the condition holds *)
+  ok (Kqueue.add kq ~ident:7 ~aio:s.Test_asyncio.syn_aio ~filter:Io_if.aio_read);
+  (* level: reported, and re-queued by relevel while the condition holds *)
   s.Test_asyncio.fire Io_if.aio_read;
   (match Kqueue.kevent kq ~max:8 with
   | [ ev ] ->
-      Alcotest.(check int) "ident" 7 ev.Io_if.ke_ident;
-      Alcotest.(check int) "filter" Io_if.aio_read ev.Io_if.ke_filter
+      Alcotest.(check int) "ident" 7 ev.Kqueue.ident;
+      Alcotest.(check int) "filter" Io_if.aio_read ev.Kqueue.filter
   | evs -> Alcotest.failf "level: expected 1 event, got %d" (List.length evs));
+  Kqueue.relevel kq ~ident:7 ~filter:Io_if.aio_read;
   Alcotest.(check int) "level re-queued while still ready" 1 (Kqueue.depth kq);
   s.Test_asyncio.clear ();
   Alcotest.(check int) "consumed-before-dispatch dropped as spurious" 0
     (List.length (Kqueue.kevent kq ~max:8));
+  Alcotest.(check int) "spurious counted" 1 (Kqueue.stats kq).Kqueue.spurious;
   (* coalescing: two notifications, one queue entry *)
   s.Test_asyncio.fire Io_if.aio_read;
   s.Test_asyncio.fire Io_if.aio_read;
@@ -366,29 +349,29 @@ let test_kqueue_modes () =
   ignore (Kqueue.kevent kq ~max:8);
   ok (Kqueue.delete kq ~ident:7 ~filter:Io_if.aio_read);
   Alcotest.(check int) "deleted" 0 (Kqueue.watches kq);
-  (* edge: one report per notification, even while still ready *)
-  let e = Test_asyncio.synthetic () in
-  ok
-    (Kqueue.add kq ~ident:8 ~aio:e.Test_asyncio.syn_aio ~filter:Io_if.aio_read
-       ~flags:Io_if.ev_clear);
-  e.Test_asyncio.fire Io_if.aio_read;
-  Alcotest.(check int) "edge: delivered" 1 (List.length (Kqueue.kevent kq ~max:8));
-  Alcotest.(check int) "edge: no re-queue while still ready" 0
-    (List.length (Kqueue.kevent kq ~max:8));
-  e.Test_asyncio.fire Io_if.aio_read;
-  Alcotest.(check int) "edge: next notification delivers again" 1
-    (List.length (Kqueue.kevent kq ~max:8));
-  (* oneshot: auto-deleted after the first report *)
-  let o = Test_asyncio.synthetic () in
-  ok
-    (Kqueue.add kq ~ident:9 ~aio:o.Test_asyncio.syn_aio ~filter:Io_if.aio_read
-       ~flags:Io_if.ev_oneshot);
-  o.Test_asyncio.fire Io_if.aio_read;
-  Alcotest.(check int) "oneshot: delivered" 1 (List.length (Kqueue.kevent kq ~max:8));
-  Alcotest.(check int) "oneshot: knote auto-deleted" 1 (Kqueue.watches kq);
-  o.Test_asyncio.fire Io_if.aio_read;
-  Alcotest.(check int) "oneshot: gone after delivery" 0
-    (List.length (Kqueue.kevent kq ~max:8))
+  Alcotest.(check int) "listener removed from the source" 0 (s.Test_asyncio.listeners ())
+
+(* A source that refuses one condition bit: the add fails with the
+   source's error, and the knote it already added for another bit goes
+   too, listener and all. *)
+let test_kqueue_add_error () =
+  let kq = Kqueue.create () in
+  let s = Test_asyncio.synthetic () in
+  let aio =
+    { s.Test_asyncio.syn_aio with
+      Io_if.aio_add_listener =
+        (fun l bit ->
+          if bit = Io_if.aio_write then Result.Error Error.Nomem
+          else s.Test_asyncio.syn_aio.Io_if.aio_add_listener l bit) }
+  in
+  (match Kqueue.add kq ~ident:3 ~aio ~filter:(Io_if.aio_read lor Io_if.aio_write) with
+  | Result.Error Error.Nomem -> ()
+  | Ok () -> Alcotest.fail "a refused registration was reported as added"
+  | Result.Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e));
+  Alcotest.(check int) "no knote left" 0 (Kqueue.watches kq);
+  Alcotest.(check int) "no listener left on the source" 0 (s.Test_asyncio.listeners ());
+  s.Test_asyncio.fire Io_if.aio_read;
+  Alcotest.(check int) "nothing queued" 0 (Kqueue.depth kq)
 
 (* ---- the reactor dispatches through the kqueue ready queue ---- *)
 
@@ -409,6 +392,78 @@ let test_reactor_kq_engine () =
   Alcotest.(check int) "unwatch removed the knote" 0
     ((Reactor.stats r).Reactor.dispatches - 1)
 
+(* ---- a served httpd at quiescence ----
+
+   Httpbench's reactor-shaped server on [stack] at [ncpus] CPUs, and four
+   clients, each with one HTTP/1.0 request (the server closes) and one
+   keep-alive connection of two pipelined requests (the client closes).
+   Once every client has closed and 2MSL has passed, nothing the event
+   core holds stays behind: the listener is reactor 0's only watch and
+   knote, every ready queue is empty, and the server stack's tick wheels
+   are idle. *)
+
+let quiescence ~stack ~ncpus =
+  Cost.with_config { Cost.config with Cost.ncpus; http_keepalive = true } @@ fun () ->
+  let name = Printf.sprintf "%s, %d CPU" (Endpoint.config_name stack) ncpus in
+  let quiet = ref false in
+  let s =
+    Httpbench.serve ~site:Httpbench.index_site ~backlog:16 ~stack ~shape:Httpbench.Reactor
+      ~until:(fun () -> !quiet) ()
+  in
+  let chost = s.Httpbench.client.Endpoint.host and body = s.Httpbench.bodies.(0) in
+  let clients = 4 and closed = ref 0 and bad = ref 0 in
+  let get v = Printf.sprintf "GET /index.html HTTP/%s\r\nHost: b\r\n\r\n" v in
+  for i = 0 to clients - 1 do
+    Clientos.spawn chost ~cpu:(i mod ncpus) ~name:(Printf.sprintf "c%d" i) (fun () ->
+        Kclock.sleep_ns (3_000_000 + (i * 100_000));
+        let c = ok (Httpbench.connect s) in
+        Httpbench.send_string c (get "1.0");
+        if not (Httpbench.exact_200 (Httpbench.drain c) body) then incr bad;
+        c.Endpoint.close ();
+        let c = ok (Httpbench.connect s) in
+        let next = Httpbench.reader c in
+        Httpbench.send_string c (get "1.1" ^ get "1.1");
+        for _ = 1 to 2 do
+          match next () with
+          | Some (hdr, b) when Httpbench.is_200 "1.1" hdr && b = body -> ()
+          | _ -> incr bad
+        done;
+        c.Endpoint.close ();
+        incr closed)
+  done;
+  Clientos.spawn chost ~name:"quiet" (fun () ->
+      while !closed < clients do
+        Kclock.sleep_ns 10_000_000
+      done;
+      (* 2MSL, plus a slow tick for the loop's phase and one to spare *)
+      Kclock.sleep_ns (((2 * Tcp.msl_ticks) + 2) * Tcp.slow_interval_ns);
+      quiet := true);
+  Clientos.run s.Httpbench.testbed ~until:(fun () -> !quiet);
+  Alcotest.(check int) (name ^ ": every response exact") 0 !bad;
+  Array.iteri
+    (fun cpu r ->
+      let listener = if cpu = 0 then 1 else 0 in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: reactor %d's watches" name cpu)
+        listener (Reactor.watch_count r);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: reactor %d's knotes" name cpu)
+        listener
+        (Kqueue.watches r.Reactor.kq);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: reactor %d's ready queue" name cpu)
+        0
+        (Kqueue.depth r.Reactor.kq))
+    s.Httpbench.reactors;
+  match s.Httpbench.server.Endpoint.stack with
+  | Endpoint.Bsd bsd -> check_tick_wheels_quiescent name bsd.Bsd_socket.tcp
+  | Endpoint.Lx _ -> Alcotest.fail "the quiescence test serves from the BSD stack"
+
+let test_httpd_quiescence () =
+  quiescence ~stack:Endpoint.Freebsd ~ncpus:1;
+  quiescence ~stack:Endpoint.Freebsd ~ncpus:4;
+  quiescence ~stack:Endpoint.Oskit ~ncpus:1
+
 (* ---- flags off: the new machinery stays cold ---- *)
 
 let test_flags_off_counters () =
@@ -425,19 +480,20 @@ let test_flags_off_counters () =
   Alcotest.(check int) "no kq coalesces" 0 c.Cost.kq_coalesced;
   Alcotest.(check int) "no wheel arms" 0 c.Cost.wheel_arms;
   Alcotest.(check int) "no wheel cancels" 0 c.Cost.wheel_cancels;
-  Alcotest.(check int) "no wheel cascades" 0 c.Cost.wheel_cascades;
   Alcotest.(check int) "no wheel fires" 0 c.Cost.wheel_fires
 
 let suite =
   [ Alcotest.test_case "World.cancel unlinks immediately" `Quick test_world_cancel;
     QCheck_alcotest.to_alcotest prop_wheel_model;
-    Alcotest.test_case "timewheel cascade boundaries" `Quick test_cascades;
+    Alcotest.test_case "timewheel: 255 fires, 256 raises" `Quick test_wheel_horizon;
     Alcotest.test_case "tcp tick fires on the home CPU" `Quick test_tick_fires_on_home_cpu;
     Alcotest.test_case "tcp same-tick fires in pcb-list order" `Quick
       test_same_tick_fire_order;
     Alcotest.test_case "tcp tick on an idle home CPU: world time" `Quick
       test_tick_fire_on_idle_cpu;
-    Alcotest.test_case "kqueue level/edge/oneshot/coalesce" `Quick test_kqueue_modes;
+    Alcotest.test_case "kqueue level/coalesce/spurious" `Quick test_kqueue_level;
+    Alcotest.test_case "kqueue add: refused bit rolls back" `Quick test_kqueue_add_error;
     Alcotest.test_case "reactor kqueue engine" `Quick test_reactor_kq_engine;
+    Alcotest.test_case "httpd quiescence: no watch or timer" `Quick test_httpd_quiescence;
     Alcotest.test_case "flags off: new counters untouched" `Quick
       test_flags_off_counters ]
