@@ -29,24 +29,18 @@ type synthetic = {
 }
 
 let synthetic () =
-  let subs = ref [] and next = ref 1 and ready = ref 0 in
+  let listeners = Io_if.Listeners.create () and ready = ref 0 in
   let aio =
     Io_if.asyncio_view
       ~unknown:(fun () -> Com.create (fun _ -> []))
       ~poll:(fun () -> !ready)
-      ~add_listener:(fun ~mask f ->
-        let id = !next in
-        incr next;
-        subs := (id, mask, f) :: !subs;
-        id)
-      ~remove_listener:(fun id -> subs := List.filter (fun (i, _, _) -> i <> id) !subs)
-      ()
+      ~listeners ()
   in
   { syn_aio = aio;
     fire =
       (fun () ->
         ready := Io_if.aio_read;
-        List.iter (fun (_, m, f) -> if m land Io_if.aio_read <> 0 then f Io_if.aio_read) !subs);
+        Io_if.Listeners.notify listeners (fun () -> !ready));
     clear = (fun () -> ready := 0) }
 
 type kq_row = {

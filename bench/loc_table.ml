@@ -68,8 +68,8 @@ let descriptions =
     "boot", "Bootstrap support";
     "kern", "Kernel support";
     "smp", "Multiprocessor support (netisr, RSS)";
-    "asyncio", "Readiness I/O & reactor";
-    "event", "Event core (kqueue, timing wheel)";
+    "asyncio", "Readiness I/O & kqueue reactor";
+    "event", "Event core (timing wheel, lists)";
     "httpd", "HTTP server (1.0/1.1 engine, sendfile)";
     "malloc", "Size-class allocator";
     "lmm", "List Memory Manager";

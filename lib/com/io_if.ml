@@ -184,29 +184,55 @@ let listener_create notify =
   and unknown () = Lazy.force obj in
   view ()
 
-(** [asyncio_view ~unknown ~poll ~add_listener ~remove_listener ()] builds
-    an asyncio record over a stack's plain readiness hooks: [add_listener
-    ~mask f] returns a registration id, [remove_listener id] drops it.
-    Each call owns its own listener table, so build it {e once} per
-    underlying object (not per COM query) and hand out the same record. *)
-let asyncio_view ~unknown ~poll ~add_listener ~remove_listener
-    ?(readable = fun () -> 0) () =
-  let subs : (listener * int) list ref = ref [] in
+(** The listeners registered on one readiness source, oldest first: the
+    source-side half of [aio_add_listener].  Both stacks' sockets keep
+    one, and so does every synthetic source. *)
+module Listeners = struct
+  type t = { mutable regs : (listener * int) list (* (listener, mask) *) }
+
+  let create () = { regs = [] }
+  let length t = List.length t.regs
+  let add t l mask = t.regs <- t.regs @ [ (l, mask) ]
+
+  (** Drop [l]'s registrations (by physical equality); false if it had
+      none. *)
+  let remove t l =
+    let rest = List.filter (fun (x, _) -> x != l) t.regs in
+    let found = List.compare_lengths rest t.regs <> 0 in
+    t.regs <- rest;
+    found
+
+  (** Notify, in registration order, every listener whose mask meets
+      [readiness ()].  [readiness] runs only when something is
+      registered, so a source nobody watches pays nothing. *)
+  let notify t readiness =
+    match t.regs with
+    | [] -> ()
+    | regs ->
+        let ready = readiness () in
+        List.iter (fun (l, mask) -> if ready land mask <> 0 then l.ls_notify ()) regs
+end
+
+(** [asyncio_view ~unknown ~poll ~listeners ()] builds an asyncio record
+    over a source's readiness [poll] and its listener list.  [charge]
+    runs once per add and per successful remove (the stacks charge a COM
+    method call there).  Build it {e once} per underlying object (not
+    per COM query) and hand out the same record. *)
+let asyncio_view ~unknown ~poll ~listeners ?(charge = ignore) ?(readable = fun () -> 0) () =
   { aio_unknown = unknown ();
     aio_poll = poll;
     aio_add_listener =
       (fun l mask ->
-        let id = add_listener ~mask (fun _ready -> l.ls_notify ()) in
-        subs := (l, id) :: !subs;
+        charge ();
+        Listeners.add listeners l mask;
         Ok (poll ()));
     aio_remove_listener =
       (fun l ->
-        match List.partition (fun (x, _) -> x == l) !subs with
-        | [], _ -> Result.Error Error.Inval
-        | matches, rest ->
-            subs := rest;
-            List.iter (fun (_, id) -> remove_listener id) matches;
-            Ok ());
+        if Listeners.remove listeners l then begin
+          charge ();
+          Ok ()
+        end
+        else Result.Error Error.Inval);
     aio_readable = readable }
 
 (** The "socket factory" returned by a protocol stack's init and registered

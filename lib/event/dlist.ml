@@ -1,9 +1,9 @@
 (* Intrusive doubly-linked lists with O(1) push at either end, remove,
    and length.
 
-   Both halves of the event core live on these: kqueue ready queues (a
-   firing connection enqueues itself in constant time) and timing-wheel
-   slots (cancel unlinks in constant time).
+   Both halves of the event core live on these: the reactor's ready
+   queue (a firing connection enqueues itself in constant time) and
+   timing-wheel slots (cancel unlinks in constant time).
    So does a TCP connection table's list, newest first, which a
    connection leaves in constant time however many are in TIME_WAIT.  A node remembers
    its owner so [remove] needs no list argument and double-removal is a

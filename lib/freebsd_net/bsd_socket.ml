@@ -42,18 +42,14 @@ let ifconfig stack ~addr ~mask = Netif.ifconfig stack.ifp ~addr ~mask
 
 (* ---- TCP stream sockets ---- *)
 
-(* A readiness listener: the socket-side half of oskit_asyncio.  [rl_fn]
-   runs at wakeup level whenever a condition in [rl_mask] is true after a
-   protocol event — spurious calls allowed, blocking not. *)
-type ready_listener = { rl_id : int; rl_mask : int; rl_fn : int -> unit }
-
 type tsock = {
   st : stack;
   pcb : Tcp.tcpcb;
   chan : int; (* rd = chan, wr = chan+1, cn = chan+2 *)
   mutable nonblock : bool;
-  mutable listeners : ready_listener list;
-  mutable next_lid : int;
+  listeners : Io_if.Listeners.t;
+      (* oskit_asyncio's listeners: notified at wakeup level whenever a
+         masked condition is true after a protocol event *)
 }
 
 (* The donor idiom: sbwait sleeps on the buffer's channel; sowakeup wakes
@@ -91,27 +87,15 @@ let so_readable_bytes s = s.pcb.Tcp.rcv_buf.Sockbuf.sb_cc
 
 (* No-op when nothing is registered, so the blocking-only paths that Table
    1/2 measures are untouched. *)
-let notify_listeners s =
-  match s.listeners with
-  | [] -> ()
-  | ls ->
-      let ready = so_readiness s in
-      List.iter (fun l -> if ready land l.rl_mask <> 0 then l.rl_fn ready) ls
-
-let so_add_listener s ~mask f =
-  let id = s.next_lid in
-  s.next_lid <- id + 1;
-  s.listeners <- s.listeners @ [ { rl_id = id; rl_mask = mask; rl_fn = f } ];
-  id
-
-let so_remove_listener s id =
-  s.listeners <- List.filter (fun l -> l.rl_id <> id) s.listeners
+let notify_listeners s = Io_if.Listeners.notify s.listeners (fun () -> so_readiness s)
 
 let so_set_nonblock s v = s.nonblock <- v
 let so_set_nopush s v = Tcp.usr_set_nopush s.st.tcp s.pcb v
 
 let wrap_pcb st pcb =
-  let s = { st; pcb; chan = alloc_chan st; nonblock = false; listeners = []; next_lid = 1 } in
+  let s =
+    { st; pcb; chan = alloc_chan st; nonblock = false; listeners = Io_if.Listeners.create () }
+  in
   pcb.Tcp.on_readable <-
     (fun () ->
       sowakeup st s.chan 0;

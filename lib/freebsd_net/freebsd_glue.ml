@@ -48,21 +48,8 @@ let bufio_of_mbuf m =
   view ()
 
 let mbuf_of_bufio ?cache (io : Io_if.bufio) =
-  let attempt =
-    match cache with
-    | Some { contents = Some false } -> Result.Error Error.No_interface
-    | _ ->
-        Cost.count_com_call ();
-        Com.query io.Io_if.buf_unknown mbuf_iid
-  in
-  (match cache with
-  | Some ({ contents = None } as c) ->
-      c := Some (match attempt with Ok _ -> true | Result.Error _ -> false)
-  | _ -> ());
-  match attempt with
-  | Ok m ->
-      ignore (io.Io_if.buf_unknown.Com.release ());
-      m, false
+  match Recognition.query ?memo:cache io mbuf_iid with
+  | Ok m -> m, false
   | Result.Error _ -> (
       let n = io.Io_if.buf_size () in
       match io.Io_if.buf_map () with
@@ -91,8 +78,8 @@ let open_ether_if stack (ed : Io_if.etherdev) =
   (* The stack learns the device's station address. *)
   ifp.Netif.if_hwaddr <- ed.Io_if.ed_ethaddr ();
   let recv_netio =
-    (* One recognition verdict per receive binding (see Linux_glue). *)
-    let cache = ref None in
+    (* One recognition verdict per receive binding. *)
+    let cache = Recognition.create () in
     let input_one io =
       let m, _copied = mbuf_of_bufio ~cache io in
       Netif.ether_input ifp m
@@ -196,7 +183,7 @@ let rec socket_com stack (s : Bsd_socket.tsock) : Io_if.socket =
       so_shutdown = (fun () -> enter (fun () -> Bsd_socket.so_shutdown s));
       so_close = (fun () -> enter (fun () -> Bsd_socket.so_close s)) }
   (* The readiness view of the same object.  Forced once (not per query),
-     so every client shares one listener table; poll is a plain COM method
+     so every client shares one view; poll is a plain COM method
      dispatch, not a full component crossing — it reads state, converts no
      arguments and wraps no buffers. *)
   and aio =
@@ -205,12 +192,7 @@ let rec socket_com stack (s : Bsd_socket.tsock) : Io_if.socket =
          ~poll:(fun () ->
            Cost.charge_com_call ();
            Bsd_socket.so_readiness s)
-         ~add_listener:(fun ~mask f ->
-           Cost.charge_com_call ();
-           Bsd_socket.so_add_listener s ~mask f)
-         ~remove_listener:(fun id ->
-           Cost.charge_com_call ();
-           Bsd_socket.so_remove_listener s id)
+         ~listeners:s.Bsd_socket.listeners ~charge:Cost.charge_com_call
          ~readable:(fun () -> Bsd_socket.so_readable_bytes s)
          ())
   (* The scatter-send face: loan mapped buffer-cache fragments into the

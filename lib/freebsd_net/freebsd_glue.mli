@@ -35,8 +35,8 @@ val bufio_of_mbuf : Mbuf.mbuf -> Io_if.bufio
 
 (** Import a bufio as an mbuf chain; snd of result is true if a copy was
     needed.  [cache] memoises the recognition-query verdict for one
-    producer binding (see {!Linux_glue.skb_of_bufio}). *)
-val mbuf_of_bufio : ?cache:bool option ref -> Io_if.bufio -> Mbuf.mbuf * bool
+    producer binding ({!Recognition}). *)
+val mbuf_of_bufio : ?cache:Recognition.t -> Io_if.bufio -> Mbuf.mbuf * bool
 
 (** Wrap one already-connected TCP pcb wrapper as a COM socket (used by the
     factory for [accept]). *)

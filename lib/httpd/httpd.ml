@@ -556,7 +556,8 @@ let send cn =
    exactly one is framed.  Footprint stays O(1) per connection: the
    request buffer, the bounded response queue, one watch, and at most two
    callouts; [scratch], the receive buffer, is the reactor's.  [corks]:
-   the stack took "nopush" on the listener, so [c] is born corked. *)
+   the stack took "nopush" on the listener, so [c] is born corked.  A
+   connection whose watch or rewatch its socket refuses is closed. *)
 let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
   st.accepted <- st.accepted + 1;
   st.active <- st.active + 1;
@@ -574,7 +575,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
   let finish () =
     if not !closed then begin
       closed := true;
-      (match !wref with Some w -> Reactor.unwatch reactor w | None -> ());
+      Option.iter Reactor.unwatch !wref;
       drop_queue cn;
       ignore (c.Io_if.so_close ());
       st.active <- st.active - 1
@@ -606,7 +607,9 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
       let m = if m = 0 then Io_if.aio_read else m in
       if m <> !cur_mask then begin
         cur_mask := m;
-        match !wref with Some w -> Reactor.rewatch reactor w ~mask:m | None -> ()
+        match Option.map (Reactor.rewatch ~mask:m) !wref with
+        | Some (Result.Error _) -> finish ()
+        | Some (Ok ()) | None -> ()
       end
     end
   in
@@ -657,17 +660,20 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
     if ready land Io_if.aio_read <> 0 && not !closed then on_readable ();
     if ready land Io_if.aio_write <> 0 && not !closed then on_writable ()
   in
-  wref := Some (Reactor.watch reactor caio ~mask:Io_if.aio_read cb);
-  if Cost.config.httpd_guard then
-    (* Slowloris defense: the first request must be framed within the
-       deadline, or the connection is cut.  Dripping bytes keeps the idle
-       reaper quiet, never this. *)
-    callout_after ~ns:Cost.config.httpd_header_deadline_ns (fun () ->
-        if (not !closed) && cn.reqs = 0 then begin
-          st.deadline_closed <- st.deadline_closed + 1;
-          finish ()
-        end);
-  if Cost.config.http_keepalive then arm_idle ()
+  match Reactor.watch reactor caio ~mask:Io_if.aio_read cb with
+  | Result.Error _ -> finish ()
+  | Ok w ->
+      wref := Some w;
+      if Cost.config.httpd_guard then
+        (* Slowloris defense: the first request must be framed within the
+           deadline, or the connection is cut.  Dripping bytes keeps the
+           idle reaper quiet, never this. *)
+        callout_after ~ns:Cost.config.httpd_header_deadline_ns (fun () ->
+            if (not !closed) && cn.reqs = 0 then begin
+              st.deadline_closed <- st.deadline_closed + 1;
+              finish ()
+            end);
+      if Cost.config.http_keepalive then arm_idle ()
 
 (* SMP sharded serving: the acceptor lives on [reactors.(0)] (listen
    sockets accept on CPU 0), and each accepted connection migrates to the
@@ -679,8 +685,9 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
    makes that safe — it is the accept queue, not the counters, that needs
    the stack-side lock).
 
-   Registers the listen watch and returns immediately; the caller drives
-   the reactor loops.  The nonblocking accept drain sheds above the guard
+   Registers the listen watch and returns immediately (a listening socket
+   that refuses the watch raises its error); the caller drives the
+   reactor loops.  The nonblocking accept drain sheds above the guard
    high-water mark, and above [max_conns] — the memory budget's
    connection cap — new connections are accepted and immediately dropped,
    which keeps the accept queue draining. *)
@@ -721,9 +728,11 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
         accept_drain ()
     | Result.Error _ -> () (* Wouldblock: drained *)
   in
-  ignore
-    (Reactor.watch reactors.(0) (aio_of sock) ~mask:Io_if.aio_read (fun _ -> accept_drain ()));
-  st
+  match
+    Reactor.watch reactors.(0) (aio_of sock) ~mask:Io_if.aio_read (fun _ -> accept_drain ())
+  with
+  | Ok _ -> st
+  | Result.Error e -> Error.fail e
 
 (* The single-reactor server: the sharded one with every connection at
    home on [reactor]. *)

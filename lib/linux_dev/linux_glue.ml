@@ -53,33 +53,9 @@ let bufio_of_skb skb =
   and unknown () = Lazy.force obj in
   view ()
 
-(* Per-binding memo of whether a peer's bufios carry our private skbuff
-   interface.  The first frame pays the COM dispatch; once a producer is
-   known to be foreign, later frames skip the (always-failing) query and
-   go straight to the mapping fallbacks.  Safe because a recognition miss
-   only ever costs the unwrap shortcut, never correctness: a native buffer
-   arriving after a negative verdict still maps contiguously. *)
-type recognition = bool option ref
-
-let fresh_recognition () : recognition = ref None
-
 let skb_of_bufio ?cache (io : Io_if.bufio) =
-  let attempt =
-    match cache with
-    | Some { contents = Some false } -> Result.Error Error.No_interface
-    | _ ->
-        Cost.count_com_call ();
-        Com.query io.Io_if.buf_unknown skbuff_iid
-  in
-  (match cache with
-  | Some ({ contents = None } as c) ->
-      c := Some (match attempt with Ok _ -> true | Result.Error _ -> false)
-  | _ -> ());
-  match attempt with
-  | Ok skb ->
-      (* One of ours: unwrap, no copy.  Drop the query's reference. *)
-      ignore (io.Io_if.buf_unknown.Com.release ());
-      skb, false
+  match Recognition.query ?memo:cache io skbuff_iid with
+  | Ok skb -> skb, false (* one of ours: unwrapped, no copy *)
   | Result.Error _ -> (
       let n = io.Io_if.buf_size () in
       match io.Io_if.buf_map () with
@@ -116,7 +92,7 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
     (* One recognition verdict per xmit binding: the first push pays the
        COM query, steady-state frames skip it (the paper's per-packet
        indirect-call overhead, hoisted). *)
-    let cache = fresh_recognition () in
+    let cache = Recognition.create () in
     (* A frame is refused when the driver rejects it or when no sk_buff
        can be had to copy it into: either way the caller learns it from
        the result, never by an exception. *)

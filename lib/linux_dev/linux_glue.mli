@@ -37,13 +37,10 @@ val bufio_of_skb : Skbuff.sk_buff -> Io_if.bufio
     iovec to the card's scatter-gather DMA.
 
     [cache] memoises the private-interface recognition verdict for one
-    producer binding: pass the same ref for every frame of a binding and
+    producer binding: pass the same memo for every frame of a binding and
     only the first pays the COM dispatch on foreign producers
-    ({!fresh_recognition}). *)
-val skb_of_bufio : ?cache:bool option ref -> Io_if.bufio -> Skbuff.sk_buff * bool
-
-(** A per-binding memo for [skb_of_bufio]'s recognition query. *)
-val fresh_recognition : unit -> bool option ref
+    ({!Recognition}). *)
+val skb_of_bufio : ?cache:Recognition.t -> Io_if.bufio -> Skbuff.sk_buff * bool
 
 (** Direct (non-COM) access to the probed legacy devices, for the Linux
     inet baseline which links against this driver code natively. *)

@@ -36,11 +36,6 @@ type tcp_state =
 
 type rexmt_entry = { rx_seq : int; rx_end : int; rx_frame : Skbuff.sk_buff }
 
-(* A readiness listener — the socket-side half of oskit_asyncio, mirroring
-   Bsd_socket.ready_listener.  Runs at wakeup level; spurious calls
-   allowed, blocking not. *)
-type ready_listener = { rl_id : int; rl_mask : int; rl_fn : int -> unit }
-
 type sock = {
   stack : stack;
   mutable state : tcp_state;
@@ -99,8 +94,7 @@ type sock = {
      ago cannot retransmit a freshly sent (or freshly replaced) head. *)
   mutable rexmt_shift : int; (* backoff exponent; reset when an ACK advances *)
   mutable nb : bool; (* O_NONBLOCK *)
-  mutable listeners : ready_listener list;
-  mutable next_lid : int;
+  listeners : Io_if.Listeners.t; (* oskit_asyncio's, notified by [wake] *)
 }
 
 and stack = {
@@ -284,19 +278,7 @@ let readable_bytes s = s.rcv_q_bytes
    untouched. *)
 let wake s =
   Sleep_record.wakeup s.sleep;
-  match s.listeners with
-  | [] -> ()
-  | ls ->
-      let ready = sock_readiness s in
-      List.iter (fun l -> if ready land l.rl_mask <> 0 then l.rl_fn ready) ls
-
-let add_listener s ~mask f =
-  let id = s.next_lid in
-  s.next_lid <- id + 1;
-  s.listeners <- s.listeners @ [ { rl_id = id; rl_mask = mask; rl_fn = f } ];
-  id
-
-let remove_listener s id = s.listeners <- List.filter (fun l -> l.rl_id <> id) s.listeners
+  Io_if.Listeners.notify s.listeners (fun () -> sock_readiness s)
 let set_nonblock s v = s.nb <- v
 
 (* ---- overload policy (lib/inet) ---- *)
@@ -508,8 +490,8 @@ let blank_sock t =
     rcv_buf_max = default_window; adv_wnd = default_window; rxclump = Autotune.clump ();
     head_consumed = 0; peer_fin = false; syn_cache = Syncache.listener ();
     conn = Conn_table.entry (); err = None; sleep = Sleep_record.create ~name:"lx_sock" ();
-    rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false; listeners = [];
-    next_lid = 1 }
+    rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false;
+    listeners = Io_if.Listeners.create () }
 
 (* A minimal unsocketed RST. *)
 let send_rst_for t ~src ~sport ~dport ~ack =

@@ -50,7 +50,7 @@ let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
       so_shutdown = (fun () -> enter (fun () -> Ok (Linux_inet.close t s)));
       so_close = (fun () -> enter (fun () -> Ok (Linux_inet.close t s))) }
   (* The readiness view of the same object — forced once so every client
-     shares one listener table; poll is a COM method dispatch, not a full
+     shares one view; poll is a COM method dispatch, not a full
      component crossing. *)
   and aio =
     lazy
@@ -58,12 +58,7 @@ let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
          ~poll:(fun () ->
            Cost.charge_com_call ();
            Linux_inet.sock_readiness s)
-         ~add_listener:(fun ~mask f ->
-           Cost.charge_com_call ();
-           Linux_inet.add_listener s ~mask f)
-         ~remove_listener:(fun id ->
-           Cost.charge_com_call ();
-           Linux_inet.remove_listener s id)
+         ~listeners:s.Linux_inet.listeners ~charge:Cost.charge_com_call
          ~readable:(fun () -> Linux_inet.readable_bytes s)
          ())
   and obj =

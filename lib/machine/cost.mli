@@ -169,7 +169,7 @@ type config = {
           queue overflow.  Default 512. *)
   mutable kq : bool;
       (** Ignored, and scheduled for deletion.  The reactor has one
-          engine — every {!Reactor.create} is a {!Kqueue.t} client — so
+          engine — every {!Reactor.create} runs on its own ready queue — so
           nothing reads this field; it survives only because
           [perfbench/pb_http.ml] still assigns it.  Default [false]. *)
   mutable timer_wheel : bool;

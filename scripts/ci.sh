@@ -87,6 +87,13 @@
 # ev_clear, kqueue_iid, kqueue_view) in lib, bench, test, bin or
 # examples, and no cascade in lib/event, so neither the unused modes nor
 # the multi-level wheel grows back without a client.
+# A readiness registration passes through one listener list on its
+# source (Io_if.Listeners, shared by both stacks and every synthetic
+# source) and one knote the reactor's watch owns, which carries the watch
+# back to dispatch.  So a grep must find no per-stack listener record or
+# id counter (ready_listener, next_lid), no reactor table of watches by
+# id (by_id) and no separate kqueue module (Kqueue.) in lib, bench, test,
+# bin or examples, so no second id table grows back beside them.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -192,6 +199,10 @@ fi
 if grep -rnE 'ev_oneshot|ev_clear|kqueue_iid|kqueue_view' lib bench test bin examples \
   || grep -rn 'cascade' lib/event; then
   echo "a removed event-core design grew back: a kqueue mode, its COM face or a wheel cascade" >&2
+  exit 1
+fi
+if grep -rnE 'ready_listener|next_lid|by_id|Kqueue\.' lib bench test bin examples; then
+  echo "a readiness id table grew back beside the shared listener list and the reactor's knotes" >&2
   exit 1
 fi
 dune runtest

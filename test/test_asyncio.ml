@@ -74,7 +74,7 @@ let transfer kind ~via_reactor ~len =
         let r = Reactor.create () in
         ignore (sock.Io_if.so_setsockopt "nonblock" 1);
         ignore
-          (Reactor.watch r (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
+          (ok @@ Reactor.watch r (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
                match sock.Io_if.so_accept () with
                | Error _ -> ()
                | Ok (c, _) ->
@@ -85,9 +85,7 @@ let transfer kind ~via_reactor ~len =
                      let rec drain () =
                        match c.Io_if.so_recv ~buf ~pos:0 ~len:4096 with
                        | Ok 0 | Error Error.Connreset ->
-                           (match !wref with
-                           | Some w -> Reactor.unwatch r w
-                           | None -> ());
+                           Option.iter Reactor.unwatch !wref;
                            ignore (c.Io_if.so_close ());
                            finished := true
                        | Ok n ->
@@ -95,14 +93,12 @@ let transfer kind ~via_reactor ~len =
                            drain ()
                        | Error Error.Wouldblock -> ()
                        | Error _ ->
-                           (match !wref with
-                           | Some w -> Reactor.unwatch r w
-                           | None -> ());
+                           Option.iter Reactor.unwatch !wref;
                            finished := true
                      in
                      drain ()
                    in
-                   wref := Some (Reactor.watch r (aio_of c) ~mask:Io_if.aio_read cb)));
+                   wref := Some (ok @@ Reactor.watch r (aio_of c) ~mask:Io_if.aio_read cb)));
         Reactor.run r ~until:(fun () -> !finished)
       end);
   let cstack = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
@@ -148,34 +144,29 @@ let test_equivalence () =
 
 type synthetic = {
   syn_aio : Io_if.asyncio;
-  fire : int -> unit; (* set readiness to [mask] and notify matching subs *)
-  nudge : unit -> unit; (* notify every sub WITHOUT changing readiness *)
+  fire : int -> unit; (* set readiness to [mask] and notify matching listeners *)
+  nudge : unit -> unit; (* notify every listener WITHOUT changing readiness *)
   clear : unit -> unit;
-  listeners : unit -> int; (* subscriptions currently registered *)
+  listeners : unit -> int; (* listeners currently registered *)
 }
 
 let synthetic () =
-  let subs = ref [] and next = ref 1 and ready = ref 0 in
+  let listeners = Io_if.Listeners.create () and ready = ref 0 in
   let aio =
     Io_if.asyncio_view
       ~unknown:(fun () -> Com.create (fun _ -> []))
       ~poll:(fun () -> !ready)
-      ~add_listener:(fun ~mask f ->
-        let id = !next in
-        incr next;
-        subs := (id, mask, f) :: !subs;
-        id)
-      ~remove_listener:(fun id -> subs := List.filter (fun (i, _, _) -> i <> id) !subs)
-      ()
+      ~listeners ()
   in
+  let notify m = Io_if.Listeners.notify listeners (fun () -> m) in
   { syn_aio = aio;
     fire =
       (fun m ->
         ready := m;
-        List.iter (fun (_, sm, f) -> if sm land m <> 0 then f m) !subs);
-    nudge = (fun () -> List.iter (fun (_, _, f) -> f 0) !subs);
+        notify m);
+    nudge = (fun () -> notify (Io_if.aio_read lor Io_if.aio_write lor Io_if.aio_exception));
     clear = (fun () -> ready := 0);
-    listeners = (fun () -> List.length !subs) }
+    listeners = (fun () -> Io_if.Listeners.length listeners) }
 
 let test_spurious_and_churn () =
   let tb = Clientos.make_testbed () in
@@ -190,23 +181,23 @@ let test_spurious_and_churn () =
       let wa = ref None in
       wa :=
         Some
-          (Reactor.watch r a.syn_aio ~mask:Io_if.aio_read (fun _ ->
+          (ok @@ Reactor.watch r a.syn_aio ~mask:Io_if.aio_read (fun _ ->
                incr hits_a;
                a.clear ();
                if !wb = None then
                  wb :=
                    Some
-                     (Reactor.watch r b.syn_aio ~mask:Io_if.aio_read (fun _ ->
+                     (ok @@ Reactor.watch r b.syn_aio ~mask:Io_if.aio_read (fun _ ->
                           incr hits_b;
                           b.clear ();
-                          Reactor.unwatch r (Option.get !wb)))));
+                          Reactor.unwatch (Option.get !wb)))));
       (* A watch that is unwatched must never fire again, even if the
          object keeps notifying. *)
       let stopped = synthetic () in
       let ws =
-        Reactor.watch r stopped.syn_aio ~mask:Io_if.aio_read (fun _ -> incr stopped_hits)
+        ok @@ Reactor.watch r stopped.syn_aio ~mask:Io_if.aio_read (fun _ -> incr stopped_hits)
       in
-      Reactor.unwatch r ws;
+      Reactor.unwatch ws;
       ignore
         (Kclock.callout_after ~ns:1_000_000 (fun () ->
              (* Spurious: notification with no readiness behind it. *)
@@ -242,11 +233,11 @@ let test_unwatch_other_in_pass () =
   let hits_a = ref 0 and hits_b = ref 0 in
   let wb = ref None in
   ignore
-    (Reactor.watch r a.syn_aio ~mask:Io_if.aio_read (fun _ ->
+    (ok @@ Reactor.watch r a.syn_aio ~mask:Io_if.aio_read (fun _ ->
          incr hits_a;
          a.clear ();
-         Reactor.unwatch r (Option.get !wb)));
-  wb := Some (Reactor.watch r b.syn_aio ~mask:Io_if.aio_read (fun _ -> incr hits_b));
+         Reactor.unwatch (Option.get !wb)));
+  wb := Some (ok @@ Reactor.watch r b.syn_aio ~mask:Io_if.aio_read (fun _ -> incr hits_b));
   Alcotest.(check int) "two live watches" 2 (Reactor.watch_count r);
   a.fire Io_if.aio_read;
   b.fire Io_if.aio_read;
@@ -268,11 +259,11 @@ let test_rewatch_self_in_pass () =
   let wc = ref None in
   wc :=
     Some
-      (Reactor.watch r c.syn_aio ~mask:Io_if.aio_read (fun ready ->
+      (ok @@ Reactor.watch r c.syn_aio ~mask:Io_if.aio_read (fun ready ->
            seen := ready :: !seen;
            (* Still readable: move to write interest without consuming. *)
            if ready land Io_if.aio_read <> 0 then
-             Reactor.rewatch r (Option.get !wc) ~mask:Io_if.aio_write));
+             ok (Reactor.rewatch (Option.get !wc) ~mask:Io_if.aio_write)));
   c.fire (Io_if.aio_read lor Io_if.aio_write);
   Alcotest.(check int) "first pass: the read dispatch" 1 (Reactor.step r);
   Alcotest.(check (list int)) "read seen" [ Io_if.aio_read ] !seen;
@@ -281,7 +272,7 @@ let test_rewatch_self_in_pass () =
   Alcotest.(check int) "second pass: one dispatch" 1 (Reactor.step r);
   Alcotest.(check (list int)) "write once, read not re-levelled"
     [ Io_if.aio_write; Io_if.aio_read ] !seen;
-  Reactor.unwatch r (Option.get !wc);
+  Reactor.unwatch (Option.get !wc);
   Alcotest.(check int) "watch_count back to zero" 0 (Reactor.watch_count r);
   Alcotest.(check int) "no listener left" 0 (c.listeners ());
   Alcotest.(check int) "two dispatches in all" 2 (Reactor.stats r).Reactor.dispatches
@@ -304,7 +295,7 @@ let test_accept_under_loss () =
           let r = Reactor.create () in
           ignore (sock.Io_if.so_setsockopt "nonblock" 1);
           ignore
-            (Reactor.watch r (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
+            (ok @@ Reactor.watch r (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
                  let rec drain () =
                    match sock.Io_if.so_accept () with
                    | Error _ -> ()
@@ -317,19 +308,15 @@ let test_accept_under_loss () =
                          | Ok n when n > 0 ->
                              (* Echo, then close: one round trip each. *)
                              ignore (c.Io_if.so_send ~buf ~pos:0 ~len:n);
-                             (match !wref with
-                             | Some w -> Reactor.unwatch r w
-                             | None -> ());
+                             Option.iter Reactor.unwatch !wref;
                              ignore (c.Io_if.so_close ());
                              incr served
                          | Ok _ | Error Error.Wouldblock -> ()
                          | Error _ ->
-                             (match !wref with
-                             | Some w -> Reactor.unwatch r w
-                             | None -> ());
+                             Option.iter Reactor.unwatch !wref;
                              ignore (c.Io_if.so_close ())
                        in
-                       wref := Some (Reactor.watch r (aio_of c) ~mask:Io_if.aio_read cb);
+                       wref := Some (ok @@ Reactor.watch r (aio_of c) ~mask:Io_if.aio_read cb);
                        drain ()
                  in
                  drain ()));
@@ -375,7 +362,7 @@ let test_listen_overflow () =
           let r = Reactor.create () in
           ignore (sock.Io_if.so_setsockopt "nonblock" 1);
           ignore
-            (Reactor.watch r (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
+            (ok @@ Reactor.watch r (aio_of sock) ~mask:Io_if.aio_read (fun _ ->
                  let rec drain () =
                    match sock.Io_if.so_accept () with
                    | Error _ -> ()

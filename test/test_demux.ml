@@ -168,8 +168,9 @@ let bsd_watch p f =
   fun () -> p.Tcp.on_state <- before
 
 let linux_watch s f =
-  let id = Linux_inet.add_listener s ~mask:Io_if.aio_exception (fun _ -> f ()) in
-  fun () -> Linux_inet.remove_listener s id
+  let l = Io_if.listener_create f in
+  Io_if.Listeners.add s.Linux_inet.listeners l Io_if.aio_exception;
+  fun () -> ignore (Io_if.Listeners.remove s.Linux_inet.listeners l)
 
 (* One step: (kind, a, b, c) with kind 0..9, a 0..3, b and c 0..1. *)
 let gen_ops =

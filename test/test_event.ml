@@ -321,41 +321,45 @@ let test_same_tick_fire_order () =
   Alcotest.(check (list int)) "newer armed first: list order" [ 3002; 3001 ]
     (same_tick_ack_order ~send_first_on_older:false)
 
-(* ---- kqueue: level-triggering, coalescing, spurious drops ---- *)
+(* ---- the reactor's ready queue: level-triggering, coalescing,
+   spurious drops ---- *)
 
 let test_kqueue_level () =
-  let kq = Kqueue.create () in
+  let r = Reactor.create () in
   let s = Test_asyncio.synthetic () in
-  ok (Kqueue.add kq ~ident:7 ~aio:s.Test_asyncio.syn_aio ~filter:Io_if.aio_read);
-  (* level: reported, and re-queued by relevel while the condition holds *)
+  let seen = ref [] in
+  let w =
+    ok
+      (Reactor.watch r s.Test_asyncio.syn_aio ~mask:Io_if.aio_read (fun bit ->
+           seen := bit :: !seen))
+  in
+  (* level: dispatched, and re-queued after the callback while the
+     condition holds *)
   s.Test_asyncio.fire Io_if.aio_read;
-  (match Kqueue.kevent kq ~max:8 with
-  | [ ev ] ->
-      Alcotest.(check int) "ident" 7 ev.Kqueue.ident;
-      Alcotest.(check int) "filter" Io_if.aio_read ev.Kqueue.filter
-  | evs -> Alcotest.failf "level: expected 1 event, got %d" (List.length evs));
-  Kqueue.relevel kq ~ident:7 ~filter:Io_if.aio_read;
-  Alcotest.(check int) "level re-queued while still ready" 1 (Kqueue.depth kq);
+  Alcotest.(check int) "one dispatch" 1 (Reactor.step r);
+  Alcotest.(check (list int)) "the watch's callback got the read bit" [ Io_if.aio_read ] !seen;
+  Alcotest.(check int) "level re-queued while still ready" 1 (Reactor.queued r);
   s.Test_asyncio.clear ();
-  Alcotest.(check int) "consumed-before-dispatch dropped as spurious" 0
-    (List.length (Kqueue.kevent kq ~max:8));
-  Alcotest.(check int) "spurious counted" 1 (Kqueue.stats kq).Kqueue.spurious;
+  Alcotest.(check int) "consumed-before-dispatch dropped as spurious" 0 (Reactor.step r);
+  Alcotest.(check int) "spurious counted" 1 (Reactor.stats r).Reactor.spurious;
   (* coalescing: two notifications, one queue entry *)
+  let posted = Cost.counters.Cost.kq_posted and coalesced = Cost.counters.Cost.kq_coalesced in
   s.Test_asyncio.fire Io_if.aio_read;
   s.Test_asyncio.fire Io_if.aio_read;
-  Alcotest.(check int) "coalesced to one entry" 1 (Kqueue.depth kq);
-  Alcotest.(check int) "coalesce counted" 1 (Kqueue.stats kq).Kqueue.coalesced;
+  Alcotest.(check int) "coalesced to one entry" 1 (Reactor.queued r);
+  Alcotest.(check int) "post counted" 1 (Cost.counters.Cost.kq_posted - posted);
+  Alcotest.(check int) "coalesce counted" 1 (Cost.counters.Cost.kq_coalesced - coalesced);
   s.Test_asyncio.clear ();
-  ignore (Kqueue.kevent kq ~max:8);
-  ok (Kqueue.delete kq ~ident:7 ~filter:Io_if.aio_read);
-  Alcotest.(check int) "deleted" 0 (Kqueue.watches kq);
+  ignore (Reactor.step r);
+  Reactor.unwatch w;
+  Alcotest.(check int) "deleted" 0 (Reactor.knote_count r);
   Alcotest.(check int) "listener removed from the source" 0 (s.Test_asyncio.listeners ())
 
-(* A source that refuses one condition bit: the add fails with the
+(* A source that refuses one condition bit: the watch fails with the
    source's error, and the knote it already added for another bit goes
-   too, listener and all. *)
+   too, listener and all; a rewatch it refuses unwatches. *)
 let test_kqueue_add_error () =
-  let kq = Kqueue.create () in
+  let r = Reactor.create () in
   let s = Test_asyncio.synthetic () in
   let aio =
     { s.Test_asyncio.syn_aio with
@@ -364,14 +368,181 @@ let test_kqueue_add_error () =
           if bit = Io_if.aio_write then Result.Error Error.Nomem
           else s.Test_asyncio.syn_aio.Io_if.aio_add_listener l bit) }
   in
-  (match Kqueue.add kq ~ident:3 ~aio ~filter:(Io_if.aio_read lor Io_if.aio_write) with
-  | Result.Error Error.Nomem -> ()
-  | Ok () -> Alcotest.fail "a refused registration was reported as added"
-  | Result.Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e));
-  Alcotest.(check int) "no knote left" 0 (Kqueue.watches kq);
-  Alcotest.(check int) "no listener left on the source" 0 (s.Test_asyncio.listeners ());
-  s.Test_asyncio.fire Io_if.aio_read;
-  Alcotest.(check int) "nothing queued" 0 (Kqueue.depth kq)
+  let refused what = function
+    | Result.Error Error.Nomem -> ()
+    | Ok _ -> Alcotest.failf "a refused %s was reported as added" what
+    | Result.Error e -> Alcotest.failf "%s: wrong error: %s" what (Error.to_string e)
+  in
+  let nothing_left what =
+    Alcotest.(check int) (what ^ ": no watch left") 0 (Reactor.watch_count r);
+    Alcotest.(check int) (what ^ ": no knote left") 0 (Reactor.knote_count r);
+    Alcotest.(check int)
+      (what ^ ": no listener left on the source")
+      0 (s.Test_asyncio.listeners ());
+    s.Test_asyncio.fire Io_if.aio_read;
+    Alcotest.(check int) (what ^ ": nothing queued") 0 (Reactor.queued r)
+  in
+  let never _ = Alcotest.fail "a refused watch fired" in
+  refused "watch" (Reactor.watch r aio ~mask:(Io_if.aio_read lor Io_if.aio_write) never);
+  nothing_left "watch";
+  (match Reactor.watch r aio ~mask:0 never with
+  | Result.Error Error.Inval -> ()
+  | _ -> Alcotest.fail "a watch with no condition bit was not refused");
+  (* Readable at registration, so the read knote is queued at once. *)
+  let w = ok (Reactor.watch r aio ~mask:Io_if.aio_read never) in
+  Alcotest.(check int) "read watch queued" 1 (Reactor.queued r);
+  refused "rewatch" (Reactor.rewatch w ~mask:(Io_if.aio_read lor Io_if.aio_write));
+  nothing_left "rewatch";
+  Alcotest.(check bool) "a refused rewatch unwatched" true
+    (Reactor.rewatch w ~mask:Io_if.aio_read = Result.Error Error.Inval)
+
+(* ---- readiness conservation: random watch churn over a few sources ----
+
+   Random watch / rewatch / unwatch / fire / clear / step sequences over
+   three synthetic sources.  A watch created with [kills] unwatches the
+   oldest other live watch from inside its callback, so passes also see
+   unwatches of knotes they have already drained.  After every operation:
+   each source holds one listener per live (watch, bit) pair, the reactor
+   counts the same, and its ready queue holds only live knotes.  No
+   callback runs for an unwatched watch, and a step dispatches exactly
+   the live (watch, bit) pairs whose source is ready for that bit, each
+   once — at most once if the pass unwatched the watch.  At the end,
+   unwatching everything leaves no listener and an empty queue. *)
+
+type rwatch = {
+  rw_id : int;
+  rw_src : int;
+  mutable rw_mask : int;
+  mutable rw_live : bool;
+  mutable rw_handle : Reactor.watch option;
+}
+
+let popcount m = List.length (List.filter (fun b -> m land b <> 0) [ 1; 2; 4 ])
+
+let prop_readiness_conserved =
+  QCheck.Test.make ~name:"reactor: readiness conserved under churn" ~count:300
+    QCheck.(
+      list_of_size Gen.(1 -- 40)
+        (quad (int_bound 5) (int_bound 7) (int_bound 7) (int_bound 7)))
+    (fun ops ->
+      let r = Reactor.create () in
+      let srcs = Array.init 3 (fun _ -> Test_asyncio.synthetic ()) in
+      let ready = Array.make 3 0 in
+      let watches = ref [] (* newest first *) and log = ref [] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let live () = List.rev (List.filter (fun w -> w.rw_live) !watches) in
+      let handle w = Option.get w.rw_handle in
+      let unwatch w =
+        w.rw_live <- false;
+        Reactor.unwatch (handle w)
+      in
+      let check_invariants what =
+        Array.iteri
+          (fun i s ->
+            let want =
+              List.fold_left
+                (fun n w -> if w.rw_src = i then n + popcount w.rw_mask else n)
+                0 (live ())
+            in
+            if s.Test_asyncio.listeners () <> want then
+              fail "%s: source %d holds %d listeners, %d live pairs" what i
+                (s.Test_asyncio.listeners ()) want)
+          srcs;
+        let pairs = List.fold_left (fun n w -> n + popcount w.rw_mask) 0 (live ()) in
+        if Reactor.knote_count r <> pairs then
+          fail "%s: %d knotes, %d live pairs" what (Reactor.knote_count r) pairs;
+        if Reactor.watch_count r <> List.length (live ()) then
+          fail "%s: %d watches, %d live" what (Reactor.watch_count r) (List.length (live ()));
+        List.iter
+          (fun kn ->
+            let hw = kn.Reactor.kn_watch in
+            if
+              not
+                (kn.Reactor.kn_active
+                && List.memq kn hw.Reactor.w_knotes
+                && List.exists (fun w -> w.rw_live && handle w == hw) !watches)
+            then fail "%s: a dead knote is queued" what)
+          (Dlist.to_list r.Reactor.ready)
+      in
+      List.iteri
+        (fun n (kind, a, b, c) ->
+          let what = Printf.sprintf "op %d (%d %d %d %d)" n kind a b c in
+          (match kind with
+          | 0 ->
+              let w =
+                { rw_id = n; rw_src = a mod 3; rw_mask = 1 + (b mod 7); rw_live = true;
+                  rw_handle = None }
+              in
+              let kills = c >= 6 in
+              let cb bit =
+                if not w.rw_live then fail "%s: watch %d dispatched after its unwatch" what w.rw_id;
+                log := (w.rw_id, bit) :: !log;
+                if kills then
+                  match List.filter (fun v -> v != w) (live ()) with
+                  | v :: _ -> unwatch v
+                  | [] -> ()
+              in
+              let aio = srcs.(w.rw_src).Test_asyncio.syn_aio in
+              w.rw_handle <- Some (ok (Reactor.watch r aio ~mask:w.rw_mask cb));
+              watches := w :: !watches
+          | 1 -> (
+              match live () with
+              | [] -> ()
+              | l ->
+                  let w = List.nth l (a mod List.length l) in
+                  w.rw_mask <- 1 + (b mod 7);
+                  ok (Reactor.rewatch (handle w) ~mask:w.rw_mask))
+          | 2 -> (
+              match live () with [] -> () | l -> unwatch (List.nth l (a mod List.length l)))
+          | 3 ->
+              ready.(a mod 3) <- b;
+              srcs.(a mod 3).Test_asyncio.fire b
+          | 4 ->
+              ready.(a mod 3) <- 0;
+              srcs.(a mod 3).Test_asyncio.clear ()
+          | _ ->
+              let expected =
+                List.concat_map
+                  (fun w ->
+                    List.filter_map
+                      (fun bit ->
+                        if w.rw_mask land bit <> 0 && ready.(w.rw_src) land bit <> 0 then
+                          Some (w, bit)
+                        else None)
+                      [ 1; 2; 4 ])
+                  (live ())
+              in
+              (* A step with nothing queued would block; nothing is due then. *)
+              if Reactor.queued r = 0 then begin
+                if expected <> [] then fail "%s: a ready pair is not queued" what
+              end
+              else begin
+                log := [];
+                let fired = Reactor.step r in
+                if fired <> List.length !log then
+                  fail "%s: step reports %d, ran %d" what fired (List.length !log);
+                let count id bit = List.length (List.filter (( = ) (id, bit)) !log) in
+                List.iter
+                  (fun (id, bit) ->
+                    if not (List.exists (fun (w, b) -> w.rw_id = id && b = bit) expected) then
+                      fail "%s: watch %d dispatched bit %d, not ready" what id bit)
+                  !log;
+                List.iter
+                  (fun (w, bit) ->
+                    let k = count w.rw_id bit in
+                    if k > 1 || (w.rw_live && k <> 1) then
+                      fail "%s: watch %d bit %d dispatched %d times" what w.rw_id bit k)
+                  expected
+              end);
+          check_invariants what)
+        ops;
+      List.iter unwatch (live ());
+      check_invariants "after unwatching all";
+      Array.iteri
+        (fun i s ->
+          if s.Test_asyncio.listeners () <> 0 then fail "source %d keeps a listener" i)
+        srcs;
+      Reactor.queued r = 0)
 
 (* ---- the reactor dispatches through the kqueue ready queue ---- *)
 
@@ -380,14 +551,15 @@ let test_reactor_kq_engine () =
   let s = Test_asyncio.synthetic () in
   let hits = ref 0 in
   let w =
-    Reactor.watch r s.Test_asyncio.syn_aio ~mask:Io_if.aio_read (fun _ ->
-        incr hits;
-        s.Test_asyncio.clear ())
+    ok
+      (Reactor.watch r s.Test_asyncio.syn_aio ~mask:Io_if.aio_read (fun _ ->
+           incr hits;
+           s.Test_asyncio.clear ()))
   in
   s.Test_asyncio.fire Io_if.aio_read;
   ignore (Reactor.step r);
   Alcotest.(check int) "dispatched through the ready queue" 1 !hits;
-  Reactor.unwatch r w;
+  Reactor.unwatch w;
   s.Test_asyncio.fire Io_if.aio_read;
   Alcotest.(check int) "unwatch removed the knote" 0
     ((Reactor.stats r).Reactor.dispatches - 1)
@@ -398,9 +570,9 @@ let test_reactor_kq_engine () =
    clients, each with one HTTP/1.0 request (the server closes) and one
    keep-alive connection of two pipelined requests (the client closes).
    Once every client has closed and 2MSL has passed, nothing the event
-   core holds stays behind: the listener is reactor 0's only watch and
-   knote, every ready queue is empty, and the server stack's tick wheels
-   are idle. *)
+   core holds stays behind: reactor 0 holds one watch with one knote (the
+   listener's), every other reactor none, every ready queue is empty, and
+   the server stack's tick wheels are idle. *)
 
 let quiescence ~stack ~ncpus =
   Cost.with_config { Cost.config with Cost.ncpus; http_keepalive = true } @@ fun () ->
@@ -448,12 +620,10 @@ let quiescence ~stack ~ncpus =
         listener (Reactor.watch_count r);
       Alcotest.(check int)
         (Printf.sprintf "%s: reactor %d's knotes" name cpu)
-        listener
-        (Kqueue.watches r.Reactor.kq);
+        listener (Reactor.knote_count r);
       Alcotest.(check int)
         (Printf.sprintf "%s: reactor %d's ready queue" name cpu)
-        0
-        (Kqueue.depth r.Reactor.kq))
+        0 (Reactor.queued r))
     s.Httpbench.reactors;
   match s.Httpbench.server.Endpoint.stack with
   | Endpoint.Bsd bsd -> check_tick_wheels_quiescent name bsd.Bsd_socket.tcp
@@ -494,6 +664,7 @@ let suite =
     Alcotest.test_case "kqueue level/coalesce/spurious" `Quick test_kqueue_level;
     Alcotest.test_case "kqueue add: refused bit rolls back" `Quick test_kqueue_add_error;
     Alcotest.test_case "reactor kqueue engine" `Quick test_reactor_kq_engine;
+    QCheck_alcotest.to_alcotest prop_readiness_conserved;
     Alcotest.test_case "httpd quiescence: no watch or timer" `Quick test_httpd_quiescence;
     Alcotest.test_case "flags off: new counters untouched" `Quick
       test_flags_off_counters ]

@@ -486,7 +486,7 @@ let test_sg_arm_no_copy () =
 
 let test_recognition_cache () =
   (* Foreign producer: one query on the first frame, none after. *)
-  let cache = Linux_glue.fresh_recognition () in
+  let cache = Recognition.create () in
   let m () = chain_of_strings [ "aa"; "bb" ] in
   Cost.reset_counters ();
   ignore (Linux_glue.skb_of_bufio ~cache (Freebsd_glue.bufio_of_mbuf (m ())));
@@ -497,13 +497,37 @@ let test_recognition_cache () =
   Alcotest.(check int) "steady state does not query" 1 Cost.counters.Cost.com_calls;
   (* Native producer: the query is what unwraps, so it stays per-frame —
      and keeps working. *)
-  let cache = Linux_glue.fresh_recognition () in
+  let cache = Recognition.create () in
   let skb = Skbuff.alloc_skb 32 in
   ignore (Skbuff.skb_put skb 4);
   let skb', copied = Linux_glue.skb_of_bufio ~cache (Linux_glue.bufio_of_skb skb) in
   Alcotest.(check bool) "own skb unwrapped through cache" true (skb' == skb);
   Alcotest.(check bool) "no copy" false copied;
-  Alcotest.(check bool) "positive verdict cached" true (!cache = Some true)
+  Alcotest.(check bool) "positive verdict cached" true (!cache = Some true);
+  (* The FreeBSD glue's receive direction asks the same way, for its mbuf:
+     a foreign sk_buff queries once, then maps without asking. *)
+  let cache = Recognition.create () in
+  let skb () =
+    let skb = Skbuff.alloc_skb 32 in
+    ignore (Skbuff.skb_put skb 4);
+    Linux_glue.bufio_of_skb skb
+  in
+  Cost.reset_counters ();
+  let _, copied = Freebsd_glue.mbuf_of_bufio ~cache (skb ()) in
+  Alcotest.(check int) "mbuf: first frame queries" 1 Cost.counters.Cost.com_calls;
+  Alcotest.(check bool) "mbuf: foreign verdict cached" true (!cache = Some false);
+  Alcotest.(check bool) "mbuf: contiguous foreign frame loaned, no copy" false copied;
+  ignore (Freebsd_glue.mbuf_of_bufio ~cache (skb ()));
+  ignore (Freebsd_glue.mbuf_of_bufio ~cache (skb ()));
+  Alcotest.(check int) "mbuf: steady state does not query" 1 Cost.counters.Cost.com_calls;
+  (* ... and its own mbuf comes back unwrapped, the verdict positive. *)
+  let cache = Recognition.create () in
+  let m = Mbuf.m_gethdr () in
+  let m', copied = Freebsd_glue.mbuf_of_bufio ~cache (Freebsd_glue.bufio_of_mbuf m) in
+  Alcotest.(check bool) "own mbuf unwrapped through cache" true (m' == m);
+  Alcotest.(check bool) "mbuf: no copy" false copied;
+  Alcotest.(check bool) "mbuf: positive verdict cached" true (!cache = Some true);
+  Alcotest.(check int) "mbuf: the native frame queried" 2 Cost.counters.Cost.com_calls
 
 let test_nic_gather_equals_linear () =
   (* transmit_v puts the same frame on the wire as a flattened transmit. *)
