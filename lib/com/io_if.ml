@@ -66,16 +66,13 @@ let bufio_iid : bufio Iid.t = Iid.declare "oskit.bufio"
 
 type netio = {
   nio_unknown : Com.unknown;
-  push : bufio -> (unit, Error.t) result;
-  push_v : bufio list -> (unit, Error.t list) result;
-      (** Vectored push: deliver a bounded burst of packets through ONE
-          boundary crossing.  It carries both directions of the batched
-          glue (Cost.config.rx_batch > 1): the NAPI-style receive batch
-          and a transmit burst (one BSD [tcp_output]'s frames).
-          Semantically identical to pushing each buffer in order, every
-          buffer attempted; only the per-burst dispatch overhead
-          differs.  [Error errs]: one error per refused buffer, in
-          order. *)
+  push : bufio list -> (unit, Error.t list) result;
+      (** Deliver a burst of packets, in order, through ONE boundary
+          crossing; a packet that crosses alone is a burst of one.  The
+          burst is bounded by Cost.config.rx_batch: a NAPI-style receive
+          poll's frames, or the frames one BSD [tcp_output] emits.  Every
+          buffer is attempted.  [Error errs]: one error per refused
+          buffer, in order. *)
 }
 
 let netio_iid : netio Iid.t = Iid.declare "oskit.netio"

@@ -87,16 +87,13 @@ let open_ether_if stack (ed : Io_if.etherdev) =
     let rec view () =
       { Io_if.nio_unknown = unknown ();
         push =
-          (fun io ->
-            Cost.charge_glue_crossing ();
-            input_one io;
-            Ok ());
-        push_v =
           (fun ios ->
-            (* The batched receive: one glue crossing amortized over the
-               burst; per-frame unwrap and protocol input are unchanged. *)
+            (* One glue crossing per push: a frame the interrupt drains
+               alone, or a whole NAPI-style poll under the batched glue
+               (rx_batch > 1); per-frame unwrap and protocol input are
+               the same either way. *)
             Cost.charge_glue_crossing ();
-            Cost.count_rx_poll ~frames:(List.length ios);
+            if Cost.config.Cost.rx_batch > 1 then Cost.count_rx_poll ~frames:(List.length ios);
             List.iter input_one ios;
             Ok ()) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
@@ -107,20 +104,16 @@ let open_ether_if stack (ed : Io_if.etherdev) =
   | Result.Error _ as e -> e
   | Ok xmit ->
       (* The crossing is charged by the driver's xmit netio.  The push is
-         synchronous: once it returns the frame is on the wire (or
-         refused) and the chain can be retired. *)
-      ifp.Netif.if_xmit <-
-        (fun m ->
-          let r = xmit.Io_if.push (bufio_of_mbuf m) in
-          Mbuf.m_freem m;
-          r);
+         synchronous: once it returns the frames are on the wire (or
+         refused) and the chains can be retired. *)
+      ifp.Netif.if_start <-
+        (fun ms ->
+          let r = xmit.Io_if.push (List.map bufio_of_mbuf ms) in
+          List.iter Mbuf.m_freem ms;
+          match r with Ok () -> [] | Result.Error errs -> errs);
       (* The batched glue (Cost.config.rx_batch > 1) batches both ways: a
-         held burst (Netif.with_burst) crosses as one vectored push. *)
-      if Cost.config.Cost.rx_batch > 1 then
-        Netif.set_vectored_xmit ifp (fun ms ->
-            let r = xmit.Io_if.push_v (List.map bufio_of_mbuf ms) in
-            List.iter Mbuf.m_freem ms;
-            match r with Ok () -> [] | Result.Error errs -> errs);
+         held burst (Netif.with_burst) crosses as one push. *)
+      ifp.Netif.if_bursts <- Cost.config.Cost.rx_batch > 1;
       Ok ()
 
 (* ---- COM socket export ---- *)

@@ -4,11 +4,12 @@
  * frame down, ether_input strips it and dispatches on ethertype to the
  * protocols that registered above (ARP, IP).
  *
- * The send queue is the donor's if_snd, drained by if_start.  Only an
- * interface bound through the batched glue has one.  A frame is queued
- * there only while a burst is held open ([with_burst]); the queue
- * crosses to the driver in one call when the outermost hold closes.
- * Otherwise every frame goes down alone.
+ * The driver takes frames as a list, in one call: [if_start].  A frame
+ * that goes down alone is a list of one.  Only an interface bound
+ * through the batched glue holds a burst: there a frame is queued on the
+ * send queue (the donor's if_snd) while a burst is held open
+ * ([with_burst]), and the queue crosses to the driver in one call when
+ * the outermost hold closes.
  *)
 
 let eth_hlen = 14
@@ -20,23 +21,19 @@ let ether_broadcast = "\xff\xff\xff\xff\xff\xff"
    than dropped: the hold batches frames, it does not buffer them. *)
 let ifqmaxlen = 50
 
-type ifqueue = {
-  (* A burst of full frames to the driver in one call, every frame
-     attempted; returns the error of each frame the driver refused. *)
-  ifq_xmit_v : Mbuf.mbuf list -> Error.t list;
-  mutable ifq_hold : int; (* open [with_burst] holds *)
-  mutable ifq_head : Mbuf.mbuf list; (* held frames, newest first *)
-  mutable ifq_len : int;
-}
-
 type ifnet = {
   if_name : string;
   mutable if_hwaddr : string; (* learned from the bound device *)
   mutable if_addr : int32; (* IP, host order *)
   mutable if_mask : int32;
   mutable if_mtu : int; (* payload above the ether header *)
-  mutable if_xmit : Mbuf.mbuf -> (unit, Error.t) result; (* full frame to the driver *)
-  mutable if_snd : ifqueue option; (* None: every frame goes down alone *)
+  (* Full frames to the driver in one call, every frame attempted;
+     returns the error of each frame the driver refused. *)
+  mutable if_start : Mbuf.mbuf list -> Error.t list;
+  mutable if_bursts : bool; (* the driver takes a held burst in one call *)
+  mutable if_hold : int; (* open [with_burst] holds *)
+  mutable if_snd : Mbuf.mbuf list; (* held frames, newest first *)
+  mutable if_snd_len : int;
   mutable if_protos : (int * (Mbuf.mbuf -> unit)) list; (* ethertype -> input *)
   mutable if_ipackets : int;
   mutable if_opackets : int;
@@ -48,11 +45,9 @@ type ifnet = {
 let create ~name ~hwaddr =
   if String.length hwaddr <> 6 then invalid_arg "Netif.create: hwaddr";
   { if_name = name; if_hwaddr = hwaddr; if_addr = 0l; if_mask = 0l; if_mtu = 1500;
-    if_xmit = (fun _ -> Ok ()); if_snd = None; if_protos = []; if_ipackets = 0;
-    if_opackets = 0; if_idrops = 0; if_oerrors = 0; if_onomem = 0 }
-
-let set_vectored_xmit ifp xmit_v =
-  ifp.if_snd <- Some { ifq_xmit_v = xmit_v; ifq_hold = 0; ifq_head = []; ifq_len = 0 }
+    if_start = (fun _ -> []); if_bursts = false; if_hold = 0; if_snd = []; if_snd_len = 0;
+    if_protos = []; if_ipackets = 0; if_opackets = 0; if_idrops = 0; if_oerrors = 0;
+    if_onomem = 0 }
 
 let set_proto_input ifp ~ethertype handler =
   ifp.if_protos <- (ethertype, handler) :: List.remove_assoc ethertype ifp.if_protos
@@ -69,36 +64,40 @@ let count_refused ifp = function
   | Error.Nomem -> ifp.if_onomem <- ifp.if_onomem + 1
   | _ -> ifp.if_oerrors <- ifp.if_oerrors + 1
 
-(* if_start: hand the whole send queue to the driver in one call. *)
-let if_start ifp q =
-  match q.ifq_head with
+(* Hand [frames] to the driver in one call, counting each refusal. *)
+let start ifp frames =
+  match ifp.if_start frames with [] -> () | errs -> List.iter (count_refused ifp) errs
+
+(* Hand the whole send queue down. *)
+let flush ifp =
+  match ifp.if_snd with
   | [] -> ()
   | held ->
-      q.ifq_head <- [];
-      q.ifq_len <- 0;
-      List.iter (count_refused ifp) (q.ifq_xmit_v (List.rev held))
+      ifp.if_snd <- [];
+      ifp.if_snd_len <- 0;
+      start ifp (List.rev held)
 
-let release ifp q =
-  q.ifq_hold <- q.ifq_hold - 1;
-  if q.ifq_hold = 0 then if_start ifp q
+let release ifp =
+  ifp.if_hold <- ifp.if_hold - 1;
+  if ifp.if_hold = 0 then flush ifp
 
 (* [with_burst ifp f a b] runs [f a b] with the send queue held, and
    drains the queue in one call when the outermost hold closes, on a
-   normal return or an exception.  On an interface with no send queue
+   normal return or an exception.  On an interface that holds no burst
    this is exactly [f a b] and allocates nothing.  [f] must not sleep: a
    held frame waits for the hold to close. *)
 let with_burst ifp f a b =
-  match ifp.if_snd with
-  | Some q -> (
-      q.ifq_hold <- q.ifq_hold + 1;
-      match f a b with
-      | r ->
-          release ifp q;
-          r
-      | exception e ->
-          release ifp q;
-          raise e)
-  | None -> f a b
+  if not ifp.if_bursts then f a b
+  else begin
+    ifp.if_hold <- ifp.if_hold + 1;
+    match f a b with
+    | r ->
+        release ifp;
+        r
+    | exception e ->
+        release ifp;
+        raise e
+  end
 
 (* ether_output: m is the payload (IP datagram / ARP message). *)
 let ether_output ifp m ~dst_mac ~ethertype =
@@ -109,12 +108,12 @@ let ether_output ifp m ~dst_mac ~ethertype =
   Bytes.set d (o + 12) (Char.chr (ethertype lsr 8));
   Bytes.set d (o + 13) (Char.chr (ethertype land 0xff));
   ifp.if_opackets <- ifp.if_opackets + 1;
-  match ifp.if_snd with
-  | Some q when q.ifq_hold > 0 ->
-      q.ifq_head <- m :: q.ifq_head;
-      q.ifq_len <- q.ifq_len + 1;
-      if q.ifq_len >= ifqmaxlen then if_start ifp q
-  | _ -> ( match ifp.if_xmit m with Ok () -> () | Error e -> count_refused ifp e)
+  if ifp.if_hold > 0 then begin
+    ifp.if_snd <- m :: ifp.if_snd;
+    ifp.if_snd_len <- ifp.if_snd_len + 1;
+    if ifp.if_snd_len >= ifqmaxlen then flush ifp
+  end
+  else start ifp [ m ]
 
 (* ether_input: m is the full frame.  Consumes the chain: protocol inputs
    take ownership, drops retire it. *)

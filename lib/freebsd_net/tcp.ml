@@ -191,19 +191,13 @@ let create_pcb t =
 
 let rcv_window pcb = min (Sockbuf.space pcb.rcv_buf) (max_win lsl pcb.rcv_scale)
 
-(* The scale we ask for on SYN: smallest shift that makes the largest
-   buffer we could ever autotune to representable in the 16-bit field. *)
-let request_r_scale () =
-  let rec go s = if s < 14 && max_win lsl s < Cost.config.tcp_sockbuf_max then go (s + 1) else s in
-  go 0
-
 (* Both sides offered: windows are scaled from here on.  ssthresh starts
    effectively unbounded again, in the scaled range. *)
 let setup_scaling pcb ~peer =
   pcb.peer_wscale <- min 14 peer;
   if Cost.config.tcp_wscale then begin
     pcb.snd_scale <- min 14 peer;
-    pcb.rcv_scale <- request_r_scale ();
+    pcb.rcv_scale <- Autotune.request_scale ();
     pcb.snd_ssthresh <- max_win lsl pcb.snd_scale
   end
 
@@ -516,7 +510,7 @@ and send_syn t pcb ~with_ack =
      only if the peer's SYN offered it (RFC 1323 negotiation). *)
   let wscale =
     if Cost.config.tcp_wscale && ((not with_ack) || pcb.peer_wscale >= 0) then
-      Some (request_r_scale ())
+      Some (Autotune.request_scale ())
     else None
   in
   emit_segment t pcb ~seq:pcb.iss ~ack:(if with_ack then pcb.rcv_nxt else 0) ~flags

@@ -1,6 +1,13 @@
 (* Socket-buffer autotuning (Cost.config.tcp_autotune), shared by both TCP
-   stacks.  Both functions take the current buffer size and return the
+   stacks.  [rcv] and [snd] take the current buffer size and return the
    size to use from here, capped at Cost.config.tcp_sockbuf_max. *)
+
+(* The window scale both stacks ask for on SYN: the smallest shift that
+   makes the largest buffer autotuning could reach representable in the
+   16-bit window field. *)
+let request_scale () =
+  let rec go s = if s < 14 && 0xffff lsl s < Cost.config.tcp_sockbuf_max then go (s + 1) else s in
+  go 0
 
 let grow buf =
   let cap = Cost.config.tcp_sockbuf_max in

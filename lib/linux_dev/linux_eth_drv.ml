@@ -17,11 +17,9 @@ type device = {
   hw : Nic.t;
   dev_addr : string; (* station MAC *)
   mutable opened : bool;
-  mutable netif_rx : Skbuff.sk_buff -> unit; (* upcall into the stack *)
-  (* Vectored upcall for a batched poll (Cost.config.rx_batch > 1); the
-     default falls back to per-frame netif_rx, so a client that never
-     installs one sees today's behavior under any batch budget. *)
-  mutable netif_rx_v : Skbuff.sk_buff list -> unit;
+  (* The upcall into the stack: the frames one interrupt drains alone
+     (one each) or one batched poll hands up (Cost.config.rx_batch > 1). *)
+  mutable netif_rx : Skbuff.sk_buff list -> unit;
   mutable tx_packets : int;
   mutable rx_packets : int;
   mutable irq_requested : bool;
@@ -34,8 +32,7 @@ let supported_models =
   [ "NE2000"; "3c509"; "3c59x"; "3c905"; "tulip"; "eepro100"; "lance"; "rtl8139";
     "smc-ultra"; "de4x5" ]
 
-let nothing_rx (_ : Skbuff.sk_buff) = ()
-let nothing_rx_v (_ : Skbuff.sk_buff list) = ()
+let nothing_rx (_ : Skbuff.sk_buff list) = ()
 
 (* eth_type_trans: strip the link header, note the protocol. *)
 let eth_type_trans skb =
@@ -95,25 +92,18 @@ let group_by_cpu ~ncpus frames up =
 (* The NAPI-style poll (Cost.config.rx_batch > 1): frames that arrived
    while the CPU was busy (or during the coalescing window) are already in
    the ring; hand them up [budget] at a time, each home CPU's slice of a
-   chunk ONE vectored upcall, until the ring is empty, then unmask and
-   revert to interrupts.  Draining fully before unmasking bounds ring
+   chunk ONE upcall, until the ring is empty, then unmask and revert to
+   interrupts.  Draining fully before unmasking bounds ring
    occupancy — leaving frames behind for another window is how rings
    overflow and drops turn into peer retransmit timeouts.  This is exactly
    Linux's interrupt mitigation loop: under light load it degenerates to
    one interrupt, one frame, no added latency. *)
 let rec napi_drain dev ~ncpus ~budget up =
-  match Nic.pop_rx_burst dev.hw ~max:budget with
+  match Nic.pop_rx_burst dev.hw ~q:0 ~max:budget with
   | [] -> ()
   | frames ->
       group_by_cpu ~ncpus frames up;
       napi_drain dev ~ncpus ~budget up
-
-let rec rx_drain dev isr ~ncpus rx_one =
-  match Nic.pop_rx dev.hw with
-  | None -> ()
-  | Some frame ->
-      ignore (Netisr.dispatch isr ~cpu:(Rss.cpu_of_frame ~ncpus frame) rx_one frame);
-      rx_drain dev isr ~ncpus rx_one
 
 (* The receive interrupt, built once when the device opens.  Every frame
    goes to its RSS home CPU through the machine's netisr, which runs it in
@@ -125,8 +115,8 @@ let rec rx_drain dev isr ~ncpus rx_one =
 let device_interrupt machine dev =
   let ncpus = Machine.ncpus machine in
   let isr = Netisr.for_machine machine in
-  let rx_one frame = dev.netif_rx (wrap_rx dev frame) in
-  let rx_burst frames = dev.netif_rx_v (List.map (wrap_rx dev) frames) in
+  let rx_one frame = dev.netif_rx [ wrap_rx dev frame ] in
+  let rx_burst frames = dev.netif_rx (List.map (wrap_rx dev) frames) in
   let up cpu frames = ignore (Netisr.dispatch isr ~cpu rx_burst frames) in
   let poll () =
     dev.napi_scheduled <- false;
@@ -134,7 +124,7 @@ let device_interrupt machine dev =
     Machine.unmask_irq machine ~irq:(Nic.irq dev.hw)
   in
   fun () ->
-    if Cost.config.rx_batch <= 1 then rx_drain dev isr ~ncpus rx_one
+    if Cost.config.rx_batch <= 1 then Netisr.rx_drain isr dev.hw ~q:0 rx_one
     else if Nic.rx_pending dev.hw > 0 && not dev.napi_scheduled then begin
       dev.napi_scheduled <- true;
       Machine.mask_irq machine ~irq:(Nic.irq dev.hw);
@@ -157,18 +147,15 @@ let probe_devices osenv =
            dev_addr = Nic.mac nic;
            opened = false;
            netif_rx = nothing_rx;
-           netif_rx_v = nothing_rx_v;
            napi_scheduled = false;
            tx_packets = 0;
            rx_packets = 0;
            irq_requested = false })
 
-let dev_open osenv dev ~rx ?rx_v () =
+let dev_open osenv dev ~rx =
   if dev.opened then Result.Error Error.Busy
   else begin
     dev.netif_rx <- rx;
-    dev.netif_rx_v <-
-      (match rx_v with Some f -> f | None -> fun skbs -> List.iter rx skbs);
     let handler = device_interrupt (Osenv.machine osenv) dev in
     match Osenv.irq_request osenv ~irq:(Nic.irq dev.hw) ~handler with
     | Ok () ->
@@ -182,8 +169,7 @@ let dev_stop osenv dev =
   if dev.opened then begin
     Osenv.irq_free osenv ~irq:(Nic.irq dev.hw);
     dev.opened <- false;
-    dev.netif_rx <- nothing_rx;
-    dev.netif_rx_v <- nothing_rx_v
+    dev.netif_rx <- nothing_rx
   end
 
 (* hard_start_xmit: hand a fully-formed frame to the card. *)

@@ -111,42 +111,33 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
           if copied then Skbuff.skb_free skb;
           r
     in
+    (* Every frame is attempted, in order; the error of each refusal. *)
+    let rec xmit_all = function
+      | [] -> []
+      | io :: rest -> (
+          match xmit_one io with
+          | Ok () -> xmit_all rest
+          | Result.Error e -> e :: xmit_all rest)
+    in
     let rec view () =
       { Io_if.nio_unknown = unknown ();
         push =
-          (fun io ->
-            Cost.charge_glue_crossing ();
-            xmit_one io);
-        push_v =
           (fun ios ->
-            (* One crossing carries the whole burst.  Every frame is
-               attempted, as [push] on each would be, and each refusal
-               is counted. *)
+            (* One crossing carries the whole burst. *)
             Cost.charge_glue_crossing ();
-            match
-              List.filter_map
-                (fun io -> match xmit_one io with Ok () -> None | Result.Error e -> Some e)
-                ios
-            with
-            | [] -> Ok ()
-            | errs -> Result.Error errs) }
+            match xmit_all ios with [] -> Ok () | errs -> Result.Error errs) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
     and unknown () = Lazy.force obj in
     view ()
   in
   let ed_open ~(recv : Io_if.netio) =
-    let rx skb =
-      (* Driver -> client: wrap the sk_buff and push upward.  The crossing
-         itself is charged by the receiving component's netio. *)
-      Linux_emu.with_current (fun () -> ignore (recv.Io_if.push (bufio_of_skb skb)))
+    let rx skbs =
+      (* Driver -> client: wrap the sk_buffs and push them upward in one
+         push.  The crossing itself is charged by the receiving
+         component's netio. *)
+      Linux_emu.with_current (fun () -> ignore (recv.Io_if.push (List.map bufio_of_skb skbs)))
     in
-    let rx_v skbs =
-      (* Batched poll: the whole burst rides one vectored push — the
-         receiving netio charges one crossing for all of it. *)
-      Linux_emu.with_current (fun () ->
-          ignore (recv.Io_if.push_v (List.map bufio_of_skb skbs)))
-    in
-    match Linux_eth_drv.dev_open osenv dev ~rx ~rx_v () with
+    match Linux_eth_drv.dev_open osenv dev ~rx with
     | Ok () -> Ok (make_xmit_netio ())
     | Result.Error _ as e -> e
   in

@@ -231,19 +231,13 @@ let rexmt_q_limit s =
   if s.snd_scale = 0 then 64
   else max 64 (2 * min s.cwnd s.snd_wnd / max 1 s.smss)
 
-(* The scale we ask for on SYN: smallest shift that makes the largest
-   buffer autotuning could reach representable in the 16-bit field. *)
-let request_scale () =
-  let rec go sc = if sc < 14 && 0xffff lsl sc < Cost.config.tcp_sockbuf_max then go (sc + 1) else sc in
-  go 0
-
 (* Peer offered wscale on its SYN; if the knob is on we offered (or will
    offer) too, so windows are scaled from the end of the handshake. *)
 let setup_scaling s ~peer =
   s.peer_wscale <- min 14 peer;
   if Cost.config.tcp_wscale then begin
     s.snd_scale <- min 14 peer;
-    s.rcv_scale <- request_scale ();
+    s.rcv_scale <- Autotune.request_scale ();
     s.ssthresh <- max s.ssthresh (0xffff lsl s.snd_scale)
   end
 
@@ -333,7 +327,7 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
     syn && Cost.config.tcp_wscale
     && (flags land th_ack = 0 || s.peer_wscale >= 0)
   in
-  let mss, wscale = if emit_opts then Some s.smss, Some (request_scale ()) else None, None in
+  let mss, wscale = if emit_opts then Some s.smss, Some (Autotune.request_scale ()) else None, None in
   let hlen = Codec.tcp_header_len ~mss ~wscale in
   match Skbuff.alloc_skb (eth_hlen + Codec.ip_hlen + hlen + plen + 16) with
   | exception Memfault.Nomem ->
@@ -969,7 +963,7 @@ let netif_rx t skb =
 let attach_dev t osenv dev =
   Machine.bind_kernel t.machine Machine.Native;
   t.dev <- Some dev;
-  match Linux_eth_drv.dev_open osenv dev ~rx:(fun skb -> netif_rx t skb) () with
+  match Linux_eth_drv.dev_open osenv dev ~rx:(List.iter (netif_rx t)) with
   | Ok () -> ()
   | Result.Error e -> Error.fail e
 

@@ -71,13 +71,14 @@ type config = {
           because [perfbench/pb_http.ml] still assigns it.  Default
           [false]. *)
   mutable rx_batch : int;
-      (** [> 1] selects the batched glue in both directions; the value
-          is the receive poll budget.  Receive: how many pending frames
-          one interrupt may carry from the driver to the stack through a
-          single glue crossing.  Transmit: the frames one BSD
-          [tcp_output] call emits cross to the driver as one burst
-          ([Netif.with_burst]).  [<= 1]: every frame crosses alone, in
-          both directions.  Default 1. *)
+      (** The burst bound of the one frame path between the card and
+          the stack; a frame that crosses alone is a burst of one.
+          Receive: how many pending frames one NAPI-style poll may carry
+          from the driver to the stack in one push, through one glue
+          crossing.  Transmit: the frames one BSD [tcp_output] call emits
+          cross to the driver in one push ([Netif.with_burst]).
+          [<= 1]: every frame crosses alone, in both directions.
+          Default 1. *)
   mutable tcp_wscale : bool;
       (** RFC 1323 window scaling in both stacks: offer a wscale option on
           SYN/SYN-ACK, and when both ends offer, interpret window fields
@@ -292,7 +293,9 @@ type counters = {
           counted: they are inherently slow-path) *)
   mutable pcb_cache_hits : int;  (** demux resolved by the one-entry PCB cache *)
   mutable pcb_cache_misses : int;  (** demux that fell to the hash (or scan) *)
-  mutable rx_polls : int;  (** batched RX deliveries (one glue crossing each) *)
+  mutable rx_polls : int;
+      (** NAPI-style poll deliveries that crossed the glue (one crossing
+          each; only under [rx_batch > 1]) *)
   mutable rx_batched_frames : int;
       (** frames carried by those deliveries; mean burst =
           rx_batched_frames / rx_polls *)
@@ -356,8 +359,8 @@ val count_fastpath_fallback : unit -> unit
 val count_pcb_cache_hit : unit -> unit
 val count_pcb_cache_miss : unit -> unit
 
-(** [count_rx_poll ~frames] records one batched RX delivery of [frames]
-    frames. *)
+(** [count_rx_poll ~frames] records one poll delivery of [frames] frames
+    across the glue. *)
 val count_rx_poll : frames:int -> unit
 
 val count_spin_contention : unit -> unit

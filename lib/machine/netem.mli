@@ -55,7 +55,7 @@ val create : ?seed:int -> ?policy:policy -> unit -> t
 val of_filter : (bytes -> bool) -> t
 
 (** [set_policy t ?port p] installs [p] for frames sent from wire port
-    [port], or as the default for all ports when [port] is omitted.
+    [port] (the wire numbers its ports from 0 in attach order), or as the default for all ports when [port] is omitted.
     Per-direction asymmetry (lossy data path, clean ACK path) falls out
     of per-port policies. *)
 val set_policy : t -> ?port:int -> policy -> unit

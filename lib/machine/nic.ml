@@ -2,27 +2,23 @@ type mac = string
 
 let broadcast = "\xff\xff\xff\xff\xff\xff"
 
-(* Hardware receive-side scaling: the controller hashes each accepted
-   frame into one of N RX queues, and each queue interrupts through its
-   own MSI-X vector, so a flow's receive work starts on the CPU its vector
-   is routed to.  [classify] models the on-card hash/indirection table the
-   driver programs; it runs in the device, so it charges no CPU cycles. *)
-type rss = {
-  r_queues : bytes Queue.t array;
-  r_vectors : int array; (* irq line raised by each queue *)
-  r_classify : bytes -> int;
-}
-
+(* The receive rings.  Hardware receive-side scaling: the controller
+   hashes each accepted frame into one of N RX queues, and each queue
+   interrupts through its own MSI-X vector, so a flow's receive work
+   starts on the CPU its vector is routed to.  [classify] models the
+   on-card hash/indirection table the driver programs; it runs in the
+   device, so it charges no CPU cycles.  A card without RSS is a card
+   with one queue, interrupting on its own line. *)
 type t = {
   machine : Machine.t;
   wire : Wire.t;
   mac : mac;
   irq : int;
-  rx_ring : int;
-  rx_q : bytes Queue.t;
-  mutable rss : rss option;
+  rx_ring : int; (* depth of each queue *)
+  mutable queues : bytes Queue.t array;
+  mutable vectors : int array; (* irq line raised by each queue *)
+  mutable classify : bytes -> int;
   mutable port : Wire.port option;
-  mutable promisc : bool;
   mutable dropped : int;
   mutable tx : int;
   mutable rx : int;
@@ -33,48 +29,36 @@ let dst_of frame = if Bytes.length frame >= 6 then Bytes.sub_string frame 0 6 el
 let create ~machine ~wire ~mac ~irq ?(rx_ring = 32) () =
   if String.length mac <> 6 then invalid_arg "Nic.create: mac must be 6 bytes";
   let t =
-    { machine; wire; mac; irq; rx_ring; rx_q = Queue.create (); rss = None;
-      port = None; promisc = false; dropped = 0; tx = 0; rx = 0 }
+    { machine; wire; mac; irq; rx_ring; queues = [| Queue.create () |]; vectors = [| irq |];
+      classify = (fun _ -> 0); port = None; dropped = 0; tx = 0; rx = 0 }
   in
   let rx frame =
     let dst = dst_of frame in
-    if t.promisc || String.equal dst t.mac || String.equal dst broadcast then
-      match t.rss with
-      | None ->
-          if Queue.length t.rx_q >= t.rx_ring then t.dropped <- t.dropped + 1
-          else begin
-            Queue.add frame t.rx_q;
-            t.rx <- t.rx + 1;
-            Machine.raise_irq t.machine ~irq:t.irq
-          end
-      | Some r ->
-          let q = r.r_classify frame mod Array.length r.r_queues in
-          if Queue.length r.r_queues.(q) >= t.rx_ring then
-            t.dropped <- t.dropped + 1
-          else begin
-            Queue.add frame r.r_queues.(q);
-            t.rx <- t.rx + 1;
-            Cost.count_rss_steered ();
-            Machine.raise_irq t.machine ~irq:r.r_vectors.(q)
-          end
+    if String.equal dst t.mac || String.equal dst broadcast then begin
+      let n = Array.length t.queues in
+      let q = if n = 1 then 0 else t.classify frame mod n in
+      if Queue.length t.queues.(q) >= t.rx_ring then t.dropped <- t.dropped + 1
+      else begin
+        Queue.add frame t.queues.(q);
+        t.rx <- t.rx + 1;
+        if n > 1 then Cost.count_rss_steered ();
+        Machine.raise_irq t.machine ~irq:t.vectors.(q)
+      end
+    end
   in
   t.port <- Some (Wire.attach wire ~rx);
   t
 
 (* [set_rss t ~vectors ~classify] programs the indirection table: queue [q]
    receives frames with [classify frame mod n = q] and interrupts on line
-   [vectors.(q)].  Each queue has its own [rx_ring]-deep ring.  Clearing
-   ([None]) restores the single-queue card. *)
+   [vectors.(q)].  Each queue has its own [rx_ring]-deep ring. *)
 let set_rss t ~vectors ~classify =
   if Array.length vectors = 0 then invalid_arg "Nic.set_rss: no queues";
-  t.rss <-
-    Some
-      { r_queues = Array.init (Array.length vectors) (fun _ -> Queue.create ());
-        r_vectors = Array.copy vectors;
-        r_classify = classify }
+  t.queues <- Array.init (Array.length vectors) (fun _ -> Queue.create ());
+  t.vectors <- Array.copy vectors;
+  t.classify <- classify
 
-let clear_rss t = t.rss <- None
-let rx_queues t = match t.rss with None -> 1 | Some r -> Array.length r.r_queues
+let rx_queues t = Array.length t.queues
 
 let mac t = t.mac
 let irq t = t.irq
@@ -116,31 +100,20 @@ let transmit_v t frags =
   Cost.count_sg_xmit ();
   transmit t frame
 
-let pop_rx t = Queue.take_opt t.rx_q
-
-(* [pop_rx_q t ~q] drains one RSS queue (queue 0 is the legacy ring when
-   RSS is off, so single-queue drivers and multi-queue drivers share the
-   accessor). *)
-let pop_rx_q t ~q =
-  match t.rss with
-  | None -> if q = 0 then Queue.take_opt t.rx_q else None
-  | Some r ->
-      if q < 0 || q >= Array.length r.r_queues then None
-      else Queue.take_opt r.r_queues.(q)
+let pop_rx t ~q = Queue.take_opt t.queues.(q)
 
 (* Bounded burst for a NAPI-style poll: up to [max] frames, oldest first. *)
-let pop_rx_burst t ~max =
+let pop_rx_burst t ~q ~max =
   let rec take n acc =
     if n >= max then List.rev acc
     else
-      match Queue.take_opt t.rx_q with
+      match Queue.take_opt t.queues.(q) with
       | None -> List.rev acc
       | Some frame -> take (n + 1) (frame :: acc)
   in
   take 0 []
 
-let rx_pending t = Queue.length t.rx_q
-let set_promiscuous t v = t.promisc <- v
+let rx_pending t = Array.fold_left (fun n q -> n + Queue.length q) 0 t.queues
 let rx_dropped t = t.dropped
 let tx_count t = t.tx
 let rx_count t = t.rx

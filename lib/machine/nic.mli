@@ -1,10 +1,9 @@
 (** A simulated Ethernet controller.
 
     Hardware-level model of the cards the paper's Linux drivers drove:
-    a receive ring of bounded depth (overflow drops frames, as real NICs
-    do), MAC/broadcast filtering with an optional promiscuous mode, and an
-    interrupt per received frame.  The driver components in
-    [lib/linux_dev] program against this. *)
+    receive rings of bounded depth (overflow drops frames, as real NICs
+    do), MAC/broadcast filtering, and an interrupt per received frame.
+    The driver components in [lib/linux_dev] program against this. *)
 
 type t
 
@@ -20,22 +19,22 @@ val create :
 val mac : t -> mac
 val irq : t -> int
 
-(** {2 Hardware receive-side scaling}
+(** {2 Receive queues and hardware receive-side scaling}
 
+    The card keeps one or more RX queues, each an [rx_ring]-deep ring
+    whose frames interrupt on that queue's line; overflow drops count in
+    {!rx_dropped}.  A fresh card has one queue on line [irq] and no hash.
     Multi-queue RX, as on fxp/e1000-class successors: [set_rss] programs
     the on-card hash ([classify], charged no CPU cycles — it runs in the
     device) and one MSI-X vector per queue; an accepted frame lands in
-    ring [classify frame mod n] and raises [vectors.(q)], so with per-line
-    affinity each flow interrupts its home CPU directly.  Each queue has
-    its own [rx_ring]-deep ring; overflow drops count in {!rx_dropped}.
-    Counts [Cost.counters.rss_steered] per classified frame.  With RSS off
-    (the default, and after [clear_rss]) the card is the single-queue
-    device it always was, bit for bit. *)
+    queue [classify frame mod n] and raises [vectors.(q)], so with
+    per-line affinity each flow interrupts its home CPU directly.  With
+    more than one queue, counts [Cost.counters.rss_steered] per
+    classified frame. *)
 
 val set_rss : t -> vectors:int array -> classify:(bytes -> int) -> unit
-val clear_rss : t -> unit
 
-(** Number of RX queues (1 when RSS is off). *)
+(** Number of RX queues. *)
 val rx_queues : t -> int
 
 (** [transmit t frame] hands a fully-formed Ethernet frame to the card;
@@ -50,21 +49,17 @@ val transmit : t -> bytes -> unit
     [Cost.counters.sg_xmits].  Zero CPU copy for the caller. *)
 val transmit_v : t -> (bytes * int * int) list -> unit
 
-(** [pop_rx t] takes the oldest received frame off the ring, if any.  Used
-    by the driver's interrupt handler. *)
-val pop_rx : t -> bytes option
+(** [pop_rx t ~q] takes the oldest received frame off queue [q], if
+    any.  Used by the driver's interrupt handler. *)
+val pop_rx : t -> q:int -> bytes option
 
-(** [pop_rx_q t ~q] takes the oldest frame off RSS queue [q] (queue 0 is
-    the legacy ring when RSS is off). *)
-val pop_rx_q : t -> q:int -> bytes option
-
-(** [pop_rx_burst t ~max] takes up to [max] pending frames off the ring,
-    oldest first — the bounded burst a NAPI-style poll drains per
+(** [pop_rx_burst t ~q ~max] takes up to [max] pending frames off queue
+    [q], oldest first — the bounded burst a NAPI-style poll drains per
     interrupt (Cost.config.rx_batch). *)
-val pop_rx_burst : t -> max:int -> bytes list
+val pop_rx_burst : t -> q:int -> max:int -> bytes list
 
+(** Frames waiting in all queues. *)
 val rx_pending : t -> int
-val set_promiscuous : t -> bool -> unit
 
 (** Frames dropped to ring overflow. *)
 val rx_dropped : t -> int

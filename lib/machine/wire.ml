@@ -28,8 +28,6 @@ let attach t ~rx =
   t.ports <- p :: t.ports;
   p
 
-let port_id p = p.id
-
 let serialization_ns t len =
   (len + framing_bytes) * 8 * 1_000_000_000 / t.bandwidth_bps
 

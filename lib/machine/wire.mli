@@ -18,10 +18,6 @@ val create : ?bandwidth_bps:int -> ?latency_ns:int -> World.t -> t
     real hub. *)
 val attach : t -> rx:(bytes -> unit) -> port
 
-(** The wire-local identifier of a port — the key for per-direction
-    [Netem] policies. *)
-val port_id : port -> int
-
 (** [send t port frame ~at] offers [frame] for transmission at sender-local
     time [at].  Returns the time the frame will finish arriving.  The
     sender always pays serialization — faults injected by the attached

@@ -63,3 +63,13 @@ let dispatch t ~cpu f x =
     schedule_drain t cpu;
     true
   end
+
+(* The per-frame receive loop both NIC drivers run from their interrupt:
+   drain queue [q] of [nic], handing each frame to its RSS home CPU. *)
+let rec rx_drain t nic ~q deliver =
+  match Nic.pop_rx nic ~q with
+  | None -> ()
+  | Some frame ->
+      let cpu = Rss.cpu_of_frame ~ncpus:(Machine.ncpus t.machine) frame in
+      ignore (dispatch t ~cpu deliver frame);
+      rx_drain t nic ~q deliver

@@ -19,3 +19,9 @@ val dispatch : t -> cpu:int -> ('a -> unit) -> 'a -> bool
 
 (** Frames steered to [cpu] but not yet processed. *)
 val queue_len : t -> cpu:int -> int
+
+(** [rx_drain t nic ~q deliver] is a NIC driver's per-frame receive
+    interrupt: it takes every frame off [nic]'s queue [q], in order, and
+    dispatches [deliver frame] to the frame's RSS home CPU
+    ({!Rss.cpu_of_frame}); a frame the netisr drops is gone. *)
+val rx_drain : t -> Nic.t -> q:int -> (bytes -> unit) -> unit

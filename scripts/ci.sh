@@ -94,6 +94,14 @@
 # id counter (ready_listener, next_lid), no reactor table of watches by
 # id (by_id) and no separate kqueue module (Kqueue.) in lib, bench, test,
 # bin or examples, so no second id table grows back beside them.
+# A frame has one path each way between the card and the stack: a netio
+# has one push, which takes a burst (a lone frame is a burst of one), the
+# Linux driver has one upcall, an ifnet one driver entry, a card one ring
+# model (a card without RSS has one queue), and both drivers drain a
+# queue frame by frame with one loop, Netisr.rx_drain.  So a grep must
+# find no vectored second path or per-queue pop (push_v, netif_rx_v,
+# set_vectored_xmit, pop_rx_q) in lib, bench, test, bin or examples, and
+# `let rec rx_drain` defined in no more than one file under lib.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -203,6 +211,11 @@ if grep -rnE 'ev_oneshot|ev_clear|kqueue_iid|kqueue_view' lib bench test bin exa
 fi
 if grep -rnE 'ready_listener|next_lid|by_id|Kqueue\.' lib bench test bin examples; then
   echo "a readiness id table grew back beside the shared listener list and the reactor's knotes" >&2
+  exit 1
+fi
+if grep -rnE 'push_v|netif_rx_v|set_vectored_xmit|pop_rx_q' lib bench test bin examples \
+  || [ "$(grep -rl 'let rec rx_drain' lib | wc -l)" -gt 1 ]; then
+  echo "a second frame path grew back beside the one push, upcall, driver entry and drain loop" >&2
   exit 1
 fi
 dune runtest

@@ -572,11 +572,16 @@ let test_reactor_kq_engine () =
    Once every client has closed and 2MSL has passed, nothing the event
    core holds stays behind: reactor 0 holds one watch with one knote (the
    listener's), every other reactor none, every ready queue is empty, and
-   the server stack's tick wheels are idle. *)
+   the server stack's tick wheels are idle.  Nor does the frame path: the
+   server's ifnet holds no burst open and queues no frame, and no frame
+   waits in any receive queue of either host's card.  [rx_batch] > 1
+   binds the batched glue on an OSKit server. *)
 
-let quiescence ~stack ~ncpus =
-  Cost.with_config { Cost.config with Cost.ncpus; http_keepalive = true } @@ fun () ->
-  let name = Printf.sprintf "%s, %d CPU" (Endpoint.config_name stack) ncpus in
+let quiescence ?(rx_batch = 1) ~stack ~ncpus () =
+  Cost.with_config { Cost.config with Cost.ncpus; http_keepalive = true; rx_batch } @@ fun () ->
+  let name =
+    Printf.sprintf "%s, %d CPU, rx_batch %d" (Endpoint.config_name stack) ncpus rx_batch
+  in
   let quiet = ref false in
   let s =
     Httpbench.serve ~site:Httpbench.index_site ~backlog:16 ~stack ~shape:Httpbench.Reactor
@@ -625,14 +630,33 @@ let quiescence ~stack ~ncpus =
         (Printf.sprintf "%s: reactor %d's ready queue" name cpu)
         0 (Reactor.queued r))
     s.Httpbench.reactors;
+  let tb = s.Httpbench.testbed in
+  List.iter
+    (fun (host : Clientos.host) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: frames left in %s's NIC queues" name
+           (Machine.name host.Clientos.machine))
+        0
+        (Nic.rx_pending host.Clientos.nic))
+    [ tb.Clientos.host_a; tb.Clientos.host_b ];
   match s.Httpbench.server.Endpoint.stack with
-  | Endpoint.Bsd bsd -> check_tick_wheels_quiescent name bsd.Bsd_socket.tcp
+  | Endpoint.Bsd bsd ->
+      check_tick_wheels_quiescent name bsd.Bsd_socket.tcp;
+      let ifp = bsd.Bsd_socket.ifp in
+      Alcotest.(check bool)
+        (name ^ ": the ifnet holds bursts only under the batched glue")
+        (stack = Endpoint.Oskit && rx_batch > 1)
+        ifp.Netif.if_bursts;
+      Alcotest.(check int) (name ^ ": bursts held open") 0 ifp.Netif.if_hold;
+      Alcotest.(check int) (name ^ ": frames queued on the ifnet") 0 ifp.Netif.if_snd_len;
+      Alcotest.(check bool) (name ^ ": the ifnet's send queue is empty") true (ifp.Netif.if_snd = [])
   | Endpoint.Lx _ -> Alcotest.fail "the quiescence test serves from the BSD stack"
 
 let test_httpd_quiescence () =
-  quiescence ~stack:Endpoint.Freebsd ~ncpus:1;
-  quiescence ~stack:Endpoint.Freebsd ~ncpus:4;
-  quiescence ~stack:Endpoint.Oskit ~ncpus:1
+  quiescence ~stack:Endpoint.Freebsd ~ncpus:1 ();
+  quiescence ~stack:Endpoint.Freebsd ~ncpus:4 ();
+  quiescence ~stack:Endpoint.Oskit ~ncpus:1 ();
+  quiescence ~stack:Endpoint.Oskit ~ncpus:1 ~rx_batch:8 ()
 
 (* ---- flags off: the new machinery stays cold ---- *)
 

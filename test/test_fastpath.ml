@@ -324,14 +324,14 @@ let test_nic_rx_burst () =
   World.run w;
   Alcotest.(check int) "five frames pending" 5 (Nic.rx_pending nb);
   let tag frame = Bytes.get frame 6 in
-  let burst = Nic.pop_rx_burst nb ~max:3 in
+  let burst = Nic.pop_rx_burst nb ~q:0 ~max:3 in
   Alcotest.(check int) "bounded by the budget" 3 (List.length burst);
   Alcotest.(check (list char)) "oldest first" [ 'a'; 'b'; 'c' ] (List.map tag burst);
   Alcotest.(check int) "two remain" 2 (Nic.rx_pending nb);
-  let rest = Nic.pop_rx_burst nb ~max:16 in
+  let rest = Nic.pop_rx_burst nb ~q:0 ~max:16 in
   Alcotest.(check (list char)) "drains in order" [ 'd'; 'e' ] (List.map tag rest);
   Alcotest.(check int) "ring empty" 0 (Nic.rx_pending nb);
-  Alcotest.(check (list char)) "empty burst" [] (List.map tag (Nic.pop_rx_burst nb ~max:4))
+  Alcotest.(check (list char)) "empty burst" [] (List.map tag (Nic.pop_rx_burst nb ~q:0 ~max:4))
 
 let suite =
   [ QCheck_alcotest.to_alcotest equivalence_oskit;

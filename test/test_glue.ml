@@ -124,14 +124,12 @@ let with_batch batch f = Cost.with_config { Cost.config with Cost.rx_batch = bat
 
 (* An interface's send queue is empty and no hold is open on it. *)
 let snd_idle (ifp : Netif.ifnet) =
-  match ifp.Netif.if_snd with
-  | None -> true
-  | Some q -> q.Netif.ifq_len = 0 && q.Netif.ifq_head = [] && q.Netif.ifq_hold = 0
+  ifp.Netif.if_snd_len = 0 && ifp.Netif.if_snd = [] && ifp.Netif.if_hold = 0
 
 let check_snd_idle what ifp = Alcotest.(check bool) (what ^ ": send queue idle") true (snd_idle ifp)
 
 (* Off the batched glue a burst is the bare call: 1,000 of them on an
-   interface with no send queue allocate no more host words than the
+   interface that holds no burst allocate no more host words than the
    empty measurement itself. *)
 let add a b = a + b
 
@@ -199,10 +197,73 @@ let burst_crossings () =
   case "native FreeBSD, rx_batch 8" Endpoint.Freebsd 8 0;
   case "native FreeBSD, rx_batch 1" Endpoint.Freebsd 1 0
 
+(* ---- One crossing per receive delivery ---- *)
+
+(* [frames] frames of an ethertype no stack speaks arrive back to back at
+   a [config] receiver whose CPU runs a millisecond ahead of the wire, so
+   a batched poll finds several in the ring.  None draws a reply, so
+   every glue crossing charged while they arrive is a receive one.
+   Returns those crossings, the polls and the frames the polls carried,
+   and the frames the receiver's card took. *)
+let receive config ~batch ~frames =
+  with_batch batch @@ fun () ->
+  let tb = Clientos.make_testbed () in
+  let host = tb.Clientos.host_b and peer = tb.Clientos.host_a in
+  let nic = host.Clientos.nic in
+  (match config with
+   | Endpoint.Oskit -> ignore (Clientos.oskit_host host ~ip:server_ip ~mask:Endpoint.mask)
+   | Endpoint.Freebsd -> ignore (Clientos.freebsd_host host ~ip:server_ip ~mask:Endpoint.mask)
+   | Endpoint.Linux -> ignore (Clientos.linux_host host ~ip:server_ip ~mask:Endpoint.mask));
+  let c = Cost.counters in
+  let c0 = c.Cost.glue_crossings and p0 = c.Cost.rx_polls and f0 = c.Cost.rx_batched_frames in
+  let r0 = Nic.rx_count nic in
+  Machine.run_in host.Clientos.machine (fun () -> Cost.charge_cycles (Cost.config.Cost.cpu_hz / 1000));
+  Machine.run_in peer.Clientos.machine (fun () ->
+      for _ = 1 to frames do
+        let f = Bytes.make 60 '\000' in
+        Bytes.blit_string (Nic.mac nic) 0 f 0 6;
+        Bytes.blit_string (Nic.mac peer.Clientos.nic) 0 f 6 6;
+        (* 0x88b5, the IEEE local experimental ethertype *)
+        Bytes.set f 12 '\x88';
+        Bytes.set f 13 '\xb5';
+        Nic.transmit peer.Clientos.nic f
+      done);
+  Clientos.run tb ~until:(fun () -> Nic.rx_count nic - r0 = frames && Nic.rx_pending nic = 0);
+  ( c.Cost.glue_crossings - c0,
+    c.Cost.rx_polls - p0,
+    c.Cost.rx_batched_frames - f0,
+    Nic.rx_count nic - r0 )
+
+(* An OSKit receiver crosses the glue once per frame it drains alone, or
+   once per poll under the batched glue, and only then counts polls; a
+   native kernel crosses nothing and counts no poll. *)
+let receive_crossings () =
+  let frames = 20 in
+  let case config batch =
+    let what = Printf.sprintf "%s, rx_batch %d" (Endpoint.config_name config) batch in
+    let crossings, polls, carried, took = receive config ~batch ~frames in
+    Alcotest.(check int) (what ^ ": every frame taken") frames took;
+    if config = Endpoint.Oskit && batch > 1 then begin
+      Alcotest.(check bool) (what ^ ": a poll carried several frames") true
+        (polls > 0 && polls < frames);
+      Alcotest.(check int) (what ^ ": one receive crossing per poll") polls crossings;
+      Alcotest.(check int) (what ^ ": the polls carried every frame") frames carried
+    end
+    else begin
+      Alcotest.(check int)
+        (what ^ ": receive crossings")
+        (if config = Endpoint.Oskit then frames else 0)
+        crossings;
+      Alcotest.(check int) (what ^ ": no poll counted") 0 polls;
+      Alcotest.(check int) (what ^ ": no polled frame counted") 0 carried
+    end
+  in
+  List.iter (fun config -> List.iter (case config) [ 1; 8 ]) Endpoint.[ Oskit; Freebsd; Linux ]
+
 (* A closed device refuses every frame: each one is counted once in the
    interface's output errors, whether it went down alone or in a burst,
-   and none as a drop for want of memory; the vectored push attempts and
-   reports the whole burst. *)
+   and none as a drop for want of memory; the push attempts and reports
+   the whole burst. *)
 let refused_after_close () =
   let frames = 5 in
   let frame () =
@@ -308,6 +369,8 @@ let suite =
       (native Endpoint.Linux);
     Alcotest.test_case "OSKit: one glue crossing per COM socket and file call" `Quick oskit;
     Alcotest.test_case "one machine, one kind of kernel" `Quick both_kinds;
+    Alcotest.test_case "receive crossings: one per frame, or one per poll" `Quick
+      receive_crossings;
     Alcotest.test_case "no send queue: a burst allocates nothing" `Quick
       burst_off_allocates_nothing;
     Alcotest.test_case "one transmit crossing per tcp_output burst" `Quick burst_crossings;

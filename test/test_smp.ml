@@ -241,7 +241,7 @@ let test_nic_rss_queues () =
   let served_on = Array.make 2 (-1) in
   let handler q () =
     let rec drain () =
-      match Nic.pop_rx_q nic ~q with
+      match Nic.pop_rx nic ~q with
       | None -> ()
       | Some _ ->
           served_on.(q) <- Machine.cpu m;
