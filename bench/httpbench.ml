@@ -165,6 +165,7 @@ type result = {
   r_bufcache_misses : int;
   r_glue_crossings : int; (* measured run only; both machines *)
   r_checksummed_bytes : int; (* measured run only; both machines *)
+  r_server_ledger : Workload.ledger; (* measured run only *)
   r_rss_steered : int; (* frames the NIC's hardware RSS queued to a home CPU *)
   r_netisr_queued : int; (* frames that crossed CPUs through the netisr *)
   r_netisr_drops : int;
@@ -438,7 +439,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
   (* Counter baseline, taken by the first measured client to start:
      everything after the warmup is the measured run. *)
   let baseline = ref false and c0_hits = ref 0 and c0_misses = ref 0 and c0_glue = ref 0
-  and c0_cksum = ref 0 in
+  and c0_cksum = ref 0 and c0_ledger = ref (Workload.ledger s.server.host) in
   for i = 0 to clients - 1 do
     Clientos.spawn chost ~cpu:(i mod ncpus)
       ~name:(Printf.sprintf "c%d" i)
@@ -452,7 +453,8 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
           c0_hits := Cost.counters.Cost.bufcache_hits;
           c0_misses := Cost.counters.Cost.bufcache_misses;
           c0_glue := Cost.counters.Cost.glue_crossings;
-          c0_cksum := Cost.counters.Cost.checksummed_bytes
+          c0_cksum := Cost.counters.Cost.checksummed_bytes;
+          c0_ledger := Workload.ledger s.server.host
         end;
         requests ~record:true ~first:i d.reqs_per_client;
         incr done_clients)
@@ -499,6 +501,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
     r_bufcache_misses = c.Cost.bufcache_misses - !c0_misses;
     r_glue_crossings = c.Cost.glue_crossings - !c0_glue;
     r_checksummed_bytes = c.Cost.checksummed_bytes - !c0_cksum;
+    r_server_ledger = Workload.since !c0_ledger (Workload.ledger s.server.host);
     r_rss_steered = c.Cost.rss_steered;
     r_netisr_queued = c.Cost.netisr_queued;
     r_netisr_drops = c.Cost.netisr_drops;

@@ -114,7 +114,47 @@ let host_words f =
       [ "minor_words_per_op", per ops s0.minor_words s1.minor_words;
         "alloc_words_per_op", per ops (alloc s0) (alloc s1) ] )
 
-(* ttcp from [sender] to [receiver], [blocks] 4 KB blocks, under [profile]. *)
+(* ---------------- the ledger ---------------- *)
+
+(* A ledger's layer columns, [prefix ^ layer ^ "_" ^ unit], each its ns
+   divided by [per]; and its crossings, in total and by site. *)
+let layer_metrics ?(prefix = "") ~unit ~per (l : Workload.ledger) =
+  List.mapi
+    (fun i (_, name) -> prefix ^ name ^ "_" ^ unit, Float (float_of_int l.busy.(i) /. per))
+    Cost.layers
+
+let site_metrics (l : Workload.ledger) =
+  ("crossings", Int (Array.fold_left ( + ) 0 l.crossings))
+  :: List.mapi (fun i (_, name) -> name ^ "_crossings", Int l.crossings.(i)) Cost.sites
+
+let add (a : Workload.ledger) (b : Workload.ledger) =
+  { Workload.busy = Array.map2 ( + ) a.busy b.busy;
+    crossings = Array.map2 ( + ) a.crossings b.crossings }
+
+(* The ledger [l] of a run's hosts agrees with the run's counters [c]
+   under profile [p]: its glue column is the crossings at [p]'s price, its
+   copy and checksum columns the copied and summed bytes at theirs, and
+   its site counts sum to the crossings.  A charge made outside any
+   machine is counted and dropped, and breaks it: the section fails. *)
+let check_ledger run p (c : Cost.counters) (l : Workload.ledger) =
+  let column layer =
+    List.assoc layer (List.combine (List.map fst Cost.layers) (Array.to_list l.busy))
+  in
+  let ns n cycles = n * cycles * 1_000_000_000 / p.Cost.cpu_hz in
+  List.iter
+    (fun (what, got, want) ->
+      if got <> want then begin
+        Printf.eprintf "bench: ledger identity broken: %s, profile %S: %s %d, counters give %d\n"
+          run (to_string (profile_key p)) what got want;
+        exit 1
+      end)
+    [ "glue ns", column Cost.Glue, ns c.glue_crossings p.glue_crossing_cycles;
+      "copy ns", column Cost.Copy, ns c.copied_bytes p.copy_cycles_per_byte;
+      "checksum ns", column Cost.Checksum, ns c.checksummed_bytes p.checksum_cycles_per_byte;
+      "crossings by site", Array.fold_left ( + ) 0 l.crossings, c.glue_crossings ]
+
+(* ttcp from [sender] to [receiver], [blocks] 4 KB blocks, under [profile],
+   its ledger checked. *)
 let ttcp ?(profile = paper) ~sender ~receiver ~blocks () =
   let r =
     Cost.with_config profile @@ fun () ->
@@ -122,6 +162,10 @@ let ttcp ?(profile = paper) ~sender ~receiver ~blocks () =
       { Workload.table1 with sender; receiver; bytes = blocks * blocksize; send_chunk = blocksize }
   in
   if not r.completed then failwith "ttcp: the transfer ran out of fuel";
+  check_ledger
+    (Printf.sprintf "ttcp %s -> %s, %d blocks" (Endpoint.config_name sender)
+       (Endpoint.config_name receiver) blocks)
+    profile r.counters (add r.tx_ledger r.rx_ledger);
   r
 
 let per_kpkt (t : Workload.result) n = Int (n * 1000 / max 1 t.wire_carried)
@@ -134,8 +178,15 @@ let transfer_counts (t : Workload.result) =
     "linearized_xmits", Int c.Cost.linearized_xmits;
     "checksummed_bytes", Int c.Cost.checksummed_bytes ]
 
-let rtt_us ?(profile = paper) config ~trips =
-  Percentile.mean_us (Cost.with_config profile (fun () -> Netbench.rtt config ~trips)).samples
+(* rtcp in [config] under [profile], its ledger checked; the mean RTT
+   and both hosts' ledger. *)
+let rtcp ?(profile = paper) config ~trips =
+  let r = Cost.with_config profile (fun () -> Netbench.rtt config ~trips) in
+  let l = add (fst r.ledgers) (snd r.ledgers) in
+  check_ledger
+    (Printf.sprintf "rtcp %s, %d trips" (Endpoint.config_name config) trips)
+    profile r.counters l;
+  Percentile.mean_us r.samples, l
 
 (* ---------------- Table 1 ---------------- *)
 
@@ -150,7 +201,7 @@ let table1 () =
           let run sender receiver = ttcp ~profile:p ~sender ~receiver ~blocks () in
           (* A paper cell also runs the receive direction: two transfers. *)
           let transfers = if p == paper then 2 else 1 in
-          let (send_mbit, counts, recv), words =
+          let (send_mbit, counts, ledgers, recv), words =
             host_words (fun () ->
                 (* Only the send run's figures outlive it: its simulated
                    world is garbage before the receive run starts. *)
@@ -158,24 +209,32 @@ let table1 () =
                 let send_mbit = send.mbit_sender and counts = transfer_counts send in
                 ( send_mbit,
                   counts,
+                  (send.tx_ledger, send.rx_ledger),
                   if transfers = 2 then
                     [ "recv_mbit", Float (run Endpoint.Freebsd config).mbit_receiver ]
                   else [] ))
           in
           record "table1"
             [ system config; profile p; "blocks", Int blocks; "blocksize", Int blocksize ]
-            ((("send_mbit", Float send_mbit) :: recv) @ counts @ words (transfers * blocks)))
+            ((("send_mbit", Float send_mbit) :: recv)
+            @ counts
+            @ words (transfers * blocks)
+            @ layer_metrics ~prefix:"tx_" ~unit:"ms" ~per:1e6 (fst ledgers)
+            @ layer_metrics ~prefix:"rx_" ~unit:"ms" ~per:1e6 (snd ledgers)))
         systems)
     [ paper; sg_on ]
 
 (* ---------------- Table 2 ---------------- *)
 
+(* Each cell's ledger is both hosts' over the whole run, per timed trip
+   (the setup and warm-up trip included), with its crossings by site. *)
 let table2 () =
   List.map
     (fun config ->
+      let rtt, l = rtcp config ~trips:200 in
       record "table2"
         [ system config; profile paper; "trips", Int 200 ]
-        [ "rtt_us", Float (rtt_us config ~trips:200) ])
+        ((("rtt_us", Float rtt) :: layer_metrics ~unit:"us" ~per:200e3 l) @ site_metrics l))
     systems
 
 (* ---------------- Table 3 ---------------- *)
@@ -400,10 +459,11 @@ let glue () =
       let t =
         ttcp ~profile:p ~sender:Endpoint.Oskit ~receiver:Endpoint.Freebsd ~blocks:(blocks / 2) ()
       in
+      let rtt, l = rtcp ~profile:p Endpoint.Oskit ~trips:100 in
       record "glue"
         [ system Endpoint.Oskit; profile p; "blocks", Int (blocks / 2); "trips", Int 100 ]
-        [ "send_mbit", Float t.mbit_sender;
-          "rtt_us", Float (rtt_us ~profile:p Endpoint.Oskit ~trips:100) ])
+        ([ "send_mbit", Float t.mbit_sender; "rtt_us", Float rtt ]
+        @ layer_metrics ~unit:"us" ~per:100e3 l))
     [ 0; 500; 1500; 3000; 6000 ]
 
 (* B: copies and glue crossings per 1000 wire packets: the send path
@@ -412,13 +472,16 @@ let copies () =
   List.map
     (fun (sender, receiver) ->
       let t = ttcp ~sender ~receiver ~blocks:(blocks / 2) () in
+      let both = add t.tx_ledger t.rx_ledger in
       record "copies"
         [ "sender", Str (Endpoint.config_name sender);
           "receiver", Str (Endpoint.config_name receiver);
           profile paper;
           "blocks", Int (blocks / 2) ]
-        [ "copies_per_kpkt", per_kpkt t t.counters.Cost.copies;
-          "crossings_per_kpkt", per_kpkt t t.counters.Cost.glue_crossings ])
+        ([ "copies_per_kpkt", per_kpkt t t.counters.Cost.copies;
+           "crossings_per_kpkt", per_kpkt t t.counters.Cost.glue_crossings ]
+        @ layer_metrics ~unit:"ms" ~per:1e6 both
+        @ site_metrics both))
     [ Endpoint.Freebsd, Endpoint.Freebsd;
       Endpoint.Oskit, Endpoint.Freebsd;
       Endpoint.Freebsd, Endpoint.Oskit;
@@ -548,7 +611,9 @@ let http () =
                 (server_metrics r
                 @ [ "reactor_sleeps", Int r.r_reactor_sleeps;
                     "reactor_spurious", Int r.r_reactor_spurious ]
-                @ words r.r_requests))
+                @ words r.r_requests
+                @ layer_metrics ~unit:"us" ~per:(float_of_int r.r_requests *. 1e3)
+                    r.r_server_ledger))
             [ Httpbench.Threads; Httpbench.Reactor ])
         [ 1; 4; 16; 64; 256 ])
     [ Endpoint.Freebsd; Endpoint.Linux ]
@@ -907,7 +972,22 @@ let bounds : bound list =
   let stack name = [ "stack", Str name ] in
   let warm_sf name = stack name @ [ "profile", p ka_sendfile ] in
   let scale x depth = [ "reqs", Int 625; "profile", p x; "pipeline", Int depth ] in
-  [ (* scatter-gather sends no slower, and does remove the flatten copy *)
+  let sys name = [ "system", Str name ] in
+  let sys_paper name = sys name @ profile_is paper in
+  [ (* the paper's claims (Tables 1 and 2, paper profile): OSKit sends
+       slower than FreeBSD and receives within 15% of it; its round trip is
+       at least 25% slower, and only it crosses glue *)
+    "table1", sys_paper "OSKit", "send_mbit", Lt, Times (1.0, sys "FreeBSD", "send_mbit");
+    "table1", sys_paper "OSKit", "recv_mbit", Ge, Times (0.85, sys "FreeBSD", "recv_mbit");
+    "table2", sys "OSKit", "rtt_us", Ge, Times (1.25, sys "FreeBSD", "rtt_us");
+    "table2", sys "OSKit", "glue_us", Gt, zero;
+    "table2", sys "FreeBSD", "glue_us", Eq, zero;
+    "table2", sys "Linux", "glue_us", Eq, zero;
+    "table1", sys "OSKit", "tx_glue_ms", Gt, zero;
+    "table1", sys "FreeBSD", "tx_glue_ms", Eq, zero;
+    "table1", sys "Linux", "tx_glue_ms", Eq, zero;
+    "table1", [], "rx_glue_ms", Eq, zero;
+    (* scatter-gather sends no slower, and does remove the flatten copy *)
     "table1", profile_is sg_on, "send_mbit", Ge, Times (1.0, profile_is paper, "send_mbit");
     "table1", profile_is sg_on, "sg_xmits", Gt, zero;
     "table1", profile_is sg_on, "linearized_xmits", Eq, zero;

@@ -97,7 +97,7 @@ let tty_read tty ~buf ~pos ~amount =
   if amount = 0 then 0 else wait ()
 
 let tty_write tty ~buf ~pos ~amount =
-  Cost.charge_cycles (50 * amount) (* donor's per-char output path *);
+  Cost.charge Driver (50 * amount) (* donor's per-char output path *);
   for i = 0 to amount - 1 do
     Serial.write_byte tty.hw (Char.code (Bytes.get buf (pos + i)))
   done;

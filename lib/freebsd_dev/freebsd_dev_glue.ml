@@ -10,11 +10,11 @@ let chario_of osenv (tty : Freebsd_char_drv.tty) : Com.unknown =
     { Io_if.cio_unknown = unknown ();
       cio_read =
         (fun ~buf ~pos ~amount ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Device_io;
           Ok (Freebsd_char_drv.tty_read tty ~buf ~pos ~amount));
       cio_write =
         (fun ~buf ~pos ~amount ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Device_io;
           Ok (Freebsd_char_drv.tty_write tty ~buf ~pos ~amount)) }
   and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.chario_iid, fun () -> view ()) ]))
   and unknown () = Lazy.force obj in

@@ -240,7 +240,7 @@ let uso_bind s ~port = Udp.bind s.ust.udp s.upcb ~port
 let uso_sendto s ~buf ~pos ~len ~dst ~dport =
   if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
   else begin
-    Cost.charge_cycles Cost.config.socket_op_cycles;
+    Cost.charge Socket Cost.config.socket_op_cycles;
     match
       Error.to_result (fun () ->
           Udp.output s.ust.udp s.upcb ~dst ~dport ~src:buf ~src_pos:pos ~len)
@@ -250,7 +250,7 @@ let uso_sendto s ~buf ~pos ~len ~dst ~dport =
   end
 
 let uso_recvfrom s =
-  Cost.charge_cycles Cost.config.socket_op_cycles;
+  Cost.charge Socket Cost.config.socket_op_cycles;
   let rec wait () =
     match Udp.recv s.upcb with
     | Some dgram -> dgram

@@ -92,7 +92,7 @@ let open_ether_if stack (ed : Io_if.etherdev) =
                alone, or a whole NAPI-style poll under the batched glue
                (rx_batch > 1); per-frame unwrap and protocol input are
                the same either way. *)
-            Cost.charge_glue_crossing ();
+            Cost.charge_glue_crossing Rx_push;
             if Cost.config.Cost.rx_batch > 1 then Cost.count_rx_poll ~frames:(List.length ios);
             List.iter input_one ios;
             Ok ()) }
@@ -123,7 +123,7 @@ let sockaddr_of (ip, port) = { Io_if.sin_addr = ip; sin_port = port }
 let rec socket_com stack (s : Bsd_socket.tsock) : Io_if.socket =
   let enter f =
     (* Every socket call is an entry into the FreeBSD component. *)
-    Cost.charge_glue_crossing ();
+    Cost.charge_glue_crossing Socket_call;
     f ()
   in
   let rec view () =
@@ -209,7 +209,7 @@ let rec socket_com stack (s : Bsd_socket.tsock) : Io_if.socket =
 
 let udp_socket_com (s : Bsd_socket.usock) : Io_if.socket =
   let enter f =
-    Cost.charge_glue_crossing ();
+    Cost.charge_glue_crossing Socket_call;
     f ()
   in
   let mutable_peer = ref None in
@@ -270,7 +270,7 @@ let socket_factory stack : Io_if.socket_factory =
     { Io_if.sf_unknown = unknown ();
       sf_create =
         (fun typ ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Open_close;
           match typ with
           | Io_if.Sock_stream -> Ok (socket_com stack (Bsd_socket.tcp_socket stack))
           | Io_if.Sock_dgram -> Ok (udp_socket_com (Bsd_socket.udp_socket stack))) }

@@ -14,7 +14,7 @@ let attach stack nic =
   let ifp = stack.Bsd_socket.ifp in
   ifp.Netif.if_hwaddr <- Nic.mac nic;
   let xmit m =
-    Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
+    Cost.charge Driver Cost.config.linux_driver_pkt_cycles;
     (* Gather DMA: the controller reads each mbuf fragment in place,
        costed inside [Nic.transmit_v] at DMA rate — no CPU flatten. *)
     Nic.transmit_v nic (Mbuf.m_fragments m);
@@ -29,7 +29,7 @@ let attach stack nic =
       List.iter xmit ms;
       []);
   let deliver frame =
-    Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
+    Cost.charge Driver Cost.config.linux_driver_pkt_cycles;
     let m = Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame) in
     Netif.ether_input ifp m
   in

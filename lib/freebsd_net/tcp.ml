@@ -383,7 +383,7 @@ and emit_segment_nomem t pcb ~seq ~ack ~flags ~win ~payload ~mss_opt ~wscale =
   in
   write_header m ~src:pcb.laddr ~dst:pcb.raddr ~sport:pcb.lport ~dport:pcb.rport ~seq ~ack
     ~flags ~win ~mss ~wscale;
-  Cost.charge_cycles Cost.config.bsd_tcp_pkt_cycles;
+  Cost.charge Protocol Cost.config.bsd_tcp_pkt_cycles;
   bump t (fun s -> s.sndpack <- s.sndpack + 1);
   Ip.output t.ip ~proto:Ip.proto_tcp ~src:pcb.laddr ~dst:pcb.raddr m
 
@@ -408,7 +408,7 @@ and send_synack_raw t ~laddr ~lport ~raddr ~rport ~iss ~irs ~mss =
       raw_segment ~src:laddr ~dst:raddr ~sport:lport ~dport:rport ~seq:iss ~ack:(irs + 1)
         ~flags:(th_syn lor th_ack) ~win:(min default_sb_size max_win) ~mss:(Some mss)
     in
-    Cost.charge_cycles Cost.config.bsd_tcp_pkt_cycles;
+    Cost.charge Protocol Cost.config.bsd_tcp_pkt_cycles;
     bump t (fun s -> s.sndpack <- s.sndpack + 1);
     Ip.output t.ip ~proto:Ip.proto_tcp ~src:laddr ~dst:raddr m
   with Memfault.Nomem ->
@@ -1138,14 +1138,14 @@ let rec input t ~src ~dst m =
 
 and input_segment t ~src ~dst m =
   let fast = Cost.config.tcp_fastpath in
-  Cost.charge_cycles
+  Cost.charge Protocol
     (if fast then Cost.config.tcp_fastpath_cycles else Cost.config.bsd_tcp_pkt_cycles);
   (* A segment that misses the prediction pays the balance of the general
      per-segment protocol cost, so the flags-off charge total is preserved
      exactly for every slow-path segment. *)
   let slowpath () =
     if fast then
-      Cost.charge_cycles
+      Cost.charge Protocol
         (max 0 (Cost.config.bsd_tcp_pkt_cycles - Cost.config.tcp_fastpath_cycles))
   in
   bump t (fun s -> s.rcvpack <- s.rcvpack + 1);
@@ -1294,7 +1294,7 @@ let autotune_snd pcb =
 (* Append to the send buffer (as much as fits) and push; returns bytes
    accepted. *)
 let usr_send t pcb ~src ~src_pos ~len =
-  Cost.charge_cycles Cost.config.socket_op_cycles;
+  Cost.charge Socket Cost.config.socket_op_cycles;
   match pcb.t_state with
   | Established | Close_wait ->
       autotune_snd pcb;
@@ -1327,7 +1327,7 @@ let usr_send t pcb ~src ~src_pos ~len =
    rides on each mbuf, so a resent block's bytes are not summed again.
    Returns bytes accepted. *)
 let usr_sendv t pcb ~frags ~pos =
-  Cost.charge_cycles Cost.config.socket_op_cycles;
+  Cost.charge Socket Cost.config.socket_op_cycles;
   match pcb.t_state with
   | Established | Close_wait ->
       autotune_snd pcb;
@@ -1373,7 +1373,7 @@ let usr_sendv t pcb ~frags ~pos =
 (* Copy out of the receive buffer; 0 = nothing available (caller blocks
    unless the peer has FINed). *)
 let usr_recv t pcb ~dst ~dst_pos ~len =
-  Cost.charge_cycles Cost.config.socket_op_cycles;
+  Cost.charge Socket Cost.config.socket_op_cycles;
   let avail = pcb.rcv_buf.Sockbuf.sb_cc in
   let n = min len avail in
   if n > 0 then begin

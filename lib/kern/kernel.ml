@@ -27,7 +27,7 @@ let spawn t ?cpu ?name f =
      clock. *)
   if Cost.config.Cost.thread_spawn_cycles > 0 then
     Machine.run_on t.machine ~cpu (fun () ->
-        Cost.charge_cycles Cost.config.Cost.thread_spawn_cycles);
+        Cost.charge Alloc Cost.config.Cost.thread_spawn_cycles);
   Thread.spawn t.sched ~cpu ?name f;
   Machine.kick_on t.machine ~cpu
 

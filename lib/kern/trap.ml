@@ -55,7 +55,7 @@ let set_handler t trapno f = Hashtbl.replace t.handlers trapno f
 let clear_handler t trapno = Hashtbl.remove t.handlers trapno
 
 let deliver t frame =
-  Cost.charge_cycles Cost.config.irq_entry_cycles;
+  Cost.charge Irq Cost.config.irq_entry_cycles;
   let fallthrough () =
     t.panic_log <- t.panic_log @ [ frame ];
     `Panic

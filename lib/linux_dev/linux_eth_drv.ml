@@ -49,7 +49,7 @@ let eth_type_trans skb =
    is charged per frame whatever the batch budget; the budget changes only
    how many frames ride one upcall into the stack. *)
 let wrap_rx dev frame =
-  Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
+  Cost.charge Driver Cost.config.linux_driver_pkt_cycles;
   let skb = Skbuff.skb_wrap frame in
   skb.Skbuff.dev_name <- dev.name;
   ignore (eth_type_trans skb);
@@ -175,7 +175,7 @@ let dev_stop osenv dev =
 (* hard_start_xmit: hand a fully-formed frame to the card. *)
 let hard_start_xmit dev skb =
   if not dev.opened then Error.fail Error.Nodev;
-  Cost.charge_cycles Cost.config.linux_driver_pkt_cycles;
+  Cost.charge Driver Cost.config.linux_driver_pkt_cycles;
   dev.tx_packets <- dev.tx_packets + 1;
   if Skbuff.skb_is_nonlinear skb then
     (* Nonlinear sk_buff: program the card's scatter-gather ring with the

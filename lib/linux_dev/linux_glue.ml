@@ -124,7 +124,7 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
         push =
           (fun ios ->
             (* One crossing carries the whole burst. *)
-            Cost.charge_glue_crossing ();
+            Cost.charge_glue_crossing Tx_push;
             match xmit_all ios with [] -> Ok () | errs -> Result.Error errs) }
     and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.netio_iid, fun () -> view ()) ]))
     and unknown () = Lazy.force obj in
@@ -146,11 +146,11 @@ let etherdev_of osenv (dev : Linux_eth_drv.device) : Com.unknown =
       ed_ethaddr = (fun () -> dev.Linux_eth_drv.dev_addr);
       ed_open =
         (fun ~recv ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Open_close;
           Linux_emu.with_current (fun () -> ed_open ~recv));
       ed_close =
         (fun () ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Open_close;
           Linux_emu.with_current (fun () ->
               Linux_eth_drv.dev_stop osenv dev;
               Ok ())) }
@@ -211,12 +211,12 @@ let blkio_of osenv (drive : Linux_ide_drv.drive) : Com.unknown =
       getblocksize = (fun () -> ssize);
       bio_read =
         (fun ~buf ~pos ~offset ~amount ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Device_io;
           Linux_emu.with_current (fun () ->
               Error.to_result (fun () -> do_read ~buf ~pos ~offset ~amount) |> Result.join));
       bio_write =
         (fun ~buf ~pos ~offset ~amount ->
-          Cost.charge_glue_crossing ();
+          Cost.charge_glue_crossing Device_io;
           Linux_emu.with_current (fun () ->
               Error.to_result (fun () -> do_write ~buf ~pos ~offset ~amount) |> Result.join));
       getsize = (fun () -> dev_bytes);

@@ -1,7 +1,7 @@
 (* Entry discipline as in the other encapsulated components: charge the
    crossing, translate Fat_error to error_t. *)
 let enter f =
-  Cost.charge_glue_crossing ();
+  Cost.charge_glue_crossing Device_io;
   match f () with
   | v -> Ok v
   | exception Linux_fatfs.Fat_error e -> Result.Error e

@@ -335,7 +335,7 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
       lx_reclaim t;
       false
   | skb ->
-  Cost.charge_cycles Cost.config.linux_tcp_pkt_cycles;
+  Cost.charge Protocol Cost.config.linux_tcp_pkt_cycles;
   t.segs_out <- t.segs_out + 1;
   Skbuff.skb_reserve skb (eth_hlen + Codec.ip_hlen);
   let off = Skbuff.skb_put skb (hlen + plen) in
@@ -703,14 +703,14 @@ let rec ooo_drain s =
 
 let tcp_rcv t skb ~src =
   let fast = Cost.config.tcp_fastpath in
-  Cost.charge_cycles
+  Cost.charge Protocol
     (if fast then Cost.config.tcp_fastpath_cycles else Cost.config.linux_tcp_pkt_cycles);
   (* A segment that misses the prediction pays the balance of the general
      per-segment protocol cost, preserving the flags-off charge total for
      every slow-path segment. *)
   let slowpath () =
     if fast then
-      Cost.charge_cycles
+      Cost.charge Protocol
         (max 0 (Cost.config.linux_tcp_pkt_cycles - Cost.config.tcp_fastpath_cycles))
   in
   t.segs_in <- t.segs_in + 1;

@@ -9,7 +9,7 @@
 let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
   let enter f =
     (* Every socket call is an entry into the Linux component. *)
-    Cost.charge_glue_crossing ();
+    Cost.charge_glue_crossing Socket_call;
     f ()
   in
   let rec view () =

@@ -272,10 +272,21 @@ let reset_counters () =
   clear_counters counters;
   Array.iter clear_counters shards
 
-let sink : (int -> unit) option ref = ref None
+type layer = Wire | Irq | Driver | Glue | Protocol | Socket | Copy | Checksum | Alloc | Fs | App
+
+let layers =
+  [ Wire, "wire"; Irq, "irq"; Driver, "driver"; Glue, "glue"; Protocol, "protocol";
+    Socket, "socket"; Copy, "copy"; Checksum, "checksum"; Alloc, "alloc"; Fs, "fs"; App, "app" ]
+
+type site = Socket_call | Tx_push | Rx_push | Device_io | Open_close
+
+let sites =
+  [ Socket_call, "socket"; Tx_push, "tx_push"; Rx_push, "rx_push"; Device_io, "io";
+    Open_close, "open_close" ]
+
+let sink : (layer -> int -> unit) option ref = ref None
 let set_sink f = sink := f
 let get_sink () = !sink
-let has_sink () = Option.is_some !sink
 
 (* Which CPU is executing, for counter attribution.  Installed by Machine
    alongside the charge sink; outside any machine context CPU 0 absorbs the
@@ -283,22 +294,20 @@ let has_sink () = Option.is_some !sink
    still counted so the aggregation invariant holds). *)
 let cpu_source : (unit -> int) option ref = ref None
 let set_cpu_source f = cpu_source := f
-let current_cpu () = match !cpu_source with Some f -> f () | None -> 0
 let counters_for ~cpu = shards.(cpu)
-let shard () = shards.(current_cpu ())
+let shard () = shards.(match !cpu_source with Some f -> f () | None -> 0)
 
-(* Whether the executing machine runs a native kernel, which has no
-   component glue to cross.  Installed by Machine like the CPU source;
+(* Whether the executing machine has component glue to cross, counting one
+   crossing at the site if so.  Installed by Machine like the CPU source;
    outside any machine context every crossing is charged. *)
-let native_source : (unit -> bool) option ref = ref None
-let set_native_source f = native_source := f
-let executing_native () = match !native_source with Some f -> f () | None -> false
+let glue_source : (site -> bool) option ref = ref None
+let set_glue_source f = glue_source := f
 
-let charge_ns ns = match !sink with Some f -> f ns | None -> ()
+let charge_ns layer ns = match !sink with Some f -> f layer ns | None -> ()
 
 (* 200 MHz = 5 ns per cycle; compute exactly to stay calibratable. *)
 let cycles_to_ns c = c * 1_000_000_000 / config.cpu_hz
-let charge_cycles c = charge_ns (cycles_to_ns c)
+let charge layer c = charge_ns layer (cycles_to_ns c)
 
 (* [bump f] applies the same increment to the aggregate record and to the
    executing CPU's shard. *)
@@ -310,11 +319,11 @@ let charge_copy n =
   bump (fun c ->
       c.copies <- c.copies + 1;
       c.copied_bytes <- c.copied_bytes + n);
-  charge_cycles (n * config.copy_cycles_per_byte)
+  charge Copy (n * config.copy_cycles_per_byte)
 
 let charge_checksum n =
   bump (fun c -> c.checksummed_bytes <- c.checksummed_bytes + n);
-  charge_cycles (n * config.checksum_cycles_per_byte)
+  charge Checksum (n * config.checksum_cycles_per_byte)
 
 let count_com_call () = bump (fun c -> c.com_calls <- c.com_calls + 1)
 let count_sg_xmit () = bump (fun c -> c.sg_xmits <- c.sg_xmits + 1)
@@ -357,17 +366,17 @@ let count_http_body_copy n =
 
 let charge_com_call () =
   bump (fun c -> c.com_calls <- c.com_calls + 1);
-  charge_cycles config.com_call_cycles
+  charge Socket config.com_call_cycles
 
 (* A native kernel links its stack, drivers and file system directly, so
    a call that crosses the glue on an OSKit machine costs there exactly
    what the direct call costs: nothing is charged or counted. *)
-let charge_glue_crossing () =
-  if not (executing_native ()) then begin
+let charge_glue_crossing site =
+  if match !glue_source with Some f -> f site | None -> true then begin
     bump (fun c -> c.glue_crossings <- c.glue_crossings + 1);
-    charge_cycles config.glue_crossing_cycles
+    charge Glue config.glue_crossing_cycles
   end
 
-let charge_alloc () = charge_cycles config.alloc_cycles
+let charge_alloc () = charge Alloc config.alloc_cycles
 
-let charge_pool_alloc () = charge_cycles config.pool_alloc_cycles
+let charge_pool_alloc () = charge Alloc config.pool_alloc_cycles

@@ -248,24 +248,41 @@ val diff : config -> config -> (string * string) list
 
 (** {2 Charging}
 
-    Each function advances the current machine's clock. *)
+    Each charge advances the executing CPU's clock and names the layer
+    that spent it, in the CPU's ledger row ({!Machine.ledger}). *)
 
-val charge_cycles : int -> unit
-val charge_ns : int -> unit
+(** [Wire]: device models (NIC DMA, UART); [Driver]: per-packet and
+    per-character driver work; [Socket]: socket entry, a socket's COM
+    calls and the accept lock; [Alloc] includes thread creation; [Fs]:
+    file-system code's own work (no charge names it: a file system's
+    copies and crossings are [Copy] and [Glue]); [App]: the bytecode VM. *)
+type layer = Wire | Irq | Driver | Glue | Protocol | Socket | Copy | Checksum | Alloc | Fs | App
 
-(** [charge_copy n] charges copying [n] bytes. *)
+(** Every layer with its column name, in column order. *)
+val layers : (layer * string) list
+
+(** Where a glue crossing is made: a socket call, a transmit or receive
+    push, a file-system or device I/O call, a device or socket open or a
+    device close. *)
+type site = Socket_call | Tx_push | Rx_push | Device_io | Open_close
+
+val sites : (site * string) list
+val charge : layer -> int -> unit
+
+(** [charge_copy n] charges copying [n] bytes to [Copy]. *)
 val charge_copy : int -> unit
 
-(** [charge_checksum n] charges checksumming [n] bytes. *)
+(** [charge_checksum n] charges checksumming [n] bytes to [Checksum]. *)
 val charge_checksum : int -> unit
 
 val charge_com_call : unit -> unit
 
-(** [charge_glue_crossing ()] charges one crossing of the OSKit glue
-    ([glue_crossing_cycles], counted in [glue_crossings]) — unless the
-    executing machine runs a native kernel ({!Machine.bind_kernel}), which
-    has no glue: there it charges and counts nothing. *)
-val charge_glue_crossing : unit -> unit
+(** [charge_glue_crossing site] charges one crossing of the OSKit glue
+    ([glue_crossing_cycles] to [Glue], counted in [glue_crossings] and at
+    [site] on the machine, {!Machine.crossings}) — unless the executing
+    machine runs a native kernel ({!Machine.bind_kernel}), which has no
+    glue: there it charges and counts nothing. *)
+val charge_glue_crossing : site -> unit
 val charge_alloc : unit -> unit
 
 (** Pooled fast-path allocation (freelist hit). *)
@@ -383,27 +400,22 @@ val count_http_body_copy : int -> unit
 
 (** {2 Context plumbing} *)
 
-(** [set_sink f] installs the receiver of charged nanoseconds ([None] =
-    no machine running).  Installed by {!Machine.run_in}; not for client
-    use. *)
-val set_sink : (int -> unit) option -> unit
+(** [set_sink f] installs the receiver of charged nanoseconds, by layer
+    ([None] = no machine running).  Installed by {!Machine}; not for
+    client use. *)
+val set_sink : (layer -> int -> unit) option -> unit
 
 (** The installed sink, so a test that temporarily replaces it can restore
     the machine attribution instead of clobbering it process-wide. *)
-val get_sink : unit -> (int -> unit) option
-
-(** Whether a machine context is installed. *)
-val has_sink : unit -> bool
+val get_sink : unit -> (layer -> int -> unit) option
 
 (** [set_cpu_source f] installs the reader of the executing CPU number, for
     per-CPU counter attribution.  Installed by {!Machine}; not for client
     use. *)
 val set_cpu_source : (unit -> int) option -> unit
 
-(** The executing CPU per the installed source; 0 outside any machine. *)
-val current_cpu : unit -> int
-
-(** [set_native_source f] installs the reader of whether the executing
-    machine runs a native kernel, which {!charge_glue_crossing} consults.
+(** [set_glue_source f] installs what {!charge_glue_crossing} asks: [f
+    site] is whether the executing machine has glue to cross (it runs no
+    native kernel), and counts the crossing at [site] on it if so.
     Installed by {!Machine}; not for client use. *)
-val set_native_source : (unit -> bool) option -> unit
+val set_glue_source : (site -> bool) option -> unit

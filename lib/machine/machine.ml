@@ -10,7 +10,8 @@ type t = {
   ram : Physmem.t;
   ncpus : int;
   clocks : int array; (* per-CPU local time, ns *)
-  busy : int array; (* per-CPU charged (non-idle) ns — utilization *)
+  ledger : int array; (* charged ns by CPU and layer: row [cpu], column [layer] *)
+  crossings : int array; (* glue crossings by site *)
   mutable cur_cpu : int; (* CPU executing (or last to execute) *)
   handlers : (unit -> unit) option array;
   affinity : int array; (* irq line -> servicing CPU *)
@@ -72,22 +73,38 @@ let native t = match !(get t kernel_slot) with Some Native -> true | Some Oskit 
 
 let current_machine : t option ref = ref None
 
+let columns = List.length Cost.layers
+
+let[@inline] column : Cost.layer -> int = function
+  | Wire -> 0 | Irq -> 1 | Driver -> 2 | Glue -> 3 | Protocol -> 4 | Socket -> 5
+  | Copy -> 6 | Checksum -> 7 | Alloc -> 8 | Fs -> 9 | App -> 10
+
+let site : Cost.site -> int = function
+  | Socket_call -> 0 | Tx_push -> 1 | Rx_push -> 2 | Device_io -> 3 | Open_close -> 4
+
 let () =
-  (* All cost charges land on whichever machine — and CPU — is executing. *)
+  (* All cost charges land on whichever machine — and CPU — is executing,
+     in the charged layer's column of that CPU's ledger row. *)
   Cost.set_sink
     (Some
-       (fun ns ->
+       (fun layer ns ->
          match !current_machine with
          | Some m ->
-             m.clocks.(m.cur_cpu) <- m.clocks.(m.cur_cpu) + ns;
-             m.busy.(m.cur_cpu) <- m.busy.(m.cur_cpu) + ns
+             let c = m.cur_cpu and i = (m.cur_cpu * columns) + column layer in
+             m.clocks.(c) <- m.clocks.(c) + ns;
+             m.ledger.(i) <- m.ledger.(i) + ns
          | None -> ()));
   Cost.set_cpu_source
     (Some
        (fun () -> match !current_machine with Some m -> m.cur_cpu | None -> 0));
   (* A native kernel crosses no glue: the one place that rule lives. *)
-  Cost.set_native_source
-    (Some (fun () -> match !current_machine with Some m -> native m | None -> false))
+  Cost.set_glue_source
+    (Some
+       (fun s ->
+         match !current_machine with
+         | Some m when native m -> false
+         | Some m -> m.crossings.(site s) <- m.crossings.(site s) + 1; true
+         | None -> true))
 
 let create ?(name = "pc") ?(ram_bytes = 8 * 1024 * 1024) ?ncpus world =
   let ncpus = match ncpus with Some n -> n | None -> Cost.config.Cost.ncpus in
@@ -100,7 +117,8 @@ let create ?(name = "pc") ?(ram_bytes = 8 * 1024 * 1024) ?ncpus world =
     ram = Physmem.create ~bytes:ram_bytes;
     ncpus;
     clocks = Array.make ncpus 0;
-    busy = Array.make ncpus 0;
+    ledger = Array.make (ncpus * columns) 0;
+    crossings = Array.make (List.length Cost.sites) 0;
     cur_cpu = 0;
     handlers = Array.make irq_lines None;
     affinity = Array.make irq_lines 0;
@@ -119,7 +137,16 @@ let ram t = t.ram
 let ncpus t = t.ncpus
 let now t = t.clocks.(t.cur_cpu)
 let cpu_now t ~cpu = t.clocks.(cpu)
-let cpu_busy_ns t ~cpu = t.busy.(cpu)
+let ledger t ?cpu layer =
+  let cell c = t.ledger.((c * columns) + column layer) in
+  match cpu with
+  | Some c -> cell c
+  | None -> List.fold_left (fun a c -> a + cell c) 0 (List.init t.ncpus Fun.id)
+
+let crossings t s = t.crossings.(site s)
+
+let cpu_busy_ns t ~cpu =
+  List.fold_left (fun a (l, _) -> a + t.ledger.((cpu * columns) + column l)) 0 Cost.layers
 
 let is_current t = match !current_machine with Some m -> m == t | None -> false
 
@@ -190,7 +217,7 @@ let rec dispatch_pending t =
     | None -> ()
     | Some irq -> (
         t.pending <- t.pending land lnot (bit irq);
-        Cost.charge_cycles Cost.config.irq_entry_cycles;
+        Cost.charge Irq Cost.config.irq_entry_cycles;
         match t.handlers.(irq) with Some f -> f () | None -> ()));
     t.in_dispatch.(c) <- false;
     dispatch_pending t

@@ -34,8 +34,16 @@ val now : t -> int
 val cpu_now : t -> cpu:int -> int
 
 (** [cpu_busy_ns t ~cpu] — total ns of work charged to that CPU (local
-    time minus idle sync-forward): the utilization numerator. *)
+    time minus idle sync-forward), the sum of its {!ledger} row: the
+    utilization numerator. *)
 val cpu_busy_ns : t -> cpu:int -> int
+
+(** [ledger t ?cpu layer] — ns charged to [layer] on [cpu], or on every
+    CPU of [t] without [~cpu]. *)
+val ledger : t -> ?cpu:int -> Cost.layer -> int
+
+(** [crossings t site] — glue crossings made at [site] on [t]. *)
+val crossings : t -> Cost.site -> int
 
 (** The CPU of [t] the caller executes on; 0 when [t] is not the executing
     machine (device models and the test harness act as CPU 0). *)
@@ -81,8 +89,8 @@ type kernel = Native | Oskit
 
 (** [bind_kernel t k] records that [t] runs a [k] kernel; the code that
     binds a stack to a NIC calls it.  A native machine has no component
-    glue, so {!Cost.charge_glue_crossing} charges nothing while it
-    executes.  Raises [Invalid_argument] if [t] already bound the other
+    glue, so {!Cost.charge_glue_crossing} charges and counts nothing
+    while it executes.  Raises [Invalid_argument] if [t] already bound the other
     kind. *)
 val bind_kernel : t -> kernel -> unit
 

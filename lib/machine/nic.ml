@@ -75,7 +75,7 @@ let transmit t frame =
     end
   in
   (* Bus-master DMA out of driver memory: cheaper than a CPU copy. *)
-  Cost.charge_cycles (Bytes.length frame);
+  Cost.charge Wire (Bytes.length frame);
   t.tx <- t.tx + 1;
   let at = Machine.now t.machine in
   match t.port with

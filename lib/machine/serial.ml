@@ -25,7 +25,7 @@ let deliver dst b =
 
 let write_byte t b =
   let b = b land 0xff in
-  Cost.charge_cycles 20;
+  Cost.charge Wire 20;
   match t.peer with
   | None -> Buffer.add_char t.out_buf (Char.chr b)
   | Some dst ->

@@ -3,7 +3,7 @@
    NetBSD code checks permissions against one), translate Fs_error into
    error_t results. *)
 let enter f =
-  Cost.charge_glue_crossing ();
+  Cost.charge_glue_crossing Device_io;
   match f () with
   | v -> Ok v
   | exception Ffs.Fs_error e -> Result.Error e
@@ -88,7 +88,7 @@ and dir_of fs (node : Ffs.inode) : Io_if.dir =
    vnode ops the kit's public interface omits); offer it as a glue-level
    extension keyed by directory stat identities, like rename. *)
 let link root ~from_dir ~from_name ~to_dir ~to_name =
-  Cost.charge_glue_crossing ();
+  Cost.charge_glue_crossing Device_io;
   match root with
   | fs -> (
       match

@@ -48,13 +48,13 @@ let spin_lock l =
        cross-CPU deadlock, not a wait. *)
     l.contentions <- l.contentions + 1;
     Cost.count_spin_contention ();
-    Cost.charge_cycles (spin_rounds * spin_round_cycles);
+    Cost.charge Socket (spin_rounds * spin_round_cycles);
     invalid_arg
       (Printf.sprintf "Smp.spin_lock: cpu%d spun out on %s held by cpu%d" me
          l.name l.holder)
   end
   else begin
-    Cost.charge_cycles acquire_cycles;
+    Cost.charge Socket acquire_cycles;
     l.holder <- me
   end
 
@@ -68,11 +68,11 @@ let spin_trylock l =
        same bus transaction the successful path pays. *)
     l.contentions <- l.contentions + 1;
     Cost.count_spin_contention ();
-    Cost.charge_cycles spin_round_cycles;
+    Cost.charge Socket spin_round_cycles;
     false
   end
   else begin
-    Cost.charge_cycles acquire_cycles;
+    Cost.charge Socket acquire_cycles;
     l.holder <- executing_cpu ();
     true
   end

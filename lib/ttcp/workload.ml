@@ -12,6 +12,20 @@ let ok = Endpoint.ok
 (* The counters so far, copied: a run's result keeps its own. *)
 let counters () = { Cost.counters with Cost.copies = Cost.counters.Cost.copies }
 
+(* A host's ledger: the ns its CPUs charged to each layer, in
+   [Cost.layers] order, and the glue crossings it made at each site, in
+   [Cost.sites] order.  [since a b] is what was charged and crossed from
+   [a] to [b]. *)
+type ledger = { busy : int array; crossings : int array }
+
+let ledger (h : Clientos.host) =
+  let m = h.Clientos.machine in
+  { busy = Array.of_list (List.map (fun (l, _) -> Machine.ledger m l) Cost.layers);
+    crossings = Array.of_list (List.map (fun (s, _) -> Machine.crossings m s) Cost.sites) }
+
+let since a b =
+  { busy = Array.map2 ( - ) b.busy a.busy; crossings = Array.map2 ( - ) b.crossings a.crossings }
+
 (* Every run ends within this much virtual time: one hour, over a hundred
    times the longest transfer any caller makes (the longfat bench's FreeBSD
    transfer of 2.5 MB over a 50 ms path losing 3% of its frames, about
@@ -64,6 +78,8 @@ type result = {
   nomem_drops : int;      (* both stacks *)
   final_rcv_buf : int;    (* the receiver's buffer at EOF (0 under OSKit) *)
   counters : Cost.counters;  (* counted from the first event of the run *)
+  tx_ledger : ledger;     (* each host's, over the same span as [counters] *)
+  rx_ledger : ledger;
   tx : Endpoint.t;
   rx : Endpoint.t;
   tx_sock : Endpoint.sock option;  (* the sender's socket, once connected *)
@@ -122,6 +138,7 @@ let ttcp ?(adapt = fun ~sender:_ ep -> ep) (tb : Clientos.testbed) w =
       c.close ();
       t_closed := clock tx);
   Cost.reset_counters ();
+  let tx0 = ledger tx.host and rx0 = ledger rx.host in
   (* A run that cannot finish stops at the time limit (or, livelocked at
      one instant, at the world's fuel limit) and reports itself not
      completed, with its endpoints, for the caller to inspect. *)
@@ -143,6 +160,8 @@ let ttcp ?(adapt = fun ~sender:_ ep -> ep) (tb : Clientos.testbed) w =
     nomem_drops = ts.nomem_drops + rs.nomem_drops;
     final_rcv_buf = !final_rcv_buf;
     counters = counters ();
+    tx_ledger = since tx0 (ledger tx.host);
+    rx_ledger = since rx0 (ledger rx.host);
     tx; rx; tx_sock = !tx_sock; testbed = tb }
 
 (* ---- rtcp: echo and timed trips ---- *)
@@ -151,13 +170,14 @@ type trips = {
   samples : int array;  (* each finished timed trip's virtual ns, in order *)
   finished : bool;      (* every trip finished within [time_limit_ns] *)
   counters : Cost.counters;
+  ledgers : ledger * ledger;  (* the client's and the server's, whole run *)
 }
 
 (* 1-byte round trips, both sides in [config]: one warm-up trip, then
    [trips] timed ones on the client's clock.  Returns each finished
    trip's virtual nanoseconds (reading the clock charges nothing, so they
    sum to the whole run's time), whether all of them finished, and the
-   run's counters. *)
+   run's counters and both hosts' ledgers, from the testbed's start. *)
 let rtcp (tb : Clientos.testbed) config ~trips =
   let client, server = Endpoint.pair tb ~a:config ~b:config in
   let samples = Array.make trips 0 and timed = ref 0 and finished = ref false in
@@ -191,4 +211,5 @@ let rtcp (tb : Clientos.testbed) config ~trips =
       finished := true;
       c.close ());
   let finished = run_limited tb ~finished:(fun () -> !finished) in
-  { samples = Array.sub samples 0 !timed; finished; counters = counters () }
+  { samples = Array.sub samples 0 !timed; finished; counters = counters ();
+    ledgers = ledger client.host, ledger server.host }

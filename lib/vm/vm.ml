@@ -118,8 +118,7 @@ let run ?(fuel = 50_000_000) t =
     if !pc < 0 || !pc >= ncode then raise (Vm_fault "pc out of range");
     incr batch;
     if !batch >= charge_batch then begin
-      if Cost.has_sink () && Machine.current () <> None then
-        Cost.charge_cycles (instr_cycles * !batch);
+      Cost.charge App (instr_cycles * !batch);
       batch := 0
     end;
     t.executed <- t.executed + 1;

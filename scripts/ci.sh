@@ -102,6 +102,11 @@
 # find no vectored second path or per-queue pop (push_v, netif_rx_v,
 # set_vectored_xmit, pop_rx_q) in lib, bench, test, bin or examples, and
 # `let rec rx_drain` defined in no more than one file under lib.
+# Every charged cycle names its layer (Cost.charge), and a CPU's busy
+# time is the sum of its ledger row.  So a grep must find no untagged
+# charge (charge_cycles, or charge_ns outside lib/machine/cost.ml), no
+# has_sink guard and no knob-zeroing debug_costs tool in lib, bench,
+# test, bin or examples.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -216,6 +221,11 @@ fi
 if grep -rnE 'push_v|netif_rx_v|set_vectored_xmit|pop_rx_q' lib bench test bin examples \
   || [ "$(grep -rl 'let rec rx_drain' lib | wc -l)" -gt 1 ]; then
   echo "a second frame path grew back beside the one push, upcall, driver entry and drain loop" >&2
+  exit 1
+fi
+if grep -rnE 'charge_cycles|has_sink|debug_costs' lib bench test bin examples \
+  || grep -rn 'charge_ns' lib bench test bin examples | grep -v '^lib/machine/cost\.ml:'; then
+  echo "a charge without a layer, or the knob-zeroing tool, grew back" >&2
   exit 1
 fi
 dune runtest

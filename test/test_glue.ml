@@ -217,7 +217,7 @@ let receive config ~batch ~frames =
   let c = Cost.counters in
   let c0 = c.Cost.glue_crossings and p0 = c.Cost.rx_polls and f0 = c.Cost.rx_batched_frames in
   let r0 = Nic.rx_count nic in
-  Machine.run_in host.Clientos.machine (fun () -> Cost.charge_cycles (Cost.config.Cost.cpu_hz / 1000));
+  Machine.run_in host.Clientos.machine (fun () -> Cost.charge Cost.App (Cost.config.Cost.cpu_hz / 1000));
   Machine.run_in peer.Clientos.machine (fun () ->
       for _ = 1 to frames do
         let f = Bytes.make 60 '\000' in

@@ -156,7 +156,7 @@ let test_m_prepend_validates_first () =
   (* Restore the machine-attribution sink afterwards — leaving it [None]
      would silently stop clock charging for every later suite. *)
   let saved = Cost.get_sink () in
-  Cost.set_sink (Some (fun ns -> charged := !charged + ns));
+  Cost.set_sink (Some (fun _ ns -> charged := !charged + ns));
   let raised =
     try
       ignore (Mbuf.m_prepend m 5000);

@@ -152,10 +152,36 @@ let test_cost_charging () =
   let m = Machine.create ~name:"cost-pc" w in
   Machine.run_in m (fun () ->
       let t0 = Machine.now m in
-      Cost.charge_cycles 200 (* 200 cycles @ 200MHz = 1000 ns *);
+      Cost.charge Cost.Protocol 200 (* 200 cycles @ 200MHz = 1000 ns *);
       Alcotest.(check int) "cycles to ns" (t0 + 1000) (Machine.now m));
   (* Outside a machine, charges are dropped (user-mode use). *)
-  Cost.charge_cycles 1
+  Cost.charge Cost.Protocol 1
+
+(* Each layer's charge lands in its own ledger column on the executing
+   CPU, a charge outside any machine lands nowhere, a CPU's row sums to
+   its busy time, and two machines' CPU 0 rows are kept apart. *)
+let test_cost_ledger () =
+  let w = World.create () in
+  let a = Machine.create ~name:"pc" ~ncpus:2 w and b = Machine.create ~name:"pc" ~ncpus:2 w in
+  List.iteri
+    (fun i (layer, _) -> Machine.run_on a ~cpu:1 (fun () -> Cost.charge layer (i + 1)))
+    Cost.layers;
+  Machine.run_in a (fun () -> Cost.charge Cost.Glue 2);
+  Machine.run_in b (fun () -> Cost.charge Cost.Glue 7);
+  Cost.charge Cost.Copy 1000;
+  List.iteri
+    (fun i (layer, name) ->
+      Alcotest.(check int) (name ^ " on cpu 1") ((i + 1) * 5) (Machine.ledger a ~cpu:1 layer);
+      let glue n = if layer = Cost.Glue then n else 0 in
+      Alcotest.(check int) (name ^ " on cpu 0") (glue 10) (Machine.ledger a ~cpu:0 layer);
+      Alcotest.(check int) (name ^ " on both cpus") (((i + 1) * 5) + glue 10)
+        (Machine.ledger a layer);
+      Alcotest.(check int) (name ^ " on the other machine") (glue 35) (Machine.ledger b layer))
+    Cost.layers;
+  Alcotest.(check int) "cpu 1 row sums to its busy time" 330 (Machine.cpu_busy_ns a ~cpu:1);
+  Alcotest.(check int) "cpu 0 row sums to its busy time" 10 (Machine.cpu_busy_ns a ~cpu:0);
+  Alcotest.(check int) "the other machine's cpu 0 row" 35 (Machine.cpu_busy_ns b ~cpu:0);
+  Alcotest.(check int) "its cpu 1 row" 0 (Machine.cpu_busy_ns b ~cpu:1)
 
 let test_cost_counters () =
   let w = World.create () in
@@ -164,10 +190,17 @@ let test_cost_counters () =
   Machine.run_in m (fun () ->
       Cost.charge_copy 100;
       Cost.charge_copy 50;
-      Cost.charge_glue_crossing ());
+      Cost.charge_glue_crossing Cost.Rx_push);
   Alcotest.(check int) "copies" 2 Cost.counters.Cost.copies;
   Alcotest.(check int) "bytes" 150 Cost.counters.Cost.copied_bytes;
   Alcotest.(check int) "crossings" 1 Cost.counters.Cost.glue_crossings;
+  Alcotest.(check int) "copy column" (150 * 4 * 5) (Machine.ledger m Cost.Copy);
+  Alcotest.(check int) "glue column" (1500 * 5) (Machine.ledger m Cost.Glue);
+  List.iter
+    (fun (site, name) ->
+      Alcotest.(check int) ("crossings at " ^ name) (if site = Cost.Rx_push then 1 else 0)
+        (Machine.crossings m site))
+    Cost.sites;
   Cost.reset_counters ()
 
 let test_physmem () =
@@ -620,6 +653,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_world_model;
     Alcotest.test_case "cost charging" `Quick test_cost_charging;
     Alcotest.test_case "cost counters" `Quick test_cost_counters;
+    Alcotest.test_case "cost ledger by layer and CPU" `Quick test_cost_ledger;
     Alcotest.test_case "with_config restores" `Quick test_with_config_restores;
     Alcotest.test_case "with_config nests" `Quick test_with_config_nests;
     Alcotest.test_case "paper profile" `Quick test_paper_is_reset_config;

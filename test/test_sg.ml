@@ -154,7 +154,7 @@ let test_cksum_chain_odd_boundaries () =
 let charged f =
   let charges = ref 0 and saved = Cost.get_sink () in
   Cost.reset_counters ();
-  Cost.set_sink (Some (fun _ -> incr charges));
+  Cost.set_sink (Some (fun _ _ -> incr charges));
   let r =
     Fun.protect ~finally:(fun () -> Cost.set_sink saved) (fun () ->
         try Ok (f ()) with e -> Error e)
