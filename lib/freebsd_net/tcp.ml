@@ -13,7 +13,9 @@
  * on (default off, so the measured Table 2 shape is untouched) a segment
  * that fastpath_pred admits pays tcp_fastpath_cycles instead of the full
  * per-segment cost, and every segment runs the one input path below.
- * Connections are kept, found and admitted by lib/inet's connection table.
+ * Connections are kept, found and admitted by lib/inet's connection table;
+ * one entering TIME_WAIT becomes the table's compact record, which
+ * [time_wait_input] answers and the slow tick expires.
  *)
 
 let max_win = 65535
@@ -119,9 +121,10 @@ type tcpcb = {
   rcv_buf : Sockbuf.t;
   mutable rcv_fin : bool;
   mutable reass : (int * Mbuf.mbuf) list;
-  (* The four timers, indexed by tw_rexmt/tw_persist/tw_2msl/tw_delack:
-     an entry on the stack's slow (or, for the delayed ACK, fast) tick
-     wheel while armed, None while disarmed. *)
+  (* The three timers, indexed by tw_rexmt/tw_persist/tw_delack: an
+     entry on the stack's slow (or, for the delayed ACK, fast) tick wheel
+     while armed, None while disarmed.  The 2xMSL wait is the TIME_WAIT
+     record's. *)
   tw_ents : Timewheel.entry option array;
   (* RTT machinery, BSD fixed point *)
   mutable t_rtt : int; (* slow tick of the timed send; -1 = none timed *)
@@ -155,11 +158,11 @@ and t = {
   mutable fast_ticking : bool;  (* the 200 ms fast loop is scheduled *)
   (* The donor's two timer rates as tick-indexed wheels: one tick per
      loop event, so "n ticks ahead" is the n-th event of that loop.
-     [slow_wheel] holds rexmt, persist and 2MSL; [fast_wheel] the
-     delayed ACKs. *)
+     [slow_wheel] holds rexmt and persist, and its ticks time the
+     TIME_WAIT records' 2MSL; [fast_wheel] the delayed ACKs. *)
   slow_wheel : Timewheel.t;
   fast_wheel : Timewheel.t;
-  mutable due : (tcpcb * int) list;  (* fired by the running tick *)
+  mutable due : due list;  (* fired by the running tick *)
   syncache : Syncache.t;
   err_bucket : Token_bucket.t;
   (* [stats] is the aggregation view netstat and every existing test read;
@@ -168,6 +171,10 @@ and t = {
   stats : stats;
   stats_shards : stats array;
 }
+
+(* What a tick fires: a connection's timer, or a TIME_WAIT record's
+   expiry. *)
+and due = Slot of tcpcb * int | Expiry of Conn_table.tw
 
 let default_sb_size = 48 * 1024
 
@@ -183,7 +190,7 @@ let create_pcb t =
     snd_buf = Sockbuf.create ~hiwat:default_sb_size; snd_fin_pending = false;
     fin_sent = false; t_nopush = false; irs = 0; rcv_nxt = 0; rcv_adv = 0;
     rcv_buf = Sockbuf.create ~hiwat:default_sb_size; rcv_fin = false; reass = [];
-    tw_ents = Array.make 4 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
+    tw_ents = Array.make 3 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
     t_dupacks = 0; rxclump = Autotune.clump (); syn_cache = Syncache.listener ();
     conn = Conn_table.entry (); on_readable = (fun () -> ()); on_writable = (fun () -> ());
@@ -218,8 +225,7 @@ let bump t f =
 let tw_rexmt = 0
 
 let tw_persist = 1
-let tw_2msl = 2
-let tw_delack = 3
+let tw_delack = 2
 let armed pcb slot = pcb.tw_ents.(slot) <> None
 
 let tw_cancel pcb slot =
@@ -238,7 +244,7 @@ let tw_arm t pcb slot n =
   let e =
     Timewheel.arm w ~ticks:n (fun () ->
         pcb.tw_ents.(slot) <- None;
-        t.due <- (pcb, slot) :: t.due)
+        t.due <- Slot (pcb, slot) :: t.due)
   in
   pcb.tw_ents.(slot) <- Some e
 
@@ -247,7 +253,6 @@ let tw_arm t pcb slot n =
 let set_timer t pcb slot n = if n <= 0 then tw_cancel pcb slot else tw_arm t pcb slot n
 let set_rexmt t pcb n = set_timer t pcb tw_rexmt n
 let set_persist t pcb n = set_timer t pcb tw_persist n
-let set_2msl t pcb n = set_timer t pcb tw_2msl n
 
 (* A delayed ACK goes out on the next fast tick; asking again while one
    is pending keeps that tick. *)
@@ -256,10 +261,13 @@ let set_delack t pcb on =
   if not on then tw_cancel pcb tw_delack
   else if not (armed pcb tw_delack) then tw_arm t pcb tw_delack 1
 
-let detach t pcb =
+let cancel_timers pcb =
   for slot = tw_rexmt to tw_delack do
     tw_cancel pcb slot
-  done;
+  done
+
+let detach t pcb =
+  cancel_timers pcb;
   (* A dying connection retires its socket buffers, so their clusters go
      back to the pool and loaned ext mbufs run the on-free callbacks that
      unpin buffer-cache blocks: an abort (peer RST, rexmt give-up) is the
@@ -278,20 +286,20 @@ let pcb_list t = Conn_table.to_list t.conns
 (* ------------------------------------------------------------------ *)
 (* overload policy (lib/inet)                                          *)
 
-(* Close a TIME_WAIT pcb early: the tw_max cap's victims, and memory
-   pressure. *)
-let retire_time_wait t pcb =
-  if pcb.t_state = Time_wait then begin
-    pcb.t_state <- Closed;
-    bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
-    detach t pcb;
-    pcb.on_state ()
-  end
+(* A TIME_WAIT record leaves before its 2MSL is up, its wait cancelled:
+   a reset, the tw_max cap, or memory pressure. *)
+let end_time_wait t r =
+  Cost.count_wheel_cancel ();
+  Conn_table.release t.conns r
+
+let retire_time_wait t r =
+  bump t (fun s -> s.time_wait_reclaimed <- s.time_wait_reclaimed + 1);
+  end_time_wait t r
 
 (* Memory pressure: give back the coldest protocol state first — every
-   TIME_WAIT pcb (losing the 2xMSL guard under overload is the documented
-   BSD tradeoff) and every cached half-open handshake (the cookie can
-   still complete those statelessly). *)
+   TIME_WAIT record (losing the 2xMSL guard under overload is the
+   documented BSD tradeoff) and every cached half-open handshake (the
+   cookie can still complete those statelessly). *)
 let tcp_reclaim t =
   Conn_table.reclaim t.conns ~retire:(retire_time_wait t) (fun l ->
       Syncache.drop_all t.syncache l.syn_cache)
@@ -381,11 +389,15 @@ and emit_segment_nomem t pcb ~seq ~ack ~flags ~win ~payload ~mss_opt ~wscale =
     if flags land th_syn <> 0 then min win max_win
     else min (win asr pcb.rcv_scale) max_win
   in
-  write_header m ~src:pcb.laddr ~dst:pcb.raddr ~sport:pcb.lport ~dport:pcb.rport ~seq ~ack
-    ~flags ~win ~mss ~wscale;
+  output_segment t m ~src:pcb.laddr ~dst:pcb.raddr ~sport:pcb.lport ~dport:pcb.rport ~seq
+    ~ack ~flags ~win ~mss ~wscale
+
+(* Write the header into [m], charge and count the segment, and send it. *)
+and output_segment t m ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win ~mss ~wscale =
+  write_header m ~src ~dst ~sport ~dport ~seq ~ack ~flags ~win ~mss ~wscale;
   Cost.charge Protocol Cost.config.bsd_tcp_pkt_cycles;
   bump t (fun s -> s.sndpack <- s.sndpack + 1);
-  Ip.output t.ip ~proto:Ip.proto_tcp ~src:pcb.laddr ~dst:pcb.raddr m
+  Ip.output t.ip ~proto:Ip.proto_tcp ~src ~dst m
 
 and send_rst t ~src ~dst ~sport ~dport ~seq ~ack ~had_ack =
   let flags, seq, ack = if had_ack then th_rst, ack, 0 else th_rst lor th_ack, 0, seq in
@@ -572,40 +584,46 @@ and persist_timeout t pcb =
      tcp_reclaim t);
   set_persist t pcb (min 128 (max 2 (pcb.t_rxtcur * 2)))
 
-(* One loop event: advance [wheel] one tick, then fire what came due in
+(* One loop event: advance [wheel] one tick — a slow tick also expires
+   the TIME_WAIT records whose 2MSL it ends — then fire what came due in
    the order the donor's walk of the pcb list visits it.  The walk goes
    one home CPU at a time, ascending (one group at one CPU), with each
    CPU's fires charged to that CPU's clock brought up to the tick's time;
-   within a CPU it follows the list, newest pcb first, and within a pcb it
-   tests rexmt, persist, then 2MSL.  Every due entry leaves the wheel
-   before the first fires, as the walk ages all of a pcb's counters before
-   firing any. *)
+   within a CPU it follows the list, newest connection first, and within
+   a pcb it tests rexmt, persist, then delack.  Every due entry leaves the
+   wheel before the first fires, as the walk ages all of a pcb's counters
+   before firing any. *)
 and tick t wheel =
   ignore (Timewheel.advance wheel ~now:(Timewheel.now wheel + 1));
-  let home p = p.conn.Conn_table.home and serial p = p.conn.Conn_table.serial in
+  if wheel == t.slow_wheel then
+    Conn_table.expire t.conns ~now:(Timewheel.now wheel) (fun r ->
+        Cost.count_wheel_fire ();
+        t.due <- Expiry r :: t.due);
+  let home = function Slot (p, _) -> p.conn.Conn_table.home | Expiry r -> r.Tw_queue.tw_home
+  and serial = function
+    | Slot (p, _) -> p.conn.Conn_table.serial
+    | Expiry r -> r.Tw_queue.tw_serial
+  and slot = function Slot (_, i) -> i | Expiry _ -> 0 in
   let due =
-    List.sort (fun (p, i) (q, j) -> compare (home p, serial q, i) (home q, serial p, j)) t.due
+    List.sort (fun d e -> compare (home d, serial e, slot d) (home e, serial d, slot e)) t.due
   in
   t.due <- [];
   let rec on_home_cpus = function
     | [] -> ()
-    | (p, _) :: _ as due ->
-        let mine, rest = List.partition (fun (q, _) -> home q = home p) due in
-        Machine.run_on t.machine ~cpu:(home p) (fun () -> List.iter (fire t) mine);
+    | d :: _ as due ->
+        let mine, rest = List.partition (fun e -> home e = home d) due in
+        Machine.run_on t.machine ~cpu:(home d) (fun () -> List.iter (fire t) mine);
         on_home_cpus rest
   in
   on_home_cpus due
 
-and fire t (pcb, slot) =
+and fire t = function
+  | Expiry r -> Conn_table.release t.conns r
+  | Slot (pcb, slot) -> fire_slot t pcb slot
+
+and fire_slot t pcb slot =
   if slot = tw_rexmt then rexmt_timeout t pcb
   else if slot = tw_persist then (if pcb.t_state <> Closed then persist_timeout t pcb)
-  else if slot = tw_2msl then begin
-    if pcb.t_state = Time_wait then begin
-      pcb.t_state <- Closed;
-      detach t pcb;
-      pcb.on_state ()
-    end
-  end
   else if pcb.delack_pending then begin
     pcb.delack_pending <- false;
     pcb.ack_now <- true;
@@ -671,10 +689,22 @@ let rec reass_deliver pcb =
 (* ------------------------------------------------------------------ *)
 (* tcp_input                                                           *)
 
+(* The connection's part in TIME_WAIT passes to a compact record in the
+   table, timed by the slow ticks (the 2MSL wait still counts as a timer
+   armed, fired or cancelled).  Its timers stop and its send buffer, all
+   acknowledged, is retired; a socket the user still holds keeps the pcb,
+   reading TIME_WAIT, and what it has yet to read. *)
 let enter_time_wait t pcb =
   pcb.t_state <- Time_wait;
-  set_2msl t pcb (2 * msl_ticks);
-  Conn_table.time_wait t.conns pcb ~retire:(retire_time_wait t)
+  let win = rcv_window pcb in
+  cancel_timers pcb;
+  Sockbuf.sbdrop pcb.snd_buf pcb.snd_buf.Sockbuf.sb_cc;
+  Cost.count_wheel_arm ();
+  ignore
+    (Conn_table.time_wait t.conns pcb ~laddr:pcb.laddr ~snd_nxt:pcb.snd_nxt
+       ~rcv_nxt:pcb.rcv_nxt ~win ~scale:pcb.rcv_scale
+       ~expires:(Timewheel.now t.slow_wheel + (2 * msl_ticks))
+       ~retire:(retire_time_wait t))
 
 (* Cache (or, for a retransmitted SYN, re-answer) a half-open handshake
    without creating a child pcb.  A SYN with no MSS option gets the
@@ -866,9 +896,9 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
         end
       end);
       false
-  | Syn_received | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack
-  | Time_wait ->
+  | Syn_received | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
       common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen
+  | Time_wait -> false
 
 (* Returns true when [data] was stored (receive buffer / reassembly queue). *)
 and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
@@ -975,7 +1005,7 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
               end
           | Closing ->
               if fin_acked then begin
-                enter_time_wait t pcb;
+                pcb.t_state <- Time_wait;
                 pcb.on_state ()
               end
           | Last_ack ->
@@ -1048,14 +1078,15 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
               pcb.t_state <- Closing;
               pcb.on_state ()
           | Fin_wait_2 ->
-              enter_time_wait t pcb;
+              pcb.t_state <- Time_wait;
               pcb.on_state ()
-          | Time_wait -> set_2msl t pcb (2 * msl_ticks)
-          | Close_wait | Closing | Last_ack | Closed | Listen | Syn_sent -> ()
+          | Close_wait | Closing | Last_ack | Time_wait | Closed | Listen | Syn_sent -> ()
         end
         else pcb.ack_now <- true
       end;
-      if pcb.ack_now || pcb.t_state <> Closed then tcp_output t pcb
+      if pcb.ack_now || pcb.t_state <> Closed then tcp_output t pcb;
+      (* This segment took the connection into TIME_WAIT. *)
+      if pcb.t_state = Time_wait then enter_time_wait t pcb
     end
   end);
   !stored
@@ -1102,6 +1133,77 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         ensure_timers t;
         segment_arrives t conn ~src ~sport ~seq ~ack ~flags ~win ~mss:None ~wscale:None ~data
       end
+
+(* ------------------------------------------------------------------ *)
+(* TIME_WAIT                                                           *)
+
+(* The ACK a TIME_WAIT record sends, as tcp_output sends it for a pcb in
+   TIME_WAIT: everything sent and acknowledged, nothing to add. *)
+let time_wait_ack t r =
+  let open Tw_queue in
+  try
+    output_segment t (header_mbuf Codec.tcp_hlen) ~src:r.tw_laddr ~dst:r.tw_raddr
+      ~sport:r.tw_lport ~dport:r.tw_rport ~seq:r.tw_snd_nxt ~ack:r.tw_rcv_nxt ~flags:th_ack
+      ~win:(min (r.tw_win asr r.tw_scale) max_win) ~mss:None ~wscale:None
+  with Memfault.Nomem ->
+    bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
+    tcp_reclaim t
+
+(* A segment for a TIME_WAIT record: what [common_input] does for a pcb
+   in TIME_WAIT, whose stream is complete both ways.  An RST inside the
+   window resets it; otherwise data is trimmed to the window and counted
+   as [common_input] counts it, and an ACK goes back for duplicate data,
+   a FIN at [rcv_nxt], an acknowledgment of something never sent, or
+   data past the peer's FIN, which the record has no buffer for and so
+   does not take.  A segment without ACK is answered by nothing. *)
+let time_wait_input t r ~seq ~ack ~flags ~dlen =
+  let open Tw_queue in
+  let rcv_nxt = r.tw_rcv_nxt and wnd = r.tw_win in
+  if flags land th_rst <> 0 then begin
+    if Codec.seq_geq seq rcv_nxt && Codec.seq_lt seq (Codec.m32 (rcv_nxt + max 1 wnd)) then begin
+      bump t (fun s -> s.drops <- s.drops + 1);
+      end_time_wait t r
+    end
+  end
+  else begin
+    let ack_now = ref false and fin = ref (flags land th_fin <> 0) in
+    let todrop = Codec.seq_diff rcv_nxt seq in
+    let seq, dlen =
+      if todrop <= 0 then seq, dlen
+      else if todrop >= dlen then begin
+        if dlen > 0 then begin
+          bump t (fun s -> s.rcvdup <- s.rcvdup + 1);
+          ack_now := true
+        end;
+        (* a retransmitted FIN, already consumed *)
+        if todrop > dlen then fin := false;
+        Codec.m32 (seq + dlen), 0
+      end
+      else rcv_nxt, dlen - todrop
+    in
+    let past = Codec.seq_diff (Codec.m32 (seq + dlen)) (Codec.m32 (rcv_nxt + wnd)) in
+    let dlen =
+      if past > 0 && dlen > 0 then begin
+        bump t (fun s -> s.rcvafterwin <- s.rcvafterwin + 1);
+        fin := false;
+        if past >= dlen then begin
+          ack_now := true;
+          0
+        end
+        else dlen - past
+      end
+      else dlen
+    in
+    if flags land th_ack <> 0 then begin
+      if Codec.seq_gt ack r.tw_snd_nxt then ack_now := true;
+      if dlen > 0 then begin
+        if seq <> rcv_nxt then bump t (fun s -> s.rcvoo <- s.rcvoo + 1);
+        ack_now := true
+      end
+      else if !fin && seq = rcv_nxt then ack_now := true;
+      if !ack_now then Netif.with_burst t.ip.Ip.ifp time_wait_ack t r
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* header prediction (Cost.config.tcp_fastpath)                        *)
@@ -1188,7 +1290,11 @@ and input_segment t ~src ~dst m =
                   ~had_ack:(flags land th_ack <> 0)
               end;
               Mbuf.m_freem m
-          | Some pcb ->
+          | Some (Conn_table.Tw r) ->
+              slowpath ();
+              time_wait_input t r ~seq ~ack ~flags ~dlen:(Mbuf.m_length m);
+              Mbuf.m_freem m
+          | Some (Conn_table.Live pcb) ->
               let dlen = Mbuf.m_length m in
               (* Past the handshake the 16-bit window field arrives shifted by
                  the peer's negotiated scale; SYN windows are never scaled. *)

@@ -35,7 +35,7 @@ type t = {
 let hash_add t p =
   if p.lport <> 0 then Demux.add t.demux ~raddr:p.raddr ~rport:p.rport ~lport:p.lport p
 
-let hash_remove t p = Demux.remove t.demux ~raddr:p.raddr ~rport:p.rport ~lport:p.lport p
+let hash_remove t p = Demux.remove t.demux ~raddr:p.raddr ~rport:p.rport ~lport:p.lport ~same:(( == ) p)
 
 let icmp_allowed t =
   Token_bucket.allow t.icmp_bucket

@@ -1,11 +1,13 @@
 (* The connection set of a TCP stack, shared by BSD TCP and Linux TCP:
    which connections exist, which one a segment belongs to, which listener
    takes a SYN, when a listen backlog is full, and the local ports and
-   TIME_WAIT slots they hold — rules both donors share.  Each stack keeps
+   TIME_WAIT records they hold — rules both donors share.  Each stack keeps
    its connection record, buffers, segment building and timers.  A
    connection joins at listen, at connect or as a SYN's child, and leaves
-   at [detach]; every operation is O(1) in the number of connections,
-   but for a listener's embryonic children, a list within its backlog. *)
+   at [detach], or at [time_wait], where a compact record (Tw_queue.tw)
+   takes its place until [release]; every operation is O(1) in the number
+   of connections, but for a listener's embryonic children, a list within
+   its backlog. *)
 
 (* A listener's backlog: children that finished the handshake and wait
    for accept, oldest first, and the children a SYN made, newest first;
@@ -23,18 +25,23 @@ type 'a entry = {
   mutable home : int; (* RSS home CPU; listeners stay on CPU 0 *)
   mutable listen : 'a listen option; (* Some while a listener *)
   mutable parent : 'a option; (* the listener a passive child came from *)
-  mutable tw : 'a Tw_queue.entry option;
 }
+
+type tw = Tw_queue.tw
+
+(* What a 4-tuple demuxes to: a connection, or the TIME_WAIT record that
+   took its place. *)
+type 'a conn = Live of 'a | Tw of tw
 
 type 'a t = {
   machine : Machine.t;
   entry : 'a -> 'a entry;
   embryonic : 'a -> bool; (* in SYN_RCVD *)
   all : 'a Dlist.t; (* newest first; only the tests' accessor walks it *)
-  demux : 'a Demux.t; (* connected ones, by 4-tuple *)
+  demux : 'a conn Demux.t; (* connected ones and TIME_WAIT records, by 4-tuple *)
   by_port : (int, 'a list) Hashtbl.t; (* listeners by local port, newest first *)
   ports : Port_alloc.t;
-  tw : 'a Tw_queue.t;
+  tw : Tw_queue.t;
   (* The accept queue is the one structure two CPUs touch: a child parks
      on its RSS home CPU, the application accepts on the listener's. *)
   accept_lock : Smp.spinlock;
@@ -48,13 +55,16 @@ let create machine ~entry ~embryonic =
 
 let entry () =
   { node = None; serial = 0; lport = 0; raddr = 0l; rport = 0; home = 0; listen = None;
-    parent = None; tw = None }
+    parent = None }
 
 let registered t x = (t.entry x).node <> None
-let is_empty t = Dlist.is_empty t.all
+let is_empty t = Dlist.is_empty t.all && t.tw.Tw_queue.live = 0
 
 (* Every registered connection, newest first, for the tests' scans. *)
 let to_list t = Dlist.to_list t.all
+
+let is_live x = function Live y -> y == x | Tw _ -> false
+let is_tw r = function Tw s -> s == r | Live _ -> false
 
 let register t x e ~lport =
   if e.node = None then begin
@@ -68,12 +78,13 @@ let register t x e ~lport =
 let listener t ~lport =
   match Hashtbl.find_opt t.by_port lport with Some (l :: _) -> Some l | _ -> None
 
-(* The newest connection on the 4-tuple, else the newest listener on the
-   port. *)
+(* The newest connection or TIME_WAIT record on the 4-tuple, else the
+   newest listener on the port. *)
 let find t ~raddr ~rport ~lport =
   match Demux.lookup t.demux ~raddr ~rport ~lport with
-  | Some x as hit when Option.is_none (t.entry x).listen -> hit
-  | _ -> listener t ~lport
+  | Some (Live x) as hit when Option.is_none (t.entry x).listen -> hit
+  | Some (Tw _) as hit -> hit
+  | _ -> Option.map (fun l -> Live l) (listener t ~lport)
 
 (* An active open or a passive child.  Its home CPU is the one the NIC
    steers its 4-tuple to, so its input, timers and output meet there. *)
@@ -82,7 +93,7 @@ let connect t x ~laddr ~lport ~raddr ~rport =
   register t x e ~lport;
   e.raddr <- raddr;
   e.rport <- rport;
-  Demux.add t.demux ~raddr ~rport ~lport x;
+  Demux.add t.demux ~raddr ~rport ~lport (Live x);
   e.home <-
     Rss.cpu_of_flow ~ncpus:(Machine.ncpus t.machine) ~proto:6 ~addr_a:laddr ~port_a:lport
       ~addr_b:raddr ~port_b:rport
@@ -122,9 +133,7 @@ let detach t x =
         | [] -> Hashtbl.remove t.by_port e.lport
         | ls -> Hashtbl.replace t.by_port e.lport ls
       end;
-      (match e.tw with Some w -> Tw_queue.remove t.tw w | None -> ());
-      e.tw <- None;
-      Demux.remove t.demux ~raddr:e.raddr ~rport:e.rport ~lport:e.lport x
+      Demux.remove t.demux ~raddr:e.raddr ~rport:e.rport ~lport:e.lport ~same:(is_live x)
 
 let ephemeral t = Port_alloc.alloc t.ports
 
@@ -183,10 +192,37 @@ let orphans t x =
       l.embryos <- [];
       parked @ embryos
 
-(* With Cost.config.tw_max set, the oldest are retired at once. *)
-let time_wait t x ~retire = (t.entry x).tw <- Some (Tw_queue.add t.tw x ~retire)
+(* The connection enters TIME_WAIT: a record of what the wait needs
+   takes its place in the demux, keeping its local port, and it leaves
+   the table.  With Cost.config.tw_max set, the oldest records are retired
+   at once. *)
+let time_wait t x ~laddr ~snd_nxt ~rcv_nxt ~win ~scale ~expires ~retire =
+  let e = t.entry x in
+  (match e.node with
+  | Some n -> Dlist.remove n
+  | None -> invalid_arg "Conn_table.time_wait: not a registered connection");
+  e.node <- None;
+  let r =
+    { Tw_queue.tw_laddr = laddr; tw_lport = e.lport; tw_raddr = e.raddr; tw_rport = e.rport;
+      tw_home = e.home; tw_serial = e.serial; tw_snd_nxt = snd_nxt; tw_rcv_nxt = rcv_nxt;
+      tw_win = win; tw_scale = scale; tw_expires = expires; tw_queued = true }
+  in
+  Demux.replace t.demux ~raddr:e.raddr ~rport:e.rport ~lport:e.lport ~same:(is_live x) (Tw r);
+  Tw_queue.add t.tw r ~retire;
+  r
 
-(* Memory pressure: retire every TIME_WAIT connection, oldest first, then
+(* The record leaves TIME_WAIT (expiry, a reset, or early retirement),
+   and with it the table. *)
+let release t r =
+  Tw_queue.remove t.tw r;
+  Port_alloc.release t.ports r.Tw_queue.tw_lport;
+  Demux.remove t.demux ~raddr:r.Tw_queue.tw_raddr ~rport:r.Tw_queue.tw_rport
+    ~lport:r.Tw_queue.tw_lport ~same:(is_tw r)
+
+(* [f] expires each record due by [now], oldest first. *)
+let expire t ~now f = Tw_queue.expire t.tw ~now f
+
+(* Memory pressure: retire every TIME_WAIT record, oldest first, then
    let [f] shed each listener's cold state. *)
 let reclaim t ~retire f =
   Tw_queue.reclaim t.tw ~retire;

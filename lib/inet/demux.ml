@@ -27,18 +27,30 @@ let add d ~raddr ~rport ~lport x =
   Hashtbl.add d.tbl (raddr, rport, lport) x;
   if last_is d ~raddr ~rport ~lport then d.last <- None
 
-(* Unbinding the newest uncovers the next newest, again as in that walk. *)
-let remove d ~raddr ~rport ~lport x =
+(* Rebind the key's bindings, newest first, after [f] maps each: [f]
+   returns [None] to drop one. *)
+let rebind d k ys f =
+  List.iter (fun _ -> Hashtbl.remove d.tbl k) ys;
+  List.iter (fun y -> Option.iter (Hashtbl.add d.tbl k) (f y)) (List.rev ys)
+
+(* Unbinding the newest uncovers the next newest, again as in that walk.
+   [same] picks the binding to drop. *)
+let remove d ~raddr ~rport ~lport ~same =
   let k = (raddr, rport, lport) in
   (match Hashtbl.find_all d.tbl k with
   | [] -> ()
-  | [ y ] -> if y == x then Hashtbl.remove d.tbl k
-  | ys ->
-      if List.memq x ys then begin
-        List.iter (fun _ -> Hashtbl.remove d.tbl k) ys;
-        List.iter (fun y -> if y != x then Hashtbl.add d.tbl k y) (List.rev ys)
-      end);
-  match d.last with Some y when y == x -> d.last <- None | _ -> ()
+  | [ y ] -> if same y then Hashtbl.remove d.tbl k
+  | ys -> if List.exists same ys then rebind d k ys (fun y -> if same y then None else Some y));
+  match d.last with Some y when same y -> d.last <- None | _ -> ()
+
+(* The binding [same] picks becomes [x], in its place among the key's
+   bindings and in the cache. *)
+let replace d ~raddr ~rport ~lport ~same x =
+  let k = (raddr, rport, lport) in
+  (match Hashtbl.find_all d.tbl k with
+  | y :: _ when same y -> Hashtbl.replace d.tbl k x
+  | ys -> rebind d k ys (fun y -> Some (if same y then x else y)));
+  match d.last with Some y when same y -> d.last <- Some x | _ -> ()
 
 (* TCP: the last-entry cache, then the hash. *)
 let lookup d ~raddr ~rport ~lport =

@@ -127,6 +127,9 @@ and stack = {
   mutable time_wait_reclaimed : int;
   mutable nomem_drops : int;    (* segments/frames dropped for want of an skb *)
   mutable rst_ratelimited : int;
+  (* TIME_WAIT records whose sock's FIN crossed the peer's and is not yet
+     acknowledged: that sock still retransmits it, and takes the ACKs. *)
+  mutable crossed : (Conn_table.tw * sock) list;
 }
 
 let dev_of t = match t.dev with Some d -> d | None -> Error.fail Error.Nodev
@@ -165,7 +168,7 @@ let create machine =
         rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
         preddat = 0; predfallback = 0; syncache = Syncache.create ~secret:0x327b23c6;
         err_bucket = Token_bucket.create machine; time_wait_reclaimed = 0; nomem_drops = 0;
-        rst_ratelimited = 0 }
+        rst_ratelimited = 0; crossed = [] }
   in
   Lazy.force t
 
@@ -277,28 +280,46 @@ let set_nonblock s v = s.nb <- v
 
 (* ---- overload policy (lib/inet) ---- *)
 
-(* Retire one TIME_WAIT sock early (the tw_max cap, memory pressure); its
-   pending 2xMSL callback is a no-op once the state moved off Time_wait. *)
-let lx_close_tw t s =
-  if s.state = Time_wait then begin
-    s.state <- Closed;
-    t.time_wait_reclaimed <- t.time_wait_reclaimed + 1;
-    Conn_table.detach t.conns s;
-    wake s
-  end
+let crossed_sock t r = match t.crossed with [] -> None | l -> List.assq_opt r l
+let uncross t r = t.crossed <- List.filter (fun (x, _) -> x != r) t.crossed
 
+(* The record leaves the table; a crossed sock closes with it, as the
+   sock in TIME_WAIT itself closed, woken when [wake] is set. *)
+let release_tw t r ~wake:w =
+  Conn_table.release t.conns r;
+  Option.iter
+    (fun s ->
+      uncross t r;
+      s.state <- Closed;
+      if w then wake s)
+    (crossed_sock t r)
+
+(* Retire one TIME_WAIT record early (the tw_max cap, memory pressure);
+   its pending 2xMSL callback is a no-op once it left the queue. *)
+let lx_close_tw t r =
+  t.time_wait_reclaimed <- t.time_wait_reclaimed + 1;
+  release_tw t r ~wake:true
+
+(* The connection's part in TIME_WAIT passes to a compact record in the
+   table (tcp_tw_bucket), which the 2xMSL callback releases; a socket the
+   user still holds keeps the sock, reading TIME_WAIT, and what it has
+   yet to read.  A FIN the peer has yet to acknowledge keeps the sock
+   retransmitting it ([crossed]). *)
 let lx_enter_time_wait t s =
   s.state <- Time_wait;
-  Conn_table.time_wait t.conns s ~retire:(lx_close_tw t);
+  let r =
+    Conn_table.time_wait t.conns s ~laddr:t.my_ip ~snd_nxt:s.snd_nxt ~rcv_nxt:s.rcv_nxt
+      ~win:(rcv_window s) ~scale:s.rcv_scale
+      ~expires:(Machine.now t.machine + time_wait_ns)
+      ~retire:(lx_close_tw t)
+  in
+  if s.rexmt_q <> [] then t.crossed <- (r, s) :: t.crossed;
   ignore
-    (after_home t s time_wait_ns (fun () ->
-         if s.state = Time_wait then begin
-           s.state <- Closed;
-           Conn_table.detach t.conns s
-         end))
+    (Machine.at_on t.machine ~cpu:r.Tw_queue.tw_home r.Tw_queue.tw_expires (fun () ->
+         if r.Tw_queue.tw_queued then release_tw t r ~wake:false))
 
 (* Memory pressure: shed the coldest protocol state — every TIME_WAIT
-   sock and every cached half-open handshake (cookies still complete
+   record and every cached half-open handshake (cookies still complete
    those statelessly). *)
 let lx_reclaim t =
   Conn_table.reclaim t.conns ~retire:(lx_close_tw t) (fun l ->
@@ -312,11 +333,49 @@ let lx_err_allowed t =
        false
      end
 
-(* Build one segment in a fresh contiguous skb.  [payload] is copied in
-   (the send-path copy); the finished frame is kept for retransmission when
-   [queue] is set.  Returns whether a frame actually went out: under the
-   allocation-failure injector a refused skb is a counted drop — the same
-   recovery story as a frame lost on the wire — and triggers a reclaim. *)
+(* Build one segment in a fresh contiguous skb: charge and count it, copy
+   [payload] in (the send-path copy), checksum it.  [win] is the window
+   field as sent.  Raises [Memfault.Nomem], before any charge, when the
+   allocation-failure injector refuses the skb. *)
+let build_segment t ~lport ~rport ~raddr ~seq ~ack ~flags ~win ~mss ~wscale ~payload =
+  let plen = match payload with Some (_, _, len) -> len | None -> 0 in
+  let hlen = Codec.tcp_header_len ~mss ~wscale in
+  let skb = Skbuff.alloc_skb (eth_hlen + Codec.ip_hlen + hlen + plen + 16) in
+  Cost.charge Protocol Cost.config.linux_tcp_pkt_cycles;
+  t.segs_out <- t.segs_out + 1;
+  Skbuff.skb_reserve skb (eth_hlen + Codec.ip_hlen);
+  let off = Skbuff.skb_put skb (hlen + plen) in
+  let d = skb.Skbuff.skb_data in
+  Codec.write_tcp d ~off ~sport:lport ~dport:rport ~seq ~ack ~flags ~win ~mss ~wscale;
+  (match payload with
+  | Some (src, pos, len) ->
+      Cost.charge_copy len;
+      Bytes.blit src pos d (off + hlen) len
+  | None -> ());
+  let total = hlen + plen in
+  Codec.set_tcp_cksum d ~off ~zero_as_ones:false
+    (Codec.cksum_bytes d ~off ~len:total
+       ~init:(Codec.pseudo_header ~src:t.my_ip ~dst:raddr ~proto:6 ~len:total));
+  skb
+
+(* A refused skb is a counted drop — the same recovery story as a frame
+   lost on the wire — and triggers a reclaim. *)
+let refused t =
+  t.nomem_drops <- t.nomem_drops + 1;
+  lx_reclaim t
+
+(* A header-only segment nothing will retransmit: an RST, a SYN-ACK or
+   an ACK with no sock behind it. *)
+let send_bare t ~lport ~rport ~raddr ~seq ~ack ~flags ~win =
+  match
+    build_segment t ~lport ~rport ~raddr ~seq ~ack ~flags ~win ~mss:None ~wscale:None
+      ~payload:None
+  with
+  | exception Memfault.Nomem -> refused t
+  | skb -> ip_output t ~free_after:true ~proto:6 ~dst:raddr skb
+
+(* Send one segment of [s]; the finished frame is kept for retransmission
+   when [queue] is set.  Returns whether a frame actually went out. *)
 let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
   let plen = match payload with Some (_, _, len) -> len | None -> 0 in
   (* SYN options — only with Cost.config.tcp_wscale, so the 2.0-faithful
@@ -328,36 +387,21 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
     && (flags land th_ack = 0 || s.peer_wscale >= 0)
   in
   let mss, wscale = if emit_opts then Some s.smss, Some (Autotune.request_scale ()) else None, None in
-  let hlen = Codec.tcp_header_len ~mss ~wscale in
-  match Skbuff.alloc_skb (eth_hlen + Codec.ip_hlen + hlen + plen + 16) with
-  | exception Memfault.Nomem ->
-      t.nomem_drops <- t.nomem_drops + 1;
-      lx_reclaim t;
-      false
-  | skb ->
-  Cost.charge Protocol Cost.config.linux_tcp_pkt_cycles;
-  t.segs_out <- t.segs_out + 1;
-  Skbuff.skb_reserve skb (eth_hlen + Codec.ip_hlen);
-  let off = Skbuff.skb_put skb (hlen + plen) in
-  let d = skb.Skbuff.skb_data in
   (* RFC 1323: the window field is scaled except on SYN segments. *)
   let win =
     if syn then min 0xffff (rcv_window s)
     else min 0xffff (rcv_window s asr s.rcv_scale)
   in
+  match
+    build_segment t ~lport:s.lport ~rport:s.rport ~raddr:s.raddr ~seq
+      ~ack:(if flags land th_ack <> 0 then s.rcv_nxt else 0)
+      ~flags ~win ~mss ~wscale ~payload
+  with
+  | exception Memfault.Nomem ->
+      refused t;
+      false
+  | skb ->
   s.adv_wnd <- (if syn then win else win lsl s.rcv_scale);
-  Codec.write_tcp d ~off ~sport:s.lport ~dport:s.rport ~seq
-    ~ack:(if flags land th_ack <> 0 then s.rcv_nxt else 0)
-    ~flags ~win ~mss ~wscale;
-  (match payload with
-  | Some (src, pos, len) ->
-      Cost.charge_copy len;
-      Bytes.blit src pos d (off + hlen) len
-  | None -> ());
-  let total = hlen + plen in
-  Codec.set_tcp_cksum d ~off ~zero_as_ones:false
-    (Codec.cksum_bytes d ~off ~len:total
-       ~init:(Codec.pseudo_header ~src:t.my_ip ~dst:s.raddr ~proto:6 ~len:total));
   let seg_bytes =
     (if flags land th_syn <> 0 then 1 else 0)
     + (if flags land th_fin <> 0 then 1 else 0)
@@ -487,21 +531,18 @@ let blank_sock t =
     rexmt_armed = false; rexmt_stamp = 0; rexmt_shift = 0; nb = false;
     listeners = Io_if.Listeners.create () }
 
-(* A minimal unsocketed RST. *)
+(* A minimal unsocketed RST, offering a fresh sock's window. *)
 let send_rst_for t ~src ~sport ~dport ~ack =
-  let fake = { (blank_sock t) with lport = dport; rport = sport; raddr = src } in
-  ignore (tcp_xmit t fake ~seq:ack ~flags:th_rst ~payload:None ~queue:false)
+  send_bare t ~lport:dport ~rport:sport ~raddr:src ~seq:ack ~ack:0 ~flags:th_rst
+    ~win:default_window
 
-(* A SYN-ACK with no sock behind it (Cost.config.syn_defense): seq/ack and
-   MSS come from the syncache entry or the cookie.  Never queued — losing
-   it just means the client retransmits its SYN — and never offers wscale
+(* A SYN-ACK with no sock behind it (Cost.config.syn_defense): seq/ack
+   come from the syncache entry or the cookie.  Never queued — losing it
+   just means the client retransmits its SYN — and it carries no option
    (the cookie has no room to remember the peer's scale). *)
 let lx_send_synack t ~raddr ~rport ~lport (e : Syncache.entry) =
-  let fake =
-    { (blank_sock t) with state = Syn_recv; lport; rport; raddr; smss = e.Syncache.mss;
-      rcv_nxt = Codec.m32 (e.Syncache.irs + 1) }
-  in
-  ignore (tcp_xmit t fake ~seq:e.Syncache.iss ~flags:(th_syn lor th_ack) ~payload:None ~queue:false)
+  send_bare t ~lport ~rport ~raddr ~seq:e.Syncache.iss ~ack:(Codec.m32 (e.Syncache.irs + 1))
+    ~flags:(th_syn lor th_ack) ~win:default_window
 
 (* A SYN under the defense: cache the handshake and answer with a cookie
    ISS (or re-answer a retransmitted SYN from its entry).  No child sock
@@ -701,6 +742,44 @@ let rec ooo_drain s =
       ooo_drain s
   | _ -> ()
 
+(* A segment for a TIME_WAIT record: what [tcp_rcv]'s general arm does
+   for a sock in TIME_WAIT.  Any RST releases it.  An ACK goes to a
+   crossed sock, until its FIN is acknowledged.  Data is counted as the
+   arm counts it and ACKed — data past the peer's FIN too, which the
+   record has no queue for and so does not take — and a FIN at [rcv_nxt]
+   is ACKed again. *)
+let lx_time_wait_input t r ~seq ~ack ~flags ~win ~dlen =
+  let open Tw_queue in
+  let crossed = crossed_sock t r in
+  if flags land th_rst <> 0 then begin
+    Option.iter
+      (fun s ->
+        retire_queues s;
+        s.err <- Some Error.Connreset)
+      crossed;
+    release_tw t r ~wake:true
+  end
+  else begin
+    (match crossed with
+    | Some s when flags land th_ack <> 0 ->
+        tcp_ack_in t s ~ack ~win:(if flags land th_syn = 0 then win lsl s.snd_scale else win)
+          ~dlen;
+        if s.rexmt_q = [] then uncross t r
+    | _ -> ());
+    let rcv_nxt = r.tw_rcv_nxt in
+    let send_ack () =
+      send_bare t ~lport:r.tw_lport ~rport:r.tw_rport ~raddr:r.tw_raddr ~seq:r.tw_snd_nxt
+        ~ack:rcv_nxt ~flags:th_ack ~win:(min 0xffff (r.tw_win asr r.tw_scale))
+    in
+    if dlen > 0 then begin
+      if Codec.seq_lt seq rcv_nxt then t.rcvdup <- t.rcvdup + 1
+      else if dlen > r.tw_win then t.rcvfull <- t.rcvfull + 1
+      else if Codec.seq_gt seq rcv_nxt then t.rcvoo <- t.rcvoo + 1;
+      send_ack ()
+    end;
+    if flags land th_fin <> 0 && Codec.m32 (seq + dlen) = rcv_nxt then send_ack ()
+  end
+
 let tcp_rcv t skb ~src =
   let fast = Cost.config.tcp_fastpath in
   Cost.charge Protocol
@@ -744,7 +823,10 @@ let tcp_rcv t skb ~src =
              packet amplifier, so it shares the token bucket. *)
           if flags land th_rst = 0 && lx_err_allowed t then
             send_rst_for t ~src ~sport ~dport ~ack
-      | Some s -> (
+      | Some (Conn_table.Tw r) ->
+          slowpath ();
+          lx_time_wait_input t r ~seq ~ack ~flags ~win ~dlen
+      | Some (Conn_table.Live s) -> (
           (* Past the handshake the 16-bit window field arrives shifted by
              the peer's negotiated scale; SYN windows are never scaled. *)
           let win = if flags land th_syn = 0 then win lsl s.snd_scale else win in
@@ -868,7 +950,7 @@ let tcp_rcv t skb ~src =
                       | None -> ());
                       wake s
                 end
-            | Established | Fin_wait1 | Fin_wait2 | Close_wait | Last_ack | Time_wait -> (
+            | Established | Fin_wait1 | Fin_wait2 | Close_wait | Last_ack -> (
                 if flags land th_ack <> 0 then begin
                   tcp_ack_in t s ~ack ~win ~dlen;
                   (* Our FIN acked? *)
@@ -922,7 +1004,7 @@ let tcp_rcv t skb ~src =
                   end
                   else send_ack t s
                 end)
-            | Closed -> ())));
+            | Time_wait | Closed -> ())));
   if not !stored then Skbuff.skb_free skb
 
 (* ---- input demux from the driver ---- *)

@@ -284,18 +284,42 @@ let sites =
   [ Socket_call, "socket"; Tx_push, "tx_push"; Rx_push, "rx_push"; Device_io, "io";
     Open_close, "open_close" ]
 
+let columns = List.length layers
+
+let[@inline] column : layer -> int = function
+  | Wire -> 0 | Irq -> 1 | Driver -> 2 | Glue -> 3 | Protocol -> 4 | Socket -> 5
+  | Copy -> 6 | Checksum -> 7 | Alloc -> 8 | Fs -> 9 | App -> 10
+
+(* The executing CPU, as Machine hands it over where it switches machine
+   or CPU: that machine's clocks and ledger, the CPU, and the start of
+   the CPU's ledger row.  Outside any machine they are scratch cells no
+   one reads, so a charge there is dropped, and CPU 0's shard takes the
+   bumps (the shard is still counted so the aggregation invariant
+   holds). *)
+type executing = {
+  mutable clocks : int array;
+  mutable ledger : int array;
+  mutable cpu : int;
+  mutable row : int;
+}
+
+let scratch_clocks = [| 0 |]
+let scratch_ledger = Array.make columns 0
+let executing = { clocks = scratch_clocks; ledger = scratch_ledger; cpu = 0; row = 0 }
+
+let execute_on ~clocks ~ledger ~cpu =
+  executing.clocks <- clocks;
+  executing.ledger <- ledger;
+  executing.cpu <- cpu;
+  executing.row <- cpu * columns
+
+let execute_nowhere () = execute_on ~clocks:scratch_clocks ~ledger:scratch_ledger ~cpu:0
+
 let sink : (layer -> int -> unit) option ref = ref None
 let set_sink f = sink := f
 let get_sink () = !sink
-
-(* Which CPU is executing, for counter attribution.  Installed by Machine
-   alongside the charge sink; outside any machine context CPU 0 absorbs the
-   bump (mirroring how charges outside a machine are dropped — the shard is
-   still counted so the aggregation invariant holds). *)
-let cpu_source : (unit -> int) option ref = ref None
-let set_cpu_source f = cpu_source := f
 let counters_for ~cpu = shards.(cpu)
-let shard () = shards.(match !cpu_source with Some f -> f () | None -> 0)
+let shard () = shards.(executing.cpu)
 
 (* Whether the executing machine has component glue to cross, counting one
    crossing at the site if so.  Installed by Machine like the CPU source;
@@ -303,7 +327,14 @@ let shard () = shards.(match !cpu_source with Some f -> f () | None -> 0)
 let glue_source : (site -> bool) option ref = ref None
 let set_glue_source f = glue_source := f
 
-let charge_ns layer ns = match !sink with Some f -> f layer ns | None -> ()
+let charge_ns layer ns =
+  match !sink with
+  | None ->
+      let e = executing in
+      e.clocks.(e.cpu) <- e.clocks.(e.cpu) + ns;
+      let i = e.row + column layer in
+      e.ledger.(i) <- e.ledger.(i) + ns
+  | Some f -> f layer ns
 
 (* 200 MHz = 5 ns per cycle; compute exactly to stay calibratable. *)
 let cycles_to_ns c = c * 1_000_000_000 / config.cpu_hz

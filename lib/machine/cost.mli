@@ -400,19 +400,29 @@ val count_http_body_copy : int -> unit
 
 (** {2 Context plumbing} *)
 
-(** [set_sink f] installs the receiver of charged nanoseconds, by layer
-    ([None] = no machine running).  Installed by {!Machine}; not for
-    client use. *)
+(** [column layer] is [layer]'s index in a ledger row: [layers] order,
+    from 0. *)
+val column : layer -> int
+
+(** [execute_on ~clocks ~ledger ~cpu] makes CPU [cpu] of the machine whose
+    per-CPU clocks are [clocks] and whose ledger is [ledger] (one row of
+    [List.length layers] columns per CPU) the executing CPU: a charge
+    adds to [clocks.(cpu)] and to [ledger]'s cell of that row and the
+    charged layer, and counter bumps land in its shard.  Called by
+    {!Machine} where it switches machine or CPU; not for client use. *)
+val execute_on : clocks:int array -> ledger:int array -> cpu:int -> unit
+
+(** No machine executes: charges are dropped, bumps land in CPU 0's
+    shard.  Called by {!Machine}; not for client use. *)
+val execute_nowhere : unit -> unit
+
+(** [set_sink f] hands every charge to [f] instead of the executing CPU,
+    for a test that counts charges; [None] restores the executing CPU. *)
 val set_sink : (layer -> int -> unit) option -> unit
 
 (** The installed sink, so a test that temporarily replaces it can restore
-    the machine attribution instead of clobbering it process-wide. *)
+    it. *)
 val get_sink : unit -> (layer -> int -> unit) option
-
-(** [set_cpu_source f] installs the reader of the executing CPU number, for
-    per-CPU counter attribution.  Installed by {!Machine}; not for client
-    use. *)
-val set_cpu_source : (unit -> int) option -> unit
 
 (** [set_glue_source f] installs what {!charge_glue_crossing} asks: [f
     site] is whether the executing machine has glue to cross (it runs no

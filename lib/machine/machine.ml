@@ -75,28 +75,10 @@ let current_machine : t option ref = ref None
 
 let columns = List.length Cost.layers
 
-let[@inline] column : Cost.layer -> int = function
-  | Wire -> 0 | Irq -> 1 | Driver -> 2 | Glue -> 3 | Protocol -> 4 | Socket -> 5
-  | Copy -> 6 | Checksum -> 7 | Alloc -> 8 | Fs -> 9 | App -> 10
-
 let site : Cost.site -> int = function
   | Socket_call -> 0 | Tx_push -> 1 | Rx_push -> 2 | Device_io -> 3 | Open_close -> 4
 
 let () =
-  (* All cost charges land on whichever machine — and CPU — is executing,
-     in the charged layer's column of that CPU's ledger row. *)
-  Cost.set_sink
-    (Some
-       (fun layer ns ->
-         match !current_machine with
-         | Some m ->
-             let c = m.cur_cpu and i = (m.cur_cpu * columns) + column layer in
-             m.clocks.(c) <- m.clocks.(c) + ns;
-             m.ledger.(i) <- m.ledger.(i) + ns
-         | None -> ()));
-  Cost.set_cpu_source
-    (Some
-       (fun () -> match !current_machine with Some m -> m.cur_cpu | None -> 0));
   (* A native kernel crosses no glue: the one place that rule lives. *)
   Cost.set_glue_source
     (Some
@@ -138,7 +120,7 @@ let ncpus t = t.ncpus
 let now t = t.clocks.(t.cur_cpu)
 let cpu_now t ~cpu = t.clocks.(cpu)
 let ledger t ?cpu layer =
-  let cell c = t.ledger.((c * columns) + column layer) in
+  let cell c = t.ledger.((c * columns) + Cost.column layer) in
   match cpu with
   | Some c -> cell c
   | None -> List.fold_left (fun a c -> a + cell c) 0 (List.init t.ncpus Fun.id)
@@ -146,7 +128,7 @@ let ledger t ?cpu layer =
 let crossings t s = t.crossings.(site s)
 
 let cpu_busy_ns t ~cpu =
-  List.fold_left (fun a (l, _) -> a + t.ledger.((cpu * columns) + column l)) 0 Cost.layers
+  List.fold_left (fun a (l, _) -> a + t.ledger.((cpu * columns) + Cost.column l)) 0 Cost.layers
 
 let is_current t = match !current_machine with Some m -> m == t | None -> false
 
@@ -157,15 +139,25 @@ let cpu t = if is_current t then t.cur_cpu else 0
 let check_cpu t cpu ctx =
   if cpu < 0 || cpu >= t.ncpus then invalid_arg (ctx ^ ": bad cpu")
 
+(* Make CPU [m.cur_cpu] of [m] (or no machine) the executing one: all cost
+   charges land on its clock, in the charged layer's column of its ledger
+   row. *)
+let execute = function
+  | Some m -> Cost.execute_on ~clocks:m.clocks ~ledger:m.ledger ~cpu:m.cur_cpu
+  | None -> Cost.execute_nowhere ()
+
+(* The one place that switches machine or CPU. *)
 let run_in_on t cpu f =
   let prev = !current_machine in
   let prev_cpu = t.cur_cpu in
   current_machine := Some t;
   t.cur_cpu <- cpu;
+  execute !current_machine;
   Fun.protect
     ~finally:(fun () ->
       t.cur_cpu <- prev_cpu;
-      current_machine := prev)
+      current_machine := prev;
+      execute prev)
     f
 
 let run_in t f = run_in_on t (cpu t) f

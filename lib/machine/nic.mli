@@ -39,7 +39,10 @@ val rx_queues : t -> int
 
 (** [transmit t frame] hands a fully-formed Ethernet frame to the card;
     DMA from driver memory is charged per byte at a fraction of memcpy
-    cost.  Frames shorter than 60 bytes are padded, as the hardware does. *)
+    cost.  Frames shorter than 60 bytes are padded, as the hardware does.
+    The card takes ownership of [frame] and passes it to the wire
+    ({!Wire.send}), so the caller must not touch it again: a driver
+    transmits a copy of a buffer it keeps. *)
 val transmit : t -> bytes -> unit
 
 (** [transmit_v t frags] hands the card an ordered iovec of

@@ -31,6 +31,18 @@ let attach t ~rx =
 let serialization_ns t len =
   (len + framing_bytes) * 8 * 1_000_000_000 / t.bandwidth_bps
 
+(* Whether a station after these hears a frame from [sender]. *)
+let rec heard_later sender = function [] -> false | p :: ps -> p.id <> sender || heard_later sender ps
+
+(* Every station but the sender hears [f], each its own copy but for the
+   last, which takes [f] itself when the wire [own]s it. *)
+let rec hand ~own sender f = function
+  | [] -> ()
+  | p :: ps when p.id = sender -> hand ~own sender f ps
+  | p :: ps ->
+      p.rx (if own && not (heard_later sender ps) then f else Bytes.copy f);
+      hand ~own sender f ps
+
 let send t port frame ~at =
   (* The sender always serializes the frame onto the medium: loss happens
      in transit, so the medium is busy and the offered-traffic stats move
@@ -41,10 +53,13 @@ let send t port frame ~at =
   t.frames <- t.frames + 1;
   t.bytes <- t.bytes + Bytes.length frame;
   let arrival = finish + t.latency_ns in
-  let deliveries =
+  (* The wire owns [frame]: with no emulator it goes itself to the last
+     station that hears it.  An emulator's deliveries may share bytes (a
+     duplicate), so each of their stations gets a copy. *)
+  let own, deliveries =
     match t.netem with
-    | None -> [ (frame, 0) ]
-    | Some em -> Netem.judge em ~now:start ~port:port.id frame
+    | None -> true, [ (frame, 0) ]
+    | Some em -> false, Netem.judge em ~now:start ~port:port.id frame
   in
   (match deliveries with
    | [] -> t.dropped <- t.dropped + 1
@@ -52,11 +67,7 @@ let send t port frame ~at =
        List.iter
          (fun (f, extra) ->
            t.delivered <- t.delivered + 1;
-           let deliver () =
-             let copy_for p = p.rx (Bytes.copy f) in
-             List.iter (fun p -> if p.id <> port.id then copy_for p) t.ports
-           in
-           ignore (World.at t.world (arrival + extra) deliver))
+           ignore (World.at t.world (arrival + extra) (fun () -> hand ~own port.id f t.ports)))
          ds);
   arrival
 

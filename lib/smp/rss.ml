@@ -14,7 +14,9 @@
 
 let default_seed = 0x5eed
 
-let mix z =
+(* SplitMix64's finalizer.  Inlined wherever it is used, its Int64
+   values stay unboxed: a hash allocates nothing. *)
+let[@inline always] mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -25,16 +27,20 @@ let derive seed = mix (Int64.logxor (Int64.of_int seed) 0x5851F42D4C957F2DL)
 let secret = ref (derive default_seed)
 let reboot ?(seed = default_seed) () = secret := derive seed
 
-let flow_hash ~proto ~addr_a ~port_a ~addr_b ~port_b =
-  let a = Int32.to_int addr_a land 0xffffffff in
-  let b = Int32.to_int addr_b land 0xffffffff in
-  let step h k = mix (Int64.add (Int64.logxor h (Int64.of_int k)) 0x9E3779B97F4A7C15L) in
+let[@inline always] step h k = mix (Int64.add (Int64.logxor h (Int64.of_int k)) 0x9E3779B97F4A7C15L)
+
+(* The hash of addresses given as unsigned 32-bit ints. *)
+let hash ~proto ~a ~port_a ~b ~port_b =
   let h = !secret in
   let h = step h proto in
   let h = step h (a lxor b) in
   let h = step h (a + b) in
   let h = step h ((port_a lxor port_b) lor ((port_a + port_b) lsl 17)) in
   Int64.to_int (Int64.shift_right_logical h 2)
+
+let flow_hash ~proto ~addr_a ~port_a ~addr_b ~port_b =
+  hash ~proto ~a:(Int32.to_int addr_a land 0xffffffff) ~port_a
+    ~b:(Int32.to_int addr_b land 0xffffffff) ~port_b
 
 let cpu_of_hash ~ncpus h = if ncpus <= 1 then 0 else h mod ncpus
 
@@ -45,11 +51,7 @@ let cpu_of_flow ~ncpus ~proto ~addr_a ~port_a ~addr_b ~port_b =
 
 let u8 f off = Char.code (Bytes.get f off)
 let u16 f off = (u8 f off lsl 8) lor u8 f (off + 1)
-
-let addr32 f off =
-  Int32.logor
-    (Int32.shift_left (Int32.of_int (u16 f off)) 16)
-    (Int32.of_int (u16 f (off + 2)))
+let u32 f off = (u16 f off lsl 16) lor u16 f (off + 2)
 
 (* [cpu_of_frame ~ncpus frame] parses an Ethernet frame just far enough to
    steer it: TCP/UDP over IPv4 hashes its 4-tuple; everything else — ARP,
@@ -72,8 +74,6 @@ let cpu_of_frame ~ncpus frame =
         || len < l4 + 4
       then 0
       else
-        let addr_a = addr32 frame (14 + 12) in
-        let addr_b = addr32 frame (14 + 16) in
-        let port_a = u16 frame l4 in
-        let port_b = u16 frame (l4 + 2) in
-        cpu_of_flow ~ncpus ~proto ~addr_a ~port_a ~addr_b ~port_b
+        cpu_of_hash ~ncpus
+          (hash ~proto ~a:(u32 frame (14 + 12)) ~port_a:(u16 frame l4) ~b:(u32 frame (14 + 16))
+             ~port_b:(u16 frame (l4 + 2)))

@@ -44,7 +44,11 @@
 # may keep a socks list, test the CPU count (the accept lock's one-CPU
 # rule lives in the table), or file a connection in the demux hash, the
 # port table or the TIME_WAIT queue itself (Demux.add, Port_alloc.use,
-# Tw_queue.add): only the table does.
+# Tw_queue.add): only the table does.  A connection entering TIME_WAIT
+# is swapped for a compact record (Tw_queue.tw), and the table alone
+# files, queues, expires and releases those records, as it files
+# everything else: neither TCP file may call the queue's add, remove,
+# expire or reclaim or mark a record queued (tw_queued).
 # Every ttcp- or rtcp-shaped run goes through one component library,
 # lib/ttcp: its endpoints (lib/ttcp/endpoint.ml) and its ttcp and rtcp
 # workloads, which the example kernels call directly and the bench, the
@@ -167,7 +171,7 @@ if grep -nE 'pcb_list|to_list' lib/freebsd_net/tcp.ml lib/linux_net/linux_inet.m
   echo "a TCP stack walks its connection list outside the pcb_list accessor" >&2
   exit 1
 fi
-if grep -nE '\bsocks *:|\.socks\b|ncpus( [a-z_.]+)? *(<|>|=)|Demux\.add|Port_alloc\.use|Tw_queue\.add' \
+if grep -nE '\bsocks *:|\.socks\b|ncpus( [a-z_.]+)? *(<|>|=)|Demux\.add|Port_alloc\.use|Tw_queue\.(add|remove|expire|reclaim)\b|tw_queued *(=|<-)' \
   lib/freebsd_net/tcp.ml lib/linux_net/linux_inet.ml; then
   echo "a TCP stack keeps connection bookkeeping beside lib/inet's Conn_table" >&2
   exit 1

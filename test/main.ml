@@ -25,6 +25,7 @@ let suites =
       "asyncio", Test_asyncio.suite;
       "fastpath", Test_fastpath.suite;
       "demux", Test_demux.suite;
+      "time-wait", Test_time_wait.suite;
       "ports", Test_ports.suite;
       "longfat", Test_longfat.suite;
       "overload", Test_overload.suite;

@@ -4,15 +4,17 @@
    of registered connections.  Random sequences of bind, listen, connect,
    SYN arrival, RSTs and handshake-completing ACKs to SYN_RCVD children,
    close, TIME_WAIT entry, expiry and reclaim — including 4-tuple reuse
-   while a TIME_WAIT connection is alive, and the tw_max cap retiring the
+   while a TIME_WAIT record is alive, and the tw_max cap retiring the
    oldest — are applied to BSD TCP, Linux TCP and BSD UDP.
 
    After every step one checker, the same for both TCP stacks, holds the
-   table to a linear scan of that list: every probe tuple finds the same
-   connection; the listener index lists the listeners newest first; each
+   table to a linear scan of that list and of the TIME_WAIT records, in
+   registration order: every probe tuple finds the same connection or
+   record; the listener index lists the listeners newest first; each
    listener's embryonic children are its SYN_RCVD children, newest first,
    and with its accept queue stay within its backlog; the port use table
-   counts the connections' local ports; no connection is listed twice.
+   counts the connections' and records' local ports; nothing is listed
+   twice.
    A step that closes a listener must abort exactly its parked children,
    oldest first, then its embryonic ones, newest first. *)
 
@@ -38,14 +40,20 @@ let probes used_lports =
     (fun src -> List.concat_map (fun sport -> List.map (fun d -> (src, sport, d)) dports) sports)
     (Array.to_list raddrs)
 
-let agree ~hashed ~linear used_lports =
+let agree ~same ~hashed ~linear used_lports =
   List.for_all
     (fun (src, sport, dport) ->
       match hashed ~src ~sport ~dport, linear ~src ~sport ~dport with
       | None, None -> true
-      | Some a, Some b -> a == b
+      | Some a, Some b -> same a b
       | _ -> false)
     (probes used_lports)
+
+let same_conn a b =
+  match a, b with
+  | Conn_table.Live x, Conn_table.Live y -> x == y
+  | Conn_table.Tw x, Conn_table.Tw y -> x == y
+  | _ -> false
 
 (* What the checker needs to know of a stack's connection record. *)
 type 'a view = {
@@ -73,16 +81,40 @@ let linux_view t =
 
 let find v ~src ~sport ~dport = Conn_table.find v.tbl ~raddr:src ~rport:sport ~lport:dport
 
-(* The reference scan: the newest connected pcb on the 4-tuple, else the
-   newest listener on the port. *)
+(* Everything the table files, newest registration first: its
+   connections, and the TIME_WAIT records that took some of their
+   places. *)
+let bindings v =
+  let serial = function
+    | Conn_table.Live p -> (v.tbl.Conn_table.entry p).Conn_table.serial
+    | Conn_table.Tw r -> r.Tw_queue.tw_serial
+  in
+  List.sort
+    (fun a b -> compare (serial b) (serial a))
+    (List.map (fun p -> Conn_table.Live p) (Conn_table.to_list v.tbl)
+    @ List.map (fun r -> Conn_table.Tw r) (Tw_queue.to_list v.tbl.Conn_table.tw))
+
+let lport_of v = function Conn_table.Live p -> v.lport p | Conn_table.Tw r -> r.Tw_queue.tw_lport
+
+(* The reference scan: the newest connection or record on the 4-tuple,
+   else the newest listener on the port. *)
 let scan v ~src ~sport ~dport =
-  let all = Conn_table.to_list v.tbl in
-  let on_tuple p =
-    v.lport p = dport && v.rport p = sport && Int32.equal (v.raddr p) src && not (v.listening p)
+  let all = bindings v in
+  let on_tuple = function
+    | Conn_table.Live p ->
+        v.lport p = dport && v.rport p = sport && Int32.equal (v.raddr p) src
+        && not (v.listening p)
+    | Conn_table.Tw r ->
+        r.Tw_queue.tw_lport = dport && r.Tw_queue.tw_rport = sport
+        && Int32.equal r.Tw_queue.tw_raddr src
+  in
+  let listening_on = function
+    | Conn_table.Live p -> v.lport p = dport && v.listening p
+    | Conn_table.Tw _ -> false
   in
   match List.find_opt on_tuple all with
   | Some _ as connected -> connected
-  | None -> List.find_opt (fun p -> v.lport p = dport && v.listening p) all
+  | None -> List.find_opt listening_on all
 
 (* UDP: the newest pcb bound to the port, wildcard or connected to the
    source; an unbound pcb takes nothing, not even port 0. *)
@@ -117,10 +149,10 @@ let ports_agree ports lports =
 let same a b = List.equal ( == ) a b
 
 let table_agrees v =
-  let all = Conn_table.to_list v.tbl in
+  let all = Conn_table.to_list v.tbl and filed = bindings v in
   let listeners = List.filter v.listening all in
   let index = v.tbl.Conn_table.by_port in
-  agree ~hashed:(find v) ~linear:(scan v) (List.map v.lport all)
+  agree ~same:same_conn ~hashed:(find v) ~linear:(scan v) (List.map (lport_of v) filed)
   (* the listener index: each port's listeners, newest first *)
   && Hashtbl.fold (fun _ ls n -> n + List.length ls) index 0 = List.length listeners
   && List.for_all
@@ -135,8 +167,8 @@ let table_agrees v =
          same (Conn_table.embryos v.tbl l) kids
          && Queue.length b.Conn_table.queue + List.length kids <= b.Conn_table.backlog)
        listeners
-  && ports_agree v.tbl.Conn_table.ports (List.map v.lport all)
-  && List.for_all (fun p -> List.length (List.filter (( == ) p) all) = 1) all
+  && ports_agree v.tbl.Conn_table.ports (List.map (lport_of v) filed)
+  && List.for_all (fun p -> List.length (List.filter (same_conn p) filed) = 1) filed
 
 (* Close listener [l] with [close], recording each connection the stack
    aborts through [watch c on_abort] (which returns how to stop
@@ -240,7 +272,7 @@ let tcp_steps v ~listen ~connect ~syn ~to_child ~close ~abort ~watch ~time_wait 
           Option.iter time_wait (nth_live !live a);
           true
       | 5 ->
-          Option.iter expire (nth_live !live a);
+          Option.iter expire (nth_live (Tw_queue.to_list v.tbl.Conn_table.tw) a);
           true
       | 6 ->
           reclaim ();
@@ -288,12 +320,7 @@ let bsd_tcp (tw_max, ops) =
       match p.Tcp.t_state with
       | Tcp.Listen | Tcp.Closed | Tcp.Time_wait -> ()
       | _ -> Tcp.enter_time_wait t p)
-    ~expire:(fun p ->
-      (* the 2xMSL expiry *)
-      if p.Tcp.t_state = Tcp.Time_wait then begin
-        p.Tcp.t_state <- Tcp.Closed;
-        Tcp.detach t p
-      end)
+    ~expire:(Conn_table.release t.Tcp.conns) (* the 2xMSL expiry *)
     ~reclaim:(fun () -> Tcp.tcp_reclaim t)
     ops
 
@@ -328,11 +355,7 @@ let linux_tcp (tw_max, ops) =
       match s.Linux_inet.state with
       | Linux_inet.Listen | Linux_inet.Closed | Linux_inet.Time_wait -> ()
       | _ -> Linux_inet.lx_enter_time_wait t s)
-    ~expire:(fun s ->
-      if s.Linux_inet.state = Linux_inet.Time_wait then begin
-        s.Linux_inet.state <- Linux_inet.Closed;
-        Conn_table.detach t.Linux_inet.conns s
-      end)
+    ~expire:(Conn_table.release t.Linux_inet.conns)
     ~reclaim:(fun () -> Linux_inet.lx_reclaim t)
     ops
 
@@ -359,7 +382,7 @@ let bsd_udp (_, ops) =
         live := p :: !live
     | _ -> Option.iter (Udp.detach u) (nth_live !live a));
     let lports = List.map (fun p -> p.Udp.lport) u.Udp.pcbs in
-    agree ~hashed:(Udp.find_pcb u) ~linear:(udp_scan u) lports
+    agree ~same:( == ) ~hashed:(Udp.find_pcb u) ~linear:(udp_scan u) lports
     && ports_agree u.Udp.ports lports
   in
   List.for_all step ops
@@ -382,8 +405,8 @@ let test_tuple_reuse () =
       (fun (how, find) ->
         Alcotest.(check bool) (Printf.sprintf "%s (%s)" name how) true
           (match find ~src:raddrs.(0) ~sport:80 ~dport:1100 with
-          | Some p -> p == pcb
-          | None -> false))
+          | Some (Conn_table.Live p) -> p == pcb
+          | Some (Conn_table.Tw _) | None -> false))
       [ "hashed", find (bsd_view t); "scan", scan (bsd_view t) ]
   in
   let older = connect () in
@@ -412,8 +435,8 @@ let test_linux_connect_order () =
     (fun (how, find) ->
       Alcotest.(check bool) (Printf.sprintf "the later connect answers (%s)" how) true
         (match find ~src:raddrs.(0) ~sport:80 ~dport:1100 with
-        | Some s -> s == older
-        | None -> false))
+        | Some (Conn_table.Live s) -> s == older
+        | Some (Conn_table.Tw _) | None -> false))
     [ "hashed", find (linux_view t); "scan", scan (linux_view t) ]
 
 (* Pinned from the property: an unbound UDP pcb (lport 0) takes nothing,

@@ -153,8 +153,8 @@ let test_m_prepend_validates_first () =
   ignore (Mbuf.m_put m 8);
   let allocated = !Mbuf.stats_allocated in
   let charged = ref 0 in
-  (* Restore the machine-attribution sink afterwards — leaving it [None]
-     would silently stop clock charging for every later suite. *)
+  (* Restore the saved sink afterwards — a counting sink left installed
+     would take every later suite's charges off the machines' clocks. *)
   let saved = Cost.get_sink () in
   Cost.set_sink (Some (fun _ ns -> charged := !charged + ns));
   let raised =

@@ -105,10 +105,10 @@ let test_karn_reordering_bsd () =
         (s.Bsd_socket.pcb.Tcp.t_srtt lsr 3 <= 1))
 
 (* ------------------------------------------------------------------ *)
-(* TIME_WAIT expiry on the Linux wall-clock path: the active closer must
-   sit in TIME_WAIT (still hashed, still demuxable) and then be detached
-   by the 2 s one-shot — hash entry, last-sock cache, and socket list all
-   purged. *)
+(* TIME_WAIT expiry on the Linux wall-clock path: the active closer's
+   connection must sit in TIME_WAIT as the table's record (still hashed,
+   still demuxable) and then be released by the 2 s one-shot — hash
+   entry, last-sock cache, and record all purged. *)
 
 let test_linux_time_wait_expiry_purges () =
   let tb = Clientos.make_testbed () in
@@ -137,21 +137,26 @@ let test_linux_time_wait_expiry_purges () =
       closed := true);
   Clientos.run tb ~until:(fun () -> !closed);
   let s = Option.get !client_sock in
-  (* Just after close the socket is in (or headed for) TIME_WAIT and must
-     still be reachable: a delayed segment from the old incarnation has to
-     demux to it, not spawn a RST-generating stranger. *)
-  Clientos.run tb ~until:(fun () -> s.Linux_inet.state = Linux_inet.Time_wait);
-  Alcotest.(check bool) "TIME_WAIT socket still hashed" true
-    (Hashtbl.length sa.Linux_inet.conns.Conn_table.demux.Demux.tbl > 0);
+  let conns = sa.Linux_inet.conns in
+  (* Just after close the connection is in (or headed for) TIME_WAIT and
+     must still be reachable: a delayed segment from the old incarnation
+     has to demux to it, not spawn a RST-generating stranger. *)
+  Clientos.run tb ~until:(fun () -> conns.Conn_table.tw.Tw_queue.live > 0);
+  let r = List.hd (Tw_queue.to_list conns.Conn_table.tw) in
+  Alcotest.(check bool) "the sock left the connection list" true
+    (not (List.memq s (Conn_table.to_list conns)));
+  Alcotest.(check bool) "the TIME_WAIT record demuxes" true
+    (match Conn_table.find conns ~raddr:(ip "10.0.0.2") ~rport:6102 ~lport:s.Linux_inet.lport with
+    | Some (Conn_table.Tw r') -> r' == r
+    | Some (Conn_table.Live _) | None -> false);
   (* Run the world dry: the 2 s expiry is the last event standing. *)
   Clientos.run tb ~until:(fun () -> false);
-  Alcotest.(check bool) "expiry closed the socket" true (s.Linux_inet.state = Linux_inet.Closed);
+  Alcotest.(check bool) "expiry released the record" false r.Tw_queue.tw_queued;
   Alcotest.(check int) "expiry purged the hash" 0
-    (Hashtbl.length sa.Linux_inet.conns.Conn_table.demux.Demux.tbl);
+    (Hashtbl.length conns.Conn_table.demux.Demux.tbl);
   Alcotest.(check bool) "expiry purged the last-sock cache" true
-    (sa.Linux_inet.conns.Conn_table.demux.Demux.last = None);
-  Alcotest.(check bool) "expiry removed it from the socket list" true
-    (not (List.memq s (Conn_table.to_list sa.Linux_inet.conns)))
+    (conns.Conn_table.demux.Demux.last = None);
+  Alcotest.(check bool) "expiry emptied the table" true (Conn_table.is_empty conns)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-exactness across the RTT x loss grid with scaled windows +

@@ -168,6 +168,74 @@ let prop_direction_symmetry =
               ~port_b:pa)
         [ 2; 4; 8 ])
 
+(* The hash as it was first written, on boxed Int64 and Int32 values:
+   the reference the unboxed one must equal, flow by flow and frame by
+   frame, under the boot secret. *)
+module Reference = struct
+  let mix z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let secret = mix (Int64.logxor (Int64.of_int 0x5eed) 0x5851F42D4C957F2DL)
+
+  let flow_hash ~proto ~addr_a ~port_a ~addr_b ~port_b =
+    let a = Int32.to_int addr_a land 0xffffffff in
+    let b = Int32.to_int addr_b land 0xffffffff in
+    let step h k = mix (Int64.add (Int64.logxor h (Int64.of_int k)) 0x9E3779B97F4A7C15L) in
+    let h = step secret proto in
+    let h = step h (a lxor b) in
+    let h = step h (a + b) in
+    let h = step h ((port_a lxor port_b) lor ((port_a + port_b) lsl 17)) in
+    Int64.to_int (Int64.shift_right_logical h 2)
+
+  let u8 f off = Char.code (Bytes.get f off)
+  let u16 f off = (u8 f off lsl 8) lor u8 f (off + 1)
+
+  let addr32 f off =
+    Int32.logor (Int32.shift_left (Int32.of_int (u16 f off)) 16) (Int32.of_int (u16 f (off + 2)))
+
+  let cpu_of_frame ~ncpus frame =
+    if ncpus <= 1 then 0
+    else
+      let len = Bytes.length frame in
+      if len < 34 || u16 frame 12 <> 0x0800 then 0
+      else
+        let ihl = u8 frame 14 land 0xf in
+        let proto = u8 frame (14 + 9) in
+        let frag = u16 frame (14 + 6) in
+        let l4 = 14 + (ihl * 4) in
+        if (proto <> 6 && proto <> 17) || frag land 0x3fff <> 0 || len < l4 + 4 then 0
+        else
+          flow_hash ~proto ~addr_a:(addr32 frame 26) ~port_a:(u16 frame l4)
+            ~addr_b:(addr32 frame 30) ~port_b:(u16 frame (l4 + 2))
+          mod ncpus
+end
+
+let prop_reference_hash =
+  QCheck.Test.make ~name:"rss: the hash equals its boxed reference" ~count:500
+    QCheck.(
+      pair
+        (quad (int_bound 0xffffffff) (int_bound 0xffffffff) (int_range 0 0xffff)
+           (int_range 0 0xffff))
+        (triple (oneofl [ 6; 17; 1 ]) (int_bound 0x3fff) (string_of_size (Gen.int_range 0 80))))
+    (fun ((a, b, pa, pb), (proto, frag, junk)) ->
+      Rss.reboot ();
+      let addr_a = Int32.of_int a and addr_b = Int32.of_int b in
+      let f = tcp_frame ~src:addr_a ~dst:addr_b ~sport:pa ~dport:pb in
+      Bytes.set f 23 (Char.chr proto);
+      if frag land 1 = 0 then put16 f 20 frag;
+      let frames = [ f; Bytes.of_string junk; Bytes.sub f 0 (min 60 (String.length junk)) ] in
+      Rss.flow_hash ~proto ~addr_a ~port_a:pa ~addr_b ~port_b:pb
+      = Reference.flow_hash ~proto ~addr_a ~port_a:pa ~addr_b ~port_b:pb
+      && List.for_all
+           (fun ncpus ->
+             List.for_all
+               (fun f -> Rss.cpu_of_frame ~ncpus f = Reference.cpu_of_frame ~ncpus f)
+               frames)
+           [ 1; 2; 3; 8 ])
+
 (* ------------------------------------------------------------------ *)
 (* Netisr: FIFO per CPU, direct dispatch on the home CPU, bounded.     *)
 
@@ -415,6 +483,7 @@ let suite =
     Alcotest.test_case "rss: frame parsing agrees with the flow hash" `Quick
       test_frame_steering;
     QCheck_alcotest.to_alcotest prop_direction_symmetry;
+    QCheck_alcotest.to_alcotest prop_reference_hash;
     Alcotest.test_case "netisr: direct dispatch, FIFO, bounded" `Quick
       test_netisr;
     Alcotest.test_case "nic: multi-queue RSS interrupts the home CPU" `Quick

@@ -138,7 +138,7 @@ let test_graceful_close_sequence () =
   let received = Buffer.create 64 in
   let done_flag = ref false in
   spawn_server rig received done_flag;
-  let client_states = ref [] in
+  let client_states = ref [] and saw_record = ref false and tw_over = ref false in
   Thread.spawn rig.ka ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s = Bsd_socket.tcp_socket rig.sa in
@@ -146,13 +146,17 @@ let test_graceful_close_sequence () =
       let _ = ok (Bsd_socket.so_send s ~buf:(Bytes.of_string "bye") ~pos:0 ~len:3) in
       ok (Bsd_socket.so_close s);
       (* Track the state machine through the close. *)
-      let pcb = s.Bsd_socket.pcb in
+      let pcb = s.Bsd_socket.pcb and conns = rig.sa.Bsd_socket.tcp.Tcp.conns in
       (* Poll the state machine on the virtual clock (a yield-spin would
-         starve the event loop — cooperative threads never preempt). *)
+         starve the event loop — cooperative threads never preempt).  The
+         pcb reads TIME_WAIT from there on; the wait itself is the table's
+         record, which 2MSL ends. *)
       let rec watch last =
         let st = pcb.Tcp.t_state in
         if st <> last then client_states := st :: !client_states;
-        if st <> Tcp.Closed then begin
+        if conns.Conn_table.tw.Tw_queue.live > 0 then saw_record := true;
+        if st = Tcp.Time_wait && !saw_record && Conn_table.is_empty conns then tw_over := true
+        else begin
           Kclock.sleep_ns 50_000_000;
           watch st
         end
@@ -160,12 +164,12 @@ let test_graceful_close_sequence () =
       watch Tcp.Closed);
   Machine.kick rig.ma;
   (* Run past the 2MSL timer so TIME_WAIT expires. *)
-  World.run rig.world ~until:(fun () ->
-      !done_flag && List.mem Tcp.Closed !client_states);
+  World.run rig.world ~until:(fun () -> !done_flag && !tw_over);
   Alcotest.(check bool) "passed through FIN_WAIT" true
     (List.mem Tcp.Fin_wait_1 !client_states || List.mem Tcp.Fin_wait_2 !client_states);
-  Alcotest.(check bool) "reached TIME_WAIT then CLOSED" true
-    (List.mem Tcp.Time_wait !client_states && List.mem Tcp.Closed !client_states)
+  Alcotest.(check bool) "reached TIME_WAIT, a record in the table" true
+    (List.mem Tcp.Time_wait !client_states && !saw_record);
+  Alcotest.(check bool) "2MSL left nothing in the table" true !tw_over
 
 let test_backlog_limit () =
   let rig = make_rig () in
