@@ -28,10 +28,10 @@ let attach stack nic =
     (fun ms ->
       List.iter xmit ms;
       []);
-  let deliver frame =
-    Cost.charge Driver Cost.config.linux_driver_pkt_cycles;
-    let m = Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame) in
-    Netif.ether_input ifp m
+  let deliver =
+    List.iter (fun frame ->
+        Cost.charge Driver Cost.config.linux_driver_pkt_cycles;
+        Netif.ether_input ifp (Mbuf.m_ext_wrap frame ~off:0 ~len:(Bytes.length frame)))
   in
   (* Hardware RSS: one RX queue per CPU, programmed with the same
      symmetric flow hash the stack shards by, each queue's MSI-X vector
@@ -52,7 +52,8 @@ let attach stack nic =
   let isr = Netisr.for_machine machine in
   Array.iteri
     (fun q line ->
-      Machine.set_irq_handler machine ~irq:line (fun () -> Netisr.rx_drain isr nic ~q deliver);
+      Machine.set_irq_handler machine ~irq:line (fun () ->
+          Netisr.rx_drain isr nic ~q ~budget:1 deliver);
       Machine.set_irq_affinity machine ~irq:line ~cpu:q;
       Machine.unmask_irq machine ~irq:line)
     vectors

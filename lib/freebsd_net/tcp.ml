@@ -1153,9 +1153,10 @@ let time_wait_ack t r =
    in TIME_WAIT, whose stream is complete both ways.  An RST inside the
    window resets it; otherwise data is trimmed to the window and counted
    as [common_input] counts it, and an ACK goes back for duplicate data,
-   a FIN at [rcv_nxt], an acknowledgment of something never sent, or
-   data past the peer's FIN, which the record has no buffer for and so
-   does not take.  A segment without ACK is answered by nothing. *)
+   a FIN at [rcv_nxt] or a retransmitted one, an acknowledgment of
+   something never sent, or data past the peer's FIN, which the record
+   has no buffer for and so does not take.  A segment without ACK is
+   answered by nothing. *)
 let time_wait_input t r ~seq ~ack ~flags ~dlen =
   let open Tw_queue in
   let rcv_nxt = r.tw_rcv_nxt and wnd = r.tw_win in
@@ -1175,8 +1176,12 @@ let time_wait_input t r ~seq ~ack ~flags ~dlen =
           bump t (fun s -> s.rcvdup <- s.rcvdup + 1);
           ack_now := true
         end;
-        (* a retransmitted FIN, already consumed *)
-        if todrop > dlen then fin := false;
+        (* a retransmitted FIN, already consumed: ACK it again (its ACK
+           was lost), as 4.4BSD does for any FIN left of the window *)
+        if todrop > dlen then begin
+          fin := false;
+          ack_now := true
+        end;
         Codec.m32 (seq + dlen), 0
       end
       else rcv_nxt, dlen - todrop

@@ -56,6 +56,13 @@ let wrap_rx dev frame =
   dev.rx_packets <- dev.rx_packets + 1;
   skb
 
+(* A chunk's frames as sk_buffs, in order (no closure per chunk). *)
+let rec wrap_all dev = function
+  | [] -> []
+  | frame :: rest ->
+      let skb = wrap_rx dev frame in
+      skb :: wrap_all dev rest
+
 (* Interrupt-mitigation window: a busy machine's local clock may run far
    ahead of wire time, and the poll must not wait out that whole lead —
    unbounded RX delay would stall ACK processing into the peers'
@@ -63,68 +70,33 @@ let wrap_rx dev frame =
    timer expires, whichever is sooner, like a NIC's coalescing timer. *)
 let napi_coalesce_ns = 100_000
 
-(* Hand each RSS home CPU its slice of a burst as [up cpu slice], arrival
-   order kept within a slice (a flow always maps to one CPU, so per-flow
-   order is kept).  A burst whose frames share one home CPU — every burst
-   at one CPU — is one slice, handed up as it is, not rebuilt. *)
-let rec same_cpu ~ncpus cpu = function
-  | [] -> true
-  | frame :: rest -> Rss.cpu_of_frame ~ncpus frame = cpu && same_cpu ~ncpus cpu rest
-
-let group_by_cpu ~ncpus frames up =
-  match frames with
-  | [] -> ()
-  | first :: _ ->
-      let cpu = Rss.cpu_of_frame ~ncpus first in
-      if same_cpu ~ncpus cpu frames then up cpu frames
-      else begin
-        let groups = ref [] in
-        List.iter
-          (fun frame ->
-            let cpu = Rss.cpu_of_frame ~ncpus frame in
-            match List.assoc_opt cpu !groups with
-            | Some r -> r := frame :: !r
-            | None -> groups := !groups @ [ (cpu, ref [ frame ]) ])
-          frames;
-        List.iter (fun (cpu, r) -> up cpu (List.rev !r)) !groups
-      end
-
-(* The NAPI-style poll (Cost.config.rx_batch > 1): frames that arrived
-   while the CPU was busy (or during the coalescing window) are already in
-   the ring; hand them up [budget] at a time, each home CPU's slice of a
-   chunk ONE upcall, until the ring is empty, then unmask and revert to
-   interrupts.  Draining fully before unmasking bounds ring
-   occupancy — leaving frames behind for another window is how rings
-   overflow and drops turn into peer retransmit timeouts.  This is exactly
-   Linux's interrupt mitigation loop: under light load it degenerates to
-   one interrupt, one frame, no added latency. *)
-let rec napi_drain dev ~ncpus ~budget up =
-  match Nic.pop_rx_burst dev.hw ~q:0 ~max:budget with
-  | [] -> ()
-  | frames ->
-      group_by_cpu ~ncpus frames up;
-      napi_drain dev ~ncpus ~budget up
-
-(* The receive interrupt, built once when the device opens.  Every frame
-   goes to its RSS home CPU through the machine's netisr, which runs it in
-   place on a hit (every frame at one CPU), so the per-frame driver work,
-   the glue crossing and the protocol input all charge the home CPU.  With
-   the default budget the ring drains frame by frame, one upcall each;
-   with a batch budget the frames stay in the ring and the poll above is
-   scheduled. *)
+(* The receive interrupt, built once when the device opens.  Both the
+   interrupt and the poll drain the ring through the machine's netisr
+   (Netisr.rx_drain), which hands each RSS home CPU its slice of a chunk
+   and runs it in place on a hit (every frame at one CPU), so the
+   per-frame driver work, the glue crossing and the protocol input all
+   charge the home CPU.  With the default budget the interrupt drains the
+   ring frame by frame, one upcall each.  With a batch budget
+   (Cost.config.rx_batch > 1) the interrupt masks the line and schedules
+   the NAPI-style poll: frames that arrived while the CPU was busy (or
+   during the coalescing window) are already in the ring, and the poll
+   hands them up [rx_batch] at a time, each home CPU's slice of a chunk
+   one upcall, until the ring is empty, then unmasks and reverts to
+   interrupts.  Draining fully before unmasking bounds ring occupancy:
+   leaving frames behind for another window is how rings overflow and
+   drops turn into peer retransmit timeouts.  This is Linux's interrupt
+   mitigation loop: under light load it degenerates to one interrupt,
+   one frame, no added latency. *)
 let device_interrupt machine dev =
-  let ncpus = Machine.ncpus machine in
   let isr = Netisr.for_machine machine in
-  let rx_one frame = dev.netif_rx [ wrap_rx dev frame ] in
-  let rx_burst frames = dev.netif_rx (List.map (wrap_rx dev) frames) in
-  let up cpu frames = ignore (Netisr.dispatch isr ~cpu rx_burst frames) in
+  let deliver frames = dev.netif_rx (wrap_all dev frames) in
   let poll () =
     dev.napi_scheduled <- false;
-    napi_drain dev ~ncpus ~budget:(max 1 Cost.config.rx_batch) up;
+    Netisr.rx_drain isr dev.hw ~q:0 ~budget:(max 1 Cost.config.rx_batch) deliver;
     Machine.unmask_irq machine ~irq:(Nic.irq dev.hw)
   in
   fun () ->
-    if Cost.config.rx_batch <= 1 then Netisr.rx_drain isr dev.hw ~q:0 rx_one
+    if Cost.config.rx_batch <= 1 then Netisr.rx_drain isr dev.hw ~q:0 ~budget:1 deliver
     else if Nic.rx_pending dev.hw > 0 && not dev.napi_scheduled then begin
       dev.napi_scheduled <- true;
       Machine.mask_irq machine ~irq:(Nic.irq dev.hw);

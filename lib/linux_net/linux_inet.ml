@@ -30,6 +30,7 @@ type tcp_state =
   | Established
   | Fin_wait1
   | Fin_wait2
+  | Closing (* the FINs crossed; ours not yet acknowledged *)
   | Close_wait
   | Last_ack
   | Time_wait
@@ -127,9 +128,6 @@ and stack = {
   mutable time_wait_reclaimed : int;
   mutable nomem_drops : int;    (* segments/frames dropped for want of an skb *)
   mutable rst_ratelimited : int;
-  (* TIME_WAIT records whose sock's FIN crossed the peer's and is not yet
-     acknowledged: that sock still retransmits it, and takes the ACKs. *)
-  mutable crossed : (Conn_table.tw * sock) list;
 }
 
 let dev_of t = match t.dev with Some d -> d | None -> Error.fail Error.Nodev
@@ -168,7 +166,7 @@ let create machine =
         rexmt_give_ups = 0; persist_probes = 0; listen_overflow = 0; predack = 0;
         preddat = 0; predfallback = 0; syncache = Syncache.create ~secret:0x327b23c6;
         err_bucket = Token_bucket.create machine; time_wait_reclaimed = 0; nomem_drops = 0;
-        rst_ratelimited = 0; crossed = [] }
+        rst_ratelimited = 0 }
   in
   Lazy.force t
 
@@ -280,31 +278,17 @@ let set_nonblock s v = s.nb <- v
 
 (* ---- overload policy (lib/inet) ---- *)
 
-let crossed_sock t r = match t.crossed with [] -> None | l -> List.assq_opt r l
-let uncross t r = t.crossed <- List.filter (fun (x, _) -> x != r) t.crossed
-
-(* The record leaves the table; a crossed sock closes with it, as the
-   sock in TIME_WAIT itself closed, woken when [wake] is set. *)
-let release_tw t r ~wake:w =
-  Conn_table.release t.conns r;
-  Option.iter
-    (fun s ->
-      uncross t r;
-      s.state <- Closed;
-      if w then wake s)
-    (crossed_sock t r)
-
 (* Retire one TIME_WAIT record early (the tw_max cap, memory pressure);
    its pending 2xMSL callback is a no-op once it left the queue. *)
 let lx_close_tw t r =
   t.time_wait_reclaimed <- t.time_wait_reclaimed + 1;
-  release_tw t r ~wake:true
+  Conn_table.release t.conns r
 
 (* The connection's part in TIME_WAIT passes to a compact record in the
    table (tcp_tw_bucket), which the 2xMSL callback releases; a socket the
    user still holds keeps the sock, reading TIME_WAIT, and what it has
-   yet to read.  A FIN the peer has yet to acknowledge keeps the sock
-   retransmitting it ([crossed]). *)
+   yet to read.  Both FINs are acknowledged by now (CLOSING waits for
+   ours), so the record has nothing to retransmit. *)
 let lx_enter_time_wait t s =
   s.state <- Time_wait;
   let r =
@@ -313,10 +297,9 @@ let lx_enter_time_wait t s =
       ~expires:(Machine.now t.machine + time_wait_ns)
       ~retire:(lx_close_tw t)
   in
-  if s.rexmt_q <> [] then t.crossed <- (r, s) :: t.crossed;
   ignore
     (Machine.at_on t.machine ~cpu:r.Tw_queue.tw_home r.Tw_queue.tw_expires (fun () ->
-         if r.Tw_queue.tw_queued then release_tw t r ~wake:false))
+         if r.Tw_queue.tw_queued then Conn_table.release t.conns r))
 
 (* Memory pressure: shed the coldest protocol state — every TIME_WAIT
    record and every cached half-open handshake (cookies still complete
@@ -743,29 +726,16 @@ let rec ooo_drain s =
   | _ -> ()
 
 (* A segment for a TIME_WAIT record: what [tcp_rcv]'s general arm does
-   for a sock in TIME_WAIT.  Any RST releases it.  An ACK goes to a
-   crossed sock, until its FIN is acknowledged.  Data is counted as the
+   for a sock in TIME_WAIT.  Any RST releases it.  Data is counted as the
    arm counts it and ACKed — data past the peer's FIN too, which the
    record has no queue for and so does not take — and a FIN at [rcv_nxt]
-   is ACKed again. *)
-let lx_time_wait_input t r ~seq ~ack ~flags ~win ~dlen =
+   is ACKed again, as is a retransmitted FIN (RFC 793's ACK for a
+   segment left of the window: the peer's ACK of it was lost).  2MSL
+   runs on unchanged. *)
+let lx_time_wait_input t r ~seq ~flags ~dlen =
   let open Tw_queue in
-  let crossed = crossed_sock t r in
-  if flags land th_rst <> 0 then begin
-    Option.iter
-      (fun s ->
-        retire_queues s;
-        s.err <- Some Error.Connreset)
-      crossed;
-    release_tw t r ~wake:true
-  end
+  if flags land th_rst <> 0 then Conn_table.release t.conns r
   else begin
-    (match crossed with
-    | Some s when flags land th_ack <> 0 ->
-        tcp_ack_in t s ~ack ~win:(if flags land th_syn = 0 then win lsl s.snd_scale else win)
-          ~dlen;
-        if s.rexmt_q = [] then uncross t r
-    | _ -> ());
     let rcv_nxt = r.tw_rcv_nxt in
     let send_ack () =
       send_bare t ~lport:r.tw_lport ~rport:r.tw_rport ~raddr:r.tw_raddr ~seq:r.tw_snd_nxt
@@ -777,7 +747,9 @@ let lx_time_wait_input t r ~seq ~ack ~flags ~win ~dlen =
       else if Codec.seq_gt seq rcv_nxt then t.rcvoo <- t.rcvoo + 1;
       send_ack ()
     end;
-    if flags land th_fin <> 0 && Codec.m32 (seq + dlen) = rcv_nxt then send_ack ()
+    let fin_end = Codec.m32 (seq + dlen) in
+    if flags land th_fin <> 0 && (fin_end = rcv_nxt || Codec.m32 (fin_end + 1) = rcv_nxt) then
+      send_ack ()
   end
 
 let tcp_rcv t skb ~src =
@@ -825,7 +797,7 @@ let tcp_rcv t skb ~src =
             send_rst_for t ~src ~sport ~dport ~ack
       | Some (Conn_table.Tw r) ->
           slowpath ();
-          lx_time_wait_input t r ~seq ~ack ~flags ~win ~dlen
+          lx_time_wait_input t r ~seq ~flags ~dlen
       | Some (Conn_table.Live s) -> (
           (* Past the handshake the 16-bit window field arrives shifted by
              the peer's negotiated scale; SYN windows are never scaled. *)
@@ -950,7 +922,7 @@ let tcp_rcv t skb ~src =
                       | None -> ());
                       wake s
                 end
-            | Established | Fin_wait1 | Fin_wait2 | Close_wait | Last_ack -> (
+            | Established | Fin_wait1 | Fin_wait2 | Closing | Close_wait | Last_ack -> (
                 if flags land th_ack <> 0 then begin
                   tcp_ack_in t s ~ack ~win ~dlen;
                   (* Our FIN acked? *)
@@ -958,6 +930,9 @@ let tcp_rcv t skb ~src =
                     match s.state with
                     | Fin_wait1 ->
                         s.state <- Fin_wait2;
+                        wake s
+                    | Closing ->
+                        lx_enter_time_wait t s;
                         wake s
                     | Last_ack ->
                         s.state <- Closed;
@@ -998,7 +973,8 @@ let tcp_rcv t skb ~src =
                     send_ack t s;
                     (match s.state with
                     | Established -> s.state <- Close_wait
-                    | Fin_wait1 | Fin_wait2 -> lx_enter_time_wait t s
+                    | Fin_wait1 -> s.state <- Closing
+                    | Fin_wait2 -> lx_enter_time_wait t s
                     | _ -> ());
                     wake s
                   end

@@ -73,9 +73,11 @@ type config = {
   mutable rx_batch : int;
       (** The burst bound of the one frame path between the card and
           the stack; a frame that crosses alone is a burst of one.
-          Receive: how many pending frames one NAPI-style poll may carry
+          Receive: the budget of the Linux driver's NAPI-style poll,
+          the most pending frames one [Netisr.rx_drain] chunk carries
           from the driver to the stack in one push, through one glue
-          crossing.  Transmit: the frames one BSD [tcp_output] call emits
+          crossing (its interrupt, and native FreeBSD's, drain with a
+          budget of 1).  Transmit: the frames one BSD [tcp_output] call emits
           cross to the driver in one push ([Netif.with_burst]).
           [<= 1]: every frame crosses alone, in both directions.
           Default 1. *)

@@ -221,6 +221,7 @@ let run_hook_and_drain t =
   dispatch_pending t
 
 let mask_irq t ~irq = t.masked <- t.masked lor bit irq
+let irq_masked t ~irq = t.masked land bit irq <> 0
 
 let unmask_irq t ~irq =
   t.masked <- t.masked land lnot (bit irq);

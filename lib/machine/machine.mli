@@ -105,10 +105,12 @@ val irq_lines : int (* 16, like the PC's cascaded 8259s *)
     handler runs in machine context at interrupt level. *)
 val set_irq_handler : t -> irq:int -> (unit -> unit) -> unit
 
-(** [mask_irq] / [unmask_irq]: per-line enable, as on the PIC. *)
+(** [mask_irq] / [unmask_irq]: per-line enable, as on the PIC;
+    [irq_masked] reads it (a driver's pending poll keeps its line masked). *)
 val mask_irq : t -> irq:int -> unit
 
 val unmask_irq : t -> irq:int -> unit
+val irq_masked : t -> irq:int -> bool
 
 (** [set_irq_affinity t ~irq ~cpu] routes a line to a CPU (IO-APIC style).
     Default: every line services on CPU 0. *)

@@ -100,18 +100,16 @@ let transmit_v t frags =
   Cost.count_sg_xmit ();
   transmit t frame
 
-let pop_rx t ~q = Queue.take_opt t.queues.(q)
+(* Up to [max] frames off one queue, oldest first: the one pop, a
+   receive drain's chunk (Netisr.rx_drain).  Built front to back, so a
+   chunk of one costs one cons cell and nothing is reversed. *)
+let rec take_rx queue max =
+  if max <= 0 || Queue.is_empty queue then []
+  else
+    let frame = Queue.take queue in
+    frame :: take_rx queue (max - 1)
 
-(* Bounded burst for a NAPI-style poll: up to [max] frames, oldest first. *)
-let pop_rx_burst t ~q ~max =
-  let rec take n acc =
-    if n >= max then List.rev acc
-    else
-      match Queue.take_opt t.queues.(q) with
-      | None -> List.rev acc
-      | Some frame -> take (n + 1) (frame :: acc)
-  in
-  take 0 []
+let pop_rx_burst t ~q ~max = take_rx t.queues.(q) max
 
 let rx_pending t = Array.fold_left (fun n q -> n + Queue.length q) 0 t.queues
 let rx_dropped t = t.dropped

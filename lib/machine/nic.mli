@@ -52,13 +52,9 @@ val transmit : t -> bytes -> unit
     [Cost.counters.sg_xmits].  Zero CPU copy for the caller. *)
 val transmit_v : t -> (bytes * int * int) list -> unit
 
-(** [pop_rx t ~q] takes the oldest received frame off queue [q], if
-    any.  Used by the driver's interrupt handler. *)
-val pop_rx : t -> q:int -> bytes option
-
 (** [pop_rx_burst t ~q ~max] takes up to [max] pending frames off queue
-    [q], oldest first — the bounded burst a NAPI-style poll drains per
-    interrupt (Cost.config.rx_batch). *)
+    [q], oldest first: one chunk of a receive drain's budget
+    ([Netisr.rx_drain], its only caller in lib). *)
 val pop_rx_burst : t -> q:int -> max:int -> bytes list
 
 (** Frames waiting in all queues. *)

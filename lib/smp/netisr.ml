@@ -64,12 +64,31 @@ let dispatch t ~cpu f x =
     true
   end
 
-(* The per-frame receive loop both NIC drivers run from their interrupt:
-   drain queue [q] of [nic], handing each frame to its RSS home CPU. *)
-let rec rx_drain t nic ~q deliver =
-  match Nic.pop_rx nic ~q with
-  | None -> ()
-  | Some frame ->
-      let cpu = Rss.cpu_of_frame ~ncpus:(Machine.ncpus t.machine) frame in
-      ignore (dispatch t ~cpu deliver frame);
-      rx_drain t nic ~q deliver
+(* Whether every frame of [frames] is homed on [cpu]. *)
+let rec one_home ~ncpus cpu = function
+  | [] -> true
+  | frame :: rest -> Rss.cpu_of_frame ~ncpus frame = cpu && one_home ~ncpus cpu rest
+
+(* Hand each RSS home CPU its slice of a chunk: arrival order within a
+   slice, slices in order of first appearance (a flow maps to one CPU, so
+   per-flow order is kept).  A chunk with one home, every chunk at one
+   CPU, is dispatched as it is, not rebuilt. *)
+let rec dispatch_slices t ~ncpus deliver = function
+  | [] -> ()
+  | first :: rest as frames ->
+      let cpu = Rss.cpu_of_frame ~ncpus first in
+      if one_home ~ncpus cpu rest then ignore (dispatch t ~cpu deliver frames)
+      else begin
+        let mine, others = List.partition (fun f -> Rss.cpu_of_frame ~ncpus f = cpu) frames in
+        ignore (dispatch t ~cpu deliver mine);
+        dispatch_slices t ~ncpus deliver others
+      end
+
+(* The one receive loop every NIC driver runs: drain queue [q] of [nic]
+   [budget] frames at a time, each chunk sliced by home CPU. *)
+let rec rx_drain t nic ~q ~budget deliver =
+  match Nic.pop_rx_burst nic ~q ~max:budget with
+  | [] -> ()
+  | frames ->
+      dispatch_slices t ~ncpus:(Machine.ncpus t.machine) deliver frames;
+      rx_drain t nic ~q ~budget deliver

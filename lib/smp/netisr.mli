@@ -20,8 +20,11 @@ val dispatch : t -> cpu:int -> ('a -> unit) -> 'a -> bool
 (** Frames steered to [cpu] but not yet processed. *)
 val queue_len : t -> cpu:int -> int
 
-(** [rx_drain t nic ~q deliver] is a NIC driver's per-frame receive
-    interrupt: it takes every frame off [nic]'s queue [q], in order, and
-    dispatches [deliver frame] to the frame's RSS home CPU
-    ({!Rss.cpu_of_frame}); a frame the netisr drops is gone. *)
-val rx_drain : t -> Nic.t -> q:int -> (bytes -> unit) -> unit
+(** [rx_drain t nic ~q ~budget deliver] is the one receive loop of every
+    NIC driver: it takes the frames off [nic]'s queue [q] [budget] at a
+    time until the queue is empty, and dispatches each RSS home CPU's
+    slice of a chunk ({!Rss.cpu_of_frame}) as one [deliver frames], in
+    arrival order within the slice and slices in order of first
+    appearance.  A budget of 1 delivers frame by frame.  A slice the
+    netisr drops is gone. *)
+val rx_drain : t -> Nic.t -> q:int -> budget:int -> (bytes list -> unit) -> unit

@@ -101,11 +101,16 @@
 # A frame has one path each way between the card and the stack: a netio
 # has one push, which takes a burst (a lone frame is a burst of one), the
 # Linux driver has one upcall, an ifnet one driver entry, a card one ring
-# model (a card without RSS has one queue), and both drivers drain a
-# queue frame by frame with one loop, Netisr.rx_drain.  So a grep must
-# find no vectored second path or per-queue pop (push_v, netif_rx_v,
-# set_vectored_xmit, pop_rx_q) in lib, bench, test, bin or examples, and
-# `let rec rx_drain` defined in no more than one file under lib.
+# model (a card without RSS has one queue), and every driver drains a
+# queue with one loop, Netisr.rx_drain, which pops a budget of frames at
+# a time and slices each chunk by home CPU: an interrupt drains with a
+# budget of 1, the Linux driver's NAPI poll with rx_batch.  So a grep
+# must find no vectored second path, per-queue pop, driver poll loop or
+# driver-side slicing (push_v, netif_rx_v, set_vectored_xmit, pop_rx_q,
+# napi_drain, group_by_cpu, Nic.pop_rx) in lib, bench, test, bin,
+# examples or perfbench, no call in lib of the one pop
+# (Nic.pop_rx_burst) outside lib/smp/netisr.ml, and `let rec rx_drain`
+# defined in no more than one file under lib.
 # Every charged cycle names its layer (Cost.charge), and a CPU's busy
 # time is the sum of its ledger row.  So a grep must find no untagged
 # charge (charge_cycles, or charge_ns outside lib/machine/cost.ml), no
@@ -222,7 +227,9 @@ if grep -rnE 'ready_listener|next_lid|by_id|Kqueue\.' lib bench test bin example
   echo "a readiness id table grew back beside the shared listener list and the reactor's knotes" >&2
   exit 1
 fi
-if grep -rnE 'push_v|netif_rx_v|set_vectored_xmit|pop_rx_q' lib bench test bin examples \
+if grep -rnE 'push_v|netif_rx_v|set_vectored_xmit|pop_rx_q|napi_drain|group_by_cpu|Nic\.pop_rx\b' \
+  lib bench test bin examples perfbench \
+  || grep -rn 'Nic\.pop_rx_burst' lib | grep -v '^lib/smp/netisr\.ml:' \
   || [ "$(grep -rl 'let rec rx_drain' lib | wc -l)" -gt 1 ]; then
   echo "a second frame path grew back beside the one push, upcall, driver entry and drain loop" >&2
   exit 1

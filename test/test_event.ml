@@ -573,9 +573,10 @@ let test_reactor_kq_engine () =
    core holds stays behind: reactor 0 holds one watch with one knote (the
    listener's), every other reactor none, every ready queue is empty, and
    the server stack's tick wheels are idle.  Nor does the frame path: the
-   server's ifnet holds no burst open and queues no frame, and no frame
-   waits in any receive queue of either host's card.  [rx_batch] > 1
-   binds the batched glue on an OSKit server. *)
+   server's ifnet holds no burst open and queues no frame, no frame waits
+   in any receive queue of either host's card or in any CPU's netisr
+   queue, and no NAPI poll is pending (it would keep the card's line
+   masked).  [rx_batch] > 1 binds the batched glue on an OSKit server. *)
 
 let quiescence ?(rx_batch = 1) ~stack ~ncpus () =
   Cost.with_config { Cost.config with Cost.ncpus; http_keepalive = true; rx_batch } @@ fun () ->
@@ -637,7 +638,18 @@ let quiescence ?(rx_batch = 1) ~stack ~ncpus () =
         (Printf.sprintf "%s: frames left in %s's NIC queues" name
            (Machine.name host.Clientos.machine))
         0
-        (Nic.rx_pending host.Clientos.nic))
+        (Nic.rx_pending host.Clientos.nic);
+      let m = host.Clientos.machine in
+      let isr = Netisr.for_machine m in
+      for cpu = 0 to Machine.ncpus m - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "%s: frames in %s's netisr queue %d" name (Machine.name m) cpu)
+          0 (Netisr.queue_len isr ~cpu)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s's card line masked (a poll pending)" name (Machine.name m))
+        false
+        (Machine.irq_masked m ~irq:(Nic.irq host.Clientos.nic)))
     [ tb.Clientos.host_a; tb.Clientos.host_b ];
   match s.Httpbench.server.Endpoint.stack with
   | Endpoint.Bsd bsd ->
@@ -656,7 +668,8 @@ let test_httpd_quiescence () =
   quiescence ~stack:Endpoint.Freebsd ~ncpus:1 ();
   quiescence ~stack:Endpoint.Freebsd ~ncpus:4 ();
   quiescence ~stack:Endpoint.Oskit ~ncpus:1 ();
-  quiescence ~stack:Endpoint.Oskit ~ncpus:1 ~rx_batch:8 ()
+  quiescence ~stack:Endpoint.Oskit ~ncpus:1 ~rx_batch:8 ();
+  quiescence ~stack:Endpoint.Oskit ~ncpus:4 ~rx_batch:8 ()
 
 (* ---- flags off: the new machinery stays cold ---- *)
 

@@ -290,6 +290,68 @@ let test_netisr_per_machine () =
   World.run w;
   Alcotest.(check bool) "and runs" true !ran
 
+(* The one receive drain at 2 CPUs: eight frames of two flows homed on
+   different CPUs, interleaved A1 B1 A2 B2 B3 A3 B4 A4, drained from CPU
+   0 at [budget].  Each delivery records its CPU, its frames and how
+   many B slices CPU 1's netisr queue already holds, which tells the
+   order in which the slices were dispatched. *)
+let rx_drain_deliveries ~budget =
+  let w = World.create () in
+  let wire = Wire.create w in
+  let m = Machine.create ~name:"drain-pc" ~ncpus:2 w in
+  let mac = "\x02\x00\x00\x00\x00\x01" in
+  let nic = Nic.create ~machine:m ~wire ~mac ~irq:9 () in
+  Rss.reboot ();
+  let src = ip "10.0.0.1" and dst = ip "10.0.0.2" in
+  let rec homed cpu sport =
+    if Rss.cpu_of_frame ~ncpus:2 (tcp_frame ~src ~dst ~sport ~dport:80) = cpu then sport
+    else homed cpu (sport + 1)
+  in
+  let sport_a = homed 0 1000 and sport_b = homed 1 1000 in
+  let frame tag =
+    let sport = if tag.[0] = 'A' then sport_a else sport_b in
+    let f = tcp_frame ~src ~dst ~sport ~dport:80 in
+    Bytes.blit_string mac 0 f 0 6;
+    Bytes.blit_string tag 0 f 58 2;
+    f
+  in
+  (* No handler drains the card: the frames wait in its ring. *)
+  let sender = Wire.attach wire ~rx:(fun _ -> ()) in
+  List.iteri
+    (fun i tag -> ignore (Wire.send wire sender (frame tag) ~at:(i * 10_000)))
+    [ "A1"; "B1"; "A2"; "B2"; "B3"; "A3"; "B4"; "A4" ];
+  World.run w;
+  Alcotest.(check int) "eight frames wait" 8 (Nic.rx_pending nic);
+  let isr = Netisr.for_machine m in
+  let got = Array.make 2 [] in
+  let deliver frames =
+    let cpu = Machine.cpu m in
+    let tags = List.map (fun f -> Bytes.sub_string f 58 2) frames in
+    got.(cpu) <- (tags, Netisr.queue_len isr ~cpu:1) :: got.(cpu)
+  in
+  Machine.run_on m ~cpu:0 (fun () -> Netisr.rx_drain isr nic ~q:0 ~budget deliver);
+  World.run w;
+  Alcotest.(check (list int)) "the ring and both netisr queues end empty" [ 0; 0; 0 ]
+    [ Nic.rx_pending nic; Netisr.queue_len isr ~cpu:0; Netisr.queue_len isr ~cpu:1 ];
+  Array.map List.rev got
+
+let test_rx_drain_slices () =
+  let slices = List.map fst in
+  let got = rx_drain_deliveries ~budget:1 in
+  Alcotest.(check (list (list string))) "budget 1: A frame by frame on CPU 0"
+    [ [ "A1" ]; [ "A2" ]; [ "A3" ]; [ "A4" ] ] (slices got.(0));
+  Alcotest.(check (list (list string))) "budget 1: B frame by frame on CPU 1"
+    [ [ "B1" ]; [ "B2" ]; [ "B3" ]; [ "B4" ] ] (slices got.(1));
+  Alcotest.(check (list int)) "budget 1: dispatched in arrival order" [ 0; 1; 3; 4 ]
+    (List.map snd got.(0));
+  let got = rx_drain_deliveries ~budget:4 in
+  Alcotest.(check (list (list string))) "budget 4: one A slice per chunk on CPU 0"
+    [ [ "A1"; "A2" ]; [ "A3"; "A4" ] ] (slices got.(0));
+  Alcotest.(check (list (list string))) "budget 4: one B slice per chunk on CPU 1"
+    [ [ "B1"; "B2" ]; [ "B3"; "B4" ] ] (slices got.(1));
+  Alcotest.(check (list int)) "budget 4: slices in order of first appearance" [ 0; 2 ]
+    (List.map snd got.(0))
+
 (* ------------------------------------------------------------------ *)
 (* The multi-queue RSS NIC: per-queue rings, per-queue vectors.        *)
 
@@ -308,14 +370,7 @@ let test_nic_rss_queues () =
   Alcotest.(check int) "two queues" 2 (Nic.rx_queues nic);
   let served_on = Array.make 2 (-1) in
   let handler q () =
-    let rec drain () =
-      match Nic.pop_rx nic ~q with
-      | None -> ()
-      | Some _ ->
-          served_on.(q) <- Machine.cpu m;
-          drain ()
-    in
-    drain ()
+    if Nic.pop_rx_burst nic ~q ~max:max_int <> [] then served_on.(q) <- Machine.cpu m
   in
   Machine.set_irq_handler m ~irq:9 (handler 0);
   Machine.set_irq_handler m ~irq:5 (handler 1);
@@ -498,4 +553,6 @@ let suite =
     Alcotest.test_case "sharded httpd under 2% loss: byte-exact at 1/2/4 CPUs"
       `Quick test_httpd_cross_cpu_lossy;
     Alcotest.test_case "netisr: one per machine, whatever its name" `Quick
-      test_netisr_per_machine ]
+      test_netisr_per_machine;
+    Alcotest.test_case "netisr: rx_drain slices each chunk by home CPU" `Quick
+      test_rx_drain_slices ]

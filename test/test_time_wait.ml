@@ -3,16 +3,15 @@
    or sock.  One stack talks to a peer that exists only as the segments
    the test writes, so every reply on the wire is the record's.
 
-   The pins are the general input path's answers to a connection in
-   TIME_WAIT as measured before the record replaced it: a retransmitted
-   FIN gets no reply and leaves the 2MSL wait as it was (neither stack
-   re-ACKs it: the FIN is trimmed as already consumed, and what is left
-   asks for nothing); duplicate data is dup-ACKed with snd_nxt, rcv_nxt
-   and the window the connection last offered; a RST inside the window
-   resets it (BSD) or any RST does (Linux); a SYN gets no reply.  The
-   newest binding on a 4-tuple answers first, and closing it uncovers the
-   record; 2MSL leaves nothing behind; and a record reaches nothing but
-   itself and its addresses. *)
+   The pins: a retransmitted FIN is ACKed again (its ACK was lost) and
+   leaves the 2MSL wait as it was; duplicate data is dup-ACKed, both with
+   snd_nxt, rcv_nxt and the window the connection last offered; a RST
+   inside the window resets it (BSD) or any RST does (Linux); a SYN gets
+   no reply.  The newest binding on a 4-tuple answers first, and closing
+   it uncovers the record; 2MSL leaves nothing behind; and a record
+   reaches nothing but itself and its addresses.  FINs that cross take a
+   connection through CLOSING, whose own timer resends its FIN until the
+   ACK takes it to TIME_WAIT. *)
 
 let ip = Oskit.ip_of_string
 let mask = ip "255.255.255.0"
@@ -46,6 +45,7 @@ type 'a rig = {
   connect : int -> 'a; (* from a local port to the peer's port 80: SYN sent *)
   iss : 'a -> int;
   close : 'a -> unit; (* FIN, or gone before the handshake *)
+  closing : 'a -> bool; (* in CLOSING: the FINs crossed, ours unacknowledged *)
   counter : string -> int;
   win : int; (* the window a fresh connection offers *)
   expired : Conn_table.tw -> unit; (* the record left at the end of its 2MSL *)
@@ -83,10 +83,12 @@ let bsd () =
             p));
     iss = (fun p -> p.Tcp.iss);
     close = (fun p -> Machine.run_in m (fun () -> Tcp.usr_close t p));
+    closing = (fun p -> p.Tcp.t_state = Tcp.Closing);
     counter =
       (function
       | "in" -> stats.Tcp.rcvpack
       | "out" -> stats.Tcp.sndpack
+      | "rexmit" -> stats.Tcp.sndrexmitpack
       | "dup" -> stats.Tcp.rcvdup
       | "drops" -> stats.Tcp.drops
       | c -> invalid_arg c);
@@ -114,10 +116,12 @@ let linux () =
             s));
     iss = (fun s -> s.Linux_inet.iss);
     close = (fun s -> Machine.run_in m (fun () -> Linux_inet.close t s));
+    closing = (fun s -> s.Linux_inet.state = Linux_inet.Closing);
     counter =
       (function
       | "in" -> t.Linux_inet.segs_in
       | "out" -> t.Linux_inet.segs_out
+      | "rexmit" -> t.Linux_inet.rexmits
       | "dup" -> t.Linux_inet.rcvdup
       | "drops" -> 0
       | c -> invalid_arg c);
@@ -181,12 +185,12 @@ let released_at r ?(before = ignore) () =
   World.now r.tb.Clientos.world
 
 let pins make ~any_rst () =
-  (* A retransmitted FIN: counted in, no reply, the wait unchanged. *)
+  (* A retransmitted FIN: counted in, ACKed again, the wait unchanged. *)
   let r = make () in
   let tw = to_time_wait r in
   let in0 = r.counter "in" and out0 = r.counter "out" in
-  Alcotest.(check int) "re-FIN: no reply" 0 (List.length (replies r (re_fin tw)));
-  Alcotest.(check (list int)) "re-FIN: one segment in, none out" [ in0 + 1; out0 ]
+  check_ack r tw "re-FIN" (replies r (re_fin tw));
+  Alcotest.(check (list int)) "re-FIN: one segment in, one out" [ in0 + 1; out0 + 1 ]
     [ r.counter "in"; r.counter "out" ];
   Alcotest.(check bool) "re-FIN: still in TIME_WAIT" true tw.Tw_queue.tw_queued;
   let plain = released_at (make ()) () in
@@ -239,9 +243,7 @@ let newest_first make () =
 
 (* At the end of its 2MSL the record is gone, and with it every trace of
    the connection. *)
-let quiescent make () =
-  let r = make () in
-  let tw = to_time_wait r in
+let check_gone r tw =
   Clientos.run r.tb ~until:(fun () -> not tw.Tw_queue.tw_queued);
   r.expired tw;
   Clientos.run r.tb ~until:(fun () -> false);
@@ -253,6 +255,49 @@ let quiescent make () =
       Hashtbl.length r.conns.Conn_table.demux.Demux.tbl ];
   r.idle ();
   Alcotest.(check int) "no world event" 0 (World.pending r.tb.Clientos.world)
+
+let quiescent make () =
+  let r = make () in
+  check_gone r (to_time_wait r)
+
+(* Simultaneous close, the final ACK lost once: the peer's FIN crosses
+   ours, so the connection ACKs it and reads CLOSING; with no ACK of its
+   own FIN, its retransmit timer resends that FIN; the ACK of it takes
+   the connection to TIME_WAIT, and 2MSL leaves nothing behind. *)
+let simultaneous_close make () =
+  let r = make () in
+  let c = r.connect port in
+  let iss = r.iss c in
+  r.input (segment ~seq:peer_iss ~ack:(iss + 1) ~flags:(th_syn lor th_ack) ());
+  r.close c;
+  settle r;
+  let fin_ack = segment ~seq:(peer_iss + 1) ~ack:(iss + 1) ~flags:(th_fin lor th_ack) () in
+  (match replies r fin_ack with
+  | [ h ] ->
+      Alcotest.(check (list int)) "crossed FIN: ACKed at once"
+        [ iss + 2; peer_iss + 2; th_ack ] [ h.Codec.seq; h.Codec.ack; h.Codec.flags ]
+  | l -> Alcotest.failf "crossed FIN: %d replies, want one ACK" (List.length l));
+  Alcotest.(check bool) "crossed FIN: CLOSING" true (r.closing c);
+  let rexmit0 = r.counter "rexmit" and sent0 = List.length !(r.sent) in
+  Clientos.run r.tb ~until:(fun () -> List.length !(r.sent) > sent0);
+  (match !(r.sent) with
+  | h :: _ ->
+      Alcotest.(check (list int)) "our FIN resent" [ iss + 1; th_fin ]
+        [ h.Codec.seq; h.Codec.flags land th_fin ]
+  | [] -> Alcotest.fail "nothing resent");
+  Alcotest.(check int) "by the connection's own timer" (rexmit0 + 1) (r.counter "rexmit");
+  Alcotest.(check bool) "still CLOSING" true (r.closing c);
+  Alcotest.(check int) "no record yet" 0 (List.length (Tw_queue.to_list r.conns.Conn_table.tw));
+  r.input (segment ~seq:(peer_iss + 2) ~ack:(iss + 2) ~flags:th_ack ());
+  settle r;
+  match Tw_queue.to_list r.conns.Conn_table.tw with
+  | [ tw ] ->
+      Alcotest.(check (list int)) "TIME_WAIT at the ACK: snd_nxt, rcv_nxt"
+        [ iss + 2; peer_iss + 2 ] [ tw.Tw_queue.tw_snd_nxt; tw.Tw_queue.tw_rcv_nxt ];
+      Alcotest.(check bool) "the connection left the table" false
+        (List.memq c (Conn_table.to_list r.conns));
+      check_gone r tw
+  | l -> Alcotest.failf "%d TIME_WAIT records, want one" (List.length l)
 
 (* A thousand TIME_WAIT records reach at most 40 words each: no pcb,
    sock, stack or timer behind them. *)
@@ -276,4 +321,7 @@ let suite =
     Alcotest.test_case "bsd: nothing left after 2MSL" `Quick (quiescent bsd);
     Alcotest.test_case "linux: nothing left after 2MSL" `Quick (quiescent linux);
     Alcotest.test_case "bsd: 1000 records, <= 40 words each" `Quick (footprint bsd);
-    Alcotest.test_case "linux: 1000 records, <= 40 words each" `Quick (footprint linux) ]
+    Alcotest.test_case "linux: 1000 records, <= 40 words each" `Quick (footprint linux);
+    Alcotest.test_case "bsd: simultaneous close, ACK lost once" `Quick (simultaneous_close bsd);
+    Alcotest.test_case "linux: simultaneous close, ACK lost once" `Quick
+      (simultaneous_close linux) ]
