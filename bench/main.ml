@@ -8,7 +8,7 @@
      table3     component source-size inventory           — paper Table 3
      footprint  static size of the netcomputer config     — paper §6.2.5
      vmnet      TCP throughput measured from the VM       — paper §6.2.6
-     alloc      allocator micro-benchmarks (Bechamel)     — paper §6.2.10
+     alloc      LMM walk, raw vs under Kalloc             — paper §6.2.10
      glue       glue-overhead ablation                    — DESIGN.md A
      copies     per-packet copy accounting                — DESIGN.md B
      chaos      ttcp goodput under injected faults        — netem
@@ -27,9 +27,8 @@
    EXPERIMENTS.md.  Run from the repository root.
 
    Network numbers come from the deterministic virtual-time simulation
-   (they are not wall-clock); the allocator section uses Bechamel
-   wall-clock measurement of the real data structures, so it commits no
-   file. *)
+   (they are not wall-clock); the allocator section counts the LMM's
+   free-list walk exactly. *)
 
 open Record
 
@@ -282,11 +281,11 @@ let dir_object_bytes dir =
 (* Build objects per component group of the netcomputer configuration
    (cf. the paper's 412 KB, 121 KB of it networking), their total, and
    the file system a no-file-system build leaves out. *)
+let footprint_groups =
+  [ [ "linux_dev"; "fdev" ]; [ "freebsd_net" ]; [ "vm" ]; [ "libc" ];
+    [ "kern"; "boot"; "machine" ]; [ "lmm"; "amm" ]; [ "com"; "core" ] ]
+
 let footprint () =
-  let groups =
-    [ [ "linux_dev"; "fdev" ]; [ "freebsd_net" ]; [ "vm" ]; [ "libc" ];
-      [ "kern"; "boot"; "machine" ]; [ "lmm"; "amm" ]; [ "com"; "core" ] ]
-  in
   let row ?(name = String.concat "+") linked comps =
     let bytes =
       List.fold_left (fun a c -> a + dir_object_bytes ("_build/default/lib/" ^ c)) 0 comps
@@ -295,8 +294,8 @@ let footprint () =
       [ "components", Str (name comps); "linked", Str linked ]
       [ "kb", Float (float_of_int bytes /. 1024.0) ]
   in
-  List.map (row "yes") groups
-  @ [ row ~name:(fun _ -> "total") "yes" (List.concat groups); row "no" [ "netbsd_fs" ] ]
+  List.map (row "yes") footprint_groups
+  @ [ row ~name:(fun _ -> "total") "yes" (List.concat footprint_groups); row "no" [ "netbsd_fs" ] ]
 
 (* ---------------- vmnet (Section 6.2.6) ---------------- *)
 
@@ -310,142 +309,51 @@ let vmnet () =
         [ "mbit", Float (Netbench.vm_throughput ~direction ~bytes) ])
     [ "receive", `Receive; "send", `Send ]
 
-(* ---------------- alloc (Section 6.2.10, Bechamel) ---------------- *)
+(* ---------------- alloc (Section 6.2.10) ---------------- *)
 
-let fresh_lmm () =
-  let lmm = Lmm.create () in
-  Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-  Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
-  lmm
+(* The deficiency the paper reports: the LMM is built for flexibility, not
+   common-case speed.  Every first-fit alloc walks the free list, and
+   every free walks it again to its insertion point; a conventional
+   allocator layered on top (Kalloc) serves small blocks from per-class
+   freelists and goes to the LMM only for a fresh slab.  Both are counted
+   in LMM free-list nodes visited per alloc+free round trip (Lmm.visits),
+   exact on any host.  The fragmented heap is the state a long-running
+   kernel reaches: pinned 16-byte live blocks leave as many 16-byte holes
+   at the front of the address-sorted free list. *)
+let alloc_round_trips = 10_000
 
 let alloc () =
-  let open Bechamel in
-  (* The deficiency the paper reports: the LMM is built for flexibility,
-     not common-case speed; a conventional high-level allocator (the BSD
-     bucket allocator here) is much faster for small hot-path blocks. *)
-  let lmm_test =
-    let lmm = fresh_lmm () in
-    Test.make ~name:"lmm alloc+free 128B"
-      (Staged.stage (fun () ->
-           match Lmm.alloc lmm ~size:128 ~flags:0 with
-           | Some addr -> Lmm.free lmm ~addr ~size:128
-           | None -> assert false))
-  in
-  let pool_test =
-    let lmm = fresh_lmm () in
-    let pool =
-      Bsd_malloc.create ~client_alloc:(fun size ->
-          Lmm.alloc_aligned lmm ~size ~flags:0 ~align_bits:12 ~align_ofs:0)
-    in
-    Test.make ~name:"bsd bucket alloc+free 128B"
-      (Staged.stage (fun () ->
-           match Bsd_malloc.malloc pool 128 with
-           | Some addr -> Bsd_malloc.free pool addr
-           | None -> assert false))
-  in
-  let libc_test =
-    Test.make ~name:"libc malloc+free 128B"
-      (Staged.stage (fun () -> Malloc.free (Malloc.malloc 128)))
-  in
-  let amm_test =
-    let amm = Amm.create ~lo:0 ~hi:(1 lsl 22) ~flags:Amm.free in
-    Test.make ~name:"amm allocate+deallocate 128B"
-      (Staged.stage (fun () ->
-           match Amm.allocate amm ~size:128 () with
-           | Some addr -> Amm.deallocate amm ~addr ~size:128
-           | None -> assert false))
-  in
-  let kalloc_test =
-    let k = Kalloc.create (fresh_lmm ()) in
-    Test.make ~name:"kalloc alloc+free 128B"
-      (Staged.stage (fun () ->
-           match Kalloc.alloc k ~size:128 with
-           | Some addr -> Kalloc.free k addr
-           | None -> assert false))
-  in
-  let tests =
-    Test.make_grouped ~name:"allocators"
-      [ lmm_test; pool_test; libc_test; amm_test; kalloc_test ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) results []) in
-  let round_trips =
-    List.map
-      (fun name ->
-        let ns =
-          match Analyze.OLS.estimates (Hashtbl.find results name) with
-          | Some (t :: _) -> Float t
-          | _ -> Str "no estimate"
-        in
-        record "alloc" [ "test", Str name ] [ "ns_per_op", ns ])
-      names
-  in
-  (* Head-to-head on a fragmented heap — the state a long-running kernel
-     reaches.  256 pinned 16-byte live blocks leave 256 non-coalescable
-     16-byte holes at the front of the LMM's address-sorted free list;
-     every first-fit alloc of anything larger walks all of them, and every
-     free walks them again to find its insertion point.  The size-class
-     pool serves the same requests O(1) from per-slab freelists. *)
-  let holes = 256 in
-  let iters = 50_000 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
-  in
-  let fragmented_lmm () =
-    let lmm = fresh_lmm () in
-    let addrs =
-      Array.init (2 * holes) (fun _ ->
-          match Lmm.alloc lmm ~size:16 ~flags:0 with Some a -> a | None -> assert false)
-    in
-    Array.iteri (fun i a -> if i land 1 = 0 then Lmm.free lmm ~addr:a ~size:16) addrs;
+  let heap holes =
+    let lmm = Lmm.create () in
+    Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
+    Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
+    let pinned = Array.init (2 * holes) (fun _ -> Option.get (Lmm.alloc lmm ~size:16 ~flags:0)) in
+    Array.iteri (fun i addr -> if i land 1 = 0 then Lmm.free lmm ~addr ~size:16) pinned;
     lmm
   in
-  let fragmented =
-    List.map
-      (fun size ->
-        let lmm = fragmented_lmm () in
-        let lmm_ns =
-          time (fun () ->
-              for _ = 1 to iters do
-                match Lmm.alloc lmm ~size ~flags:0 with
-                | Some a -> Lmm.free lmm ~addr:a ~size
-                | None -> assert false
-              done)
-        in
-        let k = Kalloc.create (fragmented_lmm ()) in
-        let kalloc_ns =
-          time (fun () ->
-              for _ = 1 to iters do
-                match Kalloc.alloc k ~size with
-                | Some a -> Kalloc.free k a
-                | None -> assert false
-              done)
-        in
-        record "alloc"
-          [ "heap", Str "fragmented"; "holes", Int holes; "size", Int size ]
-          [ "lmm_ns", Float lmm_ns; "kalloc_ns", Float kalloc_ns;
-            "speedup", Float (lmm_ns /. kalloc_ns) ])
-      [ 32; 64; 128; 256 ]
+  let per_round_trip holes round_trip =
+    let lmm = heap holes in
+    let step = round_trip lmm and v0 = Lmm.visits lmm in
+    for _ = 1 to alloc_round_trips do
+      step ()
+    done;
+    Float (float_of_int (Lmm.visits lmm - v0) /. float_of_int alloc_round_trips)
   in
-  (* One allocator's class stats after mixed-size churn: a kmem-cache
-     report. *)
-  let k = Kalloc.create (fresh_lmm ()) in
-  let ws = Array.init holes (fun i ->
-      match Kalloc.alloc k ~size:(16 lsl (i land 3)) with
-      | Some a -> a
-      | None -> assert false)
+  let lmm_round_trip size lmm () =
+    let addr = Option.get (Lmm.alloc lmm ~size ~flags:0) in
+    Lmm.free lmm ~addr ~size
+  and kalloc_round_trip size lmm =
+    let k = Kalloc.create lmm in
+    fun () -> Kalloc.free k (Option.get (Kalloc.alloc k ~size))
   in
-  Array.iter (fun a -> Kalloc.free k a) ws;
-  Format.printf "%a@." Kalloc.pp k;
-  round_trips @ fragmented
+  List.map
+    (fun (heap, holes, size) ->
+      record "alloc"
+        [ "heap", Str heap; "holes", Int holes; "size", Int size;
+          "round_trips", Int alloc_round_trips ]
+        [ "lmm_visits", per_round_trip holes (lmm_round_trip size);
+          "kalloc_visits", per_round_trip holes (kalloc_round_trip size) ])
+    (("fresh", 0, 128) :: List.map (fun size -> "fragmented", 256, size) [ 32; 64; 128; 256 ])
 
 (* ---------------- ablations ---------------- *)
 
@@ -981,6 +889,16 @@ let bounds : bound list =
   let sys name = [ "system", Str name ] in
   let sys_paper name = sys name @ profile_is paper in
   let native_rtt = sys_paper "FreeBSD" @ [ "blocks", Int 0 ] in
+  let big_groups = [ "freebsd_net"; "kern+boot+machine" ] in
+  let small_groups =
+    List.filter_map
+      (fun g ->
+        let name = String.concat "+" g in
+        if List.mem name big_groups then None else Some [ "components", Str name ])
+      footprint_groups
+    @ [ [ "components", Str "netbsd_fs"; "linked", Str "no" ] ]
+  in
+  let rtcp_200 name = [ "workload", Str "rtcp"; "system", Str name; "trips", Int 200 ] in
   let glue0 = sys "OSKit" @ profile_is { paper with Cost.glue_crossing_cycles = 0 } in
   [ (* the paper's claims (Tables 1 and 2, paper profile): OSKit sends
        slower than FreeBSD and receives within 15% of it; its round trip is
@@ -995,6 +913,15 @@ let bounds : bound list =
     "table1", sys "FreeBSD", "tx_glue_ms", Eq, zero;
     "table1", sys "Linux", "tx_glue_ms", Eq, zero;
     "table1", [], "rx_glue_ms", Eq, zero;
+    (* the 1-byte round trip: OSKit at least 25% slower than FreeBSD
+       under every profile of the rtt section's 200-trip runs too *)
+    "rtt", rtcp_200 "OSKit", "mean_us", Ge, Times (1.25, sys "FreeBSD", "mean_us");
+    (* Section 6.2.10: on the fragmented heap the LMM's first-fit
+       search, its split and the free each walk past every hole, while
+       Kalloc over the same LMM visits under one node per round trip,
+       its slab's refill amortized over the round trips *)
+    "alloc", [ "heap", Str "fragmented" ], "lmm_visits", Ge, Times (3.0, [], "holes");
+    "alloc", [ "heap", Str "fragmented" ], "kalloc_visits", Lt, Const (Float 1.0);
     (* the VM receives faster than it sends (Section 6.2.6) *)
     "vmnet", [ "direction", Str "receive" ], "mbit", Gt,
     Times (1.0, [ "direction", Str "send" ], "mbit");
@@ -1097,27 +1024,35 @@ let bounds : bound list =
     "file", stack "FreeBSD", "crossings_per_req", Eq, zero;
     "file", stack "Linux", "crossings_per_req", Eq, zero;
     "file", stack "OSKit", "crossings_per_req", Gt, zero ]
+  (* the netcomputer's two largest groups (Section 6.2.5): networking
+     and the kernel support each outweigh every other group *)
+  @ List.concat_map
+      (fun big ->
+        List.map
+          (fun other -> "footprint", [ "components", Str big ], "kb", Gt, Times (1.0, other, "kb"))
+          small_groups)
+      big_groups
 
 (* ---------------- driver ---------------- *)
 
-(* name, title, run, whether --json commits the records *)
+(* name, title, run *)
 let sections =
-  [ "table1", "Table 1: TCP bandwidth, ttcp (Mbit/s)", table1, true;
-    "table2", "Table 2: TCP 1-byte round-trip time, rtcp (usec)", table2, true;
-    "table3", "Table 3: filtered source sizes of the OSKit components", table3, true;
-    "footprint", "Section 6.2.5: static footprint of the network computer (KB)", footprint, true;
-    "vmnet", "Section 6.2.6: TCP throughput from the bytecode VM (Mbit/s)", vmnet, true;
-    "alloc", "Section 6.2.10: allocators (wall clock, Bechamel)", alloc, false;
-    "glue", "Ablation A: glue-crossing cost vs OSKit send and RTT", glue, true;
-    "copies", "Ablation B: copies and crossings per 1000 packets", copies, true;
-    "chaos", "Chaos: ttcp goodput vs injected loss (netem)", chaos, true;
-    "rtt", "RTT: rtcp percentiles and http tails, receive fast path off/on", rtt, true;
-    "http", "HTTP: event-driven vs thread-per-connection at equal memory", http, true;
-    "longfat", "Longfat: ttcp over stretched wires (wscale, NewReno, autotune)", longfat, true;
-    "overload", "Overload: SYN flood x alloc failure x Slowloris", overload, true;
-    "smp", "SMP: netisr-sharded reactor httpd, RSS flow steering", smp, true;
-    "event", "Event core: O(ready) dispatch, O(due) timers", event, true;
-    "file", "File: HTTP/1.1 keep-alive + sendfile content path", file, true ]
+  [ "table1", "Table 1: TCP bandwidth, ttcp (Mbit/s)", table1;
+    "table2", "Table 2: TCP 1-byte round-trip time, rtcp (usec)", table2;
+    "table3", "Table 3: filtered source sizes of the OSKit components", table3;
+    "footprint", "Section 6.2.5: static footprint of the network computer (KB)", footprint;
+    "vmnet", "Section 6.2.6: TCP throughput from the bytecode VM (Mbit/s)", vmnet;
+    "alloc", "Section 6.2.10: LMM nodes visited per alloc+free, raw and under Kalloc", alloc;
+    "glue", "Ablation A: glue-crossing cost vs OSKit send and RTT", glue;
+    "copies", "Ablation B: copies and crossings per 1000 packets", copies;
+    "chaos", "Chaos: ttcp goodput vs injected loss (netem)", chaos;
+    "rtt", "RTT: rtcp percentiles and http tails, receive fast path off/on", rtt;
+    "http", "HTTP: event-driven vs thread-per-connection at equal memory", http;
+    "longfat", "Longfat: ttcp over stretched wires (wscale, NewReno, autotune)", longfat;
+    "overload", "Overload: SYN flood x alloc failure x Slowloris", overload;
+    "smp", "SMP: netisr-sharded reactor httpd, RSS flow steering", smp;
+    "event", "Event core: O(ready) dispatch, O(due) timers", event;
+    "file", "File: HTTP/1.1 keep-alive + sendfile content path", file ]
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -1131,22 +1066,22 @@ let () =
   let json = List.mem "--json" args in
   let names = List.filter (( <> ) "--json") args in
   let requested =
-    match names with [] -> List.map (fun (n, _, _, _) -> n) sections | ns -> ns
+    match names with [] -> List.map (fun (n, _, _) -> n) sections | ns -> ns
   in
-  let known n = List.exists (fun (n', _, _, _) -> n' = n) sections in
+  let known n = List.exists (fun (n', _, _) -> n' = n) sections in
   (match List.filter (fun n -> not (known n)) requested with
   | [] -> ()
   | unknown ->
       Printf.eprintf "bench: unknown section%s %s (known: %s)\n"
         (if List.length unknown > 1 then "s" else "")
         (String.concat ", " unknown)
-        (String.concat " " (List.map (fun (n, _, _, _) -> n) sections));
+        (String.concat " " (List.map (fun (n, _, _) -> n) sections));
       exit 2);
   print_endline "Flux OSKit reproduction — benchmark harness";
   Printf.printf "(virtual testbed: 2x 200MHz PCs, 100 Mbps Ethernet; %d-block runs)\n" blocks;
   List.iter
     (fun name ->
-      let _, title, run, commit = List.find (fun (n, _, _, _) -> n = name) sections in
+      let _, title, run = List.find (fun (n, _, _) -> n = name) sections in
       Printf.printf "\n=== %s ===\n%!" title;
       let records = run () in
       Record.print records;
@@ -1155,7 +1090,7 @@ let () =
       | vs ->
           List.iter (fun v -> prerr_endline ("bench: bound violated: " ^ v)) vs;
           exit 1);
-      if json && commit then begin
+      if json then begin
         let file = Printf.sprintf "BENCH_%s.json" name in
         write_file file (to_json name records);
         Printf.printf "(wrote %s)\n%!" file;

@@ -924,8 +924,12 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
           dup := true;
           pcb.ack_now <- true
         end;
-        (* A retransmitted FIN we already consumed. *)
-        if !fin && todrop > !dlen then fin := false;
+        (* A retransmitted FIN we already consumed: our ACK of it was
+           lost, so send it again. *)
+        if !fin && todrop > !dlen then begin
+          fin := false;
+          pcb.ack_now <- true
+        end;
         Mbuf.m_adj data !dlen;
         seq := Codec.m32 (!seq + !dlen);
         dlen := 0

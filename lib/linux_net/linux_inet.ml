@@ -965,8 +965,13 @@ let tcp_rcv t skb ~src =
                     send_ack t s
                   end
                 end;
-                (* FIN. *)
-                if flags land th_fin <> 0 && Codec.m32 (seq + dlen) = s.rcv_nxt then begin
+                (* FIN, or a retransmission of the one already consumed
+                   (its ACK was lost): both are ACKed. *)
+                if
+                  flags land th_fin <> 0
+                  && (Codec.m32 (seq + dlen) = s.rcv_nxt
+                     || (s.peer_fin && Codec.m32 (seq + dlen + 1) = s.rcv_nxt))
+                then begin
                   if not s.peer_fin then begin
                     s.peer_fin <- true;
                     s.rcv_nxt <- Codec.m32 (s.rcv_nxt + 1);

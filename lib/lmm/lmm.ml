@@ -6,12 +6,16 @@ type region = {
   mutable free : (int * int) list; (* (base, size), ascending, coalesced *)
 }
 
-type t = { mutable regions : region list (* sorted: pri desc, min asc *) }
+type t = {
+  mutable regions : region list; (* sorted: pri desc, min asc *)
+  mutable visits : int; (* free-list nodes examined: a counter, never charged *)
+}
 
 let flag_low_1mb = 0x1
 let flag_low_16mb = 0x2
 
-let create () = { regions = [] }
+let create () = { regions = []; visits = 0 }
+let visits t = t.visits
 
 let region_max r = r.min + r.size
 
@@ -29,10 +33,11 @@ let add_region t ~min ~size ~flags ~pri =
 
 (* Insert (base,size) into a region's free list, coalescing neighbours.
    Raises on overlap — that is a double free. *)
-let insert_free r base size =
+let insert_free t r base size =
   let rec go = function
     | [] -> [ base, size ]
     | (b, s) :: rest ->
+        t.visits <- t.visits + 1;
         if base + size < b then (base, size) :: (b, s) :: rest
         else if base + size = b then (base, size + s) :: rest
         else if b + s = base then go_merge b (s + size) rest
@@ -49,7 +54,7 @@ let add_free t ~addr ~size =
   List.iter
     (fun r ->
       let lo = max addr r.min and hi = min (addr + size) (region_max r) in
-      if lo < hi then insert_free r lo (hi - lo))
+      if lo < hi then insert_free t r lo (hi - lo))
     t.regions
 
 (* First address >= base satisfying the alignment constraint. *)
@@ -58,7 +63,7 @@ let align_up base ~align_bits ~align_ofs =
   let rem = (base - align_ofs) land (align - 1) in
   if rem = 0 then base else base + align - rem
 
-let carve r (b, s) addr size =
+let carve t r (b, s) addr size =
   (* Split the free block (b,s) around [addr, addr+size). *)
   let after_base = addr + size in
   let keep =
@@ -67,8 +72,9 @@ let carve r (b, s) addr size =
   in
   let rec replace = function
     | [] -> assert false
-    | (b', _) :: rest when b' = b -> keep @ rest
-    | x :: rest -> x :: replace rest
+    | ((b', _) as x) :: rest ->
+        t.visits <- t.visits + 1;
+        if b' = b then keep @ rest else x :: replace rest
   in
   r.free <- replace r.free
 
@@ -79,6 +85,7 @@ let alloc_gen t ~size ~flags ~align_bits ~align_ofs ~bounds_min ~bounds_max =
     else
       List.find_map
         (fun (b, s) ->
+          t.visits <- t.visits + 1;
           let base = max b bounds_min in
           let addr = align_up base ~align_bits ~align_ofs in
           if addr + size <= b + s && addr + size - 1 <= bounds_max && addr >= b then
@@ -91,7 +98,7 @@ let alloc_gen t ~size ~flags ~align_bits ~align_ofs ~bounds_min ~bounds_max =
     | r :: rest -> (
         match try_region r with
         | Some (block, addr) ->
-            carve r block addr size;
+            carve t r block addr size;
             Some addr
         | None -> search rest)
   in
@@ -112,7 +119,7 @@ let free t ~addr ~size =
     List.find_opt (fun r -> addr >= r.min && addr + size <= region_max r) t.regions
   with
   | None -> invalid_arg "Lmm.free: range not inside any region"
-  | Some r -> insert_free r addr size
+  | Some r -> insert_free t r addr size
 
 let avail t ~flags =
   List.fold_left

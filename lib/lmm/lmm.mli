@@ -70,5 +70,11 @@ val find_free : t -> addr:int -> (int * int * int) option
 (** Walk every free block, ascending: [f ~addr ~size ~flags]. *)
 val iter_free : t -> (addr:int -> size:int -> flags:int -> unit) -> unit
 
+(** Free-list nodes examined so far: by {!alloc_gen}'s first-fit search,
+    by the split that replaces the chosen block, and by the ordered walk
+    that inserts a freed or donated range.  A counter only: it charges
+    nothing. *)
+val visits : t -> int
+
 (** Diagnostic dump. *)
 val pp : Format.formatter -> t -> unit

@@ -1,21 +1,28 @@
-(* The §6.2.10 fix: a kmem-cache-style size-class allocator layered on the
- * LMM.  The paper's deficiency list says the LMM "is built for flexibility,
- * not common-case speed" — every alloc is a walk over the sorted free
- * lists.  This layer grabs page-aligned slabs from [Lmm.alloc_aligned],
- * carves each into naturally-aligned blocks of one power-of-two size
- * class, and serves the hot path from per-slab freelists: alloc and free
- * are O(1) list push/pop except when a slab must be refilled from (or
- * released back to) the LMM underneath.
+(* The kit's one conventional allocator, layered on the LMM: the §6.2.10
+ * remedy and the BSD kernel-malloc emulation of §4.7.7 in one.
  *
- * Because slabs are size-aligned, [free] recovers the owning slab from the
- * block address alone — like BSD's kmemusage table, but without reserving
- * a VA range the client never promised us.
+ * The paper's deficiency list says the LMM "is built for flexibility,
+ * not common-case speed": every alloc is a walk over the sorted free
+ * lists.  This layer takes 4 KB pages from [Lmm.alloc_aligned], carves
+ * each into naturally-aligned blocks of one power-of-two size class (a
+ * kmem-cache slab), and serves the hot path from per-slab freelists:
+ * alloc and free are O(1) list push/pop except when a slab must be
+ * refilled from (or released back to) the LMM underneath.
+ *
+ * BSD's malloc gives three properties at once: blocks naturally aligned
+ * to their class, no waste on power-of-two sizes, and a free that takes
+ * no size.  The donor gets the last from a static per-page table over a
+ * VA range it reserved — impossible here, where a component has no say
+ * over where the client's memory lies.  So this keeps the paper's
+ * "imperfect but practical" fix: a page -> slab table grown on demand to
+ * cover every page the LMM has handed out.  It degrades (regrows) if
+ * those pages are wildly scattered, exactly as the paper warns.
  *)
 
 let slab_bits = 12
 let slab_size = 1 lsl slab_bits (* one 4 KB page per slab *)
 let min_class = 4 (* 16-byte blocks *)
-let max_class = 11 (* 2 KB blocks; larger requests fall through to the LMM *)
+let max_class = slab_bits (* one page; larger requests fall through to the LMM *)
 
 type class_stats = {
   mutable hits : int; (* allocs served from a freelist *)
@@ -40,10 +47,14 @@ type t = {
   (* Per class: slabs with at least one free block.  The hot path only
      touches the head. *)
   partial : slab list array;
-  slabs : (int, slab) Hashtbl.t; (* slab base -> slab *)
+  (* The kmemusage table: the slab on each page of [table_base,
+     table_base + Array.length table), in pages. *)
+  mutable table : slab option array;
+  mutable table_base : int;
+  mutable table_regrows : int;
+  mutable slabs_held : int;
   stats : class_stats array;
-  large : (int, int) Hashtbl.t; (* addr -> size for > 2 KB fallthroughs *)
-  mutable large_allocs : int;
+  large : (int, int) Hashtbl.t; (* addr -> size for > 4 KB fallthroughs *)
 }
 
 (* size -> class index, O(1) by table lookup (the hot path must not loop). *)
@@ -59,14 +70,38 @@ let create ?(flags = 0) lmm =
   { lmm;
     flags;
     partial = Array.make (max_class + 1) [];
-    slabs = Hashtbl.create 64;
+    table = [||];
+    table_base = 0;
+    table_regrows = 0;
+    slabs_held = 0;
     stats =
       Array.init (max_class + 1) (fun _ ->
           { hits = 0; misses = 0; refills = 0; releases = 0; frees = 0; live = 0 });
-    large = Hashtbl.create 8;
-    large_allocs = 0 }
+    large = Hashtbl.create 8 }
 
 let block_size_of_class c = 1 lsl c
+
+let slab_of t addr =
+  let i = (addr asr slab_bits) - t.table_base in
+  if i < 0 || i >= Array.length t.table then None else t.table.(i)
+
+(* Make the table cover [page], re-allocating it (as the paper describes)
+   when the LMM hands out a page outside the current span; grown with
+   slack so scattered pages do not regrow it every time. *)
+let cover t page =
+  let n = Array.length t.table in
+  if n = 0 then begin
+    t.table <- Array.make 64 None;
+    t.table_base <- page
+  end
+  else if page < t.table_base || page >= t.table_base + n then begin
+    let lo = min t.table_base page and hi = max (t.table_base + n) (page + 1) in
+    let table = Array.make (max (hi - lo) (2 * n)) None in
+    Array.blit t.table 0 table (t.table_base - lo) n;
+    t.table <- table;
+    t.table_base <- lo;
+    t.table_regrows <- t.table_regrows + 1
+  end
 
 let mark_block s addr v =
   let idx = (addr - s.base) lsr s.cls in
@@ -78,7 +113,7 @@ let block_in_use s addr =
   let idx = (addr - s.base) lsr s.cls in
   Char.code (Bytes.get s.in_use (idx lsr 3)) land (1 lsl (idx land 7)) <> 0
 
-(* Take a fresh page-aligned slab from the LMM and carve it. *)
+(* Take a fresh page from the LMM, file it in the table and carve it. *)
 let refill t c =
   match
     Lmm.alloc_aligned t.lmm ~size:slab_size ~flags:t.flags ~align_bits:slab_bits
@@ -95,10 +130,21 @@ let refill t c =
         { base; cls = c; free_blocks = carve (slab_size - block) []; used = 0;
           in_use = Bytes.make ((blocks + 7) lsr 3) '\000' }
       in
-      Hashtbl.replace t.slabs base s;
+      let page = base asr slab_bits in
+      cover t page;
+      t.table.(page - t.table_base) <- Some s;
+      t.slabs_held <- t.slabs_held + 1;
       t.partial.(c) <- s :: t.partial.(c);
       t.stats.(c).refills <- t.stats.(c).refills + 1;
       Some s
+
+(* Hand an empty slab's page back to the LMM. *)
+let release t s =
+  t.partial.(s.cls) <- List.filter (fun x -> x != s) t.partial.(s.cls);
+  t.table.((s.base asr slab_bits) - t.table_base) <- None;
+  t.slabs_held <- t.slabs_held - 1;
+  t.stats.(s.cls).releases <- t.stats.(s.cls).releases + 1;
+  Lmm.free t.lmm ~addr:s.base ~size:slab_size
 
 let alloc t ~size =
   if size <= 0 then invalid_arg "Kalloc.alloc: size";
@@ -110,7 +156,6 @@ let alloc t ~size =
     | None -> None
     | Some addr ->
         Hashtbl.replace t.large addr size;
-        t.large_allocs <- t.large_allocs + 1;
         Some addr
   end
   else begin
@@ -142,15 +187,14 @@ let alloc t ~size =
         | [] -> assert false (* a slab on the partial list has free blocks *))
   end
 
-(* free takes no size: the slab (found by alignment) knows its class. *)
+(* free takes no size: the table finds the slab, which knows its class. *)
 let free t addr =
   match Hashtbl.find_opt t.large addr with
   | Some size ->
       Hashtbl.remove t.large addr;
       Lmm.free t.lmm ~addr ~size
   | None -> (
-      let base = addr land lnot (slab_size - 1) in
-      match Hashtbl.find_opt t.slabs base with
+      match slab_of t addr with
       | None -> invalid_arg "Kalloc.free: address not from this allocator"
       | Some s ->
           if addr land (block_size_of_class s.cls - 1) <> 0 then
@@ -166,34 +210,16 @@ let free t addr =
           if was_full then t.partial.(s.cls) <- s :: t.partial.(s.cls);
           (* Release empty slabs back to the LMM, keeping one per class so a
              tight alloc/free loop at a slab boundary does not thrash. *)
-          if s.used = 0 && List.exists (fun x -> x != s) t.partial.(s.cls) then begin
-            t.partial.(s.cls) <- List.filter (fun x -> x != s) t.partial.(s.cls);
-            Hashtbl.remove t.slabs s.base;
-            st.releases <- st.releases + 1;
-            Lmm.free t.lmm ~addr:s.base ~size:slab_size
-          end)
+          if s.used = 0 && List.exists (fun x -> x != s) t.partial.(s.cls) then release t s)
 
 (* Return every empty slab to the LMM (even the cached one per class). *)
 let reap t =
-  Array.iteri
-    (fun c slabs ->
-      List.iter
-        (fun s ->
-          if s.used = 0 then begin
-            t.partial.(c) <- List.filter (fun x -> x != s) t.partial.(c);
-            Hashtbl.remove t.slabs s.base;
-            t.stats.(c).releases <- t.stats.(c).releases + 1;
-            Lmm.free t.lmm ~addr:s.base ~size:slab_size
-          end)
-        slabs)
-    t.partial
+  Array.iter (List.iter (fun s -> if s.used = 0 then release t s)) t.partial
 
 let usable_size t addr =
   match Hashtbl.find_opt t.large addr with
   | Some size -> Some size
-  | None ->
-      Hashtbl.find_opt t.slabs (addr land lnot (slab_size - 1))
-      |> Option.map (fun s -> block_size_of_class s.cls)
+  | None -> Option.map (fun s -> block_size_of_class s.cls) (slab_of t addr)
 
 let stats t c =
   if c < min_class || c > max_class then invalid_arg "Kalloc.stats: class";
@@ -202,16 +228,5 @@ let stats t c =
 let live_blocks t =
   Array.fold_left (fun acc st -> acc + st.live) 0 t.stats + Hashtbl.length t.large
 
-let slabs_held t = Hashtbl.length t.slabs
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>kalloc: %d slab(s) held, %d large alloc(s)" (slabs_held t)
-    t.large_allocs;
-  Array.iteri
-    (fun c st ->
-      if st.hits + st.misses > 0 then
-        Format.fprintf fmt
-          "@,  class %4dB: %d hits / %d misses, %d refills, %d releases, %d live"
-          (block_size_of_class c) st.hits st.misses st.refills st.releases st.live)
-    t.stats;
-  Format.fprintf fmt "@]"
+let slabs_held t = t.slabs_held
+let table_regrows t = t.table_regrows

@@ -1,12 +1,16 @@
-(** Size-class (kmem-cache style) allocator layered on the LMM.
+(** The kit's one conventional allocator: size classes (kmem-cache style)
+    layered on the LMM.
 
-    Addresses the §6.2.10 deficiency: the LMM's flexible O(n) first-fit is
-    slow for small hot-path allocations.  [Kalloc] takes page-aligned 4 KB
-    slabs from {!Lmm.alloc_aligned}, carves each into blocks of one
-    power-of-two size class (16 B .. 2 KB), and serves alloc/free in O(1)
-    from per-slab freelists.  Requests above 2 KB fall through to the LMM
-    directly.  Empty slabs are returned to the LMM, keeping at most one
-    cached per class so boundary alloc/free patterns don't thrash. *)
+    It answers the §6.2.10 deficiency — the LMM's flexible first-fit walk
+    is slow for small hot-path allocations — and is the BSD kernel-malloc
+    emulation of §4.7.7.  [Kalloc] takes page-aligned 4 KB slabs from
+    {!Lmm.alloc_aligned}, carves each into naturally-aligned blocks of one
+    power-of-two size class (16 B .. 4 KB), and serves alloc/free in O(1)
+    from per-slab freelists.  Requests above 4 KB fall through to the LMM
+    directly.  [free] takes no size: a page -> slab table, grown on demand
+    to cover every page the LMM hands out, finds the block's slab.  Empty
+    slabs are returned to the LMM, keeping at most one cached per class so
+    boundary alloc/free patterns don't thrash. *)
 
 type t
 
@@ -25,7 +29,7 @@ val slab_size : int
 val min_class : int
 val max_class : int
 (** Size-class indices: class [c] serves blocks of [1 lsl c] bytes,
-    for [min_class] (4 → 16 B) through [max_class] (11 → 2048 B). *)
+    for [min_class] (4 → 16 B) through [max_class] (12 → 4096 B). *)
 
 val create : ?flags:int -> Lmm.t -> t
 (** [create lmm] layers a size-class allocator over [lmm].  [flags] is the
@@ -33,7 +37,7 @@ val create : ?flags:int -> Lmm.t -> t
 
 val alloc : t -> size:int -> int option
 (** [alloc t ~size] returns the address of a block of at least [size]
-    bytes, or [None] if the LMM is exhausted.  Sizes ≤ 2 KB round up to a
+    bytes, or [None] if the LMM is exhausted.  Sizes ≤ 4 KB round up to a
     power-of-two class and are served O(1); larger sizes go straight to
     the LMM.  Charges {!Cost.charge_pool_alloc} on a freelist hit and
     {!Cost.charge_alloc} on a miss (slab refill) or large allocation.
@@ -63,4 +67,6 @@ val live_blocks : t -> int
 val slabs_held : t -> int
 (** Slabs currently held from the LMM. *)
 
-val pp : Format.formatter -> t -> unit
+val table_regrows : t -> int
+(** Times the page -> slab table was re-allocated to cover a page outside
+    its span. *)

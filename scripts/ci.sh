@@ -7,10 +7,10 @@
 # bench/main.ml — every gate the bench has is a row there, commented —
 # and fails on any violation or on a bound that matches no record.  It
 # then rewrites its committed BENCH_<section>.json and its generated
-# tables in EXPERIMENTS.md (alloc, wall-clock, writes neither), and
-# `git status` must find those files unchanged and nothing untracked, so
-# any change to a charged cycle, a wire byte, a counter or a line count
-# shows up as a reviewable diff.
+# tables in EXPERIMENTS.md, and `git status` must find those files
+# unchanged and nothing untracked, so any change to a charged cycle, a
+# wire byte, a counter, an LMM node visited or a line count shows up as a
+# reviewable diff.
 # A section name the harness does not know must fail the run with exit
 # status 2, so a typo or a deleted section (sgsmoke, say) cannot pass
 # silently.

@@ -1,7 +1,7 @@
-(* The size-class allocator over the LMM (§6.2.10 layering), plus the
-   shared-mbuf mutation guards and pool-recycling behaviour that ride on
-   it: qcheck invariants, Memdebug layering, checksum parity across pooled
-   chain boundaries. *)
+(* The size-class allocator over the LMM (§6.2.10 layering, and §4.7.7's
+   BSD kernel-malloc properties), plus the shared-mbuf mutation guards and
+   pool-recycling behaviour that ride on it: qcheck invariants, Memdebug
+   layering, checksum parity across pooled chain boundaries. *)
 
 let make_lmm ?(bytes = 1 lsl 20) () =
   let lmm = Lmm.create () in
@@ -62,12 +62,70 @@ let test_release_restores_lmm () =
 let test_free_validation () =
   let k = Kalloc.create (make_lmm ()) in
   let a = Option.get (Kalloc.alloc k ~size:32) in
+  Alcotest.check_raises "misaligned free rejected"
+    (Invalid_argument "Kalloc.free: misaligned for its size class") (fun () ->
+      Kalloc.free k (a + 3));
   Kalloc.free k a;
   Alcotest.check_raises "double free detected"
     (Invalid_argument "Kalloc.free: double free") (fun () -> Kalloc.free k a);
   Alcotest.check_raises "foreign address rejected"
     (Invalid_argument "Kalloc.free: address not from this allocator") (fun () ->
       Kalloc.free k 0x7f000)
+
+(* BSD's kernel malloc (§4.7.7) promises three properties at once. *)
+let test_bsd_properties () =
+  let k = Kalloc.create (make_lmm ()) in
+  (* Natural alignment per size class, up to one page. *)
+  List.iter
+    (fun size ->
+      let addr = Option.get (Kalloc.alloc k ~size) in
+      let class_size = Option.get (Kalloc.usable_size k addr) in
+      Alcotest.(check bool)
+        (Printf.sprintf "block of %d aligned to class %d" size class_size)
+        true
+        (addr mod class_size = 0 && class_size >= size))
+    [ 1; 16; 17; 100; 128; 129; 1000; 2048; 4096 ];
+  (* A power-of-two request wastes nothing. *)
+  let a = Option.get (Kalloc.alloc k ~size:256) in
+  Alcotest.(check (option int)) "exact class for pow2" (Some 256) (Kalloc.usable_size k a);
+  (* Free takes no size, and the block is reused. *)
+  Kalloc.free k a;
+  Alcotest.(check int) "freelist reuse" a (Option.get (Kalloc.alloc k ~size:256))
+
+(* Pages scattered over the address space regrow the page table, as the
+   paper warns, and every block's size survives the regrowth. *)
+let test_table_regrows () =
+  let lmm = Lmm.create () in
+  Lmm.add_region lmm ~min:0 ~size:0x801000 ~flags:0 ~pri:0;
+  List.iter (fun addr -> Lmm.add_free lmm ~addr ~size:4096) [ 0x0; 0x10000; 0x400000; 0x800000 ];
+  let k = Kalloc.create lmm in
+  (* Each size class takes a page of its own. *)
+  let blocks = List.map (fun size -> size, Option.get (Kalloc.alloc k ~size)) [ 16; 64; 256; 1024 ] in
+  Alcotest.(check int) "pages taken" 4 (Kalloc.slabs_held k);
+  Alcotest.(check bool) "table regrew for scattered pages" true (Kalloc.table_regrows k >= 2);
+  let addr = Option.get (Kalloc.alloc k ~size:1024) in
+  List.iter
+    (fun (size, addr) ->
+      Alcotest.(check (option int)) "size survives regrowth" (Some size) (Kalloc.usable_size k addr))
+    ((1024, addr) :: blocks)
+
+(* BSD's free takes only an address, so it must refuse one that is not a
+   block start it handed out. *)
+let test_bsd_free_checks () =
+  let k = Kalloc.create (make_lmm ~bytes:(1 lsl 22) ()) in
+  let addr = Option.get (Kalloc.alloc k ~size:64) in
+  Alcotest.(check bool) "misaligned free rejected" true
+    (try
+       Kalloc.free k (addr + 3);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "never-seen free rejected" true
+    (try
+       Kalloc.free k 0x3ff000;
+       false
+     with Invalid_argument _ -> true);
+  Kalloc.free k addr;
+  Alcotest.(check int) "the real block still frees" 0 (Kalloc.live_blocks k)
 
 (* Memdebug layers over Kalloc exactly as over the raw LMM: the paper's
    "possibly layered on top of the OSKit's low-level one" composes both
@@ -211,6 +269,9 @@ let suite =
     Alcotest.test_case "kalloc hit/miss stats + hysteresis" `Quick test_hit_miss_stats;
     Alcotest.test_case "kalloc reap restores the LMM" `Quick test_release_restores_lmm;
     Alcotest.test_case "kalloc free validation" `Quick test_free_validation;
+    Alcotest.test_case "bsd malloc: three properties" `Quick test_bsd_properties;
+    Alcotest.test_case "bsd malloc: table growth" `Quick test_table_regrows;
+    Alcotest.test_case "bsd malloc: free checks" `Quick test_bsd_free_checks;
     Alcotest.test_case "memdebug layered over kalloc" `Quick test_memdebug_over_kalloc;
     QCheck_alcotest.to_alcotest prop_no_overlap;
     QCheck_alcotest.to_alcotest prop_avail_restored;

@@ -138,6 +138,23 @@ let test_find_free_walk () =
   | Some (base, _, _) -> Alcotest.(check int) "first free after carve" 100 base
   | None -> Alcotest.fail "walk found nothing"
 
+(* The free-list nodes a round trip visits, pinned on four 16-byte holes
+   in front of the rest of the region: the 32-byte alloc's first-fit
+   search examines all five blocks, the split walks to the fifth to
+   replace it, and the free walks past the four holes to the fifth, which
+   it merges with. *)
+let test_visits () =
+  let lmm = Lmm.create () in
+  Lmm.add_region lmm ~min:0 ~size:0x10000 ~flags:0 ~pri:0;
+  List.iter (fun addr -> Lmm.add_free lmm ~addr ~size:16) [ 0x0; 0x20; 0x40; 0x60 ];
+  Lmm.add_free lmm ~addr:0x100 ~size:0xff00;
+  let v0 = Lmm.visits lmm in
+  let addr = Option.get (Lmm.alloc lmm ~size:32 ~flags:0) in
+  Alcotest.(check int) "past the holes" 0x100 addr;
+  Alcotest.(check int) "alloc: search 5 + split 5" 10 (Lmm.visits lmm - v0);
+  Lmm.free lmm ~addr ~size:32;
+  Alcotest.(check int) "free: insert walk 5" 15 (Lmm.visits lmm - v0)
+
 (* ---- property tests ---- *)
 
 (* Random alloc/free interleavings: allocations never overlap, and freeing
@@ -202,5 +219,6 @@ let suite =
     Alcotest.test_case "add_free splits across regions" `Quick
       test_add_free_splits_across_regions;
     Alcotest.test_case "find_free walk" `Quick test_find_free_walk;
+    Alcotest.test_case "visits: 4 holes, one 32-B round trip" `Quick test_visits;
     QCheck_alcotest.to_alcotest prop_no_overlap;
     QCheck_alcotest.to_alcotest prop_aligned ]

@@ -1,6 +1,5 @@
-(* Smaller components: exec images, SMP interfaces, the BSD kernel-malloc
-   emulation (Section 4.7.7), fdev probing, and the Linux IDE driver path
-   through the blkio COM interface. *)
+(* Smaller components: exec images, SMP interfaces, fdev probing, and the
+   Linux IDE driver path through the blkio COM interface. *)
 
 let ok = function
   | Ok v -> v
@@ -80,76 +79,6 @@ let test_smp () =
   let visited = ref [] in
   Smp.broadcast smp (fun cpu -> visited := cpu :: !visited);
   Alcotest.(check (list int)) "broadcast to others" [ 1; 2; 3 ] (List.rev !visited)
-
-(* ---- the BSD kernel malloc emulation ---- *)
-
-let make_bsd_malloc () =
-  let lmm = Lmm.create () in
-  Lmm.add_region lmm ~min:0 ~size:(1 lsl 22) ~flags:0 ~pri:0;
-  Lmm.add_free lmm ~addr:0 ~size:(1 lsl 22);
-  let client_alloc size = Lmm.alloc_aligned lmm ~size ~flags:0 ~align_bits:12 ~align_ofs:0 in
-  Bsd_malloc.create ~client_alloc
-
-let test_bsd_malloc_properties () =
-  let bm = make_bsd_malloc () in
-  (* Property 1: natural alignment per size class. *)
-  List.iter
-    (fun size ->
-      let addr = Option.get (Bsd_malloc.malloc bm size) in
-      let class_size = Option.get (Bsd_malloc.usable_size bm addr) in
-      Alcotest.(check bool)
-        (Printf.sprintf "block of %d aligned to class %d" size class_size)
-        true
-        (addr mod class_size = 0);
-      Alcotest.(check bool) "class holds the request" true (class_size >= size))
-    [ 1; 16; 17; 100; 128; 129; 1000; 2048; 4096 ];
-  (* Property 2: power-of-two requests waste nothing. *)
-  let a = Option.get (Bsd_malloc.malloc bm 256) in
-  Alcotest.(check (option int)) "exact class for pow2" (Some 256)
-    (Bsd_malloc.usable_size bm a);
-  (* Property 3: free takes no size. *)
-  Bsd_malloc.free bm a;
-  let a' = Option.get (Bsd_malloc.malloc bm 256) in
-  Alcotest.(check int) "freelist reuse" a a'
-
-let test_bsd_malloc_table_growth () =
-  (* Scattered client pages force the page table to regrow, as the paper
-     warns. *)
-  let pages = ref [ 0x0; 0x400000; 0x10000; 0x800000 ] in
-  let client_alloc _ =
-    match !pages with
-    | p :: rest ->
-        pages := rest;
-        Some p
-    | [] -> None
-  in
-  let bm = Bsd_malloc.create ~client_alloc in
-  (* Each allocation of a distinct size class consumes a fresh page. *)
-  ignore (Bsd_malloc.malloc bm 16);
-  ignore (Bsd_malloc.malloc bm 64);
-  ignore (Bsd_malloc.malloc bm 256);
-  ignore (Bsd_malloc.malloc bm 1024);
-  Alcotest.(check int) "pages taken" 4 (Bsd_malloc.pages_taken bm);
-  Alcotest.(check bool) "table regrew for scattered pages" true
-    (Bsd_malloc.table_regrows bm >= 2);
-  (* Sizes still tracked correctly across the regrowth. *)
-  let addr = Option.get (Bsd_malloc.malloc bm 1024) in
-  Alcotest.(check (option int)) "size survives regrowth" (Some 1024)
-    (Bsd_malloc.usable_size bm addr)
-
-let test_bsd_malloc_free_checks () =
-  let bm = make_bsd_malloc () in
-  let addr = Option.get (Bsd_malloc.malloc bm 64) in
-  Alcotest.(check bool) "misaligned free rejected" true
-    (try
-       Bsd_malloc.free bm (addr + 3);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "never-seen free rejected" true
-    (try
-       Bsd_malloc.free bm 0x3ff000;
-       false
-     with Invalid_argument _ -> true)
 
 (* ---- fdev probing + osenv ---- *)
 
@@ -267,9 +196,6 @@ let suite =
   [ Alcotest.test_case "exec pack/parse" `Quick test_exec_pack_parse;
     Alcotest.test_case "exec load and map" `Quick test_exec_load_and_map;
     Alcotest.test_case "smp primitives" `Quick test_smp;
-    Alcotest.test_case "bsd malloc: three properties" `Quick test_bsd_malloc_properties;
-    Alcotest.test_case "bsd malloc: table growth" `Quick test_bsd_malloc_table_growth;
-    Alcotest.test_case "bsd malloc: free checks" `Quick test_bsd_malloc_free_checks;
     Alcotest.test_case "fdev probe and lookup" `Quick test_fdev_probe_and_lookup;
     Alcotest.test_case "osenv services" `Quick test_osenv_services;
     Alcotest.test_case "linux IDE via blkio" `Quick test_ide_blkio_path;

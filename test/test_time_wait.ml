@@ -11,7 +11,8 @@
    it uncovers the record; 2MSL leaves nothing behind; and a record
    reaches nothing but itself and its addresses.  FINs that cross take a
    connection through CLOSING, whose own timer resends its FIN until the
-   ACK takes it to TIME_WAIT. *)
+   ACK takes it to TIME_WAIT.  A live connection that has taken the
+   peer's FIN (CLOSE_WAIT, LAST_ACK) ACKs its retransmission too. *)
 
 let ip = Oskit.ip_of_string
 let mask = ip "255.255.255.0"
@@ -45,7 +46,7 @@ type 'a rig = {
   connect : int -> 'a; (* from a local port to the peer's port 80: SYN sent *)
   iss : 'a -> int;
   close : 'a -> unit; (* FIN, or gone before the handshake *)
-  closing : 'a -> bool; (* in CLOSING: the FINs crossed, ours unacknowledged *)
+  state : 'a -> string; (* CLOSE_WAIT, LAST_ACK or CLOSING as BSD names them, else "other" *)
   counter : string -> int;
   win : int; (* the window a fresh connection offers *)
   expired : Conn_table.tw -> unit; (* the record left at the end of its 2MSL *)
@@ -83,7 +84,7 @@ let bsd () =
             p));
     iss = (fun p -> p.Tcp.iss);
     close = (fun p -> Machine.run_in m (fun () -> Tcp.usr_close t p));
-    closing = (fun p -> p.Tcp.t_state = Tcp.Closing);
+    state = (fun p -> Tcp.state_name p.Tcp.t_state);
     counter =
       (function
       | "in" -> stats.Tcp.rcvpack
@@ -116,7 +117,13 @@ let linux () =
             s));
     iss = (fun s -> s.Linux_inet.iss);
     close = (fun s -> Machine.run_in m (fun () -> Linux_inet.close t s));
-    closing = (fun s -> s.Linux_inet.state = Linux_inet.Closing);
+    state =
+      (fun s ->
+        match s.Linux_inet.state with
+        | Linux_inet.Close_wait -> "CLOSE_WAIT"
+        | Last_ack -> "LAST_ACK"
+        | Closing -> "CLOSING"
+        | _ -> "other");
     counter =
       (function
       | "in" -> t.Linux_inet.segs_in
@@ -277,7 +284,7 @@ let simultaneous_close make () =
       Alcotest.(check (list int)) "crossed FIN: ACKed at once"
         [ iss + 2; peer_iss + 2; th_ack ] [ h.Codec.seq; h.Codec.ack; h.Codec.flags ]
   | l -> Alcotest.failf "crossed FIN: %d replies, want one ACK" (List.length l));
-  Alcotest.(check bool) "crossed FIN: CLOSING" true (r.closing c);
+  Alcotest.(check string) "crossed FIN" "CLOSING" (r.state c);
   let rexmit0 = r.counter "rexmit" and sent0 = List.length !(r.sent) in
   Clientos.run r.tb ~until:(fun () -> List.length !(r.sent) > sent0);
   (match !(r.sent) with
@@ -286,7 +293,7 @@ let simultaneous_close make () =
         [ h.Codec.seq; h.Codec.flags land th_fin ]
   | [] -> Alcotest.fail "nothing resent");
   Alcotest.(check int) "by the connection's own timer" (rexmit0 + 1) (r.counter "rexmit");
-  Alcotest.(check bool) "still CLOSING" true (r.closing c);
+  Alcotest.(check string) "after the resend" "CLOSING" (r.state c);
   Alcotest.(check int) "no record yet" 0 (List.length (Tw_queue.to_list r.conns.Conn_table.tw));
   r.input (segment ~seq:(peer_iss + 2) ~ack:(iss + 2) ~flags:th_ack ());
   settle r;
@@ -298,6 +305,31 @@ let simultaneous_close make () =
         (List.memq c (Conn_table.to_list r.conns));
       check_gone r tw
   | l -> Alcotest.failf "%d TIME_WAIT records, want one" (List.length l)
+
+(* A passive close against the written peer: its FIN takes the
+   connection to CLOSE_WAIT, and closing it then sends our FIN (LAST_ACK).
+   In either state a retransmission of the peer's FIN, whose ACK was
+   lost, is ACKed again: one segment in, one ACK of snd_nxt and rcv_nxt
+   out. *)
+let re_fin_live make ~last_ack () =
+  let r = make () in
+  let c = r.connect port in
+  let iss = r.iss c in
+  r.input (segment ~seq:peer_iss ~ack:(iss + 1) ~flags:(th_syn lor th_ack) ());
+  let fin = segment ~seq:(peer_iss + 1) ~ack:(iss + 1) ~flags:(th_fin lor th_ack) () in
+  r.input fin;
+  if last_ack then r.close c;
+  settle r;
+  Alcotest.(check string) "passive close" (if last_ack then "LAST_ACK" else "CLOSE_WAIT") (r.state c);
+  let in0 = r.counter "in" and out0 = r.counter "out" in
+  (match replies r fin with
+  | [ h ] ->
+      Alcotest.(check (list int)) "re-FIN: an ACK of snd_nxt, rcv_nxt"
+        [ (if last_ack then iss + 2 else iss + 1); peer_iss + 2; th_ack ]
+        [ h.Codec.seq; h.Codec.ack; h.Codec.flags ]
+  | l -> Alcotest.failf "re-FIN: %d replies, want one ACK" (List.length l));
+  Alcotest.(check (list int)) "re-FIN: one segment in, one out" [ in0 + 1; out0 + 1 ]
+    [ r.counter "in"; r.counter "out" ]
 
 (* A thousand TIME_WAIT records reach at most 40 words each: no pcb,
    sock, stack or timer behind them. *)
@@ -324,4 +356,8 @@ let suite =
     Alcotest.test_case "linux: 1000 records, <= 40 words each" `Quick (footprint linux);
     Alcotest.test_case "bsd: simultaneous close, ACK lost once" `Quick (simultaneous_close bsd);
     Alcotest.test_case "linux: simultaneous close, ACK lost once" `Quick
-      (simultaneous_close linux) ]
+      (simultaneous_close linux);
+    Alcotest.test_case "bsd: CLOSE_WAIT ACKs a re-FIN" `Quick (re_fin_live bsd ~last_ack:false);
+    Alcotest.test_case "linux: CLOSE_WAIT ACKs a re-FIN" `Quick (re_fin_live linux ~last_ack:false);
+    Alcotest.test_case "bsd: LAST_ACK ACKs a re-FIN" `Quick (re_fin_live bsd ~last_ack:true);
+    Alcotest.test_case "linux: LAST_ACK ACKs a re-FIN" `Quick (re_fin_live linux ~last_ack:true) ]
