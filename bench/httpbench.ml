@@ -345,8 +345,10 @@ let connect s = s.client.connect ~dst:server_ip ~port:server_port
 
 (* One run: [clients] blocking FreeBSD-native clients on host A each issue
    [d.reqs_per_client] GETs, round-robin over the site, against the
-   server on host B, with [profile] installed for the whole run. *)
-let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
+   server on host B, with [profile] installed for the whole run.  [span]
+   brackets the measured run ({!Workload.span}): it starts with the first
+   measured client, after the warmup. *)
+let run ?(profile = Cost.paper ()) ?(span = Workload.no_span) d ~stack ~shape ~clients () =
   Cost.with_config profile @@ fun () ->
   let ncpus = profile.Cost.ncpus in
   let done_clients = ref 0 in
@@ -450,6 +452,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
         done;
         if not !baseline then begin
           baseline := true;
+          span.Workload.start ();
           c0_hits := Cost.counters.Cost.bufcache_hits;
           c0_misses := Cost.counters.Cost.bufcache_misses;
           c0_glue := Cost.counters.Cost.glue_crossings;
@@ -460,6 +463,7 @@ let run ?(profile = Cost.paper ()) d ~stack ~shape ~clients () =
         incr done_clients)
   done;
   Clientos.run s.testbed ~until:all_done;
+  span.Workload.stop ();
   let st = s.stats () in
   let pct = Percentile.us_of_ns (Array.of_list !samples) in
   let duration = max 1 (!t_end - !t_start) in

@@ -88,30 +88,39 @@ let systems = [ Endpoint.Linux; Endpoint.Freebsd; Endpoint.Oskit ]
 let system config = "system", Str (Endpoint.config_name config)
 
 (* Host cost: the words the simulator allocates per operation of a cell,
-   as Gc deltas around [f], returned with [f]'s result as a function of
-   the cell's operation count.  [minor_words_per_op] counts the minor
-   heap; [alloc_words_per_op] every word, minor or straight into the major
-   heap (what [Gc.allocated_bytes] counts).  Promoted words are left out
-   on purpose: which objects a minor collection finds alive depends on
-   where the collections fall, so one extra small array per transfer
-   moved Table 1's promoted-inclusive major words by 5%, and these two
-   columns by at most 0.013%.  The minor heap is emptied on both sides,
-   since the counts advance only at a minor collection, and a full major
-   cycle goes first, so in a process that runs one section the columns
-   repeat to the word (another minor heap size, through OCAMLRUNPARAM,
-   moves them). *)
+   as Gc deltas over the timed spans of [f]'s runs ([f] passes the span
+   to each run, {!Workload.span}), returned with [f]'s result as a
+   function of the cell's operation count.  Building a testbed, its
+   endpoints and its files falls outside, so a fixed setup allocation
+   does not read as per-operation cost.  [minor_words_per_op] counts the
+   minor heap; [alloc_words_per_op] every word, minor or straight into
+   the major heap (what [Gc.allocated_bytes] counts).  Promoted words are
+   left out on purpose: which objects a minor collection finds alive
+   depends on where the collections fall, so one extra small array per
+   transfer moved Table 1's promoted-inclusive major words by 5%, and
+   these two columns by at most 0.013%.  The minor heap is emptied on both
+   sides of a span, since the counts advance only at a minor collection,
+   and a full major cycle opens it, so in a process that runs one section
+   the columns repeat to the word (another minor heap size, through
+   OCAMLRUNPARAM, moves them). *)
 let host_words f =
-  Gc.full_major ();
-  let s0 = Gc.quick_stat () in
-  let r = f () in
-  Gc.minor ();
-  let s1 = Gc.quick_stat () in
-  let alloc s = s.Gc.minor_words +. s.major_words -. s.promoted_words in
-  let per ops w0 w1 = Float ((w1 -. w0) /. float_of_int ops) in
-  ( r,
-    fun ops ->
-      [ "minor_words_per_op", per ops s0.minor_words s1.minor_words;
-        "alloc_words_per_op", per ops (alloc s0) (alloc s1) ] )
+  let words s = s.Gc.minor_words, s.Gc.minor_words +. s.major_words -. s.promoted_words in
+  let minor = ref 0. and alloc = ref 0. and opened = ref (0., 0.) in
+  let span =
+    { Workload.start =
+        (fun () ->
+          Gc.full_major ();
+          opened := words (Gc.quick_stat ()));
+      stop =
+        (fun () ->
+          Gc.minor ();
+          let m1, a1 = words (Gc.quick_stat ()) and m0, a0 = !opened in
+          minor := !minor +. (m1 -. m0);
+          alloc := !alloc +. (a1 -. a0)) }
+  in
+  let r = f span in
+  let per ops w = Float (w /. float_of_int ops) in
+  (r, fun ops -> [ "minor_words_per_op", per ops !minor; "alloc_words_per_op", per ops !alloc ])
 
 (* ---------------- the ledger ---------------- *)
 
@@ -154,10 +163,10 @@ let check_ledger run p (c : Cost.counters) (l : Workload.ledger) =
 
 (* ttcp from [sender] to [receiver], [blocks] 4 KB blocks, under [profile],
    its ledger checked. *)
-let ttcp ?(profile = paper) ~sender ~receiver ~blocks () =
+let ttcp ?(profile = paper) ?span ~sender ~receiver ~blocks () =
   let r =
     Cost.with_config profile @@ fun () ->
-    Netbench.stream
+    Netbench.stream ?span
       { Workload.table1 with sender; receiver; bytes = blocks * blocksize; send_chunk = blocksize }
   in
   if not r.completed then failwith "ttcp: the transfer ran out of fuel";
@@ -197,20 +206,20 @@ let table1 () =
     (fun p ->
       List.map
         (fun config ->
-          let run sender receiver = ttcp ~profile:p ~sender ~receiver ~blocks () in
+          let run span sender receiver = ttcp ~profile:p ~span ~sender ~receiver ~blocks () in
           (* A paper cell also runs the receive direction: two transfers. *)
           let transfers = if p == paper then 2 else 1 in
           let (send_mbit, counts, ledgers, recv), words =
-            host_words (fun () ->
+            host_words (fun span ->
                 (* Only the send run's figures outlive it: its simulated
                    world is garbage before the receive run starts. *)
-                let send = run config Endpoint.Freebsd in
+                let send = run span config Endpoint.Freebsd in
                 let send_mbit = send.mbit_sender and counts = transfer_counts send in
                 ( send_mbit,
                   counts,
                   (send.tx_ledger, send.rx_ledger),
                   if transfers = 2 then
-                    [ "recv_mbit", Float (run Endpoint.Freebsd config).mbit_receiver ]
+                    [ "recv_mbit", Float (run span Endpoint.Freebsd config).mbit_receiver ]
                   else [] ))
           in
           record "table1"
@@ -507,8 +516,8 @@ let http () =
           List.map
             (fun shape ->
               let r, words =
-                host_words (fun () ->
-                    Httpbench.run ~profile:Httpbench.concurrency_profile d ~stack ~shape
+                host_words (fun span ->
+                    Httpbench.run ~profile:Httpbench.concurrency_profile ~span d ~stack ~shape
                       ~clients ())
               in
               Httpbench.check ~what:"http" r;

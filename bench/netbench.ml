@@ -65,8 +65,9 @@ let override_buffer ~sender size (ep : Endpoint.t) =
    host B (10.0.0.2).  [models] are the NIC models of hosts A and B,
    [latency_ns] the one-way wire latency (default 1 us); [netem] faults
    the wire and [tap] hears every delivered frame, with the time;
-   [buffers] overrides the sender's send and receiver's receive buffer. *)
-let stream ?models ?latency_ns ?netem ?tap ?(retry = false) ?buffers w =
+   [buffers] overrides the sender's send and receiver's receive buffer;
+   [span] brackets the transfer ({!Workload.span}). *)
+let stream ?models ?latency_ns ?netem ?tap ?(retry = false) ?buffers ?span w =
   let tb = Clientos.make_testbed ?models ?latency_ns () in
   let wire = tb.Clientos.wire in
   if Option.is_some netem then Wire.set_netem wire netem;
@@ -77,7 +78,7 @@ let stream ?models ?latency_ns ?netem ?tap ?(retry = false) ?buffers w =
     let ep = if retry && sender then retrying ep else ep in
     match buffers with Some size -> override_buffer ~sender size ep | None -> ep
   in
-  Workload.ttcp ~adapt tb w
+  Workload.ttcp ~adapt ?span tb w
 
 (* ---- rtt: rtcp ---- *)
 

@@ -29,6 +29,24 @@ let blkio_iid : blkio Iid.t =
   Iid.make ~name:"oskit.blkio"
     (Guid.make 0x4aa7dfe1l 0x7c74 0x11cf "\xb5\x00\x08\x00\x09\x53\xad\xc2")
 
+(** Block mapping: an optional face beside {!blkio}, reached by
+    [Com.query] from [bio_unknown], for a device that keeps its blocks in
+    local memory (a RAM disk).  It is [bufio]'s [map] rule (Section 4.4.2)
+    for a range of a device: [bm_map ~offset ~amount] grants direct access
+    when the device stores [offset, offset+amount) as one whole page.
+    [Some (page, start)]: the bytes are [page[start .. start+amount)] and
+    may be read in place.  They never change under the holder: a later
+    write to the range gives the device fresh bytes first (copy-on-write),
+    so a mapping is a snapshot of the range as it was.  [None]: the range
+    is not one stored page, and the caller reads it with [bio_read].  A
+    device without the face is read by copying, as before. *)
+type blkmap = {
+  bm_unknown : Com.unknown;
+  bm_map : offset:int -> amount:int -> (bytes * int) option;
+}
+
+let blkmap_iid : blkmap Iid.t = Iid.declare "oskit.blkmap"
+
 (** {1 Buffer I/O}
 
     The extension of [blkio] for data that may live in local memory
@@ -307,8 +325,11 @@ let dir_iid : dir Iid.t = Iid.declare "oskit.dir"
     slot's chunk and store the result, and may add a filled slot instead
     of reading the chunk again.  The owner of the bytes resets every slot
     to [-1], in place, whenever the bytes may change, so a memo reached
-    through any hold always describes the bytes as they are now.  [None]:
-    the bytes have no memo (httpd's header fragment, say). *)
+    through any hold always describes the bytes as they are now.  Bytes
+    mapped from a device ({!blkmap}) never change in place: their writer
+    takes new bytes, and the new bytes get a new memo, while the old memo
+    stays with the holds of the old bytes.  [None]: the bytes have no memo
+    (httpd's header fragment, say). *)
 type cksum_memo = int array
 
 (** Bytes per checksum-memo slot.  Even, so every chunk starts at an even

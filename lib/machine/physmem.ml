@@ -48,6 +48,24 @@ let blit_to_bytes t ~src_addr ~dst ~dst_pos ~len =
   check_buf "Physmem.blit_to_bytes" dst dst_pos len;
   pieces src_addr len dst_pos (fun i off pos n -> Bytes.blit t.pages.(i) off dst pos n)
 
+(* In-place access to [addr, addr + len) when the range lies in one
+   page: the page and the range's offset in it.  An untouched page is
+   given bytes of its own first, so the shared [zero] page is never handed
+   out.  A store that hands pages out must [unshare] a handed-out page
+   before it writes there again. *)
+let map_page t ~addr ~len =
+  check t addr len;
+  let off = addr land mask in
+  if len > 0 && off + len <= page then Some (writable t (addr lsr page_bits), off) else None
+
+(* Give every touched page of [addr, addr + len) fresh bytes holding what
+   it held: bytes handed out by [map_page] keep their contents through
+   the store's next writes. *)
+let unshare t ~addr ~len =
+  check t addr len;
+  pieces addr len 0 (fun i _ _ _ ->
+      if t.pages.(i) != zero then t.pages.(i) <- Bytes.copy t.pages.(i))
+
 (* Zeroing an untouched page leaves it shared. *)
 let fill t ~addr ~len byte =
   check t addr len;

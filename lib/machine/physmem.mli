@@ -43,5 +43,21 @@ val blit_to_bytes : t -> src_addr:int -> dst:bytes -> dst_pos:int -> len:int -> 
 (** [fill t ~addr ~len byte] *)
 val fill : t -> addr:int -> len:int -> int -> unit
 
+(** The page size: 4 KB. *)
+val page : int
+
+(** [map_page t ~addr ~len] is [Some (page, off)] when [addr, addr+len)
+    lies in one page (and [len > 0]): the store's own bytes of that page,
+    the range starting [off] bytes in, to be read in place.  An untouched
+    page gets bytes of its own first, so the shared zero page is never
+    handed out.  The bytes are the store's: a later write changes them,
+    unless the store gives the page fresh bytes first with {!unshare}. *)
+val map_page : t -> addr:int -> len:int -> (bytes * int) option
+
+(** [unshare t ~addr ~len] gives every page of the range that has bytes
+    of its own fresh bytes with the same contents, so bytes handed out by
+    {!map_page} no longer change when the store is written there. *)
+val unshare : t -> addr:int -> len:int -> unit
+
 (** Raised on any access outside [0, size). *)
 exception Fault of int

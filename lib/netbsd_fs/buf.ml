@@ -12,7 +12,25 @@
  * therefore (a) never touches a buffer with [b_refs > 0], and (b) picks
  * the true least-recently-used unreferenced buffer (oldest [b_lru_tick],
  * not hash-iteration order).  If everything is pinned the cache grows
- * past [max_bufs], as BSD's does under wired pages.
+ * past [max_bufs], as BSD's does under wired pages, and it shrinks back
+ * as the references go: a fault-in evicts down to make room, and so does
+ * the release ([brelse], [unpin]) of a buffer's last reference, so once
+ * every reference is released the cache holds at most [max_bufs].
+ *
+ * Mapping: a device that keeps its blocks in memory (the RAM disk) may
+ * export {!Io_if.blkmap}, and then a reader's miss ([bread_ro],
+ * [bread_loan]) maps the device's page as the buffer instead of reading
+ * the block into a buffer of its own: no device read, no copy, no 4 KB
+ * allocated.  It still counts as a miss ([maps] counts the mapped ones).
+ * Mapped bytes never change: the device gives a mapped page fresh bytes
+ * before it writes there (copy-on-write), so a mapped buffer is never
+ * written in place and never dirty, and eviction just drops it.  A writer
+ * ([bread], [getblk_nofill]) first gives a mapped buffer bytes of its own
+ * ([make_private]): [bread] copies the page, charging the copy the read
+ * it replaces would have, and [getblk_nofill] takes fresh bytes, charging
+ * nothing.  A device without the face, or a block the device does not
+ * store as one page (a [bsize] other than the page's), is read by
+ * copying, as a disk is.
  *
  * Checksum memo: a block loaned to sendfile carries one
  * ({!Io_if.cksum_memo}, made on the block's first loan), which the
@@ -26,9 +44,12 @@
  * is written only through this cache.  The cache does not know who writes
  * a block, so every access that may change the bytes ([bread],
  * [getblk_nofill]) resets the block's memo, cached or not; only the two
- * that promise to read alone, a loan ([bread_loan]) and a file read
- * ([bread_ro]), keep it.  The reset is in place, because socket buffers and retransmit
- * queues may still hold the memo through their own pins.  [drop_sums]
+ * that promise to read alone, a loan ([bread_loan]) and a read
+ * ([bread_ro]), keep it.  The reset is in place, because socket buffers
+ * and retransmit queues may still hold the memo through their own pins —
+ * except for a mapped buffer's: its writer takes new bytes and a new memo,
+ * and the old memo stays with the loans of the old bytes, which no longer
+ * change.  [drop_sums]
  * forgets a block's memo; the file system calls it when it frees the
  * block, so the memos number at most one per allocated block that has
  * held loaned file data, each 1/8 of its block's size.  How much of the
@@ -44,14 +65,15 @@
  * the new size); [getblk_nofill] claims the whole block, and a write
  * pushes the bytes the buffer holds.  Every writer reaches its block
  * through [bread] or [getblk_nofill], which hold it whole, so a dirty
- * buffer is always whole.
+ * buffer is always whole.  A mapped buffer holds its whole block.
  *)
 
 type buf = {
   b_blkno : int;
-  b_data : bytes;
+  mutable b_data : bytes; (* a mapped buffer's is the device's page *)
   mutable b_bcount : int; (* bytes of the block held, from its start *)
   mutable b_dirty : bool;
+  mutable b_mapped : bool; (* [b_data] is mapped from the device, not a copy *)
   mutable b_refs : int;
   mutable b_lru_tick : int;
   mutable b_sums : Io_if.cksum_memo option; (* the block's memo (see [sums]) *)
@@ -59,8 +81,10 @@ type buf = {
 
 type t = {
   dev : Io_if.blkio;
+  map : Io_if.blkmap option; (* the device's block-mapping face, if it exports one *)
   bsize : int;
   cache : (int, buf) Hashtbl.t;
+  mutable unreferenced : int; (* cached buffers with [b_refs = 0]: eviction's candidates *)
   sums : (int, Io_if.cksum_memo) Hashtbl.t; (* checksum memos by block number *)
   max_bufs : int;
   mutable tick : int;
@@ -68,6 +92,7 @@ type t = {
   mutable writes : int;
   mutable read_bytes : int; (* bytes those reads fetched *)
   mutable written_bytes : int;
+  mutable maps : int; (* misses served by mapping the device's page *)
   mutable peak : int; (* most buffers resident at once *)
   mutable hits : int;
   mutable misses : int; (* lookups that had to read the block, or the rest of it *)
@@ -77,9 +102,10 @@ type t = {
 }
 
 let create ?(max_bufs = 64) ~bsize dev =
-  { dev; bsize; cache = Hashtbl.create 64; sums = Hashtbl.create 64; max_bufs; tick = 0;
-    reads = 0; writes = 0; read_bytes = 0; written_bytes = 0; peak = 0; hits = 0; misses = 0;
-    evictions = 0; pins = 0; unpins = 0 }
+  { dev; map = Result.to_option (Com.query dev.Io_if.bio_unknown Io_if.blkmap_iid); bsize;
+    cache = Hashtbl.create 64; unreferenced = 0; sums = Hashtbl.create 64; max_bufs; tick = 0;
+    reads = 0; writes = 0; read_bytes = 0; written_bytes = 0; maps = 0; peak = 0; hits = 0;
+    misses = 0; evictions = 0; pins = 0; unpins = 0 }
 
 (* Read the block's bytes [b_bcount, upto) into the buffer. *)
 let device_read t b ~upto =
@@ -104,9 +130,10 @@ let device_write t b =
   | Result.Error e -> Error.fail e
 
 (* Evict the least recently used unreferenced buffer (writing it out first
-   if it is dirty — BSD pushes delayed writes under pressure).  Referenced
-   buffers — including sendfile pins — are never victims: their bytes may
-   be queued for DMA right now. *)
+   if it is dirty — BSD pushes delayed writes under pressure; a mapped
+   buffer is never dirty and is just dropped).  Referenced buffers —
+   including sendfile pins — are never victims: their bytes may be queued
+   for DMA right now.  Call only when some buffer is unreferenced. *)
 let evict_one t =
   let victim = ref None in
   Hashtbl.iter
@@ -116,12 +143,27 @@ let evict_one t =
         | Some v when v.b_lru_tick <= b.b_lru_tick -> ()
         | _ -> victim := Some b)
     t.cache;
-  match !victim with
-  | None -> () (* everything referenced: let the cache grow, as BSD does *)
-  | Some b ->
+  Option.iter
+    (fun b ->
       if b.b_dirty then device_write t b;
       Hashtbl.remove t.cache b.b_blkno;
-      t.evictions <- t.evictions + 1
+      t.unreferenced <- t.unreferenced - 1;
+      t.evictions <- t.evictions + 1)
+    !victim
+
+(* Evict until at most [n] buffers remain, or every one left is
+   referenced (then the cache stays grown, as BSD's does under wired
+   pages, until the references are released). *)
+let rec shrink t n =
+  if Hashtbl.length t.cache > n && t.unreferenced > 0 then begin
+    evict_one t;
+    shrink t n
+  end
+
+(* Take a reference: an unreferenced buffer is a victim no longer. *)
+let reference t b =
+  if b.b_refs = 0 then t.unreferenced <- t.unreferenced - 1;
+  b.b_refs <- b.b_refs + 1
 
 let count_lookup t ~hit =
   if hit then begin
@@ -133,36 +175,70 @@ let count_lookup t ~hit =
     Cost.count_bufcache_miss ()
   end
 
-(* The buffer of [blkno], to hold at least its first [size] bytes once
-   the caller reads any it lacks.  A lookup that finds the buffer holding
-   them is a hit; one that faults the block in, or must read the rest of a
-   short buffer, is a miss. *)
-let getblk t blkno ~size =
+(* The cached buffer of [blkno], referenced, if there is one.  A lookup
+   that finds it holding the first [size] bytes is a hit; one that must
+   fault the block in, or read the rest of a short buffer, is a miss. *)
+let lookup t blkno ~size =
   t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.cache blkno with
-  | Some b ->
-      count_lookup t ~hit:(b.b_bcount >= size);
-      b.b_refs <- b.b_refs + 1;
-      b.b_lru_tick <- t.tick;
-      b
-  | None ->
-      count_lookup t ~hit:false;
-      if Hashtbl.length t.cache >= t.max_bufs then evict_one t;
-      let b =
-        { b_blkno = blkno; b_data = Bytes.make t.bsize '\000'; b_bcount = 0; b_dirty = false;
-          b_refs = 1; b_lru_tick = t.tick; b_sums = Hashtbl.find_opt t.sums blkno }
-      in
-      Hashtbl.replace t.cache blkno b;
-      t.peak <- max t.peak (Hashtbl.length t.cache);
-      b
+  let found = Hashtbl.find_opt t.cache blkno in
+  count_lookup t ~hit:(match found with Some b -> b.b_bcount >= size | None -> false);
+  Option.iter
+    (fun b ->
+      reference t b;
+      b.b_lru_tick <- t.tick)
+    found;
+  found
+
+(* A new referenced buffer of [blkno] over [data], holding its first
+   [bcount] bytes, entered after evicting down to make room for it. *)
+let enter t blkno data ~bcount ~mapped =
+  shrink t (t.max_bufs - 1);
+  let b =
+    { b_blkno = blkno; b_data = data; b_bcount = bcount; b_dirty = false; b_mapped = mapped;
+      b_refs = 1; b_lru_tick = t.tick; b_sums = Hashtbl.find_opt t.sums blkno }
+  in
+  Hashtbl.replace t.cache blkno b;
+  t.peak <- max t.peak (Hashtbl.length t.cache);
+  b
+
+let empty t blkno = enter t blkno (Bytes.make t.bsize '\000') ~bcount:0 ~mapped:false
+
+(* The buffer of [blkno], to hold at least its first [size] bytes once
+   the caller reads any it lacks: a miss faults in an empty buffer. *)
+let getblk t blkno ~size =
+  match lookup t blkno ~size with Some b -> b | None -> empty t blkno
+
+let new_memo t = Array.make (t.bsize / Io_if.cksum_chunk) (-1)
 
 let clear_sums b =
   match b.b_sums with Some sums -> Array.fill sums 0 (Array.length sums) (-1) | None -> ()
 
-(* bread: a referenced buffer with the block's whole contents.  A block
-   faulted back in has its memo attached again, so this resets it too. *)
+(* A writer's buffer: a mapped one first takes bytes of its own — a
+   charged copy of the page when [copy], else fresh ones its caller
+   overwrites whole — and a new memo if it had one.  The old memo stays
+   with the loans of the page, whose bytes never change. *)
+let make_private t b ~copy =
+  if b.b_mapped then begin
+    b.b_data <-
+      (if copy then begin
+         Cost.charge_copy t.bsize;
+         Bytes.copy b.b_data
+       end
+       else Bytes.make t.bsize '\000');
+    b.b_mapped <- false;
+    if Option.is_some b.b_sums then begin
+      let sums = new_memo t in
+      if Hashtbl.mem t.sums b.b_blkno then Hashtbl.replace t.sums b.b_blkno sums;
+      b.b_sums <- Some sums
+    end
+  end
+
+(* bread: a referenced buffer with the block's whole contents, its own to
+   change.  A block faulted back in has its memo attached again, so this
+   resets it too. *)
 let bread t blkno =
   let b = getblk t blkno ~size:t.bsize in
+  make_private t b ~copy:true;
   if b.b_bcount < t.bsize then device_read t b ~upto:t.bsize;
   clear_sums b;
   b
@@ -170,14 +246,33 @@ let bread t blkno =
 (* getblk-without-read: caller will overwrite the whole block. *)
 let getblk_nofill t blkno =
   let b = getblk t blkno ~size:0 in
+  make_private t b ~copy:false;
   b.b_bcount <- t.bsize;
   clear_sums b;
   b
 
-(* bread for a caller that only reads the bytes (a file read), of which it
-   needs the first [size]: keeps the block's checksum memo. *)
+(* The device's page of [blkno], when the device maps it in place. *)
+let map_block t blkno =
+  Option.bind t.map (fun m ->
+      match m.Io_if.bm_map ~offset:(blkno * t.bsize) ~amount:t.bsize with
+      | Some (page, 0) when Bytes.length page = t.bsize -> Some page
+      | Some _ | None -> None)
+
+(* bread for a caller that only reads the bytes (a file read, or the file
+   system reading its metadata), of which it needs the first [size]: keeps
+   the block's checksum memo.  A miss maps the whole block when the device
+   allows it, and reads from the device otherwise. *)
 let bread_ro t blkno ~size =
-  let b = getblk t blkno ~size in
+  let b =
+    match lookup t blkno ~size with
+    | Some b -> b
+    | None -> (
+        match map_block t blkno with
+        | Some page ->
+            t.maps <- t.maps + 1;
+            enter t blkno page ~bcount:t.bsize ~mapped:true
+        | None -> empty t blkno)
+  in
   if b.b_bcount < size then device_read t b ~upto:size;
   b
 
@@ -188,7 +283,7 @@ let bread_loan t blkno ~size =
   (match b.b_sums with
   | Some _ -> ()
   | None ->
-      let sums = Array.make (t.bsize / Io_if.cksum_chunk) (-1) in
+      let sums = new_memo t in
       Hashtbl.replace t.sums blkno sums;
       b.b_sums <- Some sums);
   b
@@ -207,7 +302,16 @@ let drop_sums t blkno =
       | Some b when b.b_refs = 0 -> b.b_sums <- None
       | Some _ | None -> ())
 
-let brelse b = if b.b_refs > 0 then b.b_refs <- b.b_refs - 1
+(* Drop one reference; the last one lets a cache grown past [max_bufs]
+   by references shrink back. *)
+let brelse t b =
+  if b.b_refs > 0 then begin
+    b.b_refs <- b.b_refs - 1;
+    if b.b_refs = 0 then begin
+      t.unreferenced <- t.unreferenced + 1;
+      shrink t t.max_bufs
+    end
+  end
 
 (* ---- sendfile pins ----
  *
@@ -218,7 +322,7 @@ let brelse b = if b.b_refs > 0 then b.b_refs <- b.b_refs - 1
  * each pin comes back through [unpin]. *)
 
 let pin t b =
-  b.b_refs <- b.b_refs + 1;
+  reference t b;
   t.pins <- t.pins + 1
 
 (* Adopt an already-held reference (e.g. bread's) as a pin: counts the pin
@@ -226,7 +330,7 @@ let pin t b =
 let pin_held t (_ : buf) = t.pins <- t.pins + 1
 
 let unpin t b =
-  if b.b_refs > 0 then b.b_refs <- b.b_refs - 1;
+  brelse t b;
   t.unpins <- t.unpins + 1
 
 (* bdwrite: mark dirty, write later. *)
@@ -248,6 +352,7 @@ type cache_stats = {
   cs_writes : int;
   cs_read_bytes : int; (* device bytes read *)
   cs_written_bytes : int; (* device bytes written *)
+  cs_maps : int; (* misses served by mapping the device's page: no read *)
   cs_hits : int;
   cs_misses : int;
   cs_evictions : int;
@@ -262,7 +367,7 @@ type cache_stats = {
 let cache_stats t =
   let pinned = Hashtbl.fold (fun _ b acc -> if b.b_refs > 0 then acc + 1 else acc) t.cache 0 in
   { cs_reads = t.reads; cs_writes = t.writes; cs_read_bytes = t.read_bytes;
-    cs_written_bytes = t.written_bytes; cs_hits = t.hits; cs_misses = t.misses;
+    cs_written_bytes = t.written_bytes; cs_maps = t.maps; cs_hits = t.hits; cs_misses = t.misses;
     cs_evictions = t.evictions; cs_pins = t.pins; cs_unpins = t.unpins;
     cs_cached = Hashtbl.length t.cache; cs_peak = t.peak; cs_pinned = pinned;
     cs_memos = Hashtbl.length t.sums }

@@ -31,6 +31,12 @@
  * short fetches the rest before it is changed.  Neither rule touches the
  * checksum memo: a short read keeps it as a whole one would, and every
  * write still reaches its block through a call that resets it.
+ *
+ * Every access that only reads a block — a file read, the sendfile
+ * mapping, and the superblock, bitmap, inode and indirect-block reads —
+ * goes through [Buf.bread_ro] (or [bread_loan]), so on a device that maps
+ * its blocks a miss copies nothing; only a writer reaches a block through
+ * [Buf.bread] or [getblk_nofill].
  *)
 
 let bsize = 4096
@@ -118,10 +124,10 @@ let sb_write t =
   w 8 t.sb.itab_blocks;
   w 9 t.sb.data_start;
   Buf.bwrite t.bc b;
-  Buf.brelse b
+  Buf.brelse t.bc b
 
 let sb_read bc =
-  let b = Buf.bread bc 0 in
+  let b = Buf.bread_ro bc 0 ~size:bsize in
   let d = b.Buf.b_data in
   let r i = Int32.to_int (Bytes.get_int32_le d (4 * i)) in
   let result =
@@ -132,7 +138,7 @@ let sb_read bc =
           bbmap_start = r 5; bbmap_blocks = r 6; itab_start = r 7; itab_blocks = r 8;
           data_start = r 9 }
   in
-  Buf.brelse b;
+  Buf.brelse bc b;
   result
 
 (* ---- bitmaps ---- *)
@@ -140,9 +146,9 @@ let sb_read bc =
 let bitmap_get t ~start idx =
   let blk = start + (idx / (bsize * 8)) in
   let bit = idx mod (bsize * 8) in
-  let b = Buf.bread t.bc blk in
+  let b = Buf.bread_ro t.bc blk ~size:bsize in
   let v = Char.code (Bytes.get b.Buf.b_data (bit / 8)) land (1 lsl (bit mod 8)) <> 0 in
-  Buf.brelse b;
+  Buf.brelse t.bc b;
   v
 
 let bitmap_set t ~start idx value =
@@ -155,7 +161,7 @@ let bitmap_set t ~start idx value =
   in
   Bytes.set b.Buf.b_data (bit / 8) (Char.chr byte');
   Buf.bdwrite b;
-  Buf.brelse b
+  Buf.brelse t.bc b
 
 let bitmap_find_clear t ~start ~limit =
   let rec go i = if i >= limit then None else if bitmap_get t ~start i then go (i + 1) else Some i in
@@ -167,7 +173,7 @@ let zero_block t blk =
   let b = Buf.getblk_nofill t.bc blk in
   Bytes.fill b.Buf.b_data 0 bsize '\000';
   Buf.bdwrite b;
-  Buf.brelse b
+  Buf.brelse t.bc b
 
 let balloc t =
   match
@@ -197,7 +203,7 @@ let inode_loc t ino =
 
 let iread t ino =
   let blk, off = inode_loc t ino in
-  let b = Buf.bread t.bc blk in
+  let b = Buf.bread_ro t.bc blk ~size:bsize in
   let d = b.Buf.b_data in
   let r i = Int32.to_int (Bytes.get_int32_le d (off + (4 * i))) in
   let kind = match Bytes.get_uint16_le d off with 1 -> K_file | 2 -> K_dir | _ -> K_free in
@@ -210,7 +216,7 @@ let iread t ino =
       i_sind = r (2 + ndirect);
       i_dind = r (3 + ndirect) }
   in
-  Buf.brelse b;
+  Buf.brelse t.bc b;
   node
 
 let iupdate t node =
@@ -226,7 +232,7 @@ let iupdate t node =
   w (2 + ndirect) node.i_sind;
   w (3 + ndirect) node.i_dind;
   Buf.bdwrite b;
-  Buf.brelse b
+  Buf.brelse t.bc b
 
 let iget t ino =
   if ino < 0 || ino >= t.sb.ninodes then fail Error.Inval;
@@ -253,16 +259,16 @@ let ialloc t kind =
 (* ---- bmap: file block -> disk block ---- *)
 
 let read_ptr t blk idx =
-  let b = Buf.bread t.bc blk in
+  let b = Buf.bread_ro t.bc blk ~size:bsize in
   let v = Int32.to_int (Bytes.get_int32_le b.Buf.b_data (4 * idx)) in
-  Buf.brelse b;
+  Buf.brelse t.bc b;
   v
 
 let write_ptr t blk idx v =
   let b = Buf.bread t.bc blk in
   Bytes.set_int32_le b.Buf.b_data (4 * idx) (Int32.of_int v);
   Buf.bdwrite b;
-  Buf.brelse b
+  Buf.brelse t.bc b
 
 let rec bmap t node fblk ~alloc =
   if fblk < ndirect then begin
@@ -352,7 +358,7 @@ let read t node ~off ~len ~dst ~dst_pos =
          let b = Buf.bread_ro t.bc blk ~size:(blksize node fblk) in
          Cost.charge_copy n;
          Bytes.blit b.Buf.b_data boff dst dst_pos n;
-         Buf.brelse b
+         Buf.brelse t.bc b
        end);
       go (off + n) (len - n) (dst_pos + n) (copied + n)
     end
@@ -412,7 +418,7 @@ let write t node ~off ~len ~src ~src_pos =
       Bytes.blit src src_pos b.Buf.b_data boff n;
       (* A filled block goes to the device now (ffs_write's bawrite). *)
       if boff + n = bsize then Buf.bwrite t.bc b else Buf.bdwrite b;
-      Buf.brelse b;
+      Buf.brelse t.bc b;
       go (off + n) (len - n) (src_pos + n) (written + n)
     end
   in
@@ -435,7 +441,7 @@ let truncate t node size =
          let b = Buf.bread t.bc blk in
          Bytes.fill b.Buf.b_data (size mod bsize) (bsize - (size mod bsize)) '\000';
          Buf.bdwrite b;
-         Buf.brelse b
+         Buf.brelse t.bc b
        end);
     let keep_blocks = (size + bsize - 1) / bsize in
     let last_fblk = (node.i_size + bsize - 1) / bsize in

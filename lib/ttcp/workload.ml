@@ -26,6 +26,14 @@ let ledger (h : Clientos.host) =
 let since a b =
   { busy = Array.map2 ( - ) b.busy a.busy; crossings = Array.map2 ( - ) b.crossings a.crossings }
 
+(* Calls around a run's timed span, for a caller that measures the host
+   simulating it (the bench's allocation columns): [start] just before the
+   span's first event, [stop] just after its last.  Building the testbed
+   and the endpoints falls outside the span. *)
+type span = { start : unit -> unit; stop : unit -> unit }
+
+let no_span = { start = ignore; stop = ignore }
+
 (* Every run ends within this much virtual time: one hour, over a hundred
    times the longest transfer any caller makes (the longfat bench's FreeBSD
    transfer of 2.5 MB over a 50 ms path losing 3% of its frames, about
@@ -87,8 +95,8 @@ type result = {
 }
 
 (* [adapt] may wrap each endpoint ([sender] says which) before the run
-   uses it. *)
-let ttcp ?(adapt = fun ~sender:_ ep -> ep) (tb : Clientos.testbed) w =
+   uses it; [span] brackets the run itself. *)
+let ttcp ?(adapt = fun ~sender:_ ep -> ep) ?(span = no_span) (tb : Clientos.testbed) w =
   let tx, rx = Endpoint.pair tb ~a:w.sender ~b:w.receiver in
   let tx = adapt ~sender:true tx and rx = adapt ~sender:false rx in
   let clock (ep : Endpoint.t) = Machine.now ep.host.Clientos.machine in
@@ -142,8 +150,10 @@ let ttcp ?(adapt = fun ~sender:_ ep -> ep) (tb : Clientos.testbed) w =
   (* A run that cannot finish stops at the time limit (or, livelocked at
      one instant, at the world's fuel limit) and reports itself not
      completed, with its endpoints, for the caller to inspect. *)
+  span.start ();
   (try ignore (run_limited tb ~finished:(fun () -> !recv_done > 0))
    with World.Out_of_fuel -> ());
+  span.stop ();
   let ts = Endpoint.stats tx.stack and rs = Endpoint.stats rx.stack in
   let mbit ns = float_of_int w.bytes *. 8e3 /. float_of_int ns in
   { mbit_sender = mbit (!t_sent - !t_sending);

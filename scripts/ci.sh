@@ -111,6 +111,14 @@
 # examples or perfbench, no call in lib of the one pop
 # (Nic.pop_rx_burst) outside lib/smp/netisr.ml, and `let rec rx_drain`
 # defined in no more than one file under lib.
+# A buffer-cache miss on a device that keeps its blocks in memory maps
+# the block instead of copying it, and there is one such path: the buffer
+# cache asks the device's block-mapping face (Io_if.blkmap), and the RAM
+# disk gives a handed-out page fresh bytes before writing it
+# (copy-on-write).  So a grep must find bm_map called nowhere but
+# lib/netbsd_fs/buf.ml (io_if.ml declares it, mem_blkio.ml defines it)
+# and Physmem.unshare nowhere but lib/fdev/mem_blkio.ml, so no second
+# mapping path grows back beside them.
 # Every charged cycle names its layer (Cost.charge), and a CPU's busy
 # time is the sum of its ledger row.  So a grep must find no untagged
 # charge (charge_cycles, or charge_ns outside lib/machine/cost.ml), no
@@ -136,12 +144,14 @@
 # cost.cksum_bytes_per_payload_byte must stay below 1.35 (summing every
 # sent byte again, with the client's verification, gives about 2.1, and a
 # memo that died with its buffer about 1.48).  They gate the file
-# system's device I/O too: it reads a file's last direct block only as
-# far as the file's last fragment and writes a block out as soon as a
+# system's device I/O too: a buffer-cache miss maps the RAM disk's page
+# instead of copying the block, it reads a file's last direct block only
+# as far as the file's last fragment and writes a block out as soon as a
 # write fills it, so http_keepalive's cost.copy_bytes_per_payload_byte
-# must stay below 1.41 (about 1.37-1.38 at one second; reading every
-# block whole and flushing the blocks file creation left dirty inside the
-# run gives 1.43-1.46).  And they gate the cork:
+# must stay below 1.10 (about 1.02 at one second; copying every missed
+# block gives about 1.37-1.38, and also reading every block whole and
+# flushing the blocks file creation left dirty inside the run 1.43-1.46).
+# And they gate the cork:
 # the httpd corks its listener (TCP_NOPUSH), so each http_close reply
 # leaves with its FIN and the request costs 8 frames on the wire, where
 # a reply that sends its FIN apart costs 9: machine.frames_per_op must
@@ -239,6 +249,13 @@ if grep -rnE 'charge_cycles|has_sink|debug_costs' lib bench test bin examples \
   echo "a charge without a layer, or the knob-zeroing tool, grew back" >&2
   exit 1
 fi
+if grep -rn 'bm_map' lib bench test bin examples perfbench \
+  | grep -vE '^lib/netbsd_fs/buf\.ml:|^lib/com/io_if\.ml:|^lib/fdev/mem_blkio\.ml:[0-9]+:.* bm_map = ' \
+  || grep -rn 'Physmem\.unshare' lib bench test bin examples perfbench \
+  | grep -v '^lib/fdev/mem_blkio\.ml:'; then
+  echo "a second block-mapping path grew back beside the buffer cache's" >&2
+  exit 1
+fi
 dune runtest
 for section in table1 table2 table3 footprint vmnet alloc glue copies chaos \
   rtt http longfat overload smp event file; do
@@ -310,7 +327,7 @@ for workload in paper_net http_close http_keepalive; do
     http_keepalive)
       gate 'fdev\.glue_crossings_per_pkt' 'v > 0 && v < 0.36'
       gate 'cost\.cksum_bytes_per_payload_byte' 'v < 1.35'
-      gate 'cost\.copy_bytes_per_payload_byte' 'v < 1.41'
+      gate 'cost\.copy_bytes_per_payload_byte' 'v < 1.10'
       ;;
   esac
 done

@@ -576,7 +576,9 @@ let test_reactor_kq_engine () =
    server's ifnet holds no burst open and queues no frame, no frame waits
    in any receive queue of either host's card or in any CPU's netisr
    queue, and no NAPI poll is pending (it would keep the card's line
-   masked).  [rx_batch] > 1 binds the batched glue on an OSKit server. *)
+   masked).  Nor does the buffer cache: no block is pinned, and it holds
+   at most [max_bufs] buffers.  [rx_batch] > 1 binds the batched glue on
+   an OSKit server. *)
 
 let quiescence ?(rx_batch = 1) ~stack ~ncpus () =
   Cost.with_config { Cost.config with Cost.ncpus; http_keepalive = true; rx_batch } @@ fun () ->
@@ -631,6 +633,12 @@ let quiescence ?(rx_batch = 1) ~stack ~ncpus () =
         (Printf.sprintf "%s: reactor %d's ready queue" name cpu)
         0 (Reactor.queued r))
     s.Httpbench.reactors;
+  let cs = Buf.cache_stats s.Httpbench.bufcache in
+  Alcotest.(check int) (name ^ ": buffer-cache blocks pinned") 0 cs.Buf.cs_pinned;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d buffers cached, within max_bufs" name cs.Buf.cs_cached)
+    true
+    (cs.Buf.cs_cached <= s.Httpbench.bufcache.Buf.max_bufs);
   let tb = s.Httpbench.testbed in
   List.iter
     (fun (host : Clientos.host) ->

@@ -8,6 +8,14 @@ let ok = function
 
 let mem_dev ?(mb = 4) () = Mem_blkio.make ~bytes:(mb * 1024 * 1024) ()
 
+(* [dev]'s blkio face alone, under an object that exports nothing else:
+   the buffer cache finds no block-mapping face and reads the RAM disk by
+   copying, as it reads a disk. *)
+let copy_dev (dev : Io_if.blkio) =
+  let rec view = lazy { dev with Io_if.bio_unknown = Lazy.force obj }
+  and obj = lazy (Com.create (fun _ -> [ Iid.B (Io_if.blkio_iid, fun () -> Lazy.force view) ])) in
+  Lazy.force view
+
 let with_posix_fs f =
   let dev = mem_dev () in
   let root = ok (Fs_glue.newfs dev) in
@@ -172,16 +180,16 @@ let test_buffer_cache () =
   let b0 = Buf.bread bc 0 in
   Bytes.set b0.Buf.b_data 0 'A';
   Buf.bdwrite b0;
-  Buf.brelse b0;
+  Buf.brelse bc b0;
   (* Re-read hits the cache. *)
   let b0' = Buf.bread bc 0 in
   Alcotest.(check char) "cache hit sees dirty data" 'A' (Bytes.get b0'.Buf.b_data 0);
-  Buf.brelse b0';
+  Buf.brelse bc b0';
   let _, _, hits = Buf.stats bc in
   Alcotest.(check bool) "hit counted" true (hits >= 1);
   (* Touch enough blocks to force eviction of the dirty one. *)
   for i = 1 to 8 do
-    Buf.brelse (Buf.bread bc i)
+    Buf.brelse bc (Buf.bread bc i)
   done;
   (* The delayed write must have reached the device. *)
   let probe = Bytes.create 1 in
@@ -294,10 +302,9 @@ let map_bytes fs node ~off ~len =
       b)
     (Ffs.map_blocks fs node ~off ~len)
 
-(* [name] written with [content] and synced, then the device mounted
-   afresh: the file's blocks are cold in the new cache. *)
-let cold_file ~name content =
-  let dev = mem_dev () in
+(* [name] written with [content] on [dev] and synced, then the device
+   mounted afresh: the file's blocks are cold in the new cache. *)
+let cold_file ~dev ~name content =
   let fs = Ffs.newfs ~max_bufs:small_bufs dev in
   let node = Ffs.create_file fs (Ffs.root fs) ~name in
   ignore (Ffs.write fs node ~off:0 ~len:(Bytes.length content) ~src:content ~src_pos:0);
@@ -309,17 +316,18 @@ let cold_file ~name content =
 
 (* A 5,000-byte file is one whole block and 904 bytes of the second, which
    a read fetches as far as its second fragment: through [read] and
-   through the sendfile mapping alike. *)
+   through the sendfile mapping alike.  This and the next three tests pin
+   the copy path, on a RAM disk that does not map its blocks. *)
 let test_cold_read_is_short () =
   let content = pattern ~seed:1 5000 in
-  let _, fs, node = cold_file ~name:"small" content in
+  let _, fs, node = cold_file ~dev:(copy_dev (mem_dev ())) ~name:"small" content in
   let before = io fs in
   Alcotest.(check bool) "bytes exact" true (Bytes.equal content (read_all fs node));
   let after = io fs in
   Alcotest.(check int) "device bytes read" (4096 + 1024)
     (after.Buf.cs_read_bytes - before.Buf.cs_read_bytes);
   Alcotest.(check int) "device reads" 2 (after.Buf.cs_reads - before.Buf.cs_reads);
-  let _, fs, node = cold_file ~name:"small" content in
+  let _, fs, node = cold_file ~dev:(copy_dev (mem_dev ())) ~name:"small" content in
   let before = io fs in
   Alcotest.(check (option bool)) "mapped bytes exact" (Some true)
     (Option.map (Bytes.equal content) (map_bytes fs node ~off:0 ~len:max_int));
@@ -331,7 +339,7 @@ let test_cold_read_is_short () =
    is the indirect block that maps it. *)
 let test_indirect_tail_read_whole () =
   let content = pattern ~seed:2 60_000 in
-  let _, fs, node = cold_file ~name:"big" content in
+  let _, fs, node = cold_file ~dev:(copy_dev (mem_dev ())) ~name:"big" content in
   let before = io fs in
   let b = Bytes.create (60_000 - (14 * 4096)) in
   ignore (Ffs.read fs node ~off:(14 * 4096) ~len:(Bytes.length b) ~dst:b ~dst_pos:0);
@@ -345,7 +353,7 @@ let test_indirect_tail_read_whole () =
    cache, and on the device after a sync. *)
 let test_append_fetches_rest () =
   let content = pattern ~seed:3 5000 in
-  let dev, fs, node = cold_file ~name:"grow" content in
+  let dev, fs, node = cold_file ~dev:(copy_dev (mem_dev ())) ~name:"grow" content in
   ignore (read_all fs node);
   let tail = pattern ~seed:4 500 in
   let before = io fs in
@@ -397,25 +405,74 @@ let test_filled_block_written_at_once () =
 (* The cache's counters: bytes through the device each way, and the most
    buffers resident at once, which pins can push past the cache's size. *)
 let test_cache_counters () =
-  let dev = mem_dev ~mb:1 () in
+  let dev = copy_dev (mem_dev ~mb:1 ()) in
   let bc = Buf.create ~bsize:4096 ~max_bufs:2 dev in
   let w = Buf.getblk_nofill bc 5 in
   Buf.bwrite bc w;
-  Buf.brelse w;
+  Buf.brelse bc w;
   let r = Buf.bread_ro bc 6 ~size:1536 in
-  Buf.brelse r;
+  Buf.brelse bc r;
   let pinned = List.init 3 (fun i -> Buf.bread bc (10 + i)) in
   let s = Buf.cache_stats bc in
   Alcotest.(check int) "bytes written" 4096 s.Buf.cs_written_bytes;
   Alcotest.(check int) "bytes read" (1536 + (3 * 4096)) s.Buf.cs_read_bytes;
   Alcotest.(check int) "peak: three held buffers past a cache of two" 3 s.Buf.cs_peak;
-  List.iter Buf.brelse pinned;
-  Buf.brelse (Buf.bread bc 20);
+  List.iter (Buf.brelse bc) pinned;
+  Buf.brelse bc (Buf.bread bc 20);
   Alcotest.(check int) "the peak stays a peak" 3 (Buf.cache_stats bc).Buf.cs_peak
 
+(* The same cold 5,000-byte file on a RAM disk that maps its blocks: both
+   blocks are mapped whole, so the device is not read at all, and the only
+   bytes copied are the ones the read hands its caller. *)
+let test_cold_read_is_mapped () =
+  let content = pattern ~seed:1 5000 in
+  let _, fs, node = cold_file ~dev:(mem_dev ()) ~name:"small" content in
+  let m = Machine.create ~name:"fs-pc" (World.create ()) in
+  let user = Machine.create ~name:"user-pc" (World.create ()) in
+  let before = io fs in
+  Cost.reset_counters ();
+  let got = Machine.run_in m (fun () -> read_all fs node) in
+  let after = io fs in
+  Alcotest.(check bool) "bytes exact" true (Bytes.equal content got);
+  Alcotest.(check int) "device reads" 0 (after.Buf.cs_reads - before.Buf.cs_reads);
+  Alcotest.(check int) "device bytes read" 0 (after.Buf.cs_read_bytes - before.Buf.cs_read_bytes);
+  Alcotest.(check int) "one mapping per block read" 2 (after.Buf.cs_maps - before.Buf.cs_maps);
+  Alcotest.(check int) "misses, all mapped" 2 (after.Buf.cs_misses - before.Buf.cs_misses);
+  Alcotest.(check int) "bytes copied: the caller's" 5000 Cost.counters.Cost.copied_bytes;
+  Machine.run_in user (fun () -> Cost.charge_copy 5000);
+  Alcotest.(check int) "copy column: the caller's copy alone" (Machine.ledger user Cost.Copy)
+    (Machine.ledger m Cost.Copy);
+  Cost.reset_counters ()
+
+(* Conservation: references can hold the cache past [max_bufs], and once
+   the last is released it is back within [max_bufs]. *)
+let test_cache_shrinks_back () =
+  let bc = Buf.create ~bsize:4096 ~max_bufs:4 (mem_dev ~mb:1 ()) in
+  let pinned =
+    List.init 7 (fun i ->
+        let b = Buf.bread_loan bc (10 + i) ~size:4096 in
+        Buf.pin_held bc b;
+        b)
+  in
+  let held = Buf.bread bc 30 in
+  let s = Buf.cache_stats bc in
+  Alcotest.(check int) "eight held buffers past a cache of four" 8 s.Buf.cs_cached;
+  Alcotest.(check int) "seven of them mapped" 7 s.Buf.cs_maps;
+  List.iter (Buf.unpin bc) pinned;
+  Buf.brelse bc held;
+  let s = Buf.cache_stats bc in
+  Alcotest.(check int) "every pin released" 0 s.Buf.cs_pinned;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cached, within max_bufs" s.Buf.cs_cached)
+    true (s.Buf.cs_cached <= 4);
+  Buf.brelse bc (Buf.bread bc 40);
+  Alcotest.(check bool) "and after the next fault-in" true
+    ((Buf.cache_stats bc).Buf.cs_cached <= 4)
+
 (* Random write/append/truncate/read/map sequences over three files
-   against an in-memory model, on an eight-buffer cache, so blocks are read
-   short, evicted dirty and faulted back in: every read and every mapping
+   against an in-memory model, on an eight-buffer cache over a fresh
+   [dev ()], so blocks are read short (or mapped), evicted dirty and
+   faulted back in: every read and every mapping
    returns the model's bytes, a mapping is refused exactly when its range
    crosses a block no write has allocated, and after a sync a fresh mount
    of the device reads every file as the model holds it.  Offsets reach
@@ -448,14 +505,14 @@ let io_op_gen =
 (* The model of one file: its bytes, and which of its blocks hold data. *)
 type model_file = { mutable data : Bytes.t; blocks : (int, unit) Hashtbl.t }
 
-let prop_short_reads_model =
-  QCheck.Test.make ~name:"ffs: short reads + write-at-fill == model" ~count:200
+let prop_io_model ~name dev =
+  QCheck.Test.make ~name ~count:200
     (QCheck.make ~shrink:QCheck.Shrink.list
        ~print:(fun ops -> String.concat "; " (List.map io_op_print ops))
        QCheck.Gen.(list_size (int_range 1 30) io_op_gen))
     (fun ops ->
       let bsize = Ffs.bsize in
-      let dev = mem_dev ~mb:2 () in
+      let dev = dev () in
       let fs = Ffs.newfs ~max_bufs:small_bufs dev in
       let name f = "f" ^ string_of_int f in
       let files = Array.init 3 (fun f -> Ffs.create_file fs (Ffs.root fs) ~name:(name f)) in
@@ -525,6 +582,15 @@ let prop_short_reads_model =
                | None -> false)
              [| 0; 1; 2 |]
          end)
+
+(* Over a RAM disk read by copying, and over one that maps its blocks,
+   whose reads are never short. *)
+let prop_short_reads_model =
+  prop_io_model ~name:"ffs: short reads + write-at-fill == model" (fun () ->
+      copy_dev (mem_dev ~mb:2 ()))
+
+let prop_mapped_reads_model =
+  prop_io_model ~name:"ffs: mapped reads + write-at-fill == model" (fun () -> mem_dev ~mb:2 ())
 
 (* ---- fsread + diskpart over the same image ---- *)
 
@@ -678,6 +744,9 @@ let suite =
     Alcotest.test_case "write into a short block reads rest" `Quick test_append_fetches_rest;
     Alcotest.test_case "filled block is written at once" `Quick test_filled_block_written_at_once;
     Alcotest.test_case "cache counts bytes and peak buffers" `Quick test_cache_counters;
+    Alcotest.test_case "cold read of a mapping RAM disk" `Quick test_cold_read_is_mapped;
+    Alcotest.test_case "cache shrinks back to max_bufs" `Quick test_cache_shrinks_back;
     QCheck_alcotest.to_alcotest prop_short_reads_model;
+    QCheck_alcotest.to_alcotest prop_mapped_reads_model;
     Alcotest.test_case "fsread over ffs image" `Quick test_fsread_sees_ffs;
     Alcotest.test_case "diskpart + fs + fsread" `Quick test_diskpart_and_fs ]

@@ -433,21 +433,21 @@ let test_buf_lru_and_pins () =
   let bc = Buf.create ~bsize:4096 ~max_bufs:4 dev in
   (* Fill: 0 1 2 3, all released. *)
   for i = 0 to 3 do
-    Buf.brelse (Buf.bread bc i)
+    Buf.brelse bc (Buf.bread bc i)
   done;
   (* Touch 0 so 1 becomes the true LRU, then fault 4: 1 must go. *)
-  Buf.brelse (Buf.bread bc 0);
-  Buf.brelse (Buf.bread bc 4);
+  Buf.brelse bc (Buf.bread bc 0);
+  Buf.brelse bc (Buf.bread bc 4);
   let s = Buf.cache_stats bc in
   Alcotest.(check int) "one eviction under pressure" 1 s.Buf.cs_evictions;
   Alcotest.(check int) "cache stays at max_bufs" 4 s.Buf.cs_cached;
   (* 0 survived (recently used): a re-read hits. *)
   let h0 = bc.Buf.hits in
-  Buf.brelse (Buf.bread bc 0);
+  Buf.brelse bc (Buf.bread bc 0);
   Alcotest.(check int) "recently-used block survived" (h0 + 1) bc.Buf.hits;
   (* 1 was the victim: a re-read misses. *)
   let m0 = bc.Buf.misses in
-  Buf.brelse (Buf.bread bc 1);
+  Buf.brelse bc (Buf.bread bc 1);
   Alcotest.(check int) "LRU block was the victim" (m0 + 1) bc.Buf.misses
 
 let test_buf_pinned_never_evicted () =
@@ -457,13 +457,13 @@ let test_buf_pinned_never_evicted () =
   Buf.pin_held bc b0;
   (* Churn far past the cache size: the pinned block must survive. *)
   for i = 1 to 8 do
-    Buf.brelse (Buf.bread bc i)
+    Buf.brelse bc (Buf.bread bc i)
   done;
   let h0 = bc.Buf.hits in
   let again = Buf.bread bc 0 in
   Alcotest.(check int) "pinned block still resident" (h0 + 1) bc.Buf.hits;
   Alcotest.(check bool) "same buffer, refs intact" true (again == b0 && b0.Buf.b_refs = 2);
-  Buf.brelse again;
+  Buf.brelse bc again;
   Buf.unpin bc b0;
   let s = Buf.cache_stats bc in
   Alcotest.(check (pair int int)) "pin/unpin accounted" (1, 1) (s.Buf.cs_pins, s.Buf.cs_unpins);
@@ -737,6 +737,10 @@ let gathered_burst shape () =
   Alcotest.(check int) "the connection closed" 0 st.Httpd.active;
   let cs = Buf.cache_stats s.Httpbench.bufcache in
   Alcotest.(check int) "every pin returned" cs.Buf.cs_pins cs.Buf.cs_unpins;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d buffers cached, within max_bufs" cs.Buf.cs_cached)
+    true
+    (cs.Buf.cs_cached <= s.Httpbench.bufcache.Buf.max_bufs);
   Alcotest.(check bool)
     (Printf.sprintf "%d cork toggles over two bursts" st.Httpd.cork_toggles)
     true (st.Httpd.cork_toggles <= 1)

@@ -230,13 +230,18 @@ let test_physmem () =
    end of RAM.  Each call must return what the reference holds, or raise
    [Fault] exactly where the reference range is out of bounds; at the end
    the whole store must equal the reference, so a faulting call moved
-   nothing. *)
+   nothing.  An in-place mapping ([map_page]) is granted exactly when the
+   range lies in one page, and hands out the store's own page, one per
+   page number: a write through the store shows in it, then and at the
+   end, so an untouched page is never handed out as the shared zero
+   page. *)
 type mem_op =
   | Get of int * int (* width, addr *)
   | Set of int * int * int (* width, addr, value *)
   | Copy_in of int * int (* addr, len *)
   | Copy_out of int * int
   | Fill of int * int * int (* addr, len, byte *)
+  | Map of int * int (* addr, len *)
 
 let ram_pages = 3
 let ram_size = ram_pages * 4096
@@ -247,6 +252,7 @@ let show_mem_op = function
   | Copy_in (a, n) -> Printf.sprintf "Copy_in %d %d" a n
   | Copy_out (a, n) -> Printf.sprintf "Copy_out %d %d" a n
   | Fill (a, n, b) -> Printf.sprintf "Fill %d %d %d" a n b
+  | Map (a, n) -> Printf.sprintf "Map %d %d" a n
 
 let mem_ops =
   let open QCheck.Gen in
@@ -264,7 +270,8 @@ let mem_ops =
         3, map3 (fun w a v -> Set (w, a, v)) width addr int;
         2, map2 (fun a n -> Copy_in (a, n)) addr len;
         2, map2 (fun a n -> Copy_out (a, n)) addr len;
-        1, map3 (fun a n b -> Fill (a, n, b)) addr len (int_range 0 511) ]
+        1, map3 (fun a n b -> Fill (a, n, b)) addr len (int_range 0 511);
+        2, map2 (fun a n -> Map (a, n)) addr len ]
   in
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
@@ -280,6 +287,9 @@ let prop_physmem_model =
       let result f = try Ok (f ()) with Physmem.Fault _ -> Error () in
       let expect a n f = if ok a n then Ok (f ()) else Error () in
       let data a n = Bytes.init (max n 0) (fun i -> Char.chr ((a + (7 * i)) land 0xff)) in
+      (* Every page handed out, by page number: the store's own bytes,
+         never one page for two (the shared zero page). *)
+      let mapped = Hashtbl.create 4 in
       Physmem.size ram = ram_size
       && List.for_all
            (fun op ->
@@ -322,8 +332,32 @@ let prop_physmem_model =
                        Bytes.to_string want)
              | Fill (a, n, b) ->
                  result (fun () -> Physmem.fill ram ~addr:a ~len:n b)
-                 = expect a n (fun () -> Bytes.fill flat a n (Char.chr (b land 0xff))))
+                 = expect a n (fun () -> Bytes.fill flat a n (Char.chr (b land 0xff)))
+             | Map (a, n) -> (
+                 match result (fun () -> Physmem.map_page ram ~addr:a ~len:n) with
+                 | Error () -> not (ok a n)
+                 | Ok None -> ok a n && (n = 0 || (a mod 4096) + n > 4096)
+                 | Ok (Some (page, off)) ->
+                     ok a n && n > 0
+                     && (a mod 4096) + n <= 4096
+                     && off = a mod 4096
+                     && Bytes.sub page off n = Bytes.sub flat a n
+                     &&
+                     (* A write through the store shows in the page: it is
+                        the store's own, never the shared zero page. *)
+                     let v = (a land 0x7f) lor 1 in
+                     Physmem.set8 ram a v;
+                     Bytes.set_uint8 flat a v;
+                     Bytes.get_uint8 page off = v
+                     &&
+                     let i = a / 4096 in
+                     Hashtbl.replace mapped i page;
+                     Hashtbl.fold (fun j p fine -> fine && (j = i) = (p == page)) mapped true))
            ops
+      (* A handed-out page is the store's: it reads every later write. *)
+      && Hashtbl.fold
+           (fun i page fine -> fine && Bytes.equal page (Bytes.sub flat (i * 4096) 4096))
+           mapped true
       &&
       let all = Bytes.create ram_size in
       Physmem.blit_to_bytes ram ~src_addr:0 ~dst:all ~dst_pos:0 ~len:ram_size;

@@ -236,7 +236,7 @@ let memo_vs_reference =
       let bc = Buf.create ~bsize (Mem_blkio.make ~bytes:(16 * bsize) ()) in
       let w = Buf.getblk_nofill bc 0 in
       Bytes.blit (bytes_of_fill fill st bsize) 0 w.Buf.b_data 0 bsize;
-      Buf.brelse w;
+      Buf.brelse bc w;
       let b = Buf.bread_loan bc 0 ~size:bsize in
       (* The model: which chunks the memo holds. *)
       let warm = Array.make (bsize / chunk) false in
@@ -267,10 +267,10 @@ let memo_vs_reference =
       let at = if len > 0 then off + (seed mod len) else seed mod bsize in
       Bytes.set x.Buf.b_data at (Char.chr (Char.code (Bytes.get x.Buf.b_data at) lxor 0x5a));
       Buf.bdwrite x;
-      Buf.brelse x;
+      Buf.brelse bc x;
       Array.fill warm 0 (Array.length warm) false;
       let rewritten_ok = pass r in
-      Buf.brelse b;
+      Buf.brelse bc b;
       cold_ok && partly_ok && fully_ok && rewritten_ok)
 
 (* ---- the memo's lifetime: the device block's, not the buffer's ---- *)
@@ -282,9 +282,9 @@ let memo_vs_reference =
    and the eviction. *)
 let npressure = 80
 
-let memo_fs () =
+let memo_fs ?(dev = Mem_blkio.make ~bytes:(1024 * 4096) ()) () =
   let bytes = Bytes.init (6 * 4096) (fun i -> Char.chr (((i * 31) + (i / 4096)) land 0xff)) in
-  let fs, root = ok (Fs_glue.newfs_fs (Mem_blkio.make ~bytes:(1024 * 4096) ())) in
+  let fs, root = ok (Fs_glue.newfs_fs dev) in
   let create name content =
     let f = ok (root.Io_if.d_create name) in
     let n = Bytes.length content in
@@ -304,9 +304,7 @@ let memo_fs () =
    segment: one mbuf per fragment, each carrying its block's memo.
    Returns whether the sum equals the flat RFC 1071 sum of [content] (the
    file's bytes, as written) there, and the bytes charged. *)
-let loan_cksum (f : Io_if.file) content ~off ~len =
-  let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
-  let frags = ok (fm.Io_if.fm_map_blocks ~offset:off ~amount:len) in
+let frags_cksum frags content ~off ~len =
   let m =
     match
       List.map
@@ -321,10 +319,16 @@ let loan_cksum (f : Io_if.file) content ~off ~len =
         head
   in
   let _, bytes, r = charged (fun () -> In_cksum.cksum_chain m ~off:0 ~len) in
-  Io_if.frags_release frags;
   match r with
   | Ok sum -> (sum = rfc1071 content ~off ~len, bytes)
   | Error e -> raise e
+
+let loan_cksum (f : Io_if.file) content ~off ~len =
+  let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+  let frags = ok (fm.Io_if.fm_map_blocks ~offset:off ~amount:len) in
+  let r = frags_cksum frags content ~off ~len in
+  Io_if.frags_release frags;
+  r
 
 (* The range every memo test sums: four blocks' worth from byte 100, so
    the first and last fragments have partial chunks at their outer edges
@@ -374,9 +378,12 @@ let memo_reset_by_write_after_eviction () =
 
 (* Truncate the file to one block and regrow it with new bytes: the freed
    blocks' memos are dropped, the regrown file reuses those blocks, and
-   they are summed again whole. *)
+   they are summed again whole.  On a RAM disk read by copying, so a
+   reused block is the same buffer. *)
 let memo_dropped_when_block_freed () =
-  let content, bc, f, evict = memo_fs () in
+  let content, bc, f, evict =
+    memo_fs ~dev:(Test_fs.copy_dev (Mem_blkio.make ~bytes:(1024 * 4096) ())) ()
+  in
   let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
   let blocks () =
     let frags = ok (fm.Io_if.fm_map_blocks ~offset:0 ~amount:(6 * 4096)) in
@@ -401,6 +408,54 @@ let memo_dropped_when_block_freed () =
   evict ();
   check_pass "regrown, after eviction" (loan_cksum f content ~off:memo_off ~len:memo_len)
     memo_edges
+
+(* Copy-on-write under a loan.  On a RAM disk that maps its blocks, a
+   loan of blocks faulted in cold is the device's pages themselves.
+   Rewriting block 1 in part (through [bread]) and block 2 whole (through
+   [getblk_nofill]), then syncing, gives the writers and the device new
+   bytes: the loan keeps the old bytes and the old memo, summing to the old
+   bytes' RFC 1071 sum from its edges alone, before and after a new loan
+   has summed the new bytes under new memos.  Mapped again after eviction,
+   the blocks read the new bytes. *)
+let memo_loan_is_snapshot () =
+  let content, bc, f, evict = memo_fs () in
+  let old = Bytes.copy content in
+  let maps () = (Buf.cache_stats bc).Buf.cs_maps in
+  let frags_bytes frags =
+    Bytes.concat Bytes.empty
+      (List.map (fun fr -> Bytes.sub fr.Io_if.fr_data fr.Io_if.fr_off fr.Io_if.fr_len) frags)
+  in
+  let map () =
+    let fm = ok (Com.query f.Io_if.f_unknown Io_if.filemap_iid) in
+    ok (fm.Io_if.fm_map_blocks ~offset:memo_off ~amount:memo_len)
+  in
+  evict ();
+  let maps0 = maps () in
+  let loan = map () in
+  Alcotest.(check int) "the loan's five blocks mapped" 5 (maps () - maps0);
+  check_pass "loan, cold" (frags_cksum loan old ~off:memo_off ~len:memo_len) memo_len;
+  let write ~at b =
+    let n = Bytes.length b in
+    Alcotest.(check int) "rewritten" n (ok (f.Io_if.f_write ~buf:b ~pos:0 ~offset:at ~amount:n));
+    Bytes.blit b 0 content at n
+  in
+  write ~at:(4096 + 1000) (Bytes.make 300 '\x5a');
+  write ~at:(2 * 4096) (Bytes.make 4096 '\xa5');
+  ok (f.Io_if.f_sync ());
+  let old_bytes = Bytes.sub old memo_off memo_len in
+  Alcotest.(check bool) "the loan keeps the old bytes" true (Bytes.equal old_bytes (frags_bytes loan));
+  check_pass "loan, after the writes" (frags_cksum loan old ~off:memo_off ~len:memo_len) memo_edges;
+  check_pass "new loan" (loan_cksum f content ~off:memo_off ~len:memo_len) (memo_edges + (2 * 4096));
+  check_pass "old loan, after the new one" (frags_cksum loan old ~off:memo_off ~len:memo_len)
+    memo_edges;
+  Io_if.frags_release loan;
+  evict ();
+  let maps0 = maps () in
+  let again = map () in
+  Alcotest.(check int) "mapped again" 5 (maps () - maps0);
+  Alcotest.(check bool) "a new mapping reads the new bytes" true
+    (Bytes.equal (Bytes.sub content memo_off memo_len) (frags_bytes again));
+  Io_if.frags_release again
 
 (* A file read between two loans reads the blocks without changing them,
    so it keeps their memos: the second loan sums only the edges. *)
@@ -632,6 +687,8 @@ let suite =
     Alcotest.test_case "checksum memo: dropped with a freed block, reused block summed again"
       `Quick memo_dropped_when_block_freed;
     Alcotest.test_case "checksum memo: kept by a file read" `Quick memo_kept_by_read;
+    Alcotest.test_case "checksum memo: a loan of mapped blocks is a snapshot" `Quick
+      memo_loan_is_snapshot;
     Alcotest.test_case "checksum: out-of-range calls raise, charge nothing" `Quick
       test_cksum_range_errors;
     Alcotest.test_case "nonlinear skb: build + linearize round-trip" `Quick
