@@ -232,6 +232,32 @@ let table1 () =
         systems)
     [ paper; sg_on ]
 
+(* The OSKit sender's busy time minus FreeBSD's, per ledger column and in
+   all, one row per profile: the rows of EXPERIMENTS.md's "table1_gap"
+   block, derived from table1's records (the JSON file and the bounds see
+   the measured records alone). *)
+let table1_gap records =
+  let sender name p =
+    List.find (fun r -> List.assoc "system" r.cell = Str name && List.assoc "profile" r.cell = p)
+      records
+  in
+  let tx r = List.filter (fun (k, _) -> String.starts_with ~prefix:"tx_" k) r.metrics in
+  let value v = Option.get (num v) in
+  List.filter_map
+    (fun r ->
+      if List.assoc "system" r.cell <> Str "OSKit" then None
+      else
+        let p = List.assoc "profile" r.cell in
+        let gap =
+          List.map2 (fun (k, o) (_, f) -> k, value o -. value f) (tx r) (tx (sender "FreeBSD" p))
+        in
+        Some
+          (record "table1_gap"
+             [ "profile", p ]
+             (List.map (fun (k, d) -> k, Float d) gap
+             @ [ "tx_busy_ms", Float (List.fold_left (fun s (_, d) -> s +. d) 0.0 gap) ])))
+    records
+
 (* ---------------- Table 2 ---------------- *)
 
 (* Each cell's ledger is both hosts' over the whole run, per timed trip
@@ -593,7 +619,7 @@ let smp () =
    One cell: [clients] clients each issue [reqs] GETs round-robin over
    the working set, from 4 ms, after a warmup that faults the set into
    the 64-block buffer cache.  With keep-alive on, each client holds one
-   connection, pipelined to [pipeline] (within [http_pipeline_max], so
+   connection, pipelined to [pipeline] (within [Httpd.pipeline_max], so
    the server's parse-ahead bound never throttles the reader). *)
 let file_cell ?(stack = Endpoint.Freebsd) ?(shape = Httpbench.Reactor) ?(clients = 16)
     ?(reqs = 125) ?(files = 16) ?(file_bytes = 4096) ?(pipeline = 1) p =
@@ -695,7 +721,7 @@ let longfat_cell config ~rtt_ms ~loss ~bytes (mode_name, p, manual) =
   (* BDP at the wire's 100 Mbps: bytes = rate/8 * rtt.  Manual mode sizes
      to 2x BDP (headroom for ACK clocking), floored at the seed default. *)
   let buffers =
-    if manual then Some (min p.Cost.tcp_sockbuf_max (max (64 * 1024) (2 * (rtt_ns / 80))))
+    if manual then Some (min Autotune.sockbuf_max (max (64 * 1024) (2 * (rtt_ns / 80))))
     else None
   in
   let netem =
@@ -1105,6 +1131,7 @@ let () =
         Printf.printf "(wrote %s)\n%!" file;
         let doc = read_file "EXPERIMENTS.md" in
         let doc' = rewrite name records doc in
+        let doc' = if name = "table1" then rewrite "table1_gap" (table1_gap records) doc' else doc' in
         if doc' <> doc then begin
           write_file "EXPERIMENTS.md" doc';
           print_endline "(regenerated its EXPERIMENTS.md tables)"

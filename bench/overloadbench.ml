@@ -19,21 +19,13 @@
 
    Each run installs its own profile: the paper defaults with the
    overload fields it studies changed, so the calibrated Table 1/2/rtt
-   baselines never see any of this machinery.  The servers are lib/ttcp's
+   baselines never see any of this machinery.  Its testbed re-seeds the
+   allocation injector from that profile.  The servers are lib/ttcp's
    endpoints (Endpoint) and the soak is the stream harness's run; the
    Slowloris runs are the shared HTTP harness (Httpbench) under such a
    profile. *)
 
 let ip, mask, ok, pattern = Endpoint.(ip, mask, ok, pattern)
-
-(* Run [f] under [profile], re-seeding the allocation injector from the
-   profile on the way in and from the caller's configuration on the way
-   out. *)
-let under profile f =
-  Fun.protect ~finally:Memfault.reset (fun () ->
-      Cost.with_config profile (fun () ->
-          Memfault.reset ();
-          f ()))
 
 let paper = Cost.paper ()
 
@@ -64,7 +56,7 @@ let flood_profile ~defense = { paper with Cost.syn_defense = defense }
    stack's backlog is full of embryonic corpses) counts as unserved. *)
 let flood_run ~server ~defense ~flood ~legit ~bytes_per_client () =
   let profile = flood_profile ~defense in
-  under profile (fun () ->
+  Cost.with_config profile (fun () ->
       let tb = Clientos.make_testbed ~models:("3c905", "tulip") () in
       let chost = tb.Clientos.host_a in
       let cstack = Clientos.freebsd_host chost ~ip:(ip "10.0.0.1") ~mask in
@@ -177,7 +169,7 @@ let alloc_profile ~prob ~seed =
    close. *)
 let alloc_run ~server ~prob ~seed ~bytes () =
   let profile = alloc_profile ~prob ~seed in
-  under profile (fun () ->
+  Cost.with_config profile (fun () ->
       let r =
         Netbench.stream ~retry:true
           { Workload.table1 with
@@ -203,8 +195,6 @@ let loris_profile ~guard =
    already been reclaimed.  A legitimate client is served when its one
    HTTP/1.0 GET comes back a byte-exact 200. *)
 let loris_run ~guard ~loris ~legit () =
-  (* alloc_fail_prob is 0 here, so the allocation injector never draws
-     and the profile needs no [under]. *)
   Httpbench.run ~profile:(loris_profile ~guard)
     { Httpbench.concurrency with
       Httpbench.backlog = 32;

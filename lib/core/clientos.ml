@@ -9,7 +9,12 @@ let reset_globals () =
   Skbuff.pool_reset ();
   (* Counters only: the cost *configuration* belongs to the experiment
      (ablations sweep it around individual runs). *)
-  Cost.reset_counters ()
+  Cost.reset_counters ();
+  (* The allocation-failure injector re-seeds from the profile already
+     installed, and RSS steers by the boot key: a run replays exactly
+     whatever ran before it. *)
+  Memfault.reset ();
+  Rss.reboot ()
 
 (* The NIC's MAC is fixed by the host's position in the testbed: the
    locally administered 02:00:00:00:00:[last]. *)

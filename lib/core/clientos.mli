@@ -70,8 +70,12 @@ val spawn : host -> ?cpu:int -> ?name:string -> (unit -> unit) -> unit
 val run : testbed -> until:(unit -> bool) -> unit
 
 (** Reset the state the simulation's components still share process-wide:
-    the registered driver table, the mbuf and skbuff buffer pools and the
-    cost counters — not the cost configuration, which experiments own.
-    {!make_testbed} calls it; a harness that builds its machines itself
-    calls it first. *)
+    the registered driver table, the mbuf and skbuff buffer pools, the
+    cost counters, the allocation-failure injector (re-seeded from the
+    installed profile) and the RSS key (the boot seed) — not the cost
+    configuration, which experiments own.  It is the one place a run is
+    made a function of its profile alone: {!make_testbed} calls it, so a
+    harness installs its profile first and then builds its testbed, and
+    resets none of these by hand.  A harness that builds its machines
+    itself calls it first. *)
 val reset_globals : unit -> unit

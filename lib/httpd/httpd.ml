@@ -23,7 +23,7 @@
  *    thread keeps its socket blocking (no nonblock option, no asyncio
  *    face — both are COM calls that charge glue cycles).
  *  - on: HTTP/1.1 persistent connections with bounded pipelining.
- *    Requests are parsed ahead (up to http_pipeline_max), responses go
+ *    Requests are parsed ahead (up to pipeline_max), responses go
  *    out strictly in order, idle connections are closed after
  *    http_idle_timeout_ns, and a connection is cut after
  *    http_max_reqs_per_conn requests (0 = unlimited).
@@ -421,6 +421,11 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
  * Both shapes frame and send through the functions below; they differ
  * only in how they wait (a reactor watch, or a parked handler thread). *)
 
+(* With keep-alive, how many pipelined requests one connection may have
+   parsed ahead but not yet answered; beyond it the server stops parsing
+   until responses drain (socket-buffer backpressure does the rest). *)
+let pipeline_max = 8
+
 type conn = {
   st : stats;
   root : Io_if.dir;
@@ -428,7 +433,6 @@ type conn = {
   sv : Io_if.sendv option;  (* present: the socket takes loaned fragments *)
   rb : reqbuf;
   q : resp Queue.t;  (* framed and not yet wholly handed over, in request order *)
-  pipeline_max : int;
   mutable reqs : int;  (* requests framed *)
   mutable closing : bool;  (* a Connection: close response is queued *)
   corks : bool;  (* the stack took "nopush" on the listener: [sock] is born corked *)
@@ -442,7 +446,6 @@ let conn_create ~corks st root sock =
     sv = (if Cost.config.Cost.sendfile then sendv_of sock else None);
     rb = rb_create ();
     q = Queue.create ();
-    pipeline_max = max 1 Cost.config.http_pipeline_max;
     reqs = 0;
     closing = false;
     corks;
@@ -467,7 +470,7 @@ let drop_queue cn =
    that will leave in a call apart from the one ahead of it re-corks the
    socket, so the tail of the first waits for the second. *)
 let rec frame cn =
-  if (not cn.closing) && Queue.length cn.q < cn.pipeline_max then
+  if (not cn.closing) && Queue.length cn.q < pipeline_max then
     match rb_next_request cn.rb with
     | None -> ()
     | Some raw ->
@@ -549,7 +552,7 @@ let send cn =
 
 (* One accepted connection on [reactor] (in the sharded mode, the one
    pinned to the connection's RSS home CPU): frame requests with the
-   resume-cursor scanner, parse ahead up to http_pipeline_max, answer
+   resume-cursor scanner, parse ahead up to pipeline_max, answer
    strictly in order, and stay open until the peer leaves, a response
    says close, the idle timeout fires, or the request cap cuts us off.
    Keep-alive off, the first framed request's response says close, so
@@ -601,7 +604,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
   let update_mask () =
     if not !closed then begin
       let m =
-        (if Queue.length cn.q < cn.pipeline_max && not cn.closing then Io_if.aio_read else 0)
+        (if Queue.length cn.q < pipeline_max && not cn.closing then Io_if.aio_read else 0)
         lor if not (Queue.is_empty cn.q) then Io_if.aio_write else 0
       in
       let m = if m = 0 then Io_if.aio_read else m in
@@ -639,7 +642,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
         if
           Cost.config.httpd_guard
           && (not cn.closing)
-          && Queue.length cn.q < cn.pipeline_max
+          && Queue.length cn.q < pipeline_max
           && rb_pending cn.rb > Cost.config.httpd_max_header_bytes
         then begin
           (* Unbounded drip-fed headers are the other half of the
@@ -772,7 +775,7 @@ let wait_ready_or_timeout (aio : Io_if.asyncio) ~mask ~ns =
   end
 
 (* The handler thread: the reactor connection's protocol engine,
-   serialized — frame every buffered request (up to http_pipeline_max),
+   serialized — frame every buffered request (up to pipeline_max),
    send the queue, repeat; a pipelined burst is answered as the reactor
    answers it.  Keep-alive on, the socket is nonblocking so the idle wait
    can race the timeout; keep-alive off, one blocking request/response

@@ -1,17 +1,22 @@
 (* Socket-buffer autotuning (Cost.config.tcp_autotune), shared by both TCP
    stacks.  [rcv] and [snd] take the current buffer size and return the
-   size to use from here, capped at Cost.config.tcp_sockbuf_max. *)
+   size to use from here, capped at [sockbuf_max]. *)
+
+(* The ceiling for autotuned socket buffers and the basis for the wscale
+   each stack requests: 2 MB covers the 100 Mbit x 50 ms = 625 KB
+   bandwidth-delay product of the longfat bench's worst path, with room
+   for jumbo-frame rounding. *)
+let sockbuf_max = 2 * 1024 * 1024
 
 (* The window scale both stacks ask for on SYN: the smallest shift that
    makes the largest buffer autotuning could reach representable in the
    16-bit window field. *)
 let request_scale () =
-  let rec go s = if s < 14 && 0xffff lsl s < Cost.config.tcp_sockbuf_max then go (s + 1) else s in
+  let rec go s = if s < 14 && 0xffff lsl s < sockbuf_max then go (s + 1) else s in
   go 0
 
 let grow buf =
-  let cap = Cost.config.tcp_sockbuf_max in
-  if buf < cap then min cap (2 * buf) else buf
+  if buf < sockbuf_max then min sockbuf_max (2 * buf) else buf
 
 (* Receive side, the clump detector.  Arrivals come in clumps of at most
    one window, separated by RTT-scale gaps when the flow is window-limited;

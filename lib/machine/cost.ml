@@ -20,7 +20,6 @@ type config = {
   mutable tcp_wscale : bool;
   mutable tcp_autotune : bool;
   mutable tcp_mss : int;
-  mutable tcp_sockbuf_max : int;
   mutable syn_defense : bool;
   mutable syncache_size : int;
   mutable tw_max : int;
@@ -39,7 +38,6 @@ type config = {
   mutable http_keepalive : bool; (* off = HTTP/1.0 close-per-request, same engine *)
   mutable http_idle_timeout_ns : int;
   mutable http_max_reqs_per_conn : int; (* 0 = unlimited *)
-  mutable http_pipeline_max : int; (* parse-ahead bound per connection *)
   mutable sendfile : bool; (* zero-copy bodies, with or without keep-alive *)
 }
 
@@ -67,7 +65,6 @@ let paper () =
     tcp_wscale = false;
     tcp_autotune = false;
     tcp_mss = 1460;
-    tcp_sockbuf_max = 2 * 1024 * 1024;
     syn_defense = false;
     syncache_size = 64;
     tw_max = 0;
@@ -86,7 +83,6 @@ let paper () =
     http_keepalive = false;
     http_idle_timeout_ns = 5_000_000_000;
     http_max_reqs_per_conn = 0;
-    http_pipeline_max = 8;
     sendfile = false }
 
 let config = paper ()
@@ -136,8 +132,6 @@ let fields =
     bool "tcp_wscale" (fun c -> c.tcp_wscale) (fun c v -> c.tcp_wscale <- v);
     bool "tcp_autotune" (fun c -> c.tcp_autotune) (fun c v -> c.tcp_autotune <- v);
     int "tcp_mss" (fun c -> c.tcp_mss) (fun c v -> c.tcp_mss <- v);
-    int "tcp_sockbuf_max" (fun c -> c.tcp_sockbuf_max)
-      (fun c v -> c.tcp_sockbuf_max <- v);
     bool "syn_defense" (fun c -> c.syn_defense) (fun c v -> c.syn_defense <- v);
     int "syncache_size" (fun c -> c.syncache_size) (fun c v -> c.syncache_size <- v);
     int "tw_max" (fun c -> c.tw_max) (fun c v -> c.tw_max <- v);
@@ -162,8 +156,6 @@ let fields =
       (fun c v -> c.http_idle_timeout_ns <- v);
     int "http_max_reqs_per_conn" (fun c -> c.http_max_reqs_per_conn)
       (fun c v -> c.http_max_reqs_per_conn <- v);
-    int "http_pipeline_max" (fun c -> c.http_pipeline_max)
-      (fun c v -> c.http_pipeline_max <- v);
     bool "sendfile" (fun c -> c.sendfile) (fun c v -> c.sendfile <- v) ]
 
 let copy_into ~src dst = List.iter (fun (F (_, get, set, _)) -> set dst (get src)) fields

@@ -90,7 +90,7 @@ type config = {
           Table 1/2 baselines bit-identical. *)
   mutable tcp_autotune : bool;
       (** BDP-driven socket-buffer autotuning: grow a connection's send and
-          receive buffers (doubling, capped at {!field:tcp_sockbuf_max})
+          receive buffers (doubling, capped at [Autotune.sockbuf_max])
           whenever the window — not the application or the path — is what
           is limiting transfer; both stacks share [lib/inet/autotune.ml].
           Only useful with {!field:tcp_wscale}; default [false]. *)
@@ -99,12 +99,6 @@ type config = {
           to; raise alongside {!Netif.t.if_mtu} for jumbo frames
           (9000-byte MTU => 8960 MSS).  Default 1460 (1500-byte
           Ethernet MTU minus 40 bytes of IP+TCP header). *)
-  mutable tcp_sockbuf_max : int;
-      (** Ceiling for autotuned socket buffers and the basis for the wscale
-          each stack requests ([scale] is the smallest shift making this
-          representable in a 16-bit window field).  Default 2 MB — covers
-          the 100 Mbit x 50 ms = 625 KB bandwidth-delay product of the
-          longfat bench's worst path with room for jumbo-frame rounding. *)
   mutable syn_defense : bool;
       (** SYN-flood defense in both stacks: half-open handshakes live in a
           compact per-listener syncache instead of full PCBs/socks, so
@@ -200,11 +194,6 @@ type config = {
       (** With {!field:http_keepalive}: requests served on one connection
           before the server answers [Connection: close] (a fairness /
           state-turnover guard).  [0] (default) = unlimited. *)
-  mutable http_pipeline_max : int;
-      (** With {!field:http_keepalive}: how many pipelined requests one
-          connection may have parsed-ahead but not yet answered; beyond it
-          the server stops parsing until responses drain (socket-buffer
-          backpressure does the rest).  Default 8. *)
   mutable sendfile : bool;
       (** Zero-copy content path: the httpd maps response bodies straight
           from the file system's buffer-cache blocks ({!Io_if.filemap})

@@ -163,9 +163,27 @@ let bitmap_set t ~start idx value =
   Buf.bdwrite b;
   Buf.brelse t.bc b
 
+(* First fit from bit 0: each bitmap block is looked up once per scan and
+   its bits tested in place. *)
 let bitmap_find_clear t ~start ~limit =
-  let rec go i = if i >= limit then None else if bitmap_get t ~start i then go (i + 1) else Some i in
-  go 0
+  let per_block = bsize * 8 in
+  let rec scan base =
+    if base >= limit then None
+    else begin
+      let b = Buf.bread_ro t.bc (start + (base / per_block)) ~size:bsize in
+      let stop = min per_block (limit - base) in
+      let rec bit i =
+        if i >= stop then None
+        else if Char.code (Bytes.get b.Buf.b_data (i / 8)) land (1 lsl (i mod 8)) <> 0 then
+          bit (i + 1)
+        else Some (base + i)
+      in
+      let found = bit 0 in
+      Buf.brelse t.bc b;
+      if found = None then scan (base + per_block) else found
+    end
+  in
+  scan 0
 
 (* ---- block allocation ---- *)
 

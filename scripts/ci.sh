@@ -68,8 +68,17 @@
 # table keyed by a machine's name: every testbed names its hosts "pc-a"
 # and "pc-b", so such a table cross-wires two testbeds.  A grep must find
 # Machine.name nowhere in lib/ outside lib/machine.  Clientos.make_testbed
-# starts every simulation, so a grep must find no call of reset_globals
-# or Bus.clear in bench/, test/, bin/ or examples/.
+# starts every simulation, and its reset_globals is the one owner of the
+# state runs still share (driver table, buffer pools, counters, the
+# allocation-failure injector re-seeded from the installed profile, the
+# RSS key), so a run is a function of its profile alone.  A grep must find
+# no call of reset_globals or Bus.clear, and no hand reset of those
+# globals (Memfault.reset, Rss.reboot, Mbuf.pool_reset,
+# Skbuff.pool_reset), in bench/, test/, bin/ or examples/; only the unit
+# tests of RSS and of the pools themselves, test/test_smp.ml and
+# test/test_kalloc.ml, may reset them.  Nor may code outside lib/ build a
+# FreeBSD stack by hand (Bsd_socket.create_stack, Native_if.attach): a
+# two-host rig is make_testbed and Clientos.freebsd_host.
 # The example kernels are the measured kernels: run from their defaults
 # (only a pairing or a system on the command line), ttcp prints each
 # paper-profile Table 1 cell (X -> FreeBSD for send, FreeBSD -> X for
@@ -215,8 +224,11 @@ if grep -rn 'Machine\.name\b' lib | grep -v '^lib/machine/'; then
   echo "machine name used outside lib/machine: keep per-machine state on the machine" >&2
   exit 1
 fi
-if grep -rnE 'reset_globals|Bus\.clear' bench test bin examples; then
-  echo "simulation reset outside Clientos.make_testbed" >&2
+if grep -rnE 'reset_globals|Bus\.clear' bench test bin examples \
+  || grep -rnE 'Memfault\.reset|Rss\.reboot|(Mbuf|Skbuff)\.pool_reset' bench test bin examples \
+  | grep -vE '^test/test_(smp|kalloc)\.ml:' \
+  || grep -rnE 'Bsd_socket\.create_stack|Native_if\.attach' bench test bin examples; then
+  echo "simulation reset or FreeBSD stack built outside Clientos.make_testbed" >&2
   exit 1
 fi
 if grep -nE 'ncpus( [a-z_]+)? *(<= *1|> *1)' lib/linux_dev/linux_eth_drv.ml \

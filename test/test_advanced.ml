@@ -2,12 +2,7 @@
    the medium-grained component concurrency of Section 4.7.4, and extra
    property tests (GDB framing, page tables vs a model). *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
 (* ---- hard links ---- *)
 
@@ -52,33 +47,20 @@ let test_hard_links () =
 (* ---- TCP simultaneous open ---- *)
 
 let test_simultaneous_open () =
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name w in
-    let sched = Thread.create_sched machine in
-    Thread.install sched;
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:mac ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask;
-    machine, sched, stack
+  let { Test_tcp_behavior.world = w; ha; hb; sa; sb; _ } =
+    Test_tcp_behavior.make_rig ~net:"10.3.0" ()
   in
-  let ma, ka, sa = mk "simo-a" "\x02\x00\x00\x00\x02\x0a" "10.3.0.1" in
-  let mb, kb, sb = mk "simo-b" "\x02\x00\x00\x00\x02\x0b" "10.3.0.2" in
   (* Both sides bind fixed ports and actively connect to each other at the
      same virtual instant. *)
   let ra = ref None and rb = ref None in
-  Thread.spawn ka (fun () ->
+  Clientos.spawn ha (fun () ->
       let s = Bsd_socket.tcp_socket sa in
       ok (Bsd_socket.so_bind s ~port:7000);
       ra := Some (Bsd_socket.so_connect s ~dst:(ip "10.3.0.2") ~dport:7001));
-  Thread.spawn kb (fun () ->
+  Clientos.spawn hb (fun () ->
       let s = Bsd_socket.tcp_socket sb in
       ok (Bsd_socket.so_bind s ~port:7001);
       rb := Some (Bsd_socket.so_connect s ~dst:(ip "10.3.0.1") ~dport:7000));
-  Machine.kick ma;
-  Machine.kick mb;
   World.set_fuel w 2_000_000;
   (try World.run w ~until:(fun () -> !ra <> None && !rb <> None)
    with World.Out_of_fuel -> ());

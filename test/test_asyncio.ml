@@ -13,12 +13,7 @@
    - basic Wouldblock behaviour of non-blocking accept/recv;
    - the BSD send low-water mark. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
 type kind = Fb | Lx
 

@@ -2,9 +2,7 @@
    with the Linux driver set in one probe — Section 3.6's "the FreeBSD
    drivers work alongside the Linux drivers without a problem". *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 let make_machine_with_tty () =
   Fdev.clear_drivers ();

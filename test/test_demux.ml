@@ -18,8 +18,7 @@
    A step that closes a listener must abort exactly its parked children,
    oldest first, then its embryonic ones, newest first. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+let ip, mask = Endpoint.(ip, mask)
 let local = ip "10.0.0.1"
 let raddrs = [| ip "10.0.0.2"; ip "10.0.0.3" |]
 let rports = [| 80; 81 |]

@@ -5,7 +5,7 @@
    at quiescence, the World.cancel regression, and the discipline that
    plain timers never touch the new counters. *)
 
-let ok = function Ok v -> v | Result.Error _ -> Alcotest.fail "unexpected COM error"
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
 (* ---- World.cancel: a cancelled event unlinks immediately ---- *)
 
@@ -113,8 +113,6 @@ let test_wheel_horizon () =
 
 (* ---- BSD TCP's tick wheels, on a stack ---- *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
 let addr_a = ip "10.0.0.1"
 let addr_b = ip "10.0.0.2"
 

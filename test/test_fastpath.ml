@@ -9,11 +9,7 @@
    reordering where predicted segments interleave with retransmissions
    that pay the full per-segment charge. *)
 
-let ip = Oskit.ip_of_string
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail ("fastpath: " ^ Error.to_string e)
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
 (* Flip both fast-path flags around [f], restoring the previous values on
    any exit (the test_sg with_sg_tx discipline). *)
@@ -67,34 +63,11 @@ let test_clean_transfer_predicts () =
    purged — a stale cache would deliver a new connection's segments to
    a dead pcb. *)
 
-let mask = ip "255.255.255.0"
-
-let make_bsd_pair () =
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name w in
-    let _kern = Kernel.create machine in
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:(Nic.mac nic) ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask;
-    machine, stack
-  in
-  let ma, sa = mk "fp-a" "\x02\x00\x00\x00\x00\xaa" "10.2.0.1" in
-  let mb, sb = mk "fp-b" "\x02\x00\x00\x00\x00\xbb" "10.2.0.2" in
-  w, ma, sa, mb, sb
-
 let test_bsd_cache_invalidated_on_close () =
   with_fast (fun () ->
-      Cost.reset_counters ();
-      Mbuf.pool_reset ();
-      let w, ma, sa, mb, sb = make_bsd_pair () in
-      let ka = Thread.create_sched ma and kb = Thread.create_sched mb in
-      Thread.install ka;
-      Thread.install kb;
+      let { Test_tcp_behavior.world; ha; hb; sa; sb; _ } = Test_tcp_behavior.make_rig () in
       let echoed = ref "" in
-      Thread.spawn kb ~name:"fp-srv" (fun () ->
+      Clientos.spawn hb ~name:"fp-srv" (fun () ->
           let ls = Bsd_socket.tcp_socket sb in
           ok (Bsd_socket.so_bind ls ~port:7777);
           ok (Bsd_socket.so_listen ls ~backlog:1);
@@ -104,7 +77,7 @@ let test_bsd_cache_invalidated_on_close () =
           ignore (ok (Bsd_socket.so_send c ~buf ~pos:0 ~len:n));
           ignore (Bsd_socket.so_close c);
           ignore (Bsd_socket.so_close ls));
-      Thread.spawn ka ~name:"fp-cli" (fun () ->
+      Clientos.spawn ha ~name:"fp-cli" (fun () ->
           let s = Bsd_socket.tcp_socket sa in
           ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:7777);
           let msg = Bytes.of_string "ping" in
@@ -113,12 +86,10 @@ let test_bsd_cache_invalidated_on_close () =
           let n = ok (Bsd_socket.so_recv s ~buf ~pos:0 ~len:64) in
           echoed := Bytes.sub_string buf 0 n;
           ignore (Bsd_socket.so_close s));
-      Machine.kick mb;
-      Machine.kick ma;
       (* No ~until: run to event exhaustion — the TCP slow timer stops
          ticking once the last pcb (the client's TIME_WAIT) expires, so
          termination itself proves the teardown completed. *)
-      World.run w;
+      World.run world;
       Alcotest.(check string) "echo delivered" "ping" !echoed;
       Alcotest.(check bool) "demux used the cache" true
         (Cost.counters.Cost.pcb_cache_hits > 0);
@@ -180,12 +151,10 @@ let test_linux_cache_invalidated_on_close () =
 
 let test_udp_hash_demux_and_unreachable () =
   with_fast (fun () ->
-      Cost.reset_counters ();
-      Mbuf.pool_reset ();
-      let w, ma, sa, _mb, sb = make_bsd_pair () in
+      let { Test_tcp_behavior.world; ha; sa; sb; _ } = Test_tcp_behavior.make_rig () in
       let pcb = Udp.create_pcb sb.Bsd_socket.udp in
       ok (Udp.bind sb.Bsd_socket.udp pcb ~port:7);
-      Machine.run_in ma (fun () ->
+      Machine.run_in ha.Clientos.machine (fun () ->
           let upcb = Udp.create_pcb sa.Bsd_socket.udp in
           ignore (Udp.bind sa.Bsd_socket.udp upcb ~port:8);
           Udp.output sa.Bsd_socket.udp upcb ~dst:(ip "10.2.0.2") ~dport:7
@@ -193,7 +162,7 @@ let test_udp_hash_demux_and_unreachable () =
           (* And one for a port nobody is listening on. *)
           Udp.output sa.Bsd_socket.udp upcb ~dst:(ip "10.2.0.2") ~dport:99
             ~src:(Bytes.of_string "none") ~src_pos:0 ~len:4);
-      World.run w;
+      World.run world;
       Alcotest.(check int) "bound port delivered via hash" 1 (Queue.length pcb.Udp.rcv_q);
       Alcotest.(check int) "closed port counted" 1 sb.Bsd_socket.udp.Udp.noport;
       Alcotest.(check int) "port unreachable sent" 1 sb.Bsd_socket.udp.Udp.unreach_sent;
@@ -205,9 +174,7 @@ let test_udp_hash_demux_and_unreachable () =
    exact 4-tuple hit; one to a wildcard-bound port is a miss on the exact
    key, then found under the wildcard. *)
 let test_paper_profile_hashed_demux () =
-  Cost.reset_counters ();
-  Mbuf.pool_reset ();
-  let w, ma, sa, _mb, sb = make_bsd_pair () in
+  let { Test_tcp_behavior.world; ha; sa; sb; _ } = Test_tcp_behavior.make_rig () in
   let u = sb.Bsd_socket.udp in
   let connected = Udp.create_pcb u and wildcard = Udp.create_pcb u in
   connected.Udp.raddr <- ip "10.2.0.1";
@@ -215,13 +182,13 @@ let test_paper_profile_hashed_demux () =
   ok (Udp.bind u connected ~port:7);
   ok (Udp.bind u wildcard ~port:9);
   let send ~dport =
-    Machine.run_in ma (fun () ->
+    Machine.run_in ha.Clientos.machine (fun () ->
         let upcb = Udp.create_pcb sa.Bsd_socket.udp in
         ignore (Udp.bind sa.Bsd_socket.udp upcb ~port:8);
         Udp.output sa.Bsd_socket.udp upcb ~dst:(ip "10.2.0.2") ~dport
           ~src:(Bytes.of_string "ping") ~src_pos:0 ~len:4;
         Udp.detach sa.Bsd_socket.udp upcb);
-    World.run w
+    World.run world
   in
   send ~dport:7;
   Alcotest.(check int) "delivered to the connected pcb" 1 (Queue.length connected.Udp.rcv_q);

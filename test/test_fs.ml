@@ -2,9 +2,7 @@
    through the COM interfaces and the POSIX layer, crash-free remount, a
    qcheck model test, and fsread/diskpart interop. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "fs error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 let mem_dev ?(mb = 4) () = Mem_blkio.make ~bytes:(mb * 1024 * 1024) ()
 
@@ -444,6 +442,32 @@ let test_cold_read_is_mapped () =
     (Machine.ledger m Cost.Copy);
   Cost.reset_counters ()
 
+(* Allocating a block scans the block bitmap from bit 0, but reads each
+   bitmap block once per scan: the buffer-cache lookups that add one block
+   to a file do not grow with the blocks already allocated. *)
+let test_balloc_lookups_flat () =
+  let fs = Ffs.newfs (mem_dev ()) in
+  let block = Bytes.make Ffs.bsize 'b' in
+  let append node =
+    ignore (Ffs.write fs node ~off:node.Ffs.i_size ~len:Ffs.bsize ~src:block ~src_pos:0)
+  in
+  let lookups_to_append node =
+    let before = io fs in
+    append node;
+    let after = io fs in
+    after.Buf.cs_hits + after.Buf.cs_misses - before.Buf.cs_hits - before.Buf.cs_misses
+  in
+  let probe = Ffs.create_file fs (Ffs.root fs) ~name:"probe" in
+  append probe;
+  let early = lookups_to_append probe in
+  let filler = Ffs.create_file fs (Ffs.root fs) ~name:"filler" in
+  for _ = 1 to 300 do
+    append filler
+  done;
+  Alcotest.(check bool) "the filler took 300 blocks and more" true
+    (Ffs.free_blocks fs < 1024 - 300);
+  Alcotest.(check int) "lookups to add a block, 300 blocks later" early (lookups_to_append probe)
+
 (* Conservation: references can hold the cache past [max_bufs], and once
    the last is released it is back within [max_bufs]. *)
 let test_cache_shrinks_back () =
@@ -749,4 +773,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_short_reads_model;
     QCheck_alcotest.to_alcotest prop_mapped_reads_model;
     Alcotest.test_case "fsread over ffs image" `Quick test_fsread_sees_ffs;
-    Alcotest.test_case "diskpart + fs + fsread" `Quick test_diskpart_and_fs ]
+    Alcotest.test_case "diskpart + fs + fsread" `Quick test_diskpart_and_fs;
+    Alcotest.test_case "balloc: lookups flat in blocks used" `Quick test_balloc_lookups_flat ]

@@ -5,9 +5,7 @@
    calls through the same faces cross nothing.  A machine runs one kind of
    kernel: binding the other kind as well is refused. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 let server_ip = Endpoint.addr_b
 let port = 7001
@@ -323,13 +321,11 @@ let refused_after_close () =
    reach the run's Nomem drops, and at quiescence the send queue is empty
    with no hold open. *)
 let burst_conservation () =
-  Fun.protect ~finally:Memfault.reset @@ fun () ->
   Cost.with_config
     { Cost.config with
       Cost.rx_batch = 8; tcp_fastpath = true; alloc_fail_prob = 0.01; alloc_fail_seed = 43;
       alloc_fail_burst = 2 }
   @@ fun () ->
-  Memfault.reset ();
   let bytes = 128 * 1024 in
   let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss = 0.01 } () in
   let r =

@@ -6,22 +6,19 @@
    across block boundaries (also under 2% loss), buffer-cache pin and
    eviction hardening, and the flags-off world untouched. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 (* ---- knob scoping: set the PR-10 knobs for [f], restore after ---- *)
 
 let with_http11 ?(keepalive = true) ?(sendfile = false) ?(sg = false)
-    ?(idle_ns = 5_000_000_000) ?(max_reqs = 0) ?(pipeline_max = 8) f =
+    ?(idle_ns = 5_000_000_000) ?(max_reqs = 0) f =
   Cost.with_config
     { Cost.config with
       Cost.http_keepalive = keepalive;
       sendfile;
       sg_tx = sg;
       http_idle_timeout_ns = idle_ns;
-      http_max_reqs_per_conn = max_reqs;
-      http_pipeline_max = pipeline_max }
+      http_max_reqs_per_conn = max_reqs }
     f
 
 (* ---- the server: Httpbench's, on the FreeBSD stack, one pattern file

@@ -4,12 +4,7 @@
    reordering in both stacks, and the TIME_WAIT expiry purge on the
    Linux wall-clock path. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
 (* Run [f] with the long-fat knobs set, restoring them afterwards so the
    rest of the suite keeps the seed-faithful defaults. *)

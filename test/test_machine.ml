@@ -620,7 +620,6 @@ let one_field_profiles () =
     "tcp_wscale", { p with tcp_wscale = not p.tcp_wscale };
     "tcp_autotune", { p with tcp_autotune = not p.tcp_autotune };
     "tcp_mss", { p with tcp_mss = p.tcp_mss + 1 };
-    "tcp_sockbuf_max", { p with tcp_sockbuf_max = p.tcp_sockbuf_max + 1 };
     "syn_defense", { p with syn_defense = not p.syn_defense };
     "syncache_size", { p with syncache_size = p.syncache_size + 1 };
     "tw_max", { p with tw_max = p.tw_max + 1 };
@@ -640,7 +639,6 @@ let one_field_profiles () =
     "http_idle_timeout_ns", { p with http_idle_timeout_ns = p.http_idle_timeout_ns + 1 };
     "http_max_reqs_per_conn",
     { p with http_max_reqs_per_conn = p.http_max_reqs_per_conn + 1 };
-    "http_pipeline_max", { p with http_pipeline_max = p.http_pipeline_max + 1 };
     "sendfile", { p with sendfile = not p.sendfile } ]
 
 let test_diff_same () =

@@ -1,9 +1,7 @@
 (* Smaller components: exec images, SMP interfaces, fdev probing, and the
    Linux IDE driver path through the blkio COM interface. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 (* ---- exec ---- *)
 

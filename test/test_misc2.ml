@@ -2,9 +2,7 @@
    and ends, the BSD event-hash sleep/wakeup, the Linux environment
    emulation, the kernel clock, and the sockbuf. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 (* ---- posix: getrusage / signal / select ---- *)
 

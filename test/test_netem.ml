@@ -4,8 +4,7 @@
    duplicate-segment accounting, and the bounded/backoff ARP queues on
    both stacks. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+let ip, mask = Endpoint.(ip, mask)
 
 (* ------------------------------------------------------------------ *)
 (* The emulator in isolation.                                          *)

@@ -2,7 +2,7 @@
    TCP sequence arithmetic, ARP, IP fragmentation, UDP, ICMP, and the
    buffer-translation glue. *)
 
-let ip = Oskit.ip_of_string
+let ip = Endpoint.ip
 
 (* ---- mbufs ---- *)
 
@@ -177,42 +177,28 @@ let test_seq_wraparound () =
 
 (* ---- a two-host raw-IP rig over the simulated wire ---- *)
 
-let make_pair () =
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name w in
-    let _kern = Kernel.create machine in
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:(Nic.mac nic) ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask:(ip "255.255.255.0");
-    machine, stack
-  in
-  let ma, sa = mk "parts-a" "\x02\x00\x00\x00\x00\xaa" "10.1.0.1" in
-  let mb, sb = mk "parts-b" "\x02\x00\x00\x00\x00\xbb" "10.1.0.2" in
-  w, ma, sa, mb, sb
+let make_pair () = Test_tcp_behavior.make_rig ~net:"10.1.0" ()
 
 let test_arp_resolution () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { Test_tcp_behavior.world = w; ha; sa; sb; _ } = make_pair () in
   let resolved = ref None in
-  Machine.run_in ma (fun () ->
+  Machine.run_in ha.Clientos.machine (fun () ->
       Arp_resolver.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun mac -> resolved := Some mac));
   World.run w;
   Alcotest.(check (option string)) "resolved to b's MAC"
     (Some sb.Bsd_socket.ifp.Netif.if_hwaddr) !resolved;
   Alcotest.(check int) "one request on the wire" 1 sa.Bsd_socket.arp.Arp_resolver.requests;
   (* Second resolution hits the cache. *)
-  Machine.run_in ma (fun () ->
+  Machine.run_in ha.Clientos.machine (fun () ->
       Arp_resolver.resolve sa.Bsd_socket.arp (ip "10.1.0.2") (fun _ -> ()));
   Alcotest.(check int) "no second request" 1 sa.Bsd_socket.arp.Arp_resolver.requests
 
 let test_icmp_echo () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { Test_tcp_behavior.world = w; ha; sa; sb; _ } = make_pair () in
   let reply = ref None in
   sa.Bsd_socket.icmp.Icmp.on_echo_reply <-
     (fun ~ident ~seq ~payload -> reply := Some (ident, seq, Bytes.to_string payload));
-  Machine.run_in ma (fun () ->
+  Machine.run_in ha.Clientos.machine (fun () ->
       Icmp.send_echo sa.Bsd_socket.icmp ~dst:(ip "10.1.0.2") ~ident:7 ~seq:3
         ~payload:(Bytes.of_string "ping-payload"));
   World.run w;
@@ -221,14 +207,14 @@ let test_icmp_echo () =
   Alcotest.(check int) "b answered one echo" 1 sb.Bsd_socket.icmp.Icmp.echoes_answered
 
 let test_ip_fragmentation () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { Test_tcp_behavior.world = w; ha; sa; sb; _ } = make_pair () in
   (* Register a raw protocol on both sides and send a 5000-byte datagram:
      it must fragment (MTU 1500) and reassemble. *)
   let received = ref None in
   Ip.set_proto sb.Bsd_socket.ip ~proto:200 (fun ~src:_ ~dst:_ m ->
       received := Some (Mbuf.m_copydata m ~off:0 ~len:(Mbuf.m_length m)));
   let payload = Bytes.init 5000 (fun i -> Char.chr (i land 0xff)) in
-  Machine.run_in ma (fun () ->
+  Machine.run_in ha.Clientos.machine (fun () ->
       let m = Mbuf.m_ext_wrap (Bytes.copy payload) ~off:0 ~len:5000 in
       Ip.output sa.Bsd_socket.ip ~proto:200 ~src:sa.Bsd_socket.ifp.Netif.if_addr
         ~dst:(ip "10.1.0.2") m);
@@ -243,12 +229,9 @@ let test_ip_fragmentation () =
   Alcotest.(check int) "receiver reassembled once" 1 sb.Bsd_socket.ip.Ip.reassembled
 
 let test_udp_roundtrip () =
-  let w, ma, sa, mb, sb = make_pair () in
-  let ka = Thread.create_sched ma and kb = Thread.create_sched mb in
-  Thread.install ka;
-  Thread.install kb;
+  let { Test_tcp_behavior.world = w; ha; hb; sa; sb; _ } = make_pair () in
   let got = ref None in
-  Thread.spawn kb ~name:"udp-server" (fun () ->
+  Clientos.spawn hb ~name:"udp-server" (fun () ->
       let s = Bsd_socket.udp_socket sb in
       (match Bsd_socket.uso_bind s ~port:9999 with Ok () -> () | Error _ -> ());
       let src, sport, payload = Bsd_socket.uso_recvfrom s in
@@ -256,7 +239,7 @@ let test_udp_roundtrip () =
       (* Answer back. *)
       ignore (Bsd_socket.uso_sendto s ~buf:(Bytes.of_string "pong") ~pos:0 ~len:4 ~dst:src ~dport:sport));
   let answer = ref None in
-  Thread.spawn ka ~name:"udp-client" (fun () ->
+  Clientos.spawn ha ~name:"udp-client" (fun () ->
       let s = Bsd_socket.udp_socket sa in
       (match Bsd_socket.uso_bind s ~port:1234 with Ok () -> () | Error _ -> ());
       ignore
@@ -264,15 +247,13 @@ let test_udp_roundtrip () =
            ~dst:(ip "10.1.0.2") ~dport:9999);
       let _, _, payload = Bsd_socket.uso_recvfrom s in
       answer := Some (Bytes.to_string payload));
-  Machine.kick ma;
-  Machine.kick mb;
   World.run w;
   Alcotest.(check (option (triple string int string))) "server saw datagram"
     (Some ("10.1.0.1", 1234, "ping!")) !got;
   Alcotest.(check (option string)) "client got reply" (Some "pong") !answer
 
 let test_udp_checksum_rejects_corruption () =
-  let w, ma, sa, _mb, sb = make_pair () in
+  let { Test_tcp_behavior.world = w; ha; sa; sb; _ } = make_pair () in
   (* Corrupt every frame in transit by flipping a payload bit: attach a
      malicious hub port. *)
   let _ = w in
@@ -280,7 +261,7 @@ let test_udp_checksum_rejects_corruption () =
   (match Udp.bind sb.Bsd_socket.udp pcb ~port:7 with Ok () -> () | Error _ -> ());
   (* Build a frame by hand via the stack, then corrupt the UDP payload and
      inject directly into b's ether input. *)
-  Machine.run_in ma (fun () ->
+  Machine.run_in ha.Clientos.machine (fun () ->
       let upcb = Udp.create_pcb sa.Bsd_socket.udp in
       ignore (Udp.bind sa.Bsd_socket.udp upcb ~port:8);
       Udp.output sa.Bsd_socket.udp upcb ~dst:(ip "10.1.0.2") ~dport:7
@@ -306,7 +287,7 @@ let test_udp_checksum_rejects_corruption () =
    copy and raise out of the input path.  The next valid datagram to the
    same port is still delivered. *)
 let test_udp_short_length_field () =
-  let _w, _ma, _sa, _mb, sb = make_pair () in
+  let { Test_tcp_behavior.sb; _ } = make_pair () in
   let u = sb.Bsd_socket.udp in
   let pcb = Udp.create_pcb u in
   (match Udp.bind u pcb ~port:7 with Ok () -> () | Error _ -> ());
@@ -510,11 +491,7 @@ let prop_damaged_headers_never_raise =
 
 (* ---- ARP input frees the request on every path ---- *)
 
-let with_every_alloc_failing f =
-  Fun.protect ~finally:Memfault.reset (fun () ->
-      Cost.with_config { Cost.config with Cost.alloc_fail_prob = 1.0 } (fun () ->
-          Memfault.reset ();
-          f ()))
+let with_every_alloc_failing f = Cost.with_config { Cost.config with Cost.alloc_fail_prob = 1.0 } f
 
 let arp_request_to target =
   let b = Bytes.create Codec.arp_len in
@@ -525,12 +502,12 @@ let arp_request_to target =
 (* A request for us arrives while every allocation fails: the reply's
    buffer is refused, and the request's must still go back to its pool. *)
 let test_arp_reply_nomem_frees_request_bsd () =
-  let _w, ma, sa, _mb, _sb = make_pair () in
+  let { Test_tcp_behavior.ha; sa; _ } = make_pair () in
   let m = Mbuf.m_gethdr () in
   let off = Mbuf.m_put m Codec.arp_len in
   Bytes.blit (arp_request_to (ip "10.1.0.1")) 0 m.Mbuf.m_data off Codec.arp_len;
   let input = List.assoc Netif.ethertype_arp sa.Bsd_socket.ifp.Netif.if_protos in
-  Machine.run_in ma (fun () -> with_every_alloc_failing (fun () -> input m));
+  Machine.run_in ha.Clientos.machine (fun () -> with_every_alloc_failing (fun () -> input m));
   Alcotest.(check int) "reply attempted" 1 sa.Bsd_socket.arp.Arp_resolver.replies;
   Alcotest.(check bool) "request mbuf freed" true m.Mbuf.m_freed
 

@@ -5,31 +5,24 @@
    slow-client guards.  Everything is default-off, so the last test pins
    the flags-off world untouched and the rest turn one knob at a time. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-
-(* Set the overload knobs for [f], restoring the seed defaults after, and
-   re-seed the allocation injector on both edges so no test leaks failure
-   state into its neighbours.  Stacks built inside [f] see the knobs at
-   creation time, which matters for the token buckets (they start full). *)
+(* Set the overload knobs for [f], restoring the seed defaults after.  A
+   testbed built inside [f] re-seeds the allocation injector from them, so
+   no test leaks failure state into its neighbours.  Stacks built inside
+   [f] see the knobs at creation time, which matters for the token buckets
+   (they start full). *)
 let with_overload ?(syn_defense = false) ?(syncache_size = 64) ?(tw_max = 0)
     ?(icmp_ratelimit = 0) ?(alloc_fail_prob = 0.0) ?(alloc_fail_seed = 1)
     ?(alloc_fail_burst = 1) ?(httpd_guard = false)
     ?(httpd_header_deadline_ns = 1_000_000_000) ?(httpd_max_header_bytes = 4096)
     ?(httpd_shed_hiwat = 0) f =
-  Fun.protect ~finally:Memfault.reset (fun () ->
-      Cost.with_config
-        { Cost.config with
-          Cost.syn_defense; syncache_size; tw_max; icmp_ratelimit; alloc_fail_prob;
-          alloc_fail_seed; alloc_fail_burst; httpd_guard; httpd_header_deadline_ns;
-          httpd_max_header_bytes; httpd_shed_hiwat }
-        (fun () ->
-          Memfault.reset ();
-          f ()))
+  Cost.with_config
+    { Cost.config with
+      Cost.syn_defense; syncache_size; tw_max; icmp_ratelimit; alloc_fail_prob;
+      alloc_fail_seed; alloc_fail_burst; httpd_guard; httpd_header_deadline_ns;
+      httpd_max_header_bytes; httpd_shed_hiwat }
+    f
 
 (* Craft one option-less TCP segment and push it out through [cstack]'s IP
    layer with an arbitrary (spoofable) source address — the attacker's
@@ -594,7 +587,6 @@ let test_httpd_keepalive_drip_deadline () =
    committed calibrated benches rest on this.                            *)
 
 let test_flags_off_counters_untouched () =
-  Memfault.reset ();
   let tb = Clientos.make_testbed () in
   let client = Endpoint.setup Endpoint.Freebsd tb.Clientos.host_a ~addr:(ip "10.0.0.1") in
   let server = Endpoint.setup Endpoint.Linux tb.Clientos.host_b ~addr:(ip "10.0.0.2") in

@@ -6,17 +6,12 @@
    would hold a 17-bit port while the header carries its low 16 bits, so
    replies would miss the demux. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 let addr_a = ip "10.0.0.1"
 let addr_b = ip "10.0.0.2"
 let server_port = 5001
 let bytes = 20_000
 let pattern n = Bytes.init n (fun i -> Char.chr (Endpoint.pattern i))
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
 
 let test_alloc_wraps_and_exhausts () =
   let a = Port_alloc.create ~lo:10 ~hi:12 in

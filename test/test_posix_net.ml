@@ -1,12 +1,7 @@
 (* The POSIX layer over COM sockets: UDP datagrams through the socket
    factory, descriptor bookkeeping, determinism of the whole simulation. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "error: %s" (Error.to_string e)
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
 let make_pair () =
   let tb = Clientos.make_testbed ~models:("rtl8139", "de4x5") () in

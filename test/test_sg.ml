@@ -2,9 +2,7 @@
    nonlinear sk_buffs, the glue's zero-copy crossing, the recognition-query
    cache, the NIC gather engine, and a ttcp under loss with the path on. *)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+let ok = Endpoint.ok
 
 let with_sg_tx v f = Cost.with_config { Cost.config with Cost.sg_tx = v } f
 

@@ -6,11 +6,7 @@
    aggregation, and cross-CPU end-to-end transfers that must stay
    byte-exact at every CPU count, clean and under loss. *)
 
-let ip = Oskit.ip_of_string
-
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
+let ip, ok = Endpoint.(ip, ok)
 
 let with_ncpus n f = Cost.with_config { Cost.config with Cost.ncpus = n } f
 
@@ -485,6 +481,42 @@ let test_shards_sum_to_aggregate () =
   Alcotest.(check bool) "the run counted something" true (agg.Cost.copies > 0)
 
 (* ------------------------------------------------------------------ *)
+(* A run is a pure function of its profile: whatever ran before it —
+   a transfer that drew from the allocation-failure injector and left
+   the buffer pools warm, an RSS reboot with another key — a 2-CPU
+   transfer under injected failures and netem loss replays exactly,
+   because building its testbed resets every cross-run global.        *)
+
+let test_run_replays_after_disturbance () =
+  let transfer ~seed =
+    Cost.with_config
+      { Cost.config with
+        Cost.ncpus = 2; alloc_fail_prob = 0.01; alloc_fail_seed = seed; alloc_fail_burst = 2 }
+    @@ fun () ->
+    let netem = Netem.create ~seed:42 ~policy:{ Netem.default_policy with loss = 0.01 } () in
+    let r =
+      Netbench.stream ~retry:true ~netem
+        { Workload.table1 with bytes = 64 * 1024; recv_chunk = 4096; delay_ns = 1_000_000 }
+    in
+    Alcotest.(check bool) "byte-exact" true r.Workload.byte_exact;
+    r
+  in
+  let first = transfer ~seed:43 in
+  Alcotest.(check bool) "netem dropped frames, RSS steered some" true
+    (first.wire_dropped > 0 && first.counters.Cost.rss_steered > 0);
+  let draws = Memfault.draws () in
+  let other = transfer ~seed:44 in
+  Alcotest.(check bool) "the disturbing run drew from the injector" true
+    (Memfault.draws () > 0 && other.Workload.counters <> first.Workload.counters);
+  Rss.reboot ~seed:7 ();
+  let again = transfer ~seed:43 in
+  Alcotest.(check (float 0.0)) "sender Mbit/s" first.mbit_sender again.mbit_sender;
+  Alcotest.(check bool) "counters" true (first.counters = again.counters);
+  Alcotest.(check bool) "sender ledger" true (first.tx_ledger = again.tx_ledger);
+  Alcotest.(check bool) "receiver ledger" true (first.rx_ledger = again.rx_ledger);
+  Alcotest.(check int) "injector draws" draws (Memfault.draws ())
+
+(* ------------------------------------------------------------------ *)
 (* The sharded reactor httpd end-to-end, every response byte-exact.    *)
 
 let cross_cpu_httpd ?(loss = 0.0) ~ncpus ~clients () =
@@ -555,4 +587,6 @@ let suite =
     Alcotest.test_case "netisr: one per machine, whatever its name" `Quick
       test_netisr_per_machine;
     Alcotest.test_case "netisr: rx_drain slices each chunk by home CPU" `Quick
-      test_rx_drain_slices ]
+      test_rx_drain_slices;
+    Alcotest.test_case "a run replays after every global is disturbed" `Quick
+      test_run_replays_after_disturbance ]

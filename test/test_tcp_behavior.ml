@@ -2,43 +2,29 @@
    retransmit, connection refusal, listen backlog, RST handling,
    simultaneous close — on the FreeBSD stack over the simulated wire. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+let ip, mask, ok = Endpoint.(ip, mask, ok)
 
-let ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
-
+(* Two monolithic FreeBSD hosts on a fresh testbed, A at [net].1 and B
+   at [net].2: the rig of the suites that drive the BSD stack directly. *)
 type rig = {
   world : World.t;
   wire : Wire.t;
-  ka : Thread.sched;
-  kb : Thread.sched;
-  ma : Machine.t;
-  mb : Machine.t;
+  ha : Clientos.host;
+  hb : Clientos.host;
   sa : Bsd_socket.stack;
   sb : Bsd_socket.stack;
 }
 
-let make_rig () =
-  let w = World.create () in
-  let wire = Wire.create w in
-  let mk name mac ipaddr =
-    let machine = Machine.create ~name w in
-    let sched = Thread.create_sched machine in
-    Thread.install sched;
-    let nic = Nic.create ~machine ~wire ~mac ~irq:9 () in
-    let stack = Bsd_socket.create_stack machine ~hwaddr:mac ~name in
-    Native_if.attach stack nic;
-    Bsd_socket.ifconfig stack ~addr:(ip ipaddr) ~mask;
-    machine, sched, stack
-  in
-  let ma, ka, sa = mk "tcp-a" "\x02\x00\x00\x00\x01\x0a" "10.2.0.1" in
-  let mb, kb, sb = mk "tcp-b" "\x02\x00\x00\x00\x01\x0b" "10.2.0.2" in
-  { world = w; wire; ka; kb; ma; mb; sa; sb }
+let make_rig ?(net = "10.2.0") () =
+  let tb = Clientos.make_testbed () in
+  let bsd host last = Clientos.freebsd_host host ~ip:(ip (Printf.sprintf "%s.%d" net last)) ~mask in
+  let sa = bsd tb.Clientos.host_a 1 in
+  let sb = bsd tb.Clientos.host_b 2 in
+  { world = tb.Clientos.world; wire = tb.Clientos.wire; ha = tb.Clientos.host_a;
+    hb = tb.Clientos.host_b; sa; sb }
 
 let spawn_server rig ?(port = 5001) received done_flag =
-  Thread.spawn rig.kb ~name:"server" (fun () ->
+  Clientos.spawn rig.hb ~name:"server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port);
       ok (Bsd_socket.so_listen ls ~backlog:5);
@@ -53,17 +39,15 @@ let spawn_server rig ?(port = 5001) received done_flag =
             Buffer.add_subbytes received buf 0 n;
             loop ()
       in
-      loop ());
-  Machine.kick rig.mb
+      loop ())
 
 let spawn_client rig ?(port = 5001) data =
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:port);
       let _ = ok (Bsd_socket.so_send s ~buf:data ~pos:0 ~len:(Bytes.length data)) in
-      ok (Bsd_socket.so_close s));
-  Machine.kick rig.ma
+      ok (Bsd_socket.so_close s))
 
 let test_loss_recovery () =
   let rig = make_rig () in
@@ -122,10 +106,9 @@ let test_fast_retransmit_on_single_drop () =
 let test_connection_refused () =
   let rig = make_rig () in
   let result = ref None in
-  Thread.spawn rig.ka (fun () ->
+  Clientos.spawn rig.ha (fun () ->
       let s = Bsd_socket.tcp_socket rig.sa in
       result := Some (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:4444));
-  Machine.kick rig.ma;
   World.run rig.world ~until:(fun () -> !result <> None);
   match !result with
   | Some (Error Error.Connrefused) -> ()
@@ -139,7 +122,7 @@ let test_graceful_close_sequence () =
   let done_flag = ref false in
   spawn_server rig received done_flag;
   let client_states = ref [] and saw_record = ref false and tw_over = ref false in
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
@@ -162,7 +145,6 @@ let test_graceful_close_sequence () =
         end
       in
       watch Tcp.Closed);
-  Machine.kick rig.ma;
   (* Run past the 2MSL timer so TIME_WAIT expires. *)
   World.run rig.world ~until:(fun () -> !done_flag && !tw_over);
   Alcotest.(check bool) "passed through FIN_WAIT" true
@@ -176,21 +158,19 @@ let test_backlog_limit () =
   (* A listener with backlog 1 that never accepts: the first connection
      establishes (into the queue); later SYNs are dropped and eventually
      time out on the client side. *)
-  Thread.spawn rig.kb ~name:"lazy-server" (fun () ->
+  Clientos.spawn rig.hb ~name:"lazy-server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
       ok (Bsd_socket.so_listen ls ~backlog:1);
       (* Sleep forever. *)
       Sleep_record.sleep (Sleep_record.create ()));
-  Machine.kick rig.mb;
   let first = ref None and second = ref None in
-  Thread.spawn rig.ka (fun () ->
+  Clientos.spawn rig.ha (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s1 = Bsd_socket.tcp_socket rig.sa in
       first := Some (Bsd_socket.so_connect s1 ~dst:(ip "10.2.0.2") ~dport:5001);
       let s2 = Bsd_socket.tcp_socket rig.sa in
       second := Some (Bsd_socket.so_connect s2 ~dst:(ip "10.2.0.2") ~dport:5001));
-  Machine.kick rig.ma;
   World.set_fuel rig.world 3_000_000;
   (try World.run rig.world ~until:(fun () -> !second <> None) with World.Out_of_fuel -> ());
   Alcotest.(check bool) "first connection accepted into backlog" true
@@ -205,7 +185,7 @@ let test_window_flow_control () =
   let release = Sleep_record.create () in
   let received = Buffer.create 1024 in
   let done_flag = ref false in
-  Thread.spawn rig.kb ~name:"slow-server" (fun () ->
+  Clientos.spawn rig.hb ~name:"slow-server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
       ok (Bsd_socket.so_listen ls ~backlog:2);
@@ -221,20 +201,18 @@ let test_window_flow_control () =
             loop ()
       in
       loop ());
-  Machine.kick rig.mb;
   let bytes = 200 * 1024 in
   let sender_blocked_at = ref 0 in
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
       let data = Bytes.make bytes 'W' in
       (* After ~2 (virtual) seconds, release the reader. *)
-      ignore (Machine.after rig.ma 2_000_000_000 (fun () -> Sleep_record.wakeup release));
-      sender_blocked_at := Machine.now rig.ma;
+      ignore (Machine.after rig.ha.Clientos.machine 2_000_000_000 (fun () -> Sleep_record.wakeup release));
+      sender_blocked_at := Machine.now rig.ha.Clientos.machine;
       let _ = ok (Bsd_socket.so_send s ~buf:data ~pos:0 ~len:bytes) in
       ok (Bsd_socket.so_close s));
-  Machine.kick rig.ma;
   World.run rig.world ~until:(fun () -> !done_flag);
   Alcotest.(check int) "every byte arrived after unblocking" bytes (Buffer.length received);
   (* The transfer cannot have completed before the reader was released. *)
@@ -245,7 +223,7 @@ let test_rst_on_abort () =
   let rig = make_rig () in
   let received = Buffer.create 64 in
   let server_err = ref None in
-  Thread.spawn rig.kb ~name:"server" (fun () ->
+  Clientos.spawn rig.hb ~name:"server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
       ok (Bsd_socket.so_listen ls ~backlog:2);
@@ -260,8 +238,7 @@ let test_rst_on_abort () =
         | Error e -> server_err := Some (Error e)
       in
       loop ());
-  Machine.kick rig.mb;
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
@@ -269,7 +246,6 @@ let test_rst_on_abort () =
       Kclock.sleep_ns 300_000_000 (* let the delayed ACK cycle settle *);
       let _ = Bsd_socket.so_abort s in
       ());
-  Machine.kick rig.ma;
   World.run rig.world ~until:(fun () -> !server_err <> None);
   match !server_err with
   | Some (Error Error.Connreset) -> ()
@@ -286,7 +262,7 @@ let test_rst_on_abort () =
 let delack_after_quiesce ~reconnect_ns =
   let rig = make_rig () in
   let measured = ref None in
-  Thread.spawn rig.kb ~name:"server" (fun () ->
+  Clientos.spawn rig.hb ~name:"server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
       ok (Bsd_socket.so_listen ls ~backlog:2);
@@ -301,8 +277,7 @@ let delack_after_quiesce ~reconnect_ns =
       ignore (ok (Bsd_socket.so_recv c2 ~buf ~pos:0 ~len:16));
       ok (Bsd_socket.so_close c2);
       ok (Bsd_socket.so_close ls));
-  Machine.kick rig.mb;
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s1 = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s1 ~dst:(ip "10.2.0.2") ~dport:5001);
@@ -319,7 +294,6 @@ let delack_after_quiesce ~reconnect_ns =
           ( rig.sa.Bsd_socket.tcp.Tcp.stats.Tcp.delack,
             rig.sb.Bsd_socket.tcp.Tcp.stats.Tcp.sndrexmitpack );
       ok (Bsd_socket.so_close s2));
-  Machine.kick rig.ma;
   World.run rig.world;
   Test_event.check_tick_wheels_quiescent "client" rig.sa.Bsd_socket.tcp;
   Test_event.check_tick_wheels_quiescent "server" rig.sb.Bsd_socket.tcp;
@@ -424,7 +398,7 @@ let test_bsd_abort_returns_clusters () =
   Wire.set_netem rig.wire (Some (Netem.of_filter (fun _ -> !cut)));
   spawn_server rig (Buffer.create 16) (ref false);
   let outcome = ref None in
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       let s = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
       cut := true;
@@ -434,7 +408,6 @@ let test_bsd_abort_returns_clusters () =
       let kept = Bpool.kept Mbuf.clust_pool in
       ok (Bsd_socket.so_abort s);
       outcome := Some (held, Bpool.kept Mbuf.clust_pool - kept));
-  Machine.kick rig.ma;
   World.run rig.world ~until:(fun () -> !outcome <> None);
   let held, returned = Option.get !outcome in
   Alcotest.(check int) "the send buffer held the unacknowledged data" 8192 held;
@@ -491,7 +464,7 @@ let corked_server ?(syn_defense = false) script =
            end)
   in
   let born_corked = ref false and received = Buffer.create 4096 and eof = ref false in
-  Thread.spawn rig.kb ~name:"server" (fun () ->
+  Clientos.spawn rig.hb ~name:"server" (fun () ->
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
       Bsd_socket.so_set_nopush ls true;
@@ -499,8 +472,7 @@ let corked_server ?(syn_defense = false) script =
       let conn = ok (Bsd_socket.so_accept ls) in
       born_corked := conn.Bsd_socket.pcb.Tcp.t_nopush;
       script conn ~sent ~lose:(fun n -> to_lose := n));
-  Machine.kick rig.mb;
-  Thread.spawn rig.ka ~name:"client" (fun () ->
+  Clientos.spawn rig.ha ~name:"client" (fun () ->
       Kclock.sleep_ns 1_000_000;
       let s = Bsd_socket.tcp_socket rig.sa in
       ok (Bsd_socket.so_connect s ~dst:(ip "10.2.0.2") ~dport:5001);
@@ -515,7 +487,6 @@ let corked_server ?(syn_defense = false) script =
             loop ()
       in
       loop ());
-  Machine.kick rig.ma;
   World.run rig.world ~until:(fun () -> !eof);
   !born_corked, Buffer.contents received
 

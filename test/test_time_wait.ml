@@ -14,8 +14,7 @@
    ACK takes it to TIME_WAIT.  A live connection that has taken the
    peer's FIN (CLOSE_WAIT, LAST_ACK) ACKs its retransmission too. *)
 
-let ip = Oskit.ip_of_string
-let mask = ip "255.255.255.0"
+let ip, mask = Endpoint.(ip, mask)
 let local = ip "10.0.0.1"
 let peer = ip "10.0.0.2"
 let peer_mac = Arp_resolver.Resolved "\x02\x00\x00\x00\x00\x99"
