@@ -185,8 +185,12 @@ let alloc_run ~server ~prob ~seed ~bytes () =
 (* ------------------------------------------------------------------ *)
 (* loris: Slowloris vs the httpd header deadline                       *)
 
+(* The guard is the httpd's two header bounds: a 50 ms deadline and 4 KB
+   of header.  Unguarded is the paper profile, where both are 0 (off). *)
 let loris_profile ~guard =
-  { paper with Cost.httpd_guard = guard; httpd_header_deadline_ns = 50_000_000 }
+  if guard then
+    { paper with Cost.httpd_header_deadline_ns = 50_000_000; httpd_max_header_bytes = 4096 }
+  else paper
 
 (* [loris] attackers each park a half-finished request.  The server's
    connection budget is exactly [loris] — without the guard the attackers

@@ -148,48 +148,32 @@ let so_connect s ~dst ~dport =
       in
       wait ()
 
-(* sosend: block until all bytes are accepted into the send buffer. *)
-let so_send s ~buf ~pos ~len =
-  let rec push sent =
-    if sent >= len then Ok len
-    else
-      match Tcp.usr_send s.st.tcp s.pcb ~src:buf ~src_pos:(pos + sent) ~len:(len - sent) with
-      | Result.Error e -> if sent > 0 then Ok sent else Result.Error e
-      | Ok 0 -> (
-          match s.pcb.Tcp.t_state with
-          | Tcp.Closed -> Result.Error (Option.value s.pcb.Tcp.so_error ~default:Error.Pipe)
-          | _ when s.nonblock ->
-              if sent > 0 then Ok sent else Result.Error Error.Wouldblock
-          | _ ->
-              sbwait s 1;
-              push sent)
-      | Ok n -> push (sent + n)
-  in
-  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval else push 0
+(* sosend: block until the source's bytes [off, off + len) are all
+   accepted into the send buffer, [sent] of them already.  Nonblocking
+   sockets get partial progress or Wouldblock. *)
+let rec sosend s src ~off ~len sent =
+  if sent >= len then Ok len
+  else
+    match Tcp.usr_send s.st.tcp s.pcb src ~off:(off + sent) ~len:(len - sent) with
+    | Result.Error e -> if sent > 0 then Ok sent else Result.Error e
+    | Ok 0 -> (
+        match s.pcb.Tcp.t_state with
+        | Tcp.Closed -> Result.Error (Option.value s.pcb.Tcp.so_error ~default:Error.Pipe)
+        | _ when s.nonblock -> if sent > 0 then Ok sent else Result.Error Error.Wouldblock
+        | _ ->
+            sbwait s 1;
+            sosend s src ~off ~len sent)
+    | Ok n -> sosend s src ~off ~len (sent + n)
 
-(* sosend for mapped file fragments (the sendfile path): loan the
-   fragments into the send buffer with no copy, blocking until the bytes
-   from [pos] onward are all accepted.  Nonblocking sockets get partial
-   progress or Wouldblock, like so_send. *)
+let so_send s ~buf ~pos ~len =
+  if Error.bad_range buf ~pos ~len then Result.Error Error.Inval
+  else sosend s (Tcp.Copy buf) ~off:pos ~len 0
+
+(* sosend for mapped file fragments (the sendfile path): the bytes from
+   stream offset [pos] onward, loaned into the send buffer with no copy. *)
 let so_sendv s ~frags ~pos =
   let total = List.fold_left (fun a f -> a + f.Io_if.fr_len) 0 frags in
-  let len = max 0 (total - pos) in
-  let rec push sent =
-    if sent >= len then Ok len
-    else
-      match Tcp.usr_sendv s.st.tcp s.pcb ~frags ~pos:(pos + sent) with
-      | Result.Error e -> if sent > 0 then Ok sent else Result.Error e
-      | Ok 0 -> (
-          match s.pcb.Tcp.t_state with
-          | Tcp.Closed -> Result.Error (Option.value s.pcb.Tcp.so_error ~default:Error.Pipe)
-          | _ when s.nonblock ->
-              if sent > 0 then Ok sent else Result.Error Error.Wouldblock
-          | _ ->
-              sbwait s 1;
-              push sent)
-      | Ok n -> push (sent + n)
-  in
-  push 0
+  sosend s (Tcp.Loan frags) ~off:pos ~len:(max 0 (total - pos)) 0
 
 (* soreceive: block until at least one byte (or EOF). *)
 let so_recv s ~buf ~pos ~len =

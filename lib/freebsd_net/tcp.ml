@@ -1406,81 +1406,69 @@ let autotune_snd pcb =
   b.Sockbuf.sb_hiwat <-
     Autotune.snd ~net:(min pcb.snd_wnd pcb.snd_cwnd) ~buf:b.Sockbuf.sb_hiwat
 
-(* Append to the send buffer (as much as fits) and push; returns bytes
-   accepted. *)
-let usr_send t pcb ~src ~src_pos ~len =
+(* How bytes enter the send buffer, as 4.4BSD's sosend takes a uio or an
+   mbuf chain: [Copy b], copied out of [b] into clusters, or [Loan frags],
+   the sendfile path's mapped file fragments, wrapped as loaned ext mbufs
+   with no copy.  A loaned mbuf holds its cache block until the last alias
+   of its storage is freed — once the bytes are acked, retransmit aliases
+   sharing the hold — and carries the block's checksum memo, so resent
+   bytes are not summed again. *)
+type send_src = Copy of bytes | Loan of Io_if.file_frag list
+
+(* Append the bytes [off, off + len) of [frags] to [sb] as loaned mbufs,
+   wrapped in fragment order. *)
+let sbappend_loan sb frags ~off ~len =
+  let rec build fs skip need =
+    match fs with
+    | f :: rest when need > 0 ->
+        if skip >= f.Io_if.fr_len then build rest (skip - f.Io_if.fr_len) need
+        else begin
+          let take = min need (f.Io_if.fr_len - skip) in
+          f.Io_if.fr_hold ();
+          let m =
+            Mbuf.m_ext_wrap_free f.Io_if.fr_data ~off:(f.Io_if.fr_off + skip) ~len:take
+              ~sums:f.Io_if.fr_sums ~on_free:f.Io_if.fr_release
+          in
+          m.Mbuf.m_next <- build rest 0 (need - take);
+          Some m
+        end
+    | _ -> None
+  in
+  match build frags off len with
+  | Some first ->
+      first.Mbuf.m_pkthdr_len <- Mbuf.m_length first;
+      Sockbuf.sbappend_chain sb first
+  | None -> ()
+
+(* Append as much of the source's bytes [off, off + len) as the send
+   buffer takes, and push; returns bytes accepted. *)
+let usr_send t pcb src ~off ~len =
   Cost.charge Socket Cost.config.socket_op_cycles;
   match pcb.t_state with
   | Established | Close_wait ->
       autotune_snd pcb;
       let n = min len (Sockbuf.space pcb.snd_buf) in
-      if n > 0 then begin
-        let taken = Sockbuf.sbappend_bytes_nomem pcb.snd_buf ~src ~src_pos ~len:n in
-        if taken < n then begin
-          (* ENOBUFS backpressure: shed cold state, and kick the writer
-             again shortly — with nothing in flight no ACK would ever
-             arrive to unblock a sleeping sender. *)
-          bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
-          tcp_reclaim t;
-          ignore (Machine.after t.machine 10_000_000 (fun () -> pcb.on_writable ()))
-        end;
-        if taken > 0 then tcp_output t pcb;
-        Ok taken
-      end
-      else Ok n
-  | Closed | Listen -> Result.Error Error.Notconn
-  | Syn_sent | Syn_received -> Ok 0 (* not yet connected: caller blocks *)
-  | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> Result.Error Error.Pipe
-
-(* Scatter append for the sendfile path: wrap the mapped fragments from
-   stream offset [pos] as loaned ext mbufs — no data copy — and append as
-   much as the send buffer accepts.  Each wrapped mbuf takes its own hold
-   on the backing cache block and releases it when the last alias of the
-   storage is freed, i.e. once the bytes are acked and dropped from the
-   socket buffer (retransmit aliases made by m_copym share the reference,
-   so a block stays pinned across recovery).  The block's checksum memo
-   rides on each mbuf, so a resent block's bytes are not summed again.
-   Returns bytes accepted. *)
-let usr_sendv t pcb ~frags ~pos =
-  Cost.charge Socket Cost.config.socket_op_cycles;
-  match pcb.t_state with
-  | Established | Close_wait ->
-      autotune_snd pcb;
-      let total = List.fold_left (fun a f -> a + f.Io_if.fr_len) 0 frags in
-      let n = min (max 0 (total - pos)) (Sockbuf.space pcb.snd_buf) in
-      if n > 0 then begin
-        let rec build fs skip need acc =
-          if need = 0 then List.rev acc
-          else
-            match fs with
-            | [] -> List.rev acc
-            | f :: rest ->
-                if skip >= f.Io_if.fr_len then build rest (skip - f.Io_if.fr_len) need acc
-                else begin
-                  let take = min need (f.Io_if.fr_len - skip) in
-                  f.Io_if.fr_hold ();
-                  let m =
-                    Mbuf.m_ext_wrap_free f.Io_if.fr_data ~off:(f.Io_if.fr_off + skip)
-                      ~len:take ~sums:f.Io_if.fr_sums ~on_free:f.Io_if.fr_release
-                  in
-                  build rest 0 (need - take) (m :: acc)
-                end
-        in
-        (match build frags pos n [] with
-        | [] -> ()
-        | first :: rest ->
-            ignore
-              (List.fold_left
-                 (fun prev m ->
-                   prev.Mbuf.m_next <- Some m;
-                   m)
-                 first rest);
-            first.Mbuf.m_pkthdr_len <- Mbuf.m_length first;
-            Sockbuf.sbappend_chain pcb.snd_buf first);
-        tcp_output t pcb;
-        Ok n
-      end
-      else Ok 0
+      let taken =
+        if n <= 0 then 0
+        else
+          match src with
+          | Copy b ->
+              let taken = Sockbuf.sbappend_bytes_nomem pcb.snd_buf ~src:b ~src_pos:off ~len:n in
+              if taken < n then begin
+                (* ENOBUFS backpressure: shed cold state, and kick the
+                   writer again shortly — with nothing in flight no ACK
+                   would ever arrive to unblock a sleeping sender. *)
+                bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
+                tcp_reclaim t;
+                ignore (Machine.after t.machine 10_000_000 (fun () -> pcb.on_writable ()))
+              end;
+              taken
+          | Loan frags ->
+              sbappend_loan pcb.snd_buf frags ~off ~len:n;
+              n
+      in
+      if taken > 0 then tcp_output t pcb;
+      Ok taken
   | Closed | Listen -> Result.Error Error.Notconn
   | Syn_sent | Syn_received -> Ok 0 (* not yet connected: caller blocks *)
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> Result.Error Error.Pipe

@@ -25,13 +25,15 @@
  *  - on: HTTP/1.1 persistent connections with bounded pipelining.
  *    Requests are parsed ahead (up to pipeline_max), responses go
  *    out strictly in order, idle connections are closed after
- *    http_idle_timeout_ns, and a connection is cut after
+ *    idle_timeout_ns, and a connection is cut after
  *    http_max_reqs_per_conn requests (0 = unlimited).
  *
- * Every response carries Content-Length.  With Cost.config.httpd_guard a
- * reactor connection that has framed no request within
- * httpd_header_deadline_ns is cut (Slowloris), and in both shapes a
- * request header over httpd_max_header_bytes is cut.
+ * Every response carries Content-Length.  The slow-client guards are
+ * bounds, each on alone when positive: a reactor connection that has
+ * framed no request within Cost.config.httpd_header_deadline_ns is cut
+ * (Slowloris), in both shapes a request header over
+ * httpd_max_header_bytes is cut, and the reactor answers 503 above
+ * httpd_shed_hiwat active connections.
  *
  * Sending: both shapes hand their response queue to the socket through
  * one sender ({!send}).  A copy-path reply leaves by its own so_send; the
@@ -77,7 +79,7 @@ type stats = {
   mutable bytes_out : int;
   mutable active : int;
   mutable peak_active : int;  (* high-water concurrent connections *)
-  (* overload guards (Cost.config.httpd_guard) *)
+  (* overload guards: the Cost.config.httpd_ bounds *)
   mutable shed_503 : int;  (* answered 503 + Retry-After over the high-water mark *)
   mutable deadline_closed : int;  (* closed: no request framed by the deadline *)
   mutable hdr_overflow : int;  (* closed: request headers over the byte bound *)
@@ -153,6 +155,11 @@ let rb_append rb src n =
 
 (* Unconsumed bytes (the partial request still being received). *)
 let rb_pending rb = rb.rb_len - rb.rb_start
+
+(* Unframed header over Cost.config.httpd_max_header_bytes (0 = off)? *)
+let rb_over_bound rb =
+  let bound = Cost.config.httpd_max_header_bytes in
+  bound > 0 && rb_pending rb > bound
 
 (* Advance the cursor to the end of the first terminator at or after it,
    or to rb_len if none; never looks back before rb_start, so requests on
@@ -426,6 +433,9 @@ let build_response st root ~(sv : Io_if.sendv option) ~nth raw =
    until responses drain (socket-buffer backpressure does the rest). *)
 let pipeline_max = 8
 
+(* With keep-alive, how long a connection may sit idle between requests. *)
+let idle_timeout_ns = 5_000_000_000
+
 type conn = {
   st : stats;
   root : Io_if.dir;
@@ -588,18 +598,15 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
      moves on every received byte; if a full period passes with no
      movement and nothing left to write, the connection is cut. *)
   let rec arm_idle () =
-    let ns = Cost.config.http_idle_timeout_ns in
-    if ns > 0 then begin
-      let gen = !idle_gen in
-      callout_after ~ns (fun () ->
-          if not !closed then begin
-            if gen = !idle_gen && Queue.is_empty cn.q then begin
-              st.idle_closed <- st.idle_closed + 1;
-              finish ()
-            end
-            else arm_idle ()
-          end)
-    end
+    let gen = !idle_gen in
+    callout_after ~ns:idle_timeout_ns (fun () ->
+        if not !closed then begin
+          if gen = !idle_gen && Queue.is_empty cn.q then begin
+            st.idle_closed <- st.idle_closed + 1;
+            finish ()
+          end
+          else arm_idle ()
+        end)
   in
   let update_mask () =
     if not !closed then begin
@@ -639,11 +646,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
         incr idle_gen;
         rb_append cn.rb scratch n;
         frame cn;
-        if
-          Cost.config.httpd_guard
-          && (not cn.closing)
-          && Queue.length cn.q < pipeline_max
-          && rb_pending cn.rb > Cost.config.httpd_max_header_bytes
+        if rb_over_bound cn.rb && (not cn.closing) && Queue.length cn.q < pipeline_max
         then begin
           (* Unbounded drip-fed headers are the other half of the
              Slowloris hold: cap the buffer and cut the connection. *)
@@ -667,7 +670,7 @@ let reactor_conn ~reactor ~scratch ~corks st root (c : Io_if.socket) =
   | Result.Error _ -> finish ()
   | Ok w ->
       wref := Some w;
-      if Cost.config.httpd_guard then
+      if Cost.config.httpd_header_deadline_ns > 0 then
         (* Slowloris defense: the first request must be framed within the
            deadline, or the connection is cut.  Dripping bytes keeps the
            idle reaper quiet, never this. *)
@@ -706,11 +709,8 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
   let rec accept_drain () =
     match sock.Io_if.so_accept () with
     | Ok (c, peer) ->
-        if
-          Cost.config.httpd_guard
-          && Cost.config.httpd_shed_hiwat > 0
-          && st.active >= Cost.config.httpd_shed_hiwat
-        then begin
+        let hiwat = Cost.config.httpd_shed_hiwat in
+        if hiwat > 0 && st.active >= hiwat then begin
           (* Above the high-water mark: tell the client to come back
              (best-effort — the socket buffer of a fresh connection takes
              the whole response, and a corked one sends it with the FIN)
@@ -745,10 +745,10 @@ let serve_reactor ~reactor ~root ~sock ?max_conns () =
 (* ---- thread-per-connection mode ---- *)
 
 (* Park the calling thread until [aio] reports a condition in [mask] or
-   [ns] elapses (ns <= 0: no timeout).  Returns true when ready — the
-   timed wait a keep-alive handler thread needs between requests, built
-   from a COM listener racing a clock callout for one waker. *)
-let wait_ready_or_timeout (aio : Io_if.asyncio) ~mask ~ns =
+   [idle_timeout_ns] elapses.  Returns true when ready — the timed wait a
+   keep-alive handler thread needs between requests, built from a COM
+   listener racing a clock callout for one waker. *)
+let wait_ready_or_idle (aio : Io_if.asyncio) ~mask =
   if aio.Io_if.aio_poll () land mask <> 0 then true
   else begin
     let ready = ref false in
@@ -767,7 +767,7 @@ let wait_ready_or_timeout (aio : Io_if.asyncio) ~mask ~ns =
         (match aio.Io_if.aio_add_listener l mask with
         | Ok m when m land mask <> 0 -> wake true ()
         | Ok _ | Result.Error _ -> ());
-        if ns > 0 then callout_after ~ns (wake false));
+        callout_after ~ns:idle_timeout_ns (wake false));
     (match !listener with
     | Some l -> ignore (aio.Io_if.aio_remove_listener l)
     | None -> ());
@@ -790,7 +790,7 @@ let handle_blocking ~corks st root (c : Io_if.socket) =
   in
   let wait mask =
     match caio with
-    | Some aio -> wait_ready_or_timeout aio ~mask ~ns:Cost.config.http_idle_timeout_ns
+    | Some aio -> wait_ready_or_idle aio ~mask
     | None -> false
   in
   let cn = conn_create ~corks st root c in
@@ -806,8 +806,7 @@ let handle_blocking ~corks st root (c : Io_if.socket) =
       (* Every framed request is answered: push the held tail before
          waiting for the next. *)
       if cn.reqs > 0 then cork cn false;
-      if Cost.config.httpd_guard && rb_pending cn.rb > Cost.config.httpd_max_header_bytes
-      then st.hdr_overflow <- st.hdr_overflow + 1
+      if rb_over_bound cn.rb then st.hdr_overflow <- st.hdr_overflow + 1
       else
         match c.Io_if.so_recv ~buf:scratch ~pos:0 ~len:(Bytes.length scratch) with
         | Ok n when n > 0 ->

@@ -20,8 +20,10 @@ type entry = {
   mss : int; (* the peer's clamped MSS offer *)
 }
 
-(* A listener's cache, newest first. *)
+(* A listener's cache, newest first, holding at most [size] entries. *)
 type listener = { mutable entries : entry list }
+
+let size = 64
 
 type stats = {
   mutable added : int;     (* half-open handshakes cached *)
@@ -78,9 +80,8 @@ let find l ~raddr ~rport =
 (* A SYN: the entry to answer with.  A retransmitted SYN gets its cached
    entry back; a new one is cached with a cookie ISS.  [own_mss] is the
    MSS the stack gives a connection whose SYN carries no option, and the
-   clamp for one that does.  Over Cost.config.syncache_size the oldest
-   entry is evicted — not killed: the cookie in its SYN-ACK still
-   completes it statelessly. *)
+   clamp for one that does.  Over [size] entries the oldest is evicted —
+   not killed: the cookie in its SYN-ACK still completes it statelessly. *)
 let add t l ~raddr ~rport ~lport ~irs ~mss ~own_mss =
   match find l ~raddr ~rport with
   | Some e -> e
@@ -89,11 +90,10 @@ let add t l ~raddr ~rport ~lport ~irs ~mss ~own_mss =
       let e = { raddr; rport; irs; iss = cookie t ~raddr ~rport ~lport ~mss; mss } in
       t.stats.added <- t.stats.added + 1;
       let cache = e :: l.entries in
-      let cap = max 1 Cost.config.syncache_size in
       let n = List.length cache in
-      if n > cap then begin
-        t.stats.evicted <- t.stats.evicted + (n - cap);
-        l.entries <- List.filteri (fun i _ -> i < cap) cache
+      if n > size then begin
+        t.stats.evicted <- t.stats.evicted + (n - size);
+        l.entries <- List.filteri (fun i _ -> i < size) cache
       end
       else l.entries <- cache;
       e

@@ -66,8 +66,7 @@ type sock = {
   mutable rtt_seq : int; (* end seq of the timed segment *)
   mutable rtt_ts : int; (* ns at transmit; 0 = no sample in flight (Karn) *)
   mutable fin_queued : bool;
-  mutable rexmt_q : rexmt_entry list; (* oldest first *)
-  mutable rexmt_q_len : int; (* |rexmt_q|, kept so guards stay O(1) *)
+  rexmt_q : rexmt_entry Queue.t; (* in sequence order, so the acked are a prefix *)
   (* zero-window persist probing *)
   mutable persist_armed : bool;
   mutable persist_shift : int;
@@ -174,9 +173,8 @@ let create machine =
    resend it, and an armed timer finding it empty stands down) and the
    reassembly queue (nobody will read it). *)
 let retire_queues s =
-  List.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
-  s.rexmt_q <- [];
-  s.rexmt_q_len <- 0;
+  Queue.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
+  Queue.clear s.rexmt_q;
   List.iter (fun (_, skb) -> Skbuff.skb_free skb) s.ooo_q;
   s.ooo_q <- [];
   s.ooo_bytes <- 0
@@ -256,7 +254,7 @@ let sock_readiness s =
   let wr =
     match s.state with
     | Established | Close_wait ->
-        inflight s < min s.cwnd s.snd_wnd && s.rexmt_q_len <= rexmt_q_limit s
+        inflight s < min s.cwnd s.snd_wnd && Queue.length s.rexmt_q <= rexmt_q_limit s
     | Closed -> true
     | _ -> false
   in
@@ -392,10 +390,8 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
   in
   let queued = queue && seg_bytes > 0 in
   if queued then begin
-    if s.rexmt_q = [] then s.rexmt_stamp <- Machine.now t.machine;
-    s.rexmt_q <-
-      s.rexmt_q @ [ { rx_seq = seq; rx_end = Codec.m32 (seq + seg_bytes); rx_frame = skb } ];
-    s.rexmt_q_len <- s.rexmt_q_len + 1;
+    if Queue.is_empty s.rexmt_q then s.rexmt_stamp <- Machine.now t.machine;
+    Queue.push { rx_seq = seq; rx_end = Codec.m32 (seq + seg_bytes); rx_frame = skb } s.rexmt_q;
     (* Start an RTT sample on fresh data when none is in flight.  Only
        tcp_xmit sends first transmissions — every retransmit path resends
        the queued frame directly and discards the pending sample, so a
@@ -416,14 +412,14 @@ let rec tcp_xmit t s ~seq ~flags ~payload ~queue =
    fires, gives the connection up — the backstop that stops a dead peer or
    an unresolvable ARP entry from retransmitting forever. *)
 and arm_rexmt t s =
-  if (not s.rexmt_armed) && s.rexmt_q <> [] then begin
+  if (not s.rexmt_armed) && not (Queue.is_empty s.rexmt_q) then begin
     s.rexmt_armed <- true;
     let rec schedule delay =
       ignore
         (after_home t s delay (fun () ->
-             match s.rexmt_q with
-             | [] -> s.rexmt_armed <- false
-             | entry :: _ ->
+             match Queue.peek_opt s.rexmt_q with
+             | None -> s.rexmt_armed <- false
+             | Some entry ->
                  let full = s.rto_ns * (1 lsl min s.rexmt_shift rexmt_max_shift) in
                  let age = Machine.now t.machine - s.rexmt_stamp in
                  if age < full then
@@ -477,7 +473,7 @@ and arm_persist t s =
            s.persist_armed <- false;
            let blocked =
              (match s.state with Established | Close_wait -> true | _ -> false)
-             && s.rexmt_q_len = 0
+             && Queue.is_empty s.rexmt_q
              && min s.cwnd s.snd_wnd <= inflight s
            in
            if blocked then begin
@@ -505,7 +501,7 @@ let blank_sock t =
     smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
     dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
     rtt_seq = 0; rtt_ts = 0;
-    fin_queued = false; rexmt_q = []; rexmt_q_len = 0; persist_armed = false;
+    fin_queued = false; rexmt_q = Queue.create (); persist_armed = false;
     persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
     rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
     rcv_buf_max = default_window; adv_wnd = default_window; rxclump = Autotune.clump ();
@@ -566,20 +562,22 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
         wake c
       end
 
-(* Retire every queued frame the ACK covers. *)
-let drop_acked s ack =
-  let acked, live = List.partition (fun e -> not (Codec.seq_gt e.rx_end ack)) s.rexmt_q in
-  List.iter (fun e -> Skbuff.skb_free e.rx_frame) acked;
-  s.rexmt_q <- live;
-  s.rexmt_q_len <- s.rexmt_q_len - List.length acked
+(* Retire every queued frame the ACK covers: a prefix of the queue,
+   freed oldest first. *)
+let rec drop_acked s ack =
+  if (not (Queue.is_empty s.rexmt_q)) && not (Codec.seq_gt (Queue.peek s.rexmt_q).rx_end ack)
+  then begin
+    Skbuff.skb_free (Queue.pop s.rexmt_q).rx_frame;
+    drop_acked s ack
+  end
 
 (* Resend the oldest unacked frame as-is — same mechanics as the RTO path.
    Karn: whatever RTT sample was pending is now ambiguous. *)
 let retransmit_head t s =
   s.rtt_ts <- 0;
-  match s.rexmt_q with
-  | [] -> ()
-  | e :: _ ->
+  match Queue.peek_opt s.rexmt_q with
+  | None -> ()
+  | Some e ->
       t.rexmits <- t.rexmits + 1;
       s.rexmt_stamp <- Machine.now t.machine;
       if e.rx_frame.Skbuff.link_ready then
@@ -645,7 +643,8 @@ let tcp_ack_in t s ~ack ~win ~dlen =
   let old_wnd = s.snd_wnd in
   s.snd_wnd <- win;
   if Codec.seq_gt ack s.snd_una then tcp_ack t s ack
-  else if dlen = 0 && win = old_wnd && ack = s.snd_una && s.rexmt_q_len > 0 then begin
+  else if dlen = 0 && win = old_wnd && ack = s.snd_una && not (Queue.is_empty s.rexmt_q)
+  then begin
     s.dupacks <- s.dupacks + 1;
     if s.dupacks = 3 then begin
       s.ssthresh <- max (2 * s.smss) (min s.cwnd s.snd_wnd / 2);
@@ -926,7 +925,7 @@ let tcp_rcv t skb ~src =
                 if flags land th_ack <> 0 then begin
                   tcp_ack_in t s ~ack ~win ~dlen;
                   (* Our FIN acked? *)
-                  if s.fin_queued && s.rexmt_q = [] && ack = s.snd_nxt then
+                  if s.fin_queued && Queue.is_empty s.rexmt_q && ack = s.snd_nxt then
                     match s.state with
                     | Fin_wait1 ->
                         s.state <- Fin_wait2;
@@ -1106,7 +1105,7 @@ let send t s ~buf ~pos ~len =
       match s.state with
       | Established | Close_wait ->
           let window = min s.cwnd s.snd_wnd in
-          if inflight s >= window || s.rexmt_q_len > rexmt_q_limit s then begin
+          if inflight s >= window || Queue.length s.rexmt_q > rexmt_q_limit s then begin
             if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
             else begin
               arm_persist t s;

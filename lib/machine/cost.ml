@@ -21,13 +21,11 @@ type config = {
   mutable tcp_autotune : bool;
   mutable tcp_mss : int;
   mutable syn_defense : bool;
-  mutable syncache_size : int;
   mutable tw_max : int;
   mutable icmp_ratelimit : int;
   mutable alloc_fail_prob : float;
   mutable alloc_fail_seed : int;
   mutable alloc_fail_burst : int;
-  mutable httpd_guard : bool;
   mutable httpd_header_deadline_ns : int;
   mutable httpd_max_header_bytes : int;
   mutable httpd_shed_hiwat : int;
@@ -36,7 +34,6 @@ type config = {
   mutable kq : bool;
   mutable timer_wheel : bool;
   mutable http_keepalive : bool; (* off = HTTP/1.0 close-per-request, same engine *)
-  mutable http_idle_timeout_ns : int;
   mutable http_max_reqs_per_conn : int; (* 0 = unlimited *)
   mutable sendfile : bool; (* zero-copy bodies, with or without keep-alive *)
 }
@@ -66,22 +63,19 @@ let paper () =
     tcp_autotune = false;
     tcp_mss = 1460;
     syn_defense = false;
-    syncache_size = 64;
     tw_max = 0;
     icmp_ratelimit = 0;
     alloc_fail_prob = 0.0;
     alloc_fail_seed = 1;
     alloc_fail_burst = 1;
-    httpd_guard = false;
-    httpd_header_deadline_ns = 1_000_000_000;
-    httpd_max_header_bytes = 4096;
+    httpd_header_deadline_ns = 0;
+    httpd_max_header_bytes = 0;
     httpd_shed_hiwat = 0;
     ncpus = 1;
     netisr_qmax = 512;
     kq = false;
     timer_wheel = false;
     http_keepalive = false;
-    http_idle_timeout_ns = 5_000_000_000;
     http_max_reqs_per_conn = 0;
     sendfile = false }
 
@@ -133,7 +127,6 @@ let fields =
     bool "tcp_autotune" (fun c -> c.tcp_autotune) (fun c v -> c.tcp_autotune <- v);
     int "tcp_mss" (fun c -> c.tcp_mss) (fun c v -> c.tcp_mss <- v);
     bool "syn_defense" (fun c -> c.syn_defense) (fun c v -> c.syn_defense <- v);
-    int "syncache_size" (fun c -> c.syncache_size) (fun c v -> c.syncache_size <- v);
     int "tw_max" (fun c -> c.tw_max) (fun c v -> c.tw_max <- v);
     int "icmp_ratelimit" (fun c -> c.icmp_ratelimit) (fun c v -> c.icmp_ratelimit <- v);
     float "alloc_fail_prob" (fun c -> c.alloc_fail_prob)
@@ -142,7 +135,6 @@ let fields =
       (fun c v -> c.alloc_fail_seed <- v);
     int "alloc_fail_burst" (fun c -> c.alloc_fail_burst)
       (fun c v -> c.alloc_fail_burst <- v);
-    bool "httpd_guard" (fun c -> c.httpd_guard) (fun c v -> c.httpd_guard <- v);
     int "httpd_header_deadline_ns" (fun c -> c.httpd_header_deadline_ns)
       (fun c v -> c.httpd_header_deadline_ns <- v);
     int "httpd_max_header_bytes" (fun c -> c.httpd_max_header_bytes)
@@ -152,8 +144,6 @@ let fields =
     int "ncpus" (fun c -> c.ncpus) (fun c v -> c.ncpus <- v);
     int "netisr_qmax" (fun c -> c.netisr_qmax) (fun c v -> c.netisr_qmax <- v);
     bool "http_keepalive" (fun c -> c.http_keepalive) (fun c v -> c.http_keepalive <- v);
-    int "http_idle_timeout_ns" (fun c -> c.http_idle_timeout_ns)
-      (fun c v -> c.http_idle_timeout_ns <- v);
     int "http_max_reqs_per_conn" (fun c -> c.http_max_reqs_per_conn)
       (fun c v -> c.http_max_reqs_per_conn <- v);
     bool "sendfile" (fun c -> c.sendfile) (fun c v -> c.sendfile <- v) ]
@@ -307,9 +297,6 @@ let execute_on ~clocks ~ledger ~cpu =
 
 let execute_nowhere () = execute_on ~clocks:scratch_clocks ~ledger:scratch_ledger ~cpu:0
 
-let sink : (layer -> int -> unit) option ref = ref None
-let set_sink f = sink := f
-let get_sink () = !sink
 let counters_for ~cpu = shards.(cpu)
 let shard () = shards.(executing.cpu)
 
@@ -320,13 +307,10 @@ let glue_source : (site -> bool) option ref = ref None
 let set_glue_source f = glue_source := f
 
 let charge_ns layer ns =
-  match !sink with
-  | None ->
-      let e = executing in
-      e.clocks.(e.cpu) <- e.clocks.(e.cpu) + ns;
-      let i = e.row + column layer in
-      e.ledger.(i) <- e.ledger.(i) + ns
-  | Some f -> f layer ns
+  let e = executing in
+  e.clocks.(e.cpu) <- e.clocks.(e.cpu) + ns;
+  let i = e.row + column layer in
+  e.ledger.(i) <- e.ledger.(i) + ns
 
 (* 200 MHz = 5 ns per cycle; compute exactly to stay calibratable. *)
 let cycles_to_ns c = c * 1_000_000_000 / config.cpu_hz

@@ -103,16 +103,13 @@ type config = {
       (** SYN-flood defense in both stacks: half-open handshakes live in a
           compact per-listener syncache instead of full PCBs/socks, so
           embryonic connections stop counting against the accept backlog;
-          when the cache overflows, completion falls back to stateless SYN
+          when the cache overflows its [Syncache.size] (64) entries, the
+          oldest is evicted and completion falls back to stateless SYN
           cookies (the ISS encodes a 4-tuple hash + MSS class, validated on
           the completing ACK).  One implementation for both stacks, in
           [lib/inet/syncache.ml]; each keeps its own cookie secret.
           Changes the ISS the listener emits, so default [false] to keep
           the committed baselines bit-identical. *)
-  mutable syncache_size : int;
-      (** Per-listener syncache capacity; beyond it the oldest entry is
-          evicted (its handshake can still finish via the cookie); see
-          [lib/inet/syncache.ml].  Default 64. *)
   mutable tw_max : int;
       (** Cap on simultaneously held TIME_WAIT connections per stack;
           crossing it reclaims the oldest immediately instead of waiting
@@ -133,26 +130,22 @@ type config = {
   mutable alloc_fail_burst : int;
       (** How many consecutive allocations fail once a failure triggers
           (kmem shortages come in runs, not singletons).  Default 1. *)
-  mutable httpd_guard : bool;
-      (** Slow-client hardening in the httpd: per-connection header
-          deadlines ({!field:httpd_header_deadline_ns}), a bounded request
-          header buffer ({!field:httpd_max_header_bytes}), and early 503
-          shedding ({!field:httpd_shed_hiwat}).  Default [false] so the
-          committed http/rtt baselines regenerate bit-identically. *)
   mutable httpd_header_deadline_ns : int;
-      (** With {!field:httpd_guard}: how long a reactor connection may
+      (** The httpd's Slowloris guard: how long a reactor connection may
           take to deliver its first full request header before being
           closed without a response — with or without keep-alive, so
-          dripping bytes cannot hold a connection.  Default 1 s. *)
+          dripping bytes cannot hold a connection.  [0] (default) = no
+          deadline.  Like every httpd guard below, a bound of its own:
+          each turns on alone, and 0 is off. *)
   mutable httpd_max_header_bytes : int;
-      (** With {!field:httpd_guard}: unframed request-header bytes
-          accepted before the connection is closed without a response.
-          Default 4096. *)
+      (** Unframed request-header bytes the httpd accepts (either serving
+          shape) before it closes the connection without a response.  [0]
+          (default) = unbounded. *)
   mutable httpd_shed_hiwat : int;
-      (** With {!field:httpd_guard}: active-connection high-water mark above
-          which new connections are answered [503 Retry-After] and closed
-          instead of admitted.  [0] = no shedding below [max_conns].
-          Default 0. *)
+      (** Active-connection high-water mark above which the reactor httpd
+          answers new connections [503 Retry-After] and closes them
+          instead of admitting them.  [0] (default) = no shedding below
+          [max_conns]. *)
   mutable ncpus : int;
       (** How many CPUs a {!Machine.create}d machine gets (each with its
           own cycle clock and run queue, advanced in lockstep virtual
@@ -180,16 +173,13 @@ type config = {
       (** A parameter of the httpd's one protocol engine (per serving
           shape), not a choice between engines.  On: HTTP/1.1 persistent
           connections — per-request [Connection]/version parsing, bounded
-          pipelining with strictly in-order responses, keep-alive idle
-          timeouts and the [http_max_reqs_per_conn] guard.  Off (default):
+          pipelining with strictly in-order responses, a 5 s keep-alive
+          idle timeout ([Httpd.idle_timeout_ns]) and the
+          [http_max_reqs_per_conn] guard.  Off (default):
           the paper-era server — one request per connection, answered
           HTTP/1.0 with [Connection: close] whatever the client spoke, no
           idle reaper, and blocking sockets in the thread-per-connection
           shape (no nonblock option, no asyncio COM calls). *)
-  mutable http_idle_timeout_ns : int;
-      (** With {!field:http_keepalive}: how long a persistent connection
-          may sit idle between requests before the server closes it.
-          Default 5 s. *)
   mutable http_max_reqs_per_conn : int;
       (** With {!field:http_keepalive}: requests served on one connection
           before the server answers [Connection: close] (a fairness /
@@ -406,14 +396,6 @@ val execute_on : clocks:int array -> ledger:int array -> cpu:int -> unit
 (** No machine executes: charges are dropped, bumps land in CPU 0's
     shard.  Called by {!Machine}; not for client use. *)
 val execute_nowhere : unit -> unit
-
-(** [set_sink f] hands every charge to [f] instead of the executing CPU,
-    for a test that counts charges; [None] restores the executing CPU. *)
-val set_sink : (layer -> int -> unit) option -> unit
-
-(** The installed sink, so a test that temporarily replaces it can restore
-    it. *)
-val get_sink : unit -> (layer -> int -> unit) option
 
 (** [set_glue_source f] installs what {!charge_glue_crossing} asks: [f
     site] is whether the executing machine has glue to cross (it runs no

@@ -22,6 +22,7 @@ type t = {
   in_dispatch : bool array; (* per CPU *)
   mutable run_hook : unit -> unit;
   kick_queued : bool array; (* per CPU *)
+  kick_done : (unit -> unit) array; (* per CPU: clears its kick_queued *)
   mutable store : binding array; (* indexed by key slot *)
 }
 
@@ -92,6 +93,7 @@ let create ?(name = "pc") ?(ram_bytes = 8 * 1024 * 1024) ?ncpus world =
   let ncpus = match ncpus with Some n -> n | None -> Cost.config.Cost.ncpus in
   if ncpus < 1 || ncpus > Cost.max_cpus then invalid_arg "Machine.create: ncpus";
   let aff_mask = Array.make ncpus 0 in
+  let kick_queued = Array.make ncpus false in
   (* Every line starts on CPU 0, like an unprogrammed IO-APIC. *)
   aff_mask.(0) <- (1 lsl irq_lines) - 1;
   { name;
@@ -110,7 +112,8 @@ let create ?(name = "pc") ?(ram_bytes = 8 * 1024 * 1024) ?ncpus world =
     enabled = true;
     in_dispatch = Array.make ncpus false;
     run_hook = (fun () -> ());
-    kick_queued = Array.make ncpus false;
+    kick_queued;
+    kick_done = Array.init ncpus (fun cpu () -> kick_queued.(cpu) <- false);
     store = Array.make !slots Empty }
 
 let name t = t.name
@@ -240,6 +243,16 @@ let with_interrupts_disabled t f =
   t.enabled <- false;
   Fun.protect ~finally:(fun () -> if was then enable_interrupts t) f
 
+(* The one cross-CPU post: at [time] (the clock the caller names as the
+   event's start), [f] runs on [cpu], then its pending interrupts and the
+   kernel's process level. *)
+let at_on t ~cpu time f =
+  check_cpu t cpu "Machine.at_on";
+  World.at t.world time (fun () ->
+      run_on t ~cpu (fun () ->
+          f ();
+          run_hook_and_drain t))
+
 let raise_irq t ~irq =
   if irq < 0 || irq >= irq_lines then invalid_arg "raise_irq: bad irq";
   t.pending <- t.pending lor bit irq;
@@ -249,9 +262,7 @@ let raise_irq t ~irq =
     else
       (* Cross-CPU interrupt from software (an IPI): deliver via a world
          event no earlier than the raising CPU's local time. *)
-      ignore
-        (World.at t.world t.clocks.(t.cur_cpu) (fun () ->
-             run_on t ~cpu:target (fun () -> run_hook_and_drain t)))
+      ignore (at_on t ~cpu:target t.clocks.(t.cur_cpu) ignore)
   end
   else
     (* Raised from outside the machine (a world event): synchronise the
@@ -261,24 +272,15 @@ let raise_irq t ~irq =
 
 let set_run_hook t f = t.run_hook <- f
 
+(* Wakes of one CPU coalesce into one post, at the woken CPU's clock. *)
 let kick_on t ~cpu =
   check_cpu t cpu "Machine.kick_on";
   if not t.kick_queued.(cpu) then begin
     t.kick_queued.(cpu) <- true;
-    ignore
-      (World.at t.world t.clocks.(cpu) (fun () ->
-           t.kick_queued.(cpu) <- false;
-           run_on t ~cpu (fun () -> run_hook_and_drain t)))
+    ignore (at_on t ~cpu t.clocks.(cpu) t.kick_done.(cpu))
   end
 
 let kick t = kick_on t ~cpu:(cpu t)
-
-let at_on t ~cpu time f =
-  check_cpu t cpu "Machine.at_on";
-  World.at t.world time (fun () ->
-      run_on t ~cpu (fun () ->
-          f ();
-          run_hook_and_drain t))
 
 (* Events fire on the CPU that armed them, like a local-APIC timer. *)
 let at t time f = at_on t ~cpu:(cpu t) time f

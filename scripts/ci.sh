@@ -133,6 +133,15 @@
 # charge (charge_cycles, or charge_ns outside lib/machine/cost.ml), no
 # has_sink guard and no knob-zeroing debug_costs tool in lib, bench,
 # test, bin or examples.
+# A setting with one value in use is a constant, and a guard is its own
+# bound: every limit is on when positive and off at 0, with no boolean
+# switch above it (httpd_header_deadline_ns, httpd_max_header_bytes and
+# httpd_shed_hiwat, like tw_max, icmp_ratelimit and
+# http_max_reqs_per_conn).  So a grep must find none of the folded
+# settings (httpd_guard, syncache_size, http_idle_timeout_ns), the test
+# hook on the charge path (set_sink) or the hand-kept length of the Linux
+# retransmission queue (rexmt_q_len) in lib, bench, test, bin or
+# examples.
 # Last, each perfbench workload (paper_net, http_close, http_keepalive)
 # runs once for about a second with its trace on, which also turns on
 # perfbench's own trace-neutrality and shard checks; the run fails unless
@@ -266,6 +275,11 @@ if grep -rn 'bm_map' lib bench test bin examples perfbench \
   || grep -rn 'Physmem\.unshare' lib bench test bin examples perfbench \
   | grep -v '^lib/fdev/mem_blkio\.ml:'; then
   echo "a second block-mapping path grew back beside the buffer cache's" >&2
+  exit 1
+fi
+if grep -rnE '\b(httpd_guard|syncache_size|http_idle_timeout_ns|set_sink|rexmt_q_len)\b' \
+  lib bench test bin examples; then
+  echo "a folded switch, one-value setting, charge hook or hand-kept length grew back" >&2
   exit 1
 fi
 dune runtest

@@ -10,14 +10,12 @@ let ok = Endpoint.ok
 
 (* ---- knob scoping: set the PR-10 knobs for [f], restore after ---- *)
 
-let with_http11 ?(keepalive = true) ?(sendfile = false) ?(sg = false)
-    ?(idle_ns = 5_000_000_000) ?(max_reqs = 0) f =
+let with_http11 ?(keepalive = true) ?(sendfile = false) ?(sg = false) ?(max_reqs = 0) f =
   Cost.with_config
     { Cost.config with
       Cost.http_keepalive = keepalive;
       sendfile;
       sg_tx = sg;
-      http_idle_timeout_ns = idle_ns;
       http_max_reqs_per_conn = max_reqs }
     f
 
@@ -198,13 +196,13 @@ let test_pipelined_in_order () =
   Alcotest.(check bool) "server saw pipelined requests" true (st.Httpd.pipelined > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Idle timeout: a connection left open past http_idle_timeout_ns is
-   closed by the server and counted.                                    *)
+(* Idle timeout: a connection left open past Httpd.idle_timeout_ns (5 s
+   of virtual time) is closed by the server and counted.                *)
 
 let test_idle_timeout () =
   let eof = ref false and served = ref false in
   let st =
-    with_http11 ~idle_ns:50_000_000 (fun () ->
+    with_http11 (fun () ->
         serve_to ~sizes:sizes3
           ~until:(fun () -> !eof)
           (fun s ->
@@ -523,18 +521,19 @@ let padded_header =
   "GET /f0.bin HTTP/1.0\r\n"
   ^ String.concat "" (List.init 20 (fun _ -> "X-Padding: 0123456789abcdef\r\n"))
 
-(* name, bytes sent (None: connect and leave), guard with a 256-byte
-   header bound, expected (status line, Connection) with keep-alive off
-   and on ("" = no response), protocol_errors, hdr_overflow *)
+(* name, bytes sent (None: connect and leave), the header bound
+   (Cost.config.httpd_max_header_bytes, 0 = unbounded), expected (status
+   line, Connection) with keep-alive off and on ("" = no response),
+   protocol_errors, hdr_overflow *)
 let engine_edges =
-  [ ( "doubled space", Some "GET  /f0.bin HTTP/1.0\r\n\r\n", false,
+  [ ( "doubled space", Some "GET  /f0.bin HTTP/1.0\r\n\r\n", 0,
       ("HTTP/1.0 200 OK", "close"), ("HTTP/1.0 200 OK", "close"), 0, 0 );
-    ("zero bytes", None, false, ("", ""), ("", ""), 0, 0);
-    ("header over the bound", Some padded_header, true, ("", ""), ("", ""), 0, 1);
-    ( "HTTP/1.1 request line", Some (get_request 0), false,
+    ("zero bytes", None, 0, ("", ""), ("", ""), 0, 0);
+    ("header over the bound", Some padded_header, 256, ("", ""), ("", ""), 0, 1);
+    ( "HTTP/1.1 request line", Some (get_request 0), 0,
       ("HTTP/1.0 200 OK", "close"), ("HTTP/1.1 200 OK", "keep-alive"), 0, 0 ) ]
 
-let edge_cell ~shape ~keepalive (name, send, guard, off, on, perr, hov) =
+let edge_cell ~shape ~keepalive (name, send, bound, off, on, perr, hov) =
   let cell =
     Printf.sprintf "%s, %s, keep-alive %b" name (Httpbench.shape_name shape) keepalive
   in
@@ -546,7 +545,7 @@ let edge_cell ~shape ~keepalive (name, send, guard, off, on, perr, hov) =
   in
   let st =
     Cost.with_config
-      { Cost.config with Cost.httpd_guard = guard; httpd_max_header_bytes = 256 }
+      { Cost.config with Cost.httpd_max_header_bytes = bound }
       (fun () ->
         with_http11 ~keepalive (fun () ->
             serve_to ~shape ~sizes:sizes3 ~until (fun s ->

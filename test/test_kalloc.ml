@@ -210,22 +210,20 @@ let test_m_prepend_validates_first () =
   let m = Mbuf.m_gethdr () in
   ignore (Mbuf.m_put m 8);
   let allocated = !Mbuf.stats_allocated in
-  let charged = ref 0 in
-  (* Restore the saved sink afterwards — a counting sink left installed
-     would take every later suite's charges off the machines' clocks. *)
-  let saved = Cost.get_sink () in
-  Cost.set_sink (Some (fun _ ns -> charged := !charged + ns));
+  (* On a machine of its own, whose ledger then holds every charge. *)
+  let pc = Machine.create (World.create ()) in
   let raised =
-    try
-      ignore (Mbuf.m_prepend m 5000);
-      false
-    with Invalid_argument _ -> true
+    Machine.run_in pc (fun () ->
+        try
+          ignore (Mbuf.m_prepend m 5000);
+          false
+        with Invalid_argument _ -> true)
   in
-  Cost.set_sink saved;
   Alcotest.(check bool) "oversized prepend rejected" true raised;
   Alcotest.(check int) "no mbuf allocated before validation" allocated
     !Mbuf.stats_allocated;
-  Alcotest.(check int) "no cycles charged before validation" 0 !charged
+  Alcotest.(check int) "no cycles charged before validation" 0
+    (Machine.cpu_busy_ns pc ~cpu:0)
 
 let test_pool_reuse_and_sharing () =
   Mbuf.pool_reset ();

@@ -621,13 +621,11 @@ let one_field_profiles () =
     "tcp_autotune", { p with tcp_autotune = not p.tcp_autotune };
     "tcp_mss", { p with tcp_mss = p.tcp_mss + 1 };
     "syn_defense", { p with syn_defense = not p.syn_defense };
-    "syncache_size", { p with syncache_size = p.syncache_size + 1 };
     "tw_max", { p with tw_max = p.tw_max + 1 };
     "icmp_ratelimit", { p with icmp_ratelimit = p.icmp_ratelimit + 1 };
     "alloc_fail_prob", { p with alloc_fail_prob = p.alloc_fail_prob +. 0.5 };
     "alloc_fail_seed", { p with alloc_fail_seed = p.alloc_fail_seed + 1 };
     "alloc_fail_burst", { p with alloc_fail_burst = p.alloc_fail_burst + 1 };
-    "httpd_guard", { p with httpd_guard = not p.httpd_guard };
     "httpd_header_deadline_ns",
     { p with httpd_header_deadline_ns = p.httpd_header_deadline_ns + 1 };
     "httpd_max_header_bytes",
@@ -636,7 +634,6 @@ let one_field_profiles () =
     "ncpus", { p with ncpus = p.ncpus + 1 };
     "netisr_qmax", { p with netisr_qmax = p.netisr_qmax + 1 };
     "http_keepalive", { p with http_keepalive = not p.http_keepalive };
-    "http_idle_timeout_ns", { p with http_idle_timeout_ns = p.http_idle_timeout_ns + 1 };
     "http_max_reqs_per_conn",
     { p with http_max_reqs_per_conn = p.http_max_reqs_per_conn + 1 };
     "sendfile", { p with sendfile = not p.sendfile } ]

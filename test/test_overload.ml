@@ -12,16 +12,13 @@ let ip, mask, ok = Endpoint.(ip, mask, ok)
    no test leaks failure state into its neighbours.  Stacks built inside
    [f] see the knobs at creation time, which matters for the token buckets
    (they start full). *)
-let with_overload ?(syn_defense = false) ?(syncache_size = 64) ?(tw_max = 0)
-    ?(icmp_ratelimit = 0) ?(alloc_fail_prob = 0.0) ?(alloc_fail_seed = 1)
-    ?(alloc_fail_burst = 1) ?(httpd_guard = false)
-    ?(httpd_header_deadline_ns = 1_000_000_000) ?(httpd_max_header_bytes = 4096)
-    ?(httpd_shed_hiwat = 0) f =
+let with_overload ?(syn_defense = false) ?(tw_max = 0) ?(icmp_ratelimit = 0)
+    ?(alloc_fail_prob = 0.0) ?(alloc_fail_seed = 1) ?(alloc_fail_burst = 1)
+    ?(httpd_header_deadline_ns = 0) ?(httpd_max_header_bytes = 0) ?(httpd_shed_hiwat = 0) f =
   Cost.with_config
     { Cost.config with
-      Cost.syn_defense; syncache_size; tw_max; icmp_ratelimit; alloc_fail_prob;
-      alloc_fail_seed; alloc_fail_burst; httpd_guard; httpd_header_deadline_ns;
-      httpd_max_header_bytes; httpd_shed_hiwat }
+      Cost.syn_defense; tw_max; icmp_ratelimit; alloc_fail_prob; alloc_fail_seed;
+      alloc_fail_burst; httpd_header_deadline_ns; httpd_max_header_bytes; httpd_shed_hiwat }
     f
 
 (* Craft one option-less TCP segment and push it out through [cstack]'s IP
@@ -73,7 +70,8 @@ let prop_cookie_roundtrip =
    every cached half-open handshake (satellite fix) — both stacks.       *)
 
 let test_syncache_eviction_and_listener_close () =
-  with_overload ~syn_defense:true ~syncache_size:4 (fun () ->
+  let syns = Syncache.size + 2 (* two past the cache's size *) in
+  with_overload ~syn_defense:true (fun () ->
       let tb = Clientos.make_testbed () in
       let sa = Clientos.freebsd_host tb.Clientos.host_a ~ip:(ip "10.0.0.1") ~mask in
       let sb = Clientos.linux_host tb.Clientos.host_b ~ip:(ip "10.0.0.2") ~mask in
@@ -86,7 +84,7 @@ let test_syncache_eviction_and_listener_close () =
           ok (Bsd_socket.so_listen ls ~backlog:2);
           let pcb = ls.Bsd_socket.pcb in
           let tcp = sa.Bsd_socket.tcp in
-          for i = 1 to 6 do
+          for i = 1 to syns do
             Tcp.syncache_add tcp pcb
               ~src:(ip (Printf.sprintf "10.0.0.%d" (100 + i)))
               ~sport:4000 ~seq:(1000 * i) ~mss:(Some 1460)
@@ -101,7 +99,7 @@ let test_syncache_eviction_and_listener_close () =
           let ls = Linux_inet.socket sb in
           Linux_inet.bind sb ls ~port:80;
           Linux_inet.listen sb ls ~backlog:2;
-          for i = 1 to 6 do
+          for i = 1 to syns do
             Linux_inet.lx_syncache_add sb ls
               ~src:(ip (Printf.sprintf "10.0.0.%d" (100 + i)))
               ~sport:4000 ~seq:(1000 * i) ~mss:(Some 1460)
@@ -115,18 +113,19 @@ let test_syncache_eviction_and_listener_close () =
           done_flag := true);
       Clientos.run tb ~until:(fun () -> !done_flag);
       Alcotest.(check bool) "rigs ran" true !done_flag;
-      (* Newest-first list capped at 4: the two oldest (1, 2) are gone. *)
-      Alcotest.(check (list int)) "bsd: oldest evicted first" [ 6; 5; 4; 3 ] !bsd_srcs;
-      Alcotest.(check (list int)) "linux: oldest evicted first" [ 6; 5; 4; 3 ] !lx_srcs;
+      (* Newest first, capped at the size: the two oldest (1, 2) are gone. *)
+      let kept = List.init Syncache.size (fun i -> syns - i) in
+      Alcotest.(check (list int)) "bsd: oldest evicted first" kept !bsd_srcs;
+      Alcotest.(check (list int)) "linux: oldest evicted first" kept !lx_srcs;
       let st = sa.Bsd_socket.tcp.Tcp.syncache.Syncache.stats in
       let lt = sb.Linux_inet.syncache.Syncache.stats in
-      Alcotest.(check int) "bsd: all six cached" 6 st.Syncache.added;
+      Alcotest.(check int) "bsd: every SYN cached" syns st.Syncache.added;
       Alcotest.(check int) "bsd: close freed the cache" 0 !bsd_after_close;
-      Alcotest.(check int) "bsd: evictions = 2 overflow + 4 at close" 6
+      Alcotest.(check int) "bsd: evictions = 2 overflow + the rest at close" syns
         st.Syncache.evicted;
-      Alcotest.(check int) "linux: all six cached" 6 lt.Syncache.added;
+      Alcotest.(check int) "linux: every SYN cached" syns lt.Syncache.added;
       Alcotest.(check int) "linux: close freed the cache" 0 !lx_after_close;
-      Alcotest.(check int) "linux: evictions = 2 overflow + 4 at close" 6
+      Alcotest.(check int) "linux: evictions = 2 overflow + the rest at close" syns
         lt.Syncache.evicted)
 
 (* ------------------------------------------------------------------ *)
@@ -181,12 +180,12 @@ let test_syncache_mss_without_option () =
    gets its echo back, on both stacks.                                   *)
 
 let flood_then_legit config () =
-  with_overload ~syn_defense:true ~syncache_size:16 (fun () ->
+  with_overload ~syn_defense:true (fun () ->
       let tb = Clientos.make_testbed () in
       let client, cstack = attacker tb in
       let server = Endpoint.setup config tb.Clientos.host_b ~addr:(ip "10.0.0.2") in
       let served = ref 0 and echoed = ref 0 and finished = ref 0 in
-      let legit = 4 and flood = 40 in
+      let legit = 8 and flood = 80 in
       Clientos.spawn server.host ~name:"srv" (fun () ->
           let accept = server.listen ~port:7200 ~backlog:4 in
           for _ = 1 to legit do
@@ -204,8 +203,8 @@ let flood_then_legit config () =
               fun () -> sb.Bsd_socket.tcp.Tcp.stats.Tcp.listen_overflow )
         | Endpoint.Lx sb -> sb.Linux_inet.syncache, fun () -> sb.Linux_inet.listen_overflow
       in
-      (* The flood: 10x the legitimate load, every SYN from a different
-         spoofed address, so the SYN-ACKs go to hosts that do not exist. *)
+      (* The flood: 10x the legitimate load, past the syncache's size, every
+         SYN from a spoofed address, so its SYN-ACK goes to no host. *)
       Clientos.spawn client.host ~name:"flood" (fun () ->
           Kclock.sleep_ns 1_000_000;
           (* One SYN first, then a beat: resolves the attacker's ARP entry
@@ -242,6 +241,7 @@ let flood_then_legit config () =
         (Printf.sprintf "flood landed in the syncache (%d added)" added)
         true
         (added >= flood);
+      Alcotest.(check bool) "the flood overflowed the syncache" true (sc.Syncache.evicted > 0);
       Alcotest.(check bool) "legit handshakes completed from cache or cookie" true
         (completed >= legit);
       Alcotest.(check int) "embryonic flood never overflowed the backlog" 0 (overflow ()))
@@ -448,10 +448,10 @@ let test_alloc_soak () =
   Alcotest.(check bool) "the sweep injected failures" true (total > 0)
 
 (* ------------------------------------------------------------------ *)
-(* httpd slow-client guards (Cost.config.httpd_guard): a Slowloris that
-   never finishes its headers is cut at the deadline, a client that
-   drip-feeds unbounded header bytes is cut at the byte bound, and a
-   well-behaved-but-slow client sails through both guards.               *)
+(* httpd slow-client guards (the Cost.config.httpd_ bounds, each on when
+   positive): a Slowloris that never finishes its headers is cut at the
+   deadline, a client that drip-feeds unbounded header bytes is cut at the
+   byte bound, and a well-behaved-but-slow client sails through both.    *)
 
 (* The httpd (reactor shape, FreeBSD stack, backlog 16) serving the 1 KB
    index page; its clients run on [s.client]. *)
@@ -471,8 +471,7 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
 
 let test_httpd_deadline_and_header_bound () =
-  with_overload ~httpd_guard:true ~httpd_header_deadline_ns:50_000_000
-    ~httpd_max_header_bytes:256 (fun () ->
+  with_overload ~httpd_header_deadline_ns:50_000_000 ~httpd_max_header_bytes:256 (fun () ->
       let slow_cut = ref false and over_cut = ref false and legit_200 = ref false in
       let all () = !slow_cut && !over_cut && !legit_200 in
       let s = httpd ~until:all in
@@ -508,7 +507,7 @@ let test_httpd_deadline_and_header_bound () =
       Alcotest.(check int) "nothing was shed" 0 st.Httpd.shed_503)
 
 let test_httpd_shed_503 () =
-  with_overload ~httpd_guard:true ~httpd_shed_hiwat:1 (fun () ->
+  with_overload ~httpd_shed_hiwat:1 (fun () ->
       let got_200 = ref false and got_503 = ref false in
       let all () = !got_200 && !got_503 in
       let s = httpd ~until:all in
@@ -551,7 +550,8 @@ let test_httpd_shed_503 () =
    framed — long before the 4096-byte bound would. *)
 let test_httpd_keepalive_drip_deadline () =
   Cost.with_config { Cost.config with Cost.http_keepalive = true } (fun () ->
-      with_overload ~httpd_guard:true (fun () ->
+      with_overload ~httpd_header_deadline_ns:1_000_000_000 ~httpd_max_header_bytes:4096
+        (fun () ->
           let at_deadline = ref (-1) and finished = ref false in
           let until () = !finished && !at_deadline >= 0 in
           let s = httpd ~until in
@@ -580,6 +580,60 @@ let test_httpd_keepalive_drip_deadline () =
           Alcotest.(check int) "one deadline close" 1 st.Httpd.deadline_closed;
           Alcotest.(check int) "not an idle close" 0 st.Httpd.idle_closed;
           Alcotest.(check int) "not a header overflow" 0 st.Httpd.hdr_overflow))
+
+(* The guards are independent bounds, each on when positive and off at 0.
+   The header bound alone cuts a dripped over-long header and arms no
+   deadline: a connection silent for 100 ms is served.  The deadline alone
+   cuts a silent connection at 50 ms and bounds no header: 6 KB of it is
+   served.  A run stops at 3 s of virtual time, so a guard that never
+   fires fails its checks instead of hanging. *)
+let test_httpd_guards_independent () =
+  let get = "GET /index.html HTTP/1.0\r\n" in
+  let pad n = String.concat "" (List.init n (fun _ -> "X-Padding: aaaaaaaaaaaaaaaa\r\n")) in
+  let run ~until clients =
+    let s = httpd ~until in
+    clients s;
+    let world = s.testbed.Clientos.world in
+    Clientos.run s.testbed ~until:(fun () -> until () || World.now world > 3_000_000_000);
+    s.stats ()
+  in
+  let served (s : Httpbench.served) c = Httpbench.exact_200 (Httpbench.drain c) s.bodies.(0) in
+  let over_cut = ref false and late_200 = ref false in
+  let st =
+    with_overload ~httpd_max_header_bytes:256 (fun () ->
+        run ~until:(fun () -> !over_cut && !late_200) (fun s ->
+            spawn_client s ~name:"drip" ~at:3_000_000 (fun c ->
+                Httpbench.send_string c get;
+                for _ = 1 to 40 do
+                  Kclock.sleep_ns 1_000_000;
+                  Httpbench.send_string c (pad 1)
+                done;
+                over_cut := Httpbench.drain c = "");
+            spawn_client s ~name:"late" ~at:4_000_000 (fun c ->
+                Kclock.sleep_ns 100_000_000;
+                Httpbench.send_string c (get ^ "\r\n");
+                late_200 := served s c)))
+  in
+  Alcotest.(check bool) "bound alone: the dripped header was cut" true !over_cut;
+  Alcotest.(check int) "bound alone: one header overflow" 1 st.Httpd.hdr_overflow;
+  Alcotest.(check bool) "bound alone: the silent connection was served" true !late_200;
+  Alcotest.(check int) "bound alone: no deadline close" 0 st.Httpd.deadline_closed;
+  let silent_cut_ns = ref 0 and long_200 = ref false in
+  let st =
+    with_overload ~httpd_header_deadline_ns:50_000_000 (fun () ->
+        run ~until:(fun () -> !silent_cut_ns > 0 && !long_200) (fun s ->
+            spawn_client s ~name:"silent" ~at:3_000_000 (fun c ->
+                let t0 = Kclock.now_ns () in
+                if Httpbench.drain c = "" then silent_cut_ns := Kclock.now_ns () - t0);
+            spawn_client s ~name:"long" ~at:4_000_000 (fun c ->
+                Httpbench.send_string c (get ^ pad 200 ^ "\r\n");
+                long_200 := served s c)))
+  in
+  Alcotest.(check bool) "deadline alone: the silent connection was cut at it" true
+    (!silent_cut_ns >= 50_000_000);
+  Alcotest.(check int) "deadline alone: one deadline close" 1 st.Httpd.deadline_closed;
+  Alcotest.(check bool) "deadline alone: the 6 KB header was served" true !long_200;
+  Alcotest.(check int) "deadline alone: no header overflow" 0 st.Httpd.hdr_overflow
 
 (* ------------------------------------------------------------------ *)
 (* Flags off (the seed defaults): a live round trip on both stacks moves
@@ -664,6 +718,8 @@ let suite =
       `Quick test_httpd_shed_503;
     Alcotest.test_case "httpd guard: keep-alive drip still cut at the header deadline"
       `Quick test_httpd_keepalive_drip_deadline;
+    Alcotest.test_case "httpd guards are independent: each bound works alone" `Quick
+      test_httpd_guards_independent;
     Alcotest.test_case "flags off: new counters and injector untouched" `Quick
       test_flags_off_counters_untouched;
     Alcotest.test_case "syncache: an option-less SYN gets the stack's own MSS" `Quick

@@ -147,17 +147,18 @@ let test_cksum_chain_odd_boundaries () =
     (In_cksum.cksum_chain m ~off:0 ~len:7);
   Alcotest.(check int) "empty range" (Codec.finish 0) (In_cksum.cksum_chain m ~off:3 ~len:0)
 
-(* Run [f] with the cost sink counting its charges; returns the number of
-   charges, the counted checksum bytes and [f]'s outcome. *)
+(* Run [f] on a fresh machine at 1 GHz + 1 Hz, where a charge of c cycles
+   (0 < c <= 10^9) takes c - 1 ns: its busy time falls short of the
+   checksum cycles by the number of charges.  Returns that number, the
+   counted checksum bytes and [f]'s outcome. *)
 let charged f =
-  let charges = ref 0 and saved = Cost.get_sink () in
-  Cost.reset_counters ();
-  Cost.set_sink (Some (fun _ _ -> incr charges));
-  let r =
-    Fun.protect ~finally:(fun () -> Cost.set_sink saved) (fun () ->
-        try Ok (f ()) with e -> Error e)
-  in
-  (!charges, Cost.counters.Cost.checksummed_bytes, r)
+  Cost.with_config { Cost.config with Cost.cpu_hz = 1_000_000_001 } (fun () ->
+      let pc = Machine.create (World.create ()) in
+      Cost.reset_counters ();
+      let r = Machine.run_in pc (fun () -> try Ok (f ()) with e -> Error e) in
+      let bytes = Cost.counters.Cost.checksummed_bytes in
+      let cycles = bytes * Cost.config.Cost.checksum_cycles_per_byte in
+      (cycles - Machine.cpu_busy_ns pc ~cpu:0, bytes, r))
 
 let test_cksum_chain_charges_once () =
   let frags = frags_of_cuts (String.make 100 'c') [ 33; 67 ] in

@@ -383,7 +383,7 @@ let test_linux_rst_stops_rexmt () =
   | None -> Alcotest.fail "send never returned");
   let s = Option.get !sock in
   Alcotest.(check bool) "the sock is closed" true (s.Linux_inet.state = Linux_inet.Closed);
-  Alcotest.(check int) "nothing held for retransmission" 0 s.Linux_inet.rexmt_q_len;
+  Alcotest.(check int) "nothing held for retransmission" 0 (Queue.length s.Linux_inet.rexmt_q);
   Alcotest.(check int) "no retransmission after the reset" 0 sa.Linux_inet.rexmits;
   Alcotest.(check int) "no give-up after the reset" 0 sa.Linux_inet.rexmt_give_ups
 
