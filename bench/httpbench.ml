@@ -384,6 +384,10 @@ let run ?(profile = Cost.paper ()) ?(span = Workload.no_span) d ~stack ~shape ~c
     connection ~record ~n:1 (fun c ->
         (match d.request with
         | Http10_dribble ->
+            (* The terminator must not wait on the server's delayed ACK of
+               the request line (Nagle): the think time alone piles
+               connections up. *)
+            c.Endpoint.nodelay ();
             send_string c (get fi "1.0");
             Kclock.sleep_ns think_ns;
             send_string c "\r\n"

@@ -396,6 +396,17 @@ let alloc () =
    isolates the copy cost; the rest is "the price we pay for modularity
    and separability" (Section 5).  A FreeBSD rtcp cell (no ttcp, so no
    blocks) is the native reference. *)
+(* Cheaper work is never slower: OSKit send to FreeBSD over a fine sweep
+   of one price each, the paper profile otherwise, at full length.  Each
+   step's bound row holds the send rate non-increasing as the price
+   rises.  (Short segments made both curves jagged: a cheaper crossing
+   or interrupt could put more frames on the wire.) *)
+let monotone_sweeps =
+  [ "glue_crossing_cycles", List.init 13 (fun i -> 1200 + (50 * i)),
+    (fun c -> { paper with Cost.glue_crossing_cycles = c });
+    "irq_entry_cycles", List.init 9 (fun i -> 320 + (20 * i)),
+    fun c -> { paper with Cost.irq_entry_cycles = c } ]
+
 let glue () =
   let rtt_metrics config p =
     let rtt, l = rtcp ~profile:p config ~trips:100 in
@@ -414,6 +425,17 @@ let glue () =
         (("send_mbit", Float t.mbit_sender) :: rtt_metrics Endpoint.Oskit p))
     [ 0; 500; 1500; 3000; 6000 ]
   @ [ record "glue" (cell Endpoint.Freebsd paper 0) (rtt_metrics Endpoint.Freebsd paper) ]
+  @ List.concat_map
+      (fun (knob, steps, prof) ->
+        List.map
+          (fun c ->
+            let p = prof c in
+            let t = ttcp ~profile:p ~sender:Endpoint.Oskit ~receiver:Endpoint.Freebsd ~blocks () in
+            record "glue"
+              [ system Endpoint.Oskit; profile p; "blocks", Int blocks; "sweep", Str knob ]
+              [ "send_mbit", Float t.mbit_sender ])
+          steps)
+      monotone_sweeps
 
 (* B: copies and glue crossings per 1000 wire packets: the send path
    shows the extra flattening copy, the receive path does not. *)
@@ -1059,6 +1081,20 @@ let bounds : bound list =
     "file", stack "FreeBSD", "crossings_per_req", Eq, zero;
     "file", stack "Linux", "crossings_per_req", Eq, zero;
     "file", stack "OSKit", "crossings_per_req", Gt, zero ]
+  (* cheaper glue or a cheaper interrupt never makes the OSKit send
+     slower: each step of either sweep sends no faster than the one
+     before it *)
+  @ List.concat_map
+      (fun (knob, steps, prof) ->
+        List.concat
+          (List.mapi
+             (fun i c ->
+               if i = 0 then []
+               else
+                 [ "glue", [ "sweep", Str knob; "profile", p (prof c) ], "send_mbit", Le,
+                   Times (1.0, [ "profile", p (prof (List.nth steps (i - 1))) ], "send_mbit") ])
+             steps))
+      monotone_sweeps
   (* the netcomputer's two largest groups (Section 6.2.5): networking
      and the kernel support each outweigh every other group *)
   @ List.concat_map

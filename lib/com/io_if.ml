@@ -138,11 +138,16 @@ type socket = {
   so_setsockopt : string -> int -> (unit, Error.t) result;
       (** Options by name; an option a stack does not know is [Notsup].
           FreeBSD TCP ({!Freebsd_glue}): ["sndbuf"], ["rcvbuf"],
-          ["nonblock"] and ["nopush"] (TCP_NOPUSH: while nonzero, a
-          sub-MSS tail of new data waits for more data or the FIN; a
-          listener's setting passes to the connections it accepts, and
-          clearing it sends the tail).  FreeBSD UDP: none.  Linux
-          ({!Linux_sock_com}): ["nonblock"] only — Linux 2.0 had no cork. *)
+          ["nonblock"], ["nopush"] (TCP_NOPUSH: while nonzero, a sub-MSS
+          tail of new data waits for more data or the FIN; clearing it
+          offers the tail to the send test again) and ["nodelay"]
+          (TCP_NODELAY: while nonzero, a sub-MSS segment that empties the
+          send buffer leaves without waiting for the ACK of what is in
+          flight, Nagle's rule off; the cork still holds it).  A
+          listener's settings pass to the connections it accepts.
+          FreeBSD UDP: none.  Linux ({!Linux_sock_com}): ["nonblock"] and
+          ["nodelay"] (2.0's [nonagle]: the partial packet at a write's
+          end leaves at once) — Linux 2.0 had no cork. *)
   so_shutdown : unit -> (unit, Error.t) result;
   so_close : unit -> (unit, Error.t) result;
 }

@@ -91,6 +91,7 @@ let notify_listeners s = Io_if.Listeners.notify s.listeners (fun () -> so_readin
 
 let so_set_nonblock s v = s.nonblock <- v
 let so_set_nopush s v = Tcp.usr_set_nopush s.st.tcp s.pcb v
+let so_set_nodelay s v = Tcp.usr_set_nodelay s.pcb v
 
 let wrap_pcb st pcb =
   let s =

@@ -172,6 +172,9 @@ let rec socket_com stack (s : Bsd_socket.tsock) : Io_if.socket =
               | "nopush" ->
                   Bsd_socket.so_set_nopush s (value <> 0);
                   Ok ()
+              | "nodelay" ->
+                  Bsd_socket.so_set_nodelay s (value <> 0);
+                  Ok ()
               | _ -> Result.Error Error.Notsup));
       so_shutdown = (fun () -> enter (fun () -> Bsd_socket.so_shutdown s));
       so_close = (fun () -> enter (fun () -> Bsd_socket.so_close s)) }

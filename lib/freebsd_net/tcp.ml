@@ -95,6 +95,7 @@ type tcpcb = {
   mutable snd_nxt : int;
   mutable snd_max : int;
   mutable snd_wnd : int;
+  mutable max_sndwnd : int; (* the largest window the peer has offered *)
   mutable snd_wl1 : int;
   mutable snd_wl2 : int;
   mutable snd_cwnd : int;
@@ -109,11 +110,12 @@ type tcpcb = {
   snd_buf : Sockbuf.t;
   mutable snd_fin_pending : bool;
   mutable fin_sent : bool;
-  (* TCP_NOPUSH (T/TCP's cork): while set, tcp_output holds a final
-     sub-MSS tail of new data until more data, the FIN, an ACK or window
-     update to carry it, or the option's clearing.  A listener's value is
+  (* TCP_NOPUSH (T/TCP's cork) and TCP_NODELAY: tcp_output's short-segment
+     test reads both (see [tcp_output_segs]).  A listener's values are
      copied into the connections it spawns. *)
   mutable t_nopush : bool;
+  mutable t_nodelay : bool;
+  mutable t_force : bool; (* the persist timer is forcing a send *)
   (* receive sequence space *)
   mutable irs : int;
   mutable rcv_nxt : int;
@@ -184,11 +186,12 @@ let default_sb_size = 48 * 1024
 let create_pcb t =
   { t_stack = t; t_state = Closed; laddr = 0l; lport = 0; raddr = 0l; rport = 0;
     t_maxseg = Cost.config.tcp_mss; iss = 0; snd_una = 0; snd_nxt = 0; snd_max = 0;
-    snd_wnd = 0;
+    snd_wnd = 0; max_sndwnd = 0;
     snd_wl1 = 0; snd_wl2 = 0; snd_cwnd = Cost.config.tcp_mss; snd_ssthresh = max_win;
     snd_recover = 0; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
     snd_buf = Sockbuf.create ~hiwat:default_sb_size; snd_fin_pending = false;
-    fin_sent = false; t_nopush = false; irs = 0; rcv_nxt = 0; rcv_adv = 0;
+    fin_sent = false; t_nopush = false; t_nodelay = false; t_force = false; irs = 0;
+    rcv_nxt = 0; rcv_adv = 0;
     rcv_buf = Sockbuf.create ~hiwat:default_sb_size; rcv_fin = false; reass = [];
     tw_ents = Array.make 3 None; t_rtt = -1; t_rtseq = 0; t_srtt = 0;
     t_rttvar = 24; t_rxtcur = 2; t_rxtshift = 0; ack_now = false; delack_pending = false;
@@ -197,6 +200,12 @@ let create_pcb t =
     on_state = (fun () -> ()); so_error = None }
 
 let rcv_window pcb = min (Sockbuf.space pcb.rcv_buf) (max_win lsl pcb.rcv_scale)
+
+(* The peer's offer, and the largest offer seen, which the sender's
+   silly-window test halves. *)
+let set_snd_wnd pcb win =
+  pcb.snd_wnd <- win;
+  if win > pcb.max_sndwnd then pcb.max_sndwnd <- win
 
 (* Both sides offered: windows are scaled from here on.  ssthresh starts
    effectively unbounded again, in the scaled range. *)
@@ -432,10 +441,13 @@ and send_synack_raw t ~laddr ~lport ~raddr ~rport ~iss ~irs ~mss =
 
 (* One call's segments leave as one transmit burst under the batched
    glue (Netif.with_burst): its loop never sleeps, so no frame waits on
-   anything but the loop itself. *)
-and tcp_output t pcb = Netif.with_burst t.ip.Ip.ifp tcp_output_segs t pcb
+   anything but the loop itself.  [idle] (nothing unacknowledged) is
+   taken once, before the first segment, as the donor's [idle] is. *)
+and tcp_output t pcb =
+  Netif.with_burst t.ip.Ip.ifp tcp_output_segs pcb (pcb.snd_max = pcb.snd_una)
 
-and tcp_output_segs t pcb =
+and tcp_output_segs pcb idle =
+  let t = pcb.t_stack in
   let sendable_state =
     match pcb.t_state with
     | Established | Close_wait | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait ->
@@ -459,13 +471,22 @@ and tcp_output_segs t pcb =
          (Codec.m32 (pcb.rcv_nxt + rcv_window pcb))
          (Codec.m32 (pcb.rcv_adv + (2 * pcb.t_maxseg)))
   in
-  (* Corked: the last new-data segment, shorter than a full one, waits
-     for company.  A retransmission (snd_nxt behind snd_max) never waits. *)
-  let hold =
-    pcb.t_nopush && len < pcb.t_maxseg && all_data_sent
-    && Codec.seq_geq pcb.snd_nxt pcb.snd_max
+  (* 4.4BSD's short-segment test (Nagle and sender silly-window
+     avoidance), in the donor's order: a full segment goes; a short one
+     goes when the connection is idle or TCP_NODELAY is set, the cork is
+     off and it empties the buffer; when the persist timer forces it;
+     when it is at least half the largest window the peer has offered;
+     or when it is a retransmission.  Otherwise it waits for an ACK, the
+     FIN or a window update to carry it. *)
+  let send_data =
+    len > 0
+    && (len = pcb.t_maxseg
+       || ((idle || pcb.t_nodelay) && (not pcb.t_nopush) && all_data_sent)
+       || pcb.t_force
+       || (pcb.max_sndwnd > 0 && len >= pcb.max_sndwnd / 2)
+       || Codec.seq_lt pcb.snd_nxt pcb.snd_max)
   in
-  if (len > 0 && win > off && not hold) || send_fin || pcb.ack_now || window_update then begin
+  if send_data || send_fin || pcb.ack_now || window_update then begin
     let flags =
       (if sendable_state then th_ack else 0)
       lor (if send_fin then th_fin else 0)
@@ -507,11 +528,13 @@ and tcp_output_segs t pcb =
         if Codec.seq_gt pcb.snd_nxt pcb.snd_max then pcb.snd_max <- pcb.snd_nxt;
         if not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
       end;
-      if len > 0 && not all_data_sent then tcp_output_segs t pcb
+      if len > 0 && not all_data_sent then tcp_output_segs pcb idle
     end
   end
   else if
-    sendable_state && pending > 0 && win <= off
+    (* Data the window holds back, with no timer to end the wait: persist.
+       (A corked tail the window would take waits for the uncork.) *)
+    sendable_state && pending > win - off
     && (not (armed pcb tw_persist))
     && not (armed pcb tw_rexmt)
   then set_persist t pcb (max 2 pcb.t_rxtcur)
@@ -570,19 +593,29 @@ and rexmt_timeout t pcb =
     if pcb.t_state <> Closed && not (armed pcb tw_rexmt) then set_rexmt t pcb pcb.t_rxtcur
   end
 
+(* A window too small for the short-segment test, with nothing in flight:
+   send what it takes, forced, as the donor's persist fire does.  A zero
+   window gets the one-byte probe. *)
 and persist_timeout t pcb =
   let off = Codec.seq_diff pcb.snd_nxt pcb.snd_una in
-  (try
-     if pcb.snd_buf.Sockbuf.sb_cc > off then begin
-       let payload = Sockbuf.copy_range pcb.snd_buf ~off ~len:1 in
-       emit_segment t pcb ~seq:pcb.snd_nxt ~ack:pcb.rcv_nxt ~flags:th_ack ~win:(rcv_window pcb)
-         ~payload:(Some payload) ~mss_opt:false ~wscale:None
-     end
-   with Memfault.Nomem ->
-     (* The probe is skipped; the persist timer re-arms below anyway. *)
-     bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
-     tcp_reclaim t);
-  set_persist t pcb (min 128 (max 2 (pcb.t_rxtcur * 2)))
+  if min pcb.snd_wnd pcb.snd_cwnd > off then begin
+    pcb.t_force <- true;
+    tcp_output t pcb;
+    pcb.t_force <- false
+  end
+  else begin
+    (try
+       if pcb.snd_buf.Sockbuf.sb_cc > off then begin
+         let payload = Sockbuf.copy_range pcb.snd_buf ~off ~len:1 in
+         emit_segment t pcb ~seq:pcb.snd_nxt ~ack:pcb.rcv_nxt ~flags:th_ack
+           ~win:(rcv_window pcb) ~payload:(Some payload) ~mss_opt:false ~wscale:None
+       end
+     with Memfault.Nomem ->
+       (* The probe is skipped; the persist timer re-arms below anyway. *)
+       bump t (fun s -> s.nomem_drops <- s.nomem_drops + 1);
+       tcp_reclaim t);
+    set_persist t pcb (min 128 (max 2 (pcb.t_rxtcur * 2)))
+  end
 
 (* One loop event: advance [wheel] one tick — a slow tick also expires
    the TIME_WAIT records whose 2MSL it ends — then fire what came due in
@@ -842,6 +875,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
           conn.raddr <- src;
           conn.rport <- sport;
           conn.t_nopush <- pcb.t_nopush;
+          conn.t_nodelay <- pcb.t_nodelay;
           (match mss with Some v -> conn.t_maxseg <- min Cost.config.tcp_mss v | None -> ());
           (match wscale with Some s -> setup_scaling conn ~peer:s | None -> ());
           conn.irs <- seq;
@@ -851,7 +885,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
           conn.snd_una <- conn.iss;
           conn.snd_nxt <- conn.iss;
           conn.snd_max <- conn.iss;
-          conn.snd_wnd <- win;
+          set_snd_wnd conn win;
           conn.t_state <- Syn_received;
           Conn_table.child t.conns conn ~parent:pcb ~laddr:conn.laddr ~raddr:src ~rport:sport;
           ensure_timers t;
@@ -877,7 +911,7 @@ let rec segment_arrives t pcb ~src ~sport ~seq ~ack ~flags ~win ~mss ~wscale ~da
         pcb.irs <- seq;
         pcb.rcv_nxt <- Codec.m32 (seq + 1);
         pcb.rcv_adv <- Codec.m32 (pcb.rcv_nxt + rcv_window pcb);
-        pcb.snd_wnd <- win;
+        set_snd_wnd pcb win;
         pcb.snd_wl1 <- seq;
         pcb.snd_wl2 <- ack;
         if ack_ok then begin
@@ -967,7 +1001,7 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
             pcb.snd_una <- ack;
             set_rexmt t pcb 0;
             pcb.t_rxtshift <- 0;
-            pcb.snd_wnd <- win;
+            set_snd_wnd pcb win;
             pcb.snd_wl1 <- !seq;
             pcb.snd_wl2 <- ack;
             enter_established t pcb
@@ -1030,7 +1064,7 @@ and common_input t pcb ~src ~sport ~seq ~ack ~flags ~win ~data ~dlen =
            || pcb.snd_wl1 = !seq
               && (Codec.seq_lt pcb.snd_wl2 ack || (pcb.snd_wl2 = ack && win > pcb.snd_wnd)))
       then begin
-        pcb.snd_wnd <- win;
+        set_snd_wnd pcb win;
         pcb.snd_wl1 <- !seq;
         pcb.snd_wl2 <- ack;
         if win > 0 then set_persist t pcb 0;
@@ -1124,6 +1158,7 @@ and syncache_expand t pcb ~src ~sport ~seq ~ack ~flags ~win ~data =
         conn.raddr <- src;
         conn.rport <- sport;
         conn.t_nopush <- pcb.t_nopush;
+        conn.t_nodelay <- pcb.t_nodelay;
         conn.t_maxseg <- min Cost.config.tcp_mss mss;
         conn.irs <- irs;
         conn.rcv_nxt <- Codec.m32 (irs + 1);
@@ -1530,10 +1565,15 @@ let usr_close t pcb =
       tcp_output t pcb
   | Fin_wait_1 | Fin_wait_2 | Closing | Last_ack | Time_wait -> ()
 
-(* TCP_NOPUSH.  Clearing it pushes whatever tail the cork held. *)
+(* TCP_NOPUSH.  Clearing it offers the held tail to the short-segment
+   test again. *)
 let usr_set_nopush t pcb on =
   pcb.t_nopush <- on;
   if not on then tcp_output t pcb
+
+(* TCP_NODELAY: a short segment that empties the buffer need not wait
+   for the ACK of what is in flight. *)
+let usr_set_nodelay pcb on = pcb.t_nodelay <- on
 
 let set_buffer_sizes pcb ~snd ~rcv =
   pcb.snd_buf.Sockbuf.sb_hiwat <- snd;

@@ -58,7 +58,10 @@
  * for the next reply's bytes.  A queue of mapped replies leaves in one
  * call and is never re-corked, so a keep-alive connection serving only
  * sendfile bodies toggles its cork once.  Each toggle is a setsockopt, a
- * glue crossing on an OSKit server.
+ * glue crossing on an OSKit server.  Both shapes also set TCP_NODELAY
+ * ("nodelay") on the listener, as Apache 1.x's sock_disable_nagle did:
+ * an uncorked tail, or a reply behind one still unacknowledged, leaves at
+ * once instead of waiting for the client's delayed ACK (Nagle's rule).
  *
  * Body path (Cost.config.sendfile): a 200 body is served zero-copy when
  * the socket exports the {!Io_if.sendv} face and the file the
@@ -705,6 +708,7 @@ let serve_reactor_sharded ~reactors ~home ~root ~(sock : Io_if.socket)
      next one. *)
   let scratch = Array.map (fun _ -> Bytes.create 2048) reactors in
   ignore (sock.Io_if.so_setsockopt "nonblock" 1);
+  ignore (sock.Io_if.so_setsockopt "nodelay" 1);
   let corks = sock.Io_if.so_setsockopt "nopush" 1 = Ok () in
   let rec accept_drain () =
     match sock.Io_if.so_accept () with
@@ -828,6 +832,7 @@ let handle_blocking ~corks st root (c : Io_if.socket) =
    thread-per-connection failure mode the reactor exists to avoid. *)
 let serve_threaded ~spawn ~root ~(sock : Io_if.socket) ?(max_threads = max_int) () =
   let st = make_stats () in
+  ignore (sock.Io_if.so_setsockopt "nodelay" 1);
   let corks = sock.Io_if.so_setsockopt "nopush" 1 = Ok () in
   let gate = Sleep_record.create ~name:"httpd_gate" () in
   let rec loop () =

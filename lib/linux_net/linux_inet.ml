@@ -67,6 +67,15 @@ type sock = {
   mutable rtt_ts : int; (* ns at transmit; 0 = no sample in flight (Karn) *)
   mutable fin_queued : bool;
   rexmt_q : rexmt_entry Queue.t; (* in sequence order, so the acked are a prefix *)
+  (* 2.0's partial packet (sk->partial): the short tail of a write, held
+     while segments are in flight unless [nonagle] (TCP_NODELAY) is set,
+     and filled by the next write.  Its bytes are accepted but not yet
+     sent: they lie past snd_nxt. *)
+  mutable partial : Bytes.t;
+  mutable partial_len : int;
+  mutable partial_armed : bool;
+  mutable partial_stamp : int; (* when it was last filled: its timer's start *)
+  mutable nonagle : bool;
   (* zero-window persist probing *)
   mutable persist_armed : bool;
   mutable persist_shift : int;
@@ -175,6 +184,7 @@ let create machine =
 let retire_queues s =
   Queue.iter (fun e -> Skbuff.skb_free e.rx_frame) s.rexmt_q;
   Queue.clear s.rexmt_q;
+  s.partial_len <- 0;
   List.iter (fun (_, skb) -> Skbuff.skb_free skb) s.ooo_q;
   s.ooo_q <- [];
   s.ooo_bytes <- 0
@@ -221,6 +231,9 @@ let inflight s = Codec.seq_diff s.snd_nxt s.snd_una
 
 let rcv_window s = max 0 (s.rcv_buf_max - s.rcv_q_bytes)
 
+(* What the congestion and send windows still admit. *)
+let usable s = min s.cwnd s.snd_wnd - inflight s
+
 let rexmt_max_shift = 6
 
 (* The retransmission-queue bound: 64 whole frames, as 2.0 shipped — but a
@@ -242,8 +255,9 @@ let setup_scaling s ~peer =
 
 (* Current readiness, an [Io_if.aio_*] bitmask.  Mirrors what the blocking
    calls below would do without sleeping: readable = recv or accept
-   returns immediately, writable = send can emit at least one segment,
-   exception = a pending socket error. *)
+   returns immediately, writable = send can emit at least one segment
+   (a full one while others are in flight: see [send]), exception = a
+   pending socket error. *)
 let sock_readiness s =
   let rd =
     match s.state with
@@ -254,7 +268,9 @@ let sock_readiness s =
   let wr =
     match s.state with
     | Established | Close_wait ->
-        inflight s < min s.cwnd s.snd_wnd && Queue.length s.rexmt_q <= rexmt_q_limit s
+        let room = usable s in
+        (room >= s.smss || (room > 0 && inflight s = 0))
+        && Queue.length s.rexmt_q <= rexmt_q_limit s
     | Closed -> true
     | _ -> false
   in
@@ -273,6 +289,7 @@ let wake s =
   Sleep_record.wakeup s.sleep;
   Io_if.Listeners.notify s.listeners (fun () -> sock_readiness s)
 let set_nonblock s v = s.nb <- v
+let set_nodelay s v = s.nonagle <- v
 
 (* ---- overload policy (lib/inet) ---- *)
 
@@ -488,6 +505,56 @@ and arm_persist t s =
            else s.persist_shift <- 0))
   end
 
+(* 2.0's partial-packet timer: a partial packet waits at most
+   [partial_ns] after its last fill (tcp_enqueue_partial's jiffies+HZ),
+   then leaves as far as the window takes it. *)
+let partial_ns = 1_000_000_000
+
+(* Transmit the partial packet: whole if the window takes it, or, with
+   nothing in flight, as much as the window takes.  Returns whether a
+   segment went. *)
+let send_partial t s =
+  let n = min s.partial_len (usable s) in
+  n > 0
+  && (n = s.partial_len || inflight s = 0)
+  && Queue.length s.rexmt_q <= rexmt_q_limit s
+  && tcp_xmit t s ~seq:s.snd_nxt ~flags:th_ack ~payload:(Some (s.partial, 0, n)) ~queue:true
+  && begin
+       s.snd_nxt <- Codec.m32 (s.snd_nxt + n);
+       Bytes.blit s.partial n s.partial 0 (s.partial_len - n);
+       s.partial_len <- s.partial_len - n;
+       true
+     end
+
+(* Restart the partial packet's timer; one fire is armed at a time. *)
+let rec arm_partial t s =
+  s.partial_stamp <- Machine.now t.machine;
+  if not s.partial_armed then begin
+    s.partial_armed <- true;
+    let rec schedule delay =
+      ignore
+        (after_home t s delay (fun () ->
+             let age = Machine.now t.machine - s.partial_stamp in
+             if s.partial_len = 0 then s.partial_armed <- false
+             else if age < partial_ns then schedule (partial_ns - age)
+             else begin
+               s.partial_armed <- false;
+               match s.state with
+               | Established | Close_wait ->
+                   if not (send_partial t s) then begin
+                     arm_persist t s;
+                     arm_partial t s
+                   end
+               | _ -> ()
+             end))
+    in
+    schedule partial_ns
+  end
+
+(* Nagle's rule for the partial packet: it may leave once full, when
+   nothing is in flight, or at once under TCP_NODELAY. *)
+let partial_due s = s.partial_len >= s.smss || inflight s = 0 || s.nonagle
+
 let send_ack t s =
   (* A pure ACK refused by the allocator is recovered exactly like one
      lost on the wire: the peer retransmits. *)
@@ -501,7 +568,8 @@ let blank_sock t =
     smss = Cost.config.tcp_mss; snd_scale = 0; rcv_scale = 0; peer_wscale = -1;
     dupacks = 0; recover = 0; srtt_ns = 0; rttvar_ns = 0; rto_ns = rexmt_ns;
     rtt_seq = 0; rtt_ts = 0;
-    fin_queued = false; rexmt_q = Queue.create (); persist_armed = false;
+    fin_queued = false; rexmt_q = Queue.create (); partial = Bytes.empty; partial_len = 0;
+    partial_armed = false; partial_stamp = 0; nonagle = false; persist_armed = false;
     persist_shift = 0; rcv_nxt = 0; rcv_q = Queue.create ();
     rcv_q_bytes = 0; ooo_q = []; ooo_bytes = 0;
     rcv_buf_max = default_window; adv_wnd = default_window; rxclump = Autotune.clump ();
@@ -546,6 +614,7 @@ let lx_syncache_expand t s ~src ~sport ~seq ~ack ~win =
       else begin
         let c = blank_sock t in
         c.state <- Established;
+        c.nonagle <- s.nonagle;
         c.lport <- s.lport;
         c.rport <- sport;
         c.raddr <- src;
@@ -661,7 +730,10 @@ let tcp_ack_in t s ~ack ~win ~dlen =
   (* A pure window update acks nothing, so ack_advance never wakes the
      sender it reopens the window for — wake it here (narrowly, so the
      clean path is untouched: a wake with no sleeper is a no-op). *)
-  if s.snd_wnd > old_wnd && old_wnd < s.smss then wake s
+  if s.snd_wnd > old_wnd && old_wnd < s.smss then wake s;
+  (* The ACK that empties the flight releases a held partial packet
+     (2.0's tcp_ack: packets_out == 0 && sk->partial). *)
+  if s.partial_len > 0 && partial_due s then ignore (send_partial t s)
 
 (* Header prediction (Cost.config.tcp_fastpath), the Linux analog: an
    established-state segment with no SYN/FIN/RST and an ACK, whose data —
@@ -846,6 +918,7 @@ let tcp_rcv t skb ~src =
                   else begin
                   let c = blank_sock t in
                   c.state <- Syn_recv;
+                  c.nonagle <- s.nonagle;
                   c.lport <- s.lport;
                   c.rport <- sport;
                   c.raddr <- src;
@@ -1097,48 +1170,60 @@ let connect t s ~dst ~dport =
   in
   wait ()
 
-(* Blocking send of the whole buffer, MSS segment at a time. *)
+(* Blocking send of the whole buffer, 2.0's tcp_write: full segments,
+   each waiting until the window takes all of it (or, with nothing in
+   flight, as much as it takes), and a short tail that leaves at once
+   only when nothing is in flight.  Otherwise the tail becomes the
+   partial packet, which the next write fills; it leaves when full, when
+   an ACK empties the flight, at once under TCP_NODELAY, or when its
+   timer fires. *)
 let send t s ~buf ~pos ~len =
   let rec push sent =
-    if sent >= len then Ok len
+    if sent >= len && s.partial_len = 0 then Ok len
     else
       match s.state with
       | Established | Close_wait ->
-          let window = min s.cwnd s.snd_wnd in
-          if inflight s >= window || Queue.length s.rexmt_q > rexmt_q_limit s then begin
-            if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
-            else begin
-              arm_persist t s;
-              Sleep_record.sleep s.sleep;
-              push sent
-            end
+          if s.partial_len >= s.smss || (s.partial_len > 0 && sent >= len) then begin
+            if partial_due s && send_partial t s then push sent
+            else if sent >= len then Ok len
+            else wait sent
+          end
+          else if s.partial_len > 0 then begin
+            let k = min (s.smss - s.partial_len) (len - sent) in
+            Bytes.blit buf (pos + sent) s.partial s.partial_len k;
+            s.partial_len <- s.partial_len + k;
+            arm_partial t s;
+            push (sent + k)
           end
           else begin
-            let n = min s.smss (min (len - sent) (max 0 (window - inflight s))) in
-            if n = 0 then begin
-              if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
-              else begin
-                arm_persist t s;
-                Sleep_record.sleep s.sleep;
-                push sent
-              end
-            end
-            else if
-              tcp_xmit t s ~seq:s.snd_nxt ~flags:th_ack
-                ~payload:(Some (buf, pos + sent, n))
-                ~queue:true
-            then begin
-              s.snd_nxt <- Codec.m32 (s.snd_nxt + n);
+            let n = min s.smss (len - sent) in
+            let room = usable s in
+            if n < s.smss && inflight s > 0 then begin
+              if Bytes.length s.partial < s.smss then s.partial <- Bytes.create s.smss;
+              Bytes.blit buf (pos + sent) s.partial 0 n;
+              s.partial_len <- n;
+              arm_partial t s;
               push (sent + n)
             end
+            else if
+              Queue.length s.rexmt_q > rexmt_q_limit s || room <= 0
+              || (room < n && inflight s > 0)
+            then wait sent
             else begin
-              (* No skb for the segment: snd_nxt did not advance, so the
-                 stream is intact.  Report what went (or would-block) to a
-                 non-blocking caller; park a blocking one, with a timed
-                 kick — under pure memory pressure no ACK is coming to
-                 wake it. *)
-              if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
+              let n = min n room in
+              if
+                tcp_xmit t s ~seq:s.snd_nxt ~flags:th_ack
+                  ~payload:(Some (buf, pos + sent, n))
+                  ~queue:true
+              then begin
+                s.snd_nxt <- Codec.m32 (s.snd_nxt + n);
+                push (sent + n)
+              end
+              else if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
               else begin
+                (* No skb for the segment: snd_nxt did not advance, so the
+                   stream is intact.  Park with a timed kick — under pure
+                   memory pressure no ACK is coming to wake it. *)
                 ignore (Machine.after t.machine 10_000_000 (fun () -> wake s));
                 Sleep_record.sleep s.sleep;
                 push sent
@@ -1147,6 +1232,15 @@ let send t s ~buf ~pos ~len =
           end
       | Closed -> Result.Error (Option.value s.err ~default:Error.Pipe)
       | _ -> Result.Error Error.Pipe
+  (* The window (or the retransmission queue) is full: report what went
+     to a non-blocking caller; park a blocking one until an ACK. *)
+  and wait sent =
+    if s.nb then if sent > 0 then Ok sent else Result.Error Error.Wouldblock
+    else begin
+      arm_persist t s;
+      Sleep_record.sleep s.sleep;
+      push sent
+    end
   in
   if Error.bad_range buf ~pos ~len then Result.Error Error.Inval else push 0
 
@@ -1212,7 +1306,19 @@ let rec close t s =
      to the application close is fire-and-forget, and nothing is queued
      that would retransmit the FIN for us. *)
   let send_fin next_state =
-    if tcp_xmit t s ~seq:s.snd_nxt ~flags:(th_fin lor th_ack) ~payload:None ~queue:true
+    (* The partial packet goes first, whatever Nagle says (2.0's
+       tcp_close sends it). *)
+    if
+      (s.partial_len = 0
+      || tcp_xmit t s ~seq:s.snd_nxt ~flags:th_ack
+           ~payload:(Some (s.partial, 0, s.partial_len))
+           ~queue:true
+         && begin
+              s.snd_nxt <- Codec.m32 (s.snd_nxt + s.partial_len);
+              s.partial_len <- 0;
+              true
+            end)
+      && tcp_xmit t s ~seq:s.snd_nxt ~flags:(th_fin lor th_ack) ~payload:None ~queue:true
     then begin
       s.state <- next_state;
       s.fin_queued <- true;

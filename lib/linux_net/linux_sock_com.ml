@@ -46,6 +46,9 @@ let rec socket_com (t : Linux_inet.stack) (s : Linux_inet.sock) : Io_if.socket =
               | "nonblock" ->
                   Linux_inet.set_nonblock s (value <> 0);
                   Ok ()
+              | "nodelay" ->
+                  Linux_inet.set_nodelay s (value <> 0);
+                  Ok ()
               | _ -> Result.Error Error.Notsup));
       so_shutdown = (fun () -> enter (fun () -> Ok (Linux_inet.close t s)));
       so_close = (fun () -> enter (fun () -> Ok (Linux_inet.close t s))) }

@@ -43,6 +43,7 @@ type conn = {
   send : buf:bytes -> pos:int -> len:int -> (int, Error.t) result;
   recv : buf:bytes -> pos:int -> len:int -> (int, Error.t) result;
   close : unit -> unit;
+  nodelay : unit -> unit;  (* set TCP_NODELAY: a short write need not wait for an ACK *)
   sock : sock;
 }
 
@@ -66,6 +67,7 @@ let setup config host ~addr =
         { send = (fun ~buf ~pos ~len -> Posix.send env fd buf ~pos ~len);
           recv = (fun ~buf ~pos ~len -> Posix.recv env fd buf ~pos ~len);
           close = (fun () -> ignore (close env fd));
+          nodelay = (fun () -> ok (Posix.setsockopt env fd "nodelay" 1));
           sock = Fd fd }
       in
       let listen ~port ~backlog =
@@ -86,6 +88,7 @@ let setup config host ~addr =
         { send = Bsd_socket.so_send s;
           recv = Bsd_socket.so_recv s;
           close = (fun () -> ignore (Bsd_socket.so_close s));
+          nodelay = (fun () -> Bsd_socket.so_set_nodelay s true);
           sock = Bsd_sock s }
       in
       let listen ~port ~backlog =
@@ -105,6 +108,7 @@ let setup config host ~addr =
         { send = Linux_inet.send stack s;
           recv = Linux_inet.recv stack s;
           close = (fun () -> Linux_inet.close stack s);
+          nodelay = (fun () -> Linux_inet.set_nodelay s true);
           sock = Lx_sock s }
       in
       let listen ~port ~backlog =

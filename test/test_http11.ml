@@ -397,7 +397,8 @@ let canned stream cuts =
         if !at = e then ends := rest;
         Ok n
   in
-  { Endpoint.send = (fun ~buf:_ ~pos:_ ~len -> Ok len); recv; close = ignore; sock = Endpoint.Fd 0 }
+  { Endpoint.send = (fun ~buf:_ ~pos:_ ~len -> Ok len); recv; close = ignore; nodelay = ignore;
+    sock = Endpoint.Fd 0 }
 
 let header body = Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Length: %d" (String.length body)
 let response body = header body ^ "\r\n\r\n" ^ body

@@ -459,11 +459,15 @@ let httpd ~until =
   Httpbench.serve ~site:Httpbench.index_site ~backlog:16 ~stack:Endpoint.Freebsd
     ~shape:Httpbench.Reactor ~until ()
 
-(* On host A from [at] ns: connect, [f] over the connection, close. *)
+(* On host A from [at] ns: connect, [f] over the connection, close.  The
+   clients write their requests in pieces, so each sets TCP_NODELAY: a
+   piece must not wait on the server's delayed ACK of the one before
+   (Nagle), or the guards would be timing that wait. *)
 let spawn_client (s : Httpbench.served) ~name ~at f =
   Clientos.spawn s.client.Endpoint.host ~name (fun () ->
       Kclock.sleep_ns at;
       let c = ok (Httpbench.connect s) in
+      c.Endpoint.nodelay ();
       f c;
       c.Endpoint.close ())
 
@@ -564,6 +568,7 @@ let test_httpd_keepalive_drip_deadline () =
           Clientos.spawn chost ~name:"dripper" (fun () ->
               Kclock.sleep_ns 3_000_000;
               let c = ok (Httpbench.connect s) in
+              c.Endpoint.nodelay ();
               (* Eight drips (4 s) unless cut first. *)
               String.iter
                 (fun ch ->

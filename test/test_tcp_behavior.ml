@@ -446,7 +446,8 @@ let tap_segments ?(lose = fun _ -> false) wire ~sport =
             | _ -> false)));
   fun () -> List.rev !segs
 
-(* A server on B whose listener is corked before it accepts: [script]
+(* A server on B whose listener is corked, and set TCP_NODELAY as the
+   httpd's is, before it accepts: [script]
    runs on the accepted connection with [sent], B's segments so far (see
    [tap_segments]), and [lose], which makes the wire drop B's next n data
    segments.  The client on A reads to EOF.  Returns whether the accepted
@@ -468,6 +469,7 @@ let corked_server ?(syn_defense = false) script =
       let ls = Bsd_socket.tcp_socket rig.sb in
       ok (Bsd_socket.so_bind ls ~port:5001);
       Bsd_socket.so_set_nopush ls true;
+      Bsd_socket.so_set_nodelay ls true;
       ok (Bsd_socket.so_listen ls ~backlog:2);
       let conn = ok (Bsd_socket.so_accept ls) in
       born_corked := conn.Bsd_socket.pcb.Tcp.t_nopush;
@@ -555,6 +557,137 @@ let test_nopush_retransmits_tail () =
   Alcotest.(check int) "after one retransmission timeout" 1 !timeouts;
   Alcotest.(check int) "every byte arrived" (mss + tail) (String.length got)
 
+(* ---- Segment rules: each donor's Nagle and silly-window test ---- *)
+
+(* A [sender] host on B serves one connection, running [serve] on it with
+   [sent], B's segments so far (see [tap_segments]); a [receiver] host on
+   A connects and runs [client].  Each side closes when its script
+   returns.  Returns [sent]. *)
+let segment_pair ?(receiver = Endpoint.Freebsd) ~sender ~serve ~client () =
+  let tb = Clientos.make_testbed () in
+  let a, b = Endpoint.pair tb ~a:receiver ~b:sender in
+  let sent = tap_segments tb.Clientos.wire ~sport:Endpoint.port in
+  let served = ref false and finished = ref false in
+  Clientos.spawn b.Endpoint.host ~name:"sender" (fun () ->
+      let accept = b.Endpoint.listen ~port:Endpoint.port ~backlog:1 in
+      let c = ok (accept ()) in
+      serve c ~sent;
+      c.Endpoint.close ();
+      served := true);
+  Clientos.spawn a.Endpoint.host ~name:"client" (fun () ->
+      Kclock.sleep_ns 1_000_000;
+      let c = ok (a.Endpoint.connect ~dst:Endpoint.addr_b ~port:Endpoint.port) in
+      client c;
+      c.Endpoint.close ();
+      finished := true);
+  Clientos.run tb ~until:(fun () -> !served && !finished);
+  Alcotest.(check bool) "both sides finished" true (!served && !finished);
+  sent
+
+let send_n (c : Endpoint.conn) n = ignore (ok (c.send ~buf:(Bytes.make n 's') ~pos:0 ~len:n))
+
+(* Read [n] bytes, or to EOF when [n] is negative; returns the count. *)
+let read_n (c : Endpoint.conn) n =
+  let buf = Bytes.create 8192 in
+  let rec loop got =
+    if n >= 0 && got >= n then got
+    else
+      match ok (c.recv ~buf ~pos:0 ~len:(if n < 0 then 8192 else min 8192 (n - got))) with
+      | 0 -> got
+      | k -> loop (got + k)
+  in
+  loop 0
+
+(* A ttcp-shaped stream, 4 KB writes, must leave in full segments: every
+   data segment carries [seg] bytes but the transfer's last. *)
+let check_full_segments ~seg sizes ~bytes =
+  Alcotest.(check int) "every byte sent once" bytes (List.fold_left ( + ) 0 sizes);
+  let rec body = function [] | [ _ ] -> [] | n :: rest -> n :: body rest in
+  Alcotest.(check (list int)) "every data segment but the last is full"
+    (List.map (fun _ -> seg) (body sizes)) (body sizes)
+
+let bulk_stream ~sender ~blocks =
+  let got = ref 0 in
+  let sent =
+    segment_pair ~sender
+      ~serve:(fun c ~sent:_ ->
+        for _ = 1 to blocks do
+          send_n c 4096
+        done)
+      ~client:(fun c -> got := read_n c (-1))
+      ()
+  in
+  Alcotest.(check int) "every byte arrived" (blocks * 4096) !got;
+  data_sizes (sent ())
+
+let bulk_full_segments sender () =
+  check_full_segments ~seg:mss (bulk_stream ~sender ~blocks:64) ~bytes:(64 * 4096)
+
+(* At MSS 8,960 the 48 KB receive buffer holds five segments and 4,352
+   bytes.  That remainder is below half the largest window offered
+   (24,576), so with segments in flight both donors hold it until an ACK
+   makes room for a whole segment (4.4BSD's max_sndwnd / 2 test; 2.0's
+   tcp_write builds a full segment when the window's remainder is under
+   max_window / 2): no 4,352-byte segment goes out, and the window runs
+   five segments full.  Only the first write, a short segment on an idle
+   connection, leaves as it is. *)
+let jumbo_full_segments sender () =
+  Cost.with_config { Cost.config with Cost.tcp_mss = 8960 } @@ fun () ->
+  match bulk_stream ~sender ~blocks:64 with
+  | first :: rest ->
+      Alcotest.(check int) "the first write leaves at once" 4096 first;
+      check_full_segments ~seg:8960 rest ~bytes:(63 * 4096)
+  | [] -> Alcotest.fail "no data segment"
+
+(* An idle connection sends a short segment at once: a 1-byte request
+   and its echo each cross in one wire round trip, never waiting on a
+   delayed ACK (a fast tick is 200 ms). *)
+let echo_at_once stack () =
+  let rtts = ref [] in
+  let (_ : unit -> _) =
+    segment_pair ~receiver:stack ~sender:stack
+      ~serve:(fun c ~sent:_ ->
+        for _ = 1 to 3 do
+          ignore (read_n c 1);
+          send_n c 1
+        done)
+      ~client:(fun c ->
+        for _ = 1 to 3 do
+          let t0 = Kclock.now_ns () in
+          send_n c 1;
+          ignore (read_n c 1);
+          rtts := (Kclock.now_ns () - t0) :: !rtts
+        done)
+      ()
+  in
+  List.iter
+    (fun rtt -> Alcotest.(check bool) "a 1-byte echo takes under 1 ms" true (rtt < 1_000_000))
+    !rtts
+
+(* Nagle: a second short write behind unacknowledged data waits for the
+   ACK, unless TCP_NODELAY is set. *)
+let second_write_waits sender () =
+  let run ~nodelay =
+    let at_once = ref [] in
+    let sent =
+      segment_pair ~sender
+        ~serve:(fun c ~sent ->
+          if nodelay then c.Endpoint.nodelay ();
+          send_n c 100;
+          send_n c 100;
+          at_once := data_sizes (sent ()))
+        ~client:(fun c -> ignore (read_n c (-1)))
+        ()
+    in
+    !at_once, data_sizes (sent ())
+  in
+  let held, sent = run ~nodelay:false in
+  Alcotest.(check (list int)) "without TCP_NODELAY the second write waits" [ 100 ] held;
+  Alcotest.(check (list int)) "and leaves on its own once the first is ACKed" [ 100; 100 ]
+    sent;
+  let at_once, _ = run ~nodelay:true in
+  Alcotest.(check (list int)) "with TCP_NODELAY it leaves at once" [ 100; 100 ] at_once
+
 let suite =
   [ Alcotest.test_case "loss recovery (periodic drops)" `Quick test_loss_recovery;
     Alcotest.test_case "fast retransmit on single drop" `Quick
@@ -578,4 +711,20 @@ let suite =
     Alcotest.test_case "corked syncache close: reply and FIN in one segment" `Quick
       (nopush_close_carries_fin true);
     Alcotest.test_case "corked: a lost tail is retransmitted, not held" `Quick
-      test_nopush_retransmits_tail ]
+      test_nopush_retransmits_tail;
+    Alcotest.test_case "segments, bsd: a bulk stream sends full MSS" `Quick
+      (bulk_full_segments Endpoint.Freebsd);
+    Alcotest.test_case "segments, linux: a bulk stream sends full MSS" `Quick
+      (bulk_full_segments Endpoint.Linux);
+    Alcotest.test_case "segments, bsd: MSS 8960 holds the window's rest" `Quick
+      (jumbo_full_segments Endpoint.Freebsd);
+    Alcotest.test_case "segments, linux: MSS 8960 holds the window's rest" `Quick
+      (jumbo_full_segments Endpoint.Linux);
+    Alcotest.test_case "segments, bsd: an idle 1-byte echo is not delayed" `Quick
+      (echo_at_once Endpoint.Freebsd);
+    Alcotest.test_case "segments, linux: an idle 1-byte echo is not delayed" `Quick
+      (echo_at_once Endpoint.Linux);
+    Alcotest.test_case "segments, bsd: Nagle holds a second small write" `Quick
+      (second_write_waits Endpoint.Freebsd);
+    Alcotest.test_case "segments, linux: Nagle holds a second small write" `Quick
+      (second_write_waits Endpoint.Linux) ]
